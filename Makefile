@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain cargo underneath.
 
-.PHONY: all test bench experiments examples lint doc clean e10 e11 e12 e13 e14 e15 e16 e17 fuzz serve stats
+.PHONY: all test bench benchmark-smoke experiments examples lint doc clean e10 e11 e12 e13 e14 e15 e16 e17 fuzz serve stats
 
 all: test
 
@@ -16,6 +16,15 @@ doc:
 
 bench:
 	cargo bench --workspace
+
+# The benchmark (benchmark/, a package outside this workspace) still
+# builds against the crates, every workload answers correctly, the traced
+# run's stage spans cover a request (its >=95% gate), and its own tests
+# pass. ~1 min; what BENCHMARK.json's driver would trip over, caught here.
+benchmark-smoke:
+	bash benchmark/run.sh --workload all --seed 1 --smoke --trace 0
+	bash benchmark/run.sh --workload all --seed 1 --smoke --trace 1
+	cd benchmark && cargo test --offline
 
 # Regenerate every figure/experiment table (EXPERIMENTS.md sources).
 experiments:

@@ -18,13 +18,15 @@
 //! changes), and the delivered-message count stays constant across the
 //! sweep — dedup makes duplicates and retransmissions invisible.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
 use xdp_apps::fft3d::{Fft3dConfig, Stage};
 use xdp_bench::table::j;
 use xdp_bench::Table;
-use xdp_core::{ExecReport, KernelRegistry, SimConfig, SimExec, ThreadConfig, ThreadExec};
+use xdp_core::{
+    ExecReport, Gathered, KernelRegistry, SimConfig, SimExec, ThreadConfig, ThreadExec,
+};
 use xdp_fault::{FaultPlan, LinkFault};
 use xdp_ir::{Decl, ElemType, Program, Section, VarId};
 use xdp_runtime::{Complex, Value};
@@ -56,12 +58,9 @@ fn init_value(elem: ElemType, ord: i64) -> Value {
 }
 
 /// The final global state of every exclusive array.
-type State = Vec<BTreeMap<Vec<i64>, (usize, Value)>>;
+type State = Vec<Gathered>;
 
-fn gather_state(
-    decls: &[Decl],
-    gather: impl Fn(VarId) -> BTreeMap<Vec<i64>, (usize, Value)>,
-) -> State {
+fn gather_state(decls: &[Decl], gather: impl Fn(VarId) -> Gathered) -> State {
     decls
         .iter()
         .enumerate()
@@ -94,7 +93,7 @@ fn sim_run(
         }
     }
     let report = exec.run().expect("sim run");
-    let state = gather_state(&decls, |v| exec.gather(v).values);
+    let state = gather_state(&decls, |v| exec.gather(v));
     (state, report)
 }
 
@@ -122,7 +121,7 @@ fn thr_run(
     let t0 = Instant::now();
     exec.run().expect("threaded run");
     let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
-    (gather_state(&decls, |v| exec.gather(v).values), wall_ms)
+    (gather_state(&decls, |v| exec.gather(v)), wall_ms)
 }
 
 /// One workload: (label, program, kernel registry, machine size).

@@ -42,6 +42,7 @@ pub use exec::{run_lockstep, run_pid, run_sim, ExecError};
 pub use net::{LocalNet, Net};
 pub use planner::{
     compatible_segment_shape, lower_redistribute_for_pid, plan, prepare, prepare_arc,
-    redistribution_pieces, try_plan, FrontierPoint, Piece, PlanError, RedistPlan, Strategy,
+    redistribution_pieces, try_plan, FrontierPoint, Piece, PlanCtx, PlanError, RedistPlan,
+    Strategy,
 };
 pub use schedule::{CommSchedule, Round, Transfer};

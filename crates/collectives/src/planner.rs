@@ -28,9 +28,9 @@
 use crate::schedule::{CommSchedule, Round, Transfer};
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use xdp_ir::{
-    BoolExpr, DestSet, Distribution, IntExpr, Program, Section, SectionRef, Stmt, Subscript,
+    BoolExpr, Decl, DestSet, Distribution, IntExpr, Program, Section, SectionRef, Stmt, Subscript,
     TransferKind, Triplet, TripletExpr, VarId,
 };
 use xdp_machine::{CostModel, Topology};
@@ -666,6 +666,81 @@ pub fn try_plan(
                 }),
             }
         }
+    }
+}
+
+/// What one machine's processors share when they plan redistributions:
+/// the cost model and topology schedules are priced with, and the plans
+/// already computed. A plan is a pure function of the array, its two
+/// distributions and the machine, so the first processor to reach a
+/// `redistribute` computes it and the other P-1 reuse it. One context per
+/// machine instance: a driver builds it from its configuration and hands
+/// the same `Arc` to every processor.
+#[derive(Debug)]
+pub struct PlanCtx {
+    cost: CostModel,
+    topo: Topology,
+    /// Keyed by (variable, source distribution, target distribution); a
+    /// program has a handful of distinct redistributions, so a scan beats
+    /// hashing two distributions.
+    memo: Mutex<Vec<PlanMemo>>,
+}
+
+type PlanMemo = (VarId, Distribution, Distribution, Arc<RedistPlan>);
+
+impl PlanCtx {
+    /// A context for a machine priced by `cost` over `topo`, with nothing
+    /// planned yet.
+    pub fn new(cost: CostModel, topo: Topology) -> Arc<PlanCtx> {
+        Arc::new(PlanCtx {
+            cost,
+            topo,
+            memo: Mutex::new(Vec::new()),
+        })
+    }
+
+    /// The 1993 machine on a uniform interconnect: what a processor plans
+    /// with until a driver hands it the machine's own context.
+    pub fn default_1993() -> Arc<PlanCtx> {
+        PlanCtx::new(CostModel::default_1993(), Topology::Uniform)
+    }
+
+    /// The plan (lowerable: one section per message) that takes `decl`'s
+    /// array, variable `var`, from `src` to `dst` on this machine. The
+    /// memo lock is held while planning, so concurrent processors wait for
+    /// the one plan instead of racing to compute P copies of it.
+    pub fn plan(
+        &self,
+        var: VarId,
+        decl: &Decl,
+        src: &Distribution,
+        dst: &Distribution,
+    ) -> Arc<RedistPlan> {
+        let mut memo = self.memo.lock().expect("a planner panicked");
+        if let Some((.., plan)) = memo
+            .iter()
+            .find(|(v, s, d, _)| *v == var && s == src && d == dst)
+        {
+            return plan.clone();
+        }
+        let planned = Arc::new(plan(
+            var,
+            &decl.bounds,
+            decl.elem.size_bytes(),
+            src,
+            dst,
+            &self.cost,
+            &self.topo,
+            true, // lowering emits one section per transfer statement
+        ));
+        memo.push((var, src.clone(), dst.clone(), planned.clone()));
+        planned
+    }
+
+    /// How many times the planner body has run on this machine (one per
+    /// distinct redistribution). For tests of the sharing itself.
+    pub fn plans_computed(&self) -> usize {
+        self.memo.lock().expect("a planner panicked").len()
     }
 }
 

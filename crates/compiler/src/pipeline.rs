@@ -21,7 +21,7 @@
 //! assert_eq!(o.trace.passes.len(), 5); // the paper pipeline ran
 //! ```
 
-use crate::frontend::{lower_owner_computes, FrontendOptions};
+use crate::frontend::{lower_owner_computes, FrontendError, FrontendOptions};
 use crate::passes::{AutoPlace, PassManager};
 use crate::seq::from_program;
 use std::sync::Arc;
@@ -233,11 +233,17 @@ pub fn compile_program(program: &Program, opts: &CompileOptions) -> Result<Compi
         SeqMode::AsIs => (program.clone(), false),
         SeqMode::Lower => (lower_seq(program)?, true),
         SeqMode::Auto => match from_program(program) {
-            Ok(seq) => (
-                lower_owner_computes(&seq, &FrontendOptions::default())
-                    .map_err(|e| CompileError::Frontend(e.to_string()))?,
-                true,
-            ),
+            Ok(seq) => match lower_owner_computes(&seq, &FrontendOptions::default()) {
+                Ok(lowered) => (lowered, true),
+                // Sequential statement by statement, but a reference's shape
+                // hangs on processor-local values (`mylb`/`myub`/`mypid`
+                // bounds): communication-free IL+XDP already written for the
+                // SPMD machine. Run it as written.
+                Err(
+                    FrontendError::NonStaticShape { .. } | FrontendError::LoopVariantShape { .. },
+                ) => (program.clone(), false),
+                Err(e) => return Err(CompileError::Frontend(e.to_string())),
+            },
             Err(_) => (program.clone(), false),
         },
     };
@@ -331,6 +337,31 @@ mod tests {
         let auto = CompileOptions::default().with_seq(SeqMode::Auto);
         assert!(compile(SEQ_SRC, &auto).unwrap().lowered);
         assert!(!compile(XDP_SRC, &auto).unwrap().lowered);
+    }
+
+    /// Communication-free IL+XDP that updates its own block of rows,
+    /// `mylb:myub`, in one vector statement: no XDP *statement*, so it
+    /// parses as sequential — but the operand shapes are processor-local,
+    /// so it cannot be lowered owner-computes and must run as written.
+    const LOCAL_SWEEP_SRC: &str = "real U[1:8,1:8] distribute (BLOCK,*) onto 4\n\
+        real V[1:8,1:8] distribute (BLOCK,*) onto 4\n\
+        V[mylb(U[*,*], 1):myub(U[*,*], 1),2:7] = \
+          (U[mylb(U[*,*], 1):myub(U[*,*], 1),1:6] + U[mylb(U[*,*], 1):myub(U[*,*], 1),3:8])\n";
+
+    #[test]
+    fn auto_mode_runs_processor_local_source_as_written() {
+        let auto = CompileOptions::default().with_seq(SeqMode::Auto);
+        let c = compile(LOCAL_SWEEP_SRC, &auto).unwrap();
+        assert!(!c.lowered);
+        let as_is = compile(LOCAL_SWEEP_SRC, &CompileOptions::default()).unwrap();
+        assert_eq!(c.program, as_is.program);
+        // Asking for a lowering outright is still refused, by name.
+        let e = compile(
+            LOCAL_SWEEP_SRC,
+            &CompileOptions::default().with_seq(SeqMode::Lower),
+        )
+        .unwrap_err();
+        assert!(matches!(e, CompileError::Frontend(_)), "{e}");
     }
 
     #[test]

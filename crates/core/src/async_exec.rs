@@ -38,9 +38,10 @@ use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
+use xdp_collectives::PlanCtx;
 use xdp_fault::{FaultPlan, RecvFailure};
 use xdp_ir::{Program, VarId};
-use xdp_machine::ThreadNet;
+use xdp_machine::{CostModel, ThreadNet, Topology};
 use xdp_runtime::{Tag, Value};
 use xdp_trace::{Trace, TraceConfig, TraceEvent, TraceKind, WaitCause};
 
@@ -68,6 +69,11 @@ pub struct AsyncConfig {
     /// Fault-injection plan (inactive by default; `rto`/`delay` are
     /// wall-clock microseconds on this backend).
     pub faults: FaultPlan,
+    /// Cost model the redistribution planner prices schedules with (its
+    /// `mem_budget` bounds their staging); wall time is not modelled.
+    pub cost: CostModel,
+    /// Interconnect shape the planner prices schedules over.
+    pub topo: Topology,
 }
 
 impl AsyncConfig {
@@ -81,6 +87,8 @@ impl AsyncConfig {
             recv_timeout: Duration::from_secs(5),
             trace: TraceConfig::off(),
             faults: FaultPlan::none(),
+            cost: CostModel::default_1993(),
+            topo: Topology::Uniform,
         }
     }
 
@@ -109,6 +117,7 @@ impl AsyncConfig {
 pub struct AsyncExec<P: Processor = Interp> {
     cfg: AsyncConfig,
     interps: Vec<P>,
+    plan_ctx: std::sync::Arc<PlanCtx>,
 }
 
 impl AsyncExec {
@@ -123,30 +132,32 @@ impl AsyncExec {
         let interps = (0..n)
             .map(|pid| Interp::new(program.clone(), kernels.clone(), pid, n, cfg.checked))
             .collect();
-        AsyncExec { cfg, interps }
+        AsyncExec::from_procs(interps, cfg)
     }
 }
 
 impl<P: Processor> AsyncExec<P> {
     /// Drive pre-built processors (one per pid, in pid order). The caller
-    /// must have prepared the program identically on every processor.
-    pub fn from_procs(procs: Vec<P>, cfg: AsyncConfig) -> AsyncExec<P> {
+    /// must have prepared the program identically on every processor; all
+    /// of them join this machine's one planning context here.
+    pub fn from_procs(mut procs: Vec<P>, cfg: AsyncConfig) -> AsyncExec<P> {
         assert_eq!(procs.len(), cfg.nprocs, "one processor per pid");
+        let plan_ctx = crate::proc::join_machine(&mut procs, cfg.cost, cfg.topo.clone());
         AsyncExec {
             cfg,
             interps: procs,
+            plan_ctx,
         }
     }
 
     /// Initialize an exclusive array (owned elements on each processor).
     pub fn init_exclusive(&mut self, var: VarId, f: impl Fn(&[i64]) -> Value) {
-        for interp in &mut self.interps {
-            let env = interp.env_mut();
-            let full = env.full_section(var);
-            for idx in full.iter() {
-                let _ = env.symtab.write(var, &idx, f(&idx));
-            }
-        }
+        crate::proc::init_exclusive(&mut self.interps, var, f);
+    }
+
+    /// The planning context this machine's processors share.
+    pub fn plan_ctx(&self) -> &PlanCtx {
+        &self.plan_ctx
     }
 
     /// Run all processors to completion over the worker pool.
@@ -260,10 +271,7 @@ impl<P: Processor> AsyncExec<P> {
 
     /// Gather the global contents of an exclusive array after execution.
     pub fn gather(&self, var: VarId) -> Gathered {
-        let tables: Vec<&xdp_runtime::RtSymbolTable> =
-            self.interps.iter().map(|i| &i.env().symtab).collect();
-        let full = self.interps[0].env().full_section(var);
-        crate::report::gather_var(var, &tables, &full)
+        crate::proc::gather(&self.interps, var)
     }
 }
 

@@ -26,8 +26,8 @@ use crate::kernels::KernelRegistry;
 use std::collections::HashMap;
 use std::sync::Arc as Rc;
 use std::sync::Arc;
+use xdp_collectives::PlanCtx;
 use xdp_ir::{Decl, DestSet, Distribution, Program, Section, Stmt, TransferKind, VarId};
-use xdp_machine::{CostModel, Topology};
 use xdp_runtime::{Buffer, Msg, Tag};
 
 /// What the executor must do after a step.
@@ -128,9 +128,10 @@ pub struct Interp {
     /// Current distribution of each redistributed variable (falls back to
     /// the declared distribution). SPMD-identical across processors.
     cur_dist: HashMap<VarId, Distribution>,
-    /// Cost model and topology the redistribution planner prices
-    /// candidate schedules with (the machine defaults when unset).
-    plan_cfg: Option<(CostModel, Topology)>,
+    /// The machine-wide planning context: what the redistribution planner
+    /// prices schedules with, and the plans the machine's processors
+    /// share (private 1993 defaults until a driver sets the machine's).
+    plan_ctx: Arc<PlanCtx>,
     /// Count of `redistribute` statements executed, for tag salting.
     redist_epoch: u64,
     /// Statement id of the statement the current step is executing.
@@ -165,19 +166,19 @@ impl Interp {
             next_req: (pid as u64) << 32,
             barrier_passed: false,
             cur_dist: HashMap::new(),
-            plan_cfg: None,
+            plan_ctx: PlanCtx::default_1993(),
             redist_epoch: 0,
             cur_sid: None,
             cur_note: None,
         }
     }
 
-    /// Tell the redistribution planner what machine it is pricing
-    /// schedules for. Must be identical on every processor (the plan is
-    /// computed from static information, so identical inputs give
-    /// identical schedules and tags machine-wide).
-    pub fn set_plan_cfg(&mut self, cost: CostModel, topo: Topology) {
-        self.plan_cfg = Some((cost, topo));
+    /// Join a machine: plan redistributions through its shared context.
+    /// Every processor of one machine must be handed the same context
+    /// (identical plans are what make schedules and tags agree
+    /// machine-wide).
+    pub fn set_plan_ctx(&mut self, ctx: Arc<PlanCtx>) {
+        self.plan_ctx = ctx;
     }
 
     /// The loaded program.
@@ -626,20 +627,7 @@ impl Interp {
                         pid: self.env.pid,
                         detail: format!("redistribute of undistributed `{}`", decl.name),
                     })?;
-                let (cost, topo) = self
-                    .plan_cfg
-                    .clone()
-                    .unwrap_or((CostModel::default_1993(), Topology::Uniform));
-                let plan = xdp_collectives::plan(
-                    var,
-                    &decl.bounds,
-                    decl.elem.size_bytes(),
-                    &src,
-                    &dist,
-                    &cost,
-                    &topo,
-                    true, // lowering emits one section per transfer statement
-                );
+                let plan = self.plan_ctx.plan(var, decl, &src, &dist);
                 // Planning consults the section algebra once per message.
                 self.env.ops.symtab_ops += plan.schedule.message_count() as u64;
                 // Epoch-salted tags keep successive redistributions of one

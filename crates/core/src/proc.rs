@@ -12,9 +12,12 @@
 
 use crate::env::{ProcEnv, RtError};
 use crate::interp::{Interp, StepOut};
+use crate::report::Gathered;
+use std::sync::Arc;
+use xdp_collectives::PlanCtx;
 use xdp_ir::{Section, VarId};
 use xdp_machine::{CostModel, Topology};
-use xdp_runtime::{Msg, Tag};
+use xdp_runtime::{Msg, Tag, Value};
 
 /// One SPMD processor: a program counter over a per-processor program plus
 /// the run-time environment (§3 symbol table, scalars, op counters).
@@ -38,14 +41,48 @@ pub trait Processor: Send {
     /// Human-readable program position, for deadlock diagnostics.
     fn position(&self) -> String;
 
-    /// Machine parameters for runtime redistribution planning.
-    fn set_plan_cfg(&mut self, cost: CostModel, topo: Topology);
+    /// Join a machine: plan redistributions through its shared context.
+    fn set_plan_ctx(&mut self, ctx: Arc<PlanCtx>);
 
     /// The processor's run-time environment.
     fn env(&self) -> &ProcEnv;
 
     /// Mutable access to the run-time environment (initialization).
     fn env_mut(&mut self) -> &mut ProcEnv;
+}
+
+/// Put a machine's processors on one planning context priced by `cost`
+/// over `topo`, so each redistribution is planned once per machine.
+pub fn join_machine<P: Processor>(
+    procs: &mut [P],
+    cost: CostModel,
+    topo: Topology,
+) -> Arc<PlanCtx> {
+    let ctx = PlanCtx::new(cost, topo);
+    for p in procs {
+        p.set_plan_ctx(ctx.clone());
+    }
+    ctx
+}
+
+/// Initialize an exclusive array on a machine's processors: each sets the
+/// elements it owns to `f(index)`, in time proportional to what it owns
+/// (see [`xdp_runtime::RtSymbolTable::init_owned`]). The one init path of
+/// every driver.
+pub fn init_exclusive<P: Processor>(procs: &mut [P], var: VarId, f: impl Fn(&[i64]) -> Value) {
+    for p in procs {
+        p.env_mut().symtab.init_owned(var, &f);
+    }
+}
+
+/// Gather the global contents of an exclusive array from a machine's
+/// processors (pid order). The one gather path of every driver.
+pub fn gather<P: Processor>(procs: &[P], var: VarId) -> Gathered {
+    let mut g = Gathered::new(procs[0].env().full_section(var));
+    for (pid, p) in procs.iter().enumerate() {
+        g.absorb(pid, &p.env().symtab, var);
+    }
+    g
 }
 
 impl Processor for Interp {
@@ -73,8 +110,8 @@ impl Processor for Interp {
         Interp::position(self)
     }
 
-    fn set_plan_cfg(&mut self, cost: CostModel, topo: Topology) {
-        Interp::set_plan_cfg(self, cost, topo)
+    fn set_plan_ctx(&mut self, ctx: Arc<PlanCtx>) {
+        Interp::set_plan_ctx(self, ctx)
     }
 
     fn env(&self) -> &ProcEnv {

@@ -7,7 +7,6 @@
 //! [`Trace`] — exporters, Gantt rendering, and critical-path analysis all
 //! operate on it.
 
-use std::collections::BTreeMap;
 use xdp_fault::{FaultEvent, FaultEventKind, FaultStats};
 use xdp_ir::{Section, VarId};
 use xdp_machine::NetStats;
@@ -79,22 +78,74 @@ impl ExecReport {
 }
 
 /// The gathered global contents of one exclusive array after execution:
-/// every element index mapped to (owner pid, value). Used by tests to
-/// verify distributed results against sequential references.
-#[derive(Clone, Debug, Default)]
+/// for every element of the array's index space, the owner pid and value
+/// where some processor owns it. Stored densely, row-major over the full
+/// section, so gathering is O(owned elements) and iteration is in
+/// ascending index order. Used by tests to verify distributed results
+/// against sequential references.
+#[derive(Clone, Debug, PartialEq)]
 pub struct Gathered {
-    pub values: BTreeMap<Vec<i64>, (usize, Value)>,
+    full: Section,
+    cells: Vec<Option<(usize, Value)>>,
 }
 
 impl Gathered {
+    /// An image of the index space `full` with every element unowned.
+    pub fn new(full: Section) -> Gathered {
+        let cells = vec![None; full.volume() as usize];
+        Gathered { full, cells }
+    }
+
+    /// The array's index space.
+    pub fn full(&self) -> &Section {
+        &self.full
+    }
+
+    /// Record that `pid` owns `idx` with value `val`.
+    ///
+    /// # Panics
+    /// Panics if `idx` is outside the index space or already has an owner.
+    pub fn insert(&mut self, idx: &[i64], pid: usize, val: Value) {
+        let ord = self
+            .full
+            .ordinal_of(idx)
+            .unwrap_or_else(|| panic!("element {idx:?} outside {}", self.full));
+        put(&self.full, &mut self.cells, ord as usize, pid, val);
+    }
+
+    /// Record everything processor `pid`'s table holds of `var`.
+    ///
+    /// # Panics
+    /// Panics if an element already has an owner.
+    pub fn absorb(&mut self, pid: usize, table: &xdp_runtime::RtSymbolTable, var: VarId) {
+        let Gathered { full, cells } = self;
+        table.visit_owned(var, full, |ord, val| put(full, cells, ord, pid, val));
+    }
+
+    fn cell(&self, idx: &[i64]) -> Option<(usize, Value)> {
+        self.cells[self.full.ordinal_of(idx)? as usize]
+    }
+
     /// Value at an index, if owned anywhere.
     pub fn get(&self, idx: &[i64]) -> Option<Value> {
-        self.values.get(idx).map(|(_, v)| *v)
+        self.cell(idx).map(|(_, v)| v)
     }
 
     /// Owner pid of an index.
     pub fn owner(&self, idx: &[i64]) -> Option<usize> {
-        self.values.get(idx).map(|(p, _)| *p)
+        self.cell(idx).map(|(p, _)| p)
+    }
+
+    /// Visit every owned element as (index, owner pid, value), in ascending
+    /// lexicographic index order.
+    pub fn for_each(&self, mut visit: impl FnMut(&[i64], usize, Value)) {
+        let mut idx: Vec<i64> = self.full.dims().iter().map(|t| t.lb).collect();
+        for cell in &self.cells {
+            if let Some((pid, val)) = cell {
+                visit(&idx, *pid, *val);
+            }
+            self.full.advance(&mut idx);
+        }
     }
 
     /// Dense row-major values over `sec` (None where unowned).
@@ -123,6 +174,16 @@ impl Gathered {
     pub fn owners(&self, sec: &Section) -> Vec<Option<usize>> {
         sec.iter().map(|idx| self.owner(&idx)).collect()
     }
+}
+
+/// Give cell `ord` of an image over `full` its one owner.
+fn put(full: &Section, cells: &mut [Option<(usize, Value)>], ord: usize, pid: usize, val: Value) {
+    let prev = cells[ord].replace((pid, val));
+    assert!(
+        prev.is_none(),
+        "element {:?} owned by two processors",
+        full.nth(ord as i64).expect("ordinal in range")
+    );
 }
 
 /// Convert delivery-layer fault events into trace instants on the sending
@@ -155,27 +216,6 @@ pub fn fault_trace_events(events: &[FaultEvent]) -> Vec<TraceEvent> {
             })
         })
         .collect()
-}
-
-/// Build a [`Gathered`] for `var` from per-processor symbol tables.
-pub fn gather_var(var: VarId, tables: &[&xdp_runtime::RtSymbolTable], full: &Section) -> Gathered {
-    let mut g = Gathered::default();
-    for (pid, t) in tables.iter().enumerate() {
-        if let Some(entry) = t.entry(var) {
-            for seg in &entry.segments {
-                if !seg.status.is_owned() {
-                    continue;
-                }
-                for idx in seg.section.intersect(full).iter() {
-                    if let Some(v) = seg.read(&idx) {
-                        let prev = g.values.insert(idx.clone(), (pid, v));
-                        assert!(prev.is_none(), "element {idx:?} owned by two processors");
-                    }
-                }
-            }
-        }
-    }
-    g
 }
 
 #[cfg(test)]
@@ -224,9 +264,9 @@ mod tests {
 
     #[test]
     fn gathered_lookup_dense_and_owners() {
-        let mut g = Gathered::default();
-        g.values.insert(vec![1], (0, Value::F64(10.0)));
-        g.values.insert(vec![2], (1, Value::F64(20.0)));
+        let mut g = Gathered::new(Section::new(vec![xdp_ir::Triplet::range(1, 3)]));
+        g.insert(&[1], 0, Value::F64(10.0));
+        g.insert(&[2], 1, Value::F64(20.0));
         assert_eq!(g.get(&[1]), Some(Value::F64(10.0)));
         assert_eq!(g.owner(&[2]), Some(1));
         assert_eq!(g.get(&[3]), None);
@@ -243,9 +283,61 @@ mod tests {
     #[test]
     #[should_panic(expected = "unowned")]
     fn assert_close_panics_on_unowned_elements() {
-        let g = Gathered::default();
         let sec = Section::new(vec![xdp_ir::Triplet::range(1, 1)]);
+        let g = Gathered::new(sec.clone());
         g.assert_close_f64(&sec, &[1.0], 1e-12);
+    }
+
+    /// The dense image visits owned elements in the order the
+    /// `BTreeMap<Vec<i64>, _>` it replaced iterated: ascending
+    /// lexicographic index, whatever order they were recorded in.
+    #[test]
+    fn gathered_visits_in_lexicographic_index_order() {
+        use std::collections::BTreeMap;
+        let full = Section::new(vec![
+            xdp_ir::Triplet::range(-1, 1),
+            xdp_ir::Triplet::range(9, 11),
+        ]);
+        let mut g = Gathered::new(full.clone());
+        let mut oracle = BTreeMap::new();
+        // Back to front, skipping one element (left unowned).
+        for (k, idx) in full
+            .iter()
+            .enumerate()
+            .collect::<Vec<_>>()
+            .into_iter()
+            .rev()
+        {
+            if idx == [0, 10] {
+                continue;
+            }
+            g.insert(&idx, k % 3, Value::I64(k as i64));
+            oracle.insert(idx, (k % 3, Value::I64(k as i64)));
+        }
+        let mut seen = Vec::new();
+        g.for_each(|idx, pid, val| seen.push((idx.to_vec(), (pid, val))));
+        assert_eq!(seen, oracle.into_iter().collect::<Vec<_>>());
+        assert_eq!(g.get(&[0, 10]), None);
+        assert_eq!(g.get(&[0]), None, "wrong rank is simply absent");
+        assert_eq!(g.get(&[5, 10]), None, "outside the array is absent");
+    }
+
+    #[test]
+    #[should_panic(expected = "element [1] owned by two processors")]
+    fn gather_panics_on_doubly_owned_elements() {
+        use xdp_ir::{build as b, DimDist, ElemType, ProcGrid};
+        let decls = vec![b::array(
+            "A",
+            ElemType::F64,
+            vec![(1, 4)],
+            vec![DimDist::Block],
+            ProcGrid::linear(2),
+        )];
+        // Two processors that both believe they are pid 0.
+        let t = xdp_runtime::RtSymbolTable::build(0, &decls);
+        let mut g = Gathered::new(Section::new(decls[0].bounds.clone()));
+        g.absorb(0, &t, VarId(0));
+        g.absorb(1, &t, VarId(0));
     }
 
     #[test]

@@ -13,6 +13,7 @@ use crate::proc::Processor;
 use crate::report::{ExecReport, Gathered, ProcReport};
 use std::collections::HashMap;
 use std::sync::Arc;
+use xdp_collectives::PlanCtx;
 use xdp_fault::FaultPlan;
 use xdp_ir::{Program, Section, VarId};
 use xdp_machine::{Completion, CostModel, SimNet, Topology};
@@ -118,6 +119,7 @@ enum PStatus {
 pub struct SimExec<P: Processor = Interp> {
     cfg: SimConfig,
     interps: Vec<P>,
+    plan_ctx: Arc<PlanCtx>,
     clocks: Vec<f64>,
     status: Vec<PStatus>,
     inbox: Vec<Vec<(u64, Completion)>>,
@@ -158,17 +160,17 @@ impl<P: Processor> SimExec<P> {
     /// Drive pre-built processors (one per pid, in pid order) on the
     /// configured machine. The caller is responsible for having prepared
     /// the program (`xdp_collectives::prepare_arc`) identically on every
-    /// processor; plan parameters are (re)applied here.
+    /// processor; all of them join this machine's one planning context
+    /// here.
     pub fn from_procs(mut procs: Vec<P>, cfg: SimConfig) -> SimExec<P> {
         let n = cfg.nprocs;
         assert_eq!(procs.len(), n, "one processor per pid");
-        for p in &mut procs {
-            p.set_plan_cfg(cfg.cost, cfg.topo.clone());
-        }
+        let plan_ctx = crate::proc::join_machine(&mut procs, cfg.cost, cfg.topo.clone());
         let net = SimNet::with_faults(n, cfg.cost, cfg.topo.clone(), cfg.faults.clone());
         SimExec {
             cfg,
             interps: procs,
+            plan_ctx,
             clocks: vec![0.0; n],
             status: vec![PStatus::Ready; n],
             inbox: vec![Vec::new(); n],
@@ -187,14 +189,12 @@ impl<P: Processor> SimExec<P> {
     /// Initialize an exclusive array: every processor sets the elements it
     /// owns to `f(index)`.
     pub fn init_exclusive(&mut self, var: VarId, f: impl Fn(&[i64]) -> Value) {
-        for interp in &mut self.interps {
-            let env = interp.env_mut();
-            let full = env.full_section(var);
-            for idx in full.iter() {
-                let v = f(&idx);
-                let _ = env.symtab.write(var, &idx, v);
-            }
-        }
+        crate::proc::init_exclusive(&mut self.interps, var, f);
+    }
+
+    /// The planning context this machine's processors share.
+    pub fn plan_ctx(&self) -> &PlanCtx {
+        &self.plan_ctx
     }
 
     /// Initialize a universal array identically on every processor.
@@ -591,10 +591,7 @@ impl<P: Processor> SimExec<P> {
 
     /// Gather the global contents of an exclusive array after execution.
     pub fn gather(&self, var: VarId) -> Gathered {
-        let tables: Vec<&xdp_runtime::RtSymbolTable> =
-            self.interps.iter().map(|i| &i.env().symtab).collect();
-        let full = self.interps[0].env().full_section(var);
-        crate::report::gather_var(var, &tables, &full)
+        crate::proc::gather(&self.interps, var)
     }
 
     /// A processor's private copy of a universal array, row-major over the

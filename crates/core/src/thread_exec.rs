@@ -18,9 +18,10 @@ use crate::proc::Processor;
 use crate::report::Gathered;
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
+use xdp_collectives::PlanCtx;
 use xdp_fault::{FaultPlan, FaultStats, RecvFailure};
 use xdp_ir::{Program, VarId};
-use xdp_machine::{NetStats, ThreadNet};
+use xdp_machine::{CostModel, NetStats, ThreadNet, Topology};
 use xdp_runtime::{Msg, Tag, Value};
 use xdp_trace::{Trace, TraceConfig, TraceEvent, TraceKind, WaitCause};
 
@@ -56,6 +57,11 @@ pub struct ThreadConfig {
     pub faults: FaultPlan,
     /// Per-thread stack size override (bytes). `None` uses the OS default.
     pub stack_size: Option<usize>,
+    /// Cost model the redistribution planner prices schedules with (its
+    /// `mem_budget` bounds their staging); wall time is not modelled.
+    pub cost: CostModel,
+    /// Interconnect shape the planner prices schedules over.
+    pub topo: Topology,
 }
 
 impl ThreadConfig {
@@ -68,6 +74,8 @@ impl ThreadConfig {
             trace: TraceConfig::off(),
             faults: FaultPlan::none(),
             stack_size: None,
+            cost: CostModel::default_1993(),
+            topo: Topology::Uniform,
         }
     }
 
@@ -92,6 +100,7 @@ impl ThreadConfig {
 pub struct ThreadExec<P: Processor = Interp> {
     cfg: ThreadConfig,
     interps: Vec<P>,
+    plan_ctx: Arc<PlanCtx>,
 }
 
 impl ThreadExec {
@@ -104,30 +113,32 @@ impl ThreadExec {
         let interps = (0..n)
             .map(|pid| Interp::new(program.clone(), kernels.clone(), pid, n, cfg.checked))
             .collect();
-        ThreadExec { cfg, interps }
+        ThreadExec::from_procs(interps, cfg)
     }
 }
 
 impl<P: Processor> ThreadExec<P> {
     /// Drive pre-built processors (one per pid, in pid order). The caller
-    /// must have prepared the program identically on every processor.
-    pub fn from_procs(procs: Vec<P>, cfg: ThreadConfig) -> ThreadExec<P> {
+    /// must have prepared the program identically on every processor; all
+    /// of them join this machine's one planning context here.
+    pub fn from_procs(mut procs: Vec<P>, cfg: ThreadConfig) -> ThreadExec<P> {
         assert_eq!(procs.len(), cfg.nprocs, "one processor per pid");
+        let plan_ctx = crate::proc::join_machine(&mut procs, cfg.cost, cfg.topo.clone());
         ThreadExec {
             cfg,
             interps: procs,
+            plan_ctx,
         }
     }
 
     /// Initialize an exclusive array (owned elements on each processor).
     pub fn init_exclusive(&mut self, var: VarId, f: impl Fn(&[i64]) -> Value) {
-        for interp in &mut self.interps {
-            let env = interp.env_mut();
-            let full = env.full_section(var);
-            for idx in full.iter() {
-                let _ = env.symtab.write(var, &idx, f(&idx));
-            }
-        }
+        crate::proc::init_exclusive(&mut self.interps, var, f);
+    }
+
+    /// The planning context this machine's processors share.
+    pub fn plan_ctx(&self) -> &PlanCtx {
+        &self.plan_ctx
     }
 
     /// Run all processors concurrently to completion.
@@ -207,10 +218,7 @@ impl<P: Processor> ThreadExec<P> {
 
     /// Gather the global contents of an exclusive array after execution.
     pub fn gather(&self, var: VarId) -> Gathered {
-        let tables: Vec<&xdp_runtime::RtSymbolTable> =
-            self.interps.iter().map(|i| &i.env().symtab).collect();
-        let full = self.interps[0].env().full_section(var);
-        crate::report::gather_var(var, &tables, &full)
+        crate::proc::gather(&self.interps, var)
     }
 }
 

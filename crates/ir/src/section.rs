@@ -131,6 +131,31 @@ impl Section {
         SectionIter::new(self)
     }
 
+    /// Step `idx`, an element of the section, to its row-major successor
+    /// in place (innermost dimension fastest, the order [`Section::iter`]
+    /// yields, without its per-element allocation). The last element wraps
+    /// to the first.
+    pub fn advance(&self, idx: &mut [i64]) {
+        self.advance_dims(idx, self.rank());
+    }
+
+    /// Step `idx` to the start of the next row: [`Section::advance`] over
+    /// every dimension but the innermost.
+    pub fn advance_row(&self, idx: &mut [i64]) {
+        self.advance_dims(idx, self.rank().saturating_sub(1));
+    }
+
+    fn advance_dims(&self, idx: &mut [i64], dims: usize) {
+        for d in (0..dims).rev() {
+            let t = self.dims[d];
+            idx[d] += t.st;
+            if idx[d] <= t.ub {
+                return;
+            }
+            idx[d] = t.lb;
+        }
+    }
+
     /// Row-major ordinal of `idx` within the section, if present.
     pub fn ordinal_of(&self, idx: &[i64]) -> Option<i64> {
         if !self.contains(idx) {
@@ -333,6 +358,23 @@ mod tests {
         let s = sec(&[(1, 2, 1), (5, 7, 2)]);
         let got: Vec<Vec<i64>> = s.iter().collect();
         assert_eq!(got, vec![vec![1, 5], vec![1, 7], vec![2, 5], vec![2, 7]]);
+    }
+
+    #[test]
+    fn advance_walks_in_iter_order_and_wraps() {
+        let s = sec(&[(1, 2, 1), (5, 9, 2), (0, 1, 1)]);
+        let mut idx = vec![1, 5, 0];
+        for want in s.iter() {
+            assert_eq!(idx, want);
+            s.advance(&mut idx);
+        }
+        assert_eq!(idx, vec![1, 5, 0], "the last element wraps to the first");
+        s.advance_row(&mut idx);
+        assert_eq!(
+            idx,
+            vec![1, 7, 0],
+            "rows step every dimension but the innermost"
+        );
     }
 
     #[test]

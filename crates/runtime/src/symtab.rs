@@ -343,6 +343,63 @@ impl RtSymbolTable {
         false
     }
 
+    /// Set every element of `var` held in this processor's storage to
+    /// `f(global index)`, walking the owned segments' buffers directly: the
+    /// cost is O(owned elements), independent of the array's global size
+    /// and of how many segments the table holds. Segments without storage
+    /// (released, or placeholders of an uncompleted ownership receive) are
+    /// skipped, universal variables have no entry, and no statistic is
+    /// touched — initialization is not program-visible work.
+    pub fn init_owned(&mut self, var: VarId, f: impl Fn(&[i64]) -> Value) {
+        let Ok(entry) = self.entry_mut(var) else {
+            return;
+        };
+        for seg in &mut entry.segments {
+            let Some(data) = seg.data.as_mut() else {
+                continue;
+            };
+            let mut idx: Vec<i64> = seg.section.dims().iter().map(|t| t.lb).collect();
+            for ord in 0..data.len() {
+                data.set(ord, f(&idx));
+                seg.section.advance(&mut idx);
+            }
+        }
+    }
+
+    /// Visit every element of `var` held in this processor's storage as
+    /// (row-major ordinal within `full`, value) — the read-side twin of
+    /// [`RtSymbolTable::init_owned`], O(owned elements), no statistic
+    /// touched. `full` is the array's global index space; anything a
+    /// segment holds outside it is not visited.
+    pub fn visit_owned(&self, var: VarId, full: &Section, mut visit: impl FnMut(usize, Value)) {
+        let Some(entry) = self.entry(var) else {
+            return;
+        };
+        for seg in &entry.segments {
+            let Some(data) = seg.data.as_ref() else {
+                continue;
+            };
+            let sec = seg.section.intersect(full);
+            if sec.is_empty() {
+                continue;
+            }
+            let (rows, inner, seg_step) = row_shape(&sec, &seg.section);
+            let (_, _, full_step) = row_shape(&sec, full);
+            let mut idx: Vec<i64> = sec.dims().iter().map(|t| t.lb).collect();
+            for _ in 0..rows {
+                let from = seg
+                    .section
+                    .ordinal_of(&idx)
+                    .expect("row lies in its segment") as usize;
+                let to = full.ordinal_of(&idx).expect("row lies in the array") as usize;
+                for k in 0..inner {
+                    visit(to + k * full_step, data.get(from + k * seg_step));
+                }
+                sec.advance_row(&mut idx);
+            }
+        }
+    }
+
     /// Gather a section's values in row-major order. `None` if any element
     /// lacks owned storage.
     pub fn read_section(&self, var: VarId, sec: &Section) -> Option<Buffer> {
@@ -595,7 +652,7 @@ impl RtSymbolTable {
                     .expect("covering segment holds the row") as usize;
                 gather_strided(out, out_ord, data, base, step, inner);
                 out_ord += inner;
-                advance_outer(sec, &mut idx);
+                sec.advance_row(&mut idx);
             }
             return true;
         }
@@ -618,7 +675,7 @@ impl RtSymbolTable {
             if !found {
                 return false;
             }
-            advance_full(sec, &mut idx);
+            sec.advance(&mut idx);
         }
         true
     }
@@ -660,7 +717,7 @@ impl RtSymbolTable {
                     .expect("covering segment holds the row") as usize;
                 scatter_strided(data, base, step, buf, src_ord, inner);
                 src_ord += inner;
-                advance_outer(sec, &mut idx);
+                sec.advance_row(&mut idx);
             }
             return true;
         }
@@ -681,7 +738,7 @@ impl RtSymbolTable {
             if !found {
                 return false;
             }
-            advance_full(sec, &mut idx);
+            sec.advance(&mut idx);
         }
         true
     }
@@ -720,29 +777,6 @@ fn row_shape(sec: &Section, seg: &Section) -> (usize, usize, usize) {
         1
     };
     ((sec.volume() / n as i64) as usize, n, step)
-}
-
-/// Advance `idx` to the next row: odometer over every dimension but the
-/// innermost, last of those fastest.
-fn advance_outer(sec: &Section, idx: &mut [i64]) {
-    advance_dims(sec, idx, sec.rank().saturating_sub(1));
-}
-
-/// Advance `idx` to the next element in row-major order (innermost
-/// dimension fastest) — the order [`Section::iter`] yields.
-fn advance_full(sec: &Section, idx: &mut [i64]) {
-    advance_dims(sec, idx, sec.rank());
-}
-
-fn advance_dims(sec: &Section, idx: &mut [i64], hi: usize) {
-    for d in (0..hi).rev() {
-        let t = sec.dim(d);
-        idx[d] += t.st;
-        if idx[d] <= t.ub {
-            return;
-        }
-        idx[d] = t.lb;
-    }
 }
 
 /// Copy `n` elements out of segment storage starting at `base`, `step`

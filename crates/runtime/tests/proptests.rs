@@ -26,6 +26,23 @@ fn decl(n: i64, dd: DimDist, seg: i64, nprocs: usize) -> Decl {
     )
 }
 
+fn dimdist_or_star() -> impl Strategy<Value = DimDist> {
+    prop_oneof![
+        Just(DimDist::Star),
+        Just(DimDist::Block),
+        Just(DimDist::Cyclic),
+        (1i64..4).prop_map(DimDist::BlockCyclic),
+    ]
+}
+
+/// What every driver's `init_exclusive` did before `init_owned`: offer
+/// every index of the array to `write`, which scans the segments.
+fn init_by_index(t: &mut RtSymbolTable, var: VarId, full: &Section, f: impl Fn(&[i64]) -> Value) {
+    for idx in full.iter() {
+        let _ = t.write(var, &idx, f(&idx));
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -162,5 +179,66 @@ proptest! {
         }
         // Storage fully released on P0.
         prop_assert_eq!(t0.stats.live_bytes, 0);
+    }
+
+    /// `init_owned` leaves a table bit-equal to the per-index `write` loop
+    /// it replaced, and `visit_owned` sees exactly what per-index `read`
+    /// sees — over BLOCK/CYCLIC/CYCLIC(k)/`*` distributions, refined
+    /// segment shapes, and tables whose ownership has moved (a released
+    /// segment, a placeholder awaiting its data, a received segment).
+    #[test]
+    fn owner_walk_matches_the_per_index_loops(
+        n0 in 3i64..14,
+        n1 in 3i64..14,
+        d0 in dimdist_or_star(),
+        d1 in dimdist_or_star(),
+        s0 in 1i64..5,
+        s1 in 1i64..5,
+        p0 in 1usize..4,
+        p1 in 1usize..3,
+        complete in any::<bool>(),
+    ) {
+        let grid = match (d0, d1) {
+            (DimDist::Star, DimDist::Star) => return Ok(()), // not a distribution
+            (DimDist::Star, _) | (_, DimDist::Star) => ProcGrid::linear(p0),
+            _ => ProcGrid::grid2(p0, p1),
+        };
+        let nprocs = grid.nprocs();
+        let d = b::array_seg(
+            "A", ElemType::F64, vec![(1, n0), (0, n1)], vec![d0, d1], grid, vec![s0, s1],
+        );
+        let var = VarId(0);
+        let full = Section::new(d.bounds.clone());
+        let mut tables: Vec<RtSymbolTable> = (0..nprocs)
+            .map(|pid| RtSymbolTable::build(pid, std::slice::from_ref(&d)))
+            .collect();
+        // Move p0's first segment to the last processor (possibly only
+        // half-way: released there, a storage-less placeholder here).
+        let first = tables[0].entry(var).unwrap().segments.first().map(|s| s.section.clone());
+        if let (Some(sec), true) = (first, nprocs > 1) {
+            let data = tables[0].remove_ownership(var, &sec).unwrap();
+            let sid = tables[nprocs - 1].begin_ownership_recv(var, &sec).unwrap();
+            if complete {
+                tables[nprocs - 1].complete_ownership_recv(var, sid, Some(&data)).unwrap();
+            }
+        }
+        let f = |idx: &[i64]| Value::F64((idx[0] * 100 + idx[1]) as f64 + 0.5);
+        for t in &tables {
+            let (mut walked, mut indexed) = (t.clone(), t.clone());
+            walked.init_owned(var, f);
+            init_by_index(&mut indexed, var, &full, f);
+            prop_assert_eq!(format!("{walked:?}"), format!("{indexed:?}"));
+            prop_assert_eq!(format!("{:?}", walked.stats), format!("{:?}", t.stats));
+
+            let mut seen = Vec::new();
+            walked.visit_owned(var, &full, |ord, v| seen.push((ord, v)));
+            seen.sort_by_key(|(ord, _)| *ord);
+            let want: Vec<(usize, Value)> = full
+                .iter()
+                .enumerate()
+                .filter_map(|(ord, idx)| walked.read(var, &idx).map(|v| (ord, v)))
+                .collect();
+            prop_assert_eq!(seen, want);
+        }
     }
 }

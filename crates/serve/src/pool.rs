@@ -391,9 +391,7 @@ fn execute(
     match machine {
         PoolMachine::Sim => {
             let mut cfg = SimConfig::new(compiled.nprocs).with_trace(TraceConfig::full());
-            if let Some(b) = compiled.mem_budget {
-                cfg.cost.mem_budget = Some(b);
-            }
+            cfg.cost.mem_budget = compiled.mem_budget;
             if cached.faults.is_active() {
                 cfg = cfg.with_faults(cached.faults.clone());
             }
@@ -410,6 +408,7 @@ fn execute(
         }
         PoolMachine::Tasks => {
             let mut cfg = AsyncConfig::new(compiled.nprocs).with_trace(TraceConfig::full());
+            cfg.cost.mem_budget = compiled.mem_budget;
             if cached.faults.is_active() {
                 cfg = cfg.with_faults(cached.faults.clone());
             }
@@ -528,7 +527,7 @@ fn finish_run_tasks<P: Processor>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use xdp_compiler::CompileOptions;
+    use xdp_compiler::{CompileOptions, SeqMode};
 
     fn spec(n: i64) -> RequestSpec {
         RequestSpec::new(format!(
@@ -649,6 +648,65 @@ mod tests {
             assert_eq!(a.fingerprint.movement, b.fingerprint.movement);
             assert_eq!(a.messages, b.messages);
         }
+    }
+
+    /// A request's `--mem-budget` reaches the runtime planner on the task
+    /// machine too: the budgeted plan moves the same data in more, smaller
+    /// messages, exactly as it does on the simulator.
+    #[test]
+    fn tasks_machine_plans_under_the_request_budget() {
+        // `membound.xdp`'s incommensurate reblock: 5000 B admits only the
+        // 4-round dynamic-slice chain.
+        let source = "real B[1:64,1:64] distribute (*,BLOCK) onto 8\n\
+                      redistribute B (CYCLIC(6),*) onto 8\n";
+        let free = RequestSpec::new(source);
+        let tight = free
+            .clone()
+            .with_opts(CompileOptions::default().with_mem_budget(5000));
+        let sim = ServePool::new(2, 8);
+        let tasks = ServePool::new(2, 8).with_machine(PoolMachine::Tasks);
+        let (sim_free, sim_tight) = (sim.run_one(&free).unwrap(), sim.run_one(&tight).unwrap());
+        assert!(
+            sim_tight.messages > sim_free.messages,
+            "the budget must force a slimmer decomposition ({} vs {})",
+            sim_tight.messages,
+            sim_free.messages
+        );
+        let tasks_tight = tasks.run_one(&tight).unwrap();
+        assert_eq!(tasks_tight.messages, sim_tight.messages);
+        assert_eq!(
+            tasks_tight.fingerprint.movement,
+            sim_tight.fingerprint.movement
+        );
+        assert_eq!(
+            tasks_tight.fingerprint.memory_all(),
+            sim_free.fingerprint.memory_all(),
+            "a budget changes the schedule, never the result"
+        );
+    }
+
+    /// Communication-free IL+XDP over `mylb:myub` has no XDP statement, so
+    /// `SeqMode::Auto` takes it for sequential; it must fall back to
+    /// running it as written instead of failing the request.
+    #[test]
+    fn auto_mode_serves_processor_local_source() {
+        let source = "real U[1:8,1:8] distribute (BLOCK,*) onto 4\n\
+            real V[1:8,1:8] distribute (BLOCK,*) onto 4\n\
+            do t = 1, 3 {\n\
+              V[mylb(U[*,*], 1):myub(U[*,*], 1),2:7] = \
+                (U[mylb(U[*,*], 1):myub(U[*,*], 1),1:6] + U[mylb(U[*,*], 1):myub(U[*,*], 1),3:8])\n\
+              U[mylb(U[*,*], 1):myub(U[*,*], 1),2:7] = V[mylb(U[*,*], 1):myub(U[*,*], 1),2:7]\n\
+            }\n";
+        let pool = ServePool::new(2, 8);
+        let as_is = pool.run_one(&RequestSpec::new(source)).unwrap();
+        let auto = pool
+            .run_one(
+                &RequestSpec::new(source)
+                    .with_opts(CompileOptions::default().with_seq(SeqMode::Auto)),
+            )
+            .unwrap();
+        assert_eq!(auto.fingerprint, as_is.fingerprint);
+        assert_eq!(auto.messages, 0, "owner-local: nothing moves");
     }
 
     #[test]

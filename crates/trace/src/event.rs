@@ -1,6 +1,7 @@
 //! The structured event model shared by both executors.
 
 use std::collections::HashMap;
+use std::fmt::Write;
 
 /// What a [`TraceEvent`] describes.
 ///
@@ -230,15 +231,16 @@ impl Trace {
                 )
             })
             .map(|e| {
-                format!(
-                    "{} p{} sid={} var={} sec={} bytes={}",
-                    e.kind.name(),
-                    e.pid,
-                    e.sid.map(|s| s.to_string()).unwrap_or_else(|| "-".into()),
-                    e.var.as_deref().unwrap_or("-"),
-                    e.sec.as_deref().unwrap_or("-"),
-                    e.bytes,
-                )
+                let var = e.var.as_deref().unwrap_or("-");
+                let sec = e.sec.as_deref().unwrap_or("-");
+                let mut key = String::with_capacity(56 + var.len() + sec.len());
+                let _ = write!(key, "{} p{} sid=", e.kind.name(), e.pid);
+                let _ = match e.sid {
+                    Some(s) => write!(key, "{s}"),
+                    None => key.write_str("-"),
+                };
+                let _ = write!(key, " var={var} sec={sec} bytes={}", e.bytes);
+                key
             })
             .collect();
         keys.sort();
@@ -344,6 +346,40 @@ mod tests {
             ..TraceEvent::span(TraceKind::SendInit, 0, 7.0, 7.5)
         });
         assert_eq!(a.movement_multiset(), b.movement_multiset());
+    }
+
+    /// Movement lines are pinned as text; the hand-rendered key must be
+    /// what the `format!` it replaced produced, absent fields included.
+    #[test]
+    fn movement_lines_are_byte_identical_to_the_format_rendering() {
+        let mut t = Trace::new(2);
+        t.push(TraceEvent {
+            sid: Some(17),
+            var: Some("A".into()),
+            sec: Some("[1:4,2]".into()),
+            bytes: 4096,
+            ..TraceEvent::span(TraceKind::WireTransit, 1, 0.0, 1.0)
+        });
+        t.push(TraceEvent::span(TraceKind::RecvPost, 0, 0.0, 1.0));
+        t.push(TraceEvent::span(TraceKind::Compute, 0, 0.0, 1.0)); // not movement
+        let mut want: Vec<String> = t
+            .events
+            .iter()
+            .take(2)
+            .map(|e| {
+                format!(
+                    "{} p{} sid={} var={} sec={} bytes={}",
+                    e.kind.name(),
+                    e.pid,
+                    e.sid.map(|s| s.to_string()).unwrap_or_else(|| "-".into()),
+                    e.var.as_deref().unwrap_or("-"),
+                    e.sec.as_deref().unwrap_or("-"),
+                    e.bytes,
+                )
+            })
+            .collect();
+        want.sort();
+        assert_eq!(t.movement_multiset(), want);
     }
 
     #[test]

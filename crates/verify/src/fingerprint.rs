@@ -18,7 +18,9 @@
 //! lines compare bit-for-bit (`{:?}` on `f64` is shortest-roundtrip).
 
 use std::collections::BTreeMap;
+use std::fmt::Write;
 use xdp_core::Gathered;
+use xdp_runtime::Value;
 use xdp_trace::{Trace, TraceKind};
 
 /// One run's observable outcome.
@@ -35,13 +37,30 @@ pub struct Fingerprint {
 }
 
 impl Fingerprint {
-    /// Memory lines for the given declarations, in declaration order.
+    /// Memory lines of one declaration, `name[i, j] p<owner> = <value>` in
+    /// ascending index order. Rendered straight into each line's buffer —
+    /// the text is what `format!("{name}{idx:?} p{owner} = {val:?}")`
+    /// produces, which golden digests and every conformance suite pin.
     pub fn record_memory(&mut self, name: &str, g: &Gathered) {
-        let lines = g
-            .values
-            .iter()
-            .map(|(idx, (owner, val))| format!("{name}{idx:?} p{owner} = {val:?}"))
-            .collect();
+        let mut lines = Vec::with_capacity(g.full().volume() as usize);
+        g.for_each(|idx, owner, val| {
+            let mut line = String::with_capacity(name.len() + 8 * idx.len() + 40);
+            line.push_str(name);
+            line.push('[');
+            for (k, i) in idx.iter().enumerate() {
+                if k > 0 {
+                    line.push_str(", ");
+                }
+                let _ = write!(line, "{i}");
+            }
+            let _ = write!(line, "] p{owner} = ");
+            let _ = match val {
+                Value::I64(v) => write!(line, "I64({v})"),
+                Value::F64(v) => write!(line, "F64({v:?})"),
+                Value::C64(_) => write!(line, "{val:?}"),
+            };
+            lines.push(line);
+        });
         self.memory.insert(name.to_string(), lines);
     }
 
@@ -134,6 +153,42 @@ mod tests {
         let d = diff_lines("mov", &a, &b).unwrap();
         assert!(d.contains("1 vs 2"), "{d}");
         assert!(d.contains("extra"), "{d}");
+    }
+
+    /// Memory lines are pinned as text (golden digests, conformance
+    /// suites): the hand-rendered line must be what `format!` with the
+    /// `Debug` formatters produced.
+    #[test]
+    fn memory_lines_are_byte_identical_to_the_debug_rendering() {
+        use xdp_ir::{Section, Triplet};
+        use xdp_runtime::Complex;
+        let vals = [
+            Value::F64(4.0),
+            Value::F64(-0.0),
+            Value::F64(0.1),
+            Value::F64(1e16),
+            Value::F64(1.5e-7),
+            Value::F64(f64::NAN),
+            Value::F64(f64::NEG_INFINITY),
+            Value::I64(-42),
+            Value::C64(Complex { re: 1.0, im: -2.5 }),
+        ];
+        let full = Section::new(vec![Triplet::range(-1, 1), Triplet::range(10, 12)]);
+        let mut g = Gathered::new(full.clone());
+        let mut want = Vec::new();
+        for (k, idx) in full.iter().enumerate() {
+            let (owner, val) = (k * 7, vals[k]);
+            g.insert(&idx, owner, val);
+            want.push(format!("Tmp{idx:?} p{owner} = {val:?}"));
+        }
+        let mut fp = Fingerprint::default();
+        fp.record_memory("Tmp", &g);
+        assert_eq!(fp.memory["Tmp"], want);
+
+        let mut scalar = Gathered::new(Section::scalar());
+        scalar.insert(&[], 3, Value::F64(2.0));
+        fp.record_memory("s", &scalar);
+        assert_eq!(fp.memory["s"], vec!["s[] p3 = F64(2.0)".to_string()]);
     }
 
     #[test]

@@ -17,6 +17,7 @@
 use std::sync::Arc;
 use xdp_core::{Action, Gathered, Interp, KernelRegistry, RtError};
 use xdp_ir::{Program, VarId};
+use xdp_machine::{CostModel, Topology};
 use xdp_runtime::{Msg, Tag, Value};
 use xdp_trace::{Trace, TraceConfig, TraceEvent, TraceKind};
 
@@ -83,7 +84,7 @@ impl Lockstep {
     pub fn new(program: Arc<Program>, kernels: KernelRegistry, cfg: LockstepConfig) -> Lockstep {
         let program = xdp_collectives::prepare_arc(program);
         let names = program.decls.iter().map(|d| d.name.clone()).collect();
-        let interps = (0..cfg.nprocs)
+        let mut interps: Vec<Interp> = (0..cfg.nprocs)
             .map(|pid| {
                 Interp::new(
                     program.clone(),
@@ -94,6 +95,9 @@ impl Lockstep {
                 )
             })
             .collect();
+        // No cost model to configure here: the machine plans with the 1993
+        // defaults — once, like every other driver.
+        xdp_core::proc::join_machine(&mut interps, CostModel::default_1993(), Topology::Uniform);
         Lockstep {
             cfg,
             interps,
@@ -103,12 +107,7 @@ impl Lockstep {
 
     /// Initialize an exclusive array (owned elements on each processor).
     pub fn init_exclusive(&mut self, var: VarId, f: impl Fn(&[i64]) -> Value) {
-        for interp in &mut self.interps {
-            let full = interp.env.full_section(var);
-            for idx in full.iter() {
-                let _ = interp.env.symtab.write(var, &idx, f(&idx));
-            }
-        }
+        xdp_core::proc::init_exclusive(&mut self.interps, var, f);
     }
 
     /// Run all processors to completion, round-robin.
@@ -281,10 +280,7 @@ impl Lockstep {
 
     /// Gather the global contents of an exclusive array after execution.
     pub fn gather(&self, var: VarId) -> Gathered {
-        let tables: Vec<&xdp_runtime::RtSymbolTable> =
-            self.interps.iter().map(|i| &i.env.symtab).collect();
-        let full = self.interps[0].env.full_section(var);
-        xdp_core::report::gather_var(var, &tables, &full)
+        xdp_core::proc::gather(&self.interps, var)
     }
 }
 

@@ -12,9 +12,9 @@ use crate::compile::{
 };
 use std::collections::HashMap;
 use std::sync::Arc;
+use xdp_collectives::PlanCtx;
 use xdp_core::{Action, ProcEnv, Processor, RtError, StepNote, StepOut};
 use xdp_ir::{ElemBinOp, IntBinOp, Ownership, Section, TransferKind, Triplet, VarId};
-use xdp_machine::{CostModel, Topology};
 use xdp_runtime::symtab::SecState;
 use xdp_runtime::{Buffer, Msg, Tag, Value};
 
@@ -65,7 +65,8 @@ pub struct VmProc {
     next_req: u64,
     barrier_passed: bool,
     cur_dist: HashMap<VarId, xdp_ir::Distribution>,
-    plan_cfg: Option<(CostModel, Topology)>,
+    /// The machine-wide planning context (mirror of the interpreter's).
+    plan_ctx: Arc<PlanCtx>,
     redist_epoch: u64,
     cur_sid: Option<u32>,
     cur_note: Option<StepNote>,
@@ -89,7 +90,7 @@ impl VmProc {
             next_req: (pid as u64) << 32,
             barrier_passed: false,
             cur_dist: HashMap::new(),
-            plan_cfg: None,
+            plan_ctx: PlanCtx::default_1993(),
             redist_epoch: 0,
             cur_sid: None,
             cur_note: None,
@@ -97,9 +98,9 @@ impl VmProc {
         }
     }
 
-    /// Machine parameters for runtime redistribution planning.
-    pub fn set_plan_cfg(&mut self, cost: CostModel, topo: Topology) {
-        self.plan_cfg = Some((cost, topo));
+    /// Join a machine: plan redistributions through its shared context.
+    pub fn set_plan_ctx(&mut self, ctx: Arc<PlanCtx>) {
+        self.plan_ctx = ctx;
     }
 
     /// True when the program has run to completion here.
@@ -543,20 +544,7 @@ impl VmProc {
                         pid: self.env.pid,
                         detail: format!("redistribute of undistributed `{}`", decl.name),
                     })?;
-                let (cost, topo) = self
-                    .plan_cfg
-                    .clone()
-                    .unwrap_or((CostModel::default_1993(), Topology::Uniform));
-                let plan = xdp_collectives::plan(
-                    var,
-                    &decl.bounds,
-                    decl.elem.size_bytes(),
-                    &src,
-                    dist,
-                    &cost,
-                    &topo,
-                    true, // lowering emits one section per transfer statement
-                );
+                let plan = self.plan_ctx.plan(var, decl, &src, dist);
                 // Planning consults the section algebra once per message.
                 self.env.ops.symtab_ops += plan.schedule.message_count() as u64;
                 // Epoch-salted tags keep successive redistributions of one
@@ -913,8 +901,8 @@ impl Processor for VmProc {
         VmProc::position(self)
     }
 
-    fn set_plan_cfg(&mut self, cost: CostModel, topo: Topology) {
-        VmProc::set_plan_cfg(self, cost, topo)
+    fn set_plan_ctx(&mut self, ctx: Arc<PlanCtx>) {
+        VmProc::set_plan_ctx(self, ctx)
     }
 
     fn env(&self) -> &ProcEnv {

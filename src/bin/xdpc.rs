@@ -870,9 +870,9 @@ fn finish_run<P: Processor>(
         };
         let g = exec.gather(VarId(pos as u32));
         out!("{name}:");
-        for (idx, (owner, val)) in &g.values {
+        g.for_each(|idx, owner, val| {
             out!("  {name}{idx:?} = {:>12.4}   (p{owner})", val.as_f64());
-        }
+        });
     }
     ExitCode::SUCCESS
 }

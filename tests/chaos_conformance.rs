@@ -75,7 +75,7 @@ fn init_tasks(exec: &mut AsyncExec, decls: &[Decl]) {
 }
 
 /// The final global state of every exclusive array, as one map per array.
-type State = Vec<std::collections::BTreeMap<Vec<i64>, (usize, Value)>>;
+type State = Vec<Gathered>;
 
 fn sim_state(
     program: &Program,
@@ -96,7 +96,7 @@ fn sim_state(
         .iter()
         .enumerate()
         .filter(|(_, d)| d.is_exclusive())
-        .map(|(i, _)| exec.gather(VarId(i as u32)).values)
+        .map(|(i, _)| exec.gather(VarId(i as u32)))
         .collect();
     (state, report)
 }
@@ -119,7 +119,7 @@ fn thr_state(
         .iter()
         .enumerate()
         .filter(|(_, d)| d.is_exclusive())
-        .map(|(i, _)| exec.gather(VarId(i as u32)).values)
+        .map(|(i, _)| exec.gather(VarId(i as u32)))
         .collect()
 }
 
@@ -141,7 +141,7 @@ fn tasks_state(
         .iter()
         .enumerate()
         .filter(|(_, d)| d.is_exclusive())
-        .map(|(i, _)| exec.gather(VarId(i as u32)).values)
+        .map(|(i, _)| exec.gather(VarId(i as u32)))
         .collect()
 }
 

@@ -143,33 +143,70 @@ fn simulated_high_water_stays_under_the_planned_peak() {
     }
 }
 
+/// Every processor's `CollectiveRound` instants — which strategy each
+/// `redistribute` was planned with — in a machine-independent order.
+fn planned_strategies(trace: &Trace) -> Vec<(u32, String, String)> {
+    let mut out: Vec<(u32, String, String)> = trace
+        .of_kind(TraceKind::CollectiveRound)
+        .map(|e| {
+            (
+                e.pid,
+                e.var.clone().unwrap_or_default(),
+                e.detail.clone().unwrap_or_default(),
+            )
+        })
+        .collect();
+    out.sort();
+    out
+}
+
 #[test]
 fn threaded_high_water_stays_under_the_planned_peak() {
     for (name, compiled) in redistributing_programs() {
-        // AsyncExec runs the real threaded network; its receiver-side
-        // live-byte counter is a lower bound on the planner's two-sided
-        // footprint, so the same inequality must hold.
-        let cfg = AsyncConfig::new(compiled.nprocs);
-        let sim_cfg = SimConfig::new(compiled.nprocs);
-        let predicted = predicted_peak(&compiled.program, &sim_cfg.cost, &sim_cfg.topo);
-        let mut exec = AsyncExec::new(compiled.program.clone(), xdp_apps::app_kernels(), cfg);
-        for (i, d) in compiled.program.decls.iter().enumerate() {
-            if d.is_exclusive() {
-                let full = Section::new(d.bounds.clone());
-                exec.init_exclusive(VarId(i as u32), move |idx| {
-                    Value::F64((full.ordinal_of(idx).unwrap_or(0) + 1) as f64)
-                });
+        for budgeted in [false, true] {
+            // AsyncExec runs the real threaded network; its receiver-side
+            // live-byte counter is a lower bound on the planner's two-sided
+            // footprint, so the same inequality must hold — against the
+            // *budgeted* prediction when the machine was given a budget.
+            let mut cfg = AsyncConfig::new(compiled.nprocs).with_trace(TraceConfig::full());
+            let mut sim_cfg = SimConfig::new(compiled.nprocs).with_trace(TraceConfig::full());
+            if budgeted {
+                let free = predicted_peak(&compiled.program, &sim_cfg.cost, &sim_cfg.topo);
+                sim_cfg.cost.mem_budget = Some((free / 2).max(1));
+                cfg.cost.mem_budget = sim_cfg.cost.mem_budget;
             }
+            let predicted = predicted_peak(&compiled.program, &sim_cfg.cost, &sim_cfg.topo);
+            let decls = &compiled.program.decls;
+            let mut exec = AsyncExec::new(compiled.program.clone(), xdp_apps::app_kernels(), cfg);
+            for (i, d) in decls.iter().enumerate() {
+                if d.is_exclusive() {
+                    let full = Section::new(d.bounds.clone());
+                    exec.init_exclusive(VarId(i as u32), move |idx| {
+                        Value::F64((full.ordinal_of(idx).unwrap_or(0) + 1) as f64)
+                    });
+                }
+            }
+            let report = exec.run().unwrap_or_else(|e| panic!("{name}: {e}"));
+            let measured = report.net.redist_peak_bytes;
+            assert!(
+                measured > 0,
+                "{name} (async, budgeted={budgeted}): no redistribution bytes measured"
+            );
+            assert!(
+                measured <= predicted,
+                "{name} (async, budgeted={budgeted}): measured high-water {measured} B \
+                 exceeds planned peak {predicted} B"
+            );
+            // The task machine must plan what the simulator plans under
+            // the same budget: same strategy, same piece count, per pid.
+            let mut sim = SimExec::new(compiled.program.clone(), xdp_apps::app_kernels(), sim_cfg);
+            init(&mut sim, decls);
+            let sim_report = sim.run().unwrap_or_else(|e| panic!("{name}: {e}"));
+            assert_eq!(
+                planned_strategies(&report.trace),
+                planned_strategies(&sim_report.trace),
+                "{name} (budgeted={budgeted}): async and sim planned differently"
+            );
         }
-        let report = exec.run().unwrap_or_else(|e| panic!("{name}: {e}"));
-        let measured = report.net.redist_peak_bytes;
-        assert!(
-            measured > 0,
-            "{name} (async): no redistribution bytes measured"
-        );
-        assert!(
-            measured <= predicted,
-            "{name} (async): measured high-water {measured} B exceeds planned peak {predicted} B"
-        );
     }
 }

@@ -1,0 +1,138 @@
+//! What a request pays outside the step loop, checked from the root
+//! package (tier-1 runs only these): every machine plans a redistribution
+//! once, not once per processor; array init and gather walk owned
+//! segments and agree with the per-index definitions they replaced.
+
+use std::collections::BTreeMap;
+use std::sync::Arc;
+use xdp::prelude::*;
+use xdp_vm::VmExec;
+
+const P: usize = 16;
+
+/// BLOCK -> CYCLIC -> BLOCK at P = 16: two distinct redistributions.
+fn round_trip() -> Arc<Program> {
+    let src = "real A[1:256] distribute (BLOCK) onto 16\n\
+               redistribute A (CYCLIC) onto 16\n\
+               redistribute A (BLOCK) onto 16\n";
+    Arc::new(xdp_lang::parse_program(src).expect("parses"))
+}
+
+fn seed(idx: &[i64]) -> Value {
+    Value::F64(3.0 * idx[0] as f64)
+}
+
+/// Run on one machine and return (planner runs, final A).
+macro_rules! planned {
+    ($exec:expr) => {{
+        let mut exec = $exec;
+        assert_eq!(
+            exec.plan_ctx().plans_computed(),
+            0,
+            "a new machine starts empty"
+        );
+        exec.init_exclusive(VarId(0), seed);
+        exec.run().expect("runs");
+        (exec.plan_ctx().plans_computed(), exec.gather(VarId(0)))
+    }};
+}
+
+#[test]
+fn every_machine_plans_each_redistribution_once() {
+    let p = round_trip();
+    let k = KernelRegistry::standard;
+    // Each entry builds a fresh machine from the same program; a second
+    // machine of a kind starting at zero shows the memo is per machine.
+    let runs = [
+        (
+            "sim",
+            planned!(SimExec::new(p.clone(), k(), SimConfig::new(P))),
+        ),
+        (
+            "sim again",
+            planned!(SimExec::new(p.clone(), k(), SimConfig::new(P))),
+        ),
+        (
+            "sim/vm",
+            planned!(VmExec::sim(p.clone(), k(), SimConfig::new(P))),
+        ),
+        (
+            "tasks",
+            planned!(AsyncExec::new(p.clone(), k(), AsyncConfig::new(P))),
+        ),
+        (
+            "tasks/vm",
+            planned!(VmExec::tasks(p.clone(), k(), AsyncConfig::new(P))),
+        ),
+        (
+            "threads",
+            planned!(ThreadExec::new(p.clone(), k(), ThreadConfig::new(P))),
+        ),
+        (
+            "threads/vm",
+            planned!(VmExec::threads(p.clone(), k(), ThreadConfig::new(P))),
+        ),
+    ];
+    for (machine, (planned, a)) in &runs {
+        assert_eq!(
+            *planned, 2,
+            "{machine}: one planner run per redistribute, not per pid"
+        );
+        assert_eq!(
+            a, &runs[0].1 .1,
+            "{machine}: same final array as the simulator"
+        );
+    }
+    // The round trip returns every element to its BLOCK owner, intact.
+    let a = &runs[0].1 .1;
+    for i in 1..=256i64 {
+        assert_eq!(a.get(&[i]), Some(seed(&[i])));
+        assert_eq!(a.owner(&[i]), Some(((i - 1) / 16) as usize));
+    }
+}
+
+#[test]
+fn init_and_gather_agree_with_the_per_index_definitions() {
+    // (CYCLIC(3), BLOCK) on a 2x2 grid with refined (2,3) segments.
+    let mut p = Program::new();
+    let a = p.declare(build::array_seg(
+        "A",
+        ElemType::F64,
+        vec![(0, 10), (1, 9)],
+        vec![DimDist::BlockCyclic(3), DimDist::Block],
+        ProcGrid::grid2(2, 2),
+        vec![2, 3],
+    ));
+    let decl = p.decl(a).clone();
+    let full = Section::new(decl.bounds.clone());
+    let f = |idx: &[i64]| Value::F64((idx[0] * 16 + idx[1]) as f64);
+
+    let mut exec = SimExec::new(Arc::new(p), KernelRegistry::standard(), SimConfig::new(4));
+    exec.init_exclusive(a, f);
+    let g = exec.gather(a);
+
+    // Init: what the old loop (offer every index to every table) left.
+    let dist = decl.dist.as_ref().unwrap();
+    for pid in 0..4 {
+        let mut by_index = RtSymbolTable::build(pid, std::slice::from_ref(&decl));
+        for idx in full.iter() {
+            let _ = by_index.write(a, &idx, f(&idx));
+        }
+        for idx in full.iter() {
+            let here = dist.owner_of(&decl.bounds, &idx) == pid;
+            assert_eq!(by_index.read(a, &idx), here.then(|| f(&idx)));
+            assert_eq!(g.owner(&idx) == Some(pid), here, "{idx:?} on p{pid}");
+        }
+    }
+    // Gather: the ordered map the dense image replaced.
+    let oracle: BTreeMap<Vec<i64>, (usize, Value)> = full
+        .iter()
+        .map(|idx| {
+            let v = (dist.owner_of(&decl.bounds, &idx), f(&idx));
+            (idx, v)
+        })
+        .collect();
+    let mut seen = Vec::new();
+    g.for_each(|idx, pid, val| seen.push((idx.to_vec(), (pid, val))));
+    assert_eq!(seen, oracle.into_iter().collect::<Vec<_>>());
+}
