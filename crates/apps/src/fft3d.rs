@@ -40,7 +40,7 @@ use rand::Rng;
 use rand_chacha::rand_core::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use std::sync::Arc;
-use xdp_core::{ExecReport, RtError, SimConfig, SimExec};
+use xdp_core::{AsyncConfig, AsyncExec, ExecReport, Machine, RtError, SimConfig, SimExec};
 use xdp_ir::build as b;
 use xdp_ir::{DimDist, ElemType, ProcGrid, Program, Stmt, VarId};
 use xdp_runtime::{Complex, Value};
@@ -898,14 +898,25 @@ pub fn run_program(
     sim: SimConfig,
     seed: u64,
 ) -> Result<ExecReport, RtError> {
+    let exec = SimExec::new(Arc::new(program), crate::fft::app_kernels(), sim);
+    run_verified(cfg, vars, exec, seed)
+}
+
+/// Load the seeded input cube onto `exec`, run it, and verify the result
+/// against the sequential 3-D FFT.
+fn run_verified<M: Machine>(
+    cfg: Fft3dConfig,
+    vars: Fft3dVars,
+    mut exec: M,
+    seed: u64,
+) -> Result<ExecReport, RtError> {
     let n = cfg.n;
     let input = input_cube(n, seed);
     let mut expect = input.clone();
     crate::fft::fft3d_seq(&mut expect, n as usize);
 
-    let mut exec = SimExec::new(Arc::new(program), crate::fft::app_kernels(), sim);
     exec.init_exclusive(vars.a, |idx| Value::C64(input[cube_ordinal(n, idx)]));
-    let report = exec.run()?;
+    let report = exec.run_report()?;
     let g = exec.gather(vars.a);
     for i in 1..=n {
         for j in 1..=n {
@@ -917,8 +928,7 @@ pub fn run_program(
                 let want = expect[cube_ordinal(n, &[i, j, k])];
                 assert!(
                     (got - want).abs() < 1e-6,
-                    "{}: A[{i},{j},{k}] = {got}, want {want}",
-                    stage_name(&report)
+                    "fft3d: A[{i},{j},{k}] = {got}, want {want}"
                 );
             }
         }
@@ -926,42 +936,17 @@ pub fn run_program(
     Ok(report)
 }
 
-fn stage_name(_r: &ExecReport) -> &'static str {
-    "fft3d"
-}
-
-/// Execute a 3-D FFT stage on the *threaded* backend and verify against
-/// the sequential reference — ownership redistribution under real
+/// Execute a 3-D FFT stage on the wall-clock task machine and verify
+/// against the sequential reference — ownership redistribution under real
 /// concurrency.
-pub fn run_stage_threads(cfg: Fft3dConfig, stage: Stage, seed: u64) -> Result<(), RtError> {
-    use xdp_core::{ThreadConfig, ThreadExec};
-    let n = cfg.n;
+pub fn run_stage_tasks(cfg: Fft3dConfig, stage: Stage, seed: u64) -> Result<(), RtError> {
     let (program, vars) = build(cfg, stage);
-    let input = input_cube(n, seed);
-    let mut expect = input.clone();
-    crate::fft::fft3d_seq(&mut expect, n as usize);
-    let mut exec = ThreadExec::new(
+    let exec = AsyncExec::new(
         Arc::new(program),
         crate::fft::app_kernels(),
-        ThreadConfig::new(cfg.nprocs),
+        AsyncConfig::new(cfg.nprocs),
     );
-    exec.init_exclusive(vars.a, |idx| Value::C64(input[cube_ordinal(n, idx)]));
-    exec.run()?;
-    let g = exec.gather(vars.a);
-    for i in 1..=n {
-        for j in 1..=n {
-            for k in 1..=n {
-                let got = g.get(&[i, j, k]).expect("owned").as_c64();
-                let want = expect[cube_ordinal(n, &[i, j, k])];
-                assert!(
-                    (got - want).abs() < 1e-6,
-                    "threads {}: A[{i},{j},{k}] = {got}, want {want}",
-                    stage.label()
-                );
-            }
-        }
-    }
-    Ok(())
+    run_verified(cfg, vars, exec, seed).map(drop)
 }
 
 #[cfg(test)]
@@ -1134,7 +1119,7 @@ mod tests {
         // Real threads + rendezvous matching + ownership transfer: the
         // strongest concurrency test in the suite.
         for stage in [Stage::V1Localized, Stage::V3AwaitSunk, Stage::V5Planned] {
-            run_stage_threads(Fft3dConfig::new(8, 4), stage, 21)
+            run_stage_tasks(Fft3dConfig::new(8, 4), stage, 21)
                 .unwrap_or_else(|e| panic!("{}: {e}", stage.label()));
         }
     }

@@ -5,7 +5,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 use std::sync::Arc;
 use xdp_compiler::{lower_owner_computes, FrontendOptions, PassManager, SeqProgram, SeqStmt};
-use xdp_core::{KernelRegistry, SimConfig, SimExec, ThreadConfig, ThreadExec};
+use xdp_core::{AsyncConfig, AsyncExec, KernelRegistry, SimConfig, SimExec};
 use xdp_ir::build as b;
 use xdp_ir::{DimDist, ElemType, ProcGrid, Program, VarId};
 use xdp_runtime::Value;
@@ -81,15 +81,15 @@ fn bench_pass_pipeline(c: &mut Criterion) {
     });
 }
 
-fn bench_thread_executor(c: &mut Criterion) {
+fn bench_task_executor(c: &mut Criterion) {
     let (s, a, bb) = source(64, 4);
     let naive = lower_owner_computes(&s, &FrontendOptions::default()).unwrap();
-    c.bench_function("thread_executor_naive_loop_64", |bch| {
+    c.bench_function("task_executor_naive_loop_64", |bch| {
         bch.iter(|| {
-            let mut exec = ThreadExec::new(
+            let mut exec = AsyncExec::new(
                 Arc::new(naive.clone()),
                 KernelRegistry::standard(),
-                ThreadConfig::new(4),
+                AsyncConfig::new(4),
             );
             exec.init_exclusive(a, |idx| Value::F64(idx[0] as f64));
             exec.init_exclusive(bb, |idx| Value::F64(idx[0] as f64));
@@ -103,6 +103,6 @@ criterion_group!(
     bench_sim_executor,
     bench_optimized_vs_naive,
     bench_pass_pipeline,
-    bench_thread_executor
+    bench_task_executor
 );
 criterion_main!(benches);

@@ -14,7 +14,7 @@
 //!   collapsed rows, with `y` aligned to `M` under every variant.
 //!
 //! For each app the auto choice is *executed* (SimExec virtual time, and
-//! ThreadExec for real-concurrency correctness) and asserted to be no
+//! AsyncExec for real-concurrency correctness) and asserted to be no
 //! worse than the worst hand variant and within 15% of the best. For the
 //! FFT the per-phase predicted costs are compared against a traced
 //! critical-path decomposition of the simulated run.
@@ -24,7 +24,7 @@ use std::sync::Arc;
 use xdp_apps::{fft3d, halo2d, matvec, workloads};
 use xdp_bench::table::j;
 use xdp_bench::Table;
-use xdp_core::{KernelRegistry, SimConfig, SimExec, ThreadConfig, ThreadExec, TraceConfig};
+use xdp_core::{AsyncConfig, AsyncExec, KernelRegistry, Machine, SimConfig, SimExec, TraceConfig};
 use xdp_ir::{DimDist, Distribution, ProcGrid, Program};
 use xdp_place::{candidates, search, Costs, DimNeed, Phase, PhaseGraph, Shift};
 use xdp_runtime::Value;
@@ -182,8 +182,9 @@ fn fft_section(t: &mut Table) {
     }
     pt.print();
 
-    // Real concurrency: the auto stage must also be correct under threads.
-    fft3d::run_stage_threads(cfg, fft3d::Stage::V6Auto, SEED).expect("threaded auto fft");
+    // Real concurrency: the auto stage must also be correct on the task
+    // machine.
+    fft3d::run_stage_tasks(cfg, fft3d::Stage::V6Auto, SEED).expect("task-machine auto fft");
 }
 
 // --- jacobi2d --------------------------------------------------------------
@@ -222,14 +223,18 @@ fn jacobi_graph(p: &Program, u: xdp_ir::VarId, v: xdp_ir::VarId) -> PhaseGraph {
     }
 }
 
-fn run_jacobi(build: fn(i64, i64, usize, i64) -> (Program, halo2d::Halo2dVars)) -> (f64, u64) {
+type JacobiBuild = fn(i64, i64, usize, i64) -> (Program, halo2d::Halo2dVars);
+
+/// Run the built sweep on the machine `load` puts it on, check it against
+/// the sequential reference, and return (time, messages).
+fn run_jacobi<M: Machine>(build: JacobiBuild, load: impl FnOnce(Arc<Program>) -> M) -> (f64, u64) {
     let (p, vars) = build(JN, JM, P, SWEEPS);
     let u0 = workloads::uniform_f64((JN * JM) as usize, 5, 0.0, 10.0);
-    let mut exec = SimExec::new(Arc::new(p), KernelRegistry::standard(), SimConfig::new(P));
+    let mut exec = load(Arc::new(p));
     exec.init_exclusive(vars.u, |idx| {
         Value::F64(u0[((idx[0] - 1) * JM + idx[1] - 1) as usize])
     });
-    let r = exec.run().expect("jacobi");
+    let r = exec.run_report().expect("jacobi");
     let want = halo2d::jacobi2d_reference(&u0, JN as usize, JM as usize, SWEEPS as usize);
     let g = exec.gather(vars.u);
     for i in 1..=JN {
@@ -241,26 +246,8 @@ fn run_jacobi(build: fn(i64, i64, usize, i64) -> (Program, halo2d::Halo2dVars)) 
     (r.virtual_time, r.net.messages)
 }
 
-fn jacobi_threads(build: fn(i64, i64, usize, i64) -> (Program, halo2d::Halo2dVars)) {
-    let (p, vars) = build(JN, JM, P, SWEEPS);
-    let u0 = workloads::uniform_f64((JN * JM) as usize, 5, 0.0, 10.0);
-    let mut exec = ThreadExec::new(
-        Arc::new(p),
-        KernelRegistry::standard(),
-        ThreadConfig::new(P),
-    );
-    exec.init_exclusive(vars.u, |idx| {
-        Value::F64(u0[((idx[0] - 1) * JM + idx[1] - 1) as usize])
-    });
-    exec.run().expect("threaded jacobi");
-    let want = halo2d::jacobi2d_reference(&u0, JN as usize, JM as usize, SWEEPS as usize);
-    let g = exec.gather(vars.u);
-    for i in 1..=JN {
-        for jj in 1..=JM {
-            let got = g.get(&[i, jj]).expect("owned").as_f64();
-            assert!((got - want[((i - 1) * JM + jj - 1) as usize]).abs() < 1e-9);
-        }
-    }
+fn jacobi_sim(p: Arc<Program>) -> SimExec {
+    SimExec::new(p, KernelRegistry::standard(), SimConfig::new(P))
 }
 
 fn jacobi_section(t: &mut Table) {
@@ -281,23 +268,19 @@ fn jacobi_section(t: &mut Table) {
         "jacobi2d {JN}x{JM}: auto chose {chosen} (predicted {:.1}, {} candidates)\n",
         out.total_predicted, out.candidates_considered
     );
-    let auto_build: fn(i64, i64, usize, i64) -> (Program, halo2d::Halo2dVars) =
-        if chosen.dims()[0] == DimDist::Block {
-            halo2d::build_jacobi2d
-        } else {
-            assert_eq!(chosen.dims()[1], DimDist::Block, "slab placement expected");
-            halo2d::build_jacobi2d_cols
-        };
+    let auto_build: JacobiBuild = if chosen.dims()[0] == DimDist::Block {
+        halo2d::build_jacobi2d
+    } else {
+        assert_eq!(chosen.dims()[1], DimDist::Block, "slab placement expected");
+        halo2d::build_jacobi2d_cols
+    };
 
     let mut runs = Vec::new();
     for (label, b) in [
-        (
-            "rows (B,*)",
-            halo2d::build_jacobi2d as fn(i64, i64, usize, i64) -> (Program, halo2d::Halo2dVars),
-        ),
+        ("rows (B,*)", halo2d::build_jacobi2d as JacobiBuild),
         ("cols (*,B)", halo2d::build_jacobi2d_cols),
     ] {
-        let (time, messages) = run_jacobi(b);
+        let (time, messages) = run_jacobi(b, jacobi_sim);
         runs.push(Run {
             label,
             auto: false,
@@ -306,7 +289,7 @@ fn jacobi_section(t: &mut Table) {
             messages,
         });
     }
-    let (time, messages) = run_jacobi(auto_build);
+    let (time, messages) = run_jacobi(auto_build, jacobi_sim);
     runs.push(Run {
         label: "auto",
         auto: true,
@@ -315,21 +298,29 @@ fn jacobi_section(t: &mut Table) {
         messages,
     });
     check("jacobi2d 32x96", &runs, t);
-    jacobi_threads(auto_build);
+    run_jacobi(auto_build, |p| {
+        AsyncExec::new(p, KernelRegistry::standard(), AsyncConfig::new(P))
+    });
 }
 
 // --- matvec ----------------------------------------------------------------
 
-fn run_matvec(n: i64, dist: Distribution) -> (f64, u64) {
+/// Run the placed product on the machine `load` puts it on, check it
+/// against the sequential reference, and return (time, messages).
+fn run_matvec<M: Machine>(
+    n: i64,
+    dist: Distribution,
+    load: impl FnOnce(Arc<Program>, KernelRegistry) -> M,
+) -> (f64, u64) {
     let (p, vars) = matvec::build_matvec_placed(n, P, dist);
     let mdata = workloads::uniform_f64((n * n) as usize, 3, -1.0, 1.0);
     let xdata = workloads::uniform_f64(n as usize, 4, -1.0, 1.0);
-    let mut exec = SimExec::new(Arc::new(p), matvec::matvec_kernels(), SimConfig::new(P));
+    let mut exec = load(Arc::new(p), matvec::matvec_kernels());
     exec.init_exclusive(vars.m, |idx| {
         Value::F64(mdata[((idx[0] - 1) * n + idx[1] - 1) as usize])
     });
     exec.init_exclusive(vars.x, |idx| Value::F64(xdata[(idx[0] - 1) as usize]));
-    let r = exec.run().expect("matvec");
+    let r = exec.run_report().expect("matvec");
     let want = matvec::matvec_reference(&mdata, &xdata, n as usize);
     let g = exec.gather(vars.y);
     for i in 1..=n {
@@ -339,21 +330,8 @@ fn run_matvec(n: i64, dist: Distribution) -> (f64, u64) {
     (r.virtual_time, r.net.messages)
 }
 
-fn matvec_threads(n: i64, dist: Distribution) {
-    let (p, vars) = matvec::build_matvec_placed(n, P, dist);
-    let mdata = workloads::uniform_f64((n * n) as usize, 3, -1.0, 1.0);
-    let xdata = workloads::uniform_f64(n as usize, 4, -1.0, 1.0);
-    let mut exec = ThreadExec::new(Arc::new(p), matvec::matvec_kernels(), ThreadConfig::new(P));
-    exec.init_exclusive(vars.m, |idx| {
-        Value::F64(mdata[((idx[0] - 1) * n + idx[1] - 1) as usize])
-    });
-    exec.init_exclusive(vars.x, |idx| Value::F64(xdata[(idx[0] - 1) as usize]));
-    exec.run().expect("threaded matvec");
-    let want = matvec::matvec_reference(&mdata, &xdata, n as usize);
-    let g = exec.gather(vars.y);
-    for i in 1..=n {
-        assert!((g.get(&[i]).expect("owned").as_f64() - want[(i - 1) as usize]).abs() < 1e-9);
-    }
+fn matvec_sim(p: Arc<Program>, kernels: KernelRegistry) -> SimExec {
+    SimExec::new(p, kernels, SimConfig::new(P))
 }
 
 fn matvec_section(t: &mut Table) {
@@ -383,7 +361,7 @@ fn matvec_section(t: &mut Table) {
         ),
         ("serial", Distribution::collapsed(2, P)),
     ] {
-        let (time, messages) = run_matvec(n, d);
+        let (time, messages) = run_matvec(n, d, matvec_sim);
         runs.push(Run {
             label,
             auto: false,
@@ -392,7 +370,7 @@ fn matvec_section(t: &mut Table) {
             messages,
         });
     }
-    let (time, messages) = run_matvec(n, choice.dist.clone());
+    let (time, messages) = run_matvec(n, choice.dist.clone(), matvec_sim);
     runs.push(Run {
         label: "auto",
         auto: true,
@@ -401,7 +379,9 @@ fn matvec_section(t: &mut Table) {
         messages,
     });
     check("matvec n=32", &runs, t);
-    matvec_threads(n, choice.dist.clone());
+    run_matvec(n, choice.dist.clone(), |p, kernels| {
+        AsyncExec::new(p, kernels, AsyncConfig::new(P))
+    });
 }
 
 fn main() {

@@ -9,9 +9,9 @@
 //! and the critical-path analyzer must attribute 100% of the virtual time
 //! even when retry latency is on the path.
 //!
-//! A second table runs the threaded backend at the acceptance-bar fault
-//! mix (10% drop) and checks real-parallel conformance plus wall-clock
-//! overhead.
+//! A second table runs the wall-clock task machine at the acceptance-bar
+//! fault mix (10% drop) and checks real-parallel conformance plus
+//! wall-clock overhead.
 //!
 //! Expected shape: virtual time grows smoothly with drop rate (each
 //! retry adds one rto-scaled delay to the affected chain, nothing else
@@ -20,16 +20,15 @@
 
 use std::collections::HashMap;
 use std::sync::Arc;
-use std::time::Instant;
 use xdp_apps::fft3d::{Fft3dConfig, Stage};
 use xdp_bench::table::j;
 use xdp_bench::Table;
 use xdp_core::{
-    ExecReport, Gathered, KernelRegistry, SimConfig, SimExec, ThreadConfig, ThreadExec,
+    AsyncConfig, AsyncExec, ExecReport, Gathered, KernelRegistry, Machine, SimConfig, SimExec,
 };
 use xdp_fault::{FaultPlan, LinkFault};
-use xdp_ir::{Decl, ElemType, Program, Section, VarId};
-use xdp_runtime::{Complex, Value};
+use xdp_ir::{Program, Section, VarId};
+use xdp_runtime::Value;
 use xdp_trace::TraceConfig;
 
 const SWEEP: &[f64] = &[0.0, 0.05, 0.10, 0.20];
@@ -50,23 +49,26 @@ fn chaos(seed: u64, drop: f64) -> FaultPlan {
     plan
 }
 
-fn init_value(elem: ElemType, ord: i64) -> Value {
-    match elem {
-        ElemType::C64 => Value::C64(Complex::new((ord + 1) as f64, -(ord as f64) * 0.5)),
-        _ => Value::F64((ord + 1) as f64),
-    }
-}
-
 /// The final global state of every exclusive array.
 type State = Vec<Gathered>;
 
-fn gather_state(decls: &[Decl], gather: impl Fn(VarId) -> Gathered) -> State {
-    decls
-        .iter()
-        .enumerate()
-        .filter(|(_, d)| d.is_exclusive())
-        .map(|(i, _)| gather(VarId(i as u32)))
-        .collect()
+/// Seed every exclusive array with its element ordinals, run, and gather.
+fn run<M: Machine>(mut exec: M, program: &Program) -> (State, ExecReport) {
+    let exclusive = || {
+        let decls = program.decls.iter().enumerate();
+        decls.filter(|(_, d)| d.is_exclusive())
+    };
+    for (i, d) in exclusive() {
+        let full = Section::new(d.bounds.clone());
+        exec.init_exclusive(VarId(i as u32), move |idx| {
+            Value::F64((full.ordinal_of(idx).unwrap_or(0) + 1) as f64)
+        });
+    }
+    let report = exec.run_report().expect("run");
+    let state = exclusive()
+        .map(|(i, _)| exec.gather(VarId(i as u32)))
+        .collect();
+    (state, report)
 }
 
 fn sim_run(
@@ -75,53 +77,26 @@ fn sim_run(
     nprocs: usize,
     faults: FaultPlan,
 ) -> (State, ExecReport) {
-    let decls = program.decls.clone();
-    let mut exec = SimExec::new(
-        Arc::new(program.clone()),
-        kernels,
-        SimConfig::new(nprocs)
-            .with_faults(faults)
-            .with_trace(TraceConfig::full()),
-    );
-    for (i, d) in decls.iter().enumerate() {
-        if d.is_exclusive() {
-            let full = Section::new(d.bounds.clone());
-            let elem = d.elem;
-            exec.init_exclusive(VarId(i as u32), move |idx| {
-                init_value(elem, full.ordinal_of(idx).unwrap_or(0))
-            });
-        }
-    }
-    let report = exec.run().expect("sim run");
-    let state = gather_state(&decls, |v| exec.gather(v));
-    (state, report)
+    let cfg = SimConfig::new(nprocs)
+        .with_faults(faults)
+        .with_trace(TraceConfig::full());
+    run(
+        SimExec::new(Arc::new(program.clone()), kernels, cfg),
+        program,
+    )
 }
 
-fn thr_run(
+/// Final state and wall milliseconds on the task machine.
+fn tasks_run(
     program: &Program,
     kernels: KernelRegistry,
     nprocs: usize,
     faults: FaultPlan,
 ) -> (State, f64) {
-    let decls = program.decls.clone();
-    let mut exec = ThreadExec::new(
-        Arc::new(program.clone()),
-        kernels,
-        ThreadConfig::new(nprocs).with_faults(faults),
-    );
-    for (i, d) in decls.iter().enumerate() {
-        if d.is_exclusive() {
-            let full = Section::new(d.bounds.clone());
-            let elem = d.elem;
-            exec.init_exclusive(VarId(i as u32), move |idx| {
-                init_value(elem, full.ordinal_of(idx).unwrap_or(0))
-            });
-        }
-    }
-    let t0 = Instant::now();
-    exec.run().expect("threaded run");
-    let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
-    (gather_state(&decls, |v| exec.gather(v)), wall_ms)
+    let cfg = AsyncConfig::new(nprocs).with_faults(faults);
+    let exec = AsyncExec::new(Arc::new(program.clone()), kernels, cfg);
+    let (state, report) = run(exec, program);
+    (state, report.virtual_time / 1e3)
 }
 
 /// One workload: (label, program, kernel registry, machine size).
@@ -198,12 +173,12 @@ fn main() {
     t.print();
 
     let mut t2 = Table::new(
-        "E11: threaded backend at the acceptance mix (drop .10)",
+        "E11: task machine at the acceptance mix (drop .10)",
         &["app", "clean-ms", "chaos-ms", "identical"],
     );
     for (label, program, kernels, nprocs) in apps() {
-        let (clean, clean_ms) = thr_run(&program, kernels(), nprocs, FaultPlan::none());
-        let (state, chaos_ms) = thr_run(&program, kernels(), nprocs, chaos(23, 0.10));
+        let (clean, clean_ms) = tasks_run(&program, kernels(), nprocs, FaultPlan::none());
+        let (state, chaos_ms) = tasks_run(&program, kernels(), nprocs, chaos(23, 0.10));
         let identical = state == clean;
         if !identical {
             failures += 1;

@@ -31,6 +31,7 @@
 pub mod analysis {
     pub use xdp_ir::analysis::*;
 }
+pub mod cli;
 pub mod frontend;
 pub mod passes;
 pub mod pipeline;

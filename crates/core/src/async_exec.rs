@@ -1,39 +1,34 @@
-//! The scalable executor: one lightweight cooperative task per simulated
+//! The wall-clock machine: one lightweight cooperative task per simulated
 //! processor, multiplexed M:N over a fixed pool of worker threads.
 //!
-//! [`crate::ThreadExec`] spawns one OS thread per pid, which caps P at
-//! OS thread limits (and makes P=4096 runs pay 4096 stacks and a
-//! scheduler fight). `AsyncExec` instead drives each processor as a
-//! state machine that *yields cooperatively* at its natural suspension
-//! points — a blocking receive with no message ready, a barrier, or an
-//! exhausted step quantum — so a handful of workers execute thousands
-//! of processors over the same shared [`ThreadNet`] with the same
-//! rendezvous semantics.
+//! One OS thread per pid would cap P at OS thread limits (and make a
+//! P=4096 run pay 4096 stacks and a scheduler fight). `AsyncExec`
+//! instead drives each processor as a state machine that *yields
+//! cooperatively* at its natural suspension points — a blocking receive
+//! with no message ready, a barrier, or an exhausted step quantum — so a
+//! handful of workers execute thousands of processors over one shared
+//! [`ThreadNet`] with rendezvous semantics.
 //!
 //! Scheduling is work-stealing: each worker owns a run queue, pushes
 //! woken tasks to its own queue, and steals from peers when dry.
 //! Parked receivers are indexed by [`Tag`], so a send wakes exactly the
 //! tasks that may now match; an idle-time sweep re-polls parked tasks
-//! whose deadline elapsed (producing the same named timeout diagnoses
-//! as the threaded executor) and, under an active fault plan, re-polls
-//! all parked receivers so the delivery layer's retry clock keeps
-//! ticking.
+//! whose deadline elapsed (producing the named timeout diagnoses) and,
+//! under an active fault plan, re-polls all parked receivers so the
+//! delivery layer's retry clock keeps ticking.
 //!
-//! The observable contract is [`crate::ThreadExec`]'s exactly: the same
-//! [`ThreadReport`], the same trace events (wall-clock timestamps, the
-//! backend-independent movement multiset), and character-identical
-//! error text for deadlock, receive-timeout, and message-loss
-//! diagnoses — enforced by the `executor:async` fuzz oracle and the
-//! conformance suites at P up to 4096.
+//! The observable contract: a [`ThreadReport`], a trace with wall-clock
+//! timestamps whose movement multiset is the simulator's, and named
+//! deadlock, receive-timeout and message-loss diagnoses — enforced by
+//! the `executor:async` fuzz oracle and the conformance suites at P up
+//! to 4096.
 
 use crate::env::RtError;
-use crate::interp::{Action, Interp, StepNote};
+use crate::interp::{Action, Interp};
 use crate::kernels::KernelRegistry;
-use crate::proc::Processor;
-use crate::report::Gathered;
-use crate::thread_exec::{
-    deadlock_error, recv_error, unfinished_recv_error, RecorderData, ThreadReport,
-};
+use crate::proc::{Machine, Processor};
+use crate::recorder::Recorder;
+use crate::report::{ExecReport, Gathered, ThreadReport};
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex};
@@ -42,8 +37,8 @@ use xdp_collectives::PlanCtx;
 use xdp_fault::{FaultPlan, RecvFailure};
 use xdp_ir::{Program, VarId};
 use xdp_machine::{CostModel, ThreadNet, Topology};
-use xdp_runtime::{Tag, Value};
-use xdp_trace::{Trace, TraceConfig, TraceEvent, TraceKind, WaitCause};
+use xdp_runtime::{Msg, Tag, Value};
+use xdp_trace::{Trace, TraceConfig, TraceEvent, WaitCause};
 
 /// Statements a task executes before yielding its worker, so thousands
 /// of compute-heavy tasks share the pool fairly.
@@ -62,7 +57,7 @@ pub struct AsyncConfig {
     /// Checked runtime?
     pub checked: bool,
     /// How long a blocked receive may wait before the run is declared
-    /// timed out (same default and diagnoses as [`crate::ThreadConfig`]).
+    /// timed out.
     pub recv_timeout: Duration,
     /// What to record in the execution trace.
     pub trace: TraceConfig,
@@ -111,9 +106,9 @@ impl AsyncConfig {
     }
 }
 
-/// The async executor. Mirrors [`crate::ThreadExec`]'s init/run/gather
-/// API and report; generic over the [`Processor`] implementation, so
-/// both the interpreter and the bytecode VM run on it unchanged.
+/// The async executor. Mirrors [`crate::SimExec`]'s init/run/gather API;
+/// generic over the [`Processor`] implementation, so both the
+/// interpreter and the bytecode VM run on it unchanged.
 pub struct AsyncExec<P: Processor = Interp> {
     cfg: AsyncConfig,
     interps: Vec<P>,
@@ -172,16 +167,16 @@ impl<P: Processor> AsyncExec<P> {
         }
         .min(n.max(1));
         let tcfg = self.cfg.trace;
+        let names = Recorder::names(&self.interps);
         let start = Instant::now();
         let sh = Shared {
             tasks: self
                 .interps
                 .iter_mut()
                 .map(|interp| {
-                    let rec = RecorderData::new(interp, tcfg, start);
                     Mutex::new(Task {
                         interp,
-                        rec,
+                        rec: Recorder::new(names.clone(), tcfg),
                         state: TState::Runnable,
                         result: None,
                         counted_done: false,
@@ -201,6 +196,8 @@ impl<P: Processor> AsyncExec<P> {
             n,
             timeout: self.cfg.recv_timeout,
             faults_active: self.cfg.faults.is_active(),
+            start,
+            traced: tcfg.enabled(),
         };
         // Initial round-robin distribution of all tasks.
         for pid in 0..n {
@@ -275,6 +272,48 @@ impl<P: Processor> AsyncExec<P> {
     }
 }
 
+impl<P: Processor> Machine for AsyncExec<P> {
+    fn init_exclusive(&mut self, var: VarId, f: impl Fn(&[i64]) -> Value) {
+        AsyncExec::init_exclusive(self, var, f)
+    }
+
+    fn run_report(&mut self) -> Result<ExecReport, RtError> {
+        self.run().map(ThreadReport::into_exec_report)
+    }
+
+    fn gather(&self, var: VarId) -> Gathered {
+        AsyncExec::gather(self, var)
+    }
+}
+
+/// Map a delivery-layer failure to the executor's named diagnosis.
+fn recv_error(pid: usize, tag: &Tag, timeout: Duration, fail: RecvFailure) -> RtError {
+    match fail {
+        RecvFailure::Timeout => RtError::RecvTimeout(format!(
+            "p{pid}: receive of {tag} timed out after {timeout:?}"
+        )),
+        RecvFailure::Lost { attempts } => RtError::MessageLost(format!(
+            "p{pid}: receive of {tag}: message permanently lost \
+             (every transmission dropped; {attempts} attempts)"
+        )),
+    }
+}
+
+/// A section is blocked with nothing that could ever unblock it.
+fn deadlock_error(pid: usize, var: VarId, sec: &xdp_ir::Section) -> RtError {
+    RtError::Deadlock(format!(
+        "p{pid}: blocked on {var}{sec} with no outstanding receive"
+    ))
+}
+
+/// The program-end drain timed out with a receive still pending.
+fn unfinished_recv_error(pid: usize, tag: &Tag, timeout: Duration) -> RtError {
+    RtError::RecvTimeout(format!(
+        "p{pid}: unfinished receive of {tag} at program end \
+         (no message after {timeout:?})"
+    ))
+}
+
 /// A receive the task is parked on.
 #[derive(Clone)]
 struct Pending {
@@ -285,23 +324,26 @@ struct Pending {
     /// Wait-start timestamp (µs) for the trace span.
     t0: f64,
     /// True during the post-`Done` drain (different wait cause and
-    /// timeout diagnosis, matching the threaded executor).
+    /// timeout diagnosis).
     quiesce: bool,
 }
 
 /// Task lifecycle. `Runnable` tasks sit in (or are owed a slot in) a
 /// run queue; `Blocked`/`AtBarrier` tasks are parked and re-entered by
-/// a tag wakeup, a barrier release, or the idle sweep.
+/// a tag wakeup, a barrier release, or the idle sweep. `Draining` is the
+/// post-`Done` phase between two leftover receives; a task never parks
+/// in it.
 enum TState {
     Runnable,
     Blocked(Pending),
     AtBarrier { t0: f64 },
+    Draining,
     Finished,
 }
 
 struct Task<'a, P: Processor> {
     interp: &'a mut P,
-    rec: RecorderData,
+    rec: Recorder,
     state: TState,
     result: Option<Result<Vec<TraceEvent>, RtError>>,
     /// Whether this task has been counted out of barrier participation
@@ -331,9 +373,27 @@ struct Shared<'a, P: Processor> {
     n: usize,
     timeout: Duration,
     faults_active: bool,
+    start: Instant,
+    /// Is any tracing on? Untraced runs never read the clock.
+    traced: bool,
 }
 
 impl<P: Processor> Shared<'_, P> {
+    /// Trace timestamp: wall-clock microseconds since run start.
+    fn now(&self) -> f64 {
+        if self.traced {
+            self.start.elapsed().as_secs_f64() * 1e6
+        } else {
+            0.0
+        }
+    }
+
+    /// Record the delivery of `msg` to receive `req`, waited on since `t0`.
+    fn delivered(&self, rec: &mut Recorder, pid: usize, req: u64, msg: &Msg, t0: f64) {
+        let t1 = self.now();
+        rec.completed(pid, req, msg, (t0, t1), t0, t1);
+    }
+
     /// Queue `pid` for polling (idempotent while already queued).
     fn enqueue(&self, pid: usize) {
         if !self.queued[pid].swap(true, Ordering::AcqRel) {
@@ -413,15 +473,7 @@ impl<P: Processor> Shared<'_, P> {
             }
             let mut t = self.tasks[p].lock().unwrap();
             if let TState::AtBarrier { t0 } = t.state {
-                if t.rec.cfg.spans {
-                    let t1 = t.rec.now();
-                    if t1 > t0 {
-                        t.rec.events.push(TraceEvent {
-                            cause: WaitCause::Barrier,
-                            ..TraceEvent::span(TraceKind::Wait, p, t0, t1)
-                        });
-                    }
-                }
+                t.rec.wait(p, WaitCause::Barrier, None, t0, self.now());
                 t.interp.pass_barrier();
                 t.state = TState::Runnable;
                 drop(t);
@@ -486,7 +538,11 @@ fn poll_task<P: Processor>(sh: &Shared<'_, P>, pid: usize) {
     loop {
         let advanced = match &task.state {
             TState::Finished | TState::AtBarrier { .. } => return,
-            TState::Blocked(_) => try_unblock(sh, task, pid),
+            TState::Blocked(p) => {
+                let p = p.clone();
+                await_recv(sh, task, pid, p)
+            }
+            TState::Draining => drain(sh, task, pid),
             TState::Runnable => run_quantum(sh, task, pid),
         };
         if !advanced {
@@ -501,10 +557,7 @@ fn finish<P: Processor>(sh: &Shared<'_, P>, task: &mut Task<'_, P>, res: Result<
         task.counted_done = true;
         sh.done.fetch_add(1, Ordering::SeqCst);
     }
-    task.result = Some(match res {
-        Ok(()) => Ok(std::mem::take(&mut task.rec.events)),
-        Err(e) => Err(e),
-    });
+    task.result = Some(res.map(|()| task.rec.take_events()));
     task.state = TState::Finished;
     sh.finished.fetch_add(1, Ordering::SeqCst);
     // This task's departure may complete a barrier generation or, if it
@@ -515,111 +568,76 @@ fn finish<P: Processor>(sh: &Shared<'_, P>, task: &mut Task<'_, P>, res: Result<
     sh.idle_cv.notify_all();
 }
 
-/// Attempt to complete the receive a parked task is blocked on.
-/// Returns true if the task advanced (poll again), false if it stays
-/// parked.
-fn try_unblock<P: Processor>(sh: &Shared<'_, P>, task: &mut Task<'_, P>, pid: usize) -> bool {
-    let p = match &task.state {
-        TState::Blocked(p) => p.clone(),
-        _ => unreachable!("try_unblock on non-blocked task"),
-    };
-    match sh.net.recv_diag(&p.tag, pid, Duration::ZERO) {
+/// Poll the receive `p` the task must complete before going on: a
+/// blocking await, or (`p.quiesce`) a leftover drained after `Done`. The
+/// caller registered the task as a waiter on `p.tag` *before* this poll,
+/// so a send landing between the two finds it and re-enqueues — no
+/// wakeup is lost. Returns true if the task advanced (poll again), false
+/// if it parked.
+fn await_recv<P: Processor>(
+    sh: &Shared<'_, P>,
+    task: &mut Task<'_, P>,
+    pid: usize,
+    p: Pending,
+) -> bool {
+    let res = match sh.net.recv_diag(&p.tag, pid, Duration::ZERO) {
         Ok(msg) => {
-            sh.deregister(pid, &p.tag);
-            if task.rec.cfg.spans {
-                let t1 = task.rec.now();
-                if t1 > p.t0 {
-                    let cause = if p.quiesce {
-                        WaitCause::Quiesce
-                    } else {
-                        WaitCause::Message(p.req)
-                    };
-                    task.rec.events.push(TraceEvent {
-                        cause,
-                        msg_id: Some(p.req),
-                        ..TraceEvent::span(TraceKind::Wait, pid, p.t0, t1)
-                    });
-                }
-            }
-            task.rec.completed(pid, p.req, &msg, p.t0);
-            if let Err(e) = task.interp.complete_recv(p.req, msg) {
-                finish(sh, task, Err(e));
-                return true;
-            }
-            if p.quiesce {
-                enter_drain(sh, task, pid);
+            let cause = if p.quiesce {
+                WaitCause::Quiesce
             } else {
-                task.state = TState::Runnable;
-            }
-            true
+                WaitCause::Message(p.req)
+            };
+            task.rec.wait(pid, cause, Some(p.req), p.t0, sh.now());
+            sh.delivered(&mut task.rec, pid, p.req, &msg, p.t0);
+            task.interp.complete_recv(p.req, msg)
         }
-        Err(RecvFailure::Timeout) => {
-            if Instant::now() >= p.deadline {
-                sh.deregister(pid, &p.tag);
-                let err = if p.quiesce {
-                    unfinished_recv_error(pid, &p.tag, sh.timeout)
-                } else {
-                    recv_error(pid, &p.tag, sh.timeout, RecvFailure::Timeout)
-                };
-                finish(sh, task, Err(err));
-                return true;
-            }
-            false
+        Err(RecvFailure::Timeout) if Instant::now() < p.deadline => {
+            task.state = TState::Blocked(p);
+            return false;
         }
-        Err(fail) => {
-            sh.deregister(pid, &p.tag);
-            finish(sh, task, Err(recv_error(pid, &p.tag, sh.timeout, fail)));
-            true
+        Err(RecvFailure::Timeout) if p.quiesce => {
+            Err(unfinished_recv_error(pid, &p.tag, sh.timeout))
         }
+        Err(fail) => Err(recv_error(pid, &p.tag, sh.timeout, fail)),
+    };
+    sh.deregister(pid, &p.tag);
+    match res {
+        Ok(()) if p.quiesce => task.state = TState::Draining,
+        Ok(()) => task.state = TState::Runnable,
+        Err(e) => finish(sh, task, Err(e)),
     }
+    true
 }
 
-/// Post-`Done` drain: complete leftover receives so the final state is
-/// coherent, parking (with a fresh deadline per receive, matching the
-/// threaded executor) whenever one is not yet deliverable.
-fn enter_drain<P: Processor>(sh: &Shared<'_, P>, task: &mut Task<'_, P>, pid: usize) {
-    loop {
-        let Some((req, tag)) = task.interp.outstanding().first().cloned() else {
+/// Register as a waiter on `tag` and poll receive `req` once, parking
+/// with a fresh deadline if it is not yet deliverable.
+fn start_recv<P: Processor>(
+    sh: &Shared<'_, P>,
+    task: &mut Task<'_, P>,
+    pid: usize,
+    (req, tag): (u64, Tag),
+    quiesce: bool,
+) -> bool {
+    sh.register(pid, &tag);
+    let p = Pending {
+        req,
+        tag,
+        deadline: Instant::now() + sh.timeout,
+        t0: sh.now(),
+        quiesce,
+    };
+    await_recv(sh, task, pid, p)
+}
+
+/// Post-`Done` drain: complete the next leftover receive so the final
+/// state is coherent, or finish when none is left.
+fn drain<P: Processor>(sh: &Shared<'_, P>, task: &mut Task<'_, P>, pid: usize) -> bool {
+    match task.interp.outstanding().into_iter().next() {
+        None => {
             finish(sh, task, Ok(()));
-            return;
-        };
-        let t0 = task.rec.now();
-        sh.register(pid, &tag);
-        match sh.net.recv_diag(&tag, pid, Duration::ZERO) {
-            Ok(msg) => {
-                sh.deregister(pid, &tag);
-                if task.rec.cfg.spans {
-                    let t1 = task.rec.now();
-                    if t1 > t0 {
-                        task.rec.events.push(TraceEvent {
-                            cause: WaitCause::Quiesce,
-                            msg_id: Some(req),
-                            ..TraceEvent::span(TraceKind::Wait, pid, t0, t1)
-                        });
-                    }
-                }
-                task.rec.completed(pid, req, &msg, t0);
-                if let Err(e) = task.interp.complete_recv(req, msg) {
-                    finish(sh, task, Err(e));
-                    return;
-                }
-            }
-            Err(RecvFailure::Timeout) => {
-                task.state = TState::Blocked(Pending {
-                    req,
-                    tag,
-                    deadline: Instant::now() + sh.timeout,
-                    t0,
-                    quiesce: true,
-                });
-                return;
-            }
-            Err(fail) => {
-                sh.deregister(pid, &tag);
-                finish(sh, task, Err(recv_error(pid, &tag, sh.timeout, fail)));
-                return;
-            }
+            true
         }
+        Some(recv) => start_recv(sh, task, pid, recv, true),
     }
 }
 
@@ -627,21 +645,20 @@ fn enter_drain<P: Processor>(sh: &Shared<'_, P>, task: &mut Task<'_, P>, pid: us
 /// state changed and the poll loop should re-inspect it, false if it
 /// parked or yielded.
 fn run_quantum<P: Processor>(sh: &Shared<'_, P>, task: &mut Task<'_, P>, pid: usize) -> bool {
-    let tcfg = task.rec.cfg;
     for _ in 0..QUANTUM {
         // Opportunistically complete any receive whose message has
         // already arrived, so `accessible()` polls stay live.
         for (req, tag) in task.interp.outstanding() {
-            let t0 = task.rec.now();
+            let t0 = sh.now();
             if let Some(msg) = sh.net.recv(&tag, pid, Duration::ZERO) {
-                task.rec.completed(pid, req, &msg, t0);
+                sh.delivered(&mut task.rec, pid, req, &msg, t0);
                 if let Err(e) = task.interp.complete_recv(req, msg) {
                     finish(sh, task, Err(e));
                     return true;
                 }
             }
         }
-        let t0 = task.rec.now();
+        let t0 = sh.now();
         let out = match task.interp.step() {
             Ok(out) => out,
             Err(e) => {
@@ -650,50 +667,8 @@ fn run_quantum<P: Processor>(sh: &Shared<'_, P>, task: &mut Task<'_, P>, pid: us
             }
         };
         let sid = out.sid;
-        if tcfg.spans {
-            let t1 = task.rec.now();
-            if t1 > t0 {
-                task.rec.events.push(TraceEvent {
-                    sid,
-                    ..TraceEvent::span(TraceKind::Compute, pid, t0, t1)
-                });
-            }
-        }
-        if tcfg.instants && out.ops.symtab_ops > 0 {
-            let t = task.rec.now();
-            task.rec.events.push(TraceEvent {
-                sid,
-                bytes: out.ops.symtab_ops,
-                ..TraceEvent::instant(TraceKind::SymtabQuery, pid, t)
-            });
-        }
-        if tcfg.instants {
-            match &out.note {
-                None => {}
-                Some(StepNote::Kernel { name, flops }) => {
-                    let t = task.rec.now();
-                    task.rec.events.push(TraceEvent {
-                        sid,
-                        bytes: *flops,
-                        detail: Some(name.clone()),
-                        ..TraceEvent::instant(TraceKind::KernelInvoke, pid, t)
-                    });
-                }
-                Some(StepNote::Collective {
-                    var,
-                    strategy,
-                    pieces,
-                }) => {
-                    let t = task.rec.now();
-                    task.rec.events.push(TraceEvent {
-                        sid,
-                        var: Some(var.clone()),
-                        detail: Some(format!("{strategy} x{pieces}")),
-                        ..TraceEvent::instant(TraceKind::CollectiveRound, pid, t)
-                    });
-                }
-            }
-        }
+        task.rec
+            .step(pid, sid, out.ops.symtab_ops, out.note, t0, sh.now());
         match out.action {
             Action::Continue => {}
             Action::Done => {
@@ -705,20 +680,12 @@ fn run_quantum<P: Processor>(sh: &Shared<'_, P>, task: &mut Task<'_, P>, pid: us
                 if let Some(rel) = sh.take_release() {
                     sh.release_peers(&rel, None);
                 }
-                enter_drain(sh, task, pid);
+                task.state = TState::Draining;
                 return true;
             }
             Action::Send { msg, dest } => {
-                if tcfg.spans {
-                    let t = task.rec.now();
-                    task.rec.events.push(TraceEvent {
-                        sid,
-                        var: task.rec.var_name(msg.tag.var),
-                        sec: Some(msg.tag.sec.to_string()),
-                        bytes: msg.payload_bytes(),
-                        ..TraceEvent::span(TraceKind::SendInit, pid, t, t)
-                    });
-                }
+                let t = sh.now();
+                task.rec.send_init(pid, sid, &msg, t, t);
                 let tag = msg.tag.clone();
                 match dest {
                     None => sh.net.send(msg, None),
@@ -731,99 +698,37 @@ fn run_quantum<P: Processor>(sh: &Shared<'_, P>, task: &mut Task<'_, P>, pid: us
                 sh.wake_tag(&tag);
             }
             Action::PostRecv { tag, req_id } => {
-                let t = task.rec.now();
-                if tcfg.spans {
-                    task.rec.events.push(TraceEvent {
-                        sid,
-                        var: task.rec.var_name(tag.var),
-                        sec: Some(tag.sec.to_string()),
-                        msg_id: Some(req_id),
-                        ..TraceEvent::span(TraceKind::RecvPost, pid, t, t)
-                    });
-                }
-                if tcfg.instants {
-                    task.rec.events.push(TraceEvent {
-                        sid,
-                        var: task.rec.var_name(tag.var),
-                        sec: Some(tag.sec.to_string()),
-                        detail: Some("transitional".into()),
-                        ..TraceEvent::instant(TraceKind::SectionState, pid, t)
-                    });
-                }
-                if let Some(s) = sid {
-                    task.rec.recv_sid.insert(req_id, s);
-                }
+                // Nothing to do eagerly: the message is claimed at the
+                // next opportunistic poll or blocking wait.
+                let t = sh.now();
+                task.rec.recv_post(pid, sid, &tag, req_id, t, t);
             }
             Action::BlockOn { var, sec } => {
-                let gating = task.interp.outstanding_for(var, &sec);
-                if gating.is_empty() {
+                // Service the first outstanding receive gating this section.
+                let Some(recv) = task.interp.outstanding_for(var, &sec).into_iter().next() else {
                     finish(sh, task, Err(deadlock_error(pid, var, &sec)));
                     return true;
+                };
+                if !start_recv(sh, task, pid, recv, false) {
+                    return false;
                 }
-                let (req, tag) = gating[0].clone();
-                let t0 = task.rec.now();
-                // Register before the poll: a send that lands between
-                // the two will find us and re-enqueue, so no wakeup is
-                // lost.
-                sh.register(pid, &tag);
-                match sh.net.recv_diag(&tag, pid, Duration::ZERO) {
-                    Ok(msg) => {
-                        sh.deregister(pid, &tag);
-                        if tcfg.spans {
-                            let t1 = task.rec.now();
-                            if t1 > t0 {
-                                task.rec.events.push(TraceEvent {
-                                    cause: WaitCause::Message(req),
-                                    msg_id: Some(req),
-                                    ..TraceEvent::span(TraceKind::Wait, pid, t0, t1)
-                                });
-                            }
-                        }
-                        task.rec.completed(pid, req, &msg, t0);
-                        if let Err(e) = task.interp.complete_recv(req, msg) {
-                            finish(sh, task, Err(e));
-                            return true;
-                        }
-                    }
-                    Err(RecvFailure::Timeout) => {
-                        task.state = TState::Blocked(Pending {
-                            req,
-                            tag,
-                            deadline: Instant::now() + sh.timeout,
-                            t0,
-                            quiesce: false,
-                        });
-                        return false;
-                    }
-                    Err(fail) => {
-                        sh.deregister(pid, &tag);
-                        finish(sh, task, Err(recv_error(pid, &tag, sh.timeout, fail)));
-                        return true;
-                    }
+                if !matches!(task.state, TState::Runnable) {
+                    return true;
                 }
             }
             Action::Barrier => {
-                let t0 = task.rec.now();
+                let t0 = sh.now();
                 sh.barrier.lock().unwrap().push(pid);
                 task.state = TState::AtBarrier { t0 };
-                if let Some(rel) = sh.take_release() {
-                    // We completed the generation: release ourselves
-                    // inline (our lock is held) and our parked peers.
-                    if tcfg.spans {
-                        let t1 = task.rec.now();
-                        if t1 > t0 {
-                            task.rec.events.push(TraceEvent {
-                                cause: WaitCause::Barrier,
-                                ..TraceEvent::span(TraceKind::Wait, pid, t0, t1)
-                            });
-                        }
-                    }
-                    task.interp.pass_barrier();
-                    task.state = TState::Runnable;
-                    sh.release_peers(&rel, Some(pid));
-                } else {
+                let Some(rel) = sh.take_release() else {
                     return false;
-                }
+                };
+                // We completed the generation: release ourselves inline
+                // (our lock is held) and our parked peers.
+                task.rec.wait(pid, WaitCause::Barrier, None, t0, sh.now());
+                task.interp.pass_barrier();
+                task.state = TState::Runnable;
+                sh.release_peers(&rel, Some(pid));
             }
         }
     }
@@ -835,10 +740,11 @@ fn run_quantum<P: Processor>(sh: &Shared<'_, P>, task: &mut Task<'_, P>, pid: us
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{SimConfig, SimExec, ThreadConfig, ThreadExec};
+    use crate::{SimConfig, SimExec};
     use std::sync::Arc;
     use xdp_ir::build as b;
     use xdp_ir::{DimDist, ElemType, ProcGrid};
+    use xdp_trace::TraceKind;
 
     /// Block-distributed A and cyclic B: every A[i] += B[i] via messages.
     fn simple(n: i64, nprocs: usize) -> (Arc<Program>, VarId, VarId) {
@@ -954,18 +860,17 @@ mod tests {
     }
 
     #[test]
-    fn async_movement_matches_threaded() {
+    fn async_movement_matches_simulator() {
         let n = 24;
         let (prog, a, bb) = simple(n, 3);
-        let fp = |events: &Trace| events.movement_multiset();
-        let mut texec = ThreadExec::new(
+        let mut sexec = SimExec::new(
             prog.clone(),
             KernelRegistry::standard(),
-            ThreadConfig::new(3).with_trace(TraceConfig::full()),
+            SimConfig::new(3).with_trace(TraceConfig::full()),
         );
-        texec.init_exclusive(a, |idx| Value::F64(idx[0] as f64));
-        texec.init_exclusive(bb, |idx| Value::F64(idx[0] as f64));
-        let tr = texec.run().unwrap();
+        sexec.init_exclusive(a, |idx| Value::F64(idx[0] as f64));
+        sexec.init_exclusive(bb, |idx| Value::F64(idx[0] as f64));
+        let sr = sexec.run().unwrap();
 
         let mut aexec = AsyncExec::new(
             prog,
@@ -976,18 +881,18 @@ mod tests {
         aexec.init_exclusive(bb, |idx| Value::F64(idx[0] as f64));
         let ar = aexec.run().unwrap();
 
-        assert_eq!(fp(&tr.trace), fp(&ar.trace));
-        assert_eq!(tr.net.messages, ar.net.messages);
-        for i in 1..=n {
-            assert_eq!(texec.gather(a).get(&[i]), aexec.gather(a).get(&[i]));
-        }
+        assert_eq!(sr.trace.movement_multiset(), ar.trace.movement_multiset());
+        assert_eq!(sr.net.messages, ar.net.messages);
+        assert_eq!(sexec.gather(a), aexec.gather(a));
     }
 
+    /// Nothing is ever sent, so the receive's deadline elapses: the
+    /// diagnosis is the *timeout* variant, not Deadlock (the executor has
+    /// not proven no progress is possible, only waited), and its text is
+    /// pinned — awaited, and left unfinished at program end.
     #[test]
-    fn async_recv_timeout_text_matches_threaded() {
-        // Nothing is ever sent: both executors must produce the *same*
-        // named timeout diagnosis, character for character.
-        let build = || {
+    fn async_recv_timeout_text_is_pinned() {
+        let run = |awaited: bool| {
             let mut p = Program::new();
             let a = p.declare(b::array(
                 "A",
@@ -998,33 +903,35 @@ mod tests {
             ));
             let all = b::sref(a, vec![b::all()]);
             let mine = b::sref(a, vec![b::span(b::mylb(all.clone(), 1), b::myub(all, 1))]);
-            p.body = vec![
-                b::recv_val(mine.clone(), mine.clone()),
-                b::guarded(b::await_(mine.clone()), vec![]),
-            ];
-            Arc::new(p)
-        };
-        let timeout = Duration::from_millis(50);
-        let mut texec = ThreadExec::new(
-            build(),
-            KernelRegistry::standard(),
-            ThreadConfig {
-                recv_timeout: timeout,
-                ..ThreadConfig::new(2)
-            },
-        );
-        let terr = texec.run().unwrap_err();
-        let mut aexec = AsyncExec::new(
-            build(),
-            KernelRegistry::standard(),
-            AsyncConfig {
-                recv_timeout: timeout,
+            p.body = vec![b::recv_val(mine.clone(), mine.clone())];
+            if awaited {
+                p.body.push(b::guarded(b::await_(mine), vec![]));
+            }
+            let cfg = AsyncConfig {
+                recv_timeout: Duration::from_millis(50),
+                workers: 1,
                 ..AsyncConfig::new(2)
-            },
+            };
+            AsyncExec::new(Arc::new(p), KernelRegistry::standard(), cfg)
+                .run()
+                .unwrap_err()
+        };
+        let err = run(true);
+        assert!(matches!(err, RtError::RecvTimeout(_)), "{err:?}");
+        let text = err.to_string();
+        assert!(
+            text.contains("p0: receive of v0[1:2] timed out after 50ms"),
+            "{text}"
         );
-        let aerr = aexec.run().unwrap_err();
-        assert_eq!(terr.to_string(), aerr.to_string());
-        assert!(matches!(aerr, RtError::RecvTimeout(_)), "{aerr:?}");
+        let err = run(false);
+        assert!(matches!(err, RtError::RecvTimeout(_)), "{err:?}");
+        let text = err.to_string();
+        assert!(
+            text.contains(
+                "p0: unfinished receive of v0[1:2] at program end (no message after 50ms)"
+            ),
+            "{text}"
+        );
     }
 
     #[test]

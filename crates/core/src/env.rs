@@ -65,8 +65,8 @@ pub enum RtError {
     /// The machine is larger than its topology can address (e.g. 9 pids
     /// on a 2x4 mesh); hop counts for the overflow pids would be garbage.
     Topology(String),
-    /// The OS refused to spawn a processor thread (thread-per-processor
-    /// executors cap out at OS limits; the async executor does not).
+    /// The OS refused to spawn even one worker thread for the async
+    /// executor's pool.
     SpawnFailed(String),
 }
 

@@ -1,6 +1,7 @@
-//! The processor abstraction both executors drive.
+//! The processor abstraction every machine drives, and the run protocol
+//! every machine offers.
 //!
-//! [`crate::SimExec`] and [`crate::ThreadExec`] schedule *processors*: step
+//! [`crate::SimExec`] and [`crate::AsyncExec`] schedule *processors*: step
 //! them, deliver matched messages, release barriers, and read their
 //! environments for initialization and gather. The tree-walking
 //! [`Interp`] is the reference implementation; a compiled backend (see
@@ -12,7 +13,7 @@
 
 use crate::env::{ProcEnv, RtError};
 use crate::interp::{Interp, StepOut};
-use crate::report::Gathered;
+use crate::report::{ExecReport, Gathered};
 use std::sync::Arc;
 use xdp_collectives::PlanCtx;
 use xdp_ir::{Section, VarId};
@@ -83,6 +84,23 @@ pub fn gather<P: Processor>(procs: &[P], var: VarId) -> Gathered {
         g.absorb(pid, &p.env().symtab, var);
     }
     g
+}
+
+/// A loaded machine seen through the one run protocol: initialize the
+/// arrays, run to an [`ExecReport`], gather the results. Whatever follows
+/// that protocol (`xdp_verify::Fingerprint::of_run`, the serving pool) is
+/// written once against this trait.
+pub trait Machine {
+    /// Set every element of exclusive array `var` to `f(index)` on its
+    /// owner.
+    fn init_exclusive(&mut self, var: VarId, f: impl Fn(&[i64]) -> Value);
+
+    /// Run to completion. A wall-clock machine reports its wall time in
+    /// microseconds as `virtual_time`.
+    fn run_report(&mut self) -> Result<ExecReport, RtError>;
+
+    /// The global contents of exclusive array `var`.
+    fn gather(&self, var: VarId) -> Gathered;
 }
 
 impl Processor for Interp {

@@ -7,6 +7,7 @@
 //! [`Trace`] — exporters, Gantt rendering, and critical-path analysis all
 //! operate on it.
 
+use std::time::Duration;
 use xdp_fault::{FaultEvent, FaultEventKind, FaultStats};
 use xdp_ir::{Section, VarId};
 use xdp_machine::NetStats;
@@ -74,6 +75,44 @@ impl ExecReport {
             return String::from("(no trace recorded)\n");
         }
         self.trace.gantt(width)
+    }
+}
+
+/// Result of a wall-clock run ([`crate::AsyncExec`]).
+#[derive(Debug)]
+pub struct ThreadReport {
+    /// Wall-clock duration of the parallel section.
+    pub wall: Duration,
+    /// Network counters.
+    pub net: NetStats,
+    /// Final per-processor symbol-table statistics.
+    pub symtab: Vec<SymtabStats>,
+    /// Recorded trace (wall-clock microseconds; empty unless enabled).
+    pub trace: Trace,
+    /// Fault-injection/delivery counters (all zero without a fault plan).
+    pub faults: FaultStats,
+}
+
+impl ThreadReport {
+    /// Lift into the simulator's report shape: `virtual_time` is the wall
+    /// time in microseconds, and the per-processor clocks a real-parallel
+    /// machine does not have stay zero.
+    pub fn into_exec_report(self) -> ExecReport {
+        ExecReport {
+            nprocs: self.symtab.len(),
+            virtual_time: self.wall.as_secs_f64() * 1e6,
+            procs: self
+                .symtab
+                .into_iter()
+                .map(|symtab| ProcReport {
+                    symtab,
+                    ..ProcReport::default()
+                })
+                .collect(),
+            net: self.net,
+            trace: self.trace,
+            faults: self.faults,
+        }
     }
 }
 

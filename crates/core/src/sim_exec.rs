@@ -7,18 +7,18 @@
 //! on every run.
 
 use crate::env::RtError;
-use crate::interp::{Action, Interp, StepNote};
+use crate::interp::{Action, Interp};
 use crate::kernels::KernelRegistry;
-use crate::proc::Processor;
+use crate::proc::{Machine, Processor};
+use crate::recorder::Recorder;
 use crate::report::{ExecReport, Gathered, ProcReport};
-use std::collections::HashMap;
 use std::sync::Arc;
 use xdp_collectives::PlanCtx;
 use xdp_fault::FaultPlan;
 use xdp_ir::{Program, Section, VarId};
 use xdp_machine::{Completion, CostModel, SimNet, Topology};
-use xdp_runtime::{Buffer, Tag, Value};
-use xdp_trace::{Trace, TraceConfig, TraceEvent, TraceKind, WaitCause};
+use xdp_runtime::Value;
+use xdp_trace::{Trace, TraceConfig, WaitCause};
 
 /// Simulation parameters.
 #[derive(Clone, Debug)]
@@ -94,12 +94,6 @@ impl SimConfig {
     }
 }
 
-/// `XDP_TRACE=1` prints every interpreter action and wake event.
-fn trace() -> bool {
-    static ON: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *ON.get_or_init(|| std::env::var("XDP_TRACE").is_ok_and(|v| v == "1"))
-}
-
 #[derive(Clone, Debug, PartialEq)]
 enum PStatus {
     Ready,
@@ -109,9 +103,9 @@ enum PStatus {
 }
 
 /// The simulated executor. Construct with [`SimExec::new`], optionally
-/// initialize data with [`SimExec::init_exclusive`] /
-/// [`SimExec::init_universal`], then [`SimExec::run`] and inspect the
-/// report or [`SimExec::gather`] final state.
+/// initialize data with [`SimExec::init_exclusive`], then
+/// [`SimExec::run`] and inspect the report or [`SimExec::gather`] final
+/// state.
 ///
 /// Generic over the [`Processor`] implementation; defaults to the
 /// tree-walking [`Interp`]. Compiled backends construct via
@@ -128,13 +122,7 @@ pub struct SimExec<P: Processor = Interp> {
     wait: Vec<f64>,
     sends: Vec<u64>,
     recvs: Vec<u64>,
-    trace: Trace,
-    /// Statement id that posted each outstanding receive, for attributing
-    /// the eventual wire-transit / recv-complete events.
-    recv_sid: HashMap<u64, u32>,
-    /// Accumulated interpreter op counts per processor (diagnostics).
-    pub ops_flops: Vec<u64>,
-    pub ops_symtab: Vec<u64>,
+    rec: Recorder,
 }
 
 impl SimExec {
@@ -167,6 +155,7 @@ impl<P: Processor> SimExec<P> {
         assert_eq!(procs.len(), n, "one processor per pid");
         let plan_ctx = crate::proc::join_machine(&mut procs, cfg.cost, cfg.topo.clone());
         let net = SimNet::with_faults(n, cfg.cost, cfg.topo.clone(), cfg.faults.clone());
+        let rec = Recorder::new(Recorder::names(&procs), cfg.trace);
         SimExec {
             cfg,
             interps: procs,
@@ -179,10 +168,7 @@ impl<P: Processor> SimExec<P> {
             wait: vec![0.0; n],
             sends: vec![0; n],
             recvs: vec![0; n],
-            trace: Trace::new(n),
-            recv_sid: HashMap::new(),
-            ops_flops: vec![0; n],
-            ops_symtab: vec![0; n],
+            rec,
         }
     }
 
@@ -197,37 +183,16 @@ impl<P: Processor> SimExec<P> {
         &self.plan_ctx
     }
 
-    /// Initialize a universal array identically on every processor.
-    pub fn init_universal(&mut self, var: VarId, f: impl Fn(&[i64]) -> Value) {
-        for interp in &mut self.interps {
-            let env = interp.env_mut();
-            let full = env.full_section(var);
-            let mut buf = Buffer::zeros(env.decls[var.index()].elem, full.volume() as usize);
-            for (ord, idx) in full.iter().enumerate() {
-                buf.set(ord, f(&idx));
-            }
-            env.write_section(var, &full, &buf).expect("universal init");
+    /// Advance `pid`'s clock to `t`, the arrival of the message for
+    /// receive `req`, accounting the gap as wait.
+    fn wait_for(&mut self, pid: usize, req: u64, t: f64) {
+        let t0 = self.clocks[pid];
+        if t > t0 {
+            self.wait[pid] += t - t0;
+            self.clocks[pid] = t;
+            self.rec
+                .wait(pid, WaitCause::Message(req), Some(req), t0, t);
         }
-    }
-
-    /// Record a span event if span recording is on and it has extent.
-    fn span(&mut self, ev: TraceEvent) {
-        if self.cfg.trace.spans && ev.t1 > ev.t0 {
-            self.trace.push(ev);
-        }
-    }
-
-    /// Record an instant event if instant recording is on.
-    fn instant(&mut self, ev: TraceEvent) {
-        if self.cfg.trace.instants {
-            self.trace.push(ev);
-        }
-    }
-
-    /// Rendered (variable, section) of a message tag, for trace events.
-    fn tag_meta(&self, tag: &Tag) -> (Option<String>, Option<String>) {
-        let name = self.interps[0].env().decls[tag.var.index()].name.clone();
-        (Some(name), Some(tag.sec.to_string()))
     }
 
     /// Apply all inbox completions whose message has arrived by `pid`'s
@@ -250,38 +215,12 @@ impl<P: Processor> SimExec<P> {
                 Some(i) => {
                     let (req, c) = self.inbox[pid].remove(i);
                     self.recvs[pid] += 1;
-                    let sid = self.recv_sid.remove(&req);
-                    let (var, sec) = self.tag_meta(&c.msg.tag);
-                    let bytes = c.msg.payload_bytes();
-                    if self.cfg.trace.messages {
-                        self.trace.push(TraceEvent {
-                            sid,
-                            var: var.clone(),
-                            sec: sec.clone(),
-                            bytes,
-                            src: Some(c.msg.src as u32),
-                            msg_id: Some(req),
-                            ..TraceEvent::span(TraceKind::WireTransit, pid, c.sent_at, c.arrive_at)
-                        });
-                    }
                     let t0 = self.clocks[pid];
                     self.clocks[pid] += c.handling;
                     self.busy[pid] += c.handling;
-                    self.span(TraceEvent {
-                        sid,
-                        var: var.clone(),
-                        sec: sec.clone(),
-                        bytes,
-                        msg_id: Some(req),
-                        ..TraceEvent::span(TraceKind::RecvComplete, pid, t0, self.clocks[pid])
-                    });
-                    self.instant(TraceEvent {
-                        sid,
-                        var,
-                        sec,
-                        detail: Some("accessible".into()),
-                        ..TraceEvent::instant(TraceKind::SectionState, pid, self.clocks[pid])
-                    });
+                    let wire = (c.sent_at, c.arrive_at);
+                    self.rec
+                        .completed(pid, req, &c.msg, wire, t0, self.clocks[pid]);
                     self.interps[pid].complete_recv(req, c.msg)?;
                 }
             }
@@ -324,64 +263,20 @@ impl<P: Processor> SimExec<P> {
                 let t0 = self.clocks[p];
                 let out = self.interps[p].step()?;
                 let sid = out.sid;
-                self.ops_flops[p] += out.ops.flops;
-                self.ops_symtab[p] += out.ops.symtab_ops;
-                if trace() {
-                    eprintln!("[t={t0:.1}] p{p}: {:?}", out.action);
-                }
                 let cost = out.ops.symtab_ops as f64 * self.cfg.cost.symtab_op_time
                     + out.ops.seg_scans as f64 * self.cfg.cost.seg_scan_time
                     + out.ops.flops as f64 * self.cfg.cost.flop_time;
                 self.clocks[p] += cost;
                 self.busy[p] += cost;
-                self.span(TraceEvent {
-                    sid,
-                    ..TraceEvent::span(TraceKind::Compute, p, t0, self.clocks[p])
-                });
-                if out.ops.symtab_ops > 0 {
-                    self.instant(TraceEvent {
-                        sid,
-                        bytes: out.ops.symtab_ops,
-                        ..TraceEvent::instant(TraceKind::SymtabQuery, p, self.clocks[p])
-                    });
-                }
-                match out.note {
-                    None => {}
-                    Some(StepNote::Kernel { name, flops }) => {
-                        self.instant(TraceEvent {
-                            sid,
-                            bytes: flops,
-                            detail: Some(name),
-                            ..TraceEvent::instant(TraceKind::KernelInvoke, p, self.clocks[p])
-                        });
-                    }
-                    Some(StepNote::Collective {
-                        var,
-                        strategy,
-                        pieces,
-                    }) => {
-                        self.instant(TraceEvent {
-                            sid,
-                            var: Some(var),
-                            detail: Some(format!("{strategy} x{pieces}")),
-                            ..TraceEvent::instant(TraceKind::CollectiveRound, p, self.clocks[p])
-                        });
-                    }
-                }
+                self.rec
+                    .step(p, sid, out.ops.symtab_ops, out.note, t0, self.clocks[p]);
                 match out.action {
                     Action::Continue => {}
                     Action::Send { msg, dest } => {
                         let t1 = self.clocks[p];
                         self.clocks[p] += o;
                         self.busy[p] += o;
-                        let (var, sec) = self.tag_meta(&msg.tag);
-                        self.span(TraceEvent {
-                            sid,
-                            var,
-                            sec,
-                            bytes: msg.payload_bytes(),
-                            ..TraceEvent::span(TraceKind::SendInit, p, t1, self.clocks[p])
-                        });
+                        self.rec.send_init(p, sid, &msg, t1, self.clocks[p]);
                         self.sends[p] += 1;
                         let time = self.clocks[p];
                         match dest {
@@ -406,24 +301,7 @@ impl<P: Processor> SimExec<P> {
                         let t1 = self.clocks[p];
                         self.clocks[p] += o;
                         self.busy[p] += o;
-                        let (var, sec) = self.tag_meta(&tag);
-                        self.span(TraceEvent {
-                            sid,
-                            var: var.clone(),
-                            sec: sec.clone(),
-                            msg_id: Some(req_id),
-                            ..TraceEvent::span(TraceKind::RecvPost, p, t1, self.clocks[p])
-                        });
-                        self.instant(TraceEvent {
-                            sid,
-                            var,
-                            sec,
-                            detail: Some("transitional".into()),
-                            ..TraceEvent::instant(TraceKind::SectionState, p, self.clocks[p])
-                        });
-                        if let Some(s) = sid {
-                            self.recv_sid.insert(req_id, s);
-                        }
+                        self.rec.recv_post(p, sid, &tag, req_id, t1, self.clocks[p]);
                         if let Some(c) = self.net.post_recv(tag, p, self.clocks[p], req_id) {
                             self.deliver(c);
                         }
@@ -454,19 +332,7 @@ impl<P: Processor> SimExec<P> {
                 })
                 .min_by(|a, b| (a.0, a.1).partial_cmp(&(b.0, b.1)).unwrap());
             if let Some((t, p, req)) = wake {
-                if trace() {
-                    eprintln!("[wake] p{p} at t={t:.1} (was {:.1})", self.clocks[p]);
-                }
-                let t0 = self.clocks[p];
-                if t > t0 {
-                    self.wait[p] += t - t0;
-                    self.clocks[p] = t;
-                    self.span(TraceEvent {
-                        cause: WaitCause::Message(req),
-                        msg_id: Some(req),
-                        ..TraceEvent::span(TraceKind::Wait, p, t0, t)
-                    });
-                }
+                self.wait_for(p, req, t);
                 self.drain_due(p)?;
                 self.status[p] = PStatus::Ready;
                 continue;
@@ -490,10 +356,7 @@ impl<P: Processor> SimExec<P> {
                     let t0 = self.clocks[p];
                     if t > t0 {
                         self.wait[p] += t - t0;
-                        self.span(TraceEvent {
-                            cause: WaitCause::Barrier,
-                            ..TraceEvent::span(TraceKind::Wait, p, t0, t)
-                        });
+                        self.rec.wait(p, WaitCause::Barrier, None, t0, t);
                     }
                     self.clocks[p] = t;
                     self.status[p] = PStatus::Ready;
@@ -513,16 +376,7 @@ impl<P: Processor> SimExec<P> {
                         .map(|(req, c)| (c.arrive_at, *req))
                         .min_by(|a, b| a.partial_cmp(b).unwrap())
                     {
-                        let t0 = self.clocks[pid];
-                        if t > t0 {
-                            self.wait[pid] += t - t0;
-                            self.clocks[pid] = t;
-                            self.span(TraceEvent {
-                                cause: WaitCause::Message(req),
-                                msg_id: Some(req),
-                                ..TraceEvent::span(TraceKind::Wait, pid, t0, t)
-                            });
-                        }
+                        self.wait_for(pid, req, t);
                         self.drain_due(pid)?;
                     }
                 }
@@ -562,10 +416,12 @@ impl<P: Processor> SimExec<P> {
         }
 
         let virtual_time = self.clocks.iter().copied().fold(0.0f64, f64::max);
-        self.trace.end = virtual_time;
+        let mut trace = Trace::new(self.cfg.nprocs);
+        trace.end = virtual_time;
+        trace.events = self.rec.take_events();
         if self.cfg.trace.instants {
             let evs = crate::report::fault_trace_events(self.net.fault_events());
-            self.trace.events.extend(evs);
+            trace.events.extend(evs);
         }
         let procs = (0..self.cfg.nprocs)
             .map(|p| ProcReport {
@@ -584,7 +440,7 @@ impl<P: Processor> SimExec<P> {
             virtual_time,
             procs,
             net,
-            trace: std::mem::take(&mut self.trace),
+            trace,
             faults: self.net.fault_stats(),
         })
     }
@@ -593,15 +449,19 @@ impl<P: Processor> SimExec<P> {
     pub fn gather(&self, var: VarId) -> Gathered {
         crate::proc::gather(&self.interps, var)
     }
+}
 
-    /// A processor's private copy of a universal array, row-major over the
-    /// full bounds.
-    pub fn universal_copy(&mut self, pid: usize, var: VarId) -> Buffer {
-        let full = self.interps[pid].env().full_section(var);
-        self.interps[pid]
-            .env_mut()
-            .read_section(var, &full)
-            .expect("universal copy")
+impl<P: Processor> Machine for SimExec<P> {
+    fn init_exclusive(&mut self, var: VarId, f: impl Fn(&[i64]) -> Value) {
+        SimExec::init_exclusive(self, var, f)
+    }
+
+    fn run_report(&mut self) -> Result<ExecReport, RtError> {
+        self.run()
+    }
+
+    fn gather(&self, var: VarId) -> Gathered {
+        SimExec::gather(self, var)
     }
 }
 
@@ -610,6 +470,7 @@ mod tests {
     use super::*;
     use xdp_ir::build as b;
     use xdp_ir::{DimDist, ElemType, ProcGrid};
+    use xdp_trace::TraceKind;
 
     /// The paper's §2.2 straightforward owner-computes translation of
     /// `do i: A[i] = A[i] + B[i]`.

@@ -1,13 +1,16 @@
-//! Backend conformance: the simulator and the threaded executor must emit
-//! the same *movement multiset* — identical send-init / recv-post /
-//! wire-transit / recv-complete events up to timing and message ids — for
-//! the same program (see `xdp_trace::Trace::movement_multiset`).
+//! Machine conformance: the simulator, the task machine and the lockstep
+//! reference must emit the same *movement multiset* — identical send-init
+//! / recv-post / wire-transit / recv-complete events up to timing and
+//! message ids — for the same program (see
+//! `xdp_trace::Trace::movement_multiset`), whatever the cost model.
 
 use std::sync::Arc;
-use xdp_core::{KernelRegistry, SimConfig, SimExec, ThreadConfig, ThreadExec, TraceConfig};
+use xdp_core::{AsyncConfig, AsyncExec, KernelRegistry, Machine, SimConfig, SimExec, TraceConfig};
 use xdp_ir::build as b;
 use xdp_ir::{DimDist, Distribution, ElemType, ProcGrid, Program, VarId};
+use xdp_machine::CostModel;
 use xdp_runtime::Value;
+use xdp_verify::lockstep::{Lockstep, LockstepConfig};
 
 /// Block-distributed A and cyclic B: every A[i] += B[i] via messages.
 fn message_program(n: i64, nprocs: usize) -> (Arc<Program>, VarId, VarId) {
@@ -81,28 +84,28 @@ fn redistribute_program(n: i64, nprocs: usize) -> (Arc<Program>, VarId) {
     (Arc::new(p), a)
 }
 
-fn sim_multiset(prog: &Arc<Program>, nprocs: usize, init: &[(VarId, f64)]) -> Vec<String> {
-    let mut exec = SimExec::new(
-        prog.clone(),
-        KernelRegistry::standard(),
-        SimConfig::new(nprocs).with_trace(TraceConfig::full()),
-    );
+/// The movement multiset of one fully traced run on any machine.
+fn multiset(mut exec: impl Machine, init: &[(VarId, f64)]) -> Vec<String> {
     for &(v, x) in init {
         exec.init_exclusive(v, move |idx| Value::F64(x * idx[0] as f64));
     }
-    exec.run().unwrap().trace.movement_multiset()
+    exec.run_report().unwrap().trace.movement_multiset()
+}
+
+fn sim_multiset(prog: &Arc<Program>, nprocs: usize, init: &[(VarId, f64)]) -> Vec<String> {
+    let cfg = SimConfig::new(nprocs).with_trace(TraceConfig::full());
+    multiset(
+        SimExec::new(prog.clone(), KernelRegistry::standard(), cfg),
+        init,
+    )
 }
 
 fn thread_multiset(prog: &Arc<Program>, nprocs: usize, init: &[(VarId, f64)]) -> Vec<String> {
-    let mut exec = ThreadExec::new(
-        prog.clone(),
-        KernelRegistry::standard(),
-        ThreadConfig::new(nprocs).with_trace(TraceConfig::full()),
-    );
-    for &(v, x) in init {
-        exec.init_exclusive(v, move |idx| Value::F64(x * idx[0] as f64));
-    }
-    exec.run().unwrap().trace.movement_multiset()
+    let cfg = AsyncConfig::new(nprocs).with_trace(TraceConfig::full());
+    multiset(
+        AsyncExec::new(prog.clone(), KernelRegistry::standard(), cfg),
+        init,
+    )
 }
 
 #[test]
@@ -125,6 +128,39 @@ fn backends_agree_on_redistribute_program() {
     let thr = thread_multiset(&prog, nprocs, &init);
     assert!(!sim.is_empty());
     assert_eq!(sim, thr);
+}
+
+/// Movement is recorded whatever its extent: a cost model with no
+/// per-message CPU overhead (`zero_comm`) must not drop the simulator's
+/// send-init / recv-post / recv-complete events.
+#[test]
+fn every_machine_agrees_on_simple_xdp_under_any_cost_model() {
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../xdp-programs/simple.xdp");
+    let source = std::fs::read_to_string(path).unwrap();
+    let prog = Arc::new(xdp_lang::parse_program(&source).unwrap());
+    let init = [(VarId(0), 1.0), (VarId(1), 2.0)];
+    let k = KernelRegistry::standard;
+    let traced = TraceConfig::full();
+
+    let lockstep = multiset(
+        Lockstep::new(prog.clone(), k(), LockstepConfig::new(4)),
+        &init,
+    );
+    assert_eq!(lockstep.len(), 64, "16 transfers x 4 movement events");
+    let tasks = AsyncConfig::new(4).with_trace(traced);
+    assert_eq!(
+        multiset(AsyncExec::new(prog.clone(), k(), tasks), &init),
+        lockstep
+    );
+    for cost in [CostModel::default_1993(), CostModel::zero_comm()] {
+        let cfg = SimConfig::new(4).with_trace(traced).with_cost(cost);
+        assert_eq!(
+            multiset(SimExec::new(prog.clone(), k(), cfg), &init),
+            lockstep,
+            "cpu_overhead = {}",
+            cost.cpu_overhead
+        );
+    }
 }
 
 #[test]

@@ -4,7 +4,7 @@
 //! Both transports ask the injector the same question — "what happens to
 //! transmission attempt `attempt` of message `(src, seq)`?" — and get the
 //! same answer no matter which backend asks, in what order, or from which
-//! thread. That is what makes a chaos run replayable: the `ThreadExec`
+//! thread. That is what makes a chaos run replayable: the task machine's
 //! interleaving can differ arbitrarily between runs, but the set of
 //! dropped/duplicated/delayed attempts cannot.
 

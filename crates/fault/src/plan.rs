@@ -16,7 +16,7 @@ pub struct LinkFault {
     /// Probability a delivered attempt is delayed by [`LinkFault::delay`].
     pub delay_p: f64,
     /// Extra transit time for delayed attempts, in the backend's time
-    /// units (wall microseconds threaded, virtual units simulated).
+    /// units (wall microseconds on the task machine, virtual units simulated).
     pub delay: f64,
 }
 

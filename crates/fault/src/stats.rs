@@ -63,7 +63,7 @@ pub enum FaultEventKind {
 /// the sending processor and the message's rendezvous tag.
 #[derive(Clone, PartialEq, Debug)]
 pub struct FaultEvent {
-    /// Event time (wall µs threaded, virtual units simulated).
+    /// Event time (wall µs on the task machine, virtual units simulated).
     pub t: f64,
     pub kind: FaultEventKind,
     /// Sending processor.

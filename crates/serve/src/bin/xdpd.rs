@@ -20,7 +20,8 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use xdp_bench::table::{j, Table};
 use xdp_bench::trajectory;
-use xdp_compiler::{Backend, CompileOptions, SeqMode};
+use xdp_compiler::cli::{flag, opt_val, parse_backend, parse_mem_budget};
+use xdp_compiler::{CompileOptions, SeqMode};
 use xdp_serve::{load_corpus, replay, ReplayConfig, RequestSpec, ServePool};
 
 const USAGE: &str = "\
@@ -77,60 +78,10 @@ fn main() -> ExitCode {
     }
 }
 
-fn flag(rest: &[String], name: &str) -> bool {
-    rest.iter().any(|a| a == name)
-}
-
-fn opt_val<'a>(rest: &'a [String], name: &str) -> Option<&'a str> {
-    rest.iter()
-        .position(|a| a == name)
-        .and_then(|i| rest.get(i + 1))
-        .map(|s| s.as_str())
-}
-
 fn num<T: std::str::FromStr>(rest: &[String], name: &str, default: T) -> T {
     opt_val(rest, name)
         .and_then(|v| v.parse().ok())
         .unwrap_or(default)
-}
-
-/// Positive byte count with optional binary `k`/`m`/`g` suffix.
-fn parse_bytes(v: &str) -> Option<u64> {
-    let (digits, mult) = match v.char_indices().last() {
-        Some((i, 'k')) | Some((i, 'K')) => (&v[..i], 1u64 << 10),
-        Some((i, 'm')) | Some((i, 'M')) => (&v[..i], 1u64 << 20),
-        Some((i, 'g')) | Some((i, 'G')) => (&v[..i], 1u64 << 30),
-        _ => (v, 1),
-    };
-    digits
-        .parse::<u64>()
-        .ok()
-        .and_then(|n| n.checked_mul(mult))
-        .filter(|b| *b > 0)
-}
-
-/// `--mem-budget B` (default unbounded). A bad value is a usage error.
-fn parse_mem_budget(rest: &[String]) -> Result<Option<u64>, ExitCode> {
-    match opt_val(rest, "--mem-budget") {
-        None => Ok(None),
-        Some(v) => parse_bytes(v).map(Some).ok_or_else(|| {
-            eprintln!(
-                "xdpd: bad --mem-budget `{v}` (positive bytes, optionally with k/m/g suffix)"
-            );
-            ExitCode::from(2)
-        }),
-    }
-}
-
-/// `--backend interp|vm` (default interp). A bad name is a usage error.
-fn parse_backend(rest: &[String]) -> Result<Backend, ExitCode> {
-    match opt_val(rest, "--backend") {
-        None => Ok(Backend::default()),
-        Some(name) => Backend::parse(name).ok_or_else(|| {
-            eprintln!("xdpd: bad --backend `{name}` (use interp or vm)");
-            ExitCode::from(2)
-        }),
-    }
 }
 
 fn cmd_run(rest: &[String]) -> ExitCode {
@@ -149,11 +100,11 @@ fn cmd_run(rest: &[String]) -> ExitCode {
     let mut opts = CompileOptions::default().with_seq(SeqMode::Auto);
     opts.optimize = flag(rest, "--optimize");
     opts.procs = opt_val(rest, "--procs").and_then(|v| v.parse().ok());
-    opts.backend = match parse_backend(rest) {
+    opts.backend = match parse_backend("xdpd", rest) {
         Ok(b) => b,
         Err(code) => return code,
     };
-    opts.mem_budget = match parse_mem_budget(rest) {
+    opts.mem_budget = match parse_mem_budget("xdpd", rest) {
         Ok(b) => b,
         Err(code) => return code,
     };
@@ -253,11 +204,11 @@ fn cmd_bench(rest: &[String]) -> ExitCode {
     cfg.capacity = num(rest, "--capacity", cfg.capacity);
     cfg.seed = num(rest, "--seed", cfg.seed);
     cfg.gen_count = num(rest, "--gen", cfg.gen_count);
-    cfg.backend = match parse_backend(rest) {
+    cfg.backend = match parse_backend("xdpd", rest) {
         Ok(b) => b,
         Err(code) => return code,
     };
-    cfg.mem_budget = match parse_mem_budget(rest) {
+    cfg.mem_budget = match parse_mem_budget("xdpd", rest) {
         Ok(b) => b,
         Err(code) => return code,
     };
@@ -342,7 +293,7 @@ fn cmd_stats(rest: &[String]) -> ExitCode {
     cfg.batch = num(rest, "--batch", 32);
     cfg.gen_count = num(rest, "--gen", cfg.gen_count);
     cfg.seed = num(rest, "--seed", cfg.seed);
-    cfg.backend = match parse_backend(rest) {
+    cfg.backend = match parse_backend("xdpd", rest) {
         Ok(b) => b,
         Err(code) => return code,
     };

@@ -27,12 +27,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 use xdp_compiler::Backend;
-use xdp_core::{
-    AsyncConfig, AsyncExec, ExecReport, ProcReport, Processor, SimConfig, SimExec, ThreadReport,
-};
-use xdp_ir::VarId;
+use xdp_core::{AsyncConfig, AsyncExec, ExecReport, Machine, SimConfig, SimExec};
 use xdp_metrics::{FlightConfig, FlightRecord, FlightRecorder, MetricsRegistry, MetricsSnapshot};
-use xdp_runtime::Value;
 use xdp_trace::{Trace, TraceConfig};
 use xdp_verify::Fingerprint;
 
@@ -367,18 +363,6 @@ impl ServePool {
     }
 }
 
-/// Deterministic initial value for declaration ordinal `o` at `idx` —
-/// the same convention as `xdp_verify`'s differential driver: integer-
-/// valued (dyadic-exact arithmetic downstream) and index-dependent
-/// (permutations are observable).
-fn init_value(o: usize, idx: &[i64]) -> Value {
-    let mut v = (o as i64 + 1) * 1000;
-    for (k, x) in idx.iter().enumerate() {
-        v += x * (k as i64 + 1);
-    }
-    Value::F64(v as f64)
-}
-
 /// Execute a cached program on a fresh, private machine instance.
 /// Returns the outcome plus the full run report (the caller folds its
 /// network/fault counters into metrics and may hand its trace to the
@@ -413,11 +397,11 @@ fn execute(
                 cfg = cfg.with_faults(cached.faults.clone());
             }
             match compiled.backend {
-                Backend::Interp => finish_run_tasks(
+                Backend::Interp => finish_run(
                     cached,
                     AsyncExec::new(compiled.program.clone(), xdp_apps::app_kernels(), cfg),
                 ),
-                Backend::Vm => finish_run_tasks(
+                Backend::Vm => finish_run(
                     cached,
                     xdp_vm::VmExec::tasks(compiled.program.clone(), xdp_apps::app_kernels(), cfg),
                 ),
@@ -426,95 +410,22 @@ fn execute(
     }
 }
 
-/// Initialize, run, and fingerprint — identical for either backend (the
-/// VM's conformance contract is what makes the cache-key split the only
-/// observable difference).
-fn finish_run<P: Processor>(
+/// Initialize, run, and fingerprint by the one run protocol — identical
+/// for either backend (the VM's conformance contract is what makes the
+/// cache-key split the only observable difference) and either machine (on
+/// the task machine `virtual_time` is wall-clock microseconds).
+fn finish_run<M: Machine>(
     cached: &Arc<CachedProgram>,
-    mut exec: SimExec<P>,
+    mut exec: M,
 ) -> Result<(RunOutcome, ExecReport), ServeError> {
-    let compiled = &cached.compiled;
-    let decls: Vec<(usize, String)> = compiled
-        .program
-        .decls
-        .iter()
-        .enumerate()
-        .map(|(o, d)| (o, d.name.clone()))
-        .collect();
-    for (o, _) in &decls {
-        let o = *o;
-        exec.init_exclusive(VarId(o as u32), move |idx| init_value(o, idx));
-    }
-    let report = exec.run().map_err(|e| ServeError::Run(e.to_string()))?;
-    let mut fp = Fingerprint::default();
-    for (o, name) in &decls {
-        fp.record_memory(name, &exec.gather(VarId(*o as u32)));
-    }
-    fp.record_trace(&report.trace);
-    fp.messages = report.net.messages;
+    let (fingerprint, report) = Fingerprint::of_run(&mut exec, &cached.compiled.program.decls)
+        .map_err(|e| ServeError::Run(e.to_string()))?;
     let outcome = RunOutcome {
         key: cached.key,
         cache_hit: false,
         virtual_time: report.virtual_time,
         messages: report.net.messages,
-        fingerprint: fp,
-        latency_us: 0,
-        compile_us: 0,
-        queue_us: 0,
-        resolve_us: 0,
-        execute_us: 0,
-    };
-    Ok((outcome, report))
-}
-
-/// [`finish_run`] for the async machine: same init/fingerprint protocol,
-/// with the [`ThreadReport`] lifted into an [`ExecReport`] whose
-/// `virtual_time` is wall-clock microseconds (per-processor virtual
-/// clocks don't exist on a real-parallel machine).
-fn finish_run_tasks<P: Processor>(
-    cached: &Arc<CachedProgram>,
-    mut exec: AsyncExec<P>,
-) -> Result<(RunOutcome, ExecReport), ServeError> {
-    let compiled = &cached.compiled;
-    let decls: Vec<(usize, String)> = compiled
-        .program
-        .decls
-        .iter()
-        .enumerate()
-        .map(|(o, d)| (o, d.name.clone()))
-        .collect();
-    for (o, _) in &decls {
-        let o = *o;
-        exec.init_exclusive(VarId(o as u32), move |idx| init_value(o, idx));
-    }
-    let report: ThreadReport = exec.run().map_err(|e| ServeError::Run(e.to_string()))?;
-    let report = ExecReport {
-        nprocs: compiled.nprocs,
-        virtual_time: report.wall.as_secs_f64() * 1e6,
-        procs: report
-            .symtab
-            .into_iter()
-            .map(|symtab| ProcReport {
-                symtab,
-                ..ProcReport::default()
-            })
-            .collect(),
-        net: report.net,
-        trace: report.trace,
-        faults: report.faults,
-    };
-    let mut fp = Fingerprint::default();
-    for (o, name) in &decls {
-        fp.record_memory(name, &exec.gather(VarId(*o as u32)));
-    }
-    fp.record_trace(&report.trace);
-    fp.messages = report.net.messages;
-    let outcome = RunOutcome {
-        key: cached.key,
-        cache_hit: false,
-        virtual_time: report.virtual_time,
-        messages: report.net.messages,
-        fingerprint: fp,
+        fingerprint,
         latency_us: 0,
         compile_us: 0,
         queue_us: 0,

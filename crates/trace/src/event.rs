@@ -84,7 +84,7 @@ pub enum WaitCause {
 /// One structured event. Spans use `[t0, t1]`; instants have `t1 == t0`.
 ///
 /// Times are virtual on the simulator and wall-clock microseconds on the
-/// threaded backend — the model does not care, only the exporters scale.
+/// task machine — the model does not care, only the exporters scale.
 #[derive(Clone, Debug, PartialEq, Default)]
 pub struct TraceEvent {
     pub kind: TraceKind,
@@ -182,7 +182,7 @@ impl TraceConfig {
 #[derive(Clone, Debug, Default)]
 pub struct Trace {
     pub nprocs: usize,
-    /// End-to-end time (virtual time on the simulator; wall µs threaded).
+    /// End-to-end time (virtual time on the simulator; wall µs on the task machine).
     pub end: f64,
     pub events: Vec<TraceEvent>,
 }

@@ -1,7 +1,7 @@
 //! # xdp-trace — structured execution tracing for XDP programs
 //!
 //! Both executors (the deterministic virtual-time simulator and the real
-//! threaded backend) emit the same structured event model: spans and
+//! task machine) emit the same structured event model: spans and
 //! instants tagged with the processor, the virtual-time interval, the
 //! variable/section being moved, the payload size, and the IR statement id
 //! that caused the event. On top of that one model this crate provides

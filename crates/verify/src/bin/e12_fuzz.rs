@@ -1,9 +1,10 @@
 //! E12 — differential fuzzing of executors and passes.
 //!
 //! Part one sweeps generated executable programs through the oracle
-//! stack one stage at a time — simulator vs lockstep, plus the threaded
-//! backend, plus per-pass prefix equivalence, plus chaos (faulty vs
-//! lossless) — and reports the per-program cost of each oracle. Every
+//! stack one stage at a time — simulator vs lockstep, plus the compiled
+//! VM, plus the task machine, plus per-pass prefix equivalence, plus
+//! chaos (faulty vs lossless) — and reports the per-program cost of each
+//! oracle. Every
 //! row is a conformance statement: zero failures expected, and the
 //! binary exits nonzero otherwise.
 //!
@@ -14,8 +15,8 @@
 //! a minimal `.xdp` repro (the acceptance bar is ≤ 15 statements).
 //!
 //! Expected shape: failures 0 across the sweep; oracle cost grows from
-//! the two-executor baseline (the threaded backend pays thread spawn +
-//! real message latency, chaos pays a second faulty run per program);
+//! the two-executor baseline (the task machine pays worker spawn + real
+//! message latency, chaos pays a second faulty run per program);
 //! the planted bug shrinks from a few dozen statements to a handful.
 
 use std::time::Instant;
@@ -91,80 +92,24 @@ fn main() {
         .sum::<usize>() as f64
         / COUNT as f64;
 
-    let stages: &[(&str, CheckConfig)] = &[
-        (
-            "sim+lockstep",
-            CheckConfig {
-                thread: false,
-                async_exec: false,
-                vm: false,
-                chaos: false,
-                faults: None,
-                passes: false,
-                mem_budget: None,
-            },
-        ),
-        (
-            "+vm",
-            CheckConfig {
-                thread: false,
-                async_exec: false,
-                vm: true,
-                chaos: false,
-                faults: None,
-                passes: false,
-                mem_budget: None,
-            },
-        ),
-        (
-            "+thread",
-            CheckConfig {
-                thread: true,
-                async_exec: false,
-                vm: true,
-                chaos: false,
-                faults: None,
-                passes: false,
-                mem_budget: None,
-            },
-        ),
-        (
-            "+async",
-            CheckConfig {
-                thread: true,
-                async_exec: true,
-                vm: true,
-                chaos: false,
-                faults: None,
-                passes: false,
-                mem_budget: None,
-            },
-        ),
-        (
-            "+passes",
-            CheckConfig {
-                thread: true,
-                async_exec: true,
-                vm: true,
-                chaos: false,
-                faults: None,
-                passes: true,
-                mem_budget: None,
-            },
-        ),
-        (
-            "+chaos",
-            CheckConfig {
-                thread: true,
-                async_exec: true,
-                vm: true,
-                chaos: true,
-                faults: None,
-                passes: true,
-                mem_budget: None,
-            },
-        ),
-    ];
+    // Each stage switches one more oracle on.
+    let mut check = CheckConfig {
+        async_exec: false,
+        vm: false,
+        chaos: false,
+        faults: None,
+        passes: false,
+        mem_budget: None,
+    };
+    let mut stages = vec![("sim+lockstep", check.clone())];
+    check.vm = true;
+    stages.push(("+vm", check.clone()));
+    check.async_exec = true;
+    stages.push(("+async", check.clone()));
+    check.passes = true;
+    stages.push(("+passes", check.clone()));
+    check.chaos = true;
+    stages.push(("+chaos", check));
 
     let mut t = Table::new(
         "E12: differential fuzz sweep (generated programs, 4 procs)",
@@ -181,7 +126,7 @@ fn main() {
         let cfg = FuzzConfig {
             count: COUNT,
             seed: SEED,
-            check: check.clone(),
+            check,
             max_failures: 0,
             ..FuzzConfig::default()
         };

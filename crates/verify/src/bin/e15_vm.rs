@@ -14,7 +14,7 @@
 //! [`xdp_verify::Fingerprint`] — memory image, movement multiset,
 //! section states, message count — must equal the interpreter's exactly
 //! on the simulated machine (clean *and* under a lossy fault plan), and
-//! match on everything timing-free on the threaded machine.
+//! match on everything timing-free on the wall-clock task machine.
 //!
 //! The summary appends one row (experiment `e15-vm`) to the
 //! `BENCH_serve.json` trajectory, so `bench_check` gates VM latency and
@@ -30,7 +30,7 @@ use std::sync::Arc;
 use std::time::Instant;
 use xdp_bench::table::{j, Table};
 use xdp_bench::trajectory;
-use xdp_core::{KernelRegistry, Processor, SimConfig, SimExec, ThreadConfig, ThreadExec};
+use xdp_core::{AsyncConfig, AsyncExec, KernelRegistry, SimConfig, SimExec};
 use xdp_fault::{FaultPlan, LinkFault};
 use xdp_ir::build as b;
 use xdp_ir::{DimDist, ElemType, ProcGrid, Program, VarId};
@@ -126,30 +126,6 @@ fn chaos(seed: u64) -> FaultPlan {
     plan
 }
 
-/// Same deterministic init `xdp_verify::diff` uses for its oracles.
-fn init_value(o: usize, idx: &[i64]) -> Value {
-    let mut v = (o as i64 + 1) * 1000;
-    for (k, x) in idx.iter().enumerate() {
-        v += x * (k as i64 + 1);
-    }
-    Value::F64(v as f64)
-}
-
-/// Fingerprint one threaded run of `p` on whichever backend built `exec`.
-fn fp_thread<P: Processor>(mut exec: ThreadExec<P>, p: &Program) -> Result<Fingerprint, String> {
-    for (o, _) in p.decls.iter().enumerate() {
-        exec.init_exclusive(VarId(o as u32), move |idx| init_value(o, idx));
-    }
-    let report = exec.run().map_err(|e| e.to_string())?;
-    let mut fp = Fingerprint::default();
-    for (o, d) in p.decls.iter().enumerate() {
-        fp.record_memory(&d.name, &exec.gather(VarId(o as u32)));
-    }
-    fp.record_trace(&report.trace);
-    fp.messages = report.net.messages;
-    Ok(fp)
-}
-
 fn main() {
     let mut failures = 0usize;
 
@@ -196,12 +172,12 @@ fn main() {
 
     // Part two: fingerprint conformance over generated message-passing
     // programs — simulated machine clean and faulted (exact, including
-    // section states and error text), threaded machine (timing-free).
+    // section states and error text), task machine (timing-free).
     let mut t2 = Table::new(
         "E15: VM conformance (generated programs, 4 procs)",
         &["oracle", "programs", "failures"],
     );
-    let (mut sim_fail, mut faulted_fail, mut thread_fail) = (0usize, 0usize, 0usize);
+    let (mut sim_fail, mut faulted_fail, mut tasks_fail) = (0usize, 0usize, 0usize);
     for k in 0..CONFORMANCE_COUNT {
         let tp = executable_program(100 + k);
         let p = Arc::new(tp.program.clone());
@@ -214,31 +190,27 @@ fn main() {
             eprintln!("e15: seed {}: faulted fingerprint diverged", tp.seed);
             faulted_fail += 1;
         }
-        let cfg = ThreadConfig::new(tp.nprocs).with_trace(xdp_trace::TraceConfig::full());
-        let ti = fp_thread(
-            ThreadExec::new(p.clone(), KernelRegistry::standard(), cfg.clone()),
-            &p,
-        );
-        let tv = fp_thread(
-            VmExec::threads(p.clone(), KernelRegistry::standard(), cfg),
-            &p,
-        );
+        let cfg = AsyncConfig::new(tp.nprocs).with_trace(xdp_trace::TraceConfig::full());
+        let mut interp = AsyncExec::new(p.clone(), KernelRegistry::standard(), cfg.clone());
+        let mut vm = VmExec::tasks(p.clone(), KernelRegistry::standard(), cfg);
+        let ti = Fingerprint::of_run(&mut interp, &p.decls);
+        let tv = Fingerprint::of_run(&mut vm, &p.decls);
         let same = match (&ti, &tv) {
-            (Ok(a), Ok(v)) => {
+            (Ok((a, _)), Ok((v, _))) => {
                 a.memory == v.memory && a.movement == v.movement && a.messages == v.messages
             }
             (Err(_), Err(_)) => true,
             _ => false,
         };
         if !same {
-            eprintln!("e15: seed {}: threaded fingerprint diverged", tp.seed);
-            thread_fail += 1;
+            eprintln!("e15: seed {}: task-machine fingerprint diverged", tp.seed);
+            tasks_fail += 1;
         }
     }
     for (oracle, fail) in [
         ("sim exact", sim_fail),
         ("sim + faults exact", faulted_fail),
-        ("threads timing-free", thread_fail),
+        ("tasks timing-free", tasks_fail),
     ] {
         t2.row(&[j::s(oracle), j::u(CONFORMANCE_COUNT), j::u(fail as u64)]);
         failures += fail;
@@ -276,7 +248,7 @@ fn main() {
     row.insert("latency_us".into(), Json::Object(latency));
     row.insert(
         "conformance_failures".into(),
-        Json::from((sim_fail + faulted_fail + thread_fail) as u64),
+        Json::from((sim_fail + faulted_fail + tasks_fail) as u64),
     );
     match trajectory::append(Path::new(&out_path), Json::Object(row)) {
         Ok(runs) => println!("appended run {runs} to {out_path}"),

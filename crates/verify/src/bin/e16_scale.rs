@@ -30,7 +30,10 @@ use std::time::Instant;
 use xdp_bench::table::{j, Table};
 use xdp_bench::trajectory;
 use xdp_collectives::planner::{plan, Strategy};
-use xdp_core::{AsyncConfig, AsyncExec, KernelRegistry, SimConfig, SimExec};
+use xdp_core::{
+    AsyncConfig, AsyncExec, ExecReport, Gathered, KernelRegistry, Machine, RtError, SimConfig,
+    SimExec,
+};
 use xdp_ir::build as b;
 use xdp_ir::{CmpOp, DimDist, Distribution, ElemType, ProcGrid, Program, Triplet, VarId};
 use xdp_machine::{CostModel, Tier, Topology};
@@ -88,34 +91,39 @@ fn ring_exchange(nprocs: usize) -> Arc<Program> {
     Arc::new(p)
 }
 
-/// Same deterministic init `xdp_verify::diff` uses for its oracles.
-fn init_value(o: usize, idx: &[i64]) -> Value {
-    let mut v = (o as i64 + 1) * 1000;
-    for (k, x) in idx.iter().enumerate() {
-        v += x * (k as i64 + 1);
-    }
-    Value::F64(v as f64)
+/// A machine that clocks its own run, so the wall column times the run
+/// alone and not the init, gather and fingerprint around it.
+struct Timed<M> {
+    inner: M,
+    run_secs: f64,
 }
 
-/// Run `exec` (any machine with the init/run/gather protocol) and
-/// fingerprint it. Returns (fingerprint, wall seconds, messages).
-macro_rules! fingerprint {
-    ($exec:expr, $prog:expr) => {{
-        let mut exec = $exec;
-        for (o, _) in $prog.decls.iter().enumerate() {
-            exec.init_exclusive(VarId(o as u32), move |idx| init_value(o, idx));
-        }
+impl<M: Machine> Machine for Timed<M> {
+    fn init_exclusive(&mut self, var: VarId, f: impl Fn(&[i64]) -> Value) {
+        self.inner.init_exclusive(var, f)
+    }
+
+    fn run_report(&mut self) -> Result<ExecReport, RtError> {
         let t0 = Instant::now();
-        let report = exec.run().expect("run");
-        let wall = t0.elapsed().as_secs_f64();
-        let mut fp = Fingerprint::default();
-        for (o, d) in $prog.decls.iter().enumerate() {
-            fp.record_memory(&d.name, &exec.gather(VarId(o as u32)));
-        }
-        fp.record_trace(&report.trace);
-        fp.messages = report.net.messages;
-        (fp, wall, report.net.messages)
-    }};
+        let report = self.inner.run_report();
+        self.run_secs = t0.elapsed().as_secs_f64();
+        report
+    }
+
+    fn gather(&self, var: VarId) -> Gathered {
+        self.inner.gather(var)
+    }
+}
+
+/// Fingerprint `prog` on `exec` by the one run protocol. Returns
+/// (fingerprint, wall seconds of the run, messages).
+fn fingerprint<M: Machine>(exec: M, prog: &Program) -> (Fingerprint, f64, u64) {
+    let mut exec = Timed {
+        inner: exec,
+        run_secs: 0.0,
+    };
+    let (fp, report) = Fingerprint::of_run(&mut exec, &prog.decls).expect("run");
+    (fp, exec.run_secs, report.net.messages)
 }
 
 /// Timing-free equality: memory image, movement multiset, messages.
@@ -165,29 +173,29 @@ fn main() {
     // Part one: P=4096 on the async machine, interpreter and VM, against
     // the simulator baseline.
     let prog = ring_exchange(NPROCS);
-    let (base, sim_wall, sim_msgs) = fingerprint!(
+    let (base, sim_wall, sim_msgs) = fingerprint(
         SimExec::new(
             prog.clone(),
             KernelRegistry::standard(),
             SimConfig::new(NPROCS).with_trace(TraceConfig::full()),
         ),
-        prog
+        &prog,
     );
-    let (afp, async_wall, _) = fingerprint!(
+    let (afp, async_wall, _) = fingerprint(
         AsyncExec::new(
             prog.clone(),
             KernelRegistry::standard(),
             AsyncConfig::new(NPROCS).with_trace(TraceConfig::full()),
         ),
-        prog
+        &prog,
     );
-    let (vfp, vm_wall, _) = fingerprint!(
+    let (vfp, vm_wall, _) = fingerprint(
         VmExec::tasks(
             prog.clone(),
             KernelRegistry::standard(),
             AsyncConfig::new(NPROCS).with_trace(TraceConfig::full()),
         ),
-        prog
+        &prog,
     );
     let mut t = Table::new(
         &format!("E16: ring exchange at P={NPROCS} (timing-free fingerprint vs simulator)"),

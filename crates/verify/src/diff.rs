@@ -2,11 +2,11 @@
 //!
 //! For one generated [`TestProgram`] this module runs:
 //!
-//! 1. **Executor conformance** — [`Lockstep`] and [`xdp_core::ThreadExec`]
-//!    against the [`xdp_core::SimExec`] baseline on the unoptimized
-//!    program: full memory image, movement multiset, and message count
-//!    must agree (plus the section-state digest for the two deterministic
-//!    backends).
+//! 1. **Executor conformance** — [`Lockstep`], [`xdp_core::AsyncExec`] and
+//!    the compiled VM against the [`xdp_core::SimExec`] baseline on the
+//!    unoptimized program: full memory image, movement multiset, and
+//!    message count must agree (plus the section-state digest for the
+//!    deterministic backends).
 //! 2. **Per-pass equivalence** — every *prefix* of the default pass
 //!    pipeline, so the first pass that changes observable memory is named
 //!    as the culprit.
@@ -28,11 +28,11 @@ use xdp_compiler::passes::{
 };
 use xdp_compiler::Pass;
 use xdp_core::{
-    AsyncConfig, AsyncExec, KernelRegistry, SimConfig, SimExec, ThreadConfig, ThreadExec,
+    AsyncConfig, AsyncExec, ExecReport, KernelRegistry, Machine, RtError, SimConfig, SimExec,
     TraceConfig,
 };
 use xdp_fault::{FaultPlan, LinkFault};
-use xdp_ir::{Program, VarId};
+use xdp_ir::{Decl, Program, VarId};
 use xdp_runtime::Value;
 
 /// A detected disagreement. `key()` identifies the *kind* of failure so
@@ -87,8 +87,6 @@ impl std::fmt::Display for Divergence {
 /// What [`check_with`] checks.
 #[derive(Clone, Debug)]
 pub struct CheckConfig {
-    /// Run the threaded executor (real OS threads).
-    pub thread: bool,
     /// Run the async executor (task-per-processor over a worker pool).
     pub async_exec: bool,
     /// Run the compiled VM backend on the simulated machine.
@@ -115,7 +113,6 @@ pub const DEFAULT_CHECK_BUDGET: u64 = 4096;
 impl Default for CheckConfig {
     fn default() -> CheckConfig {
         CheckConfig {
-            thread: true,
             async_exec: true,
             vm: true,
             chaos: true,
@@ -168,10 +165,11 @@ fn panic_text(e: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Deterministic initial value for declaration ordinal `o` at `idx`.
+/// Deterministic initial value for declaration ordinal `o` at `idx` —
+/// the one convention every fingerprinted run starts from.
 /// Integer-valued, so every downstream dyadic computation is exact, and
 /// index-dependent, so permuted elements are detected.
-fn init_value(o: usize, idx: &[i64]) -> Value {
+pub fn init_value(o: usize, idx: &[i64]) -> Value {
     let mut v = (o as i64 + 1) * 1000;
     for (k, x) in idx.iter().enumerate() {
         v += x * (k as i64 + 1);
@@ -179,12 +177,50 @@ fn init_value(o: usize, idx: &[i64]) -> Value {
     Value::F64(v as f64)
 }
 
-fn decl_list(p: &Program) -> Vec<(usize, String, VarId)> {
-    p.decls
-        .iter()
-        .enumerate()
-        .map(|(o, d)| (o, d.name.clone(), VarId(o as u32)))
-        .collect()
+impl Fingerprint {
+    /// The one run protocol: initialize every declared array to
+    /// [`init_value`], run, gather every array, and fingerprint memory,
+    /// trace and message count. The report rides along for callers that
+    /// also want times or counters.
+    pub fn of_run<M: Machine>(
+        exec: &mut M,
+        decls: &[Decl],
+    ) -> Result<(Fingerprint, ExecReport), RtError> {
+        for o in 0..decls.len() {
+            exec.init_exclusive(VarId(o as u32), move |idx| init_value(o, idx));
+        }
+        let report = exec.run_report()?;
+        let mut fp = Fingerprint::default();
+        for (o, d) in decls.iter().enumerate() {
+            fp.record_memory(&d.name, &exec.gather(VarId(o as u32)));
+        }
+        fp.record_trace(&report.trace);
+        fp.messages = report.net.messages;
+        Ok((fp, report))
+    }
+}
+
+/// Fingerprint `p` on the machine `build` loads it onto, turning run
+/// errors and panics alike into the `Err` text.
+fn run_on<M: Machine>(p: &Arc<Program>, build: impl FnOnce(Arc<Program>) -> M) -> RunResult {
+    catch_unwind(AssertUnwindSafe(|| {
+        let mut exec = build(p.clone());
+        match Fingerprint::of_run(&mut exec, &p.decls) {
+            Ok((fp, _)) => Ok(fp),
+            Err(e) => Err(e.to_string()),
+        }
+    }))
+    .unwrap_or_else(|e| Err(panic_text(e)))
+}
+
+/// The fully traced simulator configuration the oracles run under.
+fn sim_cfg(nprocs: usize, faults: Option<&FaultPlan>, mem_budget: Option<u64>) -> SimConfig {
+    let mut cfg = SimConfig::new(nprocs).with_trace(TraceConfig::full());
+    cfg.cost.mem_budget = mem_budget;
+    if let Some(plan) = faults {
+        cfg = cfg.with_faults(plan.clone());
+    }
+    cfg
 }
 
 /// Run under the virtual-time simulator.
@@ -200,30 +236,8 @@ pub fn run_sim_budget(
     faults: Option<&FaultPlan>,
     mem_budget: Option<u64>,
 ) -> RunResult {
-    let p = p.clone();
-    let faults = faults.cloned();
-    catch_unwind(AssertUnwindSafe(move || {
-        let mut cfg = SimConfig::new(nprocs).with_trace(TraceConfig::full());
-        cfg.cost.mem_budget = mem_budget;
-        if let Some(plan) = faults {
-            cfg = cfg.with_faults(plan);
-        }
-        let decls = decl_list(&p);
-        let mut exec = SimExec::new(p, KernelRegistry::standard(), cfg);
-        for (o, _, var) in &decls {
-            let o = *o;
-            exec.init_exclusive(*var, move |idx| init_value(o, idx));
-        }
-        let report = exec.run().map_err(|e| e.to_string())?;
-        let mut fp = Fingerprint::default();
-        for (_, name, var) in &decls {
-            fp.record_memory(name, &exec.gather(*var));
-        }
-        fp.record_trace(&report.trace);
-        fp.messages = report.net.messages;
-        Ok(fp)
-    }))
-    .unwrap_or_else(|e| Err(panic_text(e)))
+    let cfg = sim_cfg(nprocs, faults, mem_budget);
+    run_on(p, |p| SimExec::new(p, KernelRegistry::standard(), cfg))
 }
 
 /// Run the compiled VM backend under the virtual-time simulator. The VM
@@ -231,107 +245,29 @@ pub fn run_sim_budget(
 /// fingerprint must match the simulator baseline *exactly* — memory,
 /// movement, section states, and message count.
 pub fn run_vm(p: &Arc<Program>, nprocs: usize, faults: Option<&FaultPlan>) -> RunResult {
-    let p = p.clone();
-    let faults = faults.cloned();
-    catch_unwind(AssertUnwindSafe(move || {
-        let mut cfg = SimConfig::new(nprocs).with_trace(TraceConfig::full());
-        if let Some(plan) = faults {
-            cfg = cfg.with_faults(plan);
-        }
-        let decls = decl_list(&p);
-        let mut exec = xdp_vm::VmExec::sim(p, KernelRegistry::standard(), cfg);
-        for (o, _, var) in &decls {
-            let o = *o;
-            exec.init_exclusive(*var, move |idx| init_value(o, idx));
-        }
-        let report = exec.run().map_err(|e| e.to_string())?;
-        let mut fp = Fingerprint::default();
-        for (_, name, var) in &decls {
-            fp.record_memory(name, &exec.gather(*var));
-        }
-        fp.record_trace(&report.trace);
-        fp.messages = report.net.messages;
-        Ok(fp)
-    }))
-    .unwrap_or_else(|e| Err(panic_text(e)))
+    let cfg = sim_cfg(nprocs, faults, None);
+    run_on(p, |p| {
+        xdp_vm::VmExec::sim(p, KernelRegistry::standard(), cfg)
+    })
 }
 
 /// Run under the lockstep executor.
 pub fn run_lockstep(p: &Arc<Program>, nprocs: usize) -> RunResult {
-    let p = p.clone();
-    catch_unwind(AssertUnwindSafe(move || {
-        let decls = decl_list(&p);
-        let mut exec = Lockstep::new(p, KernelRegistry::standard(), LockstepConfig::new(nprocs));
-        for (o, _, var) in &decls {
-            let o = *o;
-            exec.init_exclusive(*var, move |idx| init_value(o, idx));
-        }
-        let report = exec.run().map_err(|e| e.to_string())?;
-        let mut fp = Fingerprint::default();
-        for (_, name, var) in &decls {
-            fp.record_memory(name, &exec.gather(*var));
-        }
-        fp.record_trace(&report.trace);
-        fp.messages = report.messages;
-        Ok(fp)
-    }))
-    .unwrap_or_else(|e| Err(panic_text(e)))
-}
-
-/// Run under the threaded executor (short deadlock timeout: divergent
-/// shrink candidates must fail fast).
-pub fn run_thread(p: &Arc<Program>, nprocs: usize) -> RunResult {
-    let p = p.clone();
-    catch_unwind(AssertUnwindSafe(move || {
-        let decls = decl_list(&p);
-        let cfg = ThreadConfig {
-            recv_timeout: Duration::from_secs(2),
-            ..ThreadConfig::new(nprocs)
-        }
-        .with_trace(TraceConfig::full());
-        let mut exec = ThreadExec::new(p, KernelRegistry::standard(), cfg);
-        for (o, _, var) in &decls {
-            let o = *o;
-            exec.init_exclusive(*var, move |idx| init_value(o, idx));
-        }
-        let report = exec.run().map_err(|e| e.to_string())?;
-        let mut fp = Fingerprint::default();
-        for (_, name, var) in &decls {
-            fp.record_memory(name, &exec.gather(*var));
-        }
-        fp.record_trace(&report.trace);
-        fp.messages = report.net.messages;
-        Ok(fp)
-    }))
-    .unwrap_or_else(|e| Err(panic_text(e)))
+    run_on(p, |p| {
+        Lockstep::new(p, KernelRegistry::standard(), LockstepConfig::new(nprocs))
+    })
 }
 
 /// Run under the async executor (task-per-processor over a fixed worker
-/// pool; same short timeout as the threaded run).
+/// pool; short receive timeout: divergent shrink candidates must fail
+/// fast).
 pub fn run_async(p: &Arc<Program>, nprocs: usize) -> RunResult {
-    let p = p.clone();
-    catch_unwind(AssertUnwindSafe(move || {
-        let decls = decl_list(&p);
-        let cfg = AsyncConfig {
-            recv_timeout: Duration::from_secs(2),
-            ..AsyncConfig::new(nprocs)
-        }
-        .with_trace(TraceConfig::full());
-        let mut exec = AsyncExec::new(p, KernelRegistry::standard(), cfg);
-        for (o, _, var) in &decls {
-            let o = *o;
-            exec.init_exclusive(*var, move |idx| init_value(o, idx));
-        }
-        let report = exec.run().map_err(|e| e.to_string())?;
-        let mut fp = Fingerprint::default();
-        for (_, name, var) in &decls {
-            fp.record_memory(name, &exec.gather(*var));
-        }
-        fp.record_trace(&report.trace);
-        fp.messages = report.net.messages;
-        Ok(fp)
-    }))
-    .unwrap_or_else(|e| Err(panic_text(e)))
+    let cfg = AsyncConfig {
+        recv_timeout: Duration::from_secs(2),
+        ..AsyncConfig::new(nprocs)
+    }
+    .with_trace(TraceConfig::full());
+    run_on(p, |p| AsyncExec::new(p, KernelRegistry::standard(), cfg))
 }
 
 /// Full differential check with the default configuration.
@@ -354,85 +290,32 @@ pub fn check_with(tp: &TestProgram, cfg: &CheckConfig) -> Option<Divergence> {
         }
     };
 
-    // Executor conformance: lockstep (memory + movement + states).
-    match run_lockstep(&prog, tp.nprocs) {
-        Ok(fp) => {
-            if let Some(d) = conform(&base, &fp, true) {
-                return Some(Divergence::ExecutorMismatch {
-                    backend: "lockstep".into(),
-                    detail: d,
-                });
-            }
-        }
-        Err(e) => {
-            return Some(Divergence::RunError {
-                stage: "lockstep".into(),
-                detail: e,
-            })
-        }
+    // Executor conformance. Lockstep and the compiled VM are fully
+    // deterministic, so every fingerprint component must match to the bit
+    // — including the section-state digest; on the async machine,
+    // wall-clock recording order makes the state digest its own, weaker
+    // check, and only the timing-free components are compared.
+    let leg = |backend: &str, states: bool, got: RunResult| match got {
+        Ok(fp) => conform(&base, &fp, states).map(|detail| Divergence::ExecutorMismatch {
+            backend: backend.into(),
+            detail,
+        }),
+        Err(detail) => Some(Divergence::RunError {
+            stage: backend.into(),
+            detail,
+        }),
+    };
+    if let Some(d) = leg("lockstep", true, run_lockstep(&prog, tp.nprocs)) {
+        return Some(d);
     }
-
-    // Executor conformance: threads (memory + movement; wall-clock
-    // recording order makes the state digest its own, weaker check).
-    if cfg.thread {
-        match run_thread(&prog, tp.nprocs) {
-            Ok(fp) => {
-                if let Some(d) = conform(&base, &fp, false) {
-                    return Some(Divergence::ExecutorMismatch {
-                        backend: "thread".into(),
-                        detail: d,
-                    });
-                }
-            }
-            Err(e) => {
-                return Some(Divergence::RunError {
-                    stage: "thread".into(),
-                    detail: e,
-                })
-            }
-        }
-    }
-
-    // Executor conformance: async executor (memory + movement; same
-    // wall-clock caveat as threads).
     if cfg.async_exec {
-        match run_async(&prog, tp.nprocs) {
-            Ok(fp) => {
-                if let Some(d) = conform(&base, &fp, false) {
-                    return Some(Divergence::ExecutorMismatch {
-                        backend: "async".into(),
-                        detail: d,
-                    });
-                }
-            }
-            Err(e) => {
-                return Some(Divergence::RunError {
-                    stage: "async".into(),
-                    detail: e,
-                })
-            }
+        if let Some(d) = leg("async", false, run_async(&prog, tp.nprocs)) {
+            return Some(d);
         }
     }
-
-    // Executor conformance: compiled VM on the same simulated machine.
-    // The VM is fully deterministic, so every fingerprint component must
-    // match to the bit — including the section-state digest.
     if cfg.vm {
-        match run_vm(&prog, tp.nprocs, None) {
-            Ok(fp) => {
-                if let Some(d) = conform(&base, &fp, true) {
-                    return Some(Divergence::ExecutorMismatch {
-                        backend: "vm".into(),
-                        detail: d,
-                    });
-                }
-            }
-            Err(e) => {
-                return Some(Divergence::RunError {
-                    stage: "vm".into(),
-                    detail: e,
-                })
-            }
+        if let Some(d) = leg("vm", true, run_vm(&prog, tp.nprocs, None)) {
+            return Some(d);
         }
     }
 
@@ -539,7 +422,7 @@ pub fn check_passes(
     None
 }
 
-/// Baseline-only convenience used by pass-bug hunts (no thread/chaos):
+/// Baseline-only convenience used by pass-bug hunts (no async/chaos):
 /// runs the simulator baseline, then the pass prefixes.
 pub fn check_passes_only(
     tp: &TestProgram,
@@ -588,22 +471,6 @@ pub fn check_chaos(tp: &TestProgram, base: &Fingerprint, plan: &FaultPlan) -> Op
     }
 }
 
-/// Re-run only the stage a divergence key implicates (the shrinker calls
-/// this hundreds of times; skipping unrelated stages keeps it fast).
-pub fn recheck_key(tp: &TestProgram, key: &str) -> Option<Divergence> {
-    let cfg = CheckConfig {
-        thread: key == "executor:thread" || key == "run-error:thread",
-        async_exec: key == "executor:async" || key == "run-error:async",
-        vm: key == "executor:vm" || key == "run-error:vm",
-        chaos: key == "chaos",
-        faults: None,
-        passes: key.starts_with("pass:"),
-        mem_budget: (key == "plan:membound" || key == "run-error:membound")
-            .then_some(DEFAULT_CHECK_BUDGET),
-    };
-    check_with(tp, &cfg).filter(|d| d.key() == key)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -642,9 +509,9 @@ mod tests {
         assert_eq!(d.key(), "pass:vectorize-messages");
         assert!(d.to_string().contains("pass:vectorize-messages"));
         let d = Divergence::ExecutorMismatch {
-            backend: "thread".into(),
+            backend: "async".into(),
             detail: "y".into(),
         };
-        assert_eq!(d.key(), "executor:thread");
+        assert_eq!(d.key(), "executor:async");
     }
 }

@@ -76,7 +76,6 @@ impl FuzzReport {
 /// implicates — the shrinker evaluates this hundreds of times.
 pub fn narrowed(check: &CheckConfig, key: &str) -> CheckConfig {
     CheckConfig {
-        thread: key == "executor:thread" || key == "run-error:thread",
         async_exec: key == "executor:async" || key == "run-error:async",
         vm: key == "executor:vm" || key == "run-error:vm",
         chaos: key == "chaos",
@@ -152,7 +151,6 @@ mod tests {
             // Executor conformance only: the pass-prefix and chaos oracles
             // are exercised by their own tests and by `xdpc fuzz`.
             check: CheckConfig {
-                thread: false,
                 async_exec: false,
                 vm: true,
                 chaos: false,
@@ -176,12 +174,12 @@ mod tests {
     fn narrowed_configs_prune_unrelated_stages() {
         let base = CheckConfig::default();
         let n = narrowed(&base, "pass:vectorize-messages");
-        assert!(n.passes && !n.thread && !n.chaos);
+        assert!(n.passes && !n.async_exec && !n.chaos);
         let n = narrowed(&base, "executor:lockstep");
-        assert!(!n.passes && !n.thread && !n.chaos);
-        let n = narrowed(&base, "executor:thread");
-        assert!(n.thread && !n.passes && !n.chaos);
+        assert!(!n.passes && !n.async_exec && !n.chaos);
+        let n = narrowed(&base, "executor:async");
+        assert!(n.async_exec && !n.passes && !n.chaos);
         let n = narrowed(&base, "chaos");
-        assert!(n.chaos && !n.passes && !n.thread);
+        assert!(n.chaos && !n.passes && !n.async_exec);
     }
 }

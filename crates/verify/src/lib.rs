@@ -7,15 +7,18 @@
 //! * [`gen`] — a seeded generator of executable, well-formed IL+XDP
 //!   programs (plus the syntactic proptest strategies shared with the
 //!   language round-trip tests);
-//! * [`lockstep`] — a third, deliberately boring executor that advances
-//!   processors round-robin one step at a time, so schedule-dependence
-//!   bugs in the real executors show up as fingerprint differences;
+//! * [`lockstep`] — the reference executor, deliberately boring: it
+//!   advances processors round-robin one step at a time, so
+//!   schedule-dependence bugs in the real machines show up as fingerprint
+//!   differences;
 //! * [`fingerprint`] — the execution oracle: final per-processor memory
 //!   image, sorted movement multiset, and section-state digest;
-//! * [`diff`] — the differential driver: `Lockstep` vs [`xdp_core::SimExec`]
-//!   vs [`xdp_core::ThreadExec`], every prefix of the default pass
-//!   pipeline vs the unoptimized program, and faulty vs lossless runs
-//!   under a [`xdp_fault::FaultPlan`];
+//! * [`diff`] — the differential driver, and the one run protocol
+//!   ([`Fingerprint::of_run`] from [`init_value`]) every fingerprinted run
+//!   follows: `Lockstep` vs [`xdp_core::SimExec`] vs
+//!   [`xdp_core::AsyncExec`] vs the compiled VM, every prefix of the
+//!   default pass pipeline vs the unoptimized program, and faulty vs
+//!   lossless runs under a [`xdp_fault::FaultPlan`];
 //! * [`shrink`] — a greedy structural shrinker that reduces a failing
 //!   program to a minimal pretty-printed `.xdp` repro;
 //! * [`fuzz`] — the sweep loop tying it all together, shared by
@@ -29,7 +32,8 @@ pub mod lockstep;
 pub mod shrink;
 
 pub use diff::{
-    check_program, check_with, default_passes, CheckConfig, Divergence, DEFAULT_CHECK_BUDGET,
+    check_program, check_with, default_passes, init_value, CheckConfig, Divergence,
+    DEFAULT_CHECK_BUDGET,
 };
 pub use fingerprint::Fingerprint;
 pub use fuzz::{run_fuzz, Failure, FuzzConfig, FuzzReport};

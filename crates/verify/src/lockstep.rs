@@ -6,20 +6,22 @@
 //! exists — there is no notion of time, cost, or concurrency. Any program
 //! whose fingerprint depends on scheduling or message timing will
 //! therefore disagree with [`xdp_core::SimExec`] (virtual-time order) or
-//! [`xdp_core::ThreadExec`] (real concurrency), which is exactly what the
+//! [`xdp_core::AsyncExec`] (real concurrency), which is exactly what the
 //! differential driver wants to detect.
 //!
-//! Trace emission mirrors the other executors event-for-event (`SendInit`,
-//! `RecvPost`, `WireTransit`, `RecvComplete`, and the section-state
-//! instants), so [`xdp_trace::Trace::movement_multiset`] is directly
-//! comparable across all three backends.
+//! It stays a loop of its own — it is the reference the machines are
+//! compared against — but emits its trace through the same
+//! [`xdp_core::Recorder`], so [`xdp_trace::Trace::movement_multiset`] is
+//! directly comparable across all three.
 
 use std::sync::Arc;
-use xdp_core::{Action, Gathered, Interp, KernelRegistry, RtError};
+use xdp_core::{
+    Action, ExecReport, Gathered, Interp, KernelRegistry, Machine, ProcReport, Recorder, RtError,
+};
 use xdp_ir::{Program, VarId};
-use xdp_machine::{CostModel, Topology};
+use xdp_machine::{CostModel, NetStats, Topology};
 use xdp_runtime::{Msg, Tag, Value};
-use xdp_trace::{Trace, TraceConfig, TraceEvent, TraceKind};
+use xdp_trace::{Trace, TraceConfig};
 
 /// Configuration for [`Lockstep`].
 #[derive(Clone, Debug)]
@@ -76,14 +78,13 @@ struct PendingSend {
 pub struct Lockstep {
     cfg: LockstepConfig,
     interps: Vec<Interp>,
-    names: Vec<String>,
+    rec: Recorder,
 }
 
 impl Lockstep {
     /// Load `program` onto every processor.
     pub fn new(program: Arc<Program>, kernels: KernelRegistry, cfg: LockstepConfig) -> Lockstep {
         let program = xdp_collectives::prepare_arc(program);
-        let names = program.decls.iter().map(|d| d.name.clone()).collect();
         let mut interps: Vec<Interp> = (0..cfg.nprocs)
             .map(|pid| {
                 Interp::new(
@@ -98,11 +99,8 @@ impl Lockstep {
         // No cost model to configure here: the machine plans with the 1993
         // defaults — once, like every other driver.
         xdp_core::proc::join_machine(&mut interps, CostModel::default_1993(), Topology::Uniform);
-        Lockstep {
-            cfg,
-            interps,
-            names,
-        }
+        let rec = Recorder::new(Recorder::names(&interps), cfg.trace);
+        Lockstep { cfg, interps, rec }
     }
 
     /// Initialize an exclusive array (owned elements on each processor).
@@ -113,11 +111,7 @@ impl Lockstep {
     /// Run all processors to completion, round-robin.
     pub fn run(&mut self) -> Result<LockstepReport, RtError> {
         let n = self.cfg.nprocs;
-        let tcfg = self.cfg.trace;
-        let mut trace = Trace::new(n);
         let mut sends: Vec<PendingSend> = Vec::new();
-        let mut recv_sid: std::collections::HashMap<(usize, u64), u32> =
-            std::collections::HashMap::new();
         let mut states = vec![ProcState::Running; n];
         let mut messages = 0u64;
         let mut round = 0u64;
@@ -139,17 +133,7 @@ impl Lockstep {
                     let mut completed = false;
                     for (req, tag) in self.interps[p].outstanding() {
                         if let Some(msg) = claim(&mut sends, &tag, p) {
-                            emit_completion(
-                                &mut trace,
-                                tcfg,
-                                &self.names,
-                                &recv_sid,
-                                p,
-                                req,
-                                &msg,
-                                t,
-                            );
-                            recv_sid.remove(&(p, req));
+                            self.rec.completed(p, req, &msg, (t, t), t, t);
                             self.interps[p].complete_recv(req, msg)?;
                             completed = true;
                             progress = true;
@@ -173,15 +157,7 @@ impl Lockstep {
                     }
                     Action::Send { msg, dest } => {
                         progress = true;
-                        if tcfg.spans {
-                            trace.push(TraceEvent {
-                                sid,
-                                var: self.names.get(msg.tag.var.index()).cloned(),
-                                sec: Some(msg.tag.sec.to_string()),
-                                bytes: msg.payload_bytes(),
-                                ..TraceEvent::span(TraceKind::SendInit, p, t, t)
-                            });
-                        }
+                        self.rec.send_init(p, sid, &msg, t, t);
                         match dest {
                             None => {
                                 messages += 1;
@@ -201,27 +177,7 @@ impl Lockstep {
                     }
                     Action::PostRecv { tag, req_id } => {
                         progress = true;
-                        if tcfg.spans {
-                            trace.push(TraceEvent {
-                                sid,
-                                var: self.names.get(tag.var.index()).cloned(),
-                                sec: Some(tag.sec.to_string()),
-                                msg_id: Some(req_id),
-                                ..TraceEvent::span(TraceKind::RecvPost, p, t, t)
-                            });
-                        }
-                        if tcfg.instants {
-                            trace.push(TraceEvent {
-                                sid,
-                                var: self.names.get(tag.var.index()).cloned(),
-                                sec: Some(tag.sec.to_string()),
-                                detail: Some("transitional".into()),
-                                ..TraceEvent::instant(TraceKind::SectionState, p, t)
-                            });
-                        }
-                        if let Some(s) = sid {
-                            recv_sid.insert((p, req_id), s);
-                        }
+                        self.rec.recv_post(p, sid, &tag, req_id, t, t);
                     }
                     Action::BlockOn { var, sec } => {
                         // No matching send yet (the drain above ran first):
@@ -270,7 +226,9 @@ impl Lockstep {
                 )));
             }
         }
+        let mut trace = Trace::new(n);
         trace.end = round as f64;
+        trace.events = self.rec.take_events();
         Ok(LockstepReport {
             rounds: round,
             messages,
@@ -284,6 +242,33 @@ impl Lockstep {
     }
 }
 
+impl Machine for Lockstep {
+    fn init_exclusive(&mut self, var: VarId, f: impl Fn(&[i64]) -> Value) {
+        Lockstep::init_exclusive(self, var, f)
+    }
+
+    /// Rounds stand in for time; only the message count of the network
+    /// statistics is meaningful.
+    fn run_report(&mut self) -> Result<ExecReport, RtError> {
+        let n = self.cfg.nprocs;
+        let r = self.run()?;
+        let mut net = NetStats::new(n);
+        net.messages = r.messages;
+        Ok(ExecReport {
+            nprocs: n,
+            virtual_time: r.rounds as f64,
+            procs: vec![ProcReport::default(); n],
+            net,
+            trace: r.trace,
+            faults: Default::default(),
+        })
+    }
+
+    fn gather(&self, var: VarId) -> Gathered {
+        Lockstep::gather(self, var)
+    }
+}
+
 /// Take the first pending send matching `tag` addressed to `dst` (or to
 /// anyone).
 fn claim(sends: &mut Vec<PendingSend>, tag: &Tag, dst: usize) -> Option<Msg> {
@@ -291,58 +276,6 @@ fn claim(sends: &mut Vec<PendingSend>, tag: &Tag, dst: usize) -> Option<Msg> {
         .iter()
         .position(|s| s.msg.tag == *tag && s.dest.map(|d| d == dst).unwrap_or(true))?;
     Some(sends.remove(k).msg)
-}
-
-/// Wire-transit + recv-complete + accessibility, mirroring the other
-/// executors' delivery recording.
-#[allow(clippy::too_many_arguments)]
-fn emit_completion(
-    trace: &mut Trace,
-    tcfg: TraceConfig,
-    names: &[String],
-    recv_sid: &std::collections::HashMap<(usize, u64), u32>,
-    pid: usize,
-    req: u64,
-    msg: &Msg,
-    t: f64,
-) {
-    if !tcfg.enabled() {
-        return;
-    }
-    let sid = recv_sid.get(&(pid, req)).copied();
-    let var = names.get(msg.tag.var.index()).cloned();
-    let sec = Some(msg.tag.sec.to_string());
-    let bytes = msg.payload_bytes();
-    if tcfg.messages {
-        trace.push(TraceEvent {
-            sid,
-            var: var.clone(),
-            sec: sec.clone(),
-            bytes,
-            src: Some(msg.src as u32),
-            msg_id: Some(req),
-            ..TraceEvent::span(TraceKind::WireTransit, pid, t, t)
-        });
-    }
-    if tcfg.spans {
-        trace.push(TraceEvent {
-            sid,
-            var: var.clone(),
-            sec: sec.clone(),
-            bytes,
-            msg_id: Some(req),
-            ..TraceEvent::span(TraceKind::RecvComplete, pid, t, t)
-        });
-    }
-    if tcfg.instants {
-        trace.push(TraceEvent {
-            sid,
-            var,
-            sec,
-            detail: Some("accessible".into()),
-            ..TraceEvent::instant(TraceKind::SectionState, pid, t)
-        });
-    }
 }
 
 #[cfg(test)]

@@ -103,14 +103,13 @@ fn the_shrinker_reduces_the_sabotage_to_a_small_repro() {
 }
 
 /// The full fuzz-side path (`check_and_shrink`) on a *clean* pipeline
-/// finds nothing across a few seeds — and `narrowed` keeps thread/chaos
+/// finds nothing across a few seeds — and `narrowed` keeps async/chaos
 /// out of pass-only rechecks.
 #[test]
 fn clean_pipeline_yields_no_failures() {
     for seed in [1u64, 2, 3] {
         let tp = executable_program(seed);
         let cfg = CheckConfig {
-            thread: false,
             async_exec: false,
             vm: false,
             chaos: false,
@@ -121,5 +120,5 @@ fn clean_pipeline_yields_no_failures() {
         assert!(check_and_shrink(&tp, &cfg, 50).is_none(), "seed {seed}");
     }
     let n = narrowed(&CheckConfig::default(), "pass:sabotage");
-    assert!(n.passes && !n.thread && !n.chaos);
+    assert!(n.passes && !n.async_exec && !n.chaos);
 }

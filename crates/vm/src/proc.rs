@@ -51,7 +51,7 @@ enum VFrame {
 }
 
 /// The compiled per-processor executor. A drop-in [`Processor`]: plug into
-/// `SimExec::from_procs` / `ThreadExec::from_procs`.
+/// `SimExec::from_procs` / `AsyncExec::from_procs`.
 pub struct VmProc {
     /// The processor's environment (symbol table, universal data, ops).
     pub env: ProcEnv,

@@ -40,7 +40,7 @@
 //!   --faults SPEC    fault plan for the chaos oracle (syntax as for run);
 //!                    default: a seed-derived lossy plan
 //!   --repro PATH     where to write the minimized repro    (default fuzz-repro.xdp)
-//!   --sim-only       skip the threaded executor and chaos oracles
+//!   --sim-only       skip the wall-clock (async) executor and chaos oracles
 //!
 //! On a divergence, fuzz shrinks the program, writes the `.xdp` repro,
 //! and exits 1; a malformed --faults spec exits 2.
@@ -73,6 +73,7 @@ macro_rules! outp {
 }
 use xdp::prelude::*;
 use xdp_bench::Table;
+use xdp_compiler::cli::{flag, opt_val, parse_backend, parse_mem_budget};
 use xdp_compiler::passes::{
     AutoPlace, BindCommunication, ElideAccessibleChecks, ElideSameOwnerComm, FuseLoops,
     LocalizeBounds, MigrateOwnership, SinkAwait, VectorizeMessages,
@@ -395,38 +396,6 @@ fn cost_flags(rest: &[String]) -> CostModel {
     cost
 }
 
-/// Parse a byte count with an optional binary k/m/g suffix.
-fn parse_bytes(v: &str) -> Option<u64> {
-    let v = v.trim();
-    let (num, mult) = match v.char_indices().last()? {
-        (i, 'k') | (i, 'K') => (&v[..i], 1u64 << 10),
-        (i, 'm') | (i, 'M') => (&v[..i], 1 << 20),
-        (i, 'g') | (i, 'G') => (&v[..i], 1 << 30),
-        _ => (v, 1),
-    };
-    let n: u64 = num.parse().ok()?;
-    n.checked_mul(mult).filter(|b| *b > 0)
-}
-
-/// `--mem-budget BYTES` shared by `plan`, `place`, `run`, and `fuzz`:
-/// per-processor live-buffer budget for redistribution planning. Accepts
-/// a plain byte count or a k/m/g suffix (binary). A malformed or zero
-/// value is a usage error (exit 2).
-fn parse_mem_budget(rest: &[String]) -> Result<Option<u64>, ExitCode> {
-    let Some(v) = opt_val(rest, "--mem-budget") else {
-        return Ok(None);
-    };
-    match parse_bytes(v) {
-        Some(b) => Ok(Some(b)),
-        None => {
-            eprintln!(
-                "xdpc: bad --mem-budget `{v}` (positive bytes, optionally with k/m/g suffix)"
-            );
-            Err(ExitCode::from(2))
-        }
-    }
-}
-
 /// `--topo uniform|linear|RxC` shared by `plan` and `place`.
 fn parse_topo(rest: &[String]) -> Result<Topology, ExitCode> {
     Ok(match opt_val(rest, "--topo") {
@@ -456,7 +425,7 @@ fn cmd_plan(program: &Program, rest: &[String]) -> ExitCode {
     };
     let program = program.as_ref();
     let mut cost = cost_flags(rest);
-    let budget = match parse_mem_budget(rest) {
+    let budget = match parse_mem_budget("xdpc", rest) {
         Ok(b) => b,
         Err(code) => return code,
     };
@@ -609,7 +578,7 @@ fn cmd_place(program: &Program, rest: &[String]) -> ExitCode {
         Err(code) => return code,
     };
     let mut model = cost_flags(rest);
-    model.mem_budget = match parse_mem_budget(rest) {
+    model.mem_budget = match parse_mem_budget("xdpc", rest) {
         Ok(b) => b,
         Err(code) => return code,
     };
@@ -720,40 +689,20 @@ fn parse_faults(rest: &[String]) -> Result<xdp_fault::FaultPlan, ExitCode> {
     }
 }
 
-fn flag(rest: &[String], name: &str) -> bool {
-    rest.iter().any(|a| a == name)
-}
-
-fn opt_val<'a>(rest: &'a [String], name: &str) -> Option<&'a str> {
-    rest.iter()
-        .position(|a| a == name)
-        .and_then(|i| rest.get(i + 1))
-        .map(|s| s.as_str())
-}
-
 /// The shared parse-free compile path: validate, honour `--procs` and
 /// `--optimize`, and print pass provenance (`--explain` for the full
 /// instrumentation, otherwise a one-line change log). All file-taking
 /// subcommands funnel through `xdp_compiler::compile_program` here — the
 /// same pipeline the `xdpd` daemon's compile cache keys.
 fn compiled_for(program: &Program, rest: &[String], seq: SeqMode) -> Result<Compiled, ExitCode> {
-    let backend = match opt_val(rest, "--backend") {
-        None => Backend::default(),
-        Some(name) => match Backend::parse(name) {
-            Some(b) => b,
-            None => {
-                eprintln!("xdpc: bad --backend `{name}` (use interp or vm)");
-                return Err(ExitCode::from(2));
-            }
-        },
-    };
+    let backend = parse_backend("xdpc", rest)?;
     let opts = CompileOptions {
         procs: opt_val(rest, "--procs").and_then(|v| v.parse().ok()),
         optimize: flag(rest, "--optimize"),
         place: false,
         seq,
         backend,
-        mem_budget: parse_mem_budget(rest)?,
+        mem_budget: parse_mem_budget("xdpc", rest)?,
     };
     let compiled = match compile_program(program, &opts) {
         Ok(c) => c,
@@ -972,8 +921,9 @@ fn finish_trace<P: Processor>(
 }
 
 /// `xdpc fuzz`: differential testing on generated programs. Each seed's
-/// program is executed on the simulator, the lockstep executor, and the
-/// threaded executor, re-executed after every prefix of the default pass
+/// program is executed on the simulator, the lockstep executor, the
+/// compiled VM and the async task machine, re-executed after every prefix
+/// of the default pass
 /// pipeline, and re-executed under a lossy fault plan; any disagreement
 /// is shrunk to a minimal repro and written to `--repro`.
 fn cmd_fuzz(rest: &[String]) -> ExitCode {
@@ -1011,7 +961,7 @@ fn cmd_fuzz(rest: &[String]) -> ExitCode {
         },
     };
     let sim_only = flag(rest, "--sim-only");
-    let mem_budget = match parse_mem_budget(rest) {
+    let mem_budget = match parse_mem_budget("xdpc", rest) {
         Ok(b) => b,
         Err(code) => return code,
     };
@@ -1025,7 +975,6 @@ fn cmd_fuzz(rest: &[String]) -> ExitCode {
             ..xdp_verify::GenConfig::default()
         },
         check: xdp_verify::CheckConfig {
-            thread: !sim_only,
             async_exec: !sim_only,
             // The VM oracle runs on the simulated machine, so it stays on
             // even under --sim-only: it is exactly as deterministic and
@@ -1075,9 +1024,9 @@ fn cmd_fuzz(rest: &[String]) -> ExitCode {
         seed + count as u64 - 1,
         procs,
         if sim_only {
-            "sim+lockstep+vm".to_string()
+            "sim+lockstep+vm"
         } else {
-            "sim+lockstep+vm+thread+async".to_string()
+            "sim+lockstep+vm+async"
         },
         if sim_only { "" } else { " + chaos" },
     );

@@ -13,7 +13,7 @@
 //! |---|---|
 //! | [`ir`] | IL+XDP: sections, HPF distributions, statements, intrinsics |
 //! | [`runtime`] | the §3.1 run-time symbol table and segment descriptors |
-//! | [`machine`] | a simulated multicomputer (cost model, topology, matcher) and a real threaded backend |
+//! | [`machine`] | a simulated multicomputer (cost model, topology, matcher) and the real concurrent network the task machine runs on |
 //! | [`collectives`] | collective algorithms as explicit message schedules; the redistribution planner |
 //! | [`core`] | the operational semantics: SPMD interpreter + executors |
 //! | [`compiler`] | owner-computes frontend and the paper's optimization passes |
@@ -94,8 +94,8 @@ pub mod prelude {
         lower_owner_computes, FrontendOptions, Pass, PassManager, PassResult, SeqProgram, SeqStmt,
     };
     pub use xdp_core::{
-        AsyncConfig, AsyncExec, ExecReport, Gathered, Kernel, KernelRegistry, RtError, SimConfig,
-        SimExec, ThreadConfig, ThreadExec,
+        AsyncConfig, AsyncExec, ExecReport, Gathered, Kernel, KernelRegistry, Machine, RtError,
+        SimConfig, SimExec,
     };
     pub use xdp_fault::{FaultPlan, FaultStats, LinkFault};
     pub use xdp_ir::build;

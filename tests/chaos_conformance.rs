@@ -1,11 +1,11 @@
 //! Chaos conformance: every XDP program must produce bit-identical results
 //! under injected transport faults (drops, duplicates, reordering, delays)
-//! to its fault-free execution, on the virtual-time simulator, the
-//! threaded machine, and the async task-per-processor machine — the
-//! ack/retry delivery layer makes faults invisible to program semantics.
-//! Permanently lost messages must be *diagnosed* as lost, never reported
-//! as a deadlock or silent timeout. The async machine additionally runs
-//! the suite at P=1024, far past thread-per-processor territory.
+//! to its fault-free execution, on the virtual-time simulator and the
+//! async task-per-processor machine — the ack/retry delivery layer makes
+//! faults invisible to program semantics. Permanently lost messages must
+//! be *diagnosed* as lost, never reported as a deadlock or silent timeout.
+//! The async machine additionally runs the suite at P=1024, far past
+//! thread-per-processor territory.
 
 use std::sync::Arc;
 use xdp::prelude::*;
@@ -29,53 +29,30 @@ fn chaos(seed: u64) -> FaultPlan {
     plan
 }
 
-/// Deterministic per-element init for every exclusive array, matching the
-/// element type (fft3d's cube is complex).
-fn init_value(elem: ElemType, ord: i64) -> Value {
-    match elem {
-        ElemType::C64 => Value::C64(Complex::new((ord + 1) as f64, -(ord as f64) * 0.5)),
-        _ => Value::F64((ord + 1) as f64),
-    }
+/// Indices of the exclusive arrays among `decls`.
+fn exclusive(decls: &[Decl]) -> impl Iterator<Item = usize> + '_ {
+    (0..decls.len()).filter(|&i| decls[i].is_exclusive())
 }
 
-fn init_sim(exec: &mut SimExec, decls: &[Decl]) {
-    for (i, d) in decls.iter().enumerate() {
-        if d.is_exclusive() {
-            let full = Section::new(d.bounds.clone());
-            let elem = d.elem;
-            exec.init_exclusive(VarId(i as u32), move |idx| {
-                init_value(elem, full.ordinal_of(idx).unwrap_or(0))
-            });
-        }
-    }
-}
-
-fn init_thr(exec: &mut ThreadExec, decls: &[Decl]) {
-    for (i, d) in decls.iter().enumerate() {
-        if d.is_exclusive() {
-            let full = Section::new(d.bounds.clone());
-            let elem = d.elem;
-            exec.init_exclusive(VarId(i as u32), move |idx| {
-                init_value(elem, full.ordinal_of(idx).unwrap_or(0))
-            });
-        }
-    }
-}
-
-fn init_tasks(exec: &mut AsyncExec, decls: &[Decl]) {
-    for (i, d) in decls.iter().enumerate() {
-        if d.is_exclusive() {
-            let full = Section::new(d.bounds.clone());
-            let elem = d.elem;
-            exec.init_exclusive(VarId(i as u32), move |idx| {
-                init_value(elem, full.ordinal_of(idx).unwrap_or(0))
-            });
-        }
+/// Deterministic init of every exclusive array, on any machine.
+fn init(exec: &mut impl Machine, decls: &[Decl]) {
+    for i in exclusive(decls) {
+        exec.init_exclusive(VarId(i as u32), move |idx| xdp_verify::init_value(i, idx));
     }
 }
 
 /// The final global state of every exclusive array, as one map per array.
 type State = Vec<Gathered>;
+
+/// Init, run, and gather on any machine.
+fn state(mut exec: impl Machine, decls: &[Decl]) -> (State, ExecReport) {
+    init(&mut exec, decls);
+    let report = exec.run_report().expect("run");
+    let state = exclusive(decls)
+        .map(|i| exec.gather(VarId(i as u32)))
+        .collect();
+    (state, report)
+}
 
 fn sim_state(
     program: &Program,
@@ -88,39 +65,8 @@ fn sim_state(
     if trace {
         cfg = cfg.with_trace(TraceConfig::full());
     }
-    let decls = program.decls.clone();
-    let mut exec = SimExec::new(Arc::new(program.clone()), kernels, cfg);
-    init_sim(&mut exec, &decls);
-    let report = exec.run().expect("sim run");
-    let state = decls
-        .iter()
-        .enumerate()
-        .filter(|(_, d)| d.is_exclusive())
-        .map(|(i, _)| exec.gather(VarId(i as u32)))
-        .collect();
-    (state, report)
-}
-
-fn thr_state(
-    program: &Program,
-    kernels: KernelRegistry,
-    nprocs: usize,
-    faults: FaultPlan,
-) -> State {
-    let decls = program.decls.clone();
-    let mut exec = ThreadExec::new(
-        Arc::new(program.clone()),
-        kernels,
-        ThreadConfig::new(nprocs).with_faults(faults),
-    );
-    init_thr(&mut exec, &decls);
-    exec.run().expect("threaded run");
-    decls
-        .iter()
-        .enumerate()
-        .filter(|(_, d)| d.is_exclusive())
-        .map(|(i, _)| exec.gather(VarId(i as u32)))
-        .collect()
+    let exec = SimExec::new(Arc::new(program.clone()), kernels, cfg);
+    state(exec, &program.decls)
 }
 
 fn tasks_state(
@@ -129,20 +75,9 @@ fn tasks_state(
     nprocs: usize,
     faults: FaultPlan,
 ) -> State {
-    let decls = program.decls.clone();
-    let mut exec = AsyncExec::new(
-        Arc::new(program.clone()),
-        kernels,
-        AsyncConfig::new(nprocs).with_faults(faults),
-    );
-    init_tasks(&mut exec, &decls);
-    exec.run().expect("async run");
-    decls
-        .iter()
-        .enumerate()
-        .filter(|(_, d)| d.is_exclusive())
-        .map(|(i, _)| exec.gather(VarId(i as u32)))
-        .collect()
+    let cfg = AsyncConfig::new(nprocs).with_faults(faults);
+    let exec = AsyncExec::new(Arc::new(program.clone()), kernels, cfg);
+    state(exec, &program.decls).0
 }
 
 /// One conformance workload: (label, program, kernel registry, machine size).
@@ -205,15 +140,6 @@ fn sim_chaos_injects_faults_on_every_app() {
         }
     }
     assert!(injected_somewhere, "every app serialized; suite is vacuous");
-}
-
-#[test]
-fn threads_chaos_is_bit_identical() {
-    for (label, program, kernels, nprocs) in apps() {
-        let clean = thr_state(&program, kernels(), nprocs, FaultPlan::none());
-        let faulty = thr_state(&program, kernels(), nprocs, chaos(23));
-        assert_eq!(clean, faulty, "{label}: chaos changed the result");
-    }
 }
 
 #[test]
@@ -311,29 +237,7 @@ fn sim_permanent_loss_is_diagnosed() {
         xdp_apps::matvec::matvec_kernels(),
         SimConfig::new(4).with_faults(plan),
     );
-    init_sim(&mut exec, &decls);
-    match exec.run() {
-        Err(RtError::MessageLost(d)) => {
-            assert!(d.contains("permanently lost"), "{d}");
-        }
-        other => panic!("want MessageLost, got {other:?}"),
-    }
-}
-
-#[test]
-fn threads_permanent_loss_is_diagnosed() {
-    let (program, _) = xdp_apps::matvec::build_matvec(8, 4);
-    let mut plan = FaultPlan::none();
-    plan.kill.push((0, 1));
-    plan.rto = 2_000.0; // µs
-    plan.max_retries = 2;
-    let decls = program.decls.clone();
-    let mut exec = ThreadExec::new(
-        Arc::new(program),
-        xdp_apps::matvec::matvec_kernels(),
-        ThreadConfig::new(4).with_faults(plan),
-    );
-    init_thr(&mut exec, &decls);
+    init(&mut exec, &decls);
     match exec.run() {
         Err(RtError::MessageLost(d)) => {
             assert!(d.contains("permanently lost"), "{d}");
@@ -355,7 +259,7 @@ fn tasks_permanent_loss_is_diagnosed() {
         xdp_apps::matvec::matvec_kernels(),
         AsyncConfig::new(4).with_faults(plan),
     );
-    init_tasks(&mut exec, &decls);
+    init(&mut exec, &decls);
     match exec.run() {
         Err(RtError::MessageLost(d)) => {
             assert!(d.contains("permanently lost"), "{d}");

@@ -277,6 +277,23 @@ fn bad_mem_budget_is_one_line_and_exit_2_everywhere() {
 }
 
 #[test]
+fn mem_budget_spelling_is_shared_by_both_binaries() {
+    // `xdpc` and `xdpd` parse `--mem-budget` through one function, so a
+    // padded value (which `xdpc` trimmed and `xdpd` used to reject) is the
+    // same budget under either tool name...
+    let args = ["--mem-budget".to_string(), " 64k".to_string()];
+    for tool in ["xdpc", "xdpd"] {
+        let got = xdp_compiler::cli::parse_mem_budget(tool, &args);
+        assert_eq!(got.ok(), Some(Some(64 << 10)), "{tool}");
+    }
+    // ...and the driver binary accepts it end to end.
+    let padded = ["plan", "xdp-programs/membound.xdp", "--mem-budget", " 64k"];
+    let (stdout, stderr, code) = xdpc_code(&padded);
+    assert_eq!(code, 0, "{stderr}");
+    assert!(stdout.contains("peak_B"), "{stdout}");
+}
+
+#[test]
 fn plan_infeasible_budget_exits_nonzero_naming_smallest_feasible() {
     // A 1-byte budget fits no decomposition of membound.xdp's transpose:
     // `plan` must fail (an analysis failure, not a usage error) and name
@@ -332,16 +349,16 @@ fn fuzz_smoke_passes_and_reports_oracles() {
     let (stdout, stderr, code) = xdpc_code(&["fuzz", "--count", "5", "--seed", "7"]);
     assert_eq!(code, 0, "{stdout}{stderr}");
     assert!(stdout.contains("ok: 5 programs"), "{stdout}");
-    assert!(stdout.contains("sim+lockstep+vm+thread+async"), "{stdout}");
+    assert!(stdout.contains("sim+lockstep+vm+async"), "{stdout}");
     assert!(stdout.contains("per-pass equivalence"), "{stdout}");
 }
 
 #[test]
-fn fuzz_sim_only_skips_thread_and_chaos() {
+fn fuzz_sim_only_skips_async_and_chaos() {
     let (stdout, _, code) = xdpc_code(&["fuzz", "--count", "3", "--seed", "1", "--sim-only"]);
     assert_eq!(code, 0, "{stdout}");
     assert!(stdout.contains("sim+lockstep"), "{stdout}");
-    assert!(!stdout.contains("thread"), "{stdout}");
+    assert!(!stdout.contains("async"), "{stdout}");
     assert!(!stdout.contains("chaos"), "{stdout}");
 }
 

@@ -2,7 +2,7 @@
 //! (source, destination) distribution pairs and grid shapes, the planned
 //! redistribution delivers every element exactly once, the executed
 //! `redistribute` statement leaves each processor owning exactly its
-//! destination-distribution sections, and the simulator and the threaded
+//! destination-distribution sections, and the simulator and the task-machine
 //! backend agree bit-for-bit.
 
 use proptest::prelude::*;
@@ -80,7 +80,7 @@ proptest! {
 
     /// Executing `redistribute` through the interpreter: values survive,
     /// final ownership matches the destination distribution exactly, and
-    /// the simulator and threaded backends produce identical arrays.
+    /// the simulator and task-machine backends produce identical arrays.
     #[test]
     fn redistribute_stmt_moves_ownership_on_both_backends(
         nprocs in 2usize..5,
@@ -124,9 +124,9 @@ proptest! {
             let _ = owned;
         }
 
-        let mut thr = ThreadExec::new(p, KernelRegistry::standard(), ThreadConfig::new(nprocs));
+        let mut thr = AsyncExec::new(p, KernelRegistry::standard(), AsyncConfig::new(nprocs));
         thr.init_exclusive(a, |idx| Value::F64(7.0 * idx[0] as f64));
-        thr.run().expect("threaded run");
+        thr.run().expect("task-machine run");
         let g_thr = thr.gather(a);
         for i in 1..=n {
             prop_assert_eq!(

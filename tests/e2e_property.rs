@@ -145,10 +145,10 @@ proptest! {
         let p = lower_owner_computes(&s, &FrontendOptions::default()).unwrap();
         let (vs, _) = run(&p, a, bvar, nprocs, n);
 
-        let mut thr = ThreadExec::new(
+        let mut thr = AsyncExec::new(
             Arc::new(p),
             KernelRegistry::standard(),
-            ThreadConfig::new(nprocs),
+            AsyncConfig::new(nprocs),
         );
         thr.init_exclusive(a, |idx| Value::F64(idx[0] as f64));
         thr.init_exclusive(bvar, |idx| Value::F64(3.0 * idx[0] as f64 + 1.0));

@@ -240,10 +240,10 @@ fn threaded_backend_agrees_with_simulator_after_optimization() {
     sim.init_exclusive(b, |idx| Value::F64(0.5 * idx[0] as f64));
     sim.run().unwrap();
 
-    let mut thr = ThreadExec::new(
+    let mut thr = AsyncExec::new(
         Arc::new(opt),
         KernelRegistry::standard(),
-        ThreadConfig::new(3),
+        AsyncConfig::new(3),
     );
     thr.init_exclusive(a, |idx| Value::F64(idx[0] as f64));
     thr.init_exclusive(b, |idx| Value::F64(0.5 * idx[0] as f64));

@@ -1,7 +1,8 @@
 //! What a request pays outside the step loop, checked from the root
 //! package (tier-1 runs only these): every machine plans a redistribution
 //! once, not once per processor; array init and gather walk owned
-//! segments and agree with the per-index definitions they replaced.
+//! segments and agree with the per-index definitions they replaced; the
+//! movement multiset is the same on every machine under any cost model.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -64,14 +65,6 @@ fn every_machine_plans_each_redistribution_once() {
             "tasks/vm",
             planned!(VmExec::tasks(p.clone(), k(), AsyncConfig::new(P))),
         ),
-        (
-            "threads",
-            planned!(ThreadExec::new(p.clone(), k(), ThreadConfig::new(P))),
-        ),
-        (
-            "threads/vm",
-            planned!(VmExec::threads(p.clone(), k(), ThreadConfig::new(P))),
-        ),
     ];
     for (machine, (planned, a)) in &runs {
         assert_eq!(
@@ -88,6 +81,30 @@ fn every_machine_plans_each_redistribution_once() {
     for i in 1..=256i64 {
         assert_eq!(a.get(&[i]), Some(seed(&[i])));
         assert_eq!(a.owner(&[i]), Some(((i - 1) / 16) as usize));
+    }
+}
+
+/// Smoke of `crates/core/tests/trace_conformance.rs`: movement events are
+/// recorded whatever their extent, so a cost model with no per-message
+/// CPU overhead drops none of the simulator's.
+#[test]
+fn movement_multiset_is_the_same_on_every_machine_and_cost_model() {
+    use xdp_verify::lockstep::{Lockstep, LockstepConfig};
+    fn movement(mut exec: impl Machine) -> Vec<String> {
+        exec.run_report().expect("runs").trace.movement_multiset()
+    }
+    let source = std::fs::read_to_string("xdp-programs/simple.xdp").expect("corpus program");
+    let p = Arc::new(xdp_lang::parse_program(&source).expect("parses"));
+    let k = KernelRegistry::standard;
+    let traced = TraceConfig::full();
+
+    let want = movement(Lockstep::new(p.clone(), k(), LockstepConfig::new(4)));
+    assert_eq!(want.len(), 64, "16 transfers x 4 movement events");
+    let tasks = AsyncConfig::new(4).with_trace(traced);
+    assert_eq!(movement(AsyncExec::new(p.clone(), k(), tasks)), want);
+    for cost in [CostModel::default_1993(), CostModel::zero_comm()] {
+        let cfg = SimConfig::new(4).with_trace(traced).with_cost(cost);
+        assert_eq!(movement(SimExec::new(p.clone(), k(), cfg)), want);
     }
 }
 

@@ -6,8 +6,8 @@
 //! as the interpreter: memory image, movement multiset, section-state
 //! digest, and message count. On the virtual-time simulator the match is
 //! exact (the VM claims step-for-step conformance, so even the state
-//! digest agrees); on the threaded machine the timing-free parts must
-//! agree. The chaos tests additionally run the VM under a lossy fault
+//! digest agrees); on the wall-clock task machine the timing-free parts
+//! must agree. The chaos tests additionally run the VM under a lossy fault
 //! plan: faults must stay invisible to program semantics on the compiled
 //! backend exactly as they are on the interpreter.
 
@@ -15,7 +15,6 @@ use std::path::PathBuf;
 use std::sync::Arc;
 use xdp::prelude::*;
 use xdp_compiler::{compile, CompileOptions, SeqMode};
-use xdp_core::Processor;
 use xdp_verify::Fingerprint;
 use xdp_vm::VmExec;
 
@@ -49,15 +48,6 @@ fn variants() -> Vec<(&'static str, CompileOptions)> {
     ]
 }
 
-/// Deterministic per-element init matching the element type (fft3d's
-/// cube is complex).
-fn init_value(elem: ElemType, ord: i64) -> Value {
-    match elem {
-        ElemType::C64 => Value::C64(Complex::new((ord + 1) as f64, -(ord as f64) * 0.5)),
-        _ => Value::F64((ord + 1) as f64),
-    }
-}
-
 /// The chaos plan at the acceptance bar: 10% drop plus duplicates,
 /// reordering, and delays.
 fn chaos(seed: u64) -> FaultPlan {
@@ -75,52 +65,13 @@ fn chaos(seed: u64) -> FaultPlan {
     plan
 }
 
-/// Fingerprint one simulated run, or the runtime error it dies with —
-/// the VM must reproduce interpreter errors byte-for-byte too.
-fn fp_sim<P: Processor>(mut exec: SimExec<P>, decls: &[Decl]) -> Result<Fingerprint, String> {
-    for (i, d) in decls.iter().enumerate() {
-        if d.is_exclusive() {
-            let full = Section::new(d.bounds.clone());
-            let elem = d.elem;
-            exec.init_exclusive(VarId(i as u32), move |idx| {
-                init_value(elem, full.ordinal_of(idx).unwrap_or(0))
-            });
-        }
+/// Fingerprint one run by the one protocol, or the runtime error it dies
+/// with — the VM must reproduce interpreter errors byte-for-byte too.
+fn fp(mut exec: impl Machine, decls: &[Decl]) -> Result<Fingerprint, String> {
+    match Fingerprint::of_run(&mut exec, decls) {
+        Ok((fp, _)) => Ok(fp),
+        Err(e) => Err(e.to_string()),
     }
-    let report = exec.run().map_err(|e| e.to_string())?;
-    let mut fp = Fingerprint::default();
-    for (i, d) in decls.iter().enumerate() {
-        if d.is_exclusive() {
-            fp.record_memory(&d.name, &exec.gather(VarId(i as u32)));
-        }
-    }
-    fp.record_trace(&report.trace);
-    fp.messages = report.net.messages;
-    Ok(fp)
-}
-
-fn fp_thread<P: Processor>(label: &str, mut exec: ThreadExec<P>, decls: &[Decl]) -> Fingerprint {
-    for (i, d) in decls.iter().enumerate() {
-        if d.is_exclusive() {
-            let full = Section::new(d.bounds.clone());
-            let elem = d.elem;
-            exec.init_exclusive(VarId(i as u32), move |idx| {
-                init_value(elem, full.ordinal_of(idx).unwrap_or(0))
-            });
-        }
-    }
-    let report = exec
-        .run()
-        .unwrap_or_else(|e| panic!("{label}: threaded run: {e}"));
-    let mut fp = Fingerprint::default();
-    for (i, d) in decls.iter().enumerate() {
-        if d.is_exclusive() {
-            fp.record_memory(&d.name, &exec.gather(VarId(i as u32)));
-        }
-    }
-    fp.record_trace(&report.trace);
-    fp.messages = report.net.messages;
-    fp
 }
 
 type SimResult = Result<Fingerprint, String>;
@@ -135,11 +86,11 @@ fn sim_pair(
         cfg = cfg.with_faults(plan);
     }
     let decls = program.decls.clone();
-    let interp = fp_sim(
+    let interp = fp(
         SimExec::new(program.clone(), xdp_apps::app_kernels(), cfg.clone()),
         &decls,
     );
-    let vm = fp_sim(
+    let vm = fp(
         VmExec::sim(program.clone(), xdp_apps::app_kernels(), cfg),
         &decls,
     );
@@ -174,7 +125,7 @@ fn vm_matches_interpreter_on_the_simulated_machine() {
 }
 
 #[test]
-fn vm_matches_interpreter_on_the_threaded_machine() {
+fn vm_matches_interpreter_on_the_task_machine() {
     for (name, source) in programs() {
         for (variant, opts) in variants() {
             let compiled = compile(&source, &opts)
@@ -183,7 +134,7 @@ fn vm_matches_interpreter_on_the_threaded_machine() {
             // Which pid trips a runtime error first races on real
             // threads; only compare variants that run cleanly (the sim
             // test owns error conformance).
-            let probe = fp_sim(
+            let probe = fp(
                 SimExec::new(
                     program.clone(),
                     xdp_apps::app_kernels(),
@@ -194,20 +145,19 @@ fn vm_matches_interpreter_on_the_threaded_machine() {
             if probe.is_err() {
                 continue;
             }
-            let cfg = ThreadConfig::new(compiled.nprocs).with_trace(TraceConfig::full());
-            let decls = program.decls.clone();
-            let label = format!("{name}+{variant}");
-            let interp = fp_thread(
-                &label,
-                ThreadExec::new(program.clone(), xdp_apps::app_kernels(), cfg.clone()),
-                &decls,
-            );
-            let vm = fp_thread(
-                &label,
-                VmExec::threads(program.clone(), xdp_apps::app_kernels(), cfg),
-                &decls,
-            );
-            // Thread schedules vary run to run, so the section-state
+            let cfg = AsyncConfig::new(compiled.nprocs).with_trace(TraceConfig::full());
+            let decls = &program.decls;
+            let interp = fp(
+                AsyncExec::new(program.clone(), xdp_apps::app_kernels(), cfg.clone()),
+                decls,
+            )
+            .unwrap_or_else(|e| panic!("{name}+{variant}: interp run: {e}"));
+            let vm = fp(
+                VmExec::tasks(program.clone(), xdp_apps::app_kernels(), cfg),
+                decls,
+            )
+            .unwrap_or_else(|e| panic!("{name}+{variant}: vm run: {e}"));
+            // Task schedules vary run to run, so the section-state
             // instants are not comparable — everything timing-free is.
             assert_eq!(interp.memory, vm.memory, "{name}+{variant}: memory");
             assert_eq!(interp.movement, vm.movement, "{name}+{variant}: movement");
@@ -226,7 +176,7 @@ fn vm_chaos_runs_are_bit_identical_to_clean() {
         let opts = CompileOptions::default().with_seq(SeqMode::Auto);
         let compiled = compile(&source, &opts).unwrap();
         let decls = compiled.program.decls.clone();
-        let clean = fp_sim(
+        let clean = fp(
             VmExec::sim(
                 compiled.program.clone(),
                 xdp_apps::app_kernels(),
@@ -239,23 +189,7 @@ fn vm_chaos_runs_are_bit_identical_to_clean() {
             .with_trace(TraceConfig::full())
             .with_faults(chaos(11));
         let mut exec = VmExec::sim(compiled.program.clone(), xdp_apps::app_kernels(), cfg);
-        for (i, d) in decls.iter().enumerate() {
-            if d.is_exclusive() {
-                let full = Section::new(d.bounds.clone());
-                let elem = d.elem;
-                exec.init_exclusive(VarId(i as u32), move |idx| {
-                    init_value(elem, full.ordinal_of(idx).unwrap_or(0))
-                });
-            }
-        }
-        let report = exec.run().expect("vm chaos run");
-        let mut faulty = Fingerprint::default();
-        for (i, d) in decls.iter().enumerate() {
-            if d.is_exclusive() {
-                faulty.record_memory(&d.name, &exec.gather(VarId(i as u32)));
-            }
-        }
-        faulty.messages = report.net.messages;
+        let (faulty, report) = Fingerprint::of_run(&mut exec, &decls).expect("vm chaos run");
         assert_eq!(clean.memory, faulty.memory, "{name}: chaos changed memory");
         assert_eq!(
             clean.messages, faulty.messages,
