@@ -153,6 +153,12 @@ impl PassManager {
             .add(ElideAccessibleChecks)
     }
 
+    /// The passes, in pipeline order — for callers that run them one at a
+    /// time (the fuzzer's per-pass-prefix oracle).
+    pub fn into_passes(self) -> Vec<Box<dyn Pass>> {
+        self.passes
+    }
+
     /// Run all passes in order.
     pub fn run(&self, p: &Program) -> (Program, Vec<(String, PassResult)>) {
         let mut cur = p.clone();

@@ -5,16 +5,21 @@
 //! scalar environment (loop variables, `i` in §2.2). Expression evaluation
 //! here implements the compute-rule semantics of §2.4: rules are
 //! side-effect-free, `await` is the only blocking intrinsic, and rules can
-//! be evaluated on any processor without error.
+//! be evaluated on any processor without error. The environment also
+//! carries the processor's transfer state; the rules that act on it are in
+//! [`crate::transfer`].
 
+use crate::interp::StepNote;
+use crate::transfer::PendingRecv;
 use std::collections::HashMap;
 use std::sync::Arc;
+use xdp_collectives::PlanCtx;
 use xdp_ir::{
-    BoolExpr, Decl, ElemBinOp, ElemExpr, IntBinOp, IntExpr, Ownership, Section, SectionRef,
-    Subscript, Triplet, VarId,
+    BoolExpr, CmpOp, Decl, Distribution, ElemBinOp, ElemExpr, IntExpr, Ownership, Section,
+    SectionRef, Subscript, Triplet, VarId,
 };
 use xdp_runtime::symtab::{SecState, SymtabError};
-use xdp_runtime::{Buffer, RtSymbolTable, Value};
+use xdp_runtime::{Buffer, RtSymbolTable, Tag, Value};
 
 /// A run-time error: either incorrect XDP usage caught by the checked
 /// runtime, or a malformed program.
@@ -52,6 +57,8 @@ pub enum RtError {
     BadTransfer { pid: usize, detail: String },
     /// Zero loop step.
     ZeroStep,
+    /// Integer `/` or `%` with a zero divisor.
+    DivisionByZero,
     /// Deadlock detected by the executor.
     Deadlock(String),
     /// A receive's deadline elapsed with no eligible message — the message
@@ -99,6 +106,7 @@ impl std::fmt::Display for RtError {
             RtError::UnknownKernel(n) => write!(f, "unknown kernel `{n}`"),
             RtError::BadTransfer { pid, detail } => write!(f, "p{pid}: {detail}"),
             RtError::ZeroStep => write!(f, "do-loop with zero step"),
+            RtError::DivisionByZero => write!(f, "division by zero"),
             RtError::Deadlock(d) => write!(f, "deadlock:\n{d}"),
             RtError::RecvTimeout(d) => write!(f, "receive timed out:\n{d}"),
             RtError::MessageLost(d) => write!(f, "message lost:\n{d}"),
@@ -118,6 +126,16 @@ pub enum RuleVal {
     False,
     /// Evaluation must block until this section becomes accessible.
     Block(VarId, Section),
+}
+
+impl RuleVal {
+    fn of(b: bool) -> RuleVal {
+        if b {
+            RuleVal::True
+        } else {
+            RuleVal::False
+        }
+    }
 }
 
 /// Per-step operation counters, converted to virtual time by the executor's
@@ -154,6 +172,28 @@ pub struct ProcEnv {
     pub ops: OpCounts,
     /// Symbol-table scan counter at the last drain.
     scanned_baseline: u64,
+    // ---- what the transfer rules ([`crate::transfer`]) keep between
+    // steps; nothing else reads or writes these ----
+    /// Receives initiated and not yet completed, by request id.
+    pub(crate) pending: HashMap<u64, (Tag, PendingRecv)>,
+    /// The last request id handed out (ids are unique machine-wide: the
+    /// pid is in the high half).
+    pub(crate) next_req: u64,
+    /// The executor released the barrier this processor is waiting at.
+    pub(crate) barrier_passed: bool,
+    /// Current distribution of each redistributed variable (falls back to
+    /// the declared distribution). SPMD-identical across processors.
+    pub(crate) cur_dist: HashMap<VarId, Distribution>,
+    /// The machine-wide planning context: what the redistribution planner
+    /// prices schedules with, and the plans the machine's processors
+    /// share (private 1993 defaults until a driver sets the machine's).
+    pub(crate) plan_ctx: Arc<PlanCtx>,
+    /// Count of `redistribute` statements executed, for tag salting.
+    pub(crate) redist_epoch: u64,
+    /// Statement id of the statement the current step is executing.
+    pub(crate) cur_sid: Option<u32>,
+    /// Structured note the current step produced (kernel, collective).
+    pub(crate) cur_note: Option<StepNote>,
 }
 
 impl ProcEnv {
@@ -181,6 +221,14 @@ impl ProcEnv {
             checked,
             ops: OpCounts::default(),
             scanned_baseline: 0,
+            pending: HashMap::new(),
+            next_req: (pid as u64) << 32,
+            barrier_passed: false,
+            cur_dist: HashMap::new(),
+            plan_ctx: PlanCtx::default_1993(),
+            redist_epoch: 0,
+            cur_sid: None,
+            cur_note: None,
         }
     }
 
@@ -216,42 +264,71 @@ impl ProcEnv {
             IntExpr::MyPid => Ok(self.pid as i64),
             IntExpr::MyLb(r, d) => {
                 let (var, sec) = self.eval_section(r)?;
-                self.require_exclusive(var)?;
-                self.ops.symtab_ops += 1;
-                Ok(self.symtab.mylb(var, &sec, *d))
+                self.mylb(var, &sec, *d)
             }
             IntExpr::MyUb(r, d) => {
                 let (var, sec) = self.eval_section(r)?;
-                self.require_exclusive(var)?;
-                self.ops.symtab_ops += 1;
-                Ok(self.symtab.myub(var, &sec, *d))
+                self.myub(var, &sec, *d)
             }
             IntExpr::Neg(a) => Ok(self.eval_int(a)?.saturating_neg()),
             IntExpr::Bin(op, a, b) => {
                 let (a, b) = (self.eval_int(a)?, self.eval_int(b)?);
                 self.ops.flops += 1;
-                // Saturating arithmetic: bounds expressions legitimately
-                // combine mylb/myub sentinels (i64::MAX / i64::MIN, §2.3)
-                // with offsets; saturation keeps empty ranges empty.
-                Ok(match op {
-                    IntBinOp::Add => a.saturating_add(b),
-                    IntBinOp::Sub => a.saturating_sub(b),
-                    IntBinOp::Mul => a.saturating_mul(b),
-                    IntBinOp::Div => a / b,
-                    IntBinOp::Mod => a.rem_euclid(b),
-                    IntBinOp::Min => a.min(b),
-                    IntBinOp::Max => a.max(b),
-                })
+                op.apply(a, b).ok_or(RtError::DivisionByZero)
             }
         }
     }
 
-    fn require_exclusive(&self, var: VarId) -> Result<(), RtError> {
+    // ---- the intrinsics of §2.3 on an evaluated section: exclusive
+    // variables only, one symbol-table query charged each ----
+
+    fn charge_intrinsic(&mut self, var: VarId) -> Result<(), RtError> {
         if self.decls[var.index()].ownership == Ownership::Universal {
-            Err(RtError::IntrinsicOnUniversal(var))
-        } else {
-            Ok(())
+            return Err(RtError::IntrinsicOnUniversal(var));
         }
+        self.ops.symtab_ops += 1;
+        Ok(())
+    }
+
+    /// `mylb(X, d)`: smallest owned index in dimension `d`.
+    pub fn mylb(&mut self, var: VarId, sec: &Section, d: u32) -> Result<i64, RtError> {
+        self.charge_intrinsic(var)?;
+        Ok(self.symtab.mylb(var, sec, d))
+    }
+
+    /// `myub(X, d)`: largest owned index in dimension `d`.
+    pub fn myub(&mut self, var: VarId, sec: &Section, d: u32) -> Result<i64, RtError> {
+        self.charge_intrinsic(var)?;
+        Ok(self.symtab.myub(var, sec, d))
+    }
+
+    /// `iown(X)`.
+    pub fn iown(&mut self, var: VarId, sec: &Section) -> Result<RuleVal, RtError> {
+        self.charge_intrinsic(var)?;
+        Ok(RuleVal::of(self.symtab.iown(var, sec)))
+    }
+
+    /// `accessible(X)`.
+    pub fn accessible(&mut self, var: VarId, sec: &Section) -> Result<RuleVal, RtError> {
+        self.charge_intrinsic(var)?;
+        Ok(RuleVal::of(self.symtab.accessible(var, sec)))
+    }
+
+    /// `await(X)`: false if unowned, blocks while transitional, true when
+    /// accessible.
+    pub fn await_(&mut self, var: VarId, sec: Section) -> Result<RuleVal, RtError> {
+        self.charge_intrinsic(var)?;
+        Ok(match self.symtab.state_of(var, &sec) {
+            SecState::Unowned => RuleVal::False,
+            SecState::Transitional => RuleVal::Block(var, sec),
+            SecState::Accessible => RuleVal::True,
+        })
+    }
+
+    /// An integer comparison in a compute rule, on evaluated operands.
+    pub fn compare(&mut self, op: CmpOp, a: i64, b: i64) -> RuleVal {
+        self.ops.flops += 1;
+        RuleVal::of(op.eval(a, b))
     }
 
     /// Resolve a section reference to a concrete `(variable, section)`.
@@ -281,42 +358,19 @@ impl ProcEnv {
             BoolExpr::False => RuleVal::False,
             BoolExpr::Iown(r) => {
                 let (var, sec) = self.eval_section(r)?;
-                self.require_exclusive(var)?;
-                self.ops.symtab_ops += 1;
-                if self.symtab.iown(var, &sec) {
-                    RuleVal::True
-                } else {
-                    RuleVal::False
-                }
+                self.iown(var, &sec)?
             }
             BoolExpr::Accessible(r) => {
                 let (var, sec) = self.eval_section(r)?;
-                self.require_exclusive(var)?;
-                self.ops.symtab_ops += 1;
-                if self.symtab.accessible(var, &sec) {
-                    RuleVal::True
-                } else {
-                    RuleVal::False
-                }
+                self.accessible(var, &sec)?
             }
             BoolExpr::Await(r) => {
                 let (var, sec) = self.eval_section(r)?;
-                self.require_exclusive(var)?;
-                self.ops.symtab_ops += 1;
-                match self.symtab.state_of(var, &sec) {
-                    SecState::Unowned => RuleVal::False,
-                    SecState::Transitional => RuleVal::Block(var, sec),
-                    SecState::Accessible => RuleVal::True,
-                }
+                self.await_(var, sec)?
             }
             BoolExpr::Cmp(op, a, b) => {
                 let (a, b) = (self.eval_int(a)?, self.eval_int(b)?);
-                self.ops.flops += 1;
-                if op.eval(a, b) {
-                    RuleVal::True
-                } else {
-                    RuleVal::False
-                }
+                self.compare(*op, a, b)
             }
             BoolExpr::And(a, b) => match self.eval_rule(a)? {
                 RuleVal::False => RuleVal::False,
@@ -356,25 +410,7 @@ impl ProcEnv {
             self.ops.flops += sec.volume() as u64;
             return Ok(out);
         }
-        if self.checked {
-            match self.symtab.classify(var, sec).0 {
-                SecState::Accessible => {}
-                SecState::Transitional => {
-                    return Err(RtError::TransitionalRead {
-                        pid: self.pid,
-                        var,
-                        sec: sec.clone(),
-                    })
-                }
-                SecState::Unowned => {
-                    return Err(RtError::UnownedRead {
-                        pid: self.pid,
-                        var,
-                        sec: sec.clone(),
-                    })
-                }
-            }
-        }
+        self.check_read(var, sec)?;
         self.ops.flops += sec.volume() as u64;
         self.symtab
             .read_section(var, sec)
@@ -383,6 +419,27 @@ impl ProcEnv {
                 var,
                 sec: sec.clone(),
             })
+    }
+
+    /// Checked mode: reading an exclusive section that is transitional
+    /// (value unpredictable) or not owned here is an error.
+    pub fn check_read(&self, var: VarId, sec: &Section) -> Result<(), RtError> {
+        if !self.checked {
+            return Ok(());
+        }
+        match self.symtab.classify(var, sec).0 {
+            SecState::Accessible => Ok(()),
+            SecState::Transitional => Err(RtError::TransitionalRead {
+                pid: self.pid,
+                var,
+                sec: sec.clone(),
+            }),
+            SecState::Unowned => Err(RtError::UnownedRead {
+                pid: self.pid,
+                var,
+                sec: sec.clone(),
+            }),
+        }
     }
 
     /// Scatter a buffer into a writable section.

@@ -7,7 +7,13 @@
 //! must now perform — post a send, post a receive, block on a section
 //! state, or synchronize at a barrier.
 //!
-//! Blocking semantics implemented here, per Figure 1:
+//! The interpreter is the reference *evaluator*: it walks the statement
+//! tree, evaluates operands (charging each as it goes) and gathers
+//! sections element by element. What a transfer statement does once its
+//! operands are values is [`crate::transfer`], shared with every other
+//! processor implementation.
+//!
+//! Blocking semantics, per Figure 1:
 //!
 //! * `E =>` / `E -=>` block until `E` is accessible, then transfer.
 //! * `E <- X` blocks until `E` is accessible, then initiates the receive
@@ -23,12 +29,11 @@
 
 use crate::env::{OpCounts, ProcEnv, RtError, RuleVal};
 use crate::kernels::KernelRegistry;
-use std::collections::HashMap;
+use crate::proc::Processor;
 use std::sync::Arc as Rc;
 use std::sync::Arc;
-use xdp_collectives::PlanCtx;
-use xdp_ir::{Decl, DestSet, Distribution, Program, Section, Stmt, TransferKind, VarId};
-use xdp_runtime::{Buffer, Msg, Tag};
+use xdp_ir::{Decl, DestSet, Program, Section, Stmt, TransferKind, VarId};
+use xdp_runtime::{Msg, Tag};
 
 /// What the executor must do after a step.
 #[derive(Clone, Debug)]
@@ -38,7 +43,7 @@ pub enum Action {
     /// A send was initiated: post `msg` (to `dest` pids if bound).
     Send { msg: Msg, dest: Option<Vec<usize>> },
     /// A receive was initiated: post a request for `tag`; deliver the
-    /// matched message via [`Interp::complete_recv`] with `req_id`.
+    /// matched message via [`ProcEnv::complete_recv`] with `req_id`.
     PostRecv { tag: Tag, req_id: u64 },
     /// Blocked until `sec` of `var` becomes accessible on this processor
     /// (some outstanding receive must complete first).
@@ -79,21 +84,6 @@ pub enum StepNote {
     },
 }
 
-/// An initiated, uncompleted receive.
-#[derive(Clone, Debug)]
-enum PendingRecv {
-    Value {
-        var: VarId,
-        sec: Section,
-        touched: Vec<usize>,
-    },
-    Own {
-        var: VarId,
-        seg_id: usize,
-        kind: TransferKind,
-    },
-}
-
 #[derive(Debug)]
 enum Frame {
     Block {
@@ -117,27 +107,11 @@ enum Frame {
 
 /// The per-processor interpreter.
 pub struct Interp {
-    /// The processor's environment (symbol table, scalars, universal data).
+    /// The processor's environment (symbol table, scalars, universal data,
+    /// transfer state).
     pub env: ProcEnv,
-    program: Arc<Program>,
     kernels: KernelRegistry,
     stack: Vec<Frame>,
-    pending: HashMap<u64, (Tag, PendingRecv)>,
-    next_req: u64,
-    barrier_passed: bool,
-    /// Current distribution of each redistributed variable (falls back to
-    /// the declared distribution). SPMD-identical across processors.
-    cur_dist: HashMap<VarId, Distribution>,
-    /// The machine-wide planning context: what the redistribution planner
-    /// prices schedules with, and the plans the machine's processors
-    /// share (private 1993 defaults until a driver sets the machine's).
-    plan_ctx: Arc<PlanCtx>,
-    /// Count of `redistribute` statements executed, for tag salting.
-    redist_epoch: u64,
-    /// Statement id of the statement the current step is executing.
-    cur_sid: Option<u32>,
-    /// Structured note the current step produced (kernel, collective).
-    cur_note: Option<StepNote>,
 }
 
 impl Interp {
@@ -155,35 +129,13 @@ impl Interp {
         let ids: Rc<[u32]> = xdp_ir::block_stmt_ids(0, &program.body).into();
         Interp {
             env,
-            program,
             kernels,
             stack: vec![Frame::Block {
                 stmts: body,
                 ids,
                 idx: 0,
             }],
-            pending: HashMap::new(),
-            next_req: (pid as u64) << 32,
-            barrier_passed: false,
-            cur_dist: HashMap::new(),
-            plan_ctx: PlanCtx::default_1993(),
-            redist_epoch: 0,
-            cur_sid: None,
-            cur_note: None,
         }
-    }
-
-    /// Join a machine: plan redistributions through its shared context.
-    /// Every processor of one machine must be handed the same context
-    /// (identical plans are what make schedules and tags agree
-    /// machine-wide).
-    pub fn set_plan_ctx(&mut self, ctx: Arc<PlanCtx>) {
-        self.plan_ctx = ctx;
-    }
-
-    /// The loaded program.
-    pub fn program(&self) -> &Arc<Program> {
-        &self.program
     }
 
     /// True when the program has run to completion here.
@@ -191,130 +143,10 @@ impl Interp {
         self.stack.is_empty()
     }
 
-    /// A human-readable description of where execution currently stands:
-    /// the loop nest with live induction values and the statement index in
-    /// the innermost block. Used by deadlock diagnostics.
-    pub fn position(&self) -> String {
-        if self.stack.is_empty() {
-            return "done".to_string();
-        }
-        let mut parts = Vec::new();
-        for f in &self.stack {
-            match f {
-                Frame::Loop {
-                    var,
-                    current,
-                    hi,
-                    step,
-                    ..
-                } => {
-                    // `current` has already advanced past the live value.
-                    parts.push(format!("do {var}={} (to {hi} by {step})", current - step));
-                }
-                Frame::Block { idx, stmts, .. } => {
-                    parts.push(format!("stmt {}/{}", (*idx).min(stmts.len()), stmts.len()));
-                }
-            }
-        }
-        parts.join(" > ")
-    }
-
-    /// Receives initiated but not yet completed, as `(req_id, tag)`.
-    pub fn outstanding(&self) -> Vec<(u64, Tag)> {
-        let mut v: Vec<(u64, Tag)> = self
-            .pending
-            .iter()
-            .map(|(r, (t, _))| (*r, t.clone()))
-            .collect();
-        v.sort_by_key(|(r, _)| *r);
-        v
-    }
-
-    /// Outstanding receives whose target overlaps `sec` of `var` — the
-    /// receives that must complete to make it accessible.
-    pub fn outstanding_for(&self, var: VarId, sec: &Section) -> Vec<(u64, Tag)> {
-        let mut v: Vec<(u64, Tag)> = self
-            .pending
-            .iter()
-            .filter(|(_, (_, p))| match p {
-                PendingRecv::Value {
-                    var: v2, sec: s2, ..
-                } => *v2 == var && s2.overlaps(sec),
-                PendingRecv::Own {
-                    var: v2, seg_id, ..
-                } => {
-                    *v2 == var
-                        && self
-                            .env
-                            .symtab
-                            .entry(*v2)
-                            .map(|e| e.segments[*seg_id].section.overlaps(sec))
-                            .unwrap_or(false)
-                }
-            })
-            .map(|(r, (t, _))| (*r, t.clone()))
-            .collect();
-        v.sort_by_key(|(r, _)| *r);
-        v
-    }
-
-    /// Apply a matched message to the receive it completes.
-    pub fn complete_recv(&mut self, req_id: u64, msg: Msg) -> Result<(), RtError> {
-        let (tag, pending) = self
-            .pending
-            .remove(&req_id)
-            .ok_or_else(|| RtError::BadTransfer {
-                pid: self.env.pid,
-                detail: format!("completion for unknown receive request {req_id}"),
-            })?;
-        debug_assert_eq!(tag, msg.tag, "matcher delivered a mismatched tag");
-        match pending {
-            PendingRecv::Value { var, sec, touched } => {
-                if self.env.checked && msg.kind != TransferKind::Value {
-                    return Err(RtError::BadTransfer {
-                        pid: self.env.pid,
-                        detail: format!("value receive of {tag} matched a {:?} send", msg.kind),
-                    });
-                }
-                let payload = msg.payload.as_ref().ok_or_else(|| RtError::BadTransfer {
-                    pid: self.env.pid,
-                    detail: format!("value receive of {tag} got no payload"),
-                })?;
-                self.env
-                    .symtab
-                    .complete_value_recv(var, &sec, &touched, payload)?;
-            }
-            PendingRecv::Own { var, seg_id, kind } => {
-                if self.env.checked && msg.kind != kind {
-                    return Err(RtError::BadTransfer {
-                        pid: self.env.pid,
-                        detail: format!("ownership receive of {tag} matched a {:?} send", msg.kind),
-                    });
-                }
-                let payload: Option<&Buffer> = if kind == TransferKind::OwnershipValue {
-                    msg.payload.as_deref()
-                } else {
-                    None
-                };
-                self.env
-                    .symtab
-                    .complete_ownership_recv(var, seg_id, payload)?;
-            }
-        }
-        Ok(())
-    }
-
     /// Perform one atomic step.
     pub fn step(&mut self) -> Result<StepOut, RtError> {
-        self.cur_sid = None;
-        self.cur_note = None;
-        let action = self.step_inner()?;
-        Ok(StepOut {
-            action,
-            ops: self.env.drain_ops(),
-            sid: self.cur_sid,
-            note: self.cur_note.take(),
-        })
+        let action = self.step_inner();
+        self.env.end_step(action)
     }
 
     fn step_inner(&mut self) -> Result<Action, RtError> {
@@ -331,7 +163,7 @@ impl Interp {
                     }
                     let stmt = stmts[*idx].clone();
                     let sid = ids[*idx];
-                    self.cur_sid = Some(sid);
+                    self.env.at_stmt(sid);
                     return self.exec_stmt(stmt, sid);
                 }
                 Frame::Loop {
@@ -357,7 +189,7 @@ impl Interp {
                     let name = var.clone();
                     let b = body.clone();
                     let bids = ids.clone();
-                    self.cur_sid = Some(*sid);
+                    self.env.at_stmt(*sid);
                     self.env.scalars.insert(name, v);
                     self.env.ops.flops += 1; // loop bookkeeping
                     self.stack.push(Frame::Block {
@@ -378,9 +210,13 @@ impl Interp {
         }
     }
 
-    fn fresh_req(&mut self) -> u64 {
-        self.next_req += 1;
-        self.next_req
+    /// Move past the current statement unless `action` says it must run
+    /// again when the processor is woken.
+    fn settle(&mut self, action: Action) -> Action {
+        if !matches!(action, Action::BlockOn { .. } | Action::Barrier) {
+            self.advance();
+        }
+        action
     }
 
     fn exec_stmt(&mut self, stmt: Stmt, sid: u32) -> Result<Action, RtError> {
@@ -419,8 +255,7 @@ impl Interp {
                     bufs.push(self.env.read_section(*v, s)?);
                 }
                 let flops = kernel.run(&mut bufs, &ints);
-                self.env.ops.flops += flops;
-                self.cur_note = Some(StepNote::Kernel { name, flops });
+                self.env.ran_kernel(name, flops);
                 for ((v, s), buf) in secs.iter().zip(&bufs) {
                     self.env.write_section(*v, s, buf)?;
                 }
@@ -448,48 +283,12 @@ impl Interp {
                         Some(pids)
                     }
                 };
-                let payload = match kind {
-                    TransferKind::Value => Some(Arc::new(self.env.read_section(var, &s)?)),
-                    TransferKind::Ownership | TransferKind::OwnershipValue => {
-                        if let Some(d) = &dests {
-                            if d.len() > 1 {
-                                return Err(RtError::BadTransfer {
-                                    pid: self.env.pid,
-                                    detail: "ownership multicast is meaningless".to_string(),
-                                });
-                            }
-                        }
-                        use xdp_runtime::symtab::SecState;
-                        match self.env.symtab.state_of(var, &s) {
-                            SecState::Unowned => {
-                                return Err(RtError::BadTransfer {
-                                    pid: self.env.pid,
-                                    detail: format!("ownership send of unowned {var}{s}"),
-                                })
-                            }
-                            SecState::Transitional => {
-                                // "Owner send operations block until the
-                                // section is accessible" (§2.6).
-                                return Ok(Action::BlockOn { var, sec: s });
-                            }
-                            SecState::Accessible => {}
-                        }
-                        let data = self.env.symtab.remove_ownership(var, &s)?;
-                        if kind == TransferKind::OwnershipValue {
-                            Some(Arc::new(data))
-                        } else {
-                            None
-                        }
-                    }
+                let gathered = match kind {
+                    TransferKind::Value => Some(self.env.read_section(var, &s)?),
+                    TransferKind::Ownership | TransferKind::OwnershipValue => None,
                 };
-                let msg = Msg {
-                    tag: Tag::salted(var, s, salt_v),
-                    kind,
-                    payload,
-                    src: self.env.pid,
-                };
-                self.advance();
-                Ok(Action::Send { msg, dest: dests })
+                let action = self.env.send(var, s, kind, salt_v, dests, gathered)?;
+                Ok(self.settle(action))
             }
             Stmt::Recv {
                 target,
@@ -502,65 +301,20 @@ impl Interp {
                     None => 0,
                     Some(e) => self.env.eval_int(e)?,
                 };
-                match kind {
+                let action = match kind {
                     TransferKind::Value => {
-                        use xdp_runtime::symtab::SecState;
-                        match self.env.symtab.state_of(tvar, &tsec) {
-                            SecState::Unowned => {
-                                return Err(RtError::Symtab(
-                                    xdp_runtime::symtab::SymtabError::NotOwned {
-                                        var: tvar,
-                                        sec: tsec,
-                                    },
-                                ))
-                            }
-                            SecState::Transitional => {
-                                // "Blocks until E is accessible" (§2.7).
-                                return Ok(Action::BlockOn {
-                                    var: tvar,
-                                    sec: tsec,
-                                });
-                            }
-                            SecState::Accessible => {}
+                        if let Some(block) = self.env.check_value_recv(tvar, &tsec)? {
+                            return Ok(block);
                         }
                         let nref = Stmt::recv_match_name(&target, &name);
-                        let (nvar, nsec) = self.env.eval_section(&nref)?;
-                        let touched = self.env.symtab.begin_value_recv(tvar, &tsec)?;
-                        let req = self.fresh_req();
-                        let tag = Tag::salted(nvar, nsec, salt_v);
-                        self.pending.insert(
-                            req,
-                            (
-                                tag.clone(),
-                                PendingRecv::Value {
-                                    var: tvar,
-                                    sec: tsec,
-                                    touched,
-                                },
-                            ),
-                        );
-                        self.advance();
-                        Ok(Action::PostRecv { tag, req_id: req })
+                        let nname = self.env.eval_section(&nref)?;
+                        self.env.post_value_recv(tvar, tsec, nname, salt_v)?
                     }
                     TransferKind::Ownership | TransferKind::OwnershipValue => {
-                        let seg_id = self.env.symtab.begin_ownership_recv(tvar, &tsec)?;
-                        let req = self.fresh_req();
-                        let tag = Tag::salted(tvar, tsec, salt_v);
-                        self.pending.insert(
-                            req,
-                            (
-                                tag.clone(),
-                                PendingRecv::Own {
-                                    var: tvar,
-                                    seg_id,
-                                    kind,
-                                },
-                            ),
-                        );
-                        self.advance();
-                        Ok(Action::PostRecv { tag, req_id: req })
+                        self.env.post_ownership_recv(tvar, tsec, kind, salt_v)?
                     }
-                }
+                };
+                Ok(self.settle(action))
             }
             Stmt::Guarded { rule, body } => match self.env.eval_rule(&rule)? {
                 RuleVal::False => {
@@ -608,40 +362,11 @@ impl Interp {
                 Ok(Action::Continue)
             }
             Stmt::Barrier => {
-                if self.barrier_passed {
-                    self.barrier_passed = false;
-                    self.advance();
-                    Ok(Action::Continue)
-                } else {
-                    Ok(Action::Barrier)
-                }
+                let action = self.env.barrier();
+                Ok(self.settle(action))
             }
             Stmt::Redistribute { var, dist } => {
-                let decl = self.program.decl(var);
-                let src = self
-                    .cur_dist
-                    .get(&var)
-                    .or(decl.dist.as_ref())
-                    .cloned()
-                    .ok_or_else(|| RtError::BadTransfer {
-                        pid: self.env.pid,
-                        detail: format!("redistribute of undistributed `{}`", decl.name),
-                    })?;
-                let plan = self.plan_ctx.plan(var, decl, &src, &dist);
-                // Planning consults the section algebra once per message.
-                self.env.ops.symtab_ops += plan.schedule.message_count() as u64;
-                // Epoch-salted tags keep successive redistributions of one
-                // variable from cross-matching.
-                self.redist_epoch += 1;
-                let salt_base = self.redist_epoch as i64 * 1_000_000;
-                let stmts =
-                    xdp_collectives::lower_redistribute_for_pid(&plan, self.env.pid, salt_base);
-                self.cur_note = Some(StepNote::Collective {
-                    var: decl.name.clone(),
-                    strategy: plan.strategy.to_string(),
-                    pieces: plan.schedule.message_count(),
-                });
-                self.cur_dist.insert(var, dist);
+                let stmts = self.env.redistribute(var, dist)?;
                 self.advance();
                 // Every statement the redistribute expands into inherits
                 // its id, so trace attribution stays on the source line.
@@ -656,10 +381,47 @@ impl Interp {
             }
         }
     }
+}
 
-    /// Release this processor from a barrier (executor callback).
-    pub fn pass_barrier(&mut self) {
-        self.barrier_passed = true;
+impl Processor for Interp {
+    fn step(&mut self) -> Result<StepOut, RtError> {
+        Interp::step(self)
+    }
+
+    /// A human-readable description of where execution currently stands:
+    /// the loop nest with live induction values and the statement index in
+    /// the innermost block. Used by deadlock diagnostics.
+    fn position(&self) -> String {
+        if self.stack.is_empty() {
+            return "done".to_string();
+        }
+        let mut parts = Vec::new();
+        for f in &self.stack {
+            match f {
+                Frame::Loop {
+                    var,
+                    current,
+                    hi,
+                    step,
+                    ..
+                } => {
+                    // `current` has already advanced past the live value.
+                    parts.push(format!("do {var}={} (to {hi} by {step})", current - step));
+                }
+                Frame::Block { idx, stmts, .. } => {
+                    parts.push(format!("stmt {}/{}", (*idx).min(stmts.len()), stmts.len()));
+                }
+            }
+        }
+        parts.join(" > ")
+    }
+
+    fn env(&self) -> &ProcEnv {
+        &self.env
+    }
+
+    fn env_mut(&mut self) -> &mut ProcEnv {
+        &mut self.env
     }
 }
 
@@ -758,202 +520,6 @@ mod tests {
         let mut i = Interp::new(Arc::new(p), KernelRegistry::standard(), 1, 4, true);
         run_to_done(&mut i);
         assert_eq!(i.env.symtab.read(VarId(0), &[3]), Some(Value::F64(0.0)));
-    }
-
-    #[test]
-    fn send_and_recv_actions_surface() {
-        // P0 sends its block's value; P1 receives it into its own block
-        // (value receive with matching name).
-        let mut p = Program::new();
-        let grid = ProcGrid::linear(2);
-        let a = p.declare(b::array(
-            "A",
-            ElemType::F64,
-            vec![(1, 4)],
-            vec![DimDist::Block],
-            grid.clone(),
-        ));
-        let t = p.declare(b::array(
-            "T",
-            ElemType::F64,
-            vec![(1, 4)],
-            vec![DimDist::Block],
-            grid,
-        ));
-        let p0sec = b::sref(a, vec![b::span(b::c(1), b::c(2))]);
-        let tmine = b::sref(t, vec![b::span(b::c(3), b::c(4))]);
-        p.body = vec![
-            b::guarded(b::iown(p0sec.clone()), vec![b::send(p0sec.clone())]),
-            b::guarded(
-                b::cmp(xdp_ir::CmpOp::Eq, b::mypid(), b::c(1)),
-                vec![b::recv_val(tmine.clone(), p0sec.clone())],
-            ),
-        ];
-        let p = Arc::new(p);
-
-        // P0: expect a Send action.
-        let mut i0 = Interp::new(p.clone(), KernelRegistry::standard(), 0, 2, true);
-        i0.env.symtab.write(VarId(0), &[1], Value::F64(6.0));
-        let mut saw_send = None;
-        loop {
-            match i0.step().unwrap().action {
-                Action::Send { msg, dest } => {
-                    saw_send = Some((msg, dest));
-                }
-                Action::Done => break,
-                Action::Continue => {}
-                other => panic!("{other:?}"),
-            }
-        }
-        let (msg, dest) = saw_send.expect("P0 sent");
-        assert_eq!(dest, None);
-        assert_eq!(msg.src, 0);
-        assert_eq!(msg.payload.as_ref().unwrap().get(0), Value::F64(6.0));
-
-        // P1: expect a PostRecv, then completion applies the payload.
-        let mut i1 = Interp::new(p, KernelRegistry::standard(), 1, 2, true);
-        let mut req = None;
-        loop {
-            match i1.step().unwrap().action {
-                Action::PostRecv { tag, req_id } => {
-                    assert_eq!(tag, msg.tag);
-                    req = Some(req_id);
-                }
-                Action::Done => break,
-                Action::Continue => {}
-                other => panic!("{other:?}"),
-            }
-        }
-        let req = req.expect("P1 posted recv");
-        assert_eq!(i1.outstanding().len(), 1);
-        // Target transitional while in flight.
-        use xdp_runtime::symtab::SecState;
-        let tsec = Section::new(vec![xdp_ir::Triplet::range(3, 4)]);
-        assert_eq!(
-            i1.env.symtab.state_of(VarId(1), &tsec),
-            SecState::Transitional
-        );
-        i1.complete_recv(req, msg).unwrap();
-        assert_eq!(
-            i1.env.symtab.state_of(VarId(1), &tsec),
-            SecState::Accessible
-        );
-        assert_eq!(i1.env.symtab.read(VarId(1), &[3]), Some(Value::F64(6.0)));
-        assert!(i1.outstanding().is_empty());
-    }
-
-    #[test]
-    fn await_blocks_until_completion() {
-        // P1 initiates an ownership receive then awaits it.
-        let mut p = Program::new();
-        let a = p.declare(b::array(
-            "A",
-            ElemType::F64,
-            vec![(1, 4)],
-            vec![DimDist::Block],
-            ProcGrid::linear(2),
-        ));
-        let p0sec = b::sref(a, vec![b::span(b::c(1), b::c(2))]);
-        p.body = vec![
-            b::guarded(
-                b::cmp(xdp_ir::CmpOp::Eq, b::mypid(), b::c(1)),
-                vec![
-                    b::recv_own_val(p0sec.clone()),
-                    b::guarded(
-                        b::await_(p0sec.clone()),
-                        vec![b::assign(
-                            p0sec.clone(),
-                            b::val(p0sec.clone()).add(xdp_ir::ElemExpr::LitF(1.0)),
-                        )],
-                    ),
-                ],
-            ),
-            b::guarded(
-                b::cmp(xdp_ir::CmpOp::Eq, b::mypid(), b::c(0)),
-                vec![b::send_own_val(p0sec.clone())],
-            ),
-        ];
-        let p = Arc::new(p);
-        let mut i1 = Interp::new(p.clone(), KernelRegistry::standard(), 1, 2, true);
-        let mut req = None;
-        let mut blocked = false;
-        for _ in 0..100 {
-            match i1.step().unwrap().action {
-                Action::PostRecv { req_id, .. } => req = Some(req_id),
-                Action::BlockOn { var, sec } => {
-                    assert_eq!(var, VarId(0));
-                    blocked = true;
-                    let waiting = i1.outstanding_for(var, &sec);
-                    assert_eq!(waiting.len(), 1);
-                    break;
-                }
-                Action::Continue => {}
-                other => panic!("{other:?}"),
-            }
-        }
-        assert!(blocked, "await should block while transitional");
-
-        // Drive P0 to produce the ownership message.
-        let mut i0 = Interp::new(p, KernelRegistry::standard(), 0, 2, true);
-        i0.env.symtab.write(VarId(0), &[1], Value::F64(10.0));
-        let mut sent = None;
-        loop {
-            match i0.step().unwrap().action {
-                Action::Send { msg, .. } => sent = Some(msg),
-                Action::Done => break,
-                Action::Continue => {}
-                other => panic!("{other:?}"),
-            }
-        }
-        let msg = sent.unwrap();
-        assert_eq!(msg.kind, TransferKind::OwnershipValue);
-        // P0 no longer owns; storage released.
-        assert!(!i0
-            .env
-            .symtab
-            .iown(VarId(0), &Section::new(vec![xdp_ir::Triplet::range(1, 2)])));
-
-        // Complete on P1 and let it finish: A[1] becomes 11.
-        i1.complete_recv(req.unwrap(), msg).unwrap();
-        loop {
-            match i1.step().unwrap().action {
-                Action::Done => break,
-                Action::Continue => {}
-                other => panic!("{other:?}"),
-            }
-        }
-        assert_eq!(i1.env.symtab.read(VarId(0), &[1]), Some(Value::F64(11.0)));
-    }
-
-    #[test]
-    fn barrier_round_trip() {
-        let mut p = Program::new();
-        let _ = p.declare(b::array(
-            "A",
-            ElemType::F64,
-            vec![(1, 2)],
-            vec![DimDist::Block],
-            ProcGrid::linear(1),
-        ));
-        p.body = vec![Stmt::Barrier];
-        let mut i = Interp::new(Arc::new(p), KernelRegistry::standard(), 0, 1, true);
-        match i.step().unwrap().action {
-            Action::Barrier => {}
-            other => panic!("{other:?}"),
-        }
-        // Still at the barrier until released.
-        match i.step().unwrap().action {
-            Action::Barrier => {}
-            other => panic!("{other:?}"),
-        }
-        i.pass_barrier();
-        loop {
-            match i.step().unwrap().action {
-                Action::Done => break,
-                Action::Continue => {}
-                other => panic!("{other:?}"),
-            }
-        }
     }
 
     #[test]

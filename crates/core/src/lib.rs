@@ -53,6 +53,7 @@ pub mod proc;
 pub mod recorder;
 pub mod report;
 pub mod sim_exec;
+pub mod transfer;
 
 pub use async_exec::{AsyncConfig, AsyncExec};
 pub use env::{OpCounts, ProcEnv, RtError, RuleVal};

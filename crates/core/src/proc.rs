@@ -5,14 +5,19 @@
 //! them, deliver matched messages, release barriers, and read their
 //! environments for initialization and gather. The tree-walking
 //! [`Interp`] is the reference implementation; a compiled backend (see
-//! `xdp-vm`) plugs in by implementing the same trait. Any implementation
-//! must mirror the interpreter's observable contract exactly — one
-//! [`crate::StepOut`] per statement, identical [`crate::OpCounts`], and
-//! identical action/blocking behavior — or the deterministic simulated
-//! timeline (and hence rendezvous matching) diverges.
+//! `xdp-vm`) plugs in by implementing the same trait. An implementation
+//! supplies an *evaluator* — `step` over its own code form — and the
+//! environment; receive completion, outstanding-receive queries, barrier
+//! release and machine joining are provided here over the environment's
+//! shared transfer state ([`crate::transfer`]), so they cannot differ
+//! between backends. What an evaluator must still match the interpreter
+//! on is evaluation itself — one [`crate::StepOut`] per statement and
+//! identical [`crate::OpCounts`], charged in the same order — or the
+//! deterministic simulated timeline (and hence rendezvous matching)
+//! diverges.
 
 use crate::env::{ProcEnv, RtError};
-use crate::interp::{Interp, StepOut};
+use crate::interp::StepOut;
 use crate::report::{ExecReport, Gathered};
 use std::sync::Arc;
 use xdp_collectives::PlanCtx;
@@ -26,30 +31,40 @@ pub trait Processor: Send {
     /// Execute one statement, returning the action and charged op counts.
     fn step(&mut self) -> Result<StepOut, RtError>;
 
-    /// Complete a previously posted receive with its matched message.
-    fn complete_recv(&mut self, req_id: u64, msg: Msg) -> Result<(), RtError>;
-
-    /// All outstanding (posted, uncompleted) receives, ordered by request.
-    fn outstanding(&self) -> Vec<(u64, Tag)>;
-
-    /// Outstanding receives that gate accessibility of `var[sec]`.
-    fn outstanding_for(&self, var: VarId, sec: &Section) -> Vec<(u64, Tag)>;
-
-    /// Release this processor from a barrier it reported via
-    /// [`crate::Action::Barrier`].
-    fn pass_barrier(&mut self);
-
     /// Human-readable program position, for deadlock diagnostics.
     fn position(&self) -> String;
-
-    /// Join a machine: plan redistributions through its shared context.
-    fn set_plan_ctx(&mut self, ctx: Arc<PlanCtx>);
 
     /// The processor's run-time environment.
     fn env(&self) -> &ProcEnv;
 
     /// Mutable access to the run-time environment (initialization).
     fn env_mut(&mut self) -> &mut ProcEnv;
+
+    /// Complete a previously posted receive with its matched message.
+    fn complete_recv(&mut self, req_id: u64, msg: Msg) -> Result<(), RtError> {
+        self.env_mut().complete_recv(req_id, msg)
+    }
+
+    /// All outstanding (posted, uncompleted) receives, ordered by request.
+    fn outstanding(&self) -> Vec<(u64, Tag)> {
+        self.env().outstanding()
+    }
+
+    /// Outstanding receives that gate accessibility of `var[sec]`.
+    fn outstanding_for(&self, var: VarId, sec: &Section) -> Vec<(u64, Tag)> {
+        self.env().outstanding_for(var, sec)
+    }
+
+    /// Release this processor from a barrier it reported via
+    /// [`crate::Action::Barrier`].
+    fn pass_barrier(&mut self) {
+        self.env_mut().pass_barrier()
+    }
+
+    /// Join a machine: plan redistributions through its shared context.
+    fn set_plan_ctx(&mut self, ctx: Arc<PlanCtx>) {
+        self.env_mut().set_plan_ctx(ctx)
+    }
 }
 
 /// Put a machine's processors on one planning context priced by `cost`
@@ -101,42 +116,4 @@ pub trait Machine {
 
     /// The global contents of exclusive array `var`.
     fn gather(&self, var: VarId) -> Gathered;
-}
-
-impl Processor for Interp {
-    fn step(&mut self) -> Result<StepOut, RtError> {
-        Interp::step(self)
-    }
-
-    fn complete_recv(&mut self, req_id: u64, msg: Msg) -> Result<(), RtError> {
-        Interp::complete_recv(self, req_id, msg)
-    }
-
-    fn outstanding(&self) -> Vec<(u64, Tag)> {
-        Interp::outstanding(self)
-    }
-
-    fn outstanding_for(&self, var: VarId, sec: &Section) -> Vec<(u64, Tag)> {
-        Interp::outstanding_for(self, var, sec)
-    }
-
-    fn pass_barrier(&mut self) {
-        Interp::pass_barrier(self)
-    }
-
-    fn position(&self) -> String {
-        Interp::position(self)
-    }
-
-    fn set_plan_ctx(&mut self, ctx: Arc<PlanCtx>) {
-        Interp::set_plan_ctx(self, ctx)
-    }
-
-    fn env(&self) -> &ProcEnv {
-        &self.env
-    }
-
-    fn env_mut(&mut self) -> &mut ProcEnv {
-        &mut self.env
-    }
 }

@@ -25,19 +25,7 @@ pub fn eval_static(e: &IntExpr, env: &Bindings) -> Option<i64> {
         IntExpr::Var(v) => env.get(v).copied(),
         IntExpr::MyPid | IntExpr::MyLb(..) | IntExpr::MyUb(..) => None,
         IntExpr::Neg(a) => Some(eval_static(a, env)?.saturating_neg()),
-        IntExpr::Bin(op, a, b) => {
-            let (a, b) = (eval_static(a, env)?, eval_static(b, env)?);
-            use crate::IntBinOp::*;
-            Some(match op {
-                Add => a.saturating_add(b),
-                Sub => a.saturating_sub(b),
-                Mul => a.saturating_mul(b),
-                Div => a / b,
-                Mod => a.rem_euclid(b),
-                Min => a.min(b),
-                Max => a.max(b),
-            })
-        }
+        IntExpr::Bin(op, a, b) => op.apply(eval_static(a, env)?, eval_static(b, env)?),
     }
 }
 

@@ -44,6 +44,27 @@ pub enum IntBinOp {
     Max,
 }
 
+impl IntBinOp {
+    /// `a op b`, the one integer arithmetic table: every compile-time
+    /// folder and both run-time evaluators call it. `Add`/`Sub`/`Mul`
+    /// saturate — bounds expressions legitimately combine the
+    /// `mylb`/`myub` sentinels (`i64::MAX` / `i64::MIN`, §2.3) with
+    /// offsets, and saturation keeps empty ranges empty. `Div` and `Mod`
+    /// by zero have no value (`None`); `i64::MIN / -1` saturates.
+    pub fn apply(self, a: i64, b: i64) -> Option<i64> {
+        Some(match self {
+            IntBinOp::Add => a.saturating_add(b),
+            IntBinOp::Sub => a.saturating_sub(b),
+            IntBinOp::Mul => a.saturating_mul(b),
+            IntBinOp::Div | IntBinOp::Mod if b == 0 => return None,
+            IntBinOp::Div => a.checked_div(b).unwrap_or(i64::MAX),
+            IntBinOp::Mod => a.wrapping_rem_euclid(b),
+            IntBinOp::Min => a.min(b),
+            IntBinOp::Max => a.max(b),
+        })
+    }
+}
+
 #[allow(clippy::should_implement_trait)] // builder sugar, deliberately named like the operators
 impl IntExpr {
     /// Convenience: `self + other`.
@@ -63,19 +84,8 @@ impl IntExpr {
     pub fn as_const(&self) -> Option<i64> {
         match self {
             IntExpr::Const(c) => Some(*c),
-            IntExpr::Neg(e) => e.as_const().map(|v| -v),
-            IntExpr::Bin(op, a, b) => {
-                let (a, b) = (a.as_const()?, b.as_const()?);
-                Some(match op {
-                    IntBinOp::Add => a + b,
-                    IntBinOp::Sub => a - b,
-                    IntBinOp::Mul => a * b,
-                    IntBinOp::Div => a / b,
-                    IntBinOp::Mod => a.rem_euclid(b),
-                    IntBinOp::Min => a.min(b),
-                    IntBinOp::Max => a.max(b),
-                })
-            }
+            IntExpr::Neg(e) => e.as_const().map(i64::saturating_neg),
+            IntExpr::Bin(op, a, b) => op.apply(a.as_const()?, b.as_const()?),
             _ => None,
         }
     }
@@ -408,6 +418,35 @@ mod tests {
             )
             .as_const(),
             Some(1)
+        );
+    }
+
+    #[test]
+    fn arithmetic_table_saturates_and_refuses_a_zero_divisor() {
+        use IntBinOp::*;
+        assert_eq!(Add.apply(i64::MAX, 1), Some(i64::MAX));
+        assert_eq!(Sub.apply(i64::MIN, 1), Some(i64::MIN));
+        assert_eq!(Mul.apply(i64::MAX, 2), Some(i64::MAX));
+        assert_eq!(Div.apply(-7, 2), Some(-3));
+        assert_eq!(Mod.apply(-7, 4), Some(1));
+        assert_eq!(Div.apply(8, 0), None);
+        assert_eq!(Mod.apply(8, 0), None);
+        assert_eq!(Div.apply(i64::MIN, -1), Some(i64::MAX));
+        assert_eq!(Mod.apply(i64::MIN, -1), Some(0));
+        // The folders decline instead of panicking, and fold with the
+        // run-time (saturating) arithmetic.
+        let zero_div = IntExpr::Bin(
+            Div,
+            Box::new(IntExpr::Const(8)),
+            Box::new(IntExpr::Const(0)),
+        );
+        assert_eq!(zero_div.as_const(), None);
+        assert_eq!(zero_div.simplify(), zero_div);
+        let top = IntExpr::Const(i64::MAX).add(IntExpr::Const(1));
+        assert_eq!(top.as_const(), Some(i64::MAX));
+        assert_eq!(
+            IntExpr::Neg(Box::new(IntExpr::Const(i64::MIN))).as_const(),
+            Some(i64::MAX)
         );
     }
 

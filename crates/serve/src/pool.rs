@@ -5,7 +5,8 @@
 //! scoped thread pool: workers claim requests through an atomic cursor,
 //! resolve each through the shared cache (the only lock in the system,
 //! held just long enough to look up or compile), then execute on a
-//! **private** [`SimExec`] instance. Per-run isolation is structural —
+//! **private** machine instance — a [`SimExec`] or, under
+//! [`PoolMachine::Tasks`], an [`AsyncExec`]. Per-run isolation is structural —
 //! nothing but the immutable `Arc<Program>` is shared between runs — so
 //! a request's [`Fingerprint`] is bit-identical whether it ran solo,
 //! sequentially, or interleaved with the rest of a batch. The
@@ -56,7 +57,8 @@ pub struct RunOutcome {
     /// Time spent resolving through the cache — lock wait plus lookup,
     /// plus the compile itself on a miss.
     pub resolve_us: u64,
-    /// Time spent executing on the private simulator.
+    /// Time spent building, initializing, running and fingerprinting the
+    /// request's private machine.
     pub execute_us: u64,
 }
 

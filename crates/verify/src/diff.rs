@@ -23,10 +23,7 @@ use crate::lockstep::{Lockstep, LockstepConfig};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::Duration;
-use xdp_compiler::passes::{
-    BindCommunication, ElideAccessibleChecks, ElideSameOwnerComm, LocalizeBounds, VectorizeMessages,
-};
-use xdp_compiler::Pass;
+use xdp_compiler::{Pass, PassManager};
 use xdp_core::{
     AsyncConfig, AsyncExec, ExecReport, KernelRegistry, Machine, RtError, SimConfig, SimExec,
     TraceConfig,
@@ -123,16 +120,14 @@ impl Default for CheckConfig {
     }
 }
 
-/// The default optimization pipeline, pass by pass (mirrors
-/// `PassManager::paper_pipeline`, which keeps its pass list private).
+/// The default optimization pipeline, pass by pass: whatever
+/// `PassManager::paper_pipeline` runs, under the names the passes report.
 pub fn default_passes() -> Vec<(&'static str, Box<dyn Pass>)> {
-    vec![
-        ("elide-same-owner-comm", Box::new(ElideSameOwnerComm)),
-        ("vectorize-messages", Box::new(VectorizeMessages)),
-        ("localize-bounds", Box::new(LocalizeBounds)),
-        ("bind-communication", Box::new(BindCommunication)),
-        ("elide-accessible-checks", Box::new(ElideAccessibleChecks)),
-    ]
+    PassManager::paper_pipeline()
+        .into_passes()
+        .into_iter()
+        .map(|pass| (pass.name(), pass))
+        .collect()
 }
 
 /// The uniform lossy plan the chaos check uses when none is supplied.
@@ -477,21 +472,21 @@ mod tests {
     use crate::gen::executable_program;
 
     #[test]
-    fn default_passes_match_paper_pipeline_names() {
-        let names: Vec<&str> = default_passes().iter().map(|(n, _)| *n).collect();
-        assert_eq!(
-            names,
-            vec![
-                "elide-same-owner-comm",
-                "vectorize-messages",
-                "localize-bounds",
-                "bind-communication",
-                "elide-accessible-checks"
-            ]
-        );
-        for (claimed, pass) in default_passes() {
-            assert_eq!(claimed, pass.name());
-        }
+    fn default_passes_are_the_passes_an_optimizing_compile_runs() {
+        let src = "real A[1:8] distribute (BLOCK) onto 2\n\
+                   do i = 1, 8\n  iown(A[i]) : { A[i] = A[i] + 1.0 }\nenddo\n";
+        let compiled =
+            xdp_compiler::compile(src, &xdp_compiler::CompileOptions::default().optimized())
+                .expect("compiles");
+        let ran: Vec<&str> = compiled
+            .trace
+            .passes
+            .iter()
+            .map(|p| p.name.as_str())
+            .collect();
+        let oracle: Vec<&str> = default_passes().iter().map(|(n, _)| *n).collect();
+        assert!(!oracle.is_empty());
+        assert_eq!(ran, oracle);
     }
 
     #[test]

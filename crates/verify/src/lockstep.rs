@@ -16,7 +16,8 @@
 
 use std::sync::Arc;
 use xdp_core::{
-    Action, ExecReport, Gathered, Interp, KernelRegistry, Machine, ProcReport, Recorder, RtError,
+    Action, ExecReport, Gathered, Interp, KernelRegistry, Machine, ProcReport, Processor, Recorder,
+    RtError,
 };
 use xdp_ir::{Program, VarId};
 use xdp_machine::{CostModel, NetStats, Topology};

@@ -188,8 +188,7 @@ impl std::fmt::Debug for VmOp {
 /// A compiled program, shared (via `Arc`) by every processor of a machine.
 #[derive(Debug)]
 pub struct VmProgram {
-    /// The prepared source program (kept for `redistribute` planning and
-    /// for executors that introspect it).
+    /// The prepared source program (for executors that introspect it).
     pub program: Arc<Program>,
     /// Shared declarations (what [`xdp_core::ProcEnv`] is built from).
     pub decls: Arc<[Decl]>,

@@ -34,8 +34,17 @@
 //! rendezvous ties on `(time, seq)`, so *any* divergence — an extra
 //! symbol-table query, a batched step, a reordered evaluation — shifts
 //! message matching and changes program results under contention or fault
-//! injection. `xdp-verify` diffs the two backends statement-by-statement
-//! to enforce this.
+//! injection.
+//!
+//! Half of that holds by construction: what a send, a receive, a
+//! completion, a barrier or a `redistribute` does once its operands are
+//! values is `xdp_core::transfer`, which both processors call, as are the
+//! §2.3 intrinsics on an evaluated section and the integer arithmetic
+//! table. The other half — the order operands are evaluated in and what
+//! each evaluation charges, the frame stack, and strided versus
+//! per-element section gather/scatter — is this crate's own code, and
+//! `xdp-verify` plus `tests/lockstep.rs` diff the two backends step by
+//! step to enforce it.
 //!
 //! ```
 //! use std::sync::Arc;

@@ -1,37 +1,24 @@
 //! The compiled per-processor virtual machine.
 //!
-//! [`VmProc`] executes [`crate::VmProgram`] code under the exact
-//! observable contract of the tree-walking interpreter (see the crate
-//! docs): one step per statement, identical op counts, identical actions
-//! and errors. Where the interpreter re-resolves, the VM indexes; where
-//! the interpreter boxes elements, the VM copies slices — but every
-//! *charged* operation and every symbol-table call is the same.
+//! [`VmProc`] is a second *evaluator* over the transfer rules the
+//! interpreter uses (`xdp_core::transfer`): it owns the compiled code
+//! form, the frame stack, the register file, expression evaluation over
+//! [`crate::compile`]'s resolved forms, and strided section gather/scatter.
+//! Where the interpreter re-resolves, the VM indexes; where the
+//! interpreter boxes elements, the VM copies slices — but every *charged*
+//! operation and every symbol-table call of the evaluation is the same,
+//! in the same order, and that half of the contract is what the
+//! differential suites check (see the crate docs). Sends, receives,
+//! completions, barriers and redistribution planning are the shared rules
+//! themselves.
 
 use crate::compile::{
     compile_lowered, CElem, CInt, CRule, CSec, CSub, Cx, SlotMap, VmOp, VmProgram, VmStmt,
 };
-use std::collections::HashMap;
 use std::sync::Arc;
-use xdp_collectives::PlanCtx;
-use xdp_core::{Action, ProcEnv, Processor, RtError, StepNote, StepOut};
-use xdp_ir::{ElemBinOp, IntBinOp, Ownership, Section, TransferKind, Triplet, VarId};
-use xdp_runtime::symtab::SecState;
-use xdp_runtime::{Buffer, Msg, Tag, Value};
-
-/// An initiated, uncompleted receive (mirror of the interpreter's).
-#[derive(Clone, Debug)]
-enum VPending {
-    Value {
-        var: VarId,
-        sec: Section,
-        touched: Vec<usize>,
-    },
-    Own {
-        var: VarId,
-        seg_id: usize,
-        kind: TransferKind,
-    },
-}
+use xdp_core::{Action, ProcEnv, Processor, RtError, RuleVal, StepOut};
+use xdp_ir::{ElemBinOp, Ownership, Section, TransferKind, Triplet, VarId};
+use xdp_runtime::{Buffer, Value};
 
 #[derive(Debug)]
 enum VFrame {
@@ -53,7 +40,8 @@ enum VFrame {
 /// The compiled per-processor executor. A drop-in [`Processor`]: plug into
 /// `SimExec::from_procs` / `AsyncExec::from_procs`.
 pub struct VmProc {
-    /// The processor's environment (symbol table, universal data, ops).
+    /// The processor's environment (symbol table, universal data, ops,
+    /// transfer state).
     pub env: ProcEnv,
     prog: Arc<VmProgram>,
     /// Scalar register file, indexed by slot id.
@@ -61,15 +49,6 @@ pub struct VmProc {
     /// Private slot map (grows when `redistribute` lowers new statements).
     slots: SlotMap,
     stack: Vec<VFrame>,
-    pending: HashMap<u64, (Tag, VPending)>,
-    next_req: u64,
-    barrier_passed: bool,
-    cur_dist: HashMap<VarId, xdp_ir::Distribution>,
-    /// The machine-wide planning context (mirror of the interpreter's).
-    plan_ctx: Arc<PlanCtx>,
-    redist_epoch: u64,
-    cur_sid: Option<u32>,
-    cur_note: Option<StepNote>,
 }
 
 impl VmProc {
@@ -86,155 +65,14 @@ impl VmProc {
             }],
             regs,
             slots,
-            pending: HashMap::new(),
-            next_req: (pid as u64) << 32,
-            barrier_passed: false,
-            cur_dist: HashMap::new(),
-            plan_ctx: PlanCtx::default_1993(),
-            redist_epoch: 0,
-            cur_sid: None,
-            cur_note: None,
             prog,
         }
     }
 
-    /// Join a machine: plan redistributions through its shared context.
-    pub fn set_plan_ctx(&mut self, ctx: Arc<PlanCtx>) {
-        self.plan_ctx = ctx;
-    }
-
-    /// True when the program has run to completion here.
-    pub fn is_done(&self) -> bool {
-        self.stack.is_empty()
-    }
-
-    /// Program position for deadlock diagnostics (same format as the
-    /// interpreter's).
-    pub fn position(&self) -> String {
-        if self.stack.is_empty() {
-            return "done".to_string();
-        }
-        let mut parts = Vec::new();
-        for f in &self.stack {
-            match f {
-                VFrame::Loop {
-                    var,
-                    current,
-                    hi,
-                    step,
-                    ..
-                } => {
-                    // `current` has already advanced past the live value.
-                    parts.push(format!("do {var}={} (to {hi} by {step})", current - step));
-                }
-                VFrame::Block { idx, stmts } => {
-                    parts.push(format!("stmt {}/{}", (*idx).min(stmts.len()), stmts.len()));
-                }
-            }
-        }
-        parts.join(" > ")
-    }
-
-    /// Receives initiated but not yet completed, as `(req_id, tag)`.
-    pub fn outstanding(&self) -> Vec<(u64, Tag)> {
-        let mut v: Vec<(u64, Tag)> = self
-            .pending
-            .iter()
-            .map(|(r, (t, _))| (*r, t.clone()))
-            .collect();
-        v.sort_by_key(|(r, _)| *r);
-        v
-    }
-
-    /// Outstanding receives whose target overlaps `sec` of `var`.
-    pub fn outstanding_for(&self, var: VarId, sec: &Section) -> Vec<(u64, Tag)> {
-        let mut v: Vec<(u64, Tag)> = self
-            .pending
-            .iter()
-            .filter(|(_, (_, p))| match p {
-                VPending::Value {
-                    var: v2, sec: s2, ..
-                } => *v2 == var && s2.overlaps(sec),
-                VPending::Own {
-                    var: v2, seg_id, ..
-                } => {
-                    *v2 == var
-                        && self
-                            .env
-                            .symtab
-                            .entry(*v2)
-                            .map(|e| e.segments[*seg_id].section.overlaps(sec))
-                            .unwrap_or(false)
-                }
-            })
-            .map(|(r, (t, _))| (*r, t.clone()))
-            .collect();
-        v.sort_by_key(|(r, _)| *r);
-        v
-    }
-
-    /// Apply a matched message to the receive it completes.
-    pub fn complete_recv(&mut self, req_id: u64, msg: Msg) -> Result<(), RtError> {
-        let (tag, pending) = self
-            .pending
-            .remove(&req_id)
-            .ok_or_else(|| RtError::BadTransfer {
-                pid: self.env.pid,
-                detail: format!("completion for unknown receive request {req_id}"),
-            })?;
-        debug_assert_eq!(tag, msg.tag, "matcher delivered a mismatched tag");
-        match pending {
-            VPending::Value { var, sec, touched } => {
-                if self.env.checked && msg.kind != TransferKind::Value {
-                    return Err(RtError::BadTransfer {
-                        pid: self.env.pid,
-                        detail: format!("value receive of {tag} matched a {:?} send", msg.kind),
-                    });
-                }
-                let payload = msg.payload.as_ref().ok_or_else(|| RtError::BadTransfer {
-                    pid: self.env.pid,
-                    detail: format!("value receive of {tag} got no payload"),
-                })?;
-                self.env
-                    .symtab
-                    .complete_value_recv(var, &sec, &touched, payload)?;
-            }
-            VPending::Own { var, seg_id, kind } => {
-                if self.env.checked && msg.kind != kind {
-                    return Err(RtError::BadTransfer {
-                        pid: self.env.pid,
-                        detail: format!("ownership receive of {tag} matched a {:?} send", msg.kind),
-                    });
-                }
-                let payload: Option<&Buffer> = if kind == TransferKind::OwnershipValue {
-                    msg.payload.as_deref()
-                } else {
-                    None
-                };
-                self.env
-                    .symtab
-                    .complete_ownership_recv(var, seg_id, payload)?;
-            }
-        }
-        Ok(())
-    }
-
-    /// Release this processor from a barrier (executor callback).
-    pub fn pass_barrier(&mut self) {
-        self.barrier_passed = true;
-    }
-
     /// Perform one atomic step.
     pub fn step(&mut self) -> Result<StepOut, RtError> {
-        self.cur_sid = None;
-        self.cur_note = None;
-        let action = self.step_inner()?;
-        Ok(StepOut {
-            action,
-            ops: self.env.drain_ops(),
-            sid: self.cur_sid,
-            note: self.cur_note.take(),
-        })
+        let action = self.step_inner();
+        self.env.end_step(action)
     }
 
     fn step_inner(&mut self) -> Result<Action, RtError> {
@@ -270,14 +108,14 @@ impl VmProc {
                     *current += *step;
                     let slot = *slot;
                     let b = body.clone();
-                    self.cur_sid = Some(*sid);
+                    self.env.at_stmt(*sid);
                     self.regs[slot] = Some(v);
                     self.env.ops.flops += 1; // loop bookkeeping
                     self.stack.push(VFrame::Block { stmts: b, idx: 0 });
                     return Ok(Action::Continue);
                 }
             };
-            self.cur_sid = Some(code[idx].sid);
+            self.env.at_stmt(code[idx].sid);
             return self.exec_op(&code, idx);
         }
     }
@@ -289,9 +127,13 @@ impl VmProc {
         }
     }
 
-    fn fresh_req(&mut self) -> u64 {
-        self.next_req += 1;
-        self.next_req
+    /// Move past the current statement unless `action` says it must run
+    /// again when the processor is woken.
+    fn settle(&mut self, action: Action) -> Action {
+        if !matches!(action, Action::BlockOn { .. } | Action::Barrier) {
+            self.advance();
+        }
+        action
     }
 
     fn exec_op(&mut self, code: &Arc<[VmStmt]>, at: usize) -> Result<Action, RtError> {
@@ -334,11 +176,7 @@ impl VmProc {
                     bufs.push(self.read_sec(*v, s)?);
                 }
                 let flops = kernel.run(&mut bufs, &ints);
-                self.env.ops.flops += flops;
-                self.cur_note = Some(StepNote::Kernel {
-                    name: name.to_string(),
-                    flops,
-                });
+                self.env.ran_kernel(name.to_string(), flops);
                 for ((v, s), buf) in secs.iter().zip(&bufs) {
                     self.write_sec(*v, s, buf)?;
                 }
@@ -367,47 +205,12 @@ impl VmProc {
                         Some(pids)
                     }
                 };
-                let payload = match kind {
-                    TransferKind::Value => Some(Arc::new(self.read_sec(var, &s)?)),
-                    TransferKind::Ownership | TransferKind::OwnershipValue => {
-                        if let Some(d) = &dests {
-                            if d.len() > 1 {
-                                return Err(RtError::BadTransfer {
-                                    pid: self.env.pid,
-                                    detail: "ownership multicast is meaningless".to_string(),
-                                });
-                            }
-                        }
-                        match self.env.symtab.state_of(var, &s) {
-                            SecState::Unowned => {
-                                return Err(RtError::BadTransfer {
-                                    pid: self.env.pid,
-                                    detail: format!("ownership send of unowned {var}{s}"),
-                                })
-                            }
-                            SecState::Transitional => {
-                                // "Owner send operations block until the
-                                // section is accessible" (§2.6).
-                                return Ok(Action::BlockOn { var, sec: s });
-                            }
-                            SecState::Accessible => {}
-                        }
-                        let data = self.env.symtab.remove_ownership(var, &s)?;
-                        if *kind == TransferKind::OwnershipValue {
-                            Some(Arc::new(data))
-                        } else {
-                            None
-                        }
-                    }
+                let gathered = match kind {
+                    TransferKind::Value => Some(self.read_sec(var, &s)?),
+                    TransferKind::Ownership | TransferKind::OwnershipValue => None,
                 };
-                let msg = Msg {
-                    tag: Tag::salted(var, s, salt_v),
-                    kind: *kind,
-                    payload,
-                    src: self.env.pid,
-                };
-                self.advance();
-                Ok(Action::Send { msg, dest: dests })
+                let action = self.env.send(var, s, *kind, salt_v, dests, gathered)?;
+                Ok(self.settle(action))
             }
             VmOp::Recv {
                 target,
@@ -421,81 +224,37 @@ impl VmProc {
                     None => 0,
                     Some(e) => self.eval_int(e)?,
                 };
-                match kind {
+                let action = match kind {
                     TransferKind::Value => {
-                        match self.env.symtab.state_of(tvar, &tsec) {
-                            SecState::Unowned => {
-                                return Err(RtError::Symtab(
-                                    xdp_runtime::symtab::SymtabError::NotOwned {
-                                        var: tvar,
-                                        sec: tsec,
-                                    },
-                                ))
-                            }
-                            SecState::Transitional => {
-                                // "Blocks until E is accessible" (§2.7).
-                                return Ok(Action::BlockOn {
-                                    var: tvar,
-                                    sec: tsec,
-                                });
-                            }
-                            SecState::Accessible => {}
+                        if let Some(block) = self.env.check_value_recv(tvar, &tsec)? {
+                            return Ok(block);
                         }
                         // With no explicit match name the interpreter
                         // re-evaluates the target reference (charging its
-                        // subscripts a second time); mirror that.
+                        // subscripts a second time); so does the VM.
                         let nref = name.as_ref().unwrap_or(target);
-                        let nvar = nref.var;
                         let nsec = self.eval_sec(nref)?;
-                        let touched = self.env.symtab.begin_value_recv(tvar, &tsec)?;
-                        let req = self.fresh_req();
-                        let tag = Tag::salted(nvar, nsec, salt_v);
-                        self.pending.insert(
-                            req,
-                            (
-                                tag.clone(),
-                                VPending::Value {
-                                    var: tvar,
-                                    sec: tsec,
-                                    touched,
-                                },
-                            ),
-                        );
-                        self.advance();
-                        Ok(Action::PostRecv { tag, req_id: req })
+                        self.env
+                            .post_value_recv(tvar, tsec, (nref.var, nsec), salt_v)?
                     }
                     TransferKind::Ownership | TransferKind::OwnershipValue => {
-                        let seg_id = self.env.symtab.begin_ownership_recv(tvar, &tsec)?;
-                        let req = self.fresh_req();
-                        let tag = Tag::salted(tvar, tsec, salt_v);
-                        self.pending.insert(
-                            req,
-                            (
-                                tag.clone(),
-                                VPending::Own {
-                                    var: tvar,
-                                    seg_id,
-                                    kind: *kind,
-                                },
-                            ),
-                        );
-                        self.advance();
-                        Ok(Action::PostRecv { tag, req_id: req })
+                        self.env.post_ownership_recv(tvar, tsec, *kind, salt_v)?
                     }
-                }
+                };
+                Ok(self.settle(action))
             }
             VmOp::Guarded { rule, body } => match self.eval_rule(rule)? {
-                RuleOut::False => {
+                RuleVal::False => {
                     self.advance();
                     Ok(Action::Continue)
                 }
-                RuleOut::True => {
+                RuleVal::True => {
                     self.advance();
                     let b = body.clone();
                     self.stack.push(VFrame::Block { stmts: b, idx: 0 });
                     Ok(Action::Continue)
                 }
-                RuleOut::Block(var, sec) => Ok(Action::BlockOn { var, sec }),
+                RuleVal::Block(var, sec) => Ok(Action::BlockOn { var, sec }),
             },
             VmOp::DoLoop {
                 slot,
@@ -524,41 +283,11 @@ impl VmProc {
                 Ok(Action::Continue)
             }
             VmOp::Barrier => {
-                if self.barrier_passed {
-                    self.barrier_passed = false;
-                    self.advance();
-                    Ok(Action::Continue)
-                } else {
-                    Ok(Action::Barrier)
-                }
+                let action = self.env.barrier();
+                Ok(self.settle(action))
             }
             VmOp::Redistribute { var, dist } => {
-                let var = *var;
-                let decl = &self.prog.program.decls[var.index()];
-                let src = self
-                    .cur_dist
-                    .get(&var)
-                    .or(decl.dist.as_ref())
-                    .cloned()
-                    .ok_or_else(|| RtError::BadTransfer {
-                        pid: self.env.pid,
-                        detail: format!("redistribute of undistributed `{}`", decl.name),
-                    })?;
-                let plan = self.plan_ctx.plan(var, decl, &src, dist);
-                // Planning consults the section algebra once per message.
-                self.env.ops.symtab_ops += plan.schedule.message_count() as u64;
-                // Epoch-salted tags keep successive redistributions of one
-                // variable from cross-matching.
-                self.redist_epoch += 1;
-                let salt_base = self.redist_epoch as i64 * 1_000_000;
-                let stmts =
-                    xdp_collectives::lower_redistribute_for_pid(&plan, self.env.pid, salt_base);
-                self.cur_note = Some(StepNote::Collective {
-                    var: decl.name.clone(),
-                    strategy: plan.strategy.to_string(),
-                    pieces: plan.schedule.message_count(),
-                });
-                self.cur_dist.insert(var, dist.clone());
+                let stmts = self.env.redistribute(*var, dist.clone())?;
                 self.advance();
                 // Compile the lowered statements now: each inherits this
                 // redistribute's id, nested bodies number from id + 1 —
@@ -583,15 +312,8 @@ impl VmProc {
         }
     }
 
-    // ---- expression evaluation (charging mirrors of ProcEnv's) ----
-
-    fn require_exclusive(&self, var: VarId) -> Result<(), RtError> {
-        if self.env.decls[var.index()].ownership == Ownership::Universal {
-            Err(RtError::IntrinsicOnUniversal(var))
-        } else {
-            Ok(())
-        }
-    }
+    // ---- expression evaluation: same charges, in the same order, as
+    // ProcEnv's over the unresolved forms ----
 
     fn eval_int(&mut self, e: &CInt) -> Result<i64, RtError> {
         match e {
@@ -601,31 +323,17 @@ impl VmProc {
             CInt::MyPid => Ok(self.env.pid as i64),
             CInt::MyLb(r, d) => {
                 let sec = self.eval_sec(r)?;
-                self.require_exclusive(r.var)?;
-                self.env.ops.symtab_ops += 1;
-                Ok(self.env.symtab.mylb(r.var, &sec, *d))
+                self.env.mylb(r.var, &sec, *d)
             }
             CInt::MyUb(r, d) => {
                 let sec = self.eval_sec(r)?;
-                self.require_exclusive(r.var)?;
-                self.env.ops.symtab_ops += 1;
-                Ok(self.env.symtab.myub(r.var, &sec, *d))
+                self.env.myub(r.var, &sec, *d)
             }
             CInt::Neg(a) => Ok(self.eval_int(a)?.saturating_neg()),
             CInt::Bin(op, a, b) => {
                 let (a, b) = (self.eval_int(a)?, self.eval_int(b)?);
                 self.env.ops.flops += 1;
-                // Saturating arithmetic, as in the interpreter: bounds
-                // expressions combine mylb/myub sentinels with offsets.
-                Ok(match op {
-                    IntBinOp::Add => a.saturating_add(b),
-                    IntBinOp::Sub => a.saturating_sub(b),
-                    IntBinOp::Mul => a.saturating_mul(b),
-                    IntBinOp::Div => a / b,
-                    IntBinOp::Mod => a.rem_euclid(b),
-                    IntBinOp::Min => a.min(b),
-                    IntBinOp::Max => a.max(b),
-                })
+                op.apply(a, b).ok_or(RtError::DivisionByZero)
             }
         }
     }
@@ -650,63 +358,40 @@ impl VmProc {
         Ok(Section::new(dims))
     }
 
-    fn eval_rule(&mut self, e: &CRule) -> Result<RuleOut, RtError> {
+    fn eval_rule(&mut self, e: &CRule) -> Result<RuleVal, RtError> {
         Ok(match e {
-            CRule::Const(true) => RuleOut::True,
-            CRule::Const(false) => RuleOut::False,
+            CRule::Const(true) => RuleVal::True,
+            CRule::Const(false) => RuleVal::False,
             CRule::Iown(r) => {
                 let sec = self.eval_sec(r)?;
-                self.require_exclusive(r.var)?;
-                self.env.ops.symtab_ops += 1;
-                if self.env.symtab.iown(r.var, &sec) {
-                    RuleOut::True
-                } else {
-                    RuleOut::False
-                }
+                self.env.iown(r.var, &sec)?
             }
             CRule::Accessible(r) => {
                 let sec = self.eval_sec(r)?;
-                self.require_exclusive(r.var)?;
-                self.env.ops.symtab_ops += 1;
-                if self.env.symtab.accessible(r.var, &sec) {
-                    RuleOut::True
-                } else {
-                    RuleOut::False
-                }
+                self.env.accessible(r.var, &sec)?
             }
             CRule::Await(r) => {
                 let sec = self.eval_sec(r)?;
-                self.require_exclusive(r.var)?;
-                self.env.ops.symtab_ops += 1;
-                match self.env.symtab.state_of(r.var, &sec) {
-                    SecState::Unowned => RuleOut::False,
-                    SecState::Transitional => RuleOut::Block(r.var, sec),
-                    SecState::Accessible => RuleOut::True,
-                }
+                self.env.await_(r.var, sec)?
             }
             CRule::Cmp(op, a, b) => {
                 let (a, b) = (self.eval_int(a)?, self.eval_int(b)?);
-                self.env.ops.flops += 1;
-                if op.eval(a, b) {
-                    RuleOut::True
-                } else {
-                    RuleOut::False
-                }
+                self.env.compare(*op, a, b)
             }
             CRule::And(a, b) => match self.eval_rule(a)? {
-                RuleOut::False => RuleOut::False,
-                RuleOut::Block(v, s) => RuleOut::Block(v, s),
-                RuleOut::True => self.eval_rule(b)?,
+                RuleVal::False => RuleVal::False,
+                RuleVal::Block(v, s) => RuleVal::Block(v, s),
+                RuleVal::True => self.eval_rule(b)?,
             },
             CRule::Or(a, b) => match self.eval_rule(a)? {
-                RuleOut::True => RuleOut::True,
-                RuleOut::Block(v, s) => RuleOut::Block(v, s),
-                RuleOut::False => self.eval_rule(b)?,
+                RuleVal::True => RuleVal::True,
+                RuleVal::Block(v, s) => RuleVal::Block(v, s),
+                RuleVal::False => self.eval_rule(b)?,
             },
             CRule::Not(a) => match self.eval_rule(a)? {
-                RuleOut::True => RuleOut::False,
-                RuleOut::False => RuleOut::True,
-                RuleOut::Block(v, s) => RuleOut::Block(v, s),
+                RuleVal::True => RuleVal::False,
+                RuleVal::False => RuleVal::True,
+                RuleVal::Block(v, s) => RuleVal::Block(v, s),
             },
         })
     }
@@ -718,25 +403,7 @@ impl VmProc {
         if self.env.decls[var.index()].ownership == Ownership::Universal {
             return self.env.read_section(var, sec);
         }
-        if self.env.checked {
-            match self.env.symtab.classify(var, sec).0 {
-                SecState::Accessible => {}
-                SecState::Transitional => {
-                    return Err(RtError::TransitionalRead {
-                        pid: self.env.pid,
-                        var,
-                        sec: sec.clone(),
-                    })
-                }
-                SecState::Unowned => {
-                    return Err(RtError::UnownedRead {
-                        pid: self.env.pid,
-                        var,
-                        sec: sec.clone(),
-                    })
-                }
-            }
-        }
+        self.env.check_read(var, sec)?;
         self.env.ops.flops += sec.volume() as u64;
         let elem = self.env.decls[var.index()].elem;
         let mut out = Buffer::zeros(elem, sec.volume() as usize);
@@ -819,13 +486,6 @@ impl VmProc {
     }
 }
 
-/// Result of a compiled rule evaluation (mirror of `RuleVal`).
-enum RuleOut {
-    True,
-    False,
-    Block(VarId, Section),
-}
-
 /// Element-wise binary op over two `vol`-element buffers.
 ///
 /// Same-typed operands take a typed slice path; everything else (mixed
@@ -881,28 +541,31 @@ impl Processor for VmProc {
         VmProc::step(self)
     }
 
-    fn complete_recv(&mut self, req_id: u64, msg: Msg) -> Result<(), RtError> {
-        VmProc::complete_recv(self, req_id, msg)
-    }
-
-    fn outstanding(&self) -> Vec<(u64, Tag)> {
-        VmProc::outstanding(self)
-    }
-
-    fn outstanding_for(&self, var: VarId, sec: &Section) -> Vec<(u64, Tag)> {
-        VmProc::outstanding_for(self, var, sec)
-    }
-
-    fn pass_barrier(&mut self) {
-        VmProc::pass_barrier(self)
-    }
-
+    /// Program position for deadlock diagnostics (same format as the
+    /// interpreter's).
     fn position(&self) -> String {
-        VmProc::position(self)
-    }
-
-    fn set_plan_ctx(&mut self, ctx: Arc<PlanCtx>) {
-        VmProc::set_plan_ctx(self, ctx)
+        if self.stack.is_empty() {
+            return "done".to_string();
+        }
+        let mut parts = Vec::new();
+        for f in &self.stack {
+            match f {
+                VFrame::Loop {
+                    var,
+                    current,
+                    hi,
+                    step,
+                    ..
+                } => {
+                    // `current` has already advanced past the live value.
+                    parts.push(format!("do {var}={} (to {hi} by {step})", current - step));
+                }
+                VFrame::Block { idx, stmts } => {
+                    parts.push(format!("stmt {}/{}", (*idx).min(stmts.len()), stmts.len()));
+                }
+            }
+        }
+        parts.join(" > ")
     }
 
     fn env(&self) -> &ProcEnv {

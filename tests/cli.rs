@@ -185,6 +185,41 @@ fn xdpc_code(args: &[&str]) -> (String, String, i32) {
 }
 
 #[test]
+fn integer_division_by_zero_is_a_runtime_error_not_a_panic() {
+    // A constant zero divisor (which the compile-time folders meet first)
+    // and one only known at run time.
+    let dir = std::env::temp_dir().join("xdpc_test");
+    std::fs::create_dir_all(&dir).unwrap();
+    for (file, bound) in [("divzero_const.xdp", "8/0"), ("divzero_var.xdp", "8 % k")] {
+        let path = dir.join(file);
+        let source = format!(
+            "real A[1:8] distribute (BLOCK) onto 2\n\nk = 0\ndo i = 1, {bound}\n  \
+             iown(A[i]) : {{ A[i] = A[i] + 1.0 }}\nenddo\n"
+        );
+        std::fs::write(&path, source).unwrap();
+        let path = path.to_str().unwrap();
+        for flags in [
+            &[][..],
+            &["--backend", "vm"],
+            &["--optimize"],
+            &["--optimize", "--backend", "vm"],
+        ] {
+            let (_, stderr, code) = xdpc_code(&[&["run", path], flags].concat());
+            assert_eq!(code, 1, "{bound} {flags:?}: {stderr}");
+            assert_eq!(
+                stderr, "xdpc: runtime error: division by zero\n",
+                "{bound} {flags:?}"
+            );
+        }
+        // Nothing runs under `opt`: the passes decline to fold the
+        // division and the program comes back out.
+        let (stdout, stderr, code) = xdpc_code(&["opt", path]);
+        assert_eq!(code, 0, "{bound}: {stderr}");
+        assert!(stdout.contains("do i = 1,"), "{bound}: {stdout}");
+    }
+}
+
+#[test]
 fn no_arguments_prints_usage_naming_every_command() {
     let (_, stderr, code) = xdpc_code(&[]);
     assert_eq!(code, 2);

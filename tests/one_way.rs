@@ -1,6 +1,8 @@
-//! The "one way to do each thing" rules of DESIGN §2.19, as a source scan:
-//! the deleted thread-per-processor machine stays deleted, and Figure 1's
-//! movement events are built only by `xdp_core::Recorder`.
+//! The "one way to do each thing" rules of DESIGN §2.19 and §2.20, as a
+//! source scan: the deleted thread-per-processor machine stays deleted,
+//! Figure 1's movement events are built only by `xdp_core::Recorder`, its
+//! transfer rules are written only in `xdp_core::transfer`, and integer
+//! division has one definition.
 
 use std::path::{Path, PathBuf};
 
@@ -23,6 +25,23 @@ fn sources() -> Vec<PathBuf> {
         walk(&root.join(top), &mut out);
     }
     out
+}
+
+/// Is `path` under a `tests/` or `benches/` directory?
+fn in_tests(path: &Path) -> bool {
+    path.components()
+        .any(|c| c.as_os_str() == "tests" || c.as_os_str() == "benches")
+}
+
+/// The non-test, non-comment code of a source file.
+fn code_of(path: &Path) -> String {
+    let text = std::fs::read_to_string(path).unwrap();
+    // Unit-test modules close every source file that has one.
+    let code = text.split("#[cfg(test)]").next().unwrap();
+    code.lines()
+        .filter(|l| !l.trim_start().starts_with("//"))
+        .collect::<Vec<_>>()
+        .join("\n")
 }
 
 #[test]
@@ -50,15 +69,10 @@ fn movement_events_are_built_only_by_the_recorder() {
         "SectionState",
     ];
     for path in sources() {
-        let in_tests = path
-            .components()
-            .any(|c| c.as_os_str() == "tests" || c.as_os_str() == "benches");
-        if in_tests || path.ends_with("crates/core/src/recorder.rs") {
+        if in_tests(&path) || path.ends_with("crates/core/src/recorder.rs") {
             continue;
         }
-        let text = std::fs::read_to_string(&path).unwrap();
-        // Unit-test modules close every source file that has one.
-        let code = text.split("#[cfg(test)]").next().unwrap();
+        let code = code_of(&path);
         for kind in kinds {
             for ctor in ["span", "instant"] {
                 let literal = format!("{ctor}(TraceKind::{kind}");
@@ -69,5 +83,67 @@ fn movement_events_are_built_only_by_the_recorder() {
                 );
             }
         }
+    }
+}
+
+/// Does `code` build (rather than match on) the struct variant that
+/// `head` (`"Path::Variant {"`) opens? A pattern has a rest (`..`) or is
+/// followed by `=>`, `|`, `=` or a guard.
+fn constructs(code: &str, head: &str) -> bool {
+    code.match_indices(head).any(|(at, _)| {
+        let body = &code[at + head.len()..];
+        let close = body.find('}').expect("variant braces close");
+        let after = body[close + 1..].trim_start();
+        let pattern =
+            body[..close].contains("..") || ["=", "|", "if "].iter().any(|p| after.starts_with(p));
+        !pattern
+    })
+}
+
+#[test]
+fn transfer_rules_and_integer_division_are_written_once() {
+    let send = "Action::Send {";
+    assert!(constructs("Ok(Action::Send { msg, dest })", send));
+    assert!(!constructs("Action::Send { msg, dest } => {", send));
+    assert!(!constructs("matches!(a, Action::Send { .. })", send));
+    for path in sources() {
+        // The rules' one home; the symbol table that defines the calls;
+        // and the Figure 1 conformance suite, which drives the symbol
+        // table's protocol directly, below any processor.
+        if in_tests(&path)
+            || path.ends_with("crates/core/src/transfer.rs")
+            || path.ends_with("crates/runtime/src/symtab.rs")
+            || path.ends_with("crates/bench/src/conformance.rs")
+        {
+            continue;
+        }
+        let code = code_of(&path);
+        for head in ["Action::Send {", "Action::PostRecv {"] {
+            assert!(
+                !constructs(&code, head),
+                "{}: builds `{head} .. }}` outside xdp_core::transfer",
+                path.display()
+            );
+        }
+        for call in [
+            ".begin_value_recv(",
+            ".begin_ownership_recv(",
+            ".remove_ownership(",
+        ] {
+            assert!(
+                !code.contains(call),
+                "{}: calls `{call}` outside xdp_core::transfer",
+                path.display()
+            );
+        }
+        // `IntBinOp::apply` is the arithmetic table; the pretty-printer
+        // only spells the operator.
+        let table = path.ends_with("crates/ir/src/expr.rs");
+        let printer = path.ends_with("crates/ir/src/pretty.rs");
+        assert!(
+            table || printer || !code.contains("IntBinOp::Div =>"),
+            "{}: a second integer-division arm",
+            path.display()
+        );
     }
 }

@@ -2,7 +2,8 @@
 //! package (tier-1 runs only these): every machine plans a redistribution
 //! once, not once per processor; array init and gather walk owned
 //! segments and agree with the per-index definitions they replaced; the
-//! movement multiset is the same on every machine under any cost model.
+//! movement multiset is the same on every machine under any cost model;
+//! a request whose program divides by zero is an error the pool survives.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -152,4 +153,32 @@ fn init_and_gather_agree_with_the_per_index_definitions() {
     let mut seen = Vec::new();
     g.for_each(|idx, pid, val| seen.push((idx.to_vec(), (pid, val))));
     assert_eq!(seen, oracle.into_iter().collect::<Vec<_>>());
+}
+
+/// `8/0` in a loop bound used to panic — inside `compile`, under the cache
+/// mutex, when the request asked for the optimizing passes.
+#[test]
+fn pool_survives_a_request_that_divides_by_zero() {
+    use xdp_compiler::{Backend, CompileOptions};
+    use xdp_serve::{RequestSpec, ServeError, ServePool};
+    let source = |bound: &str| {
+        format!(
+            "real A[1:8] distribute (BLOCK) onto 2\n\
+             do i = 1, {bound}\n  iown(A[i]) : {{ A[i] = A[i] + 1.0 }}\nenddo\n"
+        )
+    };
+    for backend in [Backend::Interp, Backend::Vm] {
+        let plain = CompileOptions::default().with_backend(backend);
+        for opts in [plain.clone(), plain.optimized()] {
+            let pool = ServePool::new(1, 4);
+            let bad = RequestSpec::new(source("8/0")).with_opts(opts.clone());
+            match pool.run_one(&bad) {
+                Err(ServeError::Run(e)) => assert_eq!(e, "division by zero", "{backend:?}"),
+                other => panic!("{backend:?}: {other:?}"),
+            }
+            let good = RequestSpec::new(source("8")).with_opts(opts);
+            pool.run_one(&good)
+                .unwrap_or_else(|e| panic!("{backend:?}: the pool is poisoned: {e}"));
+        }
+    }
 }

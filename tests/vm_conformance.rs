@@ -18,6 +18,9 @@ use xdp_compiler::{compile, CompileOptions, SeqMode};
 use xdp_verify::Fingerprint;
 use xdp_vm::VmExec;
 
+#[path = "../crates/vm/tests/step_pair/mod.rs"]
+mod step_pair;
+
 fn programs() -> Vec<(String, String)> {
     let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("xdp-programs");
     let mut files: Vec<PathBuf> = std::fs::read_dir(&dir)
@@ -122,6 +125,26 @@ fn vm_matches_interpreter_on_the_simulated_machine() {
             }
         }
     }
+}
+
+/// Below the machine: the two processors, stepped side by side with
+/// messages delivered by hand, agree on every `StepOut` and request id.
+#[test]
+fn vm_is_step_identical_to_the_interpreter() {
+    let mut delivered = 0;
+    for (name, source) in programs() {
+        for (variant, opts) in variants() {
+            let compiled = compile(&source, &opts)
+                .unwrap_or_else(|e| panic!("{name}+{variant}: compile failed: {e}"));
+            delivered += step_pair::assert_step_identical(
+                &format!("{name}+{variant}"),
+                &compiled.program,
+                &xdp_apps::app_kernels(),
+                compiled.nprocs,
+            );
+        }
+    }
+    assert!(delivered > 500, "the corpus communicates: {delivered}");
 }
 
 #[test]
