@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain cargo underneath.
 
-.PHONY: all test bench benchmark-smoke experiments examples lint doc clean e10 e11 e12 e13 e14 e15 e16 e17 fuzz serve stats
+.PHONY: all test benchmark-smoke experiments examples lint doc clean e10 e11 e12 e13 e14 e15 e16 e17 fuzz serve stats
 
 all: test
 
@@ -13,9 +13,6 @@ lint:
 
 doc:
 	cargo doc --workspace --no-deps
-
-bench:
-	cargo bench --workspace
 
 # The benchmark (benchmark/, a package outside this workspace) still
 # builds against the crates, every workload answers correctly, the traced
@@ -37,8 +34,8 @@ experiments:
 	done
 	@echo "==== e12_fuzz ===="
 	@cargo run -q --release -p xdp-verify --bin e12_fuzz
-	@echo "==== e13_serve ===="
-	@cargo run -q --release -p xdp-serve --bin e13_serve
+	@echo "==== xdpd bench (E13) ===="
+	@cargo run -q --release -p xdp-serve --bin xdpd -- bench
 	@echo "==== e14_metrics ===="
 	@cargo run -q --release -p xdp-serve --bin e14_metrics
 	@echo "==== e15_vm ===="
@@ -47,8 +44,6 @@ experiments:
 	@cargo run -q --release -p xdp-verify --bin e16_scale
 	@echo "==== e17_membound ===="
 	@cargo run -q --release -p xdp-verify --bin e17_membound
-	@echo "==== bench_check ===="
-	@cargo run -q --release -p xdp-bench --bin bench_check
 
 # The automatic-placement experiment on its own (EXPERIMENTS.md E10).
 e10:
@@ -62,40 +57,36 @@ e11:
 e12:
 	cargo run -q --release -p xdp-verify --bin e12_fuzz
 
-# The serving load replay on its own (EXPERIMENTS.md E13); appends a
-# row to the BENCH_serve.json trajectory.
+# The serving load replay on its own (EXPERIMENTS.md E13): fails on a
+# serving-contract violation, records nothing.
 e13:
-	cargo run -q --release -p xdp-serve --bin e13_serve
+	cargo run -q --release -p xdp-serve --bin xdpd -- bench
 
 # Telemetry validation on its own (EXPERIMENTS.md E14): histogram vs
-# oracle, latency decomposition, flight recorder, regression gate.
+# oracle, latency decomposition, flight recorder, exposition.
 e14:
 	cargo run -q --release -p xdp-serve --bin e14_metrics
-	cargo run -q --release -p xdp-bench --bin bench_check
 
 # The VM speedup + conformance experiment on its own (EXPERIMENTS.md
 # E15): asserts the >=10x floor on local compute and fingerprint
-# identity with the interpreter, then gates the appended trajectory row.
+# identity with the interpreter.
 e15:
 	cargo run -q --release -p xdp-verify --bin e15_vm
-	cargo run -q --release -p xdp-bench --bin bench_check
 
 # The scale experiment on its own (EXPERIMENTS.md E16): the async
 # machine at P=4096 fingerprint-identical to the simulator, and the
 # tiered-topology collectives crossover moving under 100x cluster-link
-# asymmetry. Gates the appended trajectory row.
+# asymmetry.
 e16:
 	cargo run -q --release -p xdp-verify --bin e16_scale
-	cargo run -q --release -p xdp-bench --bin bench_check
 
 # The memory-bounded redistribution experiment on its own
 # (EXPERIMENTS.md E17): the transpose Pareto frontier at P=64-1024,
 # measured high-water marks under budgets on the interpreter and VM,
 # and the membound.xdp dynamic-slice chain leg. Writes the frontier
-# sweep to membound-pareto.json and gates the appended trajectory row.
+# sweep to membound-pareto.json.
 e17:
 	cargo run -q --release -p xdp-verify --bin e17_membound
-	cargo run -q --release -p xdp-bench --bin bench_check
 
 # A longer differential fuzz sweep via the CLI (CI runs --count 200).
 fuzz:
@@ -103,12 +94,12 @@ fuzz:
 
 # Serve the corpus interactively: registry listing + a repeated run.
 serve:
-	cargo run -q --release --bin xdpd -- list
-	cargo run -q --release --bin xdpd -- run xdp-programs/fft3d.xdp --repeat 5
+	cargo run -q --release -p xdp-serve --bin xdpd -- list
+	cargo run -q --release -p xdp-serve --bin xdpd -- run xdp-programs/fft3d.xdp --repeat 5
 
 # Serve a short replay and print the pool's Prometheus exposition.
 stats:
-	cargo run -q --release --bin xdpd -- stats
+	cargo run -q --release -p xdp-serve --bin xdpd -- stats
 
 examples:
 	@for e in quickstart fft3d paper_listings load_balance redistribute \

@@ -1,7 +1,8 @@
 //! # xdp-bench — the experiment harness
 //!
 //! One binary per figure/experiment in DESIGN.md's index (`cargo run -p
-//! xdp-bench --bin <id>`); Criterion micro-benchmarks under `benches/`.
+//! xdp-bench --bin <id>`). The binaries assert behaviour and record
+//! nothing; host speed is measured by `benchmark/` alone.
 //! Binaries print human-readable tables; when `XDP_JSON` is set (see
 //! [`table::json_enabled`] for the exact rule) they also emit one JSON
 //! object per row on stdout for machine consumption, each stamped with
@@ -9,7 +10,5 @@
 
 pub mod conformance;
 pub mod table;
-pub mod trajectory;
 
 pub use table::{json_enabled, Table, JSON_SCHEMA_VERSION};
-pub use trajectory::{Gate, TRAJECTORY_VERSION};

@@ -20,6 +20,24 @@ pub fn opt_val<'a>(rest: &'a [String], name: &str) -> Option<&'a str> {
         .map(|s| s.as_str())
 }
 
+/// The numeric option `name`: `default` when absent, a usage error when
+/// its value is missing or does not parse as a `T`.
+pub fn num<T: std::str::FromStr>(
+    tool: &str,
+    rest: &[String],
+    name: &str,
+    default: T,
+) -> Result<T, ExitCode> {
+    if !flag(rest, name) {
+        return Ok(default);
+    }
+    let v = opt_val(rest, name).unwrap_or("");
+    v.parse().map_err(|_| {
+        eprintln!("{tool}: bad {name} `{v}`");
+        ExitCode::from(2)
+    })
+}
+
 /// A positive byte count with an optional binary k/m/g suffix;
 /// surrounding whitespace is ignored.
 pub fn parse_bytes(v: &str) -> Option<u64> {

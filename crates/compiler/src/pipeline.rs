@@ -172,6 +172,8 @@ pub enum CompileError {
     Frontend(String),
     /// The (possibly lowered) program failed IR validation.
     Invalid(Vec<String>),
+    /// The `procs` override asked for a machine with no processors.
+    ZeroProcs,
 }
 
 impl std::fmt::Display for CompileError {
@@ -183,6 +185,7 @@ impl std::fmt::Display for CompileError {
             CompileError::Invalid(diags) => {
                 write!(f, "invalid program: {}", diags.join("; "))
             }
+            CompileError::ZeroProcs => write!(f, "machine size must be at least 1"),
         }
     }
 }
@@ -229,6 +232,9 @@ pub fn compile(source: &str, opts: &CompileOptions) -> Result<Compiled, CompileE
 /// then run the requested passes. `xdpc` parses centrally (one diagnostic
 /// for unreadable files, one for parse errors) and enters here.
 pub fn compile_program(program: &Program, opts: &CompileOptions) -> Result<Compiled, CompileError> {
+    if opts.procs == Some(0) {
+        return Err(CompileError::ZeroProcs);
+    }
     let (program, lowered) = match opts.seq {
         SeqMode::AsIs => (program.clone(), false),
         SeqMode::Lower => (lower_seq(program)?, true),
@@ -368,6 +374,8 @@ mod tests {
     fn procs_override_wins() {
         let c = compile(XDP_SRC, &CompileOptions::default().with_procs(8)).unwrap();
         assert_eq!(c.nprocs, 8);
+        let e = compile(XDP_SRC, &CompileOptions::default().with_procs(0)).unwrap_err();
+        assert_eq!(e.to_string(), "machine size must be at least 1");
     }
 
     #[test]

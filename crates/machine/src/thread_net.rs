@@ -4,8 +4,8 @@
 //! Matching semantics are those of [`crate::sim::SimNet`]: messages pair
 //! with receives by exact name; unspecified-destination messages go to the
 //! first claiming receiver; destination-bound messages only to a listed
-//! pid. Wall-clock benchmarks (Criterion) run on this backend; correctness
-//! tests assert its final state equals the simulator's.
+//! pid. The benchmark's `exec-comm-tasks` workload runs on this backend;
+//! correctness tests assert its final state equals the simulator's.
 //!
 //! # Reliable delivery under injected faults
 //!

@@ -13,34 +13,19 @@
 //!   fast ones must produce **exactly one** dump, and a failing request
 //!   exactly one more (with the error recorded);
 //! * **exposition** — the Prometheus text and JSON snapshots carry the
-//!   expected families and version stamp;
-//! * **trajectory** — the run appends one row to `BENCH_serve.json` and
-//!   the regression gate stays green.
+//!   expected families and version stamp.
 //!
 //! ```text
-//! e14_metrics [--requests N] [--programs DIR] [--out FILE]
-//!             [--metrics-out FILE] [--flight-dir DIR]
+//! e14_metrics [--programs DIR] [--metrics-out FILE] [--flight-dir DIR]
+//!             [the replay flags of `xdpd bench`: --requests N ...]
 //! ```
 
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::process::ExitCode;
 use xdp_bench::table::{j, Table};
-use xdp_bench::trajectory;
+use xdp_compiler::cli::opt_val;
 use xdp_metrics::{bucket_index, FlightConfig, FLIGHT_DUMP_VERSION};
 use xdp_serve::{replay, ReplayConfig, RequestSpec, ServePool};
-
-fn opt_val<'a>(rest: &'a [String], name: &str) -> Option<&'a str> {
-    rest.iter()
-        .position(|a| a == name)
-        .and_then(|i| rest.get(i + 1))
-        .map(|s| s.as_str())
-}
-
-fn num<T: std::str::FromStr>(rest: &[String], name: &str, default: T) -> T {
-    opt_val(rest, name)
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
 
 /// Nearest-rank quantile over a sorted slice — the oracle convention the
 /// histogram is validated against.
@@ -65,13 +50,10 @@ fn main() -> ExitCode {
     // The corpus holds ~26 distinct programs and each costs one cold
     // miss, so the request count must be high enough for the warm
     // phase to clear the 0.90 hit-rate floor.
-    cfg.requests = num(&args, "--requests", 400);
-    cfg.workers = num(&args, "--workers", 4);
-    cfg.batch = num(&args, "--batch", 32);
-    cfg.capacity = num(&args, "--capacity", 64);
-    cfg.seed = num(&args, "--seed", 1993);
-    cfg.gen_count = num(&args, "--gen", 4);
-    let out_path = opt_val(&args, "--out").unwrap_or("BENCH_serve.json");
+    (cfg.requests, cfg.batch, cfg.gen_count) = (400, 32, 4);
+    if let Err(code) = cfg.apply_args("e14_metrics", &args) {
+        return code;
+    }
     let metrics_out = opt_val(&args, "--metrics-out");
     let flight_dir = PathBuf::from(opt_val(&args, "--flight-dir").unwrap_or("flight-dumps"));
 
@@ -253,22 +235,6 @@ fn main() -> ExitCode {
             "error dump recorded (total {})",
             fpool.flight().unwrap().dumps()
         ),
-    );
-
-    // ---- Phase 4: trajectory row + regression gate. ------------------
-    match trajectory::append(Path::new(out_path), report.to_json("e14-metrics")) {
-        Ok(n) => println!("appended run {n} to {out_path}"),
-        Err(e) => {
-            eprintln!("e14_metrics: {e}");
-            return ExitCode::FAILURE;
-        }
-    }
-    let gate = trajectory::load(Path::new(out_path))
-        .map(|runs| trajectory::check_last(&runs, trajectory::Gate::default()))
-        .unwrap_or_else(|e| vec![e]);
-    check(
-        gate.is_empty(),
-        format!("bench trajectory regression gate green {gate:?}"),
     );
 
     if failures > 0 {

@@ -10,17 +10,16 @@
 //! xdpd list [--programs DIR] [--gen N]
 //! xdpd bench [--requests N] [--workers N] [--batch N] [--capacity N]
 //!            [--seed N] [--gen N] [--programs DIR] [--backend interp|vm]
-//!            [--out FILE] [--metrics-out FILE] [--slow-ms N] [--flight-dir DIR]
+//!            [--metrics-out FILE] [--slow-ms N] [--flight-dir DIR]
 //!            [--mem-budget B]
-//! xdpd stats [--requests N] [--programs DIR] [--gen N] [--backend interp|vm]
-//!            [--format prom|json]
+//! xdpd stats [--requests N] [--workers N] [--programs DIR] [--gen N]
+//!            [--backend interp|vm] [--format prom|json]
 //! ```
 
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::process::ExitCode;
 use xdp_bench::table::{j, Table};
-use xdp_bench::trajectory;
-use xdp_compiler::cli::{flag, opt_val, parse_backend, parse_mem_budget};
+use xdp_compiler::cli::{flag, num, opt_val, parse_backend, parse_mem_budget};
 use xdp_compiler::{CompileOptions, SeqMode};
 use xdp_serve::{load_corpus, replay, ReplayConfig, RequestSpec, ServePool};
 
@@ -33,24 +32,25 @@ USAGE:
     xdpd list [--programs DIR] [--gen N]
     xdpd bench [--requests N] [--workers N] [--batch N] [--capacity N]
                [--seed N] [--gen N] [--programs DIR] [--backend interp|vm]
-               [--out FILE] [--metrics-out FILE] [--slow-ms N] [--flight-dir DIR]
+               [--metrics-out FILE] [--slow-ms N] [--flight-dir DIR]
                [--mem-budget B]
     xdpd stats [--requests N] [--workers N] [--programs DIR] [--gen N]
                [--backend interp|vm] [--format prom|json]
 
 `run` serves one program repeatedly through the compile cache (the first
 request compiles, the rest hit). `list` registers a corpus and prints the
-registry. `bench` replays a seeded weighted request mix, appends the
-report to the benchmark trajectory (default BENCH_serve.json), and fails
-on serving-contract violations; `--metrics-out` additionally writes the
-pool's full metrics snapshot, and `--slow-ms`/`--flight-dir` arm the
-flight recorder. `stats` serves a short replay and prints the resulting
-telemetry in Prometheus text (default) or JSON exposition. `--backend vm`
-compiles every request for the bytecode VM instead of the tree-walking
-interpreter; latency histograms carry a backend label either way, so
-`xdpd stats` splits the two. `--mem-budget B` compiles every request
-under a per-processor redistribution memory budget of B bytes (binary
-k/m/g suffixes accepted); the planner then picks the fastest
+registry. `bench` (experiment E13) replays a seeded weighted request
+mix, prints the summary and per-program tables, and fails on
+serving-contract violations; it records nothing (host speed is measured
+by benchmark/). `--metrics-out` writes the pool's full metrics snapshot,
+and `--slow-ms`/`--flight-dir` arm the flight recorder. `stats` serves a
+short replay and prints the resulting telemetry in Prometheus text
+(default) or JSON exposition. `--backend vm` compiles every request for
+the bytecode VM instead of the tree-walking interpreter; latency
+histograms carry a backend label either way, so `xdpd stats` splits the
+two. `--mem-budget B` compiles every request under a per-processor
+redistribution memory budget of B bytes (binary k/m/g suffixes
+accepted); the planner then picks the fastest
 decomposition whose peak live-buffer footprint fits.
 ";
 
@@ -61,59 +61,55 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     };
     let rest = &args[1..];
-    match cmd {
+    // `Err` carries the exit code of a failure the subcommand has already
+    // reported on stderr.
+    let done = match cmd {
         "run" => cmd_run(rest),
         "list" => cmd_list(rest),
         "bench" => cmd_bench(rest),
         "stats" => cmd_stats(rest),
         "--help" | "-h" | "help" => {
             print!("{USAGE}");
-            ExitCode::SUCCESS
+            Ok(())
         }
         other => {
             eprintln!("xdpd: unknown command `{other}`\n");
             eprint!("{USAGE}");
-            ExitCode::FAILURE
+            Err(ExitCode::FAILURE)
         }
+    };
+    match done {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(code) => code,
     }
 }
 
-fn num<T: std::str::FromStr>(rest: &[String], name: &str, default: T) -> T {
-    opt_val(rest, name)
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
-fn cmd_run(rest: &[String]) -> ExitCode {
+fn cmd_run(rest: &[String]) -> Result<(), ExitCode> {
     let Some(file) = rest.iter().find(|a| !a.starts_with("--")).cloned() else {
         eprintln!("xdpd: run needs a program file");
-        return ExitCode::FAILURE;
+        return Err(ExitCode::FAILURE);
     };
     let source = match std::fs::read_to_string(&file) {
         Ok(s) => s,
         Err(e) => {
             // Same diagnostic contract as xdpc: exit 2 on unreadable input.
             eprintln!("xdpd: error: cannot read {file}: {e}");
-            return ExitCode::from(2);
+            return Err(ExitCode::from(2));
         }
     };
     let mut opts = CompileOptions::default().with_seq(SeqMode::Auto);
     opts.optimize = flag(rest, "--optimize");
-    opts.procs = opt_val(rest, "--procs").and_then(|v| v.parse().ok());
-    opts.backend = match parse_backend("xdpd", rest) {
-        Ok(b) => b,
-        Err(code) => return code,
-    };
-    opts.mem_budget = match parse_mem_budget("xdpd", rest) {
-        Ok(b) => b,
-        Err(code) => return code,
-    };
+    opts.procs = flag(rest, "--procs")
+        .then(|| num("xdpd", rest, "--procs", 0))
+        .transpose()?;
+    opts.backend = parse_backend("xdpd", rest)?;
+    opts.mem_budget = parse_mem_budget("xdpd", rest)?;
     let mut spec = RequestSpec::new(source).with_opts(opts);
     if let Some(f) = opt_val(rest, "--faults") {
         spec = spec.with_faults(f);
     }
-    let repeat: usize = num(rest, "--repeat", 3);
-    let workers: usize = num(rest, "--workers", 2);
+    let repeat: usize = num("xdpd", rest, "--repeat", 3)?;
+    let workers: usize = num("xdpd", rest, "--workers", 2)?;
 
     let pool = ServePool::new(workers, 8);
     let specs = vec![spec; repeat.max(1)];
@@ -140,7 +136,7 @@ fn cmd_run(rest: &[String]) -> ExitCode {
             ]),
             Err(e) => {
                 eprintln!("xdpd: error: {e}");
-                return ExitCode::FAILURE;
+                return Err(ExitCode::FAILURE);
             }
         }
     }
@@ -153,17 +149,17 @@ fn cmd_run(rest: &[String]) -> ExitCode {
         stats.hits + stats.misses,
         stats.hit_rate() * 100.0
     );
-    ExitCode::SUCCESS
+    Ok(())
 }
 
-fn cmd_list(rest: &[String]) -> ExitCode {
+fn cmd_list(rest: &[String]) -> Result<(), ExitCode> {
     let mut cfg = ReplayConfig::new(opt_val(rest, "--programs").unwrap_or("xdp-programs"));
-    cfg.gen_count = num(rest, "--gen", 0);
+    cfg.gen_count = num("xdpd", rest, "--gen", 0)?;
     let corpus = match load_corpus(&cfg) {
         Ok(c) => c,
         Err(e) => {
             eprintln!("xdpd: error: {e}");
-            return ExitCode::from(2);
+            return Err(ExitCode::from(2));
         }
     };
     let pool = ServePool::new(1, corpus.len().max(1));
@@ -174,7 +170,7 @@ fn cmd_list(rest: &[String]) -> ExitCode {
         });
         if let Err(e) = registered {
             eprintln!("xdpd: error: {}: {e}", item.name);
-            return ExitCode::FAILURE;
+            return Err(ExitCode::FAILURE);
         }
     }
     let rows = pool.with_registry(|reg, cache| reg.list(cache));
@@ -193,39 +189,25 @@ fn cmd_list(rest: &[String]) -> ExitCode {
         ]);
     }
     t.print();
-    ExitCode::SUCCESS
+    Ok(())
 }
 
-fn cmd_bench(rest: &[String]) -> ExitCode {
+fn cmd_bench(rest: &[String]) -> Result<(), ExitCode> {
     let mut cfg = ReplayConfig::new(opt_val(rest, "--programs").unwrap_or("xdp-programs"));
-    cfg.requests = num(rest, "--requests", cfg.requests);
-    cfg.workers = num(rest, "--workers", cfg.workers);
-    cfg.batch = num(rest, "--batch", cfg.batch);
-    cfg.capacity = num(rest, "--capacity", cfg.capacity);
-    cfg.seed = num(rest, "--seed", cfg.seed);
-    cfg.gen_count = num(rest, "--gen", cfg.gen_count);
-    cfg.backend = match parse_backend("xdpd", rest) {
-        Ok(b) => b,
-        Err(code) => return code,
-    };
-    cfg.mem_budget = match parse_mem_budget("xdpd", rest) {
-        Ok(b) => b,
-        Err(code) => return code,
-    };
+    cfg.apply_args("xdpd", rest)?;
     cfg.flight_dir = opt_val(rest, "--flight-dir").map(PathBuf::from);
-    if let Some(ms) = opt_val(rest, "--slow-ms").and_then(|v| v.parse::<u64>().ok()) {
+    if flag(rest, "--slow-ms") {
+        let ms: u64 = num("xdpd", rest, "--slow-ms", 0)?;
         cfg.slow_us = Some(ms.saturating_mul(1000));
-        if cfg.flight_dir.is_none() {
-            cfg.flight_dir = Some(PathBuf::from("flight-dumps"));
-        }
+        cfg.flight_dir
+            .get_or_insert_with(|| PathBuf::from("flight-dumps"));
     }
-    let out_path = opt_val(rest, "--out").unwrap_or("BENCH_serve.json");
 
     let (report, pool) = match replay(&cfg) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("xdpd: error: {e}");
-            return ExitCode::FAILURE;
+            return Err(ExitCode::FAILURE);
         }
     };
     let mut t = Table::new(
@@ -258,52 +240,51 @@ fn cmd_bench(rest: &[String]) -> ExitCode {
         j::u(report.flight_dumps),
     ]);
     t.print();
-    match trajectory::append(Path::new(out_path), report.to_json("xdpd-bench")) {
-        Ok(n) => println!("appended run {n} to {out_path}"),
-        Err(e) => {
-            eprintln!("xdpd: error: {e}");
-            return ExitCode::FAILURE;
-        }
+    let mut per = Table::new(
+        "xdpd-bench-programs",
+        &["program", "runs", "hits", "mean_latency_us"],
+    );
+    for row in &report.per_program {
+        per.row(&[
+            j::s(&row.name),
+            j::u(row.runs),
+            j::u(row.hits),
+            j::f(row.mean_latency_us),
+        ]);
     }
+    per.print();
     if let Some(metrics_path) = opt_val(rest, "--metrics-out") {
         let snapshot = pool.metrics_snapshot();
         if let Err(e) = std::fs::write(metrics_path, format!("{}\n", snapshot.to_json())) {
             eprintln!("xdpd: error: cannot write {metrics_path}: {e}");
-            return ExitCode::FAILURE;
+            return Err(ExitCode::FAILURE);
         }
         println!("wrote {metrics_path}");
     }
-    // The same serving contract e13_serve enforces: a bench run that
-    // errored, recompiled warm hits, or fell off the hit-rate floor
-    // fails loudly instead of writing a healthy-looking report.
+    // The serving contract: a bench run that errored, recompiled warm
+    // hits, or fell off the hit-rate floor fails loudly instead of
+    // printing a healthy-looking report.
     let violations = report.contract_violations();
     for v in &violations {
         eprintln!("xdpd: contract violation: {v}");
     }
     if !violations.is_empty() {
-        return ExitCode::FAILURE;
+        return Err(ExitCode::FAILURE);
     }
-    ExitCode::SUCCESS
+    Ok(())
 }
 
-fn cmd_stats(rest: &[String]) -> ExitCode {
+fn cmd_stats(rest: &[String]) -> Result<(), ExitCode> {
     let mut cfg = ReplayConfig::new(opt_val(rest, "--programs").unwrap_or("xdp-programs"));
-    cfg.requests = num(rest, "--requests", 120);
-    cfg.workers = num(rest, "--workers", 2);
-    cfg.batch = num(rest, "--batch", 32);
-    cfg.gen_count = num(rest, "--gen", cfg.gen_count);
-    cfg.seed = num(rest, "--seed", cfg.seed);
-    cfg.backend = match parse_backend("xdpd", rest) {
-        Ok(b) => b,
-        Err(code) => return code,
-    };
+    (cfg.requests, cfg.workers, cfg.batch) = (120, 2, 32);
+    cfg.apply_args("xdpd", rest)?;
     let format = opt_val(rest, "--format").unwrap_or("prom");
 
     let (_, pool) = match replay(&cfg) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("xdpd: error: {e}");
-            return ExitCode::FAILURE;
+            return Err(ExitCode::FAILURE);
         }
     };
     let snapshot = pool.metrics_snapshot();
@@ -312,8 +293,8 @@ fn cmd_stats(rest: &[String]) -> ExitCode {
         "json" => println!("{}", snapshot.to_json()),
         other => {
             eprintln!("xdpd: unknown stats format `{other}` (want prom or json)");
-            return ExitCode::FAILURE;
+            return Err(ExitCode::FAILURE);
         }
     }
-    ExitCode::SUCCESS
+    Ok(())
 }

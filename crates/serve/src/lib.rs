@@ -21,9 +21,10 @@
 //!   instance, so batched outcomes are bit-identical to solo runs
 //!   ([`xdp_verify::Fingerprint`] equality, asserted by the conformance
 //!   tests);
-//! * [`replay`] — the seeded load-replay driver behind `xdpd bench` and
-//!   the `e13_serve` experiment (latency percentiles, throughput, hit
-//!   rate, warm-recompile check, shared contract checks);
+//! * [`replay`] — the seeded load-replay driver behind `xdpd bench`
+//!   (experiment E13), `xdpd stats` and `e14_metrics` (latency
+//!   percentiles, throughput, hit rate, warm-recompile check, the
+//!   serving contract);
 //! * [`metrics_view`] — the pool's telemetry: pre-registered
 //!   [`xdp_metrics`] handles for the request path (latency decomposition,
 //!   cache counters, queue depth) plus folds of every run's network and

@@ -1,4 +1,5 @@
-//! The load-replay driver behind `xdpd bench` and `e13_serve`.
+//! The load-replay driver behind `xdpd bench`, `xdpd stats` and
+//! `e14_metrics`.
 //!
 //! Replay builds a request corpus — every `.xdp` program in a directory
 //! (plain and optimized variants), plus `xdp_verify`-generated programs
@@ -20,8 +21,9 @@
 //! The serving contract the binaries enforce lives here too
 //! ([`ReplayReport::contract_violations`]): no errors, one compile per
 //! distinct requested program, a warm hit rate, and zero warm
-//! recompiles. Both `xdpd bench` and `e13_serve` fail on violations —
-//! the daemon's exit code means the same thing as the experiment's.
+//! recompiles. `xdpd bench` (experiment E13) exits nonzero on any
+//! violation. A replay asserts and prints; it records nothing — host
+//! speed is measured by `benchmark/` alone.
 
 use crate::cache::CacheStats;
 use crate::pool::ServePool;
@@ -29,9 +31,10 @@ use crate::spec::RequestSpec;
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use serde_json::{Map, Value as Json};
 use std::path::PathBuf;
+use std::process::ExitCode;
 use std::time::Instant;
+use xdp_compiler::cli::{num, parse_backend, parse_mem_budget};
 use xdp_compiler::{Backend, CompileOptions, SeqMode};
 use xdp_metrics::{FlightConfig, HistSnapshot};
 use xdp_verify::GenConfig;
@@ -94,6 +97,23 @@ impl ReplayConfig {
             mem_budget: None,
         }
     }
+
+    /// Read the replay flags shared by every binary that replays: the
+    /// numeric ones (`--requests --workers --batch --capacity --seed
+    /// --gen`) over the caller's defaults, `--backend` and `--mem-budget`
+    /// as every tool reads them (absent: interp, unbounded). A malformed
+    /// value is a usage error reported under `tool`'s name (exit code 2).
+    pub fn apply_args(&mut self, tool: &str, rest: &[String]) -> Result<(), ExitCode> {
+        self.requests = num(tool, rest, "--requests", self.requests)?;
+        self.workers = num(tool, rest, "--workers", self.workers)?;
+        self.batch = num(tool, rest, "--batch", self.batch)?;
+        self.capacity = num(tool, rest, "--capacity", self.capacity)?;
+        self.seed = num(tool, rest, "--seed", self.seed)?;
+        self.gen_count = num(tool, rest, "--gen", self.gen_count)?;
+        self.backend = parse_backend(tool, rest)?;
+        self.mem_budget = parse_mem_budget(tool, rest)?;
+        Ok(())
+    }
 }
 
 /// Per-corpus-item replay counters.
@@ -149,9 +169,9 @@ pub struct ReplayReport {
 }
 
 impl ReplayReport {
-    /// The serving contract both `xdpd bench` and `e13_serve` enforce.
-    /// Empty means the replay is healthy; each entry is one violated
-    /// invariant, human-readable.
+    /// The serving contract `xdpd bench` enforces. Empty means the
+    /// replay is healthy; each entry is one violated invariant,
+    /// human-readable.
     pub fn contract_violations(&self) -> Vec<String> {
         let mut v = Vec::new();
         if self.errors != 0 {
@@ -176,64 +196,6 @@ impl ReplayReport {
             ));
         }
         v
-    }
-
-    /// The report as one JSON object (one `BENCH_serve.json` trajectory
-    /// row). `experiment` names the binary that produced it.
-    pub fn to_json(&self, experiment: &str) -> Json {
-        let unix_ms = std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)
-            .map(|d| d.as_millis() as u64)
-            .unwrap_or(0);
-        let mut latency = Map::new();
-        latency.insert("p50".into(), Json::from(self.p50_us));
-        latency.insert("p90".into(), Json::from(self.latency_hist.p90()));
-        latency.insert("p99".into(), Json::from(self.p99_us));
-        latency.insert("mean".into(), Json::from(self.mean_us));
-        latency.insert("max".into(), Json::from(self.latency_hist.max_exact()));
-        let mut split = Map::new();
-        split.insert("queue_us".into(), Json::from(self.total_queue_us));
-        split.insert("resolve_us".into(), Json::from(self.total_resolve_us));
-        split.insert("execute_us".into(), Json::from(self.total_execute_us));
-        split.insert("wall_us".into(), Json::from(self.total_wall_us));
-        let mut cache = Map::new();
-        cache.insert("hit_rate".into(), Json::from(self.hit_rate));
-        cache.insert("hits".into(), Json::from(self.stats.hits));
-        cache.insert("misses".into(), Json::from(self.stats.misses));
-        cache.insert("compiles".into(), Json::from(self.stats.compiles));
-        cache.insert("evictions".into(), Json::from(self.stats.evictions));
-        cache.insert("warm_recompiles".into(), Json::from(self.warm_recompiles));
-        let per: Vec<Json> = self
-            .per_program
-            .iter()
-            .map(|r| {
-                let mut row = Map::new();
-                row.insert("name".into(), Json::from(r.name.clone()));
-                row.insert("runs".into(), Json::from(r.runs));
-                row.insert("hits".into(), Json::from(r.hits));
-                row.insert("mean_latency_us".into(), Json::from(r.mean_latency_us));
-                Json::Object(row)
-            })
-            .collect();
-        let mut root = Map::new();
-        root.insert("experiment".into(), Json::from(experiment));
-        root.insert("unix_ms".into(), Json::from(unix_ms));
-        root.insert("backend".into(), Json::from(self.backend.as_str()));
-        root.insert("requests".into(), Json::from(self.requests));
-        root.insert("errors".into(), Json::from(self.errors));
-        root.insert("distinct_programs".into(), Json::from(self.distinct));
-        root.insert(
-            "distinct_requested".into(),
-            Json::from(self.distinct_requested),
-        );
-        root.insert("wall_s".into(), Json::from(self.wall_s));
-        root.insert("runs_per_sec".into(), Json::from(self.runs_per_sec));
-        root.insert("latency_us".into(), Json::Object(latency));
-        root.insert("latency_split".into(), Json::Object(split));
-        root.insert("cache".into(), Json::Object(cache));
-        root.insert("flight_dumps".into(), Json::from(self.flight_dumps));
-        root.insert("per_program".into(), Json::Array(per));
-        Json::Object(root)
     }
 }
 
@@ -492,11 +454,7 @@ mod tests {
             "healthy replay passes the contract: {:?}",
             report.contract_violations()
         );
-        let j = report.to_json("e13-serve");
-        let warm = j.get("cache").and_then(|c| c.get("warm_recompiles"));
-        assert_eq!(warm.and_then(|v| v.as_u64()), Some(0));
-        assert_eq!(j.get("requests").and_then(|v| v.as_u64()), Some(60));
-        assert!(j.get("unix_ms").and_then(|v| v.as_u64()).unwrap() > 0);
+        assert_eq!(report.requests, 60);
     }
 
     #[test]
@@ -534,8 +492,7 @@ mod tests {
             "{:?}",
             report.contract_violations()
         );
-        let j = report.to_json("test");
-        assert_eq!(j.get("backend").and_then(|v| v.as_str()), Some("vm"));
+        assert_eq!(report.backend.as_str(), "vm");
         // Every request (replay + warm check) landed in the vm-labeled
         // histogram; the interp one never fired.
         let snap = pool.metrics_snapshot();

@@ -16,20 +16,12 @@
 //! on the simulated machine (clean *and* under a lossy fault plan), and
 //! match on everything timing-free on the wall-clock task machine.
 //!
-//! The summary appends one row (experiment `e15-vm`) to the
-//! `BENCH_serve.json` trajectory, so `bench_check` gates VM latency and
-//! throughput regressions beyond 25% exactly as it gates the serving
-//! benchmarks.
-//!
 //! Expected shape: speedup well above the 10x floor on the big legs
 //! (about 27x at n=4096 on a dev box), zero conformance failures.
 
-use serde_json::{Map, Value as Json};
-use std::path::Path;
 use std::sync::Arc;
 use std::time::Instant;
 use xdp_bench::table::{j, Table};
-use xdp_bench::trajectory;
 use xdp_core::{AsyncConfig, AsyncExec, KernelRegistry, SimConfig, SimExec};
 use xdp_fault::{FaultPlan, LinkFault};
 use xdp_ir::build as b;
@@ -143,7 +135,6 @@ fn main() {
             "ok",
         ],
     );
-    let mut big_leg_vm_us = 0.0f64;
     for &(n, sweeps) in legs {
         let (p, a) = local_sweeps(n, sweeps);
         let interp_s = interp_leg(&p, a);
@@ -154,9 +145,6 @@ fn main() {
         if !ok {
             eprintln!("e15: n={n}: speedup {speedup:.1}x below the {FLOOR:.0}x floor");
             failures += 1;
-        }
-        if floored {
-            big_leg_vm_us = big_leg_vm_us.max(vm_s * 1e6);
         }
         t.row(&[
             j::i(n),
@@ -216,47 +204,6 @@ fn main() {
         failures += fail;
     }
     t2.print();
-
-    // One trajectory row so bench_check gates VM performance run to run:
-    // throughput and latency of the largest asserted leg.
-    let out_path = std::env::args()
-        .skip_while(|a| a != "--out")
-        .nth(1)
-        .unwrap_or_else(|| "BENCH_serve.json".to_string());
-    let mut latency = Map::new();
-    latency.insert("p50".into(), Json::from(big_leg_vm_us.round() as u64));
-    latency.insert("p99".into(), Json::from(big_leg_vm_us.round() as u64));
-    let mut row = Map::new();
-    row.insert("experiment".into(), Json::from("e15-vm"));
-    row.insert(
-        "unix_ms".into(),
-        Json::from(
-            std::time::SystemTime::now()
-                .duration_since(std::time::UNIX_EPOCH)
-                .map(|d| d.as_millis() as u64)
-                .unwrap_or(0),
-        ),
-    );
-    row.insert(
-        "runs_per_sec".into(),
-        Json::from(if big_leg_vm_us > 0.0 {
-            1e6 / big_leg_vm_us
-        } else {
-            0.0
-        }),
-    );
-    row.insert("latency_us".into(), Json::Object(latency));
-    row.insert(
-        "conformance_failures".into(),
-        Json::from((sim_fail + faulted_fail + tasks_fail) as u64),
-    );
-    match trajectory::append(Path::new(&out_path), Json::Object(row)) {
-        Ok(runs) => println!("appended run {runs} to {out_path}"),
-        Err(e) => {
-            eprintln!("e15: {e}");
-            failures += 1;
-        }
-    }
 
     if failures > 0 {
         eprintln!("e15: {failures} failure(s)");

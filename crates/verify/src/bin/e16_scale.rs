@@ -18,17 +18,10 @@
 //! staged schedule, so staging pays off at a lower per-message cost) —
 //! asserted both as a crossover-point shift and as one operating point
 //! where only the tier costs differ and the chosen strategy flips.
-//!
-//! The summary appends one row (experiment `e16-scale`) to the
-//! `BENCH_serve.json` trajectory, so `bench_check` gates the async
-//! machine's P=4096 wall time run to run.
 
-use serde_json::{Map, Value as Json};
-use std::path::Path;
 use std::sync::Arc;
 use std::time::Instant;
 use xdp_bench::table::{j, Table};
-use xdp_bench::trajectory;
 use xdp_collectives::planner::{plan, Strategy};
 use xdp_core::{
     AsyncConfig, AsyncExec, ExecReport, Gathered, KernelRegistry, Machine, RtError, SimConfig,
@@ -284,44 +277,6 @@ fn main() {
     {
         eprintln!("e16: operating point 0.65 did not flip strategies with tier scale");
         failures += 1;
-    }
-
-    // One trajectory row so bench_check gates the P=4096 async wall time.
-    let out_path = std::env::args()
-        .skip_while(|a| a != "--out")
-        .nth(1)
-        .unwrap_or_else(|| "BENCH_serve.json".to_string());
-    let async_us = async_wall * 1e6;
-    let mut latency = Map::new();
-    latency.insert("p50".into(), Json::from(async_us.round() as u64));
-    latency.insert("p99".into(), Json::from(async_us.round() as u64));
-    let mut row = Map::new();
-    row.insert("experiment".into(), Json::from("e16-scale"));
-    row.insert(
-        "unix_ms".into(),
-        Json::from(
-            std::time::SystemTime::now()
-                .duration_since(std::time::UNIX_EPOCH)
-                .map(|d| d.as_millis() as u64)
-                .unwrap_or(0),
-        ),
-    );
-    row.insert(
-        "runs_per_sec".into(),
-        Json::from(if async_us > 0.0 { 1e6 / async_us } else { 0.0 }),
-    );
-    row.insert("latency_us".into(), Json::Object(latency));
-    row.insert("nprocs".into(), Json::from(NPROCS as u64));
-    row.insert(
-        "conformance_failures".into(),
-        Json::from(corpus_fail as u64),
-    );
-    match trajectory::append(Path::new(&out_path), Json::Object(row)) {
-        Ok(runs) => println!("appended run {runs} to {out_path}"),
-        Err(e) => {
-            eprintln!("e16: {e}");
-            failures += 1;
-        }
     }
 
     if failures > 0 {

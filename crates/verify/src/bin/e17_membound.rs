@@ -23,16 +23,11 @@
 //! for a smaller footprint.
 //!
 //! The frontier sweep is written to `membound-pareto.json`
-//! (`--pareto-out`) and one `e17-membound` row is appended to the
-//! `BENCH_serve.json` trajectory (`--out`), so `bench_check` gates the
-//! measured legs' wall time run to run.
+//! (`--pareto-out`).
 
 use serde_json::{Map, Value as Json};
-use std::path::Path;
 use std::sync::Arc;
-use std::time::Instant;
 use xdp_bench::table::{j, Table};
-use xdp_bench::trajectory;
 use xdp_collectives::{plan, try_plan, FrontierPoint, PlanError, Strategy};
 use xdp_compiler::{compile, CompileOptions, SeqMode};
 use xdp_core::{KernelRegistry, Processor, SimConfig, SimExec};
@@ -150,12 +145,11 @@ fn init<P: Processor>(exec: &mut SimExec<P>, decls: &[Decl]) {
 }
 
 /// Run a program under `cfg` and return the measured redistribution
-/// high-water mark (bytes) and the wall time (seconds).
-fn measure<P: Processor>(label: &str, mut exec: SimExec<P>, decls: &[Decl]) -> (u64, f64) {
+/// high-water mark (bytes).
+fn measure<P: Processor>(label: &str, mut exec: SimExec<P>, decls: &[Decl]) -> u64 {
     init(&mut exec, decls);
-    let t0 = Instant::now();
     let report = exec.run().unwrap_or_else(|e| panic!("{label}: {e}"));
-    (report.net.redist_peak_bytes, t0.elapsed().as_secs_f64())
+    report.net.redist_peak_bytes
 }
 
 fn main() {
@@ -350,17 +344,17 @@ fn main() {
         &format!("E17: measured redistribution high-water at P={MEASURED_P} (bytes)"),
         &["leg", "budget_B", "predicted_B", "interp", "vm", "within"],
     );
-    let mut measured: Vec<(u64, f64)> = Vec::new(); // (interp high-water, wall)
+    let mut measured: Vec<u64> = Vec::new(); // interp high-water per leg
     for (leg, budget) in [("unbounded", u64::MAX), ("smallest-feasible", slim)] {
         let mut cfg = SimConfig::new(MEASURED_P);
         cfg.cost.mem_budget = Some(budget);
         let predicted = predicted_peak(&prog, &cfg.cost, &cfg.topo);
-        let (mi, wall) = measure(
+        let mi = measure(
             leg,
             SimExec::new(prog.clone(), KernelRegistry::standard(), cfg.clone()),
             &prog.decls,
         );
-        let (mv, _) = measure(
+        let mv = measure(
             leg,
             VmExec::sim(prog.clone(), KernelRegistry::standard(), cfg),
             &prog.decls,
@@ -382,12 +376,12 @@ fn main() {
             j::u(mv),
             j::s(if ok { "yes" } else { "NO" }),
         ]);
-        measured.push((mi, wall));
+        measured.push(mi);
     }
-    if measured[0].0 < 2 * measured[1].0 {
+    if measured[0] < 2 * measured[1] {
         eprintln!(
             "e17: unbounded-vs-bounded measured gap under 2x: {} vs {} B",
-            measured[0].0, measured[1].0
+            measured[0], measured[1]
         );
         failures += 1;
     }
@@ -465,12 +459,12 @@ fn main() {
     let mut cfg = SimConfig::new(compiled.nprocs);
     cfg.cost.mem_budget = Some(chain_budget.max(1));
     let predicted = predicted_peak(&cprog, &cfg.cost, &cfg.topo);
-    let (mi, _) = measure(
+    let mi = measure(
         "membound chain",
         SimExec::new(cprog.clone(), KernelRegistry::standard(), cfg.clone()),
         &cprog.decls,
     );
-    let (mv, _) = measure(
+    let mv = measure(
         "membound chain",
         VmExec::sim(cprog.clone(), KernelRegistry::standard(), cfg),
         &cprog.decls,
@@ -510,42 +504,6 @@ fn main() {
         Ok(()) => println!("wrote Pareto frontiers to {pareto_path}"),
         Err(e) => {
             eprintln!("e17: cannot write {pareto_path}: {e}");
-            failures += 1;
-        }
-    }
-
-    // One trajectory row so bench_check gates the measured legs' wall
-    // time run to run.
-    let out_path = std::env::args()
-        .skip_while(|a| a != "--out")
-        .nth(1)
-        .unwrap_or_else(|| "BENCH_serve.json".to_string());
-    let wall_us = measured[1].1 * 1e6;
-    let mut latency = Map::new();
-    latency.insert("p50".into(), Json::from(wall_us.round() as u64));
-    latency.insert("p99".into(), Json::from(wall_us.round() as u64));
-    let mut row = Map::new();
-    row.insert("experiment".into(), Json::from("e17-membound"));
-    row.insert(
-        "unix_ms".into(),
-        Json::from(
-            std::time::SystemTime::now()
-                .duration_since(std::time::UNIX_EPOCH)
-                .map(|d| d.as_millis() as u64)
-                .unwrap_or(0),
-        ),
-    );
-    row.insert(
-        "runs_per_sec".into(),
-        Json::from(if wall_us > 0.0 { 1e6 / wall_us } else { 0.0 }),
-    );
-    row.insert("latency_us".into(), Json::Object(latency));
-    row.insert("nprocs".into(), Json::from(MEASURED_P as u64));
-    row.insert("conformance_failures".into(), Json::from(failures as u64));
-    match trajectory::append(Path::new(&out_path), Json::Object(row)) {
-        Ok(runs) => println!("appended run {runs} to {out_path}"),
-        Err(e) => {
-            eprintln!("e17: {e}");
             failures += 1;
         }
     }

@@ -73,7 +73,7 @@ macro_rules! outp {
 }
 use xdp::prelude::*;
 use xdp_bench::Table;
-use xdp_compiler::cli::{flag, opt_val, parse_backend, parse_mem_budget};
+use xdp_compiler::cli::{flag, num, opt_val, parse_backend, parse_mem_budget};
 use xdp_compiler::passes::{
     AutoPlace, BindCommunication, ElideAccessibleChecks, ElideSameOwnerComm, FuseLoops,
     LocalizeBounds, MigrateOwnership, SinkAwait, VectorizeMessages,
@@ -385,15 +385,18 @@ fn cmd_tune(program: &Program, rest: &[String]) -> ExitCode {
 }
 
 /// Cost-model overrides shared by `plan`, `place`, `run`, and `trace`.
-fn cost_flags(rest: &[String]) -> CostModel {
+fn cost_flags(rest: &[String]) -> Result<CostModel, ExitCode> {
     let mut cost = CostModel::default_1993();
-    if let Some(a) = opt_val(rest, "--alpha").and_then(|v| v.parse().ok()) {
-        cost.alpha = a;
-    }
-    if let Some(b) = opt_val(rest, "--beta").and_then(|v| v.parse().ok()) {
-        cost.beta = b;
-    }
-    cost
+    cost.alpha = num("xdpc", rest, "--alpha", cost.alpha)?;
+    cost.beta = num("xdpc", rest, "--beta", cost.beta)?;
+    Ok(cost)
+}
+
+/// `--procs N`, when given.
+fn procs_override(rest: &[String]) -> Result<Option<usize>, ExitCode> {
+    flag(rest, "--procs")
+        .then(|| num("xdpc", rest, "--procs", 0))
+        .transpose()
 }
 
 /// `--topo uniform|linear|RxC` shared by `plan` and `place`.
@@ -424,7 +427,10 @@ fn cmd_plan(program: &Program, rest: &[String]) -> ExitCode {
         Err(code) => return code,
     };
     let program = program.as_ref();
-    let mut cost = cost_flags(rest);
+    let mut cost = match cost_flags(rest) {
+        Ok(c) => c,
+        Err(code) => return code,
+    };
     let budget = match parse_mem_budget("xdpc", rest) {
         Ok(b) => b,
         Err(code) => return code,
@@ -577,7 +583,10 @@ fn cmd_place(program: &Program, rest: &[String]) -> ExitCode {
         Ok(t) => t,
         Err(code) => return code,
     };
-    let mut model = cost_flags(rest);
+    let (mut model, procs) = match (cost_flags(rest), procs_override(rest)) {
+        (Ok(m), Ok(p)) => (m, p),
+        (Err(code), _) | (_, Err(code)) => return code,
+    };
     model.mem_budget = match parse_mem_budget("xdpc", rest) {
         Ok(b) => b,
         Err(code) => return code,
@@ -590,9 +599,10 @@ fn cmd_place(program: &Program, rest: &[String]) -> ExitCode {
     if flag(rest, "--no-cyclic") {
         opts.allow_cyclic = false;
     }
-    if let Some(n) = opt_val(rest, "--max-dims").and_then(|v| v.parse().ok()) {
-        opts.max_dist_dims = n;
-    }
+    opts.max_dist_dims = match num("xdpc", rest, "--max-dims", opts.max_dist_dims) {
+        Ok(n) => n,
+        Err(code) => return code,
+    };
     let placed = match xdp::place::optimize(program, &opts) {
         Ok(p) => p,
         Err(e) => {
@@ -635,8 +645,7 @@ fn cmd_place(program: &Program, rest: &[String]) -> ExitCode {
     // Predicted vs. simulated: execute on the simulated machine with the
     // same cost model the search scored against.
     let simulate = |p: &Program| -> Result<f64, String> {
-        let nprocs = opt_val(rest, "--procs")
-            .and_then(|v| v.parse().ok())
+        let nprocs = procs
             .or_else(|| xdp_compiler::pipeline::machine_size_of(p))
             .unwrap_or(1);
         let cfg = SimConfig::new(nprocs).with_cost(opts.model);
@@ -697,7 +706,7 @@ fn parse_faults(rest: &[String]) -> Result<xdp_fault::FaultPlan, ExitCode> {
 fn compiled_for(program: &Program, rest: &[String], seq: SeqMode) -> Result<Compiled, ExitCode> {
     let backend = parse_backend("xdpc", rest)?;
     let opts = CompileOptions {
-        procs: opt_val(rest, "--procs").and_then(|v| v.parse().ok()),
+        procs: procs_override(rest)?,
         optimize: flag(rest, "--optimize"),
         place: false,
         seq,
@@ -751,7 +760,10 @@ fn cmd_run(program: &Program, rest: &[String]) -> ExitCode {
         Err(code) => return code,
     };
     let nprocs = compiled.nprocs;
-    let mut cost = cost_flags(rest);
+    let mut cost = match cost_flags(rest) {
+        Ok(c) => c,
+        Err(code) => return code,
+    };
     cost.mem_budget = compiled.mem_budget;
     let mut cfg = SimConfig::new(nprocs).with_cost(cost).with_faults(faults);
     if flag(rest, "--timeline") {
@@ -840,9 +852,13 @@ fn cmd_trace(program: &Program, rest: &[String]) -> ExitCode {
         Ok(p) => p,
         Err(code) => return code,
     };
+    let cost = match cost_flags(rest) {
+        Ok(c) => c,
+        Err(code) => return code,
+    };
     let nprocs = compiled.nprocs;
     let cfg = SimConfig::new(nprocs)
-        .with_cost(cost_flags(rest))
+        .with_cost(cost)
         .with_faults(faults)
         .with_trace(TraceConfig::full());
 
@@ -871,6 +887,10 @@ fn finish_trace<P: Processor>(
     nprocs: usize,
     labels: &std::collections::HashMap<u32, String>,
 ) -> ExitCode {
+    let top = match num("xdpc", rest, "--top", 10usize) {
+        Ok(n) => n,
+        Err(code) => return code,
+    };
     init_default(&mut exec, decls);
     let report = match exec.run() {
         Ok(r) => r,
@@ -903,9 +923,6 @@ fn finish_trace<P: Processor>(
         );
         return ExitCode::FAILURE;
     }
-    let top = opt_val(rest, "--top")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(10usize);
     out!(
         "procs {nprocs}  virtual time {:.1}  messages {}  events {}",
         report.virtual_time,
@@ -929,21 +946,12 @@ fn finish_trace<P: Processor>(
 fn cmd_fuzz(rest: &[String]) -> ExitCode {
     use xdp_verify::fuzz::{run_fuzz, FuzzConfig};
 
-    let parse_num = |name: &str, default: u64| -> Result<u64, ExitCode> {
-        match opt_val(rest, name) {
-            None => Ok(default),
-            Some(v) => v.parse().map_err(|_| {
-                eprintln!("xdpc: bad {name} value `{v}`");
-                ExitCode::from(2)
-            }),
-        }
-    };
     let (count, seed, procs) = match (
-        parse_num("--count", 200),
-        parse_num("--seed", 1),
-        parse_num("--procs", 4),
+        num("xdpc", rest, "--count", 200usize),
+        num("xdpc", rest, "--seed", 1u64),
+        num("xdpc", rest, "--procs", 4usize),
     ) {
-        (Ok(c), Ok(s), Ok(p)) => (c as usize, s, p as usize),
+        (Ok(c), Ok(s), Ok(p)) => (c, s, p),
         (Err(e), _, _) | (_, Err(e), _) | (_, _, Err(e)) => return e,
     };
     if procs < 2 {

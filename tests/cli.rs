@@ -312,6 +312,62 @@ fn bad_mem_budget_is_one_line_and_exit_2_everywhere() {
 }
 
 #[test]
+fn a_machine_of_zero_processors_is_a_compile_error() {
+    // `--procs 0` used to print a report for an empty machine; through
+    // `xdpd` it panicked a pool worker (exit 101).
+    for cmd in ["run", "trace"] {
+        for backend in ["interp", "vm"] {
+            let args = [cmd, "xdp-programs/simple.xdp", "--procs", "0"];
+            let (stdout, stderr, code) = xdpc_code(&[&args[..], &["--backend", backend]].concat());
+            assert_eq!(code, 1, "{cmd} {backend}: {stderr}");
+            assert_eq!(
+                stderr, "xdpc: machine size must be at least 1\n",
+                "{cmd} {backend}"
+            );
+            assert_eq!(
+                stdout, "",
+                "{cmd} {backend}: no report for a machine that never ran"
+            );
+        }
+    }
+}
+
+#[test]
+fn a_malformed_numeric_flag_is_one_line_and_exit_2() {
+    // These used to fall back to the default silently and exit 0.
+    let simple = "xdp-programs/simple.xdp";
+    let twophase = "xdp-programs/twophase.xdp";
+    for (cmd, name, bad) in [
+        (&["run", simple][..], "--procs", "abc"),
+        (&["run", simple], "--procs", "-1"),
+        (&["run", simple], "--procs", ""), // the value is missing
+        (&["run", simple], "--alpha", "fast"),
+        (&["plan", "xdp-programs/remap.xdp"], "--beta", "x"),
+        (&["place", twophase], "--procs", "4.5"),
+        (&["place", twophase], "--max-dims", "two"),
+        (&["trace", simple], "--top", "ten"),
+        (&["fuzz"], "--seed", "x"),
+    ] {
+        let mut args = [cmd, &[name]].concat();
+        if !bad.is_empty() {
+            args.push(bad);
+        }
+        let (_, stderr, code) = xdpc_code(&args);
+        assert_eq!(code, 2, "{args:?}: {stderr}");
+        assert_eq!(stderr, format!("xdpc: bad {name} `{bad}`\n"), "{args:?}");
+    }
+    // `xdpd` reads its numeric flags through the same function.
+    let args = ["--workers".to_string(), "-1".to_string()];
+    for tool in ["xdpc", "xdpd"] {
+        assert!(xdp_compiler::cli::num(tool, &args, "--workers", 2usize).is_err());
+        assert_eq!(
+            xdp_compiler::cli::num(tool, &args, "--repeat", 3usize).ok(),
+            Some(3)
+        );
+    }
+}
+
+#[test]
 fn mem_budget_spelling_is_shared_by_both_binaries() {
     // `xdpc` and `xdpd` parse `--mem-budget` through one function, so a
     // padded value (which `xdpc` trimmed and `xdpd` used to reject) is the

@@ -1,36 +1,43 @@
-//! The "one way to do each thing" rules of DESIGN §2.19 and §2.20, as a
+//! The "one way to do each thing" rules of DESIGN §2.19–§2.21, as a
 //! source scan: the deleted thread-per-processor machine stays deleted,
 //! Figure 1's movement events are built only by `xdp_core::Recorder`, its
-//! transfer rules are written only in `xdp_core::transfer`, and integer
-//! division has one definition.
+//! transfer rules are written only in `xdp_core::transfer`, integer
+//! division has one definition, `benchmark/` is the only performance
+//! record, and every binary the Makefile and CI invoke exists.
 
 use std::path::{Path, PathBuf};
 
-/// Every `.rs` file of the workspace's own code (not `vendor/`, build
-/// output, or `benchmark/`, which a code PR may not edit).
-fn sources() -> Vec<PathBuf> {
+/// Every file of the checkout outside build output, `.git` and
+/// `benchmark/` (which a code PR may not edit).
+fn checkout_files() -> Vec<PathBuf> {
+    const SKIPPED: [&str; 4] = [".git", "target", "benchmark", ".bench_build"];
     fn walk(dir: &Path, out: &mut Vec<PathBuf>) {
-        for entry in std::fs::read_dir(dir).expect("readable source dir") {
+        for entry in std::fs::read_dir(dir).expect("readable dir") {
             let path = entry.expect("dir entry").path();
-            if path.is_dir() {
-                walk(&path, out);
-            } else if path.extension().is_some_and(|x| x == "rs") {
+            if !path.is_dir() {
                 out.push(path);
+            } else if !SKIPPED.iter().any(|d| path.ends_with(d)) {
+                walk(&path, out);
             }
         }
     }
-    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
     let mut out = Vec::new();
-    for top in ["crates", "src", "tests", "examples"] {
-        walk(&root.join(top), &mut out);
-    }
+    walk(Path::new(env!("CARGO_MANIFEST_DIR")), &mut out);
     out
 }
 
-/// Is `path` under a `tests/` or `benches/` directory?
+/// Every `.rs` file of the workspace's own code (not `vendor/`).
+fn sources() -> Vec<PathBuf> {
+    let vendor = Path::new(env!("CARGO_MANIFEST_DIR")).join("vendor");
+    checkout_files()
+        .into_iter()
+        .filter(|p| p.extension().is_some_and(|x| x == "rs") && !p.starts_with(&vendor))
+        .collect()
+}
+
+/// Is `path` under a `tests/` directory?
 fn in_tests(path: &Path) -> bool {
-    path.components()
-        .any(|c| c.as_os_str() == "tests" || c.as_os_str() == "benches")
+    path.components().any(|c| c.as_os_str() == "tests")
 }
 
 /// The non-test, non-comment code of a source file.
@@ -146,4 +153,97 @@ fn transfer_rules_and_integer_division_are_written_once() {
             path.display()
         );
     }
+}
+
+#[test]
+fn benchmark_is_the_only_performance_record() {
+    // Spelled in halves so this file passes its own scan. The vendored
+    // micro-benchmark crate is a proper noun in prose and a dependency
+    // name in manifests; the English common noun is not its name.
+    let everywhere = [
+        ["BENCH_", "serve.json"].concat(),
+        ["bench_", "check"].concat(),
+        ["bench_", "output.txt"].concat(),
+        ["trajectory", "::"].concat(),
+        ["Crit", "erion"].concat(),
+        ["crit", "erion::"].concat(),
+    ];
+    let in_manifests = ["crit", "erion"].concat();
+    // The history files, and the DESIGN section that records the deletion.
+    let history = ["CHANGES.md", "ROADMAP.md", "ISSUE.md"];
+    for path in checkout_files() {
+        let name = path.file_name().unwrap().to_string_lossy().into_owned();
+        if history.contains(&name.as_str()) {
+            continue;
+        }
+        let mut text = String::from_utf8_lossy(&std::fs::read(&path).unwrap()).into_owned();
+        if name == "DESIGN.md" {
+            let at = text.find("### 2.21").expect("DESIGN has a section 2.21");
+            let len = text[at..].find("\n## ").expect("a section follows 2.21");
+            text.replace_range(at..at + len, "");
+        }
+        let manifest = name == "Cargo.toml" || name == "Cargo.lock";
+        for needle in everywhere.iter().chain(manifest.then_some(&in_manifests)) {
+            assert!(
+                !text.contains(needle.as_str()),
+                "{}: names `{needle}`, a second performance record (DESIGN 2.21)",
+                path.display()
+            );
+        }
+    }
+}
+
+#[test]
+fn every_binary_the_makefile_and_ci_invoke_exists() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut checked = 0;
+    for file in ["Makefile", ".github/workflows/ci.yml"] {
+        // One command per element: continuation lines joined, `;` split.
+        let text = std::fs::read_to_string(root.join(file))
+            .unwrap()
+            .replace("\\\n", " ");
+        let mut loop_words: Vec<String> = Vec::new();
+        for command in text.split(['\n', ';']) {
+            let words: Vec<&str> = command.split_whitespace().collect();
+            if let Some(at) = words
+                .iter()
+                .position(|w| w.trim_start_matches('@') == "for")
+            {
+                // `for b in w1 w2 ...`: the names a later `$$b` stands for.
+                loop_words = words[at + 3..].iter().map(|w| w.to_string()).collect();
+            }
+            if !words.contains(&"cargo") {
+                continue;
+            }
+            let after = |flag: &str| {
+                let at = words.iter().position(|w| *w == flag)?;
+                words.get(at + 1).copied()
+            };
+            // `-p xdp-foo` is `crates/foo`; no `-p` is the root package.
+            let package = match after("-p") {
+                Some(p) => root
+                    .join("crates")
+                    .join(p.strip_prefix("xdp-").unwrap_or(p)),
+                None => root.to_path_buf(),
+            };
+            for (flag, dir) in [("--bin", "src/bin"), ("--example", "examples")] {
+                let Some(name) = after(flag) else { continue };
+                let names = match name.strip_prefix("$$") {
+                    Some(_) => loop_words.clone(),
+                    None => vec![name.to_string()],
+                };
+                assert!(!names.is_empty(), "{file}: `{command}` names no target");
+                for name in names {
+                    let source = package.join(dir).join(format!("{name}.rs"));
+                    assert!(
+                        source.exists(),
+                        "{file}: `{flag} {name}` has no {}",
+                        source.display()
+                    );
+                    checked += 1;
+                }
+            }
+        }
+    }
+    assert!(checked > 30, "the scan found only {checked} invocations");
 }

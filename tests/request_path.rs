@@ -3,7 +3,8 @@
 //! once, not once per processor; array init and gather walk owned
 //! segments and agree with the per-index definitions they replaced; the
 //! movement multiset is the same on every machine under any cost model;
-//! a request whose program divides by zero is an error the pool survives.
+//! a request whose program divides by zero, or that asks for a machine of
+//! zero processors, is an error the pool survives.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -180,5 +181,28 @@ fn pool_survives_a_request_that_divides_by_zero() {
             pool.run_one(&good)
                 .unwrap_or_else(|e| panic!("{backend:?}: the pool is poisoned: {e}"));
         }
+    }
+}
+
+/// `with_procs(0)` used to reach `gather`, which indexes processor 0: the
+/// panic killed the caller's worker.
+#[test]
+fn pool_survives_a_request_for_zero_processors() {
+    use xdp_compiler::{CompileError, CompileOptions};
+    use xdp_serve::{PoolMachine, RequestSpec, ServeError, ServePool};
+    let source = std::fs::read_to_string(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/xdp-programs/simple.xdp"
+    ))
+    .unwrap();
+    for machine in [PoolMachine::Sim, PoolMachine::Tasks] {
+        let pool = ServePool::new(1, 4).with_machine(machine);
+        let zero = CompileOptions::default().with_procs(0);
+        match pool.run_one(&RequestSpec::new(source.clone()).with_opts(zero)) {
+            Err(ServeError::Compile(CompileError::ZeroProcs)) => {}
+            other => panic!("{machine:?}: {other:?}"),
+        }
+        pool.run_one(&RequestSpec::new(source.clone()))
+            .unwrap_or_else(|e| panic!("{machine:?}: the pool is poisoned: {e}"));
     }
 }
