@@ -179,22 +179,38 @@ impl PassManager {
     /// summaries: a statement whose summary survives the pass (even at a
     /// different position) is not reported, so the log shows genuine
     /// rewrites rather than renumbering noise.
+    ///
+    /// The table is rendered once per pass *boundary*: pass k's output
+    /// table is pass k+1's input table, and a pass that returns its input
+    /// unchanged keeps the table and records an empty diff (equal programs
+    /// render equal tables) without rendering at all.
     pub fn run_traced(&self, p: &Program) -> (Program, CompileTrace) {
         let mut cur = p.clone();
         let mut trace = CompileTrace::default();
+        let mut table = if self.passes.is_empty() {
+            StmtTable::new()
+        } else {
+            xdp_ir::pretty::stmt_table(&cur)
+        };
         for pass in &self.passes {
-            let before = xdp_ir::pretty::stmt_table(&cur);
             let t = std::time::Instant::now();
             let r = pass.run(&cur);
             let wall_ms = t.elapsed().as_secs_f64() * 1e3;
-            let after = xdp_ir::pretty::stmt_table(&r.program);
-            let (removed, added) = provenance_diff(&before, &after);
+            let nodes_before = table.len();
+            let (removed, added) = if r.program == cur {
+                (Vec::new(), Vec::new())
+            } else {
+                let after = xdp_ir::pretty::stmt_table(&r.program);
+                let diff = provenance_diff(&table, &after);
+                table = after;
+                diff
+            };
             trace.passes.push(PassTrace {
                 name: pass.name().to_string(),
                 wall_ms,
                 changed: r.changed,
-                nodes_before: before.len(),
-                nodes_after: after.len(),
+                nodes_before,
+                nodes_after: table.len(),
                 removed,
                 added,
                 notes: r.notes,

@@ -1,10 +1,17 @@
-//! Compiler-level integration properties: idempotency, note quality, and
-//! pass-derivation of the paper's staged programs.
+//! Compiler-level integration properties: idempotency, note quality,
+//! pass-derivation of the paper's staged programs, and the equivalence of
+//! `run_traced`'s provenance with its two-renders-per-pass definition.
 
-use xdp_compiler::passes::{FuseLoops, LocalizeBounds, SinkAwait};
-use xdp_compiler::{lower_owner_computes, FrontendOptions, Pass, PassManager, SeqProgram, SeqStmt};
+use xdp_compiler::passes::{
+    AutoPlace, BindCommunication, ElideAccessibleChecks, ElideSameOwnerComm, FuseLoops,
+    LocalizeBounds, LowerRedistribute, MigrateOwnership, SinkAwait, VectorizeMessages,
+};
+use xdp_compiler::{
+    compile, lower_owner_computes, CompileOptions, FrontendOptions, Pass, PassManager, SeqMode,
+    SeqProgram, SeqStmt,
+};
 use xdp_ir::build as b;
-use xdp_ir::{pretty, DimDist, ElemType, ProcGrid};
+use xdp_ir::{pretty, DimDist, ElemType, ProcGrid, Program};
 
 fn source(n: i64, nprocs: usize, bd: DimDist) -> SeqProgram {
     let grid = ProcGrid::linear(nprocs);
@@ -78,6 +85,151 @@ fn run_traced_matches_run_and_records_provenance() {
     let text = ct.render();
     for (name, _) in &log {
         assert!(text.contains(name), "{text}");
+    }
+}
+
+/// The statement table as it was first defined: the first line of each
+/// statement's *full* pretty form (a compound statement renders its whole
+/// body to get its header).
+fn reference_table(p: &Program) -> Vec<(u32, String)> {
+    fn walk(p: &Program, block: &[xdp_ir::Stmt], base: u32, out: &mut Vec<(u32, String)>) {
+        for (s, sid) in block.iter().zip(xdp_ir::block_stmt_ids(base, block)) {
+            let full = pretty::stmt(p, s, 0);
+            out.push((sid, full.lines().next().unwrap_or_default().to_string()));
+            for child in s.child_blocks() {
+                walk(p, child, sid + 1, out);
+            }
+        }
+    }
+    let mut out = Vec::new();
+    walk(p, &p.body, 0, &mut out);
+    out
+}
+
+type Table = Vec<(u32, String)>;
+
+/// Counted-multiset diff: a summary present `k` more times before than
+/// after is removed `k` times (first occurrences, input ids); the
+/// converse is added.
+fn reference_diff(before: &Table, after: &Table) -> (Table, Table) {
+    let mut surplus = std::collections::HashMap::<&str, i64>::new();
+    for (_, s) in before {
+        *surplus.entry(s).or_default() += 1;
+    }
+    for (_, s) in after {
+        *surplus.entry(s).or_default() -= 1;
+    }
+    let mut take = |table: &Table, sign: i64| -> Table {
+        let mut taken = Vec::new();
+        for (id, s) in table {
+            let left = surplus.get_mut(s.as_str()).unwrap();
+            if *left * sign > 0 {
+                *left -= sign;
+                taken.push((*id, s.clone()));
+            }
+        }
+        taken
+    };
+    let removed = take(before, 1);
+    (removed, take(after, -1))
+}
+
+/// `run_traced` must equal, field by field, the definition that renders
+/// both tables around every pass; must return `run`'s program; and every
+/// pass that says it changed nothing must have returned its input.
+fn assert_provenance_is_the_two_render_definition(
+    what: &str,
+    pipeline: fn() -> PassManager,
+    p: &Program,
+) {
+    let (traced, ct) = pipeline().run_traced(p);
+    assert_eq!(traced, pipeline().run(p).0, "{what}: run_traced != run");
+    let passes = pipeline().into_passes();
+    assert_eq!(ct.passes.len(), passes.len(), "{what}");
+    let mut cur = p.clone();
+    for (pass, got) in passes.iter().zip(&ct.passes) {
+        let at = format!("{what}: {}", pass.name());
+        let r = pass.run(&cur);
+        let (before, after) = (reference_table(&cur), reference_table(&r.program));
+        let (removed, added) = reference_diff(&before, &after);
+        assert_eq!(got.name, pass.name(), "{at}");
+        assert_eq!(got.changed, r.changed, "{at}");
+        assert_eq!(got.nodes_before, before.len(), "{at}");
+        assert_eq!(got.nodes_after, after.len(), "{at}");
+        assert_eq!(got.removed, removed, "{at}");
+        assert_eq!(got.added, added, "{at}");
+        assert_eq!(got.notes, r.notes, "{at}");
+        assert!(
+            r.changed || r.program == cur,
+            "{at}: reports `changed == false` but rewrote the program"
+        );
+        cur = r.program;
+    }
+    assert_eq!(cur, traced, "{what}");
+}
+
+/// What `compile` hands the pass manager for every corpus program and for
+/// the benchmark's cold K-nests: parsed, lowered when sequential, valid.
+fn lowered_corpus() -> Vec<(String, Program)> {
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../xdp-programs");
+    let mut sources: Vec<(String, String)> = std::fs::read_dir(&dir)
+        .expect("xdp-programs/ exists")
+        .map(|entry| entry.unwrap().path())
+        .filter(|path| path.extension().is_some_and(|x| x == "xdp"))
+        .map(|path| {
+            let name = path.file_name().unwrap().to_string_lossy().into_owned();
+            (name, std::fs::read_to_string(&path).unwrap())
+        })
+        .collect();
+    sources.sort();
+    assert!(sources.len() >= 9, "the corpus shrank: {}", sources.len());
+    for k in 6..=10 {
+        let mut knest = String::new();
+        for j in 1..=k {
+            knest.push_str(&format!(
+                "real A{j}[1:16] distribute (BLOCK) onto 4\n\
+                 real B{j}[1:16] distribute (CYCLIC) onto 4\n"
+            ));
+        }
+        for j in 1..=k {
+            knest.push_str(&format!(
+                "do i = 1, 16\n  A{j}[i] = A{j}[i] + B{j}[i]\nenddo\n"
+            ));
+        }
+        sources.push((format!("knest-{k}"), knest));
+    }
+    let auto = CompileOptions::default().with_seq(SeqMode::Auto);
+    sources
+        .into_iter()
+        .map(|(name, source)| {
+            let lowered = compile(&source, &auto).unwrap_or_else(|e| panic!("{name}: {e}"));
+            let program = Program::clone(&lowered.program);
+            (name, program)
+        })
+        .collect()
+}
+
+#[test]
+fn provenance_equals_its_two_render_definition_on_the_corpus() {
+    // What `compile(.., optimized().placed())` runs, and every pass there is.
+    let served: fn() -> PassManager = || PassManager::paper_pipeline().add(AutoPlace::new());
+    let all_ten: fn() -> PassManager = || {
+        PassManager::new()
+            .add(ElideSameOwnerComm)
+            .add(VectorizeMessages)
+            .add(LocalizeBounds)
+            .add(BindCommunication)
+            .add(FuseLoops)
+            .add(SinkAwait)
+            .add(MigrateOwnership::default())
+            .add(LowerRedistribute)
+            .add(ElideAccessibleChecks)
+            .add(AutoPlace::new())
+    };
+    assert_eq!(all_ten().into_passes().len(), 10);
+    for (name, program) in lowered_corpus() {
+        assert_provenance_is_the_two_render_definition(&name, served, &program);
+        assert_provenance_is_the_two_render_definition(&format!("{name}/ten"), all_ten, &program);
     }
 }
 

@@ -37,41 +37,95 @@ pub fn program(p: &Program) -> String {
     if !p.decls.is_empty() {
         out.push('\n');
     }
-    out.push_str(&block(p, &p.body, 0));
+    write_block(&mut out, p, &p.body, 0);
+    out
+}
+
+// Every printer below appends to one caller-owned buffer; the public
+// `String`-returning functions are thin wrappers. Writing to a `String`
+// cannot fail, so the `fmt::Result`s are dropped.
+
+fn rendered(f: impl FnOnce(&mut String)) -> String {
+    let mut out = String::new();
+    f(&mut out);
     out
 }
 
 /// Pretty-print a statement block at the given indent level.
 pub fn block(p: &Program, b: &Block, indent: usize) -> String {
-    let mut out = String::new();
-    for s in b {
-        out.push_str(&stmt(p, s, indent));
-    }
-    out
-}
-
-fn pad(indent: usize) -> String {
-    "  ".repeat(indent)
+    rendered(|out| write_block(out, p, b, indent))
 }
 
 /// Pretty-print one statement.
 pub fn stmt(p: &Program, s: &Stmt, indent: usize) -> String {
-    let ind = pad(indent);
+    rendered(|out| write_stmt(out, p, s, indent))
+}
+
+fn write_block(out: &mut String, p: &Program, b: &Block, indent: usize) {
+    for s in b {
+        write_stmt(out, p, s, indent);
+    }
+}
+
+fn pad(out: &mut String, indent: usize) {
+    for _ in 0..indent {
+        out.push_str("  ");
+    }
+}
+
+fn write_stmt(out: &mut String, p: &Program, s: &Stmt, indent: usize) {
+    pad(out, indent);
+    write_stmt_head(out, p, s);
+    out.push('\n');
+    if let Stmt::Guarded { body, .. } | Stmt::DoLoop { body, .. } = s {
+        write_block(out, p, body, indent + 1);
+        pad(out, indent);
+        out.push_str("}\n");
+    }
+}
+
+fn write_salt(out: &mut String, p: &Program, salt: &Option<IntExpr>) {
+    if let Some(e) = salt {
+        out.push_str(" #");
+        write_int_expr(out, p, e);
+    }
+}
+
+/// The first line of a statement's pretty form, without indent or
+/// newline: the whole statement for a simple one, the header (up to the
+/// opening brace) for a compound one.
+fn write_stmt_head(out: &mut String, p: &Program, s: &Stmt) {
     match s {
         Stmt::Assign { target, rhs } => {
-            format!("{ind}{} = {}\n", section_ref(p, target), elem_expr(p, rhs))
+            write_section_ref(out, p, target);
+            out.push_str(" = ");
+            write_elem_expr(out, p, rhs);
         }
         Stmt::ScalarAssign { var, value } => {
-            format!("{ind}{var} = {}\n", int_expr(p, value))
+            out.push_str(var);
+            out.push_str(" = ");
+            write_int_expr(out, p, value);
         }
         Stmt::Kernel {
             name,
             args,
             int_args,
         } => {
-            let mut parts: Vec<String> = args.iter().map(|a| section_ref(p, a)).collect();
-            parts.extend(int_args.iter().map(|e| int_expr(p, e)));
-            format!("{ind}{name}({})\n", parts.join(", "))
+            out.push_str(name);
+            out.push('(');
+            for (i, a) in args.iter().enumerate() {
+                if i > 0 {
+                    out.push_str(", ");
+                }
+                write_section_ref(out, p, a);
+            }
+            for (i, e) in int_args.iter().enumerate() {
+                if i > 0 || !args.is_empty() {
+                    out.push_str(", ");
+                }
+                write_int_expr(out, p, e);
+            }
+            out.push(')');
         }
         Stmt::Send {
             sec,
@@ -79,28 +133,23 @@ pub fn stmt(p: &Program, s: &Stmt, indent: usize) -> String {
             dest,
             salt,
         } => {
-            let arrow = match kind {
-                TransferKind::Value => "->",
-                TransferKind::Ownership => "=>",
-                TransferKind::OwnershipValue => "-=>",
-            };
-            let salt_str = salt
-                .as_ref()
-                .map(|e| format!(" #{}", int_expr(p, e)))
-                .unwrap_or_default();
-            match dest {
-                DestSet::Unspecified => {
-                    format!("{ind}{} {arrow}{salt_str}\n", section_ref(p, sec))
+            write_section_ref(out, p, sec);
+            out.push_str(match kind {
+                TransferKind::Value => " ->",
+                TransferKind::Ownership => " =>",
+                TransferKind::OwnershipValue => " -=>",
+            });
+            if let DestSet::Pids(pids) = dest {
+                out.push_str(" {");
+                for (i, e) in pids.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    write_int_expr(out, p, e);
                 }
-                DestSet::Pids(pids) => {
-                    let ps: Vec<String> = pids.iter().map(|e| int_expr(p, e)).collect();
-                    format!(
-                        "{ind}{} {arrow} {{{}}}{salt_str}\n",
-                        section_ref(p, sec),
-                        ps.join(",")
-                    )
-                }
+                out.push('}');
             }
+            write_salt(out, p, salt);
         }
         Stmt::Recv {
             target,
@@ -108,56 +157,37 @@ pub fn stmt(p: &Program, s: &Stmt, indent: usize) -> String {
             name,
             salt,
         } => {
-            let salt_str = salt
-                .as_ref()
-                .map(|e| format!(" #{}", int_expr(p, e)))
-                .unwrap_or_default();
+            write_section_ref(out, p, target);
             match kind {
                 TransferKind::Value => {
-                    let nm = Stmt::recv_match_name(target, name);
-                    format!(
-                        "{ind}{} <- {}{salt_str}\n",
-                        section_ref(p, target),
-                        section_ref(p, &nm)
-                    )
+                    out.push_str(" <- ");
+                    write_section_ref(out, p, &Stmt::recv_match_name(target, name));
                 }
-                TransferKind::Ownership => {
-                    format!("{ind}{} <={salt_str}\n", section_ref(p, target))
-                }
-                TransferKind::OwnershipValue => {
-                    format!("{ind}{} <=-{salt_str}\n", section_ref(p, target))
-                }
+                TransferKind::Ownership => out.push_str(" <="),
+                TransferKind::OwnershipValue => out.push_str(" <=-"),
             }
+            write_salt(out, p, salt);
         }
-        Stmt::Guarded { rule, body } => {
-            let mut out = format!("{ind}{} : {{\n", bool_expr(p, rule));
-            out.push_str(&block(p, body, indent + 1));
-            out.push_str(&format!("{ind}}}\n"));
-            out
+        Stmt::Guarded { rule, .. } => {
+            write_bool_expr(out, p, rule);
+            out.push_str(" : {");
         }
         Stmt::DoLoop {
-            var,
-            lo,
-            hi,
-            step,
-            body,
+            var, lo, hi, step, ..
         } => {
-            let step_str = match step.as_const() {
-                Some(1) => String::new(),
-                _ => format!(", {}", int_expr(p, step)),
-            };
-            let mut out = format!(
-                "{ind}do {var} = {}, {}{step_str} {{\n",
-                int_expr(p, lo),
-                int_expr(p, hi)
-            );
-            out.push_str(&block(p, body, indent + 1));
-            out.push_str(&format!("{ind}}}\n"));
-            out
+            let _ = write!(out, "do {var} = ");
+            write_int_expr(out, p, lo);
+            out.push_str(", ");
+            write_int_expr(out, p, hi);
+            if step.as_const() != Some(1) {
+                out.push_str(", ");
+                write_int_expr(out, p, step);
+            }
+            out.push_str(" {");
         }
-        Stmt::Barrier => format!("{ind}barrier\n"),
+        Stmt::Barrier => out.push_str("barrier"),
         Stmt::Redistribute { var, dist } => {
-            format!("{ind}redistribute {} {dist}\n", p.decl(*var).name)
+            let _ = write!(out, "redistribute {} {dist}", p.decl(*var).name);
         }
     }
 }
@@ -165,111 +195,194 @@ pub fn stmt(p: &Program, s: &Stmt, indent: usize) -> String {
 /// One-line summary of a statement: the first line of its pretty form
 /// (compound statements show their header, e.g. `do i = 1, 16 {`).
 pub fn stmt_summary(p: &Program, s: &Stmt) -> String {
-    stmt(p, s, 0).lines().next().unwrap_or_default().to_string()
+    rendered(|out| write_stmt_head(out, p, s))
 }
 
 /// `(preorder id, one-line summary)` for every statement of the program,
 /// in id order. The ids match `crate::stmt::block_stmt_ids` and are what
 /// executors stamp on trace events, so this table labels trace reports.
 pub fn stmt_table(p: &Program) -> Vec<(u32, String)> {
-    fn walk(p: &Program, block: &Block, base: u32, out: &mut Vec<(u32, String)>) {
+    // Each summary is written into `line` (grown once, reused) and copied
+    // out at its exact length; a compound statement renders its header
+    // only, never its body.
+    fn walk(
+        p: &Program,
+        block: &Block,
+        base: u32,
+        line: &mut String,
+        out: &mut Vec<(u32, String)>,
+    ) {
         for (s, sid) in block.iter().zip(crate::stmt::block_stmt_ids(base, block)) {
-            out.push((sid, stmt_summary(p, s)));
+            line.clear();
+            write_stmt_head(line, p, s);
+            out.push((sid, line.clone()));
             for child in s.child_blocks() {
-                walk(p, child, sid + 1, out);
+                walk(p, child, sid + 1, line, out);
             }
         }
     }
     let mut out = Vec::new();
-    walk(p, &p.body, 0, &mut out);
+    walk(p, &p.body, 0, &mut String::new(), &mut out);
     out
 }
 
 /// Pretty-print a section reference, e.g. `A[i,*,1:4:2]`.
 pub fn section_ref(p: &Program, r: &SectionRef) -> String {
-    let name = &p.decl(r.var).name;
+    rendered(|out| write_section_ref(out, p, r))
+}
+
+fn write_section_ref(out: &mut String, p: &Program, r: &SectionRef) {
+    out.push_str(&p.decl(r.var).name);
     if r.subs.is_empty() {
-        return name.clone();
+        return;
     }
-    let subs: Vec<String> = r
-        .subs
-        .iter()
-        .map(|s| match s {
-            Subscript::Point(e) => int_expr(p, e),
-            Subscript::All => "*".to_string(),
+    out.push('[');
+    for (i, s) in r.subs.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        match s {
+            Subscript::Point(e) => write_int_expr(out, p, e),
+            Subscript::All => out.push('*'),
             Subscript::Range(t) => {
-                let st = match t.st.as_const() {
-                    Some(1) => String::new(),
-                    _ => format!(":{}", int_expr(p, &t.st)),
-                };
-                format!("{}:{}{st}", int_expr(p, &t.lb), int_expr(p, &t.ub))
+                write_int_expr(out, p, &t.lb);
+                out.push(':');
+                write_int_expr(out, p, &t.ub);
+                if t.st.as_const() != Some(1) {
+                    out.push(':');
+                    write_int_expr(out, p, &t.st);
+                }
             }
-        })
-        .collect();
-    format!("{name}[{}]", subs.join(","))
+        }
+    }
+    out.push(']');
 }
 
 /// Pretty-print an integer expression.
 pub fn int_expr(p: &Program, e: &IntExpr) -> String {
+    rendered(|out| write_int_expr(out, p, e))
+}
+
+/// `open a sep b close` — the shape of every binary form below.
+fn write_pair<T>(
+    out: &mut String,
+    [open, sep, close]: [&str; 3],
+    (a, b): (&T, &T),
+    mut operand: impl FnMut(&mut String, &T),
+) {
+    out.push_str(open);
+    operand(out, a);
+    out.push_str(sep);
+    operand(out, b);
+    out.push_str(close);
+}
+
+fn write_int_expr(out: &mut String, p: &Program, e: &IntExpr) {
     match e {
-        IntExpr::Const(v) => v.to_string(),
-        IntExpr::Var(v) => v.clone(),
-        IntExpr::MyPid => "mypid".to_string(),
-        IntExpr::MyLb(s, d) => format!("mylb({}, {d})", section_ref(p, s)),
-        IntExpr::MyUb(s, d) => format!("myub({}, {d})", section_ref(p, s)),
-        IntExpr::Neg(a) => format!("(-{})", int_expr(p, a)),
+        IntExpr::Const(v) => {
+            let _ = write!(out, "{v}");
+        }
+        IntExpr::Var(v) => out.push_str(v),
+        IntExpr::MyPid => out.push_str("mypid"),
+        IntExpr::MyLb(s, d) | IntExpr::MyUb(s, d) => {
+            let name = if matches!(e, IntExpr::MyLb(..)) {
+                "mylb"
+            } else {
+                "myub"
+            };
+            let _ = write!(out, "{name}(");
+            write_section_ref(out, p, s);
+            let _ = write!(out, ", {d})");
+        }
+        IntExpr::Neg(a) => {
+            out.push_str("(-");
+            write_int_expr(out, p, a);
+            out.push(')');
+        }
         IntExpr::Bin(op, a, b) => {
-            let (a, b) = (int_expr(p, a), int_expr(p, b));
-            match op {
-                IntBinOp::Add => format!("({a} + {b})"),
-                IntBinOp::Sub => format!("({a} - {b})"),
-                IntBinOp::Mul => format!("({a} * {b})"),
-                IntBinOp::Div => format!("({a} / {b})"),
-                IntBinOp::Mod => format!("({a} % {b})"),
-                IntBinOp::Min => format!("min({a}, {b})"),
-                IntBinOp::Max => format!("max({a}, {b})"),
-            }
+            let shape = match op {
+                IntBinOp::Add => ["(", " + ", ")"],
+                IntBinOp::Sub => ["(", " - ", ")"],
+                IntBinOp::Mul => ["(", " * ", ")"],
+                IntBinOp::Div => ["(", " / ", ")"],
+                IntBinOp::Mod => ["(", " % ", ")"],
+                IntBinOp::Min => ["min(", ", ", ")"],
+                IntBinOp::Max => ["max(", ", ", ")"],
+            };
+            write_pair(out, shape, (&**a, &**b), |out, x| write_int_expr(out, p, x));
         }
     }
 }
 
 /// Pretty-print a compute rule.
 pub fn bool_expr(p: &Program, e: &BoolExpr) -> String {
+    rendered(|out| write_bool_expr(out, p, e))
+}
+
+fn write_bool_expr(out: &mut String, p: &Program, e: &BoolExpr) {
+    let mut query = |name: &str, s: &SectionRef| {
+        out.push_str(name);
+        write_section_ref(out, p, s);
+        out.push(')');
+    };
     match e {
-        BoolExpr::True => "true".to_string(),
-        BoolExpr::False => "false".to_string(),
-        BoolExpr::Iown(s) => format!("iown({})", section_ref(p, s)),
-        BoolExpr::Accessible(s) => format!("accessible({})", section_ref(p, s)),
-        BoolExpr::Await(s) => format!("await({})", section_ref(p, s)),
+        BoolExpr::True => out.push_str("true"),
+        BoolExpr::False => out.push_str("false"),
+        BoolExpr::Iown(s) => query("iown(", s),
+        BoolExpr::Accessible(s) => query("accessible(", s),
+        BoolExpr::Await(s) => query("await(", s),
         BoolExpr::Cmp(op, a, b) => {
-            format!("{} {op} {}", int_expr(p, a), int_expr(p, b))
+            write_int_expr(out, p, a);
+            let _ = write!(out, " {op} ");
+            write_int_expr(out, p, b);
         }
-        BoolExpr::And(a, b) => {
-            format!("({} && {})", bool_expr(p, a), bool_expr(p, b))
+        BoolExpr::And(a, b) | BoolExpr::Or(a, b) => {
+            let sep = if matches!(e, BoolExpr::And(..)) {
+                " && "
+            } else {
+                " || "
+            };
+            write_pair(out, ["(", sep, ")"], (&**a, &**b), |out, x| {
+                write_bool_expr(out, p, x)
+            });
         }
-        BoolExpr::Or(a, b) => {
-            format!("({} || {})", bool_expr(p, a), bool_expr(p, b))
+        BoolExpr::Not(a) => {
+            out.push('!');
+            write_bool_expr(out, p, a);
         }
-        BoolExpr::Not(a) => format!("!{}", bool_expr(p, a)),
     }
 }
 
 /// Pretty-print an element expression.
 pub fn elem_expr(p: &Program, e: &ElemExpr) -> String {
+    rendered(|out| write_elem_expr(out, p, e))
+}
+
+fn write_elem_expr(out: &mut String, p: &Program, e: &ElemExpr) {
     match e {
-        ElemExpr::Ref(r) => section_ref(p, r),
-        ElemExpr::LitF(v) => format!("{v:?}"),
-        ElemExpr::LitI(v) => v.to_string(),
-        ElemExpr::FromInt(i) => int_expr(p, i),
-        ElemExpr::Neg(a) => format!("(-{})", elem_expr(p, a)),
+        ElemExpr::Ref(r) => write_section_ref(out, p, r),
+        ElemExpr::LitF(v) => {
+            let _ = write!(out, "{v:?}");
+        }
+        ElemExpr::LitI(v) => {
+            let _ = write!(out, "{v}");
+        }
+        ElemExpr::FromInt(i) => write_int_expr(out, p, i),
+        ElemExpr::Neg(a) => {
+            out.push_str("(-");
+            write_elem_expr(out, p, a);
+            out.push(')');
+        }
         ElemExpr::Bin(op, a, b) => {
-            let (a, b) = (elem_expr(p, a), elem_expr(p, b));
-            match op {
-                ElemBinOp::Add => format!("({a} + {b})"),
-                ElemBinOp::Sub => format!("({a} - {b})"),
-                ElemBinOp::Mul => format!("({a} * {b})"),
-                ElemBinOp::Div => format!("({a} / {b})"),
-            }
+            let sep = match op {
+                ElemBinOp::Add => " + ",
+                ElemBinOp::Sub => " - ",
+                ElemBinOp::Mul => " * ",
+                ElemBinOp::Div => " / ",
+            };
+            write_pair(out, ["(", sep, ")"], (&**a, &**b), |out, x| {
+                write_elem_expr(out, p, x)
+            });
         }
     }
 }

@@ -164,11 +164,7 @@ fn cmd_list(rest: &[String]) -> Result<(), ExitCode> {
     };
     let pool = ServePool::new(1, corpus.len().max(1));
     for item in &corpus {
-        let registered = pool.with_registry(|reg, cache| {
-            reg.register(&item.name, item.spec.clone(), cache)
-                .map(|_| ())
-        });
-        if let Err(e) = registered {
+        if let Err(e) = pool.register(&item.name, item.spec.clone()) {
             eprintln!("xdpd: error: {}: {e}", item.name);
             return Err(ExitCode::FAILURE);
         }

@@ -10,10 +10,28 @@
 //! inference but a checkable fact: the stored [`CompileTrace`] is the one
 //! recorded at miss time, and [`CacheStats::compiles`] does not move on a
 //! hit.
+//!
+//! The cache never compiles while anyone waits on it. A miss goes through
+//! three steps, and only the first and last touch the cache:
+//!
+//! 1. [`begin`](CompileCache::begin) — look up; on a miss either reserve
+//!    the spec as a new [`Flight`] (the caller *leads*) or find the flight
+//!    already reserved for it (the caller *joins*);
+//! 2. [`CachedProgram::build`] — the leader parses the fault spec and
+//!    runs the compile pipeline, holding nothing; joiners block in
+//!    [`Flight::wait`], on the flight and not on the cache;
+//! 3. [`land`](CompileCache::land) — the leader inserts the artifact
+//!    (evicting the LRU entry if full), retires the flight and wakes its
+//!    joiners with the shared result.
+//!
+//! So a distinct spec is compiled once however many requests race for it
+//! ([`CacheStats::compiles`] counts landed successes), a failed build
+//! caches nothing and hands every joiner the leader's error, and hits on
+//! other entries are never behind a compile.
 
 use crate::spec::RequestSpec;
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex};
 use xdp_compiler::{compile, CompileError, Compiled};
 use xdp_fault::FaultPlan;
 
@@ -44,8 +62,10 @@ impl std::fmt::Display for ServeError {
 impl std::error::Error for ServeError {}
 
 /// Cache observability counters. `hits + misses` equals lookups;
-/// `compiles` moves only on a miss (a hit provably skips the pipeline);
-/// `evictions` counts LRU displacements, not explicit removals.
+/// `compiles` counts artifacts built and inserted — it moves only on a
+/// miss (a hit provably skips the pipeline), once per flight however many
+/// requests joined it, and not at all when the build fails; `evictions`
+/// counts LRU displacements, not explicit removals.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CacheStats {
     pub hits: u64,
@@ -84,18 +104,77 @@ pub struct CachedProgram {
     pub compile_us: u64,
 }
 
+impl CachedProgram {
+    /// Everything a miss pays for, and the only place the serve layer
+    /// compiles anything. Touches no cache, so it runs unlocked.
+    pub fn build(spec: &RequestSpec) -> Result<CachedProgram, ServeError> {
+        let started = std::time::Instant::now();
+        let faults = spec.fault_plan().map_err(ServeError::BadFaults)?;
+        let compiled = compile(&spec.source, &spec.opts).map_err(ServeError::Compile)?;
+        Ok(CachedProgram {
+            key: spec.content_hash(),
+            spec: spec.clone(),
+            compiled,
+            faults,
+            // `as_micros` floors; a sub-microsecond build still counts as
+            // time spent (`compile_us == 0` means "did not compile").
+            compile_us: (started.elapsed().as_micros() as u64).max(1),
+        })
+    }
+}
+
+/// One build in progress. The leader holds it between
+/// [`CompileCache::begin`] and [`CompileCache::land`]; requests for the
+/// same spec that arrive in between wait on it.
+pub struct Flight {
+    spec: RequestSpec,
+    landed: Mutex<Option<Result<Arc<CachedProgram>, ServeError>>>,
+    wake: Condvar,
+}
+
+/// Nothing that can panic runs under a flight's lock.
+const FLIGHT_LOCK: &str = "a flight's slot is only assigned or cloned under its lock";
+
+impl Flight {
+    /// Block until the leader lands, then share its result — the artifact,
+    /// or the error that made the build fail.
+    pub fn wait(&self) -> Result<Arc<CachedProgram>, ServeError> {
+        let mut landed = self.landed.lock().expect(FLIGHT_LOCK);
+        loop {
+            match &*landed {
+                Some(result) => return result.clone(),
+                None => landed = self.wake.wait(landed).expect(FLIGHT_LOCK),
+            }
+        }
+    }
+}
+
+/// What [`CompileCache::begin`] found.
+pub enum Begin {
+    /// Resident: run it.
+    Hit(Arc<CachedProgram>),
+    /// Not resident and nobody is building it: the caller must
+    /// [`build`](CachedProgram::build) and [`land`](CompileCache::land).
+    Lead(Arc<Flight>),
+    /// Someone is building it: [`wait`](Flight::wait).
+    Join(Arc<Flight>),
+}
+
 struct Entry {
     last_used: u64,
     cached: Arc<CachedProgram>,
 }
 
 /// A bounded LRU compile cache. Not internally synchronized — the serve
-/// pool wraps it in a `Mutex` (compiles are rare by design; runs, the
-/// hot path, never hold the lock).
+/// pool wraps it in a `Mutex`, which is held for a lookup, a reservation
+/// or an insertion and never across a build or a run.
 pub struct CompileCache {
     capacity: usize,
     tick: u64,
     map: HashMap<u64, Entry>,
+    /// Builds begun and not yet landed; at most one per worker thread, so
+    /// a scan (full-spec comparison, hence collision-safe) is enough.
+    flights: Vec<Arc<Flight>>,
     stats: CacheStats,
 }
 
@@ -106,6 +185,7 @@ impl CompileCache {
             capacity: capacity.max(1),
             tick: 0,
             map: HashMap::new(),
+            flights: Vec::new(),
             stats: CacheStats::default(),
         }
     }
@@ -144,27 +224,46 @@ impl CompileCache {
         }
     }
 
-    /// The cache's one write path: compile `spec` and insert the result,
-    /// evicting the least-recently-used entry if the cache is full.
-    /// Returns the cached artifact. Does **not** count a hit or miss —
-    /// callers pair it with [`lookup`](Self::lookup) (see
-    /// [`get_or_compile`](Self::get_or_compile)).
-    pub fn compile_into(&mut self, spec: &RequestSpec) -> Result<Arc<CachedProgram>, ServeError> {
-        let started = std::time::Instant::now();
-        let faults = spec.fault_plan().map_err(ServeError::BadFaults)?;
-        let compiled = compile(&spec.source, &spec.opts).map_err(ServeError::Compile)?;
-        // `as_micros` floors; a sub-microsecond compile still counts as
-        // time spent (`compile_us == 0` is reserved for cache hits).
-        let compile_us = (started.elapsed().as_micros() as u64).max(1);
-        self.stats.compiles += 1;
-        let key = spec.content_hash();
-        let cached = Arc::new(CachedProgram {
-            key,
+    /// Step 1 of a concurrent miss (see the module docs): look up, and on
+    /// a miss join the flight already building `spec` or reserve a new
+    /// one. Counts the hit or the miss; a joiner is a miss.
+    pub fn begin(&mut self, spec: &RequestSpec) -> Begin {
+        if let Some(hit) = self.lookup(spec) {
+            return Begin::Hit(hit);
+        }
+        if let Some(flight) = self.flights.iter().find(|f| f.spec == *spec) {
+            return Begin::Join(flight.clone());
+        }
+        let flight = Arc::new(Flight {
             spec: spec.clone(),
-            compiled,
-            faults,
-            compile_us,
+            landed: Mutex::new(None),
+            wake: Condvar::new(),
         });
+        self.flights.push(flight.clone());
+        Begin::Lead(flight)
+    }
+
+    /// Step 3: retire `flight` with the leader's build — insert it on
+    /// success, cache nothing on failure — and wake every joiner with the
+    /// same result the leader gets back.
+    pub fn land(
+        &mut self,
+        flight: &Arc<Flight>,
+        built: Result<CachedProgram, ServeError>,
+    ) -> Result<Arc<CachedProgram>, ServeError> {
+        self.flights.retain(|f| !Arc::ptr_eq(f, flight));
+        let result = built.map(|b| self.insert(b));
+        *flight.landed.lock().expect(FLIGHT_LOCK) = Some(result.clone());
+        flight.wake.notify_all();
+        result
+    }
+
+    /// The cache's one write path: insert a built artifact, evicting the
+    /// least-recently-used entry if the cache is full.
+    fn insert(&mut self, built: CachedProgram) -> Arc<CachedProgram> {
+        self.stats.compiles += 1;
+        let key = built.key;
+        let cached = Arc::new(built);
         // A hash collision with a *different* spec overwrites the old
         // entry: correctness is preserved (lookup compares specs), and
         // with 64-bit keys this path is effectively unreachable.
@@ -179,11 +278,15 @@ impl CompileCache {
                 cached: cached.clone(),
             },
         );
-        Ok(cached)
+        cached
     }
 
-    /// Serve `spec` from cache, compiling at most once. The `bool` is
-    /// true on a cache hit (compilation skipped).
+    /// Serve `spec` from cache, building at most once. The `bool` is
+    /// true on a cache hit (compilation skipped). This is the form for a
+    /// caller that owns the cache outright: it builds inline, under
+    /// whatever exclusion `&mut self` stands for, and neither reserves nor
+    /// joins a flight. Anything shared between threads goes through
+    /// [`begin`](Self::begin) / [`land`](Self::land) instead.
     pub fn get_or_compile(
         &mut self,
         spec: &RequestSpec,
@@ -191,7 +294,7 @@ impl CompileCache {
         if let Some(hit) = self.lookup(spec) {
             return Ok((hit, true));
         }
-        Ok((self.compile_into(spec)?, false))
+        Ok((self.insert(CachedProgram::build(spec)?), false))
     }
 
     /// Drop the least-recently-used entry.
@@ -283,6 +386,38 @@ mod tests {
             .unwrap_err();
         assert!(matches!(e, ServeError::BadFaults(_)), "{e}");
         assert_eq!(c.stats().compiles, 0);
+    }
+
+    #[test]
+    fn a_flight_is_led_once_joined_by_the_rest_and_retired_on_landing() {
+        let mut c = CompileCache::new(4);
+        let Begin::Lead(flight) = c.begin(&spec(8)) else {
+            panic!("an empty cache leads");
+        };
+        let Begin::Join(joined) = c.begin(&spec(8)) else {
+            panic!("a reserved spec is joined, not compiled again");
+        };
+        assert!(Arc::ptr_eq(&flight, &joined));
+        assert!(
+            matches!(c.begin(&spec(12)), Begin::Lead(_)),
+            "other specs lead"
+        );
+        assert_eq!(c.stats().misses, 3, "a joiner is a miss");
+
+        // A failed build lands as the same error for leader and joiner,
+        // caches nothing, and frees the spec for the next request.
+        let failed = c.land(&flight, Err(ServeError::BadFaults("x".into())));
+        assert!(matches!(failed, Err(ServeError::BadFaults(_))));
+        assert!(matches!(joined.wait(), Err(ServeError::BadFaults(_))));
+        assert_eq!((c.len(), c.stats().compiles), (0, 0));
+
+        let Begin::Lead(flight) = c.begin(&spec(8)) else {
+            panic!("a landed flight is retired");
+        };
+        let landed = c.land(&flight, CachedProgram::build(&spec(8))).unwrap();
+        assert!(Arc::ptr_eq(&landed, &flight.wait().unwrap()));
+        assert_eq!(c.stats().compiles, 1);
+        assert!(matches!(c.begin(&spec(8)), Begin::Hit(hit) if Arc::ptr_eq(&hit, &landed)));
     }
 
     #[test]

@@ -53,7 +53,7 @@ pub mod registry;
 pub mod replay;
 pub mod spec;
 
-pub use cache::{CacheStats, CachedProgram, CompileCache, ServeError};
+pub use cache::{Begin, CacheStats, CachedProgram, CompileCache, Flight, ServeError};
 pub use metrics_view::ServeMetrics;
 pub use pool::{PoolMachine, RunOutcome, ServePool};
 pub use registry::{RegisteredInfo, Registry};

@@ -163,8 +163,8 @@ impl ServeMetrics {
 
     /// Fold one compile's per-pass provenance: wall time and statement
     /// churn per pass name. Pass labels are dynamic, so this goes through
-    /// the registry (compiles are rare by design — this is off the hot
-    /// path by the same argument as the compile itself).
+    /// the registry (once per compile, by the request that led it, with
+    /// no cache lock held).
     pub fn fold_compile(&self, trace: &CompileTrace) {
         for p in &trace.passes {
             let labels = [("pass", p.name.as_str())];
@@ -186,8 +186,8 @@ impl ServeMetrics {
         }
     }
 
-    /// Fold a cache-counter delta (computed by the pool around one
-    /// `get_or_compile`, while it already holds the cache lock).
+    /// Fold a cache-counter delta (computed by `ServePool::with_cache`
+    /// around each closure it runs under the cache lock).
     pub fn fold_cache_delta(
         &self,
         before: crate::cache::CacheStats,

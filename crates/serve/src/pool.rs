@@ -3,14 +3,19 @@
 //! A [`ServePool`] owns the compile cache and a fixed worker count.
 //! [`run_batch`](ServePool::run_batch) fans a slice of requests across a
 //! scoped thread pool: workers claim requests through an atomic cursor,
-//! resolve each through the shared cache (the only lock in the system,
-//! held just long enough to look up or compile), then execute on a
+//! resolve each through the shared cache, then execute on a
 //! **private** machine instance — a [`SimExec`] or, under
 //! [`PoolMachine::Tasks`], an [`AsyncExec`]. Per-run isolation is structural —
 //! nothing but the immutable `Arc<Program>` is shared between runs — so
 //! a request's [`Fingerprint`] is bit-identical whether it ran solo,
 //! sequentially, or interleaved with the rest of a batch. The
 //! conformance tests assert exactly that equality.
+//!
+//! The cache lock is held to look up, to reserve a miss and to insert its
+//! result — never across a compile (`ServePool::resolve`). A miss
+//! compiles unlocked while hits on other programs go straight past it,
+//! and requests for the program being compiled wait on that one compile
+//! (its *flight*; see [`crate::cache`]) rather than start their own.
 //!
 //! Every pool also owns a [`MetricsRegistry`]: each request stamps its
 //! latency decomposition (queue → resolve → execute), the cache counters
@@ -20,10 +25,11 @@
 //! and dumps them when a request errors or crosses the armed slow
 //! threshold.
 
-use crate::cache::{CachedProgram, CompileCache, ServeError};
+use crate::cache::{Begin, CachedProgram, CompileCache, ServeError};
 use crate::metrics_view::ServeMetrics;
-use crate::registry::Registry;
+use crate::registry::{RegisteredInfo, Registry};
 use crate::spec::RequestSpec;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -38,7 +44,9 @@ use xdp_verify::Fingerprint;
 pub struct RunOutcome {
     /// Content hash of the request spec.
     pub key: u64,
-    /// Did the compile cache serve this request without recompiling?
+    /// Was the artifact resident when this request looked it up? False
+    /// for the request that compiled it *and* for any that arrived during
+    /// that compile and waited for it.
     pub cache_hit: bool,
     /// Simulated completion time of the run.
     pub virtual_time: f64,
@@ -49,13 +57,18 @@ pub struct RunOutcome {
     /// End-to-end wall latency of the request, microseconds (measured
     /// from enqueue when the request came through a batch).
     pub latency_us: u64,
-    /// Wall time spent inside the compile pipeline (0 on a hit).
+    /// Wall time this request spent inside the compile pipeline: 0 on a
+    /// hit, and 0 for a request that waited on another's compile — its
+    /// wait is in `resolve_us`, and `!cache_hit && compile_us == 0` is how
+    /// such a request reads. Summed over outcomes this is the compile time
+    /// the pool actually spent.
     pub compile_us: u64,
     /// Time spent queued before a worker claimed the request (0 outside
     /// `run_batch`).
     pub queue_us: u64,
     /// Time spent resolving through the cache — lock wait plus lookup,
-    /// plus the compile itself on a miss.
+    /// plus on a miss the compile itself or the wait for the request
+    /// already compiling it.
     pub resolve_us: u64,
     /// Time spent building, initializing, running and fingerprinting the
     /// request's private machine.
@@ -78,6 +91,14 @@ pub enum PoolMachine {
     #[default]
     Sim,
     Tasks,
+}
+
+/// What [`ServePool::resolve`] hands back: the artifact and this
+/// request's share of [`RunOutcome`].
+struct Resolved {
+    cached: Arc<CachedProgram>,
+    cache_hit: bool,
+    compile_us: u64,
 }
 
 /// The serving pool: shared cache + registry behind one lock each, a
@@ -151,19 +172,76 @@ impl ServePool {
 
     /// Snapshot of the cache counters.
     pub fn cache_stats(&self) -> crate::cache::CacheStats {
-        self.cache.lock().unwrap().stats()
+        self.with_cache(|cache| cache.stats())
     }
 
-    /// Run one closure with the cache locked (registration, listings).
+    /// Run one closure with the cache locked, then mirror whatever cache
+    /// counters it moved into the metrics registry.
     pub fn with_cache<T>(&self, f: impl FnOnce(&mut CompileCache) -> T) -> T {
-        f(&mut self.cache.lock().unwrap())
+        let mut cache = self
+            .cache
+            .lock()
+            .expect("cache lock poisoned: a `with_cache` closure panicked");
+        let before = cache.stats();
+        let out = f(&mut cache);
+        self.metrics.fold_cache_delta(before, cache.stats());
+        out
     }
 
-    /// Run one closure with the registry and cache locked together.
+    /// Run one closure with the registry and cache locked together
+    /// (listings, eviction).
     pub fn with_registry<T>(&self, f: impl FnOnce(&mut Registry, &mut CompileCache) -> T) -> T {
         let mut reg = self.registry.lock().unwrap();
-        let mut cache = self.cache.lock().unwrap();
-        f(&mut reg, &mut cache)
+        self.with_cache(|cache| f(&mut reg, cache))
+    }
+
+    /// Register (or replace) `name`: resolve `spec` the way a request
+    /// would — so it is compiled once, unlocked, and warm for its first
+    /// run — then record the name. A spec that does not compile is not
+    /// registered. Returns the listing row for the new entry.
+    pub fn register(&self, name: &str, spec: RequestSpec) -> Result<RegisteredInfo, ServeError> {
+        self.resolve(&spec)?;
+        Ok(self.with_registry(|reg, cache| reg.register(name, spec, cache)))
+    }
+
+    /// The one way the pool gets an artifact (module docs): hit, lead a
+    /// flight, or join one. The cache lock is taken for `begin` and for
+    /// `land` and released in between.
+    fn resolve(&self, spec: &RequestSpec) -> Result<Resolved, ServeError> {
+        let uncompiled = |cached, cache_hit| Resolved {
+            cached,
+            cache_hit,
+            compile_us: 0,
+        };
+        let flight = match self.with_cache(|cache| cache.begin(spec)) {
+            Begin::Hit(cached) => return Ok(uncompiled(cached, true)),
+            Begin::Join(flight) => return flight.wait().map(|cached| uncompiled(cached, false)),
+            Begin::Lead(flight) => flight,
+        };
+        // A reserved flight must land whatever the build does, or its
+        // joiners wait forever: a panicking build lands as an error for
+        // them and goes on unwinding here.
+        let (built, panic) = match catch_unwind(AssertUnwindSafe(|| CachedProgram::build(spec))) {
+            Ok(built) => (built, None),
+            Err(panic) => (
+                Err(ServeError::Run(
+                    "the compile this request waited on panicked".into(),
+                )),
+                Some(panic),
+            ),
+        };
+        let landed = self.with_cache(|cache| cache.land(&flight, built));
+        if let Some(panic) = panic {
+            resume_unwind(panic);
+        }
+        let cached = landed?;
+        self.metrics.compile_time.observe(cached.compile_us);
+        self.metrics.fold_compile(&cached.compiled.trace);
+        Ok(Resolved {
+            compile_us: cached.compile_us,
+            cached,
+            cache_hit: false,
+        })
     }
 
     /// Serve one request: resolve through the cache, execute in
@@ -232,25 +310,18 @@ impl ServePool {
         queue_us: u64,
     ) -> Result<RunOutcome, ServeError> {
         let resolve_start = Instant::now();
-        let resolved = {
-            let mut cache = self.cache.lock().unwrap();
-            let before = cache.stats();
-            let resolved = cache.get_or_compile(spec);
-            self.metrics.fold_cache_delta(before, cache.stats());
-            resolved
-        };
+        let resolved = self.resolve(spec);
         let resolve_us = resolve_start.elapsed().as_micros() as u64;
-        let (cached, hit) = match resolved {
-            Ok(pair) => pair,
+        let Resolved {
+            cached,
+            cache_hit,
+            compile_us,
+        } = match resolved {
+            Ok(resolved) => resolved,
             Err(e) => {
                 return Err(self.fail(e, spec, name, worker, queue_us, resolve_us, 0, enqueued))
             }
         };
-        let compile_us = if hit { 0 } else { cached.compile_us };
-        if !hit {
-            self.metrics.compile_time.observe(compile_us);
-            self.metrics.fold_compile(&cached.compiled.trace);
-        }
 
         let exec_start = Instant::now();
         self.metrics.in_flight.add(1);
@@ -265,7 +336,7 @@ impl ServePool {
                 ))
             }
         };
-        outcome.cache_hit = hit;
+        outcome.cache_hit = cache_hit;
         outcome.compile_us = compile_us;
         outcome.queue_us = queue_us;
         outcome.resolve_us = resolve_us;
@@ -487,9 +558,11 @@ mod tests {
             );
             assert_eq!(b.virtual_time, s.virtual_time);
         }
-        // 3 distinct specs compiled once each, 2 served warm.
-        assert_eq!(pool.cache_stats().compiles, 3);
-        assert_eq!(pool.cache_stats().hits, 2);
+        // 3 distinct specs compiled once each; the 2 repeats hit, or
+        // arrived mid-compile and joined it.
+        let stats = pool.cache_stats();
+        assert_eq!(stats.compiles, 3);
+        assert_eq!(stats.hits + stats.misses, 5);
     }
 
     #[test]
@@ -625,10 +698,19 @@ mod tests {
     #[test]
     fn named_runs_resolve_through_registry() {
         let pool = ServePool::new(2, 8);
-        pool.with_registry(|reg, cache| reg.register("adder", spec(8), cache))
-            .unwrap();
+        let row = pool.register("adder", spec(8)).unwrap();
+        assert!(row.cached && row.stmts > 0, "{row:?}");
         let out = pool.run_named("adder").unwrap();
         assert!(out.cache_hit, "registration pre-warms the cache");
+        assert_eq!(pool.cache_stats().compiles, 1);
+        let snap = pool.metrics_snapshot();
+        let compile = snap.histogram("xdp_compile_us", &[]).unwrap();
+        assert_eq!(compile.count, 1, "a registration's compile is observed");
+
+        let bad = RequestSpec::new("real A[1:4] distribute (WAT) onto 2\n");
+        let e = pool.register("bad", bad).unwrap_err();
+        assert!(matches!(e, ServeError::Compile(_)), "{e}");
+        assert_eq!(pool.with_registry(|reg, _| reg.len()), 1, "not registered");
         assert!(matches!(
             pool.run_named("nope"),
             Err(ServeError::Unknown(_))

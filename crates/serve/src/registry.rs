@@ -2,15 +2,15 @@
 //!
 //! Clients of a long-lived `xdpd` don't want to ship source text with
 //! every request. The registry maps a chosen name to a [`RequestSpec`]
-//! (and therefore to a cache key); registering compiles the program
-//! through the cache immediately, so a registered program's first real
-//! request is already a hit. Eviction removes both the name and, when
-//! resident, the cached artifact.
+//! (and therefore to a cache key). [`crate::ServePool::register`] first
+//! resolves the spec the way a request would, so a registered program's
+//! first real request is already a hit, and then records the name here.
+//! Eviction removes both the name and, when resident, the cached
+//! artifact.
 
-use crate::cache::{CompileCache, ServeError};
+use crate::cache::CompileCache;
 use crate::spec::RequestSpec;
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
 /// What `list` reports per registered program.
 #[derive(Clone, Debug)]
@@ -47,34 +47,23 @@ impl Registry {
         self.entries.is_empty()
     }
 
-    /// Register (or replace) `name`, compiling through the cache so the
-    /// artifact is warm. Returns the listing row for the new entry.
+    /// Record (or replace) `name` for a spec the caller has already
+    /// resolved through `cache` ([`crate::ServePool::register`] does both).
+    /// Returns the listing row for the new entry.
     pub fn register(
         &mut self,
         name: &str,
         spec: RequestSpec,
-        cache: &mut CompileCache,
-    ) -> Result<RegisteredInfo, ServeError> {
-        let (cached, _) = cache.get_or_compile(&spec)?;
+        cache: &CompileCache,
+    ) -> RegisteredInfo {
+        let row = info(name, &spec, cache);
         self.entries.insert(name.to_string(), spec);
-        Ok(info(name, &cached.spec, cache))
+        row
     }
 
     /// The spec registered under `name`.
     pub fn get(&self, name: &str) -> Option<&RequestSpec> {
         self.entries.get(name)
-    }
-
-    /// Resolve a name to its cached (compiling if evicted) artifact.
-    pub fn resolve(
-        &self,
-        name: &str,
-        cache: &mut CompileCache,
-    ) -> Result<(Arc<crate::cache::CachedProgram>, bool), ServeError> {
-        let spec = self
-            .get(name)
-            .ok_or_else(|| ServeError::Unknown(name.to_string()))?;
-        cache.get_or_compile(spec)
     }
 
     /// Listing rows for every registered program, in name order.
@@ -111,17 +100,12 @@ fn info(name: &str, spec: &RequestSpec, cache: &CompileCache) -> RegisteredInfo 
         passes,
         cached: cache.contains(key),
     };
-    if let Some(c) = cache_peek(cache, key) {
+    if let Some(c) = cache.peek(key) {
         row.nprocs = c.compiled.nprocs;
         row.stmts = c.compiled.program.body.len();
         row.passes = c.compiled.trace.passes.len();
     }
     row
-}
-
-/// Non-touching read used by listings (no LRU update, no counters).
-fn cache_peek(cache: &CompileCache, key: u64) -> Option<Arc<crate::cache::CachedProgram>> {
-    cache.peek(key)
 }
 
 #[cfg(test)]
@@ -139,43 +123,24 @@ mod tests {
     fn register_list_evict_roundtrip() {
         let mut cache = CompileCache::new(8);
         let mut reg = Registry::new();
-        let row = reg.register("adder", spec(8), &mut cache).unwrap();
+        cache.get_or_compile(&spec(8)).unwrap();
+        let row = reg.register("adder", spec(8), &cache);
         assert_eq!(row.name, "adder");
         assert_eq!(row.nprocs, 2);
         assert!(row.cached);
         assert!(row.stmts > 0);
 
-        reg.register("adder12", spec(12), &mut cache).unwrap();
+        cache.get_or_compile(&spec(12)).unwrap();
+        reg.register("adder12", spec(12), &cache);
         let listing = reg.list(&cache);
         assert_eq!(listing.len(), 2);
         assert_eq!(listing[0].name, "adder");
         assert_eq!(listing[1].name, "adder12");
-
-        // Registration pre-warms: the first resolve is already a hit.
-        let (_, hit) = reg.resolve("adder", &mut cache).unwrap();
-        assert!(hit);
+        assert_eq!(reg.get("adder"), Some(&spec(8)));
 
         assert!(reg.evict("adder", &mut cache));
         assert!(!reg.evict("adder", &mut cache));
         assert!(!cache.contains(spec(8).content_hash()));
-        assert!(matches!(
-            reg.resolve("adder", &mut cache),
-            Err(ServeError::Unknown(_))
-        ));
-    }
-
-    #[test]
-    fn register_rejects_bad_programs() {
-        let mut cache = CompileCache::new(8);
-        let mut reg = Registry::new();
-        let e = reg
-            .register(
-                "bad",
-                RequestSpec::new("real A[1:4] distribute (WAT) onto 2\n"),
-                &mut cache,
-            )
-            .unwrap_err();
-        assert!(matches!(e, ServeError::Compile(_)), "{e}");
-        assert!(reg.is_empty());
+        assert!(reg.get("adder").is_none());
     }
 }

@@ -447,7 +447,8 @@ mod tests {
             "warm resubmission must not compile"
         );
         assert_eq!(report.stats.compiles, 3, "one compile per distinct program");
-        assert!(report.hit_rate > 0.9, "hit rate {}", report.hit_rate);
+        // 3 first misses, and with 2 workers at most one joiner each.
+        assert!(report.hit_rate >= 0.9, "hit rate {}", report.hit_rate);
         assert_eq!(report.per_program.iter().map(|r| r.runs).sum::<u64>(), 60);
         assert!(
             report.contract_violations().is_empty(),

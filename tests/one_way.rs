@@ -3,7 +3,9 @@
 //! Figure 1's movement events are built only by `xdp_core::Recorder`, its
 //! transfer rules are written only in `xdp_core::transfer`, integer
 //! division has one definition, `benchmark/` is the only performance
-//! record, and every binary the Makefile and CI invoke exists.
+//! record, every binary the Makefile and CI invoke exists, and (§2.22)
+//! the serve layer compiles in one function and `run_traced` renders the
+//! statement table at one place per pass boundary.
 
 use std::path::{Path, PathBuf};
 
@@ -153,6 +155,49 @@ fn transfer_rules_and_integer_division_are_written_once() {
             path.display()
         );
     }
+}
+
+/// The name of the function whose body holds byte `at` of `code`.
+fn enclosing_fn(code: &str, at: usize) -> &str {
+    let name = &code[code[..at].rfind("fn ").expect("inside a function") + 3..];
+    &name[..name.find(['(', '<']).expect("a parameter list")]
+}
+
+#[test]
+fn the_serve_layer_compiles_and_run_traced_renders_in_one_place() {
+    let mut compile_sites = Vec::new();
+    for path in sources() {
+        if !path.to_string_lossy().contains("crates/serve/src") {
+            continue;
+        }
+        let code = code_of(&path);
+        // A call of anything named `compile`, by any path;
+        // `get_or_compile(` and `fold_compile(` are other words.
+        for (at, _) in code.match_indices("compile(") {
+            if code[..at].ends_with(|c: char| c == '_' || c.is_alphanumeric()) {
+                continue;
+            }
+            let file = path.file_name().unwrap().to_string_lossy().into_owned();
+            compile_sites.push((file, enclosing_fn(&code, at).to_string()));
+        }
+    }
+    assert_eq!(
+        compile_sites,
+        [("cache.rs".to_string(), "build".to_string())],
+        "the flight's `CachedProgram::build` is the serve layer's only call into the compiler"
+    );
+
+    let passes = Path::new(env!("CARGO_MANIFEST_DIR")).join("crates/compiler/src/passes/mod.rs");
+    let code = code_of(&passes);
+    let renders: Vec<&str> = code
+        .match_indices("stmt_table(")
+        .map(|(at, _)| enclosing_fn(&code, at))
+        .collect();
+    assert!(
+        (1..=2).contains(&renders.len()) && renders.iter().all(|f| *f == "run_traced"),
+        "passes/mod.rs renders the statement table in {renders:?}; want the up-front render \
+         and the per-pass `after`, both in run_traced"
+    );
 }
 
 #[test]

@@ -317,3 +317,44 @@ fn every_generated_program_validates_cleanly() {
         xdp_ir::validate(&p)
     );
 }
+
+/// Smoke of `crates/compiler/tests/pipeline_props.rs`'s equivalence test:
+/// `run_traced` renders one table per pass boundary, and what it records
+/// must still describe each pass's own input and output.
+#[test]
+fn provenance_rows_describe_each_passes_own_input_and_output() {
+    use std::collections::HashMap;
+    let (s, ..) = source(16, 4, DimDist::Block, DimDist::Cyclic);
+    let naive = lower_owner_computes(&s, &FrontendOptions::default()).unwrap();
+    let pipeline = || PassManager::paper_pipeline().add(xdp_compiler::passes::AutoPlace::new());
+    let (traced, ct) = pipeline().run_traced(&naive);
+    assert_eq!(traced, pipeline().run(&naive).0);
+
+    let mut cur = naive;
+    for (pass, row) in pipeline().into_passes().iter().zip(&ct.passes) {
+        let out = pass.run(&cur).program;
+        let before: HashMap<u32, String> = xdp_ir::pretty::stmt_table(&cur).into_iter().collect();
+        let after: HashMap<u32, String> = xdp_ir::pretty::stmt_table(&out).into_iter().collect();
+        assert_eq!(
+            (row.nodes_before, row.nodes_after),
+            (before.len(), after.len())
+        );
+        assert!(row.removed.iter().all(|(id, s)| before.get(id) == Some(s)));
+        assert!(row.added.iter().all(|(id, s)| after.get(id) == Some(s)));
+        assert_eq!(
+            row.nodes_after as i64 - row.nodes_before as i64,
+            row.added.len() as i64 - row.removed.len() as i64,
+            "{}: the diff accounts for the node delta",
+            row.name
+        );
+        if out == cur {
+            assert!(
+                row.removed.is_empty() && row.added.is_empty(),
+                "{}",
+                row.name
+            );
+        }
+        cur = out;
+    }
+    assert!(ct.passes.iter().any(|row| !row.added.is_empty()));
+}

@@ -4,7 +4,8 @@
 //! segments and agree with the per-index definitions they replaced; the
 //! movement multiset is the same on every machine under any cost model;
 //! a request whose program divides by zero, or that asks for a machine of
-//! zero processors, is an error the pool survives.
+//! zero processors, is an error the pool survives; requests racing for
+//! one cold program compile it once, or fail together if it cannot be.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -205,4 +206,55 @@ fn pool_survives_a_request_for_zero_processors() {
         pool.run_one(&RequestSpec::new(source.clone()))
             .unwrap_or_else(|e| panic!("{machine:?}: the pool is poisoned: {e}"));
     }
+}
+
+/// Smoke of `crates/serve/tests/pool_conformance.rs`'s concurrency half:
+/// the compile runs outside the cache lock, once per distinct spec.
+#[test]
+fn racing_requests_share_one_compile_or_one_error() {
+    use xdp_compiler::{CompileOptions, SeqMode};
+    use xdp_serve::{RequestSpec, ServePool};
+    let race = |pool: &ServePool, spec: &RequestSpec| {
+        let gate = std::sync::Barrier::new(4);
+        std::thread::scope(|scope| {
+            let racers: Vec<_> = (0..4)
+                .map(|_| {
+                    scope.spawn(|| {
+                        gate.wait();
+                        pool.run_one(spec)
+                    })
+                })
+                .collect();
+            racers
+                .into_iter()
+                .map(|t| t.join().unwrap())
+                .collect::<Vec<_>>()
+        })
+    };
+    let source = std::fs::read_to_string("xdp-programs/seq_sum.xdp").expect("corpus program");
+    let opts = CompileOptions::default()
+        .with_seq(SeqMode::Auto)
+        .optimized()
+        .placed();
+    let good = RequestSpec::new(source).with_opts(opts);
+    let pool = ServePool::new(4, 4);
+    let outcomes: Vec<_> = race(&pool, &good).into_iter().map(|r| r.unwrap()).collect();
+    let stats = pool.cache_stats();
+    assert_eq!((stats.compiles, stats.hits + stats.misses), (1, 4));
+    assert_eq!(outcomes.iter().filter(|o| o.compile_us > 0).count(), 1);
+    assert!(outcomes
+        .iter()
+        .all(|o| o.fingerprint == outcomes[0].fingerprint));
+
+    let bad = good.clone().with_faults("drop=banana");
+    for result in race(&pool, &bad) {
+        let e = result.unwrap_err().to_string();
+        assert!(e.starts_with("bad fault spec"), "{e}");
+    }
+    assert_eq!(
+        pool.cache_stats().compiles,
+        1,
+        "a failed compile caches nothing"
+    );
+    assert!(pool.run_one(&good).unwrap().cache_hit);
 }
