@@ -19,19 +19,20 @@
 //!    intermediaries to cut per-processor message count from `P-1` to
 //!    `log2 P` and shorten hop distances, so it wins exactly where
 //!    per-message cost dominates: high `alpha`, distance-sensitive
-//!    topologies. The crossover table below is reproduced in
-//!    EXPERIMENTS.md.
+//!    topologies. Beside the planner's prices the table puts the plan the
+//!    engine can execute (one section per message) and what `SimExec`
+//!    measures running it: the distance between the round-synchronous
+//!    price and the unsynchronized lowering is recorded, not asserted
+//!    away. The crossover table below is reproduced in EXPERIMENTS.md.
 
 use std::sync::Arc;
 use xdp_bench::table::j;
 use xdp_bench::Table;
-use xdp_collectives::{plan, redistribution_pieces, run_sim, Strategy};
+use xdp_collectives::{plan, redistribution_pieces, Strategy};
 use xdp_compiler::passes::{LowerRedistribute, Pass};
 use xdp_core::{KernelRegistry, SimConfig, SimExec};
 use xdp_ir::build as b;
-use xdp_ir::{
-    BoolExpr, DimDist, Distribution, ElemType, ProcGrid, Program, Section, Stmt, Triplet, VarId,
-};
+use xdp_ir::{BoolExpr, DimDist, Distribution, ElemType, ProcGrid, Program, Stmt, Triplet, VarId};
 use xdp_machine::{CostModel, Topology};
 use xdp_runtime::Value;
 
@@ -176,7 +177,6 @@ fn main() {
 
     // ---- schedule level: direct vs staged crossover ----------------------
     let bounds = [Triplet::range(1, N)];
-    let bsec = Section::new(bounds.to_vec());
     let (src, dst) = dists();
     let pieces = redistribution_pieces(&bounds, &src, &dst);
     println!(
@@ -194,7 +194,15 @@ fn main() {
     let mut t2 = Table::new(
         &format!("E8b: strategy crossover, n={N}, P={P}, hop_factor=1"),
         &[
-            "alpha", "topology", "direct", "staged", "chosen", "measured",
+            "alpha",
+            "topology",
+            "direct",
+            "staged",
+            "chosen",
+            "lowerable",
+            "predicted",
+            "engine",
+            "msgs",
         ],
     );
     for alpha in [1.0, 30.0, 300.0, 3000.0] {
@@ -213,29 +221,23 @@ fn main() {
                     .map(|(_, c)| *c)
                     .unwrap_or(f64::NAN)
             };
-            // Execute the chosen schedule on the simulated network and
-            // check the prediction is honest.
-            let mut data: Vec<Vec<f64>> = (0..P)
-                .map(|pid| {
-                    let mut v = vec![f64::NAN; N as usize];
-                    for rect in src.owned_rects(&bounds, pid) {
-                        for pt in rect.iter() {
-                            v[(pt[0] - 1) as usize] = pt[0] as f64;
-                        }
-                    }
-                    v
-                })
-                .collect();
-            let (measured, stats) =
-                run_sim(&pl.schedule, &bsec, &mut data, &cost, topo).expect("schedule replays");
-            assert_eq!(stats.messages, pl.schedule.message_count() as u64);
+            // What the machine can run is the single-section plan its
+            // `redistribute` lowers; price that one and run it on the
+            // engine. The two numbers are recorded side by side, the
+            // message count must agree.
+            let low = plan(VarId(0), &bounds, 8, &src, &dst, &cost, topo, true);
+            let (_, engine, msgs) = run(&planned, pa, cost, topo.clone());
+            assert_eq!(msgs, low.schedule.message_count() as u64);
             t2.row(&[
                 j::f(alpha),
                 j::s(name),
                 j::f(cost_of(Strategy::DirectPairwise)),
                 j::f(cost_of(Strategy::StagedBruck)),
                 j::s(&pl.strategy.to_string()),
-                j::f(measured),
+                j::s(&low.strategy.to_string()),
+                j::f(low.predicted),
+                j::f(engine),
+                j::u(msgs),
             ]);
         }
     }

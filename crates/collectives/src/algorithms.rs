@@ -3,8 +3,8 @@
 //! Each constructor returns the full round structure of a textbook collective
 //! over a 1-D array `var[1:n]` on `nprocs` processors. Because the output is
 //! an explicit schedule rather than a runtime call, the same object can be
-//! priced by [`CommSchedule::predicted_cost`], replayed on the simulator, or
-//! executed over any [`crate::Net`].
+//! priced by [`CommSchedule::predicted_cost`] and applied in memory by
+//! [`crate::run_lockstep`].
 //!
 //! All algorithms are *in-place* over a single per-processor vector: within a
 //! round every payload is read before any receive is applied, and no section

@@ -1,28 +1,21 @@
-//! Executors that replay a [`CommSchedule`] over real data.
+//! The in-memory reference a [`CommSchedule`] is checked against.
 //!
-//! Three drivers share one semantics — within a round, every payload is read
-//! from pre-round state before any receive is applied:
-//!
-//! * [`run_lockstep`] — pure in-memory reference semantics, no network;
-//! * [`run_pid`] — one processor's side of the schedule over any [`Net`]
-//!   (call from one thread per pid for a genuinely parallel run);
-//! * [`run_sim`] — a single-threaded drive of the virtual-time [`SimNet`],
-//!   returning the simulated completion time and traffic statistics.
+//! [`run_lockstep`] applies a schedule round by round with no network:
+//! within a round, every payload is read from pre-round state before any
+//! receive is applied. The planner's and the algorithms' tests compare
+//! against it; data *moves* only when a plan is lowered to Figure 1's
+//! send / receive / await statements and the machine runs them.
 //!
 //! Data lives as one `f64` vector per processor, addressed through the
 //! array's global `bounds` section: element `idx` lives at row-major
 //! ordinal `bounds.ordinal_of(idx)`.
 
-use crate::net::Net;
-use crate::schedule::{CommSchedule, Transfer};
-use std::time::Duration;
-use xdp_ir::{Section, TransferKind};
-use xdp_machine::{CostModel, NetStats, SimNet, Topology};
-use xdp_runtime::{Buffer, Msg, Tag};
+use crate::schedule::CommSchedule;
+use xdp_ir::Section;
 
-/// A named failure while replaying a schedule: malformed input (the bugs
-/// this used to `panic!` on) or a delivery failure from the network.
-/// Library code reports these; `xdpc plan`/`place` print them and exit.
+/// Malformed input to [`run_lockstep`], reported by name instead of a
+/// panic. Every caller is a test or an example that unwraps it, so it
+/// carries `Debug` and nothing else.
 #[derive(Clone, PartialEq, Debug)]
 pub enum ExecError {
     /// A transfer section indexes outside the array bounds.
@@ -37,53 +30,7 @@ pub enum ExecError {
         expected: usize,
         got: usize,
     },
-    /// A receive timed out (message `salt` in `round`).
-    RecvTimeout { pid: usize, salt: i64, round: usize },
-    /// A message arrived without an f64 payload.
-    BadPayload { pid: usize, salt: i64 },
-    /// The schedule is internally inconsistent: a receive found no posted
-    /// send in its own round.
-    Desync { round: usize, salt: i64 },
 }
-
-impl std::fmt::Display for ExecError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ExecError::OutOfBounds { point, bounds } => {
-                write!(f, "index {point:?} outside array bounds {bounds}")
-            }
-            ExecError::PayloadMismatch { expected, got } => {
-                write!(
-                    f,
-                    "payload holds {got} values, receive sections need {expected}"
-                )
-            }
-            ExecError::WrongProcCount { expected, got } => {
-                write!(f, "{got} data vectors for a {expected}-processor schedule")
-            }
-            ExecError::ShortVector { pid, expected, got } => {
-                write!(
-                    f,
-                    "p{pid}: data vector holds {got} values, bounds need {expected}"
-                )
-            }
-            ExecError::RecvTimeout { pid, salt, round } => {
-                write!(f, "p{pid}: timed out waiting for #{salt} in round {round}")
-            }
-            ExecError::BadPayload { pid, salt } => {
-                write!(f, "p{pid}: #{salt}: non-f64 payload")
-            }
-            ExecError::Desync { round, salt } => {
-                write!(
-                    f,
-                    "schedule desync: no posted send for #{salt} in round {round}"
-                )
-            }
-        }
-    }
-}
-
-impl std::error::Error for ExecError {}
 
 fn ord(bounds: &Section, point: &[i64]) -> Result<usize, ExecError> {
     bounds
@@ -136,19 +83,6 @@ fn scatter(
     Ok(())
 }
 
-fn tag_of(t: &Transfer) -> Tag {
-    Tag::salted(t.var, t.secs[0].clone(), t.salt)
-}
-
-fn msg_of(t: &Transfer, payload: Vec<f64>) -> Msg {
-    Msg {
-        tag: tag_of(t),
-        kind: TransferKind::Value,
-        payload: Some(std::sync::Arc::new(Buffer::F64(payload))),
-        src: t.src,
-    }
-}
-
 /// Check the data vectors cover the bounds volume for every processor.
 fn check_data(s: &CommSchedule, bounds: &Section, data: &[Vec<f64>]) -> Result<(), ExecError> {
     if data.len() != s.nprocs {
@@ -191,289 +125,32 @@ pub fn run_lockstep(
     Ok(())
 }
 
-/// Execute processor `pid`'s side of the schedule over a [`Net`]. Within a
-/// round all sends are posted before any receive blocks, so concurrent
-/// `run_pid` calls (one per pid) cannot deadlock over a buffering network.
-pub fn run_pid<N: Net>(
-    s: &CommSchedule,
-    bounds: &Section,
-    pid: usize,
-    local: &mut [f64],
-    net: &N,
-    timeout: Duration,
-) -> Result<(), ExecError> {
-    let vol = bounds.volume() as usize;
-    if local.len() < vol {
-        return Err(ExecError::ShortVector {
-            pid,
-            expected: vol,
-            got: local.len(),
-        });
-    }
-    for (ri, round) in s.rounds.iter().enumerate() {
-        let outgoing: Vec<(&Transfer, Vec<f64>)> = round
-            .transfers
-            .iter()
-            .filter(|t| t.src == pid)
-            .map(|t| Ok((t, gather(bounds, local, &t.secs)?)))
-            .collect::<Result<_, ExecError>>()?;
-        for (t, payload) in outgoing {
-            if t.is_local() {
-                scatter(bounds, local, &t.recv_secs, &payload, t.combine)?;
-            } else {
-                net.send(msg_of(t, payload), Some(vec![t.dst]));
-            }
-        }
-        for t in round
-            .transfers
-            .iter()
-            .filter(|t| t.dst == pid && !t.is_local())
-        {
-            let msg = net
-                .recv(&tag_of(t), pid, timeout)
-                .ok_or(ExecError::RecvTimeout {
-                    pid,
-                    salt: t.salt,
-                    round: ri,
-                })?;
-            let payload = msg
-                .payload
-                .as_deref()
-                .and_then(Buffer::as_f64)
-                .ok_or(ExecError::BadPayload { pid, salt: t.salt })?;
-            scatter(bounds, local, &t.recv_secs, payload, t.combine)?;
-        }
-    }
-    Ok(())
-}
-
-/// Replay the schedule on the virtual-time network: every message goes
-/// through [`SimNet`]'s matcher and cost model. Returns the simulated
-/// completion time (max processor clock) and the traffic counters.
-pub fn run_sim(
-    s: &CommSchedule,
-    bounds: &Section,
-    data: &mut [Vec<f64>],
-    model: &CostModel,
-    topo: &Topology,
-) -> Result<(f64, NetStats), ExecError> {
-    check_data(s, bounds, data)?;
-    let mut net = SimNet::new(s.nprocs, *model, topo.clone());
-    let mut clock = vec![0.0f64; s.nprocs];
-    let mut req = 0u64;
-    for (ri, round) in s.rounds.iter().enumerate() {
-        let packed: Vec<Vec<f64>> = round
-            .transfers
-            .iter()
-            .map(|t| gather(bounds, &data[t.src], &t.secs))
-            .collect::<Result<_, _>>()?;
-        // Post every send at the sender's clock (plus per-message overhead).
-        for (t, payload) in round.transfers.iter().zip(&packed) {
-            if !t.is_local() {
-                clock[t.src] += model.cpu_overhead;
-                let matched =
-                    net.post_send(msg_of(t, payload.clone()), Some(vec![t.dst]), clock[t.src]);
-                debug_assert!(matched.is_none(), "receive posted before its round");
-            }
-        }
-        // Complete the round: receives match instantly, locals pay copy time.
-        for (t, payload) in round.transfers.iter().zip(&packed) {
-            if t.is_local() {
-                clock[t.src] += model.beta * t.bytes as f64;
-                scatter(bounds, &mut data[t.dst], &t.recv_secs, payload, t.combine)?;
-            } else {
-                req += 1;
-                let c = net.post_recv(tag_of(t), t.dst, clock[t.dst], req).ok_or(
-                    ExecError::Desync {
-                        round: ri,
-                        salt: t.salt,
-                    },
-                )?;
-                clock[t.dst] = clock[t.dst].max(c.arrive_at) + c.handling;
-                let vals = c.msg.payload.as_deref().and_then(Buffer::as_f64).ok_or(
-                    ExecError::BadPayload {
-                        pid: t.dst,
-                        salt: t.salt,
-                    },
-                )?;
-                scatter(bounds, &mut data[t.dst], &t.recv_secs, vals, t.combine)?;
-            }
-        }
-    }
-    Ok((clock.iter().copied().fold(0.0, f64::max), net.stats))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::algorithms::{allgather_ring, alltoall_bruck, broadcast_binomial};
-    use crate::net::LocalNet;
-    use std::sync::Arc;
+    use crate::algorithms::broadcast_binomial;
     use xdp_ir::{Triplet, VarId};
-
-    fn bounds(n: i64) -> Section {
-        Section::new(vec![Triplet::range(1, n)])
-    }
-
-    fn tagged(nprocs: usize, n: usize) -> Vec<Vec<f64>> {
-        (0..nprocs)
-            .map(|p| (0..n).map(|i| (p * 1000 + i) as f64).collect())
-            .collect()
-    }
-
-    #[test]
-    fn threaded_run_matches_lockstep() {
-        for s in [
-            broadcast_binomial(VarId(0), 8, 8, 4, 1),
-            allgather_ring(VarId(0), 8, 8, 4),
-            alltoall_bruck(VarId(0), 8, 8, 4),
-        ] {
-            let b = bounds(8);
-            let mut want = tagged(4, 8);
-            run_lockstep(&s, &b, &mut want).unwrap();
-
-            let net = Arc::new(LocalNet::new());
-            let data = tagged(4, 8);
-            let mut handles = Vec::new();
-            for (pid, mut local) in data.into_iter().enumerate() {
-                let (s, b, net) = (s.clone(), b.clone(), net.clone());
-                handles.push(std::thread::spawn(move || {
-                    run_pid(&s, &b, pid, &mut local, &*net, Duration::from_secs(5)).unwrap();
-                    local
-                }));
-            }
-            let got: Vec<Vec<f64>> = handles.into_iter().map(|h| h.join().unwrap()).collect();
-            assert_eq!(got, want);
-            assert_eq!(net.pending(), 0, "all messages claimed");
-        }
-    }
-
-    #[test]
-    fn sim_run_matches_lockstep_and_counts_traffic() {
-        let s = alltoall_bruck(VarId(0), 8, 8, 4);
-        let b = bounds(8);
-        let mut want = tagged(4, 8);
-        run_lockstep(&s, &b, &mut want).unwrap();
-        let mut got = tagged(4, 8);
-        let (t, stats) = run_sim(
-            &s,
-            &b,
-            &mut got,
-            &CostModel::default_1993(),
-            &Topology::Uniform,
-        )
-        .unwrap();
-        assert_eq!(got, want);
-        assert!(t > 0.0);
-        assert_eq!(stats.messages as usize, s.message_count());
-    }
-
-    #[test]
-    fn threaded_run_under_faults_matches_lockstep() {
-        use xdp_fault::{FaultPlan, LinkFault};
-        use xdp_machine::ThreadNet;
-
-        let s = alltoall_bruck(VarId(0), 8, 8, 4);
-        let b = bounds(8);
-        let mut want = tagged(4, 8);
-        run_lockstep(&s, &b, &mut want).unwrap();
-
-        let mut plan = FaultPlan::uniform(
-            902,
-            LinkFault {
-                drop: 0.10,
-                dup: 0.10,
-                reorder: 0.25,
-                delay_p: 0.2,
-                delay: 150.0,
-            },
-        );
-        plan.rto = 400.0;
-        let net = Arc::new(ThreadNet::with_faults(4, plan));
-        let data = tagged(4, 8);
-        let mut handles = Vec::new();
-        for (pid, mut local) in data.into_iter().enumerate() {
-            let (s, b, net) = (s.clone(), b.clone(), net.clone());
-            handles.push(std::thread::spawn(move || {
-                run_pid(&s, &b, pid, &mut local, &*net, Duration::from_secs(10)).unwrap();
-                local
-            }));
-        }
-        let got: Vec<Vec<f64>> = handles.into_iter().map(|h| h.join().unwrap()).collect();
-        assert_eq!(got, want, "ack/retry delivery must be exact");
-        let fs = net.fault_stats();
-        assert!(
-            fs.any_injected(),
-            "chaos plan should actually inject faults: {fs:?}"
-        );
-        assert_eq!(fs.lost, 0, "no message may be permanently lost");
-    }
 
     #[test]
     fn malformed_input_is_an_error_not_a_panic() {
         let s = broadcast_binomial(VarId(0), 8, 8, 4, 1);
-        let b = bounds(8);
+        let bounds = |n| Section::new(vec![Triplet::range(1, n)]);
+        let run = |b: Section, mut data: Vec<Vec<f64>>| run_lockstep(&s, &b, &mut data);
 
-        // Wrong number of data vectors.
-        let mut three = tagged(3, 8);
-        assert_eq!(
-            run_lockstep(&s, &b, &mut three),
-            Err(ExecError::WrongProcCount {
-                expected: 4,
-                got: 3
-            })
-        );
+        let e = run(bounds(8), vec![vec![0.0; 8]; 3]).unwrap_err();
+        assert_eq!(format!("{e:?}"), "WrongProcCount { expected: 4, got: 3 }");
 
-        // A vector shorter than the bounds volume.
-        let mut short = tagged(4, 8);
+        let mut short = vec![vec![0.0; 8]; 4];
         short[2].truncate(5);
+        let e = run(bounds(8), short).unwrap_err();
         assert_eq!(
-            run_lockstep(&s, &b, &mut short),
-            Err(ExecError::ShortVector {
-                pid: 2,
-                expected: 8,
-                got: 5
-            })
+            format!("{e:?}"),
+            "ShortVector { pid: 2, expected: 8, got: 5 }"
         );
 
         // Bounds that don't cover the schedule's sections: the transfer
         // indexes land outside and must be reported, not panic.
-        let small = bounds(4);
-        let mut data = tagged(4, 8);
-        match run_lockstep(&s, &small, &mut data) {
-            Err(ExecError::OutOfBounds { .. }) => {}
-            other => panic!("expected OutOfBounds, got {other:?}"),
-        }
-
-        // run_sim goes through the same validation.
-        let mut data = tagged(4, 8);
-        match run_sim(
-            &s,
-            &small,
-            &mut data,
-            &CostModel::default_1993(),
-            &Topology::Uniform,
-        ) {
-            Err(ExecError::OutOfBounds { .. }) => {}
-            other => panic!("expected OutOfBounds, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn sim_time_tracks_predicted_cost() {
-        // The analytic predictor and the simulator agree on ordering:
-        // a linear array makes the same schedule slower than uniform.
-        let s = allgather_ring(VarId(0), 16, 8, 8);
-        let b = bounds(16);
-        let model = CostModel::default_1993();
-        let (mut d1, mut d2) = (tagged(8, 16), tagged(8, 16));
-        let (t_uni, _) = run_sim(&s, &b, &mut d1, &model, &Topology::Uniform).unwrap();
-        let (t_lin, _) = run_sim(&s, &b, &mut d2, &model, &Topology::Linear).unwrap();
-        // Ring is nearest-neighbour: linear topology costs the same as
-        // uniform (all hops = 1) except the wrap-around link.
-        assert!(t_lin >= t_uni);
-        let p_uni = s.predicted_cost(&model, &Topology::Uniform);
-        let p_lin = s.predicted_cost(&model, &Topology::Linear);
-        assert!(p_lin >= p_uni);
+        let e = run(bounds(4), vec![vec![0.0; 8]; 4]).unwrap_err();
+        assert!(matches!(e, ExecError::OutOfBounds { .. }), "{e:?}");
     }
 }

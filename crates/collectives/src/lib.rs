@@ -7,20 +7,19 @@
 //! [`CommSchedule`] — an explicit, inspectable round structure of tagged
 //! point-to-point messages — rather than an opaque runtime call.
 //!
-//! Because the schedule is a value, one object serves four purposes:
+//! Because the schedule is a value, one object has exactly three uses:
 //!
-//! 1. **Prediction** — [`CommSchedule::predicted_cost`] prices it under a
+//! 1. **Priced** — [`CommSchedule::predicted_cost`] prices it under a
 //!    [`xdp_machine::CostModel`] and [`xdp_machine::Topology`] before any
 //!    data moves.
-//! 2. **Simulation** — [`exec::run_sim`] replays it on the virtual-time
-//!    [`xdp_machine::SimNet`].
-//! 3. **Execution** — [`exec::run_pid`] runs one processor's side over any
-//!    [`Net`] (the threaded machine backend, or the in-process
-//!    [`LocalNet`]).
-//! 4. **Lowering** — [`planner::lower_redistribute_for_pid`] turns a
+//! 2. **Applied in memory** — [`run_lockstep`] is the round-by-round
+//!    reference the planner's and the algorithms' tests compare against;
+//!    it has no network and no clock.
+//! 3. **Lowered** — [`planner::lower_redistribute_for_pid`] turns a
 //!    redistribution plan into ordinary IL+XDP send/receive statements, so
-//!    the interpreter's `redistribute` statement executes through the same
-//!    symbol-table machinery as hand-written transfers.
+//!    a `redistribute` moves data through Figure 1's transfer rules on the
+//!    machine that runs every other statement. This crate builds, prices
+//!    and lowers schedules; it never sends a message.
 //!
 //! [`algorithms`] supplies the classical schedules (binomial trees,
 //! recursive doubling, ring, pairwise exchange, Bruck); [`planner`] chooses
@@ -30,7 +29,6 @@
 
 pub mod algorithms;
 pub mod exec;
-pub mod net;
 pub mod planner;
 pub mod schedule;
 
@@ -38,8 +36,7 @@ pub use algorithms::{
     allgather_recursive_doubling, allgather_ring, allreduce, alltoall_bruck, alltoall_pairwise,
     broadcast_binomial, reduce_binomial,
 };
-pub use exec::{run_lockstep, run_pid, run_sim, ExecError};
-pub use net::{LocalNet, Net};
+pub use exec::{run_lockstep, ExecError};
 pub use planner::{
     compatible_segment_shape, lower_redistribute_for_pid, plan, prepare, prepare_arc,
     redistribution_pieces, try_plan, FrontierPoint, Piece, PlanCtx, PlanError, RedistPlan,

@@ -346,5 +346,12 @@ mod tests {
         let near = s.predicted_cost(&model, &Topology::Uniform);
         let far = s.predicted_cost(&model, &Topology::Linear);
         assert!(far > near, "{far} vs {near}");
+
+        // A nearest-neighbour ring is one hop on both, except for the
+        // wrap-around link a linear array makes long.
+        let ring = crate::algorithms::allgather_ring(VarId(0), 16, 8, 8);
+        let near = ring.predicted_cost(&model, &Topology::Uniform);
+        let far = ring.predicted_cost(&model, &Topology::Linear);
+        assert!(far >= near, "{far} vs {near}");
     }
 }

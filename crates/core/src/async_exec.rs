@@ -158,6 +158,9 @@ impl<P: Processor> AsyncExec<P> {
     /// Run all processors to completion over the worker pool.
     pub fn run(&mut self) -> Result<ThreadReport, RtError> {
         let n = self.cfg.nprocs;
+        if let Err(e) = self.cfg.topo.validate(n) {
+            return Err(RtError::Topology(e.to_string()));
+        }
         let workers = if self.cfg.workers > 0 {
             self.cfg.workers
         } else {
@@ -811,6 +814,19 @@ mod tests {
         let g = exec.gather(a);
         for i in 1..=n {
             assert_eq!(g.get(&[i]).unwrap().as_f64(), 101.0 * i as f64);
+        }
+    }
+
+    #[test]
+    fn async_oversized_machine_is_a_topology_error() {
+        // Same refusal as `SimExec::run`: the planner must not price hops
+        // for the two pids a 2x2 mesh has no coordinates for.
+        let (prog, ..) = simple(12, 6);
+        let mut cfg = AsyncConfig::new(6);
+        cfg.topo = Topology::Mesh2D { rows: 2, cols: 2 };
+        match AsyncExec::new(prog, KernelRegistry::standard(), cfg).run() {
+            Err(RtError::Topology(d)) => assert!(d.contains("pids 4..5"), "{d}"),
+            other => panic!("expected Topology error, got {:?}", other.map(|_| ())),
         }
     }
 

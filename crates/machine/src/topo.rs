@@ -212,9 +212,46 @@ impl Topology {
     }
 }
 
+/// The spelling every command line reads: `uniform`, `linear`, or `RxC`
+/// for a 2-D mesh. Every field must parse; whether the shape holds the
+/// machine is [`Topology::validate`]'s question, asked once the machine
+/// size is known.
+impl std::str::FromStr for Topology {
+    type Err = String;
+
+    fn from_str(spec: &str) -> Result<Topology, String> {
+        let mesh = || {
+            let (rows, cols) = spec.split_once('x')?;
+            Some(Topology::Mesh2D {
+                rows: rows.parse().ok()?,
+                cols: cols.parse().ok()?,
+            })
+        };
+        match spec {
+            "uniform" => Ok(Topology::Uniform),
+            "linear" => Ok(Topology::Linear),
+            _ => mesh().ok_or_else(|| format!("`{spec}` is not uniform, linear, or RxC")),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn spellings_parse_whole_or_not_at_all() {
+        assert_eq!("uniform".parse(), Ok(Topology::Uniform));
+        assert_eq!("linear".parse(), Ok(Topology::Linear));
+        assert_eq!("2x4".parse(), Ok(Topology::Mesh2D { rows: 2, cols: 4 }));
+        for bad in ["donut", "2xbananax4", "2x", "x4", "2x4x8", "-2x4", ""] {
+            let err = bad.parse::<Topology>().unwrap_err();
+            assert!(err.contains(bad), "{err}");
+        }
+        // A dimension of zero parses; it is the machine that does not fit.
+        let flat: Topology = "4x0".parse().unwrap();
+        assert_eq!(flat.validate(8).unwrap_err().extent, 0);
+    }
 
     #[test]
     fn uniform() {

@@ -9,7 +9,8 @@
 
 use std::sync::Arc;
 use xdp::collectives::{
-    allgather_ring, allreduce, alltoall_bruck, alltoall_pairwise, broadcast_binomial, plan, run_sim,
+    allgather_ring, allreduce, alltoall_bruck, alltoall_pairwise, broadcast_binomial, plan,
+    run_lockstep,
 };
 use xdp::prelude::*;
 
@@ -52,7 +53,7 @@ fn main() {
         );
     }
 
-    // Prediction vs discrete-event simulation for one of them.
+    // Applied in memory, the broadcast puts the root's data everywhere.
     let bounds = Section::new(vec![Triplet::range(1, n)]);
     let bcast = &schedules[0].1;
     let mut data: Vec<Vec<f64>> = (0..nprocs)
@@ -64,13 +65,9 @@ fn main() {
             }
         })
         .collect();
-    let (t_sim, stats) =
-        run_sim(bcast, &bounds, &mut data, &model, &Topology::Uniform).expect("schedule replays");
+    run_lockstep(bcast, &bounds, &mut data).expect("well-formed schedule");
     assert!(data.iter().all(|v| v[7] == 8.0), "broadcast delivered");
-    println!(
-        "\nbroadcast simulated: time {t_sim:.1}, {} messages, {} wire bytes\n",
-        stats.messages, stats.wire_bytes
-    );
+    println!("\nbroadcast applied in memory: every processor holds the root's data\n");
 
     // --- the redistribution planner ---------------------------------------
     println!("==== redistribution planner ====\n");
@@ -121,10 +118,11 @@ fn main() {
         vec![DimDist::Block],
         ProcGrid::linear(nprocs),
     ));
-    p.body = vec![build::redistribute(a, dst)];
+    p.body = vec![build::redistribute(a, dst.clone())];
     println!("{}", xdp::ir::pretty::program(&p));
+    let p = Arc::new(p);
     let mut exec = SimExec::new(
-        Arc::new(p),
+        p.clone(),
         KernelRegistry::standard(),
         SimConfig::new(nprocs),
     );
@@ -134,9 +132,14 @@ fn main() {
     for i in 1..=nn {
         assert_eq!(g.get(&[i]).expect("covered").as_f64(), i as f64);
     }
+    // The plan the machine lowered the statement from (one section per
+    // message), and what it was priced at.
+    let lowered = exec.plan_ctx().plan(a, p.decl(a), &src, &dst);
+    assert_eq!(r.net.messages as usize, lowered.schedule.message_count());
     println!(
-        "executed: virtual time {:.1}, {} messages (vs {} moving elements one-by-one)",
+        "executed: virtual time {:.1} (round-synchronous price {:.1}), {} messages (vs {} moving elements one-by-one)",
         r.virtual_time,
+        lowered.predicted,
         r.net.messages,
         nn - nn / nprocs as i64,
     );

@@ -399,19 +399,17 @@ fn procs_override(rest: &[String]) -> Result<Option<usize>, ExitCode> {
         .transpose()
 }
 
-/// `--topo uniform|linear|RxC` shared by `plan` and `place`.
-fn parse_topo(rest: &[String]) -> Result<Topology, ExitCode> {
-    Ok(match opt_val(rest, "--topo") {
-        None | Some("uniform") => Topology::Uniform,
-        Some("linear") => Topology::Linear,
-        Some(spec) => {
-            let dims: Vec<usize> = spec.split('x').filter_map(|x| x.parse().ok()).collect();
-            let [rows, cols] = dims[..] else {
-                eprintln!("xdpc: bad --topo `{spec}` (use uniform, linear, or RxC)");
-                return Err(ExitCode::from(2));
-            };
-            Topology::Mesh2D { rows, cols }
-        }
+/// `--topo uniform|linear|RxC` shared by `plan` and `place`: parsed whole,
+/// then checked against the machine it is to connect.
+fn parse_topo(rest: &[String], nprocs: usize) -> Result<Topology, ExitCode> {
+    let spec = opt_val(rest, "--topo").unwrap_or("uniform");
+    let checked = spec.parse::<Topology>().and_then(|t| {
+        t.validate(nprocs).map_err(|e| e.to_string())?;
+        Ok(t)
+    });
+    checked.map_err(|e| {
+        eprintln!("xdpc: bad --topo: {e}");
+        ExitCode::from(2)
     })
 }
 
@@ -422,11 +420,11 @@ fn parse_topo(rest: &[String]) -> Result<Topology, ExitCode> {
 /// distribution of the next).
 fn cmd_plan(program: &Program, rest: &[String]) -> ExitCode {
     use xdp_bench::table::j;
-    let program = match compiled_for(program, rest, SeqMode::AsIs) {
-        Ok(c) => c.program,
+    let compiled = match compiled_for(program, rest, SeqMode::AsIs) {
+        Ok(c) => c,
         Err(code) => return code,
     };
-    let program = program.as_ref();
+    let program = compiled.program.as_ref();
     let mut cost = match cost_flags(rest) {
         Ok(c) => c,
         Err(code) => return code,
@@ -436,7 +434,7 @@ fn cmd_plan(program: &Program, rest: &[String]) -> ExitCode {
         Err(code) => return code,
     };
     cost.mem_budget = budget;
-    let topo = match parse_topo(rest) {
+    let topo = match parse_topo(rest, compiled.nprocs) {
         Ok(t) => t,
         Err(code) => return code,
     };
@@ -579,7 +577,7 @@ fn cmd_place(program: &Program, rest: &[String]) -> ExitCode {
         Err(code) => return code,
     };
     let program = compiled.program.as_ref();
-    let topo = match parse_topo(rest) {
+    let topo = match parse_topo(rest, compiled.nprocs) {
         Ok(t) => t,
         Err(code) => return code,
     };
@@ -686,7 +684,7 @@ fn cmd_place(program: &Program, rest: &[String]) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// `--faults SPEC` shared by `run` and `trace`. A malformed spec is a
+/// `--faults SPEC` shared by `run`, `trace` and `fuzz`. A malformed spec is a
 /// usage error (exit 2), not a runtime failure.
 fn parse_faults(rest: &[String]) -> Result<xdp_fault::FaultPlan, ExitCode> {
     match opt_val(rest, "--faults") {
@@ -958,15 +956,13 @@ fn cmd_fuzz(rest: &[String]) -> ExitCode {
         eprintln!("xdpc: fuzz needs --procs >= 2");
         return ExitCode::from(2);
     }
-    let faults = match opt_val(rest, "--faults") {
-        None => None,
-        Some(spec) => match xdp_fault::FaultPlan::parse(spec) {
-            Ok(p) => Some(p),
-            Err(e) => {
-                eprintln!("xdpc: bad --faults spec: {e}");
-                return ExitCode::from(2);
-            }
-        },
+    // Absent means "derive a lossy plan from each program's seed".
+    let faults = match opt_val(rest, "--faults")
+        .map(|_| parse_faults(rest))
+        .transpose()
+    {
+        Ok(f) => f,
+        Err(code) => return code,
     };
     let sim_only = flag(rest, "--sim-only");
     let mem_budget = match parse_mem_budget("xdpc", rest) {

@@ -283,6 +283,43 @@ fn bad_fault_specs_exit_2_everywhere() {
 }
 
 #[test]
+fn a_topology_is_parsed_whole_and_checked_against_the_machine() {
+    // `4x0` used to divide by zero (exit 101), `2xbananax4` was read as
+    // `2x4`, and meshes too small for the 8-processor program were priced
+    // for pids with no coordinates.
+    let remap = "xdp-programs/remap.xdp";
+    for cmd in ["plan", "place"] {
+        for (bad, why) in [
+            ("4x0", "mesh 4x0 addresses 0 processors"),
+            ("0x4", "mesh 0x4 addresses 0 processors"),
+            ("1x1", "pids 1..7 would fall off the interconnect"),
+            ("2xbananax4", "`2xbananax4` is not uniform, linear, or RxC"),
+            ("donut", "`donut` is not uniform, linear, or RxC"),
+        ] {
+            let (_, stderr, code) = xdpc_code(&[cmd, remap, "--topo", bad]);
+            assert_eq!(code, 2, "{cmd} --topo {bad}: {stderr}");
+            assert!(stderr.starts_with("xdpc: bad --topo: "), "{stderr}");
+            assert!(stderr.contains(why), "{cmd} --topo {bad}: {stderr}");
+            assert_eq!(stderr.lines().count(), 1, "{stderr}");
+        }
+    }
+    // Eight processors fit a 3x3 mesh with a slot to spare, as they fit
+    // 2x4 exactly: `Topology::validate` refuses only what falls off.
+    let price = |topo: &str| {
+        let (stdout, stderr, code) = xdpc_code(&["plan", remap, "--topo", topo]);
+        assert_eq!(code, 0, "--topo {topo}: {stderr}");
+        stdout
+    };
+    let [uniform, linear, exact, spare] = ["uniform", "linear", "2x4", "3x3"].map(price);
+    assert!(
+        uniform != linear && linear != exact && exact != spare,
+        "distance is priced"
+    );
+    let (default, _, _) = xdpc_code(&["plan", remap]);
+    assert_eq!(default, uniform);
+}
+
+#[test]
 fn bad_mem_budget_is_one_line_and_exit_2_everywhere() {
     // Malformed and zero budgets are usage errors on every subcommand
     // that takes the flag: exactly one diagnostic line, exit code 2.

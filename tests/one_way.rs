@@ -3,9 +3,10 @@
 //! Figure 1's movement events are built only by `xdp_core::Recorder`, its
 //! transfer rules are written only in `xdp_core::transfer`, integer
 //! division has one definition, `benchmark/` is the only performance
-//! record, every binary the Makefile and CI invoke exists, and (§2.22)
-//! the serve layer compiles in one function and `run_traced` renders the
-//! statement table at one place per pass boundary.
+//! record, every binary the Makefile and CI invoke exists, (§2.22) the
+//! serve layer compiles in one function and `run_traced` renders the
+//! statement table at one place per pass boundary, and (§2.23)
+//! `xdp-collectives` never moves a message.
 
 use std::path::{Path, PathBuf};
 
@@ -198,6 +199,21 @@ fn the_serve_layer_compiles_and_run_traced_renders_in_one_place() {
         "passes/mod.rs renders the statement table in {renders:?}; want the up-front render \
          and the per-pass `after`, both in run_traced"
     );
+}
+
+#[test]
+fn the_collectives_crate_never_moves_a_message() {
+    // It builds, prices and lowers schedules; a schedule's data moves only
+    // as the Figure 1 statements `lower_redistribute_for_pid` emits, on
+    // the machine that runs every other statement.
+    let src = Path::new(env!("CARGO_MANIFEST_DIR")).join("crates/collectives/src");
+    let names = ["SimNet", "ThreadNet", "Msg", "Tag::", "trait Net"];
+    for path in sources().iter().filter(|p| p.starts_with(&src)) {
+        let text = std::fs::read_to_string(path).unwrap();
+        for name in names {
+            assert!(!text.contains(name), "{}: names {name}", path.display());
+        }
+    }
 }
 
 #[test]
