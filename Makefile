@@ -35,7 +35,7 @@ experiments:
 	@echo "==== e12_fuzz ===="
 	@cargo run -q --release -p xdp-verify --bin e12_fuzz
 	@echo "==== xdpd bench (E13) ===="
-	@cargo run -q --release -p xdp-serve --bin xdpd -- bench
+	@cargo run -q --release --bin xdpd -- bench
 	@echo "==== e14_metrics ===="
 	@cargo run -q --release -p xdp-serve --bin e14_metrics
 	@echo "==== e15_vm ===="
@@ -60,7 +60,7 @@ e12:
 # The serving load replay on its own (EXPERIMENTS.md E13): fails on a
 # serving-contract violation, records nothing.
 e13:
-	cargo run -q --release -p xdp-serve --bin xdpd -- bench
+	cargo run -q --release --bin xdpd -- bench
 
 # Telemetry validation on its own (EXPERIMENTS.md E14): histogram vs
 # oracle, latency decomposition, flight recorder, exposition.
@@ -94,12 +94,12 @@ fuzz:
 
 # Serve the corpus interactively: registry listing + a repeated run.
 serve:
-	cargo run -q --release -p xdp-serve --bin xdpd -- list
-	cargo run -q --release -p xdp-serve --bin xdpd -- run xdp-programs/fft3d.xdp --repeat 5
+	cargo run -q --release --bin xdpd -- list
+	cargo run -q --release --bin xdpd -- run xdp-programs/fft3d.xdp --repeat 5
 
 # Serve a short replay and print the pool's Prometheus exposition.
 stats:
-	cargo run -q --release -p xdp-serve --bin xdpd -- stats
+	cargo run -q --release --bin xdpd -- stats
 
 examples:
 	@for e in quickstart fft3d paper_listings load_balance redistribute \

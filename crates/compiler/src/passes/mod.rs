@@ -257,6 +257,24 @@ fn provenance_diff(before: &StmtTable, after: &StmtTable) -> (StmtTable, StmtTab
     (removed, added)
 }
 
+/// Every pass of this module, each under its own [`Pass::name`] — the one
+/// place a pass is found by name (`xdpc opt --passes LIST`). The pipelines
+/// of [`PassManager`] are ordered selections of these.
+pub fn registry() -> Vec<Box<dyn Pass>> {
+    vec![
+        Box::new(ElideSameOwnerComm),
+        Box::new(VectorizeMessages),
+        Box::new(LocalizeBounds),
+        Box::new(BindCommunication),
+        Box::new(ElideAccessibleChecks),
+        Box::new(FuseLoops),
+        Box::new(SinkAwait),
+        Box::new(MigrateOwnership::default()),
+        Box::new(LowerRedistribute),
+        Box::new(AutoPlace::new()),
+    ]
+}
+
 impl Default for PassManager {
     fn default() -> Self {
         PassManager::new()

@@ -15,15 +15,13 @@
 //! * **exposition** — the Prometheus text and JSON snapshots carry the
 //!   expected families and version stamp.
 //!
-//! ```text
-//! e14_metrics [--programs DIR] [--metrics-out FILE] [--flight-dir DIR]
-//!             [the replay flags of `xdpd bench`: --requests N ...]
-//! ```
+//! `e14_metrics --help` lists the options: the replay's (as `xdpd bench`
+//! takes them), `--metrics-out` and `--flight-dir`.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 use xdp_bench::table::{j, Table};
-use xdp_compiler::cli::opt_val;
+use xdp_compiler::cli::{self, Args};
 use xdp_metrics::{bucket_index, FlightConfig, FLIGHT_DUMP_VERSION};
 use xdp_serve::{replay, ReplayConfig, RequestSpec, ServePool};
 
@@ -45,17 +43,21 @@ fn block_loop(n: usize) -> RequestSpec {
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut cfg = ReplayConfig::new(opt_val(&args, "--programs").unwrap_or("xdp-programs"));
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let args = match Args::parse("e14_metrics", &cli::E14_METRICS, &argv) {
+        Ok(args) => args,
+        Err(code) => return code,
+    };
+    let mut cfg = ReplayConfig::new("xdp-programs");
     // The corpus holds ~26 distinct programs and each costs one cold
     // miss, so the request count must be high enough for the warm
     // phase to clear the 0.90 hit-rate floor.
     (cfg.requests, cfg.batch, cfg.gen_count) = (400, 32, 4);
-    if let Err(code) = cfg.apply_args("e14_metrics", &args) {
+    if let Err(code) = cfg.apply_args(&args) {
         return code;
     }
-    let metrics_out = opt_val(&args, "--metrics-out");
-    let flight_dir = PathBuf::from(opt_val(&args, "--flight-dir").unwrap_or("flight-dumps"));
+    let metrics_out = args.value(cli::METRICS_OUT);
+    let flight_dir = PathBuf::from(args.value(cli::FLIGHT_DIR).unwrap_or("flight-dumps"));
 
     let mut failures = 0usize;
     let mut check = |ok: bool, what: String| {

@@ -34,7 +34,7 @@ use rand_chacha::ChaCha8Rng;
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Instant;
-use xdp_compiler::cli::{num, parse_backend, parse_mem_budget};
+use xdp_compiler::cli::{self, Args};
 use xdp_compiler::{Backend, CompileOptions, SeqMode};
 use xdp_metrics::{FlightConfig, HistSnapshot};
 use xdp_verify::GenConfig;
@@ -98,20 +98,23 @@ impl ReplayConfig {
         }
     }
 
-    /// Read the replay flags shared by every binary that replays: the
-    /// numeric ones (`--requests --workers --batch --capacity --seed
-    /// --gen`) over the caller's defaults, `--backend` and `--mem-budget`
-    /// as every tool reads them (absent: interp, unbounded). A malformed
-    /// value is a usage error reported under `tool`'s name (exit code 2).
-    pub fn apply_args(&mut self, tool: &str, rest: &[String]) -> Result<(), ExitCode> {
-        self.requests = num(tool, rest, "--requests", self.requests)?;
-        self.workers = num(tool, rest, "--workers", self.workers)?;
-        self.batch = num(tool, rest, "--batch", self.batch)?;
-        self.capacity = num(tool, rest, "--capacity", self.capacity)?;
-        self.seed = num(tool, rest, "--seed", self.seed)?;
-        self.gen_count = num(tool, rest, "--gen", self.gen_count)?;
-        self.backend = parse_backend(tool, rest)?;
-        self.mem_budget = parse_mem_budget(tool, rest)?;
+    /// Read the replay options shared by every binary that replays
+    /// (`--requests --workers --batch --capacity --seed --gen --programs`)
+    /// over the caller's defaults, and `--backend` and `--mem-budget` as
+    /// every tool reads them (absent: interp, unbounded). A malformed
+    /// value is a usage error reported under the tool's name (exit code 2).
+    pub fn apply_args(&mut self, args: &Args) -> Result<(), ExitCode> {
+        self.requests = args.num(cli::REQUESTS, self.requests)?;
+        self.workers = args.num(cli::WORKERS, self.workers)?;
+        self.batch = args.num(cli::BATCH, self.batch)?;
+        self.capacity = args.num(cli::CAPACITY, self.capacity)?;
+        self.seed = args.num(cli::SEED, self.seed)?;
+        self.gen_count = args.num(cli::GEN, self.gen_count)?;
+        if let Some(dir) = args.value(cli::PROGRAMS) {
+            self.programs_dir = dir.into();
+        }
+        let compile = cli::compile_options(args)?;
+        (self.backend, self.mem_budget) = (compile.backend, compile.mem_budget);
         Ok(())
     }
 }

@@ -26,9 +26,11 @@
 //! (`--pareto-out`).
 
 use serde_json::{Map, Value as Json};
+use std::process::ExitCode;
 use std::sync::Arc;
 use xdp_bench::table::{j, Table};
 use xdp_collectives::{plan, try_plan, FrontierPoint, PlanError, Strategy};
+use xdp_compiler::cli::{self, Args};
 use xdp_compiler::{compile, CompileOptions, SeqMode};
 use xdp_core::{KernelRegistry, Processor, SimConfig, SimExec};
 use xdp_ir::build as b;
@@ -152,7 +154,12 @@ fn measure<P: Processor>(label: &str, mut exec: SimExec<P>, decls: &[Decl]) -> u
     report.net.redist_peak_bytes
 }
 
-fn main() {
+fn main() -> ExitCode {
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let args = match Args::parse("e17_membound", &cli::E17_MEMBOUND, &argv) {
+        Ok(args) => args,
+        Err(code) => return code,
+    };
     let mut failures = 0usize;
     let v = VarId(0);
     let base = CostModel::default_1993();
@@ -488,10 +495,9 @@ fn main() {
     t3.print();
 
     // The frontier artifact.
-    let pareto_path = std::env::args()
-        .skip_while(|a| a != "--pareto-out")
-        .nth(1)
-        .unwrap_or_else(|| "membound-pareto.json".to_string());
+    let pareto_path = args
+        .value(cli::PARETO_OUT)
+        .unwrap_or("membound-pareto.json");
     let mut reblock = Map::new();
     reblock.insert("chain_budget_bytes".into(), Json::from(chain_budget));
     reblock.insert("frontier".into(), chain_frontier);
@@ -500,7 +506,7 @@ fn main() {
     artifact.insert("elem_bytes".into(), Json::from(8u64));
     artifact.insert("transpose_sweep".into(), Json::Array(sweep_rows));
     artifact.insert("membound_reblock".into(), Json::Object(reblock));
-    match std::fs::write(&pareto_path, Json::Object(artifact).to_string()) {
+    match std::fs::write(pareto_path, Json::Object(artifact).to_string()) {
         Ok(()) => println!("wrote Pareto frontiers to {pareto_path}"),
         Err(e) => {
             eprintln!("e17: cannot write {pareto_path}: {e}");
@@ -510,7 +516,8 @@ fn main() {
 
     if failures > 0 {
         eprintln!("e17: {failures} failure(s)");
-        std::process::exit(1);
+        return ExitCode::FAILURE;
     }
     println!("e17: ok");
+    ExitCode::SUCCESS
 }

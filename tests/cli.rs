@@ -1,19 +1,35 @@
-//! End-to-end tests of the `xdpc` command-line driver against the sample
-//! programs in `xdp-programs/`.
+//! End-to-end tests of the `xdpc` command-line driver and the `xdpd`
+//! serving daemon against the sample programs in `xdp-programs/`.
 
 use std::process::Command;
+use xdp_compiler::cli;
 
-fn xdpc(args: &[&str]) -> (String, String, bool) {
-    let out = Command::new(env!("CARGO_BIN_EXE_xdpc"))
+/// Run one of the two binaries; stdout, stderr and the raw exit code (a
+/// usage error is 2, a failure 1).
+fn spawn(exe: &str, args: &[&str]) -> (String, String, i32) {
+    let out = Command::new(exe)
         .args(args)
         .current_dir(env!("CARGO_MANIFEST_DIR"))
         .output()
-        .expect("spawn xdpc");
+        .expect("spawn the binary");
     (
         String::from_utf8_lossy(&out.stdout).into_owned(),
         String::from_utf8_lossy(&out.stderr).into_owned(),
-        out.status.success(),
+        out.status.code().expect("exit code"),
     )
+}
+
+fn xdpc_code(args: &[&str]) -> (String, String, i32) {
+    spawn(env!("CARGO_BIN_EXE_xdpc"), args)
+}
+
+fn xdpd_code(args: &[&str]) -> (String, String, i32) {
+    spawn(env!("CARGO_BIN_EXE_xdpd"), args)
+}
+
+fn xdpc(args: &[&str]) -> (String, String, bool) {
+    let (stdout, stderr, code) = xdpc_code(args);
+    (stdout, stderr, code == 0)
 }
 
 #[test]
@@ -167,21 +183,6 @@ fn tune_picks_a_middle_segment_shape() {
             assert!(seg == "16" || seg == "64", "unexpected best: {line}");
         }
     }
-}
-
-/// Like [`xdpc`] but returns the raw exit code for tests that
-/// distinguish usage errors (2) from failures (1).
-fn xdpc_code(args: &[&str]) -> (String, String, i32) {
-    let out = Command::new(env!("CARGO_BIN_EXE_xdpc"))
-        .args(args)
-        .current_dir(env!("CARGO_MANIFEST_DIR"))
-        .output()
-        .expect("spawn xdpc");
-    (
-        String::from_utf8_lossy(&out.stdout).into_owned(),
-        String::from_utf8_lossy(&out.stderr).into_owned(),
-        out.status.code().expect("exit code"),
-    )
 }
 
 #[test]
@@ -377,7 +378,6 @@ fn a_malformed_numeric_flag_is_one_line_and_exit_2() {
     for (cmd, name, bad) in [
         (&["run", simple][..], "--procs", "abc"),
         (&["run", simple], "--procs", "-1"),
-        (&["run", simple], "--procs", ""), // the value is missing
         (&["run", simple], "--alpha", "fast"),
         (&["plan", "xdp-programs/remap.xdp"], "--beta", "x"),
         (&["place", twophase], "--procs", "4.5"),
@@ -385,40 +385,60 @@ fn a_malformed_numeric_flag_is_one_line_and_exit_2() {
         (&["trace", simple], "--top", "ten"),
         (&["fuzz"], "--seed", "x"),
     ] {
-        let mut args = [cmd, &[name]].concat();
-        if !bad.is_empty() {
-            args.push(bad);
-        }
+        let args = [cmd, &[name, bad]].concat();
         let (_, stderr, code) = xdpc_code(&args);
         assert_eq!(code, 2, "{args:?}: {stderr}");
         assert_eq!(stderr, format!("xdpc: bad {name} `{bad}`\n"), "{args:?}");
     }
-    // `xdpd` reads its numeric flags through the same function.
-    let args = ["--workers".to_string(), "-1".to_string()];
-    for tool in ["xdpc", "xdpd"] {
-        assert!(xdp_compiler::cli::num(tool, &args, "--workers", 2usize).is_err());
-        assert_eq!(
-            xdp_compiler::cli::num(tool, &args, "--repeat", 3usize).ok(),
-            Some(3)
-        );
+    // `xdpd` reads its numeric options through the same `Args`.
+    for (cmd, name, bad) in [
+        (&["run", simple][..], "--workers", "-1"),
+        (&["run", simple], "--repeat", "x"),
+        (&["bench"], "--requests", "many"),
+        (&["bench"], "--slow-ms", "soon"),
+        (&["list"], "--gen", "1.5"),
+    ] {
+        let args = [cmd, &[name, bad]].concat();
+        let (_, stderr, code) = xdpd_code(&args);
+        assert_eq!(code, 2, "{args:?}: {stderr}");
+        assert_eq!(stderr, format!("xdpd: bad {name} `{bad}`\n"), "{args:?}");
     }
 }
 
 #[test]
 fn mem_budget_spelling_is_shared_by_both_binaries() {
-    // `xdpc` and `xdpd` parse `--mem-budget` through one function, so a
-    // padded value (which `xdpc` trimmed and `xdpd` used to reject) is the
-    // same budget under either tool name...
-    let args = ["--mem-budget".to_string(), " 64k".to_string()];
-    for tool in ["xdpc", "xdpd"] {
-        let got = xdp_compiler::cli::parse_mem_budget(tool, &args);
-        assert_eq!(got.ok(), Some(Some(64 << 10)), "{tool}");
-    }
-    // ...and the driver binary accepts it end to end.
-    let padded = ["plan", "xdp-programs/membound.xdp", "--mem-budget", " 64k"];
-    let (stdout, stderr, code) = xdpc_code(&padded);
+    // `xdpc` and `xdpd` resolve `--mem-budget` in one function, so a padded
+    // value (which `xdpc` trimmed and `xdpd` used to reject) is the same
+    // budget to either binary, end to end...
+    let membound = "xdp-programs/membound.xdp";
+    let (stdout, stderr, code) = xdpc_code(&["plan", membound, "--mem-budget", " 64k"]);
     assert_eq!(code, 0, "{stderr}");
     assert!(stdout.contains("peak_B"), "{stdout}");
+    let budgeted = ["run", membound, "--repeat", "1", "--mem-budget"];
+    let (padded, stderr, code) = xdpd_code(&[&budgeted[..], &[" 5k"]].concat());
+    assert_eq!(code, 0, "{stderr}");
+    let (plain, ..) = xdpd_code(&[&budgeted[..], &["5120"]].concat());
+    let (unbounded, ..) = xdpd_code(&["run", membound, "--repeat", "1"]);
+    // (virtual time and messages are the row's last two columns)
+    let served = |out: &str| {
+        let row = out.lines().nth(2).expect("one request row");
+        let cols: Vec<&str> = row.split_whitespace().collect();
+        cols[cols.len() - 2..].join(" ")
+    };
+    assert_eq!(served(&padded), served(&plain));
+    assert_ne!(
+        served(&padded),
+        served(&unbounded),
+        "the budget is planned under"
+    );
+    // ...and a malformed one is the same refusal under either name.
+    for (tool, run) in tools() {
+        let tool = tool.name;
+        let (_, stderr, code) = run(&["run", membound, "--mem-budget", "12q"]);
+        assert_eq!(code, 2, "{tool}: {stderr}");
+        let why = "(positive bytes, optionally with k/m/g suffix)";
+        assert_eq!(stderr, format!("{tool}: bad --mem-budget `12q` {why}\n"));
+    }
 }
 
 #[test]
@@ -498,4 +518,149 @@ fn fuzz_rejects_bad_options() {
     let (_, stderr, code) = xdpc_code(&["fuzz", "--procs", "1"]);
     assert_eq!(code, 2, "{stderr}");
     assert!(stderr.contains("--procs >= 2"), "{stderr}");
+}
+
+#[test]
+fn trace_plans_under_the_mem_budget_like_run() {
+    // `trace` used to drop `--mem-budget` between the compile and the
+    // machine and trace the unbudgeted plan (133 messages).
+    let budgeted = ["xdp-programs/membound.xdp", "--mem-budget", "5000"];
+    let out = std::env::temp_dir().join("xdpc_test/membound_trace.json");
+    std::fs::create_dir_all(out.parent().unwrap()).unwrap();
+    let (run, stderr, code) = xdpc_code(&[&["run"], &budgeted[..]].concat());
+    assert_eq!(code, 0, "{stderr}");
+    assert!(run.contains("messages 280"), "{run}");
+    let out_flag = ["--out", out.to_str().unwrap()];
+    let (trace, stderr, code) = xdpc_code(&[&["trace"], &budgeted[..], &out_flag].concat());
+    assert_eq!(code, 0, "{stderr}");
+    assert!(trace.contains("messages 280"), "{trace}");
+}
+
+#[test]
+fn place_simulates_on_the_topology_it_scores() {
+    // The search priced candidates over `--topo` and then ran both
+    // programs on a uniform net.
+    let simulated = |topo: &str| {
+        let (stdout, stderr, code) =
+            xdpc_code(&["place", "xdp-programs/twophase.xdp", "--topo", topo]);
+        assert_eq!(code, 0, "--topo {topo}: {stderr}");
+        let lines = stdout.lines().filter(|l| l.starts_with("simulated "));
+        lines.map(str::to_string).collect::<Vec<_>>()
+    };
+    let (uniform, linear) = (simulated("uniform"), simulated("linear"));
+    assert_eq!(uniform.len(), 2, "input and placed program: {uniform:?}");
+    assert!(
+        uniform[0] != linear[0] && uniform[1] != linear[1],
+        "distance is simulated: {uniform:?} vs {linear:?}"
+    );
+}
+
+#[test]
+fn opt_finds_every_registered_pass_by_name() {
+    // The tenth pass was missing from a hand-kept name list.
+    let migration = "xdp-programs/migration.xdp";
+    let (_, stderr, code) = xdpc_code(&["opt", migration, "--passes", "lower-redistribute"]);
+    assert_eq!(code, 0, "{stderr}");
+    assert!(stderr.contains("pass lower-redistribute:"), "{stderr}");
+    let (_, stderr, code) = xdpc_code(&["opt", migration, "--passes", "fuse-loops,bogus"]);
+    assert_eq!(code, 2, "{stderr}");
+    assert!(stderr.starts_with("xdpc: unknown pass `bogus` (registered: "));
+    for pass in xdp_compiler::passes::registry() {
+        assert!(stderr.contains(pass.name()), "{}: {stderr}", pass.name());
+    }
+}
+
+#[test]
+fn xdpd_takes_its_operand_wherever_it_stands() {
+    // `run --repeat 2 FILE` used to fail with `cannot read 2`.
+    let simple = "xdp-programs/simple.xdp";
+    for args in [
+        ["run", "--repeat", "2", simple],
+        ["run", simple, "--repeat", "2"],
+    ] {
+        let (stdout, stderr, code) = xdpd_code(&args);
+        assert_eq!(code, 0, "{args:?}: {stderr}");
+        assert!(stdout.contains("/ 2 lookups"), "{args:?}: {stdout}");
+    }
+    let (_, stderr, code) = xdpd_code(&["run", "xdp-programs/does-not-exist.xdp"]);
+    assert_eq!(code, 2, "{stderr}");
+    assert!(stderr.starts_with("xdpd: error: cannot read "), "{stderr}");
+}
+
+/// One of the binaries, run: stdout, stderr, exit code.
+type Runner = fn(&[&str]) -> (String, String, i32);
+
+/// Both tools with their binaries.
+fn tools() -> [(&'static cli::Tool, Runner); 2] {
+    [(&cli::XDPC, xdpc_code), (&cli::XDPD, xdpd_code)]
+}
+
+#[test]
+fn xdpd_without_a_command_is_a_usage_error_like_xdpc() {
+    for (tool, run) in tools() {
+        for args in [&[][..], &["frobnicate"]] {
+            let (stdout, stderr, code) = run(args);
+            assert_eq!((code, stdout.as_str()), (2, ""), "{} {args:?}", tool.name);
+            for command in tool.commands {
+                let named = |l: &str| l.trim_start().starts_with(command.name);
+                assert!(stderr.lines().any(named), "{}: {stderr}", command.name);
+            }
+        }
+        let (stdout, stderr, code) = run(&["--help"]);
+        assert_eq!((code, stderr.as_str()), (0, ""), "{}", tool.name);
+        assert_eq!(stdout, tool.usage());
+    }
+}
+
+#[test]
+fn every_command_refuses_what_its_table_row_does_not_declare() {
+    // Four malformed command lines per command of both tools, each refused
+    // before the handler runs: exit 2 and exactly one stderr line naming
+    // the offending word. `--help` lists exactly what the row declares.
+    let file = "xdp-programs/simple.xdp";
+    for (tool, run) in tools() {
+        for command in tool.commands {
+            let mut base = vec![command.name];
+            if !command.operand.is_empty() {
+                base.push(file);
+            }
+            let refused = |extra: &[&str], word: &str| {
+                let args = [&base[..], extra].concat();
+                let (stdout, stderr, code) = run(&args);
+                let what = format!("{} {args:?}", tool.name);
+                assert_eq!((code, stdout.as_str()), (2, ""), "{what}: {stderr}");
+                assert_eq!(stderr.lines().count(), 1, "{what}: {stderr}");
+                let prefix = format!("{}: ", tool.name);
+                assert!(stderr.starts_with(&prefix), "{what}: {stderr}");
+                assert!(stderr.contains(&format!("`{word}`")), "{what}: {stderr}");
+            };
+            refused(&["--optimise"], "--optimise");
+            refused(&["stray.xdp"], "stray.xdp");
+            for opt in command.options() {
+                if opt.metavar.is_empty() {
+                    refused(&[opt.name, opt.name], opt.name);
+                } else {
+                    refused(&[opt.name], opt.name);
+                    refused(&[opt.name, "--explain"], opt.name);
+                }
+            }
+
+            let (stdout, stderr, code) = run(&[command.name, "--help"]);
+            assert_eq!((code, stderr.as_str()), (0, ""), "{} --help", command.name);
+            let listed = stdout.lines().filter(|l| l.starts_with("  --")).count();
+            assert_eq!(listed, command.options().count(), "{stdout}");
+            for opt in command.options() {
+                let entry = format!("\n  {} {}", opt.name, opt.metavar);
+                assert!(stdout.contains(entry.trim_end()), "{}: {stdout}", opt.name);
+            }
+        }
+    }
+    // A command that reads a file needs one.
+    let (_, stderr, code) = xdpd_code(&["run"]);
+    assert_eq!(code, 2, "{stderr}");
+    assert!(stderr.starts_with("xdpd: missing FILE; usage: xdpd run FILE"));
+    // `--gather` without its value used to be ignored.
+    let (_, stderr, code) = xdpc_code(&["run", file, "--gather"]);
+    assert_eq!(code, 2, "{stderr}");
+    assert!(stderr.starts_with("xdpc: `--gather` needs a value (NAME)"));
 }

@@ -5,10 +5,13 @@
 //! division has one definition, `benchmark/` is the only performance
 //! record, every binary the Makefile and CI invoke exists, (§2.22) the
 //! serve layer compiles in one function and `run_traced` renders the
-//! statement table at one place per pass boundary, and (§2.23)
-//! `xdp-collectives` never moves a message.
+//! statement table at one place per pass boundary, (§2.23)
+//! `xdp-collectives` never moves a message, and (§2.24) the command line
+//! is declared and read in `xdp_compiler::cli` alone, which every
+//! documented invocation parses against.
 
 use std::path::{Path, PathBuf};
+use xdp_compiler::cli::{self, Args};
 
 /// Every file of the checkout outside build output, `.git` and
 /// `benchmark/` (which a code PR may not edit).
@@ -254,11 +257,32 @@ fn benchmark_is_the_only_performance_record() {
     }
 }
 
+/// Parse `argv` as the binary `bin` would, if it is one of the four whose
+/// options the table declares.
+fn parses(bin: &str, argv: &[String]) -> Option<bool> {
+    let parsed = match bin {
+        "xdpc" => cli::XDPC.parse(argv),
+        "xdpd" => cli::XDPD.parse(argv),
+        "e14_metrics" => Args::parse("e14_metrics", &cli::E14_METRICS, argv),
+        "e17_membound" => Args::parse("e17_membound", &cli::E17_MEMBOUND, argv),
+        _ => return None,
+    };
+    Some(parsed.is_ok())
+}
+
 #[test]
 fn every_binary_the_makefile_and_ci_invoke_exists() {
+    // ...and every command line they, the README, the tutorial and the
+    // verify skill give one of the table's four binaries parses against it.
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
-    let mut checked = 0;
-    for file in ["Makefile", ".github/workflows/ci.yml"] {
+    let (mut checked, mut parsed) = (0, 0);
+    for file in [
+        "Makefile",
+        ".github/workflows/ci.yml",
+        "README.md",
+        "docs/TUTORIAL.md",
+        ".claude/skills/verify/SKILL.md",
+    ] {
         // One command per element: continuation lines joined, `;` split.
         let text = std::fs::read_to_string(root.join(file))
             .unwrap()
@@ -271,15 +295,39 @@ fn every_binary_the_makefile_and_ci_invoke_exists() {
                 .position(|w| w.trim_start_matches('@') == "for")
             {
                 // `for b in w1 w2 ...`: the names a later `$$b` stands for.
-                loop_words = words[at + 3..].iter().map(|w| w.to_string()).collect();
-            }
-            if !words.contains(&"cargo") {
-                continue;
+                let names = words.get(at + 3..).unwrap_or_default();
+                loop_words = names.iter().map(|w| w.to_string()).collect();
             }
             let after = |flag: &str| {
                 let at = words.iter().position(|w| *w == flag)?;
                 words.get(at + 1).copied()
             };
+            // The binary's own words: after `--bin NAME --`, or after a
+            // path to a built `xdpc`/`xdpd`; up to a comment, pipe or
+            // redirection, quotes dropped.
+            let direct = words.iter().position(|w| w.contains("/release/xdp"));
+            let invoked = match (direct, after("--bin")) {
+                (Some(at), _) => Some((words[at].rsplit('/').next().unwrap(), at + 1)),
+                (None, Some(bin)) if words.contains(&"cargo") => {
+                    let dashes = words.iter().position(|w| *w == "--");
+                    Some((bin, dashes.map_or(words.len(), |at| at + 1)))
+                }
+                _ => None,
+            };
+            if let Some((bin, from)) = invoked {
+                let argv: Vec<String> = words[from..]
+                    .iter()
+                    .take_while(|w| !w.starts_with(['#', '|', '>']))
+                    .map(|w| w.replace('"', ""))
+                    .collect();
+                if let Some(ok) = parses(bin, &argv) {
+                    assert!(ok, "{file}: `{bin} {}` is refused", argv.join(" "));
+                    parsed += 1;
+                }
+            }
+            if !words.contains(&"cargo") {
+                continue;
+            }
             // `-p xdp-foo` is `crates/foo`; no `-p` is the root package.
             let package = match after("-p") {
                 Some(p) => root
@@ -307,4 +355,52 @@ fn every_binary_the_makefile_and_ci_invoke_exists() {
         }
     }
     assert!(checked > 30, "the scan found only {checked} invocations");
+    assert!(parsed > 50, "the scan parsed only {parsed} command lines");
+}
+
+#[test]
+fn the_command_line_is_declared_and_read_in_one_place() {
+    let table = Path::new(env!("CARGO_MANIFEST_DIR")).join("crates/compiler/src/cli.rs");
+    // An option's spelling is a `"--word"` literal. Outside the table no
+    // non-test source holds one, or walks an argv by hand; `examples/`
+    // take positional numbers and no options.
+    let spellings = |code: &str| -> Vec<String> {
+        let literals = code.match_indices("\"--").filter_map(|(at, _)| {
+            let rest = &code[at + 1..];
+            let literal = &rest[..rest.find('"')?];
+            let word = &literal[2..];
+            let spelled = word.starts_with(|c: char| c.is_ascii_lowercase())
+                && word.chars().all(|c| c == '-' || c.is_ascii_lowercase());
+            spelled.then(|| literal.to_string())
+        });
+        literals.collect()
+    };
+    for path in sources() {
+        if in_tests(&path)
+            || path == table
+            || path.components().any(|c| c.as_os_str() == "examples")
+        {
+            continue;
+        }
+        let code = code_of(&path);
+        assert_eq!(spellings(&code), [""; 0], "{}", path.display());
+        for by_hand in [".position(|a| a ==", "args.get(", "argv.get(", "argv["] {
+            assert!(
+                !code.contains(by_hand),
+                "{}: reads the command line with `{by_hand}`",
+                path.display()
+            );
+        }
+    }
+    // Inside it each spelling is declared once, and some command takes it.
+    let mut declared = spellings(&code_of(&table));
+    declared.retain(|s| s != "--help");
+    declared.sort_unstable();
+    let tools = [cli::XDPC.commands, cli::XDPD.commands];
+    let rows = tools.into_iter().flatten();
+    let rows = rows.chain([&cli::E14_METRICS, &cli::E17_MEMBOUND]);
+    let mut taken: Vec<&str> = rows.flat_map(|c| c.options()).map(|o| o.name).collect();
+    taken.sort_unstable();
+    taken.dedup();
+    assert_eq!(declared, taken);
 }
