@@ -142,14 +142,14 @@ mod tests {
     use super::*;
     use crate::workloads;
     use std::sync::Arc;
-    use xdp_core::{SimConfig, SimExec};
+    use xdp_core::{MachineConfig, SimExec};
     use xdp_runtime::Value;
 
     fn run(program: Program, w: VarId, costs: &[u64], np: usize) -> xdp_core::ExecReport {
         let mut exec = SimExec::new(
             Arc::new(program),
             crate::fft::app_kernels(),
-            SimConfig::new(np),
+            MachineConfig::new(np),
         );
         exec.init_exclusive(w, |idx| Value::F64(costs[(idx[0] - 1) as usize] as f64));
         exec.run().expect("farm run")

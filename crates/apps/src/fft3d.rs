@@ -40,9 +40,14 @@ use rand::Rng;
 use rand_chacha::rand_core::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use std::sync::Arc;
-use xdp_core::{AsyncConfig, AsyncExec, ExecReport, Machine, RtError, SimConfig, SimExec};
+use xdp_compiler::passes::SinkAwait;
+use xdp_compiler::Pass;
+use xdp_core::{AsyncExec, ExecReport, Machine, MachineConfig, RtError, SimExec};
 use xdp_ir::build as b;
-use xdp_ir::{DimDist, ElemType, ProcGrid, Program, Stmt, VarId};
+use xdp_ir::{
+    BoolExpr, CmpOp, DimDist, Distribution, ElemType, IntExpr, ProcGrid, Program, SectionRef, Stmt,
+    VarId,
+};
 use xdp_runtime::{Complex, Value};
 
 /// Problem size.
@@ -122,7 +127,9 @@ pub struct Fft3dVars {
     pub own: VarId,
 }
 
-fn declare(cfg: Fft3dConfig, p: &mut Program) -> Fft3dVars {
+/// Declare the cube `(*,*,BLOCK)` in `(seg_rows,1,1)` segments, and the
+/// witness.
+fn declare(cfg: Fft3dConfig, p: &mut Program, seg_rows: i64) -> Fft3dVars {
     let n = cfg.n;
     let grid = ProcGrid::linear(cfg.nprocs);
     let a = p.declare(b::array_seg(
@@ -130,415 +137,223 @@ fn declare(cfg: Fft3dConfig, p: &mut Program) -> Fft3dVars {
         ElemType::C64,
         vec![(1, n), (1, n), (1, n)],
         vec![DimDist::Star, DimDist::Star, DimDist::Block],
-        grid.clone(),
-        vec![n, 1, 1], // single-column segments
+        grid,
+        vec![seg_rows, 1, 1],
     ));
-    let own = p.declare(b::array(
+    Fft3dVars {
+        a,
+        own: declare_witness(cfg, p),
+    }
+}
+
+fn declare_witness(cfg: Fft3dConfig, p: &mut Program) -> VarId {
+    p.declare(b::array(
         "OWN",
         ElemType::I64,
-        vec![(1, n)],
+        vec![(1, cfg.n)],
         vec![DimDist::Block],
-        grid,
-    ));
-    Fft3dVars { a, own }
+        ProcGrid::linear(cfg.nprocs),
+    ))
+}
+
+/// The inclusive bounds of a unit-step loop.
+type Range = (IntExpr, IntExpr);
+
+/// `do var = lo, hi { body }`, every iteration under `rule` when given.
+fn sweep(var: &str, (lo, hi): Range, rule: Option<BoolExpr>, body: Vec<Stmt>) -> Stmt {
+    let body = match rule {
+        Some(rule) => vec![b::guarded(rule, body)],
+        None => body,
+    };
+    b::do_loop(var, lo, hi, body)
+}
+
+/// §4's five loop nests over the cube `a`, each written once. A stage is a
+/// choice of range and compute rule for each: `1:n` under an `iown` guard
+/// (v0), the owned `mylb:myub` range (v1 on), or the witness's range.
+struct Nests {
+    a: VarId,
+    n: i64,
+}
+
+impl Nests {
+    /// The whole extent of a dimension, `1:n`.
+    fn full(&self) -> Range {
+        (b::c(1), b::c(self.n))
+    }
+
+    /// The range of dimension `d` this processor owns of `x`.
+    fn owned(x: &SectionRef, d: u32) -> Range {
+        (b::mylb(x.clone(), d), b::myub(x.clone(), d))
+    }
+
+    /// `A[s1,s2,s3]` where `Some(v)` is the point `v` and `None` is `*`.
+    fn at(&self, subs: [Option<&str>; 3]) -> SectionRef {
+        let sub = |s: Option<&str>| s.map_or(b::all(), |v| b::at(b::iv(v)));
+        b::sref(self.a, subs.map(sub).to_vec())
+    }
+
+    /// `A[*,lo:hi,*]`: the row-slabs `slabs`, as one section.
+    fn slabs(&self, (lo, hi): Range) -> SectionRef {
+        b::sref(self.a, vec![b::all(), b::span(lo, hi), b::all()])
+    }
+
+    /// Dimension-2 FFTs: the rows `rows` of each plane `k` in `planes`.
+    fn fft_dim2(&self, planes: Range, rule: Option<BoolExpr>, rows: Range) -> Stmt {
+        let row = self.at([Some("i"), None, Some("k")]);
+        let ffts = sweep("i", rows, None, vec![b::kernel("fft1d", vec![row])]);
+        sweep("k", planes, rule, vec![ffts])
+    }
+
+    /// Dimension-1 FFTs: the columns `cols` of each plane `k` in `planes`,
+    /// each followed by `then` (the fused stages send it straight away).
+    fn fft_dim1(
+        &self,
+        planes: Range,
+        rule: Option<BoolExpr>,
+        cols: Range,
+        then: Option<Stmt>,
+    ) -> Stmt {
+        let col = self.at([None, Some("j"), Some("k")]);
+        let mut body = vec![b::kernel("fft1d", vec![col])];
+        body.extend(then);
+        sweep("k", planes, rule, vec![sweep("j", cols, None, body)])
+    }
+
+    /// Send away, value and ownership, every column of plane `plane`.
+    fn send_columns(&self, plane: &str) -> Stmt {
+        let col = self.at([None, Some("nn"), Some(plane)]);
+        sweep("nn", self.full(), None, vec![b::send_own_val(col)])
+    }
+
+    /// Receive the columns `cols` of row-slab `slab`, each under `rule`.
+    fn recv_columns(&self, slab: &str, cols: Range, rule: Option<BoolExpr>) -> Stmt {
+        let col = self.at([None, Some(slab), Some("nn")]);
+        sweep("nn", cols, rule, vec![b::recv_own_val(col)])
+    }
+
+    /// Dimension-3 FFTs: the lines `rows` of each row-slab `j` in `slabs`.
+    fn fft_dim3(&self, slabs: Range, rule: Option<BoolExpr>, rows: Range) -> Stmt {
+        let line = self.at([Some("i"), Some("j"), None]);
+        let ffts = sweep("i", rows, None, vec![b::kernel("fft1d", vec![line])]);
+        sweep("j", slabs, rule, vec![ffts])
+    }
+
+    /// The per-slab compute rule of the dimension-3 FFTs: `await(A[*,j,*])`.
+    fn slab_arrived(&self) -> Option<BoolExpr> {
+        Some(b::await_(self.at([None, Some("j"), None])))
+    }
 }
 
 /// Build the IL+XDP program for one derivation stage.
 pub fn build(cfg: Fft3dConfig, stage: Stage) -> (Program, Fft3dVars) {
-    if stage == Stage::V6Auto {
-        return build_auto(cfg);
+    match stage {
+        Stage::V6Auto => return build_auto(cfg),
+        // §4's last step is the one the compiler already derives bit for
+        // bit: v3 is v2 with the pre-FFT `await` sunk to per-row-slab
+        // granularity, so FFTs start as soon as slab j is in. (v1 and v2
+        // are not yet `LocalizeBounds(v0)` and `FuseLoops(v1)`: DESIGN
+        // §2.7 records the gap.)
+        Stage::V3AwaitSunk => {
+            let (v2, vars) = build(cfg, Stage::V2Fused);
+            return (SinkAwait.run(&v2).program, vars);
+        }
+        _ => {}
     }
     let mut p = Program::new();
-    let vars = declare(cfg, &mut p);
-    let n = cfg.n;
-    let a = vars.a;
-    let own = vars.own;
+    let vars = declare(cfg, &mut p, cfg.n);
+    let nests = Nests {
+        a: vars.a,
+        n: cfg.n,
+    };
+    let full = || nests.full();
+    // Localized k bounds: the owned plane range. Localized j bounds: the
+    // owned row-slab range (via the witness).
+    let k = || Nests::owned(&nests.at([None, None, None]), 3);
+    let own_all = b::sref(vars.own, vec![b::all()]);
+    let j = || Nests::owned(&own_all, 1);
+    let send_column = || Some(b::send_own_val(nests.at([None, Some("j"), Some("k")])));
+    let recv_slabs = |slabs, rule, cols, col_rule| {
+        sweep(
+            "j",
+            slabs,
+            rule,
+            vec![nests.recv_columns("j", cols, col_rule)],
+        )
+    };
+    // One await over the whole incoming slab range, then every FFT.
+    let fft_dim3_after_all = || {
+        b::guarded(
+            b::await_(nests.slabs(j())),
+            vec![nests.fft_dim3(j(), None, full())],
+        )
+    };
 
-    // Common section references.
-    let plane_k = |k: xdp_ir::IntExpr| b::sref(a, vec![b::all(), b::all(), b::at(k)]);
-    let row_i_k = b::sref(a, vec![b::at(b::iv("i")), b::all(), b::at(b::iv("k"))]);
-    let col_j_k = b::sref(a, vec![b::all(), b::at(b::iv("j")), b::at(b::iv("k"))]);
-    let col_nn_k = b::sref(a, vec![b::all(), b::at(b::iv("nn")), b::at(b::iv("k"))]);
-    let col_j_nn = b::sref(a, vec![b::all(), b::at(b::iv("j")), b::at(b::iv("nn"))]);
-    let slab_j = b::sref(a, vec![b::all(), b::at(b::iv("j")), b::all()]);
-    let line_i_j = b::sref(a, vec![b::at(b::iv("i")), b::at(b::iv("j")), b::all()]);
-    let own_all = b::sref(own, vec![b::all()]);
-    let own_j = b::sref(own, vec![b::at(b::iv("j"))]);
-
-    // Localized k bounds: the owned plane range.
-    let a_all = b::sref(a, vec![b::all(), b::all(), b::all()]);
-    let klo = b::mylb(a_all.clone(), 3);
-    let khi = b::myub(a_all, 3);
-    // Localized j bounds: the owned row-slab range (via the witness).
-    let jlo = b::mylb(own_all.clone(), 1);
-    let jhi = b::myub(own_all.clone(), 1);
-
-    let body: Vec<Stmt> = match stage {
-        Stage::V6Auto => unreachable!("built by build_auto above"),
-        Stage::V0Naive => vec![
-            // Loop1: FFT along j.
-            b::do_loop(
-                "k",
-                b::c(1),
-                b::c(n),
-                vec![b::guarded(
-                    b::iown(plane_k(b::iv("k"))),
-                    vec![b::do_loop(
-                        "i",
-                        b::c(1),
-                        b::c(n),
-                        vec![b::kernel("fft1d", vec![row_i_k.clone()])],
-                    )],
-                )],
-            ),
-            // Loop2: FFT along i.
-            b::do_loop(
-                "k",
-                b::c(1),
-                b::c(n),
-                vec![b::guarded(
-                    b::iown(plane_k(b::iv("k"))),
-                    vec![b::do_loop(
-                        "j",
-                        b::c(1),
-                        b::c(n),
-                        vec![b::kernel("fft1d", vec![col_j_k.clone()])],
-                    )],
-                )],
-            ),
-            // Loop3a: redistribute — send every owned column.
-            b::do_loop(
-                "k",
-                b::c(1),
-                b::c(n),
-                vec![b::guarded(
-                    b::iown(plane_k(b::iv("k"))),
-                    vec![b::do_loop(
-                        "nn",
-                        b::c(1),
-                        b::c(n),
-                        vec![b::send_own_val(col_nn_k.clone())],
-                    )],
-                )],
-            ),
-            // Loop3b: receive the target row-slab (witness-guarded).
-            b::do_loop(
-                "j",
-                b::c(1),
-                b::c(n),
-                vec![b::guarded(
-                    b::iown(own_j.clone()),
-                    vec![b::do_loop(
-                        "nn",
-                        b::c(1),
-                        b::c(n),
-                        vec![b::recv_own_val(col_j_nn.clone())],
-                    )],
-                )],
-            ),
-            // Loop4: FFT along k, awaiting each row-slab.
-            b::do_loop(
-                "j",
-                b::c(1),
-                b::c(n),
-                vec![b::guarded(
-                    b::await_(slab_j.clone()),
-                    vec![b::do_loop(
-                        "i",
-                        b::c(1),
-                        b::c(n),
-                        vec![b::kernel("fft1d", vec![line_i_j.clone()])],
-                    )],
-                )],
-            ),
-        ],
+    p.body = match stage {
+        Stage::V6Auto | Stage::V3AwaitSunk => unreachable!("built above"),
+        Stage::V0Naive => {
+            let my_plane = || Some(b::iown(nests.at([None, None, Some("k")])));
+            let my_slab = Some(b::iown(b::sref(vars.own, vec![b::at(b::iv("j"))])));
+            vec![
+                nests.fft_dim2(full(), my_plane(), full()),
+                nests.fft_dim1(full(), my_plane(), full(), None),
+                // Redistribute: send every owned column, then receive the
+                // target row-slab (witness-guarded).
+                sweep("k", full(), my_plane(), vec![nests.send_columns("k")]),
+                recv_slabs(full(), my_slab, full(), None),
+                nests.fft_dim3(full(), nests.slab_arrived(), full()),
+            ]
+        }
         Stage::V1Localized => vec![
-            b::do_loop_step(
-                "k",
-                klo.clone(),
-                khi.clone(),
-                b::c(1),
-                vec![b::do_loop(
-                    "i",
-                    b::c(1),
-                    b::c(n),
-                    vec![b::kernel("fft1d", vec![row_i_k.clone()])],
-                )],
-            ),
-            b::do_loop_step(
-                "k",
-                klo.clone(),
-                khi.clone(),
-                b::c(1),
-                vec![b::do_loop(
-                    "j",
-                    b::c(1),
-                    b::c(n),
-                    vec![b::kernel("fft1d", vec![col_j_k.clone()])],
-                )],
-            ),
-            b::do_loop_step(
-                "k",
-                klo.clone(),
-                khi.clone(),
-                b::c(1),
-                vec![b::do_loop(
-                    "nn",
-                    b::c(1),
-                    b::c(n),
-                    vec![b::send_own_val(col_nn_k.clone())],
-                )],
-            ),
-            b::do_loop_step(
-                "j",
-                jlo.clone(),
-                jhi.clone(),
-                b::c(1),
-                vec![b::do_loop(
-                    "nn",
-                    b::c(1),
-                    b::c(n),
-                    vec![b::recv_own_val(col_j_nn.clone())],
-                )],
-            ),
-            // Loop4: one await over the whole incoming slab range.
-            b::guarded(
-                b::await_(b::sref(
-                    a,
-                    vec![b::all(), b::span(jlo.clone(), jhi.clone()), b::all()],
-                )),
-                vec![b::do_loop_step(
-                    "j",
-                    jlo.clone(),
-                    jhi.clone(),
-                    b::c(1),
-                    vec![b::do_loop(
-                        "i",
-                        b::c(1),
-                        b::c(n),
-                        vec![b::kernel("fft1d", vec![line_i_j.clone()])],
-                    )],
-                )],
-            ),
+            nests.fft_dim2(k(), None, full()),
+            nests.fft_dim1(k(), None, full(), None),
+            sweep("k", k(), None, vec![nests.send_columns("k")]),
+            recv_slabs(j(), None, full(), None),
+            fft_dim3_after_all(),
+        ],
+        Stage::V2Fused => vec![
+            nests.fft_dim2(k(), None, full()),
+            // Fused: FFT a column, immediately send it away.
+            nests.fft_dim1(k(), None, full(), send_column()),
+            recv_slabs(j(), None, full(), None),
+            fft_dim3_after_all(),
         ],
         Stage::V4PrePosted => {
             // Remote receives first (§3.2), then compute with fused sends,
             // then the self-column receives, then per-slab awaited FFTs.
             // The witness gives the k-block range without consulting A,
             // whose symbol table now holds preposted placeholders.
-            let wklo = b::mylb(own_all.clone(), 1);
-            let wkhi = b::myub(own_all.clone(), 1);
-            let remote_rule = xdp_ir::BoolExpr::Or(
-                Box::new(b::cmp(xdp_ir::CmpOp::Lt, b::iv("nn"), wklo.clone())),
-                Box::new(b::cmp(xdp_ir::CmpOp::Gt, b::iv("nn"), wkhi.clone())),
+            let (wklo, wkhi) = j();
+            let remote = BoolExpr::Or(
+                Box::new(b::cmp(CmpOp::Lt, b::iv("nn"), wklo)),
+                Box::new(b::cmp(CmpOp::Gt, b::iv("nn"), wkhi)),
             );
             vec![
-                b::do_loop_step(
-                    "j",
-                    jlo.clone(),
-                    jhi.clone(),
-                    b::c(1),
-                    vec![b::do_loop(
-                        "nn",
-                        b::c(1),
-                        b::c(n),
-                        vec![b::guarded(
-                            remote_rule,
-                            vec![b::recv_own_val(col_j_nn.clone())],
-                        )],
-                    )],
-                ),
-                b::do_loop_step(
-                    "k",
-                    wklo.clone(),
-                    wkhi.clone(),
-                    b::c(1),
-                    vec![b::do_loop(
-                        "i",
-                        b::c(1),
-                        b::c(n),
-                        vec![b::kernel("fft1d", vec![row_i_k.clone()])],
-                    )],
-                ),
-                b::do_loop_step(
-                    "k",
-                    wklo.clone(),
-                    wkhi.clone(),
-                    b::c(1),
-                    vec![b::do_loop(
-                        "j",
-                        b::c(1),
-                        b::c(n),
-                        vec![
-                            b::kernel("fft1d", vec![col_j_k.clone()]),
-                            b::send_own_val(col_j_k.clone()),
-                        ],
-                    )],
-                ),
+                recv_slabs(j(), None, full(), Some(remote)),
+                nests.fft_dim2(j(), None, full()),
+                nests.fft_dim1(j(), None, full(), send_column()),
                 // Self columns: receivable only after the sends above.
-                b::do_loop_step(
-                    "j",
-                    jlo.clone(),
-                    jhi.clone(),
-                    b::c(1),
-                    vec![b::do_loop_step(
-                        "nn",
-                        wklo.clone(),
-                        wkhi.clone(),
-                        b::c(1),
-                        vec![b::recv_own_val(col_j_nn.clone())],
-                    )],
-                ),
-                b::do_loop_step(
-                    "j",
-                    jlo.clone(),
-                    jhi.clone(),
-                    b::c(1),
-                    vec![b::guarded(
-                        b::await_(slab_j.clone()),
-                        vec![b::do_loop(
-                            "i",
-                            b::c(1),
-                            b::c(n),
-                            vec![b::kernel("fft1d", vec![line_i_j.clone()])],
-                        )],
-                    )],
-                ),
+                recv_slabs(j(), None, j(), None),
+                nests.fft_dim3(j(), nests.slab_arrived(), full()),
             ]
         }
         Stage::V5Planned => vec![
             // Dimension-2 then dimension-1 FFTs, local under (*,*,BLOCK).
-            b::do_loop_step(
-                "k",
-                klo.clone(),
-                khi.clone(),
-                b::c(1),
-                vec![b::do_loop(
-                    "i",
-                    b::c(1),
-                    b::c(n),
-                    vec![b::kernel("fft1d", vec![row_i_k.clone()])],
-                )],
-            ),
-            b::do_loop_step(
-                "k",
-                klo.clone(),
-                khi.clone(),
-                b::c(1),
-                vec![b::do_loop(
-                    "j",
-                    b::c(1),
-                    b::c(n),
-                    vec![b::kernel("fft1d", vec![col_j_k.clone()])],
-                )],
-            ),
+            nests.fft_dim2(k(), None, full()),
+            nests.fft_dim1(k(), None, full(), None),
             // The whole migration, as one planned statement.
             b::redistribute(
-                a,
-                xdp_ir::Distribution::new(
+                vars.a,
+                Distribution::new(
                     vec![DimDist::Star, DimDist::Block, DimDist::Star],
                     ProcGrid::linear(cfg.nprocs),
                 ),
             ),
             // Dimension-3 FFTs, local under (*,BLOCK,*). The witness gives
             // the owned row-slab range.
-            b::do_loop_step(
-                "j",
-                jlo.clone(),
-                jhi.clone(),
-                b::c(1),
-                vec![b::do_loop(
-                    "i",
-                    b::c(1),
-                    b::c(n),
-                    vec![b::kernel("fft1d", vec![line_i_j.clone()])],
-                )],
-            ),
+            nests.fft_dim3(j(), None, full()),
         ],
-        Stage::V2Fused | Stage::V3AwaitSunk => {
-            let mut v = vec![
-                b::do_loop_step(
-                    "k",
-                    klo.clone(),
-                    khi.clone(),
-                    b::c(1),
-                    vec![b::do_loop(
-                        "i",
-                        b::c(1),
-                        b::c(n),
-                        vec![b::kernel("fft1d", vec![row_i_k.clone()])],
-                    )],
-                ),
-                // Fused: FFT a column, immediately send it away.
-                b::do_loop_step(
-                    "k",
-                    klo.clone(),
-                    khi.clone(),
-                    b::c(1),
-                    vec![b::do_loop(
-                        "j",
-                        b::c(1),
-                        b::c(n),
-                        vec![
-                            b::kernel("fft1d", vec![col_j_k.clone()]),
-                            b::send_own_val(col_j_k.clone()),
-                        ],
-                    )],
-                ),
-                b::do_loop_step(
-                    "j",
-                    jlo.clone(),
-                    jhi.clone(),
-                    b::c(1),
-                    vec![b::do_loop(
-                        "nn",
-                        b::c(1),
-                        b::c(n),
-                        vec![b::recv_own_val(col_j_nn.clone())],
-                    )],
-                ),
-            ];
-            if stage == Stage::V2Fused {
-                v.push(b::guarded(
-                    b::await_(b::sref(
-                        a,
-                        vec![b::all(), b::span(jlo.clone(), jhi.clone()), b::all()],
-                    )),
-                    vec![b::do_loop_step(
-                        "j",
-                        jlo.clone(),
-                        jhi.clone(),
-                        b::c(1),
-                        vec![b::do_loop(
-                            "i",
-                            b::c(1),
-                            b::c(n),
-                            vec![b::kernel("fft1d", vec![line_i_j.clone()])],
-                        )],
-                    )],
-                ));
-            } else {
-                // v3: per-row-slab await — FFTs start as soon as slab j is in.
-                v.push(b::do_loop_step(
-                    "j",
-                    jlo.clone(),
-                    jhi.clone(),
-                    b::c(1),
-                    vec![b::guarded(
-                        b::await_(slab_j.clone()),
-                        vec![b::do_loop(
-                            "i",
-                            b::c(1),
-                            b::c(n),
-                            vec![b::kernel("fft1d", vec![line_i_j.clone()])],
-                        )],
-                    )],
-                ));
-            }
-            v
-        }
     };
-    p.body = body;
     (p, vars)
 }
 
@@ -552,11 +367,7 @@ pub fn build(cfg: Fft3dConfig, stage: Stage) -> (Program, Fft3dVars) {
 /// and 2 local and `d2` dimension 3, or the FFT rows would straddle
 /// processors; `CYCLIC` is rejected because an owned range is then not
 /// contiguous.
-pub fn build_planned(
-    cfg: Fft3dConfig,
-    d1: xdp_ir::Distribution,
-    d2: xdp_ir::Distribution,
-) -> (Program, Fft3dVars) {
+pub fn build_planned(cfg: Fft3dConfig, d1: Distribution, d2: Distribution) -> (Program, Fft3dVars) {
     let n = cfg.n;
     for d in [&d1, &d2] {
         assert!(
@@ -577,68 +388,19 @@ pub fn build_planned(
         dist: Some(d1.clone()),
         segment_shape: None,
     });
-    let own = p.declare(b::array(
-        "OWN",
-        ElemType::I64,
-        vec![(1, n)],
-        vec![DimDist::Block],
-        ProcGrid::linear(cfg.nprocs),
-    ));
-    let vars = Fft3dVars { a, own };
+    let own = declare_witness(cfg, &mut p);
+    let nests = Nests { a, n };
+    let mine = |d| Nests::owned(&nests.at([None, None, None]), d);
 
-    let a_all = b::sref(a, vec![b::all(), b::all(), b::all()]);
-    let lb = |d: u32| b::mylb(a_all.clone(), d);
-    let ub = |d: u32| b::myub(a_all.clone(), d);
-    let row_i_k = b::sref(a, vec![b::at(b::iv("i")), b::all(), b::at(b::iv("k"))]);
-    let col_j_k = b::sref(a, vec![b::all(), b::at(b::iv("j")), b::at(b::iv("k"))]);
-    let line_i_j = b::sref(a, vec![b::at(b::iv("i")), b::at(b::iv("j")), b::all()]);
-
-    let mut body = vec![
-        b::do_loop_step(
-            "k",
-            lb(3),
-            ub(3),
-            b::c(1),
-            vec![b::do_loop_step(
-                "i",
-                lb(1),
-                ub(1),
-                b::c(1),
-                vec![b::kernel("fft1d", vec![row_i_k])],
-            )],
-        ),
-        b::do_loop_step(
-            "k",
-            lb(3),
-            ub(3),
-            b::c(1),
-            vec![b::do_loop_step(
-                "j",
-                lb(2),
-                ub(2),
-                b::c(1),
-                vec![b::kernel("fft1d", vec![col_j_k])],
-            )],
-        ),
+    p.body = vec![
+        nests.fft_dim2(mine(3), None, mine(1)),
+        nests.fft_dim1(mine(3), None, mine(2), None),
     ];
     if d2 != d1 {
-        body.push(b::redistribute(a, d2));
+        p.body.push(b::redistribute(a, d2));
     }
-    body.push(b::do_loop_step(
-        "j",
-        lb(2),
-        ub(2),
-        b::c(1),
-        vec![b::do_loop_step(
-            "i",
-            lb(1),
-            ub(1),
-            b::c(1),
-            vec![b::kernel("fft1d", vec![line_i_j])],
-        )],
-    ));
-    p.body = body;
-    (p, vars)
+    p.body.push(nests.fft_dim3(mine(2), None, mine(1)));
+    (p, Fft3dVars { a, own })
 }
 
 /// [`Stage::V6Auto`]: run the `xdp-place` search over the v5 program's
@@ -673,117 +435,32 @@ pub fn plan_auto(cfg: Fft3dConfig) -> (xdp_place::Placed, Program) {
 pub fn build_chunked(cfg: Fft3dConfig, chunk: i64) -> (Program, Fft3dVars) {
     assert!(cfg.n % chunk == 0, "chunk must divide n");
     let mut p = Program::new();
-    let n = cfg.n;
-    let grid = ProcGrid::linear(cfg.nprocs);
-    let a = p.declare(b::array_seg(
-        "A",
-        ElemType::C64,
-        vec![(1, n), (1, n), (1, n)],
-        vec![DimDist::Star, DimDist::Star, DimDist::Block],
-        grid.clone(),
-        vec![chunk, 1, 1],
-    ));
-    let own = p.declare(b::array(
-        "OWN",
-        ElemType::I64,
-        vec![(1, n)],
-        vec![DimDist::Block],
-        grid,
-    ));
-    let vars = Fft3dVars { a, own };
-
-    let row_i_k = b::sref(a, vec![b::at(b::iv("i")), b::all(), b::at(b::iv("k"))]);
-    let col_j_k = b::sref(a, vec![b::all(), b::at(b::iv("j")), b::at(b::iv("k"))]);
-    let slab_j = b::sref(a, vec![b::all(), b::at(b::iv("j")), b::all()]);
-    let line_i_j = b::sref(a, vec![b::at(b::iv("i")), b::at(b::iv("j")), b::all()]);
-    let own_all = b::sref(own, vec![b::all()]);
-    let a_all = b::sref(a, vec![b::all(), b::all(), b::all()]);
-    let klo = b::mylb(a_all.clone(), 3);
-    let khi = b::myub(a_all, 3);
-    let jlo = b::mylb(own_all.clone(), 1);
-    let jhi = b::myub(own_all, 1);
-    // Chunked sub-column of dim 1: rows (c-1)*chunk+1 .. c*chunk.
-    let c0 = b::iv("c").sub(b::c(1)).mul(b::c(chunk)).add(b::c(1));
-    let c1 = b::iv("c").mul(b::c(chunk));
-    let sub_j_k = b::sref(
-        a,
-        vec![
-            b::span(c0.clone(), c1.clone()),
-            b::at(b::iv("j")),
-            b::at(b::iv("k")),
-        ],
-    );
-    let sub_j_nn = b::sref(
-        a,
-        vec![b::span(c0, c1), b::at(b::iv("j")), b::at(b::iv("nn"))],
-    );
-
+    let vars = declare(cfg, &mut p, chunk);
+    let nests = Nests {
+        a: vars.a,
+        n: cfg.n,
+    };
+    let full = || nests.full();
+    let k = || Nests::owned(&nests.at([None, None, None]), 3);
+    let j = || Nests::owned(&b::sref(vars.own, vec![b::all()]), 1);
+    // Chunk `c` of a column: rows (c-1)*chunk+1 .. c*chunk of dimension 1,
+    // sent from plane `k` and received into plane `nn`.
+    let chunks = |plane: &str, transfer: fn(SectionRef) -> Stmt| {
+        let c0 = b::iv("c").sub(b::c(1)).mul(b::c(chunk)).add(b::c(1));
+        let c1 = b::iv("c").mul(b::c(chunk));
+        let sub = b::sref(
+            vars.a,
+            vec![b::span(c0, c1), b::at(b::iv("j")), b::at(b::iv(plane))],
+        );
+        b::do_loop("c", b::c(1), b::c(cfg.n / chunk), vec![transfer(sub)])
+    };
+    let recv_chunks = sweep("nn", full(), None, vec![chunks("nn", b::recv_own_val)]);
     p.body = vec![
-        b::do_loop_step(
-            "k",
-            klo.clone(),
-            khi.clone(),
-            b::c(1),
-            vec![b::do_loop(
-                "i",
-                b::c(1),
-                b::c(n),
-                vec![b::kernel("fft1d", vec![row_i_k.clone()])],
-            )],
-        ),
+        nests.fft_dim2(k(), None, full()),
         // Fused compute + chunked ownership sends.
-        b::do_loop_step(
-            "k",
-            klo.clone(),
-            khi.clone(),
-            b::c(1),
-            vec![b::do_loop(
-                "j",
-                b::c(1),
-                b::c(n),
-                vec![
-                    b::kernel("fft1d", vec![col_j_k.clone()]),
-                    b::do_loop(
-                        "c",
-                        b::c(1),
-                        b::c(n / chunk),
-                        vec![b::send_own_val(sub_j_k.clone())],
-                    ),
-                ],
-            )],
-        ),
-        b::do_loop_step(
-            "j",
-            jlo.clone(),
-            jhi.clone(),
-            b::c(1),
-            vec![b::do_loop(
-                "nn",
-                b::c(1),
-                b::c(n),
-                vec![b::do_loop(
-                    "c",
-                    b::c(1),
-                    b::c(n / chunk),
-                    vec![b::recv_own_val(sub_j_nn.clone())],
-                )],
-            )],
-        ),
-        b::do_loop_step(
-            "j",
-            jlo.clone(),
-            jhi.clone(),
-            b::c(1),
-            vec![b::guarded(
-                b::await_(slab_j.clone()),
-                vec![b::do_loop(
-                    "i",
-                    b::c(1),
-                    b::c(n),
-                    vec![b::kernel("fft1d", vec![line_i_j.clone()])],
-                )],
-            )],
-        ),
+        nests.fft_dim1(k(), None, full(), Some(chunks("k", b::send_own_val))),
+        sweep("j", j(), None, vec![recv_chunks]),
+        nests.fft_dim3(j(), nests.slab_arrived(), full()),
     ];
     (p, vars)
 }
@@ -794,72 +471,26 @@ pub fn build_chunked(cfg: Fft3dConfig, chunk: i64) -> (Program, Fft3dVars) {
 pub fn paper_listing_v0(cfg: Fft3dConfig) -> (Program, Fft3dVars) {
     assert_eq!(cfg.n, cfg.nprocs as i64, "paper listing requires n == P");
     let mut p = Program::new();
-    let vars = declare(cfg, &mut p);
-    let n = cfg.n;
-    let a = vars.a;
-    let plane_p = b::sref(a, vec![b::all(), b::all(), b::at(b::iv("p"))]);
-    let row_i_k = b::sref(a, vec![b::at(b::iv("i")), b::all(), b::at(b::iv("k"))]);
-    let col_j_k = b::sref(a, vec![b::all(), b::at(b::iv("j")), b::at(b::iv("k"))]);
-    let col_nn_p = b::sref(a, vec![b::all(), b::at(b::iv("nn")), b::at(b::iv("p"))]);
-    let col_p_nn = b::sref(a, vec![b::all(), b::at(b::iv("p")), b::at(b::iv("nn"))]);
-    let slab_j = b::sref(a, vec![b::all(), b::at(b::iv("j")), b::all()]);
-    let line_i_j = b::sref(a, vec![b::at(b::iv("i")), b::at(b::iv("j")), b::all()]);
-    let plane_k = b::sref(a, vec![b::all(), b::all(), b::at(b::iv("k"))]);
+    let vars = declare(cfg, &mut p, cfg.n);
+    let nests = Nests {
+        a: vars.a,
+        n: cfg.n,
+    };
+    let full = || nests.full();
+    let my_plane = |v| Some(b::iown(nests.at([None, None, Some(v)])));
     p.body = vec![
-        b::do_loop(
-            "k",
-            b::c(1),
-            b::c(n),
-            vec![b::guarded(
-                b::iown(plane_k.clone()),
-                vec![b::do_loop(
-                    "i",
-                    b::c(1),
-                    b::c(n),
-                    vec![b::kernel("fft1d", vec![row_i_k])],
-                )],
-            )],
-        ),
-        b::do_loop(
-            "k",
-            b::c(1),
-            b::c(n),
-            vec![b::guarded(
-                b::iown(plane_k),
-                vec![b::do_loop(
-                    "j",
-                    b::c(1),
-                    b::c(n),
-                    vec![b::kernel("fft1d", vec![col_j_k])],
-                )],
-            )],
-        ),
-        b::do_loop(
+        nests.fft_dim2(full(), my_plane("k"), full()),
+        nests.fft_dim1(full(), my_plane("k"), full(), None),
+        sweep(
             "p",
-            b::c(1),
-            b::c(n),
-            vec![b::guarded(
-                b::iown(plane_p),
-                vec![
-                    b::do_loop("nn", b::c(1), b::c(n), vec![b::send_own_val(col_nn_p)]),
-                    b::do_loop("nn", b::c(1), b::c(n), vec![b::recv_own_val(col_p_nn)]),
-                ],
-            )],
+            full(),
+            my_plane("p"),
+            vec![
+                nests.send_columns("p"),
+                nests.recv_columns("p", full(), None),
+            ],
         ),
-        b::do_loop(
-            "j",
-            b::c(1),
-            b::c(n),
-            vec![b::guarded(
-                b::await_(slab_j),
-                vec![b::do_loop(
-                    "i",
-                    b::c(1),
-                    b::c(n),
-                    vec![b::kernel("fft1d", vec![line_i_j])],
-                )],
-            )],
-        ),
+        nests.fft_dim3(full(), nests.slab_arrived(), full()),
     ];
     (p, vars)
 }
@@ -882,7 +513,7 @@ pub fn cube_ordinal(n: i64, idx: &[i64]) -> usize {
 pub fn run_stage(
     cfg: Fft3dConfig,
     stage: Stage,
-    sim: SimConfig,
+    sim: MachineConfig,
     seed: u64,
 ) -> Result<ExecReport, RtError> {
     let (program, vars) = build(cfg, stage);
@@ -895,7 +526,7 @@ pub fn run_program(
     cfg: Fft3dConfig,
     program: Program,
     vars: Fft3dVars,
-    sim: SimConfig,
+    sim: MachineConfig,
     seed: u64,
 ) -> Result<ExecReport, RtError> {
     let exec = SimExec::new(Arc::new(program), crate::fft::app_kernels(), sim);
@@ -915,7 +546,7 @@ fn run_verified<M: Machine>(
     let mut expect = input.clone();
     crate::fft::fft3d_seq(&mut expect, n as usize);
 
-    exec.init_exclusive(vars.a, |idx| Value::C64(input[cube_ordinal(n, idx)]));
+    exec.init_exclusive(vars.a, &|idx| Value::C64(input[cube_ordinal(n, idx)]));
     let report = exec.run_report()?;
     let g = exec.gather(vars.a);
     for i in 1..=n {
@@ -944,7 +575,7 @@ pub fn run_stage_tasks(cfg: Fft3dConfig, stage: Stage, seed: u64) -> Result<(), 
     let exec = AsyncExec::new(
         Arc::new(program),
         crate::fft::app_kernels(),
-        AsyncConfig::new(cfg.nprocs),
+        MachineConfig::new(cfg.nprocs),
     );
     run_verified(cfg, vars, exec, seed).map(drop)
 }
@@ -959,7 +590,7 @@ mod tests {
         let cfg = Fft3dConfig::new(4, 4);
         let mut times = Vec::new();
         for stage in Stage::all() {
-            let r = run_stage(cfg, stage, SimConfig::new(4), 7).expect("run");
+            let r = run_stage(cfg, stage, MachineConfig::new(4), 7).expect("run");
             times.push((stage.label(), r.virtual_time, r.net.messages));
         }
         // The migration stages move the off-diagonal columns one message
@@ -996,7 +627,7 @@ mod tests {
         let (program, vars) = build(cfg, Stage::V5Planned);
         let labels: std::collections::HashMap<u32, String> =
             xdp_ir::pretty::stmt_table(&program).into_iter().collect();
-        let sim = SimConfig::new(4).with_trace(TraceConfig::full());
+        let sim = MachineConfig::new(4).with_trace(TraceConfig::full());
         let r = run_program(cfg, program, vars, sim, 42).expect("run");
         let cp = r.trace.critical_path(&labels);
         assert!(r.virtual_time > 0.0);
@@ -1035,7 +666,7 @@ mod tests {
             ch[1].dist
         );
         assert!(ch[1].transition > 0.0);
-        let r = run_stage(cfg, Stage::V6Auto, SimConfig::new(4), 9).expect("run");
+        let r = run_stage(cfg, Stage::V6Auto, MachineConfig::new(4), 9).expect("run");
         assert_eq!(r.net.messages, 12);
     }
 
@@ -1048,7 +679,7 @@ mod tests {
             Stage::V4PrePosted,
             Stage::V5Planned,
         ] {
-            run_stage(cfg, stage, SimConfig::new(2), 11).expect("run");
+            run_stage(cfg, stage, MachineConfig::new(2), 11).expect("run");
         }
     }
 
@@ -1056,7 +687,7 @@ mod tests {
     fn paper_listing_matches_generalized_v0() {
         let cfg = Fft3dConfig::new(4, 4);
         let (prog, vars) = paper_listing_v0(cfg);
-        let r = run_program(cfg, prog, vars, SimConfig::new(4), 3).expect("run");
+        let r = run_program(cfg, prog, vars, MachineConfig::new(4), 3).expect("run");
         assert_eq!(r.net.messages, 16);
     }
 
@@ -1069,7 +700,7 @@ mod tests {
             ..CostModel::default_1993()
         };
         let t = |stage| {
-            run_stage(cfg, stage, SimConfig::new(4).with_cost(slow), 5)
+            run_stage(cfg, stage, MachineConfig::new(4).with_cost(slow), 5)
                 .unwrap()
                 .virtual_time
         };
@@ -1094,7 +725,7 @@ mod tests {
             ..CostModel::default_1993()
         };
         let t = |stage| {
-            run_stage(cfg, stage, SimConfig::new(4).with_cost(eager), 5)
+            run_stage(cfg, stage, MachineConfig::new(4).with_cost(eager), 5)
                 .unwrap()
                 .virtual_time
         };
@@ -1107,7 +738,7 @@ mod tests {
         let cfg = Fft3dConfig::new(8, 2);
         for chunk in [1, 2, 4, 8] {
             let (prog, vars) = build_chunked(cfg, chunk);
-            let r = run_program(cfg, prog, vars, SimConfig::new(2), 13)
+            let r = run_program(cfg, prog, vars, MachineConfig::new(2), 13)
                 .unwrap_or_else(|e| panic!("chunk {chunk}: {e}"));
             // 8x8 columns split into 8/chunk pieces each.
             assert_eq!(r.net.messages, (64 * (8 / chunk)) as u64, "chunk {chunk}");
@@ -1142,7 +773,7 @@ mod stress {
     #[ignore = "large; run in release mode"]
     fn fft3d_32cubed_on_8() {
         let cfg = Fft3dConfig::new(32, 8);
-        let r = run_stage(cfg, Stage::V3AwaitSunk, SimConfig::new(8), 1).expect("run");
+        let r = run_stage(cfg, Stage::V3AwaitSunk, MachineConfig::new(8), 1).expect("run");
         assert_eq!(r.net.messages, (32 * 32) as u64);
     }
 }

@@ -402,7 +402,7 @@ mod tests {
     use super::*;
     use crate::workloads;
     use std::sync::Arc;
-    use xdp_core::{KernelRegistry, SimConfig, SimExec};
+    use xdp_core::{KernelRegistry, MachineConfig, SimExec};
     use xdp_runtime::Value;
 
     fn run_built(
@@ -416,7 +416,7 @@ mod tests {
         let mut exec = SimExec::new(
             Arc::new(p),
             KernelRegistry::standard(),
-            SimConfig::new(nprocs),
+            MachineConfig::new(nprocs),
         );
         exec.init_exclusive(vars.u, |idx| {
             Value::F64(u0[((idx[0] - 1) * m + idx[1] - 1) as usize])

@@ -216,7 +216,7 @@ pub fn matvec_reference(m: &[f64], x: &[f64], n: usize) -> Vec<f64> {
 mod tests {
     use super::*;
     use crate::workloads;
-    use xdp_core::{SimConfig, SimExec};
+    use xdp_core::{MachineConfig, SimExec};
     use xdp_runtime::Value;
 
     #[test]
@@ -225,7 +225,7 @@ mod tests {
         let (p, vars) = build_matvec(n, nprocs);
         let mdata = workloads::uniform_f64((n * n) as usize, 3, -1.0, 1.0);
         let xdata = workloads::uniform_f64(n as usize, 4, -1.0, 1.0);
-        let mut exec = SimExec::new(Arc::new(p), matvec_kernels(), SimConfig::new(nprocs));
+        let mut exec = SimExec::new(Arc::new(p), matvec_kernels(), MachineConfig::new(nprocs));
         exec.init_exclusive(vars.m, |idx| {
             Value::F64(mdata[((idx[0] - 1) * n + idx[1] - 1) as usize])
         });
@@ -259,7 +259,7 @@ mod tests {
             assert!(xdp_ir::validate(&p).is_empty(), "{dist}");
             let mdata = workloads::uniform_f64((n * n) as usize, 3, -1.0, 1.0);
             let xdata = workloads::uniform_f64(n as usize, 4, -1.0, 1.0);
-            let mut exec = SimExec::new(Arc::new(p), matvec_kernels(), SimConfig::new(np));
+            let mut exec = SimExec::new(Arc::new(p), matvec_kernels(), MachineConfig::new(np));
             exec.init_exclusive(vars.m, |idx| {
                 Value::F64(mdata[((idx[0] - 1) * n + idx[1] - 1) as usize])
             });
@@ -282,7 +282,7 @@ mod tests {
     fn broadcast_includes_the_sender() {
         // p0's own replica arrives through the self-multicast branch.
         let (p, vars) = build_matvec(8, 2);
-        let mut exec = SimExec::new(Arc::new(p), matvec_kernels(), SimConfig::new(2));
+        let mut exec = SimExec::new(Arc::new(p), matvec_kernels(), MachineConfig::new(2));
         exec.init_exclusive(vars.m, |_| Value::F64(1.0));
         exec.init_exclusive(vars.x, |_| Value::F64(2.0));
         exec.run().expect("run");

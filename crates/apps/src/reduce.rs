@@ -116,7 +116,7 @@ mod tests {
     use super::*;
     use crate::workloads;
     use std::sync::Arc;
-    use xdp_core::{KernelRegistry, SimConfig, SimExec};
+    use xdp_core::{KernelRegistry, MachineConfig, SimExec};
     use xdp_runtime::Value;
 
     fn run(n: i64, nprocs: usize) -> (f64, u64, f64) {
@@ -125,7 +125,7 @@ mod tests {
         let mut exec = SimExec::new(
             Arc::new(p),
             KernelRegistry::standard(),
-            SimConfig::new(nprocs),
+            MachineConfig::new(nprocs),
         );
         exec.init_exclusive(vars.x, |idx| Value::F64(data[(idx[0] - 1) as usize]));
         let r = exec.run().expect("reduce");

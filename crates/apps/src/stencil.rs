@@ -60,7 +60,7 @@ mod tests {
     use super::*;
     use std::sync::Arc;
     use xdp_compiler::{lower_owner_computes, FrontendOptions, PassManager};
-    use xdp_core::{KernelRegistry, SimConfig, SimExec};
+    use xdp_core::{KernelRegistry, MachineConfig, SimExec};
     use xdp_runtime::Value;
 
     fn run(
@@ -74,7 +74,7 @@ mod tests {
         let mut exec = SimExec::new(
             Arc::new(p.clone()),
             KernelRegistry::standard(),
-            SimConfig::new(nprocs),
+            MachineConfig::new(nprocs),
         );
         exec.init_exclusive(a, |_| Value::F64(0.0));
         exec.init_exclusive(bvar, |idx| Value::F64(b0[(idx[0] - 1) as usize]));

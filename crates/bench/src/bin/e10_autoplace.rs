@@ -24,7 +24,7 @@ use std::sync::Arc;
 use xdp_apps::{fft3d, halo2d, matvec, workloads};
 use xdp_bench::table::j;
 use xdp_bench::Table;
-use xdp_core::{AsyncConfig, AsyncExec, KernelRegistry, Machine, SimConfig, SimExec, TraceConfig};
+use xdp_core::{AsyncExec, KernelRegistry, Machine, MachineConfig, SimExec, TraceConfig};
 use xdp_ir::{DimDist, Distribution, ProcGrid, Program};
 use xdp_place::{candidates, search, Costs, DimNeed, Phase, PhaseGraph, Shift};
 use xdp_runtime::Value;
@@ -89,7 +89,7 @@ fn phase_labels(p: &Program, ranges: &[(std::ops::Range<usize>, &str)]) -> HashM
 }
 
 fn run_fft(cfg: fft3d::Fft3dConfig, program: Program, vars: fft3d::Fft3dVars) -> (f64, u64) {
-    let sim = SimConfig::new(cfg.nprocs);
+    let sim = MachineConfig::new(cfg.nprocs);
     let r = fft3d::run_program(cfg, program, vars, sim, SEED).expect("fft run");
     (r.virtual_time, r.net.messages)
 }
@@ -147,7 +147,7 @@ fn fft_section(t: &mut Table) {
             (nb - 1..nb, "phase-1"),
         ],
     );
-    let sim = SimConfig::new(P).with_trace(TraceConfig::full());
+    let sim = MachineConfig::new(P).with_trace(TraceConfig::full());
     let r = fft3d::run_program(cfg, p, vars, sim, SEED).expect("traced run");
     let cp = r.trace.critical_path(&labels);
     // Row keys are "sN: <label>"; sum every statement under a label.
@@ -231,7 +231,7 @@ fn run_jacobi<M: Machine>(build: JacobiBuild, load: impl FnOnce(Arc<Program>) ->
     let (p, vars) = build(JN, JM, P, SWEEPS);
     let u0 = workloads::uniform_f64((JN * JM) as usize, 5, 0.0, 10.0);
     let mut exec = load(Arc::new(p));
-    exec.init_exclusive(vars.u, |idx| {
+    exec.init_exclusive(vars.u, &|idx| {
         Value::F64(u0[((idx[0] - 1) * JM + idx[1] - 1) as usize])
     });
     let r = exec.run_report().expect("jacobi");
@@ -247,7 +247,7 @@ fn run_jacobi<M: Machine>(build: JacobiBuild, load: impl FnOnce(Arc<Program>) ->
 }
 
 fn jacobi_sim(p: Arc<Program>) -> SimExec {
-    SimExec::new(p, KernelRegistry::standard(), SimConfig::new(P))
+    SimExec::new(p, KernelRegistry::standard(), MachineConfig::new(P))
 }
 
 fn jacobi_section(t: &mut Table) {
@@ -299,7 +299,7 @@ fn jacobi_section(t: &mut Table) {
     });
     check("jacobi2d 32x96", &runs, t);
     run_jacobi(auto_build, |p| {
-        AsyncExec::new(p, KernelRegistry::standard(), AsyncConfig::new(P))
+        AsyncExec::new(p, KernelRegistry::standard(), MachineConfig::new(P))
     });
 }
 
@@ -316,10 +316,10 @@ fn run_matvec<M: Machine>(
     let mdata = workloads::uniform_f64((n * n) as usize, 3, -1.0, 1.0);
     let xdata = workloads::uniform_f64(n as usize, 4, -1.0, 1.0);
     let mut exec = load(Arc::new(p), matvec::matvec_kernels());
-    exec.init_exclusive(vars.m, |idx| {
+    exec.init_exclusive(vars.m, &|idx| {
         Value::F64(mdata[((idx[0] - 1) * n + idx[1] - 1) as usize])
     });
-    exec.init_exclusive(vars.x, |idx| Value::F64(xdata[(idx[0] - 1) as usize]));
+    exec.init_exclusive(vars.x, &|idx| Value::F64(xdata[(idx[0] - 1) as usize]));
     let r = exec.run_report().expect("matvec");
     let want = matvec::matvec_reference(&mdata, &xdata, n as usize);
     let g = exec.gather(vars.y);
@@ -331,7 +331,7 @@ fn run_matvec<M: Machine>(
 }
 
 fn matvec_sim(p: Arc<Program>, kernels: KernelRegistry) -> SimExec {
-    SimExec::new(p, kernels, SimConfig::new(P))
+    SimExec::new(p, kernels, MachineConfig::new(P))
 }
 
 fn matvec_section(t: &mut Table) {
@@ -380,7 +380,7 @@ fn matvec_section(t: &mut Table) {
     });
     check("matvec n=32", &runs, t);
     run_matvec(n, choice.dist.clone(), |p, kernels| {
-        AsyncExec::new(p, kernels, AsyncConfig::new(P))
+        AsyncExec::new(p, kernels, MachineConfig::new(P))
     });
 }
 

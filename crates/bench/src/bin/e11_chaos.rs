@@ -23,9 +23,7 @@ use std::sync::Arc;
 use xdp_apps::fft3d::{Fft3dConfig, Stage};
 use xdp_bench::table::j;
 use xdp_bench::Table;
-use xdp_core::{
-    AsyncConfig, AsyncExec, ExecReport, Gathered, KernelRegistry, Machine, SimConfig, SimExec,
-};
+use xdp_core::{AsyncExec, ExecReport, Gathered, KernelRegistry, Machine, MachineConfig, SimExec};
 use xdp_fault::{FaultPlan, LinkFault};
 use xdp_ir::{Program, Section, VarId};
 use xdp_runtime::Value;
@@ -60,7 +58,7 @@ fn run<M: Machine>(mut exec: M, program: &Program) -> (State, ExecReport) {
     };
     for (i, d) in exclusive() {
         let full = Section::new(d.bounds.clone());
-        exec.init_exclusive(VarId(i as u32), move |idx| {
+        exec.init_exclusive(VarId(i as u32), &move |idx| {
             Value::F64((full.ordinal_of(idx).unwrap_or(0) + 1) as f64)
         });
     }
@@ -77,7 +75,7 @@ fn sim_run(
     nprocs: usize,
     faults: FaultPlan,
 ) -> (State, ExecReport) {
-    let cfg = SimConfig::new(nprocs)
+    let cfg = MachineConfig::new(nprocs)
         .with_faults(faults)
         .with_trace(TraceConfig::full());
     run(
@@ -93,7 +91,7 @@ fn tasks_run(
     nprocs: usize,
     faults: FaultPlan,
 ) -> (State, f64) {
-    let cfg = AsyncConfig::new(nprocs).with_faults(faults);
+    let cfg = MachineConfig::new(nprocs).with_faults(faults);
     let exec = AsyncExec::new(Arc::new(program.clone()), kernels, cfg);
     let (state, report) = run(exec, program);
     (state, report.virtual_time / 1e3)

@@ -11,7 +11,7 @@ use xdp_bench::table::j;
 use xdp_bench::Table;
 use xdp_compiler::passes::{BindCommunication, MigrateOwnership};
 use xdp_compiler::{lower_owner_computes, FrontendOptions, Pass, PassManager, SeqProgram, SeqStmt};
-use xdp_core::{ExecReport, KernelRegistry, SimConfig, SimExec};
+use xdp_core::{ExecReport, KernelRegistry, MachineConfig, SimExec};
 use xdp_ir::build as b;
 use xdp_ir::{DimDist, ElemType, ProcGrid, Program, VarId};
 use xdp_runtime::Value;
@@ -45,7 +45,7 @@ fn execute(p: &Program, a: VarId, bb: VarId, nprocs: usize, n: i64) -> ExecRepor
     let mut exec = SimExec::new(
         Arc::new(p.clone()),
         KernelRegistry::standard(),
-        SimConfig::new(nprocs),
+        MachineConfig::new(nprocs),
     );
     exec.init_exclusive(a, |idx| Value::F64(idx[0] as f64));
     exec.init_exclusive(bb, |idx| Value::F64(100.0 * idx[0] as f64));

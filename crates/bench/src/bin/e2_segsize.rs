@@ -17,7 +17,7 @@
 use std::sync::Arc;
 use xdp_bench::table::j;
 use xdp_bench::Table;
-use xdp_core::{KernelRegistry, SimConfig, SimExec};
+use xdp_core::{KernelRegistry, MachineConfig, SimExec};
 use xdp_ir::build as b;
 use xdp_ir::{CmpOp, DimDist, ElemType, ProcGrid, Program, VarId};
 use xdp_machine::CostModel;
@@ -98,7 +98,7 @@ fn main() {
             let mut exec = SimExec::new(
                 Arc::new(prog),
                 KernelRegistry::standard(),
-                SimConfig::new(2).with_cost(cost),
+                MachineConfig::new(2).with_cost(cost),
             );
             exec.init_exclusive(a, |idx| Value::F64(idx[0] as f64));
             let r = exec.run().expect("pipeline");

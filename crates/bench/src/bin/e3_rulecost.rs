@@ -13,7 +13,7 @@ use xdp_bench::table::j;
 use xdp_bench::Table;
 use xdp_compiler::passes::{ElideAccessibleChecks, LocalizeBounds};
 use xdp_compiler::PassManager;
-use xdp_core::{KernelRegistry, SimConfig, SimExec};
+use xdp_core::{KernelRegistry, MachineConfig, SimExec};
 use xdp_ir::build as b;
 use xdp_ir::{DimDist, ElemType, ProcGrid, Program, Section, Triplet};
 use xdp_runtime::RtSymbolTable;
@@ -64,7 +64,7 @@ fn main() {
             let mut exec = SimExec::new(
                 Arc::new(prog.clone()),
                 KernelRegistry::standard(),
-                SimConfig::new(nprocs),
+                MachineConfig::new(nprocs),
             );
             let r = exec.run().expect("run");
             let q: u64 = r.procs.iter().map(|p| p.symtab.queries).sum();

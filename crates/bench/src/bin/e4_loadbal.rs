@@ -10,12 +10,12 @@ use xdp_apps::farm::{build_farm, build_static, FarmConfig};
 use xdp_apps::workloads;
 use xdp_bench::table::j;
 use xdp_bench::Table;
-use xdp_core::{ExecReport, SimConfig, SimExec};
+use xdp_core::{ExecReport, MachineConfig, SimExec};
 use xdp_ir::{Program, VarId};
 use xdp_runtime::Value;
 
 fn run(p: Program, w: VarId, costs: &[u64], np: usize) -> ExecReport {
-    let mut exec = SimExec::new(Arc::new(p), xdp_apps::app_kernels(), SimConfig::new(np));
+    let mut exec = SimExec::new(Arc::new(p), xdp_apps::app_kernels(), MachineConfig::new(np));
     exec.init_exclusive(w, |idx| Value::F64(costs[(idx[0] - 1) as usize] as f64));
     exec.run().expect("run")
 }

@@ -11,7 +11,7 @@ use xdp_bench::table::j;
 use xdp_bench::Table;
 use xdp_compiler::passes::BindCommunication;
 use xdp_compiler::{lower_owner_computes, FrontendOptions, Pass, SeqProgram, SeqStmt};
-use xdp_core::{KernelRegistry, SimConfig, SimExec};
+use xdp_core::{KernelRegistry, MachineConfig, SimExec};
 use xdp_ir::build as b;
 use xdp_ir::{DimDist, ElemType, ProcGrid, Program, VarId};
 use xdp_runtime::Value;
@@ -73,7 +73,7 @@ fn main() {
             let mut exec = SimExec::new(
                 Arc::new(prog.clone()),
                 KernelRegistry::standard(),
-                SimConfig::new(nprocs),
+                MachineConfig::new(nprocs),
             );
             exec.init_exclusive(a, |idx| Value::F64(idx[0] as f64));
             exec.init_exclusive(bb, |idx| Value::F64(2.0 * idx[0] as f64));

@@ -13,7 +13,7 @@ use xdp_bench::table::j;
 use xdp_bench::Table;
 use xdp_compiler::passes::MigrateOwnership;
 use xdp_compiler::{lower_owner_computes, FrontendOptions, Pass, SeqProgram, SeqStmt};
-use xdp_core::{KernelRegistry, SimConfig, SimExec};
+use xdp_core::{KernelRegistry, MachineConfig, SimExec};
 use xdp_ir::build as b;
 use xdp_ir::{DimDist, ElemType, ProcGrid, Program, VarId};
 use xdp_runtime::Value;
@@ -62,7 +62,7 @@ fn run(p: Program, a: VarId, bb: VarId, nprocs: usize) -> (f64, u64) {
     let mut exec = SimExec::new(
         Arc::new(p),
         KernelRegistry::standard(),
-        SimConfig::new(nprocs),
+        MachineConfig::new(nprocs),
     );
     exec.init_exclusive(a, |idx| Value::F64(idx[0] as f64));
     exec.init_exclusive(bb, |idx| Value::F64(idx[0] as f64));

@@ -22,7 +22,7 @@ use xdp_apps::fft3d::{run_stage, Fft3dConfig, Stage};
 use xdp_apps::halo2d::build_jacobi2d;
 use xdp_bench::table::j;
 use xdp_bench::Table;
-use xdp_core::{KernelRegistry, SimConfig, SimExec};
+use xdp_core::{KernelRegistry, MachineConfig, SimExec};
 use xdp_machine::{CostModel, Topology};
 use xdp_runtime::Value;
 
@@ -49,7 +49,7 @@ fn main() {
         let r = run_stage(
             Fft3dConfig::new(16, nprocs),
             Stage::V3AwaitSunk,
-            SimConfig::new(nprocs)
+            MachineConfig::new(nprocs)
                 .with_cost(cost)
                 .with_topo(topo.clone()),
             42,
@@ -71,7 +71,7 @@ fn main() {
         let mut exec = SimExec::new(
             Arc::new(p),
             KernelRegistry::standard(),
-            SimConfig::new(nprocs)
+            MachineConfig::new(nprocs)
                 .with_cost(cost)
                 .with_topo(topo.clone()),
         );

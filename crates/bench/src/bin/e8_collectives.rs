@@ -30,7 +30,7 @@ use xdp_bench::table::j;
 use xdp_bench::Table;
 use xdp_collectives::{plan, redistribution_pieces, Strategy};
 use xdp_compiler::passes::{LowerRedistribute, Pass};
-use xdp_core::{KernelRegistry, SimConfig, SimExec};
+use xdp_core::{KernelRegistry, MachineConfig, SimExec};
 use xdp_ir::build as b;
 use xdp_ir::{BoolExpr, DimDist, Distribution, ElemType, ProcGrid, Program, Stmt, Triplet, VarId};
 use xdp_machine::{CostModel, Topology};
@@ -105,7 +105,7 @@ fn run(p: &Program, a: VarId, cost: CostModel, topo: Topology) -> (Vec<f64>, f64
     let mut exec = SimExec::new(
         Arc::new(p.clone()),
         KernelRegistry::standard(),
-        SimConfig::new(P).with_cost(cost).with_topo(topo),
+        MachineConfig::new(P).with_cost(cost).with_topo(topo),
     );
     exec.init_exclusive(a, |idx| Value::F64((3 * idx[0]) as f64));
     let r = exec.run().expect("run");
@@ -305,7 +305,7 @@ fn critical_path_of(p: &Program, a: VarId) -> xdp_core::CriticalPathReport {
     let mut exec = SimExec::new(
         Arc::new(p.clone()),
         KernelRegistry::standard(),
-        SimConfig::new(P)
+        MachineConfig::new(P)
             .with_cost(CostModel::default_1993())
             .with_trace(xdp_core::TraceConfig::full()),
     );

@@ -17,7 +17,7 @@ use std::collections::HashMap;
 use xdp_apps::fft3d::{build, run_program, Fft3dConfig, Stage};
 use xdp_bench::table::j;
 use xdp_bench::Table;
-use xdp_core::{CriticalPathReport, SimConfig, TraceConfig};
+use xdp_core::{CriticalPathReport, MachineConfig, TraceConfig};
 use xdp_ir::pretty;
 use xdp_machine::CostModel;
 
@@ -34,7 +34,7 @@ fn analyze(stage: Stage) -> CriticalPathReport {
     };
     let (program, vars) = build(cfg, stage);
     let labels: HashMap<u32, String> = pretty::stmt_table(&program).into_iter().collect();
-    let sim = SimConfig::new(P)
+    let sim = MachineConfig::new(P)
         .with_cost(cost)
         .with_trace(TraceConfig::full());
     let report = run_program(cfg, program, vars, sim, SEED).expect("stage run");

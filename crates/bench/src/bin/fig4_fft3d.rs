@@ -9,7 +9,7 @@
 use xdp_apps::fft3d::{run_stage, Fft3dConfig, Stage};
 use xdp_bench::table::j;
 use xdp_bench::Table;
-use xdp_core::SimConfig;
+use xdp_core::MachineConfig;
 use xdp_machine::CostModel;
 
 fn main() {
@@ -32,7 +32,7 @@ fn main() {
                 let r = run_stage(
                     Fft3dConfig::new(n, nprocs),
                     stage,
-                    SimConfig::new(nprocs).with_cost(cost),
+                    MachineConfig::new(nprocs).with_cost(cost),
                     42,
                 )
                 .expect("stage run");
@@ -68,7 +68,7 @@ fn main() {
             let r = run_stage(
                 Fft3dConfig::new(8, nprocs),
                 stage,
-                SimConfig::new(nprocs).with_cost(cost),
+                MachineConfig::new(nprocs).with_cost(cost),
                 42,
             )
             .expect("stage run");
@@ -94,7 +94,7 @@ fn main() {
         let r = run_stage(
             Fft3dConfig::new(16, nprocs),
             stage,
-            SimConfig::new(nprocs).with_cost(CostModel::shared_address()),
+            MachineConfig::new(nprocs).with_cost(CostModel::shared_address()),
             42,
         )
         .expect("stage run");

@@ -7,7 +7,7 @@
 //! integration tests assert every rule passes.
 
 use std::sync::Arc;
-use xdp_core::{Interp, KernelRegistry, RtError, SimConfig, SimExec};
+use xdp_core::{Interp, KernelRegistry, MachineConfig, RtError, SimExec};
 use xdp_ir::build as b;
 use xdp_ir::{DimDist, ElemType, ProcGrid, Program, Section, Triplet, VarId};
 use xdp_runtime::symtab::SecState;
@@ -237,7 +237,7 @@ fn run(
     let mut exec = SimExec::new(
         Arc::new(program),
         KernelRegistry::standard(),
-        SimConfig::new(nprocs),
+        MachineConfig::new(nprocs),
     );
     exec.init_exclusive(a, |idx| Value::F64(idx[0] as f64));
     let r = exec.run().map_err(|e| e.to_string())?;

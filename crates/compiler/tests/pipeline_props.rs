@@ -458,13 +458,13 @@ fn rank2_column_stencil_vectorizes() {
 
     // And it computes the same thing as the naive program.
     use std::sync::Arc;
-    use xdp_core::{KernelRegistry, SimConfig, SimExec};
+    use xdp_core::{KernelRegistry, MachineConfig, SimExec};
     use xdp_runtime::Value;
     let run = |prog: &xdp_ir::Program| {
         let mut exec = SimExec::new(
             Arc::new(prog.clone()),
             KernelRegistry::standard(),
-            SimConfig::new(nprocs),
+            MachineConfig::new(nprocs),
         );
         exec.init_exclusive(a, |idx| Value::F64((idx[0] * 100 + idx[1]) as f64));
         exec.init_exclusive(bb, |idx| Value::F64((idx[0] * 7 + idx[1] * 3) as f64));

@@ -23,6 +23,7 @@
 //! the `executor:async` fuzz oracle and the conformance suites at P up
 //! to 4096.
 
+use crate::config::MachineConfig;
 use crate::env::RtError;
 use crate::interp::{Action, Interp};
 use crate::kernels::KernelRegistry;
@@ -34,11 +35,11 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 use xdp_collectives::PlanCtx;
-use xdp_fault::{FaultPlan, RecvFailure};
+use xdp_fault::RecvFailure;
 use xdp_ir::{Program, VarId};
-use xdp_machine::{CostModel, ThreadNet, Topology};
+use xdp_machine::ThreadNet;
 use xdp_runtime::{Msg, Tag, Value};
-use xdp_trace::{Trace, TraceConfig, TraceEvent, WaitCause};
+use xdp_trace::{Trace, TraceEvent, WaitCause};
 
 /// Statements a task executes before yielding its worker, so thousands
 /// of compute-heavy tasks share the pool fairly.
@@ -47,70 +48,11 @@ const QUANTUM: usize = 128;
 /// How long an idle worker sleeps between sweeps of parked tasks.
 const IDLE_SLEEP: Duration = Duration::from_micros(500);
 
-/// Configuration for the async executor.
-#[derive(Clone, Debug)]
-pub struct AsyncConfig {
-    /// Number of simulated processors (tasks).
-    pub nprocs: usize,
-    /// Worker threads; 0 means `min(available cores, nprocs)`.
-    pub workers: usize,
-    /// Checked runtime?
-    pub checked: bool,
-    /// How long a blocked receive may wait before the run is declared
-    /// timed out.
-    pub recv_timeout: Duration,
-    /// What to record in the execution trace.
-    pub trace: TraceConfig,
-    /// Fault-injection plan (inactive by default; `rto`/`delay` are
-    /// wall-clock microseconds on this backend).
-    pub faults: FaultPlan,
-    /// Cost model the redistribution planner prices schedules with (its
-    /// `mem_budget` bounds their staging); wall time is not modelled.
-    pub cost: CostModel,
-    /// Interconnect shape the planner prices schedules over.
-    pub topo: Topology,
-}
-
-impl AsyncConfig {
-    /// Defaults: auto-sized pool, checked, 5-second receive timeout, no
-    /// tracing, no faults.
-    pub fn new(nprocs: usize) -> AsyncConfig {
-        AsyncConfig {
-            nprocs,
-            workers: 0,
-            checked: true,
-            recv_timeout: Duration::from_secs(5),
-            trace: TraceConfig::off(),
-            faults: FaultPlan::none(),
-            cost: CostModel::default_1993(),
-            topo: Topology::Uniform,
-        }
-    }
-
-    /// Set the worker-pool size.
-    pub fn with_workers(mut self, workers: usize) -> AsyncConfig {
-        self.workers = workers;
-        self
-    }
-
-    /// Set the trace configuration.
-    pub fn with_trace(mut self, trace: TraceConfig) -> AsyncConfig {
-        self.trace = trace;
-        self
-    }
-
-    /// Set the fault-injection plan.
-    pub fn with_faults(mut self, faults: FaultPlan) -> AsyncConfig {
-        self.faults = faults;
-        self
-    }
-}
-
 /// The async executor. Mirrors [`crate::SimExec`]'s init/run/gather API;
 /// generic over the [`Processor`] implementation, so both the
 /// interpreter and the bytecode VM run on it unchanged.
 pub struct AsyncExec<P: Processor = Interp> {
-    cfg: AsyncConfig,
+    cfg: MachineConfig,
     interps: Vec<P>,
     plan_ctx: std::sync::Arc<PlanCtx>,
 }
@@ -120,7 +62,7 @@ impl AsyncExec {
     pub fn new(
         program: std::sync::Arc<Program>,
         kernels: KernelRegistry,
-        cfg: AsyncConfig,
+        cfg: MachineConfig,
     ) -> AsyncExec {
         let n = cfg.nprocs;
         let program = xdp_collectives::prepare_arc(program);
@@ -135,7 +77,7 @@ impl<P: Processor> AsyncExec<P> {
     /// Drive pre-built processors (one per pid, in pid order). The caller
     /// must have prepared the program identically on every processor; all
     /// of them join this machine's one planning context here.
-    pub fn from_procs(mut procs: Vec<P>, cfg: AsyncConfig) -> AsyncExec<P> {
+    pub fn from_procs(mut procs: Vec<P>, cfg: MachineConfig) -> AsyncExec<P> {
         assert_eq!(procs.len(), cfg.nprocs, "one processor per pid");
         let plan_ctx = crate::proc::join_machine(&mut procs, cfg.cost, cfg.topo.clone());
         AsyncExec {
@@ -276,7 +218,7 @@ impl<P: Processor> AsyncExec<P> {
 }
 
 impl<P: Processor> Machine for AsyncExec<P> {
-    fn init_exclusive(&mut self, var: VarId, f: impl Fn(&[i64]) -> Value) {
+    fn init_exclusive(&mut self, var: VarId, f: &dyn Fn(&[i64]) -> Value) {
         AsyncExec::init_exclusive(self, var, f)
     }
 
@@ -743,11 +685,13 @@ fn run_quantum<P: Processor>(sh: &Shared<'_, P>, task: &mut Task<'_, P>, pid: us
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{SimConfig, SimExec};
+    use crate::SimExec;
     use std::sync::Arc;
+    use xdp_fault::FaultPlan;
     use xdp_ir::build as b;
     use xdp_ir::{DimDist, ElemType, ProcGrid};
-    use xdp_trace::TraceKind;
+    use xdp_machine::Topology;
+    use xdp_trace::{TraceConfig, TraceKind};
 
     /// Block-distributed A and cyclic B: every A[i] += B[i] via messages.
     fn simple(n: i64, nprocs: usize) -> (Arc<Program>, VarId, VarId) {
@@ -805,7 +749,7 @@ mod tests {
     fn async_simple_example() {
         let n = 16;
         let (prog, a, bb) = simple(n, 4);
-        let mut exec = AsyncExec::new(prog, KernelRegistry::standard(), AsyncConfig::new(4));
+        let mut exec = AsyncExec::new(prog, KernelRegistry::standard(), MachineConfig::new(4));
         exec.init_exclusive(a, |idx| Value::F64(idx[0] as f64));
         exec.init_exclusive(bb, |idx| Value::F64(100.0 * idx[0] as f64));
         let report = exec.run().unwrap();
@@ -822,7 +766,7 @@ mod tests {
         // Same refusal as `SimExec::run`: the planner must not price hops
         // for the two pids a 2x2 mesh has no coordinates for.
         let (prog, ..) = simple(12, 6);
-        let mut cfg = AsyncConfig::new(6);
+        let mut cfg = MachineConfig::new(6);
         cfg.topo = Topology::Mesh2D { rows: 2, cols: 2 };
         match AsyncExec::new(prog, KernelRegistry::standard(), cfg).run() {
             Err(RtError::Topology(d)) => assert!(d.contains("pids 4..5"), "{d}"),
@@ -837,13 +781,16 @@ mod tests {
         let mut aexec = AsyncExec::new(
             prog.clone(),
             KernelRegistry::standard(),
-            AsyncConfig::new(3).with_workers(2),
+            MachineConfig {
+                workers: 2,
+                ..MachineConfig::new(3)
+            },
         );
         aexec.init_exclusive(a, |idx| Value::F64(idx[0] as f64));
         aexec.init_exclusive(bb, |idx| Value::F64(idx[0] as f64 * 0.5));
         aexec.run().unwrap();
 
-        let mut sexec = SimExec::new(prog, KernelRegistry::standard(), SimConfig::new(3));
+        let mut sexec = SimExec::new(prog, KernelRegistry::standard(), MachineConfig::new(3));
         sexec.init_exclusive(a, |idx| Value::F64(idx[0] as f64));
         sexec.init_exclusive(bb, |idx| Value::F64(idx[0] as f64 * 0.5));
         sexec.run().unwrap();
@@ -861,7 +808,7 @@ mod tests {
         let mut exec = AsyncExec::new(
             prog,
             KernelRegistry::standard(),
-            AsyncConfig::new(2).with_trace(TraceConfig::full()),
+            MachineConfig::new(2).with_trace(TraceConfig::full()),
         );
         exec.init_exclusive(a, |_| Value::F64(0.0));
         exec.init_exclusive(bb, |_| Value::F64(1.0));
@@ -882,7 +829,7 @@ mod tests {
         let mut sexec = SimExec::new(
             prog.clone(),
             KernelRegistry::standard(),
-            SimConfig::new(3).with_trace(TraceConfig::full()),
+            MachineConfig::new(3).with_trace(TraceConfig::full()),
         );
         sexec.init_exclusive(a, |idx| Value::F64(idx[0] as f64));
         sexec.init_exclusive(bb, |idx| Value::F64(idx[0] as f64));
@@ -891,7 +838,7 @@ mod tests {
         let mut aexec = AsyncExec::new(
             prog,
             KernelRegistry::standard(),
-            AsyncConfig::new(3).with_trace(TraceConfig::full()),
+            MachineConfig::new(3).with_trace(TraceConfig::full()),
         );
         aexec.init_exclusive(a, |idx| Value::F64(idx[0] as f64));
         aexec.init_exclusive(bb, |idx| Value::F64(idx[0] as f64));
@@ -923,10 +870,10 @@ mod tests {
             if awaited {
                 p.body.push(b::guarded(b::await_(mine), vec![]));
             }
-            let cfg = AsyncConfig {
+            let cfg = MachineConfig {
                 recv_timeout: Duration::from_millis(50),
                 workers: 1,
-                ..AsyncConfig::new(2)
+                ..MachineConfig::new(2)
             };
             AsyncExec::new(Arc::new(p), KernelRegistry::standard(), cfg)
                 .run()
@@ -958,7 +905,7 @@ mod tests {
         let mut clean = AsyncExec::new(
             prog.clone(),
             KernelRegistry::standard(),
-            AsyncConfig::new(3),
+            MachineConfig::new(3),
         );
         clean.init_exclusive(a, |idx| Value::F64(idx[0] as f64));
         clean.init_exclusive(bb, |idx| Value::F64(idx[0] as f64 * 0.5));
@@ -978,7 +925,7 @@ mod tests {
         let mut chaos = AsyncExec::new(
             prog,
             KernelRegistry::standard(),
-            AsyncConfig::new(3).with_faults(plan),
+            MachineConfig::new(3).with_faults(plan),
         );
         chaos.init_exclusive(a, |idx| Value::F64(idx[0] as f64));
         chaos.init_exclusive(bb, |idx| Value::F64(idx[0] as f64 * 0.5));
@@ -1001,9 +948,9 @@ mod tests {
         let mut exec = AsyncExec::new(
             prog,
             KernelRegistry::standard(),
-            AsyncConfig {
+            MachineConfig {
                 recv_timeout: Duration::from_secs(2),
-                ..AsyncConfig::new(4)
+                ..MachineConfig::new(4)
             }
             .with_faults(plan),
         );
@@ -1043,7 +990,10 @@ mod tests {
         let mut exec = AsyncExec::new(
             prog,
             KernelRegistry::standard(),
-            AsyncConfig::new(nprocs).with_workers(8),
+            MachineConfig {
+                workers: 8,
+                ..MachineConfig::new(nprocs)
+            },
         );
         exec.init_exclusive(t, |idx| Value::F64(idx[0] as f64 * 3.0));
         let report = exec.run().unwrap();

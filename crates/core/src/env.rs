@@ -75,6 +75,10 @@ pub enum RtError {
     /// The OS refused to spawn even one worker thread for the async
     /// executor's pool.
     SpawnFailed(String),
+    /// The machine was handed a [`crate::MachineConfig`] setting it cannot
+    /// honour (the reference executor and a fault plan); it refuses the
+    /// run rather than ignore the setting.
+    Unsupported(String),
 }
 
 impl From<SymtabError> for RtError {
@@ -112,6 +116,7 @@ impl std::fmt::Display for RtError {
             RtError::MessageLost(d) => write!(f, "message lost:\n{d}"),
             RtError::Topology(d) => write!(f, "topology mismatch:\n{d}"),
             RtError::SpawnFailed(d) => write!(f, "thread spawn failed:\n{d}"),
+            RtError::Unsupported(d) => write!(f, "unsupported machine configuration: {d}"),
         }
     }
 }

@@ -15,6 +15,7 @@
 //!   processor, M:N over a fixed worker pool, for real-parallel
 //!   measurement, cross-validation, and machines of thousands of
 //!   processors.
+//! * [`MachineConfig`] — the one description every machine is built from.
 //! * [`Machine`] — the run protocol both offer (init, run to an
 //!   [`ExecReport`], gather), and [`Recorder`] — the one place their
 //!   trace events (see `xdp-trace`) are built.
@@ -23,7 +24,7 @@
 //!
 //! ```
 //! use std::sync::Arc;
-//! use xdp_core::{KernelRegistry, SimConfig, SimExec};
+//! use xdp_core::{KernelRegistry, MachineConfig, SimExec};
 //! use xdp_ir::build as b;
 //! use xdp_ir::{DimDist, ElemType, ProcGrid, Program};
 //! use xdp_runtime::Value;
@@ -38,7 +39,7 @@
 //! p.body = vec![b::assign(mine.clone(), b::val(mine.clone()).add(b::val(mine)))];
 //!
 //! let mut exec = SimExec::new(Arc::new(p), KernelRegistry::standard(),
-//!     SimConfig::new(2));
+//!     MachineConfig::new(2));
 //! exec.init_exclusive(a, |idx| Value::F64(idx[0] as f64));
 //! let report = exec.run().unwrap();
 //! assert_eq!(exec.gather(a).get(&[5]).unwrap().as_f64(), 10.0);
@@ -46,6 +47,7 @@
 //! ```
 
 pub mod async_exec;
+pub mod config;
 pub mod env;
 pub mod interp;
 pub mod kernels;
@@ -55,22 +57,29 @@ pub mod report;
 pub mod sim_exec;
 pub mod transfer;
 
-pub use async_exec::{AsyncConfig, AsyncExec};
+pub use async_exec::AsyncExec;
+pub use config::{MachineConfig, MachineKind};
 pub use env::{OpCounts, ProcEnv, RtError, RuleVal};
 pub use interp::{Action, Interp, StepNote, StepOut};
 pub use kernels::{Kernel, KernelRegistry};
 pub use proc::{Machine, Processor};
 pub use recorder::Recorder;
 pub use report::{ExecReport, Gathered, ProcReport, ThreadReport};
-pub use sim_exec::{SimConfig, SimExec};
+pub use sim_exec::SimExec;
 pub use xdp_trace as trace;
 pub use xdp_trace::{CriticalPathReport, Trace, TraceConfig, TraceEvent, TraceKind, WaitCause};
 
-/// The thread-per-processor machine was deleted (DESIGN §2.19); these two
-/// names survive only because `benchmark/src/prims.rs`, which a code PR
-/// may not edit, builds its `core.thread.ring64_us` probe from them. The
-/// benchmark PR that drops that probe deletes them.
+/// Names `benchmark/`, which a code PR may not edit, still imports: the
+/// two config types folded into [`MachineConfig`] (DESIGN §2.25) and the
+/// deleted thread-per-processor machine (§2.19), whose
+/// `core.thread.ring64_us` probe is built from the last two. Nothing in
+/// this repository says them (`tests/one_way.rs`); the benchmark PR that
+/// re-points its imports deletes all four.
+#[doc(hidden)]
+pub type SimConfig = MachineConfig;
+#[doc(hidden)]
+pub type AsyncConfig = MachineConfig;
+#[doc(hidden)]
+pub type ThreadConfig = MachineConfig;
 #[doc(hidden)]
 pub type ThreadExec<P = Interp> = AsyncExec<P>;
-#[doc(hidden)]
-pub type ThreadConfig = AsyncConfig;

@@ -104,11 +104,12 @@ pub fn gather<P: Processor>(procs: &[P], var: VarId) -> Gathered {
 /// A loaded machine seen through the one run protocol: initialize the
 /// arrays, run to an [`ExecReport`], gather the results. Whatever follows
 /// that protocol (`xdp_verify::Fingerprint::of_run`, the serving pool) is
-/// written once against this trait.
+/// written once against this trait — as `dyn Machine`, which is what
+/// `xdp_verify::machine` builds, so the initializer is a `&dyn Fn`.
 pub trait Machine {
     /// Set every element of exclusive array `var` to `f(index)` on its
     /// owner.
-    fn init_exclusive(&mut self, var: VarId, f: impl Fn(&[i64]) -> Value);
+    fn init_exclusive(&mut self, var: VarId, f: &dyn Fn(&[i64]) -> Value);
 
     /// Run to completion. A wall-clock machine reports its wall time in
     /// microseconds as `virtual_time`.

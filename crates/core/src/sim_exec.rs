@@ -6,6 +6,7 @@
 //! reproduce the exact same virtual timeline, message log, and final state
 //! on every run.
 
+use crate::config::MachineConfig;
 use crate::env::RtError;
 use crate::interp::{Action, Interp};
 use crate::kernels::KernelRegistry;
@@ -14,85 +15,14 @@ use crate::recorder::Recorder;
 use crate::report::{ExecReport, Gathered, ProcReport};
 use std::sync::Arc;
 use xdp_collectives::PlanCtx;
-use xdp_fault::FaultPlan;
 use xdp_ir::{Program, Section, VarId};
-use xdp_machine::{Completion, CostModel, SimNet, Topology};
+use xdp_machine::{Completion, SimNet};
 use xdp_runtime::Value;
-use xdp_trace::{Trace, TraceConfig, WaitCause};
+use xdp_trace::{Trace, WaitCause};
 
-/// Simulation parameters.
-#[derive(Clone, Debug)]
-pub struct SimConfig {
-    /// Number of processors.
-    pub nprocs: usize,
-    /// The machine cost model.
-    pub cost: CostModel,
-    /// Interconnect topology.
-    pub topo: Topology,
-    /// Enable the checked runtime (flags transitional reads etc.).
-    pub checked: bool,
-    /// What to record in the execution trace (costs memory; off by
-    /// default — tracing never perturbs the simulated timeline).
-    pub trace: TraceConfig,
-    /// Abort after this many interpreter steps (safety net).
-    pub max_steps: u64,
-    /// Fault-injection plan (inactive by default; `rto`/`delay` are
-    /// virtual time units on this backend).
-    pub faults: FaultPlan,
-}
-
-impl SimConfig {
-    /// A checked 1993-flavored machine of `nprocs` processors.
-    pub fn new(nprocs: usize) -> SimConfig {
-        SimConfig {
-            nprocs,
-            cost: CostModel::default_1993(),
-            topo: Topology::Uniform,
-            checked: true,
-            trace: TraceConfig::off(),
-            max_steps: 500_000_000,
-            faults: FaultPlan::none(),
-        }
-    }
-
-    /// Replace the cost model.
-    pub fn with_cost(mut self, cost: CostModel) -> SimConfig {
-        self.cost = cost;
-        self
-    }
-
-    /// Replace the topology.
-    pub fn with_topo(mut self, topo: Topology) -> SimConfig {
-        self.topo = topo;
-        self
-    }
-
-    /// Enable span recording (compat name: what the old timeline flag
-    /// captured — compute/comm-overhead/wait spans, no message edges).
-    pub fn with_timeline(mut self) -> SimConfig {
-        self.trace = TraceConfig::spans_only();
-        self
-    }
-
-    /// Set the trace configuration (use [`TraceConfig::full`] for
-    /// critical-path analysis and Chrome export).
-    pub fn with_trace(mut self, trace: TraceConfig) -> SimConfig {
-        self.trace = trace;
-        self
-    }
-
-    /// Disable the checked runtime.
-    pub fn unchecked(mut self) -> SimConfig {
-        self.checked = false;
-        self
-    }
-
-    /// Set the fault-injection plan.
-    pub fn with_faults(mut self, faults: FaultPlan) -> SimConfig {
-        self.faults = faults;
-        self
-    }
-}
+/// Interpreter steps after which a run is abandoned as a livelock. A
+/// constant beside the loop it guards, not a field: no caller ever set it.
+const MAX_STEPS: u64 = 500_000_000;
 
 #[derive(Clone, Debug, PartialEq)]
 enum PStatus {
@@ -111,7 +41,7 @@ enum PStatus {
 /// tree-walking [`Interp`]. Compiled backends construct via
 /// [`SimExec::from_procs`].
 pub struct SimExec<P: Processor = Interp> {
-    cfg: SimConfig,
+    cfg: MachineConfig,
     interps: Vec<P>,
     plan_ctx: Arc<PlanCtx>,
     clocks: Vec<f64>,
@@ -127,7 +57,7 @@ pub struct SimExec<P: Processor = Interp> {
 
 impl SimExec {
     /// Load `program` onto every processor of the configured machine.
-    pub fn new(program: Arc<Program>, kernels: KernelRegistry, cfg: SimConfig) -> SimExec {
+    pub fn new(program: Arc<Program>, kernels: KernelRegistry, cfg: MachineConfig) -> SimExec {
         let n = cfg.nprocs;
         // Refine segment shapes so planned redistributions move whole
         // segments (no-op for programs without `redistribute`).
@@ -150,7 +80,7 @@ impl<P: Processor> SimExec<P> {
     /// the program (`xdp_collectives::prepare_arc`) identically on every
     /// processor; all of them join this machine's one planning context
     /// here.
-    pub fn from_procs(mut procs: Vec<P>, cfg: SimConfig) -> SimExec<P> {
+    pub fn from_procs(mut procs: Vec<P>, cfg: MachineConfig) -> SimExec<P> {
         let n = cfg.nprocs;
         assert_eq!(procs.len(), n, "one processor per pid");
         let plan_ctx = crate::proc::join_machine(&mut procs, cfg.cost, cfg.topo.clone());
@@ -244,10 +174,9 @@ impl<P: Processor> SimExec<P> {
         let o = self.cfg.cost.cpu_overhead;
         loop {
             steps += 1;
-            if steps > self.cfg.max_steps {
+            if steps > MAX_STEPS {
                 return Err(RtError::Deadlock(format!(
-                    "step budget {} exhausted (livelock?)",
-                    self.cfg.max_steps
+                    "step budget {MAX_STEPS} exhausted (livelock?)"
                 )));
             }
             // Pick the runnable processor with the smallest (clock, pid).
@@ -452,7 +381,7 @@ impl<P: Processor> SimExec<P> {
 }
 
 impl<P: Processor> Machine for SimExec<P> {
-    fn init_exclusive(&mut self, var: VarId, f: impl Fn(&[i64]) -> Value) {
+    fn init_exclusive(&mut self, var: VarId, f: &dyn Fn(&[i64]) -> Value) {
         SimExec::init_exclusive(self, var, f)
     }
 
@@ -468,9 +397,11 @@ impl<P: Processor> Machine for SimExec<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use xdp_fault::FaultPlan;
     use xdp_ir::build as b;
     use xdp_ir::{DimDist, ElemType, ProcGrid};
-    use xdp_trace::TraceKind;
+    use xdp_machine::Topology;
+    use xdp_trace::{TraceConfig, TraceKind};
 
     /// The paper's §2.2 straightforward owner-computes translation of
     /// `do i: A[i] = A[i] + B[i]`.
@@ -530,7 +461,7 @@ mod tests {
     fn paper_simple_example_computes_correctly() {
         let n = 16;
         let (prog, a, bb) = paper_simple(n, 4);
-        let mut exec = SimExec::new(prog, KernelRegistry::standard(), SimConfig::new(4));
+        let mut exec = SimExec::new(prog, KernelRegistry::standard(), MachineConfig::new(4));
         exec.init_exclusive(a, |idx| Value::F64(idx[0] as f64));
         exec.init_exclusive(bb, |idx| Value::F64(100.0 * idx[0] as f64));
         let report = exec.run().unwrap();
@@ -551,7 +482,7 @@ mod tests {
         // so the run must refuse with the named diagnosis instead of
         // simulating garbage hop counts.
         let (prog, a, bb) = paper_simple(8, 6);
-        let cfg = SimConfig::new(6).with_topo(Topology::Mesh2D { rows: 2, cols: 2 });
+        let cfg = MachineConfig::new(6).with_topo(Topology::Mesh2D { rows: 2, cols: 2 });
         let mut exec = SimExec::new(prog, KernelRegistry::standard(), cfg);
         exec.init_exclusive(a, |idx| Value::F64(idx[0] as f64));
         exec.init_exclusive(bb, |idx| Value::F64(idx[0] as f64));
@@ -568,8 +499,11 @@ mod tests {
     fn determinism_same_program_same_timeline() {
         let (prog, a, bb) = paper_simple(12, 3);
         let run = || {
-            let mut exec =
-                SimExec::new(prog.clone(), KernelRegistry::standard(), SimConfig::new(3));
+            let mut exec = SimExec::new(
+                prog.clone(),
+                KernelRegistry::standard(),
+                MachineConfig::new(3),
+            );
             exec.init_exclusive(a, |idx| Value::F64(idx[0] as f64));
             exec.init_exclusive(bb, |idx| Value::F64(2.0 * idx[0] as f64));
             let r = exec.run().unwrap();
@@ -600,7 +534,11 @@ mod tests {
             b::recv_val(mine.clone(), mine.clone()),
             b::guarded(b::await_(mine.clone()), vec![]),
         ];
-        let mut exec = SimExec::new(Arc::new(p), KernelRegistry::standard(), SimConfig::new(2));
+        let mut exec = SimExec::new(
+            Arc::new(p),
+            KernelRegistry::standard(),
+            MachineConfig::new(2),
+        );
         match exec.run() {
             Err(RtError::Deadlock(d)) => {
                 assert!(d.contains("unmatched recv"), "{d}");
@@ -639,7 +577,11 @@ mod tests {
             xdp_ir::Stmt::Barrier,
             b::assign(mine.clone(), xdp_ir::ElemExpr::LitF(1.0)),
         ];
-        let mut exec = SimExec::new(Arc::new(p), KernelRegistry::standard(), SimConfig::new(2));
+        let mut exec = SimExec::new(
+            Arc::new(p),
+            KernelRegistry::standard(),
+            MachineConfig::new(2),
+        );
         let r = exec.run().unwrap();
         // P1 waited at the barrier for P0's work.
         assert!(r.procs[1].wait > 0.0, "{:?}", r.procs);
@@ -653,7 +595,7 @@ mod tests {
         let mut exec = SimExec::new(
             prog,
             KernelRegistry::standard(),
-            SimConfig::new(2).with_timeline(),
+            MachineConfig::new(2).with_timeline(),
         );
         exec.init_exclusive(a, |_| Value::F64(0.0));
         exec.init_exclusive(bb, |_| Value::F64(1.0));
@@ -670,7 +612,7 @@ mod tests {
         let mut exec = SimExec::new(
             prog,
             KernelRegistry::standard(),
-            SimConfig::new(2).with_trace(TraceConfig::full()),
+            MachineConfig::new(2).with_trace(TraceConfig::full()),
         );
         exec.init_exclusive(a, |_| Value::F64(0.0));
         exec.init_exclusive(bb, |_| Value::F64(1.0));
@@ -710,7 +652,7 @@ mod tests {
             let mut exec = SimExec::new(
                 prog.clone(),
                 KernelRegistry::standard(),
-                SimConfig::new(4)
+                MachineConfig::new(4)
                     .with_trace(TraceConfig::full())
                     .with_faults(faults),
             );
@@ -767,7 +709,7 @@ mod tests {
         let mut exec = SimExec::new(
             prog,
             KernelRegistry::standard(),
-            SimConfig::new(2).with_faults(plan),
+            MachineConfig::new(2).with_faults(plan),
         );
         exec.init_exclusive(a, |idx| Value::F64(idx[0] as f64));
         exec.init_exclusive(bb, |idx| Value::F64(idx[0] as f64));
@@ -782,7 +724,7 @@ mod tests {
     #[test]
     fn gather_reports_owners() {
         let (prog, a, bb) = paper_simple(8, 2);
-        let mut exec = SimExec::new(prog, KernelRegistry::standard(), SimConfig::new(2));
+        let mut exec = SimExec::new(prog, KernelRegistry::standard(), MachineConfig::new(2));
         exec.init_exclusive(a, |_| Value::F64(0.0));
         exec.init_exclusive(bb, |_| Value::F64(1.0));
         exec.run().unwrap();

@@ -2,7 +2,7 @@
 //! runtime diagnostics, and interpreter edge cases.
 
 use std::sync::Arc;
-use xdp_core::{KernelRegistry, RtError, SimConfig, SimExec, TraceKind};
+use xdp_core::{KernelRegistry, MachineConfig, RtError, SimExec, TraceKind};
 use xdp_ir::build as b;
 use xdp_ir::{CmpOp, DimDist, ElemType, ProcGrid, Program, Stmt, TransferKind, VarId};
 use xdp_runtime::Value;
@@ -37,7 +37,11 @@ fn negative_step_loop() {
             ],
         ),
     ];
-    let mut exec = SimExec::new(Arc::new(p), KernelRegistry::standard(), SimConfig::new(1));
+    let mut exec = SimExec::new(
+        Arc::new(p),
+        KernelRegistry::standard(),
+        MachineConfig::new(1),
+    );
     exec.run().unwrap();
     let g = exec.gather(a);
     // i runs 5,4,3,2,1 while k runs 1..5.
@@ -62,7 +66,11 @@ fn zero_trip_loop_and_empty_guard() {
         ),
         b::guarded(xdp_ir::BoolExpr::True, vec![]),
     ];
-    let mut exec = SimExec::new(Arc::new(p), KernelRegistry::standard(), SimConfig::new(1));
+    let mut exec = SimExec::new(
+        Arc::new(p),
+        KernelRegistry::standard(),
+        MachineConfig::new(1),
+    );
     exec.run().unwrap();
     assert_eq!(exec.gather(a).get(&[1]).unwrap().as_i64(), 0);
 }
@@ -78,7 +86,11 @@ fn zero_step_loop_is_an_error() {
         b::c(0),
         vec![b::assign(ai, xdp_ir::ElemExpr::LitI(1))],
     )];
-    let mut exec = SimExec::new(Arc::new(p), KernelRegistry::standard(), SimConfig::new(1));
+    let mut exec = SimExec::new(
+        Arc::new(p),
+        KernelRegistry::standard(),
+        MachineConfig::new(1),
+    );
     assert!(matches!(exec.run(), Err(RtError::ZeroStep)));
 }
 
@@ -105,7 +117,11 @@ fn universal_scalars_diverge_per_processor() {
         ),
         b::assign(mine, b::val(u1)),
     ];
-    let mut exec = SimExec::new(Arc::new(p), KernelRegistry::standard(), SimConfig::new(4));
+    let mut exec = SimExec::new(
+        Arc::new(p),
+        KernelRegistry::standard(),
+        MachineConfig::new(4),
+    );
     exec.run().unwrap();
     let g = exec.gather(a);
     for pid in 0..4i64 {
@@ -151,7 +167,7 @@ fn timeline_invariants() {
     let mut exec = SimExec::new(
         Arc::new(p),
         KernelRegistry::standard(),
-        SimConfig::new(3).with_timeline(),
+        MachineConfig::new(3).with_timeline(),
     );
     let r = exec.run().unwrap();
     assert!(r.virtual_time > 0.0);
@@ -177,7 +193,13 @@ fn timeline_invariants() {
 fn deterministic_virtual_time_and_traffic() {
     use xdp_apps::fft3d::{run_stage, Fft3dConfig, Stage};
     let run = || {
-        let r = run_stage(Fft3dConfig::new(8, 4), Stage::V2Fused, SimConfig::new(4), 3).unwrap();
+        let r = run_stage(
+            Fft3dConfig::new(8, 4),
+            Stage::V2Fused,
+            MachineConfig::new(4),
+            3,
+        )
+        .unwrap();
         (
             r.virtual_time.to_bits(),
             r.net.messages,
@@ -222,7 +244,11 @@ fn mismatched_transfer_kind_is_flagged() {
             ],
         ),
     ];
-    let mut exec = SimExec::new(Arc::new(p), KernelRegistry::standard(), SimConfig::new(2));
+    let mut exec = SimExec::new(
+        Arc::new(p),
+        KernelRegistry::standard(),
+        MachineConfig::new(2),
+    );
     match exec.run() {
         Err(RtError::BadTransfer { detail, .. }) => {
             assert!(detail.contains("matched a Ownership send"), "{detail}");
@@ -255,7 +281,11 @@ fn two_dimensional_grid_program() {
         quad.clone(),
         b::val(quad.clone()).mul(xdp_ir::ElemExpr::FromInt(b::mypid().add(b::c(1)))),
     )];
-    let mut exec = SimExec::new(Arc::new(p), KernelRegistry::standard(), SimConfig::new(4));
+    let mut exec = SimExec::new(
+        Arc::new(p),
+        KernelRegistry::standard(),
+        MachineConfig::new(4),
+    );
     exec.init_exclusive(a, |_| Value::F64(1.0));
     let r = exec.run().unwrap();
     assert_eq!(r.net.messages, 0);
@@ -326,7 +356,7 @@ fn accessible_enables_background_computation() {
     let mut exec = SimExec::new(
         Arc::new(p),
         KernelRegistry::standard(),
-        SimConfig::new(2).unchecked(), // background kernel touches the slot
+        MachineConfig::new(2).unchecked(), // background kernel touches the slot
     );
     let r = exec.run().unwrap();
     // P1 filled its waiting time with background work: its wait is a small
@@ -375,7 +405,11 @@ fn nonconformable_send_recv_pair_is_an_error_not_a_panic() {
             ],
         ),
     ];
-    let mut exec = SimExec::new(Arc::new(p), KernelRegistry::standard(), SimConfig::new(2));
+    let mut exec = SimExec::new(
+        Arc::new(p),
+        KernelRegistry::standard(),
+        MachineConfig::new(2),
+    );
     match exec.run() {
         Err(RtError::Symtab(xdp_runtime::symtab::SymtabError::SizeMismatch {
             payload, ..
@@ -414,7 +448,11 @@ fn surplus_ownership_claimants_are_diagnosed() {
             ],
         ),
     ];
-    let mut exec = SimExec::new(Arc::new(p), KernelRegistry::standard(), SimConfig::new(3));
+    let mut exec = SimExec::new(
+        Arc::new(p),
+        KernelRegistry::standard(),
+        MachineConfig::new(3),
+    );
     match exec.run() {
         Err(RtError::Deadlock(d)) => {
             assert!(d.contains("unmatched recv"), "{d}");
@@ -449,7 +487,11 @@ fn deadlock_diagnosis_includes_program_positions() {
             ],
         )],
     )];
-    let mut exec = SimExec::new(Arc::new(p), KernelRegistry::standard(), SimConfig::new(2));
+    let mut exec = SimExec::new(
+        Arc::new(p),
+        KernelRegistry::standard(),
+        MachineConfig::new(2),
+    );
     match exec.run() {
         Err(RtError::Deadlock(d)) => {
             assert!(d.contains("do i=1"), "position missing: {d}");

@@ -5,12 +5,12 @@
 //! `xdp_trace::Trace::movement_multiset`), whatever the cost model.
 
 use std::sync::Arc;
-use xdp_core::{AsyncConfig, AsyncExec, KernelRegistry, Machine, SimConfig, SimExec, TraceConfig};
+use xdp_core::{AsyncExec, KernelRegistry, Machine, MachineConfig, SimExec, TraceConfig};
 use xdp_ir::build as b;
 use xdp_ir::{DimDist, Distribution, ElemType, ProcGrid, Program, VarId};
 use xdp_machine::CostModel;
 use xdp_runtime::Value;
-use xdp_verify::lockstep::{Lockstep, LockstepConfig};
+use xdp_verify::lockstep::Lockstep;
 
 /// Block-distributed A and cyclic B: every A[i] += B[i] via messages.
 fn message_program(n: i64, nprocs: usize) -> (Arc<Program>, VarId, VarId) {
@@ -87,13 +87,13 @@ fn redistribute_program(n: i64, nprocs: usize) -> (Arc<Program>, VarId) {
 /// The movement multiset of one fully traced run on any machine.
 fn multiset(mut exec: impl Machine, init: &[(VarId, f64)]) -> Vec<String> {
     for &(v, x) in init {
-        exec.init_exclusive(v, move |idx| Value::F64(x * idx[0] as f64));
+        exec.init_exclusive(v, &move |idx| Value::F64(x * idx[0] as f64));
     }
     exec.run_report().unwrap().trace.movement_multiset()
 }
 
 fn sim_multiset(prog: &Arc<Program>, nprocs: usize, init: &[(VarId, f64)]) -> Vec<String> {
-    let cfg = SimConfig::new(nprocs).with_trace(TraceConfig::full());
+    let cfg = MachineConfig::new(nprocs).with_trace(TraceConfig::full());
     multiset(
         SimExec::new(prog.clone(), KernelRegistry::standard(), cfg),
         init,
@@ -101,7 +101,7 @@ fn sim_multiset(prog: &Arc<Program>, nprocs: usize, init: &[(VarId, f64)]) -> Ve
 }
 
 fn thread_multiset(prog: &Arc<Program>, nprocs: usize, init: &[(VarId, f64)]) -> Vec<String> {
-    let cfg = AsyncConfig::new(nprocs).with_trace(TraceConfig::full());
+    let cfg = MachineConfig::new(nprocs).with_trace(TraceConfig::full());
     multiset(
         AsyncExec::new(prog.clone(), KernelRegistry::standard(), cfg),
         init,
@@ -142,18 +142,15 @@ fn every_machine_agrees_on_simple_xdp_under_any_cost_model() {
     let k = KernelRegistry::standard;
     let traced = TraceConfig::full();
 
-    let lockstep = multiset(
-        Lockstep::new(prog.clone(), k(), LockstepConfig::new(4)),
-        &init,
-    );
+    let cfg = MachineConfig::new(4).with_trace(traced);
+    let lockstep = multiset(Lockstep::new(prog.clone(), k(), cfg.clone()), &init);
     assert_eq!(lockstep.len(), 64, "16 transfers x 4 movement events");
-    let tasks = AsyncConfig::new(4).with_trace(traced);
     assert_eq!(
-        multiset(AsyncExec::new(prog.clone(), k(), tasks), &init),
+        multiset(AsyncExec::new(prog.clone(), k(), cfg), &init),
         lockstep
     );
     for cost in [CostModel::default_1993(), CostModel::zero_comm()] {
-        let cfg = SimConfig::new(4).with_trace(traced).with_cost(cost);
+        let cfg = MachineConfig::new(4).with_trace(traced).with_cost(cost);
         assert_eq!(
             multiset(SimExec::new(prog.clone(), k(), cfg), &init),
             lockstep,
@@ -170,7 +167,7 @@ fn chrome_export_of_real_run_is_valid_json() {
     let mut exec = SimExec::new(
         prog,
         KernelRegistry::standard(),
-        SimConfig::new(nprocs).with_trace(TraceConfig::full()),
+        MachineConfig::new(nprocs).with_trace(TraceConfig::full()),
     );
     exec.init_exclusive(a, |idx| Value::F64(idx[0] as f64));
     exec.init_exclusive(bb, |idx| Value::F64(2.0 * idx[0] as f64));

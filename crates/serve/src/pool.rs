@@ -4,8 +4,9 @@
 //! [`run_batch`](ServePool::run_batch) fans a slice of requests across a
 //! scoped thread pool: workers claim requests through an atomic cursor,
 //! resolve each through the shared cache, then execute on a
-//! **private** machine instance — a [`SimExec`] or, under
-//! [`PoolMachine::Tasks`], an [`AsyncExec`]. Per-run isolation is structural —
+//! **private** machine instance — an [`xdp_core::SimExec`] or, under
+//! [`PoolMachine::Tasks`], an [`xdp_core::AsyncExec`], built by
+//! [`xdp_verify::machine`]. Per-run isolation is structural —
 //! nothing but the immutable `Arc<Program>` is shared between runs — so
 //! a request's [`Fingerprint`] is bit-identical whether it ran solo,
 //! sequentially, or interleaved with the rest of a batch. The
@@ -33,8 +34,7 @@ use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
-use xdp_compiler::Backend;
-use xdp_core::{AsyncConfig, AsyncExec, ExecReport, Machine, SimConfig, SimExec};
+use xdp_core::{ExecReport, MachineConfig};
 use xdp_metrics::{FlightConfig, FlightRecord, FlightRecorder, MetricsRegistry, MetricsSnapshot};
 use xdp_trace::{Trace, TraceConfig};
 use xdp_verify::Fingerprint;
@@ -75,23 +75,9 @@ pub struct RunOutcome {
     pub execute_us: u64,
 }
 
-/// Which machine executes requests.
-///
-/// * [`Sim`](PoolMachine::Sim) (default) — the deterministic virtual-time
-///   simulator: `virtual_time` is the modelled completion time and runs
-///   are bit-reproducible.
-/// * [`Tasks`](PoolMachine::Tasks) — the async task-per-processor
-///   executor: real parallel execution that scales to thousands of
-///   simulated processors per request; `virtual_time` reports wall-clock
-///   microseconds. Final memory, data movement, and message counts are
-///   conformant with the simulator (the fingerprint's state digest is
-///   wall-clock-ordered and therefore its own, weaker check).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum PoolMachine {
-    #[default]
-    Sim,
-    Tasks,
-}
+/// Which machine executes requests: [`xdp_core::MachineKind`] under the
+/// name `benchmark/` imports.
+pub use xdp_core::MachineKind as PoolMachine;
 
 /// What [`ServePool::resolve`] hands back: the artifact and this
 /// request's share of [`RunOutcome`].
@@ -436,62 +422,31 @@ impl ServePool {
     }
 }
 
-/// Execute a cached program on a fresh, private machine instance.
-/// Returns the outcome plus the full run report (the caller folds its
+/// Execute a cached program on a fresh, private machine instance:
+/// initialize, run and fingerprint by the one run protocol — identical
+/// for either backend (the VM's conformance contract is what makes the
+/// cache-key split the only observable difference) and either machine (on
+/// the task machine `virtual_time` is wall-clock microseconds). Returns
+/// the outcome plus the full run report (the caller folds its
 /// network/fault counters into metrics and may hand its trace to the
 /// flight recorder without cloning).
 fn execute(
-    cached: &Arc<CachedProgram>,
+    cached: &CachedProgram,
     machine: PoolMachine,
 ) -> Result<(RunOutcome, ExecReport), ServeError> {
     let compiled = &cached.compiled;
-    match machine {
-        PoolMachine::Sim => {
-            let mut cfg = SimConfig::new(compiled.nprocs).with_trace(TraceConfig::full());
-            cfg.cost.mem_budget = compiled.mem_budget;
-            if cached.faults.is_active() {
-                cfg = cfg.with_faults(cached.faults.clone());
-            }
-            match compiled.backend {
-                Backend::Interp => finish_run(
-                    cached,
-                    SimExec::new(compiled.program.clone(), xdp_apps::app_kernels(), cfg),
-                ),
-                Backend::Vm => finish_run(
-                    cached,
-                    xdp_vm::VmExec::sim(compiled.program.clone(), xdp_apps::app_kernels(), cfg),
-                ),
-            }
-        }
-        PoolMachine::Tasks => {
-            let mut cfg = AsyncConfig::new(compiled.nprocs).with_trace(TraceConfig::full());
-            cfg.cost.mem_budget = compiled.mem_budget;
-            if cached.faults.is_active() {
-                cfg = cfg.with_faults(cached.faults.clone());
-            }
-            match compiled.backend {
-                Backend::Interp => finish_run(
-                    cached,
-                    AsyncExec::new(compiled.program.clone(), xdp_apps::app_kernels(), cfg),
-                ),
-                Backend::Vm => finish_run(
-                    cached,
-                    xdp_vm::VmExec::tasks(compiled.program.clone(), xdp_apps::app_kernels(), cfg),
-                ),
-            }
-        }
-    }
-}
-
-/// Initialize, run, and fingerprint by the one run protocol — identical
-/// for either backend (the VM's conformance contract is what makes the
-/// cache-key split the only observable difference) and either machine (on
-/// the task machine `virtual_time` is wall-clock microseconds).
-fn finish_run<M: Machine>(
-    cached: &Arc<CachedProgram>,
-    mut exec: M,
-) -> Result<(RunOutcome, ExecReport), ServeError> {
-    let (fingerprint, report) = Fingerprint::of_run(&mut exec, &cached.compiled.program.decls)
+    let mut cfg = MachineConfig::new(compiled.nprocs)
+        .with_trace(TraceConfig::full())
+        .with_faults(cached.faults.clone());
+    cfg.cost.mem_budget = compiled.mem_budget;
+    let mut exec = xdp_verify::machine(
+        machine,
+        compiled.backend,
+        compiled.program.clone(),
+        xdp_apps::app_kernels(),
+        cfg,
+    );
+    let (fingerprint, report) = Fingerprint::of_run(exec.as_mut(), &compiled.program.decls)
         .map_err(|e| ServeError::Run(e.to_string()))?;
     let outcome = RunOutcome {
         key: cached.key,
@@ -511,7 +466,7 @@ fn finish_run<M: Machine>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use xdp_compiler::{CompileOptions, SeqMode};
+    use xdp_compiler::{Backend, CompileOptions, SeqMode};
 
     fn spec(n: i64) -> RequestSpec {
         RequestSpec::new(format!(

@@ -22,15 +22,15 @@
 use std::sync::Arc;
 use std::time::Instant;
 use xdp_bench::table::{j, Table};
-use xdp_core::{AsyncConfig, AsyncExec, KernelRegistry, SimConfig, SimExec};
+use xdp_compiler::Backend;
+use xdp_core::{KernelRegistry, MachineConfig, MachineKind};
 use xdp_fault::{FaultPlan, LinkFault};
 use xdp_ir::build as b;
 use xdp_ir::{DimDist, ElemType, ProcGrid, Program, VarId};
 use xdp_runtime::Value;
 use xdp_verify::diff::{run_sim, run_vm};
 use xdp_verify::gen::executable_program;
-use xdp_verify::Fingerprint;
-use xdp_vm::VmExec;
+use xdp_verify::{machine, Fingerprint};
 
 const NPROCS: usize = 4;
 /// Wall-clock repetitions per leg; the minimum is reported.
@@ -77,27 +77,20 @@ fn min_wall(mut f: impl FnMut()) -> f64 {
         .fold(f64::INFINITY, f64::min)
 }
 
-fn interp_leg(p: &Arc<Program>, a: VarId) -> f64 {
+/// Wall seconds to build, initialize and run `p` on the simulator with
+/// `backend`'s processors.
+fn leg(backend: Backend, p: &Arc<Program>, a: VarId) -> f64 {
     min_wall(|| {
-        let mut exec = SimExec::new(
+        let cfg = MachineConfig::new(NPROCS);
+        let mut exec = machine(
+            MachineKind::Sim,
+            backend,
             p.clone(),
             KernelRegistry::standard(),
-            SimConfig::new(NPROCS),
+            cfg,
         );
-        exec.init_exclusive(a, |idx| Value::F64(idx[0] as f64));
-        exec.run().unwrap();
-    })
-}
-
-fn vm_leg(p: &Arc<Program>, a: VarId) -> f64 {
-    min_wall(|| {
-        let mut exec = VmExec::sim(
-            p.clone(),
-            KernelRegistry::standard(),
-            SimConfig::new(NPROCS),
-        );
-        exec.init_exclusive(a, |idx| Value::F64(idx[0] as f64));
-        exec.run().unwrap();
+        exec.init_exclusive(a, &|idx| Value::F64(idx[0] as f64));
+        exec.run_report().unwrap();
     })
 }
 
@@ -137,8 +130,8 @@ fn main() {
     );
     for &(n, sweeps) in legs {
         let (p, a) = local_sweeps(n, sweeps);
-        let interp_s = interp_leg(&p, a);
-        let vm_s = vm_leg(&p, a);
+        let interp_s = leg(Backend::Interp, &p, a);
+        let vm_s = leg(Backend::Vm, &p, a);
         let speedup = interp_s / vm_s;
         let floored = n >= 4096;
         let ok = !floored || speedup >= FLOOR;
@@ -178,11 +171,13 @@ fn main() {
             eprintln!("e15: seed {}: faulted fingerprint diverged", tp.seed);
             faulted_fail += 1;
         }
-        let cfg = AsyncConfig::new(tp.nprocs).with_trace(xdp_trace::TraceConfig::full());
-        let mut interp = AsyncExec::new(p.clone(), KernelRegistry::standard(), cfg.clone());
-        let mut vm = VmExec::tasks(p.clone(), KernelRegistry::standard(), cfg);
-        let ti = Fingerprint::of_run(&mut interp, &p.decls);
-        let tv = Fingerprint::of_run(&mut vm, &p.decls);
+        let cfg = MachineConfig::new(tp.nprocs).with_trace(xdp_trace::TraceConfig::full());
+        let on_tasks = |backend| {
+            let kernels = KernelRegistry::standard();
+            let mut exec = machine(MachineKind::Tasks, backend, p.clone(), kernels, cfg.clone());
+            Fingerprint::of_run(exec.as_mut(), &p.decls)
+        };
+        let (ti, tv) = (on_tasks(Backend::Interp), on_tasks(Backend::Vm));
         let same = match (&ti, &tv) {
             (Ok((a, _)), Ok((v, _))) => {
                 a.memory == v.memory && a.movement == v.movement && a.messages == v.messages

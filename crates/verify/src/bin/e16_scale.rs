@@ -23,9 +23,9 @@ use std::sync::Arc;
 use std::time::Instant;
 use xdp_bench::table::{j, Table};
 use xdp_collectives::planner::{plan, Strategy};
+use xdp_compiler::Backend;
 use xdp_core::{
-    AsyncConfig, AsyncExec, ExecReport, Gathered, KernelRegistry, Machine, RtError, SimConfig,
-    SimExec,
+    ExecReport, Gathered, KernelRegistry, Machine, MachineConfig, MachineKind, RtError,
 };
 use xdp_ir::build as b;
 use xdp_ir::{CmpOp, DimDist, Distribution, ElemType, ProcGrid, Program, Triplet, VarId};
@@ -34,8 +34,7 @@ use xdp_runtime::Value;
 use xdp_trace::TraceConfig;
 use xdp_verify::diff::{run_async, run_sim};
 use xdp_verify::gen::executable_program;
-use xdp_verify::Fingerprint;
-use xdp_vm::VmExec;
+use xdp_verify::{machine, Fingerprint};
 
 /// The scale leg's machine size.
 const NPROCS: usize = 4096;
@@ -86,13 +85,13 @@ fn ring_exchange(nprocs: usize) -> Arc<Program> {
 
 /// A machine that clocks its own run, so the wall column times the run
 /// alone and not the init, gather and fingerprint around it.
-struct Timed<M> {
-    inner: M,
+struct Timed {
+    inner: Box<dyn Machine>,
     run_secs: f64,
 }
 
-impl<M: Machine> Machine for Timed<M> {
-    fn init_exclusive(&mut self, var: VarId, f: impl Fn(&[i64]) -> Value) {
+impl Machine for Timed {
+    fn init_exclusive(&mut self, var: VarId, f: &dyn Fn(&[i64]) -> Value) {
         self.inner.init_exclusive(var, f)
     }
 
@@ -108,11 +107,17 @@ impl<M: Machine> Machine for Timed<M> {
     }
 }
 
-/// Fingerprint `prog` on `exec` by the one run protocol. Returns
-/// (fingerprint, wall seconds of the run, messages).
-fn fingerprint<M: Machine>(exec: M, prog: &Program) -> (Fingerprint, f64, u64) {
+/// Fingerprint `prog` on the fully traced `kind` machine of `backend`
+/// processors by the one run protocol. Returns (fingerprint, wall seconds
+/// of the run, messages).
+fn fingerprint(
+    kind: MachineKind,
+    backend: Backend,
+    prog: &Arc<Program>,
+) -> (Fingerprint, f64, u64) {
+    let cfg = MachineConfig::new(NPROCS).with_trace(TraceConfig::full());
     let mut exec = Timed {
-        inner: exec,
+        inner: machine(kind, backend, prog.clone(), KernelRegistry::standard(), cfg),
         run_secs: 0.0,
     };
     let (fp, report) = Fingerprint::of_run(&mut exec, &prog.decls).expect("run");
@@ -166,30 +171,9 @@ fn main() {
     // Part one: P=4096 on the async machine, interpreter and VM, against
     // the simulator baseline.
     let prog = ring_exchange(NPROCS);
-    let (base, sim_wall, sim_msgs) = fingerprint(
-        SimExec::new(
-            prog.clone(),
-            KernelRegistry::standard(),
-            SimConfig::new(NPROCS).with_trace(TraceConfig::full()),
-        ),
-        &prog,
-    );
-    let (afp, async_wall, _) = fingerprint(
-        AsyncExec::new(
-            prog.clone(),
-            KernelRegistry::standard(),
-            AsyncConfig::new(NPROCS).with_trace(TraceConfig::full()),
-        ),
-        &prog,
-    );
-    let (vfp, vm_wall, _) = fingerprint(
-        VmExec::tasks(
-            prog.clone(),
-            KernelRegistry::standard(),
-            AsyncConfig::new(NPROCS).with_trace(TraceConfig::full()),
-        ),
-        &prog,
-    );
+    let (base, sim_wall, sim_msgs) = fingerprint(MachineKind::Sim, Backend::Interp, &prog);
+    let (afp, async_wall, _) = fingerprint(MachineKind::Tasks, Backend::Interp, &prog);
+    let (vfp, vm_wall, _) = fingerprint(MachineKind::Tasks, Backend::Vm, &prog);
     let mut t = Table::new(
         &format!("E16: ring exchange at P={NPROCS} (timing-free fingerprint vs simulator)"),
         &["machine", "wall_ms", "messages", "conformant"],

@@ -31,15 +31,13 @@ use std::sync::Arc;
 use xdp_bench::table::{j, Table};
 use xdp_collectives::{plan, try_plan, FrontierPoint, PlanError, Strategy};
 use xdp_compiler::cli::{self, Args};
-use xdp_compiler::{compile, CompileOptions, SeqMode};
-use xdp_core::{KernelRegistry, Processor, SimConfig, SimExec};
+use xdp_compiler::{compile, Backend, CompileOptions, SeqMode};
+use xdp_core::{KernelRegistry, MachineConfig, MachineKind};
 use xdp_ir::build as b;
-use xdp_ir::{
-    Decl, DimDist, Distribution, ElemType, ProcGrid, Program, Section, Stmt, Triplet, VarId,
-};
+use xdp_ir::{DimDist, Distribution, ElemType, ProcGrid, Program, Section, Stmt, Triplet, VarId};
 use xdp_machine::{CostModel, Topology};
 use xdp_runtime::Value;
-use xdp_vm::VmExec;
+use xdp_verify::machine;
 
 /// Planner sweep sizes (square N=P transposes).
 const SWEEP: &[usize] = &[64, 256, 1024];
@@ -134,23 +132,21 @@ fn predicted_peak(p: &Program, cost: &CostModel, topo: &Topology) -> u64 {
     total
 }
 
-/// Deterministic per-element init, as the conformance suites use.
-fn init<P: Processor>(exec: &mut SimExec<P>, decls: &[Decl]) {
-    for (i, d) in decls.iter().enumerate() {
+/// Run `prog` on the simulator `cfg` describes (deterministic per-element
+/// init, as the conformance suites use) and return the measured
+/// redistribution high-water mark (bytes).
+fn measure(label: &str, backend: Backend, prog: &Arc<Program>, cfg: MachineConfig) -> u64 {
+    let kernels = KernelRegistry::standard();
+    let mut exec = machine(MachineKind::Sim, backend, prog.clone(), kernels, cfg);
+    for (i, d) in prog.decls.iter().enumerate() {
         if d.is_exclusive() {
             let full = Section::new(d.bounds.clone());
-            exec.init_exclusive(VarId(i as u32), move |idx| {
+            exec.init_exclusive(VarId(i as u32), &move |idx| {
                 Value::F64((full.ordinal_of(idx).unwrap_or(0) + 1) as f64)
             });
         }
     }
-}
-
-/// Run a program under `cfg` and return the measured redistribution
-/// high-water mark (bytes).
-fn measure<P: Processor>(label: &str, mut exec: SimExec<P>, decls: &[Decl]) -> u64 {
-    init(&mut exec, decls);
-    let report = exec.run().unwrap_or_else(|e| panic!("{label}: {e}"));
+    let report = exec.run_report().unwrap_or_else(|e| panic!("{label}: {e}"));
     report.net.redist_peak_bytes
 }
 
@@ -353,19 +349,11 @@ fn main() -> ExitCode {
     );
     let mut measured: Vec<u64> = Vec::new(); // interp high-water per leg
     for (leg, budget) in [("unbounded", u64::MAX), ("smallest-feasible", slim)] {
-        let mut cfg = SimConfig::new(MEASURED_P);
+        let mut cfg = MachineConfig::new(MEASURED_P);
         cfg.cost.mem_budget = Some(budget);
         let predicted = predicted_peak(&prog, &cfg.cost, &cfg.topo);
-        let mi = measure(
-            leg,
-            SimExec::new(prog.clone(), KernelRegistry::standard(), cfg.clone()),
-            &prog.decls,
-        );
-        let mv = measure(
-            leg,
-            VmExec::sim(prog.clone(), KernelRegistry::standard(), cfg),
-            &prog.decls,
-        );
+        let mi = measure(leg, Backend::Interp, &prog, cfg.clone());
+        let mv = measure(leg, Backend::Vm, &prog, cfg);
         let ok = mi > 0 && mv > 0 && mi <= predicted && mv <= predicted;
         if !ok {
             eprintln!("e17: {leg}: measured {mi}/{mv} B vs predicted {predicted} B");
@@ -463,19 +451,11 @@ fn main() -> ExitCode {
         }
     }
     let cprog = compiled.program.clone();
-    let mut cfg = SimConfig::new(compiled.nprocs);
+    let mut cfg = MachineConfig::new(compiled.nprocs);
     cfg.cost.mem_budget = Some(chain_budget.max(1));
     let predicted = predicted_peak(&cprog, &cfg.cost, &cfg.topo);
-    let mi = measure(
-        "membound chain",
-        SimExec::new(cprog.clone(), KernelRegistry::standard(), cfg.clone()),
-        &cprog.decls,
-    );
-    let mv = measure(
-        "membound chain",
-        VmExec::sim(cprog.clone(), KernelRegistry::standard(), cfg),
-        &cprog.decls,
-    );
+    let mi = measure("membound chain", Backend::Interp, &cprog, cfg.clone());
+    let mv = measure("membound chain", Backend::Vm, &cprog, cfg);
     let chain_ok = mi > 0 && mv > 0 && mi <= predicted && mv <= predicted;
     if !chain_ok {
         eprintln!("e17: membound chain leg: measured {mi}/{mv} B vs predicted {predicted} B");

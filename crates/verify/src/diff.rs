@@ -6,7 +6,9 @@
 //!    the compiled VM against the [`xdp_core::SimExec`] baseline on the
 //!    unoptimized program: full memory image, movement multiset, and
 //!    message count must agree (plus the section-state digest for the
-//!    deterministic backends).
+//!    deterministic backends). Under a redistribution memory budget the
+//!    simulator must keep the unbudgeted memory image and agree with an
+//!    equally budgeted `Lockstep` on everything.
 //! 2. **Per-pass equivalence** — every *prefix* of the default pass
 //!    pipeline, so the first pass that changes observable memory is named
 //!    as the culprit.
@@ -16,21 +18,26 @@
 //!
 //! Executor/pass panics are caught and reported as divergences rather
 //! than aborting a fuzz run.
+//!
+//! It is also where a machine gets built: [`machine`] is the one place
+//! the backend × machine matrix is spelled, and [`Fingerprint::of_run`]
+//! the one protocol a built machine is run by.
 
 use crate::fingerprint::{diff_lines, Fingerprint};
 use crate::gen::TestProgram;
-use crate::lockstep::{Lockstep, LockstepConfig};
+use crate::lockstep::Lockstep;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::Duration;
-use xdp_compiler::{Pass, PassManager};
+use xdp_compiler::{Backend, Pass, PassManager};
 use xdp_core::{
-    AsyncConfig, AsyncExec, ExecReport, KernelRegistry, Machine, RtError, SimConfig, SimExec,
+    AsyncExec, ExecReport, KernelRegistry, Machine, MachineConfig, MachineKind, RtError, SimExec,
     TraceConfig,
 };
 use xdp_fault::{FaultPlan, LinkFault};
 use xdp_ir::{Decl, Program, VarId};
 use xdp_runtime::Value;
+use xdp_vm::{VmProc, VmProgram};
 
 /// A detected disagreement. `key()` identifies the *kind* of failure so
 /// the shrinker can hold it fixed while deleting everything else.
@@ -46,9 +53,10 @@ pub enum Divergence {
     /// The faulty run disagrees with the lossless run.
     ChaosMismatch { detail: String },
     /// The run planned under a redistribution memory budget disagrees
-    /// with the unbudgeted run on observable memory. Budgeted plans may
+    /// with the unbudgeted run on observable memory — budgeted plans may
     /// legitimately move data differently (more rounds, sliced pieces),
-    /// but the final memory image must be identical.
+    /// but the final memory image must be identical — or with the
+    /// reference executor under the same budget on anything.
     MemBoundMismatch { detail: String },
 }
 
@@ -172,17 +180,51 @@ pub fn init_value(o: usize, idx: &[i64]) -> Value {
     Value::F64(v as f64)
 }
 
+/// Load `program` onto the machine `cfg` describes: interpreter or
+/// compiled-VM processors (`backend`) on the simulator or the task
+/// machine (`kind`). The one place the backend × machine matrix is
+/// spelled — the serving pool, `xdpc`, the oracles below and the
+/// experiments all build through it, so a `cfg` field cannot reach one
+/// arm and miss another. It lives here because this is the lowest crate
+/// that sees `Backend`, both processors and both machines.
+pub fn machine(
+    kind: MachineKind,
+    backend: Backend,
+    program: Arc<Program>,
+    kernels: KernelRegistry,
+    cfg: MachineConfig,
+) -> Box<dyn Machine> {
+    match backend {
+        Backend::Interp => match kind {
+            MachineKind::Sim => Box::new(SimExec::new(program, kernels, cfg)),
+            MachineKind::Tasks => Box::new(AsyncExec::new(program, kernels, cfg)),
+        },
+        Backend::Vm => {
+            // Compiled once; `VmProgram::compile` prepares redistributions
+            // the way `SimExec::new` / `AsyncExec::new` do.
+            let prog = VmProgram::compile(program, &kernels);
+            let procs = (0..cfg.nprocs)
+                .map(|pid| VmProc::new(prog.clone(), pid, cfg.nprocs, cfg.checked))
+                .collect();
+            match kind {
+                MachineKind::Sim => Box::new(SimExec::from_procs(procs, cfg)),
+                MachineKind::Tasks => Box::new(AsyncExec::from_procs(procs, cfg)),
+            }
+        }
+    }
+}
+
 impl Fingerprint {
     /// The one run protocol: initialize every declared array to
     /// [`init_value`], run, gather every array, and fingerprint memory,
     /// trace and message count. The report rides along for callers that
     /// also want times or counters.
-    pub fn of_run<M: Machine>(
-        exec: &mut M,
+    pub fn of_run(
+        exec: &mut dyn Machine,
         decls: &[Decl],
     ) -> Result<(Fingerprint, ExecReport), RtError> {
         for o in 0..decls.len() {
-            exec.init_exclusive(VarId(o as u32), move |idx| init_value(o, idx));
+            exec.init_exclusive(VarId(o as u32), &move |idx| init_value(o, idx));
         }
         let report = exec.run_report()?;
         let mut fp = Fingerprint::default();
@@ -197,10 +239,10 @@ impl Fingerprint {
 
 /// Fingerprint `p` on the machine `build` loads it onto, turning run
 /// errors and panics alike into the `Err` text.
-fn run_on<M: Machine>(p: &Arc<Program>, build: impl FnOnce(Arc<Program>) -> M) -> RunResult {
+fn run_on(p: &Arc<Program>, build: impl FnOnce(Arc<Program>) -> Box<dyn Machine>) -> RunResult {
     catch_unwind(AssertUnwindSafe(|| {
         let mut exec = build(p.clone());
-        match Fingerprint::of_run(&mut exec, &p.decls) {
+        match Fingerprint::of_run(exec.as_mut(), &p.decls) {
             Ok((fp, _)) => Ok(fp),
             Err(e) => Err(e.to_string()),
         }
@@ -208,14 +250,27 @@ fn run_on<M: Machine>(p: &Arc<Program>, build: impl FnOnce(Arc<Program>) -> M) -
     .unwrap_or_else(|e| Err(panic_text(e)))
 }
 
-/// The fully traced simulator configuration the oracles run under.
-fn sim_cfg(nprocs: usize, faults: Option<&FaultPlan>, mem_budget: Option<u64>) -> SimConfig {
-    let mut cfg = SimConfig::new(nprocs).with_trace(TraceConfig::full());
+/// The fully traced machine the oracles run on.
+fn oracle_cfg(nprocs: usize, faults: Option<&FaultPlan>, mem_budget: Option<u64>) -> MachineConfig {
+    let mut cfg = MachineConfig::new(nprocs).with_trace(TraceConfig::full());
     cfg.cost.mem_budget = mem_budget;
     if let Some(plan) = faults {
         cfg = cfg.with_faults(plan.clone());
     }
     cfg
+}
+
+/// Fingerprint `p` on the machine [`machine`] builds for `cfg`, with the
+/// kernels generated programs use.
+fn run_built(
+    p: &Arc<Program>,
+    kind: MachineKind,
+    backend: Backend,
+    cfg: MachineConfig,
+) -> RunResult {
+    run_on(p, |p| {
+        machine(kind, backend, p, KernelRegistry::standard(), cfg)
+    })
 }
 
 /// Run under the virtual-time simulator.
@@ -231,8 +286,8 @@ pub fn run_sim_budget(
     faults: Option<&FaultPlan>,
     mem_budget: Option<u64>,
 ) -> RunResult {
-    let cfg = sim_cfg(nprocs, faults, mem_budget);
-    run_on(p, |p| SimExec::new(p, KernelRegistry::standard(), cfg))
+    let cfg = oracle_cfg(nprocs, faults, mem_budget);
+    run_built(p, MachineKind::Sim, Backend::Interp, cfg)
 }
 
 /// Run the compiled VM backend under the virtual-time simulator. The VM
@@ -240,16 +295,16 @@ pub fn run_sim_budget(
 /// fingerprint must match the simulator baseline *exactly* — memory,
 /// movement, section states, and message count.
 pub fn run_vm(p: &Arc<Program>, nprocs: usize, faults: Option<&FaultPlan>) -> RunResult {
-    let cfg = sim_cfg(nprocs, faults, None);
-    run_on(p, |p| {
-        xdp_vm::VmExec::sim(p, KernelRegistry::standard(), cfg)
-    })
+    let cfg = oracle_cfg(nprocs, faults, None);
+    run_built(p, MachineKind::Sim, Backend::Vm, cfg)
 }
 
-/// Run under the lockstep executor.
-pub fn run_lockstep(p: &Arc<Program>, nprocs: usize) -> RunResult {
+/// Run under the lockstep executor, planning redistributions under
+/// `mem_budget` like the machine it is compared with.
+pub fn run_lockstep(p: &Arc<Program>, nprocs: usize, mem_budget: Option<u64>) -> RunResult {
+    let cfg = oracle_cfg(nprocs, None, mem_budget);
     run_on(p, |p| {
-        Lockstep::new(p, KernelRegistry::standard(), LockstepConfig::new(nprocs))
+        Box::new(Lockstep::new(p, KernelRegistry::standard(), cfg))
     })
 }
 
@@ -257,12 +312,11 @@ pub fn run_lockstep(p: &Arc<Program>, nprocs: usize) -> RunResult {
 /// pool; short receive timeout: divergent shrink candidates must fail
 /// fast).
 pub fn run_async(p: &Arc<Program>, nprocs: usize) -> RunResult {
-    let cfg = AsyncConfig {
+    let cfg = MachineConfig {
         recv_timeout: Duration::from_secs(2),
-        ..AsyncConfig::new(nprocs)
-    }
-    .with_trace(TraceConfig::full());
-    run_on(p, |p| AsyncExec::new(p, KernelRegistry::standard(), cfg))
+        ..oracle_cfg(nprocs, None, None)
+    };
+    run_built(p, MachineKind::Tasks, Backend::Interp, cfg)
 }
 
 /// Full differential check with the default configuration.
@@ -300,7 +354,7 @@ pub fn check_with(tp: &TestProgram, cfg: &CheckConfig) -> Option<Divergence> {
             detail,
         }),
     };
-    if let Some(d) = leg("lockstep", true, run_lockstep(&prog, tp.nprocs)) {
+    if let Some(d) = leg("lockstep", true, run_lockstep(&prog, tp.nprocs, None)) {
         return Some(d);
     }
     if cfg.async_exec {
@@ -315,22 +369,32 @@ pub fn check_with(tp: &TestProgram, cfg: &CheckConfig) -> Option<Divergence> {
     }
 
     // Memory-bounded planning conformance: re-run the simulator with the
-    // runtime redistribution planner under a budget. The budgeted plans
-    // may slice pieces across more rounds, so movement and message
-    // counts legitimately differ — but observable memory must not.
+    // runtime redistribution planner under a budget. Against the
+    // unbudgeted baseline the budgeted plans may slice pieces across more
+    // rounds, so movement and message counts legitimately differ — but
+    // observable memory must not. Against the reference planning under
+    // the same budget nothing may differ.
     if let Some(budget) = cfg.mem_budget {
-        match run_sim_budget(&prog, tp.nprocs, None, Some(budget)) {
-            Ok(fp) => {
-                if let Some(d) = diff_lines("memory", &base.memory_all(), &fp.memory_all()) {
-                    return Some(Divergence::MemBoundMismatch { detail: d });
-                }
-            }
+        let membound = |detail| Some(Divergence::MemBoundMismatch { detail });
+        let fp = match run_sim_budget(&prog, tp.nprocs, None, Some(budget)) {
+            Ok(fp) => fp,
             Err(e) => {
                 return Some(Divergence::RunError {
                     stage: "membound".into(),
                     detail: e,
                 })
             }
+        };
+        if let Some(d) = diff_lines("memory", &base.memory_all(), &fp.memory_all()) {
+            return membound(d);
+        }
+        match run_lockstep(&prog, tp.nprocs, Some(budget)) {
+            Ok(reference) => {
+                if let Some(d) = conform(&fp, &reference, true) {
+                    return membound(format!("budgeted sim vs budgeted lockstep: {d}"));
+                }
+            }
+            Err(e) => return membound(format!("budgeted lockstep failed: {e}")),
         }
     }
 

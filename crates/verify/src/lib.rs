@@ -13,7 +13,8 @@
 //!   differences;
 //! * [`fingerprint`] — the execution oracle: final per-processor memory
 //!   image, sorted movement multiset, and section-state digest;
-//! * [`diff`] — the differential driver, and the one run protocol
+//! * [`diff`] — the differential driver, the one builder of the
+//!   backend × machine matrix ([`machine`]) and the one run protocol
 //!   ([`Fingerprint::of_run`] from [`init_value`]) every fingerprinted run
 //!   follows: `Lockstep` vs [`xdp_core::SimExec`] vs
 //!   [`xdp_core::AsyncExec`] vs the compiled VM, every prefix of the
@@ -32,7 +33,7 @@ pub mod lockstep;
 pub mod shrink;
 
 pub use diff::{
-    check_program, check_with, default_passes, init_value, CheckConfig, Divergence,
+    check_program, check_with, default_passes, init_value, machine, CheckConfig, Divergence,
     DEFAULT_CHECK_BUDGET,
 };
 pub use fingerprint::Fingerprint;

@@ -16,49 +16,17 @@
 
 use std::sync::Arc;
 use xdp_core::{
-    Action, ExecReport, Gathered, Interp, KernelRegistry, Machine, ProcReport, Processor, Recorder,
-    RtError,
+    Action, ExecReport, Gathered, Interp, KernelRegistry, Machine, MachineConfig, ProcReport,
+    Processor, Recorder, RtError,
 };
 use xdp_ir::{Program, VarId};
-use xdp_machine::{CostModel, NetStats, Topology};
+use xdp_machine::NetStats;
 use xdp_runtime::{Msg, Tag, Value};
-use xdp_trace::{Trace, TraceConfig};
+use xdp_trace::Trace;
 
-/// Configuration for [`Lockstep`].
-#[derive(Clone, Debug)]
-pub struct LockstepConfig {
-    /// Number of processors.
-    pub nprocs: usize,
-    /// Checked runtime?
-    pub checked: bool,
-    /// What to record in the execution trace.
-    pub trace: TraceConfig,
-    /// Abort after this many scheduling rounds (runaway-program guard).
-    pub max_rounds: u64,
-}
-
-impl LockstepConfig {
-    /// Defaults: checked, full tracing (the fingerprint needs it).
-    pub fn new(nprocs: usize) -> LockstepConfig {
-        LockstepConfig {
-            nprocs,
-            checked: true,
-            trace: TraceConfig::full(),
-            max_rounds: 50_000_000,
-        }
-    }
-}
-
-/// Result of a lockstep run.
-#[derive(Debug)]
-pub struct LockstepReport {
-    /// Scheduling rounds taken.
-    pub rounds: u64,
-    /// Messages placed on the (virtual) wire, multicast copies included.
-    pub messages: u64,
-    /// Recorded trace; timestamps are round numbers.
-    pub trace: Trace,
-}
+/// Scheduling rounds after which a run is abandoned as runaway. A
+/// constant beside the loop it guards, not a field: no caller ever set it.
+const MAX_ROUNDS: u64 = 50_000_000;
 
 #[derive(Clone, Copy, PartialEq)]
 enum ProcState {
@@ -75,16 +43,19 @@ struct PendingSend {
 }
 
 /// The lockstep executor. Mirrors [`xdp_core::SimExec`]'s
-/// init/run/gather API.
+/// init/run/gather API and is built from the same [`MachineConfig`]: it
+/// plans redistributions under `cost` and `topo` like the machines it
+/// referees, has no clock for `recv_timeout` or `workers` to mean
+/// anything on, and refuses a fault plan.
 pub struct Lockstep {
-    cfg: LockstepConfig,
+    cfg: MachineConfig,
     interps: Vec<Interp>,
     rec: Recorder,
 }
 
 impl Lockstep {
     /// Load `program` onto every processor.
-    pub fn new(program: Arc<Program>, kernels: KernelRegistry, cfg: LockstepConfig) -> Lockstep {
+    pub fn new(program: Arc<Program>, kernels: KernelRegistry, cfg: MachineConfig) -> Lockstep {
         let program = xdp_collectives::prepare_arc(program);
         let mut interps: Vec<Interp> = (0..cfg.nprocs)
             .map(|pid| {
@@ -97,9 +68,7 @@ impl Lockstep {
                 )
             })
             .collect();
-        // No cost model to configure here: the machine plans with the 1993
-        // defaults — once, like every other driver.
-        xdp_core::proc::join_machine(&mut interps, CostModel::default_1993(), Topology::Uniform);
+        xdp_core::proc::join_machine(&mut interps, cfg.cost, cfg.topo.clone());
         let rec = Recorder::new(Recorder::names(&interps), cfg.trace);
         Lockstep { cfg, interps, rec }
     }
@@ -109,19 +78,30 @@ impl Lockstep {
         xdp_core::proc::init_exclusive(&mut self.interps, var, f);
     }
 
-    /// Run all processors to completion, round-robin.
-    pub fn run(&mut self) -> Result<LockstepReport, RtError> {
+    /// Run all processors to completion, round-robin. Rounds stand in for
+    /// time in the report; of its network statistics only the message
+    /// count is meaningful.
+    pub fn run(&mut self) -> Result<ExecReport, RtError> {
         let n = self.cfg.nprocs;
+        if let Err(e) = self.cfg.topo.validate(n) {
+            return Err(RtError::Topology(e.to_string()));
+        }
+        if self.cfg.faults.is_active() {
+            return Err(RtError::Unsupported(
+                "the lockstep reference delivers every message exactly once \
+                 and cannot inject the configured fault plan"
+                    .into(),
+            ));
+        }
         let mut sends: Vec<PendingSend> = Vec::new();
         let mut states = vec![ProcState::Running; n];
         let mut messages = 0u64;
         let mut round = 0u64;
         loop {
             round += 1;
-            if round > self.cfg.max_rounds {
+            if round > MAX_ROUNDS {
                 return Err(RtError::Deadlock(format!(
-                    "lockstep: round limit {} exceeded",
-                    self.cfg.max_rounds
+                    "lockstep: round limit {MAX_ROUNDS} exceeded"
                 )));
             }
             let t = round as f64;
@@ -230,10 +210,15 @@ impl Lockstep {
         let mut trace = Trace::new(n);
         trace.end = round as f64;
         trace.events = self.rec.take_events();
-        Ok(LockstepReport {
-            rounds: round,
-            messages,
+        let mut net = NetStats::new(n);
+        net.messages = messages;
+        Ok(ExecReport {
+            nprocs: n,
+            virtual_time: round as f64,
+            procs: vec![ProcReport::default(); n],
+            net,
             trace,
+            faults: Default::default(),
         })
     }
 
@@ -244,25 +229,12 @@ impl Lockstep {
 }
 
 impl Machine for Lockstep {
-    fn init_exclusive(&mut self, var: VarId, f: impl Fn(&[i64]) -> Value) {
+    fn init_exclusive(&mut self, var: VarId, f: &dyn Fn(&[i64]) -> Value) {
         Lockstep::init_exclusive(self, var, f)
     }
 
-    /// Rounds stand in for time; only the message count of the network
-    /// statistics is meaningful.
     fn run_report(&mut self) -> Result<ExecReport, RtError> {
-        let n = self.cfg.nprocs;
-        let r = self.run()?;
-        let mut net = NetStats::new(n);
-        net.messages = r.messages;
-        Ok(ExecReport {
-            nprocs: n,
-            virtual_time: r.rounds as f64,
-            procs: vec![ProcReport::default(); n],
-            net,
-            trace: r.trace,
-            faults: Default::default(),
-        })
+        self.run()
     }
 
     fn gather(&self, var: VarId) -> Gathered {
@@ -284,6 +256,7 @@ mod tests {
     use super::*;
     use xdp_ir::build as b;
     use xdp_ir::{DimDist, ElemType, ProcGrid};
+    use xdp_trace::TraceConfig;
 
     /// The thread-executor's canonical example: A[i] += B[i] via messages.
     fn simple(n: i64, nprocs: usize) -> (Arc<Program>, VarId, VarId) {
@@ -341,11 +314,11 @@ mod tests {
     fn lockstep_runs_the_canonical_comm_loop() {
         let n = 16;
         let (prog, a, bb) = simple(n, 4);
-        let mut exec = Lockstep::new(prog, KernelRegistry::standard(), LockstepConfig::new(4));
+        let mut exec = Lockstep::new(prog, KernelRegistry::standard(), MachineConfig::new(4));
         exec.init_exclusive(a, |idx| Value::F64(idx[0] as f64));
         exec.init_exclusive(bb, |idx| Value::F64(100.0 * idx[0] as f64));
         let r = exec.run().unwrap();
-        assert_eq!(r.messages, n as u64);
+        assert_eq!(r.net.messages, n as u64);
         let g = exec.gather(a);
         for i in 1..=n {
             assert_eq!(g.get(&[i]).unwrap().as_f64(), 101.0 * i as f64);
@@ -356,20 +329,13 @@ mod tests {
     fn lockstep_movement_matches_simulator() {
         let n = 12;
         let (prog, a, bb) = simple(n, 3);
-        let mut ls = Lockstep::new(
-            prog.clone(),
-            KernelRegistry::standard(),
-            LockstepConfig::new(3),
-        );
+        let cfg = MachineConfig::new(3).with_trace(TraceConfig::full());
+        let mut ls = Lockstep::new(prog.clone(), KernelRegistry::standard(), cfg.clone());
         ls.init_exclusive(a, |_| Value::F64(0.0));
         ls.init_exclusive(bb, |_| Value::F64(1.0));
         let lr = ls.run().unwrap();
 
-        let mut sim = xdp_core::SimExec::new(
-            prog,
-            KernelRegistry::standard(),
-            xdp_core::SimConfig::new(3).with_trace(TraceConfig::full()),
-        );
+        let mut sim = xdp_core::SimExec::new(prog, KernelRegistry::standard(), cfg);
         sim.init_exclusive(a, |_| Value::F64(0.0));
         sim.init_exclusive(bb, |_| Value::F64(1.0));
         let sr = sim.run().unwrap();
@@ -400,11 +366,24 @@ mod tests {
         let mut exec = Lockstep::new(
             Arc::new(p),
             KernelRegistry::standard(),
-            LockstepConfig::new(2),
+            MachineConfig::new(2),
         );
         match exec.run() {
             Err(RtError::Deadlock(d)) => assert!(d.contains("no progress"), "{d}"),
             other => panic!("expected deadlock, got {other:?}"),
+        }
+    }
+
+    /// The reference cannot lose a message, so a description that asks it
+    /// to is refused by name — not run as if the plan were absent.
+    #[test]
+    fn lockstep_refuses_a_fault_plan_by_name() {
+        let (prog, ..) = simple(8, 2);
+        let plan = xdp_fault::FaultPlan::parse("drop=0.1,seed=3").unwrap();
+        let cfg = MachineConfig::new(2).with_faults(plan);
+        match Lockstep::new(prog, KernelRegistry::standard(), cfg).run() {
+            Err(RtError::Unsupported(d)) => assert!(d.contains("fault plan"), "{d}"),
+            other => panic!("expected a refusal, got {other:?}"),
         }
     }
 }

@@ -46,13 +46,17 @@
 //! `xdp-verify` plus `tests/lockstep.rs` diff the two backends step by
 //! step to enforce it.
 //!
+//! Compile once, load one [`VmProc`] per processor, and hand them to a
+//! machine's `from_procs` — which is what `xdp_verify::machine`, the one
+//! builder of the backend × machine matrix, does for `Backend::Vm`:
+//!
 //! ```
 //! use std::sync::Arc;
-//! use xdp_core::{KernelRegistry, SimConfig};
+//! use xdp_core::{KernelRegistry, MachineConfig, SimExec};
 //! use xdp_ir::build as b;
 //! use xdp_ir::{DimDist, ElemType, ProcGrid, Program};
 //! use xdp_runtime::Value;
-//! use xdp_vm::VmExec;
+//! use xdp_vm::{VmProc, VmProgram};
 //!
 //! let mut p = Program::new();
 //! let a = p.declare(b::array("A", ElemType::F64, vec![(1, 8)],
@@ -61,17 +65,16 @@
 //! let mine = b::sref(a, vec![b::span(b::mylb(all.clone(), 1), b::myub(all, 1))]);
 //! p.body = vec![b::assign(mine.clone(), b::val(mine.clone()).add(b::val(mine)))];
 //!
-//! let mut exec = VmExec::sim(Arc::new(p), KernelRegistry::standard(),
-//!     SimConfig::new(2));
+//! let prog = VmProgram::compile(Arc::new(p), &KernelRegistry::standard());
+//! let procs = (0..2).map(|pid| VmProc::new(prog.clone(), pid, 2, true)).collect();
+//! let mut exec = SimExec::from_procs(procs, MachineConfig::new(2));
 //! exec.init_exclusive(a, |idx| Value::F64(idx[0] as f64));
 //! exec.run().unwrap();
 //! assert_eq!(exec.gather(a).get(&[5]).unwrap().as_f64(), 10.0);
 //! ```
 
 pub mod compile;
-pub mod exec;
 pub mod proc;
 
 pub use compile::{SlotMap, VmProgram};
-pub use exec::VmExec;
 pub use proc::VmProc;

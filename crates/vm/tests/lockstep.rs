@@ -7,7 +7,9 @@
 mod step_pair;
 
 use std::sync::Arc;
-use xdp_core::{Action, Interp, KernelRegistry, Processor, RtError, SimConfig, SimExec};
+use xdp_core::{
+    Action, AsyncExec, Interp, KernelRegistry, MachineConfig, Processor, RtError, SimExec,
+};
 use xdp_ir::build as b;
 use xdp_ir::{
     CmpOp, DimDist, Distribution, ElemType, ProcGrid, Program, Section, Stmt, TransferKind,
@@ -15,9 +17,18 @@ use xdp_ir::{
 };
 use xdp_runtime::symtab::SecState;
 use xdp_runtime::Value;
-use xdp_vm::{VmExec, VmProc, VmProgram};
+use xdp_vm::{VmProc, VmProgram};
 
 const N: i64 = 16;
+
+/// `prog` compiled once and loaded as one checked processor per pid — what
+/// `xdp_verify::machine` hands a machine's `from_procs` for `Backend::Vm`.
+fn vm_procs(prog: Arc<Program>, kernels: &KernelRegistry, nprocs: usize) -> Vec<VmProc> {
+    let prog = VmProgram::compile(prog, kernels);
+    (0..nprocs)
+        .map(|pid| VmProc::new(prog.clone(), pid, nprocs, true))
+        .collect()
+}
 
 /// Loop nest + guards + kernel + scalar/universal traffic: every local
 /// statement form, no messaging.
@@ -183,8 +194,8 @@ fn report_key(
 fn messaging_program_identical_on_sim_machine() {
     let (prog, a, t) = messaging_program(3);
     let kernels = KernelRegistry::standard();
-    let mut interp = SimExec::new(prog.clone(), kernels.clone(), SimConfig::new(3));
-    let mut vm = VmExec::sim(prog, kernels, SimConfig::new(3));
+    let mut interp = SimExec::new(prog.clone(), kernels.clone(), MachineConfig::new(3));
+    let mut vm = SimExec::from_procs(vm_procs(prog, &kernels, 3), MachineConfig::new(3));
     assert_eq!(report_key(&mut interp, a, t), report_key(&mut vm, a, t));
 }
 
@@ -195,8 +206,8 @@ fn messaging_program_identical_on_async_machine() {
     // machine is wall-clock, so only state is comparable).
     let (prog, a, t) = messaging_program(3);
     let kernels = KernelRegistry::standard();
-    let mut sim = SimExec::new(prog.clone(), kernels.clone(), SimConfig::new(3));
-    let mut tasks = VmExec::tasks(prog, kernels, xdp_core::AsyncConfig::new(3));
+    let mut sim = SimExec::new(prog.clone(), kernels.clone(), MachineConfig::new(3));
+    let mut tasks = AsyncExec::from_procs(vm_procs(prog, &kernels, 3), MachineConfig::new(3));
     for (var, scale) in [(a, 1.0), (t, 0.0)] {
         sim.init_exclusive(var, move |idx| Value::F64(idx[0] as f64 * scale));
         tasks.init_exclusive(var, move |idx| Value::F64(idx[0] as f64 * scale));
@@ -247,8 +258,8 @@ fn redistribute_program_identical_on_sim_machine() {
     let nprocs = 4;
     let (prog, a) = redistribute_program(nprocs);
     let kernels = KernelRegistry::standard();
-    let mut interp = SimExec::new(prog.clone(), kernels.clone(), SimConfig::new(nprocs));
-    let mut vm = VmExec::sim(prog, kernels, SimConfig::new(nprocs));
+    let mut interp = SimExec::new(prog.clone(), kernels.clone(), MachineConfig::new(nprocs));
+    let mut vm = SimExec::from_procs(vm_procs(prog, &kernels, nprocs), MachineConfig::new(nprocs));
     assert_eq!(report_key(&mut interp, a, a), report_key(&mut vm, a, a));
 }
 

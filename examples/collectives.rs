@@ -124,7 +124,7 @@ fn main() {
     let mut exec = SimExec::new(
         p.clone(),
         KernelRegistry::standard(),
-        SimConfig::new(nprocs),
+        MachineConfig::new(nprocs),
     );
     exec.init_exclusive(a, |idx| Value::F64(idx[0] as f64));
     let r = exec.run().expect("run");

@@ -101,7 +101,7 @@ fn main() {
     let mut exec = SimExec::new(
         Arc::new(p),
         KernelRegistry::standard(),
-        SimConfig::new(nprocs).with_timeline(),
+        MachineConfig::new(nprocs).with_timeline(),
     );
     let report = exec.run().expect("run");
     let g = exec.gather(trace);

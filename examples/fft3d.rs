@@ -63,7 +63,7 @@ fn main() {
         let report = fft3d::run_stage(
             cfg,
             stage,
-            SimConfig::new(nprocs).with_cost(slow).with_timeline(),
+            MachineConfig::new(nprocs).with_cost(slow).with_timeline(),
             42,
         )
         .expect("fft3d stage");

@@ -17,7 +17,7 @@ use xdp_apps::farm::{build_farm, build_static, FarmConfig};
 use xdp_apps::workloads;
 
 fn run(p: Program, w: VarId, costs: &[u64], np: usize) -> ExecReport {
-    let mut exec = SimExec::new(Arc::new(p), xdp_apps::app_kernels(), SimConfig::new(np));
+    let mut exec = SimExec::new(Arc::new(p), xdp_apps::app_kernels(), MachineConfig::new(np));
     exec.init_exclusive(w, |idx| Value::F64(costs[(idx[0] - 1) as usize] as f64));
     exec.run().expect("farm run")
 }

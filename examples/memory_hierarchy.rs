@@ -161,7 +161,7 @@ fn main() {
             let mut exec = SimExec::new(
                 Arc::new(p),
                 KernelRegistry::standard(),
-                SimConfig::new(2).with_cost(bus),
+                MachineConfig::new(2).with_cost(bus),
             );
             exec.init_exclusive(data, |idx| Value::F64(idx[0] as f64));
             let r = exec.run().expect("run");

@@ -90,7 +90,11 @@ fn main() {
     let p = parse_program(SIMPLE).expect("parse simple");
     let a = p.lookup("A").unwrap();
     let b = p.lookup("B").unwrap();
-    let mut exec = SimExec::new(Arc::new(p), KernelRegistry::standard(), SimConfig::new(4));
+    let mut exec = SimExec::new(
+        Arc::new(p),
+        KernelRegistry::standard(),
+        MachineConfig::new(4),
+    );
     exec.init_exclusive(a, |idx| Value::F64(idx[0] as f64));
     exec.init_exclusive(b, |idx| Value::F64(100.0 * idx[0] as f64));
     let r = exec.run().expect("simple");
@@ -108,7 +112,11 @@ fn main() {
     let p = parse_program(MIGRATE).expect("parse migrate");
     let a = p.lookup("A").unwrap();
     let b = p.lookup("B").unwrap();
-    let mut exec = SimExec::new(Arc::new(p), KernelRegistry::standard(), SimConfig::new(4));
+    let mut exec = SimExec::new(
+        Arc::new(p),
+        KernelRegistry::standard(),
+        MachineConfig::new(4),
+    );
     exec.init_exclusive(a, |idx| Value::F64(idx[0] as f64));
     exec.init_exclusive(b, |idx| Value::F64(100.0 * idx[0] as f64));
     let r = exec.run().expect("migrate");
@@ -135,7 +143,7 @@ fn main() {
     let input = input_cube(n, 99);
     let mut expect: Vec<Complex> = input.clone();
     xdp_apps::fft3d_seq(&mut expect, n as usize);
-    let mut exec = SimExec::new(Arc::new(p), xdp_apps::app_kernels(), SimConfig::new(4));
+    let mut exec = SimExec::new(Arc::new(p), xdp_apps::app_kernels(), MachineConfig::new(4));
     exec.init_exclusive(a, |idx| Value::C64(input[cube_ordinal(n, idx)]));
     let r = exec.run().expect("fft");
     let g = exec.gather(a);

@@ -71,7 +71,7 @@ fn main() {
         let mut exec = SimExec::new(
             Arc::new(p.clone()),
             KernelRegistry::standard(),
-            SimConfig::new(nprocs).with_timeline(),
+            MachineConfig::new(nprocs).with_timeline(),
         );
         exec.init_exclusive(a, |idx| Value::F64(idx[0] as f64));
         exec.init_exclusive(b, |idx| Value::F64(100.0 * idx[0] as f64));

@@ -183,7 +183,7 @@ fn main() {
     let mut exec = SimExec::new(
         Arc::new(p),
         KernelRegistry::standard(),
-        SimConfig::new(nprocs).with_timeline(),
+        MachineConfig::new(nprocs).with_timeline(),
     );
     exec.init_exclusive(a, |idx| Value::F64((idx[0] * 10 + idx[1]) as f64));
     let report = exec.run().expect("redistribute");

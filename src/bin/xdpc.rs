@@ -202,7 +202,7 @@ fn cmd_plan(args: &Args) -> Done {
     use xdp_bench::table::j;
     let compiled = compiled_for(args, SeqMode::AsIs)?;
     let program = compiled.program.as_ref();
-    let SimConfig { cost, topo, .. } = sim_config(args, &compiled)?;
+    let MachineConfig { cost, topo, .. } = sim_config(args, &compiled)?;
     let mut cur: std::collections::HashMap<VarId, Distribution> = std::collections::HashMap::new();
     let mut t = Table::new(
         "redistribution plans",
@@ -447,8 +447,8 @@ fn compiled_for(args: &Args, seq: SeqMode) -> Result<Compiled, ExitCode> {
 /// defaults, planning redistributions under the budget it was compiled
 /// with. `--topo` is parsed whole, then checked against the machine it is
 /// to connect.
-fn sim_config(args: &Args, compiled: &Compiled) -> Result<SimConfig, ExitCode> {
-    let mut cfg = SimConfig::new(compiled.nprocs);
+fn sim_config(args: &Args, compiled: &Compiled) -> Result<MachineConfig, ExitCode> {
+    let mut cfg = MachineConfig::new(compiled.nprocs);
     cfg.cost.alpha = args.num(cli::ALPHA, cfg.cost.alpha)?;
     cfg.cost.beta = args.num(cli::BETA, cfg.cost.beta)?;
     cfg.cost.mem_budget = compiled.mem_budget;
@@ -476,36 +476,20 @@ fn sim_config(args: &Args, compiled: &Compiled) -> Result<SimConfig, ExitCode> {
 fn simulate(
     program: Arc<Program>,
     backend: Backend,
-    cfg: SimConfig,
+    cfg: MachineConfig,
     gather: Option<VarId>,
 ) -> Result<(ExecReport, Option<Gathered>), RtError> {
-    fn go<M: Machine>(
-        mut exec: M,
-        decls: &[Decl],
-        gather: Option<VarId>,
-    ) -> Result<(ExecReport, Option<Gathered>), RtError> {
-        for (i, d) in decls.iter().enumerate().filter(|(_, d)| d.is_exclusive()) {
-            let full = Section::new(d.bounds.clone());
-            exec.init_exclusive(VarId(i as u32), move |idx| {
-                Value::F64((full.ordinal_of(idx).unwrap_or(0) + 1) as f64)
-            });
-        }
-        let report = exec.run_report()?;
-        Ok((report, gather.map(|var| exec.gather(var))))
-    }
     let kernels = xdp_apps::app_kernels();
-    match backend {
-        Backend::Interp => go(
-            SimExec::new(program.clone(), kernels, cfg),
-            &program.decls,
-            gather,
-        ),
-        Backend::Vm => go(
-            xdp_vm::VmExec::sim(program.clone(), kernels, cfg),
-            &program.decls,
-            gather,
-        ),
+    let mut exec = xdp_verify::machine(MachineKind::Sim, backend, program.clone(), kernels, cfg);
+    let decls = program.decls.iter().enumerate();
+    for (i, d) in decls.filter(|(_, d)| d.is_exclusive()) {
+        let full = Section::new(d.bounds.clone());
+        exec.init_exclusive(VarId(i as u32), &move |idx| {
+            Value::F64((full.ordinal_of(idx).unwrap_or(0) + 1) as f64)
+        });
     }
+    let report = exec.run_report()?;
+    Ok((report, gather.map(|var| exec.gather(var))))
 }
 
 fn cmd_run(args: &Args) -> Done {

@@ -53,7 +53,7 @@
 //! // Execute both on the simulated machine; results agree, messages drop.
 //! let run = |p: &Program| {
 //!     let mut exec = SimExec::new(Arc::new(p.clone()),
-//!         KernelRegistry::standard(), SimConfig::new(4));
+//!         KernelRegistry::standard(), MachineConfig::new(4));
 //!     exec.init_exclusive(a, |idx| Value::F64(idx[0] as f64));
 //!     exec.init_exclusive(b, |idx| Value::F64(10.0 * idx[0] as f64));
 //!     let report = exec.run().unwrap();
@@ -67,8 +67,6 @@
 //! assert!(r_opt.net.messages < r_naive.net.messages);
 //! assert!(r_opt.virtual_time < r_naive.virtual_time);
 //! ```
-
-pub mod tuning;
 
 pub use xdp_apps as apps;
 pub use xdp_bench as bench;
@@ -94,8 +92,8 @@ pub mod prelude {
         lower_owner_computes, FrontendOptions, Pass, PassManager, PassResult, SeqProgram, SeqStmt,
     };
     pub use xdp_core::{
-        AsyncConfig, AsyncExec, ExecReport, Gathered, Kernel, KernelRegistry, Machine, RtError,
-        SimConfig, SimExec,
+        AsyncExec, ExecReport, Gathered, Kernel, KernelRegistry, Machine, MachineConfig,
+        MachineKind, RtError, SimExec,
     };
     pub use xdp_fault::{FaultPlan, FaultStats, LinkFault};
     pub use xdp_ir::build;

@@ -37,7 +37,7 @@ fn exclusive(decls: &[Decl]) -> impl Iterator<Item = usize> + '_ {
 /// Deterministic init of every exclusive array, on any machine.
 fn init(exec: &mut impl Machine, decls: &[Decl]) {
     for i in exclusive(decls) {
-        exec.init_exclusive(VarId(i as u32), move |idx| xdp_verify::init_value(i, idx));
+        exec.init_exclusive(VarId(i as u32), &move |idx| xdp_verify::init_value(i, idx));
     }
 }
 
@@ -61,7 +61,7 @@ fn sim_state(
     faults: FaultPlan,
     trace: bool,
 ) -> (State, ExecReport) {
-    let mut cfg = SimConfig::new(nprocs).with_faults(faults);
+    let mut cfg = MachineConfig::new(nprocs).with_faults(faults);
     if trace {
         cfg = cfg.with_trace(TraceConfig::full());
     }
@@ -75,7 +75,7 @@ fn tasks_state(
     nprocs: usize,
     faults: FaultPlan,
 ) -> State {
-    let cfg = AsyncConfig::new(nprocs).with_faults(faults);
+    let cfg = MachineConfig::new(nprocs).with_faults(faults);
     let exec = AsyncExec::new(Arc::new(program.clone()), kernels, cfg);
     state(exec, &program.decls).0
 }
@@ -235,7 +235,7 @@ fn sim_permanent_loss_is_diagnosed() {
     let mut exec = SimExec::new(
         Arc::new(program),
         xdp_apps::matvec::matvec_kernels(),
-        SimConfig::new(4).with_faults(plan),
+        MachineConfig::new(4).with_faults(plan),
     );
     init(&mut exec, &decls);
     match exec.run() {
@@ -257,7 +257,7 @@ fn tasks_permanent_loss_is_diagnosed() {
     let mut exec = AsyncExec::new(
         Arc::new(program),
         xdp_apps::matvec::matvec_kernels(),
-        AsyncConfig::new(4).with_faults(plan),
+        MachineConfig::new(4).with_faults(plan),
     );
     init(&mut exec, &decls);
     match exec.run() {

@@ -663,4 +663,11 @@ fn every_command_refuses_what_its_table_row_does_not_declare() {
     let (_, stderr, code) = xdpc_code(&["run", file, "--gather"]);
     assert_eq!(code, 2, "{stderr}");
     assert!(stderr.starts_with("xdpc: `--gather` needs a value (NAME)"));
+    // An empty candidate list is refused, not swept (it was the library
+    // tuner's `empty_candidates_is_an_error`).
+    let pipeline = "xdp-programs/pipeline.xdp";
+    let (stdout, stderr, code) = xdpc_code(&["tune", pipeline, "--array", "DST", "--segments", ""]);
+    assert_eq!((code, stdout.as_str()), (2, ""), "{stderr}");
+    assert_eq!(stderr.lines().count(), 1, "{stderr}");
+    assert!(stderr.starts_with("xdpc: bad segment spec ``"), "{stderr}");
 }

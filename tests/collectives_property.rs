@@ -106,7 +106,7 @@ proptest! {
         prop_assert!(xdp_ir::validate(&p).is_empty());
         let p = Arc::new(p);
 
-        let mut sim = SimExec::new(p.clone(), KernelRegistry::standard(), SimConfig::new(nprocs));
+        let mut sim = SimExec::new(p.clone(), KernelRegistry::standard(), MachineConfig::new(nprocs));
         sim.init_exclusive(a, |idx| Value::F64(7.0 * idx[0] as f64));
         sim.run().expect("sim run");
         let g_sim = sim.gather(a);
@@ -131,7 +131,7 @@ proptest! {
             let _ = owned;
         }
 
-        let mut thr = AsyncExec::new(p, KernelRegistry::standard(), AsyncConfig::new(nprocs));
+        let mut thr = AsyncExec::new(p, KernelRegistry::standard(), MachineConfig::new(nprocs));
         thr.init_exclusive(a, |idx| Value::F64(7.0 * idx[0] as f64));
         thr.run().expect("task-machine run");
         let g_thr = thr.gather(a);
@@ -177,7 +177,7 @@ proptest! {
             let mut want = src_owned_data(&src, &bounds, n);
             collectives::run_lockstep(&plan.schedule, &bsec, &mut want).unwrap();
 
-            let cfg = SimConfig::new(nprocs).with_cost(model).with_topo(topo);
+            let cfg = MachineConfig::new(nprocs).with_cost(model).with_topo(topo);
             let mut sim = SimExec::new(p.clone(), KernelRegistry::standard(), cfg);
             sim.init_exclusive(a, |idx| Value::F64(7.0 * idx[0] as f64));
             let report = sim.run().expect("sim run");
@@ -229,7 +229,7 @@ proptest! {
         let mut sim = SimExec::new(
             Arc::new(p),
             KernelRegistry::standard(),
-            SimConfig::new(nprocs),
+            MachineConfig::new(nprocs),
         );
         sim.init_exclusive(a, |idx| Value::F64((idx[0] * 100 + idx[1]) as f64));
         sim.run().expect("sim run");

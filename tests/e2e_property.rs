@@ -19,7 +19,7 @@ fn run(p: &Program, a: VarId, bvar: VarId, nprocs: usize, n: i64) -> (Vec<f64>, 
     let mut exec = SimExec::new(
         Arc::new(p.clone()),
         KernelRegistry::standard(),
-        SimConfig::new(nprocs),
+        MachineConfig::new(nprocs),
     );
     exec.init_exclusive(a, |idx| Value::F64(idx[0] as f64));
     exec.init_exclusive(bvar, |idx| Value::F64(3.0 * idx[0] as f64 + 1.0));
@@ -148,7 +148,7 @@ proptest! {
         let mut thr = AsyncExec::new(
             Arc::new(p),
             KernelRegistry::standard(),
-            AsyncConfig::new(nprocs),
+            MachineConfig::new(nprocs),
         );
         thr.init_exclusive(a, |idx| Value::F64(idx[0] as f64));
         thr.init_exclusive(bvar, |idx| Value::F64(3.0 * idx[0] as f64 + 1.0));

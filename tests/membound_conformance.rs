@@ -10,11 +10,10 @@
 use std::path::PathBuf;
 use xdp::prelude::*;
 use xdp_collectives::plan;
-use xdp_compiler::{compile, CompileOptions, Compiled, SeqMode};
-use xdp_core::{AsyncConfig, AsyncExec, Processor};
+use xdp_compiler::{compile, Backend, CompileOptions, Compiled, SeqMode};
 use xdp_ir::Stmt;
-use xdp_machine::{CostModel, Topology};
-use xdp_vm::VmExec;
+use xdp_verify::lockstep::Lockstep;
+use xdp_verify::{machine, Fingerprint};
 
 /// Every program in `xdp-programs/` whose compiled form redistributes.
 fn redistributing_programs() -> Vec<(String, Compiled)> {
@@ -80,62 +79,56 @@ fn predicted_peak(p: &Program, cost: &CostModel, topo: &Topology) -> u64 {
     total
 }
 
-fn init<P: Processor>(exec: &mut SimExec<P>, decls: &[Decl]) {
-    for (i, d) in decls.iter().enumerate() {
+/// Run `compiled` on the machine `cfg` describes, every exclusive array
+/// initialized to its element ordinal.
+fn run(
+    name: &str,
+    kind: MachineKind,
+    backend: Backend,
+    compiled: &Compiled,
+    cfg: MachineConfig,
+) -> ExecReport {
+    let kernels = xdp_apps::app_kernels();
+    let mut exec = machine(kind, backend, compiled.program.clone(), kernels, cfg);
+    for (i, d) in compiled.program.decls.iter().enumerate() {
         if d.is_exclusive() {
             let full = Section::new(d.bounds.clone());
-            exec.init_exclusive(VarId(i as u32), move |idx| {
+            exec.init_exclusive(VarId(i as u32), &move |idx| {
                 Value::F64((full.ordinal_of(idx).unwrap_or(0) + 1) as f64)
             });
         }
     }
+    exec.run_report()
+        .unwrap_or_else(|e| panic!("{name} ({kind:?}, {backend:?}): {e}"))
 }
 
-fn measured_sim<P: Processor>(name: &str, mut exec: SimExec<P>, decls: &[Decl]) -> u64 {
-    init(&mut exec, decls);
-    let report = exec.run().unwrap_or_else(|e| panic!("{name}: {e}"));
-    report.net.redist_peak_bytes
+/// The fully traced machine for `compiled`; `budgeted` plans under half
+/// the unbounded peak, which forces a slimmer decomposition.
+fn machine_cfg(compiled: &Compiled, budgeted: bool) -> MachineConfig {
+    let mut cfg = MachineConfig::new(compiled.nprocs).with_trace(TraceConfig::full());
+    if budgeted {
+        let free = predicted_peak(&compiled.program, &cfg.cost, &cfg.topo);
+        cfg.cost.mem_budget = Some((free / 2).max(1));
+    }
+    cfg
 }
 
 #[test]
 fn simulated_high_water_stays_under_the_planned_peak() {
     for (name, compiled) in redistributing_programs() {
         for budgeted in [false, true] {
-            let mut cfg = SimConfig::new(compiled.nprocs);
-            if budgeted {
-                // Half the unbounded bound forces a slimmer decomposition.
-                let free = predicted_peak(&compiled.program, &cfg.cost, &cfg.topo);
-                cfg.cost.mem_budget = Some((free / 2).max(1));
-            }
+            let cfg = machine_cfg(&compiled, budgeted);
             let predicted = predicted_peak(&compiled.program, &cfg.cost, &cfg.topo);
-            for backend in ["interp", "vm"] {
-                let measured = match backend {
-                    "interp" => measured_sim(
-                        &name,
-                        SimExec::new(
-                            compiled.program.clone(),
-                            xdp_apps::app_kernels(),
-                            cfg.clone(),
-                        ),
-                        &compiled.program.decls,
-                    ),
-                    _ => measured_sim(
-                        &name,
-                        VmExec::sim(
-                            compiled.program.clone(),
-                            xdp_apps::app_kernels(),
-                            cfg.clone(),
-                        ),
-                        &compiled.program.decls,
-                    ),
-                };
+            for backend in [Backend::Interp, Backend::Vm] {
+                let report = run(&name, MachineKind::Sim, backend, &compiled, cfg.clone());
+                let measured = report.net.redist_peak_bytes;
                 assert!(
                     measured > 0,
-                    "{name} ({backend}, budgeted={budgeted}): no redistribution bytes measured"
+                    "{name} ({backend:?}, budgeted={budgeted}): no redistribution bytes measured"
                 );
                 assert!(
                     measured <= predicted,
-                    "{name} ({backend}, budgeted={budgeted}): measured high-water {measured} B \
+                    "{name} ({backend:?}, budgeted={budgeted}): measured high-water {measured} B \
                      exceeds planned peak {predicted} B"
                 );
             }
@@ -168,25 +161,10 @@ fn threaded_high_water_stays_under_the_planned_peak() {
             // live-byte counter is a lower bound on the planner's two-sided
             // footprint, so the same inequality must hold — against the
             // *budgeted* prediction when the machine was given a budget.
-            let mut cfg = AsyncConfig::new(compiled.nprocs).with_trace(TraceConfig::full());
-            let mut sim_cfg = SimConfig::new(compiled.nprocs).with_trace(TraceConfig::full());
-            if budgeted {
-                let free = predicted_peak(&compiled.program, &sim_cfg.cost, &sim_cfg.topo);
-                sim_cfg.cost.mem_budget = Some((free / 2).max(1));
-                cfg.cost.mem_budget = sim_cfg.cost.mem_budget;
-            }
-            let predicted = predicted_peak(&compiled.program, &sim_cfg.cost, &sim_cfg.topo);
-            let decls = &compiled.program.decls;
-            let mut exec = AsyncExec::new(compiled.program.clone(), xdp_apps::app_kernels(), cfg);
-            for (i, d) in decls.iter().enumerate() {
-                if d.is_exclusive() {
-                    let full = Section::new(d.bounds.clone());
-                    exec.init_exclusive(VarId(i as u32), move |idx| {
-                        Value::F64((full.ordinal_of(idx).unwrap_or(0) + 1) as f64)
-                    });
-                }
-            }
-            let report = exec.run().unwrap_or_else(|e| panic!("{name}: {e}"));
+            let cfg = machine_cfg(&compiled, budgeted);
+            let predicted = predicted_peak(&compiled.program, &cfg.cost, &cfg.topo);
+            let on = |kind| run(&name, kind, Backend::Interp, &compiled, cfg.clone());
+            let report = on(MachineKind::Tasks);
             let measured = report.net.redist_peak_bytes;
             assert!(
                 measured > 0,
@@ -199,14 +177,56 @@ fn threaded_high_water_stays_under_the_planned_peak() {
             );
             // The task machine must plan what the simulator plans under
             // the same budget: same strategy, same piece count, per pid.
-            let mut sim = SimExec::new(compiled.program.clone(), xdp_apps::app_kernels(), sim_cfg);
-            init(&mut sim, decls);
-            let sim_report = sim.run().unwrap_or_else(|e| panic!("{name}: {e}"));
             assert_eq!(
                 planned_strategies(&report.trace),
-                planned_strategies(&sim_report.trace),
+                planned_strategies(&on(MachineKind::Sim).trace),
                 "{name} (budgeted={budgeted}): async and sim planned differently"
             );
         }
     }
+}
+
+/// A budget reaches every machine or none: `membound.xdp` planned under
+/// 5000 B is the same 280-message run on both processors, on the task
+/// machine (timing-free components) and on the reference executor — which
+/// used to plan with a hard-coded unbudgeted cost model and send 133.
+#[test]
+fn a_budgeted_run_is_the_same_run_on_every_machine_and_the_reference() {
+    let source = std::fs::read_to_string(
+        PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("xdp-programs/membound.xdp"),
+    )
+    .unwrap();
+    let opts = CompileOptions::default().with_mem_budget(5000);
+    let compiled = compile(&source, &opts).expect("membound.xdp compiles");
+    let mut cfg = MachineConfig::new(compiled.nprocs).with_trace(TraceConfig::full());
+    cfg.cost.mem_budget = compiled.mem_budget;
+    let decls = &compiled.program.decls;
+    let fingerprint = |mut exec: Box<dyn Machine>| {
+        Fingerprint::of_run(exec.as_mut(), decls)
+            .expect("membound.xdp runs")
+            .0
+    };
+    let built = |kind, backend| {
+        let kernels = xdp_apps::app_kernels();
+        fingerprint(machine(
+            kind,
+            backend,
+            compiled.program.clone(),
+            kernels,
+            cfg.clone(),
+        ))
+    };
+    let base = built(MachineKind::Sim, Backend::Interp);
+    assert_eq!(base.messages, 280);
+    assert_eq!(base, built(MachineKind::Sim, Backend::Vm), "sim vm");
+    let reference = Lockstep::new(
+        compiled.program.clone(),
+        xdp_apps::app_kernels(),
+        cfg.clone(),
+    );
+    assert_eq!(base, fingerprint(Box::new(reference)), "lockstep");
+    let tasks = built(MachineKind::Tasks, Backend::Vm);
+    assert_eq!(base.memory, tasks.memory, "tasks vm: memory");
+    assert_eq!(base.movement, tasks.movement, "tasks vm: movement");
+    assert_eq!(base.messages, tasks.messages, "tasks vm: messages");
 }

@@ -46,7 +46,7 @@ fn execute(p: &Program, a: VarId, b: VarId, nprocs: usize) -> (Gathered, ExecRep
     let mut exec = SimExec::new(
         Arc::new(p.clone()),
         KernelRegistry::standard(),
-        SimConfig::new(nprocs),
+        MachineConfig::new(nprocs),
     );
     exec.init_exclusive(a, |idx| Value::F64(idx[0] as f64));
     exec.init_exclusive(b, |idx| Value::F64(100.0 * idx[0] as f64));
@@ -157,7 +157,7 @@ fn migration_strategy_correct_and_amortizes() {
     let mut exec = SimExec::new(
         Arc::new(twice),
         KernelRegistry::standard(),
-        SimConfig::new(nprocs),
+        MachineConfig::new(nprocs),
     );
     exec.init_exclusive(a, |idx| Value::F64(idx[0] as f64));
     exec.init_exclusive(b, |idx| Value::F64(100.0 * idx[0] as f64));
@@ -234,7 +234,7 @@ fn threaded_backend_agrees_with_simulator_after_optimization() {
     let mut sim = SimExec::new(
         Arc::new(opt.clone()),
         KernelRegistry::standard(),
-        SimConfig::new(3),
+        MachineConfig::new(3),
     );
     sim.init_exclusive(a, |idx| Value::F64(idx[0] as f64));
     sim.init_exclusive(b, |idx| Value::F64(0.5 * idx[0] as f64));
@@ -243,7 +243,7 @@ fn threaded_backend_agrees_with_simulator_after_optimization() {
     let mut thr = AsyncExec::new(
         Arc::new(opt),
         KernelRegistry::standard(),
-        AsyncConfig::new(3),
+        MachineConfig::new(3),
     );
     thr.init_exclusive(a, |idx| Value::F64(idx[0] as f64));
     thr.init_exclusive(b, |idx| Value::F64(0.5 * idx[0] as f64));

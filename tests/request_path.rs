@@ -5,14 +5,25 @@
 //! movement multiset is the same on every machine under any cost model;
 //! a request whose program divides by zero, or that asks for a machine of
 //! zero processors, is an error the pool survives; requests racing for
-//! one cold program compile it once, or fail together if it cannot be.
+//! one cold program compile it once, or fail together if it cannot be;
+//! the one machine builder builds, cell for cell, what the constructors
+//! it replaced built.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use xdp::prelude::*;
-use xdp_vm::VmExec;
+use xdp_vm::{VmProc, VmProgram};
 
 const P: usize = 16;
+
+/// `p` compiled once and loaded as one processor per pid of `cfg`'s
+/// machine: what `Backend::Vm` hands a machine's `from_procs`.
+fn vm_procs(p: &Arc<Program>, kernels: &KernelRegistry, cfg: &MachineConfig) -> Vec<VmProc> {
+    let prog = VmProgram::compile(p.clone(), kernels);
+    (0..cfg.nprocs)
+        .map(|pid| VmProc::new(prog.clone(), pid, cfg.nprocs, cfg.checked))
+        .collect()
+}
 
 /// BLOCK -> CYCLIC -> BLOCK at P = 16: two distinct redistributions.
 fn round_trip() -> Arc<Program> {
@@ -45,28 +56,29 @@ macro_rules! planned {
 fn every_machine_plans_each_redistribution_once() {
     let p = round_trip();
     let k = KernelRegistry::standard;
+    let cfg = MachineConfig::new(P);
     // Each entry builds a fresh machine from the same program; a second
     // machine of a kind starting at zero shows the memo is per machine.
     let runs = [
         (
             "sim",
-            planned!(SimExec::new(p.clone(), k(), SimConfig::new(P))),
+            planned!(SimExec::new(p.clone(), k(), MachineConfig::new(P))),
         ),
         (
             "sim again",
-            planned!(SimExec::new(p.clone(), k(), SimConfig::new(P))),
+            planned!(SimExec::new(p.clone(), k(), MachineConfig::new(P))),
         ),
         (
             "sim/vm",
-            planned!(VmExec::sim(p.clone(), k(), SimConfig::new(P))),
+            planned!(SimExec::from_procs(vm_procs(&p, &k(), &cfg), cfg.clone())),
         ),
         (
             "tasks",
-            planned!(AsyncExec::new(p.clone(), k(), AsyncConfig::new(P))),
+            planned!(AsyncExec::new(p.clone(), k(), MachineConfig::new(P))),
         ),
         (
             "tasks/vm",
-            planned!(VmExec::tasks(p.clone(), k(), AsyncConfig::new(P))),
+            planned!(AsyncExec::from_procs(vm_procs(&p, &k(), &cfg), cfg.clone())),
         ),
     ];
     for (machine, (planned, a)) in &runs {
@@ -92,7 +104,7 @@ fn every_machine_plans_each_redistribution_once() {
 /// CPU overhead drops none of the simulator's.
 #[test]
 fn movement_multiset_is_the_same_on_every_machine_and_cost_model() {
-    use xdp_verify::lockstep::{Lockstep, LockstepConfig};
+    use xdp_verify::lockstep::Lockstep;
     fn movement(mut exec: impl Machine) -> Vec<String> {
         exec.run_report().expect("runs").trace.movement_multiset()
     }
@@ -101,14 +113,99 @@ fn movement_multiset_is_the_same_on_every_machine_and_cost_model() {
     let k = KernelRegistry::standard;
     let traced = TraceConfig::full();
 
-    let want = movement(Lockstep::new(p.clone(), k(), LockstepConfig::new(4)));
+    let cfg = MachineConfig::new(4).with_trace(traced);
+    let want = movement(Lockstep::new(p.clone(), k(), cfg.clone()));
     assert_eq!(want.len(), 64, "16 transfers x 4 movement events");
-    let tasks = AsyncConfig::new(4).with_trace(traced);
-    assert_eq!(movement(AsyncExec::new(p.clone(), k(), tasks)), want);
+    assert_eq!(movement(AsyncExec::new(p.clone(), k(), cfg)), want);
     for cost in [CostModel::default_1993(), CostModel::zero_comm()] {
-        let cfg = SimConfig::new(4).with_trace(traced).with_cost(cost);
+        let cfg = MachineConfig::new(4).with_trace(traced).with_cost(cost);
         assert_eq!(movement(SimExec::new(p.clone(), k(), cfg)), want);
     }
+}
+
+/// `xdp_verify::machine` is the only place a machine is built from a
+/// backend and a machine kind. Each cell of that matrix must be the
+/// machine its concrete constructor builds — under a fault plan and a
+/// memory budget above all, the two settings that have each been dropped
+/// on one arm before (all components on the simulator, the timing-free
+/// ones on the task machine).
+#[test]
+fn the_builder_builds_what_the_constructors_it_replaced_built() {
+    use xdp_compiler::{compile, Backend, CompileOptions};
+    use xdp_verify::{machine, Fingerprint};
+    let k = xdp_apps::app_kernels;
+    let plan = FaultPlan::parse("drop=0.1,dup=0.05,seed=9").expect("fault spec parses");
+    let mut budget_mattered = false;
+    for name in ["simple", "remap", "membound", "fft3d"] {
+        let source = std::fs::read_to_string(format!("xdp-programs/{name}.xdp")).expect(name);
+        let compiled = compile(&source, &CompileOptions::default()).expect(name);
+        let p = &compiled.program;
+        let mut unbudgeted_messages = None;
+        for (faults, mem_budget) in [
+            (false, None),
+            (true, None),
+            (false, Some(5000)),
+            (true, Some(5000)),
+        ] {
+            let mut cfg = MachineConfig::new(compiled.nprocs).with_trace(TraceConfig::full());
+            cfg.cost.mem_budget = mem_budget;
+            if faults {
+                cfg = cfg.with_faults(plan.clone());
+            }
+            let cells: [(MachineKind, Backend, Box<dyn Machine>); 4] = [
+                (
+                    MachineKind::Sim,
+                    Backend::Interp,
+                    Box::new(SimExec::new(p.clone(), k(), cfg.clone())),
+                ),
+                (
+                    MachineKind::Sim,
+                    Backend::Vm,
+                    Box::new(SimExec::from_procs(vm_procs(p, &k(), &cfg), cfg.clone())),
+                ),
+                (
+                    MachineKind::Tasks,
+                    Backend::Interp,
+                    Box::new(AsyncExec::new(p.clone(), k(), cfg.clone())),
+                ),
+                (
+                    MachineKind::Tasks,
+                    Backend::Vm,
+                    Box::new(AsyncExec::from_procs(vm_procs(p, &k(), &cfg), cfg.clone())),
+                ),
+            ];
+            for (kind, backend, mut concrete) in cells {
+                let cell = format!(
+                    "{name} on {kind:?}/{backend:?}, faults={faults}, budget={mem_budget:?}"
+                );
+                let mut built = machine(kind, backend, p.clone(), k(), cfg.clone());
+                let (want, want_report) =
+                    Fingerprint::of_run(concrete.as_mut(), &p.decls).expect(&cell);
+                let (got, got_report) = Fingerprint::of_run(built.as_mut(), &p.decls).expect(&cell);
+                assert_eq!(got.memory, want.memory, "{cell}: memory");
+                assert_eq!(got.messages, want.messages, "{cell}: messages");
+                assert_eq!(
+                    got_report.faults.any_injected(),
+                    faults && want.messages > 0,
+                    "{cell}: the fault plan reached the network"
+                );
+                if kind == MachineKind::Sim {
+                    assert_eq!(got, want, "{cell}: fingerprint");
+                    assert_eq!(got_report.faults, want_report.faults, "{cell}: faults");
+                    assert_eq!(
+                        got_report.virtual_time.to_bits(),
+                        want_report.virtual_time.to_bits(),
+                        "{cell}: virtual time"
+                    );
+                } else if !faults {
+                    assert_eq!(got.movement, want.movement, "{cell}: movement");
+                }
+                let free = *unbudgeted_messages.get_or_insert(got.messages);
+                budget_mattered |= got.messages != free;
+            }
+        }
+    }
+    assert!(budget_mattered, "no program replanned under the budget");
 }
 
 #[test]
@@ -127,7 +224,11 @@ fn init_and_gather_agree_with_the_per_index_definitions() {
     let full = Section::new(decl.bounds.clone());
     let f = |idx: &[i64]| Value::F64((idx[0] * 16 + idx[1]) as f64);
 
-    let mut exec = SimExec::new(Arc::new(p), KernelRegistry::standard(), SimConfig::new(4));
+    let mut exec = SimExec::new(
+        Arc::new(p),
+        KernelRegistry::standard(),
+        MachineConfig::new(4),
+    );
     exec.init_exclusive(a, f);
     let g = exec.gather(a);
 

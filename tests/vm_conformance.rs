@@ -14,9 +14,8 @@
 use std::path::PathBuf;
 use std::sync::Arc;
 use xdp::prelude::*;
-use xdp_compiler::{compile, CompileOptions, SeqMode};
-use xdp_verify::Fingerprint;
-use xdp_vm::VmExec;
+use xdp_compiler::{compile, Backend, CompileOptions, SeqMode};
+use xdp_verify::{machine, Fingerprint};
 
 #[path = "../crates/vm/tests/step_pair/mod.rs"]
 mod step_pair;
@@ -68,13 +67,18 @@ fn chaos(seed: u64) -> FaultPlan {
     plan
 }
 
-/// Fingerprint one run by the one protocol, or the runtime error it dies
-/// with — the VM must reproduce interpreter errors byte-for-byte too.
-fn fp(mut exec: impl Machine, decls: &[Decl]) -> Result<Fingerprint, String> {
-    match Fingerprint::of_run(&mut exec, decls) {
-        Ok((fp, _)) => Ok(fp),
-        Err(e) => Err(e.to_string()),
-    }
+/// Fingerprint one run of `program` on the `kind` machine `cfg` describes
+/// by the one protocol, or the runtime error it dies with — the VM must
+/// reproduce interpreter errors byte-for-byte too.
+fn fp(
+    kind: MachineKind,
+    backend: Backend,
+    program: &Arc<Program>,
+    cfg: MachineConfig,
+) -> Result<(Fingerprint, ExecReport), String> {
+    let kernels = xdp_apps::app_kernels();
+    let mut exec = machine(kind, backend, program.clone(), kernels, cfg);
+    Fingerprint::of_run(exec.as_mut(), &program.decls).map_err(|e| e.to_string())
 }
 
 type SimResult = Result<Fingerprint, String>;
@@ -84,20 +88,12 @@ fn sim_pair(
     nprocs: usize,
     faults: Option<FaultPlan>,
 ) -> (SimResult, SimResult) {
-    let mut cfg = SimConfig::new(nprocs).with_trace(TraceConfig::full());
+    let mut cfg = MachineConfig::new(nprocs).with_trace(TraceConfig::full());
     if let Some(plan) = faults {
         cfg = cfg.with_faults(plan);
     }
-    let decls = program.decls.clone();
-    let interp = fp(
-        SimExec::new(program.clone(), xdp_apps::app_kernels(), cfg.clone()),
-        &decls,
-    );
-    let vm = fp(
-        VmExec::sim(program.clone(), xdp_apps::app_kernels(), cfg),
-        &decls,
-    );
-    (interp, vm)
+    let on = |backend| fp(MachineKind::Sim, backend, program, cfg.clone()).map(|(fp, _)| fp);
+    (on(Backend::Interp), on(Backend::Vm))
 }
 
 #[test]
@@ -157,29 +153,17 @@ fn vm_matches_interpreter_on_the_task_machine() {
             // Which pid trips a runtime error first races on real
             // threads; only compare variants that run cleanly (the sim
             // test owns error conformance).
-            let probe = fp(
-                SimExec::new(
-                    program.clone(),
-                    xdp_apps::app_kernels(),
-                    SimConfig::new(compiled.nprocs),
-                ),
-                &program.decls,
-            );
-            if probe.is_err() {
+            let untraced = MachineConfig::new(compiled.nprocs);
+            if fp(MachineKind::Sim, Backend::Interp, program, untraced).is_err() {
                 continue;
             }
-            let cfg = AsyncConfig::new(compiled.nprocs).with_trace(TraceConfig::full());
-            let decls = &program.decls;
-            let interp = fp(
-                AsyncExec::new(program.clone(), xdp_apps::app_kernels(), cfg.clone()),
-                decls,
-            )
-            .unwrap_or_else(|e| panic!("{name}+{variant}: interp run: {e}"));
-            let vm = fp(
-                VmExec::tasks(program.clone(), xdp_apps::app_kernels(), cfg),
-                decls,
-            )
-            .unwrap_or_else(|e| panic!("{name}+{variant}: vm run: {e}"));
+            let cfg = MachineConfig::new(compiled.nprocs).with_trace(TraceConfig::full());
+            let on_tasks = |backend| {
+                fp(MachineKind::Tasks, backend, program, cfg.clone())
+                    .unwrap_or_else(|e| panic!("{name}+{variant}: {backend:?} run: {e}"))
+                    .0
+            };
+            let (interp, vm) = (on_tasks(Backend::Interp), on_tasks(Backend::Vm));
             // Task schedules vary run to run, so the section-state
             // instants are not comparable — everything timing-free is.
             assert_eq!(interp.memory, vm.memory, "{name}+{variant}: memory");
@@ -198,21 +182,10 @@ fn vm_chaos_runs_are_bit_identical_to_clean() {
     for (name, source) in programs() {
         let opts = CompileOptions::default().with_seq(SeqMode::Auto);
         let compiled = compile(&source, &opts).unwrap();
-        let decls = compiled.program.decls.clone();
-        let clean = fp(
-            VmExec::sim(
-                compiled.program.clone(),
-                xdp_apps::app_kernels(),
-                SimConfig::new(compiled.nprocs).with_trace(TraceConfig::full()),
-            ),
-            &decls,
-        )
-        .unwrap_or_else(|e| panic!("{name}: clean vm run: {e}"));
-        let cfg = SimConfig::new(compiled.nprocs)
-            .with_trace(TraceConfig::full())
-            .with_faults(chaos(11));
-        let mut exec = VmExec::sim(compiled.program.clone(), xdp_apps::app_kernels(), cfg);
-        let (faulty, report) = Fingerprint::of_run(&mut exec, &decls).expect("vm chaos run");
+        let cfg = MachineConfig::new(compiled.nprocs).with_trace(TraceConfig::full());
+        let on_vm = |cfg| fp(MachineKind::Sim, Backend::Vm, &compiled.program, cfg);
+        let (clean, _) = on_vm(cfg.clone()).unwrap_or_else(|e| panic!("{name}: clean vm run: {e}"));
+        let (faulty, report) = on_vm(cfg.with_faults(chaos(11))).expect("vm chaos run");
         assert_eq!(clean.memory, faulty.memory, "{name}: chaos changed memory");
         assert_eq!(
             clean.messages, faulty.messages,
