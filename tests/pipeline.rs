@@ -358,3 +358,484 @@ fn provenance_rows_describe_each_passes_own_input_and_output() {
     }
     assert!(ct.passes.iter().any(|row| !row.added.is_empty()));
 }
+
+// ---------------------------------------------------------------------
+// Pinned pass behaviour.
+// ---------------------------------------------------------------------
+
+fn fnv1a(text: &str) -> u64 {
+    text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// What a pass run produced, as text: the program, and the notes of every
+/// pass. Notes of the form `<pass>: declined ...` say why a matched loop
+/// was left alone; they are pinned by their own tests, not here.
+#[derive(Default)]
+pub struct Outcome {
+    pub program: String,
+    pub notes: String,
+}
+
+impl Outcome {
+    fn push(&mut self, program: &Program, notes: impl IntoIterator<Item = String>) {
+        self.program += &xdp_ir::pretty::program(program);
+        for note in notes {
+            if !note.contains(": declined ") {
+                self.notes += &note;
+                self.notes.push('\n');
+            }
+        }
+    }
+
+    fn run(&mut self, mgr: PassManager, p: &Program) {
+        let (out, log) = mgr.run(p);
+        self.push(&out, log.into_iter().flat_map(|(_, r)| r.notes));
+    }
+
+    fn row(&self, label: &str) -> String {
+        format!(
+            "{label} {:016x} {:016x}",
+            fnv1a(&self.program),
+            fnv1a(&self.notes)
+        )
+    }
+}
+
+/// `do i = lo, hi { A[i] = A[i] + B[i + c] }`, lowered owner-computes.
+fn shifted_loop(
+    n: i64,
+    nprocs: usize,
+    ad: DimDist,
+    bd: DimDist,
+    c: i64,
+    lo: i64,
+    hi: i64,
+) -> Program {
+    let grid = ProcGrid::linear(nprocs);
+    let mut s = SeqProgram::new();
+    let a = s.declare(build::array(
+        "A",
+        ElemType::F64,
+        vec![(1, n)],
+        vec![ad],
+        grid.clone(),
+    ));
+    let b = s.declare(build::array(
+        "B",
+        ElemType::F64,
+        vec![(1, n)],
+        vec![bd],
+        grid,
+    ));
+    let ai = build::sref(a, vec![build::at(build::iv("i"))]);
+    let bi = build::sref(b, vec![build::at(build::iv("i").add(build::c(c)))]);
+    s.body = vec![SeqStmt::DoLoop {
+        var: "i".into(),
+        lo: build::c(lo),
+        hi: build::c(hi),
+        body: vec![SeqStmt::Assign {
+            target: ai.clone(),
+            rhs: build::val(ai).add(build::val(bi)),
+        }],
+    }];
+    lower_owner_computes(&s, &FrontendOptions::default()).unwrap()
+}
+
+/// Hand-written loop pairs and awaited nests for `fuse-loops` and
+/// `sink-await`: (label, source).
+const FUSE_AND_SINK: [(&str, &str); 12] = [
+    (
+        "fusable-same-iteration",
+        "real A[1:16] distribute (BLOCK) onto 4\nreal B[1:16] distribute (BLOCK) onto 4\n\
+         do i = 1, 16 { iown(A[i]) : { A[i] = A[i] + 1.0 } }\n\
+         do k = 1, 16 { iown(B[k]) : { B[k] = B[k] + A[k] } }\n",
+    ),
+    (
+        "fusable-reads-earlier",
+        "real A[1:16] distribute (BLOCK) onto 4\nreal B[1:16] distribute (BLOCK) onto 4\n\
+         do i = 2, 16 { iown(A[i]) : { A[i] = A[i] + 1.0 } }\n\
+         do k = 2, 16 { iown(B[k]) : { B[k] = B[k] + A[k - 1] } }\n",
+    ),
+    (
+        "fusable-fft-columns",
+        "complex A[1:4,1:4,1:4] distribute (*,*,BLOCK) onto 4 segment (4,1,1)\n\
+         do j = 1, 4 { fft1d(A[*,j,mypid + 1]) }\n\
+         do n = 1, 4 { A[*,n,mypid + 1] -=> }\n",
+    ),
+    (
+        "fusable-strided",
+        "real A[1:16] distribute (CYCLIC) onto 4\nreal B[1:16] distribute (CYCLIC) onto 4\n\
+         do i = 1, 15, 2 { iown(A[i]) : { A[i] = A[i] + 1.0 } }\n\
+         do k = 1, 15, 2 { iown(B[k]) : { B[k] = B[k] + A[k + 1] } }\n",
+    ),
+    (
+        "unfusable-reads-later",
+        "real A[1:16] distribute (BLOCK) onto 4\nreal B[1:16] distribute (BLOCK) onto 4\n\
+         do i = 1, 15 { iown(A[i]) : { A[i] = A[i] + 1.0 } }\n\
+         do k = 1, 15 { iown(B[k]) : { B[k] = B[k] + A[k + 1] } }\n",
+    ),
+    (
+        "unfusable-whole-plane",
+        "complex A[1:4,1:4] distribute (*,BLOCK) onto 4\n\
+         do j = 1, 4 { fft1d(A[*,j]) }\n\
+         do n = 1, 4 { A[*,*] -=> }\n",
+    ),
+    (
+        "unfusable-strided",
+        "real A[1:16] distribute (CYCLIC) onto 4\nreal B[1:16] distribute (CYCLIC) onto 4\n\
+         do i = 1, 13, 2 { iown(A[i]) : { A[i] = A[i] + 1.0 } }\n\
+         do k = 1, 13, 2 { iown(B[k]) : { B[k] = B[k] + A[k + 2] } }\n",
+    ),
+    (
+        "unfusable-bounds-differ",
+        "real A[1:16] distribute (BLOCK) onto 4\n\
+         do i = 1, 16 { iown(A[i]) : { A[i] = A[i] + 1.0 } }\n\
+         do k = 1, 15 { iown(A[k]) : { A[k] = A[k] + 1.0 } }\n",
+    ),
+    (
+        "loop4",
+        "complex A[1:4,1:4,1:4] distribute (*,BLOCK,*) onto 4\n\
+         await(A[*,mypid + 1,*]) : { do i = 1, 4 { fft1d(A[i,mypid + 1,*]) } }\n",
+    ),
+    (
+        "loop4-slabs",
+        "complex A[1:8,1:8,1:8] distribute (*,BLOCK,*) onto 4\n\
+         integer OWN[1:8] distribute (BLOCK) onto 4\n\
+         await(A[*,mylb(OWN[*], 1):myub(OWN[*], 1),*]) : {\n\
+           do j = mylb(OWN[*], 1), myub(OWN[*], 1) { do i = 1, 8 { fft1d(A[i,j,*]) } }\n\
+         }\n",
+    ),
+    (
+        "loop4-too-narrow",
+        "complex A[1:4,1:4,1:4] distribute (*,BLOCK,*) onto 4\n\
+         await(A[1,mypid + 1,*]) : { do i = 1, 4 { fft1d(A[i,mypid + 1,*]) } }\n",
+    ),
+    (
+        "loop4-two-refs",
+        "complex A[1:4,1:4,1:4] distribute (*,BLOCK,*) onto 4\n\
+         await(A[*,mypid + 1,*]) : {\n\
+           do i = 1, 4 { fft1d(A[i,mypid + 1,*])\n fft1d(A[1,1,*]) }\n\
+         }\n",
+    ),
+];
+
+/// Every pinned (label, outcome) pair, in table order.
+pub fn pinned_outcomes() -> Vec<(String, Outcome)> {
+    use xdp_compiler::{compile_program, CompileOptions, SeqMode};
+    let auto = CompileOptions::default().with_seq(SeqMode::Auto);
+    let mut got = Vec::new();
+
+    // The corpus, through each registered pass alone and the paper pipeline.
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("xdp-programs");
+    let mut files: Vec<_> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .collect();
+    files.sort();
+    for file in files {
+        let name = file.file_stem().unwrap().to_string_lossy().into_owned();
+        let parsed = xdp_lang::parse_program(&std::fs::read_to_string(&file).unwrap()).unwrap();
+        let base = compile_program(&parsed, &auto).unwrap().program;
+        for pass in xdp_compiler::passes::registry() {
+            let mut o = Outcome::default();
+            let label = format!("{name}/{}", pass.name());
+            o.run(PassManager::new().add_boxed(pass), &base);
+            got.push((label, o));
+        }
+        let mut o = Outcome::default();
+        o.run(PassManager::paper_pipeline(), &base);
+        got.push((format!("{name}/paper-pipeline"), o));
+    }
+
+    // The benchmark's serve-cold family: k nests, optimized and placed.
+    for k in 6..=10 {
+        let mut src = String::new();
+        for j in 1..=k {
+            src += &format!(
+                "real A{j}[1:16] distribute (BLOCK) onto 4\nreal B{j}[1:16] distribute (CYCLIC) onto 4\n"
+            );
+        }
+        for j in 1..=k {
+            src += &format!("do i = 1, 16\n  A{j}[i] = A{j}[i] + B{j}[i]\nenddo\n");
+        }
+        let parsed = xdp_lang::parse_program(&src).unwrap();
+        let c = compile_program(&parsed, &auto.clone().optimized().placed()).unwrap();
+        let mut o = Outcome::default();
+        o.push(&c.program, c.trace.passes.into_iter().flat_map(|p| p.notes));
+        got.push((format!("knest-{k}"), o));
+    }
+
+    // Owner-computes loops over every pair of distributions: machine
+    // widths, sizes and subscript offsets folded into one row per pair.
+    let dists = [
+        DimDist::Block,
+        DimDist::Cyclic,
+        DimDist::BlockCyclic(2),
+        DimDist::BlockCyclic(3),
+    ];
+    for ad in dists {
+        for bd in dists {
+            let mut o = Outcome::default();
+            for nprocs in [2, 3, 4] {
+                let mut loops = Vec::new();
+                for n in [16, 17, 60] {
+                    for c in [-1, 0, 2] {
+                        loops.push(shifted_loop(
+                            n,
+                            nprocs,
+                            ad,
+                            bd,
+                            c,
+                            1.max(1 - c),
+                            n.min(n - c),
+                        ));
+                    }
+                }
+                // Windows that leave B's declared bounds, and an empty one.
+                loops.push(shifted_loop(16, nprocs, ad, bd, 2, 1, 16));
+                loops.push(shifted_loop(16, nprocs, ad, bd, -1, 1, 16));
+                loops.push(shifted_loop(16, nprocs, ad, bd, 0, 9, 8));
+                for naive in &loops {
+                    o.run(PassManager::paper_pipeline(), naive);
+                    o.run(PassManager::new().add(ElideSameOwnerComm), naive);
+                    o.run(PassManager::new().add(VectorizeMessages), naive);
+                    o.run(PassManager::new().add(LocalizeBounds), naive);
+                    o.run(PassManager::new().add(BindCommunication), naive);
+                }
+            }
+            got.push((format!("loops/{ad}x{bd}"), o));
+        }
+    }
+
+    // The differential fuzzer's generator, twenty seeds to a row.
+    for first in (1..=200).step_by(20) {
+        let mut o = Outcome::default();
+        for seed in first..first + 20 {
+            let tp = xdp_verify::gen::executable_program(seed);
+            o.run(PassManager::paper_pipeline(), &tp.program);
+        }
+        got.push((format!("gen/{first}..{}", first + 19), o));
+    }
+
+    // Loop pairs and awaited nests, through the two §4 passes.
+    use xdp_compiler::passes::{FuseLoops, SinkAwait};
+    for (label, src) in FUSE_AND_SINK {
+        let p = xdp_lang::parse_program(src).unwrap_or_else(|e| panic!("{label}: {e}"));
+        let mut o = Outcome::default();
+        o.run(PassManager::new().add(FuseLoops), &p);
+        o.run(PassManager::new().add(SinkAwait), &p);
+        got.push((format!("nest/{label}"), o));
+    }
+
+    // Every §4 FFT stage, through the passes of its derivation.
+    use xdp_apps::fft3d::{build, Fft3dConfig, Stage};
+    for (n, nprocs) in [(4, 4), (8, 4), (8, 2), (16, 4)] {
+        for stage in Stage::all() {
+            let (p, _) = build(Fft3dConfig::new(n, nprocs), stage);
+            let mut o = Outcome::default();
+            o.run(PassManager::new().add(LocalizeBounds), &p);
+            o.run(PassManager::new().add(FuseLoops), &p);
+            o.run(PassManager::new().add(SinkAwait), &p);
+            o.run(PassManager::fft_pipeline(), &p);
+            got.push((format!("fft/{n}/{nprocs}/{}", stage.label()), o));
+        }
+    }
+
+    got
+}
+
+/// The text every pass produces, and what it says it did, pinned by
+/// digest: `program-digest notes-digest` per row, computed before the
+/// passes stopped walking the iteration space point by point. A deliberate
+/// change to a pass's output re-pins its rows.
+#[test]
+fn pass_outputs_and_notes_are_pinned() {
+    let got: Vec<String> = pinned_outcomes()
+        .iter()
+        .map(|(label, o)| o.row(label))
+        .collect();
+    let want: Vec<&str> = PASS_PINS.lines().map(str::trim).collect();
+    let moved: Vec<&String> = got
+        .iter()
+        .filter(|row| !want.contains(&row.as_str()))
+        .collect();
+    assert!(
+        got == want,
+        "rows that moved: {moved:#?}\nfull table:\n{}",
+        got.join("\n")
+    );
+}
+
+const PASS_PINS: &str = "\
+    fft3d/elide-same-owner-comm ff3ce5959ff88e37 cbf29ce484222325
+    fft3d/vectorize-messages ff3ce5959ff88e37 cbf29ce484222325
+    fft3d/localize-bounds 79aca91db3d0acdb c64dfbb4f3e18e97
+    fft3d/bind-communication ff3ce5959ff88e37 cbf29ce484222325
+    fft3d/elide-accessible-checks ff3ce5959ff88e37 cbf29ce484222325
+    fft3d/fuse-loops ff3ce5959ff88e37 cbf29ce484222325
+    fft3d/sink-await ff3ce5959ff88e37 cbf29ce484222325
+    fft3d/migrate-ownership ff3ce5959ff88e37 cbf29ce484222325
+    fft3d/lower-redistribute ff3ce5959ff88e37 cbf29ce484222325
+    fft3d/auto-place ff3ce5959ff88e37 9e55a19e30eb6150
+    fft3d/paper-pipeline 79aca91db3d0acdb c64dfbb4f3e18e97
+    jacobi2d/elide-same-owner-comm 1fa89558b37d7282 cbf29ce484222325
+    jacobi2d/vectorize-messages 1fa89558b37d7282 cbf29ce484222325
+    jacobi2d/localize-bounds 1fa89558b37d7282 cbf29ce484222325
+    jacobi2d/bind-communication 1fa89558b37d7282 cbf29ce484222325
+    jacobi2d/elide-accessible-checks 1fa89558b37d7282 cbf29ce484222325
+    jacobi2d/fuse-loops 1fa89558b37d7282 cbf29ce484222325
+    jacobi2d/sink-await 1fa89558b37d7282 cbf29ce484222325
+    jacobi2d/migrate-ownership 1fa89558b37d7282 cbf29ce484222325
+    jacobi2d/lower-redistribute 1fa89558b37d7282 cbf29ce484222325
+    jacobi2d/auto-place 4e33a6e884e4938d cd59c0e2e33daf20
+    jacobi2d/paper-pipeline 1fa89558b37d7282 cbf29ce484222325
+    membound/elide-same-owner-comm cf3161f67b38901d cbf29ce484222325
+    membound/vectorize-messages cf3161f67b38901d cbf29ce484222325
+    membound/localize-bounds 403f8f63c256e118 4397419e5dece793
+    membound/bind-communication cf3161f67b38901d cbf29ce484222325
+    membound/elide-accessible-checks cf3161f67b38901d cbf29ce484222325
+    membound/fuse-loops cf3161f67b38901d cbf29ce484222325
+    membound/sink-await cf3161f67b38901d cbf29ce484222325
+    membound/migrate-ownership cf3161f67b38901d cbf29ce484222325
+    membound/lower-redistribute cf3161f67b38901d cbf29ce484222325
+    membound/auto-place f808e03565595312 7171adcf98edf5b7
+    membound/paper-pipeline 403f8f63c256e118 4397419e5dece793
+    migration/elide-same-owner-comm 1ba50700ad74fb50 cbf29ce484222325
+    migration/vectorize-messages 1ba50700ad74fb50 cbf29ce484222325
+    migration/localize-bounds 1ba50700ad74fb50 cbf29ce484222325
+    migration/bind-communication 1ba50700ad74fb50 cbf29ce484222325
+    migration/elide-accessible-checks 1ba50700ad74fb50 cbf29ce484222325
+    migration/fuse-loops 1ba50700ad74fb50 cbf29ce484222325
+    migration/sink-await 1ba50700ad74fb50 cbf29ce484222325
+    migration/migrate-ownership 1ba50700ad74fb50 cbf29ce484222325
+    migration/lower-redistribute 1ba50700ad74fb50 cbf29ce484222325
+    migration/auto-place 1ba50700ad74fb50 e07045e460ddc4c6
+    migration/paper-pipeline 1ba50700ad74fb50 cbf29ce484222325
+    pipeline/elide-same-owner-comm 05e9504d6a05ed1e cbf29ce484222325
+    pipeline/vectorize-messages 05e9504d6a05ed1e cbf29ce484222325
+    pipeline/localize-bounds 05e9504d6a05ed1e cbf29ce484222325
+    pipeline/bind-communication 05e9504d6a05ed1e cbf29ce484222325
+    pipeline/elide-accessible-checks 05e9504d6a05ed1e cbf29ce484222325
+    pipeline/fuse-loops 05e9504d6a05ed1e cbf29ce484222325
+    pipeline/sink-await 05e9504d6a05ed1e cbf29ce484222325
+    pipeline/migrate-ownership 05e9504d6a05ed1e cbf29ce484222325
+    pipeline/lower-redistribute 05e9504d6a05ed1e cbf29ce484222325
+    pipeline/auto-place ba9cc6e5ffa32719 d2bde9344c1872ec
+    pipeline/paper-pipeline 05e9504d6a05ed1e cbf29ce484222325
+    remap/elide-same-owner-comm 9fb0b236ff6957cc cbf29ce484222325
+    remap/vectorize-messages 9fb0b236ff6957cc cbf29ce484222325
+    remap/localize-bounds 9fb0b236ff6957cc cbf29ce484222325
+    remap/bind-communication 9fb0b236ff6957cc cbf29ce484222325
+    remap/elide-accessible-checks 9fb0b236ff6957cc cbf29ce484222325
+    remap/fuse-loops 9fb0b236ff6957cc cbf29ce484222325
+    remap/sink-await 9fb0b236ff6957cc cbf29ce484222325
+    remap/migrate-ownership 9fb0b236ff6957cc cbf29ce484222325
+    remap/lower-redistribute 9fb0b236ff6957cc cbf29ce484222325
+    remap/auto-place 9fb0b236ff6957cc e9d44becbb0e9114
+    remap/paper-pipeline 9fb0b236ff6957cc cbf29ce484222325
+    seq_sum/elide-same-owner-comm 9a2d05a0757c3d20 cbf29ce484222325
+    seq_sum/vectorize-messages 27277d7fdd9b6462 7ad473019ba8541b
+    seq_sum/localize-bounds 9a2d05a0757c3d20 cbf29ce484222325
+    seq_sum/bind-communication 958bd92d9670975c c6907558ce002dd7
+    seq_sum/elide-accessible-checks 9a2d05a0757c3d20 cbf29ce484222325
+    seq_sum/fuse-loops 9a2d05a0757c3d20 cbf29ce484222325
+    seq_sum/sink-await 9a2d05a0757c3d20 cbf29ce484222325
+    seq_sum/migrate-ownership 51b80371ff8db04b 8bbd91358eb9dd10
+    seq_sum/lower-redistribute 9a2d05a0757c3d20 cbf29ce484222325
+    seq_sum/auto-place d9a5ef297f992545 bc37ab4cb0c894db
+    seq_sum/paper-pipeline 6696ecead4da9154 9e42c7918b816ec1
+    simple/elide-same-owner-comm fe0e7ae4418c1e60 cbf29ce484222325
+    simple/vectorize-messages 71fe84ced41e3e51 7ad473019ba8541b
+    simple/localize-bounds fe0e7ae4418c1e60 cbf29ce484222325
+    simple/bind-communication 8174f190096e7f1c c6907558ce002dd7
+    simple/elide-accessible-checks fe0e7ae4418c1e60 cbf29ce484222325
+    simple/fuse-loops fe0e7ae4418c1e60 cbf29ce484222325
+    simple/sink-await fe0e7ae4418c1e60 cbf29ce484222325
+    simple/migrate-ownership 40b6a0917d0272c4 8bbd91358eb9dd10
+    simple/lower-redistribute fe0e7ae4418c1e60 cbf29ce484222325
+    simple/auto-place 7775ee008e226811 bc37ab4cb0c894db
+    simple/paper-pipeline 4440b1cce06846dd 9e42c7918b816ec1
+    twophase/elide-same-owner-comm ab4126aa7200c8f9 cbf29ce484222325
+    twophase/vectorize-messages ab4126aa7200c8f9 cbf29ce484222325
+    twophase/localize-bounds e839adeecc167b1e 4397419e5dece793
+    twophase/bind-communication ab4126aa7200c8f9 cbf29ce484222325
+    twophase/elide-accessible-checks ab4126aa7200c8f9 cbf29ce484222325
+    twophase/fuse-loops ab4126aa7200c8f9 cbf29ce484222325
+    twophase/sink-await ab4126aa7200c8f9 cbf29ce484222325
+    twophase/migrate-ownership ab4126aa7200c8f9 cbf29ce484222325
+    twophase/lower-redistribute ab4126aa7200c8f9 cbf29ce484222325
+    twophase/auto-place ab4126aa7200c8f9 c266c5f295462d4d
+    twophase/paper-pipeline e839adeecc167b1e 4397419e5dece793
+    knest-6 db351226f15e08aa 4d7783d4511981c4
+    knest-7 fb0e957d3b92ddcc 98347f004a4b827f
+    knest-8 61dc30ee88e727ac 867c338ea8cb2160
+    knest-9 cff74548d6544452 d793ad6cb35595df
+    knest-10 829da1d91a3828a4 df8df30e903db7b0
+    loops/BLOCKxBLOCK 7e20467794673d3f 4dc671df287b934f
+    loops/BLOCKxCYCLIC ce84b81cc09dea5b 4b259a3a6c4a0ef9
+    loops/BLOCKxCYCLIC(2) fafc8413b56e5ab3 d9b17f3414a0ec9f
+    loops/BLOCKxCYCLIC(3) c6a357aaf16de8cd 799388e27ac9ed6d
+    loops/CYCLICxBLOCK cc31aa89e7e064c4 037f17db67568a2e
+    loops/CYCLICxCYCLIC d21a74dddfaa063f c0d1063c98efc26d
+    loops/CYCLICxCYCLIC(2) 0e8855784077dadb 84c7e618ea4786c3
+    loops/CYCLICxCYCLIC(3) fbdc847e427b7157 33fefa71035d0c53
+    loops/CYCLIC(2)xBLOCK ba963dbd802734fc 3b012e0c491af999
+    loops/CYCLIC(2)xCYCLIC d806768cb36f4df4 d2314c2861d44759
+    loops/CYCLIC(2)xCYCLIC(2) 40f87c8aa56900a8 6e798bbe3ac9a3ec
+    loops/CYCLIC(2)xCYCLIC(3) 85a54034066f68fa a8f22c19252f83e5
+    loops/CYCLIC(3)xBLOCK e631b7b11b7981f9 fe829a1a3fd64578
+    loops/CYCLIC(3)xCYCLIC 0e5d8df22127b172 755059c51f530345
+    loops/CYCLIC(3)xCYCLIC(2) 33c916340416032a ea037ecccec2104f
+    loops/CYCLIC(3)xCYCLIC(3) 2c0eea7a97b9c3c6 21b6a1d15d697ac1
+    gen/1..20 6534e607f1a91f03 ed685a30903f7d05
+    gen/21..40 47fb67d218b1230f 1afba0bb042d3bf1
+    gen/41..60 d831ff176cf1592a 4c81ec8dcf3b1ee6
+    gen/61..80 bb66a63d401a3ff8 6353f8c8f7326dd9
+    gen/81..100 ea1f01ed80e53c97 ef924ccd8c07c92e
+    gen/101..120 e2a92915d29836eb 5bc9008bab55fc37
+    gen/121..140 5c43d641d0ee10b1 ffeb4476ed3768b3
+    gen/141..160 b75cbe01dca6b3bb f17dd250d97d5edc
+    gen/161..180 80c898bbc74c228c 693ea96f22caf6cf
+    gen/181..200 6093ac84cf7db31d 85ecd4719cc783e9
+    nest/fusable-same-iteration 08d1d68a81eb290c 25b1893c4decb758
+    nest/fusable-reads-earlier 0d27eebd14eeb521 25b1893c4decb758
+    nest/fusable-fft-columns c0dbee54f0c07222 25b1893c4decb758
+    nest/fusable-strided c9f310b4ae1d83e3 25b1893c4decb758
+    nest/unfusable-reads-later 6484b2393e09e355 cbf29ce484222325
+    nest/unfusable-whole-plane 6c044491b12ff999 cbf29ce484222325
+    nest/unfusable-strided dcaeb98fbde38759 cbf29ce484222325
+    nest/unfusable-bounds-differ 570f20d4f687ed89 cbf29ce484222325
+    nest/loop4 8b2dc0d1523548ba 3e32dbd9c261fbfc
+    nest/loop4-slabs 01807aa6663db57a 9fb05d411477f97f
+    nest/loop4-too-narrow 386dd33f7b7edda9 cbf29ce484222325
+    nest/loop4-two-refs 2de841f8e16f4a25 cbf29ce484222325
+    fft/4/4/v0-naive 967a1d6f3c216feb 6bc6827b9e153d01
+    fft/4/4/v1-localized 20958371d1d2f317 bdf8487258d94cbd
+    fft/4/4/v2-fused 71cf533429d9f41f bdf8487258d94cbd
+    fft/4/4/v3-await-sunk df377379d143f3c9 cbf29ce484222325
+    fft/4/4/v4-preposted 49ae3c6d1376bedd cbf29ce484222325
+    fft/4/4/v5-planned 0a273f9a0f1faed9 cbf29ce484222325
+    fft/4/4/v6-auto 04767b9497e71801 cbf29ce484222325
+    fft/8/4/v0-naive 9c684171dddfa6fd aa91b14f61e39ce5
+    fft/8/4/v1-localized e1b03773d27dfb47 bdf8487258d94cbd
+    fft/8/4/v2-fused e6d4b4da75f3ffbf bdf8487258d94cbd
+    fft/8/4/v3-await-sunk f74495ad0ffe8549 cbf29ce484222325
+    fft/8/4/v4-preposted 5236b11df293b09d cbf29ce484222325
+    fft/8/4/v5-planned c6db986830c58d39 cbf29ce484222325
+    fft/8/4/v6-auto e030e3963df09b11 cbf29ce484222325
+    fft/8/2/v0-naive e7d928bbb013661d aa91b14f61e39ce5
+    fft/8/2/v1-localized 125dd4010213cd2b bdf8487258d94cbd
+    fft/8/2/v2-fused 4320c9a66c225c73 bdf8487258d94cbd
+    fft/8/2/v3-await-sunk 3919813105a63291 cbf29ce484222325
+    fft/8/2/v4-preposted eff93e63e7d9517d cbf29ce484222325
+    fft/8/2/v5-planned 13f5b6bde154fc91 cbf29ce484222325
+    fft/8/2/v6-auto 064995fdd7af4561 cbf29ce484222325
+    fft/16/4/v0-naive 78e20f2afa26269d aa91b14f61e39ce5
+    fft/16/4/v1-localized 3d82c6c4d6b71153 bdf8487258d94cbd
+    fft/16/4/v2-fused 08a220bcff525fe9 bdf8487258d94cbd
+    fft/16/4/v3-await-sunk 54ec38a935ae5575 cbf29ce484222325
+    fft/16/4/v4-preposted c1595e6e139baf0d cbf29ce484222325
+    fft/16/4/v5-planned 519630d13f2b94a9 cbf29ce484222325
+    fft/16/4/v6-auto 521fa3d19e0abb89 cbf29ce484222325";
