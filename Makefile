@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain cargo underneath.
 
-.PHONY: all test benchmark-smoke experiments examples lint doc clean e10 e11 e12 e13 e14 e15 e16 e17 fuzz serve stats
+.PHONY: all test benchmark-smoke compile-scale experiments examples lint doc clean e10 e11 e12 e13 e14 e15 e16 e17 fuzz serve stats
 
 all: test
 
@@ -22,6 +22,35 @@ benchmark-smoke:
 	bash benchmark/run.sh --workload all --seed 1 --smoke --trace 0
 	bash benchmark/run.sh --workload all --seed 1 --smoke --trace 1
 	cd benchmark && cargo test --offline
+
+# No compile-time cliff (DESIGN §2.1): the optimizer decides ownership on
+# sets, so `xdpc opt` must do to simple.xdp's loop at n = 2^20, and
+# `fuse-loops` to a loop pair at n = 2^16, what they do at n = 64, in at
+# most twice the time (min of 5 runs each). Wall clock lives here and not
+# in `cargo test`, so a busy host cannot flake tier-1.
+compile-scale:
+	cargo build --release --quiet
+	@set -e; dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
+	simple() { printf 'real A[1:%d] distribute (BLOCK) onto 4\nreal B[1:%d] distribute (CYCLIC) onto 4\nreal T[0:3] distribute (BLOCK) onto 4 segment (1)\ndo i = 1, %d\n  iown(B[i]) : { B[i] -> }\n  iown(A[i]) : {\n    T[mypid] <- B[i]\n    await(T[mypid]) : { A[i] = A[i] + T[mypid] }\n  }\nenddo\n' $$1 $$1 $$1; }; \
+	pair() { printf 'real A[1:%d] distribute (BLOCK) onto 4\nreal B[1:%d] distribute (BLOCK) onto 4\ndo i = 1, %d\n  iown(A[i]) : { A[i] = A[i] + 1.0 }\nenddo\ndo i = 1, %d\n  iown(B[i]) : { B[i] = B[i] + A[i] }\nenddo\n' $$1 $$1 $$1 $$1; }; \
+	simple 64 > $$dir/simple_small.xdp; simple 1048576 > $$dir/simple_large.xdp; \
+	pair 64 > $$dir/pair_small.xdp; pair 65536 > $$dir/pair_large.xdp; \
+	best() { min=; for k in 1 2 3 4 5; do \
+	    s=$$(date +%s%N); "$$@" > /dev/null 2> $$dir/said; e=$$(date +%s%N); \
+	    us=$$(( (e - s) / 1000 )); if [ -z "$$min" ] || [ $$us -lt $$min ]; then min=$$us; fi; \
+	  done; echo $$min; }; \
+	within() { echo "$$1: n = 64 in $$2 us, large in $$3 us"; \
+	  [ $$3 -le $$(( 2 * $$2 )) ] || { echo "$$1: the large program took over twice as long"; exit 1; }; }; \
+	small=$$(best target/release/xdpc opt $$dir/simple_small.xdp); \
+	large=$$(best target/release/xdpc opt $$dir/simple_large.xdp); \
+	for pass in vectorize-messages localize-bounds bind-communication; do \
+	  grep -q "pass $$pass: changed" $$dir/said || { echo "simple at n = 2^20: $$pass did not fire"; exit 1; }; \
+	done; \
+	within "xdpc opt (simple)" $$small $$large; \
+	small=$$(best target/release/xdpc opt --passes fuse-loops $$dir/pair_small.xdp); \
+	large=$$(best target/release/xdpc opt --passes fuse-loops $$dir/pair_large.xdp); \
+	grep -q "pass fuse-loops: changed" $$dir/said || { echo "pair at n = 2^16: did not fuse"; exit 1; }; \
+	within "xdpc opt --passes fuse-loops (pair)" $$small $$large
 
 # Regenerate every figure/experiment table (EXPERIMENTS.md sources).
 experiments:

@@ -10,18 +10,20 @@
 //! * inside a recognized naive communication loop, the per-iteration send
 //!   `B[f(i)] ->` is bound to the *owner expression* of the target's
 //!   distribution evaluated at `g(i)` — e.g. `(g(i) - lb) / chunk` for
-//!   `BLOCK`, `(g(i) - lb) % P` for `CYCLIC` — verified exactly against
-//!   enumeration before being installed.
+//!   `BLOCK`, `(g(i) - lb) % P` for `CYCLIC`
+//!   ([`Distribution::owner_expr`](xdp_ir::Distribution::owner_expr),
+//!   right for every in-bounds index) — once the target is seen to stay
+//!   inside its declared bounds over the whole loop.
 //!
 //! Bound messages need not carry their name on the wire and skip the
 //! matcher's lookup (the cost difference is what experiment E5 measures).
 
-use crate::analysis::{concrete_section, eval_static, loop_values, static_owner, Bindings};
-use crate::passes::pattern::recognize;
-use crate::passes::{rewrite_block, Pass, PassResult, MAX_ENUM};
+use crate::analysis::{concrete_section, dim_form, Bindings, DimForm, Owners};
+use crate::passes::pattern::{recognize, NaiveCommLoop};
+use crate::passes::{declined, rewrite_block, Pass, PassResult};
 use std::collections::HashMap;
 use xdp_ir::{
-    DestSet, DimDist, Distribution, IntExpr, Program, Section, Stmt, Subscript, TransferKind, VarId,
+    DestSet, IntExpr, Ownership, Program, Section, Stmt, Subscript, TransferKind, Triplet, VarId,
 };
 
 /// The communication-binding pass.
@@ -35,6 +37,7 @@ impl Pass for BindCommunication {
     fn run(&self, p: &Program) -> PassResult {
         let mut notes = Vec::new();
         let mut changed = false;
+        let mut owners = Owners::new(p);
 
         // Map from constant-section tags to their receiver's static owner,
         // collected from every receive in the program.
@@ -57,7 +60,7 @@ impl Pass for BindCommunication {
                         // runs; bindable only if the receiving *statement*
                         // is guarded to a known pid — skip (conservative).
                         TransferKind::Ownership | TransferKind::OwnershipValue => None,
-                        TransferKind::Value => static_owner(p, target, &env),
+                        TransferKind::Value => owners.sole_owner(target, &env),
                     };
                     recv_owner
                         .entry((nameref.var, sec))
@@ -74,9 +77,17 @@ impl Pass for BindCommunication {
         let body = rewrite_block(&p.body, &mut |s| {
             // First chance: the naive comm loop with an owner expression.
             if let Some(pat) = recognize(&s) {
-                if let Some(bound) = bind_loop(p, &pat, &mut notes) {
-                    changed = true;
-                    return vec![bound];
+                match bind_loop(p, &pat) {
+                    Ok(bound) => {
+                        changed = true;
+                        notes.push(format!(
+                            "bound {} in-loop send(s) to the owner expression of {}",
+                            pat.slots.len(),
+                            p.decl(pat.target.var).name
+                        ));
+                        return vec![bound];
+                    }
+                    Err(why) => notes.push(declined(self, format_args!("loop {}", pat.var), why)),
                 }
             }
             // Second chance: constant-section sends.
@@ -115,107 +126,49 @@ impl Pass for BindCommunication {
     }
 }
 
-/// The owner of index-expression `g` under `dist`/`bounds` in dimension
-/// `d`, as a pid-valued integer expression — only for 1-axis grids.
-fn owner_expr(
-    dist: &Distribution,
-    bounds: &[xdp_ir::Triplet],
-    d: usize,
-    g: &IntExpr,
-) -> Option<IntExpr> {
-    if dist.alignment().is_some() || dist.grid().rank() != 1 {
-        return None;
-    }
-    let n = bounds[d].count();
-    let lb = bounds[d].lb;
-    let np = dist.nprocs() as i64;
-    let off = g.clone().sub(IntExpr::Const(lb));
-    Some(match dist.dims()[d] {
-        DimDist::Star => return None,
-        DimDist::Block => {
-            let chunk = (n + np - 1) / np;
-            IntExpr::Bin(
-                xdp_ir::IntBinOp::Div,
-                Box::new(off),
-                Box::new(IntExpr::Const(chunk)),
-            )
-        }
-        DimDist::Cyclic => IntExpr::Bin(
-            xdp_ir::IntBinOp::Mod,
-            Box::new(off),
-            Box::new(IntExpr::Const(np)),
-        ),
-        DimDist::BlockCyclic(bsz) => IntExpr::Bin(
-            xdp_ir::IntBinOp::Mod,
-            Box::new(IntExpr::Bin(
-                xdp_ir::IntBinOp::Div,
-                Box::new(off),
-                Box::new(IntExpr::Const(bsz)),
-            )),
-            Box::new(IntExpr::Const(np)),
-        ),
-    })
-}
-
-fn bind_loop(
-    p: &Program,
-    pat: &crate::passes::pattern::NaiveCommLoop,
-    notes: &mut Vec<String>,
-) -> Option<Stmt> {
-    let env = Bindings::new();
-    let values = loop_values(&pat.lo, &pat.hi, &IntExpr::Const(1), &env, MAX_ENUM)?;
+/// The loop with every operand send bound to the owner of the target at
+/// that iteration, or why the target's owner has no such expression.
+fn bind_loop(p: &Program, pat: &NaiveCommLoop) -> Result<Stmt, String> {
+    let window = pat.window()?;
     // Receiver of every message is the owner of the target at iteration i.
     let tdecl = p.decl(pat.target.var);
-    let tdist = tdecl.dist.as_ref()?;
-    // Find the single subscript dim of the target that uses the loop var.
-    let mut td = None;
-    for (d, sub) in pat.target.subs.iter().enumerate() {
-        if let Subscript::Point(e) = sub {
-            if e.uses_var(&pat.var) {
-                if td.is_some() {
-                    return None;
-                }
-                td = Some((d, e.clone()));
+    let name = xdp_ir::pretty::section_ref(p, &pat.target);
+    let dist = (tdecl.dist.as_ref())
+        .filter(|_| tdecl.ownership == Ownership::Exclusive)
+        .ok_or_else(|| format!("{} is not an exclusive distributed array", tdecl.name))?;
+    // The target must stay inside its declared bounds all loop long: its
+    // one subscript in the loop variable is affine, so where its ends
+    // are; every other dimension is fixed.
+    let env = Bindings::new();
+    let mut dest = None;
+    for (d, bound) in tdecl.bounds.iter().enumerate() {
+        let form = dim_form(tdecl, &pat.target, d, Some(&pat.var), &env, None);
+        let hull = match (form, &pat.target.subs[d]) {
+            (Some(DimForm::Fixed(t)), _) => t,
+            (Some(DimForm::Moving { a, lo, .. }), Subscript::Point(g)) if dest.is_none() => {
+                dest = Some(
+                    dist.owner_expr(&tdecl.bounds, d, g.clone())
+                        .ok_or_else(|| {
+                            format!(
+                                "the owner of {name} is not a function of dimension {} alone",
+                                d + 1
+                            )
+                        })?,
+                );
+                let ends = [window.lb, window.ub].map(|i| a.saturating_mul(i).saturating_add(lo));
+                Triplet::range(ends[0].min(ends[1]), ends[0].max(ends[1]))
             }
+            _ => return Err(format!("subscript {name} is not affine in {}", pat.var)),
+        };
+        if !window.is_empty() && (hull.is_empty() || hull.lb < bound.lb || hull.ub > bound.ub) {
+            return Err(format!("{name} leaves the declared bounds"));
         }
     }
-    let (d, g) = td?;
-    let dest = owner_expr(tdist, &tdecl.bounds, d, &g)?;
-    // Verify the expression against enumeration.
-    for &i in &values {
-        let envi = Bindings::from([(pat.var.clone(), i)]);
-        let want = static_owner(p, &pat.target, &envi)?;
-        let got = eval_static(&dest, &envi)?;
-        if got != want as i64 {
-            return None;
-        }
-    }
-    // Install the destination on each operand send.
-    let Stmt::DoLoop {
-        var,
-        lo,
-        hi,
-        step,
-        body,
-    } = rebuild_with_dest(pat, &dest)
-    else {
-        return None;
-    };
-    notes.push(format!(
-        "bound {} in-loop send(s) to the owner expression of {}",
-        pat.slots.len(),
-        tdecl.name
-    ));
-    Some(Stmt::DoLoop {
-        var,
-        lo,
-        hi,
-        step,
-        body,
-    })
+    let dest = dest.ok_or_else(|| format!("subscript {name} is not affine in {}", pat.var))?;
+    Ok(rebuild_with_dest(pat, &dest))
 }
 
-fn rebuild_with_dest(pat: &crate::passes::pattern::NaiveCommLoop, dest: &IntExpr) -> Stmt {
+fn rebuild_with_dest(pat: &NaiveCommLoop, dest: &IntExpr) -> Stmt {
     use xdp_ir::build as b;
     let mut body: Vec<Stmt> = Vec::new();
     for slot in &pat.slots {
@@ -258,7 +211,7 @@ mod tests {
     use crate::frontend::{lower_owner_computes, FrontendOptions};
     use crate::seq::{SeqProgram, SeqStmt};
     use xdp_ir::build as b;
-    use xdp_ir::{ElemType, ProcGrid};
+    use xdp_ir::{DimDist, ElemType, ProcGrid};
 
     fn lowered(nprocs: usize) -> Program {
         let grid = ProcGrid::linear(nprocs);

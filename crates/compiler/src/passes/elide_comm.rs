@@ -2,16 +2,16 @@
 //!
 //! "If the same processor that exclusively owns `A[i]` also owns `B[i]`,
 //! then the data transfer statements can be eliminated." For each
-//! communicated operand of a recognized naive communication loop, decide —
-//! by enumerating the (compile-time constant) iteration space — whether the
-//! operand's owner equals the target's owner on *every* iteration; if so,
-//! drop the send, the receive, and the temporary, and compute directly on
-//! the operand.
+//! communicated operand of a recognized naive communication loop, decide
+//! whether the operand's owner equals the target's owner on *every*
+//! iteration — their [`OwnerMap`](crate::analysis::OwnerMap)s over the
+//! loop's window are equal; if so, drop the send, the receive, and the
+//! temporary, and compute directly on the operand.
 
-use crate::analysis::{loop_values, static_owner, Bindings};
+use crate::analysis::Owners;
 use crate::frontend::substitute_ref;
 use crate::passes::pattern::{recognize, NaiveCommLoop};
-use crate::passes::{rewrite_block, Pass, PassResult, MAX_ENUM};
+use crate::passes::{declined, rewrite_block, Pass, PassResult};
 use xdp_ir::build as b;
 use xdp_ir::{Program, Stmt};
 
@@ -26,15 +26,21 @@ impl Pass for ElideSameOwnerComm {
     fn run(&self, p: &Program) -> PassResult {
         let mut notes = Vec::new();
         let mut changed = false;
-        let body = rewrite_block(&p.body, &mut |s| match recognize(&s) {
-            Some(pat) => match try_elide(p, &pat, &mut notes) {
-                Some(new_stmt) => {
+        let mut owners = Owners::new(p);
+        let body = rewrite_block(&p.body, &mut |s| {
+            let Some(pat) = recognize(&s) else {
+                return vec![s];
+            };
+            match try_elide(p, &mut owners, &pat, &mut notes) {
+                Ok(new_stmt) => {
                     changed = true;
                     vec![new_stmt]
                 }
-                None => vec![s],
-            },
-            None => vec![s],
+                Err(why) => {
+                    notes.push(declined(self, format_args!("loop {}", pat.var), why));
+                    vec![s]
+                }
+            }
         });
         let mut program = p.clone();
         program.body = body;
@@ -46,37 +52,39 @@ impl Pass for ElideSameOwnerComm {
     }
 }
 
-fn try_elide(p: &Program, pat: &NaiveCommLoop, notes: &mut Vec<String>) -> Option<Stmt> {
-    let env = Bindings::new();
-    let values = loop_values(&pat.lo, &pat.hi, &xdp_ir::IntExpr::Const(1), &env, MAX_ENUM)?;
+fn try_elide(
+    p: &Program,
+    owners: &mut Owners,
+    pat: &NaiveCommLoop,
+    notes: &mut Vec<String>,
+) -> Result<Stmt, String> {
+    let window = pat.window()?;
+    let target = owners.map(&pat.target, &pat.var, window)?;
     // Which slots are same-owner on every iteration?
-    let mut keep = Vec::new();
-    let mut elided = Vec::new();
+    let (mut keep, mut elided, mut why) = (Vec::new(), Vec::new(), String::new());
     for slot in &pat.slots {
-        let all_same = values.iter().all(|&i| {
-            let env = Bindings::from([(pat.var.clone(), i)]);
-            match (
-                static_owner(p, &slot.operand, &env),
-                static_owner(p, &pat.target, &env),
-            ) {
-                (Some(a), Some(b2)) => a == b2,
-                _ => false,
+        match owners.map(&slot.operand, &pat.var, window) {
+            Ok(operand) if operand.runs == target.runs => elided.push(slot.clone()),
+            other => {
+                why = other.err().unwrap_or_else(|| {
+                    let (o, t) = (p.decl(slot.operand.var), p.decl(pat.target.var));
+                    format!(
+                        "{} and {} differ in owner on some iteration",
+                        o.name, t.name
+                    )
+                });
+                keep.push(slot.clone());
             }
-        });
-        if all_same {
-            elided.push(slot.clone());
-        } else {
-            keep.push(slot.clone());
         }
     }
     if elided.is_empty() {
-        return None;
+        return Err(why);
     }
     for slot in &elided {
         notes.push(format!(
             "elided transfer of operand {:?}: owner equals target owner on all {} iterations",
             p.decl(slot.operand.var).name,
-            values.len()
+            window.count()
         ));
     }
 
@@ -114,7 +122,7 @@ fn try_elide(p: &Program, pat: &NaiveCommLoop, notes: &mut Vec<String>) -> Optio
         Some(rule) => recv_body.push(b::guarded(rule, vec![assign])),
     }
     body.push(b::guarded(b::iown(pat.target.clone()), recv_body));
-    Some(b::do_loop(&pat.var, pat.lo.clone(), pat.hi.clone(), body))
+    Ok(b::do_loop(&pat.var, pat.lo.clone(), pat.hi.clone(), body))
 }
 
 #[cfg(test)]

@@ -4,12 +4,14 @@
 //! bounds so that each processor only does those iterations for which it
 //! owns the data."
 //!
-//! Two transformations, both verified exactly by enumerating the iteration
-//! space for every processor:
+//! Two transformations, both read off the guard reference's
+//! [`OwnerMap`](crate::analysis::OwnerMap) — the iterations each processor
+//! owns the guarded section on:
 //!
 //! 1. **Range contraction** — a loop whose body is one `iown(X)`-guarded
 //!    block, where `X`'s subscript in one distributed dimension is
-//!    `i + c`: rewrite the bounds to
+//!    `i + c` and every processor's iterations are one constant-stride
+//!    run: rewrite the bounds to
 //!    `mylb(V[lo+c : hi+c], d) - c  ..  myub(V[lo+c : hi+c], d) - c`
 //!    (with the owning stride as the step for `CYCLIC`), and drop the
 //!    guard.
@@ -20,10 +22,11 @@
 //!    ("replacing all references to the loop's induction variable ... by
 //!    mypid").
 
-use crate::analysis::{concrete_section, eval_static, loop_values, Bindings};
-use crate::passes::{rewrite_block, subst_stmt, Pass, PassResult, MAX_ENUM};
+use crate::analysis::Owners;
+use crate::passes::pattern::static_window;
+use crate::passes::{declined, rewrite_block, subst_stmt, Pass, PassResult};
 use xdp_ir::build as b;
-use xdp_ir::{BoolExpr, IntExpr, Ownership, Program, SectionRef, Stmt, Subscript};
+use xdp_ir::{BoolExpr, IntExpr, Program, SectionRef, Stmt, Triplet};
 
 /// The localization pass.
 pub struct LocalizeBounds;
@@ -36,12 +39,21 @@ impl Pass for LocalizeBounds {
     fn run(&self, p: &Program) -> PassResult {
         let mut notes = Vec::new();
         let mut changed = false;
-        let body = rewrite_block(&p.body, &mut |s| match try_localize(p, &s, &mut notes) {
-            Some(stmts) => {
-                changed = true;
-                stmts
+        let mut owners = Owners::new(p);
+        let body = rewrite_block(&p.body, &mut |s| {
+            let Some(guarded) = recognize(&s) else {
+                return vec![s];
+            };
+            match localize(p, &mut owners, &guarded, &mut notes) {
+                Ok(stmts) => {
+                    changed = true;
+                    stmts
+                }
+                Err(why) => {
+                    notes.push(declined(self, format_args!("loop {}", guarded.var), why));
+                    vec![s]
+                }
             }
-            None => vec![s],
         });
         let mut program = p.clone();
         program.body = body;
@@ -53,42 +65,17 @@ impl Pass for LocalizeBounds {
     }
 }
 
-/// Owned iteration values of `guard_ref` per pid, by enumeration.
-fn owned_iters_per_pid(
-    p: &Program,
-    var: &str,
-    values: &[i64],
-    guard_ref: &SectionRef,
-) -> Option<Vec<Vec<i64>>> {
-    let decl = p.decl(guard_ref.var);
-    if decl.ownership != Ownership::Exclusive {
-        return None;
-    }
-    let dist = decl.dist.as_ref()?;
-    let nprocs = dist.nprocs();
-    let mut per_pid = vec![Vec::new(); nprocs];
-    for &i in values {
-        let env = Bindings::from([(var.to_string(), i)]);
-        let sec = concrete_section(p, guard_ref, &env)?;
-        if sec.is_empty() {
-            continue;
-        }
-        // The iteration belongs to pid q iff q owns the whole section.
-        let mut owner = None;
-        for idx in sec.iter() {
-            let o = dist.owner_of(&decl.bounds, &idx);
-            match owner {
-                None => owner = Some(o),
-                Some(prev) if prev != o => return None, // split section: bail
-                _ => {}
-            }
-        }
-        per_pid[owner?].push(i);
-    }
-    Some(per_pid)
+/// `do var = lo, hi { iown(X(var)) [&& rest] : inner }`, unit step.
+struct GuardedLoop<'a> {
+    var: &'a str,
+    lo: &'a IntExpr,
+    hi: &'a IntExpr,
+    guard_ref: &'a SectionRef,
+    /// The guarded block, under whatever else the rule asked for.
+    inner: Vec<Stmt>,
 }
 
-fn try_localize(p: &Program, s: &Stmt, notes: &mut Vec<String>) -> Option<Vec<Stmt>> {
+fn recognize(s: &Stmt) -> Option<GuardedLoop<'_>> {
     let Stmt::DoLoop {
         var,
         lo,
@@ -114,168 +101,102 @@ fn try_localize(p: &Program, s: &Stmt, notes: &mut Vec<String>) -> Option<Vec<St
     let mut residual: Vec<BoolExpr> = Vec::new();
     for c in conjuncts {
         match c {
-            BoolExpr::Iown(r) if r.uses_var(var) && guard_ref.is_none() => {
-                guard_ref = Some(r.clone());
-            }
+            BoolExpr::Iown(r) if r.uses_var(var) && guard_ref.is_none() => guard_ref = Some(r),
             other => residual.push(other.clone()),
         }
     }
-    let guard_ref = &guard_ref?;
-    let inner: &Vec<Stmt> = &match residual.len() {
-        0 => inner.clone(),
-        _ => {
-            let mut rule = residual.remove(0);
-            for r in residual {
-                rule = rule.and(r);
-            }
-            vec![Stmt::Guarded {
-                rule,
-                body: inner.clone(),
-            }]
-        }
+    let inner = match residual.into_iter().reduce(BoolExpr::and) {
+        None => inner.clone(),
+        Some(rule) => vec![Stmt::Guarded {
+            rule,
+            body: inner.clone(),
+        }],
     };
-    let env = Bindings::new();
-    let values = loop_values(lo, hi, step, &env, MAX_ENUM)?;
-    if values.is_empty() {
-        return None;
+    Some(GuardedLoop {
+        var,
+        lo,
+        hi,
+        guard_ref: guard_ref?,
+        inner,
+    })
+}
+
+fn localize(
+    p: &Program,
+    owners: &mut Owners,
+    l: &GuardedLoop,
+    notes: &mut Vec<String>,
+) -> Result<Vec<Stmt>, String> {
+    let (var, guard_ref) = (l.var, l.guard_ref);
+    let window = static_window(l.lo, l.hi)?;
+    if window.is_empty() {
+        return Err("it never runs".to_string());
     }
-    let per_pid = owned_iters_per_pid(p, var, &values, guard_ref)?;
+    let map = owners.map(guard_ref, var, window)?;
+    let name = &p.decl(guard_ref.var).name;
 
     // Attempt 2 first: single iteration per pid, affine in pid.
-    if per_pid.iter().all(|v| v.len() == 1) {
-        let iters: Vec<i64> = per_pid.iter().map(|v| v[0]).collect();
-        let a = if iters.len() >= 2 {
-            iters[1] - iters[0]
-        } else {
-            0
-        };
+    let only = |runs: &Vec<Triplet>| match runs.as_slice() {
+        [run] if run.count() == 1 => Some(run.lb),
+        _ => None,
+    };
+    if let Some(iters) = map.runs.iter().map(only).collect::<Option<Vec<i64>>>() {
+        let a = iters.get(1).map_or(0, |second| second - iters[0]);
         let b0 = iters[0];
-        if iters
-            .iter()
-            .enumerate()
-            .all(|(pid, &it)| it == a * pid as i64 + b0)
-        {
-            let rep = IntExpr::Bin(
-                xdp_ir::IntBinOp::Add,
-                Box::new(IntExpr::Bin(
-                    xdp_ir::IntBinOp::Mul,
-                    Box::new(IntExpr::Const(a)),
-                    Box::new(IntExpr::MyPid),
-                )),
-                Box::new(IntExpr::Const(b0)),
-            );
-            let rep = simplify_affine(a, b0, rep);
+        if (0..).zip(&iters).all(|(pid, &it)| it == a * pid + b0) {
+            let rep = match (a, b0) {
+                (1, 0) => IntExpr::MyPid,
+                (1, _) => IntExpr::MyPid.add(IntExpr::Const(b0)),
+                _ => IntExpr::Const(a)
+                    .mul(IntExpr::MyPid)
+                    .add(IntExpr::Const(b0)),
+            };
             notes.push(format!(
-                "eliminated loop `{var}` and guard iown({}): one owned iteration per processor, {var} := {}",
-                p.decl(guard_ref.var).name,
+                "eliminated loop `{var}` and guard iown({name}): one owned iteration per processor, {var} := {}",
                 pretty_rep(a, b0),
             ));
-            return Some(inner.iter().map(|st| subst_stmt(st, var, &rep)).collect());
+            return Ok(l.inner.iter().map(|st| subst_stmt(st, var, &rep)).collect());
         }
     }
 
-    // Attempt 1: range contraction. Find the dimension whose subscript is
-    // `i + c` and which is distributed.
-    let decl = p.decl(guard_ref.var);
-    let dist = decl.dist.as_ref()?;
-    let mut cand: Option<(usize, i64)> = None;
-    for (d, sub) in guard_ref.subs.iter().enumerate() {
-        if let Subscript::Point(e) = sub {
-            if e.uses_var(var) {
-                // Affine form i + c with unit coefficient?
-                let e0 = eval_static(e, &Bindings::from([(var.clone(), 0i64)]))?;
-                let e1 = eval_static(e, &Bindings::from([(var.clone(), 1i64)]))?;
-                if e1 - e0 != 1 {
-                    return None;
-                }
-                if cand.is_some() {
-                    return None; // var in two dims: bail
-                }
-                cand = Some((d, e0));
-            }
-        } else {
-            // Range subscripts must not involve the loop variable.
-            match sub {
-                Subscript::Range(t)
-                    if t.lb.uses_var(var) || t.ub.uses_var(var) || t.st.uses_var(var) =>
-                {
-                    return None
-                }
-                _ => {}
-            }
-        }
+    // Attempt 1: range contraction. Every processor's iterations must be
+    // one run, all longer runs of one stride — 1 for contiguous owners
+    // (Block/Star), the grid extent for Cyclic — and exactly what it owns
+    // of the loop dimension, which is what `mylb`/`myub` will re-derive.
+    let mut strides = (map.runs.iter().flatten())
+        .filter(|run| run.count() >= 2)
+        .map(|run| run.st);
+    let stride = strides.next().unwrap_or(1);
+    if map.runs.iter().any(|runs| runs.len() > 1) || strides.any(|st| st != stride) {
+        return Err(format!(
+            "the iterations a processor owns {name} on are not one constant-stride run"
+        ));
     }
-    let (d, c) = cand?;
-
-    // The owned stride: 1 for contiguous owners (Block/Star), the grid
-    // extent for Cyclic. Derive empirically from the enumeration.
-    let mut stride = 1i64;
-    for v in &per_pid {
-        if v.len() >= 2 {
-            let st = v[1] - v[0];
-            if v.windows(2).any(|w| w[1] - w[0] != st) {
-                return None; // not a single arithmetic run: bail
-            }
-            stride = stride.max(st);
-        }
-    }
-    // All pids must have the same stride (or trivially short runs).
-    for v in &per_pid {
-        if v.len() >= 2 && v[1] - v[0] != stride {
-            return None;
-        }
-    }
-
-    // Proposed bounds: lo' = mylb(V[.. lo+c : hi+c ..], d+1) - c, similarly
-    // ub. Verify per pid that they generate exactly the owned set.
-    let lov = eval_static(lo, &env)?;
-    let hiv = eval_static(hi, &env)?;
-    for (pid, v) in per_pid.iter().enumerate() {
-        let owned = dist.owned_triplets(&decl.bounds, pid, d);
-        let window = xdp_ir::Triplet::range(lov + c, hiv + c);
-        let mut idxs: Vec<i64> = owned
-            .iter()
-            .flat_map(|t| t.intersect(&window).iter().collect::<Vec<_>>())
-            .collect();
-        idxs.sort_unstable();
-        let expect: Vec<i64> = v.iter().map(|&i| i + c).collect();
-        if idxs != expect {
-            return None;
-        }
-        // And the generated loop (mylb..myub by stride) must hit exactly
-        // those: since owned-within-window is a single run of `stride`,
-        // mylb/myub reproduce it.
-        if let (Some(&first), Some(&last)) = (idxs.first(), idxs.last()) {
-            let count = (last - first) / stride + 1;
-            if count != idxs.len() as i64
-                || !idxs
-                    .iter()
-                    .enumerate()
-                    .all(|(k, &x)| x == first + k as i64 * stride)
-            {
-                return None;
-            }
-        }
+    if !map.dim_decides {
+        return Err(format!(
+            "{name} is owned through more than its dimension {}",
+            map.dim + 1
+        ));
     }
 
     // Build the query section: guard_ref with dim d replaced by the loop
     // window.
+    let (d, c) = (map.dim, map.offset);
     let mut qsubs = guard_ref.subs.clone();
-    qsubs[d] = b::span(add_c(lo, c), add_c(hi, c));
+    qsubs[d] = b::span(add_c(l.lo, c), add_c(l.hi, c));
     let query = SectionRef::new(guard_ref.var, qsubs);
     let dim1 = (d + 1) as u32; // mylb/myub take 1-based dims
     let new_lo = sub_c(&b::mylb(query.clone(), dim1), c);
     let new_hi = sub_c(&b::myub(query, dim1), c);
     notes.push(format!(
-        "contracted loop `{var}` to owned range of {} (dim {dim1}, offset {c}, stride {stride}); guard eliminated",
-        p.decl(guard_ref.var).name
+        "contracted loop `{var}` to owned range of {name} (dim {dim1}, offset {c}, stride {stride}); guard eliminated",
     ));
-    Some(vec![b::do_loop_step(
+    Ok(vec![b::do_loop_step(
         var,
         new_lo,
         new_hi,
         IntExpr::Const(stride),
-        inner.clone(),
+        l.inner.clone(),
     )])
 }
 
@@ -305,15 +226,6 @@ fn sub_c(e: &IntExpr, c: i64) -> IntExpr {
         e.clone()
     } else {
         e.clone().sub(IntExpr::Const(c))
-    }
-}
-
-/// Use plain `mypid` / `mypid + b` forms when the affine map is simple.
-fn simplify_affine(a: i64, b0: i64, general: IntExpr) -> IntExpr {
-    match (a, b0) {
-        (1, 0) => IntExpr::MyPid,
-        (1, _) => IntExpr::MyPid.add(IntExpr::Const(b0)),
-        _ => general,
     }
 }
 

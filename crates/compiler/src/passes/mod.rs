@@ -4,16 +4,22 @@
 //!
 //! | Pass | Paper source | Effect |
 //! |---|---|---|
-//! | [`ElideSameOwnerComm`] | §2.2 "the data transfer statements can be eliminated" | drops send/recv pairs proven same-owner |
-//! | [`LocalizeBounds`] | §2.2/§4 compute-rule elimination | shrinks loop bounds to owned iterations; removes `iown` guards; eliminates single-iteration loops by substituting `mypid` |
-//! | [`VectorizeMessages`] | §2.2 "combine or *vectorize* the messages" | replaces per-iteration transfers with per-processor-pair section transfers into an aligned ghost array |
-//! | [`BindCommunication`] | §3.2 delayed binding | annotates sends with receiver pids (expression or constant), eliding the name header |
-//! | [`FuseLoops`] | §4 Loop2+Loop3a fusion | fuses adjacent conformable loops after the ownership-interference legality check |
-//! | [`SinkAwait`] | §4 final step | moves a section-level `await` into the loop at per-iteration granularity |
+//! | [`ElideSameOwnerComm`] | §2.2 "the data transfer statements can be eliminated" | drops send/recv pairs whose operand and target have equal [`OwnerMap`](xdp_ir::analysis::OwnerMap)s |
+//! | [`LocalizeBounds`] | §2.2/§4 compute-rule elimination | shrinks loop bounds to the one run of iterations each processor's `OwnerMap` holds; removes `iown` guards; eliminates single-iteration loops by substituting `mypid` |
+//! | [`VectorizeMessages`] | §2.2 "combine or *vectorize* the messages" | replaces per-iteration transfers with one section transfer per run of (operand map of p) ∩ (target map of q), into an aligned ghost array |
+//! | [`BindCommunication`] | §3.2 delayed binding | annotates sends with receiver pids (the distribution's owner expression, or a constant), eliding the name header |
+//! | [`FuseLoops`] | §4 Loop2+Loop3a fusion | fuses adjacent conformable loops unless two accesses meet at an iteration distance ≥ 1 |
+//! | [`SinkAwait`] | §4 final step | moves a section-level `await` into the loop at per-iteration granularity when the per-iteration pieces tile the awaited section |
 //! | [`MigrateOwnership`] | §2.2 second fragment | rewrites owner-computes into the dynamic ownership-migration strategy |
 //! | [`LowerRedistribute`] | §2.2 + planner | collapses whole-array ownership-migration nests into one planned `redistribute` |
 //! | [`ElideAccessibleChecks`] | §3.2 use-def elimination | downgrades `await`/`accessible` to `iown` when no receive can make the section transitional |
 //! | [`AutoPlace`] | §1 "the compiler can optimize the placement" | searches per-phase distributions with the cost model and rewrites decls + inserts `redistribute` |
+//!
+//! Ownership questions are asked of `xdp_ir::analysis` and answered on
+//! triplets, so a pass costs the same at n = 64 and n = 2^20. A pass whose
+//! recogniser matched a construct and then left it alone says so in a
+//! `<pass>: declined <construct> — <reason>` note ([`declined`]): "no
+//! change" with no note means nothing matched.
 
 mod autoplace;
 mod bind;
@@ -38,12 +44,14 @@ pub use migrate::MigrateOwnership;
 pub use sink_await::SinkAwait;
 pub use vectorize::VectorizeMessages;
 
+use std::fmt::Display;
 use xdp_ir::Program;
 use xdp_trace::{CompileTrace, PassTrace};
 
-/// Iteration-space enumeration cap shared by the passes: loops longer than
-/// this are left untouched rather than analyzed.
-pub const MAX_ENUM: usize = 1 << 16;
+/// The note of a pass that matched `what` and left it alone because `why`.
+pub(crate) fn declined(pass: &dyn Pass, what: impl Display, why: impl Display) -> String {
+    format!("{}: declined {what} — {why}", pass.name())
+}
 
 /// Outcome of one pass.
 #[derive(Clone, Debug)]
@@ -236,19 +244,19 @@ fn provenance_diff(before: &StmtTable, after: &StmtTable) -> (StmtTable, StmtTab
     for (_, s) in after {
         *surplus.entry(s).or_default() -= 1;
     }
-    let mut budget = surplus.clone();
+    let mut unmatched = surplus.clone();
     let mut removed = Vec::new();
     for (id, s) in before {
-        let e = budget.get_mut(s.as_str()).expect("counted above");
+        let e = unmatched.get_mut(s.as_str()).expect("counted above");
         if *e > 0 {
             removed.push((*id, s.clone()));
             *e -= 1;
         }
     }
-    let mut budget: HashMap<&str, i64> = surplus.iter().map(|(k, v)| (*k, -v)).collect();
+    let mut unmatched: HashMap<&str, i64> = surplus.iter().map(|(k, v)| (*k, -v)).collect();
     let mut added = Vec::new();
     for (id, s) in after {
-        let e = budget.get_mut(s.as_str()).expect("counted above");
+        let e = unmatched.get_mut(s.as_str()).expect("counted above");
         if *e > 0 {
             added.push((*id, s.clone()));
             *e -= 1;

@@ -5,7 +5,8 @@
 //! structure from the IR rather than trusting provenance, so hand-written
 //! IL+XDP in the same shape is optimized identically.
 
-use xdp_ir::{BoolExpr, DestSet, ElemExpr, IntExpr, SectionRef, Stmt, TransferKind};
+use xdp_ir::analysis::{eval_static, loop_window, Bindings};
+use xdp_ir::{BoolExpr, DestSet, ElemExpr, IntExpr, SectionRef, Stmt, TransferKind, Triplet};
 
 /// One communicated operand: the remote reference and the per-processor
 /// temporary it is received into.
@@ -35,6 +36,22 @@ pub struct NaiveCommLoop {
     pub rhs_with_temps: ElemExpr,
     /// The right-hand side with temps substituted back to operands.
     pub rhs_original: ElemExpr,
+}
+
+/// The iterations of a unit-step loop, when its bounds are compile-time
+/// constants; otherwise why a pass must leave it alone.
+pub(crate) fn static_window(lo: &IntExpr, hi: &IntExpr) -> Result<Triplet, String> {
+    let env = Bindings::new();
+    (eval_static(lo, &env).zip(eval_static(hi, &env)))
+        .and_then(|(lo, hi)| loop_window(lo, hi, 1))
+        .ok_or_else(|| "its bounds are not compile-time constants".to_string())
+}
+
+impl NaiveCommLoop {
+    /// [`static_window`] of the loop.
+    pub fn window(&self) -> Result<Triplet, String> {
+        static_window(&self.lo, &self.hi)
+    }
 }
 
 /// Try to recognize `stmt` as a naive communication loop.

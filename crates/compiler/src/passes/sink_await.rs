@@ -12,20 +12,18 @@
 //! `do j { await(X|j) : { ... } }` — trading extra run-time checks for
 //! overlap of computation with the transfers still in flight.
 //!
-//! Soundness is verified by exhaustive enumeration: for every processor
-//! and every iteration of the loop nest, the touched section `r` must lie
-//! inside the restricted await `X|j`. Loop bounds may use `mylb`/`myub`
-//! of arrays whose ownership is never transferred (e.g. the localized
-//! bounds produced by compute-rule elimination); they are resolved against
-//! the initial distribution.
+//! Soundness is decided on sets, per processor: the restricted pieces
+//! `X|j` — one subscript affine in `j`, so their union over the loop's
+//! values is a triplet — must tile the awaited section exactly, and what
+//! every other subscript of `r` sweeps over its loop must lie inside `X`.
+//! Loop bounds may use `mylb`/`myub` of arrays whose ownership is never
+//! transferred (e.g. the localized bounds produced by compute-rule
+//! elimination); they are resolved against the initial distribution.
 
-use crate::analysis::Bindings;
-use crate::passes::{rewrite_block, Pass, PassResult, MAX_ENUM};
+use crate::analysis::{dim_form, eval, loop_window, section_on, Bindings, DimForm, OnProc};
+use crate::passes::{declined, rewrite_block, Pass, PassResult};
 use xdp_ir::build as b;
-use xdp_ir::{
-    BoolExpr, IntExpr, Ownership, Program, Section, SectionRef, Stmt, Subscript, TransferKind,
-    Triplet,
-};
+use xdp_ir::{BoolExpr, IntExpr, Program, SectionRef, Stmt, Subscript, Triplet};
 
 /// The await-sinking pass.
 pub struct SinkAwait;
@@ -38,12 +36,33 @@ impl Pass for SinkAwait {
     fn run(&self, p: &Program) -> PassResult {
         let mut notes = Vec::new();
         let mut changed = false;
-        let body = rewrite_block(&p.body, &mut |s| match try_sink(p, &s, &mut notes) {
-            Some(st) => {
-                changed = true;
-                vec![st]
+        let body = rewrite_block(&p.body, &mut |s| {
+            let Stmt::Guarded {
+                rule: BoolExpr::Await(x),
+                body,
+            } = &s
+            else {
+                return vec![s];
+            };
+            let Some(nest) = collect_nest(body) else {
+                return vec![s];
+            };
+            match try_sink(p, x, &nest) {
+                Ok(st) => {
+                    changed = true;
+                    notes.push(format!(
+                        "sank await({}) into loop `{}` as per-iteration await",
+                        p.decl(x.var).name,
+                        nest.loops[0].0
+                    ));
+                    vec![st]
+                }
+                Err(why) => {
+                    let what = format_args!("await({})", xdp_ir::pretty::section_ref(p, x));
+                    notes.push(declined(self, what, why));
+                    vec![s]
+                }
             }
-            None => vec![s],
         });
         let mut program = p.clone();
         program.body = body;
@@ -55,138 +74,54 @@ impl Pass for SinkAwait {
     }
 }
 
-/// A compile-time evaluator that additionally resolves `mypid` and the
-/// `mylb`/`myub` intrinsics of ownership-stable arrays against their
-/// initial distributions.
-struct PidEval<'a> {
-    p: &'a Program,
-    pid: usize,
-}
-
-impl<'a> PidEval<'a> {
-    /// Is `var`'s ownership unchanged for the whole program (no ownership
-    /// sends or receives target it)?
-    fn ownership_stable(&self, var: xdp_ir::VarId) -> bool {
-        let mut stable = true;
-        self.p.visit(&mut |s| match s {
-            Stmt::Send { sec, kind, .. } if sec.var == var && *kind != TransferKind::Value => {
-                stable = false;
-            }
-            Stmt::Recv { target, kind, .. }
-                if target.var == var && *kind != TransferKind::Value =>
-            {
-                stable = false;
-            }
-            _ => {}
-        });
-        stable
-    }
-
-    fn eval(&self, e: &IntExpr, env: &Bindings) -> Option<i64> {
-        match e {
-            IntExpr::Const(c) => Some(*c),
-            IntExpr::Var(v) => env.get(v).copied(),
-            IntExpr::MyPid => Some(self.pid as i64),
-            IntExpr::Neg(a) => Some(self.eval(a, env)?.saturating_neg()),
-            IntExpr::Bin(op, a, b2) => {
-                let (a, b2) = (self.eval(a, env)?, self.eval(b2, env)?);
-                use xdp_ir::IntBinOp::*;
-                Some(match op {
-                    Add => a.saturating_add(b2),
-                    Sub => a.saturating_sub(b2),
-                    Mul => a.saturating_mul(b2),
-                    Div => a / b2,
-                    Mod => a.rem_euclid(b2),
-                    Min => a.min(b2),
-                    Max => a.max(b2),
-                })
-            }
-            IntExpr::MyLb(r, d) | IntExpr::MyUb(r, d) => {
-                let decl = self.p.decl(r.var);
-                if decl.ownership != Ownership::Exclusive || !self.ownership_stable(r.var) {
-                    return None;
-                }
-                let dist = decl.dist.as_ref()?;
-                let qsec = self.section(r, env)?;
-                let dim = (*d - 1) as usize;
-                let vals = dist
-                    .owned_triplets(&decl.bounds, self.pid, dim)
-                    .into_iter()
-                    .map(|t| t.intersect(&qsec.dim(dim)))
-                    .filter(|t| !t.is_empty());
-                let is_lb = matches!(e, IntExpr::MyLb(..));
-                if is_lb {
-                    Some(vals.map(|t| t.lb).min().unwrap_or(i64::MAX))
-                } else {
-                    Some(vals.map(|t| t.ub).max().unwrap_or(i64::MIN))
-                }
-            }
-        }
-    }
-
-    fn section(&self, r: &SectionRef, env: &Bindings) -> Option<Section> {
-        let decl = self.p.decl(r.var);
-        let mut dims = Vec::with_capacity(r.subs.len());
-        for (d, s) in r.subs.iter().enumerate() {
-            dims.push(match s {
-                Subscript::Point(e) => Triplet::point(self.eval(e, env)?),
-                Subscript::All => decl.bounds[d],
-                Subscript::Range(t) => Triplet::new(
-                    self.eval(&t.lb, env)?,
-                    self.eval(&t.ub, env)?,
-                    self.eval(&t.st, env)?,
-                ),
-            });
-        }
-        Some(Section::new(dims))
-    }
-}
-
 /// The loop nest under an awaited guard: variables and (unevaluated)
-/// bounds, outermost first, plus the innermost body.
+/// bounds, outermost first, plus the outer loop's body and the innermost.
 struct Nest<'a> {
     loops: Vec<(&'a str, &'a IntExpr, &'a IntExpr, &'a IntExpr)>,
+    outer_body: &'a [Stmt],
     innermost: &'a [Stmt],
 }
 
 fn collect_nest(body: &[Stmt]) -> Option<Nest<'_>> {
     let mut loops = Vec::new();
-    let mut cur = body;
-    loop {
-        match cur {
-            [Stmt::DoLoop {
-                var,
-                lo,
-                hi,
-                step,
-                body,
-            }] => {
-                loops.push((var.as_str(), lo, hi, step));
-                cur = body;
-            }
-            other => {
-                if loops.is_empty() {
-                    return None;
-                }
-                return Some(Nest {
-                    loops,
-                    innermost: other,
-                });
-            }
+    let (mut cur, mut outer_body) = (body, body);
+    while let [Stmt::DoLoop {
+        var,
+        lo,
+        hi,
+        step,
+        body,
+    }] = cur
+    {
+        if loops.is_empty() {
+            outer_body = body;
         }
+        loops.push((var.as_str(), lo, hi, step));
+        cur = body;
     }
+    (!loops.is_empty()).then_some(Nest {
+        loops,
+        outer_body,
+        innermost: cur,
+    })
 }
 
-fn try_sink(p: &Program, s: &Stmt, notes: &mut Vec<String>) -> Option<Stmt> {
-    let Stmt::Guarded {
-        rule: BoolExpr::Await(x),
-        body,
-    } = s
-    else {
-        return None;
+/// Where a subscript `a·v + lo : a·v + hi` goes as `v` runs over `over`:
+/// exactly, for a point; its hull, for a range.
+fn swept(a: i64, lo: i64, hi: i64, over: Triplet) -> Triplet {
+    let ends = [a.saturating_mul(over.lb), a.saturating_mul(over.ub)];
+    let (min, max) = (ends[0].min(ends[1]), ends[0].max(ends[1]));
+    let st = if lo == hi {
+        a.saturating_mul(over.st).saturating_abs()
+    } else {
+        1
     };
-    let nest = collect_nest(body)?;
+    Triplet::new(min.saturating_add(lo), max.saturating_add(hi), st.max(1))
+}
+
+fn try_sink(p: &Program, x: &SectionRef, nest: &Nest) -> Result<Stmt, String> {
     let (outer_var, outer_lo, outer_hi, outer_step) = nest.loops[0];
+    let xdecl = p.decl(x.var);
 
     // The single distinct reference to X's variable in the nest.
     let mut refs: Vec<SectionRef> = Vec::new();
@@ -199,163 +134,104 @@ fn try_sink(p: &Program, s: &Stmt, notes: &mut Vec<String>) -> Option<Stmt> {
             }
         }
     }
-    if refs.len() != 1 {
-        return None;
-    }
-    let r = refs.remove(0);
-    if !r.uses_var(outer_var) || r.subs.len() != x.subs.len() {
-        return None;
-    }
-    let inner_vars: Vec<&str> = nest.loops[1..].iter().map(|(v, ..)| *v).collect();
-
-    // Restrict X: dimensions whose subscript in `r` depends on the outer
-    // variable only (not on inner loop variables).
-    let mut restricted_subs = x.subs.clone();
-    let mut replaced = 0;
-    for (d, sub) in r.subs.iter().enumerate() {
-        let uses_outer = match sub {
-            Subscript::Point(e) => e.uses_var(outer_var),
-            Subscript::Range(t) => {
-                t.lb.uses_var(outer_var) || t.ub.uses_var(outer_var) || t.st.uses_var(outer_var)
-            }
-            Subscript::All => false,
-        };
-        let uses_inner = inner_vars.iter().any(|v| match sub {
-            Subscript::Point(e) => e.uses_var(v),
-            Subscript::Range(t) => t.lb.uses_var(v) || t.ub.uses_var(v) || t.st.uses_var(v),
-            Subscript::All => false,
-        });
-        if uses_outer && !uses_inner {
-            restricted_subs[d] = sub.clone();
-            replaced += 1;
-        }
-    }
-    if replaced == 0 {
-        return None;
-    }
-    let x_restricted = SectionRef::new(x.var, restricted_subs);
-
+    let [r] = refs.as_slice() else {
+        let n = refs.len();
+        return Err(format!(
+            "the nest names {n} different sections of {}",
+            xdecl.name
+        ));
+    };
+    let rname = xdp_ir::pretty::section_ref(p, r);
     // The original awaited section must not itself depend on loop
     // variables (it is evaluated once, before the nest).
-    for (v, ..) in &nest.loops {
-        if x.uses_var(v) {
-            return None;
-        }
+    if r.subs.len() != x.subs.len() || nest.loops.iter().any(|(v, ..)| x.uses_var(v)) {
+        return Err(format!("it and {rname} do not line up"));
     }
 
-    // Exhaustive soundness check, per processor:
-    //  * every restricted piece X|j lies inside the original X, and the
-    //    pieces jointly cover X — so the per-iteration guards decide
-    //    exactly what the original guard decided;
-    //  * every touched section r lies inside its iteration's piece.
-    let nprocs = p
-        .decls
-        .iter()
-        .find_map(|d| d.dist.as_ref().map(|x| x.nprocs()))?;
-    let mut budget = MAX_ENUM;
-    for pid in 0..nprocs {
-        let ev = PidEval { p, pid };
-        let empty = Bindings::new();
-        let x_orig = ev.section(x, &empty)?;
-        let (_, lo, hi, step) = nest.loops[0];
-        let (lo, hi, step) = (
-            ev.eval(lo, &empty)?,
-            ev.eval(hi, &empty)?,
-            ev.eval(step, &empty)?,
-        );
-        if step == 0 {
-            return None;
-        }
-        let mut pieces = Vec::new();
-        let mut j = lo;
-        while (step > 0 && j <= hi) || (step < 0 && j >= hi) {
-            let mut env = Bindings::new();
-            env.insert(outer_var.to_string(), j);
-            let piece = ev.section(&x_restricted, &env)?;
-            if !x_orig.covers(&piece) {
-                return None;
-            }
-            if !check_nest(
-                &ev,
-                &nest.loops[1..],
-                0,
-                &env,
-                &r,
-                &x_restricted,
-                &mut budget,
-            )? {
-                return None;
-            }
-            pieces.push(piece);
-            j += step;
-        }
-        // Joint coverage (enumerative; budget-capped).
-        let cost = x_orig.volume().max(0) as usize;
-        if cost > budget {
-            return None;
-        }
-        budget -= cost;
-        if !x_orig.covered_by(&pieces) {
-            return None;
-        }
-    }
-
-    notes.push(format!(
-        "sank await({}) into loop `{outer_var}` as per-iteration await",
-        p.decl(x.var).name
-    ));
-    // Rebuild: the outer loop wraps the restricted guard around its body.
-    let inner_body: Vec<Stmt> = match body.as_slice() {
-        [Stmt::DoLoop { body: inner, .. }] => inner.clone(),
-        _ => unreachable!("collect_nest accepted this shape"),
+    // Restrict X: the dimension whose subscript in `r` depends on the
+    // outer variable only (not on inner loop variables).
+    let follows_outer = |sub: &Subscript| {
+        sub.uses_var(outer_var) && !nest.loops[1..].iter().any(|(v, ..)| sub.uses_var(v))
     };
-    Some(Stmt::DoLoop {
+    let mut restricted = (0..r.subs.len()).filter(|&d| follows_outer(&r.subs[d]));
+    let (Some(rd), None) = (restricted.next(), restricted.next()) else {
+        return Err(format!(
+            "not exactly one subscript of {rname} follows {outer_var} alone"
+        ));
+    };
+    let mut x_restricted = x.clone();
+    x_restricted.subs[rd] = r.subs[rd].clone();
+
+    let nprocs = (p.decls.iter())
+        .find_map(|d| d.dist.as_ref().map(|x| x.nprocs()))
+        .ok_or("no array is distributed")?;
+    let env = Bindings::new();
+    for pid in 0..nprocs {
+        let on = OnProc { p, pid };
+        let unknown = || format!("a bound is not known at compile time on p{pid}");
+        let x_orig = section_on(p, x, &env, on).ok_or_else(unknown)?;
+        // What each loop variable runs over; the inner loops only matter
+        // where the outer one runs.
+        let mut over = Vec::with_capacity(nest.loops.len());
+        for (_, lo, hi, step) in &nest.loops {
+            let [lo, hi, step] = [lo, hi, step].map(|e| eval(e, &env, Some(on)));
+            let window = lo.zip(hi).zip(step);
+            let window = window.and_then(|((lo, hi), step)| loop_window(lo, hi, step));
+            over.push(window.ok_or_else(unknown)?);
+            if over[0].is_empty() {
+                break;
+            }
+        }
+        if over[0].is_empty() && x_orig.is_empty() {
+            continue;
+        }
+        // The pieces X|j tile X: their union over j is X's triplet in the
+        // restricted dimension, and they are X elsewhere.
+        let tiles = match dim_form(xdecl, r, rd, Some(outer_var), &env, Some(on)) {
+            Some(DimForm::Moving { a, lo, hi }) if lo == hi && !over[0].is_empty() => {
+                let pieces = swept(a, lo, hi, over[0]);
+                pieces.covers(&x_orig.dim(rd)) && x_orig.dim(rd).covers(&pieces)
+            }
+            _ => false,
+        };
+        if !tiles || x_orig.is_empty() {
+            return Err(format!(
+                "the pieces of {rname} over {outer_var} do not tile it on p{pid}"
+            ));
+        }
+        // Every touched section r lies inside its iteration's piece: in
+        // each other dimension, what r's subscript sweeps lies inside X.
+        if over.iter().any(|w| w.is_empty()) {
+            continue;
+        }
+        for d in (0..r.subs.len()).filter(|&d| d != rd) {
+            let mut vars =
+                (nest.loops.iter().zip(&over)).filter(|((v, ..), _)| r.subs[d].uses_var(v));
+            let (first, second) = (vars.next(), vars.next());
+            let var = first.map(|((v, ..), _)| *v);
+            let form = dim_form(xdecl, r, d, var, &env, Some(on)).filter(|_| second.is_none());
+            let touched = match form {
+                Some(DimForm::Fixed(t)) => Some(t),
+                Some(DimForm::Moving { a, lo, hi }) => first.map(|(_, &w)| swept(a, lo, hi, w)),
+                None => None,
+            };
+            if !touched.is_some_and(|t| x_orig.dim(d).covers(&t)) {
+                return Err(format!("{rname} is not seen to stay inside it on p{pid}"));
+            }
+        }
+    }
+
+    // Rebuild: the outer loop wraps the restricted guard around its body.
+    Ok(Stmt::DoLoop {
         var: outer_var.to_string(),
         lo: outer_lo.clone(),
         hi: outer_hi.clone(),
         step: outer_step.clone(),
-        body: vec![b::guarded(BoolExpr::Await(x_restricted), inner_body)],
+        body: vec![b::guarded(
+            BoolExpr::Await(x_restricted),
+            nest.outer_body.to_vec(),
+        )],
     })
-}
-
-/// Recursively enumerate the nest, checking containment at the leaves.
-/// Returns `None` when anything is not statically evaluable (pass bails),
-/// `Some(false)` when containment fails.
-#[allow(clippy::too_many_arguments)]
-fn check_nest(
-    ev: &PidEval<'_>,
-    loops: &[(&str, &IntExpr, &IntExpr, &IntExpr)],
-    depth: usize,
-    env: &Bindings,
-    r: &SectionRef,
-    x_restricted: &SectionRef,
-    budget: &mut usize,
-) -> Option<bool> {
-    if depth == loops.len() {
-        if *budget == 0 {
-            return None;
-        }
-        *budget -= 1;
-        let rsec = ev.section(r, env)?;
-        let xsec = ev.section(x_restricted, env)?;
-        return Some(xsec.covers(&rsec));
-    }
-    let (var, lo, hi, step) = loops[depth];
-    let (lo, hi, step) = (ev.eval(lo, env)?, ev.eval(hi, env)?, ev.eval(step, env)?);
-    if step == 0 {
-        return None;
-    }
-    let mut i = lo;
-    while (step > 0 && i <= hi) || (step < 0 && i >= hi) {
-        let mut env2 = env.clone();
-        env2.insert(var.to_string(), i);
-        match check_nest(ev, loops, depth + 1, &env2, r, x_restricted, budget)? {
-            true => {}
-            false => return Some(false),
-        }
-        i += step;
-    }
-    Some(true)
 }
 
 #[cfg(test)]
@@ -522,5 +398,171 @@ mod tests {
         ];
         let r = SinkAwait.run(&p);
         assert!(!r.changed);
+    }
+
+    /// The walk the closed forms replaced, as a check of what the pass
+    /// emits: on every processor, every per-iteration piece lies inside
+    /// the awaited section, the pieces jointly cover it, and everything
+    /// the nest touches lies inside its iteration's piece.
+    fn sound_by_enumeration(p: &Program, sunk: &Program) -> bool {
+        use crate::analysis::{eval, loop_window, section_on, Bindings, OnProc};
+        let Stmt::Guarded {
+            rule: BoolExpr::Await(x),
+            ..
+        } = &p.body[0]
+        else {
+            panic!("an awaited nest");
+        };
+        let Stmt::DoLoop {
+            var: j,
+            lo,
+            hi,
+            step,
+            body,
+        } = &sunk.body[0]
+        else {
+            panic!("a sunk loop");
+        };
+        let [Stmt::Guarded {
+            rule: BoolExpr::Await(piece),
+            body,
+        }] = body.as_slice()
+        else {
+            panic!("a per-iteration await");
+        };
+        let [Stmt::DoLoop {
+            var: i,
+            lo: ilo,
+            hi: ihi,
+            step: ist,
+            body,
+        }] = body.as_slice()
+        else {
+            panic!("an inner loop");
+        };
+        let [Stmt::Kernel { args, .. }] = body.as_slice() else {
+            panic!("a kernel");
+        };
+        (0..4).all(|pid| {
+            let on = OnProc { p, pid };
+            let mut env = Bindings::new();
+            let values = |env: &Bindings, lo, hi, st| {
+                let [lo, hi, st] = [lo, hi, st].map(|e| eval(e, env, Some(on)).unwrap());
+                loop_window(lo, hi, st).unwrap()
+            };
+            let whole = section_on(p, x, &env, on).unwrap();
+            let mut pieces = Vec::new();
+            for jv in values(&env, lo, hi, step).iter() {
+                env.insert(j.clone(), jv);
+                let piece = section_on(p, piece, &env, on).unwrap();
+                if !whole.covers(&piece) {
+                    return false;
+                }
+                for iv in values(&env, ilo, ihi, ist).iter() {
+                    env.insert(i.clone(), iv);
+                    if !piece.covers(&section_on(p, &args[0], &env, on).unwrap()) {
+                        return false;
+                    }
+                }
+                env.remove(i);
+                pieces.push(piece);
+            }
+            whole.covered_by(&pieces)
+        })
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(600))]
+
+        #[test]
+        fn whatever_is_sunk_is_sound_by_enumeration(
+            follows in 0usize..2,
+            awaited in (0u8..6, 0u8..4),
+            touched in (0u8..5, 0u8..6),
+            offsets in (-1i64..2, -1i64..2),
+            outer in (1i64..4, 6i64..13, 0u8..4),
+            inner in (1i64..3, 10i64..13),
+            star_first in 0u8..2,
+        ) {
+            let mut p = Program::new();
+            let dims = if star_first == 0 {
+                vec![DimDist::Star, DimDist::Block]
+            } else {
+                vec![DimDist::Block, DimDist::Star]
+            };
+            let a = p.declare(b::array(
+                "A",
+                ElemType::C64,
+                vec![(1, 12), (1, 12)],
+                dims,
+                ProcGrid::linear(4),
+            ));
+            let own = p.declare(b::array(
+                "OWN",
+                ElemType::I64,
+                vec![(1, 12)],
+                vec![DimDist::Block],
+                ProcGrid::linear(4),
+            ));
+            let mine = || b::sref(own, vec![b::all()]);
+            // The outer loop, and the awaited subscript that matches it —
+            // most of the time.
+            let (jlo, jhi, jst) = match outer.2 {
+                0 | 1 => (b::c(outer.0), b::c(outer.1), b::c(1)),
+                2 => (b::c(outer.0), b::c(outer.1), b::c(2)),
+                _ => (b::mylb(mine(), 1), b::myub(mine(), 1), b::c(1)),
+            };
+            let along = match awaited.0 {
+                0..=2 => b::span_st(jlo.clone(), jhi.clone(), jst.clone()),
+                3 => b::span(b::c(outer.0), b::c(outer.1 - 1)),
+                4 => b::span(b::c(outer.0 + 1), b::c(outer.1)),
+                _ => b::all(),
+            };
+            let across = match awaited.1 {
+                0 | 1 => b::all(),
+                2 => b::span(b::c(inner.0), b::c(inner.1)),
+                _ => b::span(b::c(2), b::c(11)),
+            };
+            let at_j = match touched.0 {
+                0..=2 => b::at(b::iv("j").add(b::c(if touched.0 == 2 { offsets.0 } else { 0 }))),
+                3 => b::at(b::iv("j").mul(b::c(2))),
+                _ => b::at(b::iv("i").add(b::iv("j"))),
+            };
+            let at_i = match touched.1 {
+                0 | 1 => b::at(b::iv("i").add(b::c(offsets.1))),
+                2 => b::all(),
+                3 => b::span(b::iv("i"), b::iv("i").add(b::c(1))),
+                4 => b::at(b::c(3)),
+                _ => b::at(b::iv("j")),
+            };
+            let (x, r) = if follows == 0 {
+                (b::sref(a, vec![along, across]), b::sref(a, vec![at_j, at_i]))
+            } else {
+                (b::sref(a, vec![across, along]), b::sref(a, vec![at_i, at_j]))
+            };
+            p.body = vec![b::guarded(
+                b::await_(x),
+                vec![b::do_loop_step(
+                    "j",
+                    jlo,
+                    jhi,
+                    jst,
+                    vec![b::do_loop(
+                        "i",
+                        b::c(inner.0),
+                        b::c(inner.1),
+                        vec![b::kernel("fft1d", vec![r])],
+                    )],
+                )],
+            )];
+            let sunk = SinkAwait.run(&p);
+            if sunk.changed {
+                proptest::prop_assert!(
+                    sound_by_enumeration(&p, &sunk.program),
+                    "{}",
+                    pretty::program(&sunk.program)
+                );
+            }
+        }
     }
 }

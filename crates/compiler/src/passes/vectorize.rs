@@ -17,15 +17,12 @@
 //! Message count drops from `O(n)` to `O(pairs x runs)`; the paper's
 //! motivating claim for representing transfers explicitly in the IL.
 
-use crate::analysis::{compress_runs, eval_static, loop_values, Bindings};
+use crate::analysis::{compress_triplets, intersect_lists, Owners};
 use crate::frontend::substitute_ref;
 use crate::passes::pattern::{recognize, NaiveCommLoop};
-use crate::passes::{rewrite_block, Pass, PassResult, MAX_ENUM};
-use std::collections::BTreeMap;
+use crate::passes::{declined, rewrite_block, Pass, PassResult};
 use xdp_ir::build as b;
-use xdp_ir::{
-    Decl, Distribution, IntExpr, Ownership, Program, SectionRef, Stmt, Subscript, Triplet,
-};
+use xdp_ir::{Decl, Distribution, Ownership, Program, SectionRef, Stmt, Triplet};
 
 /// The vectorization pass.
 pub struct VectorizeMessages;
@@ -39,17 +36,23 @@ impl Pass for VectorizeMessages {
         let mut notes = Vec::new();
         let mut program = p.clone();
         let mut changed = false;
-        // rewrite_block over a snapshot; new ghost decls appended to
-        // `program` as we go.
-        let body = rewrite_block(&p.body.clone(), &mut |s| match recognize(&s) {
-            Some(pat) => match try_vectorize(&mut program, &pat, &mut notes) {
-                Some(stmts) => {
+        let mut owners = Owners::new(p);
+        // rewrite_block over `p`; new ghost decls appended to `program` as
+        // we go.
+        let body = rewrite_block(&p.body, &mut |s| {
+            let Some(pat) = recognize(&s) else {
+                return vec![s];
+            };
+            match try_vectorize(p, &mut owners, &mut program, &pat, &mut notes) {
+                Ok(stmts) => {
                     changed = true;
                     stmts
                 }
-                None => vec![s],
-            },
-            None => vec![s],
+                Err(why) => {
+                    notes.push(declined(self, format_args!("loop {}", pat.var), why));
+                    vec![s]
+                }
+            }
         });
         program.body = body;
         PassResult {
@@ -60,50 +63,40 @@ impl Pass for VectorizeMessages {
     }
 }
 
-/// The affine unit-coefficient offset of the single loop-var subscript of
-/// `r`, along with its dimension: `r[... i + c ...]` -> `(dim, c)`.
-/// All other subscripts must be loop-var-free.
-fn unit_affine_sub(r: &SectionRef, var: &str) -> Option<(usize, i64)> {
-    let mut found = None;
-    for (d, sub) in r.subs.iter().enumerate() {
-        match sub {
-            Subscript::Point(e) if e.uses_var(var) => {
-                let e0 = eval_static(e, &Bindings::from([(var.to_string(), 0i64)]))?;
-                let e1 = eval_static(e, &Bindings::from([(var.to_string(), 1i64)]))?;
-                if e1 - e0 != 1 || found.is_some() {
-                    return None;
-                }
-                found = Some((d, e0));
-            }
-            Subscript::Point(_) => {}
-            Subscript::Range(t)
-                if t.lb.uses_var(var) || t.ub.uses_var(var) || t.st.uses_var(var) =>
-            {
-                return None
-            }
-            _ => {}
-        }
-    }
-    found
-}
-
 fn try_vectorize(
+    p: &Program,
+    owners: &mut Owners,
     program: &mut Program,
     pat: &NaiveCommLoop,
     notes: &mut Vec<String>,
-) -> Option<Vec<Stmt>> {
-    let env = Bindings::new();
-    let values = loop_values(&pat.lo, &pat.hi, &IntExpr::Const(1), &env, MAX_ENUM)?;
-    if values.is_empty() {
-        return None;
+) -> Result<Vec<Stmt>, String> {
+    let window = pat.window()?;
+    if window.is_empty() {
+        return Err("it never runs".to_string());
     }
-    // The target must carry the loop variable in exactly one point
-    // subscript with unit coefficient; all other subscripts loop-invariant.
-    let (td, c_t) = unit_affine_sub(&pat.target, &pat.var)?;
-    let _ = (td, c_t);
-    let tdecl = program.decl(pat.target.var).clone();
-    if tdecl.ownership != Ownership::Exclusive {
-        return None;
+    // Target and operands each carry the loop variable in exactly one
+    // point subscript with unit coefficient, all other subscripts
+    // loop-invariant (any rank), wholly owned on every iteration.
+    let tmap = owners.map(&pat.target, &pat.var, window)?;
+    let tdecl = p.decl(pat.target.var);
+    let aligned = |d: &Decl| d.dist.as_ref().is_some_and(|x| x.alignment().is_some());
+    let mut omaps = Vec::with_capacity(pat.slots.len());
+    for slot in &pat.slots {
+        omaps.push(owners.map(&slot.operand, &pat.var, window)?);
+        if let Some(d) = [tdecl, p.decl(slot.operand.var)]
+            .into_iter()
+            .find(|d| aligned(d))
+        {
+            return Err(format!("{} is aligned to another array", d.name));
+        }
+    }
+    // The ghost follows the target through the loop dimension alone.
+    let tdist = tdecl.dist.clone().expect("mapped arrays are distributed");
+    if (0..tdecl.rank()).any(|d| d != tmap.dim && tdist.dims()[d].is_distributed()) {
+        return Err(format!(
+            "{} is distributed in a dimension the loop does not sweep",
+            tdecl.name
+        ));
     }
 
     let mut comm_phase: Vec<Stmt> = Vec::new();
@@ -112,87 +105,21 @@ fn try_vectorize(
     let mut total_runs = 0usize;
     let mut remote_elems = 0usize;
 
-    for slot in &pat.slots {
-        // The operand likewise: one unit-affine loop-var dim `od`, other
-        // dims loop-invariant (any rank).
-        let (od, c_o) = unit_affine_sub(&slot.operand, &pat.var)?;
-        let odecl = program.decl(slot.operand.var).clone();
-        if odecl.ownership != Ownership::Exclusive {
-            return None;
-        }
-        let odist = odecl.dist.clone()?;
-        let tdist = tdecl.dist.clone()?;
-        if tdist.alignment().is_some() || odist.alignment().is_some() {
-            return None;
-        }
-
-        // Bucket the loop-dim operand index j = i + c_o by
-        // (sender, receiver); the operand's other dims must be constant
-        // across iterations and single-sender per iteration.
-        let mut buckets: BTreeMap<(usize, usize), Vec<i64>> = BTreeMap::new();
-        let mut fixed_dims: Option<xdp_ir::Section> = None;
-        for &i in &values {
-            let envi = Bindings::from([(pat.var.clone(), i)]);
-            let osec = crate::analysis::concrete_section(program, &slot.operand, &envi)?;
-            let tsec = crate::analysis::concrete_section(program, &pat.target, &envi)?;
-            // Loop-invariant shape check: zero out the loop dim and
-            // compare across iterations.
-            let shape_probe = osec.with_dim(od, Triplet::point(0));
-            match &fixed_dims {
-                None => fixed_dims = Some(shape_probe),
-                Some(prev) if *prev != shape_probe => return None,
-                _ => {}
-            }
-            let mut sender = None;
-            for idx in osec.iter() {
-                let o = odist.owner_of(&odecl.bounds, &idx);
-                match sender {
-                    None => sender = Some(o),
-                    Some(prev) if prev != o => return None,
-                    _ => {}
-                }
-            }
-            let mut recv_owner = None;
-            for idx in tsec.iter() {
-                let o = tdist.owner_of(&tdecl.bounds, &idx);
-                match recv_owner {
-                    None => recv_owner = Some(o),
-                    Some(prev) if prev != o => return None,
-                    _ => {}
-                }
-            }
-            buckets
-                .entry((sender?, recv_owner?))
-                .or_default()
-                .push(i + c_o);
-        }
-        let fixed = fixed_dims?;
-
-        // Ghost array shaped like the operand's touched region; ownership
-        // of its loop dim follows the *target*: element with loop-dim
-        // index j is consumed by the owner of the target at iteration
-        // i = j - c_o, i.e. target index j - c_o + c_t in the target's
-        // loop dim. Other ghost dims are unconstrained.
-        let jmin = values.first().unwrap() + c_o;
-        let jmax = values.last().unwrap() + c_o;
-        let mut gbounds: Vec<Triplet> = (0..odecl.rank())
-            .map(|d| {
-                if d == od {
-                    Triplet::range(jmin, jmax)
-                } else {
-                    // The fixed (loop-invariant) extent of this dim.
-                    let t = fixed.dim(d);
-                    Triplet::new(t.lb, t.ub, t.st.max(1))
-                }
-            })
+    for (slot, omap) in pat.slots.iter().zip(&omaps) {
+        let odecl = p.decl(slot.operand.var);
+        let (od, c_o) = (omap.dim, omap.offset);
+        // Ghost array shaped like the operand's touched region (strided
+        // fixed dims widened to their hull; subscripts still address the
+        // strided subset); ownership of its loop dim follows the *target*:
+        // element with loop-dim index j is consumed by the owner of the
+        // target at iteration i = j - c_o, i.e. target index
+        // j - c_o + c_t in the target's loop dim. Other ghost dims are
+        // unconstrained.
+        let gbounds: Vec<Triplet> = (omap.section.dims().iter())
+            .map(|t| Triplet::range(t.lb, t.ub))
             .collect();
-        // Normalize strided fixed dims to their hull so the ghost bounds
-        // are plain ranges; subscripts still address the strided subset.
-        for gb in gbounds.iter_mut() {
-            *gb = Triplet::range(gb.lb, gb.ub);
-        }
         let mut map: Vec<Option<(usize, i64)>> = vec![None; odecl.rank()];
-        map[od] = Some((td, c_o - c_t));
+        map[od] = Some((tmap.dim, c_o - tmap.offset));
         // Loop-dim-granular segments: receives of disjoint runs touch
         // disjoint segments, so their initiations do not serialize.
         let seg_shape: Vec<i64> = gbounds
@@ -200,9 +127,8 @@ fn try_vectorize(
             .enumerate()
             .map(|(d, t)| if d == od { 1 } else { t.count() })
             .collect();
-        let ghost_name = format!("_G{}", program.decls.len());
         let ghost = program.declare(Decl {
-            name: ghost_name.clone(),
+            name: format!("_G{}", program.decls.len()),
             elem: odecl.elem,
             bounds: gbounds,
             ownership: Ownership::Exclusive,
@@ -214,38 +140,38 @@ fn try_vectorize(
             segment_shape: Some(seg_shape),
         });
 
-        // Emit transfers per (p, q) bucket, compressed into runs over the
-        // loop dim; the other dims carry the operand's fixed subscripts.
-        let run_sub = |run: &Triplet| b::span_st(b::c(run.lb), b::c(run.ub), b::c(run.st));
-        let fixed_subs: Vec<xdp_ir::Subscript> = slot.operand.subs.clone();
-        for ((pq_p, pq_q), mut js) in buckets {
-            js.sort_unstable();
-            js.dedup();
-            let runs = compress_runs(&js);
-            for run in runs {
-                let mut osubs = fixed_subs.clone();
-                osubs[od] = run_sub(&run);
-                let osec_run = SectionRef::new(slot.operand.var, osubs.clone());
-                let mut gsubs = fixed_subs.clone();
-                gsubs[od] = run_sub(&run);
-                let gsec_run = SectionRef::new(ghost, gsubs);
-                if pq_p == pq_q {
-                    // Same-owner: local copy into the ghost.
-                    comm_phase.push(b::guarded(
-                        b::iown(gsec_run.clone()),
-                        vec![b::assign(gsec_run, b::val(osec_run))],
-                    ));
-                } else {
-                    total_runs += 1;
-                    remote_elems += run.count() as usize;
-                    comm_phase.push(b::guarded(
-                        b::iown(osec_run.clone()),
-                        vec![b::send(osec_run.clone())],
-                    ));
-                    comm_phase.push(b::guarded(
-                        b::iown(gsec_run.clone()),
-                        vec![b::recv_val(gsec_run, osec_run)],
-                    ));
+        // One transfer per (sender p, receiver q) and maximal
+        // constant-stride run of the operand indices flowing between them;
+        // the other dims carry the operand's fixed subscripts.
+        for (pid_p, from_p) in omap.runs.iter().enumerate() {
+            for (pid_q, to_q) in tmap.runs.iter().enumerate() {
+                let js: Vec<Triplet> = intersect_lists(from_p, to_q)
+                    .iter()
+                    .map(|t| t.shift(c_o))
+                    .collect();
+                for run in compress_triplets(&js) {
+                    let mut subs = slot.operand.subs.clone();
+                    subs[od] = b::span_st(b::c(run.lb), b::c(run.ub), b::c(run.st));
+                    let osec_run = SectionRef::new(slot.operand.var, subs.clone());
+                    let gsec_run = SectionRef::new(ghost, subs);
+                    if pid_p == pid_q {
+                        // Same-owner: local copy into the ghost.
+                        comm_phase.push(b::guarded(
+                            b::iown(gsec_run.clone()),
+                            vec![b::assign(gsec_run, b::val(osec_run))],
+                        ));
+                    } else {
+                        total_runs += 1;
+                        remote_elems += run.count() as usize;
+                        comm_phase.push(b::guarded(
+                            b::iown(osec_run.clone()),
+                            vec![b::send(osec_run.clone())],
+                        ));
+                        comm_phase.push(b::guarded(
+                            b::iown(gsec_run.clone()),
+                            vec![b::recv_val(gsec_run, osec_run)],
+                        ));
+                    }
                 }
             }
         }
@@ -274,13 +200,13 @@ fn try_vectorize(
     );
     notes.push(format!(
         "vectorized {} per-element transfers into {} section messages ({} remote elements) through aligned ghosts",
-        values.len() * pat.slots.len(),
+        window.count() as usize * pat.slots.len(),
         total_runs,
         remote_elems,
     ));
     let mut out = comm_phase;
     out.push(compute_loop);
-    Some(out)
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -288,7 +214,7 @@ mod tests {
     use super::*;
     use crate::frontend::{lower_owner_computes, FrontendOptions};
     use crate::seq::{SeqProgram, SeqStmt};
-    use xdp_ir::{DimDist, ElemType, ProcGrid};
+    use xdp_ir::{DimDist, ElemType, ProcGrid, Subscript};
 
     fn lowered(n: i64, nprocs: usize, b_dist: DimDist, shift: i64) -> Program {
         let grid = ProcGrid::linear(nprocs);

@@ -15,6 +15,7 @@
 //! ownership transfer (the `-=>` / `<=-` statements) mutates the run-time
 //! symbol table in `xdp-runtime`, not the `Distribution`.
 
+use crate::expr::{IntBinOp, IntExpr};
 use crate::grid::ProcGrid;
 use crate::section::Section;
 use crate::triplet::Triplet;
@@ -221,6 +222,26 @@ impl Distribution {
             DimDist::BlockCyclic(b) => (off / b) % np,
         };
         c as usize
+    }
+
+    /// [`Distribution::owner_of`] as an expression: the pid owning index
+    /// `g` of dimension `d` — `coord_of` spelled in the IL, arm for arm, so
+    /// it is right for every in-bounds `g` by construction. Only where
+    /// that one coordinate *is* the pid: a plain distribution over a
+    /// one-axis grid, `d` its distributed dimension.
+    pub fn owner_expr(&self, bounds: &[Triplet], d: usize, g: IntExpr) -> Option<IntExpr> {
+        if self.align.is_some() || self.grid.rank() != 1 {
+            return None;
+        }
+        let bin = |op, a, b| IntExpr::Bin(op, Box::new(a), Box::new(IntExpr::Const(b)));
+        let off = bin(IntBinOp::Sub, g, bounds[d].lb);
+        let np = self.nprocs() as i64;
+        Some(match self.dims[d] {
+            DimDist::Star => return None,
+            DimDist::Block => bin(IntBinOp::Div, off, (bounds[d].count() + np - 1) / np),
+            DimDist::Cyclic => bin(IntBinOp::Mod, off, np),
+            DimDist::BlockCyclic(b) => bin(IntBinOp::Mod, bin(IntBinOp::Div, off, b), np),
+        })
     }
 
     /// Owned global indices for grid coordinate `c` in a dimension with full

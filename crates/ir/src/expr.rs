@@ -158,6 +158,19 @@ pub enum Subscript {
     All,
 }
 
+impl Subscript {
+    /// Does the subscript mention variable `name`?
+    pub fn uses_var(&self, name: &str) -> bool {
+        match self {
+            Subscript::Point(e) => e.uses_var(name),
+            Subscript::Range(t) => {
+                t.lb.uses_var(name) || t.ub.uses_var(name) || t.st.uses_var(name)
+            }
+            Subscript::All => false,
+        }
+    }
+}
+
 /// A triplet whose bounds are expressions.
 #[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub struct TripletExpr {
@@ -192,13 +205,7 @@ impl SectionRef {
 
     /// Does any subscript mention variable `name`?
     pub fn uses_var(&self, name: &str) -> bool {
-        self.subs.iter().any(|s| match s {
-            Subscript::Point(e) => e.uses_var(name),
-            Subscript::Range(t) => {
-                t.lb.uses_var(name) || t.ub.uses_var(name) || t.st.uses_var(name)
-            }
-            Subscript::All => false,
-        })
+        self.subs.iter().any(|s| s.uses_var(name))
     }
 
     /// Substitute a variable in every subscript.

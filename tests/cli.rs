@@ -218,6 +218,35 @@ fn integer_division_by_zero_is_a_runtime_error_not_a_panic() {
         assert_eq!(code, 0, "{bound}: {stderr}");
         assert!(stdout.contains("do i = 1,"), "{bound}: {stdout}");
     }
+    // A zero divisor inside a *subscript*, where the per-processor
+    // evaluators of `fuse-loops` and `sink-await` used to divide for
+    // themselves: every registered pass prints a program that still
+    // holds the division, and each of the two prints its own back
+    // unchanged, saying why.
+    let fuse = "real A[1:8] distribute (BLOCK) onto 2\n\n\
+                do i = 1, 8\n  iown(A[i]) : { A[i] = A[i] + 1.0 }\nenddo\n\
+                do i = 1, 8\n  iown(A[i]) : { A[i] = A[i] + A[i / 0] }\nenddo\n";
+    let sink = "complex A[1:4,1:4,1:4] distribute (*,BLOCK,*) onto 4\n\n\
+                await(A[*,mypid+1,*]) : {\n  do i = 1, 4\n    \
+                fft1d(A[i / 0,mypid+1,*])\n  enddo\n}\n";
+    for (file, source, divider) in [
+        ("divzero_fuse.xdp", fuse, "fuse-loops"),
+        ("divzero_sink.xdp", sink, "sink-await"),
+    ] {
+        let path = dir.join(file);
+        std::fs::write(&path, source).unwrap();
+        let path = path.to_str().unwrap();
+        let printed_back = xdpc_code(&["check", path]).0;
+        for pass in xdp_compiler::passes::registry() {
+            let (stdout, stderr, code) = xdpc_code(&["opt", path, "--passes", pass.name()]);
+            assert_eq!(code, 0, "{file} under {}: {stderr}", pass.name());
+            assert!(stdout.contains("(i / 0)"), "{file} under {}", pass.name());
+            if pass.name() == divider {
+                assert_eq!(stdout, printed_back, "{file}");
+                assert!(stderr.contains(": declined "), "{file}: {stderr}");
+            }
+        }
+    }
 }
 
 #[test]

@@ -2,7 +2,8 @@
 //! source scan: the deleted thread-per-processor machine stays deleted,
 //! Figure 1's movement events are built only by `xdp_core::Recorder`, its
 //! transfer rules are written only in `xdp_core::transfer`, integer
-//! division has one definition, `benchmark/` is the only performance
+//! division has one definition and the compiler one evaluator, which
+//! decides ownership on sets (§2.1, §2.5), `benchmark/` is the only performance
 //! record, every binary the Makefile and CI invoke exists, (§2.22) the
 //! serve layer compiles in one function and `run_traced` renders the
 //! statement table at one place per pass boundary, (§2.23)
@@ -244,15 +245,78 @@ fn transfer_rules_and_integer_division_are_written_once() {
             );
         }
         // `IntBinOp::apply` is the arithmetic table; the pretty-printer
-        // only spells the operator.
+        // only spells the operator, and the triplet algebra takes
+        // remainders by strides, which are positive by construction. No
+        // other source has an integer `Div =>` / `Mod =>` arm, however the
+        // enum is imported, or divides with the checked or Euclidean
+        // methods the table is built from.
         let table = path.ends_with("crates/ir/src/expr.rs");
         let printer = path.ends_with("crates/ir/src/pretty.rs");
-        assert!(
-            table || printer || !code.contains("IntBinOp::Div =>"),
-            "{}: a second integer-division arm",
-            path.display()
-        );
+        let triplets = path.ends_with("crates/ir/src/triplet.rs");
+        for arm in ["Div =>", "Mod =>"] {
+            for (at, _) in code.match_indices(arm) {
+                assert!(
+                    table || printer || code[..at].ends_with("ElemBinOp::"),
+                    "{}: a second integer-division arm",
+                    path.display()
+                );
+            }
+        }
+        for method in ["rem_euclid", "checked_div"] {
+            assert!(
+                table || triplets || !code.contains(method),
+                "{}: `{method}` outside IntBinOp::apply",
+                path.display()
+            );
+        }
     }
+}
+
+#[test]
+fn the_compiler_decides_ownership_on_sets_with_one_evaluator() {
+    // DESIGN §2.1/§2.5: the passes and the analysis they share ask every
+    // ownership question of `OwnerMap` and friends. No iteration cap, no
+    // enumerator, and no walk over a section's or a loop's members is left
+    // in their non-test code — the point walk is the test oracle only.
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let passes = root.join("crates/compiler/src/passes");
+    let analysis = root.join("crates/ir/src/analysis.rs");
+    let mut evaluators = Vec::new();
+    for path in sources() {
+        if !path.starts_with(&passes) && path != analysis {
+            continue;
+        }
+        let code = code_of(&path);
+        for name in [["MAX_", "ENUM"].concat(), ["loop_", "values"].concat()] {
+            assert!(!code.contains(&name), "{}: names {name}", path.display());
+        }
+        for line in code.lines().filter(|l| l.contains(".iter()")) {
+            let walked = line[..line.find(".iter()").unwrap()].trim_end_matches(')');
+            let walked = walked.rsplit(|c: char| c != '_' && !c.is_alphanumeric());
+            let walked = walked.into_iter().next().unwrap_or_default();
+            let members = [
+                "sec", "osec", "tsec", "section", "window", "values", "rect", "piece",
+            ];
+            assert!(
+                !members.contains(&walked),
+                "{}: walks the members of `{walked}`: {line}",
+                path.display()
+            );
+        }
+        // One function turns an `IntExpr::Bin` into a number, through the
+        // one arithmetic table.
+        for (at, _) in code.match_indices("IntExpr::Bin(op") {
+            let body = &code[at..];
+            let body = &body[..body.find("\n        }").unwrap_or(body.len())];
+            if body.contains("=>") {
+                evaluators.push((
+                    enclosing_fn(&code, at).to_string(),
+                    body.contains(".apply("),
+                ));
+            }
+        }
+    }
+    assert_eq!(evaluators, [("affine_in".to_string(), true)]);
 }
 
 /// The name of the function whose body holds byte `at` of `code`.
@@ -568,6 +632,11 @@ fn every_binary_the_makefile_and_ci_invoke_exists() {
             }
         }
     }
+    // `make compile-scale` (no compile-time cliff, DESIGN §2.1) is a shell
+    // recipe around `xdpc opt`, parsed above like any other; CI runs it.
+    let read = |file: &str| std::fs::read_to_string(root.join(file)).unwrap();
+    assert!(read("Makefile").contains("\ncompile-scale:\n"));
+    assert!(read(".github/workflows/ci.yml").contains("run: make compile-scale\n"));
     assert!(checked > 30, "the scan found only {checked} invocations");
     assert!(parsed > 50, "the scan parsed only {parsed} command lines");
 }

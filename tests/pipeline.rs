@@ -360,6 +360,187 @@ fn provenance_rows_describe_each_passes_own_input_and_output() {
 }
 
 // ---------------------------------------------------------------------
+// Ownership decided on sets: no cliff, and a pass that declines says why.
+// ---------------------------------------------------------------------
+
+/// `simple.xdp` at size `n`.
+fn simple_source(n: i64) -> String {
+    format!(
+        "real A[1:{n}] distribute (BLOCK) onto 4\nreal B[1:{n}] distribute (CYCLIC) onto 4\n\
+         real T[0:3] distribute (BLOCK) onto 4 segment (1)\n\
+         do i = 1, {n}\n  iown(B[i]) : {{ B[i] -> }}\n  iown(A[i]) : {{\n    T[mypid] <- B[i]\n    \
+         await(T[mypid]) : {{ A[i] = A[i] + T[mypid] }}\n  }}\nenddo\n"
+    )
+}
+
+/// The notes of one pass over `src`, and whether it changed the program.
+fn notes_of(pass: impl Pass + 'static, src: &str) -> (bool, Vec<String>) {
+    let p = xdp_lang::parse_program(src).unwrap();
+    let r = pass.run(&p);
+    (r.changed, r.notes)
+}
+
+#[test]
+fn a_million_iterations_optimize_like_sixteen() {
+    let optimize = |n: i64| {
+        let p = xdp_lang::parse_program(&simple_source(n)).unwrap();
+        let (opt, log) = PassManager::paper_pipeline().run(&p);
+        let changed: Vec<String> = log
+            .into_iter()
+            .filter(|(_, r)| r.changed)
+            .map(|(name, _)| name)
+            .collect();
+        (opt, changed)
+    };
+    let (small, small_changed) = optimize(16);
+    let (large, large_changed) = optimize(1 << 20);
+    let three = [
+        "vectorize-messages",
+        "localize-bounds",
+        "bind-communication",
+    ];
+    assert_eq!(small_changed, three);
+    assert_eq!(large_changed, three);
+    // The same statements: twelve section sends, each bound to its
+    // receiver, each a stride-4 section of the cyclic operand.
+    assert_eq!(large.stmt_census(), small.stmt_census());
+    let mut sends = 0;
+    large.visit(&mut |s| {
+        if let Stmt::Send { sec, dest, .. } = s {
+            sends += 1;
+            assert!(matches!(dest, xdp_ir::DestSet::Pids(pids) if pids.len() == 1));
+            let xdp_ir::Subscript::Range(t) = &sec.subs[0] else {
+                panic!("a point send survived");
+            };
+            assert_eq!(t.st.as_const(), Some(4));
+        }
+    });
+    assert_eq!(sends, 12);
+
+    // And a thousand-iteration pair fuses as a sixteen-iteration one does.
+    let pair = |n: i64| {
+        format!(
+            "real A[1:{n}] distribute (BLOCK) onto 4\nreal B[1:{n}] distribute (BLOCK) onto 4\n\
+             do i = 1, {n} {{ iown(A[i]) : {{ A[i] = A[i] + 1.0 }} }}\n\
+             do i = 1, {n} {{ iown(B[i]) : {{ B[i] = B[i] + A[i] }} }}\n"
+        )
+    };
+    use xdp_compiler::passes::FuseLoops;
+    for n in [16, 1024, 1 << 16] {
+        assert!(notes_of(FuseLoops, &pair(n)).0, "the pair at n = {n}");
+    }
+}
+
+#[test]
+fn a_pass_that_declines_says_why() {
+    use xdp_compiler::passes::{FuseLoops, SinkAwait};
+    // A subscript that is not `i + c` (the old probe at i = 0 and 1 took
+    // `i*i` for `i + 0`).
+    let square = simple_source(4).replace("B[i]", "B[i * i]");
+    for (pass, changed, notes) in [
+        ("vectorize-messages", notes_of(VectorizeMessages, &square)),
+        (
+            "elide-same-owner-comm",
+            notes_of(ElideSameOwnerComm, &square),
+        ),
+    ]
+    .map(|(pass, (changed, notes))| (pass, changed, notes))
+    {
+        let want = format!("{pass}: declined loop i — subscript B[(i * i)] is not i + c");
+        assert_eq!((changed, notes), (false, vec![want]));
+    }
+    // A loop whose bounds only the run knows.
+    let symbolic = simple_source(16).replace("do i = 1, 16", "do i = 1, n");
+    let (changed, notes) = notes_of(BindCommunication, &symbolic);
+    assert!(!changed);
+    assert_eq!(
+        notes,
+        ["bind-communication: declined loop i — its bounds are not compile-time constants"]
+    );
+    // Fusion that would read ahead of the first loop's writes.
+    let ahead = "real A[1:16] distribute (*) onto 1\nreal B[1:16] distribute (*) onto 1\n\
+                 do i = 1, 15 { A[i] = A[i] + 1.0 }\ndo k = 1, 15 { B[k] = B[k] + A[k + 1] }\n";
+    assert_eq!(
+        notes_of(FuseLoops, ahead).1,
+        [
+            "fuse-loops: declined loops at 0,1 — A[(i + 1)] read in the second is written in the \
+          first 1 iteration later"
+        ]
+    );
+    // An await narrower than what the nest touches.
+    let (label, src) = FUSE_AND_SINK[10];
+    assert_eq!(label, "loop4-too-narrow");
+    let (changed, notes) = notes_of(SinkAwait, src);
+    assert!(!changed);
+    assert_eq!(notes.len(), 1, "{notes:?}");
+    assert!(notes[0].starts_with("sink-await: declined await(A[1,(mypid + 1),*]) — "));
+    // No note means nothing matched.
+    let plain = "real A[1:8] distribute (BLOCK) onto 2\nA[1] = 2.0\n";
+    for pass in xdp_compiler::passes::registry() {
+        if pass.name() != "auto-place" {
+            let r = pass.run(&xdp_lang::parse_program(plain).unwrap());
+            assert_eq!((r.changed, r.notes), (false, vec![]), "{}", pass.name());
+        }
+    }
+}
+
+/// Tier-1's view of `xdp_ir::analysis`'s own property tests: the
+/// `OwnerMap` of `A[i + c]` over a window is what walking the window and
+/// asking `owner_of` gives, and a map is refused exactly where the walk
+/// leaves the bounds.
+#[test]
+fn owner_maps_are_the_point_walk() {
+    use xdp_ir::analysis::Owners;
+    let dists = [
+        DimDist::Star,
+        DimDist::Block,
+        DimDist::Cyclic,
+        DimDist::BlockCyclic(2),
+        DimDist::BlockCyclic(3),
+    ];
+    for dd in dists {
+        for nprocs in [1, 3, 4, 6] {
+            for (n, c, lo, hi) in [
+                (16, 0, 1, 16),
+                (17, 2, 1, 15),
+                (17, -1, 2, 17),
+                (60, 2, 5, 40),
+                (16, 2, 1, 16),
+                (16, 0, 9, 8),
+                (4096, 3, 1, 4093),
+            ] {
+                let mut p = Program::new();
+                let grid = ProcGrid::linear(nprocs);
+                let a = p.declare(build::array(
+                    "A",
+                    ElemType::F64,
+                    vec![(1, n)],
+                    vec![dd],
+                    grid,
+                ));
+                let r = build::sref(a, vec![build::at(build::iv("i").add(build::c(c)))]);
+                let decl = p.decl(a);
+                let dist = decl.dist.as_ref().unwrap();
+                let mut walked = vec![Vec::new(); nprocs];
+                let inside = (lo..=hi).all(|i| (1..=n).contains(&(i + c)));
+                for i in (lo..=hi).filter(|_| inside) {
+                    walked[dist.owner_of(&decl.bounds, &[i + c])].push(i);
+                }
+                let map = Owners::new(&p).map(&r, "i", Triplet::range(lo, hi));
+                assert_eq!(map.is_ok(), inside, "{dd} onto {nprocs}, n = {n}, c = {c}");
+                if let Ok(map) = map {
+                    let members = |runs: &Vec<Triplet>| -> Vec<i64> {
+                        runs.iter().flat_map(|t| t.iter()).collect()
+                    };
+                    let got: Vec<Vec<i64>> = map.runs.iter().map(members).collect();
+                    assert_eq!(got, walked, "{dd} onto {nprocs}, n = {n}, c = {c}");
+                }
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
 // Pinned pass behaviour.
 // ---------------------------------------------------------------------
 
