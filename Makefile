@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain cargo underneath.
 
-.PHONY: all test benchmark-smoke compile-scale experiments examples lint doc clean e10 e11 e12 e13 e14 e15 e16 e17 fuzz serve stats
+.PHONY: all test benchmark-smoke compile-scale layer-rows experiments examples lint doc clean e10 e11 e12 e13 e14 e15 e16 e17 fuzz serve stats
 
 all: test
 
@@ -51,6 +51,18 @@ compile-scale:
 	large=$$(best target/release/xdpc opt --passes fuse-loops $$dir/pair_large.xdp); \
 	grep -q "pass fuse-loops: changed" $$dir/said || { echo "pair at n = 2^16: did not fuse"; exit 1; }; \
 	within "xdpc opt --passes fuse-loops (pair)" $$small $$large
+
+# The profile that names the layer (ROADMAP aim 1), in one command:
+# `make layer-rows W=exec-compute` runs that workload's traced smoke run
+# and keeps the rows that say where a step's time goes. No gate — wall
+# clock stays out of `cargo test`. Two runs (two commits, two hosts, two
+# minutes apart) compare only after dividing each by its own
+# `bench.calib_ns`.
+layer-rows:
+	@test -n "$(W)" || { echo "usage: make layer-rows W=<workload>   (one of: serve-small serve-cold exec-compute exec-comm exec-comm-tasks)"; exit 2; }
+	@out=$$(bash benchmark/run.sh --workload $(W) --seed 1 --smoke --trace 1) \
+	  || { echo "$$out" | tail -n 5; exit 1; }; \
+	echo "$$out" | grep -E '^  (bench\.calib_ns|ir\.[a-z_]+_ns|runtime\.symtab_[a-z_]+_ns|vm\.step_ns|core\.interp\.step_ns|vm\.run_us|verify\.fingerprint_us|trace\.events) '
 
 # Regenerate every figure/experiment table (EXPERIMENTS.md sources).
 experiments:

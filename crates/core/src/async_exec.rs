@@ -143,6 +143,7 @@ impl<P: Processor> AsyncExec<P> {
             faults_active: self.cfg.faults.is_active(),
             start,
             traced: tcfg.enabled(),
+            timeline: tcfg.spans || tcfg.instants,
         };
         // Initial round-robin distribution of all tasks.
         for pid in 0..n {
@@ -321,10 +322,16 @@ struct Shared<'a, P: Processor> {
     start: Instant,
     /// Is any tracing on? Untraced runs never read the clock.
     traced: bool,
+    /// Are the per-statement events kept — compute and wait spans, and
+    /// the instants stamped at a step's end? A run that keeps only the
+    /// movement record reads the clock once per movement event and never
+    /// per step.
+    timeline: bool,
 }
 
 impl<P: Processor> Shared<'_, P> {
-    /// Trace timestamp: wall-clock microseconds since run start.
+    /// Trace timestamp of a movement event: wall-clock microseconds since
+    /// run start.
     fn now(&self) -> f64 {
         if self.traced {
             self.start.elapsed().as_secs_f64() * 1e6
@@ -333,9 +340,22 @@ impl<P: Processor> Shared<'_, P> {
         }
     }
 
-    /// Record the delivery of `msg` to receive `req`, waited on since `t0`.
-    fn delivered(&self, rec: &mut Recorder, pid: usize, req: u64, msg: &Msg, t0: f64) {
+    /// Trace timestamp of a step's or a wait's edge, read only for a run
+    /// that keeps them.
+    fn edge(&self) -> f64 {
+        if self.timeline {
+            self.now()
+        } else {
+            0.0
+        }
+    }
+
+    /// Record the delivery of `msg` to receive `req`, waited on since
+    /// `since` (an [`edge`](Self::edge): without a timeline nobody read
+    /// the clock then, and the events collapse onto the delivery).
+    fn delivered(&self, rec: &mut Recorder, pid: usize, req: u64, msg: &Msg, since: f64) {
         let t1 = self.now();
+        let t0 = if self.timeline { since } else { t1 };
         rec.completed(pid, req, msg, (t0, t1), t0, t1);
     }
 
@@ -418,7 +438,7 @@ impl<P: Processor> Shared<'_, P> {
             }
             let mut t = self.tasks[p].lock().unwrap();
             if let TState::AtBarrier { t0 } = t.state {
-                t.rec.wait(p, WaitCause::Barrier, None, t0, self.now());
+                t.rec.wait(p, WaitCause::Barrier, None, t0, self.edge());
                 t.interp.pass_barrier();
                 t.state = TState::Runnable;
                 drop(t);
@@ -532,7 +552,7 @@ fn await_recv<P: Processor>(
             } else {
                 WaitCause::Message(p.req)
             };
-            task.rec.wait(pid, cause, Some(p.req), p.t0, sh.now());
+            task.rec.wait(pid, cause, Some(p.req), p.t0, sh.edge());
             sh.delivered(&mut task.rec, pid, p.req, &msg, p.t0);
             task.interp.complete_recv(p.req, msg)
         }
@@ -568,7 +588,7 @@ fn start_recv<P: Processor>(
         req,
         tag,
         deadline: Instant::now() + sh.timeout,
-        t0: sh.now(),
+        t0: sh.edge(),
         quiesce,
     };
     await_recv(sh, task, pid, p)
@@ -594,7 +614,7 @@ fn run_quantum<P: Processor>(sh: &Shared<'_, P>, task: &mut Task<'_, P>, pid: us
         // Opportunistically complete any receive whose message has
         // already arrived, so `accessible()` polls stay live.
         for (req, tag) in task.interp.outstanding() {
-            let t0 = sh.now();
+            let t0 = sh.edge();
             if let Some(msg) = sh.net.recv(&tag, pid, Duration::ZERO) {
                 sh.delivered(&mut task.rec, pid, req, &msg, t0);
                 if let Err(e) = task.interp.complete_recv(req, msg) {
@@ -603,7 +623,7 @@ fn run_quantum<P: Processor>(sh: &Shared<'_, P>, task: &mut Task<'_, P>, pid: us
                 }
             }
         }
-        let t0 = sh.now();
+        let t0 = sh.edge();
         let out = match task.interp.step() {
             Ok(out) => out,
             Err(e) => {
@@ -613,7 +633,7 @@ fn run_quantum<P: Processor>(sh: &Shared<'_, P>, task: &mut Task<'_, P>, pid: us
         };
         let sid = out.sid;
         task.rec
-            .step(pid, sid, out.ops.symtab_ops, out.note, t0, sh.now());
+            .step(pid, sid, out.ops.symtab_ops, out.note, t0, sh.edge());
         match out.action {
             Action::Continue => {}
             Action::Done => {
@@ -662,7 +682,7 @@ fn run_quantum<P: Processor>(sh: &Shared<'_, P>, task: &mut Task<'_, P>, pid: us
                 }
             }
             Action::Barrier => {
-                let t0 = sh.now();
+                let t0 = sh.edge();
                 sh.barrier.lock().unwrap().push(pid);
                 task.state = TState::AtBarrier { t0 };
                 let Some(rel) = sh.take_release() else {
@@ -670,7 +690,7 @@ fn run_quantum<P: Processor>(sh: &Shared<'_, P>, task: &mut Task<'_, P>, pid: us
                 };
                 // We completed the generation: release ourselves inline
                 // (our lock is held) and our parked peers.
-                task.rec.wait(pid, WaitCause::Barrier, None, t0, sh.now());
+                task.rec.wait(pid, WaitCause::Barrier, None, t0, sh.edge());
                 task.interp.pass_barrier();
                 task.state = TState::Runnable;
                 sh.release_peers(&rel, Some(pid));

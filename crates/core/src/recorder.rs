@@ -10,7 +10,10 @@
 //!
 //! Movement events are kept whatever their extent — a cost model with no
 //! per-message CPU overhead still moved the data — while compute and wait
-//! spans are kept only when `t1 > t0`.
+//! spans are kept only when `t1 > t0`. Which trace class keeps which kind
+//! is [`TraceConfig`]'s table: the movement events belong to `messages`
+//! as much as to `spans` / `instants`, so [`TraceConfig::movement`] keeps
+//! every event a fingerprint reads and drops the per-statement ones.
 
 use crate::interp::StepNote;
 use crate::proc::Processor;
@@ -23,7 +26,10 @@ use xdp_trace::{TraceConfig, TraceEvent, TraceKind, WaitCause};
 /// (simulator, lockstep): request ids are machine-unique, so either works.
 pub struct Recorder {
     cfg: TraceConfig,
-    names: Arc<[String]>,
+    names: Arc<[Arc<str>]>,
+    /// The two section states, rendered once.
+    transitional: Arc<str>,
+    accessible: Arc<str>,
     /// Statement that posted each outstanding receive, to attribute its
     /// eventual wire-transit / recv-complete events.
     recv_sid: HashMap<u64, u32>,
@@ -32,10 +38,12 @@ pub struct Recorder {
 
 impl Recorder {
     /// A recorder rendering variables by `names` (see [`Recorder::names`]).
-    pub fn new(names: Arc<[String]>, cfg: TraceConfig) -> Recorder {
+    pub fn new(names: Arc<[Arc<str>]>, cfg: TraceConfig) -> Recorder {
         Recorder {
             cfg,
             names,
+            transitional: "transitional".into(),
+            accessible: "accessible".into(),
             recv_sid: HashMap::new(),
             events: Vec::new(),
         }
@@ -43,9 +51,9 @@ impl Recorder {
 
     /// Declared names by variable ordinal of the program `procs` run,
     /// shareable by every recorder of their machine.
-    pub fn names<P: Processor>(procs: &[P]) -> Arc<[String]> {
+    pub fn names<P: Processor>(procs: &[P]) -> Arc<[Arc<str>]> {
         let decls = procs.first().map_or(&[][..], |p| &p.env().decls);
-        decls.iter().map(|d| d.name.clone()).collect()
+        decls.iter().map(|d| d.name.as_str().into()).collect()
     }
 
     /// Everything recorded so far, in emission order.
@@ -53,11 +61,22 @@ impl Recorder {
         std::mem::take(&mut self.events)
     }
 
+    /// Are the send-init / recv-post / recv-complete spans kept? They tile
+    /// a timeline (`spans`) and they are the movement record (`messages`).
+    fn keeps_movement_spans(&self) -> bool {
+        self.cfg.spans || self.cfg.messages
+    }
+
+    /// Are the section-state instants kept?
+    fn keeps_states(&self) -> bool {
+        self.cfg.instants || self.cfg.messages
+    }
+
     /// Rendered (variable, section) of a message tag.
-    fn tag_meta(&self, tag: &Tag) -> (Option<String>, Option<String>) {
+    fn tag_meta(&self, tag: &Tag) -> (Option<Arc<str>>, Option<Arc<str>>) {
         (
             self.names.get(tag.var.index()).cloned(),
-            Some(tag.sec.to_string()),
+            Some(tag.sec.to_string().into()),
         )
     }
 
@@ -93,7 +112,7 @@ impl Recorder {
             Some(StepNote::Kernel { name, flops }) => self.events.push(TraceEvent {
                 sid,
                 bytes: flops,
-                detail: Some(name),
+                detail: Some(name.into()),
                 ..TraceEvent::instant(TraceKind::KernelInvoke, pid, t1)
             }),
             Some(StepNote::Collective {
@@ -102,8 +121,8 @@ impl Recorder {
                 pieces,
             }) => self.events.push(TraceEvent {
                 sid,
-                var: Some(var),
-                detail: Some(format!("{strategy} x{pieces}")),
+                var: Some(var.into()),
+                detail: Some(format!("{strategy} x{pieces}").into()),
                 ..TraceEvent::instant(TraceKind::CollectiveRound, pid, t1)
             }),
         }
@@ -111,7 +130,7 @@ impl Recorder {
 
     /// A send was initiated; `[t0, t1]` is its CPU overhead.
     pub fn send_init(&mut self, pid: usize, sid: Option<u32>, msg: &Msg, t0: f64, t1: f64) {
-        if !self.cfg.spans {
+        if !self.keeps_movement_spans() {
             return;
         }
         let (var, sec) = self.tag_meta(&msg.tag);
@@ -142,7 +161,7 @@ impl Recorder {
             self.recv_sid.insert(req, s);
         }
         let (var, sec) = self.tag_meta(tag);
-        if self.cfg.spans {
+        if self.keeps_movement_spans() {
             self.events.push(TraceEvent {
                 sid,
                 var: var.clone(),
@@ -151,12 +170,12 @@ impl Recorder {
                 ..TraceEvent::span(TraceKind::RecvPost, pid, t0, t1)
             });
         }
-        if self.cfg.instants {
+        if self.keeps_states() {
             self.events.push(TraceEvent {
                 sid,
                 var,
                 sec,
-                detail: Some("transitional".into()),
+                detail: Some(self.transitional.clone()),
                 ..TraceEvent::instant(TraceKind::SectionState, pid, t1)
             });
         }
@@ -191,7 +210,7 @@ impl Recorder {
                 ..TraceEvent::span(TraceKind::WireTransit, pid, wire.0, wire.1)
             });
         }
-        if self.cfg.spans {
+        if self.keeps_movement_spans() {
             self.events.push(TraceEvent {
                 sid,
                 var: var.clone(),
@@ -201,12 +220,12 @@ impl Recorder {
                 ..TraceEvent::span(TraceKind::RecvComplete, pid, t0, t1)
             });
         }
-        if self.cfg.instants {
+        if self.keeps_states() {
             self.events.push(TraceEvent {
                 sid,
                 var,
                 sec,
-                detail: Some("accessible".into()),
+                detail: Some(self.accessible.clone()),
                 ..TraceEvent::instant(TraceKind::SectionState, pid, t1)
             });
         }

@@ -249,7 +249,7 @@ pub fn fault_trace_events(events: &[FaultEvent]) -> Vec<TraceEvent> {
                 FaultEventKind::DupInjected => return None,
             };
             Some(TraceEvent {
-                detail: Some(detail),
+                detail: Some(detail.into()),
                 src: Some(e.src as u32),
                 ..TraceEvent::instant(kind, e.src, e.t)
             })

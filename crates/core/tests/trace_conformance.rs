@@ -2,14 +2,19 @@
 //! reference must emit the same *movement multiset* — identical send-init
 //! / recv-post / wire-transit / recv-complete events up to timing and
 //! message ids — for the same program (see
-//! `xdp_trace::Trace::movement_multiset`), whatever the cost model.
+//! `xdp_trace::Trace::movement_multiset`), whatever the cost model — and
+//! whether the run kept its whole timeline (`TraceConfig::full()`) or the
+//! movement record alone (`TraceConfig::movement()`).
 
 use std::sync::Arc;
-use xdp_core::{AsyncExec, KernelRegistry, Machine, MachineConfig, SimExec, TraceConfig};
+use xdp_core::{
+    AsyncExec, KernelRegistry, Machine, MachineConfig, SimExec, Trace, TraceConfig, TraceKind,
+};
 use xdp_ir::build as b;
 use xdp_ir::{DimDist, Distribution, ElemType, ProcGrid, Program, VarId};
 use xdp_machine::CostModel;
 use xdp_runtime::Value;
+use xdp_verify::fingerprint::state_digest;
 use xdp_verify::lockstep::Lockstep;
 
 /// Block-distributed A and cyclic B: every A[i] += B[i] via messages.
@@ -84,12 +89,17 @@ fn redistribute_program(n: i64, nprocs: usize) -> (Arc<Program>, VarId) {
     (Arc::new(p), a)
 }
 
-/// The movement multiset of one fully traced run on any machine.
-fn multiset(mut exec: impl Machine, init: &[(VarId, f64)]) -> Vec<String> {
+/// The trace of one run on any machine.
+fn trace_of(mut exec: impl Machine, init: &[(VarId, f64)]) -> Trace {
     for &(v, x) in init {
         exec.init_exclusive(v, &move |idx| Value::F64(x * idx[0] as f64));
     }
-    exec.run_report().unwrap().trace.movement_multiset()
+    exec.run_report().unwrap().trace
+}
+
+/// The movement multiset of one traced run on any machine.
+fn multiset(exec: impl Machine, init: &[(VarId, f64)]) -> Vec<String> {
+    trace_of(exec, init).movement_multiset()
 }
 
 fn sim_multiset(prog: &Arc<Program>, nprocs: usize, init: &[(VarId, f64)]) -> Vec<String> {
@@ -157,6 +167,58 @@ fn every_machine_agrees_on_simple_xdp_under_any_cost_model() {
             "cpu_overhead = {}",
             cost.cpu_overhead
         );
+    }
+}
+
+/// The `movement()` column: on every machine it keeps the events a
+/// fingerprint reads — the same movement multiset and section-state
+/// digest as the full trace — and none of the rest.
+#[test]
+fn the_movement_record_is_the_full_traces_movement_on_every_machine() {
+    let (messages, a, bb) = message_program(12, 3);
+    let (redistribute, ra) = redistribute_program(4, 2);
+    let programs = [
+        (&messages, 3, vec![(a, 1.0), (bb, 2.0)]),
+        (&redistribute, 2, vec![(ra, 1.0)]),
+    ];
+    let k = KernelRegistry::standard;
+    for (prog, nprocs, init) in &programs {
+        let on_every_machine = |trace: TraceConfig| {
+            let cfg = MachineConfig::new(*nprocs).with_trace(trace);
+            [
+                (
+                    "SimExec",
+                    trace_of(SimExec::new((*prog).clone(), k(), cfg.clone()), init),
+                ),
+                (
+                    "AsyncExec",
+                    trace_of(AsyncExec::new((*prog).clone(), k(), cfg.clone()), init),
+                ),
+                (
+                    "Lockstep",
+                    trace_of(Lockstep::new((*prog).clone(), k(), cfg), init),
+                ),
+            ]
+        };
+        let full = on_every_machine(TraceConfig::full());
+        let movement = on_every_machine(TraceConfig::movement());
+        for ((machine, full), (_, movement)) in full.iter().zip(&movement) {
+            let moved = movement.movement_multiset();
+            assert!(!moved.is_empty(), "{machine}");
+            assert_eq!(moved, full.movement_multiset(), "{machine}");
+            let states = state_digest(movement);
+            assert_eq!(states, state_digest(full), "{machine}");
+            assert_eq!(
+                movement.events.len(),
+                moved.len() + states.len(),
+                "{machine}: nothing but the movement record"
+            );
+            // (The lockstep reference emits nothing per statement.)
+            assert!(
+                *machine == "Lockstep" || full.of_kind(TraceKind::Compute).next().is_some(),
+                "{machine}: the full trace keeps the per-statement events"
+            );
+        }
     }
 }
 

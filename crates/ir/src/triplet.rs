@@ -41,9 +41,11 @@ impl Triplet {
         if ub < lb {
             return Triplet::EMPTY;
         }
-        let count = (ub - lb) / st + 1;
-        let last = lb + (count - 1) * st;
-        if count == 1 {
+        if st == 1 {
+            return Triplet { lb, ub, st };
+        }
+        let last = lb + (ub - lb) / st * st;
+        if last == lb {
             Triplet { lb, ub: lb, st: 1 }
         } else {
             Triplet { lb, ub: last, st }
@@ -68,6 +70,8 @@ impl Triplet {
     pub fn count(&self) -> i64 {
         if self.ub < self.lb {
             0
+        } else if self.st == 1 {
+            self.ub - self.lb + 1
         } else {
             (self.ub - self.lb) / self.st + 1
         }
@@ -80,7 +84,7 @@ impl Triplet {
 
     /// True iff `i` is one of the progression's elements.
     pub fn contains(&self, i: i64) -> bool {
-        i >= self.lb && i <= self.ub && (i - self.lb) % self.st == 0
+        i >= self.lb && i <= self.ub && (self.st == 1 || (i - self.lb) % self.st == 0)
     }
 
     /// The `k`-th element (0-based). `None` when out of range.
@@ -94,10 +98,12 @@ impl Triplet {
 
     /// 0-based position of `i` within the progression, if present.
     pub fn index_of(&self, i: i64) -> Option<i64> {
-        if self.contains(i) {
-            Some((i - self.lb) / self.st)
-        } else {
+        if !self.contains(i) {
             None
+        } else if self.st == 1 {
+            Some(i - self.lb)
+        } else {
+            Some((i - self.lb) / self.st)
         }
     }
 
@@ -109,12 +115,18 @@ impl Triplet {
         }
     }
 
-    /// Intersection of two arithmetic progressions, itself a triplet.
+    /// Intersection of two arithmetic progressions, itself a triplet: the
+    /// common solutions of `x ≡ lb1 (mod s1)`, `x ≡ lb2 (mod s2)` over
+    /// `[max(lb), min(ub)]`, with stride `lcm(s1, s2)`. Empty when the
+    /// congruences are incompatible or the ranges are disjoint.
     ///
-    /// Solves `x ≡ lb1 (mod s1)`, `x ≡ lb2 (mod s2)` by CRT; the result has
-    /// stride `lcm(s1, s2)` and runs over `[max(lb), min(ub)]`. Returns the
-    /// empty triplet when the congruences are incompatible or the ranges are
-    /// disjoint.
+    /// The strides decide how much arithmetic that takes. Two dense
+    /// triplets meet in the clipped range and nothing else; a dense one
+    /// only clips the other's lattice; equal strides are the same lattice
+    /// or disjoint ones. Those are the queries a run asks — a segment and
+    /// a reference are dense or share the distribution's stride — and only
+    /// incommensurate strides (a CYCLIC(3) piece against a CYCLIC(4) one in
+    /// the redistribution planner) pay for CRT.
     pub fn intersect(&self, other: &Triplet) -> Triplet {
         if self.is_empty() || other.is_empty() {
             return Triplet::EMPTY;
@@ -124,8 +136,30 @@ impl Triplet {
         if hi < lo {
             return Triplet::EMPTY;
         }
-        // Solve x ≡ a1 (mod m1) and x ≡ a2 (mod m2).
         let (m1, m2) = (self.st, other.st);
+        if m1 == 1 && m2 == 1 {
+            return Triplet {
+                lb: lo,
+                ub: hi,
+                st: 1,
+            };
+        }
+        if m1 == 1 {
+            return other.within(lo, hi);
+        }
+        if m2 == 1 {
+            return self.within(lo, hi);
+        }
+        if m1 == m2 {
+            // One lattice or two disjoint ones; `lo` is the later start,
+            // so on the one lattice it is the first common member.
+            return if (lo - self.lb.min(other.lb)) % m1 == 0 {
+                Triplet::new(lo, hi, m1)
+            } else {
+                Triplet::EMPTY
+            };
+        }
+        // Solve x ≡ a1 (mod m1) and x ≡ a2 (mod m2) by CRT.
         let (a1, a2) = (self.lb.rem_euclid(m1), other.lb.rem_euclid(m2));
         let (g, p, _q) = ext_gcd(m1, m2);
         if (a2 - a1) % g != 0 {
@@ -156,13 +190,25 @@ impl Triplet {
         Triplet::new(first, hi, lcm)
     }
 
+    /// The members of `self` in `[lo, hi]`, for `self.lb <= lo <= hi <=
+    /// self.ub`: the first one at or after `lo` (at most `self.ub`, itself
+    /// a member), then the lattice.
+    fn within(&self, lo: i64, hi: i64) -> Triplet {
+        let past = (lo - self.lb) % self.st;
+        let first = if past == 0 { lo } else { lo + (self.st - past) };
+        Triplet::new(first, hi, self.st)
+    }
+
     /// Does `self` wholly contain `other` (every element of `other` is an
-    /// element of `self`)?
+    /// element of `self`)? Decided on the normal form: `other`'s ends are
+    /// members of it, so it lies inside iff its first element is a member
+    /// of `self`, its last is not past `self`'s, and — when it has a
+    /// second element — its steps are whole steps of `self`.
     pub fn covers(&self, other: &Triplet) -> bool {
-        if other.is_empty() {
-            return true;
-        }
-        self.intersect(other).count() == other.count()
+        other.is_empty()
+            || (self.contains(other.lb)
+                && other.ub <= self.ub
+                && (other.lb == other.ub || self.st == 1 || other.st % self.st == 0))
     }
 
     /// Translate the progression by `delta`.
@@ -238,9 +284,14 @@ fn ext_gcd(a: i64, b: i64) -> (i64, i64, i64) {
     }
 }
 
-/// `(a * b) mod m` without overflow for the i64 magnitudes we use.
+/// `(a * b) mod m` for any `i64` operands: in `i64` when the product fits
+/// (a 128-bit remainder is a library call, several times the division it
+/// stands for), in `i128` when it does not.
 fn mod_mul(a: i64, b: i64, m: i64) -> i64 {
-    ((a as i128 * b as i128).rem_euclid(m as i128)) as i64
+    match a.checked_mul(b) {
+        Some(product) => product.rem_euclid(m),
+        None => ((a as i128 * b as i128).rem_euclid(m as i128)) as i64,
+    }
 }
 
 #[cfg(test)]
@@ -341,6 +392,37 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn mod_mul_is_exact_where_the_product_overflows() {
+        let wide = |a: i64, b: i64, m: i64| ((a as i128 * b as i128).rem_euclid(m as i128)) as i64;
+        let big = [
+            i64::MAX,
+            i64::MAX - 6,
+            1 << 62,
+            (1 << 40) + 17,
+            -(1 << 61) - 3,
+        ];
+        for a in big {
+            for b in big {
+                for m in [7, (1 << 40) - 87, i64::MAX] {
+                    assert_eq!(mod_mul(a, b, m), wide(a, b, m), "{a} * {b} mod {m}");
+                    assert_eq!(mod_mul(a, 12, m), wide(a, 12, m), "{a} * 12 mod {m}");
+                }
+            }
+        }
+        // A stride wide enough that CRT's inner product leaves `i64`.
+        let (m1, m2) = (3, (1 << 40) + 15);
+        let a = Triplet::new(1, 1 << 60, m1);
+        let b = Triplet::new((1 << 39) + 2, 1 << 60, m2);
+        let r = a.intersect(&b);
+        assert!(a.contains(r.lb) && b.contains(r.lb) && a.contains(r.ub) && b.contains(r.ub));
+        assert_eq!(r.st, m1 * m2);
+        assert!(
+            r.lb - r.st < b.lb && r.ub + r.st > b.ub,
+            "{r} is all of them"
+        );
     }
 
     #[test]

@@ -311,7 +311,15 @@ impl ServePool {
 
         let exec_start = Instant::now();
         self.metrics.in_flight.add(1);
-        let executed = execute(&cached, self.machine);
+        // A fingerprint reads the movement record and nothing else does —
+        // unless a flight recorder is attached, whose dumps are replayable
+        // Chrome traces of the whole timeline.
+        let trace = if self.flight.is_some() {
+            TraceConfig::full()
+        } else {
+            TraceConfig::movement()
+        };
+        let executed = execute(&cached, self.machine, trace);
         self.metrics.in_flight.sub(1);
         let execute_us = exec_start.elapsed().as_micros() as u64;
         let (mut outcome, report) = match executed {
@@ -426,17 +434,19 @@ impl ServePool {
 /// initialize, run and fingerprint by the one run protocol — identical
 /// for either backend (the VM's conformance contract is what makes the
 /// cache-key split the only observable difference) and either machine (on
-/// the task machine `virtual_time` is wall-clock microseconds). Returns
-/// the outcome plus the full run report (the caller folds its
-/// network/fault counters into metrics and may hand its trace to the
-/// flight recorder without cloning).
+/// the task machine `virtual_time` is wall-clock microseconds). `trace`
+/// is at least the movement record the fingerprint reads. Returns the
+/// outcome plus the full run report (the caller folds its network/fault
+/// counters into metrics and may hand its trace to the flight recorder
+/// without cloning).
 fn execute(
     cached: &CachedProgram,
     machine: PoolMachine,
+    trace: TraceConfig,
 ) -> Result<(RunOutcome, ExecReport), ServeError> {
     let compiled = &cached.compiled;
     let mut cfg = MachineConfig::new(compiled.nprocs)
-        .with_trace(TraceConfig::full())
+        .with_trace(trace)
         .with_faults(cached.faults.clone());
     cfg.cost.mem_budget = compiled.mem_budget;
     let mut exec = xdp_verify::machine(
@@ -648,6 +658,16 @@ mod tests {
             .unwrap();
         assert_eq!(auto.fingerprint, as_is.fingerprint);
         assert_eq!(auto.messages, 0, "owner-local: nothing moves");
+    }
+
+    /// The movement record has nothing per executed statement in it: a
+    /// request that moves no data hands back an empty trace.
+    #[test]
+    fn a_communication_free_request_records_no_event() {
+        let local = CachedProgram::build(&spec(8)).unwrap();
+        let (outcome, report) = execute(&local, PoolMachine::Sim, TraceConfig::movement()).unwrap();
+        assert_eq!(outcome.messages, 0);
+        assert!(report.trace.events.is_empty(), "{:?}", report.trace.events);
     }
 
     #[test]

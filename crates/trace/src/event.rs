@@ -2,6 +2,7 @@
 
 use std::collections::HashMap;
 use std::fmt::Write;
+use std::sync::Arc;
 
 /// What a [`TraceEvent`] describes.
 ///
@@ -95,10 +96,13 @@ pub struct TraceEvent {
     pub t1: f64,
     /// Preorder id of the IR statement that caused the event.
     pub sid: Option<u32>,
-    /// Variable being moved/queried, if any (rendered name).
-    pub var: Option<String>,
+    /// Variable being moved/queried, if any (rendered name). Shared: the
+    /// events of one transfer — and every event naming the variable —
+    /// hold one rendering, so recording and dropping a trace cost one
+    /// allocation per transfer, not three per event.
+    pub var: Option<Arc<str>>,
     /// Section being moved, if any (rendered, e.g. `[1:4]`).
-    pub sec: Option<String>,
+    pub sec: Option<Arc<str>>,
     /// Payload bytes for movement events; op/flop counts for
     /// [`TraceKind::SymtabQuery`] / [`TraceKind::KernelInvoke`].
     pub bytes: u64,
@@ -109,7 +113,7 @@ pub struct TraceEvent {
     /// Why a [`TraceKind::Wait`] span was blocked.
     pub cause: WaitCause,
     /// Free-form annotation (kernel name, section state, strategy...).
-    pub detail: Option<String>,
+    pub detail: Option<Arc<str>>,
 }
 
 impl TraceEvent {
@@ -136,15 +140,30 @@ impl TraceEvent {
 
 /// What the executors record. Off by default: tracing never perturbs a
 /// run's result, it only costs memory, but the default stays zero-cost.
+///
+/// | event kind | recorded when |
+/// |---|---|
+/// | `Compute`, `Wait` | `spans` |
+/// | `SendInit`, `RecvPost`, `RecvComplete` | `spans \|\| messages` |
+/// | `WireTransit` | `messages` |
+/// | `SectionState` | `instants \|\| messages` |
+/// | `SymtabQuery`, `KernelInvoke`, `CollectiveRound`, `Retry`, `FaultDrop`, `DupSuppressed` | `instants` |
+///
+/// `messages` alone ([`TraceConfig::movement`]) is therefore the
+/// data-movement record: exactly the kinds [`Trace::movement_multiset`]
+/// and the fingerprint's section-state digest filter for, and nothing a
+/// communication-free run would emit.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct TraceConfig {
-    /// Record the compute / send-init / recv-post / recv-complete / wait
-    /// spans that tile each processor's timeline.
+    /// Record the spans that tile each processor's timeline: compute and
+    /// wait, and the send-init / recv-post / recv-complete overheads.
     pub spans: bool,
-    /// Record wire-transit edges (required for critical-path analysis).
+    /// Record data movement: the wire-transit edges (required for
+    /// critical-path analysis) with the send-init / recv-post /
+    /// recv-complete spans and section-state transitions they connect.
     pub messages: bool,
     /// Record instants: section-state transitions, symtab queries, kernel
-    /// invocations, collective rounds.
+    /// invocations, collective rounds, injected faults.
     pub instants: bool,
 }
 
@@ -159,6 +178,16 @@ impl TraceConfig {
         TraceConfig {
             spans: true,
             messages: false,
+            instants: false,
+        }
+    }
+
+    /// The data-movement record only: what a fingerprint reads, and
+    /// nothing per executed statement.
+    pub fn movement() -> Self {
+        TraceConfig {
+            spans: false,
+            messages: true,
             instants: false,
         }
     }
@@ -313,6 +342,8 @@ mod tests {
         assert!(TraceConfig::spans_only().enabled());
         let full = TraceConfig::full();
         assert!(full.spans && full.messages && full.instants);
+        let movement = TraceConfig::movement();
+        assert!(movement.enabled() && !movement.spans && !movement.instants);
     }
 
     #[test]

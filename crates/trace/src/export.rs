@@ -43,10 +43,10 @@ fn args_of(e: &TraceEvent) -> Value {
         m.insert("sid".into(), Value::from(sid as u64));
     }
     if let Some(v) = &e.var {
-        m.insert("var".into(), Value::from(v.clone()));
+        m.insert("var".into(), Value::from(v.to_string()));
     }
     if let Some(s) = &e.sec {
-        m.insert("sec".into(), Value::from(s.clone()));
+        m.insert("sec".into(), Value::from(s.to_string()));
     }
     if e.bytes > 0 {
         m.insert("bytes".into(), Value::from(e.bytes));
@@ -58,7 +58,7 @@ fn args_of(e: &TraceEvent) -> Value {
         m.insert("msg_id".into(), Value::from(id));
     }
     if let Some(d) = &e.detail {
-        m.insert("detail".into(), Value::from(d.clone()));
+        m.insert("detail".into(), Value::from(d.to_string()));
     }
     Value::Object(m)
 }

@@ -250,9 +250,11 @@ fn run_on(p: &Arc<Program>, build: impl FnOnce(Arc<Program>) -> Box<dyn Machine>
     .unwrap_or_else(|e| Err(panic_text(e)))
 }
 
-/// The fully traced machine the oracles run on.
+/// The machine the oracles run on. It records the movement trace and no
+/// more: every oracle compares [`Fingerprint`]s ([`run_on`] drops the
+/// report), and a fingerprint reads nothing else of a trace.
 fn oracle_cfg(nprocs: usize, faults: Option<&FaultPlan>, mem_budget: Option<u64>) -> MachineConfig {
-    let mut cfg = MachineConfig::new(nprocs).with_trace(TraceConfig::full());
+    let mut cfg = MachineConfig::new(nprocs).with_trace(TraceConfig::movement());
     cfg.cost.mem_budget = mem_budget;
     if let Some(plan) = faults {
         cfg = cfg.with_faults(plan.clone());

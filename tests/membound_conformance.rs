@@ -144,8 +144,8 @@ fn planned_strategies(trace: &Trace) -> Vec<(u32, String, String)> {
         .map(|e| {
             (
                 e.pid,
-                e.var.clone().unwrap_or_default(),
-                e.detail.clone().unwrap_or_default(),
+                e.var.as_deref().unwrap_or_default().to_string(),
+                e.detail.as_deref().unwrap_or_default().to_string(),
             )
         })
         .collect();

@@ -11,7 +11,8 @@
 //! is declared and read in `xdp_compiler::cli` alone, which every
 //! documented invocation parses against, and (§2.25) a machine has one
 //! description and one builder, with every name `benchmark/` imports
-//! still exported.
+//! still exported, and (§2.9) a request is fully traced only for the
+//! flight recorder that reads the timeline.
 
 use std::path::{Path, PathBuf};
 use xdp_compiler::cli::{self, Args};
@@ -363,6 +364,31 @@ fn the_serve_layer_compiles_and_run_traced_renders_in_one_place() {
 }
 
 #[test]
+fn a_request_is_fully_traced_only_for_a_flight_recorder() {
+    // A fingerprint reads the movement record (`TraceConfig::movement()`);
+    // whoever asks the serve layer for more must be a reader of it.
+    let mut full = Vec::new();
+    for path in sources() {
+        if !path.to_string_lossy().contains("crates/serve/src") {
+            continue;
+        }
+        let code = code_of(&path);
+        for (at, _) in code.match_indices("TraceConfig::full()") {
+            let file = path.file_name().unwrap().to_string_lossy().into_owned();
+            let guarded = code[..at]
+                .trim_end()
+                .ends_with("if self.flight.is_some() {");
+            full.push((file, enclosing_fn(&code, at).to_string(), guarded));
+        }
+    }
+    assert!(
+        full.len() <= 1 && full.iter().all(|(.., guarded)| *guarded),
+        "crates/serve/src asks for TraceConfig::full() at {full:?}; want at most one site, \
+         directly behind `if self.flight.is_some()`"
+    );
+}
+
+#[test]
 fn the_collectives_crate_never_moves_a_message() {
     // It builds, prices and lowers schedules; a schedule's data moves only
     // as the Figure 1 statements `lower_redistribute_for_pid` emits, on
@@ -637,6 +663,11 @@ fn every_binary_the_makefile_and_ci_invoke_exists() {
     let read = |file: &str| std::fs::read_to_string(root.join(file)).unwrap();
     assert!(read("Makefile").contains("\ncompile-scale:\n"));
     assert!(read(".github/workflows/ci.yml").contains("run: make compile-scale\n"));
+    // `make layer-rows W=<workload>` (the profile that names the layer,
+    // ROADMAP aim 1) filters the benchmark's traced smoke run; it gates
+    // nothing, and the verify skill says how to read it.
+    assert!(read("Makefile").contains("\nlayer-rows:\n"));
+    assert!(read(".claude/skills/verify/SKILL.md").contains("make layer-rows W="));
     assert!(checked > 30, "the scan found only {checked} invocations");
     assert!(parsed > 50, "the scan parsed only {parsed} command lines");
 }
