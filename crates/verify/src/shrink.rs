@@ -494,6 +494,39 @@ mod tests {
     }
 
     #[test]
+    fn prune_keeps_a_declaration_named_only_inside_an_expression() {
+        use xdp_ir::{DimDist, ElemType, ProcGrid, Program};
+        let (a, w) = (VarId(0), VarId(1));
+        let a1 = || b::sref(a, vec![b::at(b::c(1))]);
+        let lb = || b::mylb(b::sref(w, vec![b::all()]), 1);
+        let ub = || b::myub(b::sref(w, vec![b::all()]), 1);
+        let one = || xdp_ir::ElemExpr::LitF(1.0);
+        let ai = b::sref(a, vec![b::at(b::iv("i"))]);
+        // `W` named only by: loop bounds, a kernel's integer parameter, a
+        // salt, a destination pid, a `mylb` inside a subscript.
+        let bodies = [
+            b::do_loop("i", lb(), ub(), vec![b::assign(ai, one())]),
+            b::kernel_with("touch", vec![a1()], vec![lb()]),
+            b::send_salted(a1(), lb()),
+            b::send_to(a1(), vec![lb().sub(b::c(1))]),
+            b::assign(b::sref(a, vec![b::at(lb())]), one()),
+        ];
+        for stmt in bodies {
+            let mut p = Program::new();
+            for name in ["A", "W"] {
+                let dist = vec![DimDist::Block];
+                let grid = ProcGrid::linear(2);
+                p.declare(b::array(name, ElemType::F64, vec![(1, 8)], dist, grid));
+            }
+            p.body = vec![stmt];
+            let text = xdp_ir::pretty::program(&p);
+            prune_trailing_decls(&mut p);
+            assert_eq!(p.decls.len(), 2, "pruned W from\n{text}");
+            assert_eq!(xdp_ir::validate(&p), Vec::<String>::new(), "{text}");
+        }
+    }
+
+    #[test]
     fn stmt_count_counts_nested() {
         let xi = b::sref(VarId(0), vec![b::at(b::iv("i"))]);
         let body = vec![b::do_loop(

@@ -1020,3 +1020,84 @@ const PASS_PINS: &str = "\
     fft/16/4/v4-preposted c1595e6e139baf0d cbf29ce484222325
     fft/16/4/v5-planned 519630d13f2b94a9 cbf29ce484222325
     fft/16/4/v6-auto 521fa3d19e0abb89 cbf29ce484222325";
+
+// ---------------------------------------------------------------------
+// A legality check sees every reference.
+// ---------------------------------------------------------------------
+
+/// The second loop's only mention of `W` is the `myub` inside a subscript
+/// of `A` — an ownership query of what the first loop migrates.
+const QUERY_IN_A_SUBSCRIPT: &str = "\
+    real A[1:8] distribute (CYCLIC) onto 2\n\
+    real W[1:8] distribute (BLOCK) onto 2 segment (1)\n\
+    real X[1:8] distribute (CYCLIC) onto 2\n\
+    do i = 1, 8\n\
+      (iown(W[i]) && !iown(X[i])) : { W[i] -=> }\n\
+      (iown(X[i]) && !iown(W[i])) : { W[i] <=- }\n\
+    enddo\n\
+    do j = 1, 8\n\
+      (mypid == 0 && iown(A[j])) : { A[myub(W[*], 1)] = 1.0 }\n\
+    enddo\n";
+
+/// The mirrored shape for `sink-await`: the nest's second statement names
+/// the awaited array only through the `mylb` that subscripts `B`.
+const QUERY_UNDER_AN_AWAIT: &str = "\
+    real A[1:4,1:4,1:4] distribute (*,BLOCK,*) onto 4\n\
+    real B[1:4] distribute (BLOCK) onto 4\n\
+    await(A[*,mypid + 1,*]) : {\n\
+      do i = 1, 4 {\n\
+        scale(A[i,mypid + 1,*], 2)\n\
+        B[mylb(A[*,*,*], 2)] = 1.0\n\
+      }\n\
+    }\n";
+
+/// Every registered pass alone, and the paper pipeline, leave `src`
+/// computing what it computed as written.
+fn every_pass_preserves(src: &str) {
+    let program = xdp_lang::parse_program(src).unwrap();
+    let tp = xdp_verify::TestProgram {
+        nprocs: program.decls[0].dist.as_ref().unwrap().nprocs(),
+        observable: program.decls.iter().map(|d| d.name.clone()).collect(),
+        program,
+        seed: 0,
+    };
+    let mut runs: Vec<Vec<(&'static str, Box<dyn Pass>)>> = xdp_compiler::passes::registry()
+        .into_iter()
+        .map(|pass| vec![(pass.name(), pass)])
+        .collect();
+    runs.push(xdp_verify::diff::default_passes());
+    for passes in runs {
+        let diverged = xdp_verify::diff::check_passes_only(&tp, &passes);
+        assert!(diverged.is_none(), "{}", diverged.unwrap().detail());
+    }
+}
+
+#[test]
+fn a_query_inside_a_subscript_keeps_the_loops_apart() {
+    use xdp_compiler::passes::FuseLoops;
+    every_pass_preserves(QUERY_IN_A_SUBSCRIPT);
+    let (changed, notes) = notes_of(FuseLoops, QUERY_IN_A_SUBSCRIPT);
+    assert!(!changed, "{notes:?}");
+    assert_eq!(
+        notes,
+        [
+            "fuse-loops: declined loops at 0,1 — W[*] queried in the second (by A[myub(W[*], 1)]) \
+          is sent away in the first 1 iteration later"
+        ]
+    );
+}
+
+#[test]
+fn a_query_inside_a_subscript_keeps_the_await_whole() {
+    use xdp_compiler::passes::SinkAwait;
+    every_pass_preserves(QUERY_UNDER_AN_AWAIT);
+    let (changed, notes) = notes_of(SinkAwait, QUERY_UNDER_AN_AWAIT);
+    assert!(!changed, "{notes:?}");
+    assert_eq!(
+        notes,
+        [
+            "sink-await: declined await(A[*,(mypid + 1),*]) — the nest names 2 different sections \
+          of A: A[i,(mypid + 1),*], and A[*,*,*] queried by B[mylb(A[*,*,*], 2)]"
+        ]
+    );
+}
