@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain cargo underneath.
 
-.PHONY: all test benchmark-smoke compile-scale layer-rows experiments examples lint doc clean e10 e11 e12 e13 e14 e15 e16 e17 fuzz serve stats
+.PHONY: all test benchmark-smoke compile-scale layer-rows src-lines experiments examples lint doc clean e10 e11 e12 e13 e14 e15 e16 e17 fuzz serve stats
 
 all: test
 
@@ -63,6 +63,16 @@ layer-rows:
 	@out=$$(bash benchmark/run.sh --workload $(W) --seed 1 --smoke --trace 1) \
 	  || { echo "$$out" | tail -n 5; exit 1; }; \
 	echo "$$out" | grep -E '^  (bench\.calib_ns|ir\.[a-z_]+_ns|runtime\.symtab_[a-z_]+_ns|vm\.step_ns|core\.interp\.step_ns|vm\.run_us|verify\.fingerprint_us|trace\.events) '
+
+# Non-test source lines per crate: for each file under crates/<c>/src, the
+# lines before its first `#[cfg(test)]`, summed. The count a [simplicity]
+# PR is held to (ROADMAP aim 2) — comments and blank lines included, so
+# deleting those moves it and does not count.
+src-lines:
+	@for c in crates/*/; do n=0; \
+	  for f in $$(find $${c}src -name '*.rs'); do \
+	    n=$$((n + $$(awk '/#\[cfg\(test\)\]/{exit} {k++} END{print k+0}' $$f))); \
+	  done; printf '%-12s %6d\n' $$(basename $$c) $$n; done
 
 # Regenerate every figure/experiment table (EXPERIMENTS.md sources).
 experiments:

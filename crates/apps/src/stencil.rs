@@ -2,15 +2,14 @@
 //! classic boundary exchange.
 
 use crate::workloads;
-use xdp_compiler::seq::{SeqProgram, SeqStmt};
 use xdp_ir::build as b;
-use xdp_ir::{DimDist, ElemType, ProcGrid, VarId};
+use xdp_ir::{DimDist, ElemType, ProcGrid, Program, VarId};
 
 /// `do i = 2, n-1 { A[i] = 0.5 * (B[i-1] + B[i+1]) }` with both arrays
 /// block-distributed over `nprocs`.
-pub fn jacobi1d_seq(n: i64, nprocs: usize) -> (SeqProgram, VarId, VarId) {
+pub fn jacobi1d_seq(n: i64, nprocs: usize) -> (Program, VarId, VarId) {
     let grid = ProcGrid::linear(nprocs);
-    let mut s = SeqProgram::new();
+    let mut s = Program::new();
     let a = s.declare(b::array(
         "A",
         ElemType::F64,
@@ -28,15 +27,15 @@ pub fn jacobi1d_seq(n: i64, nprocs: usize) -> (SeqProgram, VarId, VarId) {
     let ai = b::sref(a, vec![b::at(b::iv("i"))]);
     let bm = b::sref(bb, vec![b::at(b::iv("i").sub(b::c(1)))]);
     let bp = b::sref(bb, vec![b::at(b::iv("i").add(b::c(1)))]);
-    s.body = vec![SeqStmt::DoLoop {
-        var: "i".into(),
-        lo: b::c(2),
-        hi: b::c(n - 1),
-        body: vec![SeqStmt::Assign {
-            target: ai,
-            rhs: xdp_ir::ElemExpr::LitF(0.5).mul(b::val(bm).add(b::val(bp))),
-        }],
-    }];
+    s.body = vec![b::do_loop(
+        "i",
+        b::c(2),
+        b::c(n - 1),
+        vec![b::assign(
+            ai,
+            xdp_ir::ElemExpr::LitF(0.5).mul(b::val(bm).add(b::val(bp))),
+        )],
+    )];
     (s, a, bb)
 }
 
@@ -59,7 +58,7 @@ pub fn jacobi_input(n: i64, seed: u64) -> Vec<f64> {
 mod tests {
     use super::*;
     use std::sync::Arc;
-    use xdp_compiler::{lower_owner_computes, FrontendOptions, PassManager};
+    use xdp_compiler::{lower_owner_computes, PassManager};
     use xdp_core::{KernelRegistry, MachineConfig, SimExec};
     use xdp_runtime::Value;
 
@@ -91,7 +90,7 @@ mod tests {
         let b0 = jacobi_input(n, 42);
         let want = jacobi1d_reference(&b0);
 
-        let naive = lower_owner_computes(&s, &FrontendOptions::default()).unwrap();
+        let naive = lower_owner_computes(&s).unwrap();
         let (got0, m0) = run(&naive, a, bvar, n, nprocs, &b0);
         let (opt, _) = PassManager::paper_pipeline().run(&naive);
         let (got1, m1) = run(&opt, a, bvar, n, nprocs, &b0);

@@ -10,15 +10,15 @@ use std::sync::Arc;
 use xdp_bench::table::j;
 use xdp_bench::Table;
 use xdp_compiler::passes::{BindCommunication, MigrateOwnership};
-use xdp_compiler::{lower_owner_computes, FrontendOptions, Pass, PassManager, SeqProgram, SeqStmt};
+use xdp_compiler::{lower_owner_computes, Pass, PassManager};
 use xdp_core::{ExecReport, KernelRegistry, MachineConfig, SimExec};
 use xdp_ir::build as b;
 use xdp_ir::{DimDist, ElemType, ProcGrid, Program, VarId};
 use xdp_runtime::Value;
 
-fn source(n: i64, nprocs: usize, bd: DimDist) -> (SeqProgram, VarId, VarId) {
+fn source(n: i64, nprocs: usize, bd: DimDist) -> (Program, VarId, VarId) {
     let grid = ProcGrid::linear(nprocs);
-    let mut s = SeqProgram::new();
+    let mut s = Program::new();
     let a = s.declare(b::array(
         "A",
         ElemType::F64,
@@ -29,15 +29,12 @@ fn source(n: i64, nprocs: usize, bd: DimDist) -> (SeqProgram, VarId, VarId) {
     let bb = s.declare(b::array("B", ElemType::F64, vec![(1, n)], vec![bd], grid));
     let ai = b::sref(a, vec![b::at(b::iv("i"))]);
     let bi = b::sref(bb, vec![b::at(b::iv("i"))]);
-    s.body = vec![SeqStmt::DoLoop {
-        var: "i".into(),
-        lo: b::c(1),
-        hi: b::c(n),
-        body: vec![SeqStmt::Assign {
-            target: ai.clone(),
-            rhs: b::val(ai).add(b::val(bi)),
-        }],
-    }];
+    s.body = vec![b::do_loop(
+        "i",
+        b::c(1),
+        b::c(n),
+        vec![b::assign(ai.clone(), b::val(ai).add(b::val(bi)))],
+    )];
     (s, a, bb)
 }
 
@@ -77,7 +74,7 @@ fn main() {
             ("CYCLIC (misaligned)", DimDist::Cyclic),
         ] {
             let (s, a, bb) = source(n, nprocs, bd);
-            let naive = lower_owner_computes(&s, &FrontendOptions::default()).unwrap();
+            let naive = lower_owner_computes(&s).unwrap();
             let mut base = None;
             let mut add = |label: &str, p: &Program, t: &mut Table| {
                 let r = execute(p, a, bb, nprocs, n);

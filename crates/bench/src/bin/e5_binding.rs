@@ -10,7 +10,7 @@ use std::sync::Arc;
 use xdp_bench::table::j;
 use xdp_bench::Table;
 use xdp_compiler::passes::BindCommunication;
-use xdp_compiler::{lower_owner_computes, FrontendOptions, Pass, SeqProgram, SeqStmt};
+use xdp_compiler::{lower_owner_computes, Pass};
 use xdp_core::{KernelRegistry, MachineConfig, SimExec};
 use xdp_ir::build as b;
 use xdp_ir::{DimDist, ElemType, ProcGrid, Program, VarId};
@@ -18,9 +18,9 @@ use xdp_runtime::Value;
 
 /// Section-level transfers of `width` elements per message: A[i-block] +=
 /// B-sections, written directly so the message size is controllable.
-fn sectioned(n: i64, nprocs: usize) -> (SeqProgram, VarId, VarId) {
+fn sectioned(n: i64, nprocs: usize) -> (Program, VarId, VarId) {
     let grid = ProcGrid::linear(nprocs);
-    let mut s = SeqProgram::new();
+    let mut s = Program::new();
     let a = s.declare(b::array(
         "A",
         ElemType::F64,
@@ -37,15 +37,12 @@ fn sectioned(n: i64, nprocs: usize) -> (SeqProgram, VarId, VarId) {
     ));
     let ai = b::sref(a, vec![b::at(b::iv("i"))]);
     let bi = b::sref(bb, vec![b::at(b::iv("i"))]);
-    s.body = vec![SeqStmt::DoLoop {
-        var: "i".into(),
-        lo: b::c(1),
-        hi: b::c(n),
-        body: vec![SeqStmt::Assign {
-            target: ai.clone(),
-            rhs: b::val(ai).add(b::val(bi)),
-        }],
-    }];
+    s.body = vec![b::do_loop(
+        "i",
+        b::c(1),
+        b::c(n),
+        vec![b::assign(ai.clone(), b::val(ai).add(b::val(bi)))],
+    )];
     (s, a, bb)
 }
 
@@ -66,7 +63,7 @@ fn main() {
     );
     for &n in &[16i64, 64, 256] {
         let (s, a, bb) = sectioned(n, nprocs);
-        let naive = lower_owner_computes(&s, &FrontendOptions::default()).unwrap();
+        let naive = lower_owner_computes(&s).unwrap();
         let bound = BindCommunication.run(&naive).program;
         let mut base = None;
         for (label, prog) in [("unbound (name on wire)", &naive), ("bound (§3.2)", &bound)] {
@@ -117,7 +114,7 @@ fn main() {
         n
     }
     let (s, _, _) = sectioned(16, nprocs);
-    let naive = lower_owner_computes(&s, &FrontendOptions::default()).unwrap();
+    let naive = lower_owner_computes(&s).unwrap();
     let bound = BindCommunication.run(&naive).program;
     println!(
         "static send statements unbound: naive {}, bound {}",

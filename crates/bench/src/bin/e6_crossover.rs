@@ -12,15 +12,15 @@ use std::sync::Arc;
 use xdp_bench::table::j;
 use xdp_bench::Table;
 use xdp_compiler::passes::MigrateOwnership;
-use xdp_compiler::{lower_owner_computes, FrontendOptions, Pass, SeqProgram, SeqStmt};
+use xdp_compiler::{lower_owner_computes, Pass};
 use xdp_core::{KernelRegistry, MachineConfig, SimExec};
 use xdp_ir::build as b;
 use xdp_ir::{DimDist, ElemType, ProcGrid, Program, VarId};
 use xdp_runtime::Value;
 
-fn source(n: i64, nprocs: usize) -> (SeqProgram, VarId, VarId) {
+fn source(n: i64, nprocs: usize) -> (Program, VarId, VarId) {
     let grid = ProcGrid::linear(nprocs);
-    let mut s = SeqProgram::new();
+    let mut s = Program::new();
     let a = s.declare(b::array(
         "A",
         ElemType::F64,
@@ -37,15 +37,12 @@ fn source(n: i64, nprocs: usize) -> (SeqProgram, VarId, VarId) {
     ));
     let ai = b::sref(a, vec![b::at(b::iv("i"))]);
     let bi = b::sref(bb, vec![b::at(b::iv("i"))]);
-    s.body = vec![SeqStmt::DoLoop {
-        var: "i".into(),
-        lo: b::c(1),
-        hi: b::c(n),
-        body: vec![SeqStmt::Assign {
-            target: ai.clone(),
-            rhs: b::val(ai).add(b::val(bi)),
-        }],
-    }];
+    s.body = vec![b::do_loop(
+        "i",
+        b::c(1),
+        b::c(n),
+        vec![b::assign(ai.clone(), b::val(ai).add(b::val(bi)))],
+    )];
     (s, a, bb)
 }
 
@@ -73,7 +70,7 @@ fn run(p: Program, a: VarId, bb: VarId, nprocs: usize) -> (f64, u64) {
 fn main() {
     let (n, nprocs) = (32i64, 4usize);
     let (s, a, bb) = source(n, nprocs);
-    let naive = lower_owner_computes(&s, &FrontendOptions::default()).unwrap();
+    let naive = lower_owner_computes(&s).unwrap();
     let migrated = MigrateOwnership::default().run(&naive).program;
 
     let mut t = Table::new(

@@ -18,19 +18,23 @@
 //! target itself, even when owners coincide. Removing that redundancy is
 //! the optimizer's job, exactly as in the paper.
 
-use crate::seq::{SeqProgram, SeqStmt};
 use xdp_ir::build as b;
 use xdp_ir::{
     Block, BoolExpr, Decl, DimDist, Distribution, ElemExpr, Ownership, ProcGrid, Program,
     SectionRef, Stmt, Triplet, VarId,
 };
 
-/// A named rejection of a sequential program the owner-computes frontend
-/// cannot lower. These used to be `panic!`s/`assert!`s deep in the
-/// translation; now `xdpc` (and any embedding) reports them as ordinary
-/// diagnostics.
+/// A named rejection of a program the owner-computes frontend cannot
+/// lower, reported by `xdpc` (and any embedding) as an ordinary diagnostic.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub enum FrontendError {
+    /// The input is the paper's starting point — "the original shared
+    /// memory program ... replicated along with all its data" (§1):
+    /// assignments, kernel calls and loops. An XDP statement (a transfer,
+    /// a guard, a barrier) belongs to the output of compilation.
+    NotSequential { stmt: String },
+    /// A loop steps by something other than the constant 1.
+    NonUnitStep { var: String },
     /// No declaration carries a distribution, so the machine size is
     /// undetermined.
     NoDistributedDecl,
@@ -47,6 +51,18 @@ pub enum FrontendError {
 impl std::fmt::Display for FrontendError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
+            FrontendError::NotSequential { stmt } => {
+                write!(
+                    f,
+                    "not a sequential statement (XDP construct in input): {stmt}"
+                )
+            }
+            FrontendError::NonUnitStep { var } => {
+                write!(
+                    f,
+                    "sequential frontend supports unit-step loops only (loop `{var}`)"
+                )
+            }
             FrontendError::NoDistributedDecl => {
                 write!(f, "at least one distributed declaration required")
             }
@@ -72,37 +88,33 @@ impl std::fmt::Display for FrontendError {
 
 impl std::error::Error for FrontendError {}
 
-/// Frontend knobs.
-#[derive(Clone, Debug)]
-pub struct FrontendOptions {
-    /// Prefix for generated temporaries.
-    pub temp_prefix: String,
-}
-
-impl Default for FrontendOptions {
-    fn default() -> Self {
-        FrontendOptions {
-            temp_prefix: "_T".to_string(),
-        }
-    }
-}
+/// Prefix of the temporaries the translation declares (`_T0`, `_T1`, ...).
+const TEMP_PREFIX: &str = "_T";
 
 /// Translate a sequential program to naive owner-computes IL+XDP.
 /// Rejects programs the translation cannot handle with a named
 /// [`FrontendError`] instead of panicking.
-pub fn lower_owner_computes(
-    seq: &SeqProgram,
-    opts: &FrontendOptions,
-) -> Result<Program, FrontendError> {
-    let mut out = Program::new();
-    for d in &seq.decls {
-        out.declare(d.clone());
+pub fn lower_owner_computes(seq: &Program) -> Result<Program, FrontendError> {
+    // What the frontend does not take is named before anything else is
+    // asked of the program, so that a caller who only wants to know
+    // whether the source is sequential ([`SeqMode::Auto`]) hears that first.
+    //
+    // [`SeqMode::Auto`]: crate::SeqMode::Auto
+    let mut refused = None;
+    seq.visit(&mut |s| {
+        if refused.is_none() {
+            refused = refusal(seq, s);
+        }
+    });
+    if let Some(e) = refused {
+        return Err(e);
     }
-    let nprocs = machine_size(&seq.decls)?;
     let mut lower = Lowerer {
-        out,
-        nprocs,
-        opts: opts.clone(),
+        out: Program {
+            decls: seq.decls.clone(),
+            body: Vec::new(),
+        },
+        nprocs: machine_size(seq)?,
         temps: 0,
         loop_stack: Vec::new(),
         next_pair: 0,
@@ -113,33 +125,34 @@ pub fn lower_owner_computes(
     Ok(program)
 }
 
-/// The machine size implied by the declarations (all logical grids must
-/// agree on total processor count).
-pub fn machine_size(decls: &[Decl]) -> Result<usize, FrontendError> {
-    let mut n = None;
-    for d in decls {
-        if let Some(dist) = &d.dist {
-            let p = dist.nprocs();
-            match n {
-                None => n = Some(p),
-                Some(prev) => {
-                    if prev != p {
-                        return Err(FrontendError::MachineSizeConflict {
-                            first: prev,
-                            second: p,
-                        });
-                    }
-                }
-            }
-        }
+/// Why `s` is not a statement of a sequential program, if it is not one:
+/// the frontend takes assignments, kernel calls and unit-step loops.
+fn refusal(p: &Program, s: &Stmt) -> Option<FrontendError> {
+    match s {
+        Stmt::Assign { .. } | Stmt::Kernel { .. } => None,
+        Stmt::DoLoop { step, .. } if step.as_const() == Some(1) => None,
+        Stmt::DoLoop { var, .. } => Some(FrontendError::NonUnitStep { var: var.clone() }),
+        other => Some(FrontendError::NotSequential {
+            stmt: xdp_ir::pretty::stmt_summary(p, other),
+        }),
     }
-    n.ok_or(FrontendError::NoDistributedDecl)
+}
+
+/// The machine size the declarations agree on: the frontend sizes its
+/// temporaries by it, so every logical grid must have the same processor
+/// count.
+pub fn machine_size(p: &Program) -> Result<usize, FrontendError> {
+    let mut sizes = p.grid_sizes();
+    let first = sizes.next().ok_or(FrontendError::NoDistributedDecl)?;
+    match sizes.find(|&second| second != first) {
+        Some(second) => Err(FrontendError::MachineSizeConflict { first, second }),
+        None => Ok(first),
+    }
 }
 
 struct Lowerer {
     out: Program,
     nprocs: usize,
-    opts: FrontendOptions,
     temps: usize,
     /// Enclosing loop variables, outermost first (for salt expressions).
     loop_stack: Vec<String>,
@@ -149,7 +162,7 @@ struct Lowerer {
 }
 
 impl Lowerer {
-    fn block(&mut self, stmts: &[SeqStmt]) -> Result<Block, FrontendError> {
+    fn block(&mut self, stmts: &[Stmt]) -> Result<Block, FrontendError> {
         let mut out = Vec::new();
         for s in stmts {
             self.stmt(s, &mut out)?;
@@ -180,7 +193,7 @@ impl Lowerer {
     /// this is the paper's `T[mypid]`; larger operands get a second
     /// dimension (`_Tk[mypid, 1:vol]`).
     fn fresh_temp(&mut self, elem: xdp_ir::ElemType, vol: i64) -> VarId {
-        let name = format!("{}{}", self.opts.temp_prefix, self.temps);
+        let name = format!("{TEMP_PREFIX}{}", self.temps);
         self.temps += 1;
         let mut bounds = vec![Triplet::range(0, self.nprocs as i64 - 1)];
         let mut dims = vec![DimDist::Block];
@@ -231,36 +244,28 @@ impl Lowerer {
         }
     }
 
-    fn stmt(&mut self, s: &SeqStmt, out: &mut Block) -> Result<(), FrontendError> {
+    fn stmt(&mut self, s: &Stmt, out: &mut Block) -> Result<(), FrontendError> {
         match s {
-            SeqStmt::DoLoop { var, lo, hi, body } => {
+            Stmt::DoLoop {
+                var, lo, hi, body, ..
+            } => {
                 self.loop_stack.push(var.clone());
                 let inner = self.block(body);
                 self.loop_stack.pop();
                 out.push(b::do_loop(var, lo.clone(), hi.clone(), inner?));
             }
-            SeqStmt::Kernel {
-                name,
-                args,
-                int_args,
-            } => {
+            Stmt::Kernel { args, .. } => {
                 // Owner-computes on the first argument.
                 let guard = args
                     .first()
                     .map(|a| b::iown(a.clone()))
                     .unwrap_or(BoolExpr::True);
-                out.push(b::guarded(
-                    guard,
-                    vec![Stmt::Kernel {
-                        name: name.clone(),
-                        args: args.clone(),
-                        int_args: int_args.clone(),
-                    }],
-                ));
+                out.push(b::guarded(guard, vec![s.clone()]));
             }
-            SeqStmt::Assign { target, rhs } => {
+            Stmt::Assign { target, rhs } => {
                 self.assign(target, rhs, out)?;
             }
+            _ => unreachable!("`refusal` named every other statement before lowering began"),
         }
         Ok(())
     }
@@ -318,7 +323,7 @@ impl Lowerer {
                 b::sref(t, vec![b::at(b::mypid())])
             };
             recv_body.push(b::recv_val_salted(tref.clone(), r.clone(), salt.clone()));
-            new_rhs = substitute_ref(&new_rhs, r, &tref);
+            new_rhs = new_rhs.replace_ref(r, &tref);
             let aw = b::await_(tref);
             rule = Some(match rule {
                 None => aw,
@@ -342,22 +347,6 @@ impl Lowerer {
     }
 }
 
-/// Replace every occurrence of `from` with `to` in an element expression.
-pub fn substitute_ref(e: &ElemExpr, from: &SectionRef, to: &SectionRef) -> ElemExpr {
-    match e {
-        ElemExpr::Ref(r) if r == from => ElemExpr::Ref(to.clone()),
-        ElemExpr::Ref(_) | ElemExpr::LitF(_) | ElemExpr::LitI(_) | ElemExpr::FromInt(_) => {
-            e.clone()
-        }
-        ElemExpr::Bin(op, a, b2) => ElemExpr::Bin(
-            *op,
-            Box::new(substitute_ref(a, from, to)),
-            Box::new(substitute_ref(b2, from, to)),
-        ),
-        ElemExpr::Neg(a) => ElemExpr::Neg(Box::new(substitute_ref(a, from, to))),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -365,9 +354,9 @@ mod tests {
     use xdp_ir::{ElemType, ProcGrid};
 
     /// The paper's running example: do i: A[i] = A[i] + B[i].
-    pub fn paper_seq(n: i64, nprocs: usize, b_dist: DimDist) -> SeqProgram {
+    pub fn paper_seq(n: i64, nprocs: usize, b_dist: DimDist) -> Program {
         let grid = ProcGrid::linear(nprocs);
-        let mut s = SeqProgram::new();
+        let mut s = Program::new();
         let a = s.declare(b::array(
             "A",
             ElemType::F64,
@@ -384,22 +373,19 @@ mod tests {
         ));
         let ai = b::sref(a, vec![b::at(b::iv("i"))]);
         let bi = b::sref(bb, vec![b::at(b::iv("i"))]);
-        s.body = vec![SeqStmt::DoLoop {
-            var: "i".into(),
-            lo: b::c(1),
-            hi: b::c(n),
-            body: vec![SeqStmt::Assign {
-                target: ai.clone(),
-                rhs: b::val(ai).add(b::val(bi)),
-            }],
-        }];
+        s.body = vec![b::do_loop(
+            "i",
+            b::c(1),
+            b::c(n),
+            vec![b::assign(ai.clone(), b::val(ai).add(b::val(bi)))],
+        )];
         s
     }
 
     #[test]
     fn lowers_paper_example_shape() {
         let seq = paper_seq(16, 4, DimDist::Block);
-        let p = lower_owner_computes(&seq, &FrontendOptions::default()).unwrap();
+        let p = lower_owner_computes(&seq).unwrap();
         let text = pretty::program(&p);
         // Matches §2.2's translation.
         assert!(text.contains("iown(B[i]) : {"), "{text}");
@@ -422,7 +408,7 @@ mod tests {
     fn local_statement_gets_only_guard() {
         // A[i] = A[i] * 2 — no remote operands.
         let grid = ProcGrid::linear(2);
-        let mut s = SeqProgram::new();
+        let mut s = Program::new();
         let a = s.declare(b::array(
             "A",
             ElemType::F64,
@@ -431,16 +417,13 @@ mod tests {
             grid,
         ));
         let ai = b::sref(a, vec![b::at(b::iv("i"))]);
-        s.body = vec![SeqStmt::DoLoop {
-            var: "i".into(),
-            lo: b::c(1),
-            hi: b::c(8),
-            body: vec![SeqStmt::Assign {
-                target: ai.clone(),
-                rhs: b::val(ai).mul(ElemExpr::LitF(2.0)),
-            }],
-        }];
-        let p = lower_owner_computes(&s, &FrontendOptions::default()).unwrap();
+        s.body = vec![b::do_loop(
+            "i",
+            b::c(1),
+            b::c(8),
+            vec![b::assign(ai.clone(), b::val(ai).mul(ElemExpr::LitF(2.0)))],
+        )];
+        let p = lower_owner_computes(&s).unwrap();
         let c = p.stmt_census();
         assert_eq!(c.sends, 0);
         assert_eq!(c.recvs, 0);
@@ -452,7 +435,7 @@ mod tests {
     fn duplicate_operands_communicated_once() {
         // A[i] = B[i] + B[i]: one send, one temp.
         let grid = ProcGrid::linear(2);
-        let mut s = SeqProgram::new();
+        let mut s = Program::new();
         let a = s.declare(b::array(
             "A",
             ElemType::F64,
@@ -469,16 +452,13 @@ mod tests {
         ));
         let ai = b::sref(a, vec![b::at(b::iv("i"))]);
         let bi = b::sref(bb, vec![b::at(b::iv("i"))]);
-        s.body = vec![SeqStmt::DoLoop {
-            var: "i".into(),
-            lo: b::c(1),
-            hi: b::c(8),
-            body: vec![SeqStmt::Assign {
-                target: ai,
-                rhs: b::val(bi.clone()).add(b::val(bi)),
-            }],
-        }];
-        let p = lower_owner_computes(&s, &FrontendOptions::default()).unwrap();
+        s.body = vec![b::do_loop(
+            "i",
+            b::c(1),
+            b::c(8),
+            vec![b::assign(ai, b::val(bi.clone()).add(b::val(bi)))],
+        )];
+        let p = lower_owner_computes(&s).unwrap();
         assert_eq!(p.stmt_census().sends, 1);
         assert!(p.lookup("_T1").is_none());
     }
@@ -486,7 +466,7 @@ mod tests {
     #[test]
     fn kernel_guarded_by_first_arg() {
         let grid = ProcGrid::linear(2);
-        let mut s = SeqProgram::new();
+        let mut s = Program::new();
         let a = s.declare(b::array(
             "A",
             ElemType::C64,
@@ -495,17 +475,13 @@ mod tests {
             grid,
         ));
         let col = b::sref(a, vec![b::all(), b::at(b::iv("k"))]);
-        s.body = vec![SeqStmt::DoLoop {
-            var: "k".into(),
-            lo: b::c(1),
-            hi: b::c(4),
-            body: vec![SeqStmt::Kernel {
-                name: "fft1d".into(),
-                args: vec![col],
-                int_args: vec![],
-            }],
-        }];
-        let p = lower_owner_computes(&s, &FrontendOptions::default()).unwrap();
+        s.body = vec![b::do_loop(
+            "k",
+            b::c(1),
+            b::c(4),
+            vec![b::kernel("fft1d", vec![col])],
+        )];
+        let p = lower_owner_computes(&s).unwrap();
         let text = pretty::program(&p);
         assert!(text.contains("iown(A[*,k]) : {"), "{text}");
         assert!(text.contains("fft1d(A[*,k])"), "{text}");
@@ -514,12 +490,12 @@ mod tests {
     #[test]
     fn machine_size_consistency() {
         let seq = paper_seq(8, 4, DimDist::Cyclic);
-        assert_eq!(machine_size(&seq.decls), Ok(4));
+        assert_eq!(machine_size(&seq), Ok(4));
     }
 
     #[test]
     fn machine_size_conflict_is_an_error() {
-        let mut s = SeqProgram::new();
+        let mut s = Program::new();
         s.declare(b::array(
             "A",
             ElemType::F64,
@@ -535,14 +511,14 @@ mod tests {
             ProcGrid::linear(2),
         ));
         assert_eq!(
-            machine_size(&s.decls),
+            machine_size(&s),
             Err(FrontendError::MachineSizeConflict {
                 first: 4,
                 second: 2
             })
         );
         assert_eq!(
-            lower_owner_computes(&s, &FrontendOptions::default()),
+            lower_owner_computes(&s),
             Err(FrontendError::MachineSizeConflict {
                 first: 4,
                 second: 2
@@ -552,11 +528,8 @@ mod tests {
 
     #[test]
     fn no_distributed_decl_is_an_error() {
-        let s = SeqProgram::new();
-        assert_eq!(
-            machine_size(&s.decls),
-            Err(FrontendError::NoDistributedDecl)
-        );
+        let s = Program::new();
+        assert_eq!(machine_size(&s), Err(FrontendError::NoDistributedDecl));
     }
 
     #[test]
@@ -564,7 +537,7 @@ mod tests {
         // A[i] = B[j] where `j` is no enclosing loop's index: the operand's
         // section never becomes concrete and the frontend must say so.
         let grid = ProcGrid::linear(2);
-        let mut s = SeqProgram::new();
+        let mut s = Program::new();
         let a = s.declare(b::array(
             "A",
             ElemType::F64,
@@ -581,16 +554,13 @@ mod tests {
         ));
         let ai = b::sref(a, vec![b::at(b::iv("i"))]);
         let bj = b::sref(bb, vec![b::at(b::iv("j"))]);
-        s.body = vec![SeqStmt::DoLoop {
-            var: "i".into(),
-            lo: b::c(1),
-            hi: b::c(8),
-            body: vec![SeqStmt::Assign {
-                target: ai,
-                rhs: b::val(bj),
-            }],
-        }];
-        match lower_owner_computes(&s, &FrontendOptions::default()) {
+        s.body = vec![b::do_loop(
+            "i",
+            b::c(1),
+            b::c(8),
+            vec![b::assign(ai, b::val(bj))],
+        )];
+        match lower_owner_computes(&s) {
             Err(FrontendError::NonStaticShape { operand }) => {
                 assert!(operand.contains('B'), "{operand}");
             }
@@ -602,7 +572,7 @@ mod tests {
     fn loop_variant_operand_shape_is_an_error_not_a_panic() {
         // A[i] = sum over B[1:i]: the operand's extent grows with `i`.
         let grid = ProcGrid::linear(2);
-        let mut s = SeqProgram::new();
+        let mut s = Program::new();
         let a = s.declare(b::array(
             "A",
             ElemType::F64,
@@ -619,16 +589,13 @@ mod tests {
         ));
         let ai = b::sref(a, vec![b::at(b::iv("i"))]);
         let bpre = b::sref(bb, vec![b::span(b::c(1), b::iv("i"))]);
-        s.body = vec![SeqStmt::DoLoop {
-            var: "i".into(),
-            lo: b::c(1),
-            hi: b::c(8),
-            body: vec![SeqStmt::Assign {
-                target: ai,
-                rhs: b::val(bpre),
-            }],
-        }];
-        match lower_owner_computes(&s, &FrontendOptions::default()) {
+        s.body = vec![b::do_loop(
+            "i",
+            b::c(1),
+            b::c(8),
+            vec![b::assign(ai, b::val(bpre))],
+        )];
+        match lower_owner_computes(&s) {
             Err(FrontendError::LoopVariantShape { operand }) => {
                 assert!(operand.contains('B'), "{operand}");
             }

@@ -5,8 +5,8 @@
 //! rewrites. This crate supplies both ends:
 //!
 //! * a **frontend** ([`frontend`]) that translates a sequential
-//!   shared-memory mini-program into the naive *owner-computes* IL+XDP
-//!   form of §2.2 — every statement guarded by `iown`, every potentially
+//!   shared-memory program — an [`xdp_ir::Program`] of assignments, kernel
+//!   calls and loops — into the naive *owner-computes* IL+XDP form of §2.2 — every statement guarded by `iown`, every potentially
 //!   remote operand fetched through a send/receive pair into a
 //!   per-processor temporary;
 //! * the **optimization passes** the paper walks through ([`passes`]):
@@ -23,8 +23,8 @@
 //! All static reasoning exploits the paper's stated compilation model — "a
 //! fixed, known processor grid and partitioning as allowed in HPF" (§3):
 //! loop bounds, array shapes, and grids are compile-time constants, so
-//! ownership questions are decided exactly, by enumeration over the
-//! iteration space ([`analysis`]), rather than approximately.
+//! ownership questions are decided exactly, on sets ([`analysis`]), rather
+//! than approximately.
 
 /// Re-export of the IR-level static analysis (now [`xdp_ir::analysis`]),
 /// kept here so existing `xdp_compiler::analysis::*` paths remain stable.
@@ -35,12 +35,10 @@ pub mod cli;
 pub mod frontend;
 pub mod passes;
 pub mod pipeline;
-pub mod seq;
 
-pub use frontend::{lower_owner_computes, machine_size, FrontendError, FrontendOptions};
+pub use frontend::{lower_owner_computes, machine_size, FrontendError};
 pub use passes::{Pass, PassManager, PassResult};
 pub use pipeline::{
     compile, compile_program, Backend, CompileError, CompileOptions, Compiled, SeqMode,
 };
-pub use seq::{from_program, SeqProgram, SeqStmt};
 pub use xdp_trace::{CompileTrace, PassTrace};

@@ -20,8 +20,9 @@
 
 use crate::analysis::{concrete_section, dim_form, Bindings, DimForm, Owners};
 use crate::passes::pattern::{recognize, NaiveCommLoop};
-use crate::passes::{declined, rewrite_block, Pass, PassResult};
+use crate::passes::{declined, Pass, PassResult};
 use std::collections::HashMap;
+use xdp_ir::walk::rewrite_block;
 use xdp_ir::{
     DestSet, IntExpr, Ownership, Program, Section, Stmt, Subscript, TransferKind, Triplet, VarId,
 };
@@ -208,14 +209,13 @@ fn rebuild_with_dest(pat: &NaiveCommLoop, dest: &IntExpr) -> Stmt {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::frontend::{lower_owner_computes, FrontendOptions};
-    use crate::seq::{SeqProgram, SeqStmt};
+    use crate::frontend::lower_owner_computes;
     use xdp_ir::build as b;
     use xdp_ir::{DimDist, ElemType, ProcGrid};
 
     fn lowered(nprocs: usize) -> Program {
         let grid = ProcGrid::linear(nprocs);
-        let mut s = SeqProgram::new();
+        let mut s = Program::new();
         let a = s.declare(b::array(
             "A",
             ElemType::F64,
@@ -232,16 +232,13 @@ mod tests {
         ));
         let ai = b::sref(a, vec![b::at(b::iv("i"))]);
         let bi = b::sref(bb, vec![b::at(b::iv("i"))]);
-        s.body = vec![SeqStmt::DoLoop {
-            var: "i".into(),
-            lo: b::c(1),
-            hi: b::c(16),
-            body: vec![SeqStmt::Assign {
-                target: ai.clone(),
-                rhs: b::val(ai).add(b::val(bi)),
-            }],
-        }];
-        lower_owner_computes(&s, &FrontendOptions::default()).unwrap()
+        s.body = vec![b::do_loop(
+            "i",
+            b::c(1),
+            b::c(16),
+            vec![b::assign(ai.clone(), b::val(ai).add(b::val(bi)))],
+        )];
+        lower_owner_computes(&s).unwrap()
     }
 
     #[test]

@@ -9,7 +9,8 @@
 //! also constant-folds rule algebra and unwraps `true : { ... }` guards.
 
 use crate::analysis::program_has_recv_on;
-use crate::passes::{rewrite_block, Pass, PassResult};
+use crate::passes::{Pass, PassResult};
+use xdp_ir::walk::rewrite_block;
 use xdp_ir::{BoolExpr, Program, Stmt};
 
 /// The check-elimination pass.

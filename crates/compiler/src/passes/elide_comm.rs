@@ -9,10 +9,10 @@
 //! temporary, and compute directly on the operand.
 
 use crate::analysis::Owners;
-use crate::frontend::substitute_ref;
 use crate::passes::pattern::{recognize, NaiveCommLoop};
-use crate::passes::{declined, rewrite_block, Pass, PassResult};
+use crate::passes::{declined, Pass, PassResult};
 use xdp_ir::build as b;
+use xdp_ir::walk::rewrite_block;
 use xdp_ir::{Program, Stmt};
 
 /// The same-owner elision pass.
@@ -100,7 +100,7 @@ fn try_elide(
     // New RHS: temps of elided slots substituted back to their operands.
     let mut rhs = pat.rhs_with_temps.clone();
     for slot in &elided {
-        rhs = substitute_ref(&rhs, &slot.temp, &slot.operand);
+        rhs = rhs.replace_ref(&slot.temp, &slot.operand);
     }
     let mut recv_body: Vec<Stmt> = Vec::new();
     let mut rule: Option<xdp_ir::BoolExpr> = None;
@@ -128,13 +128,12 @@ fn try_elide(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::frontend::{lower_owner_computes, FrontendOptions};
-    use crate::seq::{SeqProgram, SeqStmt};
+    use crate::frontend::lower_owner_computes;
     use xdp_ir::{DimDist, ElemType, ProcGrid};
 
     fn lowered(b_dist: DimDist) -> Program {
         let grid = ProcGrid::linear(4);
-        let mut s = SeqProgram::new();
+        let mut s = Program::new();
         let a = s.declare(b::array(
             "A",
             ElemType::F64,
@@ -151,16 +150,13 @@ mod tests {
         ));
         let ai = b::sref(a, vec![b::at(b::iv("i"))]);
         let bi = b::sref(bb, vec![b::at(b::iv("i"))]);
-        s.body = vec![SeqStmt::DoLoop {
-            var: "i".into(),
-            lo: b::c(1),
-            hi: b::c(16),
-            body: vec![SeqStmt::Assign {
-                target: ai.clone(),
-                rhs: b::val(ai).add(b::val(bi)),
-            }],
-        }];
-        lower_owner_computes(&s, &FrontendOptions::default()).unwrap()
+        s.body = vec![b::do_loop(
+            "i",
+            b::c(1),
+            b::c(16),
+            vec![b::assign(ai.clone(), b::val(ai).add(b::val(bi)))],
+        )];
+        lower_owner_computes(&s).unwrap()
     }
 
     #[test]

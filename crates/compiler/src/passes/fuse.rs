@@ -27,7 +27,8 @@ use crate::analysis::{
     block_accesses, dim_form, eval_static, loop_window, Access, AccessKind, Bindings, DimForm,
     OnProc,
 };
-use crate::passes::{declined, subst_stmt, Pass, PassResult};
+use crate::passes::{declined, Pass, PassResult};
+use xdp_ir::walk::{self, NodeMut};
 use xdp_ir::{IntExpr, Program, Stmt, Triplet};
 
 /// The fusion pass: fuses every legal adjacent pair, innermost-first.
@@ -41,9 +42,12 @@ impl Pass for FuseLoops {
     fn run(&self, p: &Program) -> PassResult {
         let mut notes = Vec::new();
         let mut changed = false;
-        let body = fuse_block(p, &p.body, &mut notes, &mut changed);
         let mut program = p.clone();
-        program.body = body;
+        walk::map(NodeMut::Block(&mut program.body), &mut |n| {
+            if let NodeMut::Block(block) = n {
+                fuse_adjacent(p, block, &mut notes, &mut changed);
+            }
+        });
         PassResult {
             program,
             changed,
@@ -52,38 +56,9 @@ impl Pass for FuseLoops {
     }
 }
 
-fn fuse_block(
-    p: &Program,
-    block: &[Stmt],
-    notes: &mut Vec<String>,
-    changed: &mut bool,
-) -> Vec<Stmt> {
-    // Recurse first.
-    let mut stmts: Vec<Stmt> = block
-        .iter()
-        .map(|s| match s {
-            Stmt::Guarded { rule, body } => Stmt::Guarded {
-                rule: rule.clone(),
-                body: fuse_block(p, body, notes, changed),
-            },
-            Stmt::DoLoop {
-                var,
-                lo,
-                hi,
-                step,
-                body,
-            } => Stmt::DoLoop {
-                var: var.clone(),
-                lo: lo.clone(),
-                hi: hi.clone(),
-                step: step.clone(),
-                body: fuse_block(p, body, notes, changed),
-            },
-            other => other.clone(),
-        })
-        .collect();
-
-    // Then fuse adjacent pairs greedily.
+/// Fuse the adjacent pairs of one block, greedily; its nested blocks are
+/// already done.
+fn fuse_adjacent(p: &Program, stmts: &mut Vec<Stmt>, notes: &mut Vec<String>, changed: &mut bool) {
     let mut k = 0;
     while k + 1 < stmts.len() {
         let fused = match (&stmts[k], &stmts[k + 1]) {
@@ -132,7 +107,6 @@ fn fuse_block(
             None => k += 1,
         }
     }
-    stmts
 }
 
 /// `do v1 {b1}; do v2 {b2}` over `[lo, hi, step]` as one body, or the
@@ -153,11 +127,11 @@ fn fuse_pair(
     let values = loop_window(lo, hi, step).ok_or("their step is zero")?;
     // Rename loop2's variable to loop1's.
     let rename = IntExpr::Var(v1.to_string());
-    let b2r: Vec<Stmt> = b2.iter().map(|s| subst_stmt(s, v2, &rename)).collect();
+    let b2r: Vec<Stmt> = b2.iter().map(|s| s.subst(v2, &rename)).collect();
 
-    let acc1 = block_accesses(&b1.to_vec());
+    let acc1 = block_accesses(b1);
     let acc2 = block_accesses(&b2r);
-    let nprocs = machine_nprocs(p).ok_or("no array is distributed")?;
+    let nprocs = p.machine_size().ok_or("no array is distributed")?;
     let l = Loop {
         var: v1,
         step,
@@ -172,18 +146,25 @@ fn fuse_pair(
     for pid in (0..nprocs).filter(|_| l.values.count() >= 2) {
         for a2 in &acc2 {
             for a1 in acc1.iter().filter(|a1| unordered(a2, a1)) {
-                let name = |a: &Access| xdp_ir::pretty::section_ref(p, &a.r);
+                let name = |r: &xdp_ir::SectionRef| xdp_ir::pretty::section_ref(p, r);
+                // A query made from a subscript says whose.
+                let by = |a: &Access| match &a.by {
+                    Some(host) => format!(" (by {})", name(host)),
+                    None => String::new(),
+                };
                 match meets(p, pid, &l, a2, a1) {
                     None => {
-                        let (r2, r1) = (name(a2), name(a1));
+                        let (r2, r1) = (name(&a2.r), name(&a1.r));
                         return Err(format!("cannot tell on sets when {r2} meets {r1}"));
                     }
                     Some(Some(delta)) => {
                         return Err(format!(
-                            "{} {} in the second is {} in the first {delta} iteration{} later",
-                            name(a2),
+                            "{} {} in the second{} is {} in the first{} {delta} iteration{} later",
+                            name(&a2.r),
                             verb(a2.kind),
+                            by(a2),
                             verb(a1.kind),
+                            by(a1),
                             if delta == 1 { "" } else { "s" },
                         ))
                     }
@@ -205,13 +186,6 @@ fn verb(kind: AccessKind) -> &'static str {
         AccessKind::OwnIn => "received",
         AccessKind::OwnQuery => "queried",
     }
-}
-
-/// Machine size from the first distributed declaration.
-fn machine_nprocs(p: &Program) -> Option<usize> {
-    p.decls
-        .iter()
-        .find_map(|d| d.dist.as_ref().map(|x| x.nprocs()))
 }
 
 /// The fused loops' iteration space: iteration `k` binds `var` to
@@ -482,6 +456,7 @@ mod tests {
                     var,
                     r: b::sref(var, vec![s0, s1, other_sub(k)]),
                     kind: AccessKind::Write,
+                    by: None,
                 }
             };
             let (a, b2) = (access([a0, a1], other.0), access([b0, b1], other.1));

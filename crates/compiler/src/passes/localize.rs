@@ -24,8 +24,9 @@
 
 use crate::analysis::Owners;
 use crate::passes::pattern::static_window;
-use crate::passes::{declined, rewrite_block, subst_stmt, Pass, PassResult};
+use crate::passes::{declined, Pass, PassResult};
 use xdp_ir::build as b;
+use xdp_ir::walk::rewrite_block;
 use xdp_ir::{BoolExpr, IntExpr, Program, SectionRef, Stmt, Triplet};
 
 /// The localization pass.
@@ -155,7 +156,7 @@ fn localize(
                 "eliminated loop `{var}` and guard iown({name}): one owned iteration per processor, {var} := {}",
                 pretty_rep(a, b0),
             ));
-            return Ok(l.inner.iter().map(|st| subst_stmt(st, var, &rep)).collect());
+            return Ok(l.inner.iter().map(|st| st.subst(var, &rep)).collect());
         }
     }
 

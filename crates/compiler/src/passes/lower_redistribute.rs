@@ -23,7 +23,8 @@
 //!
 //! [`MigrateOwnership`]: crate::MigrateOwnership
 
-use crate::passes::{rewrite_block, Pass, PassResult};
+use crate::passes::{Pass, PassResult};
+use xdp_ir::walk::rewrite_block;
 use xdp_ir::{
     BoolExpr, DestSet, Distribution, IntExpr, Program, SectionRef, Stmt, Subscript, TransferKind,
     VarId,

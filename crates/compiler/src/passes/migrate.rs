@@ -26,8 +26,9 @@
 //! ownership transfer granularity is the segment (§3.1).
 
 use crate::passes::pattern::recognize;
-use crate::passes::{rewrite_block, Pass, PassResult};
+use crate::passes::{Pass, PassResult};
 use xdp_ir::build as b;
+use xdp_ir::walk::rewrite_block;
 use xdp_ir::{Program, VarId};
 
 /// The ownership-migration pass.
@@ -132,13 +133,12 @@ impl Pass for MigrateOwnership {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::frontend::{lower_owner_computes, FrontendOptions};
-    use crate::seq::{SeqProgram, SeqStmt};
+    use crate::frontend::lower_owner_computes;
     use xdp_ir::{DimDist, ElemType, ProcGrid};
 
     fn lowered() -> Program {
         let grid = ProcGrid::linear(4);
-        let mut s = SeqProgram::new();
+        let mut s = Program::new();
         let a = s.declare(b::array(
             "A",
             ElemType::F64,
@@ -155,16 +155,13 @@ mod tests {
         ));
         let ai = b::sref(a, vec![b::at(b::iv("i"))]);
         let bi = b::sref(bb, vec![b::at(b::iv("i"))]);
-        s.body = vec![SeqStmt::DoLoop {
-            var: "i".into(),
-            lo: b::c(1),
-            hi: b::c(16),
-            body: vec![SeqStmt::Assign {
-                target: ai.clone(),
-                rhs: b::val(ai).add(b::val(bi)),
-            }],
-        }];
-        lower_owner_computes(&s, &FrontendOptions::default()).unwrap()
+        s.body = vec![b::do_loop(
+            "i",
+            b::c(1),
+            b::c(16),
+            vec![b::assign(ai.clone(), b::val(ai).add(b::val(bi)))],
+        )];
+        lower_owner_computes(&s).unwrap()
     }
 
     #[test]
@@ -201,7 +198,7 @@ mod tests {
     #[test]
     fn leaves_multi_operand_loops_alone() {
         let grid = ProcGrid::linear(2);
-        let mut s = SeqProgram::new();
+        let mut s = Program::new();
         let a = s.declare(b::array(
             "A",
             ElemType::F64,
@@ -226,16 +223,13 @@ mod tests {
         let ai = b::sref(a, vec![b::at(b::iv("i"))]);
         let bi = b::sref(bb, vec![b::at(b::iv("i"))]);
         let ci = b::sref(cc, vec![b::at(b::iv("i"))]);
-        s.body = vec![SeqStmt::DoLoop {
-            var: "i".into(),
-            lo: b::c(1),
-            hi: b::c(8),
-            body: vec![SeqStmt::Assign {
-                target: ai,
-                rhs: b::val(bi).add(b::val(ci)),
-            }],
-        }];
-        let p = lower_owner_computes(&s, &FrontendOptions::default()).unwrap();
+        s.body = vec![b::do_loop(
+            "i",
+            b::c(1),
+            b::c(8),
+            vec![b::assign(ai, b::val(bi).add(b::val(ci)))],
+        )];
+        let p = lower_owner_computes(&s).unwrap();
         let r = MigrateOwnership::default().run(&p);
         assert!(!r.changed);
     }

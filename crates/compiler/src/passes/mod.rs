@@ -86,28 +86,24 @@ pub trait Pass {
 /// Runs a sequence of passes, collecting per-pass notes.
 ///
 /// ```
-/// use xdp_compiler::{lower_owner_computes, FrontendOptions, PassManager,
-///     SeqProgram, SeqStmt};
+/// use xdp_compiler::{lower_owner_computes, PassManager};
 /// use xdp_ir::build as b;
-/// use xdp_ir::{DimDist, ElemType, ProcGrid};
+/// use xdp_ir::{DimDist, ElemType, ProcGrid, Program};
 ///
 /// // do i: A[i] = A[i] + B[i], with A and B aligned -> all communication
 /// // is provably same-owner and the pipeline removes it.
 /// let grid = ProcGrid::linear(4);
-/// let mut s = SeqProgram::new();
+/// let mut s = Program::new();
 /// let a = s.declare(b::array("A", ElemType::F64, vec![(1, 16)],
 ///     vec![DimDist::Block], grid.clone()));
 /// let bb = s.declare(b::array("B", ElemType::F64, vec![(1, 16)],
 ///     vec![DimDist::Block], grid));
 /// let ai = b::sref(a, vec![b::at(b::iv("i"))]);
 /// let bi = b::sref(bb, vec![b::at(b::iv("i"))]);
-/// s.body = vec![SeqStmt::DoLoop {
-///     var: "i".into(), lo: b::c(1), hi: b::c(16),
-///     body: vec![SeqStmt::Assign {
-///         target: ai.clone(), rhs: b::val(ai).add(b::val(bi)),
-///     }],
-/// }];
-/// let naive = lower_owner_computes(&s, &FrontendOptions::default()).unwrap();
+/// s.body = vec![b::do_loop("i", b::c(1), b::c(16), vec![
+///     b::assign(ai.clone(), b::val(ai).add(b::val(bi))),
+/// ])];
+/// let naive = lower_owner_computes(&s).unwrap();
 /// assert_eq!(naive.stmt_census().sends, 1);
 /// let (optimized, _log) = PassManager::paper_pipeline().run(&naive);
 /// assert_eq!(optimized.stmt_census().sends, 0);
@@ -286,126 +282,5 @@ pub fn registry() -> Vec<Box<dyn Pass>> {
 impl Default for PassManager {
     fn default() -> Self {
         PassManager::new()
-    }
-}
-
-/// Map every statement of a block through `f` (which may expand a statement
-/// into several or delete it), recursing into nested bodies first.
-pub(crate) fn rewrite_block(
-    block: &[xdp_ir::Stmt],
-    f: &mut impl FnMut(xdp_ir::Stmt) -> Vec<xdp_ir::Stmt>,
-) -> Vec<xdp_ir::Stmt> {
-    let mut out = Vec::with_capacity(block.len());
-    for s in block {
-        let rec = match s {
-            xdp_ir::Stmt::Guarded { rule, body } => xdp_ir::Stmt::Guarded {
-                rule: rule.clone(),
-                body: rewrite_block(body, f),
-            },
-            xdp_ir::Stmt::DoLoop {
-                var,
-                lo,
-                hi,
-                step,
-                body,
-            } => xdp_ir::Stmt::DoLoop {
-                var: var.clone(),
-                lo: lo.clone(),
-                hi: hi.clone(),
-                step: step.clone(),
-                body: rewrite_block(body, f),
-            },
-            other => other.clone(),
-        };
-        out.extend(f(rec));
-    }
-    out
-}
-
-/// Substitute an integer variable throughout a statement (subscripts,
-/// bounds, rules, destinations).
-pub(crate) fn subst_stmt(s: &xdp_ir::Stmt, name: &str, rep: &xdp_ir::IntExpr) -> xdp_ir::Stmt {
-    use xdp_ir::Stmt::*;
-    match s {
-        Assign { target, rhs } => Assign {
-            target: target.subst(name, rep),
-            rhs: rhs.subst(name, rep),
-        },
-        ScalarAssign { var, value } => ScalarAssign {
-            var: var.clone(),
-            value: value.subst(name, rep),
-        },
-        Kernel {
-            name: kname,
-            args,
-            int_args,
-        } => Kernel {
-            name: kname.clone(),
-            args: args.iter().map(|a| a.subst(name, rep)).collect(),
-            int_args: int_args.iter().map(|e| e.subst(name, rep)).collect(),
-        },
-        Send {
-            sec,
-            kind,
-            dest,
-            salt,
-        } => Send {
-            sec: sec.subst(name, rep),
-            kind: *kind,
-            dest: match dest {
-                xdp_ir::DestSet::Unspecified => xdp_ir::DestSet::Unspecified,
-                xdp_ir::DestSet::Pids(es) => {
-                    xdp_ir::DestSet::Pids(es.iter().map(|e| e.subst(name, rep)).collect())
-                }
-            },
-            salt: salt.as_ref().map(|e| e.subst(name, rep)),
-        },
-        Recv {
-            target,
-            kind,
-            name: nm,
-            salt,
-        } => Recv {
-            target: target.subst(name, rep),
-            kind: *kind,
-            name: nm.as_ref().map(|n| n.subst(name, rep)),
-            salt: salt.as_ref().map(|e| e.subst(name, rep)),
-        },
-        Guarded { rule, body } => Guarded {
-            rule: rule.subst(name, rep),
-            body: body.iter().map(|s| subst_stmt(s, name, rep)).collect(),
-        },
-        DoLoop {
-            var,
-            lo,
-            hi,
-            step,
-            body,
-        } => {
-            if var == name {
-                // Shadowed by inner loop: bounds still substituted.
-                DoLoop {
-                    var: var.clone(),
-                    lo: lo.subst(name, rep),
-                    hi: hi.subst(name, rep),
-                    step: step.subst(name, rep),
-                    body: body.clone(),
-                }
-            } else {
-                DoLoop {
-                    var: var.clone(),
-                    lo: lo.subst(name, rep),
-                    hi: hi.subst(name, rep),
-                    step: step.subst(name, rep),
-                    body: body.iter().map(|s| subst_stmt(s, name, rep)).collect(),
-                }
-            }
-        }
-        Barrier => Barrier,
-        // No integer expressions inside: nothing to substitute.
-        Redistribute { var, dist } => Redistribute {
-            var: *var,
-            dist: dist.clone(),
-        },
     }
 }

@@ -5,7 +5,7 @@
 //! structure from the IR rather than trusting provenance, so hand-written
 //! IL+XDP in the same shape is optimized identically.
 
-use xdp_ir::analysis::{eval_static, loop_window, Bindings};
+use xdp_ir::analysis::{window_of, Bindings};
 use xdp_ir::{BoolExpr, DestSet, ElemExpr, IntExpr, SectionRef, Stmt, TransferKind, Triplet};
 
 /// One communicated operand: the remote reference and the per-processor
@@ -41,9 +41,7 @@ pub struct NaiveCommLoop {
 /// The iterations of a unit-step loop, when its bounds are compile-time
 /// constants; otherwise why a pass must leave it alone.
 pub(crate) fn static_window(lo: &IntExpr, hi: &IntExpr) -> Result<Triplet, String> {
-    let env = Bindings::new();
-    (eval_static(lo, &env).zip(eval_static(hi, &env)))
-        .and_then(|(lo, hi)| loop_window(lo, hi, 1))
+    window_of([lo, hi, &IntExpr::Const(1)], &Bindings::new(), None)
         .ok_or_else(|| "its bounds are not compile-time constants".to_string())
 }
 
@@ -153,7 +151,7 @@ pub fn recognize(stmt: &Stmt) -> Option<NaiveCommLoop> {
     }
     let mut rhs_original = rhs.clone();
     for s in &slots {
-        rhs_original = crate::frontend::substitute_ref(&rhs_original, &s.temp, &s.operand);
+        rhs_original = rhs_original.replace_ref(&s.temp, &s.operand);
     }
     Some(NaiveCommLoop {
         var: var.clone(),
@@ -184,14 +182,13 @@ fn collect_awaits<'a>(rule: &'a BoolExpr, out: &mut Vec<&'a SectionRef>) -> Opti
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::frontend::{lower_owner_computes, FrontendOptions};
-    use crate::seq::{SeqProgram, SeqStmt};
+    use crate::frontend::lower_owner_computes;
     use xdp_ir::build as b;
     use xdp_ir::{DimDist, ElemType, ProcGrid};
 
     fn lowered(n: i64) -> xdp_ir::Program {
         let grid = ProcGrid::linear(4);
-        let mut s = SeqProgram::new();
+        let mut s = xdp_ir::Program::new();
         let a = s.declare(b::array(
             "A",
             ElemType::F64,
@@ -208,16 +205,13 @@ mod tests {
         ));
         let ai = b::sref(a, vec![b::at(b::iv("i"))]);
         let bi = b::sref(bb, vec![b::at(b::iv("i"))]);
-        s.body = vec![SeqStmt::DoLoop {
-            var: "i".into(),
-            lo: b::c(1),
-            hi: b::c(n),
-            body: vec![SeqStmt::Assign {
-                target: ai.clone(),
-                rhs: b::val(ai).add(b::val(bi)),
-            }],
-        }];
-        lower_owner_computes(&s, &FrontendOptions::default()).unwrap()
+        s.body = vec![b::do_loop(
+            "i",
+            b::c(1),
+            b::c(n),
+            vec![b::assign(ai.clone(), b::val(ai).add(b::val(bi)))],
+        )];
+        lower_owner_computes(&s).unwrap()
     }
 
     #[test]

@@ -20,9 +20,12 @@
 //! transferred (e.g. the localized bounds produced by compute-rule
 //! elimination); they are resolved against the initial distribution.
 
-use crate::analysis::{dim_form, eval, loop_window, section_on, Bindings, DimForm, OnProc};
-use crate::passes::{declined, rewrite_block, Pass, PassResult};
+use crate::analysis::{
+    block_accesses, dim_form, section_on, window_of, Access, Bindings, DimForm, OnProc,
+};
+use crate::passes::{declined, Pass, PassResult};
 use xdp_ir::build as b;
+use xdp_ir::walk::rewrite_block;
 use xdp_ir::{BoolExpr, IntExpr, Program, SectionRef, Stmt, Subscript, Triplet};
 
 /// The await-sinking pass.
@@ -123,22 +126,25 @@ fn try_sink(p: &Program, x: &SectionRef, nest: &Nest) -> Result<Stmt, String> {
     let (outer_var, outer_lo, outer_hi, outer_step) = nest.loops[0];
     let xdecl = p.decl(x.var);
 
-    // The single distinct reference to X's variable in the nest.
-    let mut refs: Vec<SectionRef> = Vec::new();
-    for st in nest.innermost {
-        let mut acc = Vec::new();
-        crate::analysis::accesses(st, &mut acc);
-        for a in acc {
-            if a.var == x.var && !refs.contains(&a.r) {
-                refs.push(a.r);
-            }
+    // The single distinct reference to X's variable in the nest — counting
+    // the ownership queries made from inside subscripts.
+    let mut refs: Vec<Access> = Vec::new();
+    for a in block_accesses(nest.innermost) {
+        if a.var == x.var && !refs.iter().any(|seen| seen.r == a.r) {
+            refs.push(a);
         }
     }
-    let [r] = refs.as_slice() else {
-        let n = refs.len();
+    let [Access { r, .. }] = refs.as_slice() else {
+        let name = |r: &SectionRef| xdp_ir::pretty::section_ref(p, r);
+        let said = refs.iter().map(|a| match &a.by {
+            Some(host) => format!("and {} queried by {}", name(&a.r), name(host)),
+            None => name(&a.r),
+        });
         return Err(format!(
-            "the nest names {n} different sections of {}",
-            xdecl.name
+            "the nest names {} different sections of {}: {}",
+            refs.len(),
+            xdecl.name,
+            said.collect::<Vec<_>>().join(", ")
         ));
     };
     let rname = xdp_ir::pretty::section_ref(p, r);
@@ -162,9 +168,7 @@ fn try_sink(p: &Program, x: &SectionRef, nest: &Nest) -> Result<Stmt, String> {
     let mut x_restricted = x.clone();
     x_restricted.subs[rd] = r.subs[rd].clone();
 
-    let nprocs = (p.decls.iter())
-        .find_map(|d| d.dist.as_ref().map(|x| x.nprocs()))
-        .ok_or("no array is distributed")?;
+    let nprocs = p.machine_size().ok_or("no array is distributed")?;
     let env = Bindings::new();
     for pid in 0..nprocs {
         let on = OnProc { p, pid };
@@ -173,10 +177,8 @@ fn try_sink(p: &Program, x: &SectionRef, nest: &Nest) -> Result<Stmt, String> {
         // What each loop variable runs over; the inner loops only matter
         // where the outer one runs.
         let mut over = Vec::with_capacity(nest.loops.len());
-        for (_, lo, hi, step) in &nest.loops {
-            let [lo, hi, step] = [lo, hi, step].map(|e| eval(e, &env, Some(on)));
-            let window = lo.zip(hi).zip(step);
-            let window = window.and_then(|((lo, hi), step)| loop_window(lo, hi, step));
+        for &(_, lo, hi, step) in &nest.loops {
+            let window = window_of([lo, hi, step], &env, Some(on));
             over.push(window.ok_or_else(unknown)?);
             if over[0].is_empty() {
                 break;

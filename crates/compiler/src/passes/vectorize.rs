@@ -18,10 +18,10 @@
 //! motivating claim for representing transfers explicitly in the IL.
 
 use crate::analysis::{compress_triplets, intersect_lists, Owners};
-use crate::frontend::substitute_ref;
 use crate::passes::pattern::{recognize, NaiveCommLoop};
-use crate::passes::{declined, rewrite_block, Pass, PassResult};
+use crate::passes::{declined, Pass, PassResult};
 use xdp_ir::build as b;
+use xdp_ir::walk::rewrite_block;
 use xdp_ir::{Decl, Distribution, Ownership, Program, SectionRef, Stmt, Triplet};
 
 /// The vectorization pass.
@@ -179,7 +179,7 @@ fn try_vectorize(
         // Compute phase: substitute the temp with the ghost at the
         // operand's subscripts (same shape, ghost storage).
         let gref = SectionRef::new(ghost, slot.operand.subs.clone());
-        compute_rhs = substitute_ref(&compute_rhs, &slot.temp, &gref);
+        compute_rhs = compute_rhs.replace_ref(&slot.temp, &gref);
         awaits.push(gref);
     }
 
@@ -212,13 +212,12 @@ fn try_vectorize(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::frontend::{lower_owner_computes, FrontendOptions};
-    use crate::seq::{SeqProgram, SeqStmt};
+    use crate::frontend::lower_owner_computes;
     use xdp_ir::{DimDist, ElemType, ProcGrid, Subscript};
 
     fn lowered(n: i64, nprocs: usize, b_dist: DimDist, shift: i64) -> Program {
         let grid = ProcGrid::linear(nprocs);
-        let mut s = SeqProgram::new();
+        let mut s = Program::new();
         let a = s.declare(b::array(
             "A",
             ElemType::F64,
@@ -235,16 +234,13 @@ mod tests {
         ));
         let ai = b::sref(a, vec![b::at(b::iv("i"))]);
         let bi = b::sref(bb, vec![b::at(b::iv("i").add(b::c(shift)))]);
-        s.body = vec![SeqStmt::DoLoop {
-            var: "i".into(),
-            lo: b::c(1),
-            hi: b::c(n - shift.max(0)),
-            body: vec![SeqStmt::Assign {
-                target: ai.clone(),
-                rhs: b::val(ai).add(b::val(bi)),
-            }],
-        }];
-        lower_owner_computes(&s, &FrontendOptions::default()).unwrap()
+        s.body = vec![b::do_loop(
+            "i",
+            b::c(1),
+            b::c(n - shift.max(0)),
+            vec![b::assign(ai.clone(), b::val(ai).add(b::val(bi)))],
+        )];
+        lower_owner_computes(&s).unwrap()
     }
 
     #[test]

@@ -21,9 +21,8 @@
 //! assert_eq!(o.trace.passes.len(), 5); // the paper pipeline ran
 //! ```
 
-use crate::frontend::{lower_owner_computes, FrontendError, FrontendOptions};
+use crate::frontend::{lower_owner_computes, FrontendError};
 use crate::passes::{AutoPlace, PassManager};
-use crate::seq::from_program;
 use std::sync::Arc;
 use xdp_ir::Program;
 use xdp_trace::CompileTrace;
@@ -235,22 +234,26 @@ pub fn compile_program(program: &Program, opts: &CompileOptions) -> Result<Compi
     if opts.procs == Some(0) {
         return Err(CompileError::ZeroProcs);
     }
+    use FrontendError::*;
     let (program, lowered) = match opts.seq {
         SeqMode::AsIs => (program.clone(), false),
-        SeqMode::Lower => (lower_seq(program)?, true),
-        SeqMode::Auto => match from_program(program) {
-            Ok(seq) => match lower_owner_computes(&seq, &FrontendOptions::default()) {
-                Ok(lowered) => (lowered, true),
-                // Sequential statement by statement, but a reference's shape
-                // hangs on processor-local values (`mylb`/`myub`/`mypid`
-                // bounds): communication-free IL+XDP already written for the
-                // SPMD machine. Run it as written.
-                Err(
-                    FrontendError::NonStaticShape { .. } | FrontendError::LoopVariantShape { .. },
-                ) => (program.clone(), false),
-                Err(e) => return Err(CompileError::Frontend(e.to_string())),
-            },
-            Err(_) => (program.clone(), false),
+        SeqMode::Lower | SeqMode::Auto => match lower_owner_computes(program) {
+            Ok(lowered) => (lowered, true),
+            // Not sequential: IL+XDP, compiled as written. Or sequential
+            // statement by statement, but a reference's shape hangs on
+            // processor-local values (`mylb`/`myub`/`mypid` bounds):
+            // communication-free IL+XDP already written for the SPMD
+            // machine. Run it as written.
+            Err(
+                NotSequential { .. }
+                | NonUnitStep { .. }
+                | NonStaticShape { .. }
+                | LoopVariantShape { .. },
+            ) if opts.seq == SeqMode::Auto => (program.clone(), false),
+            Err(e @ (NotSequential { .. } | NonUnitStep { .. })) => {
+                return Err(CompileError::NotSequential(e.to_string()))
+            }
+            Err(e) => return Err(CompileError::Frontend(e.to_string())),
         },
     };
     let diags = xdp_ir::validate(&program);
@@ -268,31 +271,13 @@ pub fn compile_program(program: &Program, opts: &CompileOptions) -> Result<Compi
     }
     let (program, trace) = mgr.run_traced(&program);
     Ok(Compiled {
-        nprocs: opts
-            .procs
-            .or_else(|| machine_size_of(&program))
-            .unwrap_or(1),
+        nprocs: opts.procs.or(program.machine_size()).unwrap_or(1),
         program: Arc::new(program),
         lowered,
         backend: opts.backend,
         mem_budget: opts.mem_budget,
         trace,
     })
-}
-
-fn lower_seq(program: &Program) -> Result<Program, CompileError> {
-    let seq = from_program(program).map_err(CompileError::NotSequential)?;
-    lower_owner_computes(&seq, &FrontendOptions::default())
-        .map_err(|e| CompileError::Frontend(e.to_string()))
-}
-
-/// The largest processor grid any declaration distributes onto.
-pub fn machine_size_of(program: &Program) -> Option<usize> {
-    program
-        .decls
-        .iter()
-        .filter_map(|d| d.dist.as_ref().map(|x| x.nprocs()))
-        .max()
 }
 
 #[cfg(test)]

@@ -6,16 +6,13 @@ use xdp_compiler::passes::{
     AutoPlace, BindCommunication, ElideAccessibleChecks, ElideSameOwnerComm, FuseLoops,
     LocalizeBounds, LowerRedistribute, MigrateOwnership, SinkAwait, VectorizeMessages,
 };
-use xdp_compiler::{
-    compile, lower_owner_computes, CompileOptions, FrontendOptions, Pass, PassManager, SeqMode,
-    SeqProgram, SeqStmt,
-};
+use xdp_compiler::{compile, lower_owner_computes, CompileOptions, Pass, PassManager, SeqMode};
 use xdp_ir::build as b;
 use xdp_ir::{pretty, DimDist, ElemType, ProcGrid, Program};
 
-fn source(n: i64, nprocs: usize, bd: DimDist) -> SeqProgram {
+fn source(n: i64, nprocs: usize, bd: DimDist) -> Program {
     let grid = ProcGrid::linear(nprocs);
-    let mut s = SeqProgram::new();
+    let mut s = Program::new();
     let a = s.declare(b::array(
         "A",
         ElemType::F64,
@@ -26,22 +23,19 @@ fn source(n: i64, nprocs: usize, bd: DimDist) -> SeqProgram {
     let bb = s.declare(b::array("B", ElemType::F64, vec![(1, n)], vec![bd], grid));
     let ai = b::sref(a, vec![b::at(b::iv("i"))]);
     let bi = b::sref(bb, vec![b::at(b::iv("i"))]);
-    s.body = vec![SeqStmt::DoLoop {
-        var: "i".into(),
-        lo: b::c(1),
-        hi: b::c(n),
-        body: vec![SeqStmt::Assign {
-            target: ai.clone(),
-            rhs: b::val(ai).add(b::val(bi)),
-        }],
-    }];
+    s.body = vec![b::do_loop(
+        "i",
+        b::c(1),
+        b::c(n),
+        vec![b::assign(ai.clone(), b::val(ai).add(b::val(bi)))],
+    )];
     s
 }
 
 #[test]
 fn paper_pipeline_is_idempotent() {
     for bd in [DimDist::Block, DimDist::Cyclic, DimDist::BlockCyclic(2)] {
-        let naive = lower_owner_computes(&source(16, 4, bd), &FrontendOptions::default()).unwrap();
+        let naive = lower_owner_computes(&source(16, 4, bd)).unwrap();
         let (once, _) = PassManager::paper_pipeline().run(&naive);
         let (twice, log2) = PassManager::paper_pipeline().run(&once);
         assert_eq!(
@@ -58,8 +52,7 @@ fn paper_pipeline_is_idempotent() {
 
 #[test]
 fn run_traced_matches_run_and_records_provenance() {
-    let naive =
-        lower_owner_computes(&source(16, 4, DimDist::Cyclic), &FrontendOptions::default()).unwrap();
+    let naive = lower_owner_computes(&source(16, 4, DimDist::Cyclic)).unwrap();
     let (plain, log) = PassManager::paper_pipeline().run(&naive);
     let (traced, ct) = PassManager::paper_pipeline().run_traced(&naive);
     // Instrumentation is observation only: same output program.
@@ -96,9 +89,7 @@ fn reference_table(p: &Program) -> Vec<(u32, String)> {
         for (s, sid) in block.iter().zip(xdp_ir::block_stmt_ids(base, block)) {
             let full = pretty::stmt(p, s, 0);
             out.push((sid, full.lines().next().unwrap_or_default().to_string()));
-            for child in s.child_blocks() {
-                walk(p, child, sid + 1, out);
-            }
+            walk(p, s.body(), sid + 1, out);
         }
     }
     let mut out = Vec::new();
@@ -235,8 +226,7 @@ fn provenance_equals_its_two_render_definition_on_the_corpus() {
 
 #[test]
 fn pass_notes_are_informative() {
-    let naive =
-        lower_owner_computes(&source(16, 4, DimDist::Cyclic), &FrontendOptions::default()).unwrap();
+    let naive = lower_owner_computes(&source(16, 4, DimDist::Cyclic)).unwrap();
     let (_, log) = PassManager::paper_pipeline().run(&naive);
     for (name, r) in &log {
         if r.changed {
@@ -348,7 +338,7 @@ fn sink_await_derives_v3_loop4() {
 fn pipeline_handles_multi_statement_programs() {
     // Two independent loops in one program: both get optimized.
     let grid = ProcGrid::linear(4);
-    let mut s = SeqProgram::new();
+    let mut s = Program::new();
     let a = s.declare(b::array(
         "A",
         ElemType::F64,
@@ -375,26 +365,20 @@ fn pipeline_handles_multi_statement_programs() {
     let ci = b::sref(cc, vec![b::at(b::iv("j"))]);
     let aj = b::sref(a, vec![b::at(b::iv("j"))]);
     s.body = vec![
-        SeqStmt::DoLoop {
-            var: "i".into(),
-            lo: b::c(1),
-            hi: b::c(16),
-            body: vec![SeqStmt::Assign {
-                target: ai.clone(),
-                rhs: b::val(ai).add(b::val(bi)),
-            }],
-        },
-        SeqStmt::DoLoop {
-            var: "j".into(),
-            lo: b::c(1),
-            hi: b::c(16),
-            body: vec![SeqStmt::Assign {
-                target: ci.clone(),
-                rhs: b::val(ci).add(b::val(aj)),
-            }],
-        },
+        b::do_loop(
+            "i",
+            b::c(1),
+            b::c(16),
+            vec![b::assign(ai.clone(), b::val(ai).add(b::val(bi)))],
+        ),
+        b::do_loop(
+            "j",
+            b::c(1),
+            b::c(16),
+            vec![b::assign(ci.clone(), b::val(ci).add(b::val(aj)))],
+        ),
     ];
-    let naive = lower_owner_computes(&s, &FrontendOptions::default()).unwrap();
+    let naive = lower_owner_computes(&s).unwrap();
     let (opt, log) = PassManager::paper_pipeline().run(&naive);
     // Loop 1 vectorizes (misaligned); loop 2 elides (aligned).
     let fired: Vec<&str> = log
@@ -418,7 +402,7 @@ fn rank2_column_stencil_vectorizes() {
     use xdp_compiler::passes::VectorizeMessages;
     let (n, m, nprocs) = (6i64, 16i64, 4usize);
     let grid = ProcGrid::linear(nprocs);
-    let mut s = SeqProgram::new();
+    let mut s = Program::new();
     let a = s.declare(b::array(
         "A",
         ElemType::F64,
@@ -435,16 +419,13 @@ fn rank2_column_stencil_vectorizes() {
     ));
     let aj = b::sref(a, vec![b::all(), b::at(b::iv("j"))]);
     let bj1 = b::sref(bb, vec![b::all(), b::at(b::iv("j").add(b::c(1)))]);
-    s.body = vec![SeqStmt::DoLoop {
-        var: "j".into(),
-        lo: b::c(1),
-        hi: b::c(m - 1),
-        body: vec![SeqStmt::Assign {
-            target: aj.clone(),
-            rhs: b::val(aj).add(b::val(bj1)),
-        }],
-    }];
-    let naive = lower_owner_computes(&s, &FrontendOptions::default()).unwrap();
+    s.body = vec![b::do_loop(
+        "j",
+        b::c(1),
+        b::c(m - 1),
+        vec![b::assign(aj.clone(), b::val(aj).add(b::val(bj1)))],
+    )];
+    let naive = lower_owner_computes(&s).unwrap();
     let r = VectorizeMessages.run(&naive);
     assert!(r.changed, "{}", pretty::program(&naive));
     // Static sends: one column message per interior processor boundary.

@@ -15,9 +15,10 @@
 //! through it and so through [`crate::IntBinOp::apply`], where a zero
 //! divisor has no value.
 
+use crate::walk::{self, Node, Role};
 use crate::{
-    Block, Decl, ElemExpr, IntBinOp, IntExpr, Ownership, Program, Section, SectionRef, Stmt,
-    Subscript, TransferKind, Triplet, VarId,
+    Decl, IntBinOp, IntExpr, Ownership, Program, Section, SectionRef, Stmt, Subscript,
+    TransferKind, Triplet, VarId,
 };
 use std::collections::HashMap;
 
@@ -228,6 +229,13 @@ pub fn loop_window(lo: i64, hi: i64, step: i64) -> Option<Triplet> {
         1.. => Triplet::new(lo, lo + reach, st),
         _ => Triplet::new(lo - reach, lo, st),
     })
+}
+
+/// [`loop_window`] of `do v = lo, hi, step`, when all three have a value
+/// under `env` (on processor `on`, if one is given).
+pub fn window_of(range: [&IntExpr; 3], env: &Bindings, on: Option<OnProc>) -> Option<Triplet> {
+    let [lo, hi, step] = range.map(|e| eval(e, env, on));
+    loop_window(lo?, hi?, step?)
 }
 
 /// Intersection of two lists of triplets, each sorted with every triplet
@@ -441,184 +449,49 @@ pub struct Access {
     pub var: VarId,
     pub r: SectionRef,
     pub kind: AccessKind,
+    /// For a query made from inside a subscript: the reference it indexes.
+    pub by: Option<SectionRef>,
 }
 
-fn collect_int(e: &IntExpr, out: &mut Vec<Access>) {
-    match e {
-        IntExpr::MyLb(r, _) | IntExpr::MyUb(r, _) => out.push(Access {
-            var: r.var,
-            r: (**r).clone(),
-            kind: AccessKind::OwnQuery,
-        }),
-        IntExpr::Bin(_, a, b) => {
-            collect_int(a, out);
-            collect_int(b, out);
-        }
-        IntExpr::Neg(a) => collect_int(a, out),
-        _ => {}
-    }
-}
-
-fn collect_elem(e: &ElemExpr, out: &mut Vec<Access>) {
-    match e {
-        ElemExpr::Ref(r) => out.push(Access {
-            var: r.var,
-            r: r.clone(),
-            kind: AccessKind::Read,
-        }),
-        ElemExpr::Bin(_, a, b) => {
-            collect_elem(a, out);
-            collect_elem(b, out);
-        }
-        ElemExpr::Neg(a) => collect_elem(a, out),
-        ElemExpr::FromInt(i) => collect_int(i, out),
-        _ => {}
-    }
-}
-
-fn collect_bool(e: &crate::BoolExpr, out: &mut Vec<Access>) {
-    use crate::BoolExpr::*;
-    match e {
-        Iown(r) | Accessible(r) | Await(r) => out.push(Access {
-            var: r.var,
-            r: r.clone(),
-            kind: AccessKind::OwnQuery,
-        }),
-        Cmp(_, a, b) => {
-            collect_int(a, out);
-            collect_int(b, out);
-        }
-        And(a, b) | Or(a, b) => {
-            collect_bool(a, out);
-            collect_bool(b, out);
-        }
-        Not(a) => collect_bool(a, out),
-        True | False => {}
-    }
-}
-
-/// All accesses performed (transitively) by a statement.
+/// All accesses performed (transitively) by a statement: every reference
+/// [`walk::visit`] reaches — inside subscripts, bounds, salts and
+/// destinations too — classified by the role it plays.
 pub fn accesses(stmt: &Stmt, out: &mut Vec<Access>) {
-    match stmt {
-        Stmt::Assign { target, rhs } => {
-            out.push(Access {
-                var: target.var,
-                r: target.clone(),
-                kind: AccessKind::Write,
-            });
-            collect_elem(rhs, out);
-        }
-        Stmt::ScalarAssign { value, .. } => collect_int(value, out),
-        Stmt::Kernel { args, int_args, .. } => {
-            for a in args {
-                // Kernels may read and write any argument.
-                out.push(Access {
-                    var: a.var,
-                    r: a.clone(),
-                    kind: AccessKind::Read,
-                });
-                out.push(Access {
-                    var: a.var,
-                    r: a.clone(),
-                    kind: AccessKind::Write,
-                });
-            }
-            for e in int_args {
-                collect_int(e, out);
-            }
-        }
-        Stmt::Send {
-            sec,
+    use AccessKind::*;
+    let mut push = |r: &SectionRef, by: Option<&SectionRef>, kinds: &[AccessKind]| {
+        out.extend(kinds.iter().map(|&kind| Access {
+            var: r.var,
+            r: r.clone(),
             kind,
-            dest,
-            salt,
-        } => {
-            if let Some(e) = salt {
-                collect_int(e, out);
-            }
-            out.push(Access {
-                var: sec.var,
-                r: sec.clone(),
-                kind: AccessKind::Read,
-            });
-            if kind.moves_ownership() {
-                out.push(Access {
-                    var: sec.var,
-                    r: sec.clone(),
-                    kind: AccessKind::OwnOut,
-                });
-            }
-            if let crate::DestSet::Pids(es) = dest {
-                for e in es {
-                    collect_int(e, out);
-                }
-            }
-        }
-        Stmt::Recv {
-            target,
-            kind,
-            name,
-            salt,
-        } => {
-            if let Some(e) = salt {
-                collect_int(e, out);
-            }
-            out.push(Access {
-                var: target.var,
-                r: target.clone(),
-                kind: AccessKind::Write,
-            });
-            if kind.moves_ownership() {
-                out.push(Access {
-                    var: target.var,
-                    r: target.clone(),
-                    kind: AccessKind::OwnIn,
-                });
-            }
-            if let Some(n) = name {
-                // The name is only a tag; record as a query-free mention.
-                let _ = n;
-            }
-        }
-        Stmt::Guarded { rule, body } => {
-            collect_bool(rule, out);
-            for s in body {
-                accesses(s, out);
-            }
-        }
-        Stmt::DoLoop {
-            lo, hi, step, body, ..
-        } => {
-            collect_int(lo, out);
-            collect_int(hi, out);
-            collect_int(step, out);
-            for s in body {
-                accesses(s, out);
-            }
-        }
-        Stmt::Barrier => {}
-        Stmt::Redistribute { var, .. } => {
-            // A collective rewrite of the variable's entire placement:
-            // reads and rewrites everything, moves ownership both ways.
+            by: by.cloned(),
+        }))
+    };
+    walk::visit(Node::Stmt(stmt), &mut |n| match n {
+        // A collective rewrite of the variable's entire placement: reads
+        // and rewrites everything, moves ownership both ways.
+        Node::Stmt(Stmt::Redistribute { var, .. }) => {
             let whole = SectionRef::scalar(*var);
-            for kind in [
-                AccessKind::Read,
-                AccessKind::Write,
-                AccessKind::OwnOut,
-                AccessKind::OwnIn,
-            ] {
-                out.push(Access {
-                    var: *var,
-                    r: whole.clone(),
-                    kind,
-                });
-            }
+            push(&whole, None, &[Read, Write, OwnOut, OwnIn]);
         }
-    }
+        Node::Ref(r, role) => match role {
+            Role::Written => push(r, None, &[Write]),
+            Role::Read => push(r, None, &[Read]),
+            // Kernels may read and write any argument.
+            Role::Updated => push(r, None, &[Read, Write]),
+            Role::Sent(kind) if kind.moves_ownership() => push(r, None, &[Read, OwnOut]),
+            Role::Sent(_) => push(r, None, &[Read]),
+            Role::Received(kind) if kind.moves_ownership() => push(r, None, &[Write, OwnIn]),
+            Role::Received(_) => push(r, None, &[Write]),
+            Role::Queried { by } => push(r, by, &[OwnQuery]),
+            // The name is only a tag, not an access.
+            Role::Tag => {}
+        },
+        _ => {}
+    });
 }
 
 /// All accesses in a block.
-pub fn block_accesses(block: &Block) -> Vec<Access> {
+pub fn block_accesses(block: &[Stmt]) -> Vec<Access> {
     let mut out = Vec::new();
     for s in block {
         accesses(s, &mut out);
@@ -1037,6 +910,40 @@ mod tests {
         assert!(kinds.contains(&AccessKind::OwnIn));
         assert!(kinds.contains(&AccessKind::Read));
         assert!(kinds.contains(&AccessKind::Write));
+    }
+
+    #[test]
+    fn accesses_see_the_queries_inside_subscripts_bounds_salts_and_destinations() {
+        let (_, a, c) = prog();
+        let c_all = || b::sref(c, vec![b::all()]);
+        let at_ub = b::sref(a, vec![b::at(b::myub(c_all(), 1))]);
+        let queries = |s: &Stmt| -> Vec<(VarId, Option<VarId>)> {
+            block_accesses(std::slice::from_ref(s))
+                .iter()
+                .filter(|x| x.kind == AccessKind::OwnQuery)
+                .map(|x| (x.var, x.by.as_ref().map(|host| host.var)))
+                .collect()
+        };
+        // `A[myub(C[*], 1)] = 1.0` queries C, from inside A's subscript.
+        let write = b::assign(at_ub.clone(), crate::ElemExpr::LitF(1.0));
+        assert_eq!(queries(&write), [(c, Some(a))]);
+        // So do a loop bound, a kernel parameter, a salt and a destination.
+        let ai = b::sref(a, vec![b::at(b::c(1))]);
+        for s in [
+            b::do_loop("i", b::c(1), b::myub(c_all(), 1), vec![]),
+            b::kernel_with("touch", vec![ai.clone()], vec![b::mylb(c_all(), 1)]),
+            b::send_salted(ai.clone(), b::mylb(c_all(), 1)),
+            b::send_to(ai.clone(), vec![b::mylb(c_all(), 1)]),
+        ] {
+            assert_eq!(queries(&s), [(c, None)], "{s:?}");
+        }
+        // The name a value receive matches on is a tag; its subscripts are
+        // still evaluated.
+        let recv = b::recv_val(ai, at_ub);
+        let touched: Vec<_> = (block_accesses(&[recv]).iter())
+            .map(|x| (x.var, x.kind))
+            .collect();
+        assert_eq!(touched, [(a, AccessKind::Write), (c, AccessKind::OwnQuery)]);
     }
 
     #[test]

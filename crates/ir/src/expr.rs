@@ -7,6 +7,7 @@
 //! compute rule makes the whole rule false, so rules can run anywhere.
 
 use crate::types::VarId;
+use crate::walk::{self, Node, NodeMut, Role};
 use std::fmt;
 
 /// Integer-valued expressions: loop variables, intrinsics, arithmetic.
@@ -121,29 +122,14 @@ impl IntExpr {
 
     /// Does the expression mention variable `name`?
     pub fn uses_var(&self, name: &str) -> bool {
-        match self {
-            IntExpr::Var(v) => v == name,
-            IntExpr::Bin(_, a, b) => a.uses_var(name) || b.uses_var(name),
-            IntExpr::Neg(e) => e.uses_var(name),
-            IntExpr::MyLb(s, _) | IntExpr::MyUb(s, _) => s.uses_var(name),
-            IntExpr::Const(_) | IntExpr::MyPid => false,
-        }
+        walk::uses_var(Node::Int(self), name)
     }
 
     /// Substitute `name := replacement` throughout.
     pub fn subst(&self, name: &str, replacement: &IntExpr) -> IntExpr {
-        match self {
-            IntExpr::Var(v) if v == name => replacement.clone(),
-            IntExpr::Var(_) | IntExpr::Const(_) | IntExpr::MyPid => self.clone(),
-            IntExpr::Bin(op, a, b) => IntExpr::Bin(
-                *op,
-                Box::new(a.subst(name, replacement)),
-                Box::new(b.subst(name, replacement)),
-            ),
-            IntExpr::Neg(e) => IntExpr::Neg(Box::new(e.subst(name, replacement))),
-            IntExpr::MyLb(s, d) => IntExpr::MyLb(Box::new(s.subst(name, replacement)), *d),
-            IntExpr::MyUb(s, d) => IntExpr::MyUb(Box::new(s.subst(name, replacement)), *d),
-        }
+        let mut out = self.clone();
+        walk::subst(NodeMut::Int(&mut out), name, replacement);
+        out
     }
 }
 
@@ -161,13 +147,7 @@ pub enum Subscript {
 impl Subscript {
     /// Does the subscript mention variable `name`?
     pub fn uses_var(&self, name: &str) -> bool {
-        match self {
-            Subscript::Point(e) => e.uses_var(name),
-            Subscript::Range(t) => {
-                t.lb.uses_var(name) || t.ub.uses_var(name) || t.st.uses_var(name)
-            }
-            Subscript::All => false,
-        }
+        walk::uses_var(Node::Sub(self), name)
     }
 }
 
@@ -210,22 +190,9 @@ impl SectionRef {
 
     /// Substitute a variable in every subscript.
     pub fn subst(&self, name: &str, replacement: &IntExpr) -> SectionRef {
-        SectionRef {
-            var: self.var,
-            subs: self
-                .subs
-                .iter()
-                .map(|s| match s {
-                    Subscript::Point(e) => Subscript::Point(e.subst(name, replacement)),
-                    Subscript::Range(t) => Subscript::Range(TripletExpr {
-                        lb: t.lb.subst(name, replacement),
-                        ub: t.ub.subst(name, replacement),
-                        st: t.st.subst(name, replacement),
-                    }),
-                    Subscript::All => Subscript::All,
-                })
-                .collect(),
-        }
+        let mut out = self.clone();
+        walk::subst(NodeMut::Ref(&mut out), name, replacement);
+        out
     }
 }
 
@@ -268,34 +235,16 @@ impl BoolExpr {
 
     /// Substitute an integer variable throughout.
     pub fn subst(&self, name: &str, replacement: &IntExpr) -> BoolExpr {
-        match self {
-            BoolExpr::True | BoolExpr::False => self.clone(),
-            BoolExpr::Iown(s) => BoolExpr::Iown(s.subst(name, replacement)),
-            BoolExpr::Accessible(s) => BoolExpr::Accessible(s.subst(name, replacement)),
-            BoolExpr::Await(s) => BoolExpr::Await(s.subst(name, replacement)),
-            BoolExpr::Cmp(op, a, b) => {
-                BoolExpr::Cmp(*op, a.subst(name, replacement), b.subst(name, replacement))
-            }
-            BoolExpr::And(a, b) => BoolExpr::And(
-                Box::new(a.subst(name, replacement)),
-                Box::new(b.subst(name, replacement)),
-            ),
-            BoolExpr::Or(a, b) => BoolExpr::Or(
-                Box::new(a.subst(name, replacement)),
-                Box::new(b.subst(name, replacement)),
-            ),
-            BoolExpr::Not(a) => BoolExpr::Not(Box::new(a.subst(name, replacement))),
-        }
+        let mut out = self.clone();
+        walk::subst(NodeMut::Rule(&mut out), name, replacement);
+        out
     }
 
     /// Does this rule (transitively) contain a blocking `await`?
     pub fn contains_await(&self) -> bool {
-        match self {
-            BoolExpr::Await(_) => true,
-            BoolExpr::And(a, b) | BoolExpr::Or(a, b) => a.contains_await() || b.contains_await(),
-            BoolExpr::Not(a) => a.contains_await(),
-            _ => false,
-        }
+        walk::any(Node::Rule(self), |n| {
+            matches!(n, Node::Rule(BoolExpr::Await(_)))
+        })
     }
 }
 
@@ -339,38 +288,32 @@ impl ElemExpr {
         ElemExpr::Bin(ElemBinOp::Mul, Box::new(self), Box::new(other))
     }
 
-    /// All section references in the expression, left to right.
+    /// The sections whose elements the expression reads, left to right.
     pub fn refs(&self) -> Vec<&SectionRef> {
         let mut out = Vec::new();
-        self.collect_refs(&mut out);
-        out
-    }
-
-    fn collect_refs<'a>(&'a self, out: &mut Vec<&'a SectionRef>) {
-        match self {
-            ElemExpr::Ref(r) => out.push(r),
-            ElemExpr::Bin(_, a, b) => {
-                a.collect_refs(out);
-                b.collect_refs(out);
+        walk::visit(Node::Elem(self), &mut |n| {
+            if let Node::Ref(r, Role::Read) = n {
+                out.push(r);
             }
-            ElemExpr::Neg(a) => a.collect_refs(out),
-            _ => {}
-        }
+        });
+        out
     }
 
     /// Substitute an integer variable in all subscripts.
     pub fn subst(&self, name: &str, replacement: &IntExpr) -> ElemExpr {
-        match self {
-            ElemExpr::Ref(r) => ElemExpr::Ref(r.subst(name, replacement)),
-            ElemExpr::LitF(_) | ElemExpr::LitI(_) => self.clone(),
-            ElemExpr::FromInt(e) => ElemExpr::FromInt(e.subst(name, replacement)),
-            ElemExpr::Bin(op, a, b) => ElemExpr::Bin(
-                *op,
-                Box::new(a.subst(name, replacement)),
-                Box::new(b.subst(name, replacement)),
-            ),
-            ElemExpr::Neg(a) => ElemExpr::Neg(Box::new(a.subst(name, replacement))),
-        }
+        let mut out = self.clone();
+        walk::subst(NodeMut::Elem(&mut out), name, replacement);
+        out
+    }
+
+    /// The expression with every read of `from` reading `to` instead.
+    pub fn replace_ref(&self, from: &SectionRef, to: &SectionRef) -> ElemExpr {
+        let mut out = self.clone();
+        walk::map(NodeMut::Elem(&mut out), &mut |n| match n {
+            NodeMut::Elem(ElemExpr::Ref(r)) if r == from => *r = to.clone(),
+            _ => {}
+        });
+        out
     }
 }
 

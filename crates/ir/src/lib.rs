@@ -21,6 +21,8 @@
 //! * [`types`] — element types and variable identities.
 //! * [`expr`] — integer, boolean (compute-rule) and element expressions.
 //! * [`stmt`] — XDP statements and whole programs.
+//! * [`walk`] — the one traversal: `visit` and `map`; nothing outside it
+//!   knows the children of a node.
 //! * [`build`] — ergonomic builders used by the compiler and tests.
 //! * [`pretty`] — pretty-printer emitting the paper's concrete notation.
 
@@ -35,6 +37,7 @@ pub mod stmt;
 pub mod triplet;
 pub mod types;
 pub mod validate;
+pub mod walk;
 
 pub use dist::{DimDist, Distribution};
 pub use expr::{

@@ -207,7 +207,7 @@ pub fn stmt_table(p: &Program) -> Vec<(u32, String)> {
     // only, never its body.
     fn walk(
         p: &Program,
-        block: &Block,
+        block: &[Stmt],
         base: u32,
         line: &mut String,
         out: &mut Vec<(u32, String)>,
@@ -216,9 +216,7 @@ pub fn stmt_table(p: &Program) -> Vec<(u32, String)> {
             line.clear();
             write_stmt_head(line, p, s);
             out.push((sid, line.clone()));
-            for child in s.child_blocks() {
-                walk(p, child, sid + 1, line, out);
-            }
+            walk(p, s.body(), sid + 1, line, out);
         }
     }
     let mut out = Vec::new();

@@ -131,25 +131,26 @@ impl Stmt {
         name.clone().unwrap_or_else(|| target.clone())
     }
 
-    /// Shallow child blocks (for traversal utilities).
-    pub fn child_blocks(&self) -> Vec<&Block> {
+    /// The statements nested under this one: a guard's or a loop's body.
+    pub fn body(&self) -> &[Stmt] {
         match self {
-            Stmt::Guarded { body, .. } | Stmt::DoLoop { body, .. } => vec![body],
-            _ => vec![],
+            Stmt::Guarded { body, .. } | Stmt::DoLoop { body, .. } => body,
+            _ => &[],
+        }
+    }
+
+    /// [`Stmt::body`], to rewrite; `None` for a statement that has none.
+    pub fn body_mut(&mut self) -> Option<&mut Block> {
+        match self {
+            Stmt::Guarded { body, .. } | Stmt::DoLoop { body, .. } => Some(body),
+            _ => None,
         }
     }
 
     /// Visit every statement in this subtree, preorder.
     pub fn visit<'a>(&'a self, f: &mut impl FnMut(&'a Stmt)) {
         f(self);
-        match self {
-            Stmt::Guarded { body, .. } | Stmt::DoLoop { body, .. } => {
-                for s in body {
-                    s.visit(f);
-                }
-            }
-            _ => {}
-        }
+        visit_block(self.body(), f);
     }
 
     /// Number of statements in this subtree (self included) — the width
@@ -181,7 +182,7 @@ pub fn block_stmt_ids(base: u32, block: &[Stmt]) -> Vec<u32> {
 }
 
 /// Visit every statement in a block, preorder.
-pub fn visit_block<'a>(block: &'a Block, f: &mut impl FnMut(&'a Stmt)) {
+pub fn visit_block<'a>(block: &'a [Stmt], f: &mut impl FnMut(&'a Stmt)) {
     for s in block {
         s.visit(f);
     }
@@ -281,6 +282,18 @@ impl Program {
     /// Visit every statement, preorder.
     pub fn visit<'a>(&'a self, f: &mut impl FnMut(&'a Stmt)) {
         visit_block(&self.body, f);
+    }
+
+    /// The size of every processor grid a declaration distributes onto, in
+    /// declaration order.
+    pub fn grid_sizes(&self) -> impl Iterator<Item = usize> + '_ {
+        (self.decls.iter()).filter_map(|d| d.dist.as_ref().map(Distribution::nprocs))
+    }
+
+    /// The machine the program is written for: the largest grid any
+    /// declaration distributes onto. `None` when nothing is distributed.
+    pub fn machine_size(&self) -> Option<usize> {
+        self.grid_sizes().max()
     }
 
     /// Count statements of each broad kind — used by pass reports and

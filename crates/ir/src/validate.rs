@@ -6,8 +6,9 @@
 //! name exclusive variables, and loop variables do not collide with
 //! declared array names.
 
-use crate::expr::{BoolExpr, ElemExpr, IntExpr, SectionRef, Subscript};
-use crate::stmt::{DestSet, Ownership, Program, Stmt};
+use crate::expr::{IntExpr, SectionRef};
+use crate::stmt::{Decl, DestSet, Ownership, Program, Stmt};
+use crate::walk::{self, Node, Role};
 
 /// Collect static diagnostics; an empty result means the program is
 /// well-formed (not necessarily deadlock-free — that is behaviour, not
@@ -16,9 +17,9 @@ pub fn validate(p: &Program) -> Vec<String> {
     let mut v = Validator {
         p,
         out: Vec::new(),
-        nprocs: machine_size(p),
+        nprocs: p.machine_size(),
     };
-    for (i, d) in p.decls.iter().enumerate() {
+    for d in &p.decls {
         if d.ownership == Ownership::Exclusive && d.dist.is_none() {
             v.out
                 .push(format!("exclusive array `{}` has no distribution", d.name));
@@ -37,19 +38,26 @@ pub fn validate(p: &Program) -> Vec<String> {
                     .push(format!("array `{}`: segment extents must be >= 1", d.name));
             }
         }
-        let _ = i;
     }
+    // Where a query stands: the statement the walk is inside.
+    let mut here = "";
     for s in &p.body {
-        v.stmt(s);
+        walk::visit(Node::Stmt(s), &mut |n| match n {
+            Node::Stmt(s) => here = v.stmt(s),
+            Node::Ref(r, role) => v.sref(r, role, here),
+            // (An undeclared `r` is reported where the walk reaches it.)
+            Node::Int(IntExpr::MyLb(r, d) | IntExpr::MyUb(r, d)) => {
+                let rank = p.decls.get(r.var.index()).map(|decl| decl.rank() as u32);
+                if let Some(rank) = rank.filter(|&rank| *d == 0 || *d > rank) {
+                    v.out.push(format!(
+                        "{here}: mylb/myub dimension {d} out of range 1..={rank}"
+                    ));
+                }
+            }
+            _ => {}
+        });
     }
     v.out
-}
-
-fn machine_size(p: &Program) -> Option<usize> {
-    p.decls
-        .iter()
-        .filter_map(|d| d.dist.as_ref().map(|x| x.nprocs()))
-        .max()
 }
 
 struct Validator<'a> {
@@ -59,8 +67,34 @@ struct Validator<'a> {
 }
 
 impl<'a> Validator<'a> {
-    fn sref(&mut self, r: &SectionRef, ctx: &str) {
-        let decl = self.p.decl(r.var);
+    /// The declaration `r` names — a program built through the API can
+    /// name one that does not exist, which is a diagnostic like any other.
+    fn decl(&mut self, r: &SectionRef, ctx: &str) -> Option<&'a Decl> {
+        let decl = self.p.decls.get(r.var.index());
+        if decl.is_none() {
+            let n = self.p.decls.len();
+            self.out.push(format!(
+                "{ctx}: {} is not declared ({n} declarations)",
+                r.var
+            ));
+        }
+        decl
+    }
+
+    /// One reference, in the role the walk found it playing.
+    fn sref(&mut self, r: &SectionRef, role: Role, here: &str) {
+        let ctx = match role {
+            Role::Written => "assignment target",
+            Role::Read => "assignment rhs",
+            Role::Updated => "kernel argument",
+            Role::Sent(_) => "send",
+            Role::Received(_) => "receive target",
+            Role::Tag => "receive name",
+            Role::Queried { .. } => here,
+        };
+        let Some(decl) = self.decl(r, ctx) else {
+            return;
+        };
         if r.subs.len() != decl.rank() {
             self.out.push(format!(
                 "{ctx}: `{}` subscripted with {} dimension(s), declared rank {}",
@@ -69,171 +103,62 @@ impl<'a> Validator<'a> {
                 decl.rank()
             ));
         }
-        for s in &r.subs {
-            match s {
-                Subscript::Point(e) => self.int(e, ctx),
-                Subscript::Range(t) => {
-                    self.int(&t.lb, ctx);
-                    self.int(&t.ub, ctx);
-                    self.int(&t.st, ctx);
-                }
-                Subscript::All => {}
+        if decl.ownership == Ownership::Universal {
+            let name = &decl.name;
+            match role {
+                Role::Sent(_) | Role::Received(_) | Role::Tag => self.out.push(format!(
+                    "{ctx}: `{name}` is universal; transfers require exclusive sections"
+                )),
+                Role::Queried { .. } => self
+                    .out
+                    .push(format!("{ctx}: intrinsic on universal `{name}`")),
+                Role::Written | Role::Read | Role::Updated => {}
             }
         }
     }
 
-    fn transfer_sref(&mut self, r: &SectionRef, ctx: &str) {
-        self.sref(r, ctx);
-        if self.p.decl(r.var).ownership == Ownership::Universal {
-            self.out.push(format!(
-                "{ctx}: `{}` is universal; transfers require exclusive sections",
-                self.p.decl(r.var).name
-            ));
-        }
-    }
-
-    fn int(&mut self, e: &IntExpr, ctx: &str) {
-        match e {
-            IntExpr::MyLb(r, d) | IntExpr::MyUb(r, d) => {
-                self.sref(r, ctx);
-                let rank = self.p.decl(r.var).rank() as u32;
-                if *d == 0 || *d > rank {
-                    self.out.push(format!(
-                        "{ctx}: mylb/myub dimension {d} out of range 1..={rank}"
-                    ));
-                }
-                if self.p.decl(r.var).ownership == Ownership::Universal {
-                    self.out.push(format!(
-                        "{ctx}: intrinsic on universal `{}`",
-                        self.p.decl(r.var).name
-                    ));
-                }
-            }
-            IntExpr::Bin(_, a, b) => {
-                self.int(a, ctx);
-                self.int(b, ctx);
-            }
-            IntExpr::Neg(a) => self.int(a, ctx),
-            _ => {}
-        }
-    }
-
-    fn rule(&mut self, e: &BoolExpr, ctx: &str) {
-        match e {
-            BoolExpr::Iown(r) | BoolExpr::Accessible(r) | BoolExpr::Await(r) => {
-                self.sref(r, ctx);
-                if self.p.decl(r.var).ownership == Ownership::Universal {
-                    self.out.push(format!(
-                        "{ctx}: intrinsic on universal `{}`",
-                        self.p.decl(r.var).name
-                    ));
-                }
-            }
-            BoolExpr::Cmp(_, a, b) => {
-                self.int(a, ctx);
-                self.int(b, ctx);
-            }
-            BoolExpr::And(a, b) | BoolExpr::Or(a, b) => {
-                self.rule(a, ctx);
-                self.rule(b, ctx);
-            }
-            BoolExpr::Not(a) => self.rule(a, ctx),
-            BoolExpr::True | BoolExpr::False => {}
-        }
-    }
-
-    fn elem(&mut self, e: &ElemExpr, ctx: &str) {
-        match e {
-            ElemExpr::Ref(r) => self.sref(r, ctx),
-            ElemExpr::Bin(_, a, b) => {
-                self.elem(a, ctx);
-                self.elem(b, ctx);
-            }
-            ElemExpr::Neg(a) => self.elem(a, ctx),
-            ElemExpr::FromInt(i) => self.int(i, ctx),
-            _ => {}
-        }
-    }
-
-    fn stmt(&mut self, s: &Stmt) {
+    /// What a statement must satisfy by itself; the name its queries are
+    /// reported under.
+    fn stmt(&mut self, s: &Stmt) -> &'static str {
         match s {
-            Stmt::Assign { target, rhs } => {
-                self.sref(target, "assignment target");
-                self.elem(rhs, "assignment rhs");
-            }
-            Stmt::ScalarAssign { var, value } => {
+            Stmt::Assign { .. } => "assignment",
+            Stmt::ScalarAssign { var, .. } => {
                 if self.p.lookup(var).is_some() {
                     self.out.push(format!(
                         "scalar assignment to `{var}` shadows a declared array"
                     ));
                 }
-                self.int(value, "scalar assignment");
+                "scalar assignment"
             }
-            Stmt::Kernel { args, int_args, .. } => {
-                for a in args {
-                    self.sref(a, "kernel argument");
-                }
-                for e in int_args {
-                    self.int(e, "kernel parameter");
-                }
-            }
-            Stmt::Send {
-                sec, dest, salt, ..
-            } => {
-                self.transfer_sref(sec, "send");
-                if let DestSet::Pids(es) = dest {
-                    for e in es {
-                        self.int(e, "send destination");
-                        if let (Some(np), Some(c)) = (self.nprocs, e.as_const()) {
-                            if c < 0 || c >= np as i64 {
-                                self.out
-                                    .push(format!("send destination {c} out of range 0..{np}"));
-                            }
-                        }
+            Stmt::Kernel { .. } => "kernel parameter",
+            Stmt::Send { dest, .. } => {
+                let pids = match dest {
+                    DestSet::Pids(pids) => pids.as_slice(),
+                    DestSet::Unspecified => &[],
+                };
+                for c in pids.iter().filter_map(IntExpr::as_const) {
+                    if let Some(np) = self.nprocs.filter(|&np| c < 0 || c >= np as i64) {
+                        self.out
+                            .push(format!("send destination {c} out of range 0..{np}"));
                     }
                 }
-                if let Some(e) = salt {
-                    self.int(e, "send salt");
-                }
+                "send"
             }
-            Stmt::Recv {
-                target, name, salt, ..
-            } => {
-                self.transfer_sref(target, "receive target");
-                if let Some(n) = name {
-                    self.transfer_sref(n, "receive name");
-                }
-                if let Some(e) = salt {
-                    self.int(e, "receive salt");
-                }
-            }
-            Stmt::Guarded { rule, body } => {
-                self.rule(rule, "compute rule");
-                for s in body {
-                    self.stmt(s);
-                }
-            }
-            Stmt::DoLoop {
-                var,
-                lo,
-                hi,
-                step,
-                body,
-            } => {
+            Stmt::Recv { .. } => "receive",
+            Stmt::Guarded { .. } => "compute rule",
+            Stmt::DoLoop { var, .. } => {
                 if self.p.lookup(var).is_some() {
                     self.out
                         .push(format!("loop variable `{var}` shadows a declared array"));
                 }
-                self.int(lo, "loop bound");
-                self.int(hi, "loop bound");
-                self.int(step, "loop step");
-                for s in body {
-                    self.stmt(s);
-                }
+                "loop bound"
             }
-            Stmt::Barrier => {}
+            Stmt::Barrier => "barrier",
             Stmt::Redistribute { var, dist } => {
-                let d = self.p.decl(*var);
+                let whole = SectionRef::scalar(*var);
+                let Some(d) = self.decl(&whole, "redistribute") else {
+                    return "redistribute";
+                };
                 if !d.is_exclusive() {
                     self.out
                         .push(format!("redistribute of universal variable `{}`", d.name));
@@ -246,15 +171,14 @@ impl<'a> Validator<'a> {
                         dist.rank()
                     ));
                 }
-                if let Some(np) = self.nprocs {
-                    if dist.nprocs() != np {
-                        self.out.push(format!(
-                            "redistribute of `{}` onto {} processors on a {np}-processor machine",
-                            d.name,
-                            dist.nprocs()
-                        ));
-                    }
+                if let Some(np) = self.nprocs.filter(|&np| dist.nprocs() != np) {
+                    self.out.push(format!(
+                        "redistribute of `{}` onto {} processors on a {np}-processor machine",
+                        d.name,
+                        dist.nprocs()
+                    ));
                 }
+                "redistribute"
             }
         }
     }
@@ -321,7 +245,7 @@ mod tests {
             b::send_to(r.clone(), vec![b::c(9)]),
             b::assign(
                 b::sref(a, vec![b::at(b::mylb(r.clone(), 3)), b::all()]),
-                xdp_ir_elem_lit(),
+                crate::ElemExpr::LitF(1.0),
             ),
         ];
         let d = validate(&p);
@@ -332,8 +256,24 @@ mod tests {
         );
     }
 
-    fn xdp_ir_elem_lit() -> ElemExpr {
-        ElemExpr::LitF(1.0)
+    #[test]
+    fn an_undeclared_variable_is_a_diagnostic_wherever_it_is_named() {
+        // Built through the API, not parsed: nothing else would reject it.
+        let (mut p, a, _) = base();
+        let ghost = || b::sref(crate::VarId(7), vec![b::all()]);
+        let row = b::sref(a, vec![b::at(b::mylb(ghost(), 1)), b::all()]);
+        p.body = vec![
+            b::send(ghost()),
+            b::recv_val(row.clone(), ghost()),
+            b::guarded(b::await_(ghost()), vec![b::kernel("touch", vec![ghost()])]),
+            b::do_loop("i", b::c(1), b::myub(ghost(), 1), vec![]),
+            b::assign(row, b::val(ghost())),
+            b::redistribute(crate::VarId(7), crate::Distribution::collapsed(2, 4)),
+        ];
+        let d = validate(&p);
+        let missing = |m: &&String| m.ends_with("v7 is not declared (2 declarations)");
+        assert_eq!(d.iter().filter(missing).count(), 9, "{d:?}");
+        assert_eq!(d.len(), 9, "{d:?}");
     }
 
     #[test]

@@ -14,84 +14,28 @@
 //!   the `xdp-collectives` planner's predicted cost for the chosen
 //!   schedule ([`xdp_collectives::planner::plan`]), summed over the
 //!   co-placed group.
-//!
-//! A [`Calibration`] — typically derived from an `xdp-trace`
-//! critical-path report of a previous run — scales the compute and
-//! movement terms independently, so the search can be tuned to an
-//! observed machine without changing its structure.
 
 use crate::phase::{Phase, PhaseGraph};
 use xdp_collectives::planner::try_plan;
 use xdp_ir::{DimDist, Distribution, Triplet};
 use xdp_machine::{CostModel, Topology};
 
-/// Multiplicative correction factors for the two cost components.
-///
-/// Derived by comparing predicted against *measured* totals (e.g. an
-/// `xdp-trace` critical path report's `compute` vs. `wire + wait`
-/// attribution): `scale = measured / predicted`, clamped to keep one
-/// wild measurement from zeroing a term.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct Calibration {
-    pub compute_scale: f64,
-    pub move_scale: f64,
-}
-
-impl Default for Calibration {
-    fn default() -> Self {
-        Calibration {
-            compute_scale: 1.0,
-            move_scale: 1.0,
-        }
-    }
-}
-
-impl Calibration {
-    /// Build from predicted-vs-measured component totals. Ratios are
-    /// clamped to `[0.1, 10]`; a non-positive prediction leaves the
-    /// corresponding scale at 1.
-    pub fn from_measured(
-        predicted_compute: f64,
-        measured_compute: f64,
-        predicted_move: f64,
-        measured_move: f64,
-    ) -> Calibration {
-        let ratio = |pred: f64, meas: f64| {
-            if pred > 0.0 && meas > 0.0 {
-                (meas / pred).clamp(0.1, 10.0)
-            } else {
-                1.0
-            }
-        };
-        Calibration {
-            compute_scale: ratio(predicted_compute, measured_compute),
-            move_scale: ratio(predicted_move, measured_move),
-        }
-    }
-}
+/// Crude floating-point operations charged per element-touch — real
+/// kernels do more than one flop per element visited (an FFT sweep does
+/// `~5 log n`). 8 keeps the compute term in the same decade as the
+/// simulator for the repo's kernels.
+pub const FLOPS_PER_TOUCH: f64 = 8.0;
 
 /// The assembled cost parameters used by the search.
 #[derive(Clone, Debug)]
 pub struct Costs {
     pub model: CostModel,
     pub topo: Topology,
-    /// Crude floating-point operations charged per element-touch — real
-    /// kernels do more than one flop per element visited (an FFT sweep
-    /// does `~5 log n`). The default of 8 keeps the compute term in the
-    /// same decade as the simulator for the repo's kernels; calibration
-    /// refines it from measurements.
-    pub flops_per_touch: f64,
-    pub calibration: Calibration,
 }
 
 impl Costs {
     pub fn new(model: CostModel, topo: Topology) -> Costs {
-        Costs {
-            model,
-            topo,
-            flops_per_touch: 8.0,
-            calibration: Calibration::default(),
-        }
+        Costs { model, topo }
     }
 }
 
@@ -110,11 +54,7 @@ pub fn max_share(dist: &Distribution, bounds: &[Triplet]) -> f64 {
 
 /// Compute cost of a phase under a candidate distribution.
 pub fn compute_cost(phase: &Phase, dist: &Distribution, bounds: &[Triplet], c: &Costs) -> f64 {
-    phase.work
-        * c.flops_per_touch
-        * max_share(dist, bounds)
-        * c.model.flop_time
-        * c.calibration.compute_scale
+    phase.work * FLOPS_PER_TOUCH * max_share(dist, bounds) * c.model.flop_time
 }
 
 /// Elements a processor must fetch per direction of a shifted read in
@@ -215,7 +155,7 @@ pub fn shift_cost(
         let per_dir = 2.0 * c.model.cpu_overhead + neighbor_wire_time(bytes, c);
         total += 2.0 * per_dir * sh.repeat;
     }
-    total * c.calibration.move_scale
+    total
 }
 
 /// Full predicted cost of running one phase under `dist`.
@@ -252,7 +192,7 @@ pub fn transition_cost(
             Err(_) => return f64::INFINITY,
         }
     }
-    total * c.calibration.move_scale
+    total
 }
 
 #[cfg(test)]
@@ -348,15 +288,6 @@ mod tests {
             dear > cheap,
             "a 100x rack link must surface in the shift term: {dear} vs {cheap}"
         );
-    }
-
-    #[test]
-    fn calibration_scales_and_clamps() {
-        let cal = Calibration::from_measured(100.0, 200.0, 100.0, 1.0);
-        assert_eq!(cal.compute_scale, 2.0);
-        assert_eq!(cal.move_scale, 0.1, "clamped");
-        let id = Calibration::from_measured(0.0, 5.0, -1.0, 5.0);
-        assert_eq!(id, Calibration::default());
     }
 
     #[test]

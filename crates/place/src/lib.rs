@@ -30,7 +30,7 @@ pub mod cost;
 pub mod phase;
 pub mod search;
 
-pub use cost::{Calibration, Costs};
+pub use cost::Costs;
 pub use phase::{DimNeed, Phase, PhaseGraph, PlaceError, Shift};
 pub use search::{PhaseChoice, SearchOutcome};
 
@@ -46,11 +46,6 @@ pub struct PlaceOptions {
     pub allow_cyclic: bool,
     /// Most array dimensions distributed at once (grid rank).
     pub max_dist_dims: usize,
-    /// Per-element compute weight (see [`Costs::flops_per_touch`]).
-    pub flops_per_touch: f64,
-    /// Measurement-derived correction, e.g. from an `xdp-trace`
-    /// critical-path report of a previous run.
-    pub calibration: Option<Calibration>,
 }
 
 impl Default for PlaceOptions {
@@ -60,20 +55,13 @@ impl Default for PlaceOptions {
             topo: Topology::Uniform,
             allow_cyclic: true,
             max_dist_dims: 2,
-            flops_per_touch: 8.0,
-            calibration: None,
         }
     }
 }
 
 impl PlaceOptions {
     fn costs(&self) -> Costs {
-        let mut c = Costs::new(self.model, self.topo.clone());
-        c.flops_per_touch = self.flops_per_touch;
-        if let Some(cal) = self.calibration {
-            c.calibration = cal;
-        }
-        c
+        Costs::new(self.model, self.topo.clone())
     }
 }
 

@@ -23,8 +23,9 @@
 //!   the offset dimension is cut.
 
 use std::collections::{BTreeMap, BTreeSet};
-use xdp_ir::analysis::{self, AccessKind, Bindings};
-use xdp_ir::{ElemExpr, IntExpr, Ownership, Program, SectionRef, Stmt, Subscript, Triplet, VarId};
+use xdp_ir::analysis::{self, window_of, AccessKind, Bindings};
+use xdp_ir::walk::{self, Node};
+use xdp_ir::{IntExpr, Ownership, Program, SectionRef, Stmt, Subscript, Triplet, VarId};
 
 /// A nearest-neighbour read at a constant offset from the written index
 /// in one dimension.
@@ -95,7 +96,7 @@ pub struct PhaseGraph {
     pub bounds: Vec<Triplet>,
     /// Largest element size in the group (movement costing).
     pub elem_bytes: u64,
-    /// Machine size (from the anchor's declared distribution).
+    /// Machine size ([`Program::machine_size`]).
     pub nprocs: usize,
     /// The phases, in program order. Never empty.
     pub phases: Vec<Phase>,
@@ -136,80 +137,32 @@ struct LoopInfo {
     trips: Option<f64>,
 }
 
-fn static_i(e: &IntExpr) -> Option<i64> {
-    analysis::eval_static(e, &Bindings::new())
-}
-
-fn static_trips(lo: &IntExpr, hi: &IntExpr, step: &IntExpr) -> Option<f64> {
-    let (lo, hi, step) = (static_i(lo)?, static_i(hi)?, static_i(step)?);
-    if step == 0 {
-        return None;
-    }
-    let n = if step > 0 {
-        (hi - lo).max(-1) / step + 1
-    } else {
-        (lo - hi).max(-1) / (-step) + 1
-    };
-    Some(n.max(0) as f64)
-}
-
-fn vars_of_int(e: &IntExpr, out: &mut BTreeSet<String>) {
-    match e {
-        IntExpr::Var(v) => {
-            out.insert(v.clone());
-        }
-        IntExpr::Neg(a) => vars_of_int(a, out),
-        IntExpr::Bin(_, a, b) => {
-            vars_of_int(a, out);
-            vars_of_int(b, out);
-        }
-        _ => {}
-    }
-}
-
-fn mentions_mypid(e: &IntExpr) -> bool {
-    match e {
-        IntExpr::MyPid => true,
-        IntExpr::Neg(a) => mentions_mypid(a),
-        IntExpr::Bin(_, a, b) => mentions_mypid(a) || mentions_mypid(b),
-        _ => false,
-    }
-}
-
-/// Is any subscript computed from `mypid`? Such a reference pins the
-/// dimension to the processor id — the mark of a per-processor replica
-/// or scratch array (broadcast targets, ghost stores), whose placement
-/// is fixed by construction rather than free for the search.
+/// Is any subscript computed from `mypid`, at whatever depth? Such a
+/// reference pins the dimension to the processor id — the mark of a
+/// per-processor replica or scratch array (broadcast targets, ghost
+/// stores), whose placement is fixed by construction rather than free for
+/// the search.
 fn pid_indexed(r: &SectionRef) -> bool {
-    r.subs.iter().any(|s| match s {
-        Subscript::Point(e) => mentions_mypid(e),
-        Subscript::Range(t) => {
-            mentions_mypid(&t.lb) || mentions_mypid(&t.ub) || mentions_mypid(&t.st)
-        }
-        Subscript::All => false,
-    })
+    let mypid = |n| matches!(n, Node::Int(IntExpr::MyPid));
+    r.subs.iter().any(|s| walk::any(Node::Sub(s), mypid))
 }
 
-fn vars_of_ref(r: &SectionRef) -> BTreeSet<String> {
-    let mut out = BTreeSet::new();
-    for s in &r.subs {
-        match s {
-            Subscript::Point(e) => vars_of_int(e, &mut out),
-            Subscript::Range(t) => {
-                vars_of_int(&t.lb, &mut out);
-                vars_of_int(&t.ub, &mut out);
-                vars_of_int(&t.st, &mut out);
-            }
-            Subscript::All => {}
-        }
-    }
-    out
+/// How many times a statement touching `r` repeats: the trip counts of the
+/// enclosing loops whose variable `r` never mentions.
+fn repeat_of(r: &SectionRef, loops: &[LoopInfo]) -> f64 {
+    (loops.iter().filter(|l| !r.uses_var(&l.var)))
+        .map(|l| l.trips.unwrap_or(1.0))
+        .product()
 }
 
 /// Normalize `e` into `(base, constant)` with `e == base + constant`.
+///
+/// (Kept beside `affine_in`, which cannot say this: the base is compared
+/// as text, so `mylb(U[*,*], 1) + 1` is one past `mylb(U[*,*], 1)` on
+/// every processor without asking any of them what it owns.)
 fn split_const(e: &IntExpr) -> (&IntExpr, i64) {
     if let IntExpr::Bin(op, a, b) = e {
-        match (op, static_i(a), static_i(b)) {
+        match (op, a.as_const(), b.as_const()) {
             (xdp_ir::IntBinOp::Add, _, Some(c)) => return (a, c),
             (xdp_ir::IntBinOp::Sub, _, Some(c)) => return (a, -c),
             (xdp_ir::IntBinOp::Add, Some(c), _) => return (b, c),
@@ -247,7 +200,7 @@ fn classify_ref(r: &SectionRef, bounds: &[Triplet]) -> RefShape {
                 local[d] = extent > 1.0;
             }
             Subscript::Range(t) => {
-                match (static_i(&t.lb), static_i(&t.ub), static_i(&t.st)) {
+                match (t.lb.as_const(), t.ub.as_const(), t.st.as_const()) {
                     (Some(lb), Some(ub), Some(st)) if st != 0 => {
                         let n = Triplet::new(lb, ub, st).count() as f64;
                         counts[d] = n;
@@ -259,7 +212,7 @@ fn classify_ref(r: &SectionRef, bounds: &[Triplet]) -> RefShape {
                 }
             }
             Subscript::Point(e) => {
-                if static_i(e).is_none() {
+                if e.as_const().is_none() {
                     // Loop-variable subscript: the enclosing loop walks
                     // the dimension (or each pid walks its share).
                     counts[d] = extent;
@@ -294,13 +247,7 @@ fn note_ref(p: &Program, r: &SectionRef, loops: &[LoopInfo], sum: &mut StmtSumma
         sum.pid_bound.insert(r.var);
     }
     let shape = classify_ref(r, &decl.bounds);
-    let mentioned = vars_of_ref(r);
-    let repeat: f64 = loops
-        .iter()
-        .filter(|l| !mentioned.contains(&l.var))
-        .map(|l| l.trips.unwrap_or(1.0))
-        .product();
-    let touches: f64 = shape.counts.iter().product::<f64>() * repeat;
+    let touches: f64 = shape.counts.iter().product::<f64>() * repeat_of(r, loops);
     *sum.work.entry(r.var).or_insert(0.0) += touches;
     let locals = sum.local.entry(r.var).or_default();
     for (d, is_local) in shape.local.iter().enumerate() {
@@ -326,12 +273,7 @@ fn note_shift(
         return;
     }
     let shape = classify_ref(read, &decl.bounds);
-    let mentioned = vars_of_ref(read);
-    let repeat: f64 = loops
-        .iter()
-        .filter(|l| !mentioned.contains(&l.var))
-        .map(|l| l.trips.unwrap_or(1.0))
-        .product();
+    let repeat = repeat_of(read, loops);
     for (d, (sr, st)) in read.subs.iter().zip(&target.subs).enumerate() {
         let (Subscript::Point(er), Subscript::Point(et)) = (sr, st) else {
             continue;
@@ -361,26 +303,12 @@ fn note_shift(
     }
 }
 
-fn rhs_reads(e: &ElemExpr, out: &mut Vec<SectionRef>) {
-    match e {
-        ElemExpr::Ref(r) => out.push(r.clone()),
-        ElemExpr::Bin(_, a, b) => {
-            rhs_reads(a, out);
-            rhs_reads(b, out);
-        }
-        ElemExpr::Neg(a) => rhs_reads(a, out),
-        _ => {}
-    }
-}
-
-fn walk(p: &Program, stmt: &Stmt, loops: &mut Vec<LoopInfo>, sum: &mut StmtSummary) {
+fn note_stmt(p: &Program, stmt: &Stmt, loops: &mut Vec<LoopInfo>, sum: &mut StmtSummary) {
     match stmt {
         Stmt::Assign { target, rhs } => {
             sum.names.insert("assign".into());
             note_ref(p, target, loops, sum);
-            let mut reads = Vec::new();
-            rhs_reads(rhs, &mut reads);
-            for r in &reads {
+            for r in rhs.refs() {
                 note_ref(p, r, loops, sum);
                 note_shift(p, r, target, loops, sum);
             }
@@ -391,39 +319,32 @@ fn walk(p: &Program, stmt: &Stmt, loops: &mut Vec<LoopInfo>, sum: &mut StmtSumma
                 note_ref(p, a, loops, sum);
             }
         }
-        Stmt::Guarded { body, .. } => {
-            // The guard itself (`iown`/`accessible`) adapts to ownership;
-            // only the body constrains placement.
-            for s in body {
-                walk(p, s, loops, sum);
-            }
-        }
         Stmt::DoLoop {
-            var,
-            lo,
-            hi,
-            step,
-            body,
+            var, lo, hi, step, ..
         } => {
+            let window = window_of([lo, hi, step], &Bindings::new(), None);
             loops.push(LoopInfo {
                 var: var.clone(),
-                trips: static_trips(lo, hi, step),
+                trips: window.map(|w| w.count() as f64),
             });
-            for s in body {
-                walk(p, s, loops, sum);
-            }
-            loops.pop();
         }
-        // Sends/receives/barriers/scalar assignments neither constrain
-        // the placement nor count as compute.
+        // A guard (`iown`/`accessible`) adapts to ownership: only its body
+        // constrains placement. Sends/receives/barriers/scalar assignments
+        // neither constrain the placement nor count as compute.
         _ => {}
+    }
+    for s in stmt.body() {
+        note_stmt(p, s, loops, sum);
+    }
+    if matches!(stmt, Stmt::DoLoop { .. }) {
+        loops.pop();
     }
 }
 
 fn summarize(p: &Program, stmt: &Stmt) -> StmtSummary {
     let mut sum = StmtSummary::default();
     let mut loops = Vec::new();
-    walk(p, stmt, &mut loops, &mut sum);
+    note_stmt(p, stmt, &mut loops, &mut sum);
     sum
 }
 
@@ -484,7 +405,7 @@ pub fn extract(p: &Program) -> Result<PhaseGraph, PlaceError> {
         .map(|v| p.decl(*v).elem.size_bytes())
         .max()
         .unwrap_or(8);
-    let nprocs = adecl.dist.as_ref().map(|d| d.nprocs()).unwrap_or(1);
+    let nprocs = p.machine_size().unwrap_or(1);
 
     // Group-array locality requirements transfer to the anchor dims 1:1
     // (identical bounds => aligned placement).

@@ -23,7 +23,8 @@ use std::time::Instant;
 use xdp_bench::table::j;
 use xdp_bench::Table;
 use xdp_compiler::{Pass, PassResult};
-use xdp_ir::{ElemExpr, Program, Stmt};
+use xdp_ir::walk::{self, NodeMut};
+use xdp_ir::{ElemExpr, Program};
 use xdp_verify::diff::check_passes_only;
 use xdp_verify::fuzz::run_fuzz;
 use xdp_verify::gen::executable_program;
@@ -40,32 +41,17 @@ const SEED: u64 = 7;
 /// exactly the failure mode the differential oracle exists for.
 struct NudgeLiterals;
 
-fn nudge(e: &ElemExpr) -> ElemExpr {
-    match e {
-        ElemExpr::LitF(c) => ElemExpr::LitF(c + 0.25),
-        ElemExpr::Bin(op, a, b) => ElemExpr::Bin(*op, Box::new(nudge(a)), Box::new(nudge(b))),
-        ElemExpr::Neg(a) => ElemExpr::Neg(Box::new(nudge(a))),
-        other => other.clone(),
-    }
-}
-
-fn nudge_block(body: &mut Vec<Stmt>) {
-    for s in body {
-        match s {
-            Stmt::Assign { rhs, .. } => *rhs = nudge(rhs),
-            Stmt::Guarded { body, .. } | Stmt::DoLoop { body, .. } => nudge_block(body),
-            _ => {}
-        }
-    }
-}
-
 impl Pass for NudgeLiterals {
     fn name(&self) -> &'static str {
         "sabotage"
     }
     fn run(&self, p: &Program) -> PassResult {
         let mut out = p.clone();
-        nudge_block(&mut out.body);
+        walk::map(NodeMut::Block(&mut out.body), &mut |n| {
+            if let NodeMut::Elem(ElemExpr::LitF(c)) = n {
+                *c += 0.25;
+            }
+        });
         PassResult {
             program: out,
             changed: true,

@@ -555,46 +555,10 @@ mod tests {
                     moved.push(*var);
                     continue;
                 }
-                let moved_now = moved.clone();
-                s.visit(&mut |st| {
-                    let mut check = |r: &SectionRef| {
-                        if moved_now.contains(&r.var) {
-                            after_move_use = true;
-                        }
-                    };
-                    match st {
-                        Stmt::Assign { target, rhs } => {
-                            check(target);
-                            for r in rhs.refs() {
-                                check(r);
-                            }
-                        }
-                        Stmt::Send { sec, .. } => check(sec),
-                        Stmt::Recv { target, name, .. } => {
-                            check(target);
-                            if let Some(n) = name {
-                                check(n);
-                            }
-                        }
-                        Stmt::Guarded { rule, .. } => {
-                            let mut stack = vec![rule];
-                            while let Some(r) = stack.pop() {
-                                match r {
-                                    BoolExpr::Iown(x)
-                                    | BoolExpr::Accessible(x)
-                                    | BoolExpr::Await(x) => check(x),
-                                    BoolExpr::And(a, b2) | BoolExpr::Or(a, b2) => {
-                                        stack.push(a);
-                                        stack.push(b2);
-                                    }
-                                    BoolExpr::Not(a) => stack.push(a),
-                                    _ => {}
-                                }
-                            }
-                        }
-                        _ => {}
-                    }
-                });
+                after_move_use |= xdp_ir::walk::any(
+                    xdp_ir::walk::Node::Stmt(s),
+                    |n| matches!(n, xdp_ir::walk::Node::Ref(r, _) if moved.contains(&r.var)),
+                );
             }
             assert!(!after_move_use, "seed {seed}: retired array used");
         }

@@ -20,7 +20,8 @@
 //! pass miscompile into a deadlock, which must count as "fixed".
 
 use crate::gen::TestProgram;
-use xdp_ir::{Block, BoolExpr, IntExpr, SectionRef, Stmt, VarId};
+use xdp_ir::walk::{self, Node};
+use xdp_ir::{Block, IntExpr, Stmt};
 
 /// Default evaluation budget: each evaluation re-executes the program on
 /// at least one backend, so keep this in the hundreds.
@@ -76,18 +77,31 @@ pub fn shrink(
 /// descending through `Guarded`/`DoLoop` bodies.
 type Path = Vec<usize>;
 
-fn collect_paths(block: &Block, prefix: &mut Path, out: &mut Vec<(Path, usize)>) {
+fn collect_paths(block: &[Stmt], prefix: &mut Path, out: &mut Vec<(Path, usize)>) {
     for (i, s) in block.iter().enumerate() {
         prefix.push(i);
         out.push((prefix.clone(), s.subtree_size()));
-        match s {
-            Stmt::Guarded { body, .. } | Stmt::DoLoop { body, .. } => {
-                collect_paths(body, prefix, out)
-            }
-            _ => {}
-        }
+        collect_paths(s.body(), prefix, out);
         prefix.pop();
     }
+}
+
+/// The statement at `path`.
+fn stmt_at<'a>(mut block: &'a [Stmt], path: &[usize]) -> Option<&'a Stmt> {
+    let (&last, outer) = path.split_last()?;
+    for &i in outer {
+        block = block.get(i)?.body();
+    }
+    block.get(last)
+}
+
+/// The block holding the statement at `path`, and its index there.
+fn holder<'a>(mut block: &'a mut Block, path: &[usize]) -> Option<(&'a mut Block, usize)> {
+    let (&last, outer) = path.split_last()?;
+    for &i in outer {
+        block = block.get_mut(i)?.body_mut()?;
+    }
+    (last < block.len()).then_some((block, last))
 }
 
 /// All paths, largest subtree first (so whole templates go in one step).
@@ -209,65 +223,32 @@ fn sweep_splice(
 }
 
 fn remove_at(block: &mut Block, path: &[usize]) -> bool {
-    let i = path[0];
-    if i >= block.len() {
-        return false;
-    }
-    if path.len() == 1 {
-        block.remove(i);
-        return true;
-    }
-    match &mut block[i] {
-        Stmt::Guarded { body, .. } | Stmt::DoLoop { body, .. } => remove_at(body, &path[1..]),
-        _ => false,
-    }
+    holder(block, path).map(|(b, i)| b.remove(i)).is_some()
 }
 
 fn const_loop_bounds(block: &Block, path: &[usize]) -> Option<(i64, i64)> {
-    let i = path[0];
-    match block.get(i)? {
-        Stmt::DoLoop { lo, hi, body, .. } => {
-            if path.len() == 1 {
-                match (lo, hi) {
-                    (IntExpr::Const(l), IntExpr::Const(h)) => Some((*l, *h)),
-                    _ => None,
-                }
-            } else {
-                const_loop_bounds(body, &path[1..])
-            }
-        }
-        Stmt::Guarded { body, .. } if path.len() > 1 => const_loop_bounds(body, &path[1..]),
+    match stmt_at(block, path)? {
+        Stmt::DoLoop {
+            lo: IntExpr::Const(l),
+            hi: IntExpr::Const(h),
+            ..
+        } => Some((*l, *h)),
         _ => None,
     }
 }
 
 fn set_loop_hi(block: &mut Block, path: &[usize], new_hi: i64) {
-    let i = path[0];
-    let Some(s) = block.get_mut(i) else { return };
-    match s {
-        Stmt::DoLoop { hi, body, .. } => {
-            if path.len() == 1 {
-                *hi = IntExpr::Const(new_hi);
-            } else {
-                set_loop_hi(body, &path[1..], new_hi);
-            }
+    if let Some((b, i)) = holder(block, path) {
+        if let Stmt::DoLoop { hi, .. } = &mut b[i] {
+            *hi = IntExpr::Const(new_hi);
         }
-        Stmt::Guarded { body, .. } if path.len() > 1 => set_loop_hi(body, &path[1..], new_hi),
-        _ => {}
     }
 }
 
 fn splice_at(block: &mut Block, path: &[usize]) -> bool {
-    let i = path[0];
-    if i >= block.len() {
+    let Some((block, i)) = holder(block, path) else {
         return false;
-    }
-    if path.len() > 1 {
-        return match &mut block[i] {
-            Stmt::Guarded { body, .. } | Stmt::DoLoop { body, .. } => splice_at(body, &path[1..]),
-            _ => false,
-        };
-    }
+    };
     let inner: Block = match &block[i] {
         Stmt::Guarded { body, .. } => body.clone(),
         Stmt::DoLoop {
@@ -278,7 +259,7 @@ fn splice_at(block: &mut Block, path: &[usize]) -> bool {
             body,
         } if l == h => {
             let lo = IntExpr::Const(*l);
-            body.iter().map(|s| subst_stmt(s, var, &lo)).collect()
+            body.iter().map(|s| s.subst(var, &lo)).collect()
         }
         _ => return false,
     };
@@ -286,142 +267,19 @@ fn splice_at(block: &mut Block, path: &[usize]) -> bool {
     true
 }
 
-/// Substitute an integer variable throughout a statement subtree
-/// (stopping at an inner loop that rebinds the same name).
-pub fn subst_stmt(s: &Stmt, name: &str, repl: &IntExpr) -> Stmt {
-    match s {
-        Stmt::Assign { target, rhs } => Stmt::Assign {
-            target: target.subst(name, repl),
-            rhs: rhs.subst(name, repl),
-        },
-        Stmt::ScalarAssign { var, value } => Stmt::ScalarAssign {
-            var: var.clone(),
-            value: value.subst(name, repl),
-        },
-        Stmt::Kernel {
-            name: kname,
-            args,
-            int_args,
-        } => Stmt::Kernel {
-            name: kname.clone(),
-            args: args.iter().map(|a| a.subst(name, repl)).collect(),
-            int_args: int_args.iter().map(|a| a.subst(name, repl)).collect(),
-        },
-        Stmt::Send {
-            sec,
-            kind,
-            dest,
-            salt,
-        } => Stmt::Send {
-            sec: sec.subst(name, repl),
-            kind: *kind,
-            dest: match dest {
-                xdp_ir::DestSet::Unspecified => xdp_ir::DestSet::Unspecified,
-                xdp_ir::DestSet::Pids(ps) => {
-                    xdp_ir::DestSet::Pids(ps.iter().map(|p| p.subst(name, repl)).collect())
-                }
-            },
-            salt: salt.as_ref().map(|e| e.subst(name, repl)),
-        },
-        Stmt::Recv {
-            target,
-            kind,
-            name: rname,
-            salt,
-        } => Stmt::Recv {
-            target: target.subst(name, repl),
-            kind: *kind,
-            name: rname.as_ref().map(|n| n.subst(name, repl)),
-            salt: salt.as_ref().map(|e| e.subst(name, repl)),
-        },
-        Stmt::Guarded { rule, body } => Stmt::Guarded {
-            rule: rule.subst(name, repl),
-            body: body.iter().map(|c| subst_stmt(c, name, repl)).collect(),
-        },
-        Stmt::DoLoop {
-            var,
-            lo,
-            hi,
-            step,
-            body,
-        } => {
-            // Bounds are evaluated in the enclosing scope; the body sees
-            // the inner binding if the loop shadows `name`.
-            let body = if var == name {
-                body.clone()
-            } else {
-                body.iter().map(|c| subst_stmt(c, name, repl)).collect()
-            };
-            Stmt::DoLoop {
-                var: var.clone(),
-                lo: lo.subst(name, repl),
-                hi: hi.subst(name, repl),
-                step: step.subst(name, repl),
-                body,
-            }
-        }
-        Stmt::Barrier | Stmt::Redistribute { .. } => s.clone(),
-    }
-}
-
-/// Drop declarations from the end of the declaration list that no
-/// statement references. Only trailing ones: `VarId`s are ordinals.
+/// Drop declarations from the end of the declaration list that nothing in
+/// the program names — in a statement, a subscript, a bound, a salt or a
+/// destination. Only trailing ones: `VarId`s are ordinals.
 pub fn prune_trailing_decls(p: &mut xdp_ir::Program) {
-    let mut touched: Vec<VarId> = Vec::new();
-    p.visit(&mut |s| {
-        let mut mark = |r: &SectionRef| touched.push(r.var);
-        match s {
-            Stmt::Assign { target, rhs } => {
-                mark(target);
-                for r in rhs.refs() {
-                    mark(r);
-                }
-            }
-            Stmt::Kernel { args, .. } => args.iter().for_each(mark),
-            Stmt::Send { sec, .. } => mark(sec),
-            Stmt::Recv { target, name, .. } => {
-                mark(target);
-                if let Some(n) = name {
-                    mark(n);
-                }
-            }
-            Stmt::Guarded { rule, .. } => {
-                let mut stack = vec![rule];
-                while let Some(r) = stack.pop() {
-                    match r {
-                        BoolExpr::Iown(x) | BoolExpr::Accessible(x) | BoolExpr::Await(x) => mark(x),
-                        BoolExpr::And(a, b) | BoolExpr::Or(a, b) => {
-                            stack.push(a);
-                            stack.push(b);
-                        }
-                        BoolExpr::Not(a) => stack.push(a),
-                        _ => {}
-                    }
-                }
-            }
-            Stmt::Redistribute { var, .. } => touched.push(*var),
+    let mut named = 0;
+    for s in &p.body {
+        walk::visit(Node::Stmt(s), &mut |n| match n {
+            Node::Ref(r, _) => named = named.max(r.var.index() + 1),
+            Node::Stmt(Stmt::Redistribute { var, .. }) => named = named.max(var.index() + 1),
             _ => {}
-        }
-    });
-    let mut used = vec![false; p.decls.len()];
-    for v in touched {
-        if let Some(u) = used.get_mut(v.0 as usize) {
-            *u = true;
-        }
+        });
     }
-    while let Some(last) = used.last() {
-        if *last {
-            break;
-        }
-        used.pop();
-        p.decls.pop();
-    }
-    // Keep VarId invariants honest in debug builds.
-    debug_assert!(p
-        .decls
-        .iter()
-        .enumerate()
-        .all(|(i, _)| VarId(i as u32).0 as usize == i));
+    p.decls.truncate(named);
 }
 
 #[cfg(test)]
@@ -429,6 +287,7 @@ mod tests {
     use super::*;
     use crate::gen::executable_program;
     use xdp_ir::build as b;
+    use xdp_ir::VarId;
 
     /// Shrinking with a syntactic predicate ("contains a send with salt
     /// 777") must strip everything else away.
@@ -523,6 +382,31 @@ mod tests {
             prune_trailing_decls(&mut p);
             assert_eq!(p.decls.len(), 2, "pruned W from\n{text}");
             assert_eq!(xdp_ir::validate(&p), Vec::<String>::new(), "{text}");
+        }
+    }
+
+    proptest::proptest! {
+        /// Whatever is left of a program after its tail is cut off, pruning
+        /// its declarations leaves every name the walk reaches declared.
+        #[test]
+        fn pruned_programs_still_validate(
+            p in crate::gen::program(),
+            seed in 0u64..500,
+            keep in 0usize..4,
+        ) {
+            for mut p in [p, executable_program(seed).program] {
+                p.body.truncate(keep);
+                proptest::prop_assert_eq!(xdp_ir::validate(&p), Vec::<String>::new());
+                prune_trailing_decls(&mut p);
+                proptest::prop_assert_eq!(xdp_ir::validate(&p), Vec::<String>::new());
+                for s in &p.body {
+                    walk::visit(Node::Stmt(s), &mut |n| {
+                        if let Node::Ref(r, _) = n {
+                            assert!(r.var.index() < p.decls.len(), "{} is gone", r.var);
+                        }
+                    });
+                }
+            }
         }
     }
 

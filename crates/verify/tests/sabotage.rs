@@ -4,7 +4,8 @@
 //! reduces the failure to a small `.xdp` repro.
 
 use xdp_compiler::{Pass, PassResult};
-use xdp_ir::{ElemExpr, Program, Stmt};
+use xdp_ir::walk::{self, NodeMut};
+use xdp_ir::{ElemExpr, Program};
 use xdp_verify::diff::check_passes_only;
 use xdp_verify::fuzz::{check_and_shrink, narrowed};
 use xdp_verify::gen::executable_program;
@@ -16,32 +17,17 @@ use xdp_verify::CheckConfig;
 /// subtly wrong rather than crashing.
 struct NudgeLiterals;
 
-fn nudge(e: &ElemExpr) -> ElemExpr {
-    match e {
-        ElemExpr::LitF(c) => ElemExpr::LitF(c + 0.25),
-        ElemExpr::Bin(op, a, b) => ElemExpr::Bin(*op, Box::new(nudge(a)), Box::new(nudge(b))),
-        ElemExpr::Neg(a) => ElemExpr::Neg(Box::new(nudge(a))),
-        other => other.clone(),
-    }
-}
-
-fn nudge_block(body: &mut Vec<Stmt>) {
-    for s in body {
-        match s {
-            Stmt::Assign { rhs, .. } => *rhs = nudge(rhs),
-            Stmt::Guarded { body, .. } | Stmt::DoLoop { body, .. } => nudge_block(body),
-            _ => {}
-        }
-    }
-}
-
 impl Pass for NudgeLiterals {
     fn name(&self) -> &'static str {
         "sabotage"
     }
     fn run(&self, p: &Program) -> PassResult {
         let mut out = p.clone();
-        nudge_block(&mut out.body);
+        walk::map(NodeMut::Block(&mut out.body), &mut |n| {
+            if let NodeMut::Elem(ElemExpr::LitF(c)) = n {
+                *c += 0.25;
+            }
+        });
         PassResult {
             program: out,
             changed: true,

@@ -18,7 +18,7 @@ fn main() {
 
     // --- sequential source with HPF-style distribution annotations -------
     let grid = ProcGrid::linear(nprocs);
-    let mut seq = SeqProgram::new();
+    let mut seq = Program::new();
     let a = seq.declare(build::array(
         "A",
         ElemType::F64,
@@ -35,19 +35,18 @@ fn main() {
     ));
     let ai = build::sref(a, vec![build::at(build::iv("i"))]);
     let bi = build::sref(b, vec![build::at(build::iv("i"))]);
-    seq.body = vec![SeqStmt::DoLoop {
-        var: "i".into(),
-        lo: build::c(1),
-        hi: build::c(n),
-        body: vec![SeqStmt::Assign {
-            target: ai.clone(),
-            rhs: build::val(ai).add(build::val(bi)),
-        }],
-    }];
+    seq.body = vec![build::do_loop(
+        "i",
+        build::c(1),
+        build::c(n),
+        vec![build::assign(
+            ai.clone(),
+            build::val(ai).add(build::val(bi)),
+        )],
+    )];
 
     // --- naive owner-computes translation (§2.2) -------------------------
-    let naive = xdp_compiler::lower_owner_computes(&seq, &xdp_compiler::FrontendOptions::default())
-        .unwrap();
+    let naive = xdp_compiler::lower_owner_computes(&seq).unwrap();
     println!("==== naive owner-computes IL+XDP ====\n");
     println!("{}", xdp_ir::pretty::program(&naive));
 

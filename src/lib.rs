@@ -31,23 +31,19 @@
 //! // Sequential source: do i = 1,16 { A[i] = A[i] + B[i] }, with A block-
 //! // and B cyclic-distributed over 4 processors (deliberately misaligned).
 //! let grid = ProcGrid::linear(4);
-//! let mut seq = SeqProgram::new();
+//! let mut seq = Program::new();
 //! let a = seq.declare(build::array("A", ElemType::F64, vec![(1, 16)],
 //!     vec![DimDist::Block], grid.clone()));
 //! let b = seq.declare(build::array("B", ElemType::F64, vec![(1, 16)],
 //!     vec![DimDist::Cyclic], grid));
 //! let ai = build::sref(a, vec![build::at(build::iv("i"))]);
 //! let bi = build::sref(b, vec![build::at(build::iv("i"))]);
-//! seq.body = vec![SeqStmt::DoLoop {
-//!     var: "i".into(), lo: build::c(1), hi: build::c(16),
-//!     body: vec![SeqStmt::Assign {
-//!         target: ai.clone(),
-//!         rhs: build::val(ai).add(build::val(bi)),
-//!     }],
-//! }];
+//! seq.body = vec![build::do_loop("i", build::c(1), build::c(16), vec![
+//!     build::assign(ai.clone(), build::val(ai).add(build::val(bi))),
+//! ])];
 //!
 //! // Naive owner-computes translation (§2.2), then the paper's passes.
-//! let naive = lower_owner_computes(&seq, &FrontendOptions::default()).unwrap();
+//! let naive = lower_owner_computes(&seq).unwrap();
 //! let (optimized, _log) = PassManager::paper_pipeline().run(&naive);
 //!
 //! // Execute both on the simulated machine; results agree, messages drop.
@@ -88,9 +84,7 @@ pub mod prelude {
     // proptest's trait under double glob imports. Use
     // `collectives::Strategy` where the plan kind is matched on.
     pub use xdp_collectives::{CommSchedule, RedistPlan};
-    pub use xdp_compiler::{
-        lower_owner_computes, FrontendOptions, Pass, PassManager, PassResult, SeqProgram, SeqStmt,
-    };
+    pub use xdp_compiler::{lower_owner_computes, Pass, PassManager, PassResult};
     pub use xdp_core::{
         AsyncExec, ExecReport, Gathered, Kernel, KernelRegistry, Machine, MachineConfig,
         MachineKind, RtError, SimExec,

@@ -44,7 +44,7 @@ proptest! {
     ) {
         let n = nprocs as i64 * chunks * 2;
         let grid = ProcGrid::linear(nprocs);
-        let mut s = SeqProgram::new();
+        let mut s = Program::new();
         let a = s.declare(build::array(
             "A", ElemType::F64, vec![(1, n)], vec![ad], grid.clone(),
         ));
@@ -56,16 +56,8 @@ proptest! {
             bvar,
             vec![build::at(build::iv("i").add(build::c(shift)))],
         );
-        s.body = vec![SeqStmt::DoLoop {
-            var: "i".into(),
-            lo: build::c(1),
-            hi: build::c(n - shift),
-            body: vec![SeqStmt::Assign {
-                target: ai.clone(),
-                rhs: build::val(ai).add(build::val(bi)),
-            }],
-        }];
-        let naive = lower_owner_computes(&s, &FrontendOptions::default()).unwrap();
+        s.body = vec![build::do_loop("i", build::c(1), build::c(n - shift), vec![build::assign(ai.clone(), build::val(ai).add(build::val(bi)))])];
+        let naive = lower_owner_computes(&s).unwrap();
         let (opt, _) = PassManager::paper_pipeline().run(&naive);
 
         let (v0, m0) = run(&naive, a, bvar, nprocs, n);
@@ -89,7 +81,7 @@ proptest! {
     ) {
         let n = nprocs as i64 * chunks;
         let grid = ProcGrid::linear(nprocs);
-        let mut s = SeqProgram::new();
+        let mut s = Program::new();
         let a = s.declare(build::array(
             "A", ElemType::F64, vec![(1, n)], vec![DimDist::Block], grid.clone(),
         ));
@@ -98,16 +90,8 @@ proptest! {
         ));
         let ai = build::sref(a, vec![build::at(build::iv("i"))]);
         let bi = build::sref(bvar, vec![build::at(build::iv("i"))]);
-        s.body = vec![SeqStmt::DoLoop {
-            var: "i".into(),
-            lo: build::c(1),
-            hi: build::c(n),
-            body: vec![SeqStmt::Assign {
-                target: ai.clone(),
-                rhs: build::val(ai).add(build::val(bi)),
-            }],
-        }];
-        let naive = lower_owner_computes(&s, &FrontendOptions::default()).unwrap();
+        s.body = vec![build::do_loop("i", build::c(1), build::c(n), vec![build::assign(ai.clone(), build::val(ai).add(build::val(bi)))])];
+        let naive = lower_owner_computes(&s).unwrap();
         let mig = xdp_compiler::passes::MigrateOwnership::default()
             .run(&naive)
             .program;
@@ -124,7 +108,7 @@ proptest! {
     ) {
         let n = nprocs as i64 * chunks;
         let grid = ProcGrid::linear(nprocs);
-        let mut s = SeqProgram::new();
+        let mut s = Program::new();
         let a = s.declare(build::array(
             "A", ElemType::F64, vec![(1, n)], vec![DimDist::Block], grid.clone(),
         ));
@@ -133,16 +117,8 @@ proptest! {
         ));
         let ai = build::sref(a, vec![build::at(build::iv("i"))]);
         let bi = build::sref(bvar, vec![build::at(build::iv("i"))]);
-        s.body = vec![SeqStmt::DoLoop {
-            var: "i".into(),
-            lo: build::c(1),
-            hi: build::c(n),
-            body: vec![SeqStmt::Assign {
-                target: ai.clone(),
-                rhs: build::val(ai).mul(build::val(bi)),
-            }],
-        }];
-        let p = lower_owner_computes(&s, &FrontendOptions::default()).unwrap();
+        s.body = vec![build::do_loop("i", build::c(1), build::c(n), vec![build::assign(ai.clone(), build::val(ai).mul(build::val(bi)))])];
+        let p = lower_owner_computes(&s).unwrap();
         let (vs, _) = run(&p, a, bvar, nprocs, n);
 
         let mut thr = AsyncExec::new(

@@ -8,9 +8,9 @@ use xdp_compiler::passes::{BindCommunication, MigrateOwnership};
 use xdp_ir::pretty;
 use xdp_lang::parse_program;
 
-fn source(n: i64, nprocs: usize, bd: DimDist) -> (SeqProgram, VarId, VarId) {
+fn source(n: i64, nprocs: usize, bd: DimDist) -> (Program, VarId, VarId) {
     let grid = ProcGrid::linear(nprocs);
-    let mut s = SeqProgram::new();
+    let mut s = Program::new();
     let a = s.declare(build::array(
         "A",
         ElemType::F64,
@@ -27,15 +27,15 @@ fn source(n: i64, nprocs: usize, bd: DimDist) -> (SeqProgram, VarId, VarId) {
     ));
     let ai = build::sref(a, vec![build::at(build::iv("i"))]);
     let bi = build::sref(b, vec![build::at(build::iv("i"))]);
-    s.body = vec![SeqStmt::DoLoop {
-        var: "i".into(),
-        lo: build::c(1),
-        hi: build::c(n),
-        body: vec![SeqStmt::Assign {
-            target: ai.clone(),
-            rhs: build::val(ai).add(build::val(bi)),
-        }],
-    }];
+    s.body = vec![build::do_loop(
+        "i",
+        build::c(1),
+        build::c(n),
+        vec![build::assign(
+            ai.clone(),
+            build::val(ai).add(build::val(bi)),
+        )],
+    )];
     (s, a, b)
 }
 
@@ -64,14 +64,14 @@ fn assert_fixpoint_and_equivalent(p: &Program, a: VarId, b: VarId, nprocs: usize
 #[test]
 fn frontend_output_roundtrips() {
     let (s, a, b) = source(16, 4, DimDist::Cyclic);
-    let naive = lower_owner_computes(&s, &FrontendOptions::default()).unwrap();
+    let naive = lower_owner_computes(&s).unwrap();
     assert_fixpoint_and_equivalent(&naive, a, b, 4, 16);
 }
 
 #[test]
 fn optimized_output_roundtrips() {
     let (s, a, b) = source(16, 4, DimDist::Cyclic);
-    let naive = lower_owner_computes(&s, &FrontendOptions::default()).unwrap();
+    let naive = lower_owner_computes(&s).unwrap();
     let (opt, _) = PassManager::paper_pipeline().run(&naive);
     assert_fixpoint_and_equivalent(&opt, a, b, 4, 16);
 }
@@ -79,7 +79,7 @@ fn optimized_output_roundtrips() {
 #[test]
 fn bound_output_roundtrips() {
     let (s, a, b) = source(16, 4, DimDist::Cyclic);
-    let naive = lower_owner_computes(&s, &FrontendOptions::default()).unwrap();
+    let naive = lower_owner_computes(&s).unwrap();
     let bound = BindCommunication.run(&naive).program;
     assert_fixpoint_and_equivalent(&bound, a, b, 4, 16);
 }
@@ -87,7 +87,7 @@ fn bound_output_roundtrips() {
 #[test]
 fn migrated_output_roundtrips() {
     let (s, a, b) = source(16, 4, DimDist::Cyclic);
-    let naive = lower_owner_computes(&s, &FrontendOptions::default()).unwrap();
+    let naive = lower_owner_computes(&s).unwrap();
     let mig = MigrateOwnership::default().run(&naive).program;
     assert_fixpoint_and_equivalent(&mig, a, b, 4, 16);
 }

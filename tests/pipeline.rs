@@ -11,9 +11,9 @@ use xdp_compiler::passes::{
 };
 
 /// do i = 1,n { A[i] = A[i] + B[i] } with chosen distributions.
-fn source(n: i64, nprocs: usize, a_dist: DimDist, b_dist: DimDist) -> (SeqProgram, VarId, VarId) {
+fn source(n: i64, nprocs: usize, a_dist: DimDist, b_dist: DimDist) -> (Program, VarId, VarId) {
     let grid = ProcGrid::linear(nprocs);
-    let mut s = SeqProgram::new();
+    let mut s = Program::new();
     let a = s.declare(build::array(
         "A",
         ElemType::F64,
@@ -30,15 +30,15 @@ fn source(n: i64, nprocs: usize, a_dist: DimDist, b_dist: DimDist) -> (SeqProgra
     ));
     let ai = build::sref(a, vec![build::at(build::iv("i"))]);
     let bi = build::sref(b, vec![build::at(build::iv("i"))]);
-    s.body = vec![SeqStmt::DoLoop {
-        var: "i".into(),
-        lo: build::c(1),
-        hi: build::c(n),
-        body: vec![SeqStmt::Assign {
-            target: ai.clone(),
-            rhs: build::val(ai).add(build::val(bi)),
-        }],
-    }];
+    s.body = vec![build::do_loop(
+        "i",
+        build::c(1),
+        build::c(n),
+        vec![build::assign(
+            ai.clone(),
+            build::val(ai).add(build::val(bi)),
+        )],
+    )];
     (s, a, b)
 }
 
@@ -73,7 +73,7 @@ fn naive_translation_is_correct() {
         (DimDist::Cyclic, DimDist::BlockCyclic(2)),
     ] {
         let (s, a, b) = source(16, 4, ad, bd);
-        let naive = lower_owner_computes(&s, &FrontendOptions::default()).unwrap();
+        let naive = lower_owner_computes(&s).unwrap();
         let (g, r) = execute(&naive, a, b, 4);
         check_result(&g, 16);
         assert_eq!(r.net.messages, 16, "naive sends one message per element");
@@ -83,7 +83,7 @@ fn naive_translation_is_correct() {
 #[test]
 fn same_owner_elision_removes_all_messages_when_aligned() {
     let (s, a, b) = source(16, 4, DimDist::Block, DimDist::Block);
-    let naive = lower_owner_computes(&s, &FrontendOptions::default()).unwrap();
+    let naive = lower_owner_computes(&s).unwrap();
     let r = ElideSameOwnerComm.run(&naive);
     assert!(r.changed);
     let (g, rep) = execute(&r.program, a, b, 4);
@@ -94,7 +94,7 @@ fn same_owner_elision_removes_all_messages_when_aligned() {
 #[test]
 fn vectorization_preserves_results_and_reduces_messages() {
     let (s, a, b) = source(32, 4, DimDist::Block, DimDist::Cyclic);
-    let naive = lower_owner_computes(&s, &FrontendOptions::default()).unwrap();
+    let naive = lower_owner_computes(&s).unwrap();
     let (g0, r0) = execute(&naive, a, b, 4);
     check_result(&g0, 32);
 
@@ -116,7 +116,7 @@ fn vectorization_preserves_results_and_reduces_messages() {
 #[test]
 fn full_pipeline_preserves_results_and_wins() {
     let (s, a, b) = source(32, 4, DimDist::Block, DimDist::Cyclic);
-    let naive = lower_owner_computes(&s, &FrontendOptions::default()).unwrap();
+    let naive = lower_owner_computes(&s).unwrap();
     let (opt, log) = PassManager::paper_pipeline().run(&naive);
     // At least vectorize + localize must have fired.
     let fired: Vec<&str> = log
@@ -145,7 +145,7 @@ fn migration_strategy_correct_and_amortizes() {
     let n = 16;
     let nprocs = 4;
     let (s, a, b) = source(n, nprocs, DimDist::Block, DimDist::Cyclic);
-    let naive = lower_owner_computes(&s, &FrontendOptions::default()).unwrap();
+    let naive = lower_owner_computes(&s).unwrap();
     let m = MigrateOwnership::default().run(&naive);
     assert!(m.changed);
 
@@ -185,7 +185,7 @@ fn migration_strategy_correct_and_amortizes() {
 #[test]
 fn binding_preserves_results_and_sheds_wire_bytes() {
     let (s, a, b) = source(16, 4, DimDist::Block, DimDist::Cyclic);
-    let naive = lower_owner_computes(&s, &FrontendOptions::default()).unwrap();
+    let naive = lower_owner_computes(&s).unwrap();
     let bound = BindCommunication.run(&naive);
     assert!(bound.changed);
     let (g0, r0) = execute(&naive, a, b, 4);
@@ -204,7 +204,7 @@ fn binding_preserves_results_and_sheds_wire_bytes() {
 #[test]
 fn localization_after_elision_runs_guard_free() {
     let (s, a, b) = source(16, 4, DimDist::Block, DimDist::Block);
-    let naive = lower_owner_computes(&s, &FrontendOptions::default()).unwrap();
+    let naive = lower_owner_computes(&s).unwrap();
     let (opt, _) = PassManager::new()
         .add(ElideSameOwnerComm)
         .add(LocalizeBounds)
@@ -228,7 +228,7 @@ fn localization_after_elision_runs_guard_free() {
 #[test]
 fn threaded_backend_agrees_with_simulator_after_optimization() {
     let (s, a, b) = source(24, 3, DimDist::Block, DimDist::Cyclic);
-    let naive = lower_owner_computes(&s, &FrontendOptions::default()).unwrap();
+    let naive = lower_owner_computes(&s).unwrap();
     let (opt, _) = PassManager::paper_pipeline().run(&naive);
 
     let mut sim = SimExec::new(
@@ -260,7 +260,7 @@ fn every_generated_program_validates_cleanly() {
     // Frontend output, every optimizer output, and every app builder must
     // produce statically well-formed programs.
     let (s, _, _) = source(16, 4, DimDist::Block, DimDist::Cyclic);
-    let naive = lower_owner_computes(&s, &FrontendOptions::default()).unwrap();
+    let naive = lower_owner_computes(&s).unwrap();
     assert!(
         xdp_ir::validate(&naive).is_empty(),
         "{:?}",
@@ -325,7 +325,7 @@ fn every_generated_program_validates_cleanly() {
 fn provenance_rows_describe_each_passes_own_input_and_output() {
     use std::collections::HashMap;
     let (s, ..) = source(16, 4, DimDist::Block, DimDist::Cyclic);
-    let naive = lower_owner_computes(&s, &FrontendOptions::default()).unwrap();
+    let naive = lower_owner_computes(&s).unwrap();
     let pipeline = || PassManager::paper_pipeline().add(xdp_compiler::passes::AutoPlace::new());
     let (traced, ct) = pipeline().run_traced(&naive);
     assert_eq!(traced, pipeline().run(&naive).0);
@@ -595,7 +595,7 @@ fn shifted_loop(
     hi: i64,
 ) -> Program {
     let grid = ProcGrid::linear(nprocs);
-    let mut s = SeqProgram::new();
+    let mut s = Program::new();
     let a = s.declare(build::array(
         "A",
         ElemType::F64,
@@ -612,16 +612,16 @@ fn shifted_loop(
     ));
     let ai = build::sref(a, vec![build::at(build::iv("i"))]);
     let bi = build::sref(b, vec![build::at(build::iv("i").add(build::c(c)))]);
-    s.body = vec![SeqStmt::DoLoop {
-        var: "i".into(),
-        lo: build::c(lo),
-        hi: build::c(hi),
-        body: vec![SeqStmt::Assign {
-            target: ai.clone(),
-            rhs: build::val(ai).add(build::val(bi)),
-        }],
-    }];
-    lower_owner_computes(&s, &FrontendOptions::default()).unwrap()
+    s.body = vec![build::do_loop(
+        "i",
+        build::c(lo),
+        build::c(hi),
+        vec![build::assign(
+            ai.clone(),
+            build::val(ai).add(build::val(bi)),
+        )],
+    )];
+    lower_owner_computes(&s).unwrap()
 }
 
 /// Hand-written loop pairs and awaited nests for `fuse-loops` and
@@ -1078,11 +1078,13 @@ fn a_query_inside_a_subscript_keeps_the_loops_apart() {
     every_pass_preserves(QUERY_IN_A_SUBSCRIPT);
     let (changed, notes) = notes_of(FuseLoops, QUERY_IN_A_SUBSCRIPT);
     assert!(!changed, "{notes:?}");
+    // (It names the first thing of the first loop the query meets, its
+    // `iown(W[i])` — two statements before the send it must not cross.)
     assert_eq!(
         notes,
         [
             "fuse-loops: declined loops at 0,1 — W[*] queried in the second (by A[myub(W[*], 1)]) \
-          is sent away in the first 1 iteration later"
+          is queried in the first 1 iteration later"
         ]
     );
 }
