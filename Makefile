@@ -67,12 +67,14 @@ layer-rows:
 # Non-test source lines per crate: for each file under crates/<c>/src, the
 # lines before its first `#[cfg(test)]`, summed. The count a [simplicity]
 # PR is held to (ROADMAP aim 2) — comments and blank lines included, so
-# deleting those moves it and does not count.
+# deleting those moves it and does not count. Then the bytes of the three
+# documents every reader pays for (DESIGN, CHANGES, EXPERIMENTS).
 src-lines:
 	@for c in crates/*/; do n=0; \
 	  for f in $$(find $${c}src -name '*.rs'); do \
 	    n=$$((n + $$(awk '/#\[cfg\(test\)\]/{exit} {k++} END{print k+0}' $$f))); \
 	  done; printf '%-12s %6d\n' $$(basename $$c) $$n; done
+	@wc -c DESIGN.md CHANGES.md EXPERIMENTS.md
 
 # Regenerate every figure/experiment table (EXPERIMENTS.md sources).
 experiments:

@@ -11,17 +11,23 @@
 //! so no second copy of the option list exists to drift. Handlers read
 //! options only through [`Args`]; a malformed *value* is the same kind of
 //! error (`tool: bad --opt …`, exit 2), reported when the value is read.
+//!
+//! A default that is one value wherever the option is taken is declared
+//! in the option's row (`--help` renders it, [`Args`] answers with it);
+//! one that differs by command is the handler's (`Args::num_or`).
 
 use crate::{Backend, CompileOptions};
 use std::io::Write;
 use std::process::ExitCode;
 
 /// One option: its spelling, the metavariable of its value (empty for a
-/// bare flag) and its help text.
+/// bare flag), its default (empty when the row declares none) and its
+/// help text.
 #[derive(Clone, Copy, Debug)]
 pub struct Opt {
     pub name: &'static str,
     pub metavar: &'static str,
+    pub default: &'static str,
     pub help: &'static str,
 }
 
@@ -43,9 +49,15 @@ pub struct Tool {
     pub commands: &'static [Command],
 }
 
+/// `ID "--name" "METAVAR" [= "default"] "help"`, one row per option.
 macro_rules! options {
-    ($($id:ident $name:literal $metavar:literal $help:literal)*) => {
-        $(#[doc = $help] pub const $id: Opt = Opt { name: $name, metavar: $metavar, help: $help };)*
+    ($($id:ident $name:literal $metavar:literal $(= $default:literal)? $help:literal)*) => {
+        $(#[doc = $help] pub const $id: Opt = Opt {
+            name: $name,
+            metavar: $metavar,
+            default: concat!("" $(, $default)?),
+            help: $help,
+        };)*
     };
 }
 
@@ -72,9 +84,9 @@ options! {
     TIMELINE "--timeline" "" "print a Gantt chart of the execution"
     UNCHECKED "--unchecked" "" "disable the checked runtime"
     GATHER "--gather" "NAME" "print the named array's final contents and owners"
-    OUT "--out" "PATH" "Chrome trace-event JSON output (default trace.json)"
+    OUT "--out" "PATH" = "trace.json" "Chrome trace-event JSON output"
     JSONL "--jsonl" "PATH" "also write the compact JSONL trace"
-    TOP "--top" "N" "rows in the critical-path tables (default 10)"
+    TOP "--top" "N" = "10" "rows in the critical-path tables"
     ARRAY "--array" "NAME" "the array whose segment shape is tuned (required)"
     SEGMENTS "--segments" "LIST" "candidate shapes, one extent per dimension: 1,16,4x1,... (required)"
     PASSES "--passes" "LIST" "comma-separated pass names (default: the paper pipeline); an unknown\n\
@@ -82,22 +94,22 @@ options! {
     NO_CYCLIC "--no-cyclic" "" "drop CYCLIC candidates from the search"
     MAX_DIMS "--max-dims" "N" "most array dimensions distributed at once (default 2)"
     EMIT "--emit" "" "print the rewritten program (valid xdpc input)"
-    COUNT "--count" "N" "programs to check (default 200)"
+    COUNT "--count" "N" = "200" "programs to check"
     SEED "--seed" "N" "fuzz: first seed, program k uses seed+k (default 1); replay: request-mix seed (default 1993)"
-    REPRO "--repro" "PATH" "where a divergence's minimized repro is written (default fuzz-repro.xdp)"
+    REPRO "--repro" "PATH" = "fuzz-repro.xdp" "where a divergence's minimized repro is written"
     SIM_ONLY "--sim-only" "" "skip the wall-clock (async) executor and chaos oracles"
-    REPEAT "--repeat" "N" "requests to serve; the first compiles, the rest hit the cache (default 3)"
+    REPEAT "--repeat" "N" = "3" "requests to serve; the first compiles, the rest hit the cache"
     WORKERS "--workers" "N" "pool worker threads (default: run and stats 2, bench 4)"
     REQUESTS "--requests" "N" "requests to replay (default: bench 1000, stats 120, e14_metrics 400)"
     BATCH "--batch" "N" "requests per batch (default: bench 64, stats and e14_metrics 32)"
     CAPACITY "--capacity" "N" "compile-cache capacity in programs (default 64)"
     GEN "--gen" "N" "generated programs added to the corpus (default: bench and stats 6, e14_metrics 4, list 0)"
-    PROGRAMS "--programs" "DIR" "directory of .xdp sources (default xdp-programs)"
+    PROGRAMS "--programs" "DIR" = "xdp-programs" "directory of .xdp sources"
     METRICS_OUT "--metrics-out" "FILE" "write the pool's full metrics snapshot as JSON"
     SLOW_MS "--slow-ms" "N" "arm the flight recorder: dump any request slower than N ms"
-    FLIGHT_DIR "--flight-dir" "DIR" "flight-recorder dump directory (default flight-dumps)"
-    FORMAT "--format" "F" "exposition format: prom (default) or json"
-    PARETO_OUT "--pareto-out" "FILE" "where the frontier sweep is written (default membound-pareto.json)"
+    FLIGHT_DIR "--flight-dir" "DIR" = "flight-dumps" "flight-recorder dump directory"
+    FORMAT "--format" "F" = "prom" "exposition format: prom or json"
+    PARETO_OUT "--pareto-out" "FILE" = "membound-pareto.json" "where the frontier sweep is written"
 }
 
 /// What [`compile_options`] reads, less `--backend` (only commands that
@@ -173,13 +185,17 @@ impl Command {
         words.join(" ")
     }
 
-    /// The `--help` text: synopsis, summary, one entry per option.
+    /// The `--help` text: synopsis, summary, one entry per option, each
+    /// with the default its row declares.
     pub fn help(&self, tool: &str) -> String {
         let mut s = format!("usage: {}\n  {}\n", self.synopsis(tool), self.summary);
         for o in self.options() {
             let head = [o.name, o.metavar].join(" ");
             let help = o.help.replace('\n', &format!("\n{:21}", ""));
             s.push_str(&format!("\n  {head:<18} {help}"));
+            if !o.default.is_empty() {
+                s.push_str(&format!(" (default {})", o.default));
+            }
         }
         s + "\n"
     }
@@ -295,15 +311,25 @@ impl Args {
         &self.operand
     }
 
-    /// Was `opt` given?
+    /// Was `opt` given on the command line?
     pub fn has(&self, opt: Opt) -> bool {
-        self.value(opt).is_some()
+        self.given.iter().any(|(o, _)| o.name == opt.name)
     }
 
-    /// The value `opt` was given, if it was.
+    /// The value `opt` was given, else the default its row declares;
+    /// `None` when neither, or when the command does not take `opt`.
     pub fn value(&self, opt: Opt) -> Option<&str> {
-        let (_, value) = self.given.iter().find(|(o, _)| o.name == opt.name)?;
-        Some(value)
+        let given = self.given.iter().find(|(o, _)| o.name == opt.name);
+        let row = self.command.options().find(|o| o.name == opt.name);
+        let declared = row.map(|o| o.default).filter(|d| !d.is_empty());
+        given.map(|(_, value)| value.as_str()).or(declared)
+    }
+
+    /// The value of a path option whose row declares a default: the one
+    /// given, or that default.
+    pub fn path(&self, opt: Opt) -> &str {
+        self.value(opt)
+            .expect("the option's row declares a default")
     }
 
     /// `opt`'s value as `read` understands it, `None` when absent. `read`'s
@@ -325,8 +351,16 @@ impl Args {
         self.read(opt, |v| v.parse().map_err(|_| format!(" `{v}`")))
     }
 
-    /// The numeric option `opt`, `default` when absent.
-    pub fn num<T: std::str::FromStr>(&self, opt: Opt, default: T) -> Result<T, ExitCode> {
+    /// The numeric option `opt`, whose row declares its default.
+    pub fn num<T: std::str::FromStr>(&self, opt: Opt) -> Result<T, ExitCode> {
+        Ok(self
+            .num_opt(opt)?
+            .expect("the option's row declares a default"))
+    }
+
+    /// The numeric option `opt`, the handler's `default` when absent — for
+    /// an option whose default differs by command, so its row has none.
+    pub fn num_or<T: std::str::FromStr>(&self, opt: Opt, default: T) -> Result<T, ExitCode> {
         Ok(self.num_opt(opt)?.unwrap_or(default))
     }
 }

@@ -141,7 +141,7 @@ fn refusal(p: &Program, s: &Stmt) -> Option<FrontendError> {
 /// The machine size the declarations agree on: the frontend sizes its
 /// temporaries by it, so every logical grid must have the same processor
 /// count.
-pub fn machine_size(p: &Program) -> Result<usize, FrontendError> {
+fn machine_size(p: &Program) -> Result<usize, FrontendError> {
     let mut sizes = p.grid_sizes();
     let first = sizes.next().ok_or(FrontendError::NoDistributedDecl)?;
     match sizes.find(|&second| second != first) {
@@ -218,7 +218,7 @@ impl Lowerer {
     /// frontend requires reference shapes not to vary with enclosing loop
     /// variables.
     fn ref_volume(&self, r: &SectionRef) -> Result<i64, FrontendError> {
-        use crate::analysis::{concrete_section_unbounded, Bindings};
+        use xdp_ir::analysis::{concrete_section_unbounded, Bindings};
         let probe = |val: i64| {
             let mut env = Bindings::new();
             for v in &self.loop_stack {

@@ -23,20 +23,15 @@
 //! All static reasoning exploits the paper's stated compilation model — "a
 //! fixed, known processor grid and partitioning as allowed in HPF" (§3):
 //! loop bounds, array shapes, and grids are compile-time constants, so
-//! ownership questions are decided exactly, on sets ([`analysis`]), rather
-//! than approximately.
+//! ownership questions are decided exactly, on sets
+//! ([`xdp_ir::analysis`]), rather than approximately.
 
-/// Re-export of the IR-level static analysis (now [`xdp_ir::analysis`]),
-/// kept here so existing `xdp_compiler::analysis::*` paths remain stable.
-pub mod analysis {
-    pub use xdp_ir::analysis::*;
-}
 pub mod cli;
 pub mod frontend;
 pub mod passes;
 pub mod pipeline;
 
-pub use frontend::{lower_owner_computes, machine_size, FrontendError};
+pub use frontend::{lower_owner_computes, FrontendError};
 pub use passes::{Pass, PassManager, PassResult};
 pub use pipeline::{
     compile, compile_program, Backend, CompileError, CompileOptions, Compiled, SeqMode,

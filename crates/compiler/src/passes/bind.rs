@@ -18,10 +18,10 @@
 //! Bound messages need not carry their name on the wire and skip the
 //! matcher's lookup (the cost difference is what experiment E5 measures).
 
-use crate::analysis::{concrete_section, dim_form, Bindings, DimForm, Owners};
 use crate::passes::pattern::{recognize, NaiveCommLoop};
 use crate::passes::{declined, Pass, PassResult};
 use std::collections::HashMap;
+use xdp_ir::analysis::{concrete_section, dim_form, Bindings, DimForm, Owners};
 use xdp_ir::walk::rewrite_block;
 use xdp_ir::{
     DestSet, IntExpr, Ownership, Program, Section, Stmt, Subscript, TransferKind, Triplet, VarId,

@@ -8,8 +8,8 @@
 //! (await's unowned case returns false, exactly like `iown`). The pass
 //! also constant-folds rule algebra and unwraps `true : { ... }` guards.
 
-use crate::analysis::program_has_recv_on;
 use crate::passes::{Pass, PassResult};
+use xdp_ir::analysis::program_has_recv_on;
 use xdp_ir::walk::rewrite_block;
 use xdp_ir::{BoolExpr, Program, Stmt};
 

@@ -4,13 +4,13 @@
 //! then the data transfer statements can be eliminated." For each
 //! communicated operand of a recognized naive communication loop, decide
 //! whether the operand's owner equals the target's owner on *every*
-//! iteration — their [`OwnerMap`](crate::analysis::OwnerMap)s over the
+//! iteration — their [`OwnerMap`](xdp_ir::analysis::OwnerMap)s over the
 //! loop's window are equal; if so, drop the send, the receive, and the
 //! temporary, and compute directly on the operand.
 
-use crate::analysis::Owners;
 use crate::passes::pattern::{recognize, NaiveCommLoop};
 use crate::passes::{declined, Pass, PassResult};
+use xdp_ir::analysis::Owners;
 use xdp_ir::build as b;
 use xdp_ir::walk::rewrite_block;
 use xdp_ir::{Program, Stmt};

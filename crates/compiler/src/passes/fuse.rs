@@ -23,11 +23,11 @@
 //! rejects fusion, with a note saying so (guards are assumed transparent,
 //! an over-approximation that can only reject, never wrongly accept).
 
-use crate::analysis::{
+use crate::passes::{declined, Pass, PassResult};
+use xdp_ir::analysis::{
     block_accesses, dim_form, eval_static, loop_window, Access, AccessKind, Bindings, DimForm,
     OnProc,
 };
-use crate::passes::{declined, Pass, PassResult};
 use xdp_ir::walk::{self, NodeMut};
 use xdp_ir::{IntExpr, Program, Stmt, Triplet};
 
@@ -396,7 +396,7 @@ mod tests {
         let on = OnProc { p, pid };
         let at = |r: &xdp_ir::SectionRef, k: i64| {
             let env = Bindings::from([(l.var.to_string(), l.first() + k * l.step)]);
-            crate::analysis::section_on(p, r, &env, on).expect("static subscripts")
+            xdp_ir::analysis::section_on(p, r, &env, on).expect("static subscripts")
         };
         let trips = l.values.count();
         (1..trips)

@@ -5,7 +5,7 @@
 //! owns the data."
 //!
 //! Two transformations, both read off the guard reference's
-//! [`OwnerMap`](crate::analysis::OwnerMap) — the iterations each processor
+//! [`OwnerMap`](xdp_ir::analysis::OwnerMap) — the iterations each processor
 //! owns the guarded section on:
 //!
 //! 1. **Range contraction** — a loop whose body is one `iown(X)`-guarded
@@ -22,9 +22,9 @@
 //!    ("replacing all references to the loop's induction variable ... by
 //!    mypid").
 
-use crate::analysis::Owners;
 use crate::passes::pattern::static_window;
 use crate::passes::{declined, Pass, PassResult};
+use xdp_ir::analysis::Owners;
 use xdp_ir::build as b;
 use xdp_ir::walk::rewrite_block;
 use xdp_ir::{BoolExpr, IntExpr, Program, SectionRef, Stmt, Triplet};

@@ -20,10 +20,10 @@
 //! transferred (e.g. the localized bounds produced by compute-rule
 //! elimination); they are resolved against the initial distribution.
 
-use crate::analysis::{
+use crate::passes::{declined, Pass, PassResult};
+use xdp_ir::analysis::{
     block_accesses, dim_form, section_on, window_of, Access, Bindings, DimForm, OnProc,
 };
-use crate::passes::{declined, Pass, PassResult};
 use xdp_ir::build as b;
 use xdp_ir::walk::rewrite_block;
 use xdp_ir::{BoolExpr, IntExpr, Program, SectionRef, Stmt, Subscript, Triplet};
@@ -407,7 +407,7 @@ mod tests {
     /// the awaited section, the pieces jointly cover it, and everything
     /// the nest touches lies inside its iteration's piece.
     fn sound_by_enumeration(p: &Program, sunk: &Program) -> bool {
-        use crate::analysis::{eval, loop_window, section_on, Bindings, OnProc};
+        use xdp_ir::analysis::{eval, loop_window, section_on, Bindings, OnProc};
         let Stmt::Guarded {
             rule: BoolExpr::Await(x),
             ..

@@ -17,9 +17,9 @@
 //! Message count drops from `O(n)` to `O(pairs x runs)`; the paper's
 //! motivating claim for representing transfers explicitly in the IL.
 
-use crate::analysis::{compress_triplets, intersect_lists, Owners};
 use crate::passes::pattern::{recognize, NaiveCommLoop};
 use crate::passes::{declined, Pass, PassResult};
+use xdp_ir::analysis::{compress_triplets, intersect_lists, Owners};
 use xdp_ir::build as b;
 use xdp_ir::walk::rewrite_block;
 use xdp_ir::{Decl, Distribution, Ownership, Program, SectionRef, Stmt, Triplet};

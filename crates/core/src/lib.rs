@@ -70,8 +70,8 @@ pub use xdp_trace as trace;
 pub use xdp_trace::{CriticalPathReport, Trace, TraceConfig, TraceEvent, TraceKind, WaitCause};
 
 /// Names `benchmark/`, which a code PR may not edit, still imports: the
-/// two config types folded into [`MachineConfig`] (DESIGN §2.25) and the
-/// deleted thread-per-processor machine (§2.19), whose
+/// two config types folded into [`MachineConfig`] and the deleted
+/// thread-per-processor machine (DESIGN §2.4, §2.16), whose
 /// `core.thread.ring64_us` probe is built from the last two. Nothing in
 /// this repository says them (`tests/one_way.rs`); the benchmark PR that
 /// re-points its imports deletes all four.

@@ -89,15 +89,6 @@ impl CostModel {
         self
     }
 
-    /// A low-latency variant (latency 10x smaller) for crossover sweeps.
-    pub fn low_latency() -> CostModel {
-        CostModel {
-            alpha: 10.0,
-            beta: 0.01,
-            ..CostModel::default_1993()
-        }
-    }
-
     /// A shared-address machine in the KSR1 mold (§3.2: "receives and
     /// sends might be translated as prefetch and poststore instructions"):
     /// transfers cost a cache-line-ish setup plus per-byte copy, no

@@ -48,16 +48,20 @@ fn main() -> ExitCode {
         Ok(args) => args,
         Err(code) => return code,
     };
-    let mut cfg = ReplayConfig::new("xdp-programs");
     // The corpus holds ~26 distinct programs and each costs one cold
     // miss, so the request count must be high enough for the warm
     // phase to clear the 0.90 hit-rate floor.
-    (cfg.requests, cfg.batch, cfg.gen_count) = (400, 32, 4);
+    let mut cfg = ReplayConfig {
+        requests: 400,
+        batch: 32,
+        gen_count: 4,
+        ..ReplayConfig::default()
+    };
     if let Err(code) = cfg.apply_args(&args) {
         return code;
     }
     let metrics_out = args.value(cli::METRICS_OUT);
-    let flight_dir = PathBuf::from(args.value(cli::FLIGHT_DIR).unwrap_or("flight-dumps"));
+    let flight_dir = PathBuf::from(args.path(cli::FLIGHT_DIR));
 
     let mut failures = 0usize;
     let mut check = |ok: bool, what: String| {

@@ -80,9 +80,10 @@ pub struct ReplayConfig {
     pub mem_budget: Option<u64>,
 }
 
-impl ReplayConfig {
-    /// The `xdpd bench` defaults over a program directory.
-    pub fn new(programs_dir: impl Into<PathBuf>) -> ReplayConfig {
+impl Default for ReplayConfig {
+    /// The `xdpd bench` defaults, with no program directory until
+    /// [`apply_args`](ReplayConfig::apply_args) reads `--programs`.
+    fn default() -> ReplayConfig {
         ReplayConfig {
             requests: 1000,
             workers: 4,
@@ -90,29 +91,30 @@ impl ReplayConfig {
             capacity: 64,
             seed: 1993,
             gen_count: 6,
-            programs_dir: programs_dir.into(),
+            programs_dir: PathBuf::new(),
             flight_dir: None,
             slow_us: None,
             backend: Backend::default(),
             mem_budget: None,
         }
     }
+}
 
+impl ReplayConfig {
     /// Read the replay options shared by every binary that replays
-    /// (`--requests --workers --batch --capacity --seed --gen --programs`)
-    /// over the caller's defaults, and `--backend` and `--mem-budget` as
-    /// every tool reads them (absent: interp, unbounded). A malformed
-    /// value is a usage error reported under the tool's name (exit code 2).
+    /// (`--requests --workers --batch --capacity --seed --gen`) over the
+    /// caller's defaults, `--programs` over its declared one, and
+    /// `--backend` and `--mem-budget` as every tool reads them (absent:
+    /// interp, unbounded). A malformed value is a usage error reported
+    /// under the tool's name (exit code 2).
     pub fn apply_args(&mut self, args: &Args) -> Result<(), ExitCode> {
-        self.requests = args.num(cli::REQUESTS, self.requests)?;
-        self.workers = args.num(cli::WORKERS, self.workers)?;
-        self.batch = args.num(cli::BATCH, self.batch)?;
-        self.capacity = args.num(cli::CAPACITY, self.capacity)?;
-        self.seed = args.num(cli::SEED, self.seed)?;
-        self.gen_count = args.num(cli::GEN, self.gen_count)?;
-        if let Some(dir) = args.value(cli::PROGRAMS) {
-            self.programs_dir = dir.into();
-        }
+        self.requests = args.num_or(cli::REQUESTS, self.requests)?;
+        self.workers = args.num_or(cli::WORKERS, self.workers)?;
+        self.batch = args.num_or(cli::BATCH, self.batch)?;
+        self.capacity = args.num_or(cli::CAPACITY, self.capacity)?;
+        self.seed = args.num_or(cli::SEED, self.seed)?;
+        self.gen_count = args.num_or(cli::GEN, self.gen_count)?;
+        self.programs_dir = args.path(cli::PROGRAMS).into();
         let compile = cli::compile_options(args)?;
         (self.backend, self.mem_budget) = (compile.backend, compile.mem_budget);
         Ok(())

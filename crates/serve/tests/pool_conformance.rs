@@ -7,7 +7,7 @@
 //! a solo run on a fresh pool. Per-run isolation is the serving layer's
 //! core correctness claim; this is the test that owns it.
 //!
-//! The second half owns the cache's concurrency contract (DESIGN §2.22):
+//! The second half owns the cache's concurrency contract (DESIGN §2.13):
 //! racing requests for one cold spec compile it once, a failed compile
 //! fails every request that waited on it and caches nothing, and a miss
 //! being compiled blocks no hit.

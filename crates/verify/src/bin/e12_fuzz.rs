@@ -110,11 +110,9 @@ fn main() {
     );
     for (label, check) in stages {
         let cfg = FuzzConfig {
-            count: COUNT,
-            seed: SEED,
             check,
             max_failures: 0,
-            ..FuzzConfig::default()
+            ..FuzzConfig::new(COUNT, SEED)
         };
         let t0 = Instant::now();
         let report = run_fuzz(&cfg, &mut |_, _| {});

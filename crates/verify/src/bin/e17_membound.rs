@@ -475,9 +475,7 @@ fn main() -> ExitCode {
     t3.print();
 
     // The frontier artifact.
-    let pareto_path = args
-        .value(cli::PARETO_OUT)
-        .unwrap_or("membound-pareto.json");
+    let pareto_path = args.path(cli::PARETO_OUT);
     let mut reblock = Map::new();
     reblock.insert("chain_budget_bytes".into(), Json::from(chain_budget));
     reblock.insert("frontier".into(), chain_frontier);

@@ -27,11 +27,14 @@ pub struct FuzzConfig {
     pub max_failures: usize,
 }
 
-impl Default for FuzzConfig {
-    fn default() -> FuzzConfig {
+impl FuzzConfig {
+    /// A sweep of `count` seeds from `seed`, every other setting at its
+    /// default. (How many seeds is the caller's: `xdpc fuzz`'s `--count`
+    /// row declares its own.)
+    pub fn new(count: usize, seed: u64) -> FuzzConfig {
         FuzzConfig {
-            count: 200,
-            seed: 1,
+            count,
+            seed,
             gen: GenConfig::default(),
             check: CheckConfig::default(),
             max_shrink_evals: DEFAULT_MAX_EVALS,
@@ -146,8 +149,6 @@ mod tests {
     #[test]
     fn a_small_clean_sweep_passes() {
         let cfg = FuzzConfig {
-            count: 5,
-            seed: 11,
             // Executor conformance only: the pass-prefix and chaos oracles
             // are exercised by their own tests and by `xdpc fuzz`.
             check: CheckConfig {
@@ -158,7 +159,7 @@ mod tests {
                 passes: false,
                 mem_budget: None,
             },
-            ..FuzzConfig::default()
+            ..FuzzConfig::new(5, 11)
         };
         let mut calls = 0usize;
         let report = run_fuzz(&cfg, &mut |_, f| {

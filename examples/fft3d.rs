@@ -13,8 +13,6 @@
 
 use xdp::prelude::*;
 use xdp_apps::fft3d::{self, Fft3dConfig, Stage};
-use xdp_compiler::passes::{FuseLoops, LocalizeBounds, SinkAwait};
-use xdp_compiler::Pass;
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -34,23 +32,21 @@ fn main() {
     println!("==== v0: naive guarded form ====\n");
     println!("{}", xdp_ir::pretty::program(&v0));
 
-    let loc = LocalizeBounds.run(&v0);
-    println!("==== compute-rule elimination (localize-bounds) ====");
-    for note in &loc.notes {
-        println!("  - {note}");
-    }
-    let fused = FuseLoops.run(&loc.program);
-    println!("==== loop fusion ====");
-    for note in &fused.notes {
-        println!("  - {note}");
-    }
-    let sunk = SinkAwait.run(&fused.program);
-    println!("==== await sinking ====");
-    for note in &sunk.notes {
-        println!("  - {note}");
+    // The §4 derivation, as the preset spells it.
+    let (derived, log) = PassManager::fft_pipeline().run(&v0);
+    for (pass, result) in &log {
+        let changed = if result.changed {
+            "changed"
+        } else {
+            "no change"
+        };
+        println!("==== {pass}: {changed} ====");
+        for note in &result.notes {
+            println!("  - {note}");
+        }
     }
     println!("\n==== derived optimized program ====\n");
-    println!("{}", xdp_ir::pretty::program(&sunk.program));
+    println!("{}", xdp_ir::pretty::program(&derived));
 
     // --- execute every stage with slow communication ----------------------
     println!("==== execution (alpha = 500, per-stage) ====\n");

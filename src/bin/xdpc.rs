@@ -347,7 +347,7 @@ fn cmd_place(args: &Args) -> Done {
         allow_cyclic: !args.has(cli::NO_CYCLIC),
         ..PlaceOptions::default()
     };
-    opts.max_dist_dims = args.num(cli::MAX_DIMS, opts.max_dist_dims)?;
+    opts.max_dist_dims = args.num_or(cli::MAX_DIMS, opts.max_dist_dims)?;
     let placed = xdp::place::optimize(&compiled.program, &opts)
         .map_err(|e| fail(format_args!("place: {e}")))?;
     let pm = &placed.placement;
@@ -449,8 +449,8 @@ fn compiled_for(args: &Args, seq: SeqMode) -> Result<Compiled, ExitCode> {
 /// to connect.
 fn sim_config(args: &Args, compiled: &Compiled) -> Result<MachineConfig, ExitCode> {
     let mut cfg = MachineConfig::new(compiled.nprocs);
-    cfg.cost.alpha = args.num(cli::ALPHA, cfg.cost.alpha)?;
-    cfg.cost.beta = args.num(cli::BETA, cfg.cost.beta)?;
+    cfg.cost.alpha = args.num_or(cli::ALPHA, cfg.cost.alpha)?;
+    cfg.cost.beta = args.num_or(cli::BETA, cfg.cost.beta)?;
     cfg.cost.mem_budget = compiled.mem_budget;
     let topo = args.read(cli::TOPO, |spec| {
         let topo = spec.parse::<Topology>().map_err(|e| format!(": {e}"))?;
@@ -534,14 +534,14 @@ fn cmd_run(args: &Args) -> Done {
 }
 
 /// `xdpc trace`: execute with full trace recording, export Chrome
-/// trace-event JSON (`--out`, default `trace.json`) and optionally JSONL
+/// trace-event JSON (`--out`) and optionally JSONL
 /// (`--jsonl`), then print the critical-path report. Fails (nonzero exit)
 /// if the run errors, an export cannot be written, or the analyzer cannot
 /// attribute the end-to-end time.
 fn cmd_trace(args: &Args) -> Done {
     let compiled = compiled_for(args, SeqMode::AsIs)?;
     let cfg = sim_config(args, &compiled)?.with_trace(TraceConfig::full());
-    let top = args.num(cli::TOP, 10usize)?;
+    let top: usize = args.num(cli::TOP)?;
     let nprocs = compiled.nprocs;
     // Statement labels for the per-statement cost ranking.
     let labels: std::collections::HashMap<u32, String> =
@@ -552,7 +552,7 @@ fn cmd_trace(args: &Args) -> Done {
     let write = |path: &str, text: String| {
         std::fs::write(path, text).map_err(|e| fail(format_args!("cannot write {path}: {e}")))
     };
-    let out_path = args.value(cli::OUT).unwrap_or("trace.json");
+    let out_path = args.path(cli::OUT);
     write(out_path, report.trace.to_chrome_json())?;
     if let Some(jsonl) = args.value(cli::JSONL) {
         write(jsonl, report.trace.to_jsonl())?;
@@ -591,7 +591,7 @@ fn cmd_trace(args: &Args) -> Done {
 fn cmd_fuzz(args: &Args) -> Done {
     use xdp_verify::fuzz::{run_fuzz, FuzzConfig};
 
-    let (count, seed) = (args.num(cli::COUNT, 200usize)?, args.num(cli::SEED, 1u64)?);
+    let (count, seed) = (args.num(cli::COUNT)?, args.num_or(cli::SEED, 1u64)?);
     let compile = cli::compile_options(args)?;
     let (procs, mem_budget) = (compile.procs.unwrap_or(4), compile.mem_budget);
     if procs < 2 {
@@ -601,11 +601,9 @@ fn cmd_fuzz(args: &Args) -> Done {
     // Absent means "derive a lossy plan from each program's seed".
     let faults = faults(args)?;
     let sim_only = args.has(cli::SIM_ONLY);
-    let repro_path = args.value(cli::REPRO).unwrap_or("fuzz-repro.xdp");
+    let repro_path = args.path(cli::REPRO);
 
     let cfg = FuzzConfig {
-        count,
-        seed,
         gen: xdp_verify::GenConfig {
             nprocs: procs,
             ..xdp_verify::GenConfig::default()
@@ -624,7 +622,7 @@ fn cmd_fuzz(args: &Args) -> Done {
             // stays on under --sim-only.
             mem_budget: mem_budget.or(Some(xdp_verify::DEFAULT_CHECK_BUDGET)),
         },
-        ..FuzzConfig::default()
+        ..FuzzConfig::new(count, seed)
     };
 
     // Divergence panics are caught and reported by the driver; keep the

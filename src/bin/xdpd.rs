@@ -52,8 +52,8 @@ fn cmd_run(args: &Args) -> Done {
     if let Some(f) = args.value(cli::FAULTS) {
         spec = spec.with_faults(f);
     }
-    let repeat: usize = args.num(cli::REPEAT, 3)?;
-    let workers: usize = args.num(cli::WORKERS, 2)?;
+    let repeat: usize = args.num(cli::REPEAT)?;
+    let workers: usize = args.num_or(cli::WORKERS, 2)?;
 
     let pool = ServePool::new(workers, 8);
     let specs = vec![spec; repeat.max(1)];
@@ -94,8 +94,10 @@ fn cmd_run(args: &Args) -> Done {
 }
 
 fn cmd_list(args: &Args) -> Done {
-    let mut cfg = ReplayConfig::new("xdp-programs");
-    cfg.gen_count = 0;
+    let mut cfg = ReplayConfig {
+        gen_count: 0,
+        ..ReplayConfig::default()
+    };
     cfg.apply_args(args)?;
     let corpus = load_corpus(&cfg).map_err(|e| {
         eprintln!("xdpd: error: {e}");
@@ -126,13 +128,15 @@ fn cmd_list(args: &Args) -> Done {
 }
 
 fn cmd_bench(args: &Args) -> Done {
-    let mut cfg = ReplayConfig::new("xdp-programs");
+    let mut cfg = ReplayConfig::default();
     cfg.apply_args(args)?;
-    cfg.flight_dir = args.value(cli::FLIGHT_DIR).map(PathBuf::from);
-    if let Some(ms) = args.num_opt::<u64>(cli::SLOW_MS)? {
-        cfg.slow_us = Some(ms.saturating_mul(1000));
-        cfg.flight_dir
-            .get_or_insert_with(|| PathBuf::from("flight-dumps"));
+    // Recording is on when asked for: a dump directory, or a slow trigger
+    // (which dumps into the default directory).
+    cfg.slow_us = args
+        .num_opt::<u64>(cli::SLOW_MS)?
+        .map(|ms| ms.saturating_mul(1000));
+    if args.has(cli::FLIGHT_DIR) || cfg.slow_us.is_some() {
+        cfg.flight_dir = Some(PathBuf::from(args.path(cli::FLIGHT_DIR)));
     }
 
     let (report, pool) = replay(&cfg).map_err(fail)?;
@@ -199,8 +203,12 @@ fn cmd_bench(args: &Args) -> Done {
 }
 
 fn cmd_stats(args: &Args) -> Done {
-    let mut cfg = ReplayConfig::new("xdp-programs");
-    (cfg.requests, cfg.workers, cfg.batch) = (120, 2, 32);
+    let mut cfg = ReplayConfig {
+        requests: 120,
+        workers: 2,
+        batch: 32,
+        ..ReplayConfig::default()
+    };
     cfg.apply_args(args)?;
     let json = args.read(cli::FORMAT, |format| match format {
         "prom" => Ok(false),

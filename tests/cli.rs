@@ -522,6 +522,34 @@ fn trace_writes_chrome_json_and_critical_path() {
 }
 
 #[test]
+fn a_default_is_declared_in_its_row_and_read_from_it() {
+    // `--help` renders the row's default, and the handler takes the same
+    // value when the option is absent.
+    let (help, stderr, code) = xdpc_code(&["trace", "--help"]);
+    assert_eq!(code, 0, "{stderr}");
+    let row = "\n  --out PATH         Chrome trace-event JSON output (default trace.json)\n";
+    assert!(help.contains(row), "{help}");
+    let dir = std::env::temp_dir().join("xdpc_default_out");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let program = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("xdp-programs/simple.xdp");
+    let out = Command::new(env!("CARGO_BIN_EXE_xdpc"))
+        .args(["trace", program.to_str().unwrap()])
+        .current_dir(&dir)
+        .output()
+        .expect("spawn xdpc");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(stdout.contains("wrote trace.json"), "{stdout}");
+    let json = std::fs::read_to_string(dir.join(cli::OUT.default)).unwrap();
+    assert!(json.trim_start().starts_with('{'), "{json}");
+}
+
+#[test]
 fn fuzz_smoke_passes_and_reports_oracles() {
     let (stdout, stderr, code) = xdpc_code(&["fuzz", "--count", "5", "--seed", "7"]);
     assert_eq!(code, 0, "{stdout}{stderr}");

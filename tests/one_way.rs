@@ -1,19 +1,21 @@
-//! The "one way to do each thing" rules of DESIGN §2.19–§2.21, as a
-//! source scan: the deleted thread-per-processor machine stays deleted,
+//! The "one way to do each thing" rules of DESIGN §2, as a source scan:
+//! (§2.4) the deleted thread-per-processor machine stays deleted,
 //! Figure 1's movement events are built only by `xdp_core::Recorder`, its
-//! transfer rules are written only in `xdp_core::transfer`, integer
+//! transfer rules are written only in `xdp_core::transfer`, and a machine
+//! has one description and (§2.12) one builder; (§2.1, §2.5) integer
 //! division has one definition and the compiler one evaluator, which
-//! decides ownership on sets (§2.1, §2.5), `benchmark/` is the only performance
-//! record, every binary the Makefile and CI invoke exists, (§2.22) the
-//! serve layer compiles in one function and `run_traced` renders the
-//! statement table at one place per pass boundary, (§2.23)
-//! `xdp-collectives` never moves a message, (§2.24) the command line
-//! is declared and read in `xdp_compiler::cli` alone, which every
-//! documented invocation parses against, and (§2.25) a machine has one
-//! description and one builder, with every name `benchmark/` imports
-//! still exported, (§2.9) a request is fully traced only for the
-//! flight recorder that reads the timeline, and (§2.1) the IR is walked in
-//! `xdp_ir::walk` alone.
+//! decides ownership on sets, and the IR is walked in `xdp_ir::walk`
+//! alone; (§2.16) `benchmark/` is the only performance record, every
+//! binary the Makefile and CI invoke exists, and every name `benchmark/`
+//! imports is still exported; (§2.13) the serve layer compiles in one
+//! function and (§2.9) `run_traced` renders the statement table at one
+//! place per pass boundary, and a request is fully traced only for the
+//! flight recorder that reads the timeline; (§2.8) `xdp-collectives` never
+//! moves a message; (§2.5) the command line is declared and read in
+//! `xdp_compiler::cli` alone, which every documented invocation parses
+//! against; and DESIGN.md describes the tree once — no per-PR section,
+//! no citation of a section it lacks — while CHANGES.md holds the history
+//! in short entries.
 
 use std::path::{Path, PathBuf};
 use xdp_compiler::cli::{self, Args};
@@ -489,19 +491,147 @@ fn benchmark_is_the_only_performance_record() {
         }
         let mut text = String::from_utf8_lossy(&std::fs::read(&path).unwrap()).into_owned();
         if name == "DESIGN.md" {
-            let at = text.find("### 2.21").expect("DESIGN has a section 2.21");
-            let len = text[at..].find("\n## ").expect("a section follows 2.21");
+            let at = text.find("### 2.16").expect("DESIGN has a section 2.16");
+            let len = text[at..].find("\n## ").expect("a section follows 2.16");
             text.replace_range(at..at + len, "");
         }
         let manifest = name == "Cargo.toml" || name == "Cargo.lock";
         for needle in everywhere.iter().chain(manifest.then_some(&in_manifests)) {
             assert!(
                 !text.contains(needle.as_str()),
-                "{}: names `{needle}`, a second performance record (DESIGN 2.21)",
+                "{}: names `{needle}`, a second performance record (DESIGN §2.16)",
                 path.display()
             );
         }
     }
+}
+
+/// The numbers DESIGN.md's headings carry: `## 3. …` is `3`, `### 2.16 …`
+/// is `2.16`.
+fn design_sections(design: &str) -> Vec<String> {
+    let headings = design.lines().filter(|l| l.starts_with('#'));
+    let numbers = headings.filter_map(|l| l.trim_start_matches('#').split_whitespace().next());
+    let numbers = numbers.map(|n| n.trim_end_matches('.').to_string());
+    numbers
+        .filter(|n| n.starts_with(|c: char| c.is_ascii_digit()))
+        .collect()
+}
+
+/// Every section `text` cites as `DESIGN §N.M`; a run such as
+/// `§2.1/§2.5`, `§2.1, §2.9` or `§2.1 and §2.5` after one `DESIGN` cites
+/// each. Lines are joined with their comment leaders dropped, so a
+/// citation broken over two lines of a comment still reads as one.
+fn design_citations(text: &str) -> Vec<String> {
+    let lines = text
+        .lines()
+        .map(|l| l.trim().trim_start_matches(['/', '!', '#']).trim());
+    let flat = lines.collect::<Vec<_>>().join(" ");
+    let mut cited = Vec::new();
+    for (at, word) in flat.match_indices("DESIGN") {
+        let mut rest = flat[at + word.len()..].trim_start();
+        while let Some(number) = rest.strip_prefix('§') {
+            let digits = number.as_bytes();
+            let mut len = 0;
+            while digits.get(len).is_some_and(u8::is_ascii_digit)
+                || (digits.get(len) == Some(&b'.')
+                    && digits.get(len + 1).is_some_and(u8::is_ascii_digit))
+            {
+                len += 1;
+            }
+            if len == 0 {
+                break;
+            }
+            cited.push(number[..len].to_string());
+            rest = number[len..].trim_start_matches([' ', '/', ',', '–']);
+            rest = rest.strip_prefix("and ").unwrap_or(rest).trim_start();
+        }
+    }
+    cited
+}
+
+#[test]
+fn design_describes_the_tree_once() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let read = |file: &str| std::fs::read_to_string(root.join(file)).unwrap();
+    // One description: DESIGN.md is the tree as it stands, one §2 section
+    // per crate, and the story of how it got there lives in CHANGES.md.
+    let design = read("DESIGN.md");
+    assert!(
+        design.len() <= 61_440,
+        "DESIGN.md is {} bytes",
+        design.len()
+    );
+    for heading in design.lines().filter(|l| l.starts_with('#')) {
+        let names_a_pr = heading.match_indices("PR").any(|(at, _)| {
+            let before = heading[..at].chars().next_back();
+            let after = heading[at + 2..].trim_start();
+            !before.is_some_and(char::is_alphanumeric)
+                && after.starts_with(|c: char| c.is_ascii_digit())
+        });
+        assert!(!names_a_pr, "DESIGN.md: a heading names a PR: {heading}");
+    }
+    let crates = std::fs::read_dir(root.join("crates")).unwrap();
+    let mut crates: Vec<String> = crates
+        .map(|e| format!("xdp-{}", e.unwrap().file_name().to_string_lossy()))
+        .collect();
+    crates.sort_unstable();
+    let inventory = design.lines().filter(|l| l.starts_with("### 2."));
+    let mut inventory: Vec<&str> = inventory
+        .filter_map(|h| h.split_whitespace().nth(2))
+        .collect();
+    inventory.sort_unstable();
+    assert_eq!(inventory, crates, "DESIGN §2 has one section per crate");
+    let changes = read("CHANGES.md");
+    let mut entries: Vec<String> = Vec::new();
+    for line in changes.lines() {
+        match entries.last_mut() {
+            Some(entry) if !line.starts_with("- ") => {
+                entry.push('\n');
+                entry.push_str(line);
+            }
+            _ => entries.push(line.to_string()),
+        }
+    }
+    assert!(
+        entries.len() > 20,
+        "CHANGES.md has {} entries",
+        entries.len()
+    );
+    for entry in &entries {
+        let head: String = entry.chars().take(40).collect();
+        assert!(
+            entry.len() <= 1_500,
+            "CHANGES.md: `{head}…` is {} bytes",
+            entry.len()
+        );
+    }
+
+    // Every citation of a DESIGN section names one it has.
+    let example = ["DESIGN §2.1/§2.5, §2.9 and", "\n//! §3; §4"].concat();
+    assert_eq!(design_citations(&example), ["2.1", "2.5", "2.9", "3"]);
+    let sections = design_sections(&design);
+    assert!(sections.contains(&"2.16".to_string()) && sections.contains(&"3".to_string()));
+    let docs = [
+        ".github/workflows/ci.yml",
+        "Makefile",
+        "README.md",
+        "docs/TUTORIAL.md",
+        "EXPERIMENTS.md",
+        "ROADMAP.md",
+        ".claude/skills/verify/SKILL.md",
+    ];
+    let mut checked = 0;
+    for path in sources().into_iter().chain(docs.map(|d| root.join(d))) {
+        for cited in design_citations(&std::fs::read_to_string(&path).unwrap()) {
+            assert!(
+                sections.contains(&cited),
+                "{}: cites §{cited} of DESIGN.md, which has no heading for it",
+                path.display()
+            );
+            checked += 1;
+        }
+    }
+    assert!(checked > 20, "the scan found only {checked} citations");
 }
 
 /// The `(crate, name)` pairs `text` reaches into the workspace for:
