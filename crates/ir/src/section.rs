@@ -81,18 +81,50 @@ impl Section {
     /// Dimension-wise intersection (the intersection of regular sections is
     /// regular).
     pub fn intersect(&self, other: &Section) -> Section {
-        assert_eq!(self.rank(), other.rank(), "rank mismatch in intersect");
+        let dims = self.meet(other);
         if self.is_empty() || other.is_empty() {
             return Section::new(self.dims.iter().map(|_| Triplet::EMPTY).collect());
         }
         Section {
-            dims: self
-                .dims
-                .iter()
-                .zip(&other.dims)
-                .map(|(a, b)| a.intersect(b))
-                .collect(),
+            dims: dims.collect(),
         }
+    }
+
+    /// The per-dimension intersections, lazily: what the queries below read
+    /// of [`Section::intersect`] without building it.
+    fn meet<'a>(&'a self, other: &'a Section) -> impl Iterator<Item = Triplet> + 'a {
+        assert_eq!(self.rank(), other.rank(), "rank mismatch in intersect");
+        self.dims
+            .iter()
+            .zip(&other.dims)
+            .map(|(a, b)| a.intersect(b))
+    }
+
+    /// `self.intersect(other).volume()`, computed on the triplets.
+    pub fn intersect_volume(&self, other: &Section) -> i64 {
+        let mut volume = 1;
+        for t in self.meet(other) {
+            if t.is_empty() {
+                return 0;
+            }
+            volume *= t.count();
+        }
+        volume
+    }
+
+    /// Dimension `d` of the intersection when it is non-empty —
+    /// `self.intersect(other).dim(d)` — and `None` when it is empty.
+    pub fn intersect_dim(&self, other: &Section, d: usize) -> Option<Triplet> {
+        let mut hit = None;
+        for (k, t) in self.meet(other).enumerate() {
+            if t.is_empty() {
+                return None;
+            }
+            if k == d {
+                hit = Some(t);
+            }
+        }
+        Some(hit.unwrap_or_else(|| panic!("dimension {d} of a rank-{} section", self.rank())))
     }
 
     /// Does `self` wholly contain `other`?
@@ -110,7 +142,7 @@ impl Section {
     /// union covers the query iff the intersection volumes sum to the query
     /// volume.)
     pub fn covered_by_disjoint(&self, parts: &[Section]) -> bool {
-        let total: i64 = parts.iter().map(|p| self.intersect(p).volume()).sum();
+        let total: i64 = parts.iter().map(|p| self.intersect_volume(p)).sum();
         total == self.volume()
     }
 
@@ -123,7 +155,7 @@ impl Section {
 
     /// True iff the two sections share at least one element.
     pub fn overlaps(&self, other: &Section) -> bool {
-        !self.intersect(other).is_empty()
+        self.meet(other).all(|t| !t.is_empty())
     }
 
     /// Iterate all elements in row-major (last dimension fastest) order.

@@ -16,11 +16,19 @@
 //!   `myub` return for an empty ownership, which reach a `Triplet` as a
 //!   subscript (ROADMAP item 4a).
 //!
+//! The symbol table asks its questions of a segment through `Section`'s
+//! allocation-free queries, each of which must answer what the section
+//! `intersect` builds would: `intersect_volume` its volume, `intersect_dim`
+//! its dimension when it is non-empty, `overlaps` whether it is non-empty.
+//! They are held to that on rank 0, on every rank-1 pair of a small grid,
+//! on rank-2 sections of empty, strided, incommensurate and sentinel
+//! triplets, and on the proptest's wide operands.
+//!
 //! The root package runs this file too (`tests/section_algebra.rs`), so
 //! tier-1 sees it.
 
 use proptest::prelude::*;
-use xdp_ir::Triplet;
+use xdp_ir::{Section, Triplet};
 
 const LO: i64 = -8;
 const HI: i64 = 8;
@@ -176,6 +184,101 @@ proptest! {
         prop_assert_eq!(a.covers(&b), r.count() == b.count(), "{}.covers({})", a, b);
         prop_assert_eq!(b.covers(&a), r.count() == a.count(), "{}.covers({})", b, a);
     }
+
+    #[test]
+    fn section_queries_read_the_wide_intersection(rows in operand_pair(), cols in operand_pair()) {
+        let a = Section::new(vec![rows.0, cols.0]);
+        let b = Section::new(vec![rows.1, cols.1]);
+        prop_assert_eq!(query_mismatch(&a, &b), None);
+    }
+}
+
+/// Where `a`'s allocation-free queries against `b` disagree with the
+/// section `a.intersect(b)` builds, in either operand order.
+fn query_mismatch(a: &Section, b: &Section) -> Option<String> {
+    for (x, y) in [(a, b), (b, a)] {
+        let built = x.intersect(y);
+        if x.intersect_volume(y) != built.volume() {
+            return Some(format!("{x}.intersect_volume({y}) vs {built}"));
+        }
+        if x.overlaps(y) == built.is_empty() {
+            return Some(format!("{x}.overlaps({y}) vs {built}"));
+        }
+        for d in 0..x.rank() {
+            let want = (!built.is_empty()).then(|| built.dim(d));
+            if x.intersect_dim(y, d) != want {
+                return Some(format!("{x}.intersect_dim({y}, {d}) vs {built}"));
+            }
+        }
+    }
+    None
+}
+
+#[test]
+fn section_queries_read_the_intersection() {
+    // Rank 0: the one scalar element always meets itself.
+    let scalar = Section::scalar();
+    assert_eq!(query_mismatch(&scalar, &scalar), None);
+    assert_eq!(scalar.intersect_volume(&scalar), 1);
+    assert!(scalar.overlaps(&scalar));
+
+    // Rank 1: every pair of a grid small enough to square.
+    let mut line = Vec::new();
+    for lb in -4..=4 {
+        for ub in -4..=4 {
+            for st in 1..=4 {
+                line.push(Section::new(vec![Triplet::new(lb, ub, st)]));
+            }
+        }
+    }
+    for a in &line {
+        for b in &line {
+            assert_eq!(query_mismatch(a, b), None);
+        }
+    }
+
+    // Rank 2: empty, dense, strided, incommensurate strides (2, 3, 4, 6)
+    // and the empty-ownership sentinels, in every pairing of dimensions.
+    // `1:i64::MAX` is left out here: beside a second dimension its volume
+    // leaves `i64`, for the built section as for the query.
+    const MAX: i64 = i64::MAX;
+    const MIN: i64 = i64::MIN;
+    let dims = [
+        Triplet::EMPTY,
+        Triplet::range(1, 10),
+        Triplet::new(1, 9, 2),
+        Triplet::new(2, 14, 3),
+        Triplet::new(3, 99, 4),
+        Triplet::new(-6, 12, 6),
+        Triplet::point(5),
+        Triplet::point(MAX),
+        Triplet::point(MIN),
+        Triplet::new(MIN, MIN + 10, 1),
+    ];
+    let mut plane = Vec::new();
+    for r in dims {
+        for c in dims {
+            plane.push(Section::new(vec![r, c]));
+        }
+    }
+    for a in &plane {
+        for b in &plane {
+            assert_eq!(query_mismatch(a, b), None);
+        }
+    }
+
+    // The sentinels' answers, literally.
+    let up = Section::new(vec![Triplet::range(1, MAX)]);
+    let row = Section::new(vec![Triplet::range(1, 10)]);
+    let top = Section::new(vec![Triplet::point(MAX)]);
+    assert_eq!(query_mismatch(&up, &row), None);
+    assert_eq!(query_mismatch(&up, &top), None);
+    assert_eq!(up.intersect_volume(&up), MAX);
+    assert_eq!(up.intersect_volume(&top), 1);
+    assert_eq!(row.intersect_volume(&top), 0);
+    assert_eq!(up.intersect_dim(&row, 0), Some(Triplet::range(1, 10)));
+    assert_eq!(row.intersect_dim(&top, 0), None);
+    assert!(!row.overlaps(&top) && up.overlaps(&top));
 }
 
 /// What the algebra answers on the empty-ownership sentinels. Every

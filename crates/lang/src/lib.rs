@@ -20,7 +20,9 @@
 //!
 //! Fortran-style `do ... enddo` loop bodies are accepted as well as braced
 //! ones, and `//` comments are skipped, so the paper's program fragments
-//! parse directly.
+//! parse directly. A program nests at most [`MAX_DEPTH`] levels deep;
+//! deeper input is a parse error rather than a tree no later walk can
+//! recurse through.
 
 //! ```
 //! let src = "real A[1:8] distribute (BLOCK) onto 2\n\nA[1:4] ->\n";
@@ -33,4 +35,4 @@ pub mod lexer;
 pub mod parser;
 
 pub use lexer::{lex, LexError, Token, TokenKind};
-pub use parser::{parse_program, ParseError};
+pub use parser::{parse_program, ParseError, MAX_DEPTH};

@@ -35,12 +35,24 @@ impl From<crate::lexer::LexError> for ParseError {
     }
 }
 
+/// How deep a program's tree may nest, counting one level for each block
+/// and each primary (so each parenthesis, unary operator and intrinsic
+/// argument nests one more), and one for each operator of a chain
+/// (`a + b + c` nests to the left). Every later walk of the tree recurses
+/// this deep, so the bound is what keeps them on the stack; the corpus and
+/// the generators stay under twenty.
+pub const MAX_DEPTH: usize = 256;
+
+/// How the error for a program past [`MAX_DEPTH`] begins.
+const TOO_DEEP: &str = "nested deeper than";
+
 /// Parse a whole program: declarations, then statements.
 pub fn parse_program(src: &str) -> Result<Program, ParseError> {
     let toks = lex(src)?;
     let mut p = Parser {
         toks,
         pos: 0,
+        depth: 0,
         program: Program::new(),
     };
     p.skip_newlines();
@@ -58,6 +70,8 @@ pub fn parse_program(src: &str) -> Result<Program, ParseError> {
 struct Parser {
     toks: Vec<Token>,
     pos: usize,
+    /// Levels of the tree around the node being parsed ([`MAX_DEPTH`]).
+    depth: usize,
     program: Program,
 }
 
@@ -84,6 +98,39 @@ impl Parser {
         Err(ParseError {
             line: self.line(),
             message: message.into(),
+        })
+    }
+
+    /// Enter one more level of the tree. A chain of operators enters one
+    /// per operator and restores `depth` when the chain ends.
+    fn deeper(&mut self) -> PResult<()> {
+        if self.depth == MAX_DEPTH {
+            return self.err(format!("{TOO_DEEP} {MAX_DEPTH} levels"));
+        }
+        self.depth += 1;
+        Ok(())
+    }
+
+    /// Parse with `parse` one level deeper into the tree.
+    fn nested<T>(&mut self, parse: impl FnOnce(&mut Self) -> PResult<T>) -> PResult<T> {
+        let at = self.depth;
+        self.deeper()?;
+        let out = parse(self)?;
+        self.depth = at;
+        Ok(out)
+    }
+
+    /// Try `parse`, rewinding to where it started when it fails. The
+    /// error comes back only if it was [`MAX_DEPTH`]'s: the caller reports
+    /// it should the other reading of the input fail as well.
+    fn attempt<T>(
+        &mut self,
+        parse: impl FnOnce(&mut Self) -> PResult<T>,
+    ) -> Result<T, Option<ParseError>> {
+        let (pos, depth) = (self.pos, self.depth);
+        parse(self).map_err(|e| {
+            (self.pos, self.depth) = (pos, depth);
+            e.message.starts_with(TOO_DEEP).then_some(e)
         })
     }
 
@@ -407,13 +454,15 @@ impl Parser {
     // ----- statements -----------------------------------------------------
 
     fn stmts_until(&mut self, end: &TokenKind) -> PResult<Vec<Stmt>> {
-        let mut out = Vec::new();
-        self.skip_newlines();
-        while self.peek() != end {
-            out.push(self.stmt()?);
-            self.skip_newlines();
-        }
-        Ok(out)
+        self.nested(|p| {
+            let mut out = Vec::new();
+            p.skip_newlines();
+            while p.peek() != end {
+                out.push(p.stmt()?);
+                p.skip_newlines();
+            }
+            Ok(out)
+        })
     }
 
     fn stmt(&mut self) -> PResult<Stmt> {
@@ -441,18 +490,26 @@ impl Parser {
             return Ok(Stmt::Redistribute { var, dist });
         }
         // Guarded statement: `<rule> : { ... }` — try with backtracking.
-        let save = self.pos;
-        if let Ok(rule) = self.bool_expr() {
-            if self.eat(&TokenKind::Colon) {
+        let rule = self.attempt(|p| {
+            let rule = p.bool_expr()?;
+            p.expect(&TokenKind::Colon)?;
+            Ok(rule)
+        });
+        match rule {
+            Ok(rule) => {
                 self.expect(&TokenKind::LBrace)?;
                 let body = self.stmts_until(&TokenKind::RBrace)?;
                 self.expect(&TokenKind::RBrace)?;
                 self.end_of_stmt()?;
-                return Ok(Stmt::Guarded { rule, body });
+                Ok(Stmt::Guarded { rule, body })
             }
+            Err(too_deep) => self.unguarded_stmt().map_err(|e| too_deep.unwrap_or(e)),
         }
-        self.pos = save;
+    }
 
+    /// A statement that is not a loop, a guard, a barrier or a
+    /// redistribution.
+    fn unguarded_stmt(&mut self) -> PResult<Stmt> {
         // Kernel call / scalar assign dispatch on a leading identifier.
         if let TokenKind::Ident(name) = self.peek().clone() {
             let next = &self.toks[self.pos + 1].kind;
@@ -568,17 +625,19 @@ impl Parser {
         } else {
             // Fortran style: statements until `enddo`.
             self.end_of_stmt()?;
-            let mut b = Vec::new();
-            self.skip_newlines();
-            while !self.peek_ident("enddo") {
-                if matches!(self.peek(), TokenKind::Eof) {
-                    return self.err("unterminated do-loop (missing `enddo`)");
+            self.nested(|p| {
+                let mut b = Vec::new();
+                p.skip_newlines();
+                while !p.peek_ident("enddo") {
+                    if matches!(p.peek(), TokenKind::Eof) {
+                        return p.err("unterminated do-loop (missing `enddo`)");
+                    }
+                    b.push(p.stmt()?);
+                    p.skip_newlines();
                 }
-                b.push(self.stmt()?);
-                self.skip_newlines();
-            }
-            self.bump(); // enddo
-            b
+                p.bump(); // enddo
+                Ok(b)
+            })?
         };
         self.end_of_stmt()?;
         Ok(Stmt::DoLoop {
@@ -668,6 +727,7 @@ impl Parser {
     }
 
     fn int_additive(&mut self) -> PResult<IntExpr> {
+        let at = self.depth;
         let mut lhs = self.int_multiplicative()?;
         loop {
             let op = match self.peek() {
@@ -676,13 +736,16 @@ impl Parser {
                 _ => break,
             };
             self.bump();
+            self.deeper()?;
             let rhs = self.int_multiplicative()?;
             lhs = IntExpr::Bin(op, Box::new(lhs), Box::new(rhs));
         }
+        self.depth = at;
         Ok(lhs)
     }
 
     fn int_multiplicative(&mut self) -> PResult<IntExpr> {
+        let at = self.depth;
         let mut lhs = self.int_primary()?;
         loop {
             let op = match self.peek() {
@@ -692,13 +755,20 @@ impl Parser {
                 _ => break,
             };
             self.bump();
+            self.deeper()?;
             let rhs = self.int_primary()?;
             lhs = IntExpr::Bin(op, Box::new(lhs), Box::new(rhs));
         }
+        self.depth = at;
         Ok(lhs)
     }
 
+    /// An integer primary, one level below what encloses it.
     fn int_primary(&mut self) -> PResult<IntExpr> {
+        self.nested(Self::int_atom)
+    }
+
+    fn int_atom(&mut self) -> PResult<IntExpr> {
         match self.peek().clone() {
             TokenKind::Int(v) => {
                 self.bump();
@@ -761,24 +831,35 @@ impl Parser {
     // ----- compute rules ------------------------------------------------------
 
     fn bool_expr(&mut self) -> PResult<BoolExpr> {
+        let at = self.depth;
         let mut lhs = self.bool_and()?;
         while self.eat(&TokenKind::OrOr) {
+            self.deeper()?;
             let rhs = self.bool_and()?;
             lhs = BoolExpr::Or(Box::new(lhs), Box::new(rhs));
         }
+        self.depth = at;
         Ok(lhs)
     }
 
     fn bool_and(&mut self) -> PResult<BoolExpr> {
+        let at = self.depth;
         let mut lhs = self.bool_atom()?;
         while self.eat(&TokenKind::AndAnd) {
+            self.deeper()?;
             let rhs = self.bool_atom()?;
             lhs = BoolExpr::And(Box::new(lhs), Box::new(rhs));
         }
+        self.depth = at;
         Ok(lhs)
     }
 
+    /// A rule atom, one level below what encloses it.
     fn bool_atom(&mut self) -> PResult<BoolExpr> {
+        self.nested(Self::bool_term)
+    }
+
+    fn bool_term(&mut self) -> PResult<BoolExpr> {
         match self.peek().clone() {
             TokenKind::Bang => {
                 self.bump();
@@ -806,15 +887,13 @@ impl Parser {
             TokenKind::LParen => {
                 // Either a parenthesized rule or a parenthesized integer
                 // expression beginning a comparison — backtrack to decide.
-                let save = self.pos;
-                self.bump();
-                if let Ok(inner) = self.bool_expr() {
-                    if self.eat(&TokenKind::RParen) {
-                        return Ok(inner);
-                    }
-                }
-                self.pos = save;
-                self.comparison()
+                let inner = self.attempt(|p| {
+                    p.bump();
+                    let inner = p.bool_expr()?;
+                    p.expect(&TokenKind::RParen)?;
+                    Ok(inner)
+                });
+                inner.or_else(|too_deep| self.comparison().map_err(|e| too_deep.unwrap_or(e)))
             }
             _ => self.comparison(),
         }
@@ -844,6 +923,7 @@ impl Parser {
     // ----- element expressions -------------------------------------------------
 
     fn elem_expr(&mut self) -> PResult<ElemExpr> {
+        let at = self.depth;
         let mut lhs = self.elem_multiplicative()?;
         loop {
             let op = match self.peek() {
@@ -852,13 +932,16 @@ impl Parser {
                 _ => break,
             };
             self.bump();
+            self.deeper()?;
             let rhs = self.elem_multiplicative()?;
             lhs = ElemExpr::Bin(op, Box::new(lhs), Box::new(rhs));
         }
+        self.depth = at;
         Ok(lhs)
     }
 
     fn elem_multiplicative(&mut self) -> PResult<ElemExpr> {
+        let at = self.depth;
         let mut lhs = self.elem_primary()?;
         loop {
             let op = match self.peek() {
@@ -867,13 +950,20 @@ impl Parser {
                 _ => break,
             };
             self.bump();
+            self.deeper()?;
             let rhs = self.elem_primary()?;
             lhs = ElemExpr::Bin(op, Box::new(lhs), Box::new(rhs));
         }
+        self.depth = at;
         Ok(lhs)
     }
 
+    /// An element primary, one level below what encloses it.
     fn elem_primary(&mut self) -> PResult<ElemExpr> {
+        self.nested(Self::elem_atom)
+    }
+
+    fn elem_atom(&mut self) -> PResult<ElemExpr> {
         match self.peek().clone() {
             TokenKind::Float(v) => {
                 self.bump();
@@ -1123,6 +1213,46 @@ do k = 1, 4 {
         );
         let e3 = parse_program("real A distribute (BLOCK) onto\n").unwrap_err();
         assert!(e3.line == 1, "{e3}");
+    }
+
+    /// The depth bound counts a statement's block, each primary, each
+    /// operator of a chain and each nested block, in every kind of
+    /// expression, and a backtracking alternative does not hide it.
+    #[test]
+    fn nesting_past_max_depth_is_a_parse_error() {
+        let decl = "real A[1:4] distribute (BLOCK) onto 4\n";
+        // A statement and its first primary take two levels.
+        let room = MAX_DEPTH - 2;
+        let deep = |n: usize| -> [String; 5] {
+            [
+                format!("{decl}A[1] = 1.0{}\n", " + 1.0".repeat(n)),
+                format!("{decl}A[1] = {}1.0{}\n", "(".repeat(n), ")".repeat(n)),
+                format!("{decl}A[{}1] = 1.0\n", "-".repeat(n)),
+                format!(
+                    "{decl}{} : {{ barrier }}\n",
+                    vec!["true"; n + 1].join(" && ")
+                ),
+                format!("{decl}{}A[1] = 1.0\n", "true : {\n".repeat(n)) + &"}\n".repeat(n),
+            ]
+        };
+        for (shape, (fits, over)) in deep(room).iter().zip(&deep(room + 1)).enumerate() {
+            if let Err(e) = parse_program(fits) {
+                panic!("shape {shape} at the bound: {e}");
+            }
+            let e = parse_program(over).unwrap_err();
+            assert_eq!(e.message, "nested deeper than 256 levels", "shape {shape}");
+        }
+        // Inside the rule a guarded statement first tries, then abandons.
+        let rule = format!(
+            "{decl}{}1 < 2{} : {{ barrier }}\n",
+            "(".repeat(300),
+            ")".repeat(300)
+        );
+        let e = parse_program(&rule).unwrap_err();
+        assert_eq!(
+            (e.line, e.message.as_str()),
+            (2, "nested deeper than 256 levels")
+        );
     }
 
     #[test]

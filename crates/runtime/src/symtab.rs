@@ -265,8 +265,8 @@ impl RtSymbolTable {
         let mut scanned = 0u64;
         for seg in &entry.segments {
             scanned += 1;
-            let isec = seg.section.intersect(sec);
-            if isec.is_empty() {
+            let shared = seg.section.intersect_volume(sec);
+            if shared == 0 {
                 continue;
             }
             if !seg.status.is_owned() {
@@ -275,7 +275,7 @@ impl RtSymbolTable {
             if seg.status == SegStatus::Transitional {
                 transitional = true;
             }
-            covered += isec.volume();
+            covered += shared;
         }
         let state = if covered != sec.volume() {
             SecState::Unowned
@@ -298,9 +298,8 @@ impl RtSymbolTable {
                 .segments
                 .iter()
                 .filter(|s| s.status.is_owned())
-                .map(|s| s.section.intersect(sec))
-                .filter(|i| !i.is_empty())
-                .map(|i| i.dim(dim).lb)
+                .filter_map(|s| s.section.intersect_dim(sec, dim))
+                .map(|t| t.lb)
                 .min()
                 .unwrap_or(i64::MAX),
         }
@@ -317,9 +316,8 @@ impl RtSymbolTable {
                 .segments
                 .iter()
                 .filter(|s| s.status.is_owned())
-                .map(|s| s.section.intersect(sec))
-                .filter(|i| !i.is_empty())
-                .map(|i| i.dim(dim).ub)
+                .filter_map(|s| s.section.intersect_dim(sec, dim))
+                .map(|t| t.ub)
                 .max()
                 .unwrap_or(i64::MIN),
         }
@@ -492,7 +490,7 @@ impl RtSymbolTable {
                 entry.segments[i].status = SegStatus::Accessible;
             }
         }
-        if !self.write_section(var, sec, payload) {
+        if !self.write_section_from(var, sec, payload) {
             return Err(SymtabError::NotOwned {
                 var,
                 sec: sec.clone(),
@@ -591,21 +589,22 @@ impl RtSymbolTable {
             SecState::Accessible => {}
         }
         // Every intersecting segment must be wholly inside the section.
-        {
-            let entry = self.entry(var).ok_or(SymtabError::NotExclusive(var))?;
-            for seg in &entry.segments {
-                if seg.status.is_owned() && seg.section.overlaps(sec) && !sec.covers(&seg.section) {
-                    return Err(SymtabError::NotSegmentAligned {
-                        var,
-                        sec: sec.clone(),
-                    });
-                }
+        let entry = self.entry(var).ok_or(SymtabError::NotExclusive(var))?;
+        for seg in &entry.segments {
+            if seg.status.is_owned() && seg.section.overlaps(sec) && !sec.covers(&seg.section) {
+                return Err(SymtabError::NotSegmentAligned {
+                    var,
+                    sec: sec.clone(),
+                });
             }
         }
-        let data = self.read_section(var, sec).ok_or(SymtabError::NotOwned {
-            var,
-            sec: sec.clone(),
-        })?;
+        let mut data = Buffer::zeros(entry.elem, sec.volume() as usize);
+        if !self.read_section_into(var, sec, &mut data) {
+            return Err(SymtabError::NotOwned {
+                var,
+                sec: sec.clone(),
+            });
+        }
         let entry = self.entry_mut(var)?;
         let mut freed = 0;
         for seg in &mut entry.segments {
@@ -1010,6 +1009,110 @@ mod tests {
         let mut out = Buffer::zeros(ElemType::I64, 1);
         assert!(!t.read_section_into(VarId(1), &q, &mut out));
         assert!(!t.write_section_from(VarId(1), &q, &out));
+
+        // An ownership send gathers, and a value receive scatters, through
+        // the pair above: what each returns, its error, and the table it
+        // leaves must be the per-element path's. A's columns on P1, and
+        // B's strided columns on P3 (segments of two every other column).
+        let cases = [
+            (1, VarId(0), sec(&[(1, 4, 1), (3, 3, 1)])), // two segments
+            (1, VarId(0), sec(&[(1, 4, 1), (3, 4, 1)])), // all four
+            (1, VarId(0), sec(&[(1, 2, 1), (4, 4, 1)])), // one segment
+            (1, VarId(0), sec(&[(1, 3, 2), (3, 3, 1)])), // strided, splits two
+            (1, VarId(0), sec(&[(1, 4, 1), (2, 4, 1)])), // partly unowned
+            (1, VarId(0), sec(&[(2, 1, 1), (3, 3, 1)])), // empty
+            (3, VarId(2), sec(&[(9, 16, 1), (2, 8, 2)])), // strided, four
+            (3, VarId(2), sec(&[(9, 12, 1), (2, 16, 2)])), // strided, four
+            (3, VarId(2), sec(&[(9, 12, 1), (6, 10, 2)])), // strided, splits two
+            (3, VarId(2), sec(&[(9, 12, 1), (1, 16, 1)])), // partly unowned
+        ];
+        let seeded = |pid: usize, var: VarId| {
+            let mut t = RtSymbolTable::build(pid, &decls());
+            t.init_owned(var, |idx| Value::F64((idx[0] * 100 + idx[1]) as f64));
+            t
+        };
+        for (pid, var, q) in &cases {
+            let mut t = seeded(*pid, *var);
+            let mut slow = t.clone();
+            assert_eq!(
+                t.remove_ownership(*var, q),
+                remove_ownership_per_element(&mut slow, *var, q),
+                "remove_ownership({q}) on p{pid}"
+            );
+            assert_eq!(format!("{t:?}"), format!("{slow:?}"), "after sending {q}");
+
+            let mut t = seeded(*pid, *var);
+            let touched = t.begin_value_recv(*var, q).unwrap_or_default();
+            for len in [q.volume() as usize, q.volume() as usize + 1] {
+                let mut ramp = Buffer::zeros(ElemType::F64, len);
+                for i in 0..len {
+                    ramp.set(i, Value::F64(0.5 + i as f64));
+                }
+                let (mut fast, mut slow) = (t.clone(), t.clone());
+                assert_eq!(
+                    fast.complete_value_recv(*var, q, &touched, &ramp),
+                    complete_value_recv_per_element(&mut slow, *var, q, &touched, &ramp),
+                    "complete_value_recv({q}) of {len} on p{pid}"
+                );
+                assert_eq!(
+                    format!("{fast:?}"),
+                    format!("{slow:?}"),
+                    "after receiving {q}"
+                );
+            }
+        }
+    }
+
+    /// [`RtSymbolTable::remove_ownership`] with the per-element gather.
+    fn remove_ownership_per_element(
+        t: &mut RtSymbolTable,
+        var: VarId,
+        sec: &Section,
+    ) -> Result<Buffer, SymtabError> {
+        let sec = sec.clone();
+        match t.state_of(var, &sec) {
+            SecState::Unowned => return Err(SymtabError::NotOwned { var, sec }),
+            SecState::Transitional => return Err(SymtabError::NotAccessible { var, sec }),
+            SecState::Accessible => {}
+        }
+        let sends = |s: &SegmentDesc| s.status.is_owned() && s.section.overlaps(&sec);
+        let segments = &mut t.entry_mut(var)?.segments;
+        if segments.iter().any(|s| sends(s) && !sec.covers(&s.section)) {
+            return Err(SymtabError::NotSegmentAligned { var, sec });
+        }
+        let Some(data) = t.read_section(var, &sec) else {
+            return Err(SymtabError::NotOwned { var, sec });
+        };
+        let segments = &mut t.entry_mut(var)?.segments;
+        let freed = segments
+            .iter_mut()
+            .filter(|s| sends(s))
+            .map(|s| s.release())
+            .sum();
+        t.stats.free(freed);
+        Ok(data)
+    }
+
+    /// [`RtSymbolTable::complete_value_recv`] with the per-element scatter.
+    fn complete_value_recv_per_element(
+        t: &mut RtSymbolTable,
+        var: VarId,
+        sec: &Section,
+        touched: &[usize],
+        payload: &Buffer,
+    ) -> Result<(), SymtabError> {
+        let sec = sec.clone();
+        if payload.len() as i64 != sec.volume() {
+            let payload = payload.len();
+            return Err(SymtabError::SizeMismatch { var, sec, payload });
+        }
+        for &i in touched {
+            t.entry_mut(var)?.segments[i].status = SegStatus::Accessible;
+        }
+        match t.write_section(var, &sec, payload) {
+            true => Ok(()),
+            false => Err(SymtabError::NotOwned { var, sec }),
+        }
     }
 
     /// The fast path must coerce element types exactly like `Buffer::set`

@@ -400,6 +400,58 @@ fn a_machine_of_zero_processors_is_a_compile_error() {
 }
 
 #[test]
+fn a_program_nested_too_deep_is_a_parse_error_not_a_stack_overflow() {
+    // 20 000 nested parentheses overflowed the parser's stack, and a flat
+    // chain of 200 000 additions, which the parser builds without
+    // recursing, overflowed the walks after it: both aborted (exit 134).
+    // The parser bounds the depth of the tree it builds.
+    let decl = "real A[1:4] distribute (BLOCK) onto 4\n";
+    let parens = format!(
+        "{decl}A[1] = {}1.0{}\n",
+        "(".repeat(20_000),
+        ")".repeat(20_000)
+    );
+    let chain = format!("{decl}A[1] = 1.0{}\n", " + 1.0".repeat(199_999));
+    let said = "parse error at line 2: nested deeper than 256 levels";
+    let dir = std::env::temp_dir().join("xdpc_test");
+    std::fs::create_dir_all(&dir).unwrap();
+    for (file, source, cmd) in [
+        ("deep_parens.xdp", &parens, "check"),
+        ("deep_chain.xdp", &chain, "run"),
+    ] {
+        let path = dir.join(file);
+        std::fs::write(&path, source).unwrap();
+        let path = path.to_str().unwrap();
+        let (stdout, stderr, code) = xdpc_code(&[cmd, path]);
+        assert_eq!(
+            (code, stdout.as_str()),
+            (1, ""),
+            "xdpc {cmd} {file}: {stderr}"
+        );
+        assert_eq!(
+            stderr,
+            format!("xdpc: {path}: {said}\n"),
+            "xdpc {cmd} {file}"
+        );
+        let (_, stderr, code) = xdpd_code(&["run", path]);
+        assert_eq!(code, 1, "xdpd run {file}: {stderr}");
+        assert_eq!(stderr, format!("xdpd: error: compile: parse: {said}\n"));
+    }
+    // In a pool, each is a compile error, and the workers that answered
+    // them go on to serve the next request.
+    let simple = std::fs::read_to_string("xdp-programs/simple.xdp").unwrap();
+    let specs = [parens, chain, simple].map(xdp_serve::RequestSpec::new);
+    let results = xdp_serve::ServePool::new(2, 8).run_batch(&specs);
+    for result in &results[..2] {
+        match result {
+            Err(xdp_serve::ServeError::Compile(e)) => assert!(e.to_string().ends_with(said), "{e}"),
+            other => panic!("want a compile error, got {other:?}"),
+        }
+    }
+    assert!(results[2].is_ok(), "{:?}", results[2]);
+}
+
+#[test]
 fn a_malformed_numeric_flag_is_one_line_and_exit_2() {
     // These used to fall back to the default silently and exit 0.
     let simple = "xdp-programs/simple.xdp";

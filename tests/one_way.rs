@@ -5,7 +5,7 @@
 //! has one description and (§2.12) one builder; (§2.1, §2.5) integer
 //! division has one definition and the compiler one evaluator, which
 //! decides ownership on sets, and the IR is walked in `xdp_ir::walk`
-//! alone; (§2.16) `benchmark/` is the only performance record, every
+//! alone; (§2.2) a symbol-table query builds no section; (§2.16) `benchmark/` is the only performance record, every
 //! binary the Makefile and CI invoke exists, and every name `benchmark/`
 //! imports is still exported; (§2.13) the serve layer compiles in one
 //! function and (§2.9) `run_traced` renders the statement table at one
@@ -321,6 +321,27 @@ fn the_compiler_decides_ownership_on_sets_with_one_evaluator() {
         }
     }
     assert_eq!(evaluators, [("affine_in".to_string(), true)]);
+}
+
+#[test]
+fn a_symbol_table_query_builds_no_section() {
+    // DESIGN §2.2: §3.1 answers a query by intersecting it with every
+    // segment, and the table asks that of the triplets (`intersect_volume`,
+    // `intersect_dim`, `overlaps`) without building a `Section` per segment
+    // scanned. Only `visit_owned`, which copies each segment's share of an
+    // array once per gather, takes an intersection whole.
+    let symtab = Path::new(env!("CARGO_MANIFEST_DIR")).join("crates/runtime/src/symtab.rs");
+    let code = code_of(&symtab);
+    let builders: Vec<&str> = code
+        .match_indices(".intersect(")
+        .map(|(at, _)| enclosing_fn(&code, at))
+        .filter(|f| *f != "visit_owned")
+        .collect();
+    assert!(
+        builders.is_empty(),
+        "symtab.rs builds a section per segment in {builders:?}: ask the triplets \
+         (Section::intersect_volume / intersect_dim / overlaps)"
+    );
 }
 
 #[test]
