@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain cargo underneath.
 
-.PHONY: all test benchmark-smoke compile-scale layer-rows src-lines experiments examples lint doc clean e10 e11 e12 e13 e14 e15 e16 e17 fuzz serve stats
+.PHONY: all test benchmark-smoke compile-scale layer-rows src-lines experiments examples lint doc clean fuzz serve stats
 
 all: test
 
@@ -78,70 +78,11 @@ src-lines:
 	  done; printf '%-12s %6d\n' $$(basename $$c) $$n; done
 	@wc -c DESIGN.md CHANGES.md EXPERIMENTS.md
 
-# Regenerate every figure/experiment table (EXPERIMENTS.md sources).
+# Every figure/experiment table (EXPERIMENTS.md sources), each asserted:
+# the paper's claims are the tests of tests/paper_claims.rs (DESIGN §3),
+# E15 and E17 included. One of them: append `--exact e8` after `--`.
 experiments:
-	@for b in fig1_conformance fig2_symtab fig3_segments fig4_fft3d \
-	          e1_simple e2_segsize e3_rulecost e4_loadbal e5_binding \
-	          e6_crossover e7_topology e8_collectives e9_critical_path \
-	          e10_autoplace e11_chaos; do \
-	    echo "==== $$b ===="; \
-	    cargo run -q --release -p xdp-bench --bin $$b; \
-	done
-	@echo "==== e12_fuzz ===="
-	@cargo run -q --release -p xdp-verify --bin e12_fuzz
-	@echo "==== xdpd bench (E13) ===="
-	@cargo run -q --release --bin xdpd -- bench
-	@echo "==== e14_metrics ===="
-	@cargo run -q --release -p xdp-serve --bin e14_metrics
-	@echo "==== e15_vm ===="
-	@cargo run -q --release -p xdp-verify --bin e15_vm
-	@echo "==== e16_scale ===="
-	@cargo run -q --release -p xdp-verify --bin e16_scale
-	@echo "==== e17_membound ===="
-	@cargo run -q --release -p xdp-verify --bin e17_membound
-
-# The automatic-placement experiment on its own (EXPERIMENTS.md E10).
-e10:
-	cargo run -q --release -p xdp-bench --bin e10_autoplace
-
-# The chaos-conformance experiment on its own (EXPERIMENTS.md E11).
-e11:
-	cargo run -q --release -p xdp-bench --bin e11_chaos
-
-# The differential-fuzzing experiment on its own (EXPERIMENTS.md E12).
-e12:
-	cargo run -q --release -p xdp-verify --bin e12_fuzz
-
-# The serving load replay on its own (EXPERIMENTS.md E13): fails on a
-# serving-contract violation, records nothing.
-e13:
-	cargo run -q --release --bin xdpd -- bench
-
-# Telemetry validation on its own (EXPERIMENTS.md E14): histogram vs
-# oracle, latency decomposition, flight recorder, exposition.
-e14:
-	cargo run -q --release -p xdp-serve --bin e14_metrics
-
-# The VM speedup + conformance experiment on its own (EXPERIMENTS.md
-# E15): asserts the >=10x floor on local compute and fingerprint
-# identity with the interpreter.
-e15:
-	cargo run -q --release -p xdp-verify --bin e15_vm
-
-# The scale experiment on its own (EXPERIMENTS.md E16): the async
-# machine at P=4096 fingerprint-identical to the simulator, and the
-# tiered-topology collectives crossover moving under 100x cluster-link
-# asymmetry.
-e16:
-	cargo run -q --release -p xdp-verify --bin e16_scale
-
-# The memory-bounded redistribution experiment on its own
-# (EXPERIMENTS.md E17): the transpose Pareto frontier at P=64-1024,
-# measured high-water marks under budgets on the interpreter and VM,
-# and the membound.xdp dynamic-slice chain leg. Writes the frontier
-# sweep to membound-pareto.json.
-e17:
-	cargo run -q --release -p xdp-verify --bin e17_membound
+	cargo test --release --test paper_claims -- --include-ignored --nocapture --test-threads 1
 
 # A longer differential fuzz sweep via the CLI (CI runs --count 200).
 fuzz:

@@ -19,11 +19,10 @@
 //! FFT the per-phase predicted costs are compared against a traced
 //! critical-path decomposition of the simulated run.
 
+use crate::table::{j, Table};
 use std::collections::HashMap;
 use std::sync::Arc;
 use xdp_apps::{fft3d, halo2d, matvec, workloads};
-use xdp_bench::table::j;
-use xdp_bench::Table;
 use xdp_core::{AsyncExec, KernelRegistry, Machine, MachineConfig, SimExec, TraceConfig};
 use xdp_ir::{DimDist, Distribution, ProcGrid, Program};
 use xdp_place::{candidates, search, Costs, DimNeed, Phase, PhaseGraph, Shift};
@@ -49,12 +48,12 @@ fn check(app: &str, runs: &[Run], t: &mut Table) {
     let worst = hand.iter().map(|r| r.time).fold(0.0, f64::max);
     assert!(
         auto.time <= worst * 1.0001,
-        "{app}: auto {:.1} worse than worst hand variant {worst:.1}",
+        "E10: {app}: auto {:.1} worse than worst hand variant {worst:.1}",
         auto.time
     );
     assert!(
         auto.time <= best * SLACK,
-        "{app}: auto {:.1} not within {SLACK}x of best {best:.1}",
+        "E10: {app}: auto {:.1} not within {SLACK}x of best {best:.1}",
         auto.time
     );
     for r in runs {
@@ -94,7 +93,8 @@ fn run_fft(cfg: fft3d::Fft3dConfig, program: Program, vars: fft3d::Fft3dVars) ->
     (r.virtual_time, r.net.messages)
 }
 
-fn fft_section(t: &mut Table) {
+/// The fft3d rows of `t`, and the per-phase predicted-vs-simulated table.
+fn fft_section(t: &mut Table) -> Table {
     let n = 16;
     let cfg = fft3d::Fft3dConfig::new(n, P);
     let lin = ProcGrid::linear(P);
@@ -166,11 +166,11 @@ fn fft_section(t: &mut Table) {
         let sim_t = simulated(&format!("phase-{i}")) + if i > 0 { simulated("move") } else { 0.0 };
         // The model is a ranking device, not a clock: demand the right
         // order of magnitude, not agreement.
-        assert!(sim_t > 0.0, "phase {i} never on the critical path");
+        assert!(sim_t > 0.0, "E10: phase {i} never on the critical path");
         let ratio = ch.total() / sim_t;
         assert!(
             (0.05..=20.0).contains(&ratio),
-            "phase {i}: predicted {:.1} vs simulated {sim_t:.1}",
+            "E10: phase {i}: predicted {:.1} vs simulated {sim_t:.1}",
             ch.total()
         );
         pt.row(&[
@@ -180,11 +180,11 @@ fn fft_section(t: &mut Table) {
             j::f(sim_t),
         ]);
     }
-    pt.print();
 
     // Real concurrency: the auto stage must also be correct on the task
     // machine.
     fft3d::run_stage_tasks(cfg, fft3d::Stage::V6Auto, SEED).expect("task-machine auto fft");
+    pt
 }
 
 // --- jacobi2d --------------------------------------------------------------
@@ -250,7 +250,8 @@ fn jacobi_sim(p: Arc<Program>) -> SimExec {
     SimExec::new(p, KernelRegistry::standard(), MachineConfig::new(P))
 }
 
-fn jacobi_section(t: &mut Table) {
+/// The jacobi2d rows of `t`; returns what the search chose.
+fn jacobi_section(t: &mut Table) -> String {
     // Score the placement-neutral phase graph; realize the winner with
     // the matching hand emitter (slab distributions only — the two
     // builders are the realizable placements).
@@ -264,14 +265,18 @@ fn jacobi_section(t: &mut Table) {
     );
     let out = search::search(&graph, &rowp, &all, &legal, &costs);
     let chosen = &out.choices[0].dist;
-    println!(
-        "jacobi2d {JN}x{JM}: auto chose {chosen} (predicted {:.1}, {} candidates)\n",
+    let said = format!(
+        "jacobi2d {JN}x{JM}: auto chose {chosen} (predicted {:.1}, {} candidates)\n\n",
         out.total_predicted, out.candidates_considered
     );
     let auto_build: JacobiBuild = if chosen.dims()[0] == DimDist::Block {
         halo2d::build_jacobi2d
     } else {
-        assert_eq!(chosen.dims()[1], DimDist::Block, "slab placement expected");
+        assert_eq!(
+            chosen.dims()[1],
+            DimDist::Block,
+            "E10: slab placement expected"
+        );
         halo2d::build_jacobi2d_cols
     };
 
@@ -301,6 +306,7 @@ fn jacobi_section(t: &mut Table) {
     run_jacobi(auto_build, |p| {
         AsyncExec::new(p, KernelRegistry::standard(), MachineConfig::new(P))
     });
+    said
 }
 
 // --- matvec ----------------------------------------------------------------
@@ -384,14 +390,19 @@ fn matvec_section(t: &mut Table) {
     });
 }
 
-fn main() {
+/// On every app the executed auto placement is no worse than the worst
+/// hand variant and within 1.15× of the best, and the FFT's per-phase
+/// prediction is within 20× of the simulated phase either way.
+pub fn e10() -> Vec<Table> {
     let mut t = Table::new(
         "E10: automatic placement vs hand variants (SimExec virtual us)",
         &["app", "variant", "kind", "predicted", "time", "msgs"],
     );
-    fft_section(&mut t);
-    jacobi_section(&mut t);
+    let mut phases = fft_section(&mut t);
+    phases.note(&jacobi_section(&mut t));
     matvec_section(&mut t);
-    t.print();
-    println!("E10 OK: auto within {SLACK}x of best hand variant on all apps");
+    t.note(&format!(
+        "E10 OK: auto within {SLACK}x of best hand variant on all apps\n"
+    ));
+    vec![phases, t]
 }

@@ -1,15 +1,10 @@
 //! E4 — ownership-based load balancing (§2.6/§2.7): the self-scheduling
 //! task farm vs static block assignment across skew and machine size.
-//!
-//! Expected shape: at zero skew both are ideal; as skew grows, the static
-//! assignment's worst block dominates while the farm tracks the ideal
-//! makespan bound; the advantage grows with processor count.
 
+use crate::table::{j, Table};
 use std::sync::Arc;
 use xdp_apps::farm::{build_farm, build_static, FarmConfig};
 use xdp_apps::workloads;
-use xdp_bench::table::j;
-use xdp_bench::Table;
 use xdp_core::{ExecReport, MachineConfig, SimExec};
 use xdp_ir::{Program, VarId};
 use xdp_runtime::Value;
@@ -20,7 +15,18 @@ fn run(p: Program, w: VarId, costs: &[u64], np: usize) -> ExecReport {
     exec.run().expect("run")
 }
 
-fn main() {
+/// Static and farm virtual times for one cost vector.
+fn static_and_farm(cfg: FarmConfig, costs: &[u64]) -> (f64, f64) {
+    let (ps, vs) = build_static(cfg);
+    let (pf, vf) = build_farm(cfg);
+    let stat = run(ps, vs.w, costs, cfg.nprocs).virtual_time;
+    (stat, run(pf, vf.w, costs, cfg.nprocs).virtual_time)
+}
+
+/// At zero skew both assignments are within 0.02 % of the ideal makespan;
+/// at every positive skew, and in either task order, the farm beats
+/// static blocks.
+pub fn e4() -> Vec<Table> {
     let scale = 50i64;
     let mut t = Table::new(
         "E4: task farm vs static blocks (virtual time)",
@@ -44,34 +50,44 @@ fn main() {
                 nprocs: np,
                 scale,
             };
-            let (pf, vf) = build_farm(cfg);
-            let farm = run(pf, vf.w, &costs, np);
-            let (ps, vs) = build_static(cfg);
-            let stat = run(ps, vs.w, &costs, np);
+            let (stat, farm) = static_and_farm(cfg, &costs);
             let ideal = workloads::ideal_makespan(&costs, np) as f64 * scale as f64 * 0.1;
+            let cell = format!("P={np} skew={skew}");
+            if skew == 0.0 {
+                for (name, time) in [("static", stat), ("farm", farm)] {
+                    let off = (time / ideal - 1.0).abs();
+                    assert!(
+                        off <= 2e-4,
+                        "E4: {cell}: {name} {time} is {off:.2e} off ideal {ideal}"
+                    );
+                }
+            } else {
+                assert!(
+                    farm < stat,
+                    "E4: {cell}: farm {farm} not below static {stat}"
+                );
+            }
             t.row(&[
                 j::i(np as i64),
                 j::i(tasks as i64),
                 j::f(skew),
-                j::f(stat.virtual_time),
-                j::f(farm.virtual_time),
+                j::f(stat),
+                j::f(farm),
                 j::f(ideal),
-                j::s(&format!("{:.2}x", stat.virtual_time / farm.virtual_time)),
-                j::s(&format!("{:.2}", farm.virtual_time / ideal)),
+                j::s(&format!("{:.2}x", stat / farm)),
+                j::s(&format!("{:.2}", farm / ideal)),
             ]);
         }
     }
-    t.print();
 
-    // Shuffled costs: static improves, the farm still tracks ideal.
+    // Shuffled costs: static improves, the farm still wins.
     let mut t2 = Table::new(
         "E4b: shuffled task order (P=4, 32 tasks, skew 1.5)",
         &["order", "static", "farm"],
     );
-    let np = 4;
     let cfg = FarmConfig {
         tasks: 32,
-        nprocs: np,
+        nprocs: 4,
         scale,
     };
     for (label, costs) in [
@@ -81,15 +97,12 @@ fn main() {
             workloads::shuffled(workloads::zipf_costs(32, 200_000, 1.5), 11),
         ),
     ] {
-        let (pf, vf) = build_farm(cfg);
-        let farm = run(pf, vf.w, &costs, np);
-        let (ps, vs) = build_static(cfg);
-        let stat = run(ps, vs.w, &costs, np);
-        t2.row(&[
-            j::s(label),
-            j::f(stat.virtual_time),
-            j::f(farm.virtual_time),
-        ]);
+        let (stat, farm) = static_and_farm(cfg, &costs);
+        assert!(
+            farm < stat,
+            "E4b: {label}: farm {farm} not below static {stat}"
+        );
+        t2.row(&[j::s(label), j::f(stat), j::f(farm)]);
     }
-    t2.print();
+    vec![t, t2]
 }

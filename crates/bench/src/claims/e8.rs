@@ -25,9 +25,8 @@
 //!    price and the unsynchronized lowering is recorded, not asserted
 //!    away. The crossover table below is reproduced in EXPERIMENTS.md.
 
+use crate::table::{j, Table};
 use std::sync::Arc;
-use xdp_bench::table::j;
-use xdp_bench::Table;
 use xdp_collectives::{plan, redistribution_pieces, Strategy};
 use xdp_compiler::passes::{LowerRedistribute, Pass};
 use xdp_core::{KernelRegistry, MachineConfig, SimExec};
@@ -116,16 +115,24 @@ fn run(p: &Program, a: VarId, cost: CostModel, topo: Topology) -> (Vec<f64>, f64
     (vals, r.virtual_time, r.net.messages)
 }
 
-fn main() {
+/// The planned remap is bit-identical to the per-element nest with fewer
+/// messages and less time on every machine; the engine sends what the
+/// lowerable schedule counts; the planner stages on distance-sensitive
+/// nets at α = 3000 and goes direct on a uniform one at α = 1; the
+/// critical path attributes every microsecond.
+pub fn e8() -> Vec<Table> {
     let (naive, na) = naive_program();
     let (planned, pa) = planned_program();
 
     // The compiler's LowerRedistribute pass performs the same rewrite.
     let lowered = LowerRedistribute.run(&naive);
-    assert!(lowered.changed, "pass must recognize the migration nest");
+    assert!(
+        lowered.changed,
+        "E8: the pass must recognize the migration nest"
+    );
     assert!(
         matches!(lowered.program.body[..], [Stmt::Redistribute { .. }]),
-        "nest collapses to one statement"
+        "E8: the nest collapses to one statement"
     );
 
     let mut t1 = Table::new(
@@ -146,14 +153,15 @@ fn main() {
         };
         let (v_naive, t_naive, m_naive) = run(&naive, na, cost, topo.clone());
         let (v_plan, t_plan, m_plan) = run(&planned, pa, cost, topo);
-        assert_eq!(v_naive, v_plan, "final contents must be bit-identical");
+        let cell = format!("alpha={alpha} {tname}");
+        assert_eq!(v_naive, v_plan, "E8a: {cell}: final contents differ");
         assert!(
             m_plan < m_naive,
-            "planned must vectorize: {m_plan} vs {m_naive}"
+            "E8a: {cell}: planned sent {m_plan} messages, naive {m_naive}"
         );
         assert!(
             t_plan < t_naive,
-            "planned must be faster on {tname}: {t_plan} vs {t_naive}"
+            "E8a: {cell}: planned took {t_plan}, naive {t_naive}"
         );
         t1.row(&[
             j::f(alpha),
@@ -172,19 +180,17 @@ fn main() {
             j::s(&format!("{:.2}x", t_naive / t_plan)),
         ]);
     }
-    t1.print();
-    println!();
 
     // ---- schedule level: direct vs staged crossover ----------------------
     let bounds = [Triplet::range(1, N)];
     let (src, dst) = dists();
     let pieces = redistribution_pieces(&bounds, &src, &dst);
-    println!(
-        "pieces: {} ({} moving), {} elements\n",
+    t1.note(&format!(
+        "\npieces: {} ({} moving), {} elements\n\n",
         pieces.len(),
         pieces.iter().filter(|pc| pc.src != pc.dst).count(),
         pieces.iter().map(|pc| pc.sec.volume()).sum::<i64>()
-    );
+    ));
 
     let topos: [(&str, Topology); 3] = [
         ("uniform", Topology::Uniform),
@@ -227,7 +233,11 @@ fn main() {
             // message count must agree.
             let low = plan(VarId(0), &bounds, 8, &src, &dst, &cost, topo, true);
             let (_, engine, msgs) = run(&planned, pa, cost, topo.clone());
-            assert_eq!(msgs, low.schedule.message_count() as u64);
+            assert_eq!(
+                msgs,
+                low.schedule.message_count() as u64,
+                "E8b: alpha={alpha} {name}: the engine's count is not the schedule's"
+            );
             t2.row(&[
                 j::f(alpha),
                 j::s(name),
@@ -241,7 +251,6 @@ fn main() {
             ]);
         }
     }
-    t2.print();
 
     // The acceptance shape: distance-sensitive nets at high alpha stage.
     for topo in [Topology::Mesh2D { rows: 2, cols: 4 }, Topology::Linear] {
@@ -252,7 +261,11 @@ fn main() {
             ..CostModel::default_1993()
         };
         let pl = plan(VarId(0), &bounds, 8, &src, &dst, &cost, &topo, false);
-        assert_eq!(pl.strategy, Strategy::StagedBruck, "{topo:?} at alpha=3000");
+        assert_eq!(
+            pl.strategy,
+            Strategy::StagedBruck,
+            "E8b: {topo:?} at alpha=3000"
+        );
     }
     let low = CostModel {
         alpha: 1.0,
@@ -270,7 +283,11 @@ fn main() {
         &Topology::Uniform,
         false,
     );
-    assert_eq!(pl.strategy, Strategy::DirectPairwise, "uniform at alpha=1");
+    assert_eq!(
+        pl.strategy,
+        Strategy::DirectPairwise,
+        "E8b: uniform at alpha=1"
+    );
 
     // ---- trace level: where the end-to-end time actually goes ------------
     // The message counts above say the planned form moves less; the
@@ -292,9 +309,8 @@ fn main() {
             j::u(cp.hops as u64),
         ]);
     }
-    t3.print();
-
-    println!("\nall E8 assertions passed");
+    t3.note("\nall E8 assertions passed\n");
+    vec![t1, t2, t3]
 }
 
 /// Run with full tracing and return the critical-path report; the
@@ -314,7 +330,7 @@ fn critical_path_of(p: &Program, a: VarId) -> xdp_core::CriticalPathReport {
     let cp = r.trace.critical_path(&labels);
     assert!(
         (cp.attributed() - r.virtual_time).abs() <= 1e-6 * r.virtual_time,
-        "analyzer attributed {:.3} of {:.3}",
+        "E8c: analyzer attributed {:.3} of {:.3}",
         cp.attributed(),
         r.virtual_time
     );

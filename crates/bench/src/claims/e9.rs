@@ -6,17 +6,13 @@
 //! wire, or wait — per stage, then per IR statement for the first and
 //! last stages. The analyzer must account for 100% of the virtual time
 //! (checked below); the per-statement ranking is the "top movement costs"
-//! table cited in EXPERIMENTS.md E9.
-//!
-//! Expected shape: v0's path is dominated by wait (serialized per-element
-//! rendezvous); the derivation first converts wait into overlapped wire
-//! time, then (v5, planned redistribution) collapses wire time by
-//! vectorizing the transpose into one message per processor pair.
+//! table cited in EXPERIMENTS.md E9. Under these rendezvous costs v0's
+//! path is all compute; v5's is led by its planned transpose, one
+//! vectorized message per processor pair.
 
+use crate::table::{j, Table};
 use std::collections::HashMap;
 use xdp_apps::fft3d::{build, run_program, Fft3dConfig, Stage};
-use xdp_bench::table::j;
-use xdp_bench::Table;
 use xdp_core::{CriticalPathReport, MachineConfig, TraceConfig};
 use xdp_ir::pretty;
 use xdp_machine::CostModel;
@@ -42,7 +38,7 @@ fn analyze(stage: Stage) -> CriticalPathReport {
     let vt = report.virtual_time;
     assert!(
         (cp.attributed() - vt).abs() <= 1e-6 * vt,
-        "{}: analyzer attributed {:.3} of {:.3}",
+        "E9: {}: analyzer attributed {:.3} of {:.3}",
         stage.label(),
         cp.attributed(),
         vt
@@ -50,7 +46,9 @@ fn analyze(stage: Stage) -> CriticalPathReport {
     cp
 }
 
-fn main() {
+/// The analyzer attributes 100 % of every stage's virtual time, and v5's
+/// costliest statement on the path is its planned transpose.
+pub fn e9() -> Vec<Table> {
     let mut t = Table::new(
         "E9: critical-path decomposition, 3-D FFT n=8 P=4 (virtual us)",
         &["stage", "total", "compute", "wire", "wait", "hops"],
@@ -70,13 +68,16 @@ fn main() {
             detail.push((stage.label(), cp));
         }
     }
-    t.print();
+    let top = &detail[1].1.by_stmt[0].key;
+    assert!(
+        top.contains("redistribute"),
+        "E9: v5's costliest statement on the path is `{top}`, not its transpose"
+    );
 
     // Before/after per-statement attribution: where the time went in the
     // naive program, and where it goes once the derivation is complete.
     for (label, cp) in detail {
-        println!("-- {label} --");
-        print!("{}", cp.render(5));
-        println!();
+        t.note(&format!("-- {label} --\n{}\n", cp.render(5)));
     }
+    vec![t]
 }

@@ -3,13 +3,15 @@
 //! `(BLOCK,CYCLIC)` over a 2x2 processor grid, with the paper's segment
 //! shapes `(2,1)` and `(4,2)`.
 
-use xdp_bench::table::j;
-use xdp_bench::Table;
+use crate::table::{j, Table};
+use std::fmt::Write;
 use xdp_ir::build as b;
 use xdp_ir::{DimDist, ElemType, ProcGrid};
 use xdp_runtime::RtSymbolTable;
 
-fn main() {
+/// Figure 2's counts: A has 4 segments of shape (2,1) and B 8 of shape
+/// (4,2), on every processor.
+pub fn f2() -> Vec<Table> {
     let decls = vec![
         b::array_seg(
             "A",
@@ -52,6 +54,13 @@ fn main() {
                 .iter()
                 .map(|x| x.to_string())
                 .collect();
+            let seg = format!("({})", seg.join(","));
+            let claimed = match e.name.as_str() {
+                "A" => ("(2,1)", 4),
+                _ => ("(4,2)", 8),
+            };
+            let got = (seg.as_str(), e.owned_segment_count());
+            assert_eq!(got, claimed, "F2: P{pid}'s {} segments", e.name);
             t.row(&[
                 j::i(pid as i64),
                 j::i(e.var.index() as i64 + 1),
@@ -59,32 +68,25 @@ fn main() {
                 j::i(e.rank as i64),
                 j::s(&format!("({})", shape.join(","))),
                 j::s(&e.partitioning.to_string()),
-                j::s(&format!("({})", seg.join(","))),
+                j::s(&seg),
                 j::i(e.owned_segment_count() as i64),
             ]);
         }
     }
-    t.print();
 
-    // The paper's figure: A has 4 segments of shape (2,1); B has 8 of
-    // shape (4,2) — verify and show P3's descriptors as the run-time
-    // (shaded) fields.
-    let st3 = RtSymbolTable::build(3, &decls);
-    for e in st3.entries() {
-        match e.name.as_str() {
-            "A" => assert_eq!(e.owned_segment_count(), 4),
-            "B" => assert_eq!(e.owned_segment_count(), 8),
-            _ => {}
-        }
-    }
-    println!("P3 segment descriptors (the run-time-maintained fields):");
-    for e in st3.entries() {
+    // P3's descriptors: the run-time (shaded) fields of the figure.
+    let mut note = String::from("P3 segment descriptors (the run-time-maintained fields):\n");
+    for e in RtSymbolTable::build(3, &decls).entries() {
         for (i, seg) in e.segments.iter().enumerate() {
-            println!(
+            writeln!(
+                note,
                 "  {}.segdesc[{i}]: status={:?} lbound/ubound/stride={}",
                 e.name, seg.status, seg.section
-            );
+            )
+            .unwrap();
         }
     }
-    println!("\ncounts match Figure 2: A -> 4 segments (2,1); B -> 8 segments (4,2)");
+    note.push_str("\ncounts match Figure 2: A -> 4 segments (2,1); B -> 8 segments (4,2)\n");
+    t.note(&note);
+    vec![t]
 }

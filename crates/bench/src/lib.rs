@@ -1,14 +1,15 @@
-//! # xdp-bench — the experiment harness
+//! # xdp-bench — the paper's claims
 //!
-//! One binary per figure/experiment in DESIGN.md's index (`cargo run -p
-//! xdp-bench --bin <id>`). The binaries assert behaviour and record
+//! [`claims`] holds Figures 1–4 and experiments E1–E11 of DESIGN.md's
+//! index, one function each: it builds its tables, asserts what the paper
+//! claims of them (a violated claim panics naming the claim and the cell)
+//! and returns the tables. Each is one `#[test]` of the root
+//! `tests/paper_claims.rs`. [`conformance`] is Figure 1's rule suite and
+//! [`Table`] the one table printer. The claims assert behaviour and record
 //! nothing; host speed is measured by `benchmark/` alone.
-//! Binaries print human-readable tables; when `XDP_JSON` is set (see
-//! [`table::json_enabled`] for the exact rule) they also emit one JSON
-//! object per row on stdout for machine consumption, each stamped with
-//! `xdp_json_version`.
 
+pub mod claims;
 pub mod conformance;
 pub mod table;
 
-pub use table::{json_enabled, Table, JSON_SCHEMA_VERSION};
+pub use table::Table;

@@ -1,70 +1,49 @@
-//! Aligned-table printing with optional JSON-lines emission.
+//! Aligned-table printing.
 
-use serde_json::{Map, Value as Json};
+use serde_json::Value as Json;
 
-/// Version stamped into every JSON row as `xdp_json_version`, so
-/// downstream collectors can detect schema changes.
-pub const JSON_SCHEMA_VERSION: u64 = 1;
-
-/// Is JSON-lines emission enabled? **This is the single definition of the
-/// `XDP_JSON` contract**: any non-empty value other than `0` enables it
-/// (`XDP_JSON=1`, `XDP_JSON=yes`, ...); unset, empty, or `0` disables it.
-/// README, TUTORIAL, and EXPERIMENTS all defer to this rule.
-pub fn json_enabled() -> bool {
-    std::env::var("XDP_JSON").is_ok_and(|v| !v.is_empty() && v != "0")
-}
-
-/// A simple result table: add rows of (column, value) pairs; printing
-/// aligns columns and, when [`json_enabled`], emits each row as a JSON
-/// object.
+/// A simple result table: add rows of cells, then render them aligned,
+/// followed by an optional note.
 pub struct Table {
     title: String,
     columns: Vec<String>,
     rows: Vec<Vec<String>>,
-    json_rows: Vec<Map<String, Json>>,
+    note: String,
 }
 
 impl Table {
-    /// A table with the given title and column headers.
+    /// A table with the given title and column headers. A table without
+    /// columns renders as its title and its note alone.
     pub fn new(title: &str, columns: &[&str]) -> Table {
         Table {
             title: title.to_string(),
             columns: columns.iter().map(|s| s.to_string()).collect(),
             rows: Vec::new(),
-            json_rows: Vec::new(),
+            note: String::new(),
         }
     }
 
-    /// Append a row; values must match the column count.
+    /// Append a row; values must match the column count. Floats print
+    /// with one decimal, everything else as written.
     pub fn row(&mut self, values: &[Json]) {
         assert_eq!(values.len(), self.columns.len(), "row arity mismatch");
-        let mut obj = Map::new();
-        let mut cells = Vec::with_capacity(values.len());
-        for (c, v) in self.columns.iter().zip(values) {
-            obj.insert(c.clone(), v.clone());
-            cells.push(match v {
-                Json::Number(n) => {
-                    if let Some(f) = n.as_f64() {
-                        if n.is_f64() {
-                            format!("{f:.1}")
-                        } else {
-                            n.to_string()
-                        }
-                    } else {
-                        n.to_string()
-                    }
-                }
-                Json::String(s) => s.clone(),
-                other => other.to_string(),
-            });
-        }
-        self.rows.push(cells);
-        self.json_rows.push(obj);
+        let cells = values.iter().map(|v| match v {
+            Json::Number(n) if n.is_f64() => format!("{:.1}", n.as_f64().unwrap()),
+            Json::String(s) => s.clone(),
+            other => other.to_string(),
+        });
+        self.rows.push(cells.collect());
     }
 
-    /// The aligned table as a string (title, header, rows, trailing blank
-    /// line) — the one formatter shared by the experiment binaries and the
-    /// `xdpc plan`/`xdpc place` reports, which route it through their own
+    /// Append `text` to what is printed after the rows: what the table
+    /// shows, in words.
+    pub fn note(&mut self, text: &str) {
+        self.note.push_str(text);
+    }
+
+    /// The aligned table as a string (title, header, rows, a blank line,
+    /// then the note) — the one formatter shared by the paper-claim tests
+    /// and the `xdpc`/`xdpd` reports, which route it through their own
     /// broken-pipe-safe writers.
     pub fn render(&self) -> String {
         use std::fmt::Write;
@@ -76,53 +55,27 @@ impl Table {
                 *w = (*w).max(cell.len());
             }
         }
-        let header: Vec<String> = self
-            .columns
-            .iter()
-            .zip(&widths)
-            .map(|(c, w)| format!("{c:>w$}"))
-            .collect();
-        writeln!(out, "{}", header.join("  ")).unwrap();
-        for row in &self.rows {
-            let line: Vec<String> = row
+        let lines = (!self.columns.is_empty()).then_some(&self.columns);
+        for line in lines.into_iter().chain(&self.rows) {
+            let cells: Vec<String> = line
                 .iter()
                 .zip(&widths)
                 .map(|(c, w)| format!("{c:>w$}"))
                 .collect();
-            writeln!(out, "{}", line.join("  ")).unwrap();
+            writeln!(out, "{}", cells.join("  ")).unwrap();
         }
         out.push('\n');
+        out.push_str(&self.note);
         out
     }
 
-    /// The JSON-lines form of the rows (one string per row), regardless of
-    /// whether [`json_enabled`] — callers gate emission themselves.
-    pub fn json_lines(&self) -> Vec<String> {
-        self.json_rows
-            .iter()
-            .enumerate()
-            .map(|(i, obj)| {
-                let mut o = obj.clone();
-                o.insert("experiment".into(), Json::String(self.title.clone()));
-                o.insert("row".into(), Json::from(i));
-                o.insert("xdp_json_version".into(), Json::from(JSON_SCHEMA_VERSION));
-                Json::Object(o).to_string()
-            })
-            .collect()
-    }
-
-    /// Print the aligned table (and JSON lines when [`json_enabled`]).
+    /// Print the rendered table.
     pub fn print(&self) {
         print!("{}", self.render());
-        if json_enabled() {
-            for line in self.json_lines() {
-                println!("{line}");
-            }
-        }
     }
 }
 
-/// Shorthand JSON constructors used by the experiment binaries.
+/// Shorthand JSON constructors for table cells.
 pub mod j {
     use serde_json::Value as Json;
 
@@ -181,23 +134,14 @@ mod tests {
     }
 
     #[test]
-    fn json_lines_stamp_experiment_row_and_version() {
-        let mut t = Table::new("exp-name", &["k"]);
+    fn a_note_follows_the_rows_and_a_table_without_columns_is_its_note() {
+        let mut t = Table::new("t", &["k"]);
         t.row(&[j::i(1)]);
-        t.row(&[j::i(2)]);
-        let lines = t.json_lines();
-        assert_eq!(lines.len(), 2);
-        for (i, line) in lines.iter().enumerate() {
-            let v: serde_json::Value = serde_json::from_str(line).unwrap();
-            assert_eq!(v.get("experiment").unwrap().as_str(), Some("exp-name"));
-            assert_eq!(v.get("row").unwrap().as_u64(), Some(i as u64));
-            assert_eq!(
-                v.get("xdp_json_version").unwrap().as_u64(),
-                Some(JSON_SCHEMA_VERSION),
-                "{line}"
-            );
-            assert_eq!(v.get("k").unwrap().as_u64(), Some(i as u64 + 1));
-        }
+        t.note("reading\n");
+        assert_eq!(t.render(), "== t ==\nk\n1\n\nreading\n");
+        let mut bare = Table::new("bare", &[]);
+        bare.note("text\n");
+        assert_eq!(bare.render(), "== bare ==\n\ntext\n");
     }
 
     #[test]
@@ -206,18 +150,5 @@ mod tests {
         assert_eq!(j::i(-3).as_i64(), Some(-3));
         assert_eq!(j::u(3).as_u64(), Some(3));
         assert_eq!(j::f(0.5).as_f64(), Some(0.5));
-    }
-
-    // All env cases in one test: the process environment is shared, so
-    // splitting these across tests would race under the parallel runner.
-    #[test]
-    fn json_enabled_accepts_any_nonempty_value_except_zero() {
-        std::env::remove_var("XDP_JSON");
-        assert!(!json_enabled());
-        for (val, want) in [("", false), ("0", false), ("1", true), ("yes", true)] {
-            std::env::set_var("XDP_JSON", val);
-            assert_eq!(json_enabled(), want, "XDP_JSON={val:?}");
-        }
-        std::env::remove_var("XDP_JSON");
     }
 }

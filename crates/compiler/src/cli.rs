@@ -1,9 +1,8 @@
-//! The command line of `xdpc`, `xdpd` and the two experiment binaries that
-//! take options (`e14_metrics`, `e17_membound`), declared once.
+//! The command line of `xdpc` and `xdpd`, declared once.
 //!
 //! Every option is one [`Opt`] constant (spelling, value metavariable,
 //! help text) and every command one [`Command`] row naming the options it
-//! takes. [`Args::parse`] checks an argv against a row before any handler
+//! takes. [`Tool::parse`] checks an argv against a row before any handler
 //! runs: an unknown option, an option given twice, a valued option with no
 //! value (or with another `--option` where its value should be), a stray
 //! or missing operand are each one `tool: …` line on stderr and exit code
@@ -100,16 +99,15 @@ options! {
     SIM_ONLY "--sim-only" "" "skip the wall-clock (async) executor and chaos oracles"
     REPEAT "--repeat" "N" = "3" "requests to serve; the first compiles, the rest hit the cache"
     WORKERS "--workers" "N" "pool worker threads (default: run and stats 2, bench 4)"
-    REQUESTS "--requests" "N" "requests to replay (default: bench 1000, stats 120, e14_metrics 400)"
-    BATCH "--batch" "N" "requests per batch (default: bench 64, stats and e14_metrics 32)"
+    REQUESTS "--requests" "N" "requests to replay (default: bench 1000, stats 120)"
+    BATCH "--batch" "N" "requests per batch (default: bench 64, stats 32)"
     CAPACITY "--capacity" "N" "compile-cache capacity in programs (default 64)"
-    GEN "--gen" "N" "generated programs added to the corpus (default: bench and stats 6, e14_metrics 4, list 0)"
+    GEN "--gen" "N" "generated programs added to the corpus (default: bench and stats 6, list 0)"
     PROGRAMS "--programs" "DIR" = "xdp-programs" "directory of .xdp sources"
     METRICS_OUT "--metrics-out" "FILE" "write the pool's full metrics snapshot as JSON"
     SLOW_MS "--slow-ms" "N" "arm the flight recorder: dump any request slower than N ms"
     FLIGHT_DIR "--flight-dir" "DIR" = "flight-dumps" "flight-recorder dump directory"
     FORMAT "--format" "F" = "prom" "exposition format: prom or json"
-    PARETO_OUT "--pareto-out" "FILE" = "membound-pareto.json" "where the frontier sweep is written"
 }
 
 /// What [`compile_options`] reads, less `--backend` (only commands that
@@ -154,22 +152,6 @@ pub const XDPD: Tool = Tool {
             [REPLAY, &[METRICS_OUT, SLOW_MS, FLIGHT_DIR]]
         "stats" "" "serve a short replay and print the pool's telemetry" [REPLAY, &[FORMAT]]
     },
-};
-
-/// `e14_metrics` has no subcommands: one row, parsed under its own name.
-pub const E14_METRICS: Command = Command {
-    name: "",
-    operand: "",
-    summary: "E14: validate the serving telemetry against oracles",
-    opts: &[REPLAY, &[METRICS_OUT, FLIGHT_DIR]],
-};
-
-/// `e17_membound`, likewise.
-pub const E17_MEMBOUND: Command = Command {
-    name: "",
-    operand: "",
-    summary: "E17: memory-bounded redistribution, planned and measured",
-    opts: &[&[PARETO_OUT]],
 };
 
 impl Command {
@@ -218,7 +200,7 @@ impl Tool {
     }
 
     /// Parse a whole command line (without the program name): find the
-    /// command, then [`Args::parse`] the rest against it. No command or an
+    /// command, then `Args::parse` the rest against it. No command or an
     /// unknown one is a usage error (exit 2).
     pub fn parse(&'static self, argv: &[String]) -> Result<Args, ExitCode> {
         let name = argv.first().map(String::as_str);
@@ -257,7 +239,7 @@ impl Args {
     /// Check `argv` (what follows the command name) against `command`.
     /// `Err` carries the exit code of an outcome already reported: 2 after
     /// the one-line refusal, 0 after `--help`.
-    pub fn parse(
+    fn parse(
         tool: &'static str,
         command: &'static Command,
         argv: &[String],

@@ -1,7 +1,7 @@
 //! The end-to-end compile pipeline: parse → lower → optimize → place.
 //!
 //! Every consumer of the compiler used to assemble this sequence by hand —
-//! each `xdpc` subcommand, the experiment binaries, and now the `xdpd`
+//! each `xdpc` subcommand, the experiments, and now the `xdpd`
 //! serving daemon all need "source text in, runnable program out". This
 //! module is the one assembly: [`compile`] takes source text and a
 //! [`CompileOptions`] and returns a [`Compiled`] program together with the

@@ -22,14 +22,14 @@
 //!   ([`xdp_verify::Fingerprint`] equality, asserted by the conformance
 //!   tests);
 //! * [`replay`] — the seeded load-replay driver behind `xdpd bench`
-//!   (experiment E13), `xdpd stats` and `e14_metrics` (latency
-//!   percentiles, throughput, hit rate, warm-recompile check, the
-//!   serving contract);
+//!   (experiment E13), `xdpd stats` and E14 (latency percentiles,
+//!   throughput, hit rate, warm-recompile check, the serving contract);
 //! * [`metrics_view`] — the pool's telemetry: pre-registered
 //!   [`xdp_metrics`] handles for the request path (latency decomposition,
 //!   cache counters, queue depth) plus folds of every run's network and
 //!   fault totals and every compile's per-pass provenance. An optional
-//!   flight recorder dumps recent-request rings on errors or slow runs.
+//!   flight recorder dumps recent-request rings on errors or slow runs;
+//! * [`claims`] — experiment E14, the telemetry checked against oracles.
 //!
 //! ```
 //! use xdp_serve::{RequestSpec, ServePool};
@@ -47,6 +47,7 @@
 //! ```
 
 pub mod cache;
+pub mod claims;
 pub mod metrics_view;
 pub mod pool;
 pub mod registry;

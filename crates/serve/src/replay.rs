@@ -1,5 +1,4 @@
-//! The load-replay driver behind `xdpd bench`, `xdpd stats` and
-//! `e14_metrics`.
+//! The load-replay driver behind `xdpd bench`, `xdpd stats` and E14.
 //!
 //! Replay builds a request corpus — every `.xdp` program in a directory
 //! (plain and optimized variants), plus `xdp_verify`-generated programs
@@ -15,15 +14,16 @@
 //! `xdp_request_latency_us` histogram — the bench path and the live
 //! `xdpd stats` path share one implementation, so a bench percentile and
 //! an operator-facing percentile can never drift apart. The raw latency
-//! vector is still carried on the report: `e14_metrics` uses it as the
-//! sorted-vector oracle the histogram is checked against.
+//! vector is still carried on the report: E14 uses it as the sorted-vector
+//! oracle the histogram is checked against.
 //!
-//! The serving contract the binaries enforce lives here too
+//! The serving contract lives here too
 //! ([`ReplayReport::contract_violations`]): no errors, one compile per
 //! distinct requested program, a warm hit rate, and zero warm
-//! recompiles. `xdpd bench` (experiment E13) exits nonzero on any
-//! violation. A replay asserts and prints; it records nothing — host
-//! speed is measured by `benchmark/` alone.
+//! recompiles. `xdpd bench` exits nonzero on any violation, and E13's
+//! test asserts there is none; both print [`ReplayReport::tables`]. A
+//! replay asserts and prints; it records nothing — host speed is measured
+//! by `benchmark/` alone.
 
 use crate::cache::CacheStats;
 use crate::pool::ServePool;
@@ -34,6 +34,7 @@ use rand_chacha::ChaCha8Rng;
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Instant;
+use xdp_bench::table::{j, Table};
 use xdp_compiler::cli::{self, Args};
 use xdp_compiler::{Backend, CompileOptions, SeqMode};
 use xdp_metrics::{FlightConfig, HistSnapshot};
@@ -201,6 +202,53 @@ impl ReplayReport {
             ));
         }
         v
+    }
+
+    /// The summary table and the per-program table, as `xdpd bench`
+    /// prints them.
+    pub fn tables(&self) -> Vec<Table> {
+        let mut t = Table::new(
+            "xdpd-bench",
+            &[
+                "requests",
+                "backend",
+                "distinct",
+                "errors",
+                "runs_per_sec",
+                "p50_us",
+                "p99_us",
+                "hit_rate",
+                "compiles",
+                "warm_recompiles",
+                "flight_dumps",
+            ],
+        );
+        t.row(&[
+            j::u(self.requests as u64),
+            j::s(self.backend.as_str()),
+            j::u(self.distinct as u64),
+            j::u(self.errors as u64),
+            j::f(self.runs_per_sec),
+            j::u(self.p50_us),
+            j::u(self.p99_us),
+            j::f(self.hit_rate),
+            j::u(self.stats.compiles),
+            j::u(self.warm_recompiles),
+            j::u(self.flight_dumps),
+        ]);
+        let mut per = Table::new(
+            "xdpd-bench-programs",
+            &["program", "runs", "hits", "mean_latency_us"],
+        );
+        for row in &self.per_program {
+            per.row(&[
+                j::s(&row.name),
+                j::u(row.runs),
+                j::u(row.hits),
+                j::f(row.mean_latency_us),
+            ]);
+        }
+        vec![t, per]
     }
 }
 

@@ -4,9 +4,7 @@
 //! stack one stage at a time — simulator vs lockstep, plus the compiled
 //! VM, plus the task machine, plus per-pass prefix equivalence, plus
 //! chaos (faulty vs lossless) — and reports the per-program cost of each
-//! oracle. Every
-//! row is a conformance statement: zero failures expected, and the
-//! binary exits nonzero otherwise.
+//! oracle. Every row is a conformance statement: zero failures.
 //!
 //! Part two validates the harness itself end to end: a deliberately
 //! miscompiling pass ("sabotage", nudges float literals by +0.25) is
@@ -14,24 +12,23 @@
 //! pass — as the culprit, and the shrinker must reduce the divergence to
 //! a minimal `.xdp` repro (the acceptance bar is ≤ 15 statements).
 //!
-//! Expected shape: failures 0 across the sweep; oracle cost grows from
-//! the two-executor baseline (the task machine pays worker spawn + real
-//! message latency, chaos pays a second faulty run per program);
-//! the planted bug shrinks from a few dozen statements to a handful.
+//! Oracle cost grows from the two-executor baseline (the task machine
+//! pays worker spawn + real message latency, chaos pays a second faulty
+//! run per program); the planted bug shrinks from a few dozen statements
+//! to a handful.
 
+use crate::diff::check_passes_only;
+use crate::fuzz::run_fuzz;
+use crate::gen::executable_program;
+use crate::shrink::{shrink, stmt_count};
+use crate::{CheckConfig, FuzzConfig, TestProgram};
 use std::time::Instant;
-use xdp_bench::table::j;
-use xdp_bench::Table;
+use xdp_bench::table::{j, Table};
 use xdp_compiler::{Pass, PassResult};
 use xdp_ir::walk::{self, NodeMut};
 use xdp_ir::{ElemExpr, Program};
-use xdp_verify::diff::check_passes_only;
-use xdp_verify::fuzz::run_fuzz;
-use xdp_verify::gen::executable_program;
-use xdp_verify::shrink::{shrink, stmt_count};
-use xdp_verify::{CheckConfig, FuzzConfig, TestProgram};
 
-/// Programs per oracle row. Bounded so `make e12` stays a smoke-scale
+/// Programs per oracle row. Bounded so the claim stays a smoke-scale
 /// run; `xdpc fuzz --count N` is the open-ended entry point.
 const COUNT: usize = 100;
 const SEED: u64 = 7;
@@ -61,17 +58,14 @@ impl Pass for NudgeLiterals {
 }
 
 fn sabotaged_pipeline() -> Vec<(&'static str, Box<dyn Pass>)> {
-    let mut passes = xdp_verify::default_passes();
+    let mut passes = crate::default_passes();
     passes.push(("sabotage", Box::new(NudgeLiterals)));
     passes
 }
 
-fn main() {
-    // Divergences are reported through the oracle, not the panic hook —
-    // keep expected catch_unwind noise off stderr.
-    std::panic::set_hook(Box::new(|_| {}));
-    let mut failures = 0usize;
-
+/// Zero divergences at every oracle stage; the planted miscompile is
+/// blamed on `pass:sabotage` and shrunk to at most 15 statements.
+pub fn e12() -> Vec<Table> {
     // Average generated-program size, for scale.
     let avg_stmts = (0..COUNT as u64)
         .map(|k| stmt_count(&executable_program(SEED.wrapping_add(k)).program.body))
@@ -117,10 +111,12 @@ fn main() {
         let t0 = Instant::now();
         let report = run_fuzz(&cfg, &mut |_, _| {});
         let ms = t0.elapsed().as_secs_f64() * 1e3;
-        for f in &report.failures {
-            eprintln!("e12: seed {} diverged [{}]: {}", f.seed, f.key, f.detail);
+        if let Some(f) = report.failures.first() {
+            panic!(
+                "E12: {label}: seed {} diverged [{}]: {}",
+                f.seed, f.key, f.detail
+            );
         }
-        failures += report.failures.len();
         t.row(&[
             j::s(label),
             j::u(report.checked as u64),
@@ -130,7 +126,6 @@ fn main() {
             j::f(ms / report.checked.max(1) as f64),
         ]);
     }
-    t.print();
 
     // Part two: the harness must catch and minimize a planted miscompile.
     let mut t2 = Table::new(
@@ -145,55 +140,35 @@ fn main() {
         ],
     );
     let seed = (0..50)
-        .find(|&s| check_passes_only(&executable_program(s), &sabotaged_pipeline()).is_some());
-    match seed {
-        None => {
-            eprintln!("e12: no seed in 0..50 exposes the planted miscompile");
-            failures += 1;
-        }
-        Some(seed) => {
-            let tp = executable_program(seed);
-            let d = check_passes_only(&tp, &sabotaged_pipeline()).expect("seed was vulnerable");
-            let culprit = d.key();
-            if culprit != "pass:sabotage" {
-                eprintln!("e12: wrong culprit: {culprit} (expected pass:sabotage)");
-                failures += 1;
-            }
-            let still_fails = |t: &TestProgram| {
-                check_passes_only(t, &sabotaged_pipeline())
-                    .map(|d2| d2.key() == "pass:sabotage")
-                    .unwrap_or(false)
-            };
-            let before = stmt_count(&tp.program.body);
-            let out = shrink(&tp, 400, &still_fails);
-            let small = out.stmts <= 15;
-            if !small || !still_fails(&out.program) {
-                eprintln!(
-                    "e12: shrink failed: {} statements, started at {before}",
-                    out.stmts
-                );
-                failures += 1;
-            }
-            t2.row(&[
-                j::u(seed),
-                j::s(&culprit),
-                j::u(before as u64),
-                j::u(out.stmts as u64),
-                j::u(out.evals as u64),
-                j::s(if small { "yes" } else { "NO" }),
-            ]);
-            t2.print();
-            println!("-- minimized repro --");
-            print!(
-                "{}",
-                xdp_verify::render_repro(&out.program, "key=pass:sabotage")
-            );
-        }
-    }
-
-    if failures > 0 {
-        let _ = std::panic::take_hook();
-        eprintln!("e12: {failures} failure(s)");
-        std::process::exit(1);
-    }
+        .find(|&s| check_passes_only(&executable_program(s), &sabotaged_pipeline()).is_some())
+        .expect("E12: no seed in 0..50 exposes the planted miscompile");
+    let tp = executable_program(seed);
+    let d = check_passes_only(&tp, &sabotaged_pipeline()).expect("seed was vulnerable");
+    let culprit = d.key();
+    assert_eq!(culprit, "pass:sabotage", "E12: seed {seed}: wrong culprit");
+    let still_fails = |t: &TestProgram| {
+        check_passes_only(t, &sabotaged_pipeline())
+            .map(|d2| d2.key() == "pass:sabotage")
+            .unwrap_or(false)
+    };
+    let before = stmt_count(&tp.program.body);
+    let out = shrink(&tp, 400, &still_fails);
+    assert!(
+        out.stmts <= 15 && still_fails(&out.program),
+        "E12: shrink failed: {} statements, started at {before}",
+        out.stmts
+    );
+    t2.row(&[
+        j::u(seed),
+        j::s(&culprit),
+        j::u(before as u64),
+        j::u(out.stmts as u64),
+        j::u(out.evals as u64),
+        j::s("yes"),
+    ]);
+    t2.note(&format!(
+        "-- minimized repro --\n{}",
+        crate::render_repro(&out.program, "key=pass:sabotage")
+    ));
+    vec![t, t2]
 }

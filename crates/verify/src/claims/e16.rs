@@ -8,7 +8,7 @@
 //! (memory image, movement multiset, message count) must equal the
 //! virtual-time simulator's exactly, on both the interpreter and the
 //! compiled VM. A sweep of generated corpus programs then runs through
-//! the `xdp_verify::diff` oracles (`run_async` vs `run_sim`) for the
+//! the [`crate::diff`] oracles (`run_async` vs `run_sim`) for the
 //! same equality at corpus sizes.
 //!
 //! Part two is the topology claim: on a tiered node/rack/cluster
@@ -19,6 +19,9 @@
 //! asserted both as a crossover-point shift and as one operating point
 //! where only the tier costs differ and the chosen strategy flips.
 
+use crate::diff::{run_async, run_sim};
+use crate::gen::executable_program;
+use crate::{machine, Fingerprint};
 use std::sync::Arc;
 use std::time::Instant;
 use xdp_bench::table::{j, Table};
@@ -32,9 +35,6 @@ use xdp_ir::{CmpOp, DimDist, Distribution, ElemType, ProcGrid, Program, Triplet,
 use xdp_machine::{CostModel, Tier, Topology};
 use xdp_runtime::Value;
 use xdp_trace::TraceConfig;
-use xdp_verify::diff::{run_async, run_sim};
-use xdp_verify::gen::executable_program;
-use xdp_verify::{machine, Fingerprint};
 
 /// The scale leg's machine size.
 const NPROCS: usize = 4096;
@@ -165,9 +165,12 @@ fn crossover_alpha(scale: f64) -> f64 {
     f64::INFINITY
 }
 
-fn main() {
-    let mut failures = 0usize;
-
+/// At P = 4096 the task machine, on both backends, is timing-free
+/// fingerprint-identical to the simulator, which sends one message per
+/// ring edge; generated programs agree the same way; cluster links at
+/// 100× move the staged-Bruck crossover down by more than 10 % and flip
+/// the strategy chosen at α = 0.65.
+pub fn e16() -> Vec<Table> {
     // Part one: P=4096 on the async machine, interpreter and VM, against
     // the simulator baseline.
     let prog = ring_exchange(NPROCS);
@@ -188,27 +191,25 @@ fn main() {
         ("async interp", &afp, async_wall),
         ("async vm", &vfp, vm_wall),
     ] {
-        let ok = conformant(&base, fp);
-        if !ok {
-            eprintln!("e16: {label} diverged from the simulator at P={NPROCS}");
-            failures += 1;
-        }
+        assert!(
+            conformant(&base, fp),
+            "E16: {label} diverged from the simulator at P={NPROCS}"
+        );
         t.row(&[
             j::s(label),
             j::f(wall * 1e3),
             j::u(fp.messages),
-            j::s(if ok { "yes" } else { "NO" }),
+            j::s("yes"),
         ]);
     }
-    if sim_msgs != NPROCS as u64 - 1 {
-        eprintln!("e16: expected one message per ring edge, saw {sim_msgs}");
-        failures += 1;
-    }
-    t.print();
+    assert_eq!(
+        sim_msgs,
+        NPROCS as u64 - 1,
+        "E16: expected one message per ring edge"
+    );
 
     // Corpus sweep: generated message-passing programs through the
     // differential oracles.
-    let mut corpus_fail = 0usize;
     for k in 0..CORPUS_COUNT {
         let tp = executable_program(500 + k);
         let p = Arc::new(tp.program.clone());
@@ -219,22 +220,17 @@ fn main() {
             (Err(a), Err(g)) => a == g,
             _ => false,
         };
-        if !same {
-            eprintln!("e16: corpus seed {}: async diverged from sim", tp.seed);
-            corpus_fail += 1;
-        }
+        assert!(
+            same,
+            "E16: corpus seed {}: async diverged from sim",
+            tp.seed
+        );
     }
     let mut t2 = Table::new(
         "E16: corpus conformance (async vs sim oracles)",
         &["oracle", "programs", "failures"],
     );
-    t2.row(&[
-        j::s("async timing-free"),
-        j::u(CORPUS_COUNT),
-        j::u(corpus_fail as u64),
-    ]);
-    failures += corpus_fail;
-    t2.print();
+    t2.row(&[j::s("async timing-free"), j::u(CORPUS_COUNT), j::u(0)]);
 
     // Part two: the tiered-topology crossover table. Cross-rack links at
     // 100x must move the staged-vs-direct break-even down.
@@ -251,21 +247,15 @@ fn main() {
             j::s(&plan_at(0.65, scale).strategy.to_string()),
         ]);
     }
-    t3.print();
-    if skewed >= flat * 0.9 {
-        eprintln!("e16: crossover did not move: flat {flat:.3}, 100x {skewed:.3}");
-        failures += 1;
-    }
-    if plan_at(0.65, 1.0).strategy != Strategy::DirectPairwise
-        || plan_at(0.65, 100.0).strategy != Strategy::StagedBruck
-    {
-        eprintln!("e16: operating point 0.65 did not flip strategies with tier scale");
-        failures += 1;
-    }
-
-    if failures > 0 {
-        eprintln!("e16: {failures} failure(s)");
-        std::process::exit(1);
-    }
-    println!("e16: ok");
+    assert!(
+        skewed < flat * 0.9,
+        "E16: crossover did not move: flat {flat:.3}, 100x {skewed:.3}"
+    );
+    assert!(
+        plan_at(0.65, 1.0).strategy == Strategy::DirectPairwise
+            && plan_at(0.65, 100.0).strategy == Strategy::StagedBruck,
+        "E16: operating point 0.65 did not flip strategies with tier scale"
+    );
+    t3.note("e16: ok\n");
+    vec![t, t2, t3]
 }

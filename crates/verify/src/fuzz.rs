@@ -1,6 +1,6 @@
 //! The fuzzing loop: generate → differentially check → shrink.
 //!
-//! Shared by `xdpc fuzz` and the E12 experiment binary. One run sweeps
+//! Shared by `xdpc fuzz` and experiment E12. One run sweeps
 //! `count` consecutive seeds; each divergence is shrunk to a minimal
 //! still-failing program (holding the failure *key* fixed, so e.g. a
 //! pass miscompile cannot shrink into an unrelated deadlock) and rendered

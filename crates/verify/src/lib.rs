@@ -23,8 +23,10 @@
 //! * [`shrink`] — a greedy structural shrinker that reduces a failing
 //!   program to a minimal pretty-printed `.xdp` repro;
 //! * [`fuzz`] — the sweep loop tying it all together, shared by
-//!   `xdpc fuzz` and the E12 experiment binary.
+//!   `xdpc fuzz` and E12;
+//! * [`claims`] — experiments E12 and E15–E17, asserted.
 
+pub mod claims;
 pub mod diff;
 pub mod fingerprint;
 pub mod fuzz;

@@ -315,11 +315,6 @@ fn cmd_plan(args: &Args) -> Done {
         return Ok(());
     }
     outp!("{}", t.render());
-    if xdp_bench::table::json_enabled() {
-        for line in t.json_lines() {
-            out!("{line}");
-        }
-    }
     outp!("{schedules}");
     if failed {
         Err(ExitCode::FAILURE)
@@ -376,11 +371,6 @@ fn cmd_place(args: &Args) -> Done {
         ]);
     }
     outp!("{}", t.render());
-    if xdp_bench::table::json_enabled() {
-        for line in t.json_lines() {
-            out!("{line}");
-        }
-    }
 
     let simulated = |program: Arc<Program>, which: &str| {
         simulate(program, compiled.backend, cfg.clone(), None)

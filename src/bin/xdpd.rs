@@ -140,49 +140,9 @@ fn cmd_bench(args: &Args) -> Done {
     }
 
     let (report, pool) = replay(&cfg).map_err(fail)?;
-    let mut t = Table::new(
-        "xdpd-bench",
-        &[
-            "requests",
-            "backend",
-            "distinct",
-            "errors",
-            "runs_per_sec",
-            "p50_us",
-            "p99_us",
-            "hit_rate",
-            "compiles",
-            "warm_recompiles",
-            "flight_dumps",
-        ],
-    );
-    t.row(&[
-        j::u(report.requests as u64),
-        j::s(report.backend.as_str()),
-        j::u(report.distinct as u64),
-        j::u(report.errors as u64),
-        j::f(report.runs_per_sec),
-        j::u(report.p50_us),
-        j::u(report.p99_us),
-        j::f(report.hit_rate),
-        j::u(report.stats.compiles),
-        j::u(report.warm_recompiles),
-        j::u(report.flight_dumps),
-    ]);
-    t.print();
-    let mut per = Table::new(
-        "xdpd-bench-programs",
-        &["program", "runs", "hits", "mean_latency_us"],
-    );
-    for row in &report.per_program {
-        per.row(&[
-            j::s(&row.name),
-            j::u(row.runs),
-            j::u(row.hits),
-            j::f(row.mean_latency_us),
-        ]);
+    for t in report.tables() {
+        t.print();
     }
-    per.print();
     if let Some(metrics_path) = args.value(cli::METRICS_OUT) {
         let snapshot = pool.metrics_snapshot();
         std::fs::write(metrics_path, format!("{}\n", snapshot.to_json()))

@@ -1,4 +1,6 @@
 //! The "one way to do each thing" rules of DESIGN §2, as a source scan:
+//! (§3) every row of the experiment index is one test of
+//! `tests/paper_claims.rs` and no crate has a binary of its own;
 //! (§2.4) the deleted thread-per-processor machine stays deleted,
 //! Figure 1's movement events are built only by `xdp_core::Recorder`, its
 //! transfer rules are written only in `xdp_core::transfer`, and a machine
@@ -18,7 +20,7 @@
 //! in short entries.
 
 use std::path::{Path, PathBuf};
-use xdp_compiler::cli::{self, Args};
+use xdp_compiler::cli;
 
 /// Every file of the checkout outside build output, `.git` and
 /// `benchmark/` (which a code PR may not edit).
@@ -88,6 +90,73 @@ fn assert_named_only_by_the_alias_block(names: &[String]) {
                 assert!(!line.contains(name.as_str()), "{at}: names {name}");
             }
         }
+    }
+}
+
+/// The IDs of DESIGN §3's experiment index, lowercased: `F1` is `f1`.
+fn indexed_claims(design: &str) -> Vec<String> {
+    let mut in_index = false;
+    let mut ids = Vec::new();
+    for line in design.lines() {
+        if line.starts_with("## ") {
+            in_index = line.starts_with("## 3.");
+        }
+        let id = line
+            .strip_prefix("| ")
+            .and_then(|row| row.split(' ').next());
+        if let Some(id) = id.filter(|id| in_index && id.len() > 1) {
+            if id[1..].chars().all(|c| c.is_ascii_digit()) {
+                ids.push(id.to_lowercase());
+            }
+        }
+    }
+    ids
+}
+
+/// The names of the `#[test]` functions in `text`.
+fn test_names(text: &str) -> Vec<String> {
+    let mut names = Vec::new();
+    let mut marked = false;
+    for line in text.lines().map(str::trim) {
+        if line == "#[test]" {
+            marked = true;
+        } else if let Some(name) = line.strip_prefix("fn ").filter(|_| marked) {
+            names.push(name[..name.find('(').expect("a parameter list")].to_string());
+            marked = false;
+        }
+    }
+    names
+}
+
+#[test]
+fn every_paper_claim_is_one_test_and_binaries_live_in_the_root_package() {
+    // DESIGN §3: a claim's one entry point is its test. The index and the
+    // tests are the same set, so neither can gain a row the other lacks.
+    let example =
+        "## 3. Index\n| ID | a |\n|---|---|\n| F1 | x |\n| E17 | y |\n\n## 4. Next\n| E2 | z |";
+    assert_eq!(indexed_claims(example), ["f1", "e17"]);
+    let example =
+        "#[test]\n#[ignore = \"slow\"]\nfn e17() {\n}\nfn helper() {}\n#[test]\nfn f1() {}";
+    assert_eq!(test_names(example), ["e17", "f1"]);
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let read = |file: &str| std::fs::read_to_string(root.join(file)).unwrap();
+    let mut index = indexed_claims(&read("DESIGN.md"));
+    let mut tests = test_names(&read("tests/paper_claims.rs"));
+    assert_eq!(index.len(), 21, "DESIGN §3 indexes {index:?}");
+    index.sort_unstable();
+    tests.sort_unstable();
+    assert_eq!(
+        tests, index,
+        "tests/paper_claims.rs has one #[test] per DESIGN §3 row, named by its ID"
+    );
+    // No second entry point: a claim is not also a binary.
+    for krate in std::fs::read_dir(root.join("crates")).unwrap() {
+        let bin = krate.unwrap().path().join("src/bin");
+        assert!(
+            !bin.exists(),
+            "{}: binaries live in the root package's src/bin",
+            bin.display()
+        );
     }
 }
 
@@ -775,14 +844,12 @@ fn every_name_the_benchmark_imports_is_still_exported() {
     assert!(checked > 80, "the scan found only {checked} imported names");
 }
 
-/// Parse `argv` as the binary `bin` would, if it is one of the four whose
+/// Parse `argv` as the binary `bin` would, if it is one of the two whose
 /// options the table declares.
 fn parses(bin: &str, argv: &[String]) -> Option<bool> {
     let parsed = match bin {
         "xdpc" => cli::XDPC.parse(argv),
         "xdpd" => cli::XDPD.parse(argv),
-        "e14_metrics" => Args::parse("e14_metrics", &cli::E14_METRICS, argv),
-        "e17_membound" => Args::parse("e17_membound", &cli::E17_MEMBOUND, argv),
         _ => return None,
     };
     Some(parsed.is_ok())
@@ -791,7 +858,7 @@ fn parses(bin: &str, argv: &[String]) -> Option<bool> {
 #[test]
 fn every_binary_the_makefile_and_ci_invoke_exists() {
     // ...and every command line they, the README, the tutorial and the
-    // verify skill give one of the table's four binaries parses against it.
+    // verify skill give one of the table's two binaries parses against it.
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
     let (mut checked, mut parsed) = (0, 0);
     for file in [
@@ -930,7 +997,6 @@ fn the_command_line_is_declared_and_read_in_one_place() {
     declared.sort_unstable();
     let tools = [cli::XDPC.commands, cli::XDPD.commands];
     let rows = tools.into_iter().flatten();
-    let rows = rows.chain([&cli::E14_METRICS, &cli::E17_MEMBOUND]);
     let mut taken: Vec<&str> = rows.flat_map(|c| c.options()).map(|o| o.name).collect();
     taken.sort_unstable();
     taken.dedup();
