@@ -702,6 +702,37 @@ const FUSE_AND_SINK: [(&str, &str); 12] = [
     ),
 ];
 
+/// Loops that run after an array has moved: the paper's naive loop after a
+/// `redistribute` that misaligns its operands, the same after one that
+/// aligns them, and a guarded loop after a hand-written migration has
+/// landed.
+const AFTER_A_MOVE: [(&str, &str); 3] = [
+    (
+        "redistribute-misaligns",
+        "real A[1:16] distribute (BLOCK) onto 4\nreal B[1:16] distribute (BLOCK) onto 4\n\
+         real T[0:3] distribute (BLOCK) onto 4 segment (1)\n\
+         redistribute A (CYCLIC) onto 4\n\
+         do i = 1, 16 {\n  iown(B[i]) : { B[i] -> }\n\
+           iown(A[i]) : { T[mypid] <- B[i]\n await(T[mypid]) : { A[i] = A[i] + T[mypid] } }\n}\n",
+    ),
+    (
+        "redistribute-aligns",
+        "real A[1:16] distribute (BLOCK) onto 4\nreal B[1:16] distribute (CYCLIC) onto 4\n\
+         real T[0:3] distribute (BLOCK) onto 4 segment (1)\n\
+         redistribute A (CYCLIC) onto 4\n\
+         do i = 1, 16 {\n  iown(B[i]) : { B[i] -> }\n\
+           iown(A[i]) : { T[mypid] <- B[i]\n await(T[mypid]) : { A[i] = A[i] + T[mypid] } }\n}\n",
+    ),
+    (
+        "migration-then-loop",
+        "real A[1:16] distribute (BLOCK) onto 4 segment (1)\nreal B[1:16] distribute (CYCLIC) onto 4\n\
+         do i = 1, 16 {\n  (iown(A[i]) && !iown(B[i])) : { A[i] -=> }\n\
+           (iown(B[i]) && !iown(A[i])) : { A[i] <=- }\n}\n\
+         do i = 1, 16 { await(A[i]) : { A[i] = A[i] * 2.0 } }\n\
+         do i = 1, 16 { iown(A[i]) : { A[i] = A[i] + 1.0 } }\n",
+    ),
+];
+
 /// Every pinned (label, outcome) pair, in table order.
 pub fn pinned_outcomes() -> Vec<(String, Outcome)> {
     use xdp_compiler::{compile_program, CompileOptions, SeqMode};
@@ -798,6 +829,21 @@ pub fn pinned_outcomes() -> Vec<(String, Outcome)> {
             o.run(PassManager::paper_pipeline(), &tp.program);
         }
         got.push((format!("gen/{first}..{}", first + 19), o));
+    }
+
+    // Loops after a move, through each registered pass alone and the paper
+    // pipeline.
+    for (label, src) in AFTER_A_MOVE {
+        let p = xdp_lang::parse_program(src).unwrap_or_else(|e| panic!("{label}: {e}"));
+        for pass in xdp_compiler::passes::registry() {
+            let mut o = Outcome::default();
+            let row = format!("moved/{label}/{}", pass.name());
+            o.run(PassManager::new().add_boxed(pass), &p);
+            got.push((row, o));
+        }
+        let mut o = Outcome::default();
+        o.run(PassManager::paper_pipeline(), &p);
+        got.push((format!("moved/{label}/paper-pipeline"), o));
     }
 
     // Loop pairs and awaited nests, through the two §4 passes.
@@ -980,6 +1026,39 @@ const PASS_PINS: &str = "\
     gen/141..160 b75cbe01dca6b3bb f17dd250d97d5edc
     gen/161..180 80c898bbc74c228c 693ea96f22caf6cf
     gen/181..200 6093ac84cf7db31d 85ecd4719cc783e9
+    moved/redistribute-misaligns/elide-same-owner-comm 4fd41cef7b5a6809 6b5435a43c9f1506
+    moved/redistribute-misaligns/vectorize-messages c0b45bad5b924d99 a07d4aa9503a696f
+    moved/redistribute-misaligns/localize-bounds e5076c9e7f2760f1 cbf29ce484222325
+    moved/redistribute-misaligns/bind-communication 55634f92e775ddd5 c6907558ce002dd7
+    moved/redistribute-misaligns/elide-accessible-checks e5076c9e7f2760f1 cbf29ce484222325
+    moved/redistribute-misaligns/fuse-loops e5076c9e7f2760f1 cbf29ce484222325
+    moved/redistribute-misaligns/sink-await e5076c9e7f2760f1 cbf29ce484222325
+    moved/redistribute-misaligns/migrate-ownership 653b296beab4c0a3 8bbd91358eb9dd10
+    moved/redistribute-misaligns/lower-redistribute e5076c9e7f2760f1 cbf29ce484222325
+    moved/redistribute-misaligns/auto-place 7775ee008e226811 bc37ab4cb0c894db
+    moved/redistribute-misaligns/paper-pipeline 7a3c752efa430598 e104d9d247487050
+    moved/redistribute-aligns/elide-same-owner-comm 54c928f25ce093cf cbf29ce484222325
+    moved/redistribute-aligns/vectorize-messages 5eab8b4a95964bd0 7ad473019ba8541b
+    moved/redistribute-aligns/localize-bounds 54c928f25ce093cf cbf29ce484222325
+    moved/redistribute-aligns/bind-communication de51e457d236fd3b c6907558ce002dd7
+    moved/redistribute-aligns/elide-accessible-checks 54c928f25ce093cf cbf29ce484222325
+    moved/redistribute-aligns/fuse-loops 54c928f25ce093cf cbf29ce484222325
+    moved/redistribute-aligns/sink-await 54c928f25ce093cf cbf29ce484222325
+    moved/redistribute-aligns/migrate-ownership 646976d56127910b 8bbd91358eb9dd10
+    moved/redistribute-aligns/lower-redistribute 54c928f25ce093cf cbf29ce484222325
+    moved/redistribute-aligns/auto-place 7775ee008e226811 bc37ab4cb0c894db
+    moved/redistribute-aligns/paper-pipeline 599b8f0f43f9bd22 9e42c7918b816ec1
+    moved/migration-then-loop/elide-same-owner-comm 9bf99d7ab27794df cbf29ce484222325
+    moved/migration-then-loop/vectorize-messages 9bf99d7ab27794df cbf29ce484222325
+    moved/migration-then-loop/localize-bounds bdaca8030a84e16a af6ddc05fb68547f
+    moved/migration-then-loop/bind-communication 9bf99d7ab27794df cbf29ce484222325
+    moved/migration-then-loop/elide-accessible-checks 9bf99d7ab27794df cbf29ce484222325
+    moved/migration-then-loop/fuse-loops 5b8e1293ca3881ff 79b64ebd1cf8316d
+    moved/migration-then-loop/sink-await 9bf99d7ab27794df cbf29ce484222325
+    moved/migration-then-loop/migrate-ownership 9bf99d7ab27794df cbf29ce484222325
+    moved/migration-then-loop/lower-redistribute 0fb56c20f3034f73 a04840eba510b569
+    moved/migration-then-loop/auto-place 9bf99d7ab27794df 74c6b140fe597b8c
+    moved/migration-then-loop/paper-pipeline bdaca8030a84e16a af6ddc05fb68547f
     nest/fusable-same-iteration 08d1d68a81eb290c 25b1893c4decb758
     nest/fusable-reads-earlier 0d27eebd14eeb521 25b1893c4decb758
     nest/fusable-fft-columns c0dbee54f0c07222 25b1893c4decb758
