@@ -655,7 +655,7 @@ mod tests {
         let cfg = Fft3dConfig::new(16, 4);
         let (placed, _) = plan_auto(cfg);
         let ch = &placed.placement.choices;
-        assert!(placed.rewritten, "v5 has no hand migration");
+        assert_eq!(placed.advisory, None, "nothing in v5 pins A");
         assert_eq!(ch[0].dist.dims()[2], DimDist::Block, "{}", ch[0].dist);
         assert!(!ch[0].dist.dims()[0].is_distributed());
         assert!(!ch[0].dist.dims()[1].is_distributed());

@@ -219,7 +219,6 @@ fn jacobi_graph(p: &Program, u: xdp_ir::VarId, v: xdp_ir::VarId) -> PhaseGraph {
             shifts: vec![shift(0, -1), shift(0, 1), shift(1, -1), shift(1, 1)],
         }],
         dropped_redistributes: vec![],
-        hand_migration: false,
     }
 }
 

@@ -90,8 +90,6 @@ options! {
     SEGMENTS "--segments" "LIST" "candidate shapes, one extent per dimension: 1,16,4x1,... (required)"
     PASSES "--passes" "LIST" "comma-separated pass names (default: the paper pipeline); an unknown\n\
         name lists the registered ones"
-    NO_CYCLIC "--no-cyclic" "" "drop CYCLIC candidates from the search"
-    MAX_DIMS "--max-dims" "N" "most array dimensions distributed at once (default 2)"
     EMIT "--emit" "" "print the rewritten program (valid xdpc input)"
     COUNT "--count" "N" = "200" "programs to check"
     SEED "--seed" "N" "fuzz: first seed, program k uses seed+k (default 1); replay: request-mix seed (default 1993)"
@@ -133,7 +131,7 @@ pub const XDPC: Tool = Tool {
         "tune" "FILE" "pick the fastest segment shape of one array" [&[ARRAY, SEGMENTS]]
         "plan" "FILE" "show schedule + predicted cost of every `redistribute`" [COMPILE, COST, &[TOPO]]
         "place" "FILE" "search per-phase distributions with the cost model, simulate the result"
-            [COMPILE, COST, &[TOPO, NO_CYCLIC, MAX_DIMS, EMIT]]
+            [COMPILE, COST, &[TOPO, EMIT]]
         "fuzz" "" "differentially test executors and passes on generated programs; on a\n\
             divergence, shrink it, write the repro and exit 1"
             [&[COUNT, SEED, PROCS, FAULTS, REPRO, SIM_ONLY, MEM_BUDGET]]

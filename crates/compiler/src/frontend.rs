@@ -17,6 +17,10 @@
 //! it communicates *every* exclusive operand that is not syntactically the
 //! target itself, even when owners coincide. Removing that redundancy is
 //! the optimizer's job, exactly as in the paper.
+//!
+//! A `redistribute` passes through as written: the guards the translation
+//! emits ask the run-time symbol table, so they follow an array wherever it
+//! has moved.
 
 use xdp_ir::build as b;
 use xdp_ir::{
@@ -30,8 +34,9 @@ use xdp_ir::{
 pub enum FrontendError {
     /// The input is the paper's starting point — "the original shared
     /// memory program ... replicated along with all its data" (§1):
-    /// assignments, kernel calls and loops. An XDP statement (a transfer,
-    /// a guard, a barrier) belongs to the output of compilation.
+    /// assignments, kernel calls, loops and `redistribute`s. An XDP
+    /// statement (a transfer, a guard, a barrier) belongs to the output of
+    /// compilation.
     NotSequential { stmt: String },
     /// A loop steps by something other than the constant 1.
     NonUnitStep { var: String },
@@ -126,10 +131,11 @@ pub fn lower_owner_computes(seq: &Program) -> Result<Program, FrontendError> {
 }
 
 /// Why `s` is not a statement of a sequential program, if it is not one:
-/// the frontend takes assignments, kernel calls and unit-step loops.
+/// the frontend takes assignments, kernel calls, unit-step loops and
+/// `redistribute`s.
 fn refusal(p: &Program, s: &Stmt) -> Option<FrontendError> {
     match s {
-        Stmt::Assign { .. } | Stmt::Kernel { .. } => None,
+        Stmt::Assign { .. } | Stmt::Kernel { .. } | Stmt::Redistribute { .. } => None,
         Stmt::DoLoop { step, .. } if step.as_const() == Some(1) => None,
         Stmt::DoLoop { var, .. } => Some(FrontendError::NonUnitStep { var: var.clone() }),
         other => Some(FrontendError::NotSequential {
@@ -265,6 +271,7 @@ impl Lowerer {
             Stmt::Assign { target, rhs } => {
                 self.assign(target, rhs, out)?;
             }
+            Stmt::Redistribute { .. } => out.push(s.clone()),
             _ => unreachable!("`refusal` named every other statement before lowering began"),
         }
         Ok(())

@@ -6,7 +6,7 @@
 //!
 //! * a **frontend** ([`frontend`]) that translates a sequential
 //!   shared-memory program — an [`xdp_ir::Program`] of assignments, kernel
-//!   calls and loops — into the naive *owner-computes* IL+XDP form of §2.2 — every statement guarded by `iown`, every potentially
+//!   calls, loops and `redistribute`s — into the naive *owner-computes* IL+XDP form of §2.2 — every statement guarded by `iown`, every potentially
 //!   remote operand fetched through a send/receive pair into a
 //!   per-processor temporary;
 //! * the **optimization passes** the paper walks through ([`passes`]):
@@ -16,7 +16,7 @@
 //!   ownership-migration strategy, delayed communication binding, and
 //!   accessibility-check elimination;
 //! * the **end-to-end pipeline** ([`pipeline`]): [`compile`] assembles
-//!   parse → lower → optimize → place behind one entry point with per-pass
+//!   parse → place → lower → optimize behind one entry point with per-pass
 //!   provenance — the shared compile path of every `xdpc` subcommand and
 //!   the `xdpd` serving daemon's content-hashed compile cache.
 //!

@@ -9,9 +9,11 @@
 //! `xdpc --explain` shows *why* each phase got its placement.
 //!
 //! Programs the search cannot safely rewrite keep their placement and
-//! only get notes: hand-written ownership migration (`=>`/`<=-`) makes a
-//! decl rewrite unsound, and programs with no distributed anchor or no
-//! compute give the search nothing to optimize.
+//! only get notes: where the program text pins a member of the searched
+//! group (hand-written ownership migration, a send or receive, `mypid`,
+//! `mylb`/`myub` outside a loop header — `Dists::pinned`), a decl rewrite
+//! could break it, and programs with no distributed anchor or no compute
+//! give the search nothing to optimize.
 
 use crate::passes::{Pass, PassResult};
 use xdp_ir::Program;
@@ -64,9 +66,8 @@ impl Pass for AutoPlace {
             pl.total_predicted,
         )];
         notes.extend(pl.describe());
-        if !placed.rewritten {
-            notes
-                .push("program migrates ownership by hand; placement reported, not applied".into());
+        if let Some(why) = placed.advisory {
+            notes.push(format!("{why}: placement reported, not applied"));
             return PassResult {
                 program: p.clone(),
                 changed: false,

@@ -19,13 +19,11 @@
 //! matcher's lookup (the cost difference is what experiment E5 measures).
 
 use crate::passes::pattern::{recognize, NaiveCommLoop};
-use crate::passes::{declined, Pass, PassResult};
+use crate::passes::{declined, rewrite_body, Pass, PassResult};
 use std::collections::HashMap;
-use xdp_ir::analysis::{concrete_section, dim_form, Bindings, DimForm, Owners};
-use xdp_ir::walk::rewrite_block;
-use xdp_ir::{
-    DestSet, IntExpr, Ownership, Program, Section, Stmt, Subscript, TransferKind, Triplet, VarId,
-};
+use xdp_ir::analysis::{concrete_section, dim_form, Bindings, DimForm, Dists, Owners};
+use xdp_ir::walk::{self, Node};
+use xdp_ir::{DestSet, IntExpr, Program, Section, Stmt, Subscript, TransferKind, Triplet, VarId};
 
 /// The communication-binding pass.
 pub struct BindCommunication;
@@ -38,20 +36,24 @@ impl Pass for BindCommunication {
     fn run(&self, p: &Program) -> PassResult {
         let mut notes = Vec::new();
         let mut changed = false;
-        let mut owners = Owners::new(p);
+        let dists = Dists::of(p);
+        let mut owners = Owners::new(&dists);
 
         // Map from constant-section tags to their receiver's static owner,
         // collected from every receive in the program.
         let mut recv_owner: HashMap<(VarId, Section), Option<usize>> = HashMap::new();
         let env = Bindings::new();
-        p.visit(&mut |s| {
-            if let Stmt::Recv {
-                target,
-                kind,
-                name,
-                salt,
-            } = s
-            {
+        for (k, top) in p.body.iter().enumerate() {
+            walk::visit(Node::Stmt(top), &mut |n| {
+                let Node::Stmt(Stmt::Recv {
+                    target,
+                    kind,
+                    name,
+                    salt,
+                }) = n
+                else {
+                    return;
+                };
                 let nameref = Stmt::recv_match_name(target, name);
                 if salt.is_some() {
                     // Salted (message-typed) pairs: leave to the loop case.
@@ -61,7 +63,7 @@ impl Pass for BindCommunication {
                         // runs; bindable only if the receiving *statement*
                         // is guarded to a known pid — skip (conservative).
                         TransferKind::Ownership | TransferKind::OwnershipValue => None,
-                        TransferKind::Value => owners.sole_owner(target, &env),
+                        TransferKind::Value => owners.sole_owner(k, target, &env),
                     };
                     recv_owner
                         .entry((nameref.var, sec))
@@ -72,13 +74,13 @@ impl Pass for BindCommunication {
                         })
                         .or_insert(owner);
                 }
-            }
-        });
+            });
+        }
 
-        let body = rewrite_block(&p.body, &mut |s| {
+        let body = rewrite_body(p, &mut |k, _, s| {
             // First chance: the naive comm loop with an owner expression.
             if let Some(pat) = recognize(&s) {
-                match bind_loop(p, &pat) {
+                match bind_loop(&dists, k, &pat) {
                     Ok(bound) => {
                         changed = true;
                         notes.push(format!(
@@ -129,14 +131,14 @@ impl Pass for BindCommunication {
 
 /// The loop with every operand send bound to the owner of the target at
 /// that iteration, or why the target's owner has no such expression.
-fn bind_loop(p: &Program, pat: &NaiveCommLoop) -> Result<Stmt, String> {
+fn bind_loop(dists: &Dists, k: usize, pat: &NaiveCommLoop) -> Result<Stmt, String> {
+    let p = dists.p;
     let window = pat.window()?;
-    // Receiver of every message is the owner of the target at iteration i.
+    // Receiver of every message is the owner of the target at iteration i,
+    // under the distribution the target has at this statement.
     let tdecl = p.decl(pat.target.var);
     let name = xdp_ir::pretty::section_ref(p, &pat.target);
-    let dist = (tdecl.dist.as_ref())
-        .filter(|_| tdecl.ownership == Ownership::Exclusive)
-        .ok_or_else(|| format!("{} is not an exclusive distributed array", tdecl.name))?;
+    let dist = dists.at(pat.target.var, k)?;
     // The target must stay inside its declared bounds all loop long: its
     // one subscript in the loop variable is affine, so where its ends
     // are; every other dimension is fixed.

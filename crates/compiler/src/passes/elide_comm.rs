@@ -9,10 +9,9 @@
 //! temporary, and compute directly on the operand.
 
 use crate::passes::pattern::{recognize, NaiveCommLoop};
-use crate::passes::{declined, Pass, PassResult};
-use xdp_ir::analysis::Owners;
+use crate::passes::{declined, rewrite_body, Pass, PassResult};
+use xdp_ir::analysis::{Dists, Owners};
 use xdp_ir::build as b;
-use xdp_ir::walk::rewrite_block;
 use xdp_ir::{Program, Stmt};
 
 /// The same-owner elision pass.
@@ -26,12 +25,13 @@ impl Pass for ElideSameOwnerComm {
     fn run(&self, p: &Program) -> PassResult {
         let mut notes = Vec::new();
         let mut changed = false;
-        let mut owners = Owners::new(p);
-        let body = rewrite_block(&p.body, &mut |s| {
+        let dists = Dists::of(p);
+        let mut owners = Owners::new(&dists);
+        let body = rewrite_body(p, &mut |k, _, s| {
             let Some(pat) = recognize(&s) else {
                 return vec![s];
             };
-            match try_elide(p, &mut owners, &pat, &mut notes) {
+            match try_elide(p, &mut owners, k, &pat, &mut notes) {
                 Ok(new_stmt) => {
                     changed = true;
                     vec![new_stmt]
@@ -55,15 +55,16 @@ impl Pass for ElideSameOwnerComm {
 fn try_elide(
     p: &Program,
     owners: &mut Owners,
+    k: usize,
     pat: &NaiveCommLoop,
     notes: &mut Vec<String>,
 ) -> Result<Stmt, String> {
     let window = pat.window()?;
-    let target = owners.map(&pat.target, &pat.var, window)?;
+    let target = owners.map(k, &pat.target, &pat.var, window)?;
     // Which slots are same-owner on every iteration?
     let (mut keep, mut elided, mut why) = (Vec::new(), Vec::new(), String::new());
     for slot in &pat.slots {
-        match owners.map(&slot.operand, &pat.var, window) {
+        match owners.map(k, &slot.operand, &pat.var, window) {
             Ok(operand) if operand.runs == target.runs => elided.push(slot.clone()),
             other => {
                 why = other.err().unwrap_or_else(|| {

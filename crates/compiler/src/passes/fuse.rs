@@ -26,7 +26,7 @@
 use crate::passes::{declined, Pass, PassResult};
 use xdp_ir::analysis::{
     block_accesses, dim_form, eval_static, loop_window, Access, AccessKind, Bindings, DimForm,
-    OnProc,
+    Dists, OnProc,
 };
 use xdp_ir::walk::{self, NodeMut};
 use xdp_ir::{IntExpr, Program, Stmt, Triplet};
@@ -42,12 +42,21 @@ impl Pass for FuseLoops {
     fn run(&self, p: &Program) -> PassResult {
         let mut notes = Vec::new();
         let mut changed = false;
+        let dists = Dists::of(p);
         let mut program = p.clone();
-        walk::map(NodeMut::Block(&mut program.body), &mut |n| {
-            if let NodeMut::Block(block) = n {
-                fuse_adjacent(p, block, &mut notes, &mut changed);
-            }
-        });
+        // Innermost blocks first, each asked at its top-level statement;
+        // then the body, each pair at its first loop's statement.
+        for (k, s) in program.body.iter_mut().enumerate() {
+            let Some(body) = s.body_mut() else { continue };
+            walk::map(NodeMut::Block(body), &mut |n| {
+                if let NodeMut::Block(block) = n {
+                    let mut at = vec![k; block.len()];
+                    fuse_adjacent(&dists, block, &mut at, &mut notes, &mut changed);
+                }
+            });
+        }
+        let mut at: Vec<usize> = (0..program.body.len()).collect();
+        fuse_adjacent(&dists, &mut program.body, &mut at, &mut notes, &mut changed);
         PassResult {
             program,
             changed,
@@ -57,8 +66,14 @@ impl Pass for FuseLoops {
 }
 
 /// Fuse the adjacent pairs of one block, greedily; its nested blocks are
-/// already done.
-fn fuse_adjacent(p: &Program, stmts: &mut Vec<Stmt>, notes: &mut Vec<String>, changed: &mut bool) {
+/// already done. `at[k]` is the top-level statement `stmts[k]` stands at.
+fn fuse_adjacent(
+    dists: &Dists,
+    stmts: &mut Vec<Stmt>,
+    at: &mut Vec<usize>,
+    notes: &mut Vec<String>,
+    changed: &mut bool,
+) {
     let mut k = 0;
     while k + 1 < stmts.len() {
         let fused = match (&stmts[k], &stmts[k + 1]) {
@@ -78,7 +93,7 @@ fn fuse_adjacent(p: &Program, stmts: &mut Vec<Stmt>, notes: &mut Vec<String>, ch
                     body: b2,
                 },
             ) if lo == l2 && hi == h2 && step == s2 => Some(
-                fuse_pair(p, v1, v2, [lo, hi, step], b1, b2).map(|body| Stmt::DoLoop {
+                fuse_pair(dists, at[k], v1, v2, [lo, hi, step], b1, b2).map(|body| Stmt::DoLoop {
                     var: v1.clone(),
                     lo: lo.clone(),
                     hi: hi.clone(),
@@ -97,6 +112,7 @@ fn fuse_adjacent(p: &Program, stmts: &mut Vec<Stmt>, notes: &mut Vec<String>, ch
                 *changed = true;
                 stmts[k] = f;
                 stmts.remove(k + 1);
+                at.remove(k + 1);
                 // Try fusing the result with the next statement too.
             }
             Some(Err(why)) => {
@@ -110,9 +126,11 @@ fn fuse_adjacent(p: &Program, stmts: &mut Vec<Stmt>, notes: &mut Vec<String>, ch
 }
 
 /// `do v1 {b1}; do v2 {b2}` over `[lo, hi, step]` as one body, or the
-/// reason the second loop may not run interleaved with the first.
+/// reason the second loop may not run interleaved with the first; asked at
+/// top-level statement `stmt`.
 fn fuse_pair(
-    p: &Program,
+    dists: &Dists,
+    stmt: usize,
     v1: &str,
     v2: &str,
     range: [&IntExpr; 3],
@@ -131,6 +149,7 @@ fn fuse_pair(
 
     let acc1 = block_accesses(b1);
     let acc2 = block_accesses(&b2r);
+    let p = dists.p;
     let nprocs = p.machine_size().ok_or("no array is distributed")?;
     let l = Loop {
         var: v1,
@@ -152,7 +171,8 @@ fn fuse_pair(
                     Some(host) => format!(" (by {})", name(host)),
                     None => String::new(),
                 };
-                match meets(p, pid, &l, a2, a1) {
+                let on = OnProc { dists, stmt, pid };
+                match meets(on, &l, a2, a1) {
                     None => {
                         let (r2, r1) = (name(&a2.r), name(&a1.r));
                         return Err(format!("cannot tell on sets when {r2} meets {r1}"));
@@ -218,11 +238,11 @@ impl Loop<'_> {
     }
 }
 
-/// On processor `pid`, the least `δ ≥ 1` such that what `a` touches at
+/// On processor `on`, the least `δ ≥ 1` such that what `a` touches at
 /// some iteration meets what `b` touches `δ` iterations later; `Some(None)`
 /// when there is none, `None` when the closed forms cannot tell.
-fn meets(p: &Program, pid: usize, l: &Loop, a: &Access, b: &Access) -> Option<Option<i64>> {
-    let (decl, env, on) = (p.decl(a.var), Bindings::new(), Some(OnProc { p, pid }));
+fn meets(on: OnProc, l: &Loop, a: &Access, b: &Access) -> Option<Option<i64>> {
+    let (decl, env, on) = (on.dists.p.decl(a.var), Bindings::new(), Some(on));
     let (last, st) = (l.values.count() - 1, l.values.st);
     // Iterations of `a` and of `b` still open, and how far `b`'s value may
     // lie past `a`'s in the loop's direction: one to `last` steps.
@@ -392,11 +412,10 @@ mod tests {
     /// The oracle `meets` is held to: the walk it replaced. Every pair of
     /// iterations, the earlier one's section of `a` against the later
     /// one's of `b`; the least distance at which they overlap.
-    fn walk(p: &Program, pid: usize, l: &Loop, a: &Access, b: &Access) -> Option<i64> {
-        let on = OnProc { p, pid };
+    fn walk(on: OnProc, l: &Loop, a: &Access, b: &Access) -> Option<i64> {
         let at = |r: &xdp_ir::SectionRef, k: i64| {
             let env = Bindings::from([(l.var.to_string(), l.first() + k * l.step)]);
-            xdp_ir::analysis::section_on(p, r, &env, on).expect("static subscripts")
+            xdp_ir::analysis::section_on(r, &env, on).expect("static subscripts")
         };
         let trips = l.values.count();
         (1..trips)
@@ -464,9 +483,11 @@ mod tests {
             let values = loop_window(first, first + step * (trips - 1), step).unwrap();
             let l = Loop { var: "i", step, values };
             proptest::prop_assume!(l.values.count() >= 2);
+            let dists = Dists::of(&p);
             for pid in 0..4 {
-                match meets(&p, pid, &l, &a, &b2) {
-                    Some(ahead) => proptest::prop_assert_eq!(ahead, walk(&p, pid, &l, &a, &b2)),
+                let on = OnProc { dists: &dists, stmt: 0, pid };
+                match meets(on, &l, &a, &b2) {
+                    Some(ahead) => proptest::prop_assert_eq!(ahead, walk(on, &l, &a, &b2)),
                     None => proptest::prop_assert!(!easy, "undecided"),
                 }
             }

@@ -21,13 +21,20 @@
 //!    guard is dropped and `p := a*mypid + b` is substituted into the body
 //!    ("replacing all references to the loop's induction variable ... by
 //!    mypid").
+//!
+//! Both ask where the guarded array lives at the loop ([`Dists`]). A loop
+//! that moves the array itself — the FFT's send loop — is still asked of
+//! the distribution it starts with when each iteration moves only what its
+//! own guard holds: the guard names the loop variable as a point, so no
+//! iteration moves what a later guard asks about, and each guard is
+//! evaluated before its body.
 
 use crate::passes::pattern::static_window;
-use crate::passes::{declined, Pass, PassResult};
-use xdp_ir::analysis::Owners;
+use crate::passes::{declined, rewrite_body, Pass, PassResult};
+use xdp_ir::analysis::{block_accesses, AccessKind, Dists, Owners};
 use xdp_ir::build as b;
-use xdp_ir::walk::rewrite_block;
-use xdp_ir::{BoolExpr, IntExpr, Program, SectionRef, Stmt, Triplet};
+use xdp_ir::walk::{self, Node};
+use xdp_ir::{BoolExpr, IntExpr, Program, SectionRef, Stmt, Subscript, Triplet};
 
 /// The localization pass.
 pub struct LocalizeBounds;
@@ -40,12 +47,13 @@ impl Pass for LocalizeBounds {
     fn run(&self, p: &Program) -> PassResult {
         let mut notes = Vec::new();
         let mut changed = false;
-        let mut owners = Owners::new(p);
-        let body = rewrite_block(&p.body, &mut |s| {
+        let dists = Dists::of(p);
+        let mut owners = Owners::new(&dists);
+        let body = rewrite_body(p, &mut |k, top, s| {
             let Some(guarded) = recognize(&s) else {
                 return vec![s];
             };
-            match localize(p, &mut owners, &guarded, &mut notes) {
+            match localize(p, &mut owners, (k, top), &guarded, &mut notes) {
                 Ok(stmts) => {
                     changed = true;
                     stmts
@@ -122,9 +130,12 @@ fn recognize(s: &Stmt) -> Option<GuardedLoop<'_>> {
     })
 }
 
+/// Localize the loop `l`, which top-level statement `k` holds (is, when
+/// `top`).
 fn localize(
     p: &Program,
     owners: &mut Owners,
+    (k, top): (usize, bool),
     l: &GuardedLoop,
     notes: &mut Vec<String>,
 ) -> Result<Vec<Stmt>, String> {
@@ -133,7 +144,12 @@ fn localize(
     if window.is_empty() {
         return Err("it never runs".to_string());
     }
-    let map = owners.map(guard_ref, var, window)?;
+    let map = match owners.map(k, guard_ref, var, window) {
+        Err(_) if top && moves_only_what_it_guards(l) => {
+            owners.map_entering(k, guard_ref, var, window)?
+        }
+        map => map?,
+    };
     let name = &p.decl(guard_ref.var).name;
 
     // Attempt 2 first: single iteration per pid, affine in pid.
@@ -199,6 +215,25 @@ fn localize(
         IntExpr::Const(stride),
         l.inner.clone(),
     )])
+}
+
+/// Does every ownership move of the guarded array in the loop's body move
+/// a section of what the guard holds on that iteration — equal to the
+/// guard's subscript in every dimension the guard does not take whole, and
+/// under no inner loop that rebinds a variable the guard names?
+fn moves_only_what_it_guards(l: &GuardedLoop) -> bool {
+    let g = l.guard_ref;
+    let rebinding = |n| matches!(n, Node::Stmt(Stmt::DoLoop { var, .. }) if g.uses_var(var));
+    let rebinds = (l.inner.iter()).any(|s| walk::any(Node::Stmt(s), rebinding));
+    let moves = block_accesses(&l.inner)
+        .into_iter()
+        .filter(|a| a.var == g.var && matches!(a.kind, AccessKind::OwnOut | AccessKind::OwnIn));
+    let mut moves = moves.map(|a| a.r);
+    !rebinds
+        && moves.all(|m| {
+            m.subs.len() == g.subs.len()
+                && (m.subs.iter().zip(&g.subs)).all(|(m, g)| *g == Subscript::All || m == g)
+        })
 }
 
 /// Flatten an `And` tree into its conjuncts.

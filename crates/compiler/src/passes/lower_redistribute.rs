@@ -15,16 +15,17 @@
 //! ```
 //!
 //! (the §2.2 "paper literal" form without the co-location refinement is
-//! accepted too). When the nest covers `A`'s whole bounds, `W` is statically
-//! distributed, and the two arrays' index spaces conform, the nest is
-//! equivalent to redistributing `A` onto `W`'s distribution — but as a
+//! accepted too). When the nest covers `A`'s whole bounds, the two arrays'
+//! index spaces conform, and both distributions are known where the nest
+//! runs — `A`'s as it enters, `W`'s throughout ([`Dists`]) — the nest is
+//! equivalent to redistributing `A` onto `W`'s distribution, but as a
 //! planned, vectorized, bound schedule instead of an element-at-a-time
 //! exchange through the matcher.
 //!
 //! [`MigrateOwnership`]: crate::MigrateOwnership
 
-use crate::passes::{Pass, PassResult};
-use xdp_ir::walk::rewrite_block;
+use crate::passes::{declined, rewrite_body, Pass, PassResult};
+use xdp_ir::analysis::Dists;
 use xdp_ir::{
     BoolExpr, DestSet, Distribution, IntExpr, Program, SectionRef, Stmt, Subscript, TransferKind,
     VarId,
@@ -113,8 +114,8 @@ fn match_pair(body: &[Stmt], loop_vars: &[String]) -> Option<(VarId, VarId)> {
 }
 
 /// Match a whole migration nest rooted at `s`; return the migrated array
-/// and the witness distribution it should adopt.
-fn match_nest(s: &Stmt, p: &Program) -> Option<(VarId, VarId, Distribution)> {
+/// and the witness whose distribution it should adopt.
+fn match_nest(s: &Stmt, p: &Program) -> Option<(VarId, VarId)> {
     let mut loop_vars = Vec::new();
     let mut ranges = Vec::new();
     let mut cur = s;
@@ -141,7 +142,6 @@ fn match_nest(s: &Stmt, p: &Program) -> Option<(VarId, VarId, Distribution)> {
     };
     let (a, w) = match_pair(body, &loop_vars)?;
     let (da, dw) = (p.decl(a), p.decl(w));
-    let dist = dw.dist.clone()?;
     // The nest must walk A's full index space, and W must conform to A so
     // that `iown(W[i..])` is defined wherever the loop evaluates it.
     if da.bounds.len() != loop_vars.len() || da.bounds != dw.bounds {
@@ -152,7 +152,14 @@ fn match_nest(s: &Stmt, p: &Program) -> Option<(VarId, VarId, Distribution)> {
             return None;
         }
     }
-    Some((a, w, dist))
+    Some((a, w))
+}
+
+/// The distribution `A` adopts at top-level statement `k`: the one `W`
+/// has there, once where `A` enters it from is known too.
+fn target(dists: &Dists, k: usize, (a, w): (VarId, VarId)) -> Result<Distribution, String> {
+    dists.before(a, k)?;
+    dists.at(w, k).cloned()
 }
 
 impl Pass for LowerRedistribute {
@@ -163,11 +170,20 @@ impl Pass for LowerRedistribute {
     fn run(&self, p: &Program) -> PassResult {
         let mut notes = Vec::new();
         let mut changed = false;
-        let body = rewrite_block(&p.body, &mut |s| {
+        let dists = Dists::of(p);
+        let body = rewrite_body(p, &mut |k, _, s| {
             // Inner loops of a nest never match (their subscripts use the
             // outer induction variables), so bottom-up rewriting is safe.
-            let Some((a, w, dist)) = match_nest(&s, p) else {
+            let Some((a, w)) = match_nest(&s, p) else {
                 return vec![s];
+            };
+            let dist = match target(&dists, k, (a, w)) {
+                Ok(dist) => dist,
+                Err(why) => {
+                    let what = format_args!("the migration loop of {}", p.decl(a).name);
+                    notes.push(declined(self, what, why));
+                    return vec![s];
+                }
             };
             changed = true;
             notes.push(format!(

@@ -45,12 +45,32 @@ pub use sink_await::SinkAwait;
 pub use vectorize::VectorizeMessages;
 
 use std::fmt::Display;
-use xdp_ir::Program;
+use xdp_ir::walk::rewrite_block;
+use xdp_ir::{Program, Stmt};
 use xdp_trace::{CompileTrace, PassTrace};
 
 /// The note of a pass that matched `what` and left it alone because `why`.
 pub(crate) fn declined(pass: &dyn Pass, what: impl Display, why: impl Display) -> String {
     format!("{}: declined {what} — {why}", pass.name())
+}
+
+/// [`rewrite_block`] over the program's body, telling `f` the top-level
+/// statement each statement it is handed belongs to — the statement a
+/// placement question is asked at ([`xdp_ir::analysis::Dists`]) — and
+/// whether it is that statement.
+pub(crate) fn rewrite_body(
+    p: &Program,
+    f: &mut impl FnMut(usize, bool, Stmt) -> Vec<Stmt>,
+) -> Vec<Stmt> {
+    let mut out = Vec::with_capacity(p.body.len());
+    for (k, top) in p.body.iter().enumerate() {
+        let mut top = top.clone();
+        if let Some(body) = top.body_mut() {
+            *body = rewrite_block(body, &mut |s| f(k, false, s));
+        }
+        out.extend(f(k, true, top));
+    }
+    out
 }
 
 /// Outcome of one pass.

@@ -20,12 +20,11 @@
 //! transferred (e.g. the localized bounds produced by compute-rule
 //! elimination); they are resolved against the initial distribution.
 
-use crate::passes::{declined, Pass, PassResult};
+use crate::passes::{declined, rewrite_body, Pass, PassResult};
 use xdp_ir::analysis::{
-    block_accesses, dim_form, section_on, window_of, Access, Bindings, DimForm, OnProc,
+    block_accesses, dim_form, section_on, window_of, Access, Bindings, DimForm, Dists, OnProc,
 };
 use xdp_ir::build as b;
-use xdp_ir::walk::rewrite_block;
 use xdp_ir::{BoolExpr, IntExpr, Program, SectionRef, Stmt, Subscript, Triplet};
 
 /// The await-sinking pass.
@@ -39,7 +38,8 @@ impl Pass for SinkAwait {
     fn run(&self, p: &Program) -> PassResult {
         let mut notes = Vec::new();
         let mut changed = false;
-        let body = rewrite_block(&p.body, &mut |s| {
+        let dists = Dists::of(p);
+        let body = rewrite_body(p, &mut |k, _, s| {
             let Stmt::Guarded {
                 rule: BoolExpr::Await(x),
                 body,
@@ -50,7 +50,7 @@ impl Pass for SinkAwait {
             let Some(nest) = collect_nest(body) else {
                 return vec![s];
             };
-            match try_sink(p, x, &nest) {
+            match try_sink(&dists, k, x, &nest) {
                 Ok(st) => {
                     changed = true;
                     notes.push(format!(
@@ -122,7 +122,8 @@ fn swept(a: i64, lo: i64, hi: i64, over: Triplet) -> Triplet {
     Triplet::new(min.saturating_add(lo), max.saturating_add(hi), st.max(1))
 }
 
-fn try_sink(p: &Program, x: &SectionRef, nest: &Nest) -> Result<Stmt, String> {
+fn try_sink(dists: &Dists, stmt: usize, x: &SectionRef, nest: &Nest) -> Result<Stmt, String> {
+    let p = dists.p;
     let (outer_var, outer_lo, outer_hi, outer_step) = nest.loops[0];
     let xdecl = p.decl(x.var);
 
@@ -171,9 +172,9 @@ fn try_sink(p: &Program, x: &SectionRef, nest: &Nest) -> Result<Stmt, String> {
     let nprocs = p.machine_size().ok_or("no array is distributed")?;
     let env = Bindings::new();
     for pid in 0..nprocs {
-        let on = OnProc { p, pid };
+        let on = OnProc { dists, stmt, pid };
         let unknown = || format!("a bound is not known at compile time on p{pid}");
-        let x_orig = section_on(p, x, &env, on).ok_or_else(unknown)?;
+        let x_orig = section_on(x, &env, on).ok_or_else(unknown)?;
         // What each loop variable runs over; the inner loops only matter
         // where the outer one runs.
         let mut over = Vec::with_capacity(nest.loops.len());
@@ -407,7 +408,7 @@ mod tests {
     /// the awaited section, the pieces jointly cover it, and everything
     /// the nest touches lies inside its iteration's piece.
     fn sound_by_enumeration(p: &Program, sunk: &Program) -> bool {
-        use xdp_ir::analysis::{eval, loop_window, section_on, Bindings, OnProc};
+        use xdp_ir::analysis::{eval, loop_window, section_on, Bindings, Dists, OnProc};
         let Stmt::Guarded {
             rule: BoolExpr::Await(x),
             ..
@@ -445,24 +446,29 @@ mod tests {
         let [Stmt::Kernel { args, .. }] = body.as_slice() else {
             panic!("a kernel");
         };
+        let dists = Dists::of(p);
         (0..4).all(|pid| {
-            let on = OnProc { p, pid };
+            let on = OnProc {
+                dists: &dists,
+                stmt: 0,
+                pid,
+            };
             let mut env = Bindings::new();
             let values = |env: &Bindings, lo, hi, st| {
                 let [lo, hi, st] = [lo, hi, st].map(|e| eval(e, env, Some(on)).unwrap());
                 loop_window(lo, hi, st).unwrap()
             };
-            let whole = section_on(p, x, &env, on).unwrap();
+            let whole = section_on(x, &env, on).unwrap();
             let mut pieces = Vec::new();
             for jv in values(&env, lo, hi, step).iter() {
                 env.insert(j.clone(), jv);
-                let piece = section_on(p, piece, &env, on).unwrap();
+                let piece = section_on(piece, &env, on).unwrap();
                 if !whole.covers(&piece) {
                     return false;
                 }
                 for iv in values(&env, ilo, ihi, ist).iter() {
                     env.insert(i.clone(), iv);
-                    if !piece.covers(&section_on(p, &args[0], &env, on).unwrap()) {
+                    if !piece.covers(&section_on(&args[0], &env, on).unwrap()) {
                         return false;
                     }
                 }

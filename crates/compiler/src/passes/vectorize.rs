@@ -18,10 +18,9 @@
 //! motivating claim for representing transfers explicitly in the IL.
 
 use crate::passes::pattern::{recognize, NaiveCommLoop};
-use crate::passes::{declined, Pass, PassResult};
-use xdp_ir::analysis::{compress_triplets, intersect_lists, Owners};
+use crate::passes::{declined, rewrite_body, Pass, PassResult};
+use xdp_ir::analysis::{compress_triplets, intersect_lists, Dists, Owners};
 use xdp_ir::build as b;
-use xdp_ir::walk::rewrite_block;
 use xdp_ir::{Decl, Distribution, Ownership, Program, SectionRef, Stmt, Triplet};
 
 /// The vectorization pass.
@@ -36,14 +35,14 @@ impl Pass for VectorizeMessages {
         let mut notes = Vec::new();
         let mut program = p.clone();
         let mut changed = false;
-        let mut owners = Owners::new(p);
-        // rewrite_block over `p`; new ghost decls appended to `program` as
-        // we go.
-        let body = rewrite_block(&p.body, &mut |s| {
+        let dists = Dists::of(p);
+        let mut owners = Owners::new(&dists);
+        // Rewrite `p`'s body; new ghost decls appended to `program` as we go.
+        let body = rewrite_body(p, &mut |k, _, s| {
             let Some(pat) = recognize(&s) else {
                 return vec![s];
             };
-            match try_vectorize(p, &mut owners, &mut program, &pat, &mut notes) {
+            match try_vectorize(&dists, &mut owners, k, &mut program, &pat, &mut notes) {
                 Ok(stmts) => {
                     changed = true;
                     stmts
@@ -64,12 +63,14 @@ impl Pass for VectorizeMessages {
 }
 
 fn try_vectorize(
-    p: &Program,
+    dists: &Dists,
     owners: &mut Owners,
+    k: usize,
     program: &mut Program,
     pat: &NaiveCommLoop,
     notes: &mut Vec<String>,
 ) -> Result<Vec<Stmt>, String> {
+    let p = dists.p;
     let window = pat.window()?;
     if window.is_empty() {
         return Err("it never runs".to_string());
@@ -77,21 +78,19 @@ fn try_vectorize(
     // Target and operands each carry the loop variable in exactly one
     // point subscript with unit coefficient, all other subscripts
     // loop-invariant (any rank), wholly owned on every iteration.
-    let tmap = owners.map(&pat.target, &pat.var, window)?;
+    let tmap = owners.map(k, &pat.target, &pat.var, window)?;
     let tdecl = p.decl(pat.target.var);
-    let aligned = |d: &Decl| d.dist.as_ref().is_some_and(|x| x.alignment().is_some());
     let mut omaps = Vec::with_capacity(pat.slots.len());
     for slot in &pat.slots {
-        omaps.push(owners.map(&slot.operand, &pat.var, window)?);
-        if let Some(d) = [tdecl, p.decl(slot.operand.var)]
-            .into_iter()
-            .find(|d| aligned(d))
-        {
-            return Err(format!("{} is aligned to another array", d.name));
+        omaps.push(owners.map(k, &slot.operand, &pat.var, window)?);
+        for var in [pat.target.var, slot.operand.var] {
+            if dists.at(var, k)?.alignment().is_some() {
+                return Err(format!("{} is aligned to another array", p.decl(var).name));
+            }
         }
     }
     // The ghost follows the target through the loop dimension alone.
-    let tdist = tdecl.dist.clone().expect("mapped arrays are distributed");
+    let tdist = dists.at(pat.target.var, k)?.clone();
     if (0..tdecl.rank()).any(|d| d != tmap.dim && tdist.dims()[d].is_distributed()) {
         return Err(format!(
             "{} is distributed in a dimension the loop does not sweep",

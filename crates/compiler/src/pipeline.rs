@@ -1,4 +1,4 @@
-//! The end-to-end compile pipeline: parse → lower → optimize → place.
+//! The end-to-end compile pipeline: parse → place → lower → optimize.
 //!
 //! Every consumer of the compiler used to assemble this sequence by hand —
 //! each `xdpc` subcommand, the experiments, and now the `xdpd`
@@ -93,8 +93,8 @@ pub struct CompileOptions {
     pub procs: Option<usize>,
     /// Run the paper's §2.2 optimization pipeline.
     pub optimize: bool,
-    /// Run the automatic-placement search ([`AutoPlace`]) after the
-    /// optimization pipeline.
+    /// Run the automatic-placement search ([`AutoPlace`]) on the source,
+    /// before lowering and the optimization pipeline.
     pub place: bool,
     /// Sequential-source handling.
     pub seq: SeqMode,
@@ -227,17 +227,28 @@ pub fn compile(source: &str, opts: &CompileOptions) -> Result<Compiled, CompileE
     compile_program(&program, opts)
 }
 
-/// Compile an already-parsed program: lower (per [`SeqMode`]), validate,
-/// then run the requested passes. `xdpc` parses centrally (one diagnostic
-/// for unreadable files, one for parse errors) and enters here.
+/// Compile an already-parsed program: place (when asked), lower (per
+/// [`SeqMode`]), validate, then optimize (when asked). Where each array
+/// lives is decided first, on the source, so that the communication the
+/// frontend and the paper pipeline write is written for it; the search
+/// keeps its hands off what the program text pins (DESIGN §2.10). `xdpc`
+/// parses centrally (one diagnostic for unreadable files, one for parse
+/// errors) and enters here.
 pub fn compile_program(program: &Program, opts: &CompileOptions) -> Result<Compiled, CompileError> {
     if opts.procs == Some(0) {
         return Err(CompileError::ZeroProcs);
     }
+    let (source, mut trace) = if opts.place {
+        let mut ap = AutoPlace::new();
+        ap.options.model.mem_budget = opts.mem_budget;
+        PassManager::new().add(ap).run_traced(program)
+    } else {
+        (program.clone(), CompileTrace::default())
+    };
     use FrontendError::*;
     let (program, lowered) = match opts.seq {
-        SeqMode::AsIs => (program.clone(), false),
-        SeqMode::Lower | SeqMode::Auto => match lower_owner_computes(program) {
+        SeqMode::AsIs => (source, false),
+        SeqMode::Lower | SeqMode::Auto => match lower_owner_computes(&source) {
             Ok(lowered) => (lowered, true),
             // Not sequential: IL+XDP, compiled as written. Or sequential
             // statement by statement, but a reference's shape hangs on
@@ -249,7 +260,7 @@ pub fn compile_program(program: &Program, opts: &CompileOptions) -> Result<Compi
                 | NonUnitStep { .. }
                 | NonStaticShape { .. }
                 | LoopVariantShape { .. },
-            ) if opts.seq == SeqMode::Auto => (program.clone(), false),
+            ) if opts.seq == SeqMode::Auto => (source, false),
             Err(e @ (NotSequential { .. } | NonUnitStep { .. })) => {
                 return Err(CompileError::NotSequential(e.to_string()))
             }
@@ -260,16 +271,13 @@ pub fn compile_program(program: &Program, opts: &CompileOptions) -> Result<Compi
     if !diags.is_empty() {
         return Err(CompileError::Invalid(diags));
     }
-    let mut mgr = PassManager::new();
-    if opts.optimize {
-        mgr = PassManager::paper_pipeline();
-    }
-    if opts.place {
-        let mut ap = AutoPlace::new();
-        ap.options.model.mem_budget = opts.mem_budget;
-        mgr = mgr.add(ap);
-    }
-    let (program, trace) = mgr.run_traced(&program);
+    let mgr = if opts.optimize {
+        PassManager::paper_pipeline()
+    } else {
+        PassManager::new()
+    };
+    let (program, optimized) = mgr.run_traced(&program);
+    trace.passes.extend(optimized.passes);
     Ok(Compiled {
         nprocs: opts.procs.or(program.machine_size()).unwrap_or(1),
         program: Arc::new(program),
@@ -353,6 +361,25 @@ mod tests {
         )
         .unwrap_err();
         assert!(matches!(e, CompileError::Frontend(_)), "{e}");
+    }
+
+    #[test]
+    fn placement_is_chosen_before_communication_is_written() {
+        let placed = CompileOptions::default()
+            .with_seq(SeqMode::Auto)
+            .optimized()
+            .placed();
+        // A sequential source is placed, then lowered: B is aligned with A
+        // before the frontend writes a transfer, so none survives.
+        let c = compile(SEQ_SRC, &placed).unwrap();
+        assert!(c.lowered);
+        assert_eq!(c.trace.passes[0].name, "auto-place");
+        assert_eq!(c.program.stmt_census().sends, 0, "{:?}", c.trace.passes);
+        // IL+XDP is placed as written, and its text sends B.
+        let c = compile(XDP_SRC, &placed).unwrap();
+        let notes = &c.trace.passes[0].notes;
+        let pinned = "B is named by a send or receive in statement 1 (`do i = 1, 16`)";
+        assert!(notes.iter().any(|n| n.starts_with(pinned)), "{notes:?}");
     }
 
     #[test]

@@ -47,6 +47,17 @@ pub enum RtError {
     },
     /// Intrinsic applied to a universal variable (§2.3 requires exclusive).
     IntrinsicOnUniversal(VarId),
+    /// `mylb`/`myub` inside a section subscript on a processor that owns
+    /// no element of the queried section: the paper's `MAXINT`/`MININT`
+    /// would become an index. (In a loop bound it is an empty range.)
+    NothingOwned {
+        pid: usize,
+        /// The query as evaluated, a whole dimension as `*`:
+        /// `mylb(U[*,*], 1)`.
+        query: String,
+        /// What was queried: the array's name, or its section.
+        of: String,
+    },
     /// Symbol-table protocol violation.
     Symtab(SymtabError),
     /// Sections in an element-wise operation do not conform.
@@ -102,6 +113,9 @@ impl std::fmt::Display for RtError {
             }
             RtError::IntrinsicOnUniversal(v) => {
                 write!(f, "intrinsic applied to universal variable {v}")
+            }
+            RtError::NothingOwned { pid, query, of } => {
+                write!(f, "p{pid}: {query}: p{pid} owns no element of {of}")
             }
             RtError::Symtab(e) => write!(f, "{e}"),
             RtError::NotConformable { lhs, rhs } => {
@@ -257,8 +271,15 @@ impl ProcEnv {
         full.ordinal_of(idx).map(|o| o as usize)
     }
 
-    /// Evaluate an integer expression.
+    /// Evaluate an integer expression outside any section subscript (a
+    /// loop bound, a scalar, a kernel argument, a destination, a salt).
     pub fn eval_int(&mut self, e: &IntExpr) -> Result<i64, RtError> {
+        self.eval_int_in(e, false)
+    }
+
+    /// Evaluate an integer expression; `subscript` when it indexes a
+    /// section.
+    fn eval_int_in(&mut self, e: &IntExpr, subscript: bool) -> Result<i64, RtError> {
         match e {
             IntExpr::Const(c) => Ok(*c),
             IntExpr::Var(name) => self
@@ -269,15 +290,16 @@ impl ProcEnv {
             IntExpr::MyPid => Ok(self.pid as i64),
             IntExpr::MyLb(r, d) => {
                 let (var, sec) = self.eval_section(r)?;
-                self.mylb(var, &sec, *d)
+                self.mylb(var, &sec, *d, subscript)
             }
             IntExpr::MyUb(r, d) => {
                 let (var, sec) = self.eval_section(r)?;
-                self.myub(var, &sec, *d)
+                self.myub(var, &sec, *d, subscript)
             }
-            IntExpr::Neg(a) => Ok(self.eval_int(a)?.saturating_neg()),
+            IntExpr::Neg(a) => Ok(self.eval_int_in(a, subscript)?.saturating_neg()),
             IntExpr::Bin(op, a, b) => {
-                let (a, b) = (self.eval_int(a)?, self.eval_int(b)?);
+                let a = self.eval_int_in(a, subscript)?;
+                let b = self.eval_int_in(b, subscript)?;
                 self.ops.flops += 1;
                 op.apply(a, b).ok_or(RtError::DivisionByZero)
             }
@@ -295,16 +317,65 @@ impl ProcEnv {
         Ok(())
     }
 
-    /// `mylb(X, d)`: smallest owned index in dimension `d`.
-    pub fn mylb(&mut self, var: VarId, sec: &Section, d: u32) -> Result<i64, RtError> {
+    /// `mylb(X, d)`: smallest owned index in dimension `d`, the paper's
+    /// `MAXINT` when nothing is owned — an empty range as a loop's lower
+    /// bound, and [`RtError::NothingOwned`] in a `subscript`.
+    pub fn mylb(
+        &mut self,
+        var: VarId,
+        sec: &Section,
+        d: u32,
+        subscript: bool,
+    ) -> Result<i64, RtError> {
         self.charge_intrinsic(var)?;
-        Ok(self.symtab.mylb(var, sec, d))
+        let lb = self.symtab.mylb(var, sec, d);
+        self.owned_bound(lb, i64::MAX, subscript, ("mylb", var, sec, d))
     }
 
-    /// `myub(X, d)`: largest owned index in dimension `d`.
-    pub fn myub(&mut self, var: VarId, sec: &Section, d: u32) -> Result<i64, RtError> {
+    /// `myub(X, d)`: largest owned index in dimension `d`; `MININT` when
+    /// nothing is owned, as [`ProcEnv::mylb`].
+    pub fn myub(
+        &mut self,
+        var: VarId,
+        sec: &Section,
+        d: u32,
+        subscript: bool,
+    ) -> Result<i64, RtError> {
         self.charge_intrinsic(var)?;
-        Ok(self.symtab.myub(var, sec, d))
+        let ub = self.symtab.myub(var, sec, d);
+        self.owned_bound(ub, i64::MIN, subscript, ("myub", var, sec, d))
+    }
+
+    /// A bound the symbol table answered, refused where the empty
+    /// ownership's `sentinel` would index a section.
+    fn owned_bound(
+        &self,
+        bound: i64,
+        sentinel: i64,
+        subscript: bool,
+        (which, var, sec, d): (&str, VarId, &Section, u32),
+    ) -> Result<i64, RtError> {
+        if !subscript || bound != sentinel {
+            return Ok(bound);
+        }
+        let decl = &self.decls[var.index()];
+        let dims = (sec.dims().iter().zip(&decl.bounds)).map(|(t, whole)| {
+            if t == whole {
+                "*".to_string()
+            } else {
+                t.to_string()
+            }
+        });
+        let section = format!("{}[{}]", decl.name, dims.collect::<Vec<_>>().join(","));
+        Err(RtError::NothingOwned {
+            pid: self.pid,
+            query: format!("{which}({section}, {d})"),
+            of: if *sec == self.full_section(var) {
+                decl.name.clone()
+            } else {
+                section
+            },
+        })
     }
 
     /// `iown(X)`.
@@ -342,12 +413,12 @@ impl ProcEnv {
         let mut dims = Vec::with_capacity(r.subs.len());
         for (d, s) in r.subs.iter().enumerate() {
             dims.push(match s {
-                Subscript::Point(e) => Triplet::point(self.eval_int(e)?),
+                Subscript::Point(e) => Triplet::point(self.eval_int_in(e, true)?),
                 Subscript::All => bounds[d],
                 Subscript::Range(t) => {
-                    let lb = self.eval_int(&t.lb)?;
-                    let ub = self.eval_int(&t.ub)?;
-                    let st = self.eval_int(&t.st)?;
+                    let lb = self.eval_int_in(&t.lb, true)?;
+                    let ub = self.eval_int_in(&t.ub, true)?;
+                    let st = self.eval_int_in(&t.st, true)?;
                     Triplet::new(lb, ub, st)
                 }
             });

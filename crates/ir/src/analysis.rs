@@ -14,24 +14,271 @@
 //! There is one evaluator, [`affine_in`]: every compile-time integer goes
 //! through it and so through [`crate::IntBinOp::apply`], where a zero
 //! divisor has no value.
+//!
+//! There is one answer to "where does this array live here?", [`Dists`]:
+//! every question about ownership names the top-level statement it is
+//! asked at, and is answered from the distribution the array has there.
 
-use crate::walk::{self, Node, Role};
+use crate::walk::{self, Node, NodeMut, Role};
 use crate::{
-    Decl, IntBinOp, IntExpr, Ownership, Program, Section, SectionRef, Stmt, Subscript,
-    TransferKind, Triplet, VarId,
+    Decl, Distribution, IntBinOp, IntExpr, Ownership, Program, Section, SectionRef, Stmt,
+    Subscript, Triplet, VarId,
 };
 use std::collections::HashMap;
 
 /// A compile-time binding environment for loop variables.
 pub type Bindings = HashMap<String, i64>;
 
-/// The processor a compile-time question is asked about. It gives `mypid`
-/// a value, and `mylb`/`myub` theirs for arrays whose ownership never
-/// moves (no ownership send or receive names them anywhere in the
-/// program), read off the declared distribution.
+/// Why the program text fixes where an array lives ([`Dists::pinned`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Clause {
+    /// A subscript of it is computed from `mypid`.
+    PidSubscript,
+    /// An ownership transfer, or a `redistribute` nested in a loop or
+    /// guard, moves it.
+    Moved,
+    /// Its `mylb`/`myub` are taken outside a loop header.
+    BoundsTaken,
+    /// A send or receive names it.
+    Communicated,
+    /// A statement referencing it names `mypid` in a guard or a value,
+    /// other than as a subscript.
+    PidDependent,
+}
+
+impl std::fmt::Display for Clause {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(match self {
+            Clause::PidSubscript => "is subscripted by mypid",
+            Clause::Moved => "is moved by an ownership transfer",
+            Clause::BoundsTaken => "has its mylb/myub taken outside a loop header",
+            Clause::Communicated => "is named by a send or receive",
+            Clause::PidDependent => "is referenced where a guard or value names mypid",
+        })
+    }
+}
+
+/// One reason an array is pinned: the clause, and the top-level statement
+/// where the program text says so first.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Pin {
+    pub clause: Clause,
+    pub stmt: usize,
+}
+
+/// Where every array lives at every top-level statement, in program order,
+/// and which arrays the program text pins.
+///
+/// An array starts as its declaration. After a top-level `redistribute` it
+/// is the target, known at compile time. From a statement that transfers
+/// its ownership, or nests a `redistribute` of it in a loop or guard, on it
+/// is unknown: every question about it there or later is declined, and the
+/// note names that statement.
+pub struct Dists<'p> {
+    pub p: &'p Program,
+    /// Per array: the distribution it enters statement `k` with, from each
+    /// listed `k` on — or why nobody knows.
+    eras: Vec<Vec<(usize, Result<Distribution, String>)>>,
+    /// Per array: the top-level statements that move it.
+    moves: Vec<Vec<usize>>,
+    /// Per array: each clause that pins it, at its first statement.
+    pins: Vec<Vec<Pin>>,
+}
+
+impl<'p> Dists<'p> {
+    pub fn of(p: &'p Program) -> Dists<'p> {
+        let declared = |d: &Decl| match &d.dist {
+            Some(dist) if d.ownership == Ownership::Exclusive => Ok(dist.clone()),
+            _ => Err(format!("{} is not an exclusive distributed array", d.name)),
+        };
+        let mut dists = Dists {
+            p,
+            eras: p.decls.iter().map(|d| vec![(0, declared(d))]).collect(),
+            moves: vec![Vec::new(); p.decls.len()],
+            pins: vec![Vec::new(); p.decls.len()],
+        };
+        for (k, s) in p.body.iter().enumerate() {
+            let mut moved: Vec<VarId> = (block_accesses(std::slice::from_ref(s)).into_iter())
+                .filter(|a| matches!(a.kind, AccessKind::OwnOut | AccessKind::OwnIn))
+                .map(|a| a.var)
+                .collect();
+            moved.sort_unstable();
+            moved.dedup();
+            for v in moved {
+                dists.moves[v.index()].push(k);
+                let next = match s {
+                    Stmt::Redistribute { var, dist } if *var == v => Ok(dist.clone()),
+                    _ => {
+                        dists.pin(v, Clause::Moved, k);
+                        Err(format!(
+                            "{} moves in {}",
+                            p.decl(v).name,
+                            dists.stmt_note(k)
+                        ))
+                    }
+                };
+                let eras = &mut dists.eras[v.index()];
+                if eras.last().is_some_and(|(_, era)| era.is_ok()) {
+                    eras.push((k + 1, next));
+                }
+            }
+            for (v, clause) in pins_of(s) {
+                dists.pin(v, clause, k);
+            }
+        }
+        dists
+    }
+
+    fn pin(&mut self, var: VarId, clause: Clause, stmt: usize) {
+        let pins = &mut self.pins[var.index()];
+        if !pins.iter().any(|pin| pin.clause == clause) {
+            pins.push(Pin { clause, stmt });
+        }
+    }
+
+    /// `statement N (`summary`)`, 1-based.
+    fn stmt_note(&self, k: usize) -> String {
+        let summary = crate::pretty::stmt_summary(self.p, &self.p.body[k]);
+        let summary = summary.trim_end_matches(" {").trim_end_matches(" :");
+        format!("statement {} (`{summary}`)", k + 1)
+    }
+
+    /// The era `var` enters top-level statement `stmt` in: where it starts,
+    /// and the distribution.
+    fn era(&self, var: VarId, stmt: usize) -> Result<(usize, &Distribution), String> {
+        let eras = &self.eras[var.index()];
+        let (from, era) = eras
+            .iter()
+            .rev()
+            .find(|(from, _)| *from <= stmt)
+            .expect("declared");
+        era.as_ref().map(|d| (*from, d)).map_err(Clone::clone)
+    }
+
+    /// The distribution `var` enters top-level statement `stmt` with.
+    pub fn before(&self, var: VarId, stmt: usize) -> Result<&Distribution, String> {
+        self.era(var, stmt).map(|(_, d)| d)
+    }
+
+    /// The distribution `var` has all through top-level statement `stmt`;
+    /// declined if the statement moves it.
+    pub fn at(&self, var: VarId, stmt: usize) -> Result<&Distribution, String> {
+        self.live(var, stmt).map(|(_, d)| d)
+    }
+
+    fn live(&self, var: VarId, stmt: usize) -> Result<(usize, &Distribution), String> {
+        let era = self.era(var, stmt)?;
+        if self.moves[var.index()].contains(&stmt) {
+            let name = &self.p.decl(var).name;
+            return Err(format!("{name} moves in {}", self.stmt_note(stmt)));
+        }
+        Ok(era)
+    }
+
+    /// Every clause that pins `var`, each at the first statement it holds.
+    pub fn pins(&self, var: VarId) -> &[Pin] {
+        &self.pins[var.index()]
+    }
+
+    /// Why the program text fixes where `var` lives, naming the array, the
+    /// first clause and its statement; `None` when nothing does.
+    pub fn pinned(&self, var: VarId) -> Option<String> {
+        let pin = self.pins(var).iter().min_by_key(|pin| pin.stmt)?;
+        let name = &self.p.decl(var).name;
+        Some(format!(
+            "{name} {} in {}",
+            pin.clause,
+            self.stmt_note(pin.stmt)
+        ))
+    }
+}
+
+/// The clauses a top-level statement pins arrays by, the move apart.
+fn pins_of(s: &Stmt) -> Vec<(VarId, Clause)> {
+    let is_pid = |n| matches!(n, Node::Int(IntExpr::MyPid));
+    let mut out = Vec::new();
+    walk::visit(Node::Stmt(s), &mut |n| match n {
+        Node::Ref(r, _) if r.subs.iter().any(|sub| walk::any(Node::Sub(sub), is_pid)) => {
+            out.push((r.var, Clause::PidSubscript))
+        }
+        Node::Stmt(t) => {
+            let heads = heads(t);
+            if !matches!(t, Stmt::DoLoop { .. }) {
+                for &h in &heads {
+                    walk::visit(h, &mut |n| {
+                        if let Node::Int(IntExpr::MyLb(r, _) | IntExpr::MyUb(r, _)) = n {
+                            out.push((r.var, Clause::BoundsTaken));
+                        }
+                    });
+                }
+            }
+            let clause = match t {
+                Stmt::Send { .. } | Stmt::Recv { .. } => Some(Clause::Communicated),
+                _ if heads.iter().any(|&h| names_pid(h)) => Some(Clause::PidDependent),
+                _ => None,
+            };
+            if let Some(clause) = clause {
+                walk::visit(Node::Stmt(t), &mut |n| {
+                    if let Node::Ref(r, _) = n {
+                        out.push((r.var, clause));
+                    }
+                });
+            }
+        }
+        _ => {}
+    });
+    out
+}
+
+/// What a statement holds itself, its body apart: a loop's header, a
+/// guard's rule, all of any other statement.
+fn heads(s: &Stmt) -> Vec<Node<'_>> {
+    match s {
+        Stmt::DoLoop { lo, hi, step, .. } => vec![Node::Int(lo), Node::Int(hi), Node::Int(step)],
+        Stmt::Guarded { rule, .. } => vec![Node::Rule(rule)],
+        Stmt::Barrier | Stmt::Redistribute { .. } => Vec::new(),
+        leaf => vec![Node::Stmt(leaf)],
+    }
+}
+
+/// Does `n` name `mypid` other than inside a subscript?
+fn names_pid(n: Node<'_>) -> bool {
+    let is_pid = |n| matches!(n, Node::Int(IntExpr::MyPid));
+    if !walk::any(n, is_pid) {
+        return false;
+    }
+    let unsubscript = &mut |n: NodeMut<'_>| {
+        if let NodeMut::Sub(s) = n {
+            *s = Subscript::All;
+        }
+    };
+    match n {
+        Node::Int(e) => {
+            let mut e = e.clone();
+            walk::map(NodeMut::Int(&mut e), unsubscript);
+            walk::any(Node::Int(&e), is_pid)
+        }
+        Node::Rule(r) => {
+            let mut r = r.clone();
+            walk::map(NodeMut::Rule(&mut r), unsubscript);
+            walk::any(Node::Rule(&r), is_pid)
+        }
+        Node::Stmt(s) => {
+            let mut block = vec![s.clone()];
+            walk::map(NodeMut::Block(&mut block), unsubscript);
+            walk::any(Node::Stmt(&block[0]), is_pid)
+        }
+        _ => true,
+    }
+}
+
+/// The processor a compile-time question is asked about, at a top-level
+/// statement. It gives `mypid` a value, and `mylb`/`myub` theirs for
+/// arrays whose distribution is known there ([`Dists::at`]).
 #[derive(Clone, Copy)]
 pub struct OnProc<'a> {
-    pub p: &'a Program,
+    pub dists: &'a Dists<'a>,
+    pub stmt: usize,
     pub pid: usize,
 }
 
@@ -82,21 +329,17 @@ pub fn eval_static(e: &IntExpr, env: &Bindings) -> Option<i64> {
     eval(e, env, None)
 }
 
-/// `mylb(r, d)` / `myub(r, d)` on processor `on`, from the declared
-/// distribution: the paper's `MAXINT` / `MININT` when nothing is owned.
+/// `mylb(r, d)` / `myub(r, d)` on processor `on`, from the distribution
+/// `r`'s array has at `on`'s statement: the paper's `MAXINT` / `MININT`
+/// when nothing is owned.
 fn owned_bound(on: OnProc, r: &SectionRef, d: u32, env: &Bindings, lower: bool) -> Option<i64> {
-    let decl = on.p.decl(r.var);
+    let decl = on.dists.p.decl(r.var);
     let dim = (d as usize)
         .checked_sub(1)
         .filter(|&dim| dim < decl.rank())?;
-    if decl.ownership != Ownership::Exclusive || !ownership_stable(on.p, r.var) {
-        return None;
-    }
-    let query = resolve_section(on.p, r, env, Some(on), false)?.dim(dim);
-    let owned = decl
-        .dist
-        .as_ref()?
-        .owned_triplets(&decl.bounds, on.pid, dim);
+    let dist = on.dists.at(r.var, on.stmt).ok()?;
+    let query = section_on(r, env, on)?.dim(dim);
+    let owned = dist.owned_triplets(&decl.bounds, on.pid, dim);
     let owned = owned.iter().map(|t| t.intersect(&query));
     let owned = owned.filter(|t| !t.is_empty());
     Some(if lower {
@@ -104,21 +347,6 @@ fn owned_bound(on: OnProc, r: &SectionRef, d: u32, env: &Bindings, lower: bool) 
     } else {
         owned.map(|t| t.ub).max().unwrap_or(i64::MIN)
     })
-}
-
-/// Does no ownership send or receive anywhere in the program name `var`?
-fn ownership_stable(p: &Program, var: VarId) -> bool {
-    let mut stable = true;
-    p.visit(&mut |s| match s {
-        Stmt::Send { sec: r, kind, .. }
-        | Stmt::Recv {
-            target: r, kind, ..
-        } if r.var == var && *kind != TransferKind::Value => {
-            stable = false;
-        }
-        _ => {}
-    });
-    stable
 }
 
 /// One dimension of a reference, as a function of a loop variable.
@@ -185,8 +413,8 @@ pub fn concrete_section_unbounded(p: &Program, r: &SectionRef, env: &Bindings) -
 }
 
 /// [`concrete_section_unbounded`] as processor `on` sees it.
-pub fn section_on(p: &Program, r: &SectionRef, env: &Bindings, on: OnProc) -> Option<Section> {
-    resolve_section(p, r, env, Some(on), false)
+pub fn section_on(r: &SectionRef, env: &Bindings, on: OnProc) -> Option<Section> {
+    resolve_section(on.dists.p, r, env, Some(on), false)
 }
 
 fn resolve_section(
@@ -325,46 +553,86 @@ pub struct OwnerMap {
 }
 
 /// The ownership oracle of one pass run: each array's owned triplets per
-/// processor and dimension, built from its declared distribution the first
-/// time it is asked about.
-pub struct Owners<'p> {
-    p: &'p Program,
-    lists: HashMap<VarId, Vec<Vec<Vec<Triplet>>>>,
+/// processor and dimension under the distribution it has at the statement
+/// asked about ([`Dists::at`]), built the first time that distribution is.
+pub struct Owners<'a> {
+    dists: &'a Dists<'a>,
+    /// By array and the first statement of its distribution's era.
+    lists: HashMap<(VarId, usize), Vec<Vec<Vec<Triplet>>>>,
 }
 
-impl<'p> Owners<'p> {
-    pub fn new(p: &'p Program) -> Owners<'p> {
+impl<'a> Owners<'a> {
+    pub fn new(dists: &'a Dists<'a>) -> Owners<'a> {
         Owners {
-            p,
+            dists,
             lists: HashMap::new(),
         }
     }
 
-    /// `lists[pid][dim]` of an exclusive distributed array.
-    fn lists(&mut self, var: VarId) -> Option<&[Vec<Vec<Triplet>>]> {
-        let decl = self.p.decl(var);
-        let dist = decl.dist.as_ref()?;
-        if decl.ownership != Ownership::Exclusive {
-            return None;
-        }
-        let owned = |pid| (0..decl.rank()).map(move |d| dist.owned_triplets(&decl.bounds, pid, d));
-        let lists = (self.lists.entry(var))
+    /// `lists[pid][dim]` of `var` at top-level statement `stmt` — as it
+    /// enters the statement, if `entering` — or why nobody knows them.
+    fn lists(
+        &mut self,
+        stmt: usize,
+        var: VarId,
+        entering: bool,
+    ) -> Result<&[Vec<Vec<Triplet>>], String> {
+        let dists = self.dists;
+        let (from, dist) = if entering {
+            dists.era(var, stmt)?
+        } else {
+            dists.live(var, stmt)?
+        };
+        let bounds = &dists.p.decl(var).bounds;
+        let owned = |pid| (0..bounds.len()).map(move |d| dist.owned_triplets(bounds, pid, d));
+        let lists = (self.lists.entry((var, from)))
             .or_insert_with(|| (0..dist.nprocs()).map(|pid| owned(pid).collect()).collect());
-        Some(lists)
+        Ok(lists)
     }
 
-    /// The single compile-time owner of a reference under `env`, if the
-    /// variable is exclusive and every element has the same owner.
-    pub fn sole_owner(&mut self, r: &SectionRef, env: &Bindings) -> Option<usize> {
-        let sec = concrete_section(self.p, r, env).filter(|sec| !sec.is_empty())?;
-        self.lists(r.var)?
-            .iter()
+    /// The single compile-time owner of a reference under `env` at
+    /// top-level statement `stmt`, if every element has the same owner.
+    pub fn sole_owner(&mut self, stmt: usize, r: &SectionRef, env: &Bindings) -> Option<usize> {
+        let sec = concrete_section(self.dists.p, r, env).filter(|sec| !sec.is_empty())?;
+        (self.lists(stmt, r.var, false).ok()?.iter())
             .position(|owned| sec.dims().iter().zip(owned).all(|(t, l)| covers(l, t)))
     }
 
-    /// The [`OwnerMap`] of `r` over `do var = window`, or why it has none.
-    pub fn map(&mut self, r: &SectionRef, var: &str, window: Triplet) -> Result<OwnerMap, String> {
-        let (p, decl) = (self.p, self.p.decl(r.var));
+    /// The [`OwnerMap`] of `r` over `do var = window` at top-level
+    /// statement `stmt`, or why it has none.
+    pub fn map(
+        &mut self,
+        stmt: usize,
+        r: &SectionRef,
+        var: &str,
+        window: Triplet,
+    ) -> Result<OwnerMap, String> {
+        self.map_in(stmt, r, var, window, false)
+    }
+
+    /// [`Owners::map`] under the distribution `r`'s array enters top-level
+    /// statement `stmt` with, though the statement moves it: what the
+    /// statement's own loop guard sees on every iteration when no iteration
+    /// moves what a later guard asks about, the caller's to show.
+    pub fn map_entering(
+        &mut self,
+        stmt: usize,
+        r: &SectionRef,
+        var: &str,
+        window: Triplet,
+    ) -> Result<OwnerMap, String> {
+        self.map_in(stmt, r, var, window, true)
+    }
+
+    fn map_in(
+        &mut self,
+        stmt: usize,
+        r: &SectionRef,
+        var: &str,
+        window: Triplet,
+        entering: bool,
+    ) -> Result<OwnerMap, String> {
+        let (p, decl) = (self.dists.p, self.dists.p.decl(r.var));
         let name = || crate::pretty::section_ref(p, r);
         let fails = |why: &str| Err(format!("{} {why}", name()));
         let not_affine = || Err(format!("subscript {} is not {var} + c", name()));
@@ -389,12 +657,7 @@ impl<'p> Owners<'p> {
         let Some((dim, offset)) = at else {
             return not_affine();
         };
-        let Some(lists) = self.lists(r.var) else {
-            return Err(format!(
-                "{} is not an exclusive distributed array",
-                decl.name
-            ));
-        };
+        let lists = self.lists(stmt, r.var, entering)?;
         let mut map = OwnerMap {
             dim,
             offset,
@@ -556,13 +819,14 @@ mod tests {
         let sec = concrete_section(&p, &ai, &env).unwrap();
         assert_eq!(sec, Section::new(vec![Triplet::point(5)]));
         // A block: 16/4 = 4 per proc; A[5] on P1. C cyclic: C[5] on P0.
-        let mut owners = Owners::new(&p);
-        assert_eq!(owners.sole_owner(&ai, &env), Some(1));
+        let dists = Dists::of(&p);
+        let mut owners = Owners::new(&dists);
+        assert_eq!(owners.sole_owner(0, &ai, &env), Some(1));
         let ci = b::sref(c, vec![b::at(b::iv("i"))]);
-        assert_eq!(owners.sole_owner(&ci, &env), Some(0));
+        assert_eq!(owners.sole_owner(0, &ci, &env), Some(0));
         // Spanning section has no single owner.
         let span = b::sref(a, vec![b::span(b::c(1), b::c(16))]);
-        assert_eq!(owners.sole_owner(&span, &env), None);
+        assert_eq!(owners.sole_owner(0, &span, &env), None);
         // All-subscript resolves to full bounds.
         let all = concrete_section(&p, &b::sref(a, vec![b::all()]), &env).unwrap();
         assert_eq!(all.volume(), 16);
@@ -620,7 +884,7 @@ mod tests {
 
     fn assert_map_is_the_walk(p: &Program, r: &SectionRef, window: Triplet) {
         let what = || format!("{} over {window}", crate::pretty::program(p));
-        let got = Owners::new(p).map(r, "i", window);
+        let got = Owners::new(&Dists::of(p)).map(0, r, "i", window);
         match owner_walk(p, r, "i", window) {
             None => assert!(got.is_err(), "{got:?} for {}", what()),
             Some(walked) => {
@@ -704,20 +968,21 @@ mod tests {
         // Fixed in a dimension other processors share: each processor's
         // iterations are no longer all it owns of the swept dimension.
         let row = b::sref(a, vec![i(), b::at(b::c(3))]);
-        let map = Owners::new(&p)
-            .map(&row, "i", Triplet::range(0, 11))
+        let dists = Dists::of(&p);
+        let map = Owners::new(&dists)
+            .map(0, &row, "i", Triplet::range(0, 11))
             .unwrap();
         assert!(!map.dim_decides);
         assert_eq!((map.dim, map.offset), (0, 1));
         // Not `i + c`, or not a distributed array: declined, with a reason.
-        let mut owners = Owners::new(&p);
+        let mut owners = Owners::new(&dists);
         for sub in [b::iv("i").mul(b::iv("i")), b::iv("i").mul(b::c(2)), b::c(3)] {
             let r = b::sref(a, vec![b::at(sub), b::at(b::c(1))]);
-            let why = owners.map(&r, "i", Triplet::range(1, 3)).unwrap_err();
+            let why = owners.map(0, &r, "i", Triplet::range(1, 3)).unwrap_err();
             assert!(why.ends_with("is not i + c"), "{why}");
         }
         let both = b::sref(a, vec![b::at(b::iv("i")), b::at(b::iv("i"))]);
-        assert!(owners.map(&both, "i", Triplet::range(1, 3)).is_err());
+        assert!(owners.map(0, &both, "i", Triplet::range(1, 3)).is_err());
     }
 
     proptest::proptest! {
@@ -828,7 +1093,14 @@ mod tests {
     fn a_processor_resolves_mypid_and_the_bounds_of_arrays_that_stay_put() {
         let (mut p, a, c) = prog();
         let env = Bindings::new();
-        let on = |pid| Some(OnProc { p: &p, pid });
+        let dists = Dists::of(&p);
+        let on = |pid| {
+            Some(OnProc {
+                dists: &dists,
+                stmt: 0,
+                pid,
+            })
+        };
         let all = |v| b::sref(v, vec![b::all()]);
         assert_eq!(eval(&b::mypid().add(b::c(1)), &env, on(2)), Some(3));
         assert_eq!(eval(&b::mylb(all(a), 1), &env, on(2)), Some(9));
@@ -842,12 +1114,130 @@ mod tests {
         assert_eq!(eval(&b::mylb(all(a), 0), &env, on(0)), None);
         assert_eq!(eval(&b::mylb(all(a), 2), &env, on(0)), None);
         assert_eq!(eval(&b::mylb(all(a), 1), &env, None), None);
-        // Once ownership of A moves anywhere in the program, its declared
-        // distribution no longer says what a processor owns.
+        // From the statement that moves A's ownership on, nobody knows what
+        // a processor owns of it.
         p.body = vec![b::recv_own_val(b::sref(a, vec![b::at(b::c(1))]))];
-        let on = |pid| Some(OnProc { p: &p, pid });
+        let dists = Dists::of(&p);
+        let on = |pid| {
+            Some(OnProc {
+                dists: &dists,
+                stmt: 0,
+                pid,
+            })
+        };
         assert_eq!(eval(&b::mylb(all(a), 1), &env, on(2)), None);
         assert_eq!(eval(&b::mylb(all(c), 1), &env, on(2)), Some(3));
+    }
+
+    #[test]
+    fn an_array_lives_where_its_last_redistribute_put_it_until_ownership_moves() {
+        let (mut p, a, c) = prog();
+        let cyclic = || Distribution::new(vec![DimDist::Cyclic], ProcGrid::linear(4));
+        let all = |v| b::sref(v, vec![b::all()]);
+        let ci = b::sref(c, vec![b::at(b::iv("i"))]);
+        p.body = vec![
+            b::kernel("touch", vec![all(a)]),
+            b::redistribute(a, cyclic()),
+            b::kernel("touch", vec![all(a)]),
+            b::do_loop("i", b::c(1), b::c(16), vec![b::send_own_val(ci)]),
+            b::redistribute(c, cyclic()),
+        ];
+        let dists = Dists::of(&p);
+        let block = p.decl(a).dist.clone().unwrap();
+        assert_eq!(dists.at(a, 0), Ok(&block));
+        assert_eq!(dists.before(a, 1), Ok(&block));
+        assert_eq!(dists.at(a, 2), Ok(&cyclic()));
+        assert!(dists
+            .at(a, 1)
+            .unwrap_err()
+            .starts_with("A moves in statement 2"));
+        // mylb follows: p2 owns A[9:12] as declared, A[3:15:4] after.
+        let mylb = |stmt| {
+            let on = OnProc {
+                dists: &dists,
+                stmt,
+                pid: 2,
+            };
+            eval(&b::mylb(all(a), 1), &Bindings::new(), Some(on))
+        };
+        assert_eq!((mylb(0), mylb(2)), (Some(9), Some(3)));
+        // A move nested in a loop: unknown there and from then on, even
+        // after a redistribute to a known target.
+        let why = "C moves in statement 4 (`do i = 1, 16`)";
+        for stmt in [3, 4, 5] {
+            assert_eq!(dists.at(c, stmt).unwrap_err(), why, "statement {stmt}");
+        }
+        assert_eq!(
+            dists.pinned(c).unwrap(),
+            format!("C {} in statement 4 (`do i = 1, 16`)", Clause::Moved)
+        );
+        assert_eq!(dists.pinned(a), None);
+    }
+
+    #[test]
+    fn the_program_text_pins_what_it_places_by_hand() {
+        let src = [
+            ("U", vec![1, 1]),
+            ("V", vec![1, 1]),
+            ("G", vec![0, 3]),
+            ("W", vec![1, 1]),
+        ];
+        let mut p = Program::new();
+        let vars: Vec<VarId> = (src.iter())
+            .map(|(name, b)| {
+                p.declare(b::array(
+                    name,
+                    ElemType::F64,
+                    vec![(b[0], b[1] + 7)],
+                    vec![DimDist::Block],
+                    ProcGrid::linear(4),
+                ))
+            })
+            .collect();
+        let [u, v, g, w] = [vars[0], vars[1], vars[2], vars[3]];
+        let at = |x, i| b::sref(x, vec![b::at(i)]);
+        let all = |x| b::sref(x, vec![b::all()]);
+        let first = || b::mylb(all(u), 1);
+        p.body = vec![
+            // mylb/myub in a loop header pin nothing; a receive into a
+            // pid-subscripted scratch pins it and the array it names.
+            b::do_loop(
+                "r",
+                first(),
+                b::myub(all(u), 1),
+                vec![b::kernel("touch", vec![at(w, b::iv("r"))])],
+            ),
+            b::recv_val(at(g, b::mypid()), at(v, b::c(1))),
+            // mypid in a guard pins what the guarded statement references;
+            // U's bound is taken outside a loop header.
+            b::guarded(
+                b::cmp(crate::CmpOp::Gt, b::mypid(), b::c(0)),
+                vec![b::assign(at(u, first()), crate::ElemExpr::LitF(1.0))],
+            ),
+        ];
+        let dists = Dists::of(&p);
+        let clauses = |x| {
+            dists
+                .pins(x)
+                .iter()
+                .map(|pin| (pin.clause, pin.stmt))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(clauses(w), []);
+        assert_eq!(clauses(v), [(Clause::Communicated, 1)]);
+        assert_eq!(
+            clauses(g),
+            [(Clause::Communicated, 1), (Clause::PidSubscript, 1)]
+        );
+        assert_eq!(
+            clauses(u),
+            [(Clause::PidDependent, 2), (Clause::BoundsTaken, 2)]
+        );
+        let note = dists.pinned(u).unwrap();
+        assert_eq!(
+            note,
+            format!("U {} in statement 3 (`mypid > 0`)", Clause::PidDependent)
+        );
     }
 
     #[test]

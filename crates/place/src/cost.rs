@@ -310,7 +310,6 @@ mod tests {
             nprocs: 4,
             phases: vec![stencil_phase()],
             dropped_redistributes: vec![],
-            hand_migration: false,
         };
         let c = costs();
         let row = Distribution::new(vec![DimDist::Block, DimDist::Star], ProcGrid::linear(4));

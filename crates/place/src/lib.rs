@@ -21,9 +21,12 @@
 //!    phase 0 (co-arrays aligned to the anchor) and `Stmt::Redistribute`
 //!    at every boundary whose placement changes.
 //!
-//! Programs that migrate ownership by hand (`=>`/`<=-` loops, as in the
-//! paper's §4 FFT listing) are analyzed but not rewritten — the
-//! placement is reported for comparison instead ([`Placed::rewritten`]).
+//! When the program text itself fixes where a member of the searched group
+//! lives — it migrates ownership by hand (`=>`/`<=-` loops, as in the
+//! paper's §4 FFT listing), sends or receives it, indexes or guards on
+//! `mypid` around it, or takes its `mylb`/`myub` outside a loop header
+//! ([`Dists::pinned`]) — the program is analyzed but not rewritten: the
+//! placement is reported for comparison instead ([`Placed::advisory`]).
 
 pub mod candidates;
 pub mod cost;
@@ -34,18 +37,15 @@ pub use cost::Costs;
 pub use phase::{DimNeed, Phase, PhaseGraph, PlaceError, Shift};
 pub use search::{PhaseChoice, SearchOutcome};
 
+use xdp_ir::analysis::Dists;
 use xdp_ir::{Distribution, Program};
 use xdp_machine::{CostModel, Topology};
 
-/// Options controlling the search.
+/// The machine the candidates are scored against.
 #[derive(Clone, Debug)]
 pub struct PlaceOptions {
     pub model: CostModel,
     pub topo: Topology,
-    /// Consider `CYCLIC` per-dimension distributions too.
-    pub allow_cyclic: bool,
-    /// Most array dimensions distributed at once (grid rank).
-    pub max_dist_dims: usize,
 }
 
 impl Default for PlaceOptions {
@@ -53,8 +53,6 @@ impl Default for PlaceOptions {
         PlaceOptions {
             model: CostModel::default_1993(),
             topo: Topology::Uniform,
-            allow_cyclic: true,
-            max_dist_dims: 2,
         }
     }
 }
@@ -101,23 +99,20 @@ impl Placement {
 #[derive(Clone, Debug)]
 pub struct Placed {
     pub placement: Placement,
-    /// The optimized program — identical to the input when
-    /// `rewritten == false`.
+    /// The optimized program — identical to the input when the placement
+    /// is advisory.
     pub program: Program,
-    /// False when the program migrates ownership by hand, making a decl
-    /// rewrite unsafe; the placement is then advisory.
-    pub rewritten: bool,
+    /// Why the placement is only reported: the first member of the group
+    /// the program text pins, with the clause and the statement.
+    pub advisory: Option<String>,
 }
 
 /// Run the full pipeline: extract, enumerate, score, search, rewrite.
 pub fn optimize(p: &Program, opts: &PlaceOptions) -> Result<Placed, PlaceError> {
-    let graph = phase::extract(p)?;
-    let all: Vec<Distribution> = candidates::enumerate(
-        graph.bounds.len(),
-        graph.nprocs,
-        opts.max_dist_dims,
-        opts.allow_cyclic,
-    );
+    let dists = Dists::of(p);
+    let graph = phase::extract(&dists)?;
+    // Up to two distributed dimensions, each BLOCK or CYCLIC.
+    let all: Vec<Distribution> = candidates::enumerate(graph.bounds.len(), graph.nprocs, 2, true);
     let legal = candidates::per_phase(&all, &graph.phases);
     let costs = opts.costs();
     let outcome = search::search(&graph, p, &all, &legal, &costs);
@@ -133,18 +128,15 @@ pub fn optimize(p: &Program, opts: &PlaceOptions) -> Result<Placed, PlaceError> 
         total_predicted: outcome.total_predicted,
         candidates_considered: outcome.candidates_considered,
     };
-    if graph.hand_migration {
-        return Ok(Placed {
-            placement,
-            program: p.clone(),
-            rewritten: false,
-        });
-    }
-    let program = search::apply(p, &graph, &outcome.choices);
+    let advisory = graph.group.iter().find_map(|&v| dists.pinned(v));
+    let program = match advisory {
+        Some(_) => p.clone(),
+        None => search::apply(p, &graph, &outcome.choices),
+    };
     Ok(Placed {
         placement,
         program,
-        rewritten: true,
+        advisory,
     })
 }
 
@@ -179,7 +171,7 @@ mod tests {
         };
         p.body = vec![sweep(0), sweep(1)];
         let placed = optimize(&p, &PlaceOptions::default()).unwrap();
-        assert!(placed.rewritten);
+        assert_eq!(placed.advisory, None);
         assert_eq!(placed.placement.choices.len(), 2);
         assert_eq!(placed.placement.anchor_name, "A");
         assert!(placed.placement.total_predicted > 0.0);
@@ -209,7 +201,11 @@ mod tests {
             ],
         )];
         let placed = optimize(&p, &PlaceOptions::default()).unwrap();
-        assert!(!placed.rewritten);
+        let why = placed.advisory.expect("advisory");
+        assert_eq!(
+            why,
+            "A is moved by an ownership transfer in statement 1 (`do i = 1, 8`)"
+        );
         assert_eq!(placed.program, p, "program untouched");
         assert!(!placed.placement.choices.is_empty());
     }

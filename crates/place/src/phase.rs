@@ -20,11 +20,16 @@
 //! * a point read at a constant offset from the written index
 //!   (`U[i-1, j]` feeding `V[i, j]`) is a **shift**: legal under any
 //!   distribution, but it charges nearest-neighbour communication when
-//!   the offset dimension is cut.
+//!   the offset dimension is cut. The offset is the difference of the two
+//!   subscripts as [`affine_in`] evaluates it, in a loop variable or, for
+//!   `mylb`/`myub`, on each processor that owns part of the array; it
+//!   counts when it is one constant on all of them.
+//!
+//! Where the arrays live, and which of them the program text pins, is
+//! asked of [`Dists`].
 
 use std::collections::{BTreeMap, BTreeSet};
-use xdp_ir::analysis::{self, window_of, AccessKind, Bindings};
-use xdp_ir::walk::{self, Node};
+use xdp_ir::analysis::{affine_in, window_of, Bindings, Clause, Dists, OnProc};
 use xdp_ir::{IntExpr, Ownership, Program, SectionRef, Stmt, Subscript, Triplet, VarId};
 
 /// A nearest-neighbour read at a constant offset from the written index
@@ -103,10 +108,6 @@ pub struct PhaseGraph {
     /// Top-level `body` indices of `Stmt::Redistribute` on group arrays
     /// that extraction removed (the search re-decides them).
     pub dropped_redistributes: Vec<usize>,
-    /// The program moves ownership by hand (`=>` / `-=>` / `<=` / `<=-`
-    /// on a group array), so rewriting the declared distribution would
-    /// race with the explicit migration: placement is report-only.
-    pub hand_migration: bool,
 }
 
 /// Why no placement could be computed.
@@ -137,16 +138,6 @@ struct LoopInfo {
     trips: Option<f64>,
 }
 
-/// Is any subscript computed from `mypid`, at whatever depth? Such a
-/// reference pins the dimension to the processor id — the mark of a
-/// per-processor replica or scratch array (broadcast targets, ghost
-/// stores), whose placement is fixed by construction rather than free for
-/// the search.
-fn pid_indexed(r: &SectionRef) -> bool {
-    let mypid = |n| matches!(n, Node::Int(IntExpr::MyPid));
-    r.subs.iter().any(|s| walk::any(Node::Sub(s), mypid))
-}
-
 /// How many times a statement touching `r` repeats: the trip counts of the
 /// enclosing loops whose variable `r` never mentions.
 fn repeat_of(r: &SectionRef, loops: &[LoopInfo]) -> f64 {
@@ -155,29 +146,35 @@ fn repeat_of(r: &SectionRef, loops: &[LoopInfo]) -> f64 {
         .product()
 }
 
-/// Normalize `e` into `(base, constant)` with `e == base + constant`.
-///
-/// (Kept beside `affine_in`, which cannot say this: the base is compared
-/// as text, so `mylb(U[*,*], 1) + 1` is one past `mylb(U[*,*], 1)` on
-/// every processor without asking any of them what it owns.)
-fn split_const(e: &IntExpr) -> (&IntExpr, i64) {
-    if let IntExpr::Bin(op, a, b) = e {
-        match (op, a.as_const(), b.as_const()) {
-            (xdp_ir::IntBinOp::Add, _, Some(c)) => return (a, c),
-            (xdp_ir::IntBinOp::Sub, _, Some(c)) => return (a, -c),
-            (xdp_ir::IntBinOp::Add, Some(c), _) => return (b, c),
-            _ => {}
-        }
-    }
-    (e, 0)
-}
-
-/// The constant offset `c` with `read == target + c`, if the two
-/// expressions differ only by a constant.
-fn expr_offset(read: &IntExpr, target: &IntExpr) -> Option<i64> {
-    let (rb, rc) = split_const(read);
-    let (tb, tc) = split_const(target);
-    (rb == tb).then_some(rc - tc)
+/// The constant `c` with `read == target + c` in a subscript of `var` at
+/// top-level statement `stmt`: `read - target` in the innermost enclosing
+/// loop variable it mentions, the same on every processor that owns part
+/// of `var` there.
+fn offset(
+    dists: &Dists,
+    stmt: usize,
+    var: VarId,
+    (read, target): (&IntExpr, &IntExpr),
+    loops: &[LoopInfo],
+) -> Option<i64> {
+    let diff = read.clone().sub(target.clone());
+    let bounds = &dists.p.decl(var).bounds;
+    let dist = dists.at(var, stmt).ok()?;
+    let owners = (0..dist.nprocs()).filter(|&pid| dist.owned_volume(bounds, pid) > 0);
+    let vars = loops
+        .iter()
+        .rev()
+        .map(|l| Some(l.var.as_str()))
+        .chain([None]);
+    let on = |pid| Some(OnProc { dists, stmt, pid });
+    let mut per_pid = owners.map(|pid| {
+        let form = vars
+            .clone()
+            .find_map(|v| affine_in(&diff, v, &Bindings::new(), on(pid)));
+        form.filter(|&(a, _)| a == 0).map(|(_, c)| c)
+    });
+    let first = per_pid.next()??;
+    per_pid.all(|c| c == Some(first)).then_some(first)
 }
 
 /// Per-dimension classification of one reference.
@@ -234,17 +231,12 @@ struct StmtSummary {
     shifts: Vec<(VarId, Shift)>,
     /// Kernel / statement names encountered.
     names: BTreeSet<String>,
-    /// Variables ever subscripted by `mypid` (see [`pid_indexed`]).
-    pid_bound: BTreeSet<VarId>,
 }
 
 fn note_ref(p: &Program, r: &SectionRef, loops: &[LoopInfo], sum: &mut StmtSummary) {
     let decl = p.decl(r.var);
     if decl.ownership != Ownership::Exclusive || decl.rank() == 0 {
         return;
-    }
-    if pid_indexed(r) {
-        sum.pid_bound.insert(r.var);
     }
     let shape = classify_ref(r, &decl.bounds);
     let touches: f64 = shape.counts.iter().product::<f64>() * repeat_of(r, loops);
@@ -258,7 +250,7 @@ fn note_ref(p: &Program, r: &SectionRef, loops: &[LoopInfo], sum: &mut StmtSumma
 }
 
 fn note_shift(
-    p: &Program,
+    (dists, stmt): (&Dists, usize),
     read: &SectionRef,
     target: &SectionRef,
     loops: &[LoopInfo],
@@ -268,7 +260,7 @@ fn note_shift(
     if read.subs.len() != target.subs.len() {
         return;
     }
-    let decl = p.decl(read.var);
+    let decl = dists.p.decl(read.var);
     if decl.ownership != Ownership::Exclusive || decl.rank() == 0 {
         return;
     }
@@ -278,7 +270,7 @@ fn note_shift(
         let (Subscript::Point(er), Subscript::Point(et)) = (sr, st) else {
             continue;
         };
-        let Some(off) = expr_offset(er, et) else {
+        let Some(off) = offset(dists, stmt, read.var, (er, et), loops) else {
             continue;
         };
         if off == 0 {
@@ -303,14 +295,16 @@ fn note_shift(
     }
 }
 
-fn note_stmt(p: &Program, stmt: &Stmt, loops: &mut Vec<LoopInfo>, sum: &mut StmtSummary) {
+/// What `stmt`, inside top-level statement `at.1`, asks of placement.
+fn note_stmt(at: (&Dists, usize), stmt: &Stmt, loops: &mut Vec<LoopInfo>, sum: &mut StmtSummary) {
+    let p = at.0.p;
     match stmt {
         Stmt::Assign { target, rhs } => {
             sum.names.insert("assign".into());
             note_ref(p, target, loops, sum);
             for r in rhs.refs() {
                 note_ref(p, r, loops, sum);
-                note_shift(p, r, target, loops, sum);
+                note_shift(at, r, target, loops, sum);
             }
         }
         Stmt::Kernel { name, args, .. } => {
@@ -334,34 +328,32 @@ fn note_stmt(p: &Program, stmt: &Stmt, loops: &mut Vec<LoopInfo>, sum: &mut Stmt
         _ => {}
     }
     for s in stmt.body() {
-        note_stmt(p, s, loops, sum);
+        note_stmt(at, s, loops, sum);
     }
     if matches!(stmt, Stmt::DoLoop { .. }) {
         loops.pop();
     }
 }
 
-fn summarize(p: &Program, stmt: &Stmt) -> StmtSummary {
-    let mut sum = StmtSummary::default();
-    let mut loops = Vec::new();
-    note_stmt(p, stmt, &mut loops, &mut sum);
-    sum
+/// Is `v` ever subscripted by `mypid`? That marks a per-processor replica
+/// or scratch array (broadcast targets, ghost stores), whose placement is
+/// fixed by construction: it never anchors the search nor joins its group.
+fn per_processor(dists: &Dists, v: VarId) -> bool {
+    (dists.pins(v).iter()).any(|pin| pin.clause == Clause::PidSubscript)
 }
 
 /// Choose the anchor: the exclusive, distributed, rank >= 1 array with
-/// the most element-touches across the whole program. Arrays ever
-/// subscripted by `mypid` are per-processor replicas or scratch space —
-/// their placement is pinned by construction, so they never anchor the
-/// search (a broadcast replica read once per row would otherwise
-/// out-touch the matrix it replicates).
-fn choose_anchor(p: &Program, per_stmt: &[StmtSummary]) -> Result<VarId, PlaceError> {
+/// the most element-touches across the whole program, not
+/// [`per_processor`] (a broadcast replica read once per row would
+/// otherwise out-touch the matrix it replicates).
+fn choose_anchor(dists: &Dists, per_stmt: &[StmtSummary]) -> Result<VarId, PlaceError> {
     let mut best: Option<(f64, VarId)> = None;
-    for (i, d) in p.decls.iter().enumerate() {
+    for (i, d) in dists.p.decls.iter().enumerate() {
         let v = VarId(i as u32);
         if d.ownership != Ownership::Exclusive || d.rank() == 0 || d.dist.is_none() {
             continue;
         }
-        if per_stmt.iter().any(|s| s.pid_bound.contains(&v)) {
+        if per_processor(dists, v) {
             continue;
         }
         let w: f64 = per_stmt.iter().filter_map(|s| s.work.get(&v)).sum();
@@ -377,27 +369,25 @@ fn choose_anchor(p: &Program, per_stmt: &[StmtSummary]) -> Result<VarId, PlaceEr
     Ok(v)
 }
 
-/// Extract the phase graph of a program.
-pub fn extract(p: &Program) -> Result<PhaseGraph, PlaceError> {
-    let per_stmt: Vec<StmtSummary> = p.body.iter().map(|s| summarize(p, s)).collect();
-    let anchor = choose_anchor(p, &per_stmt)?;
+/// Extract the phase graph of the program `dists` describes.
+pub fn extract(dists: &Dists) -> Result<PhaseGraph, PlaceError> {
+    let p = dists.p;
+    let summarize = |(k, s)| {
+        let (mut sum, mut loops) = (StmtSummary::default(), Vec::new());
+        note_stmt((dists, k), s, &mut loops, &mut sum);
+        sum
+    };
+    let per_stmt: Vec<StmtSummary> = p.body.iter().enumerate().map(summarize).collect();
+    let anchor = choose_anchor(dists, &per_stmt)?;
     let adecl = p.decl(anchor);
     let bounds = adecl.bounds.clone();
     let rank = bounds.len();
-    let pid_bound: BTreeSet<VarId> = per_stmt
-        .iter()
-        .flat_map(|s| s.pid_bound.iter().copied())
-        .collect();
-    let group: Vec<VarId> = p
-        .decls
-        .iter()
-        .enumerate()
-        .filter(|(i, d)| {
-            d.ownership == Ownership::Exclusive
-                && d.bounds == bounds
-                && !pid_bound.contains(&VarId(*i as u32))
+    let group: Vec<VarId> = (0..p.decls.len() as u32)
+        .map(VarId)
+        .filter(|&v| {
+            let d = p.decl(v);
+            d.ownership == Ownership::Exclusive && d.bounds == bounds && !per_processor(dists, v)
         })
-        .map(|(i, _)| VarId(i as u32))
         .collect();
     let in_group = |v: VarId| group.contains(&v);
     let elem_bytes = group
@@ -418,21 +408,6 @@ pub fn extract(p: &Program) -> Result<PhaseGraph, PlaceError> {
         }
         dims
     };
-
-    let mut hand_migration = false;
-    for s in &p.body {
-        if matches!(s, Stmt::Redistribute { var, .. } if in_group(*var)) {
-            continue;
-        }
-        let mut acc = Vec::new();
-        analysis::accesses(s, &mut acc);
-        if acc
-            .iter()
-            .any(|a| in_group(a.var) && matches!(a.kind, AccessKind::OwnOut | AccessKind::OwnIn))
-        {
-            hand_migration = true;
-        }
-    }
 
     let all_dims: BTreeSet<usize> = (0..rank).collect();
     let mut phases: Vec<Phase> = Vec::new();
@@ -561,7 +536,6 @@ pub fn extract(p: &Program) -> Result<PhaseGraph, PlaceError> {
         nprocs,
         phases,
         dropped_redistributes: dropped,
-        hand_migration,
     })
 }
 
@@ -608,12 +582,11 @@ mod tests {
     #[test]
     fn explicit_redistribute_splits_phases() {
         let p = two_phase();
-        let g = extract(&p).unwrap();
+        let g = extract(&Dists::of(&p)).unwrap();
         assert_eq!(g.phases.len(), 2);
         assert_eq!(g.phases[0].local_dims(), BTreeSet::from([0]));
         assert_eq!(g.phases[1].local_dims(), BTreeSet::from([1]));
         assert_eq!(g.dropped_redistributes, vec![1]);
-        assert!(!g.hand_migration);
         // Work: 8x8 element-touches per sweep.
         assert_eq!(g.phases[0].work, 64.0);
     }
@@ -622,7 +595,7 @@ mod tests {
     fn conflicting_locality_splits_without_redistribute() {
         let mut p = two_phase();
         p.body.remove(1); // drop the explicit redistribute
-        let g = extract(&p).unwrap();
+        let g = extract(&Dists::of(&p)).unwrap();
         assert_eq!(g.phases.len(), 2, "dims 0+1 local covers all dims");
         assert_eq!(g.phases[0].stmts, (0, 1));
         assert_eq!(g.phases[1].stmts, (1, 2));
@@ -676,7 +649,7 @@ mod tests {
                 vec![b::do_loop("j", b::c(1), b::c(8), vec![body])],
             )],
         )];
-        let g = extract(&p).unwrap();
+        let g = extract(&Dists::of(&p)).unwrap();
         assert_eq!(g.phases.len(), 1);
         assert_eq!(g.group.len(), 2, "U and V share bounds -> co-placed");
         let ph = &g.phases[0];
@@ -686,34 +659,6 @@ mod tests {
         // Sweep loop (10 trips) is unmentioned by the refs -> repeat.
         assert!(ph.shifts.iter().all(|s| s.repeat == 10.0));
         assert!(ph.shifts.iter().all(|s| s.plane == 8.0));
-    }
-
-    #[test]
-    fn ownership_sends_flag_hand_migration() {
-        let mut p = Program::new();
-        let a = p.declare(b::array(
-            "A",
-            ElemType::F64,
-            vec![(1, 8)],
-            vec![DimDist::Block],
-            ProcGrid::linear(4),
-        ));
-        let ai = b::sref(a, vec![b::at(b::iv("i"))]);
-        p.body = vec![b::do_loop(
-            "i",
-            b::c(1),
-            b::c(8),
-            vec![
-                b::kernel("touch", vec![b::sref(a, vec![b::at(b::iv("i"))])]),
-                b::guarded(b::iown(ai.clone()), vec![b::send_own_val(ai.clone())]),
-                b::guarded(
-                    b::cmp(xdp_ir::CmpOp::Eq, b::mypid(), b::c(0)),
-                    vec![b::recv_own_val(ai)],
-                ),
-            ],
-        )];
-        let g = extract(&p).unwrap();
-        assert!(g.hand_migration);
     }
 
     #[test]
@@ -748,7 +693,7 @@ mod tests {
                 ],
             )],
         )];
-        let g = extract(&p).unwrap();
+        let g = extract(&Dists::of(&p)).unwrap();
         assert_eq!(g.anchor, m);
         assert!(!g.group.contains(&xl));
     }
@@ -756,7 +701,7 @@ mod tests {
     #[test]
     fn no_anchor_and_no_compute_errors() {
         let mut p = Program::new();
-        assert_eq!(extract(&p).unwrap_err(), PlaceError::NoAnchor);
+        assert_eq!(extract(&Dists::of(&p)).unwrap_err(), PlaceError::NoAnchor);
         let _a = p.declare(b::array(
             "A",
             ElemType::F64,
@@ -765,6 +710,6 @@ mod tests {
             ProcGrid::linear(4),
         ));
         p.body = vec![Stmt::Barrier];
-        assert_eq!(extract(&p).unwrap_err(), PlaceError::NoCompute);
+        assert_eq!(extract(&Dists::of(&p)).unwrap_err(), PlaceError::NoCompute);
     }
 }

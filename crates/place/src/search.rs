@@ -230,7 +230,7 @@ mod tests {
     }
 
     fn run_search(p: &Program) -> (PhaseGraph, Vec<Distribution>, SearchOutcome) {
-        let g = phase::extract(p).unwrap();
+        let g = phase::extract(&xdp_ir::analysis::Dists::of(p)).unwrap();
         let all = crate::candidates::enumerate(g.bounds.len(), g.nprocs, 2, true);
         let legal = crate::candidates::per_phase(&all, &g.phases);
         let costs = Costs::new(

@@ -10,8 +10,8 @@
 //!    simulator must keep the unbudgeted memory image and agree with an
 //!    equally budgeted `Lockstep` on everything.
 //! 2. **Per-pass equivalence** — every *prefix* of the default pass
-//!    pipeline, so the first pass that changes observable memory is named
-//!    as the culprit.
+//!    pipeline, so the first pass that changes an observable value is
+//!    named as the culprit.
 //! 3. **Chaos conformance** — the same program under a lossy
 //!    [`FaultPlan`]: the delivery layer must reconstruct exactly the
 //!    lossless memory image and message count.
@@ -29,6 +29,7 @@ use crate::lockstep::Lockstep;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::Duration;
+use xdp_compiler::passes::AutoPlace;
 use xdp_compiler::{Backend, Pass, PassManager};
 use xdp_core::{
     AsyncExec, ExecReport, KernelRegistry, Machine, MachineConfig, MachineKind, RtError, SimExec,
@@ -48,7 +49,7 @@ pub enum Divergence {
     RunError { stage: String, detail: String },
     /// Two executors disagree on the same program.
     ExecutorMismatch { backend: String, detail: String },
-    /// A pass-pipeline prefix changed observable memory.
+    /// A pass-pipeline prefix changed an observable value.
     PassMismatch { pass: String, detail: String },
     /// The faulty run disagrees with the lossless run.
     ChaosMismatch { detail: String },
@@ -128,12 +129,13 @@ impl Default for CheckConfig {
     }
 }
 
-/// The default optimization pipeline, pass by pass: whatever
-/// `PassManager::paper_pipeline` runs, under the names the passes report.
+/// The default optimization pipeline, pass by pass, under the names the
+/// passes report: the placement search, then `PassManager::paper_pipeline`
+/// — what an optimizing, placing compile of IL+XDP runs.
 pub fn default_passes() -> Vec<(&'static str, Box<dyn Pass>)> {
-    PassManager::paper_pipeline()
-        .into_passes()
-        .into_iter()
+    let placed = PassManager::new().add(AutoPlace::new()).into_passes();
+    let paper = PassManager::paper_pipeline().into_passes();
+    (placed.into_iter().chain(paper))
         .map(|pass| (pass.name(), pass))
         .collect()
 }
@@ -441,13 +443,14 @@ fn conform(base: &Fingerprint, other: &Fingerprint, states: bool) -> Option<Stri
 
 /// Check every prefix of `passes` against the unoptimized baseline
 /// (`base` must be the baseline fingerprint of `tp.program`). Observable
-/// memory only: optimizations legitimately change movement and scratch.
+/// values only: optimizations legitimately change movement and scratch,
+/// and a placement legally moves owners.
 pub fn check_passes(
     tp: &TestProgram,
     passes: &[(&'static str, Box<dyn Pass>)],
     base: &Fingerprint,
 ) -> Option<Divergence> {
-    let base_mem = base.memory_of(&tp.observable);
+    let base_mem = base.values_of(&tp.observable);
     let mut cur = tp.program.clone();
     for (name, pass) in passes {
         let out = catch_unwind(AssertUnwindSafe(|| pass.run(&cur).program));
@@ -470,9 +473,9 @@ pub fn check_passes(
             }
         };
         if let Some(d) = diff_lines(
-            "observable memory",
+            "observable values",
             &base_mem,
-            &fp.memory_of(&tp.observable),
+            &fp.values_of(&tp.observable),
         ) {
             return Some(Divergence::PassMismatch {
                 pass: name.to_string(),
@@ -541,9 +544,8 @@ mod tests {
     fn default_passes_are_the_passes_an_optimizing_compile_runs() {
         let src = "real A[1:8] distribute (BLOCK) onto 2\n\
                    do i = 1, 8\n  iown(A[i]) : { A[i] = A[i] + 1.0 }\nenddo\n";
-        let compiled =
-            xdp_compiler::compile(src, &xdp_compiler::CompileOptions::default().optimized())
-                .expect("compiles");
+        let opts = xdp_compiler::CompileOptions::default().optimized().placed();
+        let compiled = xdp_compiler::compile(src, &opts).expect("compiles");
         let ran: Vec<&str> = compiled
             .trace
             .passes

@@ -81,6 +81,16 @@ impl Fingerprint {
         out
     }
 
+    /// [`Fingerprint::memory_of`] with the `p<owner>` field of each line
+    /// stripped: the answer, wherever a placement put it.
+    pub fn values_of(&self, names: &[String]) -> Vec<String> {
+        let strip = |line: String| match (line.find("] p"), line.find(" = ")) {
+            (Some(close), Some(eq)) if close < eq => format!("{}{}", &line[..=close], &line[eq..]),
+            _ => line,
+        };
+        self.memory_of(names).into_iter().map(strip).collect()
+    }
+
     /// All memory lines.
     pub fn memory_all(&self) -> Vec<String> {
         self.memory.values().flatten().cloned().collect()
@@ -200,5 +210,6 @@ mod tests {
             .insert("T0".into(), vec!["T0[0] p0 = F64(2.0)".into()]);
         assert_eq!(fp.memory_of(&["A".to_string()]).len(), 1);
         assert_eq!(fp.memory_all().len(), 2);
+        assert_eq!(fp.values_of(&["A".to_string()]), ["A[1] = F64(1.0)"]);
     }
 }

@@ -62,8 +62,11 @@ pub enum CInt {
     Const(i64),
     Slot(usize),
     MyPid,
-    MyLb(Box<CSec>, u32),
-    MyUb(Box<CSec>, u32),
+    /// `mylb`/`myub` of the section in a dimension; `true` inside a
+    /// section subscript, where an empty ownership is an error
+    /// (`ProcEnv::mylb`).
+    MyLb(Box<CSec>, u32, bool),
+    MyUb(Box<CSec>, u32, bool),
     Neg(Box<CInt>),
     Bin(IntBinOp, Box<CInt>, Box<CInt>),
 }
@@ -325,20 +328,22 @@ fn compile_stmt(cx: &mut Cx<'_>, sid: u32, s: &Stmt) -> VmStmt {
 }
 
 fn compile_int(cx: &mut Cx<'_>, e: &IntExpr) -> CInt {
+    compile_int_in(cx, e, false)
+}
+
+/// `e`, compiled; `subscript` when it indexes a section.
+fn compile_int_in(cx: &mut Cx<'_>, e: &IntExpr, subscript: bool) -> CInt {
+    let mut go = |e| Box::new(compile_int_in(cx, e, subscript));
     match e {
         IntExpr::Const(c) => CInt::Const(*c),
         IntExpr::Var(name) => CInt::Slot(cx.slots.intern(name)),
         IntExpr::MyPid => CInt::MyPid,
-        IntExpr::MyLb(r, d) => CInt::MyLb(Box::new(compile_sec(cx, r)), *d),
-        IntExpr::MyUb(r, d) => CInt::MyUb(Box::new(compile_sec(cx, r)), *d),
-        IntExpr::Neg(a) => CInt::Neg(Box::new(compile_int(cx, a))),
+        IntExpr::MyLb(r, d) => CInt::MyLb(Box::new(compile_sec(cx, r)), *d, subscript),
+        IntExpr::MyUb(r, d) => CInt::MyUb(Box::new(compile_sec(cx, r)), *d, subscript),
+        IntExpr::Neg(a) => CInt::Neg(go(a)),
         // Never fold arithmetic: `Bin` charges one flop per evaluation in
         // the interpreter, and the VM must charge identically.
-        IntExpr::Bin(op, a, b) => CInt::Bin(
-            *op,
-            Box::new(compile_int(cx, a)),
-            Box::new(compile_int(cx, b)),
-        ),
+        IntExpr::Bin(op, a, b) => CInt::Bin(*op, go(a), go(b)),
     }
 }
 
@@ -354,16 +359,16 @@ fn compile_sec(cx: &mut Cx<'_>, r: &SectionRef) -> CSec {
             // fold: `Triplet::new` panics, and that panic belongs at the
             // statement's execution (it may sit behind a false guard).
             Subscript::Point(IntExpr::Const(c)) => CSub::Fixed(Triplet::point(*c)),
-            Subscript::Point(e) => CSub::Point(compile_int(cx, e)),
+            Subscript::Point(e) => CSub::Point(compile_int_in(cx, e, true)),
             Subscript::All => CSub::Fixed(bounds[d]),
             Subscript::Range(t) => match (&t.lb, &t.ub, &t.st) {
                 (IntExpr::Const(lb), IntExpr::Const(ub), IntExpr::Const(st)) if *st >= 1 => {
                     CSub::Fixed(Triplet::new(*lb, *ub, *st))
                 }
                 _ => CSub::Range(
-                    compile_int(cx, &t.lb),
-                    compile_int(cx, &t.ub),
-                    compile_int(cx, &t.st),
+                    compile_int_in(cx, &t.lb, true),
+                    compile_int_in(cx, &t.ub, true),
+                    compile_int_in(cx, &t.st, true),
                 ),
             },
         })

@@ -321,13 +321,13 @@ impl VmProc {
             CInt::Slot(i) => self.regs[*i]
                 .ok_or_else(|| RtError::UndefinedScalar(self.slots.name(*i).to_string())),
             CInt::MyPid => Ok(self.env.pid as i64),
-            CInt::MyLb(r, d) => {
+            CInt::MyLb(r, d, subscript) => {
                 let sec = self.eval_sec(r)?;
-                self.env.mylb(r.var, &sec, *d)
+                self.env.mylb(r.var, &sec, *d, *subscript)
             }
-            CInt::MyUb(r, d) => {
+            CInt::MyUb(r, d, subscript) => {
                 let sec = self.eval_sec(r)?;
-                self.env.myub(r.var, &sec, *d)
+                self.env.myub(r.var, &sec, *d, *subscript)
             }
             CInt::Neg(a) => Ok(self.eval_int(a)?.saturating_neg()),
             CInt::Bin(op, a, b) => {

@@ -31,7 +31,9 @@ use xdp::prelude::*;
 use xdp_bench::Table;
 use xdp_compiler::cli::{self, Args};
 use xdp_compiler::{compile_program, passes, Backend, CompileError, Compiled, SeqMode};
+use xdp_ir::analysis::Dists;
 use xdp_ir::pretty;
+use xdp_ir::walk::{self, Node};
 
 /// What a command returns: `Err` carries the exit code of a failure it has
 /// already reported on stderr.
@@ -195,15 +197,15 @@ fn cmd_tune(args: &Args) -> Done {
 
 /// Show the planner's decision for every `redistribute` in the program:
 /// the candidate strategies with predicted costs (one shared-format table
-/// for all statements), and the chosen communication schedule. Statements
-/// are examined in program order (each one changes the source
-/// distribution of the next).
+/// for all statements), and the chosen communication schedule. Each plan
+/// starts from the distribution the array has where the statement runs
+/// ([`Dists`]); one nested in a loop or guard has none it can name.
 fn cmd_plan(args: &Args) -> Done {
     use xdp_bench::table::j;
     let compiled = compiled_for(args, SeqMode::AsIs)?;
     let program = compiled.program.as_ref();
     let MachineConfig { cost, topo, .. } = sim_config(args, &compiled)?;
-    let mut cur: std::collections::HashMap<VarId, Distribution> = std::collections::HashMap::new();
+    let dists = Dists::of(program);
     let mut t = Table::new(
         "redistribution plans",
         &[
@@ -220,18 +222,24 @@ fn cmd_plan(args: &Args) -> Done {
     let mut schedules = String::new();
     let mut found = 0usize;
     let mut failed = false;
-    program.visit(&mut |s| {
+    let mut each = |k: usize, top: &Stmt, s: &Stmt| {
         let Stmt::Redistribute { var, dist } = s else {
             return;
         };
         found += 1;
         let decl = program.decl(*var);
-        let Some(src) = cur.get(var).or(decl.dist.as_ref()).cloned() else {
-            eprintln!("xdpc: `{}` is not distributed", decl.name);
-            failed = true;
-            return;
+        let src = match top {
+            Stmt::Redistribute { .. } => dists.before(*var, k),
+            _ => dists.at(*var, k),
         };
-        cur.insert(*var, dist.clone());
+        let src = match src {
+            Ok(src) => src,
+            Err(why) => {
+                eprintln!("xdpc: redistribute {}: {why}", decl.name);
+                failed = true;
+                return;
+            }
+        };
         // Unrestricted plan for the strategy comparison; the executed
         // statement (`xdpc run`) restricts messages to single strided
         // sections, so print that schedule and flag any divergence.
@@ -240,7 +248,7 @@ fn cmd_plan(args: &Args) -> Done {
                 *var,
                 &decl.bounds,
                 decl.elem.size_bytes(),
-                &src,
+                src,
                 dist,
                 &cost,
                 &topo,
@@ -309,7 +317,14 @@ fn cmd_plan(args: &Args) -> Done {
             ));
         }
         schedules.push_str(&format!("{}", pl.schedule));
-    });
+    };
+    for (k, top) in program.body.iter().enumerate() {
+        walk::visit(Node::Stmt(top), &mut |n| {
+            if let Node::Stmt(s) = n {
+                each(k, top, s);
+            }
+        });
+    }
     if found == 0 {
         out!("no redistribute statements");
         return Ok(());
@@ -323,28 +338,28 @@ fn cmd_plan(args: &Args) -> Done {
     }
 }
 
-/// `xdpc place`: run the `xdp-place` search on the program and report the
-/// chosen per-phase distributions, predicted costs, and — by executing
-/// both the input and the rewritten program on the simulated machine —
-/// the realized virtual times. Exits nonzero when no placement is legal
-/// (no distributed exclusive array, or no compute). Programs that migrate
-/// ownership by hand are analyzed but not rewritten: the placement is
-/// advisory and only the input program is executed.
+/// `xdpc place`: run the `xdp-place` search on the source, where the
+/// compile path runs it — before a sequential source is lowered — and
+/// report the chosen per-phase distributions, predicted costs, and — by
+/// compiling and executing both the input and the placed source on the
+/// simulated machine — the realized virtual times. Exits nonzero when no
+/// placement is legal (no distributed exclusive array, or no compute).
+/// Where the program text pins a member of the searched group the
+/// placement is advisory, the note says which, and only the input program
+/// is executed.
 fn cmd_place(args: &Args) -> Done {
     use xdp_bench::table::j;
-    let compiled = compiled_for(args, SeqMode::AsIs)?;
+    let source = load(args)?;
+    let compiled = compile_loaded(args, &source, SeqMode::Auto)?;
     // One machine for the search and both runs: the candidates are scored
     // against the cost model and topology the programs then execute on.
     let cfg = sim_config(args, &compiled)?;
-    let mut opts = PlaceOptions {
+    let opts = PlaceOptions {
         model: cfg.cost,
         topo: cfg.topo.clone(),
-        allow_cyclic: !args.has(cli::NO_CYCLIC),
-        ..PlaceOptions::default()
     };
-    opts.max_dist_dims = args.num_or(cli::MAX_DIMS, opts.max_dist_dims)?;
-    let placed = xdp::place::optimize(&compiled.program, &opts)
-        .map_err(|e| fail(format_args!("place: {e}")))?;
+    let placed =
+        xdp::place::optimize(&source, &opts).map_err(|e| fail(format_args!("place: {e}")))?;
     let pm = &placed.placement;
     out!(
         "anchor {} group [{}] on {} procs: {} candidates scored",
@@ -379,17 +394,19 @@ fn cmd_place(args: &Args) -> Done {
     };
     let vt = simulated(compiled.program.clone(), "input")?;
     out!("simulated input program: {vt:.1}");
-    if placed.rewritten {
-        let vt = simulated(Arc::new(placed.program.clone()), "placed")?;
-        out!(
-            "simulated placed program: {vt:.1} (predicted {:.1})",
+    match &placed.advisory {
+        None => {
+            let output = compile_loaded(args, &placed.program, SeqMode::Auto)?;
+            let vt = simulated(output.program, "placed")?;
+            out!(
+                "simulated placed program: {vt:.1} (predicted {:.1})",
+                pm.total_predicted
+            );
+        }
+        Some(why) => out!(
+            "placement is advisory: {why} (predicted {:.1})",
             pm.total_predicted
-        );
-    } else {
-        out!(
-            "program migrates ownership by hand; placement is advisory (predicted {:.1})",
-            pm.total_predicted
-        );
+        ),
     }
     if args.has(cli::EMIT) {
         outp!("{}", pretty::program(&placed.program));
@@ -405,15 +422,19 @@ fn faults(args: &Args) -> Result<Option<FaultPlan>, ExitCode> {
     })
 }
 
-/// The shared compile path: load the operand, validate, honour the
-/// options of [`cli::compile_options`], and print pass provenance
-/// (`--explain` for the full instrumentation, otherwise a one-line change
-/// log). It is `xdp_compiler::compile_program` — the pipeline the `xdpd`
-/// daemon's compile cache keys.
+/// The shared compile path: load the operand, then [`compile_loaded`].
 fn compiled_for(args: &Args, seq: SeqMode) -> Result<Compiled, ExitCode> {
-    let program = load(args)?;
+    compile_loaded(args, &load(args)?, seq)
+}
+
+/// Compile `program`: validate, honour the options of
+/// [`cli::compile_options`], and print pass provenance (`--explain` for
+/// the full instrumentation, otherwise a one-line change log). It is
+/// `xdp_compiler::compile_program` — the pipeline the `xdpd` daemon's
+/// compile cache keys.
+fn compile_loaded(args: &Args, program: &Program, seq: SeqMode) -> Result<Compiled, ExitCode> {
     let opts = cli::compile_options(args)?.with_seq(seq);
-    let compiled = compile_program(&program, &opts).map_err(|e| match e {
+    let compiled = compile_program(program, &opts).map_err(|e| match e {
         CompileError::Invalid(diags) => {
             for d in diags {
                 eprintln!("xdpc: error: {d}");

@@ -133,6 +133,53 @@ fn place_reports_advisory_for_hand_migrated_fft() {
     assert!(stdout.contains("anchor A group [A] on 4 procs"), "{stdout}");
     assert!(stdout.contains("== placement choices =="), "{stdout}");
     assert!(stdout.contains("placement is advisory"), "{stdout}");
+    // So are SPMD programs whose text pins the arrays — `mypid` guards,
+    // bounds taken outside a loop header, explicit sends and receives:
+    // the note names the array, the clause and the statement, and the
+    // input still runs.
+    for (file, array, clause) in [
+        ("jacobi2d", "U", "names mypid"),
+        ("pipeline", "DST", "names mypid"),
+        ("fft3d", "A", "moved by an ownership transfer"),
+    ] {
+        let (stdout, stderr, ok) = xdpc(&["place", &format!("xdp-programs/{file}.xdp")]);
+        assert!(ok, "{file}: {stderr}");
+        let note = stdout
+            .lines()
+            .find(|l| l.starts_with("placement is advisory: "));
+        let note = note.unwrap_or_else(|| panic!("{file}: {stdout}"));
+        assert!(note.contains(&format!(": {array} ")), "{file}: {note}");
+        assert!(
+            note.contains(clause) && note.contains("in statement "),
+            "{file}: {note}"
+        );
+    }
+}
+
+#[test]
+fn place_follows_the_compile_path() {
+    // A sequential source is placed before it is lowered, as a placed
+    // compile does: the search reads the source, both programs run, and
+    // `--emit` prints the placed sequential source.
+    for file in ["seq_sum", "nested-shadowed-do-loop"] {
+        let dir = if file == "seq_sum" {
+            "xdp-programs"
+        } else {
+            "crates/verify/corpus"
+        };
+        let (stdout, stderr, ok) = xdpc(&["place", &format!("{dir}/{file}.xdp")]);
+        assert!(ok, "{file}: {stderr}");
+        assert!(
+            stdout.contains("simulated input program"),
+            "{file}: {stdout}"
+        );
+    }
+    let (stdout, _, _) = xdpc(&["place", "xdp-programs/seq_sum.xdp", "--emit"]);
+    assert!(stdout.contains("simulated placed program"), "{stdout}");
+    assert!(
+        stdout.contains("A[i] = (A[i] + B[i])"),
+        "the sequential source: {stdout}"
+    );
 }
 
 #[test]
@@ -462,7 +509,7 @@ fn a_malformed_numeric_flag_is_one_line_and_exit_2() {
         (&["run", simple], "--alpha", "fast"),
         (&["plan", "xdp-programs/remap.xdp"], "--beta", "x"),
         (&["place", twophase], "--procs", "4.5"),
-        (&["place", twophase], "--max-dims", "two"),
+        (&["place", twophase], "--alpha", "two"),
         (&["trace", simple], "--top", "ten"),
         (&["fuzz"], "--seed", "x"),
     ] {

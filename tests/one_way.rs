@@ -6,7 +6,8 @@
 //! transfer rules are written only in `xdp_core::transfer`, and a machine
 //! has one description and (§2.12) one builder; (§2.1, §2.5) integer
 //! division has one definition and the compiler one evaluator, which
-//! decides ownership on sets, and the IR is walked in `xdp_ir::walk`
+//! decides ownership on sets, the IR is walked in `xdp_ir::walk` alone,
+//! and where an array lives is answered by `xdp_ir::analysis::Dists`
 //! alone; (§2.2) a symbol-table query builds no section; (§2.16) `benchmark/` is the only performance record, every
 //! binary the Makefile and CI invoke exists, and every name `benchmark/`
 //! imports is still exported; (§2.13) the serve layer compiles in one
@@ -267,18 +268,20 @@ fn movement_events_are_built_only_by_the_recorder() {
     }
 }
 
-/// Does `code` build (rather than match on) the struct variant that
-/// `head` (`"Path::Variant {"`) opens? A pattern has a rest (`..`) or is
-/// followed by `=>`, `|`, `=` or a guard.
+/// Is the struct variant `head` (`"Path::Variant {"`) opens at byte `at`
+/// of `code` matched on rather than built? A pattern has a rest (`..`) or
+/// is followed by `=>`, `|`, `=` or a guard.
+fn is_pattern(code: &str, at: usize, head: &str) -> bool {
+    let body = &code[at + head.len()..];
+    let close = body.find('}').expect("variant braces close");
+    let after = body[close + 1..].trim_start();
+    body[..close].contains("..") || ["=", "|", "if "].iter().any(|p| after.starts_with(p))
+}
+
+/// Does `code` build (rather than match on) the struct variant `head`
+/// opens?
 fn constructs(code: &str, head: &str) -> bool {
-    code.match_indices(head).any(|(at, _)| {
-        let body = &code[at + head.len()..];
-        let close = body.find('}').expect("variant braces close");
-        let after = body[close + 1..].trim_start();
-        let pattern =
-            body[..close].contains("..") || ["=", "|", "if "].iter().any(|p| after.starts_with(p));
-        !pattern
-    })
+    (code.match_indices(head)).any(|(at, _)| !is_pattern(code, at, head))
 }
 
 #[test]
@@ -347,16 +350,18 @@ fn transfer_rules_and_integer_division_are_written_once() {
 
 #[test]
 fn the_compiler_decides_ownership_on_sets_with_one_evaluator() {
-    // DESIGN §2.1/§2.5: the passes and the analysis they share ask every
-    // ownership question of `OwnerMap` and friends. No iteration cap, no
-    // enumerator, and no walk over a section's or a loop's members is left
-    // in their non-test code — the point walk is the test oracle only.
+    // DESIGN §2.1/§2.5: the passes, the placement search and the analysis
+    // they share ask every ownership question of `OwnerMap` and friends.
+    // No iteration cap, no enumerator, and no walk over a section's or a
+    // loop's members is left in their non-test code — the point walk is
+    // the test oracle only.
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
     let passes = root.join("crates/compiler/src/passes");
+    let place = root.join("crates/place/src");
     let analysis = root.join("crates/ir/src/analysis.rs");
     let mut evaluators = Vec::new();
     for path in sources() {
-        if !path.starts_with(&passes) && path != analysis {
+        if !path.starts_with(&passes) && !path.starts_with(&place) && path != analysis {
             continue;
         }
         let code = code_of(&path);
@@ -390,6 +395,48 @@ fn the_compiler_decides_ownership_on_sets_with_one_evaluator() {
         }
     }
     assert_eq!(evaluators, [("affine_in".to_string(), true)]);
+}
+
+#[test]
+fn where_an_array_lives_is_answered_in_one_place() {
+    // DESIGN §2.1: `xdp_ir::analysis::Dists` follows each array's
+    // distribution through the program. A pass, the placement search or a
+    // command that matches a `redistribute` and, in the same function,
+    // keeps a distribution of its own (names the `Distribution` type) or
+    // reads a declared one (`.dist`) is following it a second time.
+    let head = "Stmt::Redistribute {";
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let dirs = ["crates/compiler/src/passes", "crates/place/src", "src/bin"].map(|d| root.join(d));
+    let reads_dist = |body: &str| {
+        (body.match_indices(".dist"))
+            .any(|(at, _)| !body[at + 5..].starts_with(|c: char| c == '_' || c.is_alphanumeric()))
+    };
+    assert!(reads_dist("decl.dist.as_ref()") && !reads_dist("dists.before(v, k)"));
+    let mut checked = 0;
+    for path in sources() {
+        if in_tests(&path) || !dirs.iter().any(|d| path.starts_with(d)) {
+            continue;
+        }
+        let code = code_of(&path);
+        for (at, _) in code.match_indices(head) {
+            if !is_pattern(&code, at, head) {
+                continue;
+            }
+            let body = enclosing_fn_body(&code, at);
+            assert!(
+                !body.contains("Distribution") && !reads_dist(body),
+                "{}, fn {}: matches a redistribute and tracks a distribution itself; \
+                 ask xdp_ir::analysis::Dists",
+                path.display(),
+                enclosing_fn(&code, at)
+            );
+            checked += 1;
+        }
+    }
+    assert!(
+        checked >= 2,
+        "the scan found only {checked} redistribute patterns"
+    );
 }
 
 #[test]
@@ -479,6 +526,29 @@ fn the_ir_is_walked_in_one_place() {
 fn enclosing_fn(code: &str, at: usize) -> &str {
     let name = &code[code[..at].rfind("fn ").expect("inside a function") + 3..];
     &name[..name.find(['(', '<']).expect("a parameter list")]
+}
+
+/// The text of that function: from its `fn` to the next line that opens
+/// another item.
+fn enclosing_fn_body(code: &str, at: usize) -> &str {
+    let start = code[..at].rfind("fn ").expect("inside a function");
+    let item = [
+        "fn ",
+        "pub fn ",
+        "pub(crate) fn ",
+        "impl ",
+        "struct ",
+        "enum ",
+    ];
+    let mut lines = code[start..].split_inclusive('\n');
+    let mut end = start + lines.next().map_or(0, str::len);
+    for line in lines {
+        if item.iter().any(|i| line.trim_start().starts_with(i)) {
+            break;
+        }
+        end += line.len();
+    }
+    &code[start..end]
 }
 
 #[test]

@@ -490,7 +490,7 @@ fn a_pass_that_declines_says_why() {
 /// leaves the bounds.
 #[test]
 fn owner_maps_are_the_point_walk() {
-    use xdp_ir::analysis::Owners;
+    use xdp_ir::analysis::{Dists, Owners};
     let dists = [
         DimDist::Star,
         DimDist::Block,
@@ -526,7 +526,7 @@ fn owner_maps_are_the_point_walk() {
                 for i in (lo..=hi).filter(|_| inside) {
                     walked[dist.owner_of(&decl.bounds, &[i + c])].push(i);
                 }
-                let map = Owners::new(&p).map(&r, "i", Triplet::range(lo, hi));
+                let map = Owners::new(&Dists::of(&p)).map(0, &r, "i", Triplet::range(lo, hi));
                 assert_eq!(map.is_ok(), inside, "{dd} onto {nprocs}, n = {n}, c = {c}");
                 if let Ok(map) = map {
                     let members = |runs: &Vec<Triplet>| -> Vec<i64> {
@@ -733,6 +733,94 @@ const AFTER_A_MOVE: [(&str, &str); 3] = [
     ),
 ];
 
+/// The values `c` leaves in the arrays `names` on the simulator, owners
+/// stripped.
+fn values(c: &xdp_compiler::Compiled, names: &[String], what: &str) -> Vec<String> {
+    let kernels = xdp_apps::app_kernels();
+    let cfg = MachineConfig::new(c.nprocs);
+    let mut exec =
+        xdp_verify::machine(MachineKind::Sim, c.backend, c.program.clone(), kernels, cfg);
+    let fp = xdp_verify::Fingerprint::of_run(exec.as_mut(), &c.program.decls);
+    fp.unwrap_or_else(|e| panic!("{what}: {e}"))
+        .0
+        .values_of(names)
+}
+
+/// `xdpc run --optimize` computes what `xdpc run` does on a loop after a
+/// move: the passes reason from where the arrays live there, not from
+/// their declarations.
+#[test]
+fn a_loop_after_a_move_optimizes_to_the_same_values() {
+    use xdp_compiler::{compile_program, CompileOptions};
+    for (label, src) in AFTER_A_MOVE {
+        let p = xdp_lang::parse_program(src).unwrap_or_else(|e| panic!("{label}: {e}"));
+        // `T` is receive scratch: the optimized loop receives elsewhere.
+        let names = ["A", "B"].map(String::from);
+        let plain = compile_program(&p, &CompileOptions::default()).unwrap();
+        let optimized = compile_program(&p, &CompileOptions::default().optimized()).unwrap();
+        assert_eq!(
+            values(&optimized, &names, label),
+            values(&plain, &names, label),
+            "{label}"
+        );
+    }
+}
+
+/// Placement never changes an answer: every corpus program, and the
+/// fuzzer's first fifty, compiled as `xdpd` compiles a placed request —
+/// placed, lowered when sequential, then optimized — leave the values the
+/// plain compile leaves. Owners may differ; that is what placement is for.
+#[test]
+fn placement_never_changes_an_answer() {
+    use xdp_compiler::{compile_program, CompileOptions, SeqMode};
+    use xdp_ir::walk::{self, Node};
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut cases = Vec::new();
+    for dir in ["xdp-programs", "crates/verify/corpus"] {
+        let mut files: Vec<_> = (std::fs::read_dir(root.join(dir)).unwrap())
+            .map(|e| e.unwrap().path())
+            .collect();
+        files.sort();
+        for file in files {
+            let p = xdp_lang::parse_program(&std::fs::read_to_string(&file).unwrap()).unwrap();
+            // Receive scratch — a per-processor temporary, `T[mypid] <- ..`
+            // — holds whatever the last message left; the rest is the answer.
+            let mut scratch = Vec::new();
+            p.visit(&mut |s| {
+                if let Stmt::Recv { target, .. } = s {
+                    let mypid = |n| matches!(n, Node::Int(IntExpr::MyPid));
+                    if target
+                        .subs
+                        .iter()
+                        .any(|sub| walk::any(Node::Sub(sub), mypid))
+                    {
+                        scratch.push(target.var);
+                    }
+                }
+            });
+            let names = (0..p.decls.len() as u32)
+                .map(VarId)
+                .filter(|v| !scratch.contains(v));
+            let names = names.map(|v| p.decl(v).name.clone()).collect();
+            cases.push((file.display().to_string(), p, names));
+        }
+    }
+    for seed in 1..=50 {
+        let tp = xdp_verify::gen::executable_program(seed);
+        cases.push((format!("seed {seed}"), tp.program, tp.observable));
+    }
+    let auto = CompileOptions::default().with_seq(SeqMode::Auto);
+    for (what, p, names) in cases {
+        let plain = compile_program(&p, &auto).unwrap();
+        let placed = compile_program(&p, &auto.clone().optimized().placed()).unwrap();
+        assert_eq!(
+            values(&placed, &names, &what),
+            values(&plain, &names, &what),
+            "{what}"
+        );
+    }
+}
+
 /// Every pinned (label, outcome) pair, in table order.
 pub fn pinned_outcomes() -> Vec<(String, Outcome)> {
     use xdp_compiler::{compile_program, CompileOptions, SeqMode};
@@ -898,15 +986,15 @@ fn pass_outputs_and_notes_are_pinned() {
 const PASS_PINS: &str = "\
     fft3d/elide-same-owner-comm ff3ce5959ff88e37 cbf29ce484222325
     fft3d/vectorize-messages ff3ce5959ff88e37 cbf29ce484222325
-    fft3d/localize-bounds 79aca91db3d0acdb c64dfbb4f3e18e97
+    fft3d/localize-bounds 277dc91d49f7c695 24981ee5d911552d
     fft3d/bind-communication ff3ce5959ff88e37 cbf29ce484222325
     fft3d/elide-accessible-checks ff3ce5959ff88e37 cbf29ce484222325
     fft3d/fuse-loops ff3ce5959ff88e37 cbf29ce484222325
     fft3d/sink-await ff3ce5959ff88e37 cbf29ce484222325
     fft3d/migrate-ownership ff3ce5959ff88e37 cbf29ce484222325
     fft3d/lower-redistribute ff3ce5959ff88e37 cbf29ce484222325
-    fft3d/auto-place ff3ce5959ff88e37 9e55a19e30eb6150
-    fft3d/paper-pipeline 79aca91db3d0acdb c64dfbb4f3e18e97
+    fft3d/auto-place ff3ce5959ff88e37 e8446b2b473f7b2d
+    fft3d/paper-pipeline 277dc91d49f7c695 24981ee5d911552d
     jacobi2d/elide-same-owner-comm 1fa89558b37d7282 cbf29ce484222325
     jacobi2d/vectorize-messages 1fa89558b37d7282 cbf29ce484222325
     jacobi2d/localize-bounds 1fa89558b37d7282 cbf29ce484222325
@@ -916,11 +1004,11 @@ const PASS_PINS: &str = "\
     jacobi2d/sink-await 1fa89558b37d7282 cbf29ce484222325
     jacobi2d/migrate-ownership 1fa89558b37d7282 cbf29ce484222325
     jacobi2d/lower-redistribute 1fa89558b37d7282 cbf29ce484222325
-    jacobi2d/auto-place 4e33a6e884e4938d cd59c0e2e33daf20
+    jacobi2d/auto-place 1fa89558b37d7282 fa2db214352c7491
     jacobi2d/paper-pipeline 1fa89558b37d7282 cbf29ce484222325
     membound/elide-same-owner-comm cf3161f67b38901d cbf29ce484222325
     membound/vectorize-messages cf3161f67b38901d cbf29ce484222325
-    membound/localize-bounds 403f8f63c256e118 4397419e5dece793
+    membound/localize-bounds cbc0fc3d7385dd52 0e92b4dd85f7a5f9
     membound/bind-communication cf3161f67b38901d cbf29ce484222325
     membound/elide-accessible-checks cf3161f67b38901d cbf29ce484222325
     membound/fuse-loops cf3161f67b38901d cbf29ce484222325
@@ -928,7 +1016,7 @@ const PASS_PINS: &str = "\
     membound/migrate-ownership cf3161f67b38901d cbf29ce484222325
     membound/lower-redistribute cf3161f67b38901d cbf29ce484222325
     membound/auto-place f808e03565595312 7171adcf98edf5b7
-    membound/paper-pipeline 403f8f63c256e118 4397419e5dece793
+    membound/paper-pipeline cbc0fc3d7385dd52 0e92b4dd85f7a5f9
     migration/elide-same-owner-comm 1ba50700ad74fb50 cbf29ce484222325
     migration/vectorize-messages 1ba50700ad74fb50 cbf29ce484222325
     migration/localize-bounds 1ba50700ad74fb50 cbf29ce484222325
@@ -938,7 +1026,7 @@ const PASS_PINS: &str = "\
     migration/sink-await 1ba50700ad74fb50 cbf29ce484222325
     migration/migrate-ownership 1ba50700ad74fb50 cbf29ce484222325
     migration/lower-redistribute 1ba50700ad74fb50 cbf29ce484222325
-    migration/auto-place 1ba50700ad74fb50 e07045e460ddc4c6
+    migration/auto-place 1ba50700ad74fb50 c62b213886cf6d49
     migration/paper-pipeline 1ba50700ad74fb50 cbf29ce484222325
     pipeline/elide-same-owner-comm 05e9504d6a05ed1e cbf29ce484222325
     pipeline/vectorize-messages 05e9504d6a05ed1e cbf29ce484222325
@@ -949,7 +1037,7 @@ const PASS_PINS: &str = "\
     pipeline/sink-await 05e9504d6a05ed1e cbf29ce484222325
     pipeline/migrate-ownership 05e9504d6a05ed1e cbf29ce484222325
     pipeline/lower-redistribute 05e9504d6a05ed1e cbf29ce484222325
-    pipeline/auto-place ba9cc6e5ffa32719 d2bde9344c1872ec
+    pipeline/auto-place 05e9504d6a05ed1e 1914933460ba3e99
     pipeline/paper-pipeline 05e9504d6a05ed1e cbf29ce484222325
     remap/elide-same-owner-comm 9fb0b236ff6957cc cbf29ce484222325
     remap/vectorize-messages 9fb0b236ff6957cc cbf29ce484222325
@@ -971,7 +1059,7 @@ const PASS_PINS: &str = "\
     seq_sum/sink-await 9a2d05a0757c3d20 cbf29ce484222325
     seq_sum/migrate-ownership 51b80371ff8db04b 8bbd91358eb9dd10
     seq_sum/lower-redistribute 9a2d05a0757c3d20 cbf29ce484222325
-    seq_sum/auto-place d9a5ef297f992545 bc37ab4cb0c894db
+    seq_sum/auto-place 9a2d05a0757c3d20 7c7477520f960603
     seq_sum/paper-pipeline 6696ecead4da9154 9e42c7918b816ec1
     simple/elide-same-owner-comm fe0e7ae4418c1e60 cbf29ce484222325
     simple/vectorize-messages 71fe84ced41e3e51 7ad473019ba8541b
@@ -982,11 +1070,11 @@ const PASS_PINS: &str = "\
     simple/sink-await fe0e7ae4418c1e60 cbf29ce484222325
     simple/migrate-ownership 40b6a0917d0272c4 8bbd91358eb9dd10
     simple/lower-redistribute fe0e7ae4418c1e60 cbf29ce484222325
-    simple/auto-place 7775ee008e226811 bc37ab4cb0c894db
+    simple/auto-place fe0e7ae4418c1e60 7c7477520f960603
     simple/paper-pipeline 4440b1cce06846dd 9e42c7918b816ec1
     twophase/elide-same-owner-comm ab4126aa7200c8f9 cbf29ce484222325
     twophase/vectorize-messages ab4126aa7200c8f9 cbf29ce484222325
-    twophase/localize-bounds e839adeecc167b1e 4397419e5dece793
+    twophase/localize-bounds c0f46e1fc25b1cca 0e92b4dd85f7a5f9
     twophase/bind-communication ab4126aa7200c8f9 cbf29ce484222325
     twophase/elide-accessible-checks ab4126aa7200c8f9 cbf29ce484222325
     twophase/fuse-loops ab4126aa7200c8f9 cbf29ce484222325
@@ -994,12 +1082,12 @@ const PASS_PINS: &str = "\
     twophase/migrate-ownership ab4126aa7200c8f9 cbf29ce484222325
     twophase/lower-redistribute ab4126aa7200c8f9 cbf29ce484222325
     twophase/auto-place ab4126aa7200c8f9 c266c5f295462d4d
-    twophase/paper-pipeline e839adeecc167b1e 4397419e5dece793
-    knest-6 db351226f15e08aa 4d7783d4511981c4
-    knest-7 fb0e957d3b92ddcc 98347f004a4b827f
-    knest-8 61dc30ee88e727ac 867c338ea8cb2160
-    knest-9 cff74548d6544452 d793ad6cb35595df
-    knest-10 829da1d91a3828a4 df8df30e903db7b0
+    twophase/paper-pipeline c0f46e1fc25b1cca 0e92b4dd85f7a5f9
+    knest-6 9ec3262ab38a81ea 707a16e26b583ae1
+    knest-7 cacc471685f2e100 dce42fb49d949da2
+    knest-8 d9a84b3f233bb40e 99ee3d44d23443ca
+    knest-9 5d945a75cc29534c 386919f7ee0e8447
+    knest-10 6a53c749647b2e87 4bbfc2fefa710948
     loops/BLOCKxBLOCK 7e20467794673d3f 4dc671df287b934f
     loops/BLOCKxCYCLIC ce84b81cc09dea5b 4b259a3a6c4a0ef9
     loops/BLOCKxCYCLIC(2) fafc8413b56e5ab3 d9b17f3414a0ec9f
@@ -1026,39 +1114,39 @@ const PASS_PINS: &str = "\
     gen/141..160 b75cbe01dca6b3bb f17dd250d97d5edc
     gen/161..180 80c898bbc74c228c 693ea96f22caf6cf
     gen/181..200 6093ac84cf7db31d 85ecd4719cc783e9
-    moved/redistribute-misaligns/elide-same-owner-comm 4fd41cef7b5a6809 6b5435a43c9f1506
-    moved/redistribute-misaligns/vectorize-messages c0b45bad5b924d99 a07d4aa9503a696f
+    moved/redistribute-misaligns/elide-same-owner-comm e5076c9e7f2760f1 cbf29ce484222325
+    moved/redistribute-misaligns/vectorize-messages c7009912e1b4d190 7ad473019ba8541b
     moved/redistribute-misaligns/localize-bounds e5076c9e7f2760f1 cbf29ce484222325
-    moved/redistribute-misaligns/bind-communication 55634f92e775ddd5 c6907558ce002dd7
+    moved/redistribute-misaligns/bind-communication 39b1065a1aa62aaf c6907558ce002dd7
     moved/redistribute-misaligns/elide-accessible-checks e5076c9e7f2760f1 cbf29ce484222325
     moved/redistribute-misaligns/fuse-loops e5076c9e7f2760f1 cbf29ce484222325
     moved/redistribute-misaligns/sink-await e5076c9e7f2760f1 cbf29ce484222325
     moved/redistribute-misaligns/migrate-ownership 653b296beab4c0a3 8bbd91358eb9dd10
     moved/redistribute-misaligns/lower-redistribute e5076c9e7f2760f1 cbf29ce484222325
-    moved/redistribute-misaligns/auto-place 7775ee008e226811 bc37ab4cb0c894db
-    moved/redistribute-misaligns/paper-pipeline 7a3c752efa430598 e104d9d247487050
-    moved/redistribute-aligns/elide-same-owner-comm 54c928f25ce093cf cbf29ce484222325
-    moved/redistribute-aligns/vectorize-messages 5eab8b4a95964bd0 7ad473019ba8541b
+    moved/redistribute-misaligns/auto-place e5076c9e7f2760f1 4af1bdf1943dcc4c
+    moved/redistribute-misaligns/paper-pipeline ebb25ee59838171a 69120837756560de
+    moved/redistribute-aligns/elide-same-owner-comm 4a23cc543633b3ff 6b5435a43c9f1506
+    moved/redistribute-aligns/vectorize-messages bca67111e438e8c6 a07d4aa9503a696f
     moved/redistribute-aligns/localize-bounds 54c928f25ce093cf cbf29ce484222325
-    moved/redistribute-aligns/bind-communication de51e457d236fd3b c6907558ce002dd7
+    moved/redistribute-aligns/bind-communication 508d8663647876e1 c6907558ce002dd7
     moved/redistribute-aligns/elide-accessible-checks 54c928f25ce093cf cbf29ce484222325
     moved/redistribute-aligns/fuse-loops 54c928f25ce093cf cbf29ce484222325
     moved/redistribute-aligns/sink-await 54c928f25ce093cf cbf29ce484222325
     moved/redistribute-aligns/migrate-ownership 646976d56127910b 8bbd91358eb9dd10
     moved/redistribute-aligns/lower-redistribute 54c928f25ce093cf cbf29ce484222325
-    moved/redistribute-aligns/auto-place 7775ee008e226811 bc37ab4cb0c894db
-    moved/redistribute-aligns/paper-pipeline 599b8f0f43f9bd22 9e42c7918b816ec1
+    moved/redistribute-aligns/auto-place 54c928f25ce093cf 4af1bdf1943dcc4c
+    moved/redistribute-aligns/paper-pipeline b4672ee3b6b88f66 d3f1ac4ab71ae7c3
     moved/migration-then-loop/elide-same-owner-comm 9bf99d7ab27794df cbf29ce484222325
     moved/migration-then-loop/vectorize-messages 9bf99d7ab27794df cbf29ce484222325
-    moved/migration-then-loop/localize-bounds bdaca8030a84e16a af6ddc05fb68547f
+    moved/migration-then-loop/localize-bounds 9bf99d7ab27794df cbf29ce484222325
     moved/migration-then-loop/bind-communication 9bf99d7ab27794df cbf29ce484222325
     moved/migration-then-loop/elide-accessible-checks 9bf99d7ab27794df cbf29ce484222325
     moved/migration-then-loop/fuse-loops 5b8e1293ca3881ff 79b64ebd1cf8316d
     moved/migration-then-loop/sink-await 9bf99d7ab27794df cbf29ce484222325
     moved/migration-then-loop/migrate-ownership 9bf99d7ab27794df cbf29ce484222325
     moved/migration-then-loop/lower-redistribute 0fb56c20f3034f73 a04840eba510b569
-    moved/migration-then-loop/auto-place 9bf99d7ab27794df 74c6b140fe597b8c
-    moved/migration-then-loop/paper-pipeline bdaca8030a84e16a af6ddc05fb68547f
+    moved/migration-then-loop/auto-place 9bf99d7ab27794df 49ffb24389be03ab
+    moved/migration-then-loop/paper-pipeline 9bf99d7ab27794df cbf29ce484222325
     nest/fusable-same-iteration 08d1d68a81eb290c 25b1893c4decb758
     nest/fusable-reads-earlier 0d27eebd14eeb521 25b1893c4decb758
     nest/fusable-fft-columns c0dbee54f0c07222 25b1893c4decb758

@@ -169,16 +169,16 @@ const PINS: &str = "\
     exec-comm/halo-16 Interp q=3824 scanned=1904 peak=24576 procs=7dadba7e170edaad vt=3267.199999999997 msgs=480 mem=f5d75a04e9401cd0 mov=208d6fc43031bdc5
     fft3d Vm q=100 scanned=400 peak=1024 procs=97be45aad2c2a4a1 vt=259.1 msgs=16 mem=027f1334e24cab1e mov=07f7b501b9f28b35
     fft3d Interp q=100 scanned=400 peak=1024 procs=97be45aad2c2a4a1 vt=259.1 msgs=16 mem=027f1334e24cab1e mov=07f7b501b9f28b35
-    fft3d+opt Vm q=52 scanned=208 peak=1024 procs=bc96a474645d5305 vt=253.10000000000002 msgs=16 mem=027f1334e24cab1e mov=46662152105761b5
-    fft3d+opt Interp q=52 scanned=208 peak=1024 procs=bc96a474645d5305 vt=253.10000000000002 msgs=16 mem=027f1334e24cab1e mov=46662152105761b5
+    fft3d+opt Vm q=68 scanned=272 peak=1024 procs=a5799a215b4ec7ed vt=253.50000000000003 msgs=16 mem=027f1334e24cab1e mov=711a2be278d7d635
+    fft3d+opt Interp q=68 scanned=272 peak=1024 procs=a5799a215b4ec7ed vt=253.50000000000003 msgs=16 mem=027f1334e24cab1e mov=711a2be278d7d635
     jacobi2d Vm q=204 scanned=44 peak=1920 procs=4a23f7c4f231e64d vt=357.20000000000005 msgs=12 mem=5f7536e2c8330f95 mov=6c094d8b9bc0016d
     jacobi2d Interp q=204 scanned=44 peak=1920 procs=4a23f7c4f231e64d vt=357.20000000000005 msgs=12 mem=5f7536e2c8330f95 mov=6c094d8b9bc0016d
     jacobi2d+opt Vm q=204 scanned=44 peak=1920 procs=4a23f7c4f231e64d vt=357.20000000000005 msgs=12 mem=5f7536e2c8330f95 mov=6c094d8b9bc0016d
     jacobi2d+opt Interp q=204 scanned=44 peak=1920 procs=4a23f7c4f231e64d vt=357.20000000000005 msgs=12 mem=5f7536e2c8330f95 mov=6c094d8b9bc0016d
     membound Vm q=1986 scanned=46723 peak=70656 procs=a2f5a3f03d748f91 vt=1550.6499999999915 msgs=133 mem=8070fd6ce06f140f mov=6b15c54314f092ed
     membound Interp q=1986 scanned=46723 peak=70656 procs=a2f5a3f03d748f91 vt=1550.6499999999915 msgs=133 mem=8070fd6ce06f140f mov=6b15c54314f092ed
-    membound+opt Vm q=1490 scanned=42627 peak=70656 procs=cc211697e8d2bb6f vt=1488.4499999999912 msgs=133 mem=8070fd6ce06f140f mov=f5749143ccbb570d
-    membound+opt Interp q=1490 scanned=42627 peak=70656 procs=cc211697e8d2bb6f vt=1488.4499999999912 msgs=133 mem=8070fd6ce06f140f mov=f5749143ccbb570d
+    membound+opt Vm q=994 scanned=34947 peak=70656 procs=ed909c1972de779d vt=1403.8499999999901 msgs=133 mem=8070fd6ce06f140f mov=07fe130e82fdd731
+    membound+opt Interp q=994 scanned=34947 peak=70656 procs=ed909c1972de779d vt=1403.8499999999901 msgs=133 mem=8070fd6ce06f140f mov=07fe130e82fdd731
     migration Vm q=236 scanned=940 peak=304 procs=7fe0faeca33af884 vt=719.9000000000004 msgs=16 mem=54893e416e51a14f mov=b1e44705c7c6745d
     migration Interp q=236 scanned=940 peak=304 procs=7fe0faeca33af884 vt=719.9000000000004 msgs=16 mem=54893e416e51a14f mov=b1e44705c7c6745d
     migration+opt Vm q=236 scanned=940 peak=304 procs=7fe0faeca33af884 vt=719.9000000000004 msgs=16 mem=54893e416e51a14f mov=b1e44705c7c6745d
@@ -201,6 +201,5 @@ const PINS: &str = "\
     simple+opt Interp q=172 scanned=512 peak=416 procs=397872e74ba3b169 vt=189.79999999999998 msgs=12 mem=873b0fe49e6770f7 mov=578dee2610179755
     twophase Vm q=552 scanned=3096 peak=32768 procs=560423a2a4ae9f8d vt=1110.450000000003 msgs=12 mem=2194cf5b4f985171 mov=f82fa102002f5a6b
     twophase Interp q=552 scanned=3096 peak=32768 procs=560423a2a4ae9f8d vt=1110.450000000003 msgs=12 mem=2194cf5b4f985171 mov=f82fa102002f5a6b
-    twophase+opt Vm q=304 scanned=2072 peak=32768 procs=a9282a82caebfff5 vt=1061.8500000000035 msgs=12 mem=2194cf5b4f985171 mov=8a04d75d70b9166f
-    twophase+opt Interp q=304 scanned=2072 peak=32768 procs=a9282a82caebfff5 vt=1061.8500000000035 msgs=12 mem=2194cf5b4f985171 mov=8a04d75d70b9166f
-";
+    twophase+opt Vm q=56 scanned=280 peak=32768 procs=9e6647c07182b765 vt=1003.6500000000013 msgs=12 mem=2194cf5b4f985171 mov=8a04d75d70b9166f
+    twophase+opt Interp q=56 scanned=280 peak=32768 procs=9e6647c07182b765 vt=1003.6500000000013 msgs=12 mem=2194cf5b4f985171 mov=8a04d75d70b9166f";

@@ -110,8 +110,7 @@ fn vm_matches_interpreter_on_the_simulated_machine() {
                     assert_eq!(interp.states, vm.states, "{name}+{variant}: states");
                     assert_eq!(interp.messages, vm.messages, "{name}+{variant}: messages");
                 }
-                // auto-place can emit a program that dies at runtime
-                // (jacobi2d does today); the VM must die identically.
+                // A program that dies at run time must die identically.
                 (Err(interp), Err(vm)) => {
                     assert_eq!(interp, vm, "{name}+{variant}: error text");
                 }
@@ -125,6 +124,47 @@ fn vm_matches_interpreter_on_the_simulated_machine() {
 
 /// Below the machine: the two processors, stepped side by side with
 /// messages delivered by hand, agree on every `StepOut` and request id.
+/// A processor that owns nothing of `U` runs its owned-rows loop zero
+/// times, and is refused, by name, when it asks `mylb` for a subscript:
+/// the paper's `MAXINT` sentinel never becomes an index. One rule, in
+/// `ProcEnv`, on both backends.
+#[test]
+fn an_empty_ownership_bound_is_an_empty_loop_and_never_a_subscript() {
+    let rows = "real U[1:2,1:4] distribute (BLOCK,*) onto 4
+                do r = mylb(U[*,*], 1), myub(U[*,*], 1) { U[r,1] = 2.0 }
+";
+    let refused = format!(
+        "{rows}mypid == 2 : {{ U[mylb(U[*,*], 1),2] = 1.0 }}
+"
+    );
+    let program = |src: &str| Arc::new(xdp_lang::parse_program(src).unwrap());
+    for backend in [Backend::Interp, Backend::Vm] {
+        let (ran, _) = fp(
+            MachineKind::Sim,
+            backend,
+            &program(rows),
+            MachineConfig::new(4),
+        )
+        .unwrap_or_else(|e| panic!("{backend}: {e}"));
+        let u = &ran.memory["U"];
+        assert!(
+            u[0].ends_with("= F64(2.0)") && u[4].ends_with("= F64(2.0)"),
+            "{backend}: {u:?}"
+        );
+        let err = fp(
+            MachineKind::Sim,
+            backend,
+            &program(&refused),
+            MachineConfig::new(4),
+        );
+        assert_eq!(
+            err.map(|_| ()),
+            Err("p2: mylb(U[*,*], 1): p2 owns no element of U".to_string()),
+            "{backend}"
+        );
+    }
+}
+
 #[test]
 fn vm_is_step_identical_to_the_interpreter() {
     let mut delivered = 0;
