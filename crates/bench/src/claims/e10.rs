@@ -25,7 +25,7 @@ use std::sync::Arc;
 use xdp_apps::{fft3d, halo2d, matvec, workloads};
 use xdp_core::{AsyncExec, KernelRegistry, Machine, MachineConfig, SimExec, TraceConfig};
 use xdp_ir::{DimDist, Distribution, ProcGrid, Program};
-use xdp_place::{candidates, search, Costs, DimNeed, Phase, PhaseGraph, Shift};
+use xdp_place::{candidates, search, DimNeed, Phase, PhaseGraph, PlaceOptions, Shift};
 use xdp_runtime::Value;
 
 const P: usize = 4;
@@ -258,11 +258,7 @@ fn jacobi_section(t: &mut Table) -> String {
     let graph = jacobi_graph(&rowp, rvars.u, rvars.v);
     let all = candidates::enumerate(2, P, 1, true);
     let legal = candidates::per_phase(&all, &graph.phases);
-    let costs = Costs::new(
-        xdp_machine::CostModel::default_1993(),
-        xdp_machine::Topology::Uniform,
-    );
-    let out = search::search(&graph, &rowp, &all, &legal, &costs);
+    let out = search::search(&graph, &rowp, &all, &legal, &PlaceOptions::default());
     let chosen = &out.choices[0].dist;
     let said = format!(
         "jacobi2d {JN}x{JM}: auto chose {chosen} (predicted {:.1}, {} candidates)\n\n",
@@ -349,7 +345,7 @@ fn matvec_section(t: &mut Table) {
         P,
         Distribution::new(vec![DimDist::Block, DimDist::Star], lin.clone()),
     );
-    let placed = xdp_place::optimize(&seedp, &xdp_place::PlaceOptions::default()).expect("matvec");
+    let placed = xdp_place::optimize(&seedp, &PlaceOptions::default()).expect("matvec");
     let choice = &placed.placement.choices[0];
     assert_eq!(placed.placement.anchor_name, "M");
     assert!(!choice.dist.dims()[1].is_distributed(), "{}", choice.dist);

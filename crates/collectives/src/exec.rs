@@ -2,9 +2,9 @@
 //!
 //! [`run_lockstep`] applies a schedule round by round with no network:
 //! within a round, every payload is read from pre-round state before any
-//! receive is applied. The planner's and the algorithms' tests compare
-//! against it; data *moves* only when a plan is lowered to Figure 1's
-//! send / receive / await statements and the machine runs them.
+//! receive is applied. The planner's tests compare against it; data
+//! *moves* only when a plan is lowered to Figure 1's send / receive /
+//! await statements and the machine runs them.
 //!
 //! Data lives as one `f64` vector per processor, addressed through the
 //! array's global `bounds` section: element `idx` lives at row-major
@@ -20,8 +20,6 @@ use xdp_ir::Section;
 pub enum ExecError {
     /// A transfer section indexes outside the array bounds.
     OutOfBounds { point: Vec<i64>, bounds: Section },
-    /// A payload's length does not equal the receive sections' volume.
-    PayloadMismatch { expected: usize, got: usize },
     /// `data` does not hold one vector per schedule processor.
     WrongProcCount { expected: usize, got: usize },
     /// A local vector is shorter than the bounds volume.
@@ -53,32 +51,16 @@ fn gather(bounds: &Section, local: &[f64], secs: &[Section]) -> Result<Vec<f64>,
     Ok(out)
 }
 
-/// Scatter a payload into the receive sections, overwriting or combining.
+/// Scatter a payload into the sections it was read from.
 fn scatter(
     bounds: &Section,
     local: &mut [f64],
     secs: &[Section],
     vals: &[f64],
-    combine: bool,
 ) -> Result<(), ExecError> {
-    let expected: usize = secs.iter().map(|s| s.volume() as usize).sum();
-    if vals.len() != expected {
-        return Err(ExecError::PayloadMismatch {
-            expected,
-            got: vals.len(),
-        });
-    }
-    let mut it = vals.iter();
-    for sec in secs {
-        for p in sec.iter() {
-            let v = *it.next().expect("length checked above");
-            let slot = &mut local[ord(bounds, &p)?];
-            if combine {
-                *slot += v;
-            } else {
-                *slot = v;
-            }
-        }
+    let points = secs.iter().flat_map(Section::iter);
+    for (p, &v) in points.zip(vals) {
+        local[ord(bounds, &p)?] = v;
     }
     Ok(())
 }
@@ -119,7 +101,7 @@ pub fn run_lockstep(
             .map(|t| gather(bounds, &data[t.src], &t.secs))
             .collect::<Result<_, _>>()?;
         for (t, payload) in round.transfers.iter().zip(packed) {
-            scatter(bounds, &mut data[t.dst], &t.recv_secs, &payload, t.combine)?;
+            scatter(bounds, &mut data[t.dst], &t.secs, &payload)?;
         }
     }
     Ok(())
@@ -128,12 +110,18 @@ pub fn run_lockstep(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::algorithms::broadcast_binomial;
-    use xdp_ir::{Triplet, VarId};
+    use crate::planner::plan;
+    use xdp_ir::{DimDist, Distribution, ProcGrid, Triplet, VarId};
+    use xdp_machine::{CostModel, Topology};
 
     #[test]
     fn malformed_input_is_an_error_not_a_panic() {
-        let s = broadcast_binomial(VarId(0), 8, 8, 4, 1);
+        let dist = |d| Distribution::new(vec![d], ProcGrid::linear(4));
+        let (src, dst) = (dist(DimDist::Block), dist(DimDist::Cyclic));
+        let model = CostModel::default_1993();
+        let topo = Topology::Uniform;
+        let all = [Triplet::range(1, 8)];
+        let s = plan(VarId(0), &all, 8, &src, &dst, &model, &topo, true).schedule;
         let bounds = |n| Section::new(vec![Triplet::range(1, n)]);
         let run = |b: Section, mut data: Vec<Vec<f64>>| run_lockstep(&s, &b, &mut data);
 

@@ -19,11 +19,13 @@
 //!   the price of forwarded bytes. Wins at high per-message cost (large
 //!   `alpha`, distance-sensitive topologies).
 //!
-//! The planner also computes the *segment shape* an array needs so that
-//! every planned transfer moves whole ownership segments
-//! ([`compatible_segment_shape`], [`prepare`]), and can lower a plan to
-//! per-processor IL+XDP statements ([`lower_redistribute_for_pid`]) for the
-//! interpreter's `redistribute` implementation.
+//! Under a memory budget it also weighs a single-shot all-to-all and
+//! K-round dynamic-slice chains, and picks the fastest plan whose peak
+//! fits. It computes the *segment shape* an array needs so that every
+//! planned transfer moves whole ownership segments
+//! ([`compatible_segment_shape`], [`prepare`]), and lowers a plan to
+//! per-processor IL+XDP statements ([`lower_redistribute_for_pid`]) for
+//! the machine's `redistribute` implementation.
 
 use crate::schedule::{CommSchedule, Round, Transfer};
 use std::collections::BTreeMap;
@@ -52,11 +54,6 @@ pub enum Strategy {
     /// Single-shot all-to-all: every piece in one round. Fastest, and the
     /// memory-hungriest — every processor stages all its traffic at once.
     AllToAll,
-    /// Allgather-then-slice: every source replicates its whole moving set
-    /// to every other processor, which slices out what it owns. Priced for
-    /// the frontier only (it sends data to non-owners, so it cannot be
-    /// lowered to ownership-transferring IL+XDP statements).
-    AllGatherSlice,
     /// K-round dynamic-slice chain: each piece is cut into `K` slices
     /// along its longest axis and round `k` carries slice `k` directly to
     /// its destination — `K` rounds trade per-message overhead for a
@@ -70,7 +67,6 @@ impl fmt::Display for Strategy {
             Strategy::DirectPairwise => write!(f, "direct-pairwise"),
             Strategy::StagedBruck => write!(f, "staged-bruck"),
             Strategy::AllToAll => write!(f, "all-to-all"),
-            Strategy::AllGatherSlice => write!(f, "allgather-slice"),
             Strategy::DynamicSlice(k) => write!(f, "dynamic-slice-{k}"),
         }
     }
@@ -273,38 +269,6 @@ fn alltoall_schedule(var: VarId, nprocs: usize, pieces: &[Piece], elem_bytes: u6
     s
 }
 
-/// Allgather-then-slice: every source replicates its whole moving set to
-/// every other processor in one round; receivers slice locally. Priced
-/// for the frontier only — it ships data to processors that will never
-/// own it, so it has no ownership-transferring IL+XDP lowering.
-fn allgather_schedule(
-    var: VarId,
-    nprocs: usize,
-    pieces: &[Piece],
-    elem_bytes: u64,
-) -> CommSchedule {
-    let mut by_src: BTreeMap<usize, Vec<Section>> = BTreeMap::new();
-    for pc in pieces {
-        by_src.entry(pc.src).or_default().push(pc.sec.clone());
-    }
-    let mut s = CommSchedule::new(nprocs);
-    let mut round = Round::default();
-    let mut salt = 0;
-    for (src, secs) in by_src {
-        for dst in 0..nprocs {
-            if dst == src {
-                continue;
-            }
-            salt += 1;
-            round
-                .transfers
-                .push(Transfer::new(src, dst, var, secs.clone(), salt, elem_bytes));
-        }
-    }
-    s.push_round(round);
-    s
-}
-
 /// How many segment-aligned cut units axis `d` of `sec` offers, and the
 /// element step of one unit. Stride-1 axes may only be cut on segment
 /// tile edges (the runtime rejects ownership transfers that split a
@@ -397,24 +361,15 @@ struct Candidate {
     predicted: f64,
     /// Peak under the discipline the candidate would execute with.
     peak: u64,
-    /// May this candidate be *chosen* (lowerable under the caller's
-    /// constraints), as opposed to only priced for the frontier?
-    selectable: bool,
 }
 
 /// The slice counts the dynamic-slice chain enumeration tries.
 const DYNAMIC_SLICE_KS: [usize; 3] = [2, 4, 8];
 
-/// Skip the allgather-slice frontier point past this `pieces x procs`
-/// product: its schedule materializes O(pieces x P) sections, which at
-/// large machine sizes costs gigabytes to price a candidate that can
-/// never be selected (it is frontier-only).
-const ALLGATHER_ENUM_CAP: usize = 1 << 18;
-
-/// Enumerate the decomposition catalog. `full` adds the memory-sensitive
-/// decompositions (all-to-all, allgather-slice, dynamic-slice chains) to
-/// the two historical candidates; `synced` prices peaks for
-/// round-synchronized execution (budgeted lowering), otherwise for the
+/// Enumerate the decomposition catalog. A `budgeted` catalog adds the
+/// memory-sensitive decompositions (all-to-all, dynamic-slice chains) to
+/// the two historical candidates and prices peaks for round-synchronized
+/// execution (budgeted lowering); an unbudgeted one prices them for the
 /// historical pre-post-everything lowering.
 #[allow(clippy::too_many_arguments)]
 fn catalog(
@@ -426,57 +381,43 @@ fn catalog(
     topo: &Topology,
     tiles: &[i64],
     require_single_sections: bool,
-    full: bool,
-    synced: bool,
+    budgeted: bool,
 ) -> Vec<Candidate> {
-    let peak_of = |sch: &CommSchedule| {
-        if synced {
-            sch.synced_peak_bytes()
-        } else {
-            sch.flat_peak_bytes()
-        }
-    };
     let mut out = Vec::new();
-    let mut push = |strategy: Strategy, schedule: CommSchedule, selectable: bool| {
+    let mut push = |strategy: Strategy, schedule: CommSchedule| {
         let predicted = schedule.predicted_cost(model, topo);
-        let peak = peak_of(&schedule);
+        let peak = if budgeted {
+            schedule.synced_peak_bytes()
+        } else {
+            schedule.flat_peak_bytes()
+        };
         out.push(Candidate {
             strategy,
             schedule,
             predicted,
             peak,
-            selectable,
         });
     };
     push(
         Strategy::DirectPairwise,
         direct_schedule(var, nprocs, moving, elem_bytes),
-        true,
     );
     if nprocs > 2 && !moving.is_empty() {
         let staged = staged_schedule(var, nprocs, moving, elem_bytes);
         if !require_single_sections || staged.transfers().all(|t| t.secs.len() == 1) {
-            push(Strategy::StagedBruck, staged, true);
+            push(Strategy::StagedBruck, staged);
         }
     }
-    if full && !moving.is_empty() {
+    if budgeted && !moving.is_empty() {
         push(
             Strategy::AllToAll,
             alltoall_schedule(var, nprocs, moving, elem_bytes),
-            true,
         );
         for k in DYNAMIC_SLICE_KS {
             let sch = dynamic_slice_schedule(var, nprocs, moving, elem_bytes, tiles, k);
             if sch.rounds.len() > 1 {
-                push(Strategy::DynamicSlice(k), sch, true);
+                push(Strategy::DynamicSlice(k), sch);
             }
-        }
-        if moving.len().saturating_mul(nprocs) <= ALLGATHER_ENUM_CAP {
-            push(
-                Strategy::AllGatherSlice,
-                allgather_schedule(var, nprocs, moving, elem_bytes),
-                false,
-            );
         }
     }
     out
@@ -611,61 +552,32 @@ pub fn try_plan(
 
     let tiles = compatible_segment_shape(bounds, &[src, dst]);
 
-    match model.mem_budget {
-        None => {
-            let cands = catalog(
-                var,
-                nprocs,
-                &moving,
-                elem_bytes,
-                model,
-                topo,
-                &tiles,
-                require_single_sections,
-                false,
-                false,
-            );
-            let best = cands
-                .iter()
-                .enumerate()
-                .min_by(|(_, a), (_, b)| a.predicted.partial_cmp(&b.predicted).unwrap())
-                .map(|(i, _)| i)
-                .unwrap();
-            Ok(assemble(var, moved_elems, cands, best, false))
-        }
-        Some(budget) => {
-            let cands = catalog(
-                var,
-                nprocs,
-                &moving,
-                elem_bytes,
-                model,
-                topo,
-                &tiles,
-                require_single_sections,
-                true,
-                true,
-            );
-            let best = cands
-                .iter()
-                .enumerate()
-                .filter(|(_, c)| c.selectable && c.peak <= budget)
-                .min_by(|(_, a), (_, b)| a.predicted.partial_cmp(&b.predicted).unwrap())
-                .map(|(i, _)| i);
-            match best {
-                Some(i) => Ok(assemble(var, moved_elems, cands, i, true)),
-                None => Err(PlanError::NoPlanFits {
-                    var,
-                    budget,
-                    smallest_feasible: cands
-                        .iter()
-                        .filter(|c| c.selectable)
-                        .map(|c| c.peak)
-                        .min()
-                        .unwrap_or(0),
-                }),
-            }
-        }
+    let budgeted = model.mem_budget.is_some();
+    let cands = catalog(
+        var,
+        nprocs,
+        &moving,
+        elem_bytes,
+        model,
+        topo,
+        &tiles,
+        require_single_sections,
+        budgeted,
+    );
+    let budget = model.mem_budget.unwrap_or(u64::MAX);
+    let best = cands
+        .iter()
+        .enumerate()
+        .filter(|(_, c)| c.peak <= budget)
+        .min_by(|(_, a), (_, b)| a.predicted.partial_cmp(&b.predicted).unwrap())
+        .map(|(i, _)| i);
+    match best {
+        Some(i) => Ok(assemble(var, moved_elems, cands, i, budgeted)),
+        None => Err(PlanError::NoPlanFits {
+            var,
+            budget,
+            smallest_feasible: cands.iter().map(|c| c.peak).min().unwrap_or(0),
+        }),
     }
 }
 
@@ -758,87 +670,49 @@ fn const_sref(var: VarId, sec: &Section) -> SectionRef {
     SectionRef::new(var, subs)
 }
 
-/// Lower a (single-section) plan to processor `pid`'s IL+XDP statements:
-/// pre-posted ownership-and-value receives for every incoming piece, the
-/// processor's sends in round order with bound destinations, and trailing
-/// `await` guards so the statement completes only when all pieces have
-/// landed. Tags are salted `salt_base + transfer-ordinal`, so concurrent
-/// redistributions of one variable cannot cross-match.
+/// Lower a (single-section) plan to processor `pid`'s IL+XDP statements.
+/// The schedule's rounds are walked in groups; per group the processor
+/// posts an ownership-and-value receive for every incoming piece, issues
+/// its sends with bound destinations, then awaits every arrival. An
+/// unbudgeted plan is one group: every receive pre-posted, every send
+/// issued before the first await. A budgeted (synchronized) plan is one
+/// group per round, so at most one round of staging — plus early
+/// next-round arrivals, which the planner's synced peak charges — is live
+/// per processor: the footprint the budget was checked against. Tags are
+/// salted `salt_base + transfer-ordinal`, so concurrent redistributions of
+/// one variable cannot cross-match.
 pub fn lower_redistribute_for_pid(plan: &RedistPlan, pid: usize, salt_base: i64) -> Vec<Stmt> {
-    if plan.synchronized {
-        return lower_rounds_for_pid(plan, pid, salt_base);
-    }
-    let var = plan.var;
+    let rounds = &plan.schedule.rounds;
+    let per_group = if plan.synchronized { 1 } else { rounds.len() };
+    let sref = |t: &Transfer| {
+        assert_eq!(t.secs.len(), 1, "IR lowering requires single-section plans");
+        const_sref(plan.var, &t.secs[0])
+    };
+    let salt = |t: &Transfer| Some(IntExpr::Const(salt_base + t.salt));
     let mut out = Vec::new();
-    let mut awaits = Vec::new();
-    for t in plan.schedule.transfers() {
-        if t.dst == pid && !t.is_local() {
-            assert_eq!(t.secs.len(), 1, "IR lowering requires single-section plans");
-            let target = const_sref(var, &t.recv_secs[0]);
+    for group in rounds.chunks(per_group.max(1)) {
+        let transfers = || group.iter().flat_map(|r| &r.transfers);
+        let mut awaits = Vec::new();
+        for t in transfers().filter(|t| t.dst == pid) {
+            let target = sref(t);
             out.push(Stmt::Recv {
                 target: target.clone(),
                 kind: TransferKind::OwnershipValue,
                 name: None,
-                salt: Some(IntExpr::Const(salt_base + t.salt)),
+                salt: salt(t),
             });
             awaits.push(Stmt::Guarded {
                 rule: BoolExpr::Await(target),
                 body: vec![],
             });
         }
-    }
-    for round in &plan.schedule.rounds {
-        for t in &round.transfers {
-            if t.src == pid && !t.is_local() {
-                out.push(Stmt::Send {
-                    sec: const_sref(var, &t.secs[0]),
-                    kind: TransferKind::OwnershipValue,
-                    dest: DestSet::Pids(vec![IntExpr::Const(t.dst as i64)]),
-                    salt: Some(IntExpr::Const(salt_base + t.salt)),
-                });
-            }
-        }
-    }
-    out.extend(awaits);
-    out
-}
-
-/// Round-synchronized lowering for budgeted plans: each round posts its
-/// receives, issues its sends, then awaits its arrivals before the next
-/// round begins, so at most one round of staging (plus early next-round
-/// arrivals, which the planner's stepped peak already charges) is live
-/// per processor — the footprint bound the budget was checked against.
-fn lower_rounds_for_pid(plan: &RedistPlan, pid: usize, salt_base: i64) -> Vec<Stmt> {
-    let var = plan.var;
-    let mut out = Vec::new();
-    for round in &plan.schedule.rounds {
-        let mut awaits = Vec::new();
-        for t in &round.transfers {
-            if t.dst == pid && !t.is_local() {
-                assert_eq!(t.secs.len(), 1, "IR lowering requires single-section plans");
-                let target = const_sref(var, &t.recv_secs[0]);
-                out.push(Stmt::Recv {
-                    target: target.clone(),
-                    kind: TransferKind::OwnershipValue,
-                    name: None,
-                    salt: Some(IntExpr::Const(salt_base + t.salt)),
-                });
-                awaits.push(Stmt::Guarded {
-                    rule: BoolExpr::Await(target),
-                    body: vec![],
-                });
-            }
-        }
-        for t in &round.transfers {
-            if t.src == pid && !t.is_local() {
-                assert_eq!(t.secs.len(), 1, "IR lowering requires single-section plans");
-                out.push(Stmt::Send {
-                    sec: const_sref(var, &t.secs[0]),
-                    kind: TransferKind::OwnershipValue,
-                    dest: DestSet::Pids(vec![IntExpr::Const(t.dst as i64)]),
-                    salt: Some(IntExpr::Const(salt_base + t.salt)),
-                });
-            }
+        for t in transfers().filter(|t| t.src == pid) {
+            out.push(Stmt::Send {
+                sec: sref(t),
+                kind: TransferKind::OwnershipValue,
+                dest: DestSet::Pids(vec![IntExpr::Const(t.dst as i64)]),
+                salt: salt(t),
+            });
         }
         out.extend(awaits);
     }

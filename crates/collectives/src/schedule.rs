@@ -1,12 +1,12 @@
-//! Communication schedules: collectives as explicit rounds of point-to-point
-//! messages.
+//! Communication schedules: a redistribution as explicit rounds of
+//! point-to-point messages.
 //!
-//! This is the XDP view of collective communication: a collective is not an
-//! opaque runtime call but a compile-time *schedule* — an ordered list of
-//! rounds, each a set of tagged point-to-point transfers. The same schedule
-//! object drives the discrete-event simulator (virtual time), the threaded
-//! backend (real concurrency), and the cost predictor, so a plan can be
-//! priced before any data moves.
+//! This is the XDP view of collective communication: a redistribution is
+//! not an opaque runtime call but a compile-time *schedule* — an ordered
+//! list of rounds, each a set of tagged point-to-point transfers. The
+//! planner prices a schedule ([`CommSchedule::predicted_cost`]) and bounds
+//! its staging memory (the three peak accountings) before any data moves;
+//! the machine runs only its lowering to Figure 1 statements.
 
 use std::fmt;
 use xdp_ir::{Section, VarId};
@@ -14,35 +14,28 @@ use xdp_machine::{CostModel, Topology};
 
 /// One point-to-point message of a schedule.
 ///
-/// The payload is the row-major concatenation of `secs` read from the
-/// sender; the receiver scatters it into `recv_secs` (pairwise, in order).
-/// For most collectives `recv_secs == secs`; all-to-all algorithms permute
-/// placement, and Bruck packs several sections into one message.
+/// The payload is the row-major concatenation of `secs`, read on the
+/// sender and written at the same indices on the receiver. A staged plan
+/// packs several sections into one message.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Transfer {
     /// Sending processor.
     pub src: usize,
-    /// Receiving processor. `src == dst` marks a local permutation step
-    /// (no wire traffic; e.g. Bruck's rotations).
+    /// Receiving processor; never the sender.
     pub dst: usize,
     /// The variable the tag matches on.
     pub var: VarId,
-    /// Sections read on the sender, in payload order.
+    /// Sections moved, in payload order.
     pub secs: Vec<Section>,
-    /// Sections written on the receiver, pairwise conformable with `secs`.
-    pub recv_secs: Vec<Section>,
     /// Message type (the paper's §4 send/receive linking structure);
     /// unique per transfer within a schedule so tags never collide.
     pub salt: i64,
     /// Payload bytes.
     pub bytes: u64,
-    /// Receiver combines element-wise (`+=`) instead of overwriting
-    /// (reductions).
-    pub combine: bool,
 }
 
 impl Transfer {
-    /// A transfer whose receive placement mirrors the send sections.
+    /// A transfer of `secs` from `src` to another processor `dst`.
     pub fn new(
         src: usize,
         dst: usize,
@@ -51,27 +44,16 @@ impl Transfer {
         salt: i64,
         elem_bytes: u64,
     ) -> Transfer {
+        debug_assert!(src != dst, "a transfer crosses processors");
         let bytes: u64 = secs.iter().map(|s| s.volume() as u64 * elem_bytes).sum();
         Transfer {
             src,
             dst,
             var,
-            recv_secs: secs.clone(),
             secs,
             salt,
             bytes,
-            combine: false,
         }
-    }
-
-    /// Total elements moved.
-    pub fn volume(&self) -> i64 {
-        self.secs.iter().map(Section::volume).sum()
-    }
-
-    /// Is this a local (same-processor) permutation step?
-    pub fn is_local(&self) -> bool {
-        self.src == self.dst
     }
 }
 
@@ -113,24 +95,20 @@ impl CommSchedule {
         self.rounds.iter().flat_map(|r| r.transfers.iter())
     }
 
-    /// Cross-processor message count (local permutations excluded).
+    /// Message count.
     pub fn message_count(&self) -> usize {
-        self.transfers().filter(|t| !t.is_local()).count()
+        self.transfers().count()
     }
 
-    /// Total wire bytes (payloads of cross-processor transfers).
+    /// Total wire bytes.
     pub fn total_bytes(&self) -> u64 {
-        self.transfers()
-            .filter(|t| !t.is_local())
-            .map(|t| t.bytes)
-            .sum()
+        self.transfers().map(|t| t.bytes).sum()
     }
 
     /// Exact per-round live-buffer footprint: `footprint[r][p]` is the
     /// number of staging bytes processor `p` holds while round `r` is in
     /// flight — send staging for every transfer it sources plus receive
-    /// staging for every transfer it sinks (a local permutation step
-    /// counts once: the copy is staged on its one processor).
+    /// staging for every transfer it sinks.
     pub fn round_footprints(&self) -> Vec<Vec<u64>> {
         self.rounds
             .iter()
@@ -138,9 +116,7 @@ impl CommSchedule {
                 let mut fp = vec![0u64; self.nprocs];
                 for t in &round.transfers {
                     fp[t.src] += t.bytes;
-                    if !t.is_local() {
-                        fp[t.dst] += t.bytes;
-                    }
+                    fp[t.dst] += t.bytes;
                 }
                 fp
             })
@@ -172,9 +148,7 @@ impl CommSchedule {
             .map(|round| {
                 let mut r = vec![0u64; self.nprocs];
                 for t in &round.transfers {
-                    if !t.is_local() {
-                        r[t.dst] += t.bytes;
-                    }
+                    r[t.dst] += t.bytes;
                 }
                 r
             })
@@ -209,17 +183,12 @@ impl CommSchedule {
     /// destination-bound sends: the sender pays `cpu_overhead` per message,
     /// the wire `alpha·(1 + hop_factor·(hops-1)) + beta·bytes` (with α/β
     /// scaled by the tier multipliers on a tiered topology), and the
-    /// receiver `cpu_overhead` to handle the arrival. Local permutation
-    /// steps cost `beta·bytes` of copy time on their processor.
+    /// receiver `cpu_overhead` to handle the arrival.
     pub fn predicted_cost(&self, model: &CostModel, topo: &Topology) -> f64 {
         let mut clock = vec![0.0f64; self.nprocs];
         for round in &self.rounds {
             let mut arrivals: Vec<(usize, f64)> = Vec::with_capacity(round.transfers.len());
             for t in &round.transfers {
-                if t.is_local() {
-                    clock[t.src] += model.beta * t.bytes as f64;
-                    continue;
-                }
                 clock[t.src] += model.cpu_overhead;
                 let link = topo.link(t.src, t.dst);
                 let arrive = clock[t.src] + model.link_time(t.bytes, link);
@@ -247,19 +216,11 @@ impl fmt::Display for CommSchedule {
             writeln!(f, "  round {i}:")?;
             for t in &round.transfers {
                 let secs: Vec<String> = t.secs.iter().map(|s| s.to_string()).collect();
-                let kind = if t.is_local() {
-                    "local"
-                } else if t.combine {
-                    "combine"
-                } else {
-                    "move"
-                };
                 writeln!(
                     f,
-                    "    p{} -> p{} {} {} ({} B, #{})",
+                    "    p{} -> p{} move {} ({} B, #{})",
                     t.src,
                     t.dst,
-                    kind,
                     secs.join(" "),
                     t.bytes,
                     t.salt
@@ -285,22 +246,22 @@ mod tests {
         s.push_round(Round {
             transfers: vec![
                 Transfer::new(0, 1, VarId(0), vec![sec(1, 4)], 1, 8),
-                Transfer::new(1, 1, VarId(0), vec![sec(5, 8)], 2, 8),
+                Transfer::new(1, 0, VarId(0), vec![sec(5, 8)], 2, 8),
             ],
         });
         s.push_round(Round { transfers: vec![] }); // dropped
         assert_eq!(s.rounds.len(), 1);
-        assert_eq!(s.message_count(), 1);
-        assert_eq!(s.total_bytes(), 32);
+        assert_eq!(s.message_count(), 2);
+        assert_eq!(s.total_bytes(), 64);
     }
 
     #[test]
-    fn footprints_charge_both_endpoints_and_locals_once() {
+    fn footprints_charge_both_endpoints() {
         let mut s = CommSchedule::new(3);
         s.push_round(Round {
             transfers: vec![
-                Transfer::new(0, 1, VarId(0), vec![sec(1, 4)], 1, 8), // 32 B on the wire
-                Transfer::new(2, 2, VarId(0), vec![sec(5, 6)], 2, 8), // 16 B local copy
+                Transfer::new(0, 1, VarId(0), vec![sec(1, 4)], 1, 8), // 32 B
+                Transfer::new(2, 0, VarId(0), vec![sec(5, 6)], 2, 8), // 16 B
             ],
         });
         s.push_round(Round {
@@ -308,11 +269,13 @@ mod tests {
         });
         assert_eq!(
             s.round_footprints(),
-            vec![vec![32, 32, 16], vec![16, 16, 0]]
+            vec![vec![48, 32, 16], vec![16, 16, 0]]
         );
-        assert_eq!(s.peak_bytes(), 32);
+        assert_eq!(s.peak_bytes(), 48);
+        // Round-synchronized execution may see round 1's arrival early.
+        assert_eq!(s.synced_peak_bytes(), 64);
         // Unsynchronized execution may have both rounds live at once.
-        assert_eq!(s.flat_peak_bytes(), 48);
+        assert_eq!(s.flat_peak_bytes(), 64);
     }
 
     #[test]
@@ -346,12 +309,5 @@ mod tests {
         let near = s.predicted_cost(&model, &Topology::Uniform);
         let far = s.predicted_cost(&model, &Topology::Linear);
         assert!(far > near, "{far} vs {near}");
-
-        // A nearest-neighbour ring is one hop on both, except for the
-        // wrap-around link a linear array makes long.
-        let ring = crate::algorithms::allgather_ring(VarId(0), 16, 8, 8);
-        let near = ring.predicted_cost(&model, &Topology::Uniform);
-        let far = ring.predicted_cost(&model, &Topology::Linear);
-        assert!(far >= near, "{far} vs {near}");
     }
 }

@@ -13,10 +13,11 @@
 //!   and multiple outstanding sends/receives on one name (the §2.7
 //!   load-balancing idiom). Completion times are computed analytically at
 //!   match time, so simulations are reproducible bit-for-bit.
-//! * [`thread_net::ThreadNet`] — a real shared-memory backend (one OS
-//!   thread per processor) with the same matching semantics, for wall-clock
-//!   benchmarking and for validating that the simulator and a genuinely
-//!   parallel execution agree on results.
+//! * [`thread_net::ThreadNet`] — a real shared-memory matcher with the
+//!   same matching semantics: the task machine (`xdp_core::AsyncExec`)
+//!   polls it with a zero timeout from tasks multiplexed over a few worker
+//!   threads, for wall-clock runs and for validating that the simulator
+//!   and a genuinely parallel execution agree on results.
 //!
 //! The simulated network never reorders two messages with the same name
 //! between the same pair of processors (FIFO per name), and matching is by

@@ -1,5 +1,9 @@
-//! The real-parallel backend: one OS thread per simulated processor,
-//! rendezvous matching through a shared, lock-protected message pool.
+//! The real-parallel matcher: rendezvous matching through a shared,
+//! lock-protected message pool. The task machine (`xdp_core::AsyncExec`)
+//! runs every processor as a cooperative task over a few worker threads
+//! and polls it with `Duration::ZERO`, parking a task whose message has
+//! not arrived; a blocking `recv` with a timeout remains for callers that
+//! own a thread.
 //!
 //! Matching semantics are those of [`crate::sim::SimNet`]: messages pair
 //! with receives by exact name; unspecified-destination messages go to the

@@ -16,28 +16,16 @@
 //!   co-placed group.
 
 use crate::phase::{Phase, PhaseGraph};
+use crate::PlaceOptions;
 use xdp_collectives::planner::try_plan;
 use xdp_ir::{DimDist, Distribution, Triplet};
-use xdp_machine::{CostModel, Topology};
+use xdp_machine::Topology;
 
 /// Crude floating-point operations charged per element-touch — real
 /// kernels do more than one flop per element visited (an FFT sweep does
 /// `~5 log n`). 8 keeps the compute term in the same decade as the
 /// simulator for the repo's kernels.
 pub const FLOPS_PER_TOUCH: f64 = 8.0;
-
-/// The assembled cost parameters used by the search.
-#[derive(Clone, Debug)]
-pub struct Costs {
-    pub model: CostModel,
-    pub topo: Topology,
-}
-
-impl Costs {
-    pub fn new(model: CostModel, topo: Topology) -> Costs {
-        Costs { model, topo }
-    }
-}
 
 /// Largest fraction of the array any single processor owns.
 pub fn max_share(dist: &Distribution, bounds: &[Triplet]) -> f64 {
@@ -53,7 +41,12 @@ pub fn max_share(dist: &Distribution, bounds: &[Triplet]) -> f64 {
 }
 
 /// Compute cost of a phase under a candidate distribution.
-pub fn compute_cost(phase: &Phase, dist: &Distribution, bounds: &[Triplet], c: &Costs) -> f64 {
+pub fn compute_cost(
+    phase: &Phase,
+    dist: &Distribution,
+    bounds: &[Triplet],
+    c: &PlaceOptions,
+) -> f64 {
     phase.work * FLOPS_PER_TOUCH * max_share(dist, bounds) * c.model.flop_time
 }
 
@@ -97,7 +90,7 @@ fn cross_1d(dd: DimDist, bound: Triplet, np: usize, offset: i64) -> f64 {
 /// node, but every `procs_per_node`-th pair crosses a node boundary and
 /// every rack's-worth crosses a rack boundary, so the per-tier alpha/beta
 /// multipliers surface in the placement search.
-fn neighbor_wire_time(bytes: u64, c: &Costs) -> f64 {
+fn neighbor_wire_time(bytes: u64, c: &PlaceOptions) -> f64 {
     use xdp_machine::{Link, Tier};
     if let Topology::Tiered {
         procs_per_node: ppn,
@@ -130,7 +123,7 @@ pub fn shift_cost(
     dist: &Distribution,
     bounds: &[Triplet],
     elem_bytes: u64,
-    c: &Costs,
+    c: &PlaceOptions,
 ) -> f64 {
     let mut total = 0.0;
     for sh in &phase.shifts {
@@ -164,7 +157,7 @@ pub fn phase_cost(
     dist: &Distribution,
     bounds: &[Triplet],
     elem_bytes: u64,
-    c: &Costs,
+    c: &PlaceOptions,
 ) -> f64 {
     compute_cost(phase, dist, bounds, c) + shift_cost(phase, dist, bounds, elem_bytes, c)
 }
@@ -176,7 +169,7 @@ pub fn transition_cost(
     program: &xdp_ir::Program,
     from: &Distribution,
     to: &Distribution,
-    c: &Costs,
+    c: &PlaceOptions,
 ) -> f64 {
     if from == to {
         return 0.0;
@@ -200,13 +193,10 @@ mod tests {
     use super::*;
     use crate::phase::{DimNeed, Shift};
     use xdp_ir::ProcGrid;
+    use xdp_machine::CostModel;
 
     fn b(lb: i64, ub: i64) -> Triplet {
         Triplet::range(lb, ub)
-    }
-
-    fn costs() -> Costs {
-        Costs::new(CostModel::default_1993(), Topology::Uniform)
     }
 
     fn stencil_phase() -> Phase {
@@ -245,7 +235,7 @@ mod tests {
     #[test]
     fn collapsed_compute_beats_distributed_only_when_serial_is_free() {
         let bounds = vec![b(1, 8), b(1, 8)];
-        let c = costs();
+        let c = PlaceOptions::default();
         let ph = stencil_phase();
         let blk = Distribution::new(vec![DimDist::Block, DimDist::Star], ProcGrid::linear(4));
         let col = Distribution::collapsed(2, 4);
@@ -255,7 +245,7 @@ mod tests {
     #[test]
     fn shift_cost_zero_on_uncut_dim_and_high_for_cyclic() {
         let bounds = vec![b(1, 8), b(1, 8)];
-        let c = costs();
+        let c = PlaceOptions::default();
         let ph = stencil_phase();
         let row = Distribution::new(vec![DimDist::Block, DimDist::Star], ProcGrid::linear(4));
         let col = Distribution::new(vec![DimDist::Star, DimDist::Block], ProcGrid::linear(4));
@@ -277,11 +267,11 @@ mod tests {
         let bounds = vec![b(1, 8), b(1, 8)];
         let ph = stencil_phase();
         let row = Distribution::new(vec![DimDist::Block, DimDist::Star], ProcGrid::linear(4));
-        let flat = costs();
-        let tiered = Costs::new(
-            CostModel::default_1993().with_tier_scale(Tier::Rack, 100.0, 100.0),
-            Topology::tiered(2, 2, 1),
-        );
+        let flat = PlaceOptions::default();
+        let tiered = PlaceOptions {
+            model: CostModel::default_1993().with_tier_scale(Tier::Rack, 100.0, 100.0),
+            topo: Topology::tiered(2, 2, 1),
+        };
         let cheap = shift_cost(&ph, &row, &bounds, 8, &flat);
         let dear = shift_cost(&ph, &row, &bounds, 8, &tiered);
         assert!(
@@ -311,7 +301,7 @@ mod tests {
             phases: vec![stencil_phase()],
             dropped_redistributes: vec![],
         };
-        let c = costs();
+        let c = PlaceOptions::default();
         let row = Distribution::new(vec![DimDist::Block, DimDist::Star], ProcGrid::linear(4));
         let col = Distribution::new(vec![DimDist::Star, DimDist::Block], ProcGrid::linear(4));
         assert_eq!(transition_cost(&graph, &p, &row, &row, &c), 0.0);

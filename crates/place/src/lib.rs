@@ -33,7 +33,6 @@ pub mod cost;
 pub mod phase;
 pub mod search;
 
-pub use cost::Costs;
 pub use phase::{DimNeed, Phase, PhaseGraph, PlaceError, Shift};
 pub use search::{PhaseChoice, SearchOutcome};
 
@@ -54,12 +53,6 @@ impl Default for PlaceOptions {
             model: CostModel::default_1993(),
             topo: Topology::Uniform,
         }
-    }
-}
-
-impl PlaceOptions {
-    fn costs(&self) -> Costs {
-        Costs::new(self.model, self.topo.clone())
     }
 }
 
@@ -114,8 +107,7 @@ pub fn optimize(p: &Program, opts: &PlaceOptions) -> Result<Placed, PlaceError> 
     // Up to two distributed dimensions, each BLOCK or CYCLIC.
     let all: Vec<Distribution> = candidates::enumerate(graph.bounds.len(), graph.nprocs, 2, true);
     let legal = candidates::per_phase(&all, &graph.phases);
-    let costs = opts.costs();
-    let outcome = search::search(&graph, p, &all, &legal, &costs);
+    let outcome = search::search(&graph, p, &all, &legal, opts);
     let placement = Placement {
         anchor_name: p.decl(graph.anchor).name.clone(),
         group_names: graph

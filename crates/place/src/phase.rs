@@ -369,6 +369,50 @@ fn choose_anchor(dists: &Dists, per_stmt: &[StmtSummary]) -> Result<VarId, Place
     Ok(v)
 }
 
+/// The phase [`extract`] is accumulating: where it starts, and what its
+/// compute statements so far ask for.
+#[derive(Default)]
+struct OpenPhase {
+    start: usize,
+    needs: BTreeSet<usize>,
+    work: f64,
+    shifts: Vec<Shift>,
+    names: BTreeSet<String>,
+    has_compute: bool,
+}
+
+impl OpenPhase {
+    /// End the open phase at top-level statement `end`, recording it in
+    /// `phases` if it holds compute, and open an empty one there.
+    fn close(&mut self, end: usize, rank: usize, phases: &mut Vec<Phase>) {
+        let done = std::mem::replace(
+            self,
+            OpenPhase {
+                start: end,
+                ..OpenPhase::default()
+            },
+        );
+        if !done.has_compute {
+            return;
+        }
+        let need = |d| {
+            if done.needs.contains(&d) {
+                DimNeed::Local
+            } else {
+                DimNeed::Free
+            }
+        };
+        phases.push(Phase {
+            index: phases.len(),
+            stmts: (done.start, end),
+            label: done.names.into_iter().collect::<Vec<_>>().join("+"),
+            work: done.work,
+            needs: (0..rank).map(need).collect(),
+            shifts: done.shifts,
+        });
+    }
+}
+
 /// Extract the phase graph of the program `dists` describes.
 pub fn extract(dists: &Dists) -> Result<PhaseGraph, PlaceError> {
     let p = dists.p;
@@ -412,103 +456,35 @@ pub fn extract(dists: &Dists) -> Result<PhaseGraph, PlaceError> {
     let all_dims: BTreeSet<usize> = (0..rank).collect();
     let mut phases: Vec<Phase> = Vec::new();
     let mut dropped = Vec::new();
-    let mut cur_start = 0usize;
-    let mut cur_needs: BTreeSet<usize> = BTreeSet::new();
-    let mut cur_work = 0.0f64;
-    let mut cur_shifts: Vec<Shift> = Vec::new();
-    let mut cur_names: BTreeSet<String> = BTreeSet::new();
-    let mut cur_has_compute = false;
-
-    let close = |end: usize,
-                 start: &mut usize,
-                 needs: &mut BTreeSet<usize>,
-                 work: &mut f64,
-                 shifts: &mut Vec<Shift>,
-                 names: &mut BTreeSet<String>,
-                 has: &mut bool,
-                 phases: &mut Vec<Phase>| {
-        if *has {
-            let needs_vec = (0..rank)
-                .map(|d| {
-                    if needs.contains(&d) {
-                        DimNeed::Local
-                    } else {
-                        DimNeed::Free
-                    }
-                })
-                .collect();
-            phases.push(Phase {
-                index: phases.len(),
-                stmts: (*start, end),
-                label: names.iter().cloned().collect::<Vec<_>>().join("+"),
-                work: *work,
-                needs: needs_vec,
-                shifts: std::mem::take(shifts),
-            });
-        }
-        *start = end;
-        needs.clear();
-        *work = 0.0;
-        names.clear();
-        *has = false;
-    };
-
+    let mut open = OpenPhase::default();
     for (i, s) in p.body.iter().enumerate() {
         if matches!(s, Stmt::Redistribute { var, .. } if in_group(*var)) {
-            close(
-                i,
-                &mut cur_start,
-                &mut cur_needs,
-                &mut cur_work,
-                &mut cur_shifts,
-                &mut cur_names,
-                &mut cur_has_compute,
-                &mut phases,
-            );
+            open.close(i, rank, &mut phases);
             dropped.push(i);
-            cur_start = i + 1;
+            open.start = i + 1;
             continue;
         }
         let sum = &per_stmt[i];
         let needs = stmt_needs(sum);
         let group_work: f64 = group.iter().filter_map(|v| sum.work.get(v)).sum();
-        let is_compute = group_work > 0.0;
-        if is_compute {
-            let union: BTreeSet<usize> = cur_needs.union(&needs).copied().collect();
-            if cur_has_compute && union == all_dims && cur_needs != union {
-                close(
-                    i,
-                    &mut cur_start,
-                    &mut cur_needs,
-                    &mut cur_work,
-                    &mut cur_shifts,
-                    &mut cur_names,
-                    &mut cur_has_compute,
-                    &mut phases,
-                );
+        if group_work > 0.0 {
+            let union: BTreeSet<usize> = open.needs.union(&needs).copied().collect();
+            if open.has_compute && union == all_dims && open.needs != union {
+                open.close(i, rank, &mut phases);
             }
-            cur_needs.extend(needs);
-            cur_work += group_work;
-            cur_shifts.extend(
+            open.needs.extend(needs);
+            open.work += group_work;
+            open.shifts.extend(
                 sum.shifts
                     .iter()
                     .filter(|(v, _)| in_group(*v))
                     .map(|(_, sh)| sh.clone()),
             );
-            cur_names.extend(sum.names.iter().cloned());
-            cur_has_compute = true;
+            open.names.extend(sum.names.iter().cloned());
+            open.has_compute = true;
         }
     }
-    close(
-        p.body.len(),
-        &mut cur_start,
-        &mut cur_needs,
-        &mut cur_work,
-        &mut cur_shifts,
-        &mut cur_names,
-        &mut cur_has_compute,
-        &mut phases,
-    );
+    open.close(p.body.len(), rank, &mut phases);
 
     if phases.is_empty() {
         return Err(PlaceError::NoCompute);

@@ -11,8 +11,9 @@
 //! which by construction prefers collapsed over distributed and `BLOCK`
 //! over `CYCLIC` at equal predicted cost.
 
-use crate::cost::{self, Costs};
+use crate::cost;
 use crate::phase::PhaseGraph;
+use crate::PlaceOptions;
 use xdp_ir::{Distribution, Program, Stmt};
 
 /// The chosen distribution and its predicted cost breakdown for one
@@ -53,7 +54,7 @@ pub fn search(
     program: &Program,
     all: &[Distribution],
     legal: &[Vec<usize>],
-    costs: &Costs,
+    opts: &PlaceOptions,
 ) -> SearchOutcome {
     let nph = graph.phases.len();
     assert_eq!(legal.len(), nph);
@@ -65,7 +66,7 @@ pub fn search(
         .map(|(ph, cands)| {
             cands
                 .iter()
-                .map(|&ci| cost::phase_cost(ph, &all[ci], &graph.bounds, graph.elem_bytes, costs))
+                .map(|&ci| cost::phase_cost(ph, &all[ci], &graph.bounds, graph.elem_bytes, opts))
                 .collect()
         })
         .collect();
@@ -81,7 +82,7 @@ pub fn search(
         let mut blink = vec![0usize; legal[k].len()];
         for (j, &cj) in legal[k].iter().enumerate() {
             for (i, &ci) in legal[k - 1].iter().enumerate() {
-                let trans = cost::transition_cost(graph, program, &all[ci], &all[cj], costs);
+                let trans = cost::transition_cost(graph, program, &all[ci], &all[cj], opts);
                 let total = best[k - 1][i] + trans + node_cost[k][j];
                 if total < layer[j] {
                     layer[j] = total;
@@ -115,14 +116,14 @@ pub fn search(
             0.0
         } else {
             let prev = &all[legal[k - 1][idx[k - 1]]];
-            cost::transition_cost(graph, program, prev, &dist, costs)
+            cost::transition_cost(graph, program, prev, &dist, opts)
         };
         choices.push(PhaseChoice {
             phase: k,
             label: ph.label.clone(),
             dist: dist.clone(),
-            compute: cost::compute_cost(ph, &dist, &graph.bounds, costs),
-            shift: cost::shift_cost(ph, &dist, &graph.bounds, graph.elem_bytes, costs),
+            compute: cost::compute_cost(ph, &dist, &graph.bounds, opts),
+            shift: cost::shift_cost(ph, &dist, &graph.bounds, graph.elem_bytes, opts),
             transition,
         });
     }
@@ -233,11 +234,7 @@ mod tests {
         let g = phase::extract(&xdp_ir::analysis::Dists::of(p)).unwrap();
         let all = crate::candidates::enumerate(g.bounds.len(), g.nprocs, 2, true);
         let legal = crate::candidates::per_phase(&all, &g.phases);
-        let costs = Costs::new(
-            xdp_machine::CostModel::default_1993(),
-            xdp_machine::Topology::Uniform,
-        );
-        let out = search(&g, p, &all, &legal, &costs);
+        let out = search(&g, p, &all, &legal, &PlaceOptions::default());
         (g, all, out)
     }
 

@@ -1,73 +1,18 @@
-//! The collectives subsystem: collective algorithms as explicit message
-//! schedules, cost prediction across interconnects, and the redistribution
-//! planner — from schedule construction down to an executed `redistribute`
-//! statement.
+//! The redistribution planner: how a `redistribute` is priced under two
+//! machines, and the statement executed on the simulator, sending exactly
+//! its plan's messages.
 //!
 //! ```text
 //! cargo run --example collectives
 //! ```
 
 use std::sync::Arc;
-use xdp::collectives::{
-    allgather_ring, allreduce, alltoall_bruck, alltoall_pairwise, broadcast_binomial, plan,
-    run_lockstep,
-};
+use xdp::collectives::plan;
 use xdp::prelude::*;
 
 fn main() {
     let nprocs = 8;
     let n = 64i64;
-
-    // --- collective algorithms as schedules -------------------------------
-    println!("==== collective schedules (P={nprocs}, n={n} f64) ====\n");
-    let schedules = [
-        (
-            "broadcast (binomial)",
-            broadcast_binomial(VarId(0), n, 8, nprocs, 0),
-        ),
-        (
-            "allreduce (recursive doubling)",
-            allreduce(VarId(0), n, 8, nprocs),
-        ),
-        ("allgather (ring)", allgather_ring(VarId(0), n, 8, nprocs)),
-        (
-            "all-to-all (pairwise)",
-            alltoall_pairwise(VarId(0), n, 8, nprocs),
-        ),
-        ("all-to-all (Bruck)", alltoall_bruck(VarId(0), n, 8, nprocs)),
-    ];
-    let model = CostModel::default_1993();
-    println!(
-        "{:<32} {:>6} {:>9} {:>9} {:>12} {:>12}",
-        "collective", "rounds", "messages", "bytes", "t(uniform)", "t(linear)"
-    );
-    for (name, s) in &schedules {
-        println!(
-            "{:<32} {:>6} {:>9} {:>9} {:>12.1} {:>12.1}",
-            name,
-            s.rounds.len(),
-            s.message_count(),
-            s.total_bytes(),
-            s.predicted_cost(&model, &Topology::Uniform),
-            s.predicted_cost(&model, &Topology::Linear),
-        );
-    }
-
-    // Applied in memory, the broadcast puts the root's data everywhere.
-    let bounds = Section::new(vec![Triplet::range(1, n)]);
-    let bcast = &schedules[0].1;
-    let mut data: Vec<Vec<f64>> = (0..nprocs)
-        .map(|p| {
-            if p == 0 {
-                (1..=n).map(|i| i as f64).collect()
-            } else {
-                vec![0.0; n as usize]
-            }
-        })
-        .collect();
-    run_lockstep(bcast, &bounds, &mut data).expect("well-formed schedule");
-    assert!(data.iter().all(|v| v[7] == 8.0), "broadcast delivered");
-    println!("\nbroadcast applied in memory: every processor holds the root's data\n");
 
     // --- the redistribution planner ---------------------------------------
     println!("==== redistribution planner ====\n");

@@ -14,7 +14,7 @@
 //! | [`ir`] | IL+XDP: sections, HPF distributions, statements, intrinsics |
 //! | [`runtime`] | the §3.1 run-time symbol table and segment descriptors |
 //! | [`machine`] | a simulated multicomputer (cost model, topology, matcher) and the real concurrent network the task machine runs on |
-//! | [`collectives`] | collective algorithms as explicit message schedules; the redistribution planner |
+//! | [`collectives`] | the redistribution planner: a `redistribute` as an explicit, priced message schedule, lowered to transfer statements |
 //! | [`core`] | the operational semantics: SPMD interpreter + executors |
 //! | [`compiler`] | owner-computes frontend and the paper's optimization passes |
 //! | [`lang`] | parser for the paper's concrete notation |

@@ -440,8 +440,8 @@ const PLAN_PINS: &str = "\
     n8 CYCLIC>BLOCK P8 4096 fd561079 fd561079 fd561079 fd561079 fd561079 fd561079 fd561079 fd561079
     n8 CYCLIC>BLOCK P8 smallest fd561079 fd561079 fd561079 fd561079 fd561079 fd561079 fd561079 fd561079
     n8 CYCLIC>CYCLIC(3) P2 none 69ec4879 00e97364 69ec4879 00e97364 69ec4879 00e97364 69ec4879 00e97364
-    n8 CYCLIC>CYCLIC(3) P2 4096 fd47a189 980f2778 fd47a189 980f2778 fd47a189 980f2778 fd47a189 980f2778
-    n8 CYCLIC>CYCLIC(3) P2 smallest fd47a189 980f2778 fd47a189 980f2778 fd47a189 980f2778 fd47a189 980f2778
+    n8 CYCLIC>CYCLIC(3) P2 4096 ff8d339b b0a44574 ff8d339b b0a44574 ff8d339b b0a44574 ff8d339b b0a44574
+    n8 CYCLIC>CYCLIC(3) P2 smallest ff8d339b b0a44574 ff8d339b b0a44574 ff8d339b b0a44574 ff8d339b b0a44574
     n8 CYCLIC>CYCLIC(3) P3 none badc9d6e 5cba42d9 8cf1fa06 53e2dda2 badc9d6e 5cba42d9 8cf1fa06 53e2dda2
     n8 CYCLIC>CYCLIC(3) P3 4096 45424461 5bdcd358 63b67a4d 795699d8 45424461 5bdcd358 63b67a4d 795699d8
     n8 CYCLIC>CYCLIC(3) P3 smallest ea10be12 2caed59f 5e302d22 f9ffebc2 ea10be12 2caed59f 5e302d22 f9ffebc2
@@ -464,8 +464,8 @@ const PLAN_PINS: &str = "\
     n8 CYCLIC(3)>BLOCK P8 4096 583cd052 b16964d8 f63cc027 b57c6a9c 583cd052 b16964d8 f63cc027 b57c6a9c
     n8 CYCLIC(3)>BLOCK P8 smallest d7ebafdf f675d182 8c4b2cd9 a5004e94 d7ebafdf f675d182 8c4b2cd9 a5004e94
     n8 CYCLIC(3)>CYCLIC P2 none ef6560f6 b1ae07db ef6560f6 b1ae07db ef6560f6 b1ae07db ef6560f6 b1ae07db
-    n8 CYCLIC(3)>CYCLIC P2 4096 0282cb86 e295d30f 0282cb86 e295d30f 0282cb86 e295d30f 0282cb86 e295d30f
-    n8 CYCLIC(3)>CYCLIC P2 smallest 0282cb86 e295d30f 0282cb86 e295d30f 0282cb86 e295d30f 0282cb86 e295d30f
+    n8 CYCLIC(3)>CYCLIC P2 4096 71eb2fb0 d951612b 71eb2fb0 d951612b 71eb2fb0 d951612b 71eb2fb0 d951612b
+    n8 CYCLIC(3)>CYCLIC P2 smallest 71eb2fb0 d951612b 71eb2fb0 d951612b 71eb2fb0 d951612b 71eb2fb0 d951612b
     n8 CYCLIC(3)>CYCLIC P3 none 987f5b06 cc5d91b9 bf5cfb3e 3e8606da 987f5b06 cc5d91b9 bf5cfb3e 3e8606da
     n8 CYCLIC(3)>CYCLIC P3 4096 9a491329 303e1ee0 4c833325 4db7e560 9a491329 303e1ee0 4c833325 4db7e560
     n8 CYCLIC(3)>CYCLIC P3 smallest 0c1d9082 23ab68ef e01d5492 4ffa27b2 0c1d9082 23ab68ef e01d5492 4ffa27b2
@@ -488,8 +488,8 @@ const PLAN_PINS: &str = "\
     n64 BLOCK>CYCLIC P8 4096 5ac385c1 926bda3b 67ec021b 1ff2f527 26d0944d 7490cb63 73c86f2f 02de9db7
     n64 BLOCK>CYCLIC P8 smallest 5b39449d 6792f81c c5a0dcb0 a065062c 5f36df52 db787e62 68d1950b f361b63a
     n64 BLOCK>CYCLIC(3) P2 none 1d26c51f 96f81d66 1d26c51f 96f81d66 1d26c51f 96f81d66 1d26c51f 96f81d66
-    n64 BLOCK>CYCLIC(3) P2 4096 c1fa8825 7d3a98d8 c1fa8825 7d3a98d8 c1fa8825 7d3a98d8 c1fa8825 7d3a98d8
-    n64 BLOCK>CYCLIC(3) P2 smallest 6f065234 2b9be703 6f065234 2b9be703 6f065234 2b9be703 6f065234 2b9be703
+    n64 BLOCK>CYCLIC(3) P2 4096 9a991e3b d267f7aa 9a991e3b d267f7aa 9a991e3b d267f7aa 9a991e3b d267f7aa
+    n64 BLOCK>CYCLIC(3) P2 smallest f76d7a5f 094a0f88 f76d7a5f 094a0f88 f76d7a5f 094a0f88 f76d7a5f 094a0f88
     n64 BLOCK>CYCLIC(3) P3 none 09e8ac46 451e1af1 09e8ac46 dddde0a1 a7c7d688 34bbca08 a7c7d688 873a48d0
     n64 BLOCK>CYCLIC(3) P3 4096 b2120854 4d01d5ce b2120854 b1f96fcd f6b0780a 05d525fe f6b0780a aac2db99
     n64 BLOCK>CYCLIC(3) P3 smallest 612d9637 2c5f18c2 612d9637 40bfab8e 15ed55ce e8c8937e 15ed55ce eb35cd44
@@ -512,8 +512,8 @@ const PLAN_PINS: &str = "\
     n64 CYCLIC>BLOCK P8 4096 ed7d2dff f931e209 7d7a4a69 48b745b5 aa421ac7 2a4e6cd1 65597149 c6d74cc5
     n64 CYCLIC>BLOCK P8 smallest 9ae9a889 4f012008 36a0644c f8ea0dd8 6d51425e 12fa846e 042e30c7 4f354fe6
     n64 CYCLIC>CYCLIC(3) P2 none b87577cc 31fd5f29 b87577cc 31fd5f29 b87577cc 31fd5f29 b87577cc 31fd5f29
-    n64 CYCLIC>CYCLIC(3) P2 4096 a2bac395 5ec150c8 a2bac395 5ec150c8 a2bac395 5ec150c8 a2bac395 5ec150c8
-    n64 CYCLIC>CYCLIC(3) P2 smallest a2bac395 5ec150c8 a2bac395 5ec150c8 a2bac395 5ec150c8 a2bac395 5ec150c8
+    n64 CYCLIC>CYCLIC(3) P2 4096 8937e733 34e49f6e 8937e733 34e49f6e 8937e733 34e49f6e 8937e733 34e49f6e
+    n64 CYCLIC>CYCLIC(3) P2 smallest 8937e733 34e49f6e 8937e733 34e49f6e 8937e733 34e49f6e 8937e733 34e49f6e
     n64 CYCLIC>CYCLIC(3) P3 none b739c433 92166265 b739c433 14fc196a e97e483e 09aaea22 a539d7c6 3d7f38a1
     n64 CYCLIC>CYCLIC(3) P3 4096 1839ed14 47b57f98 1839ed14 edc34d39 abd7b561 9b80ef67 e6bba359 1709a927
     n64 CYCLIC>CYCLIC(3) P3 smallest 1839ed14 fbbf380f 1839ed14 272b4420 abd7b561 07f6a490 e6bba359 97cc4de1
@@ -524,8 +524,8 @@ const PLAN_PINS: &str = "\
     n64 CYCLIC>CYCLIC(3) P8 4096 7f7507b3 53ce3379 ace6b0ef ade17726 4986ee61 791d65c2 1cbbc704 12203898
     n64 CYCLIC>CYCLIC(3) P8 smallest cc92af6f 825b0d87 b9097723 8b197d02 43f45675 27403f24 aaab9dd1 2f4c3c10
     n64 CYCLIC(3)>BLOCK P2 none 3568d9b0 85cd32b5 3568d9b0 85cd32b5 3568d9b0 85cd32b5 3568d9b0 85cd32b5
-    n64 CYCLIC(3)>BLOCK P2 4096 6e163166 5b0e3d77 6e163166 5b0e3d77 6e163166 5b0e3d77 6e163166 5b0e3d77
-    n64 CYCLIC(3)>BLOCK P2 smallest ae30eb01 e03f6f9e ae30eb01 e03f6f9e ae30eb01 e03f6f9e ae30eb01 e03f6f9e
+    n64 CYCLIC(3)>BLOCK P2 4096 fa836d1c 2c831479 fa836d1c 2c831479 fa836d1c 2c831479 fa836d1c 2c831479
+    n64 CYCLIC(3)>BLOCK P2 smallest b742327a 615d8b15 b742327a 615d8b15 b742327a 615d8b15 b742327a 615d8b15
     n64 CYCLIC(3)>BLOCK P3 none 5f2ac84c d17a741b 5f2ac84c 6744750b 1d4eb89a 21b72932 1d4eb89a b52ffb9a
     n64 CYCLIC(3)>BLOCK P3 4096 5ceedd26 9c62c871 5ceedd26 bba5744c 22bb9364 30b0f3dd 22bb9364 982262f8
     n64 CYCLIC(3)>BLOCK P3 smallest fd766dde 2687c7b4 fd766dde 7d4f8bf4 7d0630b7 379a285c 7d0630b7 79c6abce
@@ -536,8 +536,8 @@ const PLAN_PINS: &str = "\
     n64 CYCLIC(3)>BLOCK P8 4096 8e955071 e68f76da 099c4581 4720edfe 4c7a2e71 0cee8234 97f4a788 2b04a7b2
     n64 CYCLIC(3)>BLOCK P8 smallest 208a19ee 86463d96 062b59be 216efc1d 52e06150 0a9cbe54 388be6ea bd06d36d
     n64 CYCLIC(3)>CYCLIC P2 none c889b1dd 2357c5ec c889b1dd 2357c5ec c889b1dd 2357c5ec c889b1dd 2357c5ec
-    n64 CYCLIC(3)>CYCLIC P2 4096 1eb076f8 e5e2f169 1eb076f8 e5e2f169 1eb076f8 e5e2f169 1eb076f8 e5e2f169
-    n64 CYCLIC(3)>CYCLIC P2 smallest 1eb076f8 e5e2f169 1eb076f8 e5e2f169 1eb076f8 e5e2f169 1eb076f8 e5e2f169
+    n64 CYCLIC(3)>CYCLIC P2 4096 67018dc6 382186d7 67018dc6 382186d7 67018dc6 382186d7 67018dc6 382186d7
+    n64 CYCLIC(3)>CYCLIC P2 smallest 67018dc6 382186d7 67018dc6 382186d7 67018dc6 382186d7 67018dc6 382186d7
     n64 CYCLIC(3)>CYCLIC P3 none 0d582845 a0bc292f 0d582845 12bfed00 726634a6 f677b4ca f3e8832e 4a49228d
     n64 CYCLIC(3)>CYCLIC P3 4096 79b9985e 60e01e08 79b9985e 87fa737d e29cd74d 522fb313 379beea5 0ab798d3
     n64 CYCLIC(3)>CYCLIC P3 smallest 79b9985e bd58ce65 79b9985e a5dca9ba e29cd74d 8d1d8010 379beea5 ce916fcd
