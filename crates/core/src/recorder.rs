@@ -30,9 +30,10 @@ pub struct Recorder {
     /// The two section states, rendered once.
     transitional: Arc<str>,
     accessible: Arc<str>,
-    /// Statement that posted each outstanding receive, to attribute its
-    /// eventual wire-transit / recv-complete events.
-    recv_sid: HashMap<u64, u32>,
+    /// Statement that posted each outstanding receive and its rendered
+    /// section, to attribute and label its eventual wire-transit /
+    /// recv-complete / accessible events without rendering it again.
+    recv_sid: HashMap<u64, (Option<u32>, Arc<str>)>,
     events: Vec<TraceEvent>,
 }
 
@@ -72,12 +73,9 @@ impl Recorder {
         self.cfg.instants || self.cfg.messages
     }
 
-    /// Rendered (variable, section) of a message tag.
-    fn tag_meta(&self, tag: &Tag) -> (Option<Arc<str>>, Option<Arc<str>>) {
-        (
-            self.names.get(tag.var.index()).cloned(),
-            Some(tag.sec.to_string().into()),
-        )
+    /// The declared name of a message tag's variable.
+    fn var_of(&self, tag: &Tag) -> Option<Arc<str>> {
+        self.names.get(tag.var.index()).cloned()
     }
 
     /// One executed statement over `[t0, t1]`: its compute span, then the
@@ -133,18 +131,18 @@ impl Recorder {
         if !self.keeps_movement_spans() {
             return;
         }
-        let (var, sec) = self.tag_meta(&msg.tag);
         self.events.push(TraceEvent {
             sid,
-            var,
-            sec,
+            var: self.var_of(&msg.tag),
+            sec: Some(msg.tag.sec.to_string().into()),
             bytes: msg.payload_bytes(),
             ..TraceEvent::span(TraceKind::SendInit, pid, t0, t1)
         });
     }
 
     /// Receive `req` was posted over `[t0, t1]`; its section turns
-    /// transitional at `t1`.
+    /// transitional at `t1`. The section is rendered here, once for the
+    /// receive's events.
     pub fn recv_post(
         &mut self,
         pid: usize,
@@ -157,10 +155,9 @@ impl Recorder {
         if !self.cfg.enabled() {
             return;
         }
-        if let Some(s) = sid {
-            self.recv_sid.insert(req, s);
-        }
-        let (var, sec) = self.tag_meta(tag);
+        let rendered: Arc<str> = tag.sec.to_string().into();
+        self.recv_sid.insert(req, (sid, rendered.clone()));
+        let (var, sec) = (self.var_of(tag), Some(rendered));
         if self.keeps_movement_spans() {
             self.events.push(TraceEvent {
                 sid,
@@ -183,7 +180,8 @@ impl Recorder {
 
     /// Receive `req` was matched with `msg`: the wire edge `wire` (sent,
     /// arrived), the handling span `[t0, t1]`, and the section turning
-    /// accessible at `t1`.
+    /// accessible at `t1`, labelled with the section `recv_post` rendered
+    /// (a receive matches only a message of its own tag).
     pub fn completed(
         &mut self,
         pid: usize,
@@ -196,8 +194,16 @@ impl Recorder {
         if !self.cfg.enabled() {
             return;
         }
-        let sid = self.recv_sid.remove(&req);
-        let (var, sec) = self.tag_meta(&msg.tag);
+        let (sid, sec) = self
+            .recv_sid
+            .remove(&req)
+            .expect("a receive completes after recv_post recorded it");
+        debug_assert_eq!(
+            *sec,
+            msg.tag.sec.to_string(),
+            "receive {req} matched another tag"
+        );
+        let (var, sec) = (self.var_of(&msg.tag), Some(sec));
         let bytes = msg.payload_bytes();
         if self.cfg.messages {
             self.events.push(TraceEvent {

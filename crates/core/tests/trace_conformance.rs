@@ -14,7 +14,6 @@ use xdp_ir::build as b;
 use xdp_ir::{DimDist, Distribution, ElemType, ProcGrid, Program, VarId};
 use xdp_machine::CostModel;
 use xdp_runtime::Value;
-use xdp_verify::fingerprint::state_digest;
 use xdp_verify::lockstep::Lockstep;
 
 /// Block-distributed A and cyclic B: every A[i] += B[i] via messages.
@@ -206,8 +205,8 @@ fn the_movement_record_is_the_full_traces_movement_on_every_machine() {
             let moved = movement.movement_multiset();
             assert!(!moved.is_empty(), "{machine}");
             assert_eq!(moved, full.movement_multiset(), "{machine}");
-            let states = state_digest(movement);
-            assert_eq!(states, state_digest(full), "{machine}");
+            let states = movement.state_multiset();
+            assert_eq!(states, full.state_multiset(), "{machine}");
             assert_eq!(
                 movement.events.len(),
                 moved.len() + states.len(),

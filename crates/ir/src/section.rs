@@ -285,16 +285,18 @@ impl fmt::Debug for Section {
     }
 }
 
+/// Each triplet is written straight into `f`, with no `write!` around it:
+/// a section is rendered per message by the trace recorder.
 impl fmt::Display for Section {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "[")?;
+        f.write_str("[")?;
         for (i, t) in self.dims.iter().enumerate() {
             if i > 0 {
-                write!(f, ",")?;
+                f.write_str(",")?;
             }
-            write!(f, "{t}")?;
+            fmt::Display::fmt(t, f)?;
         }
-        write!(f, "]")
+        f.write_str("]")
     }
 }
 

@@ -263,7 +263,7 @@ impl fmt::Debug for Triplet {
 impl fmt::Display for Triplet {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         if self.is_empty() {
-            write!(f, "<empty>")
+            f.write_str("<empty>")
         } else if self.lb == self.ub {
             write!(f, "{}", self.lb)
         } else if self.st == 1 {

@@ -27,6 +27,8 @@ pub struct ServeMetrics {
     // Request flow.
     pub req_ok: Arc<Counter>,
     pub req_err: Arc<Counter>,
+    /// Runs that panicked (each also counted as an error).
+    pub req_panics: Arc<Counter>,
     pub queue_depth: Arc<Gauge>,
     pub in_flight: Arc<Gauge>,
 
@@ -82,6 +84,7 @@ impl ServeMetrics {
         ServeMetrics {
             req_ok: r.counter("xdp_requests_total", &[("outcome", "ok")]),
             req_err: r.counter("xdp_requests_total", &[("outcome", "error")]),
+            req_panics: r.counter("xdp_request_panics_total", &[]),
             queue_depth: r.gauge("xdp_queue_depth", &[]),
             in_flight: r.gauge("xdp_inflight_runs", &[]),
 

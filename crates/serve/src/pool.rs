@@ -319,7 +319,7 @@ impl ServePool {
         } else {
             TraceConfig::movement()
         };
-        let executed = execute(&cached, self.machine, trace);
+        let executed = self.guarded(|| execute(&cached, self.machine, trace));
         self.metrics.in_flight.sub(1);
         let execute_us = exec_start.elapsed().as_micros() as u64;
         let (mut outcome, report) = match executed {
@@ -360,6 +360,22 @@ impl ServePool {
             report.trace,
         );
         Ok(outcome)
+    }
+
+    /// Run one request's machine with its panics caught, as `resolve`
+    /// catches the compile's: a panicking run becomes a counted
+    /// `ServeError::Run` naming the panic, and fails its own request, not
+    /// the worker or the pool. Nothing the run locks outlives it.
+    fn guarded<T>(&self, run: impl FnOnce() -> Result<T, ServeError>) -> Result<T, ServeError> {
+        catch_unwind(AssertUnwindSafe(run)).unwrap_or_else(|panic| {
+            self.metrics.req_panics.inc();
+            let what = match (panic.downcast_ref::<&str>(), panic.downcast_ref::<String>()) {
+                (Some(s), _) => s,
+                (_, Some(s)) => s.as_str(),
+                _ => "a non-text payload",
+            };
+            Err(ServeError::Run(format!("the run panicked: {what}")))
+        })
     }
 
     /// Failure path: count the error, feed the recorder, hand the error
@@ -668,6 +684,23 @@ mod tests {
         let (outcome, report) = execute(&local, PoolMachine::Sim, TraceConfig::movement()).unwrap();
         assert_eq!(outcome.messages, 0);
         assert!(report.trace.events.is_empty(), "{:?}", report.trace.events);
+    }
+
+    /// A run that panics fails its own request, by name, and is counted;
+    /// the same pool serves the next request.
+    #[test]
+    fn a_panicking_run_fails_its_request_and_not_the_pool() {
+        let pool = ServePool::new(1, 8);
+        let e = pool
+            .guarded(|| -> Result<(), ServeError> { panic!("injected fault") })
+            .unwrap_err();
+        assert!(
+            matches!(&e, ServeError::Run(m) if m.contains("panicked: injected fault")),
+            "{e}"
+        );
+        let snap = pool.metrics_snapshot();
+        assert_eq!(snap.counter("xdp_request_panics_total", &[]), Some(1));
+        assert!(pool.run_one(&spec(8)).is_ok(), "the next request is served");
     }
 
     #[test]

@@ -1,7 +1,6 @@
 //! The structured event model shared by both executors.
 
 use std::collections::HashMap;
-use std::fmt::Write;
 use std::sync::Arc;
 
 /// What a [`TraceEvent`] describes.
@@ -151,7 +150,7 @@ impl TraceEvent {
 ///
 /// `messages` alone ([`TraceConfig::movement`]) is therefore the
 /// data-movement record: exactly the kinds [`Trace::movement_multiset`]
-/// and the fingerprint's section-state digest filter for, and nothing a
+/// and [`Trace::state_multiset`] filter for, and nothing a
 /// communication-free run would emit.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct TraceConfig {
@@ -260,19 +259,50 @@ impl Trace {
                 )
             })
             .map(|e| {
-                let var = e.var.as_deref().unwrap_or("-");
-                let sec = e.sec.as_deref().unwrap_or("-");
+                let (var, sec) = (or_dash(&e.var), or_dash(&e.sec));
                 let mut key = String::with_capacity(56 + var.len() + sec.len());
-                let _ = write!(key, "{} p{} sid=", e.kind.name(), e.pid);
-                let _ = match e.sid {
-                    Some(s) => write!(key, "{s}"),
-                    None => key.write_str("-"),
-                };
-                let _ = write!(key, " var={var} sec={sec} bytes={}", e.bytes);
+                key.push_str(e.kind.name());
+                key.push_str(" p");
+                push_uint(&mut key, e.pid.into());
+                key.push_str(" sid=");
+                match e.sid {
+                    Some(s) => push_uint(&mut key, s.into()),
+                    None => key.push('-'),
+                }
+                key.push_str(" var=");
+                key.push_str(var);
+                key.push_str(" sec=");
+                key.push_str(sec);
+                key.push_str(" bytes=");
+                push_uint(&mut key, e.bytes);
                 key
             })
             .collect();
-        keys.sort();
+        keys.sort_unstable();
+        keys
+    }
+
+    /// Sorted keys of every section-state instant, `state p<pid>
+    /// var=<var> sec=<section> <state>`: which sections each processor saw
+    /// turn transitional and accessible, timing excluded.
+    pub fn state_multiset(&self) -> Vec<String> {
+        let mut keys: Vec<String> = self
+            .of_kind(TraceKind::SectionState)
+            .map(|e| {
+                let (var, sec, state) = (or_dash(&e.var), or_dash(&e.sec), or_dash(&e.detail));
+                let mut key = String::with_capacity(40 + var.len() + sec.len() + state.len());
+                key.push_str("state p");
+                push_uint(&mut key, e.pid.into());
+                key.push_str(" var=");
+                key.push_str(var);
+                key.push_str(" sec=");
+                key.push_str(sec);
+                key.push(' ');
+                key.push_str(state);
+                key
+            })
+            .collect();
+        keys.sort_unstable();
         keys
     }
 
@@ -330,6 +360,38 @@ impl Trace {
     pub fn critical_path(&self, labels: &HashMap<u32, String>) -> crate::CriticalPathReport {
         crate::critical_path::analyze(self, labels)
     }
+}
+
+/// A key field's text, `-` when absent.
+fn or_dash(field: &Option<Arc<str>>) -> &str {
+    field.as_deref().unwrap_or("-")
+}
+
+/// Append `v` in decimal, the text `{}` writes, without `core::fmt`: a
+/// single digit is pushed as it is, longer numbers are spelled into a stack
+/// buffer and copied on. Fingerprint lines are mostly small integers, and
+/// formatting them was most of what rendering a line cost.
+pub fn push_uint(out: &mut String, mut v: u64) {
+    if v < 10 {
+        out.push(char::from(b'0' + v as u8));
+        return;
+    }
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    while v > 0 {
+        at -= 1;
+        digits[at] = b'0' + (v % 10) as u8;
+        v /= 10;
+    }
+    out.extend(digits[at..].iter().map(|&d| char::from(d)));
+}
+
+/// [`push_uint`] with a sign: `i64::MIN` included.
+pub fn push_int(out: &mut String, v: i64) {
+    if v < 0 {
+        out.push('-');
+    }
+    push_uint(out, v.unsigned_abs());
 }
 
 #[cfg(test)]
@@ -411,6 +473,18 @@ mod tests {
             .collect();
         want.sort();
         assert_eq!(t.movement_multiset(), want);
+    }
+
+    #[test]
+    fn integers_are_written_as_display_writes_them() {
+        for v in [0, 7, -7, 10, -10, i64::MAX, i64::MIN, 1 << 53] {
+            let mut out = String::from("x");
+            push_int(&mut out, v);
+            assert_eq!(out, format!("x{v}"));
+        }
+        let mut out = String::new();
+        push_uint(&mut out, u64::MAX);
+        assert_eq!(out, u64::MAX.to_string());
     }
 
     #[test]

@@ -29,4 +29,4 @@ pub mod export;
 
 pub use compile::{CompileTrace, PassTrace};
 pub use critical_path::{CostRow, CriticalPathReport, PathBucket};
-pub use event::{Trace, TraceConfig, TraceEvent, TraceKind, WaitCause};
+pub use event::{push_int, push_uint, Trace, TraceConfig, TraceEvent, TraceKind, WaitCause};

@@ -11,8 +11,8 @@
 //! * **movement** — [`xdp_trace::Trace::movement_multiset`]: every
 //!   `SendInit`/`RecvPost`/`RecvComplete`/`WireTransit` event, stripped of
 //!   timing;
-//! * **states** — the section-state instants (`transitional`/`accessible`)
-//!   each processor observed.
+//! * **states** — [`xdp_trace::Trace::state_multiset`]: the section-state
+//!   instants (`transitional`/`accessible`) each processor observed.
 //!
 //! All generated programs compute dyadic-exact `f64` values, so memory
 //! lines compare bit-for-bit (`{:?}` on `f64` is shortest-roundtrip).
@@ -21,7 +21,7 @@ use std::collections::BTreeMap;
 use std::fmt::Write;
 use xdp_core::Gathered;
 use xdp_runtime::Value;
-use xdp_trace::{Trace, TraceKind};
+use xdp_trace::{push_int, push_uint, Trace};
 
 /// One run's observable outcome.
 #[derive(Clone, Debug, Default, PartialEq)]
@@ -38,36 +38,56 @@ pub struct Fingerprint {
 
 impl Fingerprint {
     /// Memory lines of one declaration, `name[i, j] p<owner> = <value>` in
-    /// ascending index order. Rendered straight into each line's buffer —
-    /// the text is what `format!("{name}{idx:?} p{owner} = {val:?}")`
-    /// produces, which golden digests and every conformance suite pin.
+    /// ascending index order: the text of
+    /// `format!("{name}{idx:?} p{owner} = {val:?}")`, which golden digests
+    /// and every conformance suite pin. Integers are written by hand
+    /// ([`push_int`]), and so is an integral double below 1e16 in
+    /// magnitude, which `{:?}` writes as its integer and `.0`; other
+    /// doubles and complex values go through `Debug`.
     pub fn record_memory(&mut self, name: &str, g: &Gathered) {
         let mut lines = Vec::with_capacity(g.full().volume() as usize);
         g.for_each(|idx, owner, val| {
             let mut line = String::with_capacity(name.len() + 8 * idx.len() + 40);
             line.push_str(name);
             line.push('[');
-            for (k, i) in idx.iter().enumerate() {
+            for (k, &i) in idx.iter().enumerate() {
                 if k > 0 {
                     line.push_str(", ");
                 }
-                let _ = write!(line, "{i}");
+                push_int(&mut line, i);
             }
-            let _ = write!(line, "] p{owner} = ");
-            let _ = match val {
-                Value::I64(v) => write!(line, "I64({v})"),
-                Value::F64(v) => write!(line, "F64({v:?})"),
-                Value::C64(_) => write!(line, "{val:?}"),
-            };
+            line.push_str("] p");
+            push_uint(&mut line, owner as u64);
+            line.push_str(" = ");
+            match val {
+                Value::I64(v) => {
+                    line.push_str("I64(");
+                    push_int(&mut line, v);
+                    line.push(')');
+                }
+                Value::F64(v) => match integral(v) {
+                    Some(i) => {
+                        line.push_str("F64(");
+                        push_int(&mut line, i);
+                        line.push_str(".0)");
+                    }
+                    None => {
+                        let _ = write!(line, "F64({v:?})");
+                    }
+                },
+                Value::C64(_) => {
+                    let _ = write!(line, "{val:?}");
+                }
+            }
             lines.push(line);
         });
         self.memory.insert(name.to_string(), lines);
     }
 
-    /// Capture the movement multiset and state digest from a trace.
+    /// Capture the movement and state multisets from a trace.
     pub fn record_trace(&mut self, trace: &Trace) {
         self.movement = trace.movement_multiset();
-        self.states = state_digest(trace);
+        self.states = trace.state_multiset();
     }
 
     /// Memory restricted to `names` (pass-equivalence ignores scratch).
@@ -97,24 +117,14 @@ impl Fingerprint {
     }
 }
 
-/// Sorted multiset of section-state instants.
-pub fn state_digest(trace: &Trace) -> Vec<String> {
-    let mut keys: Vec<String> = trace
-        .events
-        .iter()
-        .filter(|e| e.kind == TraceKind::SectionState)
-        .map(|e| {
-            format!(
-                "state p{} var={} sec={} {}",
-                e.pid,
-                e.var.as_deref().unwrap_or("-"),
-                e.sec.as_deref().unwrap_or("-"),
-                e.detail.as_deref().unwrap_or("-"),
-            )
-        })
-        .collect();
-    keys.sort();
-    keys
+/// `v` as an integer when `{v:?}` writes it as one followed by `.0`: an
+/// integral double below 1e16 in magnitude (neighbours there are at most 2
+/// apart, so the shortest round-trip text is the integer itself; at 1e16
+/// `Debug` switches to `1e16`), and not −0.0.
+fn integral(v: f64) -> Option<i64> {
+    let i = v as i64;
+    let integral = v.abs() < 1e16 && i as f64 == v && !(i == 0 && v.is_sign_negative());
+    integral.then_some(i)
 }
 
 /// Compare two line multisets; `None` if equal, otherwise a short report

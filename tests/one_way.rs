@@ -8,9 +8,10 @@
 //! division has one definition and the compiler one evaluator, which
 //! decides ownership on sets, the IR is walked in `xdp_ir::walk` alone,
 //! and where an array lives is answered by `xdp_ir::analysis::Dists`
-//! alone; (§2.2) a symbol-table query builds no section; (§2.16) `benchmark/` is the only performance record, every
-//! binary the Makefile and CI invoke exists, and every name `benchmark/`
-//! imports is still exported; (§2.13) the serve layer compiles in one
+//! alone; (§2.2) a symbol-table query builds no section; (§2.12) a
+//! fingerprint line is written, not formatted; (§2.16) `benchmark/` is the
+//! only performance record, every binary the Makefile and CI invoke
+//! exists, and every name `benchmark/` imports is still exported; (§2.13) the serve layer compiles in one
 //! function and (§2.9) `run_traced` renders the statement table at one
 //! place per pass boundary, and a request is fully traced only for the
 //! flight recorder that reads the timeline; (§2.8) `xdp-collectives` never
@@ -457,6 +458,49 @@ fn a_symbol_table_query_builds_no_section() {
         builders.is_empty(),
         "symtab.rs builds a section per segment in {builders:?}: ask the triplets \
          (Section::intersect_volume / intersect_dim / overlaps)"
+    );
+}
+
+#[test]
+fn fingerprint_lines_are_written_not_formatted() {
+    // DESIGN §2.12: a fingerprint line is pinned text, and rendering it
+    // was 30 % of a served redistribution. Integers go through
+    // `xdp_trace::push_int`; `core::fmt` is left only the values whose
+    // text is `Debug`'s to decide: a double that is not integral below
+    // 1e16, and a complex value.
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let renderers = [
+        ("crates/verify/src/fingerprint.rs", "record_memory"),
+        ("crates/trace/src/event.rs", "movement_multiset"),
+        ("crates/trace/src/event.rs", "state_multiset"),
+    ];
+    let fallbacks = ["write!(line, \"F64({v:?})\")", "write!(line, \"{val:?}\")"];
+    let mut formatted = Vec::new();
+    for (file, renderer) in renderers {
+        let code = code_of(&root.join(file));
+        if !code.contains(&format!("fn {renderer}(")) {
+            formatted.push(format!("{renderer}: not defined in {file}"));
+            continue;
+        }
+        for (at, _) in code
+            .match_indices("write!(")
+            .chain(code.match_indices("format!("))
+        {
+            let line = code[code[..at].rfind('\n').map_or(0, |n| n + 1)..]
+                .lines()
+                .next()
+                .unwrap_or("")
+                .trim();
+            if enclosing_fn(&code, at) == renderer && !fallbacks.iter().any(|f| line.contains(f)) {
+                formatted.push(format!("{renderer}: {line}"));
+            }
+        }
+    }
+    assert!(
+        formatted.is_empty(),
+        "fingerprint lines formatted through core::fmt (write integers with \
+         xdp_trace::push_int / push_uint):\n{}",
+        formatted.join("\n")
     );
 }
 
