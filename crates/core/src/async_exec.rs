@@ -19,9 +19,11 @@
 //!
 //! The observable contract: a [`ThreadReport`], a trace with wall-clock
 //! timestamps whose movement multiset is the simulator's, and named
-//! deadlock, receive-timeout and message-loss diagnoses — enforced by
-//! the `executor:async` fuzz oracle and the conformance suites at P up
-//! to 4096.
+//! deadlock, receive-timeout, message-loss and statement-budget
+//! diagnoses — enforced by the `executor:async` fuzz oracle and the
+//! conformance suites at P up to 4096. The first task to fail cancels
+//! the rest: each stops at its next poll, so one processor's runaway or
+//! error ends the run without its peers waiting out their receives.
 
 use crate::config::MachineConfig;
 use crate::env::RtError;
@@ -79,7 +81,7 @@ impl<P: Processor> AsyncExec<P> {
     /// of them join this machine's one planning context here.
     pub fn from_procs(mut procs: Vec<P>, cfg: MachineConfig) -> AsyncExec<P> {
         assert_eq!(procs.len(), cfg.nprocs, "one processor per pid");
-        let plan_ctx = crate::proc::join_machine(&mut procs, cfg.cost, cfg.topo.clone());
+        let plan_ctx = crate::proc::join_machine(&mut procs, &cfg);
         AsyncExec {
             cfg,
             interps: procs,
@@ -136,6 +138,7 @@ impl<P: Processor> AsyncExec<P> {
             barrier: Mutex::new(Vec::new()),
             done: AtomicUsize::new(0),
             finished: AtomicUsize::new(0),
+            failed: AtomicBool::new(false),
             sweeping: AtomicBool::new(false),
             net: ThreadNet::with_faults(n, self.cfg.faults.clone()),
             n,
@@ -313,6 +316,9 @@ struct Shared<'a, P: Processor> {
     done: AtomicUsize,
     /// Tasks with a recorded result.
     finished: AtomicUsize,
+    /// A task failed, so the run has: every other task stops at its next
+    /// poll instead of running on or waiting out a receive.
+    failed: AtomicBool,
     /// At most one idle worker sweeps parked tasks at a time.
     sweeping: AtomicBool,
     net: ThreadNet,
@@ -503,6 +509,13 @@ fn poll_task<P: Processor>(sh: &Shared<'_, P>, pid: usize) {
     loop {
         let advanced = match &task.state {
             TState::Finished | TState::AtBarrier { .. } => return,
+            _ if sh.failed.load(Ordering::Acquire) => {
+                if let TState::Blocked(p) = &task.state {
+                    sh.deregister(pid, &p.tag);
+                }
+                finish(sh, task, Ok(()));
+                return;
+            }
             TState::Blocked(p) => {
                 let p = p.clone();
                 await_recv(sh, task, pid, p)
@@ -517,10 +530,15 @@ fn poll_task<P: Processor>(sh: &Shared<'_, P>, pid: usize) {
 }
 
 /// Record a result, retire the task, and propagate barrier/idle wakeups.
+/// A failure cancels the run: every task is polled once more, and stops
+/// (a task parked at a barrier stops when the departures release it).
 fn finish<P: Processor>(sh: &Shared<'_, P>, task: &mut Task<'_, P>, res: Result<(), RtError>) {
     if !task.counted_done {
         task.counted_done = true;
         sh.done.fetch_add(1, Ordering::SeqCst);
+    }
+    if res.is_err() && !sh.failed.swap(true, Ordering::AcqRel) {
+        (0..sh.n).for_each(|p| sh.enqueue(p));
     }
     task.result = Some(res.map(|()| task.rec.take_events()));
     task.state = TState::Finished;
@@ -709,7 +727,7 @@ mod tests {
     use std::sync::Arc;
     use xdp_fault::FaultPlan;
     use xdp_ir::build as b;
-    use xdp_ir::{DimDist, ElemType, ProcGrid};
+    use xdp_ir::{DimDist, ElemExpr, ElemType, ProcGrid};
     use xdp_machine::Topology;
     use xdp_trace::{TraceConfig, TraceKind};
 
@@ -914,6 +932,66 @@ mod tests {
                 "p0: unfinished receive of v0[1:2] at program end (no message after 50ms)"
             ),
             "{text}"
+        );
+    }
+
+    /// The first task to fail cancels the run: p0 runs away and stops at
+    /// the statement budget, and p1, parked on a receive p0 never sends,
+    /// stops at once instead of waiting out its minute-long timeout.
+    #[test]
+    fn a_failing_task_cancels_its_peers() {
+        let mut p = Program::new();
+        let a = p.declare(b::array(
+            "A",
+            ElemType::F64,
+            vec![(1, 4)],
+            vec![DimDist::Block],
+            ProcGrid::linear(2),
+        ));
+        let (first, third) = (
+            b::sref(a, vec![b::at(b::c(1))]),
+            b::sref(a, vec![b::at(b::c(3))]),
+        );
+        let bump = b::assign(
+            first.clone(),
+            b::val(first.clone()).add(ElemExpr::LitF(1.0)),
+        );
+        p.body = vec![
+            b::guarded(
+                b::iown(third.clone()),
+                vec![
+                    b::recv_val(third.clone(), first.clone()),
+                    b::guarded(b::await_(third), vec![]),
+                ],
+            ),
+            b::do_loop(
+                "i",
+                b::c(1),
+                b::c(1_000_000_000_000),
+                vec![b::guarded(b::iown(first), vec![bump])],
+            ),
+        ];
+        let cfg = MachineConfig {
+            recv_timeout: Duration::from_secs(60),
+            workers: 2,
+            max_steps: 10_000,
+            ..MachineConfig::new(2)
+        };
+        let start = Instant::now();
+        let err = AsyncExec::new(Arc::new(p), KernelRegistry::standard(), cfg)
+            .run()
+            .unwrap_err();
+        assert_eq!(
+            err,
+            RtError::StepBudget {
+                pid: 0,
+                max_steps: 10_000
+            }
+        );
+        assert!(
+            start.elapsed() < Duration::from_secs(30),
+            "{:?}",
+            start.elapsed()
         );
     }
 

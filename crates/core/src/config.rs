@@ -2,10 +2,10 @@
 //!
 //! [`MachineConfig`] is what [`crate::SimExec`], [`crate::AsyncExec`] and
 //! the reference executor in `xdp-verify` are all built from, so a setting
-//! — a memory budget, a fault plan — cannot reach one machine and miss
-//! another. A machine that cannot honour a field it is handed refuses the
-//! run by name rather than ignore it. [`MachineKind`] names the two
-//! machines that serve requests.
+//! — a memory budget, a fault plan, a statement budget — cannot reach one
+//! machine and miss another. A machine that cannot honour a field it is
+//! handed refuses the run by name rather than ignore it. [`MachineKind`]
+//! names the two machines that serve requests.
 
 use std::time::Duration;
 use xdp_fault::FaultPlan;
@@ -40,12 +40,21 @@ pub struct MachineConfig {
     /// Task machine only: worker threads; 0 means
     /// `min(available cores, nprocs)`.
     pub workers: usize,
+    /// The statement budget: steps one processor may take before the run
+    /// fails with [`crate::RtError::StepBudget`]. Counted by the processor
+    /// as each step ends (`ProcEnv::end_step`), so every machine stops a
+    /// runaway program at the same count.
+    pub max_steps: u64,
 }
 
 impl MachineConfig {
+    /// The default statement budget: ten times what any run of the test
+    /// suite takes, and a runaway loop on two processors ends in seconds.
+    pub const DEFAULT_MAX_STEPS: u64 = 10_000_000;
+
     /// A checked 1993-flavored machine of `nprocs` processors on a uniform
     /// interconnect: no tracing, no faults, 5-second receive timeout,
-    /// auto-sized worker pool.
+    /// auto-sized worker pool, the default statement budget.
     pub fn new(nprocs: usize) -> MachineConfig {
         MachineConfig {
             nprocs,
@@ -56,6 +65,7 @@ impl MachineConfig {
             faults: FaultPlan::none(),
             recv_timeout: Duration::from_secs(5),
             workers: 0,
+            max_steps: MachineConfig::DEFAULT_MAX_STEPS,
         }
     }
 

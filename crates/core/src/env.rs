@@ -72,6 +72,10 @@ pub enum RtError {
     DivisionByZero,
     /// Deadlock detected by the executor.
     Deadlock(String),
+    /// Processor `pid` took the machine's statement budget of steps
+    /// ([`crate::MachineConfig::max_steps`]) without finishing: a runaway
+    /// program, or one larger than the budget allows.
+    StepBudget { pid: usize, max_steps: u64 },
     /// A receive's deadline elapsed with no eligible message — the message
     /// may be late, still retrying, or never sent. Distinct from
     /// [`RtError::Deadlock`] (the executor proved no progress is possible)
@@ -126,6 +130,9 @@ impl std::fmt::Display for RtError {
             RtError::ZeroStep => write!(f, "do-loop with zero step"),
             RtError::DivisionByZero => write!(f, "division by zero"),
             RtError::Deadlock(d) => write!(f, "deadlock:\n{d}"),
+            RtError::StepBudget { pid, max_steps } => {
+                write!(f, "p{pid}: statement budget of {max_steps} steps exhausted")
+            }
             RtError::RecvTimeout(d) => write!(f, "receive timed out:\n{d}"),
             RtError::MessageLost(d) => write!(f, "message lost:\n{d}"),
             RtError::Topology(d) => write!(f, "topology mismatch:\n{d}"),
@@ -207,6 +214,10 @@ pub struct ProcEnv {
     /// prices schedules with, and the plans the machine's processors
     /// share (private 1993 defaults until a driver sets the machine's).
     pub(crate) plan_ctx: Arc<PlanCtx>,
+    /// Steps taken, and the machine's statement budget for them (none
+    /// until the processor joins a machine).
+    pub(crate) steps: u64,
+    pub(crate) max_steps: u64,
     /// Count of `redistribute` statements executed, for tag salting.
     pub(crate) redist_epoch: u64,
     /// Statement id of the statement the current step is executing.
@@ -245,6 +256,8 @@ impl ProcEnv {
             barrier_passed: false,
             cur_dist: HashMap::new(),
             plan_ctx: PlanCtx::default_1993(),
+            steps: 0,
+            max_steps: u64::MAX,
             redist_epoch: 0,
             cur_sid: None,
             cur_note: None,

@@ -7,22 +7,23 @@
 //! [`Interp`] is the reference implementation; a compiled backend (see
 //! `xdp-vm`) plugs in by implementing the same trait. An implementation
 //! supplies an *evaluator* — `step` over its own code form — and the
-//! environment; receive completion, outstanding-receive queries, barrier
-//! release and machine joining are provided here over the environment's
-//! shared transfer state ([`crate::transfer`]), so they cannot differ
+//! environment; receive completion, outstanding-receive queries and
+//! barrier release are provided here over the environment's shared
+//! transfer state ([`crate::transfer`]), and machine joining
+//! ([`join_machine`]) is one function over it, so they cannot differ
 //! between backends. What an evaluator must still match the interpreter
 //! on is evaluation itself — one [`crate::StepOut`] per statement and
 //! identical [`crate::OpCounts`], charged in the same order — or the
 //! deterministic simulated timeline (and hence rendezvous matching)
 //! diverges.
 
+use crate::config::MachineConfig;
 use crate::env::{ProcEnv, RtError};
 use crate::interp::StepOut;
 use crate::report::{ExecReport, Gathered};
 use std::sync::Arc;
 use xdp_collectives::PlanCtx;
 use xdp_ir::{Section, VarId};
-use xdp_machine::{CostModel, Topology};
 use xdp_runtime::{Msg, Tag, Value};
 
 /// One SPMD processor: a program counter over a per-processor program plus
@@ -60,23 +61,15 @@ pub trait Processor: Send {
     fn pass_barrier(&mut self) {
         self.env_mut().pass_barrier()
     }
-
-    /// Join a machine: plan redistributions through its shared context.
-    fn set_plan_ctx(&mut self, ctx: Arc<PlanCtx>) {
-        self.env_mut().set_plan_ctx(ctx)
-    }
 }
 
-/// Put a machine's processors on one planning context priced by `cost`
-/// over `topo`, so each redistribution is planned once per machine.
-pub fn join_machine<P: Processor>(
-    procs: &mut [P],
-    cost: CostModel,
-    topo: Topology,
-) -> Arc<PlanCtx> {
-    let ctx = PlanCtx::new(cost, topo);
+/// Join a machine's processors to the machine `cfg` describes: one
+/// planning context priced by its cost model over its topology, so each
+/// redistribution is planned once per machine, and its statement budget.
+pub fn join_machine<P: Processor>(procs: &mut [P], cfg: &MachineConfig) -> Arc<PlanCtx> {
+    let ctx = PlanCtx::new(cfg.cost, cfg.topo.clone());
     for p in procs {
-        p.set_plan_ctx(ctx.clone());
+        p.env_mut().join(ctx.clone(), cfg.max_steps);
     }
     ctx
 }

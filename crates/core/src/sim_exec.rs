@@ -20,10 +20,6 @@ use xdp_machine::{Completion, SimNet};
 use xdp_runtime::Value;
 use xdp_trace::{Trace, WaitCause};
 
-/// Interpreter steps after which a run is abandoned as a livelock. A
-/// constant beside the loop it guards, not a field: no caller ever set it.
-const MAX_STEPS: u64 = 500_000_000;
-
 #[derive(Clone, Debug, PartialEq)]
 enum PStatus {
     Ready,
@@ -83,7 +79,7 @@ impl<P: Processor> SimExec<P> {
     pub fn from_procs(mut procs: Vec<P>, cfg: MachineConfig) -> SimExec<P> {
         let n = cfg.nprocs;
         assert_eq!(procs.len(), n, "one processor per pid");
-        let plan_ctx = crate::proc::join_machine(&mut procs, cfg.cost, cfg.topo.clone());
+        let plan_ctx = crate::proc::join_machine(&mut procs, &cfg);
         let net = SimNet::with_faults(n, cfg.cost, cfg.topo.clone(), cfg.faults.clone());
         let rec = Recorder::new(Recorder::names(&procs), cfg.trace);
         SimExec {
@@ -170,15 +166,11 @@ impl<P: Processor> SimExec<P> {
         if let Err(e) = self.cfg.topo.validate(self.cfg.nprocs) {
             return Err(RtError::Topology(e.to_string()));
         }
-        let mut steps: u64 = 0;
         let o = self.cfg.cost.cpu_overhead;
+        // Every pass of this loop steps a processor or wakes one that then
+        // steps, so the statement budget each processor counts
+        // (`ProcEnv::end_step`) bounds it.
         loop {
-            steps += 1;
-            if steps > MAX_STEPS {
-                return Err(RtError::Deadlock(format!(
-                    "step budget {MAX_STEPS} exhausted (livelock?)"
-                )));
-            }
             // Pick the runnable processor with the smallest (clock, pid).
             let ready = (0..self.cfg.nprocs)
                 .filter(|&p| self.status[p] == PStatus::Ready)

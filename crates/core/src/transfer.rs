@@ -47,12 +47,13 @@ pub(crate) enum PendingRecv {
 }
 
 impl ProcEnv {
-    /// Join a machine: plan redistributions through its shared context.
-    /// Every processor of one machine must be handed the same context
-    /// (identical plans are what make schedules and tags agree
-    /// machine-wide).
-    pub fn set_plan_ctx(&mut self, ctx: Arc<PlanCtx>) {
+    /// Join a machine: plan redistributions through its shared context,
+    /// and take at most `max_steps` steps. Every processor of one machine
+    /// must be handed the same context (identical plans are what make
+    /// schedules and tags agree machine-wide).
+    pub fn join(&mut self, ctx: Arc<PlanCtx>, max_steps: u64) {
         self.plan_ctx = ctx;
+        self.max_steps = max_steps;
     }
 
     // ---- the step envelope ----
@@ -68,10 +69,22 @@ impl ProcEnv {
         self.cur_note = Some(StepNote::Kernel { name, flops });
     }
 
-    /// Close the step that produced `action`: drain the work it charged
-    /// and take its statement id and note.
+    /// Close the step that produced `action`: count it against the
+    /// statement budget — the one place any machine counts steps — drain
+    /// the work it charged and take its statement id and note. Inlined into
+    /// both evaluators' `step`, across the crate boundary.
+    #[inline]
     pub fn end_step(&mut self, action: Result<Action, RtError>) -> Result<StepOut, RtError> {
         let (sid, note) = (self.cur_sid.take(), self.cur_note.take());
+        self.steps += 1;
+        if self.steps > self.max_steps {
+            return Err(RtError::StepBudget {
+                pid: self.pid,
+                max_steps: self.max_steps,
+            });
+        }
+        // The action is unwrapped in place: moved into a local first, it
+        // cost the VM's step loop 15 % (one more copy per step).
         Ok(StepOut {
             action: action?,
             ops: self.drain_ops(),

@@ -44,6 +44,9 @@ pub enum ServeError {
     BadFaults(String),
     /// A run failed at execution time.
     Run(String),
+    /// A run took its machine's statement budget without finishing
+    /// (`xdp_core::RtError::StepBudget`).
+    OverBudget(String),
     /// A named program was not found in the registry.
     Unknown(String),
 }
@@ -54,6 +57,7 @@ impl std::fmt::Display for ServeError {
             ServeError::Compile(e) => write!(f, "compile: {e}"),
             ServeError::BadFaults(e) => write!(f, "bad fault spec: {e}"),
             ServeError::Run(e) => write!(f, "run: {e}"),
+            ServeError::OverBudget(e) => write!(f, "over budget: {e}"),
             ServeError::Unknown(name) => write!(f, "no program named `{name}`"),
         }
     }

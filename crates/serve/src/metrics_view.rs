@@ -29,6 +29,9 @@ pub struct ServeMetrics {
     pub req_err: Arc<Counter>,
     /// Runs that panicked (each also counted as an error).
     pub req_panics: Arc<Counter>,
+    /// Runs stopped at the statement budget (each also counted as an
+    /// error).
+    pub req_over_budget: Arc<Counter>,
     pub queue_depth: Arc<Gauge>,
     pub in_flight: Arc<Gauge>,
 
@@ -85,6 +88,7 @@ impl ServeMetrics {
             req_ok: r.counter("xdp_requests_total", &[("outcome", "ok")]),
             req_err: r.counter("xdp_requests_total", &[("outcome", "error")]),
             req_panics: r.counter("xdp_request_panics_total", &[]),
+            req_over_budget: r.counter("xdp_request_over_budget_total", &[]),
             queue_depth: r.gauge("xdp_queue_depth", &[]),
             in_flight: r.gauge("xdp_inflight_runs", &[]),
 

@@ -34,7 +34,7 @@ use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
-use xdp_core::{ExecReport, MachineConfig};
+use xdp_core::{ExecReport, MachineConfig, RtError};
 use xdp_metrics::{FlightConfig, FlightRecord, FlightRecorder, MetricsRegistry, MetricsSnapshot};
 use xdp_trace::{Trace, TraceConfig};
 use xdp_verify::Fingerprint;
@@ -92,6 +92,8 @@ struct Resolved {
 pub struct ServePool {
     workers: usize,
     machine: PoolMachine,
+    /// Each request's statement budget ([`MachineConfig::max_steps`]).
+    max_steps: u64,
     cache: Mutex<CompileCache>,
     registry: Mutex<Registry>,
     metrics: ServeMetrics,
@@ -105,6 +107,7 @@ impl ServePool {
         ServePool {
             workers: workers.max(1),
             machine: PoolMachine::Sim,
+            max_steps: MachineConfig::DEFAULT_MAX_STEPS,
             cache: Mutex::new(CompileCache::new(capacity)),
             registry: Mutex::new(Registry::new()),
             metrics: ServeMetrics::new(Arc::new(MetricsRegistry::new())),
@@ -121,6 +124,14 @@ impl ServePool {
     /// Select the execution machine (builder style).
     pub fn with_machine(mut self, machine: PoolMachine) -> ServePool {
         self.machine = machine;
+        self
+    }
+
+    /// Set each request's statement budget (builder style): a run that
+    /// takes more steps on one processor fails as
+    /// [`ServeError::OverBudget`].
+    pub fn with_max_steps(mut self, max_steps: u64) -> ServePool {
+        self.max_steps = max_steps;
         self
     }
 
@@ -319,7 +330,7 @@ impl ServePool {
         } else {
             TraceConfig::movement()
         };
-        let executed = self.guarded(|| execute(&cached, self.machine, trace));
+        let executed = self.guarded(|| execute(&cached, self.machine, trace, self.max_steps));
         self.metrics.in_flight.sub(1);
         let execute_us = exec_start.elapsed().as_micros() as u64;
         let (mut outcome, report) = match executed {
@@ -393,6 +404,9 @@ impl ServePool {
         enqueued: Instant,
     ) -> ServeError {
         self.metrics.req_err.inc();
+        if let ServeError::OverBudget(_) = e {
+            self.metrics.req_over_budget.inc();
+        }
         self.record_flight(
             spec.content_hash(),
             name,
@@ -451,20 +465,23 @@ impl ServePool {
 /// for either backend (the VM's conformance contract is what makes the
 /// cache-key split the only observable difference) and either machine (on
 /// the task machine `virtual_time` is wall-clock microseconds). `trace`
-/// is at least the movement record the fingerprint reads. Returns the
-/// outcome plus the full run report (the caller folds its network/fault
-/// counters into metrics and may hand its trace to the flight recorder
-/// without cloning).
+/// is at least the movement record the fingerprint reads; `max_steps` is
+/// the statement budget, whose overrun is [`ServeError::OverBudget`].
+/// Returns the outcome plus the full run report (the caller folds its
+/// network/fault counters into metrics and may hand its trace to the
+/// flight recorder without cloning).
 fn execute(
     cached: &CachedProgram,
     machine: PoolMachine,
     trace: TraceConfig,
+    max_steps: u64,
 ) -> Result<(RunOutcome, ExecReport), ServeError> {
     let compiled = &cached.compiled;
     let mut cfg = MachineConfig::new(compiled.nprocs)
         .with_trace(trace)
         .with_faults(cached.faults.clone());
     cfg.cost.mem_budget = compiled.mem_budget;
+    cfg.max_steps = max_steps;
     let mut exec = xdp_verify::machine(
         machine,
         compiled.backend,
@@ -473,7 +490,10 @@ fn execute(
         cfg,
     );
     let (fingerprint, report) = Fingerprint::of_run(exec.as_mut(), &compiled.program.decls)
-        .map_err(|e| ServeError::Run(e.to_string()))?;
+        .map_err(|e| match e {
+            RtError::StepBudget { .. } => ServeError::OverBudget(e.to_string()),
+            e => ServeError::Run(e.to_string()),
+        })?;
     let outcome = RunOutcome {
         key: cached.key,
         cache_hit: false,
@@ -681,7 +701,13 @@ mod tests {
     #[test]
     fn a_communication_free_request_records_no_event() {
         let local = CachedProgram::build(&spec(8)).unwrap();
-        let (outcome, report) = execute(&local, PoolMachine::Sim, TraceConfig::movement()).unwrap();
+        let (outcome, report) = execute(
+            &local,
+            PoolMachine::Sim,
+            TraceConfig::movement(),
+            MachineConfig::DEFAULT_MAX_STEPS,
+        )
+        .unwrap();
         assert_eq!(outcome.messages, 0);
         assert!(report.trace.events.is_empty(), "{:?}", report.trace.events);
     }
@@ -701,6 +727,35 @@ mod tests {
         let snap = pool.metrics_snapshot();
         assert_eq!(snap.counter("xdp_request_panics_total", &[]), Some(1));
         assert!(pool.run_one(&spec(8)).is_ok(), "the next request is served");
+    }
+
+    /// A runaway request stops at the pool's statement budget on either
+    /// machine: it fails by name and is counted, and the same pool serves
+    /// the next request.
+    #[test]
+    fn a_runaway_request_stops_at_the_statement_budget() {
+        let runaway = RequestSpec::new(
+            "real A[1:4] distribute (BLOCK) onto 2\n\
+             do i = 1, 1000000000000\n  iown(A[1]) : { A[1] = A[1] + 1.0 }\nenddo\n",
+        );
+        for machine in [PoolMachine::Sim, PoolMachine::Tasks] {
+            let pool = ServePool::new(1, 8)
+                .with_machine(machine)
+                .with_max_steps(10_000);
+            let e = pool.run_one(&runaway).unwrap_err();
+            assert!(
+                matches!(&e, ServeError::OverBudget(m)
+                    if m.ends_with(": statement budget of 10000 steps exhausted")),
+                "{machine:?}: {e}"
+            );
+            let snap = pool.metrics_snapshot();
+            assert_eq!(snap.counter("xdp_request_over_budget_total", &[]), Some(1));
+            assert_eq!(
+                snap.counter("xdp_requests_total", &[("outcome", "error")]),
+                Some(1)
+            );
+            assert!(pool.run_one(&spec(8)).is_ok(), "the next request is served");
+        }
     }
 
     #[test]

@@ -24,10 +24,6 @@ use xdp_machine::NetStats;
 use xdp_runtime::{Msg, Tag, Value};
 use xdp_trace::Trace;
 
-/// Scheduling rounds after which a run is abandoned as runaway. A
-/// constant beside the loop it guards, not a field: no caller ever set it.
-const MAX_ROUNDS: u64 = 50_000_000;
-
 #[derive(Clone, Copy, PartialEq)]
 enum ProcState {
     Running,
@@ -44,9 +40,10 @@ struct PendingSend {
 
 /// The lockstep executor. Mirrors [`xdp_core::SimExec`]'s
 /// init/run/gather API and is built from the same [`MachineConfig`]: it
-/// plans redistributions under `cost` and `topo` like the machines it
-/// referees, has no clock for `recv_timeout` or `workers` to mean
-/// anything on, and refuses a fault plan.
+/// plans redistributions under `cost` and `topo` and stops at the
+/// statement budget like the machines it referees, has no clock for
+/// `recv_timeout` or `workers` to mean anything on, and refuses a fault
+/// plan.
 pub struct Lockstep {
     cfg: MachineConfig,
     interps: Vec<Interp>,
@@ -68,7 +65,7 @@ impl Lockstep {
                 )
             })
             .collect();
-        xdp_core::proc::join_machine(&mut interps, cfg.cost, cfg.topo.clone());
+        xdp_core::proc::join_machine(&mut interps, &cfg);
         let rec = Recorder::new(Recorder::names(&interps), cfg.trace);
         Lockstep { cfg, interps, rec }
     }
@@ -97,13 +94,11 @@ impl Lockstep {
         let mut states = vec![ProcState::Running; n];
         let mut messages = 0u64;
         let mut round = 0u64;
+        // A round that steps no processor makes progress only by a
+        // completion or a barrier release, or ends the run, so the
+        // statement budget each processor counts bounds the rounds.
         loop {
             round += 1;
-            if round > MAX_ROUNDS {
-                return Err(RtError::Deadlock(format!(
-                    "lockstep: round limit {MAX_ROUNDS} exceeded"
-                )));
-            }
             let t = round as f64;
             let mut progress = false;
 
@@ -372,6 +367,42 @@ mod tests {
             Err(RtError::Deadlock(d)) => assert!(d.contains("no progress"), "{d}"),
             other => panic!("expected deadlock, got {other:?}"),
         }
+    }
+
+    /// The reference stops a runaway program where the machines do: at the
+    /// statement budget its processors count.
+    #[test]
+    fn lockstep_stops_at_the_statement_budget() {
+        let mut p = Program::new();
+        let a = p.declare(b::array(
+            "A",
+            ElemType::F64,
+            vec![(1, 4)],
+            vec![DimDist::Block],
+            ProcGrid::linear(2),
+        ));
+        let first = b::sref(a, vec![b::at(b::c(1))]);
+        let bump = b::assign(
+            first.clone(),
+            b::val(first.clone()).add(xdp_ir::ElemExpr::LitF(1.0)),
+        );
+        p.body = vec![b::do_loop(
+            "i",
+            b::c(1),
+            b::c(1_000_000_000_000),
+            vec![b::guarded(b::iown(first), vec![bump])],
+        )];
+        let cfg = MachineConfig {
+            max_steps: 1000,
+            ..MachineConfig::new(2)
+        };
+        let err = Lockstep::new(Arc::new(p), KernelRegistry::standard(), cfg)
+            .run()
+            .unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "p0: statement budget of 1000 steps exhausted"
+        );
     }
 
     /// The reference cannot lose a message, so a description that asks it

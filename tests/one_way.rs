@@ -3,8 +3,9 @@
 //! `tests/paper_claims.rs` and no crate has a binary of its own;
 //! (§2.4) the deleted thread-per-processor machine stays deleted,
 //! Figure 1's movement events are built only by `xdp_core::Recorder`, its
-//! transfer rules are written only in `xdp_core::transfer`, and a machine
-//! has one description and (§2.12) one builder; (§2.1, §2.5) integer
+//! transfer rules are written only in `xdp_core::transfer`, a machine
+//! has one description and (§2.12) one builder, and its steps are counted
+//! in `ProcEnv::end_step` alone; (§2.1, §2.5) integer
 //! division has one definition and the compiler one evaluator, which
 //! decides ownership on sets, the IR is walked in `xdp_ir::walk` alone,
 //! and where an array lives is answered by `xdp_ir::analysis::Dists`
@@ -240,6 +241,44 @@ fn a_machine_has_one_description_and_one_builder() {
         ["machine"],
         "the matrix is spelled in one function"
     );
+}
+
+#[test]
+fn a_machine_counts_steps_in_one_place() {
+    // DESIGN §2.4: every machine stops a runaway program at one statement
+    // budget, `MachineConfig::max_steps`, which a processor counts as each
+    // step ends. No driver keeps a step or round limit beside its loop,
+    // and nothing but `ProcEnv::end_step` reads the count.
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let (mut limits, mut counters) = (Vec::new(), Vec::new());
+    for path in sources() {
+        if in_tests(&path) {
+            continue;
+        }
+        let code = code_of(&path);
+        let file = path.strip_prefix(root).unwrap().display().to_string();
+        for (at, _) in code.match_indices("const ") {
+            let name = &code[at + "const ".len()..];
+            let name = &name[..name
+                .find(|c: char| c != '_' && !c.is_alphanumeric())
+                .unwrap()];
+            if (name.ends_with("_STEPS") || name.ends_with("_ROUNDS"))
+                && name != "DEFAULT_MAX_STEPS"
+            {
+                limits.push(format!("{file}: const {name}"));
+            }
+        }
+        for (at, _) in code.match_indices("self.steps") {
+            counters.push(format!("{file}, fn {}", enclosing_fn(&code, at)));
+        }
+    }
+    assert!(
+        limits.is_empty(),
+        "a step limit beside a driver's loop; set MachineConfig::max_steps:\n{}",
+        limits.join("\n")
+    );
+    counters.dedup();
+    assert_eq!(counters, ["crates/core/src/transfer.rs, fn end_step"]);
 }
 
 #[test]
