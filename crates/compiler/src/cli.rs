@@ -82,8 +82,6 @@ options! {
         kill=SRC:SEQ (default none; fuzz: a lossy plan derived from each seed)"
     TIMELINE "--timeline" "" "print a Gantt chart of the execution"
     UNCHECKED "--unchecked" "" "disable the checked runtime"
-    MAX_STEPS "--max-steps" "N" = "10000000" "statement budget: steps one processor may take before the\n\
-        run fails"
     GATHER "--gather" "NAME" "print the named array's final contents and owners"
     OUT "--out" "PATH" = "trace.json" "Chrome trace-event JSON output"
     JSONL "--jsonl" "PATH" "also write the compact JSONL trace"
@@ -127,9 +125,9 @@ pub const XDPC: Tool = Tool {
         "lower" "FILE" "sequential source -> naive owner-computes IL+XDP" [&[EXPLAIN]]
         "opt" "FILE" "optimize and print" [&[PASSES, EXPLAIN]]
         "run" "FILE" "execute on the simulated machine"
-            [COMPILE, &[BACKEND], COST, &[FAULTS, TIMELINE, UNCHECKED, GATHER, MAX_STEPS]]
+            [COMPILE, &[BACKEND], COST, &[FAULTS, TIMELINE, UNCHECKED, GATHER]]
         "trace" "FILE" "execute with full tracing: Chrome JSON + critical path"
-            [COMPILE, &[BACKEND], COST, &[FAULTS, OUT, JSONL, TOP, MAX_STEPS]]
+            [COMPILE, &[BACKEND], COST, &[FAULTS, OUT, JSONL, TOP]]
         "tune" "FILE" "pick the fastest segment shape of one array" [&[ARRAY, SEGMENTS]]
         "plan" "FILE" "show schedule + predicted cost of every `redistribute`" [COMPILE, COST, &[TOPO]]
         "place" "FILE" "search per-phase distributions with the cost model, simulate the result"
@@ -145,7 +143,7 @@ pub const XDPD: Tool = Tool {
     name: "xdpd",
     commands: commands! {
         "run" "FILE" "serve one program repeatedly through the compile cache"
-            [&[REPEAT, OPTIMIZE, BACKEND, PROCS, FAULTS, WORKERS, MEM_BUDGET, MAX_STEPS]]
+            [&[REPEAT, OPTIMIZE, BACKEND, PROCS, FAULTS, WORKERS, MEM_BUDGET]]
         "list" "" "register a corpus and print the registry" [&[PROGRAMS, GEN]]
         "bench" "" "E13: replay a seeded weighted request mix, print summary and per-program\n\
             tables, exit 1 on a serving-contract violation"

@@ -21,9 +21,11 @@
 //! timestamps whose movement multiset is the simulator's, and named
 //! deadlock, receive-timeout, message-loss and statement-budget
 //! diagnoses — enforced by the `executor:async` fuzz oracle and the
-//! conformance suites at P up to 4096. The first task to fail cancels
-//! the rest: each stops at its next poll, so one processor's runaway or
-//! error ends the run without its peers waiting out their receives.
+//! conformance suites at P up to 4096. Once a task fails, a task that
+//! would park on a receive is cancelled instead of waiting it out, and a
+//! task that can run runs to its own result. The run's error is the
+//! lowest-numbered failed task's, so a runaway on every processor names
+//! p0 as the simulator does, whichever budget ran out first.
 
 use crate::config::MachineConfig;
 use crate::env::RtError;
@@ -509,13 +511,6 @@ fn poll_task<P: Processor>(sh: &Shared<'_, P>, pid: usize) {
     loop {
         let advanced = match &task.state {
             TState::Finished | TState::AtBarrier { .. } => return,
-            _ if sh.failed.load(Ordering::Acquire) => {
-                if let TState::Blocked(p) = &task.state {
-                    sh.deregister(pid, &p.tag);
-                }
-                finish(sh, task, Ok(()));
-                return;
-            }
             TState::Blocked(p) => {
                 let p = p.clone();
                 await_recv(sh, task, pid, p)
@@ -524,14 +519,22 @@ fn poll_task<P: Processor>(sh: &Shared<'_, P>, pid: usize) {
             TState::Runnable => run_quantum(sh, task, pid),
         };
         if !advanced {
+            // Parked after a peer failed: cancelled, not left to wait out
+            // a receive the failed task may never send.
+            if let TState::Blocked(p) = &task.state {
+                if sh.failed.load(Ordering::Acquire) {
+                    sh.deregister(pid, &p.tag);
+                    finish(sh, task, Ok(()));
+                }
+            }
             return;
         }
     }
 }
 
 /// Record a result, retire the task, and propagate barrier/idle wakeups.
-/// A failure cancels the run: every task is polled once more, and stops
-/// (a task parked at a barrier stops when the departures release it).
+/// A failure wakes every task: one that would park on a receive is
+/// cancelled, and one that can run goes on to its own result.
 fn finish<P: Processor>(sh: &Shared<'_, P>, task: &mut Task<'_, P>, res: Result<(), RtError>) {
     if !task.counted_done {
         task.counted_done = true;
@@ -935,9 +938,9 @@ mod tests {
         );
     }
 
-    /// The first task to fail cancels the run: p0 runs away and stops at
-    /// the statement budget, and p1, parked on a receive p0 never sends,
-    /// stops at once instead of waiting out its minute-long timeout.
+    /// A failed task cancels a parked peer: p0 runs away and stops at the
+    /// statement budget, and p1, parked on a receive p0 never sends, stops
+    /// at once instead of waiting out its minute-long timeout.
     #[test]
     fn a_failing_task_cancels_its_peers() {
         let mut p = Program::new();
@@ -993,6 +996,51 @@ mod tests {
             "{:?}",
             start.elapsed()
         );
+    }
+
+    /// A task that can run is not cancelled: on a runaway that every
+    /// processor runs, p1's lighter loop (it owns no `A[1]` to bump)
+    /// usually spends its budget first, and p0 still runs to its own, so
+    /// the run names p0 every time, as the simulator does.
+    #[test]
+    fn a_runaway_on_every_task_names_the_lowest_pid() {
+        let mut p = Program::new();
+        let a = p.declare(b::array(
+            "A",
+            ElemType::F64,
+            vec![(1, 4)],
+            vec![DimDist::Block],
+            ProcGrid::linear(2),
+        ));
+        let first = b::sref(a, vec![b::at(b::c(1))]);
+        let bump = b::assign(
+            first.clone(),
+            b::val(first.clone()).add(ElemExpr::LitF(1.0)),
+        );
+        p.body = vec![b::do_loop(
+            "i",
+            b::c(1),
+            b::c(1_000_000_000_000),
+            vec![b::guarded(b::iown(first), vec![bump])],
+        )];
+        let p = Arc::new(p);
+        for _ in 0..8 {
+            let cfg = MachineConfig {
+                workers: 2,
+                max_steps: 10_000,
+                ..MachineConfig::new(2)
+            };
+            let err = AsyncExec::new(p.clone(), KernelRegistry::standard(), cfg)
+                .run()
+                .unwrap_err();
+            assert_eq!(
+                err,
+                RtError::StepBudget {
+                    pid: 0,
+                    max_steps: 10_000
+                }
+            );
+        }
     }
 
     #[test]

@@ -48,13 +48,11 @@ pub struct MachineConfig {
 }
 
 impl MachineConfig {
-    /// The default statement budget: ten times what any run of the test
-    /// suite takes, and a runaway loop on two processors ends in seconds.
-    pub const DEFAULT_MAX_STEPS: u64 = 10_000_000;
-
     /// A checked 1993-flavored machine of `nprocs` processors on a uniform
     /// interconnect: no tracing, no faults, 5-second receive timeout,
-    /// auto-sized worker pool, the default statement budget.
+    /// auto-sized worker pool, and a statement budget of 500 M steps a
+    /// processor — the simulator's old loop bound, so nothing it ran stops
+    /// short of it.
     pub fn new(nprocs: usize) -> MachineConfig {
         MachineConfig {
             nprocs,
@@ -65,7 +63,7 @@ impl MachineConfig {
             faults: FaultPlan::none(),
             recv_timeout: Duration::from_secs(5),
             workers: 0,
-            max_steps: MachineConfig::DEFAULT_MAX_STEPS,
+            max_steps: 500_000_000,
         }
     }
 

@@ -74,7 +74,8 @@ pub enum RtError {
     Deadlock(String),
     /// Processor `pid` took the machine's statement budget of steps
     /// ([`crate::MachineConfig::max_steps`]) without finishing: a runaway
-    /// program, or one larger than the budget allows.
+    /// program, or one larger than the budget allows. On the task machine,
+    /// where several processors may fail, the run names the lowest pid.
     StepBudget { pid: usize, max_steps: u64 },
     /// A receive's deadline elapsed with no eligible message — the message
     /// may be late, still retrying, or never sent. Distinct from

@@ -33,7 +33,9 @@ use crate::spec::RequestSpec;
 use std::collections::HashMap;
 use std::sync::{Arc, Condvar, Mutex};
 use xdp_compiler::{compile, CompileError, Compiled};
+use xdp_core::MachineConfig;
 use xdp_fault::FaultPlan;
+use xdp_trace::TraceConfig;
 
 /// Why a serve-layer operation failed.
 #[derive(Clone, Debug)]
@@ -124,6 +126,16 @@ impl CachedProgram {
             // time spent (`compile_us == 0` means "did not compile").
             compile_us: (started.elapsed().as_micros() as u64).max(1),
         })
+    }
+
+    /// The machine this program was compiled for — its processors, fault
+    /// plan and memory budget — recording `trace`.
+    pub(crate) fn machine_config(&self, trace: TraceConfig) -> MachineConfig {
+        let mut cfg = MachineConfig::new(self.compiled.nprocs)
+            .with_trace(trace)
+            .with_faults(self.faults.clone());
+        cfg.cost.mem_budget = self.compiled.mem_budget;
+        cfg
     }
 }
 

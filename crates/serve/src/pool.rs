@@ -92,8 +92,6 @@ struct Resolved {
 pub struct ServePool {
     workers: usize,
     machine: PoolMachine,
-    /// Each request's statement budget ([`MachineConfig::max_steps`]).
-    max_steps: u64,
     cache: Mutex<CompileCache>,
     registry: Mutex<Registry>,
     metrics: ServeMetrics,
@@ -107,7 +105,6 @@ impl ServePool {
         ServePool {
             workers: workers.max(1),
             machine: PoolMachine::Sim,
-            max_steps: MachineConfig::DEFAULT_MAX_STEPS,
             cache: Mutex::new(CompileCache::new(capacity)),
             registry: Mutex::new(Registry::new()),
             metrics: ServeMetrics::new(Arc::new(MetricsRegistry::new())),
@@ -124,14 +121,6 @@ impl ServePool {
     /// Select the execution machine (builder style).
     pub fn with_machine(mut self, machine: PoolMachine) -> ServePool {
         self.machine = machine;
-        self
-    }
-
-    /// Set each request's statement budget (builder style): a run that
-    /// takes more steps on one processor fails as
-    /// [`ServeError::OverBudget`].
-    pub fn with_max_steps(mut self, max_steps: u64) -> ServePool {
-        self.max_steps = max_steps;
         self
     }
 
@@ -330,7 +319,8 @@ impl ServePool {
         } else {
             TraceConfig::movement()
         };
-        let executed = self.guarded(|| execute(&cached, self.machine, trace, self.max_steps));
+        let executed =
+            self.guarded(|| execute(&cached, self.machine, cached.machine_config(trace)));
         self.metrics.in_flight.sub(1);
         let execute_us = exec_start.elapsed().as_micros() as u64;
         let (mut outcome, report) = match executed {
@@ -376,9 +366,14 @@ impl ServePool {
     /// Run one request's machine with its panics caught, as `resolve`
     /// catches the compile's: a panicking run becomes a counted
     /// `ServeError::Run` naming the panic, and fails its own request, not
-    /// the worker or the pool. Nothing the run locks outlives it.
+    /// the worker or the pool. Nothing the run locks outlives it. A run
+    /// stopped at its statement budget is counted here too.
     fn guarded<T>(&self, run: impl FnOnce() -> Result<T, ServeError>) -> Result<T, ServeError> {
-        catch_unwind(AssertUnwindSafe(run)).unwrap_or_else(|panic| {
+        let ran = catch_unwind(AssertUnwindSafe(run));
+        if let Ok(Err(ServeError::OverBudget(_))) = &ran {
+            self.metrics.req_over_budget.inc();
+        }
+        ran.unwrap_or_else(|panic| {
             self.metrics.req_panics.inc();
             let what = match (panic.downcast_ref::<&str>(), panic.downcast_ref::<String>()) {
                 (Some(s), _) => s,
@@ -404,9 +399,6 @@ impl ServePool {
         enqueued: Instant,
     ) -> ServeError {
         self.metrics.req_err.inc();
-        if let ServeError::OverBudget(_) = e {
-            self.metrics.req_over_budget.inc();
-        }
         self.record_flight(
             spec.content_hash(),
             name,
@@ -464,24 +456,19 @@ impl ServePool {
 /// initialize, run and fingerprint by the one run protocol — identical
 /// for either backend (the VM's conformance contract is what makes the
 /// cache-key split the only observable difference) and either machine (on
-/// the task machine `virtual_time` is wall-clock microseconds). `trace`
-/// is at least the movement record the fingerprint reads; `max_steps` is
-/// the statement budget, whose overrun is [`ServeError::OverBudget`].
-/// Returns the outcome plus the full run report (the caller folds its
-/// network/fault counters into metrics and may hand its trace to the
-/// flight recorder without cloning).
+/// the task machine `virtual_time` is wall-clock microseconds). `cfg` is
+/// `cached`'s machine (`CachedProgram::machine_config`), recording at
+/// least the movement the fingerprint reads; a run that takes its
+/// statement budget is [`ServeError::OverBudget`]. Returns the
+/// outcome plus the full run report (the caller folds its network/fault
+/// counters into metrics and may hand its trace to the flight recorder
+/// without cloning).
 fn execute(
     cached: &CachedProgram,
     machine: PoolMachine,
-    trace: TraceConfig,
-    max_steps: u64,
+    cfg: MachineConfig,
 ) -> Result<(RunOutcome, ExecReport), ServeError> {
     let compiled = &cached.compiled;
-    let mut cfg = MachineConfig::new(compiled.nprocs)
-        .with_trace(trace)
-        .with_faults(cached.faults.clone());
-    cfg.cost.mem_budget = compiled.mem_budget;
-    cfg.max_steps = max_steps;
     let mut exec = xdp_verify::machine(
         machine,
         compiled.backend,
@@ -701,13 +688,8 @@ mod tests {
     #[test]
     fn a_communication_free_request_records_no_event() {
         let local = CachedProgram::build(&spec(8)).unwrap();
-        let (outcome, report) = execute(
-            &local,
-            PoolMachine::Sim,
-            TraceConfig::movement(),
-            MachineConfig::DEFAULT_MAX_STEPS,
-        )
-        .unwrap();
+        let cfg = local.machine_config(TraceConfig::movement());
+        let (outcome, report) = execute(&local, PoolMachine::Sim, cfg).unwrap();
         assert_eq!(outcome.messages, 0);
         assert!(report.trace.events.is_empty(), "{:?}", report.trace.events);
     }
@@ -729,31 +711,32 @@ mod tests {
         assert!(pool.run_one(&spec(8)).is_ok(), "the next request is served");
     }
 
-    /// A runaway request stops at the pool's statement budget on either
-    /// machine: it fails by name and is counted, and the same pool serves
-    /// the next request.
+    /// A runaway run stops at its machine's statement budget on either
+    /// machine, naming the same processor: it fails its request by name
+    /// and is counted, and the same pool serves the next request.
     #[test]
-    fn a_runaway_request_stops_at_the_statement_budget() {
-        let runaway = RequestSpec::new(
+    fn a_runaway_run_stops_at_the_statement_budget() {
+        let runaway = CachedProgram::build(&RequestSpec::new(
             "real A[1:4] distribute (BLOCK) onto 2\n\
              do i = 1, 1000000000000\n  iown(A[1]) : { A[1] = A[1] + 1.0 }\nenddo\n",
-        );
+        ))
+        .unwrap();
         for machine in [PoolMachine::Sim, PoolMachine::Tasks] {
-            let pool = ServePool::new(1, 8)
-                .with_machine(machine)
-                .with_max_steps(10_000);
-            let e = pool.run_one(&runaway).unwrap_err();
+            let pool = ServePool::new(1, 8).with_machine(machine);
+            let cfg = MachineConfig {
+                max_steps: 10_000,
+                ..runaway.machine_config(TraceConfig::movement())
+            };
+            let e = pool
+                .guarded(|| execute(&runaway, machine, cfg))
+                .unwrap_err();
             assert!(
                 matches!(&e, ServeError::OverBudget(m)
-                    if m.ends_with(": statement budget of 10000 steps exhausted")),
+                    if m == "p0: statement budget of 10000 steps exhausted"),
                 "{machine:?}: {e}"
             );
             let snap = pool.metrics_snapshot();
             assert_eq!(snap.counter("xdp_request_over_budget_total", &[]), Some(1));
-            assert_eq!(
-                snap.counter("xdp_requests_total", &[("outcome", "error")]),
-                Some(1)
-            );
             assert!(pool.run_one(&spec(8)).is_ok(), "the next request is served");
         }
     }

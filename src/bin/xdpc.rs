@@ -454,10 +454,10 @@ fn compile_loaded(args: &Args, program: &Program, seq: SeqMode) -> Result<Compil
 }
 
 /// The simulated machine a command's options describe for `compiled`:
-/// `--alpha --beta --topo --faults --timeline --unchecked --max-steps`
-/// over the 1993 defaults, planning redistributions under the budget it
-/// was compiled with. `--topo` is parsed whole, then checked against the
-/// machine it is to connect.
+/// `--alpha --beta --topo --faults --timeline --unchecked` over the 1993
+/// defaults, planning redistributions under the budget it was compiled
+/// with. `--topo` is parsed whole, then checked against the machine it is
+/// to connect.
 fn sim_config(args: &Args, compiled: &Compiled) -> Result<MachineConfig, ExitCode> {
     let mut cfg = MachineConfig::new(compiled.nprocs);
     cfg.cost.alpha = args.num_or(cli::ALPHA, cfg.cost.alpha)?;
@@ -476,7 +476,6 @@ fn sim_config(args: &Args, compiled: &Compiled) -> Result<MachineConfig, ExitCod
     if args.has(cli::UNCHECKED) {
         cfg = cfg.unchecked();
     }
-    cfg.max_steps = args.num_or(cli::MAX_STEPS, cfg.max_steps)?;
     Ok(cfg)
 }
 

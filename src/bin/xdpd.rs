@@ -55,7 +55,7 @@ fn cmd_run(args: &Args) -> Done {
     let repeat: usize = args.num(cli::REPEAT)?;
     let workers: usize = args.num_or(cli::WORKERS, 2)?;
 
-    let pool = ServePool::new(workers, 8).with_max_steps(args.num(cli::MAX_STEPS)?);
+    let pool = ServePool::new(workers, 8);
     let specs = vec![spec; repeat.max(1)];
     let mut t = Table::new(
         "xdpd-run",

@@ -296,40 +296,6 @@ fn integer_division_by_zero_is_a_runtime_error_not_a_panic() {
     }
 }
 
-/// A loop of 10^12 iterations, which used to own the process until it was
-/// killed, stops at the statement budget: one named error and exit 1, on
-/// both backends and through both binaries.
-#[test]
-fn a_runaway_loop_stops_at_the_statement_budget() {
-    let dir = std::env::temp_dir().join("xdpc_test");
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("runaway.xdp");
-    let source = "real A[1:4] distribute (BLOCK) onto 2\n\n\
-                  do i = 1, 1000000000000\n  iown(A[1]) : { A[1] = A[1] + 1.0 }\nenddo\n";
-    std::fs::write(&path, source).unwrap();
-    let path = path.to_str().unwrap();
-    let said = "p0: statement budget of 20000 steps exhausted\n";
-    let default = xdp_core::MachineConfig::DEFAULT_MAX_STEPS.to_string();
-    assert_eq!(
-        cli::MAX_STEPS.default,
-        default,
-        "the row declares the machine's budget"
-    );
-    for backend in ["interp", "vm"] {
-        let run = ["run", path, "--backend", backend, "--max-steps", "20000"];
-        let (_, stderr, code) = xdpc_code(&run);
-        assert_eq!(code, 1, "{backend}: {stderr}");
-        assert_eq!(stderr, format!("xdpc: runtime error: {said}"), "{backend}");
-        let (_, stderr, code) = xdpd_code(&[&run[..], &["--repeat", "1"]].concat());
-        assert_eq!(code, 1, "{backend}: {stderr}");
-        assert_eq!(
-            stderr,
-            format!("xdpd: error: over budget: {said}"),
-            "{backend}"
-        );
-    }
-}
-
 #[test]
 fn no_arguments_prints_usage_naming_every_command() {
     let (_, stderr, code) = xdpc_code(&[]);
@@ -545,7 +511,6 @@ fn a_malformed_numeric_flag_is_one_line_and_exit_2() {
         (&["place", twophase], "--procs", "4.5"),
         (&["place", twophase], "--alpha", "two"),
         (&["trace", simple], "--top", "ten"),
-        (&["run", simple], "--max-steps", "many"),
         (&["fuzz"], "--seed", "x"),
     ] {
         let args = [cmd, &[name, bad]].concat();
@@ -557,7 +522,6 @@ fn a_malformed_numeric_flag_is_one_line_and_exit_2() {
     for (cmd, name, bad) in [
         (&["run", simple][..], "--workers", "-1"),
         (&["run", simple], "--repeat", "x"),
-        (&["run", simple], "--max-steps", "-1"),
         (&["bench"], "--requests", "many"),
         (&["bench"], "--slow-ms", "soon"),
         (&["list"], "--gen", "1.5"),

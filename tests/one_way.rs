@@ -262,9 +262,7 @@ fn a_machine_counts_steps_in_one_place() {
             let name = &name[..name
                 .find(|c: char| c != '_' && !c.is_alphanumeric())
                 .unwrap()];
-            if (name.ends_with("_STEPS") || name.ends_with("_ROUNDS"))
-                && name != "DEFAULT_MAX_STEPS"
-            {
+            if name.ends_with("_STEPS") || name.ends_with("_ROUNDS") {
                 limits.push(format!("{file}: const {name}"));
             }
         }

@@ -165,6 +165,32 @@ fn an_empty_ownership_bound_is_an_empty_loop_and_never_a_subscript() {
     }
 }
 
+/// A runaway program, ROADMAP 2's `do i = 1, 10^12`, stops at the
+/// statement budget with one error naming one processor, on both backends
+/// and both machines: each processor counts its steps as they end.
+#[test]
+fn a_runaway_stops_at_one_count_on_every_machine() {
+    let runaway = "real A[1:4] distribute (BLOCK) onto 2
+                   do i = 1, 1000000000000
+                     iown(A[1]) : { A[1] = A[1] + 1.0 }
+                   enddo
+";
+    let runaway = Arc::new(xdp_lang::parse_program(runaway).unwrap());
+    let cfg = MachineConfig {
+        max_steps: 10_000,
+        ..MachineConfig::new(2)
+    };
+    for kind in [MachineKind::Sim, MachineKind::Tasks] {
+        for backend in [Backend::Interp, Backend::Vm] {
+            assert_eq!(
+                fp(kind, backend, &runaway, cfg.clone()).map(|_| ()),
+                Err("p0: statement budget of 10000 steps exhausted".to_string()),
+                "{kind:?} {backend}"
+            );
+        }
+    }
+}
+
 #[test]
 fn vm_is_step_identical_to_the_interpreter() {
     let mut delivered = 0;
