@@ -209,6 +209,77 @@ fn vm_is_step_identical_to_the_interpreter() {
     assert!(delivered > 500, "the corpus communicates: {delivered}");
 }
 
+/// One program through every path an element-wise assignment and a
+/// kernel call take on the VM: `real`, `integer` and `complex` operands
+/// under `+ - * /` (integer `/` truncating on store), literals of the other
+/// type, scalar broadcast, unary `-`, nested expressions, a statement that
+/// reads the section it writes, a value send of a gathered section and two
+/// kernels.
+const EVERY_ASSIGNMENT_PATH: &str = "real A[1:16] distribute (BLOCK) onto 2
+integer I[1:16] distribute (BLOCK) onto 2
+complex C[1:16] distribute (BLOCK) onto 2
+real T[1:16] distribute (BLOCK) onto 2
+iown(A[1:8]) : {
+  A[2:8] = A[1:7] + A[2:8]
+  A[1:8] ->
+}
+iown(T[9:16]) : {
+  T[9:16] <- A[1:8]
+  await(T[9:16]) : { A[9:16] = A[9:16] - T[9:16] * 0.5 }
+}
+do t = 1, 3 {
+  do i = mylb(A[*], 1), myub(A[*], 1) {
+    A[i] = A[i] + 1
+    I[i] = (I[i] * 3 - 7 * t) / 2
+    I[i] = I[i] - I[i] / 3 + I[i] * 2
+    I[i] = I[i] + 0.75
+    C[i] = C[i] * C[i] - C[i] / (C[i] + 1.0)
+    C[i] = C[i] + A[i] - i
+    A[i] = -(A[i] * 0.5) + (A[i] - 2.0) / 3.0 + I[i] / 4
+  }
+  A[mylb(A[*], 1):myub(A[*], 1)] = A[myub(A[*], 1)] * 2.0 - -A[mylb(A[*], 1):myub(A[*], 1)] + mypid
+  I[mylb(I[*], 1):myub(I[*], 1)] = I[mylb(I[*], 1):myub(I[*], 1)] / 7 - I[myub(I[*], 1)] / 5 + 3
+  scale(I[mylb(I[*], 1):myub(I[*], 1)], 3)
+  add_into(A[mylb(A[*], 1):myub(A[*], 1)], I[mylb(I[*], 1):myub(I[*], 1)])
+}
+";
+
+/// FNV-1a over a fingerprint's memory lines: a digest no toolchain
+/// changes.
+fn memory_digest(fp: &Fingerprint) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for line in fp.memory_all() {
+        for b in line.bytes().chain([b'\n']) {
+            h = (h ^ b as u64).wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+    h
+}
+
+/// The evaluator's every path agrees with the interpreter step for step
+/// and on both machines, and the memory it leaves is the one pinned here.
+#[test]
+fn every_assignment_path_is_interpreter_identical_and_pinned() {
+    let program = Arc::new(xdp_lang::parse_program(EVERY_ASSIGNMENT_PATH).unwrap());
+    let delivered =
+        step_pair::assert_step_identical("paths", &program, &xdp_apps::app_kernels(), 2);
+    assert_eq!(delivered, 1, "one value send");
+    let (interp, vm) = sim_pair(&program, 2, None);
+    let (interp, vm) = (interp.unwrap(), vm.unwrap());
+    assert_eq!(interp, vm, "simulator fingerprints");
+    let cfg = MachineConfig::new(2).with_trace(TraceConfig::full());
+    for backend in [Backend::Interp, Backend::Vm] {
+        let (tasks, _) = fp(MachineKind::Tasks, backend, &program, cfg.clone()).unwrap();
+        assert_eq!(tasks.memory, vm.memory, "{backend}: task machine memory");
+        assert_eq!(
+            tasks.movement, vm.movement,
+            "{backend}: task machine movement"
+        );
+        assert_eq!(tasks.messages, 1, "{backend}: task machine messages");
+    }
+    assert_eq!(memory_digest(&vm), 13385254844337116386, "{:#?}", vm.memory);
+}
+
 #[test]
 fn vm_matches_interpreter_on_the_task_machine() {
     for (name, source) in programs() {
