@@ -487,17 +487,7 @@ impl ProcEnv {
         let decl = &self.decls[var.index()];
         if decl.ownership == Ownership::Universal {
             let mut out = Buffer::zeros(decl.elem, sec.volume() as usize);
-            for (ord, idx) in sec.iter().enumerate() {
-                let o = self
-                    .universal_ordinal(var, &idx)
-                    .ok_or_else(|| RtError::UnownedRead {
-                        pid: self.pid,
-                        var,
-                        sec: sec.clone(),
-                    })?;
-                out.set(ord, self.universal[var.index()].as_ref().unwrap().get(o));
-            }
-            self.ops.flops += sec.volume() as u64;
+            self.read_universal(var, sec, &mut out)?;
             return Ok(out);
         }
         self.check_read(var, sec)?;
@@ -509,6 +499,27 @@ impl ProcEnv {
                 var,
                 sec: sec.clone(),
             })
+    }
+
+    /// Gather a section of universal `var` into `out`, sized to it.
+    pub fn read_universal(
+        &mut self,
+        var: VarId,
+        sec: &Section,
+        out: &mut Buffer,
+    ) -> Result<(), RtError> {
+        for (ord, idx) in sec.iter().enumerate() {
+            let o = self
+                .universal_ordinal(var, &idx)
+                .ok_or_else(|| RtError::UnownedRead {
+                    pid: self.pid,
+                    var,
+                    sec: sec.clone(),
+                })?;
+            out.set(ord, self.universal[var.index()].as_ref().unwrap().get(o));
+        }
+        self.ops.flops += sec.volume() as u64;
+        Ok(())
     }
 
     /// Checked mode: reading an exclusive section that is transitional
@@ -641,7 +652,7 @@ impl ProcEnv {
                     ElemBinOp::Mul => Value::mul,
                     ElemBinOp::Div => Value::div,
                 };
-                let ty = Value::add(ba.get(0), bb.get(0)).ty();
+                let ty = Value::promote(ba.ty(), bb.ty());
                 let mut out = Buffer::zeros(ty, vol as usize);
                 for i in 0..vol as usize {
                     out.set(i, f(ba.get(i), bb.get(i)));

@@ -73,7 +73,7 @@ pub struct StepOut {
 #[derive(Clone, Debug)]
 pub enum StepNote {
     /// A local kernel ran.
-    Kernel { name: String, flops: u64 },
+    Kernel { name: Arc<str>, flops: u64 },
     /// A `redistribute` was planned and expanded; `pieces` is the number
     /// of scheduled messages, `bytes` the payload volume this processor
     /// will send.
@@ -255,7 +255,7 @@ impl Interp {
                     bufs.push(self.env.read_section(*v, s)?);
                 }
                 let flops = kernel.run(&mut bufs, &ints);
-                self.env.ran_kernel(name, flops);
+                self.env.ran_kernel(name.into(), flops);
                 for ((v, s), buf) in secs.iter().zip(&bufs) {
                     self.env.write_section(*v, s, buf)?;
                 }

@@ -110,7 +110,7 @@ impl Recorder {
             Some(StepNote::Kernel { name, flops }) => self.events.push(TraceEvent {
                 sid,
                 bytes: flops,
-                detail: Some(name.into()),
+                detail: Some(name),
                 ..TraceEvent::instant(TraceKind::KernelInvoke, pid, t1)
             }),
             Some(StepNote::Collective {

@@ -64,7 +64,7 @@ impl ProcEnv {
     }
 
     /// A local kernel ran in this step: charge its work and note it.
-    pub fn ran_kernel(&mut self, name: String, flops: u64) {
+    pub fn ran_kernel(&mut self, name: Arc<str>, flops: u64) {
         self.ops.flops += flops;
         self.cur_note = Some(StepNote::Kernel { name, flops });
     }

@@ -46,6 +46,11 @@ impl Section {
         &self.dims
     }
 
+    /// Give up the triplet vector, for a later [`Section::new`] to reuse.
+    pub fn into_dims(self) -> Vec<Triplet> {
+        self.dims
+    }
+
     /// The triplet for dimension `d` (0-based).
     pub fn dim(&self, d: usize) -> Triplet {
         self.dims[d]

@@ -621,8 +621,8 @@ impl RtSymbolTable {
     /// exactly — same values, `false` iff any element lacks owned storage,
     /// no statistics touched — but when a single segment covers the whole
     /// query the copy runs strided row-by-row instead of resolving every
-    /// element's index vector, which is what makes the compiled backend's
-    /// hot loops cheap.
+    /// element's index vector, and allocates nothing, which is what makes
+    /// the compiled backend's hot loops cheap.
     ///
     /// # Panics
     /// Debug builds assert `out.len()` equals the section volume.
@@ -642,16 +642,9 @@ impl RtSymbolTable {
         {
             let data = seg.data.as_ref().unwrap();
             let (rows, inner, step) = row_shape(sec, &seg.section);
-            let mut idx: Vec<i64> = sec.dims().iter().map(|t| t.lb).collect();
-            let mut out_ord = 0usize;
-            for _ in 0..rows {
-                let base = seg
-                    .section
-                    .ordinal_of(&idx)
-                    .expect("covering segment holds the row") as usize;
-                gather_strided(out, out_ord, data, base, step, inner);
-                out_ord += inner;
-                sec.advance_row(&mut idx);
+            for row in 0..rows {
+                let base = row_start(sec, &seg.section, row);
+                gather_strided(out, row * inner, data, base, step, inner);
             }
             return true;
         }
@@ -707,16 +700,9 @@ impl RtSymbolTable {
         {
             let (rows, inner, step) = row_shape(sec, &seg.section);
             let data = seg.data.as_mut().unwrap();
-            let mut idx: Vec<i64> = sec.dims().iter().map(|t| t.lb).collect();
-            let mut src_ord = 0usize;
-            for _ in 0..rows {
-                let base = seg
-                    .section
-                    .ordinal_of(&idx)
-                    .expect("covering segment holds the row") as usize;
-                scatter_strided(data, base, step, buf, src_ord, inner);
-                src_ord += inner;
-                sec.advance_row(&mut idx);
+            for row in 0..rows {
+                let base = row_start(sec, &seg.section, row);
+                scatter_strided(data, base, step, buf, row * inner, inner);
             }
             return true;
         }
@@ -776,6 +762,25 @@ fn row_shape(sec: &Section, seg: &Section) -> (usize, usize, usize) {
         1
     };
     ((sec.volume() / n as i64) as usize, n, step)
+}
+
+/// The storage ordinal, within covering segment `seg`, of the first
+/// element of `sec`'s row number `row` in [`row_shape`]'s row-major order:
+/// `row` is peeled into a position along each outer dimension, innermost
+/// first, so the walk needs no index vector.
+fn row_start(sec: &Section, seg: &Section, mut row: usize) -> usize {
+    let (mut ord, mut scale) = (0, 1);
+    for (d, (q, s)) in sec.dims().iter().zip(seg.dims()).enumerate().rev() {
+        let mut i = q.lb;
+        if d + 1 < sec.rank() {
+            let count = q.count() as usize;
+            i += (row % count) as i64 * q.st;
+            row /= count;
+        }
+        ord += (i - s.lb) as usize / s.st as usize * scale;
+        scale *= s.count() as usize;
+    }
+    ord
 }
 
 /// Copy `n` elements out of segment storage starting at `base`, `step`

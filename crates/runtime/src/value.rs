@@ -71,9 +71,11 @@ impl Value {
         }
     }
 
-    fn promote(a: Value, b: Value) -> ElemType {
+    /// The type arithmetic on elements of types `a` and `b` yields:
+    /// integer, widened to real, widened to complex.
+    pub fn promote(a: ElemType, b: ElemType) -> ElemType {
         use ElemType::*;
-        match (a.ty(), b.ty()) {
+        match (a, b) {
             (C64, _) | (_, C64) => C64,
             (F64, _) | (_, F64) => F64,
             _ => I64,
@@ -82,7 +84,7 @@ impl Value {
 
     /// Element addition with promotion.
     pub fn add(a: Value, b: Value) -> Value {
-        match Value::promote(a, b) {
+        match Value::promote(a.ty(), b.ty()) {
             ElemType::I64 => Value::I64(a.as_i64() + b.as_i64()),
             ElemType::F64 => Value::F64(a.as_f64() + b.as_f64()),
             ElemType::C64 => Value::C64(a.as_c64() + b.as_c64()),
@@ -91,7 +93,7 @@ impl Value {
 
     /// Element subtraction with promotion.
     pub fn sub(a: Value, b: Value) -> Value {
-        match Value::promote(a, b) {
+        match Value::promote(a.ty(), b.ty()) {
             ElemType::I64 => Value::I64(a.as_i64() - b.as_i64()),
             ElemType::F64 => Value::F64(a.as_f64() - b.as_f64()),
             ElemType::C64 => Value::C64(a.as_c64() - b.as_c64()),
@@ -100,7 +102,7 @@ impl Value {
 
     /// Element multiplication with promotion.
     pub fn mul(a: Value, b: Value) -> Value {
-        match Value::promote(a, b) {
+        match Value::promote(a.ty(), b.ty()) {
             ElemType::I64 => Value::I64(a.as_i64() * b.as_i64()),
             ElemType::F64 => Value::F64(a.as_f64() * b.as_f64()),
             ElemType::C64 => Value::C64(a.as_c64() * b.as_c64()),
@@ -109,7 +111,7 @@ impl Value {
 
     /// Element division (always at least f64).
     pub fn div(a: Value, b: Value) -> Value {
-        match Value::promote(a, b) {
+        match Value::promote(a.ty(), b.ty()) {
             ElemType::C64 => Value::C64(a.as_c64() / b.as_c64()),
             _ => Value::F64(a.as_f64() / b.as_f64()),
         }
@@ -194,6 +196,25 @@ impl Buffer {
     pub fn copy_from(&mut self, dst_off: usize, src: &Buffer, src_off: usize, count: usize) {
         for k in 0..count {
             self.set(dst_off + k, src.get(src_off + k));
+        }
+    }
+
+    /// Make this buffer `len` copies of `val` (coerced to its type),
+    /// reusing its storage.
+    pub fn fill(&mut self, val: Value, len: usize) {
+        match self {
+            Buffer::I64(v) => {
+                v.clear();
+                v.resize(len, val.as_i64());
+            }
+            Buffer::F64(v) => {
+                v.clear();
+                v.resize(len, val.as_f64());
+            }
+            Buffer::C64(v) => {
+                v.clear();
+                v.resize(len, val.as_c64());
+            }
         }
     }
 

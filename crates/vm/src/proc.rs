@@ -15,6 +15,7 @@
 use crate::compile::{
     compile_lowered, CElem, CInt, CRule, CSec, CSub, Cx, SlotMap, VmOp, VmProgram, VmStmt,
 };
+use std::borrow::Cow;
 use std::sync::Arc;
 use xdp_core::{Action, ProcEnv, Processor, RtError, RuleVal, StepOut};
 use xdp_ir::{ElemBinOp, Ownership, Section, TransferKind, Triplet, VarId};
@@ -37,6 +38,46 @@ enum VFrame {
     },
 }
 
+/// What the statement in progress took to evaluate itself, and hands
+/// back when it ends: the triplet vectors of the sections it evaluated,
+/// its element buffers (one stack per element type), and a kernel call's
+/// operand lists. A value is taken before anything is allocated and only
+/// what was taken is given back, so the scratch never holds more than the
+/// busiest single statement held at once; a gathered buffer a send moves
+/// into its message is simply not given back.
+#[derive(Default)]
+struct Scratch {
+    dims: Vec<Vec<Triplet>>,
+    bufs: [Vec<Buffer>; 3],
+    /// A kernel call's evaluated sections, `None` for a constant one.
+    kernel_secs: Vec<Option<Section>>,
+    kernel_ints: Vec<i64>,
+    kernel_bufs: Vec<Buffer>,
+}
+
+impl Scratch {
+    /// `len` copies of `v`, in a buffer of `v`'s type.
+    fn filled(&mut self, v: Value, len: usize) -> Buffer {
+        let ty = v.ty();
+        let mut buf = self.bufs[ty as usize]
+            .pop()
+            .unwrap_or_else(|| Buffer::zeros(ty, 0));
+        buf.fill(v, len);
+        buf
+    }
+
+    fn give(&mut self, buf: Buffer) {
+        self.bufs[buf.ty() as usize].push(buf);
+    }
+
+    /// Give back an evaluated section; a constant one was never taken.
+    fn give_sec(&mut self, sec: Cow<'_, Section>) {
+        if let Cow::Owned(sec) = sec {
+            self.dims.push(sec.into_dims());
+        }
+    }
+}
+
 /// The compiled per-processor executor. A drop-in [`Processor`]: plug into
 /// `SimExec::from_procs` / `AsyncExec::from_procs`.
 pub struct VmProc {
@@ -49,6 +90,7 @@ pub struct VmProc {
     /// Private slot map (grows when `redistribute` lowers new statements).
     slots: SlotMap,
     stack: Vec<VFrame>,
+    scratch: Scratch,
 }
 
 impl VmProc {
@@ -66,6 +108,7 @@ impl VmProc {
             regs,
             slots,
             prog,
+            scratch: Scratch::default(),
         }
     }
 
@@ -145,6 +188,8 @@ impl VmProc {
                 let vol = tsec.volume();
                 let result = self.eval_elem(rhs, vol, &tsec)?;
                 self.write_sec(target.var, &tsec, &result)?;
+                self.scratch.give(result);
+                self.scratch.give_sec(tsec);
                 self.advance();
                 Ok(Action::Continue)
             }
@@ -163,23 +208,37 @@ impl VmProc {
                 let kernel = kernel
                     .clone()
                     .ok_or_else(|| RtError::UnknownKernel(name.to_string()))?;
-                let mut secs = Vec::with_capacity(args.len());
+                let mut secs = std::mem::take(&mut self.scratch.kernel_secs);
                 for a in args {
-                    secs.push((a.var, self.eval_sec(a)?));
+                    secs.push(match self.eval_sec(a)? {
+                        Cow::Borrowed(_) => None,
+                        Cow::Owned(s) => Some(s),
+                    });
                 }
-                let mut ints = Vec::with_capacity(int_args.len());
+                let mut ints = std::mem::take(&mut self.scratch.kernel_ints);
                 for e in int_args {
                     ints.push(self.eval_int(e)?);
                 }
-                let mut bufs = Vec::with_capacity(secs.len());
-                for (v, s) in &secs {
-                    bufs.push(self.read_sec(*v, s)?);
+                let sec_of = |k: usize| secs[k].as_ref().or(args[k].konst.as_ref()).unwrap();
+                let mut bufs = std::mem::take(&mut self.scratch.kernel_bufs);
+                for (k, a) in args.iter().enumerate() {
+                    bufs.push(self.read_sec(a.var, sec_of(k))?);
                 }
                 let flops = kernel.run(&mut bufs, &ints);
-                self.env.ran_kernel(name.to_string(), flops);
-                for ((v, s), buf) in secs.iter().zip(&bufs) {
-                    self.write_sec(*v, s, buf)?;
+                self.env.ran_kernel(name.clone(), flops);
+                for (k, (a, buf)) in args.iter().zip(&bufs).enumerate() {
+                    self.write_sec(a.var, sec_of(k), buf)?;
                 }
+                for buf in bufs.drain(..) {
+                    self.scratch.give(buf);
+                }
+                for sec in secs.drain(..).flatten() {
+                    self.scratch.give_sec(Cow::Owned(sec));
+                }
+                ints.clear();
+                self.scratch.kernel_secs = secs;
+                self.scratch.kernel_ints = ints;
+                self.scratch.kernel_bufs = bufs;
                 self.advance();
                 Ok(Action::Continue)
             }
@@ -209,7 +268,9 @@ impl VmProc {
                     TransferKind::Value => Some(self.read_sec(var, &s)?),
                     TransferKind::Ownership | TransferKind::OwnershipValue => None,
                 };
-                let action = self.env.send(var, s, *kind, salt_v, dests, gathered)?;
+                let action = self
+                    .env
+                    .send(var, s.into_owned(), *kind, salt_v, dests, gathered)?;
                 Ok(self.settle(action))
             }
             VmOp::Recv {
@@ -227,6 +288,7 @@ impl VmProc {
                 let action = match kind {
                     TransferKind::Value => {
                         if let Some(block) = self.env.check_value_recv(tvar, &tsec)? {
+                            self.scratch.give_sec(tsec);
                             return Ok(block);
                         }
                         // With no explicit match name the interpreter
@@ -234,12 +296,16 @@ impl VmProc {
                         // subscripts a second time); so does the VM.
                         let nref = name.as_ref().unwrap_or(target);
                         let nsec = self.eval_sec(nref)?;
-                        self.env
-                            .post_value_recv(tvar, tsec, (nref.var, nsec), salt_v)?
+                        self.env.post_value_recv(
+                            tvar,
+                            tsec.into_owned(),
+                            (nref.var, nsec.into_owned()),
+                            salt_v,
+                        )?
                     }
-                    TransferKind::Ownership | TransferKind::OwnershipValue => {
-                        self.env.post_ownership_recv(tvar, tsec, *kind, salt_v)?
-                    }
+                    TransferKind::Ownership | TransferKind::OwnershipValue => self
+                        .env
+                        .post_ownership_recv(tvar, tsec.into_owned(), *kind, salt_v)?,
                 };
                 Ok(self.settle(action))
             }
@@ -323,11 +389,15 @@ impl VmProc {
             CInt::MyPid => Ok(self.env.pid as i64),
             CInt::MyLb(r, d, subscript) => {
                 let sec = self.eval_sec(r)?;
-                self.env.mylb(r.var, &sec, *d, *subscript)
+                let lb = self.env.mylb(r.var, &sec, *d, *subscript);
+                self.scratch.give_sec(sec);
+                lb
             }
             CInt::MyUb(r, d, subscript) => {
                 let sec = self.eval_sec(r)?;
-                self.env.myub(r.var, &sec, *d, *subscript)
+                let ub = self.env.myub(r.var, &sec, *d, *subscript);
+                self.scratch.give_sec(sec);
+                ub
             }
             CInt::Neg(a) => Ok(self.eval_int(a)?.saturating_neg()),
             CInt::Bin(op, a, b) => {
@@ -338,11 +408,14 @@ impl VmProc {
         }
     }
 
-    fn eval_sec(&mut self, r: &CSec) -> Result<Section, RtError> {
+    /// Evaluate a section reference: a constant one is borrowed, any other
+    /// is built in a triplet vector taken from the scratch.
+    fn eval_sec<'a>(&mut self, r: &'a CSec) -> Result<Cow<'a, Section>, RtError> {
         if let Some(s) = &r.konst {
-            return Ok(s.clone());
+            return Ok(Cow::Borrowed(s));
         }
-        let mut dims = Vec::with_capacity(r.subs.len());
+        let mut dims = self.scratch.dims.pop().unwrap_or_default();
+        dims.clear();
         for sub in &r.subs {
             dims.push(match sub {
                 CSub::Fixed(t) => *t,
@@ -355,7 +428,7 @@ impl VmProc {
                 }
             });
         }
-        Ok(Section::new(dims))
+        Ok(Cow::Owned(Section::new(dims)))
     }
 
     fn eval_rule(&mut self, e: &CRule) -> Result<RuleVal, RtError> {
@@ -364,15 +437,19 @@ impl VmProc {
             CRule::Const(false) => RuleVal::False,
             CRule::Iown(r) => {
                 let sec = self.eval_sec(r)?;
-                self.env.iown(r.var, &sec)?
+                let v = self.env.iown(r.var, &sec)?;
+                self.scratch.give_sec(sec);
+                v
             }
             CRule::Accessible(r) => {
                 let sec = self.eval_sec(r)?;
-                self.env.accessible(r.var, &sec)?
+                let v = self.env.accessible(r.var, &sec)?;
+                self.scratch.give_sec(sec);
+                v
             }
             CRule::Await(r) => {
                 let sec = self.eval_sec(r)?;
-                self.env.await_(r.var, sec)?
+                self.env.await_(r.var, sec.into_owned())?
             }
             CRule::Cmp(op, a, b) => {
                 let (a, b) = (self.eval_int(a)?, self.eval_int(b)?);
@@ -396,17 +473,22 @@ impl VmProc {
         })
     }
 
-    /// Gather a readable section. Same charging and errors as
-    /// `ProcEnv::read_section`; exclusive variables use the symbol table's
-    /// strided fast path instead of per-element index resolution.
+    /// Gather a readable section into a buffer taken from the scratch.
+    /// Same charging and errors as `ProcEnv::read_section`; exclusive
+    /// variables use the symbol table's strided fast path instead of
+    /// per-element index resolution.
     fn read_sec(&mut self, var: VarId, sec: &Section) -> Result<Buffer, RtError> {
-        if self.env.decls[var.index()].ownership == Ownership::Universal {
-            return self.env.read_section(var, sec);
+        let decl = &self.env.decls[var.index()];
+        let universal = decl.ownership == Ownership::Universal;
+        let mut out = self
+            .scratch
+            .filled(Value::zero(decl.elem), sec.volume() as usize);
+        if universal {
+            self.env.read_universal(var, sec, &mut out)?;
+            return Ok(out);
         }
         self.env.check_read(var, sec)?;
         self.env.ops.flops += sec.volume() as u64;
-        let elem = self.env.decls[var.index()].elem;
-        let mut out = Buffer::zeros(elem, sec.volume() as usize);
         if self.env.symtab.read_section_into(var, sec, &mut out) {
             Ok(out)
         } else {
@@ -436,6 +518,8 @@ impl VmProc {
         }
     }
 
+    /// Evaluate an element expression into a `vol`-element buffer taken
+    /// from the scratch.
     fn eval_elem(&mut self, e: &CElem, vol: i64, tsec: &Section) -> Result<Buffer, RtError> {
         match e {
             CElem::Ref(r) => {
@@ -443,28 +527,26 @@ impl VmProc {
                 if sec.volume() != vol && sec.volume() != 1 {
                     return Err(RtError::NotConformable {
                         lhs: tsec.clone(),
-                        rhs: sec,
+                        rhs: sec.into_owned(),
                     });
                 }
                 let buf = self.read_sec(r.var, &sec)?;
+                self.scratch.give_sec(sec);
                 if buf.len() as i64 == vol {
                     Ok(buf)
                 } else {
                     // Broadcast a single element (no charge, as in the
                     // interpreter).
-                    let v = buf.get(0);
-                    let mut out = Buffer::zeros(buf.ty(), vol as usize);
-                    for i in 0..vol as usize {
-                        out.set(i, v);
-                    }
+                    let out = self.scratch.filled(buf.get(0), vol as usize);
+                    self.scratch.give(buf);
                     Ok(out)
                 }
             }
-            CElem::LitF(v) => Ok(Buffer::F64(vec![*v; vol as usize])),
-            CElem::LitI(v) => Ok(Buffer::I64(vec![*v; vol as usize])),
+            CElem::LitF(v) => Ok(self.scratch.filled(Value::F64(*v), vol as usize)),
+            CElem::LitI(v) => Ok(self.scratch.filled(Value::I64(*v), vol as usize)),
             CElem::FromInt(ie) => {
                 let v = self.eval_int(ie)?;
-                Ok(Buffer::I64(vec![v; vol as usize]))
+                Ok(self.scratch.filled(Value::I64(v), vol as usize))
             }
             CElem::Neg(a) => {
                 let mut buf = self.eval_elem(a, vol, tsec)?;
@@ -480,45 +562,40 @@ impl VmProc {
                 let ba = self.eval_elem(a, vol, tsec)?;
                 let bb = self.eval_elem(b, vol, tsec)?;
                 self.env.ops.flops += vol as u64;
-                Ok(bin_elem(*op, &ba, &bb, vol as usize))
+                Ok(bin_elem(*op, ba, bb, &mut self.scratch))
             }
         }
     }
 }
 
-/// Element-wise binary op over two `vol`-element buffers.
+/// Element-wise `a op b` over two equal-length buffers taken from
+/// `scratch`, handing back what it does not return.
 ///
-/// Same-typed operands take a typed slice path; everything else (mixed
-/// types, zero volume) falls through to code identical to the
-/// interpreter's — including its result-type rule (additive promotion of
-/// the first elements, even for division, with coercion on store) and its
-/// panic on `vol == 0`.
-fn bin_elem(op: ElemBinOp, ba: &Buffer, bb: &Buffer, vol: usize) -> Buffer {
-    match (ba, bb) {
-        (Buffer::F64(a), Buffer::F64(b)) if vol > 0 => Buffer::F64(match op {
-            ElemBinOp::Add => a.iter().zip(b).map(|(x, y)| x + y).collect(),
-            ElemBinOp::Sub => a.iter().zip(b).map(|(x, y)| x - y).collect(),
-            ElemBinOp::Mul => a.iter().zip(b).map(|(x, y)| x * y).collect(),
-            ElemBinOp::Div => a.iter().zip(b).map(|(x, y)| x / y).collect(),
-        }),
-        (Buffer::I64(a), Buffer::I64(b)) if vol > 0 => Buffer::I64(match op {
-            ElemBinOp::Add => a.iter().zip(b).map(|(x, y)| x + y).collect(),
-            ElemBinOp::Sub => a.iter().zip(b).map(|(x, y)| x - y).collect(),
-            ElemBinOp::Mul => a.iter().zip(b).map(|(x, y)| x * y).collect(),
+/// Same-typed operands combine in place into `a`; mixed types fall back to
+/// code identical to the interpreter's, including its result-type rule
+/// (additive promotion, even for division, with coercion on store).
+fn bin_elem(op: ElemBinOp, mut a: Buffer, b: Buffer, scratch: &mut Scratch) -> Buffer {
+    match (&mut a, &b) {
+        (Buffer::F64(x), Buffer::F64(y)) => match op {
+            ElemBinOp::Add => zip_with(x, y, |p, q| p + q),
+            ElemBinOp::Sub => zip_with(x, y, |p, q| p - q),
+            ElemBinOp::Mul => zip_with(x, y, |p, q| p * q),
+            ElemBinOp::Div => zip_with(x, y, |p, q| p / q),
+        },
+        (Buffer::I64(x), Buffer::I64(y)) => match op {
+            ElemBinOp::Add => zip_with(x, y, |p, q| p + q),
+            ElemBinOp::Sub => zip_with(x, y, |p, q| p - q),
+            ElemBinOp::Mul => zip_with(x, y, |p, q| p * q),
             // Integer storage, f64 division, truncating store — exactly
             // `Value::div` coerced back by `Buffer::set`.
-            ElemBinOp::Div => a
-                .iter()
-                .zip(b)
-                .map(|(x, y)| (*x as f64 / *y as f64) as i64)
-                .collect(),
-        }),
-        (Buffer::C64(a), Buffer::C64(b)) if vol > 0 => Buffer::C64(match op {
-            ElemBinOp::Add => a.iter().zip(b).map(|(x, y)| *x + *y).collect(),
-            ElemBinOp::Sub => a.iter().zip(b).map(|(x, y)| *x - *y).collect(),
-            ElemBinOp::Mul => a.iter().zip(b).map(|(x, y)| *x * *y).collect(),
-            ElemBinOp::Div => a.iter().zip(b).map(|(x, y)| *x / *y).collect(),
-        }),
+            ElemBinOp::Div => zip_with(x, y, |p, q| (p as f64 / q as f64) as i64),
+        },
+        (Buffer::C64(x), Buffer::C64(y)) => match op {
+            ElemBinOp::Add => zip_with(x, y, |p, q| p + q),
+            ElemBinOp::Sub => zip_with(x, y, |p, q| p - q),
+            ElemBinOp::Mul => zip_with(x, y, |p, q| p * q),
+            ElemBinOp::Div => zip_with(x, y, |p, q| p / q),
+        },
         _ => {
             let f = match op {
                 ElemBinOp::Add => Value::add,
@@ -526,14 +603,23 @@ fn bin_elem(op: ElemBinOp, ba: &Buffer, bb: &Buffer, vol: usize) -> Buffer {
                 ElemBinOp::Mul => Value::mul,
                 ElemBinOp::Div => Value::div,
             };
-            let ty = Value::add(ba.get(0), bb.get(0)).ty();
-            let mut out = Buffer::zeros(ty, vol);
-            for i in 0..vol {
-                out.set(i, f(ba.get(i), bb.get(i)));
+            let ty = Value::promote(a.ty(), b.ty());
+            let mut out = scratch.filled(Value::zero(ty), a.len());
+            for i in 0..a.len() {
+                out.set(i, f(a.get(i), b.get(i)));
             }
-            out
+            scratch.give(a);
+            scratch.give(b);
+            return out;
         }
     }
+    scratch.give(b);
+    a
+}
+
+/// `x[i] = f(x[i], y[i])` for every `i`.
+fn zip_with<T: Copy>(x: &mut [T], y: &[T], f: impl Fn(T, T) -> T) {
+    x.iter_mut().zip(y).for_each(|(p, q)| *p = f(*p, *q));
 }
 
 impl Processor for VmProc {

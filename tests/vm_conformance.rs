@@ -280,6 +280,37 @@ fn every_assignment_path_is_interpreter_identical_and_pinned() {
     assert_eq!(memory_digest(&vm), 13385254844337116386, "{:#?}", vm.memory);
 }
 
+/// An element-wise assignment to an empty section is a zero-element no-op
+/// on both backends and both machines, whatever its operands' types:
+/// memory is left as an empty program leaves it.
+#[test]
+fn an_assignment_to_an_empty_section_does_nothing() {
+    let decls = "real A[1:8] distribute (BLOCK) onto 2
+integer I[1:8] distribute (BLOCK) onto 2
+complex C[1:8] distribute (BLOCK) onto 2
+";
+    let empty = format!(
+        "{decls}A[3:2] = A[3:2] + 1
+A[3:2] = A[3:2] + 1.0
+I[5:1] = -I[5:1] / 2 + A[3:2] * mypid
+C[2:1] = C[2:1] * C[7:6] - I[4:3]
+A[2:1] = A[1:0] - I[4:3] / C[8:7]
+"
+    );
+    let program = |src: &str| Arc::new(xdp_lang::parse_program(src).unwrap());
+    let (untouched, empty) = (program(decls), program(&empty));
+    step_pair::assert_step_identical("empty", &empty, &xdp_apps::app_kernels(), 2);
+    let cfg = MachineConfig::new(2);
+    let (before, _) = fp(MachineKind::Sim, Backend::Interp, &untouched, cfg.clone()).unwrap();
+    for kind in [MachineKind::Sim, MachineKind::Tasks] {
+        for backend in [Backend::Interp, Backend::Vm] {
+            let (after, _) = fp(kind, backend, &empty, cfg.clone())
+                .unwrap_or_else(|e| panic!("{kind:?} {backend}: {e}"));
+            assert_eq!(after.memory, before.memory, "{kind:?} {backend}");
+        }
+    }
+}
+
 #[test]
 fn vm_matches_interpreter_on_the_task_machine() {
     for (name, source) in programs() {
