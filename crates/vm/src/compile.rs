@@ -81,7 +81,7 @@ pub enum CSub {
 }
 
 /// A compiled section reference. When every subscript folded, `konst`
-/// holds the pre-built section and evaluation is a clone.
+/// holds the pre-built section and evaluation borrows it.
 #[derive(Clone, Debug)]
 pub struct CSec {
     pub var: VarId,

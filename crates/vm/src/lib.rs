@@ -15,14 +15,17 @@
 //!   time (lookup failure still surfaces at execution time, exactly where
 //!   the interpreter raises it);
 //! * section references whose subscripts are compile-time constants fold
-//!   to **pre-computed [`xdp_ir::Section`]s** (cloned, not re-evaluated);
+//!   to **pre-computed [`xdp_ir::Section`]s** (borrowed, not re-evaluated);
 //! * section gather/scatter uses the strided fast paths
 //!   (`read_section_into` / `write_section_from`) of the run-time symbol
 //!   table, copying whole rows instead of resolving one index vector per
 //!   element;
-//! * element-wise arithmetic runs on typed slices when both operands have
-//!   the same element type, instead of boxing every element in a
-//!   [`xdp_runtime::Value`].
+//! * element-wise arithmetic runs in place on typed slices when both
+//!   operands have the same element type, instead of boxing every element
+//!   in a [`xdp_runtime::Value`];
+//! * a statement's triplet vectors and element buffers are **taken from
+//!   per-processor scratch** and given back when it ends, so a
+//!   steady-state assignment or kernel step allocates nothing.
 //!
 //! ## Conformance contract
 //!

@@ -49,10 +49,16 @@ enum VFrame {
 struct Scratch {
     dims: Vec<Vec<Triplet>>,
     bufs: [Vec<Buffer>; 3],
-    /// A kernel call's evaluated sections, `None` for a constant one.
-    kernel_secs: Vec<Option<Section>>,
-    kernel_ints: Vec<i64>,
-    kernel_bufs: Vec<Buffer>,
+    kernel: KernelArgs,
+}
+
+/// A kernel call's operand lists.
+#[derive(Default)]
+struct KernelArgs {
+    /// The evaluated sections, `None` for a constant one.
+    secs: Vec<Option<Section>>,
+    ints: Vec<i64>,
+    bufs: Vec<Buffer>,
 }
 
 impl Scratch {
@@ -75,6 +81,17 @@ impl Scratch {
         if let Cow::Owned(sec) = sec {
             self.dims.push(sec.into_dims());
         }
+    }
+
+    /// Give back a kernel call's operand lists and everything in them.
+    fn give_kernel(&mut self, mut args: KernelArgs) {
+        for buf in args.bufs.drain(..) {
+            self.give(buf);
+        }
+        let secs = args.secs.drain(..).flatten();
+        self.dims.extend(secs.map(Section::into_dims));
+        args.ints.clear();
+        self.kernel = args;
     }
 }
 
@@ -208,37 +225,27 @@ impl VmProc {
                 let kernel = kernel
                     .clone()
                     .ok_or_else(|| RtError::UnknownKernel(name.to_string()))?;
-                let mut secs = std::mem::take(&mut self.scratch.kernel_secs);
+                let mut ops = std::mem::take(&mut self.scratch.kernel);
                 for a in args {
-                    secs.push(match self.eval_sec(a)? {
+                    ops.secs.push(match self.eval_sec(a)? {
                         Cow::Borrowed(_) => None,
                         Cow::Owned(s) => Some(s),
                     });
                 }
-                let mut ints = std::mem::take(&mut self.scratch.kernel_ints);
                 for e in int_args {
-                    ints.push(self.eval_int(e)?);
+                    ops.ints.push(self.eval_int(e)?);
                 }
-                let sec_of = |k: usize| secs[k].as_ref().or(args[k].konst.as_ref()).unwrap();
-                let mut bufs = std::mem::take(&mut self.scratch.kernel_bufs);
+                let sec = |k: usize| ops.secs[k].as_ref().or(args[k].konst.as_ref()).unwrap();
                 for (k, a) in args.iter().enumerate() {
-                    bufs.push(self.read_sec(a.var, sec_of(k))?);
+                    let buf = self.read_sec(a.var, sec(k))?;
+                    ops.bufs.push(buf);
                 }
-                let flops = kernel.run(&mut bufs, &ints);
+                let flops = kernel.run(&mut ops.bufs, &ops.ints);
                 self.env.ran_kernel(name.clone(), flops);
-                for (k, (a, buf)) in args.iter().zip(&bufs).enumerate() {
-                    self.write_sec(a.var, sec_of(k), buf)?;
+                for (k, a) in args.iter().enumerate() {
+                    self.write_sec(a.var, sec(k), &ops.bufs[k])?;
                 }
-                for buf in bufs.drain(..) {
-                    self.scratch.give(buf);
-                }
-                for sec in secs.drain(..).flatten() {
-                    self.scratch.give_sec(Cow::Owned(sec));
-                }
-                ints.clear();
-                self.scratch.kernel_secs = secs;
-                self.scratch.kernel_ints = ints;
-                self.scratch.kernel_bufs = bufs;
+                self.scratch.give_kernel(ops);
                 self.advance();
                 Ok(Action::Continue)
             }

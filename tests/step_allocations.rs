@@ -1,9 +1,9 @@
-//! A VM assignment step allocates nothing: once a processor's scratch
-//! holds what its busiest statement takes, another sweep of an
-//! element-wise loop costs the allocator nothing. A counting global
-//! allocator tallies this thread's allocations inside `run_report`, and a
-//! run of 100 sweeps must make exactly as many as a run of 10 — a guard
-//! that needs no wall clock.
+//! A VM assignment or kernel step allocates nothing: once a processor's
+//! scratch holds what its busiest statement takes, another sweep of an
+//! element-wise or kernel loop costs the allocator nothing. A counting
+//! global allocator tallies this thread's allocations inside
+//! `run_report`, and a run of 100 sweeps must make exactly as many as a
+//! run of 10 — a guard that needs no wall clock.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -80,6 +80,19 @@ do t = 1, {sweeps} {{
     )
 }
 
+/// Kernel calls on computed and on constant sections.
+fn kernel_calls(sweeps: u32) -> String {
+    format!(
+        "real A[1:64] distribute (BLOCK) onto 4
+real B[1:64] distribute (BLOCK) onto 4
+do t = 1, {sweeps} {{
+  add_into(A[mylb(A[*], 1):myub(A[*], 1)], B[mylb(B[*], 1):myub(B[*], 1)])
+  iown(A[1:16]) : {{ work(A[1:16], 5) }}
+}}
+"
+    )
+}
+
 /// This thread's allocations while the VM on the simulator runs `source`,
 /// served as `xdpd` serves it (the movement trace on).
 fn allocations_in_run(source: &str) -> u64 {
@@ -98,10 +111,11 @@ fn allocations_in_run(source: &str) -> u64 {
 }
 
 #[test]
-fn a_sweep_of_element_wise_assignments_allocates_nothing() {
+fn a_sweep_of_assignments_or_kernel_calls_allocates_nothing() {
     for (name, source) in [
         ("element loop", element_loop as fn(u32) -> String),
         ("row sweep", row_sweep),
+        ("kernel calls", kernel_calls),
     ] {
         let (ten, hundred) = (
             allocations_in_run(&source(10)),
