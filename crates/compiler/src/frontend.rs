@@ -283,20 +283,19 @@ impl Lowerer {
         rhs: &ElemExpr,
         out: &mut Block,
     ) -> Result<(), FrontendError> {
-        // Operands needing communication: exclusive refs that are not
-        // syntactically the target itself.
-        let comm_refs: Vec<SectionRef> = rhs
-            .refs()
-            .into_iter()
-            .filter(|r| self.out.decl(r.var).ownership == Ownership::Exclusive && *r != target)
-            .cloned()
-            .collect();
-
-        // Deduplicate identical operand references (send once).
-        let mut uniq: Vec<SectionRef> = Vec::new();
-        for r in comm_refs {
-            if !uniq.contains(&r) {
-                uniq.push(r);
+        // Operands needing communication, each once with its element
+        // count: exclusive refs that are not syntactically the target
+        // itself and hold an element (an empty section is read where it
+        // is, by every processor).
+        let mut uniq: Vec<(SectionRef, i64)> = Vec::new();
+        for r in rhs.refs() {
+            let exclusive = self.out.decl(r.var).ownership == Ownership::Exclusive;
+            if !exclusive || r == target || uniq.iter().any(|(u, _)| u == r) {
+                continue;
+            }
+            let vol = self.ref_volume(r)?;
+            if vol > 0 {
+                uniq.push((r.clone(), vol));
             }
         }
 
@@ -308,7 +307,7 @@ impl Lowerer {
         let salts: Vec<_> = uniq.iter().map(|_| self.fresh_salt()).collect();
 
         // Sender side: each operand's owner sends it.
-        for (r, salt) in uniq.iter().zip(&salts) {
+        for ((r, _), salt) in uniq.iter().zip(&salts) {
             out.push(b::guarded(
                 b::iown(r.clone()),
                 vec![b::send_salted(r.clone(), salt.clone())],
@@ -320,9 +319,8 @@ impl Lowerer {
         let mut recv_body: Block = Vec::new();
         let mut rule: Option<BoolExpr> = None;
         let mut new_rhs = rhs.clone();
-        for (r, salt) in uniq.iter().zip(&salts) {
-            let elem = self.out.decl(r.var).elem;
-            let vol = self.ref_volume(r)?;
+        for ((r, vol), salt) in uniq.iter().zip(&salts) {
+            let (elem, vol) = (self.out.decl(r.var).elem, *vol);
             let t = self.fresh_temp(elem, vol);
             let tref = if vol > 1 {
                 b::sref(t, vec![b::at(b::mypid()), b::span(b::c(1), b::c(vol))])
