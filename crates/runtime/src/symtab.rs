@@ -767,17 +767,26 @@ fn row_shape(sec: &Section, seg: &Section) -> (usize, usize, usize) {
 /// The storage ordinal, within covering segment `seg`, of the first
 /// element of `sec`'s row number `row` in [`row_shape`]'s row-major order:
 /// `row` is peeled into a position along each outer dimension, innermost
-/// first, so the walk needs no index vector.
+/// first, so the walk needs no index vector. A rank-2 row, or a unit
+/// stride, costs no division.
 fn row_start(sec: &Section, seg: &Section, mut row: usize) -> usize {
     let (mut ord, mut scale) = (0, 1);
     for (d, (q, s)) in sec.dims().iter().zip(seg.dims()).enumerate().rev() {
         let mut i = q.lb;
         if d + 1 < sec.rank() {
-            let count = q.count() as usize;
-            i += (row % count) as i64 * q.st;
-            row /= count;
+            // The outermost dimension takes what is left of `row` whole.
+            let k = if d == 0 {
+                row
+            } else {
+                let count = q.count() as usize;
+                let k = row % count;
+                row /= count;
+                k
+            };
+            i += k as i64 * q.st;
         }
-        ord += (i - s.lb) as usize / s.st as usize * scale;
+        let off = (i - s.lb) as usize;
+        ord += if s.st == 1 { off } else { off / s.st as usize } * scale;
         scale *= s.count() as usize;
     }
     ord
