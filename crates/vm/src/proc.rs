@@ -38,13 +38,13 @@ enum VFrame {
     },
 }
 
-/// What the statement in progress took to evaluate itself, and hands
-/// back when it ends: the triplet vectors of the sections it evaluated,
-/// its element buffers (one stack per element type), and a kernel call's
-/// operand lists. A value is taken before anything is allocated and only
-/// what was taken is given back, so the scratch never holds more than the
-/// busiest single statement held at once; a gathered buffer a send moves
-/// into its message is simply not given back.
+/// What a statement evaluates itself in, handed back when it ends: the
+/// triplet vectors of the sections it evaluated, its element buffers (one
+/// stack per element type) and a kernel call's operand lists. A statement
+/// takes from the scratch before it allocates, and gives back only what
+/// it took, so the scratch never holds more than the busiest single
+/// statement held at once; a gathered buffer a send moves into its
+/// message is simply not given back.
 #[derive(Default)]
 struct Scratch {
     dims: Vec<Vec<Triplet>>,
