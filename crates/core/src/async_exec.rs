@@ -129,6 +129,8 @@ impl<P: Processor> AsyncExec<P> {
                         state: TState::Runnable,
                         result: None,
                         counted_done: false,
+                        polled_at: 0,
+                        posted: false,
                     })
                 })
                 .collect(),
@@ -300,6 +302,11 @@ struct Task<'a, P: Processor> {
     /// Whether this task has been counted out of barrier participation
     /// (program complete or failed).
     counted_done: bool,
+    /// [`ThreadNet::arrivals`] for this pid when its outstanding receives
+    /// were last polled.
+    polled_at: u64,
+    /// A receive was posted since that poll.
+    posted: bool,
 }
 
 struct Shared<'a, P: Processor> {
@@ -618,12 +625,49 @@ fn start_recv<P: Processor>(
 /// Post-`Done` drain: complete the next leftover receive so the final
 /// state is coherent, or finish when none is left.
 fn drain<P: Processor>(sh: &Shared<'_, P>, task: &mut Task<'_, P>, pid: usize) -> bool {
-    match task.interp.outstanding().into_iter().next() {
+    match task.interp.env().next_outstanding(0) {
         None => {
             finish(sh, task, Ok(()));
             true
         }
-        Some(recv) => start_recv(sh, task, pid, recv, true),
+        Some((req, tag)) => {
+            let recv = (req, tag.clone());
+            start_recv(sh, task, pid, recv, true)
+        }
+    }
+}
+
+/// Complete every outstanding receive whose message has already arrived,
+/// so `accessible()` polls stay live. Polls only when a poll could claim
+/// something: a message this pid may claim was sent since the last one,
+/// or a receive was posted since, or a fault plan is active (a delayed or
+/// retransmitted message surfaces only through a receiver's poll).
+/// Returns false if a completion failed the task.
+fn poll_arrived<P: Processor>(sh: &Shared<'_, P>, task: &mut Task<'_, P>, pid: usize) -> bool {
+    let arrivals = sh.net.arrivals(pid);
+    if !(sh.faults_active || task.posted || arrivals != task.polled_at) {
+        return true;
+    }
+    (task.polled_at, task.posted) = (arrivals, false);
+    let mut after = 0;
+    loop {
+        let mut claimed = None;
+        while let Some((req, tag)) = task.interp.env().next_outstanding(after) {
+            after = req;
+            let t0 = sh.edge();
+            if let Some(msg) = sh.net.recv(tag, pid, Duration::ZERO) {
+                claimed = Some((req, msg, t0));
+                break;
+            }
+        }
+        let Some((req, msg, t0)) = claimed else {
+            return true;
+        };
+        sh.delivered(&mut task.rec, pid, req, &msg, t0);
+        if let Err(e) = task.interp.complete_recv(req, msg) {
+            finish(sh, task, Err(e));
+            return false;
+        }
     }
 }
 
@@ -632,17 +676,8 @@ fn drain<P: Processor>(sh: &Shared<'_, P>, task: &mut Task<'_, P>, pid: usize) -
 /// parked or yielded.
 fn run_quantum<P: Processor>(sh: &Shared<'_, P>, task: &mut Task<'_, P>, pid: usize) -> bool {
     for _ in 0..QUANTUM {
-        // Opportunistically complete any receive whose message has
-        // already arrived, so `accessible()` polls stay live.
-        for (req, tag) in task.interp.outstanding() {
-            let t0 = sh.edge();
-            if let Some(msg) = sh.net.recv(&tag, pid, Duration::ZERO) {
-                sh.delivered(&mut task.rec, pid, req, &msg, t0);
-                if let Err(e) = task.interp.complete_recv(req, msg) {
-                    finish(sh, task, Err(e));
-                    return true;
-                }
-            }
+        if !poll_arrived(sh, task, pid) {
+            return true;
         }
         let t0 = sh.edge();
         let out = match task.interp.step() {
@@ -688,6 +723,7 @@ fn run_quantum<P: Processor>(sh: &Shared<'_, P>, task: &mut Task<'_, P>, pid: us
                 // next opportunistic poll or blocking wait.
                 let t = sh.now();
                 task.rec.recv_post(pid, sid, &tag, req_id, t, t);
+                task.posted = true;
             }
             Action::BlockOn { var, sec } => {
                 // Service the first outstanding receive gating this section.

@@ -11,7 +11,7 @@
 
 use crate::interp::StepNote;
 use crate::transfer::PendingRecv;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 use xdp_collectives::PlanCtx;
 use xdp_ir::{
@@ -201,8 +201,8 @@ pub struct ProcEnv {
     scanned_baseline: u64,
     // ---- what the transfer rules ([`crate::transfer`]) keep between
     // steps; nothing else reads or writes these ----
-    /// Receives initiated and not yet completed, by request id.
-    pub(crate) pending: HashMap<u64, (Tag, PendingRecv)>,
+    /// Receives initiated and not yet completed, in request order.
+    pub(crate) pending: BTreeMap<u64, (Tag, PendingRecv)>,
     /// The last request id handed out (ids are unique machine-wide: the
     /// pid is in the high half).
     pub(crate) next_req: u64,
@@ -252,7 +252,7 @@ impl ProcEnv {
             checked,
             ops: OpCounts::default(),
             scanned_baseline: 0,
-            pending: HashMap::new(),
+            pending: BTreeMap::new(),
             next_req: (pid as u64) << 32,
             barrier_passed: false,
             cur_dist: HashMap::new(),

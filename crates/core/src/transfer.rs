@@ -203,6 +203,15 @@ impl ProcEnv {
         self.outstanding_where(|_| true)
     }
 
+    /// The first uncompleted receive initiated after request `after`: a
+    /// walk over the outstanding receives that copies nothing.
+    pub fn next_outstanding(&self, after: u64) -> Option<(u64, &Tag)> {
+        self.pending
+            .range(after + 1..)
+            .next()
+            .map(|(req, (tag, _))| (*req, tag))
+    }
+
     /// Outstanding receives whose target overlaps `sec` of `var` — the
     /// receives that must complete to make it accessible.
     pub fn outstanding_for(&self, var: VarId, sec: &Section) -> Vec<(u64, Tag)> {
@@ -223,14 +232,11 @@ impl ProcEnv {
     }
 
     fn outstanding_where(&self, keep: impl Fn(&PendingRecv) -> bool) -> Vec<(u64, Tag)> {
-        let mut v: Vec<(u64, Tag)> = self
-            .pending
+        self.pending
             .iter()
             .filter(|(_, (_, p))| keep(p))
             .map(|(r, (t, _))| (*r, t.clone()))
-            .collect();
-        v.sort_by_key(|(r, _)| *r);
-        v
+            .collect()
     }
 
     /// Apply a matched message to the receive it completes.

@@ -73,6 +73,12 @@ impl Section {
         self.dims.iter().any(|t| t.is_empty())
     }
 
+    /// Empty the section in place, keeping its rank: every dimension
+    /// becomes [`Triplet::EMPTY`], and nothing is allocated.
+    pub fn clear(&mut self) {
+        self.dims.fill(Triplet::EMPTY);
+    }
+
     /// Per-dimension element counts (the section's *shape*).
     pub fn extents(&self) -> Vec<i64> {
         self.dims.iter().map(|t| t.count()).collect()
@@ -97,7 +103,7 @@ impl Section {
 
     /// The per-dimension intersections, lazily: what the queries below read
     /// of [`Section::intersect`] without building it.
-    fn meet<'a>(&'a self, other: &'a Section) -> impl Iterator<Item = Triplet> + 'a {
+    pub fn meet<'a>(&'a self, other: &'a Section) -> impl Iterator<Item = Triplet> + 'a {
         assert_eq!(self.rank(), other.rank(), "rank mismatch in intersect");
         self.dims
             .iter()

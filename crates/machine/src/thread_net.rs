@@ -35,6 +35,7 @@
 use crate::stats::NetStats;
 use parking_lot::{Condvar, Mutex};
 use std::collections::{HashMap, HashSet, VecDeque};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use xdp_fault::{FaultEvent, FaultEventKind, FaultPlan, FaultStats, Injector, RecvFailure};
@@ -128,6 +129,10 @@ struct Inner {
     cond: Condvar,
     injector: Option<Injector>,
     epoch: Instant,
+    /// Sends bound to each pid, and sends bound to none: what
+    /// [`ThreadNet::arrivals`] reads without the lock.
+    bound_sends: Vec<AtomicU64>,
+    unbound_sends: AtomicU64,
 }
 
 /// A cloneable handle to the shared network.
@@ -168,6 +173,8 @@ impl ThreadNet {
                 cond: Condvar::new(),
                 injector,
                 epoch: Instant::now(),
+                bound_sends: (0..nprocs).map(|_| AtomicU64::new(0)).collect(),
+                unbound_sends: AtomicU64::new(0),
             }),
         }
     }
@@ -329,6 +336,18 @@ impl ThreadNet {
     /// Post a message (non-blocking: XDP sends are initiations).
     pub fn send(&self, msg: Msg, dest: Option<Vec<usize>>) {
         let mut st = self.inner.state.lock();
+        // Counted under the lock, so a receiver that reads the new count
+        // polls after the message is in the pool.
+        match &dest {
+            None => {
+                self.inner.unbound_sends.fetch_add(1, Ordering::Release);
+            }
+            Some(pids) => {
+                for &p in pids {
+                    self.inner.bound_sends[p].fetch_add(1, Ordering::Release);
+                }
+            }
+        }
         match &self.inner.injector {
             None => {
                 st.redist_acquire(&msg, &dest);
@@ -363,6 +382,16 @@ impl ThreadNet {
         self.inner.cond.notify_all();
     }
 
+    /// How many messages have been sent that `pid` may claim: a count that
+    /// only grows, bumped under the pool's lock by each send. A receiver
+    /// that read it before polling and finds it unchanged has nothing new
+    /// to claim (under a fault plan a message can also surface late, from
+    /// a delay or a retransmission, which a receiver's own poll drives).
+    pub fn arrivals(&self, pid: usize) -> u64 {
+        self.inner.bound_sends[pid].load(Ordering::Acquire)
+            + self.inner.unbound_sends.load(Ordering::Acquire)
+    }
+
     /// Claim the first eligible message with this name; blocks until one
     /// arrives or `timeout` elapses (`None` on timeout or permanent loss —
     /// use [`recv_diag`] for the named diagnosis).
@@ -378,81 +407,29 @@ impl ThreadNet {
     /// the deadline elapsed with nothing eligible.
     ///
     /// The deadline is fixed at entry (`Instant`-based): spurious or
-    /// unrelated condvar wakeups never extend the wait.
+    /// unrelated condvar wakeups never extend the wait. A poll — a zero
+    /// timeout on a reliable net — reads no clock.
     pub fn recv_diag(
         &self,
         tag: &Tag,
         self_pid: usize,
         timeout: Duration,
     ) -> Result<Msg, RecvFailure> {
-        let deadline = Instant::now() + timeout;
         let mut st = self.inner.state.lock();
+        st.stats.recv_attempts += 1;
+        if self.inner.injector.is_none() && timeout.is_zero() {
+            return self
+                .claim(&mut st, tag, self_pid, Instant::now)
+                .ok_or(RecvFailure::Timeout);
+        }
+        let deadline = Instant::now() + timeout;
         loop {
             let now = Instant::now();
             if self.inner.injector.is_some() {
                 self.promote_delayed(&mut st, now);
                 self.sweep_retries(&mut st, now);
             }
-            // Scan for an eligible message, suppressing already-delivered
-            // duplicates as they surface.
-            let eligible = |e: &QueuedEntry| match &e.dest {
-                None => true,
-                Some(pids) => pids.contains(&self_pid),
-            };
-            loop {
-                let entry = {
-                    let Some(q) = st.queues.get_mut(tag) else {
-                        break;
-                    };
-                    let Some(pos) = q.iter().position(eligible) else {
-                        break;
-                    };
-                    q.remove(pos).unwrap()
-                };
-                if let Some(uid) = entry.uid {
-                    if st.delivered.contains(&uid) {
-                        st.redist_release(&entry.msg, &entry.dest);
-                        st.fstats.dup_suppressed += 1;
-                        st.events.push(FaultEvent {
-                            t: self.micros(now),
-                            kind: FaultEventKind::DupSuppressed,
-                            src: uid.0,
-                            seq: uid.1,
-                            tag: entry.msg.tag.to_string(),
-                        });
-                        continue;
-                    }
-                    st.delivered.insert(uid);
-                    // Claiming is the ack: stop retransmitting, and purge
-                    // outstanding duplicate copies so they never linger
-                    // in the pool as unclaimable garbage.
-                    st.pending.retain(|p| (p.msg.src, p.seq) != uid);
-                    if let Some(q) = st.queues.get_mut(tag) {
-                        let before = q.len();
-                        q.retain(|e| e.uid != Some(uid));
-                        for _ in 0..before - q.len() {
-                            st.redist_release(&entry.msg, &entry.dest);
-                            st.fstats.dup_suppressed += 1;
-                            st.events.push(FaultEvent {
-                                t: self.micros(now),
-                                kind: FaultEventKind::DupSuppressed,
-                                src: uid.0,
-                                seq: uid.1,
-                                tag: entry.msg.tag.to_string(),
-                            });
-                        }
-                    }
-                }
-                let QueuedEntry { msg, dest, .. } = entry;
-                st.redist_release(&msg, &dest);
-                let bound = dest.is_some();
-                let wire = if bound {
-                    msg.payload_bytes()
-                } else {
-                    msg.size_bytes()
-                };
-                st.stats
-                    .record(msg.src, self_pid, msg.payload_bytes(), wire, bound);
+            if let Some(msg) = self.claim(&mut st, tag, self_pid, || now) {
                 return Ok(msg);
             }
             // Nothing eligible now. If a matching message is permanently
@@ -498,6 +475,75 @@ impl ThreadNet {
                 .saturating_duration_since(now)
                 .max(Duration::from_micros(50));
             let _ = self.inner.cond.wait_for(&mut st, wait);
+        }
+    }
+
+    /// Claim the first eligible message with this name from the pool,
+    /// suppressing already-delivered duplicates as they surface. `now`
+    /// stamps the fault events, which only an active plan records.
+    fn claim(
+        &self,
+        st: &mut State,
+        tag: &Tag,
+        self_pid: usize,
+        now: impl Fn() -> Instant,
+    ) -> Option<Msg> {
+        let eligible = |e: &QueuedEntry| match &e.dest {
+            None => true,
+            Some(pids) => pids.contains(&self_pid),
+        };
+        loop {
+            let entry = {
+                let q = st.queues.get_mut(tag)?;
+                let pos = q.iter().position(eligible)?;
+                q.remove(pos).unwrap()
+            };
+            if let Some(uid) = entry.uid {
+                if st.delivered.contains(&uid) {
+                    st.redist_release(&entry.msg, &entry.dest);
+                    st.fstats.dup_suppressed += 1;
+                    st.events.push(FaultEvent {
+                        t: self.micros(now()),
+                        kind: FaultEventKind::DupSuppressed,
+                        src: uid.0,
+                        seq: uid.1,
+                        tag: entry.msg.tag.to_string(),
+                    });
+                    continue;
+                }
+                st.delivered.insert(uid);
+                // Claiming is the ack: stop retransmitting, and purge
+                // outstanding duplicate copies so they never linger
+                // in the pool as unclaimable garbage.
+                st.pending.retain(|p| (p.msg.src, p.seq) != uid);
+                if let Some(q) = st.queues.get_mut(tag) {
+                    let before = q.len();
+                    q.retain(|e| e.uid != Some(uid));
+                    for _ in 0..before - q.len() {
+                        st.redist_release(&entry.msg, &entry.dest);
+                        st.fstats.dup_suppressed += 1;
+                        st.events.push(FaultEvent {
+                            t: self.micros(now()),
+                            kind: FaultEventKind::DupSuppressed,
+                            src: uid.0,
+                            seq: uid.1,
+                            tag: entry.msg.tag.to_string(),
+                        });
+                    }
+                }
+            }
+            let QueuedEntry { msg, dest, .. } = entry;
+            st.redist_release(&msg, &dest);
+            let bound = dest.is_some();
+            let wire = if bound {
+                msg.payload_bytes()
+            } else {
+                msg.size_bytes()
+            };
+            st.stats
+                .record(msg.src, self_pid, msg.payload_bytes(), wire, bound);
+            st.stats.recv_claims += 1;
+            return Some(msg);
         }
     }
 

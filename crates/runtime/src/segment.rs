@@ -132,11 +132,7 @@ impl SegmentDesc {
         let freed = self.storage_bytes();
         self.data = None;
         self.status = SegStatus::Unowned;
-        self.section = Section::new(
-            (0..self.section.rank())
-                .map(|_| xdp_ir::Triplet::EMPTY)
-                .collect(),
-        );
+        self.section.clear();
         freed
     }
 }
@@ -229,6 +225,26 @@ mod tests {
         assert_eq!(seg.status, SegStatus::Unowned);
         assert_eq!(seg.read(&[1]), None);
         assert!(!seg.status.is_owned());
+    }
+
+    /// What `RtSymbolTable::classify`'s scan count rests on: a released
+    /// descriptor meets no query, so §3.1's scan never stops at an unowned
+    /// one and always examines every descriptor.
+    #[test]
+    fn a_released_segment_has_an_empty_section() {
+        let mut seg = SegmentDesc::owned(sec(&[(9, 16, 1), (2, 16, 2)]), ElemType::F64);
+        seg.release();
+        assert!(seg.section.is_empty());
+        assert_eq!(seg.section.rank(), 2);
+        assert_eq!(
+            seg.section
+                .intersect_volume(&sec(&[(1, 99, 1), (1, 99, 1)])),
+            0
+        );
+        assert_eq!(
+            seg.section.intersect_volume(&sec(&[(1, 0, 1), (1, 0, 1)])),
+            0
+        );
     }
 
     #[test]

@@ -13,7 +13,7 @@
 
 use crate::segment::{segment_sections, SegStatus, SegmentDesc};
 use crate::value::{Buffer, Value};
-use xdp_ir::{Decl, ElemType, Section, VarId};
+use xdp_ir::{Decl, ElemType, Section, Triplet, VarId};
 
 /// Coarse state of a whole section on this processor (Figure 1).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -58,7 +58,7 @@ impl SymtabStats {
 }
 
 /// One variable's entry: the Figure 2 row.
-#[derive(Clone, Debug)]
+#[derive(Clone)]
 pub struct SymEntry {
     /// symtab index == VarId.
     pub var: VarId,
@@ -76,12 +76,218 @@ pub struct SymEntry {
     pub segment_shape: Option<Vec<i64>>,
     /// Segment descriptors — the shaded, run-time-maintained field.
     pub segments: Vec<SegmentDesc>,
+    /// Where `segments` lie, derived from them; not part of `Debug`.
+    index: SegIndex,
 }
 
 impl SymEntry {
     /// Number of segments currently owned (transitional or accessible).
     pub fn owned_segment_count(&self) -> usize {
         self.segments.iter().filter(|s| s.status.is_owned()).count()
+    }
+
+    /// The segments that may meet `sec`, with their ids; see [`SegIndex`].
+    fn hits(&self, sec: &Section) -> Hits<'_> {
+        self.index.hits(sec, &self.segments)
+    }
+
+    /// The segment holding storage that covers all of `sec`, if one does.
+    /// A one-segment entry, every array of a communication-free sweep,
+    /// asks its segment directly.
+    fn covering(&self, sec: &Section) -> Option<usize> {
+        let holds = |s: &SegmentDesc| s.data.is_some() && s.section.covers(sec);
+        if self.segments.len() == 1 {
+            Some(0).filter(|_| holds(&self.segments[0]))
+        } else {
+            self.hits(sec).find(|(_, s)| holds(s)).map(|(i, _)| i)
+        }
+    }
+}
+
+impl std::fmt::Debug for SymEntry {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("SymEntry")
+            .field("var", &self.var)
+            .field("name", &self.name)
+            .field("rank", &self.rank)
+            .field("bounds", &self.bounds)
+            .field("elem", &self.elem)
+            .field("partitioning", &self.partitioning)
+            .field("segment_shape", &self.segment_shape)
+            .field("segments", &self.segments)
+            .finish()
+    }
+}
+
+/// Where an entry's live segments lie along dimension 0, so that a query
+/// visits only the segments it can meet. Derived from the descriptors and
+/// updated with them by every method that changes a section; no setting
+/// chooses it. §3.1 still charges the scan of every descriptor: a
+/// released one has an empty section, so the paper's scan never stops
+/// early, and [`RtSymbolTable::classify`] counts `segments.len()`.
+#[derive(Clone, Default)]
+struct SegIndex {
+    /// `(dim-0 lower bound, id)` of every segment with a non-empty
+    /// section, ascending.
+    by_lb: Vec<(i64, u32)>,
+    /// No live segment spans more than this along dimension 0 (`ub - lb`).
+    span: i64,
+    /// Ids of released descriptors, ascending: the slots an ownership
+    /// receive reuses, lowest first.
+    free: Vec<u32>,
+}
+
+/// Dimension 0 of a section; a rank-0 section is the one point 0.
+fn dim0(sec: &Section) -> Triplet {
+    sec.dims().first().copied().unwrap_or(Triplet::point(0))
+}
+
+impl SegIndex {
+    fn of(segments: &[SegmentDesc]) -> SegIndex {
+        let mut ix = SegIndex::default();
+        for (id, seg) in segments.iter().enumerate() {
+            if !seg.section.is_empty() {
+                let t = dim0(&seg.section);
+                ix.by_lb.push((t.lb, id as u32));
+                ix.span = ix.span.max(t.ub - t.lb);
+            }
+        }
+        ix.by_lb.sort_unstable();
+        ix
+    }
+
+    /// Segment `id` now holds `sec`, in what was a free slot or a new one.
+    fn insert(&mut self, id: usize, sec: &Section) {
+        let id = id as u32;
+        if let Ok(at) = self.free.binary_search(&id) {
+            self.free.remove(at);
+        }
+        if !sec.is_empty() {
+            let t = dim0(sec);
+            let at = self.by_lb.partition_point(|&k| k < (t.lb, id));
+            self.by_lb.insert(at, (t.lb, id));
+            self.span = self.span.max(t.ub - t.lb);
+        }
+    }
+
+    /// The segment at `by_lb[k]` was released.
+    fn release(&mut self, k: usize) {
+        let (_, id) = self.by_lb.remove(k);
+        let at = self.free.partition_point(|&f| f < id);
+        self.free.insert(at, id);
+    }
+
+    /// The segments among `segs`, the descriptors indexed, that may meet
+    /// `sec`: all of them in order when its dim-0 range reaches every live
+    /// one, the run of `by_lb` it reaches when its dim-0 points lie no
+    /// farther apart than a segment spans, else point by point.
+    fn hits<'a>(&'a self, sec: &Section, segs: &'a [SegmentDesc]) -> Hits<'a> {
+        let t = dim0(sec);
+        let dense = t.st <= self.span + 1;
+        if let (Some(first), Some(last)) = (self.by_lb.first(), self.by_lb.last()) {
+            if dense && t.lb - self.span <= first.0 && last.0 <= t.ub {
+                return Hits::All(segs.iter().enumerate());
+            }
+        }
+        let cur = self.cursor(sec);
+        if !dense {
+            return Hits::Points(cur, &self.by_lb, segs);
+        }
+        let run = &self.by_lb[cur.pos..];
+        Hits::Run(
+            run[..run.partition_point(|&(lb, _)| lb <= t.ub)].iter(),
+            segs,
+        )
+    }
+
+    fn cursor(&self, sec: &Section) -> Cursor {
+        let t = dim0(sec);
+        let pos = if t.is_empty() {
+            self.by_lb.len()
+        } else {
+            self.by_lb.partition_point(|&(lb, _)| lb < t.lb - self.span)
+        };
+        Cursor {
+            t,
+            span: self.span,
+            pos,
+            p: t.lb,
+        }
+    }
+}
+
+/// What [`SegIndex::hits`] yields: `(id, segment)`.
+enum Hits<'a> {
+    All(std::iter::Enumerate<std::slice::Iter<'a, SegmentDesc>>),
+    Run(std::slice::Iter<'a, (i64, u32)>, &'a [SegmentDesc]),
+    Points(Cursor, &'a [(i64, u32)], &'a [SegmentDesc]),
+}
+
+impl<'a> Iterator for Hits<'a> {
+    type Item = (usize, &'a SegmentDesc);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let (id, segs) = match self {
+            Hits::All(all) => return all.next(),
+            Hits::Run(run, segs) => (run.next()?.1, *segs),
+            Hits::Points(cur, by_lb, segs) => (by_lb[cur.next(by_lb)?].1, *segs),
+        };
+        Some((id as usize, &segs[id as usize]))
+    }
+
+    /// One dispatch a walk, not one a step: what `tally`, `min`, `max`
+    /// and `sum` run on.
+    fn fold<B, F: FnMut(B, Self::Item) -> B>(self, init: B, mut f: F) -> B {
+        match self {
+            Hits::All(all) => all.fold(init, f),
+            Hits::Run(run, segs) => run.fold(init, |acc, &(_, id)| {
+                let id = id as usize;
+                f(acc, (id, &segs[id]))
+            }),
+            points => {
+                let mut acc = init;
+                for hit in points {
+                    acc = f(acc, hit);
+                }
+                acc
+            }
+        }
+    }
+}
+
+/// A walk over the positions in `by_lb` of the segments whose dim-0
+/// extent may hold one of a query's dim-0 points: for each point `p`, the
+/// lower bounds in `[p - span, p]`. A lower bound past `p` moves `p` to
+/// the first point at or after it, and one short of `p - span` is skipped
+/// by binary search, so a query strided wider than any segment looks up
+/// its points and a dense one scans one range. Every segment that meets
+/// the query is visited once; a visited one need not meet it.
+struct Cursor {
+    t: Triplet,
+    span: i64,
+    pos: usize,
+    p: i64,
+}
+
+impl Cursor {
+    fn next(&mut self, by_lb: &[(i64, u32)]) -> Option<usize> {
+        loop {
+            let &(lb, _) = by_lb.get(self.pos)?;
+            if lb > self.p {
+                if lb > self.t.ub {
+                    self.pos = by_lb.len();
+                    return None;
+                }
+                let st = self.t.st;
+                self.p = self.t.lb + (lb - self.t.lb + st - 1) / st * st;
+            } else if lb < self.p - self.span {
+                let floor = self.p - self.span;
+                self.pos += by_lb[self.pos..].partition_point(|&(l, _)| l < floor);
+            } else {
+                self.pos += 1;
+                return Some(self.pos - 1);
+            }
+        }
     }
 }
 
@@ -207,6 +413,7 @@ impl RtSymbolTable {
                 elem: d.elem,
                 partitioning: dist,
                 segment_shape: d.segment_shape.clone(),
+                index: SegIndex::of(&segments),
                 segments,
             }));
         }
@@ -254,37 +461,30 @@ impl RtSymbolTable {
 
     /// Classify without touching the statistics — used by the checked
     /// runtime's internal validation, which is a debugging aid rather than
-    /// program-visible work.
+    /// program-visible work. The count is §3.1's: every descriptor, since
+    /// a released one meets no query and so never ends the scan early;
+    /// the host visits only the segments the index names.
     pub fn classify(&self, var: VarId, sec: &Section) -> (SecState, u64) {
         let entry = match self.entry(var) {
             Some(e) => e,
             None => return (SecState::Unowned, 0),
         };
-        let mut covered: i64 = 0;
-        let mut transitional = false;
-        let mut scanned = 0u64;
-        for seg in &entry.segments {
-            scanned += 1;
-            let shared = seg.section.intersect_volume(sec);
-            if shared == 0 {
-                continue;
-            }
-            if !seg.status.is_owned() {
-                return (SecState::Unowned, scanned);
-            }
-            if seg.status == SegStatus::Transitional {
-                transitional = true;
-            }
-            covered += shared;
-        }
-        let state = if covered != sec.volume() {
-            SecState::Unowned
-        } else if transitional {
-            SecState::Transitional
+        let tally = if entry.segments.len() == 1 {
+            tally(entry.segments.iter(), sec)
         } else {
-            SecState::Accessible
+            tally(entry.hits(sec).map(|(_, s)| s), sec)
         };
-        (state, scanned)
+        let state = match tally {
+            Some((covered, transitional)) if covered == sec.volume() => {
+                if transitional {
+                    SecState::Transitional
+                } else {
+                    SecState::Accessible
+                }
+            }
+            _ => SecState::Unowned,
+        };
+        (state, entry.segments.len() as u64)
     }
 
     /// `mylb(X, d)`: smallest dth-dimension index (1-based `d`, as in the
@@ -295,8 +495,8 @@ impl RtSymbolTable {
         match self.entry(var) {
             None => i64::MAX,
             Some(e) => e
-                .segments
-                .iter()
+                .hits(sec)
+                .map(|(_, s)| s)
                 .filter(|s| s.status.is_owned())
                 .filter_map(|s| s.section.intersect_dim(sec, dim))
                 .map(|t| t.lb)
@@ -313,8 +513,8 @@ impl RtSymbolTable {
         match self.entry(var) {
             None => i64::MIN,
             Some(e) => e
-                .segments
-                .iter()
+                .hits(sec)
+                .map(|(_, s)| s)
                 .filter(|s| s.status.is_owned())
                 .filter_map(|s| s.section.intersect_dim(sec, dim))
                 .map(|t| t.ub)
@@ -381,8 +581,8 @@ impl RtSymbolTable {
             if sec.is_empty() {
                 continue;
             }
-            let (rows, inner, seg_step) = row_shape(&sec, &seg.section);
-            let (_, _, full_step) = row_shape(&sec, full);
+            let (rows, inner, seg_step) = row_shape(sec.dims(), seg.section.dims());
+            let (_, _, full_step) = row_shape(sec.dims(), full.dims());
             let mut idx: Vec<i64> = sec.dims().iter().map(|t| t.lb).collect();
             for _ in 0..rows {
                 let from = seg
@@ -458,12 +658,14 @@ impl RtSymbolTable {
             });
         }
         let entry = self.entry_mut(var)?;
-        let mut touched = Vec::new();
-        for (i, seg) in entry.segments.iter_mut().enumerate() {
-            if seg.status.is_owned() && seg.section.overlaps(sec) {
-                seg.status = SegStatus::Transitional;
-                touched.push(i);
-            }
+        let mut touched: Vec<usize> = entry
+            .hits(sec)
+            .filter(|(_, s)| s.status.is_owned() && s.section.overlaps(sec))
+            .map(|(i, _)| i)
+            .collect();
+        touched.sort_unstable();
+        for &i in &touched {
+            entry.segments[i].status = SegStatus::Transitional;
         }
         Ok(touched)
     }
@@ -511,31 +713,31 @@ impl RtSymbolTable {
         sec: &Section,
     ) -> Result<usize, SymtabError> {
         // Reject if any element already owned.
-        let entry = self.entry(var).ok_or(SymtabError::NotExclusive(var))?;
-        for seg in &entry.segments {
-            if seg.status.is_owned() && seg.section.overlaps(sec) {
-                return Err(SymtabError::AlreadyOwned {
-                    var,
-                    sec: sec.clone(),
-                });
-            }
-        }
-        let reuse = entry
-            .segments
-            .iter()
-            .position(|s| s.status == SegStatus::Unowned);
         let entry = self.entry_mut(var)?;
-        match reuse {
+        if entry
+            .hits(sec)
+            .any(|(_, s)| s.status.is_owned() && s.section.overlaps(sec))
+        {
+            return Err(SymtabError::AlreadyOwned {
+                var,
+                sec: sec.clone(),
+            });
+        }
+        let slot = SegmentDesc::placeholder(sec.clone());
+        let reuse = entry.index.free.first().map(|&i| i as usize);
+        let id = match reuse {
             Some(i) => {
-                entry.segments[i] = SegmentDesc::placeholder(sec.clone());
-                self.stats.slots_reused += 1;
-                Ok(i)
+                entry.segments[i] = slot;
+                i
             }
             None => {
-                entry.segments.push(SegmentDesc::placeholder(sec.clone()));
-                Ok(entry.segments.len() - 1)
+                entry.segments.push(slot);
+                entry.segments.len() - 1
             }
-        }
+        };
+        entry.index.insert(id, sec);
+        self.stats.slots_reused += reuse.is_some() as u64;
+        Ok(id)
     }
 
     /// Complete an ownership receive: allocate storage (filled from the
@@ -571,7 +773,9 @@ impl RtSymbolTable {
     /// `E -=>`): the section must be accessible and must decompose into
     /// whole segments (ownership granularity is the segment, §3.1).
     /// Releases those segments' storage and returns the gathered values
-    /// (for `-=>`; the caller discards them for `=>`).
+    /// (for `-=>`; the caller discards them for `=>`). The segments it
+    /// checks are the ones it then copies out and releases, each row by
+    /// row; a refused send changes nothing.
     pub fn remove_ownership(&mut self, var: VarId, sec: &Section) -> Result<Buffer, SymtabError> {
         match self.state_of(var, sec) {
             SecState::Unowned => {
@@ -588,29 +792,47 @@ impl RtSymbolTable {
             }
             SecState::Accessible => {}
         }
-        // Every intersecting segment must be wholly inside the section.
-        let entry = self.entry(var).ok_or(SymtabError::NotExclusive(var))?;
-        for seg in &entry.segments {
-            if seg.status.is_owned() && seg.section.overlaps(sec) && !sec.covers(&seg.section) {
-                return Err(SymtabError::NotSegmentAligned {
-                    var,
-                    sec: sec.clone(),
-                });
+        // Every intersecting segment must be wholly inside the section,
+        // and hold storage.
+        let entry = self.entry_mut(var)?;
+        let (mut split, mut bare) = (false, false);
+        for (_, seg) in entry.hits(sec) {
+            if seg.status.is_owned() && seg.section.overlaps(sec) {
+                split |= !sec.covers(&seg.section);
+                bare |= seg.data.is_none();
             }
         }
-        let mut data = Buffer::zeros(entry.elem, sec.volume() as usize);
-        if !self.read_section_into(var, sec, &mut data) {
+        if split {
+            return Err(SymtabError::NotSegmentAligned {
+                var,
+                sec: sec.clone(),
+            });
+        }
+        if bare {
             return Err(SymtabError::NotOwned {
                 var,
                 sec: sec.clone(),
             });
         }
-        let entry = self.entry_mut(var)?;
+        let mut data = Buffer::zeros(entry.elem, sec.volume() as usize);
         let mut freed = 0;
-        for seg in &mut entry.segments {
-            if seg.status.is_owned() && seg.section.overlaps(sec) {
-                freed += seg.release();
+        let mut cur = entry.index.cursor(sec);
+        while let Some(k) = cur.next(&entry.index.by_lb) {
+            let seg = &mut entry.segments[entry.index.by_lb[k].1 as usize];
+            if !seg.section.overlaps(sec) {
+                continue;
             }
+            let held = seg.section.dims();
+            copy_share(
+                held,
+                held,
+                seg.data.as_ref().unwrap(),
+                sec.dims(),
+                &mut data,
+            );
+            freed += seg.release();
+            entry.index.release(k);
+            cur.pos = k;
         }
         self.stats.free(freed);
         Ok(data)
@@ -618,11 +840,12 @@ impl RtSymbolTable {
 
     /// Gather a section's values in row-major order into a pre-allocated
     /// buffer. Observable behavior matches [`RtSymbolTable::read_section`]
-    /// exactly — same values, `false` iff any element lacks owned storage,
-    /// no statistics touched — but when a single segment covers the whole
-    /// query the copy runs strided row-by-row instead of resolving every
-    /// element's index vector, and allocates nothing, which is what makes
-    /// the compiled backend's hot loops cheap.
+    /// — same values, `false` iff any element lacks owned storage (what
+    /// `out` then holds is unspecified), no statistics touched — but the
+    /// copy runs strided row by row instead of resolving every element's
+    /// index vector: from the one segment covering the query, allocating
+    /// nothing, which is what makes the compiled backend's hot loops
+    /// cheap; else each segment's share of it in turn.
     ///
     /// # Panics
     /// Debug builds assert `out.len()` equals the section volume.
@@ -635,41 +858,28 @@ impl RtSymbolTable {
         if sec.is_empty() {
             return true;
         }
-        if let Some(seg) = entry
-            .segments
-            .iter()
-            .find(|s| s.data.is_some() && s.section.covers(sec))
-        {
+        if let Some(i) = entry.covering(sec) {
+            let seg = &entry.segments[i];
             let data = seg.data.as_ref().unwrap();
-            let (rows, inner, step) = row_shape(sec, &seg.section);
+            let (rows, inner, step) = row_shape(sec.dims(), seg.section.dims());
             for row in 0..rows {
-                let base = row_start(sec, &seg.section, row);
-                gather_strided(out, row * inner, data, base, step, inner);
+                let base = row_start(sec.dims(), seg.section.dims(), row);
+                copy_strided(out, row * inner, 1, data, base, step, inner);
             }
             return true;
         }
-        // Disjoint multi-segment gather: per element, rotating from the
-        // last segment that hit (identical order to `read_section`).
-        let n = entry.segments.len();
-        let mut last_hit = 0usize;
-        let mut idx: Vec<i64> = sec.dims().iter().map(|t| t.lb).collect();
-        for ord in 0..sec.volume() as usize {
-            let mut found = false;
-            for k in 0..n {
-                let si = (last_hit + k) % n;
-                if let Some(v) = entry.segments[si].read(&idx) {
-                    out.set(ord, v);
-                    last_hit = si;
-                    found = true;
-                    break;
+        // Disjoint segments: each one's share, from its storage.
+        let mut covered = 0;
+        let mut share = Vec::with_capacity(sec.rank());
+        for (_, seg) in entry.hits(sec) {
+            if let Some(data) = &seg.data {
+                covered += meet_into(&mut share, &seg.section, sec);
+                if !share.is_empty() {
+                    copy_share(&share, seg.section.dims(), data, sec.dims(), out);
                 }
             }
-            if !found {
-                return false;
-            }
-            sec.advance(&mut idx);
         }
-        true
+        covered == sec.volume()
     }
 
     /// Scatter a row-major buffer into a section. Observable behavior
@@ -693,37 +903,37 @@ impl RtSymbolTable {
         if sec.is_empty() {
             return true;
         }
-        if let Some(seg) = entry
-            .segments
-            .iter_mut()
-            .find(|s| s.data.is_some() && s.section.covers(sec))
-        {
-            let (rows, inner, step) = row_shape(sec, &seg.section);
+        if let Some(i) = entry.covering(sec) {
+            let seg = &mut entry.segments[i];
+            let (rows, inner, step) = row_shape(sec.dims(), seg.section.dims());
             let data = seg.data.as_mut().unwrap();
             for row in 0..rows {
-                let base = row_start(sec, &seg.section, row);
-                scatter_strided(data, base, step, buf, row * inner, inner);
+                let base = row_start(sec.dims(), seg.section.dims(), row);
+                copy_strided(data, base, step, buf, row * inner, 1, inner);
             }
             return true;
         }
-        // Disjoint multi-segment scatter, element by element.
-        let n = entry.segments.len();
-        let mut last_hit = 0usize;
-        let mut idx: Vec<i64> = sec.dims().iter().map(|t| t.lb).collect();
-        for ord in 0..sec.volume() as usize {
-            let mut found = false;
-            for k in 0..n {
-                let si = (last_hit + k) % n;
-                if entry.segments[si].write(&idx, buf.get(ord)) {
-                    last_hit = si;
-                    found = true;
-                    break;
+        // Disjoint segments: each one's share, once the storage is known
+        // to hold all of it. Otherwise the per-element scatter writes what
+        // it reaches, in row-major order, and says false.
+        let covered: i64 = entry
+            .hits(sec)
+            .filter(|(_, s)| s.data.is_some())
+            .map(|(_, s)| s.section.intersect_volume(sec))
+            .sum();
+        if covered != sec.volume() {
+            return self.write_section(var, sec, buf);
+        }
+        let mut share = Vec::with_capacity(sec.rank());
+        let mut cur = entry.index.cursor(sec);
+        while let Some(k) = cur.next(&entry.index.by_lb) {
+            let seg = &mut entry.segments[entry.index.by_lb[k].1 as usize];
+            if let Some(data) = &mut seg.data {
+                meet_into(&mut share, &seg.section, sec);
+                if !share.is_empty() {
+                    copy_share(&share, sec.dims(), buf, seg.section.dims(), data);
                 }
             }
-            if !found {
-                return false;
-            }
-            sec.advance(&mut idx);
         }
         true
     }
@@ -745,23 +955,67 @@ impl RtSymbolTable {
     }
 }
 
+/// `(covered, transitional)` of `sec` by the segments `segs` (the shared
+/// elements, and whether any sharing segment awaits a receive); `None`
+/// when an unowned segment shares one.
+fn tally<'a>(segs: impl Iterator<Item = &'a SegmentDesc>, sec: &Section) -> Option<(i64, bool)> {
+    let (covered, transitional, unowned) = segs.fold((0, false, false), |(c, t, u), seg| {
+        let shared = seg.section.intersect_volume(sec);
+        if shared == 0 {
+            return (c, t, u);
+        }
+        let status = seg.status;
+        (
+            c + shared,
+            t || status == SegStatus::Transitional,
+            u || !status.is_owned(),
+        )
+    });
+    (!unowned).then_some((covered, transitional))
+}
+
+/// Set `share` to the triplets of `a ∩ b`, or clear it when they do not
+/// meet; returns the shared volume.
+fn meet_into(share: &mut Vec<Triplet>, a: &Section, b: &Section) -> i64 {
+    share.clear();
+    share.extend(a.meet(b));
+    if share.iter().any(Triplet::is_empty) {
+        share.clear();
+        return 0;
+    }
+    share.iter().map(Triplet::count).product()
+}
+
+/// Copy the elements of `share`, a section inside both `from` and `to`,
+/// from `src` (storage in `from`'s row-major order) into `dst` (in
+/// `to`'s), one strided row at a time.
+fn copy_share(share: &[Triplet], from: &[Triplet], src: &Buffer, to: &[Triplet], dst: &mut Buffer) {
+    let (rows, inner, from_step) = row_shape(share, from);
+    let (_, _, to_step) = row_shape(share, to);
+    for row in 0..rows {
+        let (f, t) = (row_start(share, from, row), row_start(share, to, row));
+        copy_strided(dst, t, to_step, src, f, from_step, inner);
+    }
+}
+
 /// Decompose a section into rows for strided copying against a covering
 /// segment: (row count, elements per row, stride within the segment's
 /// innermost dimension). `covers` guarantees the query stride is a multiple
 /// of the segment stride whenever the row has more than one element.
-fn row_shape(sec: &Section, seg: &Section) -> (usize, usize, usize) {
-    let r = sec.rank();
+fn row_shape(sec: &[Triplet], seg: &[Triplet]) -> (usize, usize, usize) {
+    let r = sec.len();
     if r == 0 {
         return (1, 1, 1);
     }
-    let inner = sec.dim(r - 1);
+    let inner = sec[r - 1];
     let n = inner.count() as usize;
     let step = if n > 1 {
-        (inner.st / seg.dim(r - 1).st) as usize
+        (inner.st / seg[r - 1].st) as usize
     } else {
         1
     };
-    ((sec.volume() / n as i64) as usize, n, step)
+    let volume: i64 = sec.iter().map(Triplet::count).product();
+    ((volume / n as i64) as usize, n, step)
 }
 
 /// The storage ordinal, within covering segment `seg`, of the first
@@ -769,11 +1023,11 @@ fn row_shape(sec: &Section, seg: &Section) -> (usize, usize, usize) {
 /// `row` is peeled into a position along each outer dimension, innermost
 /// first, so the walk needs no index vector. A rank-2 row, or a unit
 /// stride, costs no division.
-fn row_start(sec: &Section, seg: &Section, mut row: usize) -> usize {
+fn row_start(sec: &[Triplet], seg: &[Triplet], mut row: usize) -> usize {
     let (mut ord, mut scale) = (0, 1);
-    for (d, (q, s)) in sec.dims().iter().zip(seg.dims()).enumerate().rev() {
+    for (d, (q, s)) in sec.iter().zip(seg).enumerate().rev() {
         let mut i = q.lb;
-        if d + 1 < sec.rank() {
+        if d + 1 < sec.len() {
             // The outermost dimension takes what is left of `row` whole.
             let k = if d == 0 {
                 row
@@ -792,81 +1046,52 @@ fn row_start(sec: &Section, seg: &Section, mut row: usize) -> usize {
     ord
 }
 
-/// Copy `n` elements out of segment storage starting at `base`, `step`
-/// apart, into `out[out_off..]`. Same-type buffers copy without boxing
-/// every element through [`Value`].
-fn gather_strided(
-    out: &mut Buffer,
-    out_off: usize,
-    data: &Buffer,
-    base: usize,
-    step: usize,
-    n: usize,
-) {
-    match (&mut *out, data) {
-        (Buffer::I64(o), Buffer::I64(d)) => copy_rows(o, out_off, d, base, step, n),
-        (Buffer::F64(o), Buffer::F64(d)) => copy_rows(o, out_off, d, base, step, n),
-        (Buffer::C64(o), Buffer::C64(d)) => copy_rows(o, out_off, d, base, step, n),
-        _ => {
-            for k in 0..n {
-                out.set(out_off + k, data.get(base + k * step));
-            }
-        }
-    }
-}
-
-/// Copy `n` elements from `src[src_off..]` into segment storage starting at
-/// `base`, `step` apart. Mixed types coerce exactly like [`Buffer::set`].
-fn scatter_strided(
-    data: &mut Buffer,
-    base: usize,
-    step: usize,
+/// Copy `n` elements from `src`, starting at `src_off` and `src_step`
+/// apart, into `dst` from `dst_off`, `dst_step` apart. Same-type buffers
+/// copy without boxing every element through [`Value`]; mixed types
+/// coerce exactly like [`Buffer::set`].
+fn copy_strided(
+    dst: &mut Buffer,
+    dst_off: usize,
+    dst_step: usize,
     src: &Buffer,
     src_off: usize,
+    src_step: usize,
     n: usize,
 ) {
-    match (&mut *data, src) {
-        (Buffer::I64(d), Buffer::I64(s)) => copy_rows_strided_dst(d, base, step, s, src_off, n),
-        (Buffer::F64(d), Buffer::F64(s)) => copy_rows_strided_dst(d, base, step, s, src_off, n),
-        (Buffer::C64(d), Buffer::C64(s)) => copy_rows_strided_dst(d, base, step, s, src_off, n),
+    match (&mut *dst, src) {
+        (Buffer::I64(d), Buffer::I64(s)) => {
+            copy_rows(d, dst_off, dst_step, s, src_off, src_step, n)
+        }
+        (Buffer::F64(d), Buffer::F64(s)) => {
+            copy_rows(d, dst_off, dst_step, s, src_off, src_step, n)
+        }
+        (Buffer::C64(d), Buffer::C64(s)) => {
+            copy_rows(d, dst_off, dst_step, s, src_off, src_step, n)
+        }
         _ => {
             for k in 0..n {
-                data.set(base + k * step, src.get(src_off + k));
+                dst.set(dst_off + k * dst_step, src.get(src_off + k * src_step));
             }
         }
     }
 }
 
+#[inline]
 fn copy_rows<T: Copy>(
-    out: &mut [T],
-    out_off: usize,
-    data: &[T],
-    base: usize,
-    step: usize,
-    n: usize,
-) {
-    if step == 1 {
-        out[out_off..out_off + n].copy_from_slice(&data[base..base + n]);
-    } else {
-        for k in 0..n {
-            out[out_off + k] = data[base + k * step];
-        }
-    }
-}
-
-fn copy_rows_strided_dst<T: Copy>(
-    data: &mut [T],
-    base: usize,
-    step: usize,
+    dst: &mut [T],
+    dst_off: usize,
+    dst_step: usize,
     src: &[T],
     src_off: usize,
+    src_step: usize,
     n: usize,
 ) {
-    if step == 1 {
-        data[base..base + n].copy_from_slice(&src[src_off..src_off + n]);
+    if dst_step == 1 && src_step == 1 {
+        dst[dst_off..dst_off + n].copy_from_slice(&src[src_off..src_off + n]);
     } else {
         for k in 0..n {
-            data[base + k * step] = src[src_off + k];
+            dst[dst_off + k * dst_step] = src[src_off + k * src_step];
         }
     }
 }
