@@ -87,7 +87,7 @@ impl SymEntry {
     }
 
     /// The segments that may meet `sec`, with their ids; see [`SegIndex`].
-    fn hits(&self, sec: &Section) -> Hits<'_> {
+    fn hits(&self, sec: &Section) -> impl Iterator<Item = (usize, &SegmentDesc)> + '_ {
         self.index.hits(sec, &self.segments)
     }
 
@@ -178,116 +178,90 @@ impl SegIndex {
     }
 
     /// The segments among `segs`, the descriptors indexed, that may meet
-    /// `sec`: all of them in order when its dim-0 range reaches every live
-    /// one, the run of `by_lb` it reaches when its dim-0 points lie no
-    /// farther apart than a segment spans, else point by point.
-    fn hits<'a>(&'a self, sec: &Section, segs: &'a [SegmentDesc]) -> Hits<'a> {
-        let t = dim0(sec);
-        let dense = t.st <= self.span + 1;
-        if let (Some(first), Some(last)) = (self.by_lb.first(), self.by_lb.last()) {
-            if dense && t.lb - self.span <= first.0 && last.0 <= t.ub {
-                return Hits::All(segs.iter().enumerate());
-            }
-        }
-        let cur = self.cursor(sec);
-        if !dense {
-            return Hits::Points(cur, &self.by_lb, segs);
-        }
-        let run = &self.by_lb[cur.pos..];
-        Hits::Run(
-            run[..run.partition_point(|&(lb, _)| lb <= t.ub)].iter(),
-            segs,
-        )
+    /// `sec`, with their ids: the ones [`Cursor`] visits.
+    fn hits<'a>(
+        &'a self,
+        sec: &Section,
+        segs: &'a [SegmentDesc],
+    ) -> impl Iterator<Item = (usize, &'a SegmentDesc)> + 'a {
+        let mut cur = self.cursor(sec);
+        std::iter::from_fn(move || {
+            let (_, id) = cur.next(&self.by_lb)?;
+            Some((id as usize, &segs[id as usize]))
+        })
     }
 
     fn cursor(&self, sec: &Section) -> Cursor {
         let t = dim0(sec);
-        let pos = if t.is_empty() {
-            self.by_lb.len()
-        } else {
-            self.by_lb.partition_point(|&(lb, _)| lb < t.lb - self.span)
-        };
-        Cursor {
+        let mut cur = Cursor {
             t,
             span: self.span,
-            pos,
-            p: t.lb,
-        }
-    }
-}
-
-/// What [`SegIndex::hits`] yields: `(id, segment)`.
-enum Hits<'a> {
-    All(std::iter::Enumerate<std::slice::Iter<'a, SegmentDesc>>),
-    Run(std::slice::Iter<'a, (i64, u32)>, &'a [SegmentDesc]),
-    Points(Cursor, &'a [(i64, u32)], &'a [SegmentDesc]),
-}
-
-impl<'a> Iterator for Hits<'a> {
-    type Item = (usize, &'a SegmentDesc);
-
-    fn next(&mut self) -> Option<Self::Item> {
-        let (id, segs) = match self {
-            Hits::All(all) => return all.next(),
-            Hits::Run(run, segs) => (run.next()?.1, *segs),
-            Hits::Points(cur, by_lb, segs) => (by_lb[cur.next(by_lb)?].1, *segs),
+            pos: self.by_lb.len(),
+            hi: t.lb,
         };
-        Some((id as usize, &segs[id as usize]))
-    }
-
-    /// One dispatch a walk, not one a step: what `tally`, `min`, `max`
-    /// and `sum` run on.
-    fn fold<B, F: FnMut(B, Self::Item) -> B>(self, init: B, mut f: F) -> B {
-        match self {
-            Hits::All(all) => all.fold(init, f),
-            Hits::Run(run, segs) => run.fold(init, |acc, &(_, id)| {
-                let id = id as usize;
-                f(acc, (id, &segs[id]))
-            }),
-            points => {
-                let mut acc = init;
-                for hit in points {
-                    acc = f(acc, hit);
-                }
-                acc
-            }
+        if !t.is_empty() {
+            cur.pos = self.by_lb.partition_point(|&(lb, _)| lb < t.lb - self.span);
+            cur.hi = cur.run_end(t.lb);
         }
+        cur
     }
 }
 
 /// A walk over the positions in `by_lb` of the segments whose dim-0
-/// extent may hold one of a query's dim-0 points: for each point `p`, the
-/// lower bounds in `[p - span, p]`. A lower bound past `p` moves `p` to
-/// the first point at or after it, and one short of `p - span` is skipped
-/// by binary search, so a query strided wider than any segment looks up
-/// its points and a dense one scans one range. Every segment that meets
-/// the query is visited once; a visited one need not meet it.
+/// extent may hold one of a query's dim-0 points `p`: those with a lower
+/// bound in `[p - span, p]`. Consecutive points closer than `span + 1`
+/// join their windows into one run of `by_lb`, so a dense query scans one
+/// range; a query strided wider than any segment has a run per point, and
+/// the lower bounds between runs are skipped by binary search. Every
+/// segment that meets the query is visited once; a visited one need not
+/// meet it.
 struct Cursor {
     t: Triplet,
     span: i64,
     pos: usize,
-    p: i64,
+    /// The last lower bound in the current run.
+    hi: i64,
 }
 
 impl Cursor {
-    fn next(&mut self, by_lb: &[(i64, u32)]) -> Option<usize> {
-        loop {
-            let &(lb, _) = by_lb.get(self.pos)?;
-            if lb > self.p {
-                if lb > self.t.ub {
-                    self.pos = by_lb.len();
-                    return None;
-                }
-                let st = self.t.st;
-                self.p = self.t.lb + (lb - self.t.lb + st - 1) / st * st;
-            } else if lb < self.p - self.span {
-                let floor = self.p - self.span;
-                self.pos += by_lb[self.pos..].partition_point(|&(l, _)| l < floor);
-            } else {
-                self.pos += 1;
-                return Some(self.pos - 1);
-            }
+    /// Where the run holding point `p`'s window ends: at the last point
+    /// when the windows join, else at `p`.
+    fn run_end(&self, p: i64) -> i64 {
+        if self.t.st <= self.span + 1 {
+            self.t.ub
+        } else {
+            p
         }
+    }
+
+    /// The next candidate: its position in `by_lb` and its id.
+    #[inline]
+    fn next(&mut self, by_lb: &[(i64, u32)]) -> Option<(usize, u32)> {
+        loop {
+            let &(lb, id) = by_lb.get(self.pos)?;
+            if lb <= self.hi {
+                self.pos += 1;
+                return Some((self.pos - 1, id));
+            }
+            self.seek(lb, by_lb)?;
+        }
+    }
+
+    /// Open the run of the first point at or after `lb`, a lower bound
+    /// past the current run; `None` past the query's last point. Kept out
+    /// of the inlined step: a dense query has one run.
+    #[cold]
+    fn seek(&mut self, lb: i64, by_lb: &[(i64, u32)]) -> Option<()> {
+        if lb > self.t.ub {
+            self.pos = by_lb.len();
+            return None;
+        }
+        let st = self.t.st;
+        let p = self.t.lb + (lb - self.t.lb + st - 1) / st * st;
+        self.hi = self.run_end(p);
+        let floor = p - self.span;
+        self.pos += by_lb[self.pos..].partition_point(|&(l, _)| l < floor);
+        Some(())
     }
 }
 
@@ -817,8 +791,8 @@ impl RtSymbolTable {
         let mut data = Buffer::zeros(entry.elem, sec.volume() as usize);
         let mut freed = 0;
         let mut cur = entry.index.cursor(sec);
-        while let Some(k) = cur.next(&entry.index.by_lb) {
-            let seg = &mut entry.segments[entry.index.by_lb[k].1 as usize];
+        while let Some((k, id)) = cur.next(&entry.index.by_lb) {
+            let seg = &mut entry.segments[id as usize];
             if !seg.section.overlaps(sec) {
                 continue;
             }
@@ -926,8 +900,8 @@ impl RtSymbolTable {
         }
         let mut share = Vec::with_capacity(sec.rank());
         let mut cur = entry.index.cursor(sec);
-        while let Some(k) = cur.next(&entry.index.by_lb) {
-            let seg = &mut entry.segments[entry.index.by_lb[k].1 as usize];
+        while let Some((_, id)) = cur.next(&entry.index.by_lb) {
+            let seg = &mut entry.segments[id as usize];
             if let Some(data) = &mut seg.data {
                 meet_into(&mut share, &seg.section, sec);
                 if !share.is_empty() {
