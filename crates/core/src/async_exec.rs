@@ -12,20 +12,22 @@
 //! Scheduling is work-stealing: each worker owns a run queue, pushes
 //! woken tasks to its own queue, and steals from peers when dry.
 //! Parked receivers are indexed by [`Tag`], so a send wakes exactly the
-//! tasks that may now match; an idle-time sweep re-polls parked tasks
-//! whose deadline elapsed (producing the named timeout diagnoses) and,
-//! under an active fault plan, re-polls all parked receivers so the
-//! delivery layer's retry clock keeps ticking.
+//! tasks that may now match; under an active fault plan an idle-time
+//! sweep re-polls them while a transmission is in flight, so the
+//! delivery layer's retry clock keeps ticking. Quiescence is decided
+//! exactly, with no clock: when the last active task parks or finishes
+//! and the net has nothing in flight, no task can ever run again (only
+//! a running task sends), so an unfinished run is stuck, diagnosed as
+//! the simulator does.
 //!
 //! The observable contract: a [`ThreadReport`], a trace with wall-clock
 //! timestamps whose movement multiset is the simulator's, and named
-//! deadlock, receive-timeout, message-loss and statement-budget
-//! diagnoses — enforced by the `executor:async` fuzz oracle and the
-//! conformance suites at P up to 4096. Once a task fails, a task that
-//! would park on a receive is cancelled instead of waiting it out, and a
-//! task that can run runs to its own result. The run's error is the
-//! lowest-numbered failed task's, so a runaway on every processor names
-//! p0 as the simulator does, whichever budget ran out first.
+//! deadlock, message-loss and statement-budget diagnoses — enforced by
+//! the `executor:async` fuzz oracle and the conformance suites at P up
+//! to 4096. A task that can run runs to its own result, and the run's
+//! error is the lowest-numbered failed task's, so a runaway on every
+//! processor names p0 as the simulator does, whichever budget ran out
+//! first; tasks left parked after a failure are retired at quiescence.
 
 use crate::config::MachineConfig;
 use crate::env::RtError;
@@ -39,7 +41,6 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 use xdp_collectives::PlanCtx;
-use xdp_fault::RecvFailure;
 use xdp_ir::{Program, VarId};
 use xdp_machine::ThreadNet;
 use xdp_runtime::{Msg, Tag, Value};
@@ -136,17 +137,15 @@ impl<P: Processor> AsyncExec<P> {
                 .collect(),
             queues: (0..workers).map(|_| Mutex::new(VecDeque::new())).collect(),
             queued: (0..n).map(|_| AtomicBool::new(true)).collect(),
+            active: AtomicUsize::new(n),
             idle_mx: Mutex::new(()),
             idle_cv: Condvar::new(),
             waiters: Mutex::new(HashMap::new()),
             barrier: Mutex::new(Vec::new()),
             done: AtomicUsize::new(0),
             finished: AtomicUsize::new(0),
-            failed: AtomicBool::new(false),
-            sweeping: AtomicBool::new(false),
             net: ThreadNet::with_faults(n, self.cfg.faults.clone()),
             n,
-            timeout: self.cfg.recv_timeout,
             faults_active: self.cfg.faults.is_active(),
             start,
             traced: tcfg.enabled(),
@@ -239,45 +238,15 @@ impl<P: Processor> Machine for AsyncExec<P> {
     }
 }
 
-/// Map a delivery-layer failure to the executor's named diagnosis.
-fn recv_error(pid: usize, tag: &Tag, timeout: Duration, fail: RecvFailure) -> RtError {
-    match fail {
-        RecvFailure::Timeout => RtError::RecvTimeout(format!(
-            "p{pid}: receive of {tag} timed out after {timeout:?}"
-        )),
-        RecvFailure::Lost { attempts } => RtError::MessageLost(format!(
-            "p{pid}: receive of {tag}: message permanently lost \
-             (every transmission dropped; {attempts} attempts)"
-        )),
-    }
-}
-
-/// A section is blocked with nothing that could ever unblock it.
-fn deadlock_error(pid: usize, var: VarId, sec: &xdp_ir::Section) -> RtError {
-    RtError::Deadlock(format!(
-        "p{pid}: blocked on {var}{sec} with no outstanding receive"
-    ))
-}
-
-/// The program-end drain timed out with a receive still pending.
-fn unfinished_recv_error(pid: usize, tag: &Tag, timeout: Duration) -> RtError {
-    RtError::RecvTimeout(format!(
-        "p{pid}: unfinished receive of {tag} at program end \
-         (no message after {timeout:?})"
-    ))
-}
-
 /// A receive the task is parked on.
 #[derive(Clone)]
 struct Pending {
     req: u64,
     tag: Tag,
-    /// Wall deadline; elapsing produces the executor's named timeout.
-    deadline: Instant,
     /// Wait-start timestamp (µs) for the trace span.
     t0: f64,
     /// True during the post-`Done` drain (different wait cause and
-    /// timeout diagnosis).
+    /// stuck diagnosis).
     quiesce: bool,
 }
 
@@ -315,6 +284,11 @@ struct Shared<'a, P: Processor> {
     queues: Vec<Mutex<VecDeque<usize>>>,
     /// Dedup flag: task is in some queue (or about to be polled).
     queued: Vec<AtomicBool>,
+    /// Queue entries plus polls in progress: zero when every task is
+    /// parked or finished. Moves per wake and per poll, never per step.
+    active: AtomicUsize,
+    /// Idle workers wait under it; the one sweeping parked tasks, and the
+    /// one deciding quiescence, hold it so neither moves the other's state.
     idle_mx: Mutex<()>,
     idle_cv: Condvar,
     /// Parked receivers by tag, woken on matching sends.
@@ -325,14 +299,8 @@ struct Shared<'a, P: Processor> {
     done: AtomicUsize,
     /// Tasks with a recorded result.
     finished: AtomicUsize,
-    /// A task failed, so the run has: every other task stops at its next
-    /// poll instead of running on or waiting out a receive.
-    failed: AtomicBool,
-    /// At most one idle worker sweeps parked tasks at a time.
-    sweeping: AtomicBool,
     net: ThreadNet,
     n: usize,
-    timeout: Duration,
     faults_active: bool,
     start: Instant,
     /// Is any tracing on? Untraced runs never read the clock.
@@ -374,9 +342,11 @@ impl<P: Processor> Shared<'_, P> {
         rec.completed(pid, req, msg, (t0, t1), t0, t1);
     }
 
-    /// Queue `pid` for polling (idempotent while already queued).
+    /// Queue `pid` for polling (idempotent while already queued), active
+    /// before it can be popped.
     fn enqueue(&self, pid: usize) {
         if !self.queued[pid].swap(true, Ordering::AcqRel) {
+            self.active.fetch_add(1, Ordering::SeqCst);
             self.queues[pid % self.queues.len()]
                 .lock()
                 .unwrap()
@@ -462,29 +432,65 @@ impl<P: Processor> Shared<'_, P> {
         }
     }
 
-    /// Idle-time service: re-poll parked receivers whose deadline has
-    /// elapsed (to surface timeouts) and, under an active fault plan,
-    /// all of them (their `recv` polls drive the delivery layer's
-    /// retry/promotion clock).
+    /// Idle-time service under an active fault plan: while a
+    /// transmission is in flight, re-poll every task, since receivers'
+    /// polls drive the delivery layer's retry and promotion clock.
     fn sweep_parked(&self) {
-        if self.sweeping.swap(true, Ordering::AcqRel) {
+        let Ok(_sweeping) = self.idle_mx.try_lock() else {
+            return;
+        };
+        if self.faults_active && self.net.in_flight() {
+            (0..self.n).for_each(|pid| self.enqueue(pid));
+        }
+    }
+
+    /// No task is active: each one is parked or finished. Unless the run
+    /// is over, or a transmission is still in flight for the sweep to
+    /// land or dead-letter, no task can ever run again. Retire every task
+    /// and hand the lowest unfinished pid the stuck diagnosis — unless a
+    /// task has already failed, whose error stands.
+    fn quiesced(&self) {
+        let _sweeping = self.idle_mx.lock().unwrap();
+        if self.active.load(Ordering::SeqCst) > 0 || self.finished.load(Ordering::SeqCst) == self.n
+        {
             return;
         }
-        let now = Instant::now();
-        for pid in 0..self.n {
-            if self.queued[pid].load(Ordering::Acquire) {
-                continue;
-            }
-            let due = match self.tasks[pid].try_lock() {
-                Ok(t) => matches!(&t.state, TState::Blocked(p)
-                    if self.faults_active || now >= p.deadline),
-                Err(_) => false,
-            };
-            if due {
-                self.enqueue(pid);
-            }
+        let mut tasks: Vec<_> = self.tasks.iter().map(|t| t.lock().unwrap()).collect();
+        let failed = tasks.iter().any(|t| matches!(t.result, Some(Err(_))));
+        if !failed && self.net.in_flight() {
+            return;
         }
-        self.sweeping.store(false, Ordering::Release);
+        let waiting = (0..self.n)
+            .filter(|&pid| matches!(tasks[pid].state, TState::Blocked(_)))
+            .map(|pid| (pid, &*tasks[pid].interp));
+        let detail = || (0..self.n).map(|pid| tasks[pid].waits_on(pid)).collect();
+        let mut err =
+            (!failed).then(|| crate::proc::stuck_error(waiting, &self.net.lost(), detail));
+        for task in tasks
+            .iter_mut()
+            .filter(|t| !matches!(t.state, TState::Finished))
+        {
+            let events = task.rec.take_events();
+            task.result = Some(err.take().map_or(Ok(events), Err));
+            task.state = TState::Finished;
+            self.finished.fetch_add(1, Ordering::SeqCst);
+        }
+        self.idle_cv.notify_all();
+    }
+}
+
+impl<P: Processor> Task<'_, P> {
+    /// What a task left at quiescence waits on: a line of a deadlock.
+    fn waits_on(&self, pid: usize) -> String {
+        let at = self.interp.position();
+        match &self.state {
+            TState::Blocked(p) if p.quiesce => {
+                format!("  p{pid}: unfinished receive of {} at program end\n", p.tag)
+            }
+            TState::Blocked(p) => format!("  p{pid}: blocked on receive of {} [{at}]\n", p.tag),
+            TState::AtBarrier { .. } => format!("  p{pid}: at a barrier [{at}]\n"),
+            _ => format!("  p{pid}: finished\n"),
+        }
     }
 }
 
@@ -498,6 +504,10 @@ fn worker_loop<P: Processor>(sh: &Shared<'_, P>, w: usize) {
             Some(pid) => {
                 sh.queued[pid].store(false, Ordering::Release);
                 poll_task(sh, pid);
+                // A task still able to run is queued again by now.
+                if sh.active.fetch_sub(1, Ordering::SeqCst) == 1 {
+                    sh.quiesced();
+                }
             }
             None => {
                 sh.sweep_parked();
@@ -526,29 +536,16 @@ fn poll_task<P: Processor>(sh: &Shared<'_, P>, pid: usize) {
             TState::Runnable => run_quantum(sh, task, pid),
         };
         if !advanced {
-            // Parked after a peer failed: cancelled, not left to wait out
-            // a receive the failed task may never send.
-            if let TState::Blocked(p) = &task.state {
-                if sh.failed.load(Ordering::Acquire) {
-                    sh.deregister(pid, &p.tag);
-                    finish(sh, task, Ok(()));
-                }
-            }
             return;
         }
     }
 }
 
 /// Record a result, retire the task, and propagate barrier/idle wakeups.
-/// A failure wakes every task: one that would park on a receive is
-/// cancelled, and one that can run goes on to its own result.
 fn finish<P: Processor>(sh: &Shared<'_, P>, task: &mut Task<'_, P>, res: Result<(), RtError>) {
     if !task.counted_done {
         task.counted_done = true;
         sh.done.fetch_add(1, Ordering::SeqCst);
-    }
-    if res.is_err() && !sh.failed.swap(true, Ordering::AcqRel) {
-        (0..sh.n).for_each(|p| sh.enqueue(p));
     }
     task.result = Some(res.map(|()| task.rec.take_events()));
     task.state = TState::Finished;
@@ -573,26 +570,18 @@ fn await_recv<P: Processor>(
     pid: usize,
     p: Pending,
 ) -> bool {
-    let res = match sh.net.recv_diag(&p.tag, pid, Duration::ZERO) {
-        Ok(msg) => {
-            let cause = if p.quiesce {
-                WaitCause::Quiesce
-            } else {
-                WaitCause::Message(p.req)
-            };
-            task.rec.wait(pid, cause, Some(p.req), p.t0, sh.edge());
-            sh.delivered(&mut task.rec, pid, p.req, &msg, p.t0);
-            task.interp.complete_recv(p.req, msg)
-        }
-        Err(RecvFailure::Timeout) if Instant::now() < p.deadline => {
-            task.state = TState::Blocked(p);
-            return false;
-        }
-        Err(RecvFailure::Timeout) if p.quiesce => {
-            Err(unfinished_recv_error(pid, &p.tag, sh.timeout))
-        }
-        Err(fail) => Err(recv_error(pid, &p.tag, sh.timeout, fail)),
+    let Some(msg) = sh.net.recv(&p.tag, pid, Duration::ZERO) else {
+        task.state = TState::Blocked(p);
+        return false;
     };
+    let cause = if p.quiesce {
+        WaitCause::Quiesce
+    } else {
+        WaitCause::Message(p.req)
+    };
+    task.rec.wait(pid, cause, Some(p.req), p.t0, sh.edge());
+    sh.delivered(&mut task.rec, pid, p.req, &msg, p.t0);
+    let res = task.interp.complete_recv(p.req, msg);
     sh.deregister(pid, &p.tag);
     match res {
         Ok(()) if p.quiesce => task.state = TState::Draining,
@@ -603,7 +592,7 @@ fn await_recv<P: Processor>(
 }
 
 /// Register as a waiter on `tag` and poll receive `req` once, parking
-/// with a fresh deadline if it is not yet deliverable.
+/// if it is not yet deliverable.
 fn start_recv<P: Processor>(
     sh: &Shared<'_, P>,
     task: &mut Task<'_, P>,
@@ -615,7 +604,6 @@ fn start_recv<P: Processor>(
     let p = Pending {
         req,
         tag,
-        deadline: Instant::now() + sh.timeout,
         t0: sh.edge(),
         quiesce,
     };
@@ -726,9 +714,11 @@ fn run_quantum<P: Processor>(sh: &Shared<'_, P>, task: &mut Task<'_, P>, pid: us
                 task.posted = true;
             }
             Action::BlockOn { var, sec } => {
-                // Service the first outstanding receive gating this section.
+                // Service the first outstanding receive gating this section;
+                // with none, nothing could ever unblock it.
                 let Some(recv) = task.interp.outstanding_for(var, &sec).into_iter().next() else {
-                    finish(sh, task, Err(deadlock_error(pid, var, &sec)));
+                    let e = format!("p{pid}: blocked on {var}{sec} with no outstanding receive");
+                    finish(sh, task, Err(RtError::Deadlock(e)));
                     return true;
                 };
                 if !start_recv(sh, task, pid, recv, false) {
@@ -926,12 +916,11 @@ mod tests {
         assert_eq!(sexec.gather(a), aexec.gather(a));
     }
 
-    /// Nothing is ever sent, so the receive's deadline elapses: the
-    /// diagnosis is the *timeout* variant, not Deadlock (the executor has
-    /// not proven no progress is possible, only waited), and its text is
-    /// pinned — awaited, and left unfinished at program end.
+    /// Nothing is ever sent, so once both tasks park the run is stuck:
+    /// a deadlock at once, naming what each pid waits on — awaited, and
+    /// left unfinished at program end. The text is pinned.
     #[test]
-    fn async_recv_timeout_text_is_pinned() {
+    fn async_stuck_text_is_pinned() {
         let run = |awaited: bool| {
             let mut p = Program::new();
             let a = p.declare(b::array(
@@ -948,35 +937,30 @@ mod tests {
                 p.body.push(b::guarded(b::await_(mine), vec![]));
             }
             let cfg = MachineConfig {
-                recv_timeout: Duration::from_millis(50),
                 workers: 1,
                 ..MachineConfig::new(2)
             };
             AsyncExec::new(Arc::new(p), KernelRegistry::standard(), cfg)
                 .run()
                 .unwrap_err()
+                .to_string()
         };
-        let err = run(true);
-        assert!(matches!(err, RtError::RecvTimeout(_)), "{err:?}");
-        let text = err.to_string();
-        assert!(
-            text.contains("p0: receive of v0[1:2] timed out after 50ms"),
-            "{text}"
+        assert_eq!(
+            run(true),
+            "deadlock:\n  p0: blocked on receive of v0[1:2] [stmt 1/2]\n  \
+             p1: blocked on receive of v0[3:4] [stmt 1/2]\n"
         );
-        let err = run(false);
-        assert!(matches!(err, RtError::RecvTimeout(_)), "{err:?}");
-        let text = err.to_string();
-        assert!(
-            text.contains(
-                "p0: unfinished receive of v0[1:2] at program end (no message after 50ms)"
-            ),
-            "{text}"
+        assert_eq!(
+            run(false),
+            "deadlock:\n  p0: unfinished receive of v0[1:2] at program end\n  \
+             p1: unfinished receive of v0[3:4] at program end\n"
         );
     }
 
-    /// A failed task cancels a parked peer: p0 runs away and stops at the
-    /// statement budget, and p1, parked on a receive p0 never sends, stops
-    /// at once instead of waiting out its minute-long timeout.
+    /// A failed task leaves no peer waiting: p0 runs away and stops at the
+    /// statement budget, p1 is parked on a receive p0 never sends, so the
+    /// machine is quiescent at once and the run names p0's error, not a
+    /// deadlock.
     #[test]
     fn a_failing_task_cancels_its_peers() {
         let mut p = Program::new();
@@ -1011,7 +995,6 @@ mod tests {
             ),
         ];
         let cfg = MachineConfig {
-            recv_timeout: Duration::from_secs(60),
             workers: 2,
             max_steps: 10_000,
             ..MachineConfig::new(2)
@@ -1130,11 +1113,7 @@ mod tests {
         let mut exec = AsyncExec::new(
             prog,
             KernelRegistry::standard(),
-            MachineConfig {
-                recv_timeout: Duration::from_secs(2),
-                ..MachineConfig::new(4)
-            }
-            .with_faults(plan),
+            MachineConfig::new(4).with_faults(plan),
         );
         exec.init_exclusive(a, |idx| Value::F64(idx[0] as f64));
         exec.init_exclusive(bb, |idx| Value::F64(idx[0] as f64));

@@ -7,7 +7,6 @@
 //! handed refuses the run by name rather than ignore it. [`MachineKind`]
 //! names the two machines that serve requests.
 
-use std::time::Duration;
 use xdp_fault::FaultPlan;
 use xdp_machine::{CostModel, Topology};
 use xdp_trace::TraceConfig;
@@ -33,10 +32,6 @@ pub struct MachineConfig {
     /// virtual time units on the simulator and wall-clock microseconds on
     /// the task machine.
     pub faults: FaultPlan,
-    /// Task machine only: how long a blocked receive may wait before the
-    /// run is declared timed out. The other machines detect a receive
-    /// that can never complete exactly and never read this.
-    pub recv_timeout: Duration,
     /// Task machine only: worker threads; 0 means
     /// `min(available cores, nprocs)`.
     pub workers: usize,
@@ -49,10 +44,9 @@ pub struct MachineConfig {
 
 impl MachineConfig {
     /// A checked 1993-flavored machine of `nprocs` processors on a uniform
-    /// interconnect: no tracing, no faults, 5-second receive timeout,
-    /// auto-sized worker pool, and a statement budget of 500 M steps a
-    /// processor — the simulator's old loop bound, so nothing it ran stops
-    /// short of it.
+    /// interconnect: no tracing, no faults, auto-sized worker pool, and a
+    /// statement budget of 500 M steps a processor — the simulator's old
+    /// loop bound, so nothing it ran stops short of it.
     pub fn new(nprocs: usize) -> MachineConfig {
         MachineConfig {
             nprocs,
@@ -61,7 +55,6 @@ impl MachineConfig {
             checked: true,
             trace: TraceConfig::off(),
             faults: FaultPlan::none(),
-            recv_timeout: Duration::from_secs(5),
             workers: 0,
             max_steps: 500_000_000,
         }

@@ -70,18 +70,15 @@ pub enum RtError {
     ZeroStep,
     /// Integer `/` or `%` with a zero divisor.
     DivisionByZero,
-    /// Deadlock detected by the executor.
+    /// No processor can ever advance and the run is not over: a receive
+    /// nobody sends, one left unmatched at program end, a barrier facing a
+    /// blocked peer. Every machine decides this exactly, from its state.
     Deadlock(String),
     /// Processor `pid` took the machine's statement budget of steps
     /// ([`crate::MachineConfig::max_steps`]) without finishing: a runaway
     /// program, or one larger than the budget allows. On the task machine,
     /// where several processors may fail, the run names the lowest pid.
     StepBudget { pid: usize, max_steps: u64 },
-    /// A receive's deadline elapsed with no eligible message — the message
-    /// may be late, still retrying, or never sent. Distinct from
-    /// [`RtError::Deadlock`] (the executor proved no progress is possible)
-    /// and [`RtError::MessageLost`] (the message is known dropped).
-    RecvTimeout(String),
     /// A message was permanently lost in transit: fault injection dropped
     /// every transmission attempt and the delivery layer dead-lettered it.
     MessageLost(String),
@@ -134,7 +131,6 @@ impl std::fmt::Display for RtError {
             RtError::StepBudget { pid, max_steps } => {
                 write!(f, "p{pid}: statement budget of {max_steps} steps exhausted")
             }
-            RtError::RecvTimeout(d) => write!(f, "receive timed out:\n{d}"),
             RtError::MessageLost(d) => write!(f, "message lost:\n{d}"),
             RtError::Topology(d) => write!(f, "topology mismatch:\n{d}"),
             RtError::SpawnFailed(d) => write!(f, "thread spawn failed:\n{d}"),

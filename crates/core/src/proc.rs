@@ -24,6 +24,7 @@ use crate::report::{ExecReport, Gathered};
 use std::sync::Arc;
 use xdp_collectives::PlanCtx;
 use xdp_ir::{Section, VarId};
+use xdp_machine::LostMsg;
 use xdp_runtime::{Msg, Tag, Value};
 
 /// One SPMD processor: a program counter over a per-processor program plus
@@ -92,6 +93,30 @@ pub fn gather<P: Processor>(procs: &[P], var: VarId) -> Gathered {
         g.absorb(pid, &p.env().symtab, var);
     }
     g
+}
+
+/// Why a run no processor can advance is stuck, the one diagnosis of
+/// every machine: the loss of a message an outstanding receive of a
+/// `waiting` processor could have matched, else the deadlock `detail`
+/// describes.
+pub(crate) fn stuck_error<'a, P: Processor + 'a>(
+    waiting: impl IntoIterator<Item = (usize, &'a P)>,
+    lost: &[LostMsg],
+    detail: impl FnOnce() -> String,
+) -> RtError {
+    let recvs = waiting
+        .into_iter()
+        .flat_map(|(pid, p)| p.outstanding().into_iter().map(move |r| (pid, r.1)));
+    for (pid, tag) in recvs {
+        if let Some(dl) = lost.iter().find(|l| l.matches(&tag, pid)) {
+            return RtError::MessageLost(format!(
+                "p{pid}: receive of {tag}: message from p{} permanently lost \
+                 (every transmission dropped; {} attempts)",
+                dl.src, dl.attempts
+            ));
+        }
+    }
+    RtError::Deadlock(detail())
 }
 
 /// A loaded machine seen through the one run protocol: initialize the

@@ -301,39 +301,34 @@ impl<P: Processor> SimExec<P> {
                         self.drain_due(pid)?;
                     }
                 }
-                break;
-            }
-
-            // No progress possible. If a blocked processor was waiting on a
-            // message the fault layer permanently lost, that is a *loss*,
-            // not a deadlock — name it.
-            for p in 0..self.cfg.nprocs {
-                if !matches!(self.status[p], PStatus::Blocked { .. }) {
-                    continue;
-                }
-                for (_, tag) in self.interps[p].outstanding() {
-                    if let Some(dl) = self.net.lost().iter().find(|l| l.matches(&tag, p)) {
-                        return Err(RtError::MessageLost(format!(
-                            "p{p}: receive of {tag}: message from p{} permanently lost \
-                             (every transmission dropped; {} attempts)",
-                            dl.src, dl.attempts
-                        )));
-                    }
+                // A receive still outstanding now was never matched, and
+                // nothing is left to send it: the run is stuck.
+                if self
+                    .interps
+                    .iter()
+                    .all(|i| i.env().next_outstanding(0).is_none())
+                {
+                    break;
                 }
             }
 
-            // Deadlock.
-            let mut detail = String::new();
-            for p in 0..self.cfg.nprocs {
-                detail.push_str(&format!(
-                    "  p{p}: {:?} at t={} [{}]\n",
-                    self.status[p],
-                    self.clocks[p],
-                    self.interps[p].position(),
-                ));
-            }
-            detail.push_str(&self.net.pending_detail());
-            return Err(RtError::Deadlock(detail));
+            // No progress possible: a receive a blocked or finished
+            // processor waits on was permanently lost, or a deadlock.
+            let waiting = (0..self.cfg.nprocs)
+                .filter(|&p| matches!(self.status[p], PStatus::Blocked { .. } | PStatus::Done))
+                .map(|p| (p, &self.interps[p]));
+            return Err(crate::proc::stuck_error(waiting, self.net.lost(), || {
+                let mut detail = String::new();
+                for p in 0..self.cfg.nprocs {
+                    detail.push_str(&format!(
+                        "  p{p}: {:?} at t={} [{}]\n",
+                        self.status[p],
+                        self.clocks[p],
+                        self.interps[p].position(),
+                    ));
+                }
+                detail + &self.net.pending_detail()
+            }));
         }
 
         let virtual_time = self.clocks.iter().copied().fold(0.0f64, f64::max);

@@ -72,6 +72,15 @@ impl Default for FaultPlan {
     }
 }
 
+/// The longest one retry timeout or injected delay may be, in time units:
+/// a minute of wall time on the task machine. A spec asking for more is
+/// refused, and the retry schedule's backoff stops growing here.
+pub const MAX_WAIT: f64 = 60e6;
+
+/// The most retransmissions a spec may ask for before a message is
+/// dead-lettered: twice the largest any test or claim uses (32).
+pub const MAX_RETRIES: u32 = 64;
+
 /// A malformed `--faults` spec.
 #[derive(Clone, PartialEq, Debug)]
 pub struct PlanParseError(pub String);
@@ -117,16 +126,17 @@ impl FaultPlan {
         self.kill.iter().any(|&(s, n)| s == src && n == seq)
     }
 
+    /// Retry timeout after `attempts` transmissions: `rto * backoff^(n-1)`,
+    /// capped at [`MAX_WAIT`]. The one retry schedule of both nets.
+    pub fn rto_after(&self, attempts: u32) -> f64 {
+        let exp = attempts.saturating_sub(1).min(i32::MAX as u32) as i32;
+        (self.rto * self.backoff.powi(exp)).min(MAX_WAIT)
+    }
+
     /// Cumulative backoff delay before transmission attempt `attempt`
     /// (attempt 0 is the original send: delay 0).
     pub fn retry_delay(&self, attempt: u32) -> f64 {
-        let mut total = 0.0;
-        let mut step = self.rto;
-        for _ in 0..attempt {
-            total += step;
-            step *= self.backoff;
-        }
-        total
+        (1..=attempt).map(|n| self.rto_after(n)).sum()
     }
 
     /// Parse a CLI spec: comma-separated `key=value` pairs.
@@ -150,36 +160,46 @@ impl FaultPlan {
                     .filter(|p| (0.0..=1.0).contains(p))
                     .ok_or_else(|| PlanParseError(format!("`{key}={v}` is not in [0,1]")))
             };
-            let num = |v: &str| -> Result<f64, PlanParseError> {
+            let time = |v: &str| -> Result<f64, PlanParseError> {
                 v.parse::<f64>()
                     .ok()
-                    .filter(|x| *x >= 0.0)
-                    .ok_or_else(|| PlanParseError(format!("`{key}={v}` is not a number >= 0")))
+                    .filter(|x| (0.0..=MAX_WAIT).contains(x))
+                    .ok_or_else(|| PlanParseError(format!("`{key}={v}` is not in [0,{MAX_WAIT}]")))
             };
             match key {
                 "drop" => plan.default.drop = prob(val)?,
                 "dup" => plan.default.dup = prob(val)?,
                 "reorder" => plan.default.reorder = prob(val)?,
                 "delayp" => plan.default.delay_p = prob(val)?,
-                "delay" => plan.default.delay = num(val)?,
+                "delay" => plan.default.delay = time(val)?,
                 "seed" => {
                     plan.seed = val
                         .parse()
                         .map_err(|_| PlanParseError(format!("`seed={val}` is not a u64")))?
                 }
-                "rto" => plan.rto = num(val)?,
+                "rto" => plan.rto = time(val)?,
                 "backoff" => {
-                    plan.backoff = num(val)?;
-                    if plan.backoff < 1.0 {
-                        return Err(PlanParseError(format!(
-                            "`backoff={val}` must be >= 1 (retries must not accelerate)"
-                        )));
-                    }
+                    plan.backoff = val
+                        .parse::<f64>()
+                        .ok()
+                        .filter(|x| x.is_finite() && *x >= 1.0)
+                        .ok_or_else(|| {
+                            PlanParseError(format!(
+                                "`backoff={val}` must be a finite number >= 1 \
+                                 (retries must not accelerate)"
+                            ))
+                        })?
                 }
                 "retries" => {
-                    plan.max_retries = val
-                        .parse()
-                        .map_err(|_| PlanParseError(format!("`retries={val}` is not a u32")))?
+                    plan.max_retries =
+                        val.parse()
+                            .ok()
+                            .filter(|n| *n <= MAX_RETRIES)
+                            .ok_or_else(|| {
+                                PlanParseError(format!(
+                                    "`retries={val}` is not in [0,{MAX_RETRIES}]"
+                                ))
+                            })?
                 }
                 "kill" => {
                     let parsed = val
@@ -233,6 +253,23 @@ mod tests {
         assert!(FaultPlan::parse("wibble=1").is_err());
         assert!(FaultPlan::parse("kill=zz").is_err());
         assert!(FaultPlan::parse("backoff=0.5").is_err());
+        // Hostile values a worker must never be handed: a delay or retry
+        // timeout no clock can hold, and a retry chain without end.
+        for spec in [
+            "delayp=1,delay=inf",
+            "delay=1e300",
+            "delay=NaN",
+            "rto=inf",
+            "rto=60000001",
+            "backoff=inf",
+            "backoff=NaN",
+            "drop=1,retries=3000000",
+            "retries=65",
+        ] {
+            assert!(FaultPlan::parse(spec).is_err(), "{spec}");
+        }
+        let edge = FaultPlan::parse("delay=60000000,rto=60000000,retries=64").unwrap();
+        assert_eq!((edge.rto, edge.max_retries), (MAX_WAIT, MAX_RETRIES));
     }
 
     #[test]
@@ -249,5 +286,9 @@ mod tests {
         assert_eq!(p.retry_delay(1), 100.0);
         assert_eq!(p.retry_delay(2), 300.0);
         assert_eq!(p.retry_delay(3), 700.0);
+        // The backoff stops at the cap, so no chain of retries is endless.
+        let p = FaultPlan::parse("rto=60000000,backoff=1e300,retries=64").unwrap();
+        assert_eq!(p.rto_after(64), MAX_WAIT);
+        assert_eq!(p.retry_delay(65), 65.0 * MAX_WAIT);
     }
 }

@@ -39,8 +39,8 @@ struct SendPost {
 }
 
 /// A message permanently lost under fault injection: every transmission
-/// attempt was dropped. The executor consults these to report a *loss*
-/// diagnosis instead of a deadlock.
+/// attempt was dropped. Both nets keep these dead letters, and a stuck
+/// machine consults them to report a *loss* instead of a deadlock.
 #[derive(Clone, Debug)]
 pub struct LostMsg {
     pub tag: Tag,

@@ -27,11 +27,15 @@
 //!   lock, so the pending entry is removed atomically with delivery);
 //! * receivers dedup by uid, so injected duplicates and crossed
 //!   retransmissions are suppressed without double-delivery;
-//! * a message whose every attempt was dropped is dead-lettered after
-//!   `max_retries` retransmissions, and a receive that can only have been
+//! * a message whose every attempt was dropped is dead-lettered (a
+//!   [`LostMsg`], the simulator's type) after `max_retries`
+//!   retransmissions, and a blocking receive that can only have been
 //!   waiting for it reports [`RecvFailure::Lost`] — permanently lost is a
-//!   different diagnosis from late ([`RecvFailure::Timeout`]).
+//!   different diagnosis from late ([`RecvFailure::Timeout`]);
+//! * [`ThreadNet::in_flight`] says whether the protocol may still surface
+//!   a message, so the task machine can tell a stuck run from a slow one.
 
+use crate::sim::LostMsg;
 use crate::stats::NetStats;
 use parking_lot::{Condvar, Mutex};
 use std::collections::{HashMap, HashSet, VecDeque};
@@ -82,20 +86,11 @@ struct PendingEntry {
     next_retry: Instant,
 }
 
-/// A message every attempt of which was dropped.
-struct DeadLetter {
-    tag: Tag,
-    dest: Option<Vec<usize>>,
-    src: usize,
-    seq: u64,
-    attempts: u32,
-}
-
 struct State {
     queues: HashMap<Tag, VecDeque<QueuedEntry>>,
     delayed: Vec<DelayedEntry>,
     pending: Vec<PendingEntry>,
-    dead: Vec<DeadLetter>,
+    dead: Vec<LostMsg>,
     delivered: HashSet<Uid>,
     next_seq: HashMap<usize, u64>,
     /// Live redistribution staging bytes currently queued toward each
@@ -303,7 +298,7 @@ impl ThreadNet {
                     seq: p.seq,
                     tag: p.msg.tag.to_string(),
                 });
-                st.dead.push(DeadLetter {
+                st.dead.push(LostMsg {
                     tag: p.msg.tag,
                     dest: p.dest,
                     src: p.msg.src,
@@ -435,7 +430,7 @@ impl ThreadNet {
             // Nothing eligible now. If a matching message is permanently
             // dead and nothing live could still satisfy us, diagnose loss
             // immediately rather than burning the whole deadline.
-            if !st.dead.is_empty() {
+            if let Some(dl) = st.dead.iter().find(|d| d.matches(tag, self_pid)) {
                 let matches_me = |t: &Tag, dest: &Option<Vec<usize>>| {
                     t == tag
                         && match dest {
@@ -449,12 +444,9 @@ impl ThreadNet {
                         .iter()
                         .any(|d| matches_me(&d.entry.msg.tag, &d.entry.dest));
                 if !live {
-                    if let Some(dl) = st.dead.iter().find(|d| matches_me(&d.tag, &d.dest)) {
-                        let _ = (dl.src, dl.seq);
-                        return Err(RecvFailure::Lost {
-                            attempts: dl.attempts,
-                        });
-                    }
+                    return Err(RecvFailure::Lost {
+                        attempts: dl.attempts,
+                    });
                 }
             }
             // Fixed deadline: wait only for the time actually remaining,
@@ -573,18 +565,29 @@ impl ThreadNet {
             .sum()
     }
 
-    /// Count of dead-lettered (permanently lost) messages.
-    pub fn dead_letters(&self) -> usize {
-        self.inner.state.lock().dead.len()
+    /// Messages permanently lost to injected faults (dead letters).
+    pub fn lost(&self) -> Vec<LostMsg> {
+        self.inner.state.lock().dead.clone()
+    }
+
+    /// May the delivery protocol still surface a message — is an unacked
+    /// message waiting on its retry timer, or an attempt sitting out an
+    /// injected delay? Only a receiver's poll moves either along, and
+    /// every message sent has one or the other until it is claimed or
+    /// dead-lettered, so `false` with no sender running is final. Always
+    /// `false` on a reliable net.
+    pub fn in_flight(&self) -> bool {
+        self.inner.injector.is_some() && {
+            let st = self.inner.state.lock();
+            !st.pending.is_empty() || !st.delayed.is_empty()
+        }
     }
 }
 
-/// Retry timeout after `attempts` transmissions: `rto * backoff^(n-1)`,
-/// converted from the plan's microseconds to a `Duration`.
+/// The plan's retry timeout after `attempts` transmissions, from its
+/// microseconds to a `Duration`.
 fn rto_after(plan: &FaultPlan, attempts: u32) -> Duration {
-    let exp = attempts.saturating_sub(1).min(20);
-    let us = plan.rto * plan.backoff.powi(exp as i32);
-    Duration::from_secs_f64((us * 1e-6).min(60.0))
+    Duration::from_secs_f64(plan.rto_after(attempts) * 1e-6)
 }
 
 #[cfg(test)]
@@ -807,7 +810,7 @@ mod tests {
             Err(RecvFailure::Lost { attempts }) => assert_eq!(attempts, 4),
             other => panic!("want Lost, got {other:?}"),
         }
-        assert_eq!(net.dead_letters(), 1);
+        assert_eq!(net.lost().len(), 1);
         assert_eq!(net.fault_stats().lost, 1);
     }
 

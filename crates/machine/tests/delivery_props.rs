@@ -92,7 +92,7 @@ proptest! {
         prop_assert_eq!(faulty.stats().messages, sizes.len() as u64,
             "dedup must not double-count claims");
         prop_assert_eq!(faulty.pending_messages(), 0);
-        prop_assert_eq!(faulty.dead_letters(), 0);
+        prop_assert!(faulty.lost().is_empty());
     }
 
     // SimNet: the analytic retry model arrives at the same matches as a

@@ -28,7 +28,6 @@ use crate::gen::TestProgram;
 use crate::lockstep::Lockstep;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
-use std::time::Duration;
 use xdp_compiler::passes::AutoPlace;
 use xdp_compiler::{Backend, Pass, PassManager};
 use xdp_core::{
@@ -313,13 +312,9 @@ pub fn run_lockstep(p: &Arc<Program>, nprocs: usize, mem_budget: Option<u64>) ->
 }
 
 /// Run under the async executor (task-per-processor over a fixed worker
-/// pool; short receive timeout: divergent shrink candidates must fail
-/// fast).
+/// pool). A stuck candidate fails the moment its last task parks.
 pub fn run_async(p: &Arc<Program>, nprocs: usize) -> RunResult {
-    let cfg = MachineConfig {
-        recv_timeout: Duration::from_secs(2),
-        ..oracle_cfg(nprocs, None, None)
-    };
+    let cfg = oracle_cfg(nprocs, None, None);
     run_built(p, MachineKind::Tasks, Backend::Interp, cfg)
 }
 

@@ -41,9 +41,8 @@ struct PendingSend {
 /// The lockstep executor. Mirrors [`xdp_core::SimExec`]'s
 /// init/run/gather API and is built from the same [`MachineConfig`]: it
 /// plans redistributions under `cost` and `topo` and stops at the
-/// statement budget like the machines it referees, has no clock for
-/// `recv_timeout` or `workers` to mean anything on, and refuses a fault
-/// plan.
+/// statement budget like the machines it referees, has no worker pool for
+/// `workers` to size, and refuses a fault plan.
 pub struct Lockstep {
     cfg: MachineConfig,
     interps: Vec<Interp>,

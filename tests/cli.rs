@@ -357,6 +357,14 @@ fn bad_fault_specs_exit_2_everywhere() {
     let (_, stderr, code) = xdpc_code(&["fuzz", "--count", "1", "--faults", "nope=1"]);
     assert_eq!(code, 2, "{stderr}");
     assert!(stderr.contains("bad --faults spec"), "{stderr}");
+    // Hostile values are refused by name, not run: an infinite delay
+    // panicked every task-machine worker, and three million retries of a
+    // dropped message ran past a minute.
+    for spec in ["delayp=1,delay=inf", "rto=inf", "drop=1,retries=3000000"] {
+        let (_, stderr, code) = xdpc_code(&["run", "xdp-programs/simple.xdp", "--faults", spec]);
+        assert_eq!(code, 2, "{spec}: {stderr}");
+        assert!(stderr.contains("bad --faults spec"), "{spec}: {stderr}");
+    }
 }
 
 #[test]

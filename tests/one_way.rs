@@ -1,7 +1,8 @@
 //! The "one way to do each thing" rules of DESIGN §2, as a source scan:
 //! (§3) every row of the experiment index is one test of
 //! `tests/paper_claims.rs` and no crate has a binary of its own;
-//! (§2.4) the deleted thread-per-processor machine stays deleted,
+//! (§2.4) the deleted thread-per-processor machine stays deleted, no
+//! machine waits out a receive on a clock,
 //! Figure 1's movement events are built only by `xdp_core::Recorder`, its
 //! transfer rules are written only in `xdp_core::transfer`, a machine
 //! has one description and (§2.12) one builder, and its steps are counted
@@ -170,6 +171,38 @@ fn the_thread_per_processor_machine_stays_deleted() {
         ["Thread", "Exec"].concat(),
         ["Thread", "Config"].concat(),
     ]);
+}
+
+#[test]
+fn no_machine_waits_out_a_receive() {
+    // DESIGN §2.4: every machine decides exactly when a run can no longer
+    // progress, so the task machine's per-receive timeout, its setting and
+    // its error stay deleted — in the code and in every document but the
+    // history. Spelled in halves so this file passes its own scan.
+    let names = [["recv", "_timeout"].concat(), ["Recv", "Timeout"].concat()];
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let docs = [
+        "README.md",
+        "DESIGN.md",
+        "EXPERIMENTS.md",
+        "ROADMAP.md",
+        "docs/TUTORIAL.md",
+        "Makefile",
+        ".github/workflows/ci.yml",
+    ];
+    for path in sources().into_iter().chain(docs.map(|d| root.join(d))) {
+        let text = std::fs::read_to_string(&path).unwrap();
+        for (n, line) in text.lines().enumerate() {
+            for name in &names {
+                assert!(
+                    !line.contains(name.as_str()),
+                    "{}:{}: names {name}",
+                    path.display(),
+                    n + 1
+                );
+            }
+        }
+    }
 }
 
 #[test]

@@ -6,17 +6,167 @@
 //! A receive still outstanding when every processor has finished is part
 //! of that fact: nothing will ever complete it.
 //!
-//! First, the pin: no corpus program, FFT stage or application ends with
-//! a receive outstanding on the simulator, so calling one stuck moves no
-//! run that finishes today.
+//! Each stuck case runs on the simulator and the task machine with both
+//! backends, and on the lockstep reference where it takes the
+//! configuration, and must fail with one `RtError` variant everywhere.
+//! The task machine runs under a watchdog: it decides, it does not wait.
+//! And the pin the one answer rests on: no corpus program, FFT stage or
+//! application ends with a receive outstanding on the simulator, so
+//! calling that stuck moves no run that finishes.
 
 use std::path::PathBuf;
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 use xdp::prelude::*;
 use xdp_apps::farm::FarmConfig;
 use xdp_apps::fft3d::{Fft3dConfig, Stage};
-use xdp_compiler::{compile, CompileOptions, SeqMode};
+use xdp_compiler::{compile, Backend, CompileOptions, SeqMode};
 use xdp_core::Processor;
+use xdp_verify::lockstep::Lockstep;
+
+/// How long the task machine may take over a stuck run before the test
+/// calls it hung.
+const WATCHDOG: Duration = Duration::from_secs(30);
+
+/// Each pid receives its own block of `A` under its own name, and awaits
+/// it. Nobody sends.
+const AWAITED: &str = "real A[1:4] distribute (BLOCK) onto 2
+A[mylb(A[*], 1):myub(A[*], 1)] <- A[mylb(A[*], 1):myub(A[*], 1)]
+await(A[mylb(A[*], 1):myub(A[*], 1)]) : { A[mylb(A[*], 1)] = 1.0 }
+";
+
+/// Each pid posts a receive of `A[1]` and ends without awaiting it.
+/// Nobody sends.
+const UNMATCHED_AT_END: &str = "real A[1:4] distribute (BLOCK) onto 2
+real T[0:1] distribute (BLOCK) onto 2
+T[mypid] <- A[1]
+";
+
+/// p1 awaits `A[1]`, which p0 sends only after a barrier p1 never
+/// reaches.
+const BARRIER_FACING_A_RECEIVE: &str = "real A[1:4] distribute (BLOCK) onto 2
+real T[0:1] distribute (BLOCK) onto 2
+mypid == 1 : {
+  T[1] <- A[1]
+  await(T[1]) : { T[1] = T[1] + 1.0 }
+}
+barrier
+iown(A[1]) : { A[1] -> }
+";
+
+/// p0 sends `A[1]`, and p1 receives and awaits it: a run that finishes,
+/// unless its one message is killed.
+const ONE_MESSAGE: &str = "real A[1:4] distribute (BLOCK) onto 2
+real T[0:1] distribute (BLOCK) onto 2
+iown(A[1]) : { A[1] -> }
+mypid == 1 : {
+  T[1] <- A[1]
+  await(T[1]) : { T[1] = T[1] + 1.0 }
+}
+";
+
+/// The plan that loses p0's first message: every attempt dropped, then
+/// dead-lettered after two retries.
+fn kill_first() -> FaultPlan {
+    let mut plan = FaultPlan::none();
+    plan.kill.push((0, 1));
+    plan.rto = 200.0;
+    plan.max_retries = 2;
+    plan
+}
+
+/// Run `source` on `kind` × `backend`, the task machine under the
+/// watchdog; the error's variant name, or `"Ok"`.
+fn outcome(source: &str, kind: MachineKind, backend: Backend, faults: FaultPlan) -> String {
+    let program = Arc::new(xdp_lang::parse_program(source).unwrap());
+    let cfg = MachineConfig {
+        workers: 2,
+        ..MachineConfig::new(2)
+    }
+    .with_faults(faults);
+    let start = Instant::now();
+    let run = std::thread::spawn(move || {
+        let mut exec = xdp_verify::machine(kind, backend, program, KernelRegistry::standard(), cfg);
+        exec.run_report().map(drop)
+    });
+    while !run.is_finished() {
+        let waited = start.elapsed();
+        assert!(
+            waited < WATCHDOG,
+            "{kind:?} {backend}: still running after {waited:?}"
+        );
+        std::thread::sleep(Duration::from_micros(100));
+    }
+    variant(run.join().unwrap(), start)
+}
+
+/// The lockstep reference's outcome, as [`outcome`] names it.
+fn reference(source: &str) -> String {
+    let program = Arc::new(xdp_lang::parse_program(source).unwrap());
+    let mut exec = Lockstep::new(program, KernelRegistry::standard(), MachineConfig::new(2));
+    variant(exec.run().map(drop), Instant::now())
+}
+
+fn variant(result: Result<(), RtError>, start: Instant) -> String {
+    match result {
+        Ok(()) => "Ok".into(),
+        Err(e) => {
+            let name = format!("{e:?}");
+            let name = name[..name.find(['(', ' ', '{']).unwrap_or(name.len())].to_string();
+            eprintln!("{name} after {:?}: {e}", start.elapsed());
+            name
+        }
+    }
+}
+
+/// Every machine `source` runs on, with what it answered.
+fn answers(source: &str, faults: &FaultPlan) -> Vec<(String, String)> {
+    let mut out = Vec::new();
+    for kind in [MachineKind::Sim, MachineKind::Tasks] {
+        for backend in [Backend::Interp, Backend::Vm] {
+            let got = outcome(source, kind, backend, faults.clone());
+            out.push((format!("{kind:?} {backend}"), got));
+        }
+    }
+    if !faults.is_active() {
+        out.push(("Lockstep".into(), reference(source)));
+    }
+    out
+}
+
+/// Every machine answers `source` with `want`.
+fn assert_one_answer(case: &str, source: &str, faults: FaultPlan, want: &str) {
+    for (machine, got) in answers(source, &faults) {
+        assert_eq!(got, want, "{case} on {machine}");
+    }
+}
+
+#[test]
+fn an_awaited_receive_nobody_sends_is_a_deadlock() {
+    assert_one_answer("awaited", AWAITED, FaultPlan::none(), "Deadlock");
+}
+
+#[test]
+fn a_receive_unmatched_at_program_end_is_a_deadlock() {
+    assert_one_answer("unmatched", UNMATCHED_AT_END, FaultPlan::none(), "Deadlock");
+}
+
+#[test]
+fn a_barrier_facing_a_blocked_receive_is_a_deadlock() {
+    let case = "barrier";
+    assert_one_answer(
+        case,
+        BARRIER_FACING_A_RECEIVE,
+        FaultPlan::none(),
+        "Deadlock",
+    );
+}
+
+#[test]
+fn a_killed_message_is_lost_and_a_delivered_one_is_not_stuck() {
+    assert_one_answer("delivered", ONE_MESSAGE, FaultPlan::none(), "Ok");
+    assert_one_answer("killed", ONE_MESSAGE, kill_first(), "MessageLost");
+}
 
 /// (label, program, machine size) of every corpus file, plain, optimized
 /// and auto-placed.
