@@ -450,7 +450,7 @@ impl<P: Processor> Shared<'_, P> {
     /// and hand the lowest unfinished pid the stuck diagnosis — unless a
     /// task has already failed, whose error stands.
     fn quiesced(&self) {
-        let _sweeping = self.idle_mx.lock().unwrap();
+        let _deciding = self.idle_mx.lock().unwrap();
         if self.active.load(Ordering::SeqCst) > 0 || self.finished.load(Ordering::SeqCst) == self.n
         {
             return;
