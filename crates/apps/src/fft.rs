@@ -1,6 +1,7 @@
 //! The local FFT kernel (`fft1D()` in §4) and sequential references.
 
 use std::sync::Arc;
+use xdp_core::kernels::sections;
 use xdp_core::{Kernel, KernelRegistry};
 use xdp_runtime::{Buffer, Complex};
 
@@ -107,10 +108,12 @@ impl Kernel for Fft1dKernel {
     fn name(&self) -> &str {
         "fft1d"
     }
-    fn run(&self, args: &mut [Buffer], _int_args: &[i64]) -> u64 {
-        let buf = args.first_mut().expect("fft1d(section)");
-        let v = buf.as_c64_mut().expect("fft1d needs a complex section");
-        fft1d_in_place(v)
+    fn run(&self, args: &mut [Buffer], _int_args: &[i64]) -> Result<u64, String> {
+        sections(args, 1, "(X)")?;
+        let ty = args[0].ty();
+        let v = (args[0].as_c64_mut())
+            .ok_or_else(|| format!("needs a complex section, given a {ty} one"))?;
+        Ok(fft1d_in_place(v))
     }
 }
 
@@ -123,14 +126,14 @@ impl Kernel for WorkDataKernel {
     fn name(&self) -> &str {
         "work_data"
     }
-    fn run(&self, args: &mut [Buffer], int_args: &[i64]) -> u64 {
+    fn run(&self, args: &mut [Buffer], int_args: &[i64]) -> Result<u64, String> {
         let scale = int_args.first().copied().unwrap_or(1).max(0) as u64;
         let cost = args
             .first()
             .filter(|b| !b.is_empty())
             .map(|b| b.get(0).as_f64().max(0.0) as u64)
             .unwrap_or(0);
-        cost * scale
+        Ok(cost * scale)
     }
 }
 
@@ -225,6 +228,6 @@ mod tests {
         // work_data charges by data value.
         let mut args = vec![xdp_runtime::Buffer::F64(vec![42.0])];
         let flops = r.get("work_data").unwrap().run(&mut args, &[10]);
-        assert_eq!(flops, 420);
+        assert_eq!(flops, Ok(420));
     }
 }

@@ -8,6 +8,7 @@
 //! computes its row block locally with the `matvec` kernel.
 
 use std::sync::Arc;
+use xdp_core::kernels::sections;
 use xdp_core::{Kernel, KernelRegistry};
 use xdp_ir::build as b;
 use xdp_ir::{CmpOp, DimDist, ElemType, ProcGrid, Program, VarId};
@@ -29,12 +30,20 @@ impl Kernel for MatVecKernel {
     fn name(&self) -> &str {
         "matvec"
     }
-    fn run(&self, args: &mut [Buffer], int_args: &[i64]) -> u64 {
-        let rows = int_args[0] as usize;
-        let cols = int_args[1] as usize;
-        assert_eq!(args.len(), 3, "matvec(y, m, x)");
-        assert_eq!(args[1].len(), rows * cols);
-        assert_eq!(args[2].len(), cols);
+    fn run(&self, args: &mut [Buffer], int_args: &[i64]) -> Result<u64, String> {
+        sections(args, 3, "(y, m, x, rows, cols)")?;
+        let &[rows, cols] = int_args else {
+            return Err(format!(
+                "takes (y, m, x, rows, cols), given {} sizes",
+                int_args.len()
+            ));
+        };
+        let (rows, cols) = (rows.max(0) as usize, cols.max(0) as usize);
+        if args[0].len() < rows || args[1].len() != rows * cols || args[2].len() != cols {
+            return Err(format!(
+                "wants y of {rows}, m of {rows} x {cols} and x of {cols} elements"
+            ));
+        }
         for r in 0..rows {
             let mut acc = 0.0;
             for c in 0..cols {
@@ -42,7 +51,7 @@ impl Kernel for MatVecKernel {
             }
             args[0].set(r, xdp_runtime::Value::F64(acc));
         }
-        (2 * rows * cols) as u64
+        Ok((2 * rows * cols) as u64)
     }
 }
 

@@ -11,10 +11,11 @@
 //!
 //! Scheduling is work-stealing: each worker owns a run queue, pushes
 //! woken tasks to its own queue, and steals from peers when dry.
-//! Parked receivers are indexed by [`Tag`], so a send wakes exactly the
-//! tasks that may now match; under an active fault plan an idle-time
-//! sweep re-polls them while a transmission is in flight, so the
-//! delivery layer's retry clock keeps ticking. Quiescence is decided
+//! A receiver with no message parks in the net, beside the messages of
+//! the name it waits on ([`ThreadNet::claim_or_park`]), and a send hands
+//! back exactly the tasks it may satisfy; under an active fault plan an
+//! idle-time sweep re-polls every task while a transmission is in flight,
+//! so the delivery layer's retry clock keeps ticking. Quiescence is decided
 //! exactly, with no clock: when the last active task parks or finishes
 //! and the net has nothing in flight, no task can ever run again (only
 //! a running task sends), so an unfinished run is stuck, diagnosed as
@@ -36,7 +37,7 @@ use crate::kernels::KernelRegistry;
 use crate::proc::{Machine, Processor};
 use crate::recorder::Recorder;
 use crate::report::{ExecReport, Gathered, ThreadReport};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -140,7 +141,6 @@ impl<P: Processor> AsyncExec<P> {
             active: AtomicUsize::new(n),
             idle_mx: Mutex::new(()),
             idle_cv: Condvar::new(),
-            waiters: Mutex::new(HashMap::new()),
             barrier: Mutex::new(Vec::new()),
             done: AtomicUsize::new(0),
             finished: AtomicUsize::new(0),
@@ -252,7 +252,7 @@ struct Pending {
 
 /// Task lifecycle. `Runnable` tasks sit in (or are owed a slot in) a
 /// run queue; `Blocked`/`AtBarrier` tasks are parked and re-entered by
-/// a tag wakeup, a barrier release, or the idle sweep. `Draining` is the
+/// a send's wakeup, a barrier release, or the idle sweep. `Draining` is the
 /// post-`Done` phase between two leftover receives; a task never parks
 /// in it.
 enum TState {
@@ -291,8 +291,6 @@ struct Shared<'a, P: Processor> {
     /// one deciding quiescence, hold it so neither moves the other's state.
     idle_mx: Mutex<()>,
     idle_cv: Condvar,
-    /// Parked receivers by tag, woken on matching sends.
-    waiters: Mutex<HashMap<Tag, Vec<usize>>>,
     /// Pids arrived at the current barrier generation.
     barrier: Mutex<Vec<usize>>,
     /// Tasks that will never reach another barrier (done or failed).
@@ -367,39 +365,6 @@ impl<P: Processor> Shared<'_, P> {
             }
         }
         None
-    }
-
-    fn register(&self, pid: usize, tag: &Tag) {
-        let mut w = self.waiters.lock().unwrap();
-        let v = w.entry(tag.clone()).or_default();
-        if !v.contains(&pid) {
-            v.push(pid);
-        }
-    }
-
-    fn deregister(&self, pid: usize, tag: &Tag) {
-        let mut w = self.waiters.lock().unwrap();
-        if let Some(v) = w.get_mut(tag) {
-            v.retain(|&p| p != pid);
-            if v.is_empty() {
-                w.remove(tag);
-            }
-        }
-    }
-
-    /// Wake every task parked on `tag` (a matching message may now be
-    /// deliverable). Spurious wakes re-park harmlessly.
-    fn wake_tag(&self, tag: &Tag) {
-        let pids: Vec<usize> = self
-            .waiters
-            .lock()
-            .unwrap()
-            .get(tag)
-            .cloned()
-            .unwrap_or_default();
-        for p in pids {
-            self.enqueue(p);
-        }
     }
 
     /// If every task still participating has arrived at the barrier,
@@ -559,18 +524,15 @@ fn finish<P: Processor>(sh: &Shared<'_, P>, task: &mut Task<'_, P>, res: Result<
 }
 
 /// Poll the receive `p` the task must complete before going on: a
-/// blocking await, or (`p.quiesce`) a leftover drained after `Done`. The
-/// caller registered the task as a waiter on `p.tag` *before* this poll,
-/// so a send landing between the two finds it and re-enqueues — no
-/// wakeup is lost. Returns true if the task advanced (poll again), false
-/// if it parked.
+/// blocking await, or (`p.quiesce`) a leftover drained after `Done`.
+/// Returns true if the task advanced (poll again), false if it parked.
 fn await_recv<P: Processor>(
     sh: &Shared<'_, P>,
     task: &mut Task<'_, P>,
     pid: usize,
     p: Pending,
 ) -> bool {
-    let Some(msg) = sh.net.recv(&p.tag, pid, Duration::ZERO) else {
+    let Some(msg) = sh.net.claim_or_park(&p.tag, pid) else {
         task.state = TState::Blocked(p);
         return false;
     };
@@ -581,9 +543,7 @@ fn await_recv<P: Processor>(
     };
     task.rec.wait(pid, cause, Some(p.req), p.t0, sh.edge());
     sh.delivered(&mut task.rec, pid, p.req, &msg, p.t0);
-    let res = task.interp.complete_recv(p.req, msg);
-    sh.deregister(pid, &p.tag);
-    match res {
+    match task.interp.complete_recv(p.req, msg) {
         Ok(()) if p.quiesce => task.state = TState::Draining,
         Ok(()) => task.state = TState::Runnable,
         Err(e) => finish(sh, task, Err(e)),
@@ -591,8 +551,7 @@ fn await_recv<P: Processor>(
     true
 }
 
-/// Register as a waiter on `tag` and poll receive `req` once, parking
-/// if it is not yet deliverable.
+/// Poll receive `req` for the first time, its wait starting now.
 fn start_recv<P: Processor>(
     sh: &Shared<'_, P>,
     task: &mut Task<'_, P>,
@@ -600,7 +559,6 @@ fn start_recv<P: Processor>(
     (req, tag): (u64, Tag),
     quiesce: bool,
 ) -> bool {
-    sh.register(pid, &tag);
     let p = Pending {
         req,
         tag,
@@ -695,16 +653,15 @@ fn run_quantum<P: Processor>(sh: &Shared<'_, P>, task: &mut Task<'_, P>, pid: us
             Action::Send { msg, dest } => {
                 let t = sh.now();
                 task.rec.send_init(pid, sid, &msg, t, t);
-                let tag = msg.tag.clone();
+                let wake = |woken: Vec<usize>| woken.into_iter().for_each(|p| sh.enqueue(p));
                 match dest {
-                    None => sh.net.send(msg, None),
+                    None => wake(sh.net.send(msg, None)),
                     Some(pids) => {
                         for q in pids {
-                            sh.net.send(msg.clone(), Some(vec![q]));
+                            wake(sh.net.send(msg.clone(), Some(vec![q])));
                         }
                     }
                 }
-                sh.wake_tag(&tag);
             }
             Action::PostRecv { tag, req_id } => {
                 // Nothing to do eagerly: the message is claimed at the

@@ -64,6 +64,12 @@ pub enum RtError {
     NotConformable { lhs: Section, rhs: Section },
     /// Unknown kernel name.
     UnknownKernel(String),
+    /// A kernel refused its call (wrong sections, wrong element type).
+    KernelCall {
+        pid: usize,
+        name: String,
+        detail: String,
+    },
     /// Ownership transfer of an unowned section, and similar misuse.
     BadTransfer { pid: usize, detail: String },
     /// Zero loop step.
@@ -124,6 +130,9 @@ impl std::fmt::Display for RtError {
                 write!(f, "sections do not conform: {lhs} vs {rhs}")
             }
             RtError::UnknownKernel(n) => write!(f, "unknown kernel `{n}`"),
+            RtError::KernelCall { pid, name, detail } => {
+                write!(f, "p{pid}: kernel `{name}` {detail}")
+            }
             RtError::BadTransfer { pid, detail } => write!(f, "p{pid}: {detail}"),
             RtError::ZeroStep => write!(f, "do-loop with zero step"),
             RtError::DivisionByZero => write!(f, "division by zero"),

@@ -254,8 +254,8 @@ impl Interp {
                 for (v, s) in &secs {
                     bufs.push(self.env.read_section(*v, s)?);
                 }
-                let flops = kernel.run(&mut bufs, &ints);
-                self.env.ran_kernel(name.into(), flops);
+                let ran = kernel.run(&mut bufs, &ints);
+                self.env.ran_kernel(name.into(), ran)?;
                 for ((v, s), buf) in secs.iter().zip(&bufs) {
                     self.env.write_section(*v, s, buf)?;
                 }

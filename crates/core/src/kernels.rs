@@ -17,8 +17,18 @@ pub trait Kernel: Send + Sync {
     /// Kernel name as referenced from IL.
     fn name(&self) -> &str;
     /// Execute in place on the gathered argument buffers; `int_args` are
-    /// evaluated scalar parameters. Returns the flop count performed.
-    fn run(&self, args: &mut [Buffer], int_args: &[i64]) -> u64;
+    /// evaluated scalar parameters. Returns the flop count performed, or
+    /// what is wrong with the call (the machine names the kernel).
+    fn run(&self, args: &mut [Buffer], int_args: &[i64]) -> Result<u64, String>;
+}
+
+/// A call passed `want` sections, or the error saying what it should pass.
+pub fn sections(args: &[Buffer], want: usize, signature: &str) -> Result<(), String> {
+    match args.len() {
+        n if n == want => Ok(()),
+        1 => Err(format!("takes {signature}, given 1 section")),
+        n => Err(format!("takes {signature}, given {n} sections")),
+    }
 }
 
 /// A shareable set of kernels.
@@ -73,7 +83,7 @@ impl Kernel for WorkKernel {
     fn name(&self) -> &str {
         "work"
     }
-    fn run(&self, args: &mut [Buffer], int_args: &[i64]) -> u64 {
+    fn run(&self, args: &mut [Buffer], int_args: &[i64]) -> Result<u64, String> {
         let cost = int_args.first().copied().unwrap_or(0).max(0) as u64;
         if let Some(b) = args.first_mut() {
             if !b.is_empty() {
@@ -81,7 +91,7 @@ impl Kernel for WorkKernel {
                 b.set(0, v);
             }
         }
-        cost
+        Ok(cost)
     }
 }
 
@@ -92,12 +102,12 @@ impl Kernel for CopyKernel {
     fn name(&self) -> &str {
         "copy"
     }
-    fn run(&self, args: &mut [Buffer], _int_args: &[i64]) -> u64 {
-        assert!(args.len() == 2, "copy(dst, src)");
+    fn run(&self, args: &mut [Buffer], _int_args: &[i64]) -> Result<u64, String> {
+        sections(args, 2, "(dst, src)")?;
         let (dst, src) = args.split_at_mut(1);
         let n = dst[0].len().min(src[0].len());
         dst[0].copy_from(0, &src[0], 0, n);
-        n as u64
+        Ok(n as u64)
     }
 }
 
@@ -108,14 +118,15 @@ impl Kernel for ScaleKernel {
     fn name(&self) -> &str {
         "scale"
     }
-    fn run(&self, args: &mut [Buffer], int_args: &[i64]) -> u64 {
+    fn run(&self, args: &mut [Buffer], int_args: &[i64]) -> Result<u64, String> {
+        sections(args, 1, "(X, k)")?;
         let k = Value::I64(int_args.first().copied().unwrap_or(1));
         let b = &mut args[0];
         for i in 0..b.len() {
             let v = Value::mul(b.get(i), k);
             b.set(i, v);
         }
-        b.len() as u64
+        Ok(b.len() as u64)
     }
 }
 
@@ -126,15 +137,15 @@ impl Kernel for AddIntoKernel {
     fn name(&self) -> &str {
         "add_into"
     }
-    fn run(&self, args: &mut [Buffer], _int_args: &[i64]) -> u64 {
-        assert!(args.len() == 2, "add_into(dst, src)");
+    fn run(&self, args: &mut [Buffer], _int_args: &[i64]) -> Result<u64, String> {
+        sections(args, 2, "(dst, src)")?;
         let (dst, src) = args.split_at_mut(1);
         let n = dst[0].len().min(src[0].len());
         for i in 0..n {
             let v = Value::add(dst[0].get(i), src[0].get(i));
             dst[0].set(i, v);
         }
-        n as u64
+        Ok(n as u64)
     }
 }
 
@@ -157,7 +168,7 @@ mod tests {
         let r = KernelRegistry::standard();
         let mut args = vec![Buffer::zeros(ElemType::F64, 2)];
         let flops = r.get("work").unwrap().run(&mut args, &[1234]);
-        assert_eq!(flops, 1234);
+        assert_eq!(flops, Ok(1234));
         assert_eq!(args[0].get(0), Value::F64(1.0));
     }
 
@@ -169,12 +180,12 @@ mod tests {
             src.set(i, Value::F64(i as f64 + 1.0));
         }
         let mut args = vec![Buffer::zeros(ElemType::F64, 3), src.clone()];
-        r.get("copy").unwrap().run(&mut args, &[]);
+        r.get("copy").unwrap().run(&mut args, &[]).unwrap();
         assert_eq!(args[0], src);
-        r.get("scale").unwrap().run(&mut args, &[10]);
+        r.get("scale").unwrap().run(&mut args[..1], &[10]).unwrap();
         assert_eq!(args[0].get(2), Value::F64(30.0));
         let mut args2 = vec![args[0].clone(), src];
-        r.get("add_into").unwrap().run(&mut args2, &[]);
+        r.get("add_into").unwrap().run(&mut args2, &[]).unwrap();
         assert_eq!(args2[0].get(0), Value::F64(11.0));
     }
 }

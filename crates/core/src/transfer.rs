@@ -63,10 +63,17 @@ impl ProcEnv {
         self.cur_sid = Some(sid);
     }
 
-    /// A local kernel ran in this step: charge its work and note it.
-    pub fn ran_kernel(&mut self, name: Arc<str>, flops: u64) {
+    /// A local kernel ran in this step: charge its work and note it, or
+    /// name the kernel that refused its call.
+    pub fn ran_kernel(&mut self, name: Arc<str>, ran: Result<u64, String>) -> Result<(), RtError> {
+        let flops = ran.map_err(|detail| RtError::KernelCall {
+            pid: self.pid,
+            name: name.to_string(),
+            detail,
+        })?;
         self.ops.flops += flops;
         self.cur_note = Some(StepNote::Kernel { name, flops });
+        Ok(())
     }
 
     /// Close the step that produced `action`: count it against the

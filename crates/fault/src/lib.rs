@@ -13,10 +13,11 @@
 //!   function of `(seed, src, seq, attempt)`, so a replay with the same
 //!   seed makes the same decisions regardless of thread interleaving or
 //!   executor backend;
-//! * the **delivery taxonomy** ([`RecvFailure`], [`FaultStats`],
-//!   [`FaultEvent`]) shared by `ThreadNet` and `SimNet`: named diagnoses
-//!   (lost vs. late vs. truly deadlocked), counters, and the retry /
-//!   drop / dup-suppressed events the tracer turns into `TraceKind`s.
+//! * the **delivery record** ([`FaultStats`], [`FaultEvent`]) shared by
+//!   `ThreadNet` and `SimNet`: counters, and the retry / drop /
+//!   dup-suppressed events the tracer turns into `TraceKind`s. Whether a
+//!   stuck run lost a message or deadlocked is decided once, by the
+//!   machine, from the transport's dead letters.
 //!
 //! The reliable-delivery protocol itself (sequence numbers, receiver-side
 //! dedup, ack-on-claim, exponential backoff) lives in the transports — it
@@ -31,29 +32,3 @@ pub mod stats;
 pub use inject::{Decision, Injector};
 pub use plan::{FaultPlan, LinkFault, PlanParseError};
 pub use stats::{FaultEvent, FaultEventKind, FaultStats};
-
-/// Why a receive did not return a message: the named diagnosis the
-/// executors surface instead of a blanket "deadlock".
-#[derive(Clone, PartialEq, Debug)]
-pub enum RecvFailure {
-    /// The deadline elapsed with no eligible message — the message may be
-    /// late, still retrying, or the sender never sent it.
-    Timeout,
-    /// Every retry of the only matching message was dropped: the message
-    /// is permanently lost (dead-lettered after `attempts` transmissions).
-    Lost {
-        /// Transmission attempts made before giving up.
-        attempts: u32,
-    },
-}
-
-impl std::fmt::Display for RecvFailure {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            RecvFailure::Timeout => write!(f, "timed out"),
-            RecvFailure::Lost { attempts } => {
-                write!(f, "permanently lost after {attempts} attempts")
-            }
-        }
-    }
-}

@@ -15,9 +15,9 @@
 //!   match time, so simulations are reproducible bit-for-bit.
 //! * [`thread_net::ThreadNet`] — a real shared-memory matcher with the
 //!   same matching semantics: the task machine (`xdp_core::AsyncExec`)
-//!   polls it with a zero timeout from tasks multiplexed over a few worker
-//!   threads, for wall-clock runs and for validating that the simulator
-//!   and a genuinely parallel execution agree on results.
+//!   claims from it, or parks a task on a name until a send returns it,
+//!   for wall-clock runs and for validating that the simulator and a
+//!   genuinely parallel execution agree on results.
 //!
 //! The simulated network never reorders two messages with the same name
 //! between the same pair of processors (FIFO per name), and matching is by
@@ -27,8 +27,8 @@
 //! (`SimNet::with_faults` / `ThreadNet::with_faults`): transmission
 //! attempts are then dropped/delayed/duplicated/reordered by the plan's
 //! deterministic injector, and an ack/retry delivery layer (sequence
-//! numbers, receiver-side dedup, exponential backoff, dead letters) keeps
-//! rendezvous semantics intact or reports a *named* loss diagnosis.
+//! numbers, receiver-side dedup, exponential backoff) keeps rendezvous
+//! semantics intact or dead-letters what it could not deliver.
 
 pub mod cost;
 pub mod sim;

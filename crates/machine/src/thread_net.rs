@@ -1,9 +1,10 @@
 //! The real-parallel matcher: rendezvous matching through a shared,
 //! lock-protected message pool. The task machine (`xdp_core::AsyncExec`)
-//! runs every processor as a cooperative task over a few worker threads
-//! and polls it with `Duration::ZERO`, parking a task whose message has
-//! not arrived; a blocking `recv` with a timeout remains for callers that
-//! own a thread.
+//! runs every processor as a cooperative task over a few worker threads;
+//! a task whose message has not arrived parks in the pool itself, next to
+//! the messages of the name it waits on ([`ThreadNet::claim_or_park`]),
+//! and the send that can satisfy it hands its pid back to be woken. A
+//! blocking `recv` with a timeout remains for callers that own a thread.
 //!
 //! Matching semantics are those of [`crate::sim::SimNet`]: messages pair
 //! with receives by exact name; unspecified-destination messages go to the
@@ -21,17 +22,15 @@
 //! * every send gets a per-sender sequence number; `(src, seq)` is the
 //!   message uid;
 //! * a copy of each unacked message sits on a pending list; any receiver's
-//!   wait loop retransmits entries whose retry timeout (exponential
-//!   backoff) has expired — there is no dedicated timer thread;
+//!   poll retransmits entries whose retry timeout (exponential backoff)
+//!   has expired — there is no dedicated timer thread;
 //! * claiming a message *is* the ack (the claim happens under the pool
 //!   lock, so the pending entry is removed atomically with delivery);
 //! * receivers dedup by uid, so injected duplicates and crossed
 //!   retransmissions are suppressed without double-delivery;
 //! * a message whose every attempt was dropped is dead-lettered (a
-//!   [`LostMsg`], the simulator's type) after `max_retries`
-//!   retransmissions, and a blocking receive that can only have been
-//!   waiting for it reports [`RecvFailure::Lost`] — permanently lost is a
-//!   different diagnosis from late ([`RecvFailure::Timeout`]);
+//!   [`LostMsg`], the simulator's type, listed by [`ThreadNet::lost`])
+//!   after `max_retries` retransmissions;
 //! * [`ThreadNet::in_flight`] says whether the protocol may still surface
 //!   a message, so the task machine can tell a stuck run from a slow one.
 
@@ -42,7 +41,7 @@ use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use xdp_fault::{FaultEvent, FaultEventKind, FaultPlan, FaultStats, Injector, RecvFailure};
+use xdp_fault::{FaultEvent, FaultEventKind, FaultPlan, FaultStats, Injector};
 use xdp_runtime::{Msg, Tag, REDIST_SALT_FLOOR};
 
 /// Message uid under fault injection: (sending pid, per-sender 1-based seq).
@@ -69,6 +68,27 @@ struct QueuedEntry {
     uid: Option<Uid>,
 }
 
+/// What the pool holds under one name: its queued messages, and the pids
+/// parked on a receive of it until a send can satisfy them.
+#[derive(Default)]
+struct Slot {
+    msgs: VecDeque<QueuedEntry>,
+    parked: Vec<usize>,
+}
+
+impl Slot {
+    /// Take the parked pids a message bound to `dest` may satisfy: all of
+    /// them for an unbound message, the listed ones for a bound one.
+    fn wake(&mut self, dest: &Option<Vec<usize>>) -> Vec<usize> {
+        let Some(pids) = dest else {
+            return std::mem::take(&mut self.parked);
+        };
+        let (woken, parked) = self.parked.drain(..).partition(|p| pids.contains(p));
+        self.parked = parked;
+        woken
+    }
+}
+
 /// An attempt sitting out an injected delay before it reaches the pool.
 struct DelayedEntry {
     entry: QueuedEntry,
@@ -86,8 +106,9 @@ struct PendingEntry {
     next_retry: Instant,
 }
 
+#[derive(Default)]
 struct State {
-    queues: HashMap<Tag, VecDeque<QueuedEntry>>,
+    queues: HashMap<Tag, Slot>,
     delayed: Vec<DelayedEntry>,
     pending: Vec<PendingEntry>,
     dead: Vec<LostMsg>,
@@ -116,6 +137,18 @@ impl State {
         if let Some((p, bytes)) = redist_charge(msg, dest) {
             self.redist_live[p] = self.redist_live[p].saturating_sub(bytes);
         }
+    }
+
+    /// A copy of the already-delivered message `uid` was dropped at `t`.
+    fn dup_suppressed(&mut self, t: f64, (src, seq): Uid, tag: &Tag) {
+        self.fstats.dup_suppressed += 1;
+        self.events.push(FaultEvent {
+            t,
+            kind: FaultEventKind::DupSuppressed,
+            src,
+            seq,
+            tag: tag.to_string(),
+        });
     }
 }
 
@@ -154,16 +187,9 @@ impl ThreadNet {
         ThreadNet {
             inner: Arc::new(Inner {
                 state: Mutex::new(State {
-                    queues: HashMap::new(),
-                    delayed: Vec::new(),
-                    pending: Vec::new(),
-                    dead: Vec::new(),
-                    delivered: HashSet::new(),
-                    next_seq: HashMap::new(),
                     redist_live: vec![0; nprocs],
                     stats: NetStats::new(nprocs),
-                    fstats: FaultStats::default(),
-                    events: Vec::new(),
+                    ..State::default()
                 }),
                 cond: Condvar::new(),
                 injector,
@@ -228,7 +254,7 @@ impl ThreadNet {
                 });
             } else {
                 st.redist_acquire(&entry.msg, &entry.dest);
-                let q = st.queues.entry(msg.tag.clone()).or_default();
+                let q = &mut st.queues.entry(msg.tag.clone()).or_default().msgs;
                 if d.reorder {
                     q.push_front(entry);
                 } else {
@@ -248,19 +274,12 @@ impl ThreadNet {
                 let DelayedEntry { entry, reorder, .. } = st.delayed.swap_remove(i);
                 if let Some(uid) = entry.uid {
                     if st.delivered.contains(&uid) {
-                        st.fstats.dup_suppressed += 1;
-                        st.events.push(FaultEvent {
-                            t: self.micros(now),
-                            kind: FaultEventKind::DupSuppressed,
-                            src: uid.0,
-                            seq: uid.1,
-                            tag: entry.msg.tag.to_string(),
-                        });
+                        st.dup_suppressed(self.micros(now), uid, &entry.msg.tag);
                         continue;
                     }
                 }
                 st.redist_acquire(&entry.msg, &entry.dest);
-                let q = st.queues.entry(entry.msg.tag.clone()).or_default();
+                let q = &mut st.queues.entry(entry.msg.tag.clone()).or_default().msgs;
                 if reorder {
                     q.push_front(entry);
                 } else {
@@ -273,8 +292,8 @@ impl ThreadNet {
     }
 
     /// Retransmit every pending entry whose retry timer expired; entries
-    /// out of retries are dead-lettered. Runs inside any receiver's wait
-    /// loop — the protocol needs no timer thread.
+    /// out of retries are dead-lettered. Runs inside any receiver's poll
+    /// — the protocol needs no timer thread.
     fn sweep_retries(&self, st: &mut State, now: Instant) {
         let Some(inj) = &self.inner.injector else {
             return;
@@ -328,8 +347,11 @@ impl ThreadNet {
         }
     }
 
-    /// Post a message (non-blocking: XDP sends are initiations).
-    pub fn send(&self, msg: Msg, dest: Option<Vec<usize>>) {
+    /// Post a message (non-blocking: XDP sends are initiations), and take
+    /// the pids parked on its name that it may satisfy: every one for an
+    /// unbound message, the listed ones for a bound one. The caller wakes
+    /// them; a pid whose peer claimed first parks again.
+    pub fn send(&self, msg: Msg, dest: Option<Vec<usize>>) -> Vec<usize> {
         let mut st = self.inner.state.lock();
         // Counted under the lock, so a receiver that reads the new count
         // polls after the message is in the pool.
@@ -343,12 +365,15 @@ impl ThreadNet {
                 }
             }
         }
+        let slot = st.queues.get_mut(&msg.tag);
+        let woken = slot.map_or_else(Vec::new, |slot| slot.wake(&dest));
         match &self.inner.injector {
             None => {
                 st.redist_acquire(&msg, &dest);
                 st.queues
                     .entry(msg.tag.clone())
                     .or_default()
+                    .msgs
                     .push_back(QueuedEntry {
                         msg,
                         dest,
@@ -375,6 +400,7 @@ impl ThreadNet {
         }
         drop(st);
         self.inner.cond.notify_all();
+        woken
     }
 
     /// How many messages have been sent that `pid` may claim: a count that
@@ -388,86 +414,71 @@ impl ThreadNet {
     }
 
     /// Claim the first eligible message with this name; blocks until one
-    /// arrives or `timeout` elapses (`None` on timeout or permanent loss —
-    /// use [`recv_diag`] for the named diagnosis).
-    ///
-    /// [`recv_diag`]: ThreadNet::recv_diag
-    pub fn recv(&self, tag: &Tag, self_pid: usize, timeout: Duration) -> Option<Msg> {
-        self.recv_diag(tag, self_pid, timeout).ok()
-    }
-
-    /// Claim the first eligible message with this name, or say *why not*:
-    /// [`RecvFailure::Lost`] when the only matching message was
-    /// dead-lettered (permanently dropped), [`RecvFailure::Timeout`] when
-    /// the deadline elapsed with nothing eligible.
+    /// arrives or `timeout` elapses, and is `None` then, whether the
+    /// message is late, never sent or dead-lettered ([`lost`] lists those).
     ///
     /// The deadline is fixed at entry (`Instant`-based): spurious or
     /// unrelated condvar wakeups never extend the wait. A poll — a zero
     /// timeout on a reliable net — reads no clock.
-    pub fn recv_diag(
-        &self,
-        tag: &Tag,
-        self_pid: usize,
-        timeout: Duration,
-    ) -> Result<Msg, RecvFailure> {
+    ///
+    /// [`lost`]: ThreadNet::lost
+    pub fn recv(&self, tag: &Tag, self_pid: usize, timeout: Duration) -> Option<Msg> {
         let mut st = self.inner.state.lock();
         st.stats.recv_attempts += 1;
-        if self.inner.injector.is_none() && timeout.is_zero() {
-            return self
-                .claim(&mut st, tag, self_pid, Instant::now)
-                .ok_or(RecvFailure::Timeout);
-        }
-        let deadline = Instant::now() + timeout;
+        let deadline = (!timeout.is_zero()).then(|| Instant::now() + timeout);
         loop {
-            let now = Instant::now();
-            if self.inner.injector.is_some() {
-                self.promote_delayed(&mut st, now);
-                self.sweep_retries(&mut st, now);
+            if let Some(msg) = self.poll(&mut st, tag, self_pid) {
+                return Some(msg);
             }
-            if let Some(msg) = self.claim(&mut st, tag, self_pid, || now) {
-                return Ok(msg);
-            }
-            // Nothing eligible now. If a matching message is permanently
-            // dead and nothing live could still satisfy us, diagnose loss
-            // immediately rather than burning the whole deadline.
-            if let Some(dl) = st.dead.iter().find(|d| d.matches(tag, self_pid)) {
-                let matches_me = |t: &Tag, dest: &Option<Vec<usize>>| {
-                    t == tag
-                        && match dest {
-                            None => true,
-                            Some(pids) => pids.contains(&self_pid),
-                        }
-                };
-                let live = st.pending.iter().any(|p| matches_me(&p.msg.tag, &p.dest))
-                    || st
-                        .delayed
-                        .iter()
-                        .any(|d| matches_me(&d.entry.msg.tag, &d.entry.dest));
-                if !live {
-                    return Err(RecvFailure::Lost {
-                        attempts: dl.attempts,
-                    });
-                }
-            }
-            // Fixed deadline: wait only for the time actually remaining,
-            // capped by the next retry timer / delayed-delivery instant so
-            // the protocol makes progress even with no other traffic.
-            let mut wake_at = deadline;
-            for p in &st.pending {
-                wake_at = wake_at.min(p.next_retry);
-            }
-            for d in &st.delayed {
-                wake_at = wake_at.min(d.ready_at);
-            }
+            let deadline = deadline?;
             let now = Instant::now();
             if now >= deadline {
-                return Err(RecvFailure::Timeout);
+                return None;
             }
+            // Wait only for the time actually remaining, capped by the
+            // next retry timer / delayed-delivery instant so the protocol
+            // makes progress even with no other traffic.
+            let wake_at = (st.pending.iter().map(|p| p.next_retry))
+                .chain(st.delayed.iter().map(|d| d.ready_at))
+                .fold(deadline, Instant::min);
             let wait = wake_at
                 .saturating_duration_since(now)
                 .max(Duration::from_micros(50));
             let _ = self.inner.cond.wait_for(&mut st, wait);
         }
+    }
+
+    /// The task machine's receive: claim the first eligible message with
+    /// this name, or else park `pid` on the name. Both happen under the
+    /// lock a send takes, so no send falls between a failed claim and the
+    /// park; the send that may satisfy a parked pid returns it.
+    pub fn claim_or_park(&self, tag: &Tag, pid: usize) -> Option<Msg> {
+        let mut st = self.inner.state.lock();
+        st.stats.recv_attempts += 1;
+        let msg = self.poll(&mut st, tag, pid);
+        match st.queues.get_mut(tag) {
+            Some(slot) => {
+                // A pid the fault sweep polled again is still listed.
+                slot.parked.retain(|&p| p != pid);
+                if msg.is_none() {
+                    slot.parked.push(pid);
+                }
+            }
+            None => st.queues.entry(tag.clone()).or_default().parked.push(pid),
+        }
+        msg
+    }
+
+    /// One claim, with the delivery protocol moved along first under a
+    /// fault plan: due delayed attempts land, expired retries go out.
+    fn poll(&self, st: &mut State, tag: &Tag, pid: usize) -> Option<Msg> {
+        if self.inner.injector.is_none() {
+            return self.claim(st, tag, pid, Instant::now);
+        }
+        let now = Instant::now();
+        self.promote_delayed(st, now);
+        self.sweep_retries(st, now);
+        self.claim(st, tag, pid, || now)
     }
 
     /// Claim the first eligible message with this name from the pool,
@@ -486,21 +497,14 @@ impl ThreadNet {
         };
         loop {
             let entry = {
-                let q = st.queues.get_mut(tag)?;
+                let q = &mut st.queues.get_mut(tag)?.msgs;
                 let pos = q.iter().position(eligible)?;
                 q.remove(pos).unwrap()
             };
             if let Some(uid) = entry.uid {
                 if st.delivered.contains(&uid) {
                     st.redist_release(&entry.msg, &entry.dest);
-                    st.fstats.dup_suppressed += 1;
-                    st.events.push(FaultEvent {
-                        t: self.micros(now()),
-                        kind: FaultEventKind::DupSuppressed,
-                        src: uid.0,
-                        seq: uid.1,
-                        tag: entry.msg.tag.to_string(),
-                    });
+                    st.dup_suppressed(self.micros(now()), uid, &entry.msg.tag);
                     continue;
                 }
                 st.delivered.insert(uid);
@@ -508,19 +512,13 @@ impl ThreadNet {
                 // outstanding duplicate copies so they never linger
                 // in the pool as unclaimable garbage.
                 st.pending.retain(|p| (p.msg.src, p.seq) != uid);
-                if let Some(q) = st.queues.get_mut(tag) {
+                if let Some(slot) = st.queues.get_mut(tag) {
+                    let q = &mut slot.msgs;
                     let before = q.len();
                     q.retain(|e| e.uid != Some(uid));
                     for _ in 0..before - q.len() {
                         st.redist_release(&entry.msg, &entry.dest);
-                        st.fstats.dup_suppressed += 1;
-                        st.events.push(FaultEvent {
-                            t: self.micros(now()),
-                            kind: FaultEventKind::DupSuppressed,
-                            src: uid.0,
-                            seq: uid.1,
-                            tag: entry.msg.tag.to_string(),
-                        });
+                        st.dup_suppressed(self.micros(now()), uid, &entry.msg.tag);
                     }
                 }
             }
@@ -561,7 +559,7 @@ impl ThreadNet {
             .lock()
             .queues
             .values()
-            .map(|q| q.len())
+            .map(|slot| slot.msgs.len())
             .sum()
     }
 
@@ -798,30 +796,74 @@ mod tests {
         assert!(net.recv(&tag(0), 2, Duration::from_millis(20)).is_none());
     }
 
+    /// A killed message is dead-lettered while a receiver polls: the
+    /// receive comes back empty, and the dead letter names it.
     #[test]
-    fn permanent_loss_is_diagnosed_as_lost_not_timeout() {
+    fn permanent_loss_is_dead_lettered() {
         let mut plan = FaultPlan::none();
         plan.kill.push((0, 1)); // first message from p0 never arrives
         plan.rto = 200.0;
         plan.max_retries = 3;
         let net = ThreadNet::with_faults(2, plan);
         net.send(msg(0, 0), None);
-        match net.recv_diag(&tag(0), 1, T) {
-            Err(RecvFailure::Lost { attempts }) => assert_eq!(attempts, 4),
-            other => panic!("want Lost, got {other:?}"),
-        }
-        assert_eq!(net.lost().len(), 1);
+        assert!(net.recv(&tag(0), 1, Duration::from_millis(300)).is_none());
+        let lost = net.lost();
+        assert_eq!(lost.len(), 1);
+        assert_eq!(lost[0].attempts, 4);
         assert_eq!(net.fault_stats().lost, 1);
+        assert!(!net.in_flight());
     }
 
     #[test]
-    fn missing_message_is_timeout_not_lost() {
-        // Nothing was ever sent: the diagnosis must be Timeout.
+    fn a_message_never_sent_is_not_lost() {
         let net = ThreadNet::with_faults(2, chaos_plan(7));
-        match net.recv_diag(&tag(0), 1, Duration::from_millis(30)) {
-            Err(RecvFailure::Timeout) => {}
-            other => panic!("want Timeout, got {other:?}"),
+        assert!(net.recv(&tag(0), 1, Duration::from_millis(30)).is_none());
+        assert!(net.lost().is_empty());
+        assert_eq!(net.fault_stats().lost, 0);
+    }
+
+    /// A pid parks on a name at most once; a send hands back the parked
+    /// pids it may satisfy — the listed ones if bound, all if not — and
+    /// leaves the others parked.
+    #[test]
+    fn a_send_wakes_the_pids_parked_on_its_name() {
+        let net = ThreadNet::new(4);
+        for pid in [1, 2, 2] {
+            assert!(net.claim_or_park(&tag(0), pid).is_none());
         }
+        assert!(net.claim_or_park(&tag(1), 3).is_none());
+        assert_eq!(net.send(msg(0, 0), Some(vec![2])), vec![2]);
+        assert_eq!(net.send(msg(1, 0), Some(vec![1])), Vec::<usize>::new());
+        assert_eq!(net.send(msg(1, 0), None), vec![3]);
+        assert_eq!(net.send(msg(0, 0), None), vec![1]);
+        assert_eq!(net.send(msg(0, 0), None), Vec::<usize>::new());
+        assert!(net.claim_or_park(&tag(0), 2).is_some());
+        assert!(net.claim_or_park(&tag(0), 1).is_some());
+        assert!(net.claim_or_park(&tag(0), 1).is_some());
+        assert!(net.claim_or_park(&tag(0), 1).is_none());
+        assert_eq!(net.send(msg(0, 0), Some(vec![1, 3])), vec![1]);
+        assert_eq!(net.stats().recv_claims, 3);
+    }
+
+    /// A parked pid that claims a message no send woke it for — one that
+    /// sat out an injected delay — is no longer parked.
+    #[test]
+    fn a_claim_unparks_its_pid() {
+        let mut plan = FaultPlan::uniform(
+            3,
+            LinkFault {
+                delay_p: 1.0,
+                delay: 200_000.0, // µs
+                ..LinkFault::default()
+            },
+        );
+        plan.rto = 10_000_000.0; // no retries inside the test
+        let net = ThreadNet::with_faults(2, plan);
+        assert_eq!(net.send(msg(0, 0), None), Vec::<usize>::new());
+        assert!(net.claim_or_park(&tag(0), 1).is_none());
+        std::thread::sleep(Duration::from_millis(300));
+        assert!(net.claim_or_park(&tag(0), 1).is_some());
+        assert_eq!(net.send(msg(0, 0), None), Vec::<usize>::new());
     }
 
     #[test]

@@ -375,11 +375,7 @@ impl ServePool {
         }
         ran.unwrap_or_else(|panic| {
             self.metrics.req_panics.inc();
-            let what = match (panic.downcast_ref::<&str>(), panic.downcast_ref::<String>()) {
-                (Some(s), _) => s,
-                (_, Some(s)) => s.as_str(),
-                _ => "a non-text payload",
-            };
+            let what = xdp_verify::panic_message(&*panic).unwrap_or("a non-text payload");
             Err(ServeError::Run(format!("the run panicked: {what}")))
         })
     }
@@ -709,6 +705,29 @@ mod tests {
         let snap = pool.metrics_snapshot();
         assert_eq!(snap.counter("xdp_request_panics_total", &[]), Some(1));
         assert!(pool.run_one(&spec(8)).is_ok(), "the next request is served");
+    }
+
+    /// A kernel call with the wrong sections fails its request by name on
+    /// either machine and backend, as a runtime error and not a panic.
+    #[test]
+    fn a_bad_kernel_call_fails_its_request_by_name() {
+        let source = "real A[1:8] distribute (BLOCK) onto 2\ncopy(A[mylb(A[*],1):myub(A[*],1)])\n";
+        for machine in [PoolMachine::Sim, PoolMachine::Tasks] {
+            let pool = ServePool::new(1, 8).with_machine(machine);
+            for backend in [Backend::Interp, Backend::Vm] {
+                let opts = CompileOptions::default().with_backend(backend);
+                let e = pool
+                    .run_one(&RequestSpec::new(source).with_opts(opts))
+                    .unwrap_err();
+                assert!(
+                    matches!(&e, ServeError::Run(m)
+                        if m == "p0: kernel `copy` takes (dst, src), given 1 section"),
+                    "{machine:?} {backend:?}: {e}"
+                );
+            }
+            let snap = pool.metrics_snapshot();
+            assert_eq!(snap.counter("xdp_request_panics_total", &[]), Some(0));
+        }
     }
 
     /// A runaway run stops at its machine's statement budget on either

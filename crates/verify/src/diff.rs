@@ -159,14 +159,18 @@ pub fn default_chaos_plan(seed: u64) -> FaultPlan {
 /// panics alike).
 type RunResult = Result<Fingerprint, String>;
 
+/// The text a panic was raised with, if its payload is text: what every
+/// caught panic in the workspace is reported by.
+pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> Option<&str> {
+    (payload.downcast_ref::<&str>().copied())
+        .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+}
+
 fn panic_text(e: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = e.downcast_ref::<&str>() {
-        format!("panic: {s}")
-    } else if let Some(s) = e.downcast_ref::<String>() {
-        format!("panic: {s}")
-    } else {
-        "panic: <non-string payload>".to_string()
-    }
+    format!(
+        "panic: {}",
+        panic_message(&*e).unwrap_or("<non-string payload>")
+    )
 }
 
 /// Deterministic initial value for declaration ordinal `o` at `idx` —

@@ -35,8 +35,8 @@ pub mod lockstep;
 pub mod shrink;
 
 pub use diff::{
-    check_program, check_with, default_passes, init_value, machine, CheckConfig, Divergence,
-    DEFAULT_CHECK_BUDGET,
+    check_program, check_with, default_passes, init_value, machine, panic_message, CheckConfig,
+    Divergence, DEFAULT_CHECK_BUDGET,
 };
 pub use fingerprint::Fingerprint;
 pub use fuzz::{run_fuzz, Failure, FuzzConfig, FuzzReport};

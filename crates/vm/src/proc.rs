@@ -240,8 +240,8 @@ impl VmProc {
                     let buf = self.read_sec(a.var, sec(k))?;
                     ops.bufs.push(buf);
                 }
-                let flops = kernel.run(&mut ops.bufs, &ops.ints);
-                self.env.ran_kernel(name.clone(), flops);
+                let ran = kernel.run(&mut ops.bufs, &ops.ints);
+                self.env.ran_kernel(name.clone(), ran)?;
                 for (k, a) in args.iter().enumerate() {
                     self.write_sec(a.var, sec(k), &ops.bufs[k])?;
                 }

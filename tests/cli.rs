@@ -296,6 +296,51 @@ fn integer_division_by_zero_is_a_runtime_error_not_a_panic() {
     }
 }
 
+/// A kernel handed the wrong sections is a runtime error naming the
+/// kernel on both backends, exit 1, as an unknown kernel is; never a panic.
+#[test]
+fn a_kernel_call_with_the_wrong_sections_is_a_runtime_error() {
+    let dir = std::env::temp_dir().join("xdpc_test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let mine = "A[mylb(A[*],1):myub(A[*],1)]";
+    for (file, call, says) in [
+        (
+            "kernel_fft1d_real.xdp",
+            format!("fft1d({mine})"),
+            "p0: kernel `fft1d` needs a complex section, given a real one",
+        ),
+        (
+            "kernel_copy_one.xdp",
+            format!("copy({mine})"),
+            "p0: kernel `copy` takes (dst, src), given 1 section",
+        ),
+        (
+            "kernel_scale_none.xdp",
+            "scale(2)".to_string(),
+            "p0: kernel `scale` takes (X, k), given 0 sections",
+        ),
+        (
+            "kernel_unknown.xdp",
+            format!("nosuch({mine})"),
+            "unknown kernel `nosuch`",
+        ),
+    ] {
+        let path = dir.join(file);
+        let source = format!("real A[1:8] distribute (BLOCK) onto 2\n{call}\n");
+        std::fs::write(&path, source).unwrap();
+        let path = path.to_str().unwrap();
+        for backend in ["interp", "vm"] {
+            let (_, stderr, code) = xdpc_code(&["run", path, "--backend", backend]);
+            assert_eq!(code, 1, "{call} on {backend}: {stderr}");
+            assert_eq!(
+                stderr,
+                format!("xdpc: runtime error: {says}\n"),
+                "{call} on {backend}"
+            );
+        }
+    }
+}
+
 #[test]
 fn no_arguments_prints_usage_naming_every_command() {
     let (_, stderr, code) = xdpc_code(&[]);

@@ -294,12 +294,10 @@ fn pinned_remaps() -> Vec<Remap> {
 
 /// One digest of everything a plan decides that a `redistribute` runs or
 /// `xdpc plan` reports: strategy, predicted bits, peak bytes, discipline,
-/// moved elements, the frontier and the priced alternatives (each bar the
-/// never-selectable allgather-slice point), the schedule as `xdpc plan`
-/// prints it, and, for a single-section plan, every processor's lowered
+/// moved elements, the frontier and the priced alternatives, the schedule
+/// as `xdpc plan` prints it, and, for a single-section plan, every processor's lowered
 /// statements as the pretty-printer writes them.
 fn plan_digest(prog: &Program, plan: &RedistPlan) -> u32 {
-    let selectable = |st: &collectives::Strategy| st.to_string() != "allgather-slice";
     let mut s = format!(
         "{} {:x} {} {} {}\n",
         plan.strategy,
@@ -308,11 +306,11 @@ fn plan_digest(prog: &Program, plan: &RedistPlan) -> u32 {
         plan.synchronized,
         plan.moved_elems
     );
-    for f in plan.frontier.iter().filter(|f| selectable(&f.strategy)) {
+    for f in &plan.frontier {
         let (st, t, peak, chosen) = (f.strategy, f.predicted.to_bits(), f.peak_bytes, f.chosen);
         writeln!(s, "frontier {st} {t:x} {peak} {chosen}").unwrap();
     }
-    for (st, c) in plan.alternatives.iter().filter(|(st, _)| selectable(st)) {
+    for (st, c) in &plan.alternatives {
         writeln!(s, "alt {st} {:x}", c.to_bits()).unwrap();
     }
     write!(s, "{}", plan.schedule).unwrap();

@@ -191,6 +191,26 @@ fn no_machine_waits_out_a_receive() {
 }
 
 #[test]
+fn a_lost_message_is_diagnosed_in_one_place() {
+    // DESIGN §2.4: a stuck run's loss is decided at quiescence, by
+    // `proc::stuck_error` from the net's dead letters; the net's own
+    // per-receive diagnosis stays deleted, and the task machine keeps no
+    // second index of parked receivers beside the net's. Spelled in halves
+    // so this file passes its own scan.
+    let names = [
+        ["recv", "_diag"].concat(),
+        ["Recv", "Failure"].concat(),
+        ["wake", "_tag"].concat(),
+    ];
+    assert_named_only_by_the_alias_block(&names);
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let design = std::fs::read_to_string(root.join("DESIGN.md")).unwrap();
+    for name in &names {
+        assert!(!design.contains(name.as_str()), "DESIGN.md names {name}");
+    }
+}
+
+#[test]
 fn a_machine_has_one_description_and_one_builder() {
     // The three config types folded into `MachineConfig`, the reference
     // executor's own report, and the VM's second pair of constructors.
