@@ -10,8 +10,10 @@
 //! path.
 //!
 //! A second table runs the wall-clock task machine at the acceptance-bar
-//! fault mix (10% drop) and checks real-parallel conformance; its wall
-//! columns are printed, not asserted.
+//! fault mix (10% drop) and checks real-parallel conformance: the final
+//! state is the clean run's, and the fault counters are the simulator's
+//! under the same plan, since both machines settle a message's fate from
+//! `(src, seq)` at its send. Its wall columns are printed, not asserted.
 //!
 //! Virtual time rises with drop rate (each retry adds one rto-scaled delay
 //! to the affected chain, nothing else changes), and the delivered-message
@@ -23,7 +25,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use xdp_apps::fft3d::{Fft3dConfig, Stage};
 use xdp_core::{AsyncExec, ExecReport, Gathered, KernelRegistry, Machine, MachineConfig, SimExec};
-use xdp_fault::{FaultPlan, LinkFault};
+use xdp_fault::{FaultPlan, FaultStats, LinkFault};
 use xdp_ir::{Program, Section, VarId};
 use xdp_runtime::Value;
 use xdp_trace::TraceConfig;
@@ -83,17 +85,17 @@ fn sim_run(
     )
 }
 
-/// Final state and wall milliseconds on the task machine.
+/// Final state, wall milliseconds and fault counters on the task machine.
 fn tasks_run(
     program: &Program,
     kernels: KernelRegistry,
     nprocs: usize,
     faults: FaultPlan,
-) -> (State, f64) {
+) -> (State, f64, FaultStats) {
     let cfg = MachineConfig::new(nprocs).with_faults(faults);
     let exec = AsyncExec::new(Arc::new(program.clone()), kernels, cfg);
     let (state, report) = run(exec, program);
-    (state, report.virtual_time / 1e3)
+    (state, report.virtual_time / 1e3, report.faults)
 }
 
 /// One workload: (label, program, kernel registry, machine size).
@@ -167,16 +169,27 @@ pub fn e11() -> Vec<Table> {
 
     let mut t2 = Table::new(
         "E11: task machine at the acceptance mix (drop .10)",
-        &["app", "clean-ms", "chaos-ms", "identical"],
+        &["app", "clean-ms", "chaos-ms", "retries", "identical"],
     );
     for (label, program, kernels, nprocs) in apps() {
-        let (clean, clean_ms) = tasks_run(&program, kernels(), nprocs, FaultPlan::none());
-        let (state, chaos_ms) = tasks_run(&program, kernels(), nprocs, chaos(23, 0.10));
+        let (clean, clean_ms, _) = tasks_run(&program, kernels(), nprocs, FaultPlan::none());
+        let (state, chaos_ms, faults) = tasks_run(&program, kernels(), nprocs, chaos(23, 0.10));
         assert!(
             state == clean,
             "E11: {label} on the task machine: state differs from clean"
         );
-        t2.row(&[j::s(label), j::f(clean_ms), j::f(chaos_ms), j::s("yes")]);
+        let (_, sim) = sim_run(&program, kernels(), nprocs, chaos(23, 0.10));
+        assert_eq!(
+            faults, sim.faults,
+            "E11: {label}: the task machine's fault counters differ from the simulator's"
+        );
+        t2.row(&[
+            j::s(label),
+            j::f(clean_ms),
+            j::f(chaos_ms),
+            j::u(faults.retries),
+            j::s("yes"),
+        ]);
     }
     vec![t, t2]
 }

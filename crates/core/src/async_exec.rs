@@ -13,13 +13,12 @@
 //! woken tasks to its own queue, and steals from peers when dry.
 //! A receiver with no message parks in the net, beside the messages of
 //! the name it waits on ([`ThreadNet::claim_or_park`]), and a send hands
-//! back exactly the tasks it may satisfy; under an active fault plan an
-//! idle-time sweep re-polls every task while a transmission is in flight,
-//! so the delivery layer's retry clock keeps ticking. Quiescence is decided
-//! exactly, with no clock: when the last active task parks or finishes
-//! and the net has nothing in flight, no task can ever run again (only
-//! a running task sends), so an unfinished run is stuck, diagnosed as
-//! the simulator does.
+//! back exactly the tasks it may satisfy; the net settles an injected
+//! fault when the message is sent, so nothing surfaces later. An idle
+//! worker sleeps until a task is queued or the run ends. Quiescence is
+//! decided exactly, with no clock: when the last active task parks or
+//! finishes, no task can ever run again (only a running task sends), so
+//! an unfinished run is stuck, diagnosed as the simulator does.
 //!
 //! The observable contract: a [`ThreadReport`], a trace with wall-clock
 //! timestamps whose movement multiset is the simulator's, and named
@@ -50,9 +49,6 @@ use xdp_trace::{Trace, TraceEvent, WaitCause};
 /// Statements a task executes before yielding its worker, so thousands
 /// of compute-heavy tasks share the pool fairly.
 const QUANTUM: usize = 128;
-
-/// How long an idle worker sleeps between sweeps of parked tasks.
-const IDLE_SLEEP: Duration = Duration::from_micros(500);
 
 /// The async executor. Mirrors [`crate::SimExec`]'s init/run/gather API;
 /// generic over the [`Processor`] implementation, so both the
@@ -146,7 +142,6 @@ impl<P: Processor> AsyncExec<P> {
             finished: AtomicUsize::new(0),
             net: ThreadNet::with_faults(n, self.cfg.faults.clone()),
             n,
-            faults_active: self.cfg.faults.is_active(),
             start,
             traced: tcfg.enabled(),
             timeline: tcfg.spans || tcfg.instants,
@@ -252,7 +247,7 @@ struct Pending {
 
 /// Task lifecycle. `Runnable` tasks sit in (or are owed a slot in) a
 /// run queue; `Blocked`/`AtBarrier` tasks are parked and re-entered by
-/// a send's wakeup, a barrier release, or the idle sweep. `Draining` is the
+/// a send's wakeup or a barrier release. `Draining` is the
 /// post-`Done` phase between two leftover receives; a task never parks
 /// in it.
 enum TState {
@@ -287,8 +282,9 @@ struct Shared<'a, P: Processor> {
     /// Queue entries plus polls in progress: zero when every task is
     /// parked or finished. Moves per wake and per poll, never per step.
     active: AtomicUsize,
-    /// Idle workers wait under it; the one sweeping parked tasks, and the
-    /// one deciding quiescence, hold it so neither moves the other's state.
+    /// Idle workers wait under it, re-checking the run queues and
+    /// `finished`; whoever queues a task or ends the run does so under it,
+    /// so no wakeup falls between a worker's check and its wait.
     idle_mx: Mutex<()>,
     idle_cv: Condvar,
     /// Pids arrived at the current barrier generation.
@@ -299,7 +295,6 @@ struct Shared<'a, P: Processor> {
     finished: AtomicUsize,
     net: ThreadNet,
     n: usize,
-    faults_active: bool,
     start: Instant,
     /// Is any tracing on? Untraced runs never read the clock.
     traced: bool,
@@ -345,12 +340,20 @@ impl<P: Processor> Shared<'_, P> {
     fn enqueue(&self, pid: usize) {
         if !self.queued[pid].swap(true, Ordering::AcqRel) {
             self.active.fetch_add(1, Ordering::SeqCst);
+            let _idle = self.idle_mx.lock().unwrap();
             self.queues[pid % self.queues.len()]
                 .lock()
                 .unwrap()
                 .push_back(pid);
             self.idle_cv.notify_one();
         }
+    }
+
+    /// May an idle worker sleep: is the run unfinished with every run
+    /// queue empty? Asked under `idle_mx`.
+    fn idle(&self) -> bool {
+        self.finished.load(Ordering::SeqCst) < self.n
+            && self.queues.iter().all(|q| q.lock().unwrap().is_empty())
     }
 
     /// Pop from the worker's own queue, else steal from a peer.
@@ -397,23 +400,10 @@ impl<P: Processor> Shared<'_, P> {
         }
     }
 
-    /// Idle-time service under an active fault plan: while a
-    /// transmission is in flight, re-poll every task, since receivers'
-    /// polls drive the delivery layer's retry and promotion clock.
-    fn sweep_parked(&self) {
-        let Ok(_sweeping) = self.idle_mx.try_lock() else {
-            return;
-        };
-        if self.faults_active && self.net.in_flight() {
-            (0..self.n).for_each(|pid| self.enqueue(pid));
-        }
-    }
-
     /// No task is active: each one is parked or finished. Unless the run
-    /// is over, or a transmission is still in flight for the sweep to
-    /// land or dead-letter, no task can ever run again. Retire every task
-    /// and hand the lowest unfinished pid the stuck diagnosis — unless a
-    /// task has already failed, whose error stands.
+    /// is over, no task can ever run again. Retire every task and hand the
+    /// lowest unfinished pid the stuck diagnosis — unless a task has
+    /// already failed, whose error stands.
     fn quiesced(&self) {
         let _deciding = self.idle_mx.lock().unwrap();
         if self.active.load(Ordering::SeqCst) > 0 || self.finished.load(Ordering::SeqCst) == self.n
@@ -422,9 +412,6 @@ impl<P: Processor> Shared<'_, P> {
         }
         let mut tasks: Vec<_> = self.tasks.iter().map(|t| t.lock().unwrap()).collect();
         let failed = tasks.iter().any(|t| matches!(t.result, Some(Err(_))));
-        if !failed && self.net.in_flight() {
-            return;
-        }
         let waiting = (0..self.n)
             .filter(|&pid| matches!(tasks[pid].state, TState::Blocked(_)))
             .map(|pid| (pid, &*tasks[pid].interp));
@@ -462,7 +449,6 @@ impl<P: Processor> Task<'_, P> {
 fn worker_loop<P: Processor>(sh: &Shared<'_, P>, w: usize) {
     loop {
         if sh.finished.load(Ordering::SeqCst) >= sh.n {
-            sh.idle_cv.notify_all();
             return;
         }
         match sh.pop(w) {
@@ -475,12 +461,9 @@ fn worker_loop<P: Processor>(sh: &Shared<'_, P>, w: usize) {
                 }
             }
             None => {
-                sh.sweep_parked();
-                let guard = sh.idle_mx.lock().unwrap();
-                let _ = sh
-                    .idle_cv
-                    .wait_timeout(guard, IDLE_SLEEP)
-                    .expect("idle lock poisoned");
+                let idle = sh.idle_mx.lock().unwrap();
+                let woken = sh.idle_cv.wait_while(idle, |()| sh.idle());
+                drop(woken.expect("idle lock poisoned"));
             }
         }
     }
@@ -514,13 +497,16 @@ fn finish<P: Processor>(sh: &Shared<'_, P>, task: &mut Task<'_, P>, res: Result<
     }
     task.result = Some(res.map(|()| task.rec.take_events()));
     task.state = TState::Finished;
-    sh.finished.fetch_add(1, Ordering::SeqCst);
-    // This task's departure may complete a barrier generation or, if it
-    // was the last, end the run.
+    {
+        let _idle = sh.idle_mx.lock().unwrap();
+        if sh.finished.fetch_add(1, Ordering::SeqCst) + 1 == sh.n {
+            sh.idle_cv.notify_all();
+        }
+    }
+    // This task's departure may complete a barrier generation.
     if let Some(rel) = sh.take_release() {
         sh.release_peers(&rel, None);
     }
-    sh.idle_cv.notify_all();
 }
 
 /// Poll the receive `p` the task must complete before going on: a
@@ -586,12 +572,11 @@ fn drain<P: Processor>(sh: &Shared<'_, P>, task: &mut Task<'_, P>, pid: usize) -
 /// Complete every outstanding receive whose message has already arrived,
 /// so `accessible()` polls stay live. Polls only when a poll could claim
 /// something: a message this pid may claim was sent since the last one,
-/// or a receive was posted since, or a fault plan is active (a delayed or
-/// retransmitted message surfaces only through a receiver's poll).
-/// Returns false if a completion failed the task.
+/// or a receive was posted since. Returns false if a completion failed
+/// the task.
 fn poll_arrived<P: Processor>(sh: &Shared<'_, P>, task: &mut Task<'_, P>, pid: usize) -> bool {
     let arrivals = sh.net.arrivals(pid);
-    if !(sh.faults_active || task.posted || arrivals != task.polled_at) {
+    if !(task.posted || arrivals != task.polled_at) {
         return true;
     }
     (task.polled_at, task.posted) = (arrivals, false);
@@ -1033,7 +1018,7 @@ mod tests {
         clean.init_exclusive(bb, |idx| Value::F64(idx[0] as f64 * 0.5));
         clean.run().unwrap();
 
-        let mut plan = FaultPlan::uniform(
+        let plan = FaultPlan::uniform(
             17,
             LinkFault {
                 drop: 0.1,
@@ -1043,7 +1028,6 @@ mod tests {
                 delay: 200.0,
             },
         );
-        plan.rto = 300.0;
         let mut chaos = AsyncExec::new(
             prog,
             KernelRegistry::standard(),
@@ -1065,7 +1049,6 @@ mod tests {
         let (prog, a, bb) = simple(n, 4);
         let mut plan = FaultPlan::none();
         plan.kill.push((0, 1)); // p0's first message can never arrive
-        plan.rto = 200.0;
         plan.max_retries = 3;
         let mut exec = AsyncExec::new(
             prog,

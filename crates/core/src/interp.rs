@@ -138,11 +138,6 @@ impl Interp {
         }
     }
 
-    /// True when the program has run to completion here.
-    pub fn is_done(&self) -> bool {
-        self.stack.is_empty()
-    }
-
     /// Perform one atomic step.
     pub fn step(&mut self) -> Result<StepOut, RtError> {
         let action = self.step_inner();
@@ -466,7 +461,7 @@ mod tests {
         for pid in 0..4 {
             let mut i = Interp::new(p.clone(), KernelRegistry::standard(), pid, 4, true);
             run_to_done(&mut i);
-            assert!(i.is_done());
+            assert!(i.stack.is_empty(), "the program ran to completion");
             // Each processor wrote its pid into its own block.
             let lo = 1 + 2 * pid as i64;
             assert_eq!(

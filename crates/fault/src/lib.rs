@@ -10,25 +10,25 @@
 //!   reorder probabilities plus the retry policy, parseable from the CLI's
 //!   `--faults` spec;
 //! * a **deterministic injector** ([`Injector`]) — every decision is a pure
-//!   function of `(seed, src, seq, attempt)`, so a replay with the same
-//!   seed makes the same decisions regardless of thread interleaving or
-//!   executor backend;
+//!   function of `(seed, src, seq, attempt)`, and [`Injector::fate`]
+//!   settles a message's whole retry chain at its send, so a replay with
+//!   the same seed makes the same decisions regardless of thread
+//!   interleaving or executor backend;
 //! * the **delivery record** ([`FaultStats`], [`FaultEvent`]) shared by
 //!   `ThreadNet` and `SimNet`: counters, and the retry / drop /
 //!   dup-suppressed events the tracer turns into `TraceKind`s. Whether a
 //!   stuck run lost a message or deadlocked is decided once, by the
 //!   machine, from the transport's dead letters.
 //!
-//! The reliable-delivery protocol itself (sequence numbers, receiver-side
-//! dedup, ack-on-claim, exponential backoff) lives in the transports — it
-//! needs their locks and clocks — but both implement the same contract:
-//! with `drop < 1` and enough retries, a faulty run delivers exactly the
-//! multiset of messages a fault-free run delivers.
+//! Both transports apply one [`Fate`] per message, so with `drop < 1` and
+//! enough retries a faulty run delivers exactly the multiset of messages a
+//! fault-free run delivers, and its counters and dead letters are the
+//! same on either machine.
 
 pub mod inject;
 pub mod plan;
 pub mod stats;
 
-pub use inject::{Decision, Injector};
+pub use inject::{Decision, Fate, Injector};
 pub use plan::{FaultPlan, LinkFault, PlanParseError};
 pub use stats::{FaultEvent, FaultEventKind, FaultStats};

@@ -9,14 +9,14 @@ pub struct LinkFault {
     /// Probability a transmission attempt is dropped on the wire.
     pub drop: f64,
     /// Probability a delivered attempt is duplicated (a second copy is
-    /// injected; receiver-side dedup must suppress it).
+    /// injected and suppressed).
     pub dup: f64,
     /// Probability a delivered attempt is reordered past queued traffic.
     pub reorder: f64,
     /// Probability a delivered attempt is delayed by [`LinkFault::delay`].
     pub delay_p: f64,
-    /// Extra transit time for delayed attempts, in the backend's time
-    /// units (wall microseconds on the task machine, virtual units simulated).
+    /// Extra transit time for delayed attempts, in virtual time units
+    /// (see [`FaultPlan`]).
     pub delay: f64,
 }
 
@@ -35,8 +35,9 @@ impl LinkFault {
 /// A whole-network fault plan: the default link behaviour, per-source
 /// overrides, targeted permanent kills, and the retry policy.
 ///
-/// Time quantities (`rto`, `delay`) are in the executing backend's units:
-/// wall-clock microseconds on `ThreadNet`, virtual time units on `SimNet`.
+/// Time quantities (`rto`, `delay`) are virtual time units: `SimNet` adds
+/// them to a message's transit. `ThreadNet` settles each message's fate at
+/// its send and delivers it then, so they never make it wait.
 #[derive(Clone, PartialEq, Debug)]
 pub struct FaultPlan {
     /// Seed for every injection decision (see [`crate::Injector`]).
@@ -72,9 +73,9 @@ impl Default for FaultPlan {
     }
 }
 
-/// The longest one retry timeout or injected delay may be, in time units:
-/// a minute of wall time on the task machine. A spec asking for more is
-/// refused, and the retry schedule's backoff stops growing here.
+/// The longest one retry timeout or injected delay may be, in time units.
+/// A spec asking for more is refused, and the retry schedule's backoff
+/// stops growing here.
 pub const MAX_WAIT: f64 = 60e6;
 
 /// The most retransmissions a spec may ask for before a message is
@@ -127,7 +128,8 @@ impl FaultPlan {
     }
 
     /// Retry timeout after `attempts` transmissions: `rto * backoff^(n-1)`,
-    /// capped at [`MAX_WAIT`]. The one retry schedule of both nets.
+    /// capped at [`MAX_WAIT`]. The one retry schedule, which
+    /// [`crate::Injector::fate`] reads for both nets.
     pub fn rto_after(&self, attempts: u32) -> f64 {
         let exp = attempts.saturating_sub(1).min(i32::MAX as u32) as i32;
         (self.rto * self.backoff.powi(exp)).min(MAX_WAIT)

@@ -13,7 +13,7 @@ pub struct FaultStats {
     pub injected_reorders: u64,
     /// Retransmissions performed by the delivery layer.
     pub retries: u64,
-    /// Duplicate copies suppressed by receiver-side dedup.
+    /// Duplicate copies suppressed (a message is claimed once).
     pub dup_suppressed: u64,
     /// Messages dead-lettered after exhausting retries.
     pub lost: u64,
@@ -53,7 +53,7 @@ pub enum FaultEventKind {
     DropInjected,
     /// Injection added a duplicate copy.
     DupInjected,
-    /// Receiver-side dedup suppressed a duplicate.
+    /// A duplicate was suppressed.
     DupSuppressed,
     /// The message was dead-lettered after `attempts` transmissions.
     Lost { attempts: u32 },
@@ -63,7 +63,8 @@ pub enum FaultEventKind {
 /// the sending processor and the message's rendezvous tag.
 #[derive(Clone, PartialEq, Debug)]
 pub struct FaultEvent {
-    /// Event time (wall µs on the task machine, virtual units simulated).
+    /// Event time: virtual units simulated; on the task machine, which
+    /// settles a message's fate at its send, the send's wall µs.
     pub t: f64,
     pub kind: FaultEventKind,
     /// Sending processor.

@@ -24,13 +24,14 @@
 //! earliest virtual post time with pid tie-breaking.
 //!
 //! Both backends accept an `xdp-fault` [`FaultPlan`](xdp_fault::FaultPlan)
-//! (`SimNet::with_faults` / `ThreadNet::with_faults`): transmission
-//! attempts are then dropped/delayed/duplicated/reordered by the plan's
-//! deterministic injector, and an ack/retry delivery layer (sequence
-//! numbers, receiver-side dedup, exponential backoff) keeps rendezvous
-//! semantics intact or dead-letters what it could not deliver.
+//! (`SimNet::with_faults` / `ThreadNet::with_faults`): each message's
+//! whole fate — attempts dropped and retried, duplicate, reorder, delay,
+//! or loss — is then settled at its send by the plan's deterministic
+//! injector, the same on both, keeping rendezvous semantics intact or
+//! dead-lettering what could not be delivered.
 
 pub mod cost;
+mod faults;
 pub mod sim;
 pub mod stats;
 pub mod thread_net;

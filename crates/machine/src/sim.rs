@@ -18,10 +18,11 @@
 //! simulation is reproducible bit-for-bit regardless of host scheduling.
 
 use crate::cost::CostModel;
+use crate::faults::Faults;
 use crate::stats::NetStats;
 use crate::topo::Topology;
 use std::collections::HashMap;
-use xdp_fault::{FaultEvent, FaultEventKind, FaultPlan, FaultStats, Injector};
+use xdp_fault::{FaultEvent, FaultPlan, FaultStats};
 use xdp_runtime::{Msg, Tag, REDIST_SALT_FLOOR};
 
 /// A posted, not-yet-matched send.
@@ -104,11 +105,7 @@ pub struct SimNet {
     sends: HashMap<Tag, Vec<SendPost>>,
     recvs: HashMap<Tag, Vec<RecvPost>>,
     seq: u64,
-    injector: Option<Injector>,
-    src_seq: HashMap<usize, u64>,
-    dead: Vec<LostMsg>,
-    fstats: FaultStats,
-    events: Vec<FaultEvent>,
+    faults: Faults,
     /// Live intervals of redistribution staging buffers, identified by
     /// their salt floor: `(start, end, src, dst, payload_bytes)` in
     /// virtual time. Swept by [`SimNet::redist_peak_bytes`].
@@ -134,18 +131,13 @@ impl SimNet {
     /// recorded in [`SimNet::lost`] instead of being posted. Plan time
     /// quantities (`rto`, `delay`) are virtual time units.
     pub fn with_faults(nprocs: usize, model: CostModel, topo: Topology, plan: FaultPlan) -> SimNet {
-        let injector = plan.is_active().then(|| Injector::new(plan));
         SimNet {
             model,
             topo,
             sends: HashMap::new(),
             recvs: HashMap::new(),
             seq: 0,
-            injector,
-            src_seq: HashMap::new(),
-            dead: Vec::new(),
-            fstats: FaultStats::default(),
-            events: Vec::new(),
+            faults: Faults::new(plan),
             redist_spans: Vec::new(),
             stats: NetStats::new(nprocs),
         }
@@ -161,97 +153,6 @@ impl SimNet {
         self.seq
     }
 
-    /// Resolve the fault fate of a send posted at `time`: `Some(extra)`
-    /// transit latency if it eventually delivers, `None` if it is
-    /// permanently lost (recorded in the dead-letter list).
-    fn inject(&mut self, msg: &Msg, dest: &Option<Vec<usize>>, time: f64) -> Option<f64> {
-        let Some(inj) = &self.injector else {
-            return Some(0.0);
-        };
-        let inj = inj.clone();
-        let plan = inj.plan();
-        let src_seq = {
-            let c = self.src_seq.entry(msg.src).or_insert(0);
-            *c += 1;
-            *c
-        };
-        let tag_str = msg.tag.to_string();
-        let event = |t, kind| FaultEvent {
-            t,
-            kind,
-            src: msg.src,
-            seq: src_seq,
-            tag: tag_str.clone(),
-        };
-        match inj.first_delivery(msg.src, src_seq) {
-            None => {
-                // Every allowed attempt dropped: dead-letter the message.
-                let attempts = plan.max_retries + 1;
-                for a in 0..attempts {
-                    let t = time + plan.retry_delay(a);
-                    if a > 0 {
-                        self.fstats.retries += 1;
-                        self.events
-                            .push(event(t, FaultEventKind::Retry { attempt: a }));
-                    }
-                    self.fstats.injected_drops += 1;
-                    self.events.push(event(t, FaultEventKind::DropInjected));
-                }
-                let give_up = time + plan.retry_delay(attempts);
-                self.fstats.lost += 1;
-                self.events
-                    .push(event(give_up, FaultEventKind::Lost { attempts }));
-                self.dead.push(LostMsg {
-                    tag: msg.tag.clone(),
-                    dest: dest.clone(),
-                    src: msg.src,
-                    seq: src_seq,
-                    attempts,
-                });
-                None
-            }
-            Some((k, d)) => {
-                for a in 0..k {
-                    let t = time + plan.retry_delay(a);
-                    if a > 0 {
-                        self.fstats.retries += 1;
-                        self.events
-                            .push(event(t, FaultEventKind::Retry { attempt: a }));
-                    }
-                    self.fstats.injected_drops += 1;
-                    self.events.push(event(t, FaultEventKind::DropInjected));
-                }
-                let mut extra = plan.retry_delay(k);
-                if k > 0 {
-                    self.fstats.retries += 1;
-                    self.events
-                        .push(event(time + extra, FaultEventKind::Retry { attempt: k }));
-                }
-                if d.extra_delay > 0.0 {
-                    self.fstats.injected_delays += 1;
-                    extra += d.extra_delay;
-                }
-                if d.reorder {
-                    // Reordering cannot change rendezvous-by-name matching
-                    // outcomes in virtual time (pairs are picked by post
-                    // time); counted for parity with the threaded net.
-                    self.fstats.injected_reorders += 1;
-                }
-                if d.dup {
-                    // The matcher consumes each send exactly once, so the
-                    // duplicate copy is suppressed analytically.
-                    self.fstats.injected_dups += 1;
-                    self.events
-                        .push(event(time + extra, FaultEventKind::DupInjected));
-                    self.fstats.dup_suppressed += 1;
-                    self.events
-                        .push(event(time + extra, FaultEventKind::DupSuppressed));
-                }
-                Some(extra)
-            }
-        }
-    }
-
     /// Post a send at virtual `time` on the sending processor. Returns the
     /// completion if a matching receive was already waiting.
     pub fn post_send(
@@ -260,7 +161,9 @@ impl SimNet {
         dest: Option<Vec<usize>>,
         time: f64,
     ) -> Option<Completion> {
-        let Some(extra) = self.inject(&msg, &dest, time) else {
+        // A reorder or a duplicate is only counted: pairs are picked by
+        // post time, and the matcher consumes each send once.
+        let Some((extra, _)) = self.faults.settle(&msg, &dest, |rel| time + rel) else {
             return None; // permanently lost: never enters the matcher
         };
         let seq = self.next_seq();
@@ -420,17 +323,17 @@ impl SimNet {
 
     /// Messages permanently lost to injected faults (dead letters).
     pub fn lost(&self) -> &[LostMsg] {
-        &self.dead
+        &self.faults.dead
     }
 
     /// Snapshot of fault/delivery counters (all zero without a plan).
     pub fn fault_stats(&self) -> FaultStats {
-        self.fstats
+        self.faults.stats
     }
 
     /// Timestamped fault events (virtual time).
     pub fn fault_events(&self) -> &[FaultEvent] {
-        &self.events
+        &self.faults.events
     }
 
     /// Numbers of unmatched sends and receives (for deadlock diagnosis).

@@ -12,40 +12,35 @@
 //! pid. The benchmark's `exec-comm-tasks` workload runs on this backend;
 //! correctness tests assert its final state equals the simulator's.
 //!
-//! # Reliable delivery under injected faults
+//! # Injected faults
 //!
-//! With an active [`FaultPlan`] the pool becomes an unreliable medium
-//! (transmission attempts can be dropped, delayed, duplicated, reordered
-//! per the plan's deterministic [`Injector`]) and the net layers an
-//! ack/retry protocol on top:
+//! With an active [`FaultPlan`], each send gets a per-sender sequence
+//! number, and its whole fate is settled under the pool lock by
+//! [`xdp_fault::Injector::fate`], as on `SimNet`: the same `(src,
+//! seq)` meets the same drops, retries, duplicate, reorder and delay on
+//! both machines, so their [`FaultStats`] and dead letters agree.
 //!
-//! * every send gets a per-sender sequence number; `(src, seq)` is the
-//!   message uid;
-//! * a copy of each unacked message sits on a pending list; any receiver's
-//!   poll retransmits entries whose retry timeout (exponential backoff)
-//!   has expired — there is no dedicated timer thread;
-//! * claiming a message *is* the ack (the claim happens under the pool
-//!   lock, so the pending entry is removed atomically with delivery);
-//! * receivers dedup by uid, so injected duplicates and crossed
-//!   retransmissions are suppressed without double-delivery;
-//! * a message whose every attempt was dropped is dead-lettered (a
-//!   [`LostMsg`], the simulator's type, listed by [`ThreadNet::lost`])
-//!   after `max_retries` retransmissions;
-//! * [`ThreadNet::in_flight`] says whether the protocol may still surface
-//!   a message, so the task machine can tell a stuck run from a slow one.
+//! * A message whose every attempt drops is a dead letter at once (a
+//!   [`LostMsg`], the simulator's type, listed by [`ThreadNet::lost`]);
+//!   it never enters the pool, so quiescence sees the loss without waiting.
+//! * A duplicate is counted and suppressed: a message is claimed once.
+//! * A reordered message jumps ahead of its name's queue.
+//! * A delay, and the backoff of dropped attempts, are counted and the
+//!   message enters the pool at its send. `SimNet` pairs a send with a
+//!   receive by post time, so a delay changes no match there either.
+//!
+//! No timer runs: nothing in the pool waits on a clock.
 
+use crate::faults::Faults;
 use crate::sim::LostMsg;
 use crate::stats::NetStats;
 use parking_lot::{Condvar, Mutex};
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use xdp_fault::{FaultEvent, FaultEventKind, FaultPlan, FaultStats, Injector};
+use xdp_fault::{FaultEvent, FaultPlan, FaultStats};
 use xdp_runtime::{Msg, Tag, REDIST_SALT_FLOOR};
-
-/// Message uid under fault injection: (sending pid, per-sender 1-based seq).
-type Uid = (usize, u64);
 
 /// If `entry` is a redistribution message bound to a single destination
 /// (the only shape the redistribution lowering emits), the destination
@@ -60,12 +55,10 @@ fn redist_charge(msg: &Msg, dest: &Option<Vec<usize>>) -> Option<(usize, u64)> {
     }
 }
 
-/// A queued message with its optional bound destination set and, under
-/// fault injection, its uid for dedup.
+/// A queued message with its optional bound destination set.
 struct QueuedEntry {
     msg: Msg,
     dest: Option<Vec<usize>>,
-    uid: Option<Uid>,
 }
 
 /// What the pool holds under one name: its queued messages, and the pids
@@ -89,37 +82,13 @@ impl Slot {
     }
 }
 
-/// An attempt sitting out an injected delay before it reaches the pool.
-struct DelayedEntry {
-    entry: QueuedEntry,
-    ready_at: Instant,
-    reorder: bool,
-}
-
-/// An unacked message awaiting retransmission.
-struct PendingEntry {
-    msg: Msg,
-    dest: Option<Vec<usize>>,
-    seq: u64,
-    /// Attempts transmitted so far (1 = original only).
-    attempts: u32,
-    next_retry: Instant,
-}
-
-#[derive(Default)]
 struct State {
     queues: HashMap<Tag, Slot>,
-    delayed: Vec<DelayedEntry>,
-    pending: Vec<PendingEntry>,
-    dead: Vec<LostMsg>,
-    delivered: HashSet<Uid>,
-    next_seq: HashMap<usize, u64>,
+    faults: Faults,
     /// Live redistribution staging bytes currently queued toward each
     /// destination; the running maximum is `stats.redist_peak_bytes`.
     redist_live: Vec<u64>,
     stats: NetStats,
-    fstats: FaultStats,
-    events: Vec<FaultEvent>,
 }
 
 impl State {
@@ -132,30 +101,42 @@ impl State {
         }
     }
 
-    /// A redistribution message left the pool (claimed or suppressed).
+    /// A redistribution message left the pool (claimed).
     fn redist_release(&mut self, msg: &Msg, dest: &Option<Vec<usize>>) {
         if let Some((p, bytes)) = redist_charge(msg, dest) {
             self.redist_live[p] = self.redist_live[p].saturating_sub(bytes);
         }
     }
 
-    /// A copy of the already-delivered message `uid` was dropped at `t`.
-    fn dup_suppressed(&mut self, t: f64, (src, seq): Uid, tag: &Tag) {
-        self.fstats.dup_suppressed += 1;
-        self.events.push(FaultEvent {
-            t,
-            kind: FaultEventKind::DupSuppressed,
-            src,
-            seq,
-            tag: tag.to_string(),
-        });
+    /// Claim the first eligible message with this name from the pool.
+    fn claim(&mut self, tag: &Tag, self_pid: usize) -> Option<Msg> {
+        let eligible = |e: &QueuedEntry| match &e.dest {
+            None => true,
+            Some(pids) => pids.contains(&self_pid),
+        };
+        let QueuedEntry { msg, dest } = {
+            let q = &mut self.queues.get_mut(tag)?.msgs;
+            let pos = q.iter().position(eligible)?;
+            q.remove(pos).unwrap()
+        };
+        self.redist_release(&msg, &dest);
+        let bound = dest.is_some();
+        let wire = if bound {
+            msg.payload_bytes()
+        } else {
+            msg.size_bytes()
+        };
+        self.stats
+            .record(msg.src, self_pid, msg.payload_bytes(), wire, bound);
+        self.stats.recv_claims += 1;
+        Some(msg)
     }
 }
 
 struct Inner {
     state: Mutex<State>,
     cond: Condvar,
-    injector: Option<Injector>,
+    /// Stamps fault events in wall µs since the net was made.
     epoch: Instant,
     /// Sends bound to each pid, and sends bound to none: what
     /// [`ThreadNet::arrivals`] reads without the lock.
@@ -176,23 +157,23 @@ impl ThreadNet {
     }
 
     /// A network for `nprocs` processors with injected faults. An inactive
-    /// plan bypasses the delivery layer entirely (identical to [`new`]).
+    /// plan bypasses injection entirely (identical to [`new`]).
     ///
-    /// Plan time quantities (`rto`, `delay`) are wall-clock microseconds
-    /// on this backend.
+    /// Each message's fate is settled at its send (see the module docs);
+    /// plan time quantities (`rto`, `delay`) never make a message wait
+    /// here.
     ///
     /// [`new`]: ThreadNet::new
     pub fn with_faults(nprocs: usize, plan: FaultPlan) -> ThreadNet {
-        let injector = plan.is_active().then(|| Injector::new(plan));
         ThreadNet {
             inner: Arc::new(Inner {
                 state: Mutex::new(State {
+                    queues: HashMap::new(),
+                    faults: Faults::new(plan),
                     redist_live: vec![0; nprocs],
                     stats: NetStats::new(nprocs),
-                    ..State::default()
                 }),
                 cond: Condvar::new(),
-                injector,
                 epoch: Instant::now(),
                 bound_sends: (0..nprocs).map(|_| AtomicU64::new(0)).collect(),
                 unbound_sends: AtomicU64::new(0),
@@ -200,159 +181,17 @@ impl ThreadNet {
         }
     }
 
-    fn micros(&self, at: Instant) -> f64 {
-        at.duration_since(self.inner.epoch).as_secs_f64() * 1e6
-    }
-
-    /// Perform one transmission attempt of `(src, seq)` under injection,
-    /// recording what the injector did to it. `attempt` is 0-based.
-    #[allow(clippy::too_many_arguments)]
-    fn transmit(
-        &self,
-        st: &mut State,
-        inj: &Injector,
-        msg: &Msg,
-        dest: &Option<Vec<usize>>,
-        seq: u64,
-        attempt: u32,
-        now: Instant,
-    ) {
-        let d = inj.decide(msg.src, seq, attempt);
-        let t = self.micros(now);
-        let event = |kind| FaultEvent {
-            t,
-            kind,
-            src: msg.src,
-            seq,
-            tag: msg.tag.to_string(),
-        };
-        if d.drop {
-            st.fstats.injected_drops += 1;
-            st.events.push(event(FaultEventKind::DropInjected));
-            return;
-        }
-        let copies = if d.dup { 2 } else { 1 };
-        if d.dup {
-            st.fstats.injected_dups += 1;
-            st.events.push(event(FaultEventKind::DupInjected));
-        }
-        if d.reorder {
-            st.fstats.injected_reorders += 1;
-        }
-        for _ in 0..copies {
-            let entry = QueuedEntry {
-                msg: msg.clone(),
-                dest: dest.clone(),
-                uid: Some((msg.src, seq)),
-            };
-            if d.extra_delay > 0.0 {
-                st.fstats.injected_delays += 1;
-                st.delayed.push(DelayedEntry {
-                    entry,
-                    ready_at: now + Duration::from_secs_f64(d.extra_delay * 1e-6),
-                    reorder: d.reorder,
-                });
-            } else {
-                st.redist_acquire(&entry.msg, &entry.dest);
-                let q = &mut st.queues.entry(msg.tag.clone()).or_default().msgs;
-                if d.reorder {
-                    q.push_front(entry);
-                } else {
-                    q.push_back(entry);
-                }
-            }
-        }
-    }
-
-    /// Move delayed attempts whose time has come into the visible pool.
-    /// Copies of a message that was claimed while they sat out their delay
-    /// are suppressed here instead of entering the queue at all.
-    fn promote_delayed(&self, st: &mut State, now: Instant) {
-        let mut i = 0;
-        while i < st.delayed.len() {
-            if st.delayed[i].ready_at <= now {
-                let DelayedEntry { entry, reorder, .. } = st.delayed.swap_remove(i);
-                if let Some(uid) = entry.uid {
-                    if st.delivered.contains(&uid) {
-                        st.dup_suppressed(self.micros(now), uid, &entry.msg.tag);
-                        continue;
-                    }
-                }
-                st.redist_acquire(&entry.msg, &entry.dest);
-                let q = &mut st.queues.entry(entry.msg.tag.clone()).or_default().msgs;
-                if reorder {
-                    q.push_front(entry);
-                } else {
-                    q.push_back(entry);
-                }
-            } else {
-                i += 1;
-            }
-        }
-    }
-
-    /// Retransmit every pending entry whose retry timer expired; entries
-    /// out of retries are dead-lettered. Runs inside any receiver's poll
-    /// — the protocol needs no timer thread.
-    fn sweep_retries(&self, st: &mut State, now: Instant) {
-        let Some(inj) = &self.inner.injector else {
-            return;
-        };
-        let plan = inj.plan();
-        let mut i = 0;
-        while i < st.pending.len() {
-            if st.pending[i].next_retry > now {
-                i += 1;
-                continue;
-            }
-            if st.pending[i].attempts > plan.max_retries {
-                let p = st.pending.swap_remove(i);
-                st.fstats.lost += 1;
-                st.events.push(FaultEvent {
-                    t: self.micros(now),
-                    kind: FaultEventKind::Lost {
-                        attempts: p.attempts,
-                    },
-                    src: p.msg.src,
-                    seq: p.seq,
-                    tag: p.msg.tag.to_string(),
-                });
-                st.dead.push(LostMsg {
-                    tag: p.msg.tag,
-                    dest: p.dest,
-                    src: p.msg.src,
-                    seq: p.seq,
-                    attempts: p.attempts,
-                });
-                continue;
-            }
-            let attempt = st.pending[i].attempts; // 0-based number of this retry
-            let (msg, dest, seq) = {
-                let p = &st.pending[i];
-                (p.msg.clone(), p.dest.clone(), p.seq)
-            };
-            st.fstats.retries += 1;
-            st.events.push(FaultEvent {
-                t: self.micros(now),
-                kind: FaultEventKind::Retry { attempt },
-                src: msg.src,
-                seq,
-                tag: msg.tag.to_string(),
-            });
-            self.transmit(st, inj, &msg, &dest, seq, attempt, now);
-            let p = &mut st.pending[i];
-            p.attempts += 1;
-            p.next_retry = now + rto_after(plan, p.attempts);
-            i += 1;
-        }
-    }
-
     /// Post a message (non-blocking: XDP sends are initiations), and take
     /// the pids parked on its name that it may satisfy: every one for an
     /// unbound message, the listed ones for a bound one. The caller wakes
-    /// them; a pid whose peer claimed first parks again.
+    /// them; a pid whose peer claimed first parks again. A message lost
+    /// to an injected fault wakes nobody.
     pub fn send(&self, msg: Msg, dest: Option<Vec<usize>>) -> Vec<usize> {
         let mut st = self.inner.state.lock();
+        let at_send = |_| self.inner.epoch.elapsed().as_secs_f64() * 1e6;
+        let Some((_, reorder)) = st.faults.settle(&msg, &dest, at_send) else {
+            return Vec::new();
+        };
         // Counted under the lock, so a receiver that reads the new count
         // polls after the message is in the pool.
         match &dest {
@@ -365,38 +204,14 @@ impl ThreadNet {
                 }
             }
         }
-        let slot = st.queues.get_mut(&msg.tag);
-        let woken = slot.map_or_else(Vec::new, |slot| slot.wake(&dest));
-        match &self.inner.injector {
-            None => {
-                st.redist_acquire(&msg, &dest);
-                st.queues
-                    .entry(msg.tag.clone())
-                    .or_default()
-                    .msgs
-                    .push_back(QueuedEntry {
-                        msg,
-                        dest,
-                        uid: None,
-                    });
-            }
-            Some(inj) => {
-                let now = Instant::now();
-                let seq = {
-                    let c = st.next_seq.entry(msg.src).or_insert(0);
-                    *c += 1;
-                    *c
-                };
-                self.transmit(&mut st, inj, &msg, &dest, seq, 0, now);
-                let next_retry = now + rto_after(inj.plan(), 1);
-                st.pending.push(PendingEntry {
-                    msg,
-                    dest,
-                    seq,
-                    attempts: 1,
-                    next_retry,
-                });
-            }
+        st.redist_acquire(&msg, &dest);
+        let slot = st.queues.entry(msg.tag.clone()).or_default();
+        let woken = slot.wake(&dest);
+        let entry = QueuedEntry { msg, dest };
+        if reorder {
+            slot.msgs.push_front(entry);
+        } else {
+            slot.msgs.push_back(entry);
         }
         drop(st);
         self.inner.cond.notify_all();
@@ -404,10 +219,9 @@ impl ThreadNet {
     }
 
     /// How many messages have been sent that `pid` may claim: a count that
-    /// only grows, bumped under the pool's lock by each send. A receiver
-    /// that read it before polling and finds it unchanged has nothing new
-    /// to claim (under a fault plan a message can also surface late, from
-    /// a delay or a retransmission, which a receiver's own poll drives).
+    /// only grows, bumped under the pool's lock by each send not lost. A
+    /// receiver that read it before polling and finds it unchanged has
+    /// nothing new to claim.
     pub fn arrivals(&self, pid: usize) -> u64 {
         self.inner.bound_sends[pid].load(Ordering::Acquire)
             + self.inner.unbound_sends.load(Ordering::Acquire)
@@ -415,11 +229,12 @@ impl ThreadNet {
 
     /// Claim the first eligible message with this name; blocks until one
     /// arrives or `timeout` elapses, and is `None` then, whether the
-    /// message is late, never sent or dead-lettered ([`lost`] lists those).
+    /// message is not sent yet, never sent or dead-lettered ([`lost`]
+    /// lists those).
     ///
-    /// The deadline is fixed at entry (`Instant`-based): spurious or
-    /// unrelated condvar wakeups never extend the wait. A poll — a zero
-    /// timeout on a reliable net — reads no clock.
+    /// The deadline is fixed at entry: spurious or unrelated condvar
+    /// wakeups never extend the wait. A poll — a zero timeout — reads no
+    /// clock.
     ///
     /// [`lost`]: ThreadNet::lost
     pub fn recv(&self, tag: &Tag, self_pid: usize, timeout: Duration) -> Option<Msg> {
@@ -427,24 +242,14 @@ impl ThreadNet {
         st.stats.recv_attempts += 1;
         let deadline = (!timeout.is_zero()).then(|| Instant::now() + timeout);
         loop {
-            if let Some(msg) = self.poll(&mut st, tag, self_pid) {
+            if let Some(msg) = st.claim(tag, self_pid) {
                 return Some(msg);
             }
-            let deadline = deadline?;
-            let now = Instant::now();
-            if now >= deadline {
+            let left = deadline?.saturating_duration_since(Instant::now());
+            if left.is_zero() {
                 return None;
             }
-            // Wait only for the time actually remaining, capped by the
-            // next retry timer / delayed-delivery instant so the protocol
-            // makes progress even with no other traffic.
-            let wake_at = (st.pending.iter().map(|p| p.next_retry))
-                .chain(st.delayed.iter().map(|d| d.ready_at))
-                .fold(deadline, Instant::min);
-            let wait = wake_at
-                .saturating_duration_since(now)
-                .max(Duration::from_micros(50));
-            let _ = self.inner.cond.wait_for(&mut st, wait);
+            self.inner.cond.wait_for(&mut st, left);
         }
     }
 
@@ -455,10 +260,10 @@ impl ThreadNet {
     pub fn claim_or_park(&self, tag: &Tag, pid: usize) -> Option<Msg> {
         let mut st = self.inner.state.lock();
         st.stats.recv_attempts += 1;
-        let msg = self.poll(&mut st, tag, pid);
+        let msg = st.claim(tag, pid);
         match st.queues.get_mut(tag) {
             Some(slot) => {
-                // A pid the fault sweep polled again is still listed.
+                // A pid parks on a name at most once.
                 slot.parked.retain(|&p| p != pid);
                 if msg.is_none() {
                     slot.parked.push(pid);
@@ -469,74 +274,6 @@ impl ThreadNet {
         msg
     }
 
-    /// One claim, with the delivery protocol moved along first under a
-    /// fault plan: due delayed attempts land, expired retries go out.
-    fn poll(&self, st: &mut State, tag: &Tag, pid: usize) -> Option<Msg> {
-        if self.inner.injector.is_none() {
-            return self.claim(st, tag, pid, Instant::now);
-        }
-        let now = Instant::now();
-        self.promote_delayed(st, now);
-        self.sweep_retries(st, now);
-        self.claim(st, tag, pid, || now)
-    }
-
-    /// Claim the first eligible message with this name from the pool,
-    /// suppressing already-delivered duplicates as they surface. `now`
-    /// stamps the fault events, which only an active plan records.
-    fn claim(
-        &self,
-        st: &mut State,
-        tag: &Tag,
-        self_pid: usize,
-        now: impl Fn() -> Instant,
-    ) -> Option<Msg> {
-        let eligible = |e: &QueuedEntry| match &e.dest {
-            None => true,
-            Some(pids) => pids.contains(&self_pid),
-        };
-        loop {
-            let entry = {
-                let q = &mut st.queues.get_mut(tag)?.msgs;
-                let pos = q.iter().position(eligible)?;
-                q.remove(pos).unwrap()
-            };
-            if let Some(uid) = entry.uid {
-                if st.delivered.contains(&uid) {
-                    st.redist_release(&entry.msg, &entry.dest);
-                    st.dup_suppressed(self.micros(now()), uid, &entry.msg.tag);
-                    continue;
-                }
-                st.delivered.insert(uid);
-                // Claiming is the ack: stop retransmitting, and purge
-                // outstanding duplicate copies so they never linger
-                // in the pool as unclaimable garbage.
-                st.pending.retain(|p| (p.msg.src, p.seq) != uid);
-                if let Some(slot) = st.queues.get_mut(tag) {
-                    let q = &mut slot.msgs;
-                    let before = q.len();
-                    q.retain(|e| e.uid != Some(uid));
-                    for _ in 0..before - q.len() {
-                        st.redist_release(&entry.msg, &entry.dest);
-                        st.dup_suppressed(self.micros(now()), uid, &entry.msg.tag);
-                    }
-                }
-            }
-            let QueuedEntry { msg, dest, .. } = entry;
-            st.redist_release(&msg, &dest);
-            let bound = dest.is_some();
-            let wire = if bound {
-                msg.payload_bytes()
-            } else {
-                msg.size_bytes()
-            };
-            st.stats
-                .record(msg.src, self_pid, msg.payload_bytes(), wire, bound);
-            st.stats.recv_claims += 1;
-            return Some(msg);
-        }
-    }
-
     /// Snapshot of traffic counters.
     pub fn stats(&self) -> NetStats {
         self.inner.state.lock().stats.clone()
@@ -544,12 +281,13 @@ impl ThreadNet {
 
     /// Snapshot of fault/delivery counters (all zero without a plan).
     pub fn fault_stats(&self) -> FaultStats {
-        self.inner.state.lock().fstats
+        self.inner.state.lock().faults.stats
     }
 
-    /// Timestamped fault events (wall µs since net creation).
+    /// Fault events, each stamped with its send's wall µs since net
+    /// creation.
     pub fn fault_events(&self) -> Vec<FaultEvent> {
-        self.inner.state.lock().events.clone()
+        self.inner.state.lock().faults.events.clone()
     }
 
     /// Count of unclaimed messages (diagnostics).
@@ -565,27 +303,8 @@ impl ThreadNet {
 
     /// Messages permanently lost to injected faults (dead letters).
     pub fn lost(&self) -> Vec<LostMsg> {
-        self.inner.state.lock().dead.clone()
+        self.inner.state.lock().faults.dead.clone()
     }
-
-    /// May the delivery protocol still surface a message — is an unacked
-    /// message waiting on its retry timer, or an attempt sitting out an
-    /// injected delay? Only a receiver's poll moves either along, and
-    /// every message sent has one or the other until it is claimed or
-    /// dead-lettered, so `false` with no sender running is final. Always
-    /// `false` on a reliable net.
-    pub fn in_flight(&self) -> bool {
-        self.inner.injector.is_some() && {
-            let st = self.inner.state.lock();
-            !st.pending.is_empty() || !st.delayed.is_empty()
-        }
-    }
-}
-
-/// The plan's retry timeout after `attempts` transmissions, from its
-/// microseconds to a `Duration`.
-fn rto_after(plan: &FaultPlan, attempts: u32) -> Duration {
-    Duration::from_secs_f64(plan.rto_after(attempts) * 1e-6)
 }
 
 #[cfg(test)]
@@ -624,7 +343,7 @@ mod tests {
 
     #[test]
     fn payload_is_shared_not_copied() {
-        // The delivered message's payload is the *same* allocation the
+        // The claimed message's payload is the *same* allocation the
         // sender handed over — queueing, retry bookkeeping, and claiming
         // only clone the `Arc` — while the byte counters still charge the
         // full logical payload size per delivery.
@@ -642,19 +361,16 @@ mod tests {
 
     #[test]
     fn dup_faults_share_one_payload_and_count_bytes_once() {
-        // A dup-injected retransmission carries the same shared buffer;
-        // dedup claims it once, so payload byte accounting is unchanged
-        // from a fault-free run.
-        let plan = FaultPlan {
-            rto: 50_000.0,
-            ..FaultPlan::uniform(
-                11,
-                LinkFault {
-                    dup: 1.0,
-                    ..LinkFault::default()
-                },
-            )
-        };
+        // A duplicated message is suppressed at its send and claimed once,
+        // sharing the sender's buffer, so payload byte accounting is
+        // unchanged from a fault-free run.
+        let plan = FaultPlan::uniform(
+            11,
+            LinkFault {
+                dup: 1.0,
+                ..LinkFault::default()
+            },
+        );
         let net = ThreadNet::with_faults(2, plan);
         let m = msg(0, 0);
         let sent = m.payload.clone().unwrap();
@@ -751,18 +467,16 @@ mod tests {
     }
 
     fn chaos_plan(seed: u64) -> FaultPlan {
-        let mut p = FaultPlan::uniform(
+        FaultPlan::uniform(
             seed,
             LinkFault {
                 drop: 0.3,
                 dup: 0.2,
                 reorder: 0.3,
                 delay_p: 0.3,
-                delay: 300.0, // µs
+                delay: 300.0,
             },
-        );
-        p.rto = 500.0; // µs
-        p
+        )
     }
 
     #[test]
@@ -786,7 +500,7 @@ mod tests {
         }
         let mut sizes = Vec::new();
         for _ in 0..40 {
-            let m = net.recv(&tag(0), 2, T).expect("retry must deliver");
+            let m = net.recv(&tag(0), 2, T).expect("a retry delivers");
             sizes.push(m.payload.as_ref().unwrap().len());
         }
         sizes.sort_unstable();
@@ -796,22 +510,24 @@ mod tests {
         assert!(net.recv(&tag(0), 2, Duration::from_millis(20)).is_none());
     }
 
-    /// A killed message is dead-lettered while a receiver polls: the
-    /// receive comes back empty, and the dead letter names it.
+    /// A killed message is a dead letter at its send: it wakes no parked
+    /// receiver, never enters the pool, and the dead letter names it.
     #[test]
     fn permanent_loss_is_dead_lettered() {
         let mut plan = FaultPlan::none();
         plan.kill.push((0, 1)); // first message from p0 never arrives
-        plan.rto = 200.0;
         plan.max_retries = 3;
         let net = ThreadNet::with_faults(2, plan);
-        net.send(msg(0, 0), None);
-        assert!(net.recv(&tag(0), 1, Duration::from_millis(300)).is_none());
+        assert!(net.claim_or_park(&tag(0), 1).is_none());
+        assert_eq!(net.send(msg(0, 0), None), Vec::<usize>::new());
         let lost = net.lost();
         assert_eq!(lost.len(), 1);
-        assert_eq!(lost[0].attempts, 4);
+        assert_eq!((lost[0].src, lost[0].seq, lost[0].attempts), (0, 1, 4));
         assert_eq!(net.fault_stats().lost, 1);
-        assert!(!net.in_flight());
+        assert_eq!(net.fault_stats().retries, 3);
+        assert_eq!(net.pending_messages(), 0);
+        assert!(net.recv(&tag(0), 1, Duration::ZERO).is_none());
+        assert_eq!(net.send(msg(0, 0), None), vec![1], "the second one is sent");
     }
 
     #[test]
@@ -845,74 +561,69 @@ mod tests {
         assert_eq!(net.stats().recv_claims, 3);
     }
 
-    /// A parked pid that claims a message no send woke it for — one that
-    /// sat out an injected delay — is no longer parked.
+    /// A delayed message enters the pool at its send: it wakes the pid
+    /// parked on its name at once, and the claim leaves that pid unparked.
     #[test]
     fn a_claim_unparks_its_pid() {
-        let mut plan = FaultPlan::uniform(
+        let plan = FaultPlan::uniform(
             3,
             LinkFault {
                 delay_p: 1.0,
-                delay: 200_000.0, // µs
+                delay: 200_000.0,
                 ..LinkFault::default()
             },
         );
-        plan.rto = 10_000_000.0; // no retries inside the test
         let net = ThreadNet::with_faults(2, plan);
-        assert_eq!(net.send(msg(0, 0), None), Vec::<usize>::new());
         assert!(net.claim_or_park(&tag(0), 1).is_none());
-        std::thread::sleep(Duration::from_millis(300));
+        assert_eq!(net.send(msg(0, 0), None), vec![1]);
         assert!(net.claim_or_park(&tag(0), 1).is_some());
         assert_eq!(net.send(msg(0, 0), None), Vec::<usize>::new());
+        assert_eq!(net.fault_stats().injected_delays, 2);
     }
 
+    /// Same plan and traffic, same fate: every counter and dead letter is
+    /// a function of `(seed, src, seq)`, retries included, whatever the
+    /// order the receivers claim in.
     #[test]
     fn fault_replay_is_deterministic() {
-        // Same plan + same traffic => identical injection counters. The
-        // plan is drop-free with an rto far beyond the test window, so no
-        // timing-dependent retransmissions occur and every counter is a
-        // pure function of (seed, seq). Determinism of the per-attempt
-        // drop/retry chain is covered by the injector unit tests and the
-        // virtual-time sim replay test.
-        let run = || {
-            let mut plan = FaultPlan::uniform(
-                1234,
-                LinkFault {
-                    dup: 0.3,
-                    reorder: 0.4,
-                    delay_p: 0.3,
-                    delay: 50.0,
-                    ..LinkFault::default()
-                },
-            );
-            plan.rto = 1_000_000.0; // 1s: no retries inside the test
-            let net = ThreadNet::with_faults(2, plan);
-            for _ in 0..30 {
-                net.send(msg(0, 0), None);
+        let run = |claimers: usize| {
+            let plan = FaultPlan {
+                max_retries: 2,
+                ..chaos_plan(1234)
+            };
+            let net = ThreadNet::with_faults(4, plan);
+            for k in 0..60 {
+                net.send(msg(0, k % 2), None);
             }
-            for _ in 0..30 {
-                net.recv(&tag(0), 1, T).unwrap();
-            }
-            let f = net.fault_stats();
-            (f.injected_dups, f.injected_delays, f.injected_reorders)
+            let handles: Vec<_> = (1..=claimers)
+                .map(|w| {
+                    let n = net.clone();
+                    std::thread::spawn(move || while n.recv(&tag(0), w + 1, T / 40).is_some() {})
+                })
+                .collect();
+            handles.into_iter().for_each(|h| h.join().unwrap());
+            let lost: Vec<_> = net.lost().iter().map(|l| (l.src, l.seq)).collect();
+            (net.fault_stats(), lost, net.stats().messages)
         };
-        let a = run();
-        assert!(a.0 + a.1 + a.2 > 0, "chaos plan injected nothing");
-        assert_eq!(a, run());
+        let one = run(1);
+        let f = one.0;
+        assert!(f.retries > 0 && f.lost > 0 && f.injected_dups > 0, "{f:?}");
+        assert!(f.injected_delays > 0 && f.injected_reorders > 0, "{f:?}");
+        assert_eq!(one.2 + f.lost, 60, "every message claimed or lost");
+        assert_eq!(one, run(2));
     }
 
     #[test]
     fn duplicates_do_not_double_deliver_across_claiming_receivers() {
         // Farm pattern under heavy duplication: total claims must equal
         // messages sent even though dup copies race between two receivers.
-        let mut plan = FaultPlan::uniform(
+        let plan = FaultPlan::uniform(
             9,
             LinkFault {
                 dup: 1.0,
                 ..LinkFault::default()
             },
         );
-        plan.rto = 1_000_000.0; // keep retransmissions out of the window
         let net = ThreadNet::with_faults(3, plan);
         for _ in 0..10 {
             net.send(msg(0, 0), None);

@@ -1,7 +1,8 @@
-//! Property tests for reliable delivery: an ack/retry transport under
-//! drops, duplicates, reordering, and delays delivers exactly the same
-//! message multiset as a lossless network — faults perturb timing, never
-//! content — and fault replay is deterministic for a fixed seed.
+//! Property tests for reliable delivery: a transport under drops,
+//! duplicates, reordering, and delays delivers exactly the same message
+//! multiset as a lossless network — faults perturb timing, never
+//! content — fault replay is deterministic for a fixed seed, and both
+//! nets settle the same fate for the same `(src, seq)`.
 
 use proptest::prelude::*;
 use std::time::Duration;
@@ -47,7 +48,7 @@ fn arb_plan() -> impl Strategy<Value = FaultPlan> {
                     delay: 80.0,
                 },
             );
-            plan.rto = 300.0; // µs on threads, virtual units in sim
+            plan.rto = 300.0;
             plan.max_retries = 32;
             plan
         })
@@ -131,6 +132,32 @@ proptest! {
         prop_assert_eq!(got, want);
         prop_assert!(t_faulty >= t_clean,
             "faults may only delay: {} < {}", t_faulty, t_clean);
+    }
+
+    // Both nets apply one fate per (src, seq): the same sends from several
+    // processors, with losses and kills, leave the same counters and the
+    // same dead letters, sorted by (src, seq).
+    #[test]
+    fn both_nets_settle_the_same_fates(
+        plan in arb_plan(),
+        retries in 0u32..3,
+        kills in prop::collection::vec((0usize..3, 1u64..8), 0..3),
+        sends in prop::collection::vec((0usize..3, 0i64..4, prop::option::of(0usize..3)), 1..40),
+    ) {
+        let plan = FaultPlan { max_retries: retries, kill: kills, ..plan };
+        let threaded = ThreadNet::with_faults(3, plan.clone());
+        let mut sim = SimNet::with_faults(3, CostModel::default_1993(), Topology::Uniform, plan);
+        for (i, &(src, salt, dest)) in sends.iter().enumerate() {
+            let dest = dest.map(|d| vec![d]);
+            threaded.send(msg(salt, src, 1), dest.clone());
+            sim.post_send(msg(salt, src, 1), dest, i as f64);
+        }
+        let letters = |mut lost: Vec<xdp_machine::LostMsg>| {
+            lost.sort_by_key(|l| (l.src, l.seq));
+            lost.into_iter().map(|l| (l.src, l.seq, l.attempts, l.tag, l.dest)).collect::<Vec<_>>()
+        };
+        prop_assert_eq!(threaded.fault_stats(), sim.fault_stats());
+        prop_assert_eq!(letters(threaded.lost()), letters(sim.lost().to_vec()));
     }
 
     // Fixed seed => identical virtual-time delivery schedule in the sim,

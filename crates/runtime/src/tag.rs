@@ -60,9 +60,8 @@ impl std::fmt::Display for Tag {
 /// A message in flight: the name, what is being transferred, and — for
 /// value-carrying transfers — the payload in row-major order of `tag.sec`.
 ///
-/// The payload is reference-counted: duplicating a message for multicast,
-/// fault-injected dup, or retransmission shares the same immutable buffer
-/// instead of deep-copying it. Byte accounting ([`Msg::size_bytes`],
+/// The payload is reference-counted: duplicating a message for multicast
+/// shares the same immutable buffer instead of deep-copying it. Byte accounting ([`Msg::size_bytes`],
 /// [`Msg::payload_bytes`]) is unaffected — it charges the logical payload
 /// size, not allocation.
 #[derive(Clone, PartialEq, Debug)]

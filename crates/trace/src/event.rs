@@ -41,7 +41,7 @@ pub enum TraceKind {
     Retry,
     /// Fault injection dropped a transmission attempt on the wire.
     FaultDrop,
-    /// Receiver-side dedup suppressed an injected or crossed duplicate.
+    /// An injected duplicate was suppressed: a message is claimed once.
     DupSuppressed,
 }
 

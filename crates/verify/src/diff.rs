@@ -13,8 +13,8 @@
 //!    pipeline, so the first pass that changes an observable value is
 //!    named as the culprit.
 //! 3. **Chaos conformance** — the same program under a lossy
-//!    [`FaultPlan`]: the delivery layer must reconstruct exactly the
-//!    lossless memory image and message count.
+//!    [`FaultPlan`], on the simulator and the task machine: each must
+//!    reconstruct exactly the lossless memory image and message count.
 //!
 //! Executor/pass panics are caught and reported as divergences rather
 //! than aborting a fuzz run.
@@ -140,7 +140,7 @@ pub fn default_passes() -> Vec<(&'static str, Box<dyn Pass>)> {
 }
 
 /// The uniform lossy plan the chaos check uses when none is supplied.
-pub fn default_chaos_plan(seed: u64) -> FaultPlan {
+fn default_chaos_plan(seed: u64) -> FaultPlan {
     let mut plan = FaultPlan::uniform(
         seed.wrapping_add(1),
         LinkFault {
@@ -287,7 +287,7 @@ pub fn run_sim(p: &Arc<Program>, nprocs: usize, faults: Option<&FaultPlan>) -> R
 
 /// Run under the virtual-time simulator with an optional redistribution
 /// memory budget on the runtime planner.
-pub fn run_sim_budget(
+fn run_sim_budget(
     p: &Arc<Program>,
     nprocs: usize,
     faults: Option<&FaultPlan>,
@@ -444,7 +444,7 @@ fn conform(base: &Fingerprint, other: &Fingerprint, states: bool) -> Option<Stri
 /// (`base` must be the baseline fingerprint of `tp.program`). Observable
 /// values only: optimizations legitimately change movement and scratch,
 /// and a placement legally moves owners.
-pub fn check_passes(
+fn check_passes(
     tp: &TestProgram,
     passes: &[(&'static str, Box<dyn Pass>)],
     base: &Fingerprint,
@@ -503,35 +503,40 @@ pub fn check_passes_only(
     check_passes(tp, passes, &base)
 }
 
-/// The faulty run must reconstruct the lossless memory image and message
-/// count. A `MessageLost` diagnosis is only acceptable when the plan
-/// itself contains permanent kills.
-pub fn check_chaos(tp: &TestProgram, base: &Fingerprint, plan: &FaultPlan) -> Option<Divergence> {
-    match run_sim(&Arc::new(tp.program.clone()), tp.nprocs, Some(plan)) {
-        Ok(fp) => {
-            if let Some(d) = diff_lines("memory", &base.memory_all(), &fp.memory_all()) {
-                return Some(Divergence::ChaosMismatch { detail: d });
-            }
-            if base.messages != fp.messages {
-                return Some(Divergence::ChaosMismatch {
-                    detail: format!(
+/// The faulty run, on the simulator and on the task machine, must
+/// reconstruct the lossless memory image and message count. A
+/// `MessageLost` diagnosis is only acceptable when the plan itself
+/// contains permanent kills.
+fn check_chaos(tp: &TestProgram, base: &Fingerprint, plan: &FaultPlan) -> Option<Divergence> {
+    let prog = Arc::new(tp.program.clone());
+    for (kind, on) in [
+        (MachineKind::Sim, ""),
+        (MachineKind::Tasks, "task machine: "),
+    ] {
+        let mismatch = |detail: String| {
+            Some(Divergence::ChaosMismatch {
+                detail: format!("{on}{detail}"),
+            })
+        };
+        let cfg = oracle_cfg(tp.nprocs, Some(plan), None);
+        match run_built(&prog, kind, Backend::Interp, cfg) {
+            Ok(fp) => {
+                if let Some(d) = diff_lines("memory", &base.memory_all(), &fp.memory_all()) {
+                    return mismatch(d);
+                }
+                if base.messages != fp.messages {
+                    return mismatch(format!(
                         "messages: {} lossless vs {} faulty (dedup must not double-count)",
                         base.messages, fp.messages
-                    ),
-                });
+                    ));
+                }
             }
-            None
-        }
-        Err(e) => {
-            if !plan.kill.is_empty() && e.contains("permanently lost") {
-                // An injected permanent kill was correctly diagnosed.
-                return None;
-            }
-            Some(Divergence::ChaosMismatch {
-                detail: format!("faulty run failed: {e}"),
-            })
+            // An injected permanent kill was correctly diagnosed.
+            Err(e) if !plan.kill.is_empty() && e.contains("permanently lost") => {}
+            Err(e) => return mismatch(format!("faulty run failed: {e}")),
         }
     }
+    None
 }
 
 #[cfg(test)]

@@ -1,11 +1,14 @@
 //! Chaos conformance: every XDP program must produce bit-identical results
 //! under injected transport faults (drops, duplicates, reordering, delays)
 //! to its fault-free execution, on the virtual-time simulator and the
-//! async task-per-processor machine — the ack/retry delivery layer makes
-//! faults invisible to program semantics. Permanently lost messages must
-//! be *diagnosed* as lost, never reported as a deadlock or silent timeout.
+//! async task-per-processor machine — retries and duplicate suppression
+//! make faults invisible to program semantics — and both machines settle
+//! the same fate for each message. Permanently lost messages must be
+//! *diagnosed* as lost, never reported as a deadlock or silent timeout.
 //! The async machine additionally runs the suite at P=1024, far past
 //! thread-per-processor territory.
+
+mod programs;
 
 use std::sync::Arc;
 use xdp::prelude::*;
@@ -35,7 +38,7 @@ fn exclusive(decls: &[Decl]) -> impl Iterator<Item = usize> + '_ {
 }
 
 /// Deterministic init of every exclusive array, on any machine.
-fn init(exec: &mut impl Machine, decls: &[Decl]) {
+fn init(exec: &mut (impl Machine + ?Sized), decls: &[Decl]) {
     for i in exclusive(decls) {
         exec.init_exclusive(VarId(i as u32), &move |idx| xdp_verify::init_value(i, idx));
     }
@@ -218,9 +221,7 @@ fn tasks_chaos_at_p1024_matches_the_simulator() {
         FaultPlan::none(),
     );
     assert_eq!(sim, clean, "async P=1024 diverged from the simulator");
-    let mut plan = chaos(47);
-    plan.rto = 5_000.0; // µs: the async machine's clock is wall time
-    let faulty = tasks_state(&program, KernelRegistry::standard(), nprocs, plan);
+    let faulty = tasks_state(&program, KernelRegistry::standard(), nprocs, chaos(47));
     assert_eq!(clean, faulty, "chaos changed the result at P=1024");
 }
 
@@ -251,7 +252,6 @@ fn tasks_permanent_loss_is_diagnosed() {
     let (program, _) = xdp_apps::matvec::build_matvec(8, 4);
     let mut plan = FaultPlan::none();
     plan.kill.push((0, 1));
-    plan.rto = 2_000.0; // µs
     plan.max_retries = 2;
     let decls = program.decls.clone();
     let mut exec = AsyncExec::new(
@@ -266,4 +266,60 @@ fn tasks_permanent_loss_is_diagnosed() {
         }
         other => panic!("want MessageLost, got {other:?}"),
     }
+}
+
+/// Run `program` under `plan` on `kind`, every exclusive array seeded: its
+/// fault counters, or the message a loss diagnosis names — without the
+/// receiving pid, which for an unbound message (the farm's) is whichever
+/// receiver the schedule left waiting.
+fn fates(
+    program: &Program,
+    nprocs: usize,
+    kind: MachineKind,
+    plan: &FaultPlan,
+) -> Result<FaultStats, String> {
+    let cfg = MachineConfig {
+        workers: 2,
+        ..MachineConfig::new(nprocs)
+    }
+    .with_faults(plan.clone());
+    let kernels = xdp_apps::matvec::matvec_kernels();
+    let mut exec = xdp_verify::machine(
+        kind,
+        xdp_compiler::Backend::Interp,
+        Arc::new(program.clone()),
+        kernels,
+        cfg,
+    );
+    init(exec.as_mut(), &program.decls);
+    exec.run_report().map(|r| r.faults).map_err(|e| match e {
+        RtError::MessageLost(d) => d[d.find(": ").unwrap()..].to_string(),
+        e => panic!("{kind:?}: {e}"),
+    })
+}
+
+/// A message's fate is a function of `(src, seq)` under the plan, settled
+/// at its send on both machines: for one plan and seed the task machine's
+/// fault counters equal the simulator's on every corpus program, FFT
+/// stage and application, and under a plan that loses messages both
+/// machines answer with the same loss. (`delivery_props` compares the two
+/// nets' dead letters one by one.)
+#[test]
+fn tasks_fault_fates_equal_the_simulators() {
+    let mut lossy = chaos(5);
+    (lossy.default.drop, lossy.max_retries) = (0.3, 1);
+    let (mut finished, mut lost) = (0, 0);
+    for (label, program, nprocs) in programs::corpus().into_iter().chain(programs::apps()) {
+        for plan in [&chaos(5), &lossy] {
+            let sim = fates(&program, nprocs, MachineKind::Sim, plan);
+            let tasks = fates(&program, nprocs, MachineKind::Tasks, plan);
+            assert_eq!(sim, tasks, "{label}: drop {}", plan.default.drop);
+            if sim.is_ok() {
+                finished += 1;
+            } else {
+                lost += 1;
+            }
+        }
+    }
+    assert!(finished > 0 && lost > 0, "{finished} finished, {lost} lost");
 }

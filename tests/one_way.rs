@@ -211,6 +211,62 @@ fn a_lost_message_is_diagnosed_in_one_place() {
 }
 
 #[test]
+fn a_message_fate_is_settled_at_its_send() {
+    // DESIGN §2.11: both nets apply `Injector::fate` when a message is
+    // sent, so the task machine's net keeps no retry or delay timer, no
+    // dedup set and no in-flight state, reads a clock only in the
+    // blocking `recv` and for its fault events' epoch, and an idle worker
+    // sleeps until it is woken. Spelled in halves so this file passes its
+    // own scan.
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let halves = |names: &[[&str; 2]]| names.iter().map(|h| h.concat()).collect::<Vec<_>>();
+    let rules = [
+        (
+            "crates/machine/src/thread_net.rs",
+            halves(&[
+                ["Delayed", "Entry"],
+                ["Pending", "Entry"],
+                ["deliv", "ered"],
+                ["promote", "_delayed"],
+                ["sweep", "_retries"],
+                ["rto", "_after"],
+                ["in", "_flight"],
+            ]),
+        ),
+        (
+            "crates/core/src/async_exec.rs",
+            halves(&[
+                ["IDLE", "_SLEEP"],
+                ["sweep", "_parked"],
+                ["faults", "_active"],
+                ["wait", "_timeout"],
+            ]),
+        ),
+    ];
+    for (file, names) in &rules {
+        let text = std::fs::read_to_string(root.join(file)).unwrap();
+        for name in names {
+            assert!(!text.contains(name.as_str()), "{file} names {name}");
+        }
+    }
+    let mut in_recv = false;
+    for line in code_of(&root.join(rules[0].0)).lines() {
+        if let Some(f) = line
+            .trim_start()
+            .strip_prefix("pub fn ")
+            .or(line.trim_start().strip_prefix("fn "))
+        {
+            in_recv = f.starts_with("recv(");
+        }
+        let stamp = line.contains("epoch") || line.starts_with("use std::time");
+        assert!(
+            !line.contains("Instant") || in_recv || stamp,
+            "thread_net.rs reads a clock outside `recv`: {line}"
+        );
+    }
+}
+
+#[test]
 fn a_machine_has_one_description_and_one_builder() {
     // The three config types folded into `MachineConfig`, the reference
     // executor's own report, and the VM's second pair of constructors.

@@ -14,13 +14,13 @@
 //! application ends with a receive outstanding on the simulator, so
 //! calling that stuck moves no run that finishes.
 
-use std::path::PathBuf;
+mod programs;
+
+use programs::{apps, corpus};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use xdp::prelude::*;
-use xdp_apps::farm::FarmConfig;
-use xdp_apps::fft3d::{Fft3dConfig, Stage};
-use xdp_compiler::{compile, Backend, CompileOptions, SeqMode};
+use xdp_compiler::Backend;
 use xdp_core::Processor;
 use xdp_verify::lockstep::Lockstep;
 
@@ -108,13 +108,19 @@ fn reference(source: &str) -> String {
 }
 
 fn variant(result: Result<(), RtError>, start: Instant) -> String {
+    if let Err(e) = &result {
+        eprintln!("{} after {:?}: {e}", name(&result), start.elapsed());
+    }
+    name(&result)
+}
+
+/// `"Ok"`, or the error's variant name.
+fn name(result: &Result<(), RtError>) -> String {
     match result {
         Ok(()) => "Ok".into(),
         Err(e) => {
             let name = format!("{e:?}");
-            let name = name[..name.find(['(', ' ', '{']).unwrap_or(name.len())].to_string();
-            eprintln!("{name} after {:?}: {e}", start.elapsed());
-            name
+            name[..name.find(['(', ' ', '{']).unwrap_or(name.len())].to_string()
         }
     }
 }
@@ -131,6 +137,111 @@ fn assert_one_answer(case: &str, source: &str, faults: FaultPlan, want: &str) {
     if !faults.is_active() {
         assert_eq!(reference(source), want, "{case} on Lockstep");
     }
+}
+
+/// Each pid but the last sends its element of `T` to its right
+/// neighbour, which awaits it, three times over, a barrier between.
+const RING_WITH_BARRIERS: &str = "real T[0:3] distribute (BLOCK) onto 4
+real U[0:3] distribute (BLOCK) onto 4
+do t = 1, 3 {
+  mypid < 3 : { T[mypid] -> }
+  mypid > 0 : {
+    U[mypid] <- T[(mypid - 1)]
+    await(U[mypid]) : { U[mypid] = U[mypid] + 1.0 }
+  }
+  barrier
+}
+";
+
+/// Short runs of the no-hang test: rounds of every case at each worker
+/// count.
+const ROUNDS: usize = 125;
+
+/// An idle worker waits for work with no timeout, so a wakeup lost
+/// between its check and its wait would leave it asleep through the
+/// run's end, and the pool's join would hang. Rings, a farm, barriers and
+/// the stuck cases above, 2 000 short runs at two and four workers, one
+/// after another on one thread: each must end as the simulator's run of
+/// it does. This thread is the watchdog; no run starts a thread beyond
+/// its pool.
+#[test]
+fn no_idle_worker_sleeps_through_the_end_of_a_run() {
+    use xdp_apps::farm::{build_farm, FarmConfig};
+    let parse = |source: &str| xdp_lang::parse_program(source).unwrap();
+    let farm = FarmConfig {
+        tasks: 8,
+        nprocs: 4,
+        scale: 1,
+    };
+    let none = FaultPlan::none;
+    let cases: Vec<(&str, Program, usize, FaultPlan)> = vec![
+        ("ring", parse(RING_WITH_BARRIERS), 4, none()),
+        ("farm", build_farm(farm).0, 4, none()),
+        ("awaited", parse(AWAITED), 2, none()),
+        ("unmatched", parse(UNMATCHED_AT_END), 2, none()),
+        ("barrier", parse(BARRIER_FACING_A_RECEIVE), 2, none()),
+        ("delivered", parse(ONE_MESSAGE), 2, none()),
+        ("killed", parse(ONE_MESSAGE), 2, kill_first()),
+        ("ring-chaos", parse(RING_WITH_BARRIERS), 4, chaos()),
+    ];
+    let run = |kind, (program, nprocs, faults): (&Program, usize, &FaultPlan), workers| {
+        let cfg = MachineConfig {
+            workers,
+            ..MachineConfig::new(nprocs)
+        }
+        .with_faults(faults.clone());
+        let kernels = xdp_apps::app_kernels();
+        let program = Arc::new(program.clone());
+        let mut exec = xdp_verify::machine(kind, Backend::Interp, program, kernels, cfg);
+        name(&exec.run_report().map(drop))
+    };
+    // The run in progress: its case, worker count and start, and the
+    // runs started so far.
+    let current = Arc::new(std::sync::Mutex::new(("", 0, Instant::now(), 0)));
+    let started = current.clone();
+    let runner = std::thread::spawn(move || {
+        let want: Vec<String> = (cases.iter())
+            .map(|(_, p, n, faults)| run(MachineKind::Sim, (p, *n, faults), 1))
+            .collect();
+        for _ in 0..ROUNDS {
+            for workers in [2, 4] {
+                for ((label, p, n, faults), want) in cases.iter().zip(&want) {
+                    {
+                        let mut now = started.lock().unwrap();
+                        *now = (label, workers, Instant::now(), now.3 + 1);
+                    }
+                    let got = run(MachineKind::Tasks, (p, *n, faults), workers);
+                    assert_eq!(&got, want, "{label} at {workers} workers");
+                }
+            }
+        }
+    });
+    while !runner.is_finished() {
+        let (label, workers, since, _) = *current.lock().unwrap();
+        let waited = since.elapsed();
+        assert!(
+            waited < WATCHDOG,
+            "{label} at {workers} workers: still running after {waited:?}"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    runner.join().expect("every run ends as on the simulator");
+    let runs = current.lock().unwrap().3;
+    assert!(runs >= 2000, "{runs} runs");
+}
+
+/// Every fault class on every link, no message lost.
+fn chaos() -> FaultPlan {
+    FaultPlan::uniform(
+        3,
+        LinkFault {
+            drop: 0.2,
+            dup: 0.2,
+            reorder: 0.3,
+            delay_p: 0.3,
+            delay: 100.0,
+        },
+    )
 }
 
 #[test]
@@ -158,65 +269,6 @@ fn a_barrier_facing_a_blocked_receive_is_a_deadlock() {
 fn a_killed_message_is_lost_and_a_delivered_one_is_not_stuck() {
     assert_one_answer("delivered", ONE_MESSAGE, FaultPlan::none(), "Ok");
     assert_one_answer("killed", ONE_MESSAGE, kill_first(), "MessageLost");
-}
-
-/// (label, program, machine size) of every corpus file, plain, optimized
-/// and auto-placed.
-fn corpus() -> Vec<(String, Program, usize)> {
-    let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("xdp-programs");
-    let mut files: Vec<PathBuf> = std::fs::read_dir(&dir)
-        .expect("xdp-programs/ exists")
-        .filter_map(|entry| entry.ok().map(|e| e.path()))
-        .filter(|p| p.extension().is_some_and(|x| x == "xdp"))
-        .collect();
-    files.sort();
-    let auto = CompileOptions::default().with_seq(SeqMode::Auto);
-    let variants = [
-        ("plain", auto.clone()),
-        ("opt", auto.clone().optimized()),
-        ("placed", auto.placed()),
-    ];
-    let mut out = Vec::new();
-    for path in files {
-        let name = path.file_name().unwrap().to_string_lossy().into_owned();
-        let source = std::fs::read_to_string(&path).unwrap();
-        for (variant, opts) in &variants {
-            let compiled = compile(&source, opts)
-                .unwrap_or_else(|e| panic!("{name}+{variant}: compile failed: {e}"));
-            let program = Arc::unwrap_or_clone(compiled.program);
-            out.push((format!("{name}+{variant}"), program, compiled.nprocs));
-        }
-    }
-    out
-}
-
-/// (label, program, machine size) of every 3-D FFT stage and every other
-/// application builder, all on four processors.
-fn apps() -> Vec<(String, Program, usize)> {
-    use xdp_apps::{farm, fft3d, halo2d, matvec, reduce};
-    let cfg = Fft3dConfig::new(4, 4);
-    let jobs = FarmConfig {
-        tasks: 8,
-        nprocs: 4,
-        scale: 1,
-    };
-    let mut out: Vec<(&str, Program)> = Stage::all()
-        .into_iter()
-        .map(|s| (s.label(), fft3d::build(cfg, s).0))
-        .collect();
-    out.extend([
-        ("fft3d-listing-v0", fft3d::paper_listing_v0(cfg).0),
-        ("fft3d-chunked", fft3d::build_chunked(cfg, 2).0),
-        ("jacobi2d", halo2d::build_jacobi2d(8, 10, 4, 2).0),
-        ("jacobi2d-cols", halo2d::build_jacobi2d_cols(10, 8, 4, 2).0),
-        ("matvec", matvec::build_matvec(8, 4).0),
-        ("reduce", reduce::build_reduce(16, 4).0),
-        ("farm", farm::build_farm(jobs).0),
-        ("farm-static", farm::build_static(jobs).0),
-    ]);
-    out.into_iter()
-        .map(|(label, program)| (label.to_string(), program, 4))
-        .collect()
 }
 
 #[test]

@@ -1,8 +1,8 @@
 //! What the task machine's receive polls cost and guarantee. A task polls
 //! its outstanding receives before a step only when a poll could claim
 //! something (DESIGN §2.4): a message it may claim was sent since its last
-//! poll, it posted a receive since, or a fault plan is active. So the polls
-//! of the benchmark's `exec-comm` mix are bounded per message claimed, and
+//! poll, or it posted a receive since. So the polls of the benchmark's
+//! `exec-comm` mix are bounded per message claimed, and
 //! a message is still claimed whether it lands before its receive is
 //! posted or while a program only tests `accessible()` — with and without
 //! injected faults, ending as the simulator ends.
@@ -150,10 +150,10 @@ fn lands_as_on_the_simulator(source: &str, faults: FaultPlan) {
     assert_eq!(sim.messages, tasks.messages);
 }
 
-/// Drops and delays on every link: retransmission and late delivery are
-/// driven by the receivers' own polls.
+/// Drops and delays on every link: the net settles both at the send, so
+/// no poll waits for a retransmission or a late delivery.
 fn faults() -> FaultPlan {
-    let mut plan = FaultPlan::uniform(
+    FaultPlan::uniform(
         11,
         LinkFault {
             drop: 0.3,
@@ -162,9 +162,7 @@ fn faults() -> FaultPlan {
             delay_p: 0.5,
             delay: 200.0,
         },
-    );
-    plan.rto = 300.0;
-    plan
+    )
 }
 
 #[test]
