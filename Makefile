@@ -54,7 +54,9 @@ compile-scale:
 
 # The profile that names the layer (ROADMAP aim 1), in one command:
 # `make layer-rows W=exec-compute` runs that workload's traced smoke run
-# and keeps the rows that say where a step's time goes (on the task
+# and keeps the line saying how much of a staged request the stage spans
+# cover (the traced run fails under 95 %), the rows that say where a
+# step's time goes (on the task
 # machine, its step loop and matcher too) and how a request splits into
 # stages (build, init, gather, execute), then the counts a
 # host-speed change must leave bit-identical (symbol-table queries and
@@ -66,7 +68,7 @@ layer-rows:
 	@test -n "$(W)" || { echo "usage: make layer-rows W=<workload>   (one of: serve-small serve-cold exec-compute exec-comm exec-comm-tasks)"; exit 2; }
 	@out=$$(bash benchmark/run.sh --workload $(W) --seed 1 --smoke --trace 1) \
 	  || { echo "$$out" | tail -n 5; exit 1; }; \
-	echo "$$out" | grep -E '^  (bench\.calib_ns|bench\.run_one_us|ir\.[a-z_]+_ns|runtime\.symtab_[a-z_]+_ns|runtime\.ownership_transfer_ns|core\.(build|init|gather)_us|serve\.execute_us|vm\.step_ns|core\.interp\.step_ns|vm\.run_us|core\.async\.run_us|machine\.threadnet_match_ns|verify\.fingerprint_us|trace\.events|runtime\.symtab_queries|runtime\.segments_scanned|model\.virtual_us) '
+	echo "$$out" | grep -E -e 'stage spans cover' -e '^  (bench\.calib_ns|bench\.run_one_us|ir\.[a-z_]+_ns|runtime\.symtab_[a-z_]+_ns|runtime\.ownership_transfer_ns|core\.(build|init|gather)_us|serve\.execute_us|vm\.step_ns|core\.interp\.step_ns|vm\.run_us|core\.async\.run_us|machine\.threadnet_match_ns|verify\.fingerprint_us|trace\.events|runtime\.symtab_queries|runtime\.segments_scanned|model\.virtual_us) '
 
 # Non-test source lines per crate: for each file under crates/<c>/src, the
 # lines before its first `#[cfg(test)]`, summed. The count a [simplicity]

@@ -44,7 +44,7 @@ use xdp_collectives::PlanCtx;
 use xdp_ir::{Program, VarId};
 use xdp_machine::ThreadNet;
 use xdp_runtime::{Msg, Tag, Value};
-use xdp_trace::{Trace, TraceEvent, WaitCause};
+use xdp_trace::{Trace, WaitCause};
 
 /// Statements a task executes before yielding its worker, so thousands
 /// of compute-heavy tasks share the pool fairly.
@@ -178,7 +178,7 @@ impl<P: Processor> AsyncExec<P> {
             Ok(())
         })?;
         let wall = start.elapsed();
-        let results: Vec<Result<Vec<TraceEvent>, RtError>> = sh
+        let results: Vec<Result<Trace, RtError>> = sh
             .tasks
             .iter()
             .map(|slot| {
@@ -196,12 +196,10 @@ impl<P: Processor> AsyncExec<P> {
         let mut trace = Trace::new(n);
         trace.end = wall.as_secs_f64() * 1e6;
         for r in results {
-            trace.events.extend(r?);
+            trace.merge(r?);
         }
         if tcfg.instants {
-            trace
-                .events
-                .extend(crate::report::fault_trace_events(&fault_events));
+            crate::report::push_fault_events(&mut trace, &fault_events);
         }
         let symtab = self.interps.iter().map(|i| i.env().symtab.stats).collect();
         Ok(ThreadReport {
@@ -262,7 +260,7 @@ struct Task<'a, P: Processor> {
     interp: &'a mut P,
     rec: Recorder,
     state: TState,
-    result: Option<Result<Vec<TraceEvent>, RtError>>,
+    result: Option<Result<Trace, RtError>>,
     /// Whether this task has been counted out of barrier participation
     /// (program complete or failed).
     counted_done: bool,
@@ -356,6 +354,21 @@ impl<P: Processor> Shared<'_, P> {
             && self.queues.iter().all(|q| q.lock().unwrap().is_empty())
     }
 
+    /// Sleep until a task is queued or the run ends. The check and the
+    /// wait are one step under `idle_mx`, which whoever queues a task or
+    /// ends the run holds to notify.
+    fn wait_idle(&self) {
+        let idle = self.idle_mx.lock().unwrap();
+        let woken = self.idle_cv.wait_while(idle, |()| {
+            let idle = self.idle();
+            if idle {
+                in_idle_window();
+            }
+            idle
+        });
+        drop(woken.expect("idle lock poisoned"));
+    }
+
     /// Pop from the worker's own queue, else steal from a peer.
     fn pop(&self, w: usize) -> Option<usize> {
         if let Some(pid) = self.queues[w].lock().unwrap().pop_front() {
@@ -422,8 +435,8 @@ impl<P: Processor> Shared<'_, P> {
             .iter_mut()
             .filter(|t| !matches!(t.state, TState::Finished))
         {
-            let events = task.rec.take_events();
-            task.result = Some(err.take().map_or(Ok(events), Err));
+            let part = task.rec.take(self.n);
+            task.result = Some(err.take().map_or(Ok(part), Err));
             task.state = TState::Finished;
             self.finished.fetch_add(1, Ordering::SeqCst);
         }
@@ -460,11 +473,7 @@ fn worker_loop<P: Processor>(sh: &Shared<'_, P>, w: usize) {
                     sh.quiesced();
                 }
             }
-            None => {
-                let idle = sh.idle_mx.lock().unwrap();
-                let woken = sh.idle_cv.wait_while(idle, |()| sh.idle());
-                drop(woken.expect("idle lock poisoned"));
-            }
+            None => sh.wait_idle(),
         }
     }
 }
@@ -495,7 +504,7 @@ fn finish<P: Processor>(sh: &Shared<'_, P>, task: &mut Task<'_, P>, res: Result<
         task.counted_done = true;
         sh.done.fetch_add(1, Ordering::SeqCst);
     }
-    task.result = Some(res.map(|()| task.rec.take_events()));
+    task.result = Some(res.map(|()| task.rec.take(sh.n)));
     task.state = TState::Finished;
     {
         let _idle = sh.idle_mx.lock().unwrap();
@@ -691,6 +700,15 @@ fn run_quantum<P: Processor>(sh: &Shared<'_, P>, task: &mut Task<'_, P>, pid: us
     false
 }
 
+/// Where a test may act between an idle worker's check and its wait.
+#[cfg(not(test))]
+fn in_idle_window() {}
+
+#[cfg(test)]
+fn in_idle_window() {
+    tests::IN_IDLE_WINDOW.with(|hook| hook.take().map(|f| f()));
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -701,6 +719,63 @@ mod tests {
     use xdp_ir::{DimDist, ElemExpr, ElemType, ProcGrid};
     use xdp_machine::Topology;
     use xdp_trace::{TraceConfig, TraceKind};
+
+    thread_local! {
+        /// Run once by [`Shared::wait_idle`] on this thread, between a
+        /// check that found nothing to run and the wait.
+        pub(super) static IN_IDLE_WINDOW: std::cell::Cell<Option<Box<dyn FnOnce()>>> =
+            const { std::cell::Cell::new(None) };
+    }
+
+    /// A task queued between an idle worker's check and its wait wakes it:
+    /// `enqueue` takes `idle_mx`, so it cannot queue and notify until the
+    /// worker waits. Queued and notified inside that window, the task
+    /// would wait for a wakeup nobody sends.
+    #[test]
+    fn a_task_queued_between_the_idle_check_and_the_wait_wakes_the_worker() {
+        let sh: Arc<Shared<'static, Interp>> = Arc::new(Shared {
+            tasks: Vec::new(),
+            queues: vec![Mutex::new(VecDeque::new())],
+            queued: vec![AtomicBool::new(false)],
+            active: AtomicUsize::new(0),
+            idle_mx: Mutex::new(()),
+            idle_cv: Condvar::new(),
+            barrier: Mutex::new(Vec::new()),
+            done: AtomicUsize::new(0),
+            finished: AtomicUsize::new(0),
+            net: ThreadNet::new(1),
+            n: 1,
+            start: Instant::now(),
+            traced: false,
+            timeline: false,
+        });
+        let (woke, woken) = std::sync::mpsc::channel();
+        let worker = {
+            let sh = sh.clone();
+            std::thread::spawn(move || {
+                let queuer = sh.clone();
+                let open = move || {
+                    std::thread::spawn(move || queuer.enqueue(0));
+                    // Long enough for an enqueue that does not wait on
+                    // `idle_mx` to queue and notify.
+                    std::thread::sleep(Duration::from_millis(200));
+                };
+                IN_IDLE_WINDOW.with(|hook| hook.set(Some(Box::new(open))));
+                sh.wait_idle();
+                woke.send(()).unwrap();
+            })
+        };
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while woken.try_recv().is_err() {
+            assert!(
+                Instant::now() < deadline,
+                "the worker slept through a task queued between its idle check and its wait"
+            );
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        worker.join().unwrap();
+        assert_eq!(sh.pop(0), Some(0));
+    }
 
     /// Block-distributed A and cyclic B: every A[i] += B[i] via messages.
     fn simple(n: i64, nprocs: usize) -> (Arc<Program>, VarId, VarId) {
@@ -826,7 +901,7 @@ mod tests {
         assert_eq!(wires.len() as u64, r.net.messages);
         for w in &wires {
             assert!(w.sid.is_some(), "{w:?}");
-            assert_eq!(w.var.as_deref(), Some("B"));
+            assert_eq!(w.var.map(|v| &**r.trace.var_name(v)), Some("B"));
         }
         assert!(r.trace.end > 0.0);
     }
@@ -853,7 +928,7 @@ mod tests {
         aexec.init_exclusive(bb, |idx| Value::F64(idx[0] as f64));
         let ar = aexec.run().unwrap();
 
-        assert_eq!(sr.trace.movement_multiset(), ar.trace.movement_multiset());
+        assert_eq!(sr.trace.movement_keys(), ar.trace.movement_keys());
         assert_eq!(sr.net.messages, ar.net.messages);
         assert_eq!(sexec.gather(a), aexec.gather(a));
     }

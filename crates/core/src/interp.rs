@@ -74,14 +74,9 @@ pub struct StepOut {
 pub enum StepNote {
     /// A local kernel ran.
     Kernel { name: Arc<str>, flops: u64 },
-    /// A `redistribute` was planned and expanded; `pieces` is the number
-    /// of scheduled messages, `bytes` the payload volume this processor
-    /// will send.
-    Collective {
-        var: String,
-        strategy: String,
-        pieces: usize,
-    },
+    /// A `redistribute` of `var` was planned and expanded; `label` is the
+    /// strategy and the number of scheduled messages (`direct x12`).
+    Collective { var: VarId, label: String },
 }
 
 #[derive(Debug)]

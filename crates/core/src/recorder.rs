@@ -3,7 +3,7 @@
 //! Figure 1's data-movement events — `SendInit`, `RecvPost`, the
 //! `WireTransit`/`RecvComplete` pair and the section-state instants — are
 //! built here and nowhere else, so the movement multiset
-//! ([`xdp_trace::Trace::movement_multiset`]) is the same function of a
+//! ([`xdp_trace::Trace::movement_keys`]) is the same function of a
 //! program on every machine. Callers bring their own clock: `t0`/`t1` are
 //! virtual time on [`crate::SimExec`], wall-clock microseconds on
 //! [`crate::AsyncExec`] and round numbers on verify's `Lockstep`.
@@ -19,34 +19,39 @@ use crate::interp::StepNote;
 use crate::proc::Processor;
 use std::collections::HashMap;
 use std::sync::Arc;
+use xdp_ir::Section;
 use xdp_runtime::{Msg, Tag};
-use xdp_trace::{TraceConfig, TraceEvent, TraceKind, WaitCause};
+use xdp_trace::{LabelId, SecId, Trace, TraceConfig, TraceEvent, TraceKind, VarName, WaitCause};
 
 /// Event sink for one processor (task machine) or one whole machine
 /// (simulator, lockstep): request ids are machine-unique, so either works.
+///
+/// It renders nothing. An event names its variable by ordinal, its section
+/// by an id interned here by value, and its annotation by a label id, so a
+/// message records a few copies and, once its section has been seen, no
+/// allocation.
 pub struct Recorder {
     cfg: TraceConfig,
-    names: Arc<[Arc<str>]>,
-    /// The two section states, rendered once.
-    transitional: Arc<str>,
-    accessible: Arc<str>,
-    /// Statement that posted each outstanding receive and its rendered
-    /// section, to attribute and label its eventual wire-transit /
-    /// recv-complete / accessible events without rendering it again.
-    recv_sid: HashMap<u64, (Option<u32>, Arc<str>)>,
-    events: Vec<TraceEvent>,
+    /// The events and the labels; sections join them at [`Recorder::take`].
+    trace: Trace,
+    /// Every section seen, by value, with its id.
+    sec_ids: HashMap<Section, SecId>,
+    /// Kernel names seen, with their label ids.
+    kernel_ids: HashMap<Arc<str>, LabelId>,
+    /// Statement and section of each outstanding receive, to attribute and
+    /// label its eventual wire-transit / recv-complete / accessible events.
+    recv_sid: HashMap<u64, (Option<u32>, SecId)>,
 }
 
 impl Recorder {
-    /// A recorder rendering variables by `names` (see [`Recorder::names`]).
+    /// A recorder naming variables by `names` (see [`Recorder::names`]).
     pub fn new(names: Arc<[Arc<str>]>, cfg: TraceConfig) -> Recorder {
         Recorder {
             cfg,
-            names,
-            transitional: "transitional".into(),
-            accessible: "accessible".into(),
+            trace: Trace::with_vars(0, names),
+            sec_ids: HashMap::new(),
+            kernel_ids: HashMap::new(),
             recv_sid: HashMap::new(),
-            events: Vec::new(),
         }
     }
 
@@ -57,9 +62,19 @@ impl Recorder {
         decls.iter().map(|d| d.name.as_str().into()).collect()
     }
 
-    /// Everything recorded so far, in emission order.
-    pub fn take_events(&mut self) -> Vec<TraceEvent> {
-        std::mem::take(&mut self.events)
+    /// Everything recorded so far, in emission order, as a trace over
+    /// `nprocs` processors.
+    pub fn take(&mut self, nprocs: usize) -> Trace {
+        let mut secs: Vec<(SecId, Section)> = self.sec_ids.drain().map(|(s, id)| (id, s)).collect();
+        secs.sort_unstable_by_key(|&(id, _)| id);
+        let mut trace = std::mem::take(&mut self.trace);
+        trace.nprocs = nprocs;
+        for (_, sec) in secs {
+            trace.push_section(sec);
+        }
+        self.trace = Trace::with_vars(0, trace.vars().clone());
+        self.kernel_ids.clear();
+        trace
     }
 
     /// Are the send-init / recv-post / recv-complete spans kept? They tile
@@ -73,9 +88,24 @@ impl Recorder {
         self.cfg.instants || self.cfg.messages
     }
 
-    /// The declared name of a message tag's variable.
-    fn var_of(&self, tag: &Tag) -> Option<Arc<str>> {
-        self.names.get(tag.var.index()).cloned()
+    /// The id of `sec`, interned on first sight.
+    fn sec_id(&mut self, sec: &Section) -> SecId {
+        if let Some(&id) = self.sec_ids.get(sec) {
+            return id;
+        }
+        let id = SecId(self.sec_ids.len() as u32);
+        self.sec_ids.insert(sec.clone(), id);
+        id
+    }
+
+    /// The id of kernel `name`'s label, added on first sight.
+    fn kernel_id(&mut self, name: Arc<str>) -> LabelId {
+        if let Some(&id) = self.kernel_ids.get(&name) {
+            return id;
+        }
+        let id = self.trace.push_label(name.clone());
+        self.kernel_ids.insert(name, id);
+        id
     }
 
     /// One executed statement over `[t0, t1]`: its compute span, then the
@@ -90,7 +120,7 @@ impl Recorder {
         t1: f64,
     ) {
         if self.cfg.spans && t1 > t0 {
-            self.events.push(TraceEvent {
+            self.trace.push(TraceEvent {
                 sid,
                 ..TraceEvent::span(TraceKind::Compute, pid, t0, t1)
             });
@@ -99,7 +129,7 @@ impl Recorder {
             return;
         }
         if symtab_ops > 0 {
-            self.events.push(TraceEvent {
+            self.trace.push(TraceEvent {
                 sid,
                 bytes: symtab_ops,
                 ..TraceEvent::instant(TraceKind::SymtabQuery, pid, t1)
@@ -107,22 +137,24 @@ impl Recorder {
         }
         match note {
             None => {}
-            Some(StepNote::Kernel { name, flops }) => self.events.push(TraceEvent {
-                sid,
-                bytes: flops,
-                detail: Some(name),
-                ..TraceEvent::instant(TraceKind::KernelInvoke, pid, t1)
-            }),
-            Some(StepNote::Collective {
-                var,
-                strategy,
-                pieces,
-            }) => self.events.push(TraceEvent {
-                sid,
-                var: Some(var.into()),
-                detail: Some(format!("{strategy} x{pieces}").into()),
-                ..TraceEvent::instant(TraceKind::CollectiveRound, pid, t1)
-            }),
+            Some(StepNote::Kernel { name, flops }) => {
+                let detail = Some(self.kernel_id(name));
+                self.trace.push(TraceEvent {
+                    sid,
+                    bytes: flops,
+                    detail,
+                    ..TraceEvent::instant(TraceKind::KernelInvoke, pid, t1)
+                })
+            }
+            Some(StepNote::Collective { var, label }) => {
+                let detail = Some(self.trace.push_label(label.into()));
+                self.trace.push(TraceEvent {
+                    sid,
+                    var: Some(VarName(var.0)),
+                    detail,
+                    ..TraceEvent::instant(TraceKind::CollectiveRound, pid, t1)
+                })
+            }
         }
     }
 
@@ -131,18 +163,18 @@ impl Recorder {
         if !self.keeps_movement_spans() {
             return;
         }
-        self.events.push(TraceEvent {
+        let sec = Some(self.sec_id(&msg.tag.sec));
+        self.trace.push(TraceEvent {
             sid,
-            var: self.var_of(&msg.tag),
-            sec: Some(msg.tag.sec.to_string().into()),
+            var: Some(VarName(msg.tag.var.0)),
+            sec,
             bytes: msg.payload_bytes(),
             ..TraceEvent::span(TraceKind::SendInit, pid, t0, t1)
         });
     }
 
     /// Receive `req` was posted over `[t0, t1]`; its section turns
-    /// transitional at `t1`. The section is rendered here, once for the
-    /// receive's events.
+    /// transitional at `t1`.
     pub fn recv_post(
         &mut self,
         pid: usize,
@@ -155,24 +187,24 @@ impl Recorder {
         if !self.cfg.enabled() {
             return;
         }
-        let rendered: Arc<str> = tag.sec.to_string().into();
-        self.recv_sid.insert(req, (sid, rendered.clone()));
-        let (var, sec) = (self.var_of(tag), Some(rendered));
+        let sec = self.sec_id(&tag.sec);
+        self.recv_sid.insert(req, (sid, sec));
+        let (var, sec) = (Some(VarName(tag.var.0)), Some(sec));
         if self.keeps_movement_spans() {
-            self.events.push(TraceEvent {
+            self.trace.push(TraceEvent {
                 sid,
-                var: var.clone(),
-                sec: sec.clone(),
+                var,
+                sec,
                 msg_id: Some(req),
                 ..TraceEvent::span(TraceKind::RecvPost, pid, t0, t1)
             });
         }
         if self.keeps_states() {
-            self.events.push(TraceEvent {
+            self.trace.push(TraceEvent {
                 sid,
                 var,
                 sec,
-                detail: Some(self.transitional.clone()),
+                detail: Some(LabelId::TRANSITIONAL),
                 ..TraceEvent::instant(TraceKind::SectionState, pid, t1)
             });
         }
@@ -180,7 +212,7 @@ impl Recorder {
 
     /// Receive `req` was matched with `msg`: the wire edge `wire` (sent,
     /// arrived), the handling span `[t0, t1]`, and the section turning
-    /// accessible at `t1`, labelled with the section `recv_post` rendered
+    /// accessible at `t1`, labelled with the section `recv_post` interned
     /// (a receive matches only a message of its own tag).
     pub fn completed(
         &mut self,
@@ -199,17 +231,17 @@ impl Recorder {
             .remove(&req)
             .expect("a receive completes after recv_post recorded it");
         debug_assert_eq!(
-            *sec,
-            msg.tag.sec.to_string(),
+            self.sec_ids.get(&msg.tag.sec),
+            Some(&sec),
             "receive {req} matched another tag"
         );
-        let (var, sec) = (self.var_of(&msg.tag), Some(sec));
+        let (var, sec) = (Some(VarName(msg.tag.var.0)), Some(sec));
         let bytes = msg.payload_bytes();
         if self.cfg.messages {
-            self.events.push(TraceEvent {
+            self.trace.push(TraceEvent {
                 sid,
-                var: var.clone(),
-                sec: sec.clone(),
+                var,
+                sec,
                 bytes,
                 src: Some(msg.src as u32),
                 msg_id: Some(req),
@@ -217,21 +249,21 @@ impl Recorder {
             });
         }
         if self.keeps_movement_spans() {
-            self.events.push(TraceEvent {
+            self.trace.push(TraceEvent {
                 sid,
-                var: var.clone(),
-                sec: sec.clone(),
+                var,
+                sec,
                 bytes,
                 msg_id: Some(req),
                 ..TraceEvent::span(TraceKind::RecvComplete, pid, t0, t1)
             });
         }
         if self.keeps_states() {
-            self.events.push(TraceEvent {
+            self.trace.push(TraceEvent {
                 sid,
                 var,
                 sec,
-                detail: Some(self.accessible.clone()),
+                detail: Some(LabelId::ACCESSIBLE),
                 ..TraceEvent::instant(TraceKind::SectionState, pid, t1)
             });
         }
@@ -241,7 +273,7 @@ impl Recorder {
     /// the span to the receive it waited on.
     pub fn wait(&mut self, pid: usize, cause: WaitCause, req: Option<u64>, t0: f64, t1: f64) {
         if self.cfg.spans && t1 > t0 {
-            self.events.push(TraceEvent {
+            self.trace.push(TraceEvent {
                 cause,
                 msg_id: req,
                 ..TraceEvent::span(TraceKind::Wait, pid, t0, t1)

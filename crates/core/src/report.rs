@@ -51,7 +51,7 @@ pub struct ExecReport {
 
 impl ExecReport {
     /// Total busy time across processors.
-    pub fn total_busy(&self) -> f64 {
+    fn total_busy(&self) -> f64 {
         self.procs.iter().map(|p| p.busy).sum()
     }
 
@@ -208,36 +208,34 @@ fn put(full: &Section, cells: &mut [Option<(usize, Value)>], ord: usize, pid: us
     );
 }
 
-/// Convert delivery-layer fault events into trace instants on the sending
+/// Add delivery-layer fault events to `trace` as instants on the sending
 /// processor's timeline: retries, injected drops (incl. the terminal loss),
 /// and suppressed duplicates. Instants ride on top of the span tiling, so
 /// adding them never perturbs the movement multiset or the critical-path
 /// attribution — retry *time* shows up in the wire/wait spans it delayed.
-pub fn fault_trace_events(events: &[FaultEvent]) -> Vec<TraceEvent> {
-    events
-        .iter()
-        .filter_map(|e| {
-            let (kind, detail) = match e.kind {
-                FaultEventKind::Retry { attempt } => {
-                    (TraceKind::Retry, format!("{} attempt {}", e.tag, attempt))
-                }
-                FaultEventKind::DropInjected => (TraceKind::FaultDrop, e.tag.clone()),
-                FaultEventKind::Lost { attempts } => (
-                    TraceKind::FaultDrop,
-                    format!("{} lost after {} attempts", e.tag, attempts),
-                ),
-                FaultEventKind::DupSuppressed => (TraceKind::DupSuppressed, e.tag.clone()),
-                // The injected copy itself is invisible to the program;
-                // its suppression is the observable event.
-                FaultEventKind::DupInjected => return None,
-            };
-            Some(TraceEvent {
-                detail: Some(detail.into()),
-                src: Some(e.src as u32),
-                ..TraceEvent::instant(kind, e.src, e.t)
-            })
-        })
-        .collect()
+pub fn push_fault_events(trace: &mut Trace, events: &[FaultEvent]) {
+    for e in events {
+        let (kind, detail) = match e.kind {
+            FaultEventKind::Retry { attempt } => {
+                (TraceKind::Retry, format!("{} attempt {}", e.tag, attempt))
+            }
+            FaultEventKind::DropInjected => (TraceKind::FaultDrop, e.tag.clone()),
+            FaultEventKind::Lost { attempts } => (
+                TraceKind::FaultDrop,
+                format!("{} lost after {} attempts", e.tag, attempts),
+            ),
+            FaultEventKind::DupSuppressed => (TraceKind::DupSuppressed, e.tag.clone()),
+            // The injected copy itself is invisible to the program;
+            // its suppression is the observable event.
+            FaultEventKind::DupInjected => continue,
+        };
+        let detail = Some(trace.push_label(detail.into()));
+        trace.push(TraceEvent {
+            detail,
+            src: Some(e.src as u32),
+            ..TraceEvent::instant(kind, e.src, e.t)
+        });
+    }
 }
 
 #[cfg(test)]
@@ -373,19 +371,18 @@ mod tests {
             ev(FaultEventKind::DupSuppressed),
             ev(FaultEventKind::DupInjected), // invisible: suppression is the event
         ];
-        let out = fault_trace_events(&events);
+        let mut trace = Trace::new(3);
+        push_fault_events(&mut trace, &events);
+        let out = &trace.events;
+        let detail = |k: usize| trace.label(out[k].detail.unwrap());
         assert_eq!(out.len(), 4);
         assert_eq!(out[0].kind, TraceKind::Retry);
-        assert!(out[0].detail.as_deref().unwrap().contains("attempt 3"));
+        assert_eq!(&**detail(0), "A@[1:1] attempt 3");
         assert_eq!(out[1].kind, TraceKind::FaultDrop);
         assert_eq!(out[2].kind, TraceKind::FaultDrop);
-        assert!(out[2]
-            .detail
-            .as_deref()
-            .unwrap()
-            .contains("after 7 attempts"));
+        assert_eq!(&**detail(2), "A@[1:1] lost after 7 attempts");
         assert_eq!(out[3].kind, TraceKind::DupSuppressed);
-        for e in &out {
+        for e in out {
             assert_eq!(e.pid, 2);
             assert_eq!(e.src, Some(2));
             assert_eq!(e.t0, 5.0);

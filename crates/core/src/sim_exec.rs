@@ -18,7 +18,7 @@ use xdp_collectives::PlanCtx;
 use xdp_ir::{Program, Section, VarId};
 use xdp_machine::{Completion, SimNet};
 use xdp_runtime::Value;
-use xdp_trace::{Trace, WaitCause};
+use xdp_trace::WaitCause;
 
 #[derive(Clone, Debug, PartialEq)]
 enum PStatus {
@@ -332,12 +332,10 @@ impl<P: Processor> SimExec<P> {
         }
 
         let virtual_time = self.clocks.iter().copied().fold(0.0f64, f64::max);
-        let mut trace = Trace::new(self.cfg.nprocs);
+        let mut trace = self.rec.take(self.cfg.nprocs);
         trace.end = virtual_time;
-        trace.events = self.rec.take_events();
         if self.cfg.trace.instants {
-            let evs = crate::report::fault_trace_events(self.net.fault_events());
-            trace.events.extend(evs);
+            crate::report::push_fault_events(&mut trace, self.net.fault_events());
         }
         let procs = (0..self.cfg.nprocs)
             .map(|p| ProcReport {
@@ -612,7 +610,7 @@ mod tests {
         for w in &wires {
             assert!(w.sid.is_some(), "{w:?}");
             assert!(w.src.is_some(), "{w:?}");
-            assert_eq!(w.var.as_deref(), Some("B"));
+            assert_eq!(w.var.map(|v| &**r.trace.var_name(v)), Some("B"));
             assert!(w.t1 >= w.t0);
             let id = w.msg_id.unwrap();
             assert!(r
@@ -624,7 +622,7 @@ mod tests {
         assert!(r
             .trace
             .of_kind(TraceKind::SectionState)
-            .any(|e| e.detail.as_deref() == Some("accessible")));
+            .any(|e| e.detail.map(|d| &**r.trace.label(d)) == Some("accessible")));
         // The critical path attributes all of the end-to-end time.
         let report = r.trace.critical_path(&std::collections::HashMap::new());
         assert!((report.attributed() - r.virtual_time).abs() < 1e-6 * r.virtual_time);

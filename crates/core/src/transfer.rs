@@ -335,9 +335,8 @@ impl ProcEnv {
         let salt_base = self.redist_epoch as i64 * 1_000_000;
         let stmts = xdp_collectives::lower_redistribute_for_pid(&plan, self.pid, salt_base);
         self.cur_note = Some(StepNote::Collective {
-            var: decl.name.clone(),
-            strategy: plan.strategy.to_string(),
-            pieces: plan.schedule.message_count(),
+            var,
+            label: format!("{} x{}", plan.strategy, plan.schedule.message_count()),
         });
         self.cur_dist.insert(var, dist);
         Ok(stmts)

@@ -2,7 +2,7 @@
 //! reference must emit the same *movement multiset* — identical send-init
 //! / recv-post / wire-transit / recv-complete events up to timing and
 //! message ids — for the same program (see
-//! `xdp_trace::Trace::movement_multiset`), whatever the cost model — and
+//! `xdp_trace::Trace::movement_keys`), whatever the cost model — and
 //! whether the run kept its whole timeline (`TraceConfig::full()`) or the
 //! movement record alone (`TraceConfig::movement()`).
 
@@ -14,6 +14,7 @@ use xdp_ir::build as b;
 use xdp_ir::{DimDist, Distribution, ElemType, ProcGrid, Program, VarId};
 use xdp_machine::CostModel;
 use xdp_runtime::Value;
+use xdp_trace::Movement;
 use xdp_verify::lockstep::Lockstep;
 
 /// Block-distributed A and cyclic B: every A[i] += B[i] via messages.
@@ -97,11 +98,11 @@ fn trace_of(mut exec: impl Machine, init: &[(VarId, f64)]) -> Trace {
 }
 
 /// The movement multiset of one traced run on any machine.
-fn multiset(exec: impl Machine, init: &[(VarId, f64)]) -> Vec<String> {
-    trace_of(exec, init).movement_multiset()
+fn multiset(exec: impl Machine, init: &[(VarId, f64)]) -> Movement {
+    trace_of(exec, init).movement_keys()
 }
 
-fn sim_multiset(prog: &Arc<Program>, nprocs: usize, init: &[(VarId, f64)]) -> Vec<String> {
+fn sim_multiset(prog: &Arc<Program>, nprocs: usize, init: &[(VarId, f64)]) -> Movement {
     let cfg = MachineConfig::new(nprocs).with_trace(TraceConfig::full());
     multiset(
         SimExec::new(prog.clone(), KernelRegistry::standard(), cfg),
@@ -109,7 +110,7 @@ fn sim_multiset(prog: &Arc<Program>, nprocs: usize, init: &[(VarId, f64)]) -> Ve
     )
 }
 
-fn thread_multiset(prog: &Arc<Program>, nprocs: usize, init: &[(VarId, f64)]) -> Vec<String> {
+fn thread_multiset(prog: &Arc<Program>, nprocs: usize, init: &[(VarId, f64)]) -> Movement {
     let cfg = MachineConfig::new(nprocs).with_trace(TraceConfig::full());
     multiset(
         AsyncExec::new(prog.clone(), KernelRegistry::standard(), cfg),
@@ -202,11 +203,11 @@ fn the_movement_record_is_the_full_traces_movement_on_every_machine() {
         let full = on_every_machine(TraceConfig::full());
         let movement = on_every_machine(TraceConfig::movement());
         for ((machine, full), (_, movement)) in full.iter().zip(&movement) {
-            let moved = movement.movement_multiset();
+            let moved = movement.movement_keys();
             assert!(!moved.is_empty(), "{machine}");
-            assert_eq!(moved, full.movement_multiset(), "{machine}");
-            let states = movement.state_multiset();
-            assert_eq!(states, full.state_multiset(), "{machine}");
+            assert_eq!(moved, full.movement_keys(), "{machine}");
+            let states = movement.state_keys();
+            assert_eq!(states, full.state_keys(), "{machine}");
             assert_eq!(
                 movement.events.len(),
                 moved.len() + states.len(),

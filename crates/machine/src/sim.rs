@@ -175,28 +175,30 @@ impl SimNet {
             extra,
         };
         // Earliest eligible receive.
-        let tag = post.msg.tag.clone();
         let eligible = |r: &RecvPost, d: &Option<Vec<usize>>| match d {
             None => true,
             Some(pids) => pids.contains(&r.dst),
         };
-        let pick = self.recvs.get(&tag).and_then(|q| {
+        let waiting = self.recvs.get_mut(&post.msg.tag);
+        let pick = waiting.as_ref().and_then(|q| {
             q.iter()
                 .enumerate()
                 .filter(|(_, r)| eligible(r, &post.dest))
                 .min_by(|(_, a), (_, b)| (a.time, a.seq).partial_cmp(&(b.time, b.seq)).unwrap())
                 .map(|(i, _)| i)
         });
-        match pick {
-            Some(i) => {
-                let recv = self.recvs.get_mut(&tag).unwrap().remove(i);
-                Some(self.complete(post, recv))
-            }
+        if let (Some(i), Some(q)) = (pick, waiting) {
+            let recv = q.remove(i);
+            return Some(self.complete(post, recv));
+        }
+        // The tag is cloned only for a name no send is queued under.
+        match self.sends.get_mut(&post.msg.tag) {
+            Some(q) => q.push(post),
             None => {
-                self.sends.entry(tag).or_default().push(post);
-                None
+                self.sends.insert(post.msg.tag.clone(), vec![post]);
             }
         }
+        None
     }
 
     /// Post a receive for `tag` at virtual `time` on processor `dst`.

@@ -205,7 +205,11 @@ impl ThreadNet {
             }
         }
         st.redist_acquire(&msg, &dest);
-        let slot = st.queues.entry(msg.tag.clone()).or_default();
+        // The tag is cloned only for a name the pool has not seen.
+        if !st.queues.contains_key(&msg.tag) {
+            st.queues.insert(msg.tag.clone(), Default::default());
+        }
+        let slot = st.queues.get_mut(&msg.tag).expect("inserted above");
         let woken = slot.wake(&dest);
         let entry = QueuedEntry { msg, dest };
         if reorder {

@@ -38,7 +38,7 @@ pub struct CompileTrace {
 }
 
 impl CompileTrace {
-    pub fn total_wall_ms(&self) -> f64 {
+    fn total_wall_ms(&self) -> f64 {
         self.passes.iter().map(|p| p.wall_ms).sum()
     }
 

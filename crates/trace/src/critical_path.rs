@@ -23,7 +23,7 @@
 //! processor), so the walk terminates; the three buckets sum to exactly
 //! the end-to-end time by construction.
 
-use crate::event::{Trace, TraceEvent, TraceKind, WaitCause};
+use crate::event::{Trace, TraceEvent, TraceKind, VarName, WaitCause};
 use std::collections::{HashMap, HashSet};
 
 /// Which bucket a slice of the path fell into.
@@ -199,7 +199,7 @@ pub(crate) fn analyze(trace: &Trace, labels: &HashMap<u32, String>) -> CriticalP
         .unwrap_or(0);
     let mut t = total;
     let mut by_stmt: HashMap<Option<u32>, CostRow> = HashMap::new();
-    let mut by_var: HashMap<String, CostRow> = HashMap::new();
+    let mut by_var: HashMap<VarName, CostRow> = HashMap::new();
     // Each barrier instant may be entered once per pid; a second visit
     // would mean a cycle of zero-time hops, so we bail to `wait` instead.
     let mut barrier_visits: HashSet<(usize, u64)> = HashSet::new();
@@ -208,7 +208,7 @@ pub(crate) fn analyze(trace: &Trace, labels: &HashMap<u32, String>) -> CriticalP
     let mut charge = |bucket: PathBucket,
                       amount: f64,
                       sid: Option<u32>,
-                      var: Option<&str>,
+                      var: Option<VarName>,
                       report: &mut CriticalPathReport| {
         if amount <= 0.0 {
             return;
@@ -229,7 +229,7 @@ pub(crate) fn analyze(trace: &Trace, labels: &HashMap<u32, String>) -> CriticalP
             }
         }
         if let Some(v) = var {
-            let vrow = by_var.entry(v.to_string()).or_default();
+            let vrow = by_var.entry(v).or_default();
             match bucket {
                 PathBucket::Compute => vrow.compute += amount,
                 PathBucket::Wire => vrow.wire += amount,
@@ -263,13 +263,7 @@ pub(crate) fn analyze(trace: &Trace, labels: &HashMap<u32, String>) -> CriticalP
                     WaitCause::Message(_) if wire.is_some() => {
                         let w = wire.unwrap();
                         let jump = w.t0.min(t).max(0.0);
-                        charge(
-                            PathBucket::Wire,
-                            t - jump,
-                            w.sid,
-                            w.var.as_deref(),
-                            &mut report,
-                        );
+                        charge(PathBucket::Wire, t - jump, w.sid, w.var, &mut report);
                         report.hops += 1;
                         pid = w.src.unwrap_or(span.pid) as usize;
                         t = jump;
@@ -298,7 +292,7 @@ pub(crate) fn analyze(trace: &Trace, labels: &HashMap<u32, String>) -> CriticalP
                             PathBucket::Wait,
                             t - span.t0,
                             span.sid,
-                            span.var.as_deref(),
+                            span.var,
                             &mut report,
                         );
                         t = span.t0;
@@ -310,7 +304,7 @@ pub(crate) fn analyze(trace: &Trace, labels: &HashMap<u32, String>) -> CriticalP
                     PathBucket::Compute,
                     t - span.t0,
                     span.sid,
-                    span.var.as_deref(),
+                    span.var,
                     &mut report,
                 );
                 t = span.t0;
@@ -342,7 +336,7 @@ pub(crate) fn analyze(trace: &Trace, labels: &HashMap<u32, String>) -> CriticalP
     report.by_var = by_var
         .into_iter()
         .map(|(var, mut row)| {
-            row.key = var;
+            row.key = trace.var_name(var).to_string();
             row
         })
         .collect();
@@ -356,6 +350,7 @@ pub(crate) fn analyze(trace: &Trace, labels: &HashMap<u32, String>) -> CriticalP
 mod tests {
     use super::*;
     use crate::event::TraceEvent;
+    use std::sync::Arc;
 
     fn labels() -> HashMap<u32, String> {
         HashMap::new()
@@ -365,7 +360,7 @@ mod tests {
     /// computes [10,12]. Path: 2 compute (p1) + 6 wire + 4 compute (p0).
     #[test]
     fn two_proc_message_path() {
-        let mut t = Trace::new(2);
+        let mut t = Trace::with_vars(2, [Arc::<str>::from("A")].into());
         t.end = 12.0;
         t.push(TraceEvent {
             sid: Some(1),
@@ -379,7 +374,7 @@ mod tests {
             msg_id: Some(7),
             src: Some(0),
             sid: Some(2),
-            var: Some("A".into()),
+            var: Some(VarName(0)),
             ..TraceEvent::span(TraceKind::WireTransit, 1, 4.0, 10.0)
         });
         t.push(TraceEvent {

@@ -1,13 +1,14 @@
 //! The structured event model shared by both executors.
 
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, LazyLock};
+use xdp_ir::Section;
 
 /// What a [`TraceEvent`] describes.
 ///
 /// The first four kinds are *spans* (`t1 > t0`) that tile each processor's
 /// local timeline; the rest are instants or edges layered on top.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Default)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub enum TraceKind {
     /// Local work: interpreter step, symbol-table charges, kernel flops.
     #[default]
@@ -81,11 +82,40 @@ pub enum WaitCause {
     Quiesce,
 }
 
+/// A declared variable of the traced program, by its ordinal: an index
+/// into the names table of the [`Trace`] holding the event.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub struct VarName(pub u32);
+
+/// A section, by its place in the section table of the [`Trace`] holding
+/// the event ([`Trace::push_section`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub struct SecId(pub u32);
+
+/// An annotation, by its place in the label table of the [`Trace`]
+/// holding the event ([`Trace::push_label`]). The two section states are
+/// fixed ids every trace resolves without a table entry.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub struct LabelId(pub(crate) u32);
+
+impl LabelId {
+    /// The section-state label `transitional`.
+    pub const TRANSITIONAL: LabelId = LabelId(0);
+    /// The section-state label `accessible`.
+    pub const ACCESSIBLE: LabelId = LabelId(1);
+}
+
+/// The texts of the fixed labels, by id.
+pub(crate) static FIXED_LABELS: LazyLock<[Arc<str>; 2]> =
+    LazyLock::new(|| ["transitional".into(), "accessible".into()]);
+
 /// One structured event. Spans use `[t0, t1]`; instants have `t1 == t0`.
 ///
 /// Times are virtual on the simulator and wall-clock microseconds on the
 /// task machine — the model does not care, only the exporters scale.
-#[derive(Clone, Debug, PartialEq, Default)]
+/// An event owns nothing: it names its variable, section and annotation
+/// by ids its [`Trace`] resolves, so recording and dropping one is a copy.
+#[derive(Clone, Copy, Debug, PartialEq, Default)]
 pub struct TraceEvent {
     pub kind: TraceKind,
     /// The processor whose timeline this event sits on (the *receiver*
@@ -95,13 +125,10 @@ pub struct TraceEvent {
     pub t1: f64,
     /// Preorder id of the IR statement that caused the event.
     pub sid: Option<u32>,
-    /// Variable being moved/queried, if any (rendered name). Shared: the
-    /// events of one transfer — and every event naming the variable —
-    /// hold one rendering, so recording and dropping a trace cost one
-    /// allocation per transfer, not three per event.
-    pub var: Option<Arc<str>>,
-    /// Section being moved, if any (rendered, e.g. `[1:4]`).
-    pub sec: Option<Arc<str>>,
+    /// Variable being moved/queried, if any.
+    pub var: Option<VarName>,
+    /// Section being moved, if any.
+    pub sec: Option<SecId>,
     /// Payload bytes for movement events; op/flop counts for
     /// [`TraceKind::SymtabQuery`] / [`TraceKind::KernelInvoke`].
     pub bytes: u64,
@@ -111,8 +138,8 @@ pub struct TraceEvent {
     pub msg_id: Option<u64>,
     /// Why a [`TraceKind::Wait`] span was blocked.
     pub cause: WaitCause,
-    /// Free-form annotation (kernel name, section state, strategy...).
-    pub detail: Option<Arc<str>>,
+    /// Annotation (kernel name, section state, strategy...).
+    pub detail: Option<LabelId>,
 }
 
 impl TraceEvent {
@@ -149,8 +176,8 @@ impl TraceEvent {
 /// | `SymtabQuery`, `KernelInvoke`, `CollectiveRound`, `Retry`, `FaultDrop`, `DupSuppressed` | `instants` |
 ///
 /// `messages` alone ([`TraceConfig::movement`]) is therefore the
-/// data-movement record: exactly the kinds [`Trace::movement_multiset`]
-/// and [`Trace::state_multiset`] filter for, and nothing a
+/// data-movement record: exactly the kinds [`Trace::movement_keys`]
+/// and [`Trace::state_keys`] filter for, and nothing a
 /// communication-free run would emit.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct TraceConfig {
@@ -206,26 +233,101 @@ impl TraceConfig {
 }
 
 /// A recorded execution: every event from every processor, in emission
-/// order, plus the makespan.
+/// order, the makespan, and the tables the events' ids index: the
+/// program's declared names, the sections and the labels.
 #[derive(Clone, Debug, Default)]
 pub struct Trace {
     pub nprocs: usize,
     /// End-to-end time (virtual time on the simulator; wall µs on the task machine).
     pub end: f64,
     pub events: Vec<TraceEvent>,
+    pub(crate) vars: Arc<[Arc<str>]>,
+    pub(crate) secs: Vec<Section>,
+    pub(crate) labels: Vec<Arc<str>>,
 }
 
 impl Trace {
     pub fn new(nprocs: usize) -> Self {
+        Self::with_vars(nprocs, Arc::from([]))
+    }
+
+    /// An empty trace whose events name variable `k` `vars[k]`.
+    pub fn with_vars(nprocs: usize, vars: Arc<[Arc<str>]>) -> Self {
         Trace {
             nprocs,
             end: 0.0,
             events: Vec::new(),
+            vars,
+            secs: Vec::new(),
+            labels: Vec::new(),
         }
     }
 
     pub fn push(&mut self, ev: TraceEvent) {
         self.events.push(ev);
+    }
+
+    /// Add `sec` to the section table; equal sections may be added twice.
+    pub fn push_section(&mut self, sec: Section) -> SecId {
+        self.secs.push(sec);
+        SecId(self.secs.len() as u32 - 1)
+    }
+
+    /// Add `text` to the label table.
+    pub fn push_label(&mut self, text: Arc<str>) -> LabelId {
+        self.labels.push(text);
+        LabelId((FIXED_LABELS.len() + self.labels.len() - 1) as u32)
+    }
+
+    /// The declared names, by variable ordinal.
+    pub fn vars(&self) -> &Arc<[Arc<str>]> {
+        &self.vars
+    }
+
+    /// The declared name of `var`.
+    pub fn var_name(&self, var: VarName) -> &Arc<str> {
+        &self.vars[var.0 as usize]
+    }
+
+    pub fn section(&self, sec: SecId) -> &Section {
+        &self.secs[sec.0 as usize]
+    }
+
+    pub fn label(&self, label: LabelId) -> &Arc<str> {
+        let k = label.0 as usize;
+        match FIXED_LABELS.get(k) {
+            Some(text) => text,
+            None => &self.labels[k - FIXED_LABELS.len()],
+        }
+    }
+
+    /// Append the events of `part`, recorded against the same names, with
+    /// their section and label ids re-based onto this trace's tables. The
+    /// task machine records one part per processor and merges them here,
+    /// once, after the run.
+    pub fn merge(&mut self, part: Trace) {
+        if self.vars.is_empty() {
+            self.vars = part.vars;
+        } else {
+            debug_assert!(part.vars.is_empty() || *part.vars == *self.vars);
+        }
+        let secs = self.secs.len() as u32;
+        let labels = self.labels.len() as u32;
+        self.secs.extend(part.secs);
+        self.labels.extend(part.labels);
+        let fixed = FIXED_LABELS.len() as u32;
+        self.events
+            .extend(part.events.into_iter().map(|e| TraceEvent {
+                sec: e.sec.map(|s| SecId(s.0 + secs)),
+                detail: e.detail.map(|l| {
+                    if l.0 < fixed {
+                        l
+                    } else {
+                        LabelId(l.0 + labels)
+                    }
+                }),
+                ..e
+            }));
     }
 
     pub fn is_empty(&self) -> bool {
@@ -235,75 +337,6 @@ impl Trace {
     /// Events of one kind, in emission order.
     pub fn of_kind(&self, kind: TraceKind) -> impl Iterator<Item = &TraceEvent> {
         self.events.iter().filter(move |e| e.kind == kind)
-    }
-
-    /// Canonical, timing-free keys of every data-movement event, sorted.
-    ///
-    /// Two backends executing the same program must produce the same
-    /// multiset: one `send-init` per send action, one `recv-post` per
-    /// posted receive, and one `wire-transit` + `recv-complete` per
-    /// completed receive — identified by (kind, pid, statement id,
-    /// variable, section, payload bytes). Timing and message ids are
-    /// backend-specific and excluded.
-    pub fn movement_multiset(&self) -> Vec<String> {
-        let mut keys: Vec<String> = self
-            .events
-            .iter()
-            .filter(|e| {
-                matches!(
-                    e.kind,
-                    TraceKind::SendInit
-                        | TraceKind::RecvPost
-                        | TraceKind::RecvComplete
-                        | TraceKind::WireTransit
-                )
-            })
-            .map(|e| {
-                let (var, sec) = (or_dash(&e.var), or_dash(&e.sec));
-                let mut key = String::with_capacity(56 + var.len() + sec.len());
-                key.push_str(e.kind.name());
-                key.push_str(" p");
-                push_uint(&mut key, e.pid.into());
-                key.push_str(" sid=");
-                match e.sid {
-                    Some(s) => push_uint(&mut key, s.into()),
-                    None => key.push('-'),
-                }
-                key.push_str(" var=");
-                key.push_str(var);
-                key.push_str(" sec=");
-                key.push_str(sec);
-                key.push_str(" bytes=");
-                push_uint(&mut key, e.bytes);
-                key
-            })
-            .collect();
-        keys.sort_unstable();
-        keys
-    }
-
-    /// Sorted keys of every section-state instant, `state p<pid>
-    /// var=<var> sec=<section> <state>`: which sections each processor saw
-    /// turn transitional and accessible, timing excluded.
-    pub fn state_multiset(&self) -> Vec<String> {
-        let mut keys: Vec<String> = self
-            .of_kind(TraceKind::SectionState)
-            .map(|e| {
-                let (var, sec, state) = (or_dash(&e.var), or_dash(&e.sec), or_dash(&e.detail));
-                let mut key = String::with_capacity(40 + var.len() + sec.len() + state.len());
-                key.push_str("state p");
-                push_uint(&mut key, e.pid.into());
-                key.push_str(" var=");
-                key.push_str(var);
-                key.push_str(" sec=");
-                key.push_str(sec);
-                key.push(' ');
-                key.push_str(state);
-                key
-            })
-            .collect();
-        keys.sort_unstable();
-        keys
     }
 
     /// ASCII Gantt chart of the span timeline (`#` compute, `s` send
@@ -362,11 +395,6 @@ impl Trace {
     }
 }
 
-/// A key field's text, `-` when absent.
-fn or_dash(field: &Option<Arc<str>>) -> &str {
-    field.as_deref().unwrap_or("-")
-}
-
 /// Append `v` in decimal, the text `{}` writes, without `core::fmt`: a
 /// single digit is pushed as it is, longer numbers are spelled into a stack
 /// buffer and copied on. Fingerprint lines are mostly small integers, and
@@ -408,71 +436,57 @@ mod tests {
         assert!(movement.enabled() && !movement.spans && !movement.instants);
     }
 
+    /// An event owns nothing, so recording one is a copy and dropping a
+    /// trace frees its vectors alone. Checked when the test compiles.
     #[test]
-    fn movement_multiset_ignores_timing_and_order() {
-        let mut a = Trace::new(2);
-        a.push(TraceEvent {
-            sid: Some(3),
-            var: Some("A".into()),
-            bytes: 8,
-            ..TraceEvent::span(TraceKind::SendInit, 0, 1.0, 2.0)
-        });
-        a.push(TraceEvent {
-            sid: Some(4),
-            var: Some("A".into()),
-            bytes: 8,
-            ..TraceEvent::span(TraceKind::RecvComplete, 1, 5.0, 6.0)
-        });
-        let mut b = Trace::new(2);
-        // Same logical movement, different times, order, and msg ids.
-        b.push(TraceEvent {
-            sid: Some(4),
-            var: Some("A".into()),
-            bytes: 8,
-            msg_id: Some(99),
-            ..TraceEvent::span(TraceKind::RecvComplete, 1, 0.0, 0.0)
-        });
-        b.push(TraceEvent {
-            sid: Some(3),
-            var: Some("A".into()),
-            bytes: 8,
-            ..TraceEvent::span(TraceKind::SendInit, 0, 7.0, 7.5)
-        });
-        assert_eq!(a.movement_multiset(), b.movement_multiset());
+    fn events_are_copy() {
+        fn copy<T: Copy>() {}
+        copy::<TraceEvent>();
     }
 
-    /// Movement lines are pinned as text; the hand-rendered key must be
-    /// what the `format!` it replaced produced, absent fields included.
+    /// Merged parts keep resolving to what they named: sections and
+    /// labels are re-based, the fixed states and the variables are not.
     #[test]
-    fn movement_lines_are_byte_identical_to_the_format_rendering() {
+    fn merge_rebases_section_and_label_ids() {
+        let vars: Arc<[Arc<str>]> = ["A", "B"].map(Arc::<str>::from).into();
+        let part = |sec: Section, label: &str| {
+            let mut t = Trace::with_vars(2, vars.clone());
+            let sec = t.push_section(sec);
+            let label = t.push_label(label.into());
+            for detail in [label, LabelId::ACCESSIBLE] {
+                t.push(TraceEvent {
+                    var: Some(VarName(1)),
+                    sec: Some(sec),
+                    detail: Some(detail),
+                    ..TraceEvent::instant(TraceKind::SectionState, 0, 0.0)
+                });
+            }
+            t
+        };
+        let (x, y) = (Section::point(&[1]), Section::point(&[2, 3]));
         let mut t = Trace::new(2);
-        t.push(TraceEvent {
-            sid: Some(17),
-            var: Some("A".into()),
-            sec: Some("[1:4,2]".into()),
-            bytes: 4096,
-            ..TraceEvent::span(TraceKind::WireTransit, 1, 0.0, 1.0)
-        });
-        t.push(TraceEvent::span(TraceKind::RecvPost, 0, 0.0, 1.0));
-        t.push(TraceEvent::span(TraceKind::Compute, 0, 0.0, 1.0)); // not movement
-        let mut want: Vec<String> = t
+        t.merge(part(x.clone(), "one"));
+        t.merge(part(y.clone(), "two"));
+        let seen: Vec<(&str, &Section, &str)> = t
             .events
             .iter()
-            .take(2)
             .map(|e| {
-                format!(
-                    "{} p{} sid={} var={} sec={} bytes={}",
-                    e.kind.name(),
-                    e.pid,
-                    e.sid.map(|s| s.to_string()).unwrap_or_else(|| "-".into()),
-                    e.var.as_deref().unwrap_or("-"),
-                    e.sec.as_deref().unwrap_or("-"),
-                    e.bytes,
+                (
+                    &**t.var_name(e.var.unwrap()),
+                    t.section(e.sec.unwrap()),
+                    &**t.label(e.detail.unwrap()),
                 )
             })
             .collect();
-        want.sort();
-        assert_eq!(t.movement_multiset(), want);
+        assert_eq!(
+            seen,
+            [
+                ("B", &x, "one"),
+                ("B", &x, "accessible"),
+                ("B", &y, "two"),
+                ("B", &y, "accessible"),
+            ]
+        );
     }
 
     #[test]

@@ -37,16 +37,16 @@ fn meta(name: &str, process: u64, tid: Option<u64>, label: String) -> Value {
     obj(pairs)
 }
 
-fn args_of(e: &TraceEvent) -> Value {
+fn args_of(t: &Trace, e: &TraceEvent) -> Value {
     let mut m = Map::new();
     if let Some(sid) = e.sid {
         m.insert("sid".into(), Value::from(sid as u64));
     }
-    if let Some(v) = &e.var {
-        m.insert("var".into(), Value::from(v.to_string()));
+    if let Some(v) = e.var {
+        m.insert("var".into(), Value::from(t.var_name(v).to_string()));
     }
-    if let Some(s) = &e.sec {
-        m.insert("sec".into(), Value::from(s.to_string()));
+    if let Some(s) = e.sec {
+        m.insert("sec".into(), Value::from(t.section(s).to_string()));
     }
     if e.bytes > 0 {
         m.insert("bytes".into(), Value::from(e.bytes));
@@ -57,17 +57,17 @@ fn args_of(e: &TraceEvent) -> Value {
     if let Some(id) = e.msg_id {
         m.insert("msg_id".into(), Value::from(id));
     }
-    if let Some(d) = &e.detail {
-        m.insert("detail".into(), Value::from(d.to_string()));
+    if let Some(d) = e.detail {
+        m.insert("detail".into(), Value::from(t.label(d).to_string()));
     }
     Value::Object(m)
 }
 
-fn display_name(e: &TraceEvent) -> String {
-    match (&e.var, &e.sec) {
+fn display_name(t: &Trace, e: &TraceEvent) -> String {
+    match (e.var.map(|v| t.var_name(v)), e.sec.map(|s| t.section(s))) {
         (Some(v), Some(s)) => format!("{} {v}{s}", e.kind.name()),
         (Some(v), None) => format!("{} {v}", e.kind.name()),
-        _ => match &e.detail {
+        _ => match e.detail.map(|d| t.label(d)) {
             Some(d) => format!("{} {d}", e.kind.name()),
             None => e.kind.name().to_string(),
         },
@@ -112,7 +112,7 @@ impl Trace {
                 _ => (PROC_PROCESS, "X"),
             };
             let mut ev = Map::new();
-            ev.insert("name".into(), Value::from(display_name(e)));
+            ev.insert("name".into(), Value::from(display_name(self, e)));
             ev.insert("cat".into(), Value::from(e.kind.name()));
             ev.insert("ph".into(), Value::from(ph));
             ev.insert("ts".into(), Value::from(e.t0));
@@ -124,7 +124,7 @@ impl Trace {
                 // Thread-scoped instant.
                 ev.insert("s".into(), Value::from("t"));
             }
-            ev.insert("args".into(), args_of(e));
+            ev.insert("args".into(), args_of(self, e));
             events.push(Value::Object(ev));
         }
         obj(vec![
@@ -160,7 +160,7 @@ impl Trace {
             m.insert("pid".into(), Value::from(e.pid as u64));
             m.insert("t0".into(), Value::from(e.t0));
             m.insert("t1".into(), Value::from(e.t1));
-            if let Value::Object(args) = args_of(e) {
+            if let Value::Object(args) = args_of(self, e) {
                 for (k, v) in args.iter() {
                     m.insert(k.clone(), v.clone());
                 }
@@ -175,18 +175,20 @@ impl Trace {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::WaitCause;
+    use crate::event::{LabelId, VarName, WaitCause};
+    use xdp_ir::{Section, Triplet};
 
     fn sample() -> Trace {
-        let mut t = Trace::new(2);
+        let mut t = Trace::with_vars(2, ["A"].map(std::sync::Arc::<str>::from).into());
         t.end = 10.0;
+        let sec = t.push_section(Section::new(vec![Triplet::range(1, 4)]));
         t.push(TraceEvent {
             sid: Some(1),
             ..TraceEvent::span(TraceKind::Compute, 0, 0.0, 4.0)
         });
         t.push(TraceEvent {
-            var: Some("A".into()),
-            sec: Some("[1:4]".into()),
+            var: Some(VarName(0)),
+            sec: Some(sec),
             bytes: 32,
             sid: Some(2),
             ..TraceEvent::span(TraceKind::SendInit, 0, 4.0, 5.0)
@@ -198,12 +200,12 @@ mod tests {
         t.push(TraceEvent {
             msg_id: Some(9),
             src: Some(0),
-            var: Some("A".into()),
+            var: Some(VarName(0)),
             bytes: 32,
             ..TraceEvent::span(TraceKind::WireTransit, 1, 5.0, 9.0)
         });
         t.push(TraceEvent {
-            detail: Some("accessible".into()),
+            detail: Some(LabelId::ACCESSIBLE),
             ..TraceEvent::instant(TraceKind::SectionState, 1, 9.0)
         });
         t

@@ -18,15 +18,23 @@
 //! * compiler instrumentation types ([`compile::CompileTrace`]) recording
 //!   per-pass wall time, node-count deltas, and statement provenance.
 //!
-//! The event model is deliberately IR-free (variables and sections are
-//! carried as rendered strings) so the crate sits below `xdp-core` in the
-//! dependency graph and the exporters need nothing but `serde_json`.
+//! An event owns nothing: it names its variable, section and annotation by
+//! ids into tables its [`Trace`] holds (the declared names, the sections
+//! by value, the labels), and every reader resolves them there. The
+//! movement record a fingerprint compares is data too ([`keys`]); its
+//! pinned text is a view. The crate sits below `xdp-core`, beside `xdp-ir`
+//! for [`xdp_ir::Section`].
 
 pub mod compile;
 pub mod critical_path;
 pub mod event;
 pub mod export;
+pub mod keys;
 
 pub use compile::{CompileTrace, PassTrace};
 pub use critical_path::{CostRow, CriticalPathReport, PathBucket};
-pub use event::{push_int, push_uint, Trace, TraceConfig, TraceEvent, TraceKind, WaitCause};
+pub use event::{
+    push_int, push_uint, LabelId, SecId, Trace, TraceConfig, TraceEvent, TraceKind, VarName,
+    WaitCause,
+};
+pub use keys::{Key, KeySet, MoveKey, Movement, StateKey, States};

@@ -37,6 +37,7 @@ use xdp_core::{
 use xdp_fault::{FaultPlan, LinkFault};
 use xdp_ir::{Decl, Program, VarId};
 use xdp_runtime::Value;
+use xdp_trace::{Key, KeySet};
 use xdp_vm::{VmProc, VmProgram};
 
 /// A detected disagreement. `key()` identifies the *kind* of failure so
@@ -421,16 +422,24 @@ pub fn check_with(tp: &TestProgram, cfg: &CheckConfig) -> Option<Divergence> {
     None
 }
 
+/// [`diff_lines`] on the text of two key sets that differ.
+fn diff_keys<K: Key>(what: &str, a: &KeySet<K>, b: &KeySet<K>) -> Option<String> {
+    (a != b).then(|| {
+        diff_lines(what, &a.lines(), &b.lines())
+            .unwrap_or_else(|| format!("{what}: one text, unequal sections"))
+    })
+}
+
 /// Conformance of `other` to the baseline `base` for the same program.
 fn conform(base: &Fingerprint, other: &Fingerprint, states: bool) -> Option<String> {
     if let Some(d) = diff_lines("memory", &base.memory_all(), &other.memory_all()) {
         return Some(d);
     }
-    if let Some(d) = diff_lines("movement", &base.movement, &other.movement) {
+    if let Some(d) = diff_keys("movement", &base.movement, &other.movement) {
         return Some(d);
     }
     if states {
-        if let Some(d) = diff_lines("states", &base.states, &other.states) {
+        if let Some(d) = diff_keys("states", &base.states, &other.states) {
             return Some(d);
         }
     }

@@ -1,17 +1,17 @@
 //! The execution fingerprint oracle.
 //!
-//! A fingerprint renders everything observable about a run as sorted
-//! line multisets, so "two executions agree" reduces to string equality
-//! and the first differing line names the disagreement:
+//! A fingerprint holds everything observable about a run as multisets, so
+//! "two executions agree" reduces to equality, and the first differing
+//! line of their text names the disagreement:
 //!
 //! * **memory** — the final global contents of each declared array as
 //!   gathered from the owning processors (`name[index] p<owner> = value`),
 //!   grouped per declaration so comparisons can be restricted to the
 //!   observable arrays;
-//! * **movement** — [`xdp_trace::Trace::movement_multiset`]: every
+//! * **movement** — [`xdp_trace::Trace::movement_keys`]: every
 //!   `SendInit`/`RecvPost`/`RecvComplete`/`WireTransit` event, stripped of
-//!   timing;
-//! * **states** — [`xdp_trace::Trace::state_multiset`]: the section-state
+//!   timing, as data; [`Movement::lines`] is its pinned text;
+//! * **states** — [`xdp_trace::Trace::state_keys`]: the section-state
 //!   instants (`transitional`/`accessible`) each processor observed.
 //!
 //! All generated programs compute dyadic-exact `f64` values, so memory
@@ -21,17 +21,17 @@ use std::collections::BTreeMap;
 use std::fmt::Write;
 use xdp_core::Gathered;
 use xdp_runtime::Value;
-use xdp_trace::{push_int, push_uint, Trace};
+use xdp_trace::{push_int, push_uint, Movement, States, Trace};
 
 /// One run's observable outcome.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct Fingerprint {
     /// Per-declaration memory image lines, keyed by declared name.
     pub memory: BTreeMap<String, Vec<String>>,
-    /// Sorted movement multiset.
-    pub movement: Vec<String>,
-    /// Sorted section-state digest.
-    pub states: Vec<String>,
+    /// Movement multiset.
+    pub movement: Movement,
+    /// Section-state multiset.
+    pub states: States,
     /// Wire messages (multicast copies counted individually).
     pub messages: u64,
 }
@@ -86,12 +86,12 @@ impl Fingerprint {
 
     /// Capture the movement and state multisets from a trace.
     pub fn record_trace(&mut self, trace: &Trace) {
-        self.movement = trace.movement_multiset();
-        self.states = trace.state_multiset();
+        self.movement = trace.movement_keys();
+        self.states = trace.state_keys();
     }
 
     /// Memory restricted to `names` (pass-equivalence ignores scratch).
-    pub fn memory_of(&self, names: &[String]) -> Vec<String> {
+    fn memory_of(&self, names: &[String]) -> Vec<String> {
         let mut out = Vec::new();
         for n in names {
             if let Some(lines) = self.memory.get(n) {
@@ -101,7 +101,7 @@ impl Fingerprint {
         out
     }
 
-    /// [`Fingerprint::memory_of`] with the `p<owner>` field of each line
+    /// Memory restricted to `names`, with the `p<owner>` field of each line
     /// stripped: the answer, wherever a placement put it.
     pub fn values_of(&self, names: &[String]) -> Vec<String> {
         let strip = |line: String| match (line.find("] p"), line.find(" = ")) {

@@ -11,7 +11,7 @@
 //!
 //! It stays a loop of its own — it is the reference the machines are
 //! compared against — but emits its trace through the same
-//! [`xdp_core::Recorder`], so [`xdp_trace::Trace::movement_multiset`] is
+//! [`xdp_core::Recorder`], so [`xdp_trace::Trace::movement_keys`] is
 //! directly comparable across all three.
 
 use std::sync::Arc;
@@ -22,7 +22,6 @@ use xdp_core::{
 use xdp_ir::{Program, VarId};
 use xdp_machine::NetStats;
 use xdp_runtime::{Msg, Tag, Value};
-use xdp_trace::Trace;
 
 #[derive(Clone, Copy, PartialEq)]
 enum ProcState {
@@ -201,9 +200,8 @@ impl Lockstep {
                 )));
             }
         }
-        let mut trace = Trace::new(n);
+        let mut trace = self.rec.take(n);
         trace.end = round as f64;
-        trace.events = self.rec.take_events();
         let mut net = NetStats::new(n);
         net.messages = messages;
         Ok(ExecReport {
@@ -334,7 +332,7 @@ mod tests {
         sim.init_exclusive(bb, |_| Value::F64(1.0));
         let sr = sim.run().unwrap();
 
-        assert_eq!(lr.trace.movement_multiset(), sr.trace.movement_multiset());
+        assert_eq!(lr.trace.movement_keys(), sr.trace.movement_keys());
         for i in 1..=n {
             assert_eq!(ls.gather(a).get(&[i]), sim.gather(a).get(&[i]), "i={i}");
         }

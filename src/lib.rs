@@ -101,7 +101,7 @@ pub mod prelude {
     pub use xdp_place::{PlaceOptions, Placed, Placement};
     pub use xdp_runtime::{Buffer, Complex, RtSymbolTable, SegStatus, Value};
     pub use xdp_trace::{
-        CompileTrace, CriticalPathReport, PassTrace, Trace, TraceConfig, TraceEvent, TraceKind,
-        WaitCause,
+        CompileTrace, CriticalPathReport, LabelId, Movement, PassTrace, SecId, States, Trace,
+        TraceConfig, TraceEvent, TraceKind, VarName, WaitCause,
     };
 }

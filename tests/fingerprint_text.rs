@@ -1,7 +1,8 @@
-//! A fingerprint is text, and the golden digests, `tests/symtab_counts.rs`
-//! and every conformance suite pin that text. Whatever renders it must
-//! produce what the `Debug`/`Display` formatting it was first written with
-//! produced: a memory line is `format!("{name}{idx:?} p{owner} = {val:?}")`,
+//! A fingerprint's text — memory lines, and the view its movement and
+//! state records render — is what the golden digests,
+//! `tests/symtab_counts.rs` and every conformance suite pin. Whatever
+//! renders it must produce what the `Debug`/`Display` formatting it was
+//! first written with produced: a memory line is `format!("{name}{idx:?} p{owner} = {val:?}")`,
 //! a movement key `format!("{kind} p{pid} sid={sid} var={var} sec={sec}
 //! bytes={bytes}")`, a state key `format!("state p{pid} var={var} sec={sec}
 //! {detail}")`, and a section is its triplets written one `write!` inside
@@ -144,11 +145,18 @@ const KINDS: [TraceKind; 13] = [
     TraceKind::DupSuppressed,
 ];
 
-/// One event of any kind, every field a key reads drawn, absent ones
-/// included.
-fn event() -> impl Strategy<Value = TraceEvent> {
-    let names = ["A", "T0", "GUP", "a_long_array_name"];
-    let details = ["transitional", "accessible", "direct x4"];
+const NAMES: [&str; 4] = ["A", "T0", "GUP", "a_long_array_name"];
+const DETAILS: [&str; 3] = ["transitional", "accessible", "direct x4"];
+
+/// One event of any kind as the values its key reads, absent ones
+/// included: (kind, pid, sid), (variable, section, detail), bytes.
+type RawEvent = (
+    (usize, u32, Option<u32>),
+    (Option<usize>, Option<Section>, Option<usize>),
+    u64,
+);
+
+fn event() -> impl Strategy<Value = RawEvent> {
     (
         (
             0usize..KINDS.len(),
@@ -156,24 +164,38 @@ fn event() -> impl Strategy<Value = TraceEvent> {
             prop::option::of(any::<u32>()),
         ),
         (
-            prop::option::of(0usize..names.len()),
+            prop::option::of(0usize..NAMES.len()),
             prop::option::of(section()),
-            prop::option::of(0usize..details.len()),
+            prop::option::of(0usize..DETAILS.len()),
         ),
         any::<u64>(),
     )
-        .prop_map(
-            move |((kind, pid, sid), (var, sec, detail), bytes)| TraceEvent {
-                kind: KINDS[kind],
-                pid,
-                sid,
-                var: var.map(|k| names[k].into()),
-                sec: sec.map(|s| s.to_string().into()),
-                detail: detail.map(|k| details[k].into()),
-                bytes,
-                ..TraceEvent::default()
-            },
-        )
+}
+
+/// A trace of `events`, each section and label added once per event that
+/// names it (a section twice under two ids, the way two processors'
+/// recorders merge), the states sometimes by their fixed ids.
+fn trace_of(events: &[RawEvent], fixed: bool) -> Trace {
+    let mut trace = Trace::with_vars(4, NAMES.map(std::sync::Arc::<str>::from).into());
+    for ((kind, pid, sid), (var, sec, detail), bytes) in events.iter().cloned() {
+        let sec = sec.map(|s| trace.push_section(s));
+        let detail = detail.map(|k| match k {
+            0 if fixed => LabelId::TRANSITIONAL,
+            1 if fixed => LabelId::ACCESSIBLE,
+            _ => trace.push_label(DETAILS[k].into()),
+        });
+        trace.push(TraceEvent {
+            kind: KINDS[kind],
+            pid,
+            sid,
+            var: var.map(|k| VarName(k as u32)),
+            sec,
+            detail,
+            bytes,
+            ..TraceEvent::default()
+        });
+    }
+    trace
 }
 
 proptest! {
@@ -201,54 +223,61 @@ proptest! {
     #[test]
     fn movement_and_state_keys_are_the_format_rendering(
         events in prop::collection::vec(event(), 0usize..24),
+        fixed in any::<bool>(),
     ) {
-        let mut trace = Trace::new(4);
-        for e in &events {
-            trace.push(e.clone());
-        }
-        let or_dash = |s: &Option<std::sync::Arc<str>>| s.as_deref().unwrap_or("-").to_string();
+        let or_dash = |s: Option<String>| s.unwrap_or_else(|| "-".to_string());
+        let name = |k: Option<usize>| or_dash(k.map(|k| NAMES[k].to_string()));
+        let sec = |s: &Option<Section>| or_dash(s.as_ref().map(Section::to_string));
         let mut movement: Vec<String> = events
             .iter()
-            .filter(|e| {
+            .filter(|((kind, ..), ..)| {
                 matches!(
-                    e.kind,
+                    KINDS[*kind],
                     TraceKind::SendInit
                         | TraceKind::RecvPost
                         | TraceKind::RecvComplete
                         | TraceKind::WireTransit
                 )
             })
-            .map(|e| {
+            .map(|((kind, pid, sid), (var, s, _), bytes)| {
                 format!(
                     "{} p{} sid={} var={} sec={} bytes={}",
-                    e.kind.name(),
-                    e.pid,
-                    e.sid.map_or("-".to_string(), |s| s.to_string()),
-                    or_dash(&e.var),
-                    or_dash(&e.sec),
-                    e.bytes
+                    KINDS[*kind].name(),
+                    pid,
+                    sid.map_or("-".to_string(), |s| s.to_string()),
+                    name(*var),
+                    sec(s),
+                    bytes
                 )
             })
             .collect();
         movement.sort();
         let mut states: Vec<String> = events
             .iter()
-            .filter(|e| e.kind == TraceKind::SectionState)
-            .map(|e| {
+            .filter(|((kind, ..), ..)| KINDS[*kind] == TraceKind::SectionState)
+            .map(|((_, pid, _), (var, s, detail), _)| {
                 format!(
                     "state p{} var={} sec={} {}",
-                    e.pid,
-                    or_dash(&e.var),
-                    or_dash(&e.sec),
-                    or_dash(&e.detail)
+                    pid,
+                    name(*var),
+                    sec(s),
+                    or_dash(detail.map(|k| DETAILS[k].to_string()))
                 )
             })
             .collect();
         states.sort();
         let mut fp = Fingerprint::default();
-        fp.record_trace(&trace);
-        prop_assert_eq!(&fp.movement, &movement);
-        prop_assert_eq!(&fp.states, &states);
+        fp.record_trace(&trace_of(&events, fixed));
+        prop_assert_eq!(fp.movement.lines(), movement);
+        prop_assert_eq!(fp.states.lines(), states);
+        // The data is the value: ids given in another order, and the
+        // fixed states spelled out, make an equal record.
+        let mut reversed = events.clone();
+        reversed.reverse();
+        let mut other = Fingerprint::default();
+        other.record_trace(&trace_of(&reversed, !fixed));
+        prop_assert_eq!(&fp.movement, &other.movement);
+        prop_assert_eq!(&fp.states, &other.states);
     }
 
     #[test]

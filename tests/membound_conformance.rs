@@ -144,8 +144,8 @@ fn planned_strategies(trace: &Trace) -> Vec<(u32, String, String)> {
         .map(|e| {
             (
                 e.pid,
-                e.var.as_deref().unwrap_or_default().to_string(),
-                e.detail.as_deref().unwrap_or_default().to_string(),
+                e.var.map_or("", |v| trace.var_name(v)).to_string(),
+                e.detail.map_or("", |d| trace.label(d)).to_string(),
             )
         })
         .collect();

@@ -400,6 +400,44 @@ fn movement_events_are_built_only_by_the_recorder() {
     }
 }
 
+#[test]
+fn the_recorder_renders_nothing() {
+    // DESIGN §2.9: an event names its variable, section and label by id,
+    // and the readers of a trace resolve them. Rendering a section per
+    // message was most of what recording a message allocated. A
+    // `debug_assert` may still compare text.
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let code = code_of(&root.join("crates/core/src/recorder.rs"));
+    let asserts: Vec<(usize, usize)> = code
+        .match_indices("debug_assert")
+        .map(|(at, _)| {
+            let open = at + code[at..].find('(').expect("a macro call opens");
+            let mut depth = 0;
+            for (k, c) in code[open..].char_indices() {
+                match c {
+                    '(' => depth += 1,
+                    ')' if depth == 1 => return (at, open + k),
+                    ')' => depth -= 1,
+                    _ => {}
+                }
+            }
+            panic!("a debug_assert closes");
+        })
+        .collect();
+    let mut rendered = Vec::new();
+    for needle in ["to_string", "format!", "write!"] {
+        for (at, _) in code.match_indices(needle) {
+            if !asserts.iter().any(|&(from, to)| from < at && at < to) {
+                rendered.push(format!("fn {}: {needle}", enclosing_fn(&code, at)));
+            }
+        }
+    }
+    assert!(
+        rendered.is_empty(),
+        "crates/core/src/recorder.rs renders text: {rendered:?}"
+    );
+}
+
 /// Is the struct variant `head` (`"Path::Variant {"`) opens at byte `at`
 /// of `code` matched on rather than built? A pattern has a rest (`..`) or
 /// is followed by `=>`, `|`, `=` or a guard.
@@ -602,8 +640,7 @@ fn fingerprint_lines_are_written_not_formatted() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
     let renderers = [
         ("crates/verify/src/fingerprint.rs", "record_memory"),
-        ("crates/trace/src/event.rs", "movement_multiset"),
-        ("crates/trace/src/event.rs", "state_multiset"),
+        ("crates/trace/src/keys.rs", "write_line"),
     ];
     let fallbacks = ["write!(line, \"F64({v:?})\")", "write!(line, \"{val:?}\")"];
     let mut formatted = Vec::new();

@@ -105,8 +105,8 @@ fn every_machine_plans_each_redistribution_once() {
 #[test]
 fn movement_multiset_is_the_same_on_every_machine_and_cost_model() {
     use xdp_verify::lockstep::Lockstep;
-    fn movement(mut exec: impl Machine) -> Vec<String> {
-        exec.run_report().expect("runs").trace.movement_multiset()
+    fn movement(mut exec: impl Machine) -> Movement {
+        exec.run_report().expect("runs").trace.movement_keys()
     }
     let source = std::fs::read_to_string("xdp-programs/simple.xdp").expect("corpus program");
     let p = Arc::new(xdp_lang::parse_program(&source).expect("parses"));

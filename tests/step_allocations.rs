@@ -4,13 +4,18 @@
 //! global allocator tallies this thread's allocations inside
 //! `run_report`, and a run of 100 sweeps must make exactly as many as a
 //! run of 10 — a guard that needs no wall clock.
+//!
+//! A message still allocates: its payload, its tag's section and what the
+//! nets queue it in. The halo exchange of the benchmark's `exec-comm` mix
+//! is held to a count per message, and recording its movement, as `xdpd`
+//! does, to no allocation per message at all.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::Arc;
 use xdp::prelude::*;
 use xdp_compiler::Backend;
-use xdp_verify::machine;
+use xdp_verify::{machine, Fingerprint};
 
 thread_local! {
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
@@ -93,21 +98,55 @@ do t = 1, {sweeps} {{
     )
 }
 
-/// This thread's allocations while the VM on the simulator runs `source`,
-/// served as `xdpd` serves it (the movement trace on).
-fn allocations_in_run(source: &str) -> u64 {
+/// Boundary rows exchanged with both neighbours, then a local update of
+/// the boundary rows: 30 messages a sweep at P = 16.
+fn halo(sweeps: u32) -> String {
+    let (lo, hi) = ("mylb(U[*,*], 1)", "myub(U[*,*], 1)");
+    format!(
+        "real U[1:64,1:32] distribute (BLOCK,*) onto 16
+real GUP[0:15,1:32] distribute (BLOCK,*) onto 16
+real GDN[0:15,1:32] distribute (BLOCK,*) onto 16
+do t = 1, {sweeps} {{
+  mypid > 0 : {{ U[{lo},*] -> }}
+  mypid < 15 : {{ U[{hi},*] -> }}
+  mypid > 0 : {{ GUP[mypid,*] <- U[({lo} - 1),*] }}
+  mypid < 15 : {{ GDN[mypid,*] <- U[({hi} + 1),*] }}
+  (mypid > 0 && await(GUP[mypid,*])) : {{
+    U[{lo},2:31] = (0.5 * (U[{lo},2:31] + GUP[mypid,2:31]))
+  }}
+  (mypid < 15 && await(GDN[mypid,*])) : {{
+    U[{hi},2:31] = (0.5 * (U[{hi},2:31] + GDN[mypid,2:31]))
+  }}
+  barrier
+}}
+"
+    )
+}
+
+/// The VM on the simulator, loaded with `source` over `nprocs`.
+fn vm_on_sim(source: &str, nprocs: usize, trace: TraceConfig) -> Box<dyn Machine> {
     let program = Arc::new(xdp_lang::parse_program(source).unwrap());
-    let cfg = MachineConfig::new(4).with_trace(TraceConfig::movement());
-    let mut exec = machine(
+    machine(
         MachineKind::Sim,
         Backend::Vm,
         program,
         xdp_apps::app_kernels(),
-        cfg,
-    );
+        MachineConfig::new(nprocs).with_trace(trace),
+    )
+}
+
+/// This thread's allocations while `f` runs, and what it returned.
+fn counted<T>(f: impl FnOnce() -> T) -> (u64, T) {
     let before = ALLOCATIONS.with(Cell::get);
-    exec.run_report().unwrap();
-    ALLOCATIONS.with(Cell::get) - before
+    let out = f();
+    (ALLOCATIONS.with(Cell::get) - before, out)
+}
+
+/// This thread's allocations while the VM on the simulator runs `source`,
+/// served as `xdpd` serves it (the movement trace on).
+fn allocations_in_run(source: &str) -> u64 {
+    let mut exec = vm_on_sim(source, 4, TraceConfig::movement());
+    counted(|| exec.run_report().unwrap()).0
 }
 
 #[test]
@@ -126,4 +165,47 @@ fn a_sweep_of_assignments_or_kernel_calls_allocates_nothing() {
             "{name}: 10 sweeps allocate {ten} times, 100 sweeps {hundred}"
         );
     }
+}
+
+#[test]
+fn a_message_allocates_a_bounded_count_and_recording_it_none() {
+    let run = |sweeps: u32, trace: TraceConfig| {
+        let mut exec = vm_on_sim(&halo(sweeps), 16, trace);
+        counted(|| exec.run_report().unwrap())
+    };
+    let (untraced_10, ten) = run(10, TraceConfig::off());
+    let (untraced_100, hundred) = run(100, TraceConfig::off());
+    let messages = hundred.net.messages - ten.net.messages;
+    assert_eq!(messages, 90 * 30, "30 messages a sweep");
+    let untraced = untraced_100 - untraced_10;
+    let per_message = untraced as f64 / messages as f64;
+    assert!(
+        per_message <= 10.1,
+        "an untraced message makes {per_message:.2} allocations ({untraced} over {messages})"
+    );
+
+    // The movement record copies ids into its event vector, whose growth
+    // over the 90 more sweeps is the only allocation it may add.
+    let (traced_10, ten) = run(10, TraceConfig::movement());
+    let (traced_100, hundred) = run(100, TraceConfig::movement());
+    let traced = traced_100 - traced_10;
+    assert!(
+        traced <= untraced + 8,
+        "recording {messages} more messages made {traced} allocations, {untraced} untraced"
+    );
+
+    // A fingerprint's movement and state records are data: as many
+    // allocations for 10 sweeps as for 100.
+    let record = |trace: &Trace| counted(|| Fingerprint::default().record_trace(trace)).0;
+    record(&ten.trace); // the first builds the section states' texts, once a process
+    let (short, long) = (record(&ten.trace), record(&hundred.trace));
+    println!(
+        "halo at P = 16, 90 more sweeps ({messages} messages): {untraced} allocations \
+         untraced ({per_message:.2} a message), {traced} traced; record_trace {short} at \
+         10 sweeps, {long} at 100"
+    );
+    assert!(
+        long.abs_diff(short) <= 2,
+        "record_trace: {short} allocations at 10 sweeps, {long} at 100"
+    );
 }

@@ -142,10 +142,10 @@ fn row(label: &str, backend: Backend, program: &Arc<Program>, nprocs: usize) -> 
         report.virtual_time,
         fp.messages,
         fnv1a(fp.memory_all().iter().map(String::as_str)),
-        fnv1a(fp.movement.iter().map(String::as_str)),
-        fnv1a(fp.states.iter().map(String::as_str)),
-        fnv1a(full.movement.iter().map(String::as_str)),
-        fnv1a(full.states.iter().map(String::as_str)),
+        fnv1a(fp.movement.lines().iter().map(String::as_str)),
+        fnv1a(fp.states.lines().iter().map(String::as_str)),
+        fnv1a(full.movement.lines().iter().map(String::as_str)),
+        fnv1a(full.states.lines().iter().map(String::as_str)),
     )
 }
 
