@@ -101,7 +101,7 @@ impl CommSchedule {
     }
 
     /// Total wire bytes.
-    pub fn total_bytes(&self) -> u64 {
+    fn total_bytes(&self) -> u64 {
         self.transfers().map(|t| t.bytes).sum()
     }
 
@@ -109,7 +109,7 @@ impl CommSchedule {
     /// number of staging bytes processor `p` holds while round `r` is in
     /// flight — send staging for every transfer it sources plus receive
     /// staging for every transfer it sinks.
-    pub fn round_footprints(&self) -> Vec<Vec<u64>> {
+    fn round_footprints(&self) -> Vec<Vec<u64>> {
         self.rounds
             .iter()
             .map(|round| {

@@ -173,6 +173,13 @@ pub enum CompileError {
     Invalid(Vec<String>),
     /// The `procs` override asked for a machine with no processors.
     ZeroProcs,
+    /// The machine has more processors than the grid an array is
+    /// distributed onto, so some processor would own no part of it.
+    MachineTooLarge {
+        nprocs: usize,
+        var: String,
+        onto: usize,
+    },
 }
 
 impl std::fmt::Display for CompileError {
@@ -185,6 +192,10 @@ impl std::fmt::Display for CompileError {
                 write!(f, "invalid program: {}", diags.join("; "))
             }
             CompileError::ZeroProcs => write!(f, "machine size must be at least 1"),
+            CompileError::MachineTooLarge { nprocs, var, onto } => write!(
+                f,
+                "a machine of {nprocs} processors is larger than {var}'s grid (onto {onto})"
+            ),
         }
     }
 }
@@ -209,15 +220,6 @@ pub struct Compiled {
     /// deltas, statement rewrites). Empty when no passes were requested —
     /// which is exactly what a serve-cache hit looks like.
     pub trace: CompileTrace,
-}
-
-impl Compiled {
-    /// Total compile-side pass wall time in milliseconds. A cache hit
-    /// returns the *stored* provenance, so this reports the cost that was
-    /// paid once, not per run.
-    pub fn pass_wall_ms(&self) -> f64 {
-        self.trace.passes.iter().map(|p| p.wall_ms).sum()
-    }
 }
 
 /// Compile source text end to end: parse, then [`compile_program`].
@@ -278,8 +280,18 @@ pub fn compile_program(program: &Program, opts: &CompileOptions) -> Result<Compi
     };
     let (program, optimized) = mgr.run_traced(&program);
     trace.passes.extend(optimized.passes);
+    let nprocs = opts.procs.or(program.machine_size()).unwrap_or(1);
+    // Each processor builds its part of every distributed array.
+    let grids = program
+        .decls
+        .iter()
+        .filter_map(|d| Some((d, d.dist.as_ref()?.nprocs())));
+    if let Some((d, onto)) = grids.into_iter().find(|&(_, onto)| onto < nprocs) {
+        let var = d.name.clone();
+        return Err(CompileError::MachineTooLarge { nprocs, var, onto });
+    }
     Ok(Compiled {
-        nprocs: opts.procs.or(program.machine_size()).unwrap_or(1),
+        nprocs,
         program: Arc::new(program),
         lowered,
         backend: opts.backend,
@@ -320,7 +332,6 @@ mod tests {
         let c = compile(XDP_SRC, &CompileOptions::default().optimized()).unwrap();
         assert_eq!(c.trace.passes.len(), 5);
         assert!(c.trace.passes.iter().any(|p| p.changed));
-        assert!(c.pass_wall_ms() > 0.0);
     }
 
     #[test]
@@ -384,10 +395,13 @@ mod tests {
 
     #[test]
     fn procs_override_wins() {
-        let c = compile(XDP_SRC, &CompileOptions::default().with_procs(8)).unwrap();
-        assert_eq!(c.nprocs, 8);
+        let c = compile(XDP_SRC, &CompileOptions::default().with_procs(2)).unwrap();
+        assert_eq!(c.nprocs, 2);
         let e = compile(XDP_SRC, &CompileOptions::default().with_procs(0)).unwrap_err();
         assert_eq!(e.to_string(), "machine size must be at least 1");
+        let e = compile(XDP_SRC, &CompileOptions::default().with_procs(8)).unwrap_err();
+        let grid = "a machine of 8 processors is larger than A's grid (onto 4)";
+        assert_eq!(e.to_string(), grid);
     }
 
     #[test]

@@ -652,7 +652,7 @@ fn run_quantum<P: Processor>(sh: &Shared<'_, P>, task: &mut Task<'_, P>, pid: us
                     None => wake(sh.net.send(msg, None)),
                     Some(pids) => {
                         for q in pids {
-                            wake(sh.net.send(msg.clone(), Some(vec![q])));
+                            wake(sh.net.send(msg.clone(), Some(q)));
                         }
                     }
                 }

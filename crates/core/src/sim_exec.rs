@@ -209,8 +209,7 @@ impl<P: Processor> SimExec<P> {
                             Some(pids) => {
                                 // Multicast: one bound copy per destination.
                                 for q in pids {
-                                    if let Some(c) =
-                                        self.net.post_send(msg.clone(), Some(vec![q]), time)
+                                    if let Some(c) = self.net.post_send(msg.clone(), Some(q), time)
                                     {
                                         self.deliver(c);
                                     }
@@ -347,13 +346,11 @@ impl<P: Processor> SimExec<P> {
                 symtab: self.interps[p].env().symtab.stats,
             })
             .collect();
-        let mut net = self.net.stats.clone();
-        net.redist_peak_bytes = self.net.redist_peak_bytes();
         Ok(ExecReport {
             nprocs: self.cfg.nprocs,
             virtual_time,
             procs,
-            net,
+            net: self.net.stats(),
             trace,
             faults: self.net.fault_stats(),
         })

@@ -130,7 +130,7 @@ impl FaultPlan {
     /// Retry timeout after `attempts` transmissions: `rto * backoff^(n-1)`,
     /// capped at [`MAX_WAIT`]. The one retry schedule, which
     /// [`crate::Injector::fate`] reads for both nets.
-    pub fn rto_after(&self, attempts: u32) -> f64 {
+    fn rto_after(&self, attempts: u32) -> f64 {
         let exp = attempts.saturating_sub(1).min(i32::MAX as u32) as i32;
         (self.rto * self.backoff.powi(exp)).min(MAX_WAIT)
     }

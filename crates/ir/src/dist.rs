@@ -407,21 +407,6 @@ impl Distribution {
     pub fn owns_section(&self, bounds: &[Triplet], pid: usize, sec: &Section) -> bool {
         sec.covered_by_disjoint(&self.owned_rects(bounds, pid))
     }
-
-    /// The set of pids that initially own at least one element of `sec`.
-    pub fn owners_of_section(&self, bounds: &[Triplet], sec: &Section) -> Vec<usize> {
-        let mut out = Vec::new();
-        for pid in 0..self.nprocs() {
-            if self
-                .owned_rects(bounds, pid)
-                .iter()
-                .any(|r| r.overlaps(sec))
-            {
-                out.push(pid);
-            }
-        }
-        out
-    }
 }
 
 impl fmt::Display for Distribution {
@@ -582,13 +567,11 @@ mod tests {
     }
 
     #[test]
-    fn owns_section_and_owners() {
+    fn a_pid_owns_its_columns() {
         let (d, bounds) = fig2_a();
         let sec = Section::new(vec![b(1, 4), b(3, 4)]); // P1's columns
         assert!(d.owns_section(&bounds, 1, &sec));
         assert!(!d.owns_section(&bounds, 0, &sec));
-        let span = Section::new(vec![b(1, 4), b(2, 5)]); // P0..P2
-        assert_eq!(d.owners_of_section(&bounds, &span), vec![0, 1, 2]);
     }
 
     #[test]

@@ -56,13 +56,6 @@ impl Section {
         self.dims[d]
     }
 
-    /// Replace dimension `d`'s triplet, returning a new section.
-    pub fn with_dim(&self, d: usize, t: Triplet) -> Section {
-        let mut dims = self.dims.clone();
-        dims[d] = t;
-        Section { dims }
-    }
-
     /// Total number of elements (product of per-dim counts; 1 for scalars).
     pub fn volume(&self) -> i64 {
         self.dims.iter().map(|t| t.count()).product()

@@ -2,10 +2,29 @@
 //! whole fate once, at its send, through [`Faults::settle`], so their
 //! counters and dead letters are the same function of `(src, seq)`.
 
-use crate::sim::LostMsg;
+use crate::pool::eligible;
 use std::collections::HashMap;
 use xdp_fault::{FaultEvent, FaultPlan, FaultStats, Injector};
-use xdp_runtime::Msg;
+use xdp_runtime::{Msg, Tag};
+
+/// A message permanently lost under fault injection: every transmission
+/// attempt was dropped. Both nets keep these dead letters, and a stuck
+/// machine consults them to report a *loss* instead of a deadlock.
+#[derive(Clone, Debug)]
+pub struct LostMsg {
+    pub tag: Tag,
+    pub dest: Option<usize>,
+    pub src: usize,
+    pub seq: u64,
+    pub attempts: u32,
+}
+
+impl LostMsg {
+    /// Could a receive for `tag` on `dst` have paired with this message?
+    pub fn matches(&self, tag: &Tag, dst: usize) -> bool {
+        self.tag == *tag && eligible(self.dest, dst)
+    }
+}
 
 /// A net's fault record: the plan's injector (none for an inactive
 /// plan), each sender's count of sends, and what their fates left.
@@ -33,7 +52,7 @@ impl Faults {
     pub(crate) fn settle(
         &mut self,
         msg: &Msg,
-        dest: &Option<Vec<usize>>,
+        dest: Option<usize>,
         stamp: impl Fn(f64) -> f64,
     ) -> Option<(f64, bool)> {
         let Some(inj) = &self.injector else {
@@ -51,7 +70,7 @@ impl Faults {
         let Some(latency) = fate.latency else {
             self.dead.push(LostMsg {
                 tag: msg.tag.clone(),
-                dest: dest.clone(),
+                dest,
                 src: msg.src,
                 seq,
                 attempts: fate.drops,

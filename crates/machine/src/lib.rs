@@ -19,9 +19,12 @@
 //!   for wall-clock runs and for validating that the simulator and a
 //!   genuinely parallel execution agree on results.
 //!
-//! The simulated network never reorders two messages with the same name
-//! between the same pair of processors (FIFO per name), and matching is by
-//! earliest virtual post time with pid tie-breaking.
+//! Both nets match in one rendezvous pool (`pool`): its [`eligible`] is
+//! the one rule for which pid a send may reach, and it records each match
+//! — counters and the two-sided redistribution staging figure — in one
+//! place. A name's posts pair earliest `(time, post order)` first, so the
+//! simulated network never reorders two messages with the same name
+//! between the same pair of processors (FIFO per name).
 //!
 //! Both backends accept an `xdp-fault` [`FaultPlan`](xdp_fault::FaultPlan)
 //! (`SimNet::with_faults` / `ThreadNet::with_faults`): each message's
@@ -32,13 +35,16 @@
 
 pub mod cost;
 mod faults;
+mod pool;
 pub mod sim;
 pub mod stats;
 pub mod thread_net;
 pub mod topo;
 
 pub use cost::CostModel;
-pub use sim::{Completion, LostMsg, SimNet};
+pub use faults::LostMsg;
+pub use pool::eligible;
+pub use sim::{Completion, SimNet};
 pub use stats::NetStats;
 pub use thread_net::ThreadNet;
 pub use topo::{Link, Tier, Topology, TopologyError};

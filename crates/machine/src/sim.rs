@@ -18,58 +18,13 @@
 //! simulation is reproducible bit-for-bit regardless of host scheduling.
 
 use crate::cost::CostModel;
-use crate::faults::Faults;
+use crate::faults::{Faults, LostMsg};
+use crate::pool::{Pool, RecvPost, SendPost};
 use crate::stats::NetStats;
 use crate::topo::Topology;
-use std::collections::HashMap;
+use std::borrow::Cow;
 use xdp_fault::{FaultEvent, FaultPlan, FaultStats};
-use xdp_runtime::{Msg, Tag, REDIST_SALT_FLOOR};
-
-/// A posted, not-yet-matched send.
-#[derive(Clone, Debug)]
-struct SendPost {
-    msg: Msg,
-    /// Explicit destination pids (`E -> S`) or `None` for `E ->`.
-    dest: Option<Vec<usize>>,
-    time: f64,
-    seq: u64,
-    /// Extra transit latency from injected faults (retry backoff + delay);
-    /// 0 on a fault-free net. Charged to the wire interval, so the
-    /// critical-path analyzer attributes retry time rather than losing it.
-    extra: f64,
-}
-
-/// A message permanently lost under fault injection: every transmission
-/// attempt was dropped. Both nets keep these dead letters, and a stuck
-/// machine consults them to report a *loss* instead of a deadlock.
-#[derive(Clone, Debug)]
-pub struct LostMsg {
-    pub tag: Tag,
-    pub dest: Option<Vec<usize>>,
-    pub src: usize,
-    pub seq: u64,
-    pub attempts: u32,
-}
-
-impl LostMsg {
-    /// Could a receive for `tag` on `dst` have paired with this message?
-    pub fn matches(&self, tag: &Tag, dst: usize) -> bool {
-        self.tag == *tag
-            && match &self.dest {
-                None => true,
-                Some(pids) => pids.contains(&dst),
-            }
-    }
-}
-
-/// A posted, not-yet-matched receive.
-#[derive(Clone, Debug)]
-struct RecvPost {
-    dst: usize,
-    time: f64,
-    seq: u64,
-    req_id: u64,
-}
+use xdp_runtime::{Msg, Tag};
 
 /// A matched receive: delivered message plus its timing.
 ///
@@ -102,16 +57,8 @@ pub struct Completion {
 pub struct SimNet {
     model: CostModel,
     topo: Topology,
-    sends: HashMap<Tag, Vec<SendPost>>,
-    recvs: HashMap<Tag, Vec<RecvPost>>,
-    seq: u64,
+    pool: Pool,
     faults: Faults,
-    /// Live intervals of redistribution staging buffers, identified by
-    /// their salt floor: `(start, end, src, dst, payload_bytes)` in
-    /// virtual time. Swept by [`SimNet::redist_peak_bytes`].
-    redist_spans: Vec<(f64, f64, usize, usize, u64)>,
-    /// Traffic counters.
-    pub stats: NetStats,
 }
 
 impl SimNet {
@@ -134,12 +81,8 @@ impl SimNet {
         SimNet {
             model,
             topo,
-            sends: HashMap::new(),
-            recvs: HashMap::new(),
-            seq: 0,
+            pool: Pool::new(nprocs),
             faults: Faults::new(plan),
-            redist_spans: Vec::new(),
-            stats: NetStats::new(nprocs),
         }
     }
 
@@ -148,57 +91,29 @@ impl SimNet {
         &self.model
     }
 
-    fn next_seq(&mut self) -> u64 {
-        self.seq += 1;
-        self.seq
-    }
-
     /// Post a send at virtual `time` on the sending processor. Returns the
     /// completion if a matching receive was already waiting.
-    pub fn post_send(
-        &mut self,
-        msg: Msg,
-        dest: Option<Vec<usize>>,
-        time: f64,
-    ) -> Option<Completion> {
+    pub fn post_send(&mut self, msg: Msg, dest: Option<usize>, time: f64) -> Option<Completion> {
         // A reorder or a duplicate is only counted: pairs are picked by
         // post time, and the matcher consumes each send once.
-        let Some((extra, _)) = self.faults.settle(&msg, &dest, |rel| time + rel) else {
+        let Some((extra, _)) = self.faults.settle(&msg, dest, |rel| time + rel) else {
             return None; // permanently lost: never enters the matcher
         };
-        let seq = self.next_seq();
-        let post = SendPost {
+        let send = SendPost {
             msg,
             dest,
             time,
-            seq,
             extra,
         };
-        // Earliest eligible receive.
-        let eligible = |r: &RecvPost, d: &Option<Vec<usize>>| match d {
-            None => true,
-            Some(pids) => pids.contains(&r.dst),
-        };
-        let waiting = self.recvs.get_mut(&post.msg.tag);
-        let pick = waiting.as_ref().and_then(|q| {
-            q.iter()
-                .enumerate()
-                .filter(|(_, r)| eligible(r, &post.dest))
-                .min_by(|(_, a), (_, b)| (a.time, a.seq).partial_cmp(&(b.time, b.seq)).unwrap())
-                .map(|(i, _)| i)
-        });
-        if let (Some(i), Some(q)) = (pick, waiting) {
-            let recv = q.remove(i);
-            return Some(self.complete(post, recv));
-        }
-        // The tag is cloned only for a name no send is queued under.
-        match self.sends.get_mut(&post.msg.tag) {
-            Some(q) => q.push(post),
+        let seq = self.pool.tick();
+        let posts = self.pool.posts(Cow::Borrowed(&send.msg.tag));
+        match posts.take_recv(dest) {
+            Some(recv) => Some(self.complete(send, recv)),
             None => {
-                self.sends.insert(post.msg.tag.clone(), vec![post]);
+                posts.queue_send(seq, send, false);
+                None
             }
         }
-        None
     }
 
     /// Post a receive for `tag` at virtual `time` on processor `dst`.
@@ -210,30 +125,13 @@ impl SimNet {
         time: f64,
         req_id: u64,
     ) -> Option<Completion> {
-        let seq = self.next_seq();
-        let recv = RecvPost {
-            dst,
-            time,
-            seq,
-            req_id,
-        };
-        let pick = self.sends.get(&tag).and_then(|q| {
-            q.iter()
-                .enumerate()
-                .filter(|(_, s)| match &s.dest {
-                    None => true,
-                    Some(pids) => pids.contains(&dst),
-                })
-                .min_by(|(_, a), (_, b)| (a.time, a.seq).partial_cmp(&(b.time, b.seq)).unwrap())
-                .map(|(i, _)| i)
-        });
-        match pick {
-            Some(i) => {
-                let send = self.sends.get_mut(&tag).unwrap().remove(i);
-                Some(self.complete(send, recv))
-            }
+        let recv = RecvPost { dst, time, req_id };
+        let seq = self.pool.tick();
+        let posts = self.pool.posts(Cow::Owned(tag));
+        match posts.take_send(dst) {
+            Some(send) => Some(self.complete(send, recv)),
             None => {
-                self.recvs.entry(tag).or_default().push(recv);
+                posts.queue_recv(seq, recv);
                 None
             }
         }
@@ -241,11 +139,7 @@ impl SimNet {
 
     fn complete(&mut self, send: SendPost, recv: RecvPost) -> Completion {
         let bound = send.dest.is_some();
-        let wire = if bound {
-            send.msg.payload_bytes()
-        } else {
-            send.msg.size_bytes()
-        };
+        let wire = send.wire();
         let link = self.topo.link(send.msg.src, recv.dst);
         let arrive_at = send.time + send.extra + self.model.link_time(wire, link);
         let mut handling = self.model.cpu_overhead;
@@ -260,25 +154,10 @@ impl SimNet {
             // rendezvous protocol with no buffering copy at all.
             handling += self.model.unexpected_overhead + self.model.beta * wire as f64;
         }
-        self.stats.record(
-            send.msg.src,
-            recv.dst,
-            send.msg.payload_bytes(),
-            wire,
-            bound,
-        );
-        if send.msg.tag.salt >= REDIST_SALT_FLOOR && send.msg.src != recv.dst {
-            // Redistribution staging buffer: live on both endpoints from
-            // the send post until the receiver has finished handling it.
-            let end = arrive_at.max(recv.time) + handling;
-            self.redist_spans.push((
-                send.time,
-                end,
-                send.msg.src,
-                recv.dst,
-                send.msg.payload_bytes(),
-            ));
-        }
+        // A redistribution's staging buffer is live on both endpoints from
+        // the send post until the receiver has finished handling it.
+        let end = arrive_at.max(recv.time) + handling;
+        self.pool.record(&send, recv.dst, end);
         Completion {
             req_id: recv.req_id,
             dst: recv.dst,
@@ -289,38 +168,11 @@ impl SimNet {
         }
     }
 
-    /// Measured redistribution-staging high-water mark: the maximum, over
-    /// processors and virtual time, of live redistribution payload bytes
-    /// (messages whose tag salt is at or above
-    /// [`xdp_runtime::REDIST_SALT_FLOOR`]). A message's bytes are charged
-    /// to both endpoints for its whole live interval — send post through
-    /// receive completion — matching the planner's accounting. Sweeps the
-    /// recorded spans per processor; at equal timestamps releases apply
-    /// before acquisitions, so back-to-back rounds don't double-charge.
-    pub fn redist_peak_bytes(&self) -> u64 {
-        let mut peak = 0u64;
-        let mut events: Vec<(f64, bool, u64)> = Vec::new();
-        for p in 0..self.stats.sent_by.len() {
-            events.clear();
-            for &(start, end, src, dst, bytes) in &self.redist_spans {
-                if src == p || dst == p {
-                    events.push((start, true, bytes));
-                    events.push((end, false, bytes));
-                }
-            }
-            // Sort by time; at ties, ends (false < true) come first.
-            events.sort_by(|a, b| (a.0, a.1).partial_cmp(&(b.0, b.1)).unwrap());
-            let mut live = 0u64;
-            for &(_, is_start, bytes) in events.iter() {
-                if is_start {
-                    live += bytes;
-                    peak = peak.max(live);
-                } else {
-                    live = live.saturating_sub(bytes);
-                }
-            }
-        }
-        peak
+    /// Traffic counters. `redist_peak_bytes` charges a redistribution
+    /// message's bytes to both endpoints from its send post through its
+    /// receive's completion, in virtual time — the planner's accounting.
+    pub fn stats(&self) -> NetStats {
+        self.pool.stats()
     }
 
     /// Messages permanently lost to injected faults (dead letters).
@@ -340,32 +192,13 @@ impl SimNet {
 
     /// Numbers of unmatched sends and receives (for deadlock diagnosis).
     pub fn pending(&self) -> (usize, usize) {
-        (
-            self.sends.values().map(|v| v.len()).sum(),
-            self.recvs.values().map(|v| v.len()).sum(),
-        )
+        self.pool.pending()
     }
 
-    /// Human-readable description of unmatched posts.
+    /// Human-readable description of unmatched posts, one line each, by
+    /// name, then in post order.
     pub fn pending_detail(&self) -> String {
-        let mut out = String::new();
-        for (tag, q) in &self.sends {
-            for s in q {
-                out.push_str(&format!(
-                    "  unmatched send {tag} from p{} at t={}\n",
-                    s.msg.src, s.time
-                ));
-            }
-        }
-        for (tag, q) in &self.recvs {
-            for r in q {
-                out.push_str(&format!(
-                    "  unmatched recv {tag} on p{} at t={}\n",
-                    r.dst, r.time
-                ));
-            }
-        }
-        out
+        self.pool.pending_detail()
     }
 }
 
@@ -434,7 +267,7 @@ mod tests {
     #[test]
     fn bound_send_only_matches_listed_destination() {
         let mut n = net();
-        assert!(n.post_send(msg(0, 0), Some(vec![2]), 0.0).is_none());
+        assert!(n.post_send(msg(0, 0), Some(2), 0.0).is_none());
         // P1's receive does not match a send bound to P2.
         assert!(n.post_recv(tag(0), 1, 0.0, 1).is_none());
         let c = n.post_recv(tag(0), 2, 0.0, 2).expect("match");
@@ -480,6 +313,29 @@ mod tests {
         assert!(n.pending_detail().contains("unmatched recv"));
     }
 
+    /// A deadlock's listing is the same on every run: by name, then in
+    /// post order, whatever the order the names were first posted in.
+    #[test]
+    fn pending_posts_are_listed_by_name_then_post_order() {
+        let mut n = net();
+        n.post_recv(tag(2), 3, 4.0, 1);
+        n.post_send(msg(1, 0), Some(2), 5.0);
+        n.post_recv(tag(0), 1, 6.0, 2);
+        n.post_send(msg(2, 1), Some(0), 1.0);
+        n.post_send(msg(1, 3), None, 2.0);
+        n.post_recv(tag(0), 2, 3.0, 3);
+        assert_eq!(n.pending(), (3, 3));
+        let want = [
+            "  unmatched recv v0[1:4] on p1 at t=6",
+            "  unmatched recv v0[1:4] on p2 at t=3",
+            "  unmatched send v1[1:4] from p0 at t=5",
+            "  unmatched send v1[1:4] from p3 at t=2",
+            "  unmatched recv v2[1:4] on p3 at t=4",
+            "  unmatched send v2[1:4] from p1 at t=1",
+        ];
+        assert_eq!(n.pending_detail(), want.map(|l| format!("{l}\n")).concat());
+    }
+
     #[test]
     fn topology_affects_completion() {
         let mut near = SimNet::new(4, CostModel::default_1993(), Topology::Linear);
@@ -522,7 +378,7 @@ mod tests {
         assert!(f.injected_drops > 0, "50% drop plan injected nothing");
         assert_eq!(f.retries, f.injected_drops);
         assert!(extra_total > 0.0, "retries must cost virtual time");
-        assert_eq!(faulty.stats.messages, clean.stats.messages);
+        assert_eq!(faulty.stats().messages, clean.stats().messages);
         assert!(faulty.lost().is_empty());
     }
 
@@ -582,14 +438,15 @@ mod tests {
         let mut n = net();
         n.post_send(msg(0, 0), None, 0.0);
         n.post_recv(tag(0), 1, 0.0, 1).unwrap();
-        n.post_send(msg(1, 2), Some(vec![3]), 0.0);
+        n.post_send(msg(1, 2), Some(3), 0.0);
         n.post_recv(tag(1), 3, 0.0, 2).unwrap();
-        assert_eq!(n.stats.messages, 2);
-        assert_eq!(n.stats.unbound_messages, 1);
-        assert_eq!(n.stats.bound_messages, 1);
-        assert_eq!(n.stats.payload_bytes, 64);
-        assert_eq!(n.stats.wire_bytes, 64 + 32); // header only on unbound
-        assert_eq!(n.stats.sent_by, vec![1, 0, 1, 0]);
-        assert_eq!(n.stats.received_by, vec![0, 1, 0, 1]);
+        let s = n.stats();
+        assert_eq!(s.messages, 2);
+        assert_eq!(s.unbound_messages, 1);
+        assert_eq!(s.bound_messages, 1);
+        assert_eq!(s.payload_bytes, 64);
+        assert_eq!(s.wire_bytes, 64 + 32); // header only on unbound
+        assert_eq!(s.sent_by, vec![1, 0, 1, 0]);
+        assert_eq!(s.received_by, vec![0, 1, 0, 1]);
     }
 }

@@ -6,10 +6,10 @@
 //! and the send that can satisfy it hands its pid back to be woken. A
 //! blocking `recv` with a timeout remains for callers that own a thread.
 //!
-//! Matching semantics are those of [`crate::sim::SimNet`]: messages pair
-//! with receives by exact name; unspecified-destination messages go to the
-//! first claiming receiver; destination-bound messages only to a listed
-//! pid. The benchmark's `exec-comm-tasks` workload runs on this backend;
+//! Matching is the pool's ([`crate::pool`]), as on [`crate::sim::SimNet`]:
+//! messages pair with receives by exact name; unspecified-destination
+//! messages go to the first claiming receiver; destination-bound messages
+//! only to the pid they name. The benchmark's `exec-comm-tasks` workload runs on this backend;
 //! correctness tests assert its final state equals the simulator's.
 //!
 //! # Injected faults
@@ -21,7 +21,7 @@
 //! both machines, so their [`FaultStats`] and dead letters agree.
 //!
 //! * A message whose every attempt drops is a dead letter at once (a
-//!   [`LostMsg`], the simulator's type, listed by [`ThreadNet::lost`]);
+//!   [`LostMsg`], as on the simulator, listed by [`ThreadNet::lost`]);
 //!   it never enters the pool, so quiescence sees the loss without waiting.
 //! * A duplicate is counted and suppressed: a message is claimed once.
 //! * A reordered message jumps ahead of its name's queue.
@@ -31,105 +31,44 @@
 //!
 //! No timer runs: nothing in the pool waits on a clock.
 
-use crate::faults::Faults;
-use crate::sim::LostMsg;
+use crate::faults::{Faults, LostMsg};
+use crate::pool::{Pool, RecvPost, SendPost};
 use crate::stats::NetStats;
 use parking_lot::{Condvar, Mutex};
-use std::collections::{HashMap, VecDeque};
+use std::borrow::Cow;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use xdp_fault::{FaultEvent, FaultPlan, FaultStats};
-use xdp_runtime::{Msg, Tag, REDIST_SALT_FLOOR};
+use xdp_runtime::{Msg, Tag};
 
-/// If `entry` is a redistribution message bound to a single destination
-/// (the only shape the redistribution lowering emits), the destination
-/// pid and payload bytes to charge to its staging account.
-fn redist_charge(msg: &Msg, dest: &Option<Vec<usize>>) -> Option<(usize, u64)> {
-    if msg.tag.salt < REDIST_SALT_FLOOR {
-        return None;
-    }
-    match dest {
-        Some(pids) if pids.len() == 1 => Some((pids[0], msg.payload_bytes())),
-        _ => None,
-    }
-}
-
-/// A queued message with its optional bound destination set.
-struct QueuedEntry {
-    msg: Msg,
-    dest: Option<Vec<usize>>,
-}
-
-/// What the pool holds under one name: its queued messages, and the pids
-/// parked on a receive of it until a send can satisfy them.
-#[derive(Default)]
-struct Slot {
-    msgs: VecDeque<QueuedEntry>,
-    parked: Vec<usize>,
-}
-
-impl Slot {
-    /// Take the parked pids a message bound to `dest` may satisfy: all of
-    /// them for an unbound message, the listed ones for a bound one.
-    fn wake(&mut self, dest: &Option<Vec<usize>>) -> Vec<usize> {
-        let Some(pids) = dest else {
-            return std::mem::take(&mut self.parked);
-        };
-        let (woken, parked) = self.parked.drain(..).partition(|p| pids.contains(p));
-        self.parked = parked;
-        woken
-    }
-}
-
+/// The pool (its receives are the parked pids, its times lock-order
+/// ticks) and the fault record, under one lock.
 struct State {
-    queues: HashMap<Tag, Slot>,
+    pool: Pool,
     faults: Faults,
-    /// Live redistribution staging bytes currently queued toward each
-    /// destination; the running maximum is `stats.redist_peak_bytes`.
-    redist_live: Vec<u64>,
-    stats: NetStats,
 }
 
 impl State {
-    /// A redistribution message became visible in the pool: charge its
-    /// destination's staging account and advance the high-water mark.
-    fn redist_acquire(&mut self, msg: &Msg, dest: &Option<Vec<usize>>) {
-        if let Some((p, bytes)) = redist_charge(msg, dest) {
-            self.redist_live[p] += bytes;
-            self.stats.redist_peak_bytes = self.stats.redist_peak_bytes.max(self.redist_live[p]);
+    /// Claim the first message with this name that `pid` may receive; with
+    /// `park`, park `pid` on the name when there is none.
+    fn claim(&mut self, tag: &Tag, pid: usize, park: bool) -> Option<Msg> {
+        let now = self.pool.tick();
+        let posts = self.pool.posts(Cow::Borrowed(tag));
+        let send = posts.take_send(pid);
+        if park {
+            // A pid parks on a name at most once: a send bound to `pid`
+            // reaches just its own entry.
+            posts.take_recv(Some(pid));
+            if send.is_none() {
+                let (dst, time, req_id) = (pid, now as f64, 0);
+                posts.queue_recv(now, RecvPost { dst, time, req_id });
+            }
         }
-    }
-
-    /// A redistribution message left the pool (claimed).
-    fn redist_release(&mut self, msg: &Msg, dest: &Option<Vec<usize>>) {
-        if let Some((p, bytes)) = redist_charge(msg, dest) {
-            self.redist_live[p] = self.redist_live[p].saturating_sub(bytes);
-        }
-    }
-
-    /// Claim the first eligible message with this name from the pool.
-    fn claim(&mut self, tag: &Tag, self_pid: usize) -> Option<Msg> {
-        let eligible = |e: &QueuedEntry| match &e.dest {
-            None => true,
-            Some(pids) => pids.contains(&self_pid),
-        };
-        let QueuedEntry { msg, dest } = {
-            let q = &mut self.queues.get_mut(tag)?.msgs;
-            let pos = q.iter().position(eligible)?;
-            q.remove(pos).unwrap()
-        };
-        self.redist_release(&msg, &dest);
-        let bound = dest.is_some();
-        let wire = if bound {
-            msg.payload_bytes()
-        } else {
-            msg.size_bytes()
-        };
-        self.stats
-            .record(msg.src, self_pid, msg.payload_bytes(), wire, bound);
-        self.stats.recv_claims += 1;
-        Some(msg)
+        let send = send?;
+        self.pool.record(&send, pid, now as f64);
+        self.pool.stats.recv_claims += 1;
+        Some(send.msg)
     }
 }
 
@@ -168,10 +107,8 @@ impl ThreadNet {
         ThreadNet {
             inner: Arc::new(Inner {
                 state: Mutex::new(State {
-                    queues: HashMap::new(),
+                    pool: Pool::new(nprocs),
                     faults: Faults::new(plan),
-                    redist_live: vec![0; nprocs],
-                    stats: NetStats::new(nprocs),
                 }),
                 cond: Condvar::new(),
                 epoch: Instant::now(),
@@ -183,40 +120,32 @@ impl ThreadNet {
 
     /// Post a message (non-blocking: XDP sends are initiations), and take
     /// the pids parked on its name that it may satisfy: every one for an
-    /// unbound message, the listed ones for a bound one. The caller wakes
+    /// unbound message, the one it names for a bound one. The caller wakes
     /// them; a pid whose peer claimed first parks again. A message lost
     /// to an injected fault wakes nobody.
-    pub fn send(&self, msg: Msg, dest: Option<Vec<usize>>) -> Vec<usize> {
+    pub fn send(&self, msg: Msg, dest: Option<usize>) -> Vec<usize> {
         let mut st = self.inner.state.lock();
         let at_send = |_| self.inner.epoch.elapsed().as_secs_f64() * 1e6;
-        let Some((_, reorder)) = st.faults.settle(&msg, &dest, at_send) else {
+        let Some((_, reorder)) = st.faults.settle(&msg, dest, at_send) else {
             return Vec::new();
         };
         // Counted under the lock, so a receiver that reads the new count
         // polls after the message is in the pool.
-        match &dest {
-            None => {
-                self.inner.unbound_sends.fetch_add(1, Ordering::Release);
-            }
-            Some(pids) => {
-                for &p in pids {
-                    self.inner.bound_sends[p].fetch_add(1, Ordering::Release);
-                }
-            }
+        let count = dest.map_or(&self.inner.unbound_sends, |p| &self.inner.bound_sends[p]);
+        count.fetch_add(1, Ordering::Release);
+        let now = st.pool.tick();
+        let posts = st.pool.posts(Cow::Borrowed(&msg.tag));
+        let mut woken = Vec::new();
+        while let Some(parked) = posts.take_recv(dest) {
+            woken.push(parked.dst);
         }
-        st.redist_acquire(&msg, &dest);
-        // The tag is cloned only for a name the pool has not seen.
-        if !st.queues.contains_key(&msg.tag) {
-            st.queues.insert(msg.tag.clone(), Default::default());
-        }
-        let slot = st.queues.get_mut(&msg.tag).expect("inserted above");
-        let woken = slot.wake(&dest);
-        let entry = QueuedEntry { msg, dest };
-        if reorder {
-            slot.msgs.push_front(entry);
-        } else {
-            slot.msgs.push_back(entry);
-        }
+        let send = SendPost {
+            msg,
+            dest,
+            time: now as f64,
+            extra: 0.0,
+        };
+        posts.queue_send(now, send, reorder);
         drop(st);
         self.inner.cond.notify_all();
         woken
@@ -243,10 +172,10 @@ impl ThreadNet {
     /// [`lost`]: ThreadNet::lost
     pub fn recv(&self, tag: &Tag, self_pid: usize, timeout: Duration) -> Option<Msg> {
         let mut st = self.inner.state.lock();
-        st.stats.recv_attempts += 1;
+        st.pool.stats.recv_attempts += 1;
         let deadline = (!timeout.is_zero()).then(|| Instant::now() + timeout);
         loop {
-            if let Some(msg) = st.claim(tag, self_pid) {
+            if let Some(msg) = st.claim(tag, self_pid, false) {
                 return Some(msg);
             }
             let left = deadline?.saturating_duration_since(Instant::now());
@@ -263,24 +192,15 @@ impl ThreadNet {
     /// park; the send that may satisfy a parked pid returns it.
     pub fn claim_or_park(&self, tag: &Tag, pid: usize) -> Option<Msg> {
         let mut st = self.inner.state.lock();
-        st.stats.recv_attempts += 1;
-        let msg = st.claim(tag, pid);
-        match st.queues.get_mut(tag) {
-            Some(slot) => {
-                // A pid parks on a name at most once.
-                slot.parked.retain(|&p| p != pid);
-                if msg.is_none() {
-                    slot.parked.push(pid);
-                }
-            }
-            None => st.queues.entry(tag.clone()).or_default().parked.push(pid),
-        }
-        msg
+        st.pool.stats.recv_attempts += 1;
+        st.claim(tag, pid, true)
     }
 
-    /// Snapshot of traffic counters.
+    /// Snapshot of traffic counters. `redist_peak_bytes` charges a
+    /// redistribution message's bytes to both endpoints from its send to
+    /// its claim, in the pool's lock order.
     pub fn stats(&self) -> NetStats {
-        self.inner.state.lock().stats.clone()
+        self.inner.state.lock().pool.stats()
     }
 
     /// Snapshot of fault/delivery counters (all zero without a plan).
@@ -296,13 +216,7 @@ impl ThreadNet {
 
     /// Count of unclaimed messages (diagnostics).
     pub fn pending_messages(&self) -> usize {
-        self.inner
-            .state
-            .lock()
-            .queues
-            .values()
-            .map(|slot| slot.msgs.len())
-            .sum()
+        self.inner.state.lock().pool.pending().0
     }
 
     /// Messages permanently lost to injected faults (dead letters).
@@ -355,7 +269,7 @@ mod tests {
         let m = msg(0, 0);
         let sent = m.payload.clone().unwrap();
         let logical = m.payload_bytes();
-        net.send(m, Some(vec![1]));
+        net.send(m, Some(1));
         let got = net.recv(&tag(0), 1, T).unwrap();
         assert!(std::sync::Arc::ptr_eq(&sent, got.payload.as_ref().unwrap()));
         let stats = net.stats();
@@ -379,7 +293,7 @@ mod tests {
         let m = msg(0, 0);
         let sent = m.payload.clone().unwrap();
         let logical = m.payload_bytes();
-        net.send(m, Some(vec![1]));
+        net.send(m, Some(1));
         let got = net.recv(&tag(0), 1, T).unwrap();
         assert!(std::sync::Arc::ptr_eq(&sent, got.payload.as_ref().unwrap()));
         assert!(net.fault_stats().injected_dups > 0);
@@ -407,7 +321,7 @@ mod tests {
     #[test]
     fn bound_messages_skip_other_pids() {
         let net = ThreadNet::new(3);
-        net.send(msg(0, 0), Some(vec![2]));
+        net.send(msg(0, 0), Some(2));
         // P1 times out; P2 gets it.
         assert!(net.recv(&tag(0), 1, Duration::from_millis(10)).is_none());
         assert!(net.recv(&tag(0), 2, T).is_some());
@@ -552,8 +466,8 @@ mod tests {
             assert!(net.claim_or_park(&tag(0), pid).is_none());
         }
         assert!(net.claim_or_park(&tag(1), 3).is_none());
-        assert_eq!(net.send(msg(0, 0), Some(vec![2])), vec![2]);
-        assert_eq!(net.send(msg(1, 0), Some(vec![1])), Vec::<usize>::new());
+        assert_eq!(net.send(msg(0, 0), Some(2)), vec![2]);
+        assert_eq!(net.send(msg(1, 0), Some(1)), Vec::<usize>::new());
         assert_eq!(net.send(msg(1, 0), None), vec![3]);
         assert_eq!(net.send(msg(0, 0), None), vec![1]);
         assert_eq!(net.send(msg(0, 0), None), Vec::<usize>::new());
@@ -561,7 +475,7 @@ mod tests {
         assert!(net.claim_or_park(&tag(0), 1).is_some());
         assert!(net.claim_or_park(&tag(0), 1).is_some());
         assert!(net.claim_or_park(&tag(0), 1).is_none());
-        assert_eq!(net.send(msg(0, 0), Some(vec![1, 3])), vec![1]);
+        assert_eq!(net.send(msg(0, 0), Some(1)), vec![1]);
         assert_eq!(net.stats().recv_claims, 3);
     }
 

@@ -148,8 +148,7 @@ proptest! {
         let threaded = ThreadNet::with_faults(3, plan.clone());
         let mut sim = SimNet::with_faults(3, CostModel::default_1993(), Topology::Uniform, plan);
         for (i, &(src, salt, dest)) in sends.iter().enumerate() {
-            let dest = dest.map(|d| vec![d]);
-            threaded.send(msg(salt, src, 1), dest.clone());
+            threaded.send(msg(salt, src, 1), dest);
             sim.post_send(msg(salt, src, 1), dest, i as f64);
         }
         let letters = |mut lost: Vec<xdp_machine::LostMsg>| {
@@ -158,6 +157,69 @@ proptest! {
         };
         prop_assert_eq!(threaded.fault_stats(), sim.fault_stats());
         prop_assert_eq!(letters(threaded.lost()), letters(sim.lost().to_vec()));
+    }
+
+    // Both reliable nets count a message the same way when it is claimed.
+    // One sequence of sends and receives over a few names on P = 3: a
+    // threaded receive that finds nothing waits, and the first waiting one
+    // a new send may reach claims it, as on the simulator. Then every
+    // message left is claimed, first sent first, on its own pid.
+    #[test]
+    fn both_nets_count_the_same_things(
+        posts in prop::collection::vec(
+            (any::<bool>(), 0usize..3, 0i64..3, prop::option::of(0usize..3)),
+            1..40,
+        ),
+    ) {
+        let threaded = ThreadNet::new(3);
+        let mut sim = SimNet::new(3, CostModel::default_1993(), Topology::Uniform);
+        // Which sends each net delivered: a payload's length is its index + 1.
+        let (mut on_sim, mut on_threads) = (vec![false; posts.len()], vec![false; posts.len()]);
+        let claim = |seen: &mut Vec<bool>, m: &Msg| seen[payload_len(m) - 1] = true;
+        let mut waiting: Vec<(Tag, usize)> = Vec::new();
+        let poll = Duration::ZERO;
+        for (i, &(send, pid, salt, dest)) in posts.iter().enumerate() {
+            let m = msg(salt, pid, i + 1);
+            let done = if send {
+                threaded.send(m.clone(), dest);
+                for w in 0..waiting.len() {
+                    if let Some(got) = threaded.recv(&waiting[w].0, waiting[w].1, poll) {
+                        claim(&mut on_threads, &got);
+                        waiting.remove(w);
+                        break;
+                    }
+                }
+                sim.post_send(m, dest, i as f64)
+            } else {
+                match threaded.recv(&m.tag, pid, poll) {
+                    Some(got) => claim(&mut on_threads, &got),
+                    None => waiting.push((m.tag.clone(), pid)),
+                }
+                sim.post_recv(m.tag, pid, i as f64, i as u64)
+            };
+            if let Some(c) = done {
+                claim(&mut on_sim, &c.msg);
+            }
+        }
+        let end = posts.len() as f64;
+        for (i, &(send, _, salt, dest)) in posts.iter().enumerate() {
+            let (tag, pid) = (msg(salt, 0, 1).tag, dest.unwrap_or(0));
+            if send && !on_sim[i] {
+                let c = sim.post_recv(tag.clone(), pid, end, i as u64).expect("the first left");
+                claim(&mut on_sim, &c.msg);
+            }
+            if send && !on_threads[i] {
+                claim(&mut on_threads, &threaded.recv(&tag, pid, poll).expect("the first left"));
+            }
+        }
+        prop_assert_eq!(sim.pending().0, 0);
+        prop_assert_eq!(threaded.pending_messages(), 0);
+        let (a, b) = (threaded.stats(), sim.stats());
+        prop_assert_eq!(
+            (a.messages, a.payload_bytes, a.wire_bytes, a.bound_messages, a.unbound_messages),
+            (b.messages, b.payload_bytes, b.wire_bytes, b.bound_messages, b.unbound_messages)
+        );
+        prop_assert_eq!((a.sent_by, a.received_by), (b.sent_by, b.received_by));
     }
 
     // Fixed seed => identical virtual-time delivery schedule in the sim,

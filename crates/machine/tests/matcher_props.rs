@@ -61,8 +61,7 @@ proptest! {
             match p {
                 Post::Send { k, src, bound_to } => {
                     sends += 1;
-                    let dest = bound_to.map(|q| vec![q]);
-                    if let Some(c) = net.post_send(msg(*k, *src), dest, time) {
+                    if let Some(c) = net.post_send(msg(*k, *src), *bound_to, time) {
                         completions.push((c, time));
                     }
                 }
@@ -79,7 +78,7 @@ proptest! {
         // Conservation: everything posted is either matched or pending.
         prop_assert_eq!(completions.len() + pend_s, sends, "sends conserved");
         prop_assert_eq!(completions.len() + pend_r, recvs, "recvs conserved");
-        prop_assert_eq!(net.stats.messages as usize, completions.len());
+        prop_assert_eq!(net.stats().messages as usize, completions.len());
         // Each receive request completed at most once.
         let mut reqs: Vec<u64> = completions.iter().map(|(c, _)| c.req_id).collect();
         reqs.sort_unstable();

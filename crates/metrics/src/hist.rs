@@ -175,7 +175,7 @@ impl HistSnapshot {
     /// The rank a quantile maps to, 0-based — the same nearest-rank
     /// convention the sorted-vector oracle uses:
     /// `round((count - 1) * q)`.
-    pub fn rank_of(&self, q: f64) -> u64 {
+    fn rank_of(&self, q: f64) -> u64 {
         if self.count == 0 {
             return 0;
         }

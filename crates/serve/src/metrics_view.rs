@@ -60,9 +60,10 @@ pub struct ServeMetrics {
     pub net_wire_bytes: Arc<Counter>,
     pub net_bound: Arc<Counter>,
     pub net_unbound: Arc<Counter>,
-    /// Per-run redistribution staging high-water mark (bytes); observed
-    /// only for runs that actually redistributed something, so the
-    /// histogram's count is the number of redistribute-carrying runs.
+    /// Per-run redistribution staging high-water mark (bytes): one
+    /// figure on both machines, both endpoints charged from send to match.
+    /// Observed only for runs that actually redistributed something, so
+    /// the histogram's count is the number of redistribute-carrying runs.
     pub redist_peak_bytes: Arc<Histogram>,
 
     // Fault view (folded from `ExecReport::faults`).

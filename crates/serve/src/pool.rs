@@ -549,6 +549,21 @@ mod tests {
         assert_eq!(stats.hits + stats.misses, 5);
     }
 
+    /// A machine larger than an array's grid is refused at compile: no
+    /// worker builds a symbol table for a pid the grid lacks, and the
+    /// pool serves on.
+    #[test]
+    fn a_machine_larger_than_its_grid_is_a_compile_error() {
+        let pool = ServePool::new(2, 8);
+        let big = spec(8).with_opts(CompileOptions::default().with_procs(3));
+        let out = pool.run_batch(&[big, spec(8)]);
+        let e = out[0].as_ref().unwrap_err();
+        assert!(matches!(e, ServeError::Compile(_)), "{e}");
+        let grid = "compile: a machine of 3 processors is larger than A's grid (onto 2)";
+        assert_eq!(e.to_string(), grid);
+        assert!(out[1].is_ok());
+    }
+
     #[test]
     fn batch_reports_bad_requests_in_place() {
         let pool = ServePool::new(2, 8);

@@ -20,7 +20,7 @@ use xdp_core::{
     Processor, Recorder, RtError,
 };
 use xdp_ir::{Program, VarId};
-use xdp_machine::NetStats;
+use xdp_machine::{eligible, NetStats};
 use xdp_runtime::{Msg, Tag, Value};
 
 #[derive(Clone, Copy, PartialEq)]
@@ -239,7 +239,7 @@ impl Machine for Lockstep {
 fn claim(sends: &mut Vec<PendingSend>, tag: &Tag, dst: usize) -> Option<Msg> {
     let k = sends
         .iter()
-        .position(|s| s.msg.tag == *tag && s.dest.map(|d| d == dst).unwrap_or(true))?;
+        .position(|s| s.msg.tag == *tag && eligible(s.dest, dst))?;
     Some(sends.remove(k).msg)
 }
 

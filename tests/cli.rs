@@ -500,6 +500,32 @@ fn a_machine_of_zero_processors_is_a_compile_error() {
 }
 
 #[test]
+fn a_machine_larger_than_an_arrays_grid_is_a_compile_error() {
+    // `pipeline.xdp` declares its arrays `onto 2`: on three processors the
+    // symbol table of p2 asked for p2's part of them and panicked (exit
+    // 101). It runs on one or two.
+    for procs in ["1", "2"] {
+        let args = ["run", "xdp-programs/pipeline.xdp", "--procs", procs];
+        let (_, stderr, code) = xdpc_code(&args);
+        assert_eq!(code, 0, "--procs {procs}: {stderr}");
+    }
+    for cmd in ["run", "trace"] {
+        let args = [cmd, "xdp-programs/pipeline.xdp", "--procs", "3"];
+        let (stdout, stderr, code) = xdpc_code(&args);
+        assert_eq!(code, 1, "{cmd}: {stderr}");
+        let grid = "xdpc: a machine of 3 processors is larger than SRC's grid (onto 2)\n";
+        assert_eq!(stderr, grid, "{cmd}");
+        assert_eq!(stdout, "", "{cmd}: no report for a machine that never ran");
+    }
+    let (_, stderr, code) = xdpd_code(&["run", "xdp-programs/pipeline.xdp", "--procs", "3"]);
+    assert_eq!(code, 1, "xdpd: {stderr}");
+    assert!(
+        stderr.contains("larger than SRC's grid (onto 2)"),
+        "{stderr}"
+    );
+}
+
+#[test]
 fn a_program_nested_too_deep_is_a_parse_error_not_a_stack_overflow() {
     // 20 000 nested parentheses overflowed the parser's stack, and a flat
     // chain of 200 000 additions, which the parser builds without

@@ -4,8 +4,8 @@
 //! (live staged bytes, tracked by the network layer via the salted
 //! redistribution tags) must be positive and never exceed the planner's
 //! *predicted* per-processor peak — on the virtual-time simulator and
-//! the bytecode VM, budgeted and unbudgeted, and (receiver-side) on the
-//! real threaded machine behind `AsyncExec`.
+//! the bytecode VM, budgeted and unbudgeted, and on the real threaded
+//! machine behind `AsyncExec`, at 1, 2 and 4 workers.
 
 use std::path::PathBuf;
 use xdp::prelude::*;
@@ -157,29 +157,36 @@ fn planned_strategies(trace: &Trace) -> Vec<(u32, String, String)> {
 fn threaded_high_water_stays_under_the_planned_peak() {
     for (name, compiled) in redistributing_programs() {
         for budgeted in [false, true] {
-            // AsyncExec runs the real threaded network; its receiver-side
-            // live-byte counter is a lower bound on the planner's two-sided
-            // footprint, so the same inequality must hold — against the
-            // *budgeted* prediction when the machine was given a budget.
+            // AsyncExec runs the real threaded network, whose staging
+            // figure charges both endpoints from send to claim, as the
+            // planner's footprint does: the same inequality must hold —
+            // against the *budgeted* prediction when the machine was given
+            // a budget — however the workers interleave.
             let cfg = machine_cfg(&compiled, budgeted);
             let predicted = predicted_peak(&compiled.program, &cfg.cost, &cfg.topo);
-            let on = |kind| run(&name, kind, Backend::Interp, &compiled, cfg.clone());
-            let report = on(MachineKind::Tasks);
-            let measured = report.net.redist_peak_bytes;
-            assert!(
-                measured > 0,
-                "{name} (async, budgeted={budgeted}): no redistribution bytes measured"
-            );
-            assert!(
-                measured <= predicted,
-                "{name} (async, budgeted={budgeted}): measured high-water {measured} B \
-                 exceeds planned peak {predicted} B"
-            );
+            let on = |kind, workers| {
+                let cfg = MachineConfig {
+                    workers,
+                    ..cfg.clone()
+                };
+                run(&name, kind, Backend::Interp, &compiled, cfg)
+            };
+            for workers in [1, 2, 4] {
+                for _ in 0..5 {
+                    let measured = on(MachineKind::Tasks, workers).net.redist_peak_bytes;
+                    let at = format!("{name} (async, {workers} workers, budgeted={budgeted})");
+                    assert!(measured > 0, "{at}: no redistribution bytes measured");
+                    assert!(
+                        measured <= predicted,
+                        "{at}: measured high-water {measured} B exceeds planned peak {predicted} B"
+                    );
+                }
+            }
             // The task machine must plan what the simulator plans under
             // the same budget: same strategy, same piece count, per pid.
             assert_eq!(
-                planned_strategies(&report.trace),
-                planned_strategies(&on(MachineKind::Sim).trace),
+                planned_strategies(&on(MachineKind::Tasks, 0).trace),
+                planned_strategies(&on(MachineKind::Sim, 0).trace),
                 "{name} (budgeted={budgeted}): async and sim planned differently"
             );
         }

@@ -2,7 +2,8 @@
 //! (§3) every row of the experiment index is one test of
 //! `tests/paper_claims.rs` and no crate has a binary of its own;
 //! (§2.4) the deleted thread-per-processor machine stays deleted, no
-//! machine waits out a receive on a clock,
+//! machine waits out a receive on a clock, (§2.3) both nets match in one
+//! pool,
 //! Figure 1's movement events are built only by `xdp_core::Recorder`, its
 //! transfer rules are written only in `xdp_core::transfer`, a machine
 //! has one description and (§2.12) one builder, and its steps are counted
@@ -263,6 +264,51 @@ fn a_message_fate_is_settled_at_its_send() {
             !line.contains("Instant") || in_recv || stamp,
             "thread_net.rs reads a clock outside `recv`: {line}"
         );
+    }
+}
+
+#[test]
+fn both_nets_match_in_one_pool() {
+    // DESIGN §2.3: which pid a send may reach (`xdp_machine::eligible`),
+    // the match's record in `NetStats` and the staging sweep are written
+    // once, in `xdp_machine::pool`; a net's send takes one destination, and
+    // the nets' own copies stay deleted. Spelled in halves so this file
+    // passes its own scan.
+    let halves = |names: &[[&str; 2]]| names.iter().map(|h| h.concat()).collect::<Vec<_>>();
+    let pool = Path::new("crates/machine/src/pool.rs");
+    let everywhere = halves(&[
+        ["pids", ".contains("],
+        ["map(|d| d ", "== "],
+        ["stats", ".record("],
+        ["redist_peak_bytes", " ="],
+        ["redist_peak_bytes", ".max("],
+        ["fn redist", "_peak_bytes"],
+        ["redist", "_charge"],
+        ["redist", "_live"],
+        ["redist", "_spans"],
+        ["Queued", "Entry"],
+    ]);
+    let in_machine = halves(&[
+        ["match ", "dest"],
+        ["match &", "dest"],
+        ["Option<Vec<", "usize>>"],
+    ]);
+    for path in sources() {
+        if in_tests(&path) || path.ends_with(pool) {
+            continue;
+        }
+        let code = code_of(&path);
+        let machine = path.components().any(|c| c.as_os_str() == "machine");
+        let names = everywhere
+            .iter()
+            .chain(in_machine.iter().filter(|_| machine));
+        for name in names {
+            assert!(
+                !code.contains(name.as_str()),
+                "{} names {name}",
+                path.display()
+            );
+        }
     }
 }
 
