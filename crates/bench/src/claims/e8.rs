@@ -228,7 +228,7 @@ pub fn e8() -> Vec<Table> {
                     .unwrap_or(f64::NAN)
             };
             // What the machine can run is the single-section plan its
-            // `redistribute` lowers; price that one and run it on the
+            // `redistribute` shares out; price that one and run it on the
             // engine. The two numbers are recorded side by side, the
             // message count must agree.
             let low = plan(VarId(0), &bounds, 8, &src, &dst, &cost, topo, true);

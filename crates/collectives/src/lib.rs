@@ -15,10 +15,12 @@
 //! 2. **Applied in memory** — [`run_lockstep`] is the round-by-round
 //!    reference the planner's tests compare against; it has no network and
 //!    no clock.
-//! 3. **Lowered** — [`planner::lower_redistribute_for_pid`] turns a plan
-//!    into ordinary IL+XDP send/receive statements, so a `redistribute`
-//!    moves data through Figure 1's transfer rules on the machine that runs
-//!    every other statement. This crate builds, prices and lowers
+//! 3. **Shared out** — [`RedistPlan::share`] is one processor's part of a
+//!    plan, in execution order: receives, bound sends, awaits. The
+//!    machine runs it straight through Figure 1's transfer rules, so a
+//!    `redistribute` moves data on the machine that runs every other
+//!    statement; [`planner::lower_redistribute_for_pid`] renders the same
+//!    share as IL+XDP statements. This crate builds, prices and shares out
 //!    schedules; it never sends a message.
 
 pub mod exec;
@@ -29,6 +31,6 @@ pub use exec::{run_lockstep, ExecError};
 pub use planner::{
     compatible_segment_shape, lower_redistribute_for_pid, plan, prepare, prepare_arc,
     redistribution_pieces, try_plan, FrontierPoint, Piece, PlanCtx, PlanError, RedistPlan,
-    Strategy,
+    ShareCursor, ShareOp, Strategy,
 };
 pub use schedule::{CommSchedule, Round, Transfer};

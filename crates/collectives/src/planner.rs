@@ -23,9 +23,10 @@
 //! K-round dynamic-slice chains, and picks the fastest plan whose peak
 //! fits. It computes the *segment shape* an array needs so that every
 //! planned transfer moves whole ownership segments
-//! ([`compatible_segment_shape`], [`prepare`]), and lowers a plan to
-//! per-processor IL+XDP statements ([`lower_redistribute_for_pid`]) for
-//! the machine's `redistribute` implementation.
+//! ([`compatible_segment_shape`], [`prepare`]), and shares a plan out:
+//! each processor's operations in order ([`RedistPlan::share`]), which the
+//! machine's `redistribute` runs and [`lower_redistribute_for_pid`]
+//! renders as IL+XDP statements.
 
 use crate::schedule::{CommSchedule, Round, Transfer};
 use std::collections::BTreeMap;
@@ -155,20 +156,18 @@ pub fn redistribution_pieces(
         "redistribution must stay on one machine"
     );
     let nprocs = src.nprocs();
+    let dsts: Vec<Vec<Section>> = (0..nprocs).map(|q| dst.owned_rects(bounds, q)).collect();
     let mut out = Vec::new();
     for p in 0..nprocs {
         let srcs = src.owned_rects(bounds, p);
-        for q in 0..nprocs {
-            for d_rect in dst.owned_rects(bounds, q) {
-                for s_rect in &srcs {
-                    let inter = s_rect.intersect(&d_rect);
-                    if !inter.is_empty() {
-                        out.push(Piece {
-                            src: p,
-                            dst: q,
-                            sec: inter,
-                        });
-                    }
+        for (q, d_rects) in dsts.iter().enumerate() {
+            for d_rect in d_rects {
+                for s_rect in srcs.iter().filter(|s| s.overlaps(d_rect)) {
+                    out.push(Piece {
+                        src: p,
+                        dst: q,
+                        sec: s_rect.intersect(d_rect),
+                    });
                 }
             }
         }
@@ -206,16 +205,14 @@ fn direct_schedule(var: VarId, nprocs: usize, pieces: &[Piece], elem_bytes: u64)
     s
 }
 
-/// Bruck-staged schedule: pieces hop forwards through the ring by powers of
-/// two, consuming one bit of their remaining ring distance per round (bit
-/// `k` of the distance is unaffected by the earlier, smaller hops, so the
-/// decomposition is exact for any `P`). Because every piece is a distinct
-/// section of one global index space, in-transit pieces parked on an
-/// intermediate processor can never collide.
-fn staged_schedule(var: VarId, nprocs: usize, pieces: &[Piece], elem_bytes: u64) -> CommSchedule {
-    let mut s = CommSchedule::new(nprocs);
+/// Bruck routing: pieces hop forwards through the ring by powers of two,
+/// consuming one bit of their remaining ring distance per round (bit `k`
+/// of the distance is unaffected by the earlier, smaller hops, so the
+/// decomposition is exact for any `P`). Round `k` maps each holder to the
+/// pieces (indices into `pieces`) it forwards `2^k` positions ahead.
+fn bruck_routes(nprocs: usize, pieces: &[Piece]) -> Vec<BTreeMap<usize, Vec<usize>>> {
     let mut cur: Vec<usize> = pieces.iter().map(|p| p.src).collect();
-    let mut salt = 0;
+    let mut routes = Vec::new();
     for k in 0..ceil_log2(nprocs.max(2)) {
         let gap = 1usize << k;
         if gap >= nprocs {
@@ -228,24 +225,45 @@ fn staged_schedule(var: VarId, nprocs: usize, pieces: &[Piece], elem_bytes: u64)
                 by_holder.entry(cur[i]).or_default().push(i);
             }
         }
-        let mut round = Round::default();
-        for (holder, idxs) in by_holder {
-            let to = (holder + gap) % nprocs;
-            let secs: Vec<Section> = idxs.iter().map(|&i| pieces[i].sec.clone()).collect();
-            salt += 1;
-            round
-                .transfers
-                .push(Transfer::new(holder, to, var, secs, salt, elem_bytes));
-            for &i in &idxs {
-                cur[i] = to;
+        for (holder, idxs) in &by_holder {
+            for &i in idxs {
+                cur[i] = (holder + gap) % nprocs;
             }
         }
-        s.push_round(round);
+        routes.push(by_holder);
     }
     debug_assert!(
         pieces.iter().zip(&cur).all(|(p, &c)| c == p.dst),
         "every piece must land on its destination"
     );
+    routes
+}
+
+/// Bruck-staged schedule over `routes` ([`bruck_routes`]): one message per
+/// holder per round, packing every piece it forwards. Because every piece
+/// is a distinct section of one global index space, in-transit pieces
+/// parked on an intermediate processor can never collide.
+fn staged_schedule(
+    var: VarId,
+    nprocs: usize,
+    pieces: &[Piece],
+    routes: &[BTreeMap<usize, Vec<usize>>],
+    elem_bytes: u64,
+) -> CommSchedule {
+    let mut s = CommSchedule::new(nprocs);
+    let mut salt = 0;
+    for (k, by_holder) in routes.iter().enumerate() {
+        let mut round = Round::default();
+        for (&holder, idxs) in by_holder {
+            let to = (holder + (1 << k)) % nprocs;
+            let secs: Vec<Section> = idxs.iter().map(|&i| pieces[i].sec.clone()).collect();
+            salt += 1;
+            round
+                .transfers
+                .push(Transfer::new(holder, to, var, secs, salt, elem_bytes));
+        }
+        s.push_round(round);
+    }
     s
 }
 
@@ -403,9 +421,15 @@ fn catalog(
         direct_schedule(var, nprocs, moving, elem_bytes),
     );
     if nprocs > 2 && !moving.is_empty() {
-        let staged = staged_schedule(var, nprocs, moving, elem_bytes);
-        if !require_single_sections || staged.transfers().all(|t| t.secs.len() == 1) {
-            push(Strategy::StagedBruck, staged);
+        // A holder forwarding two pieces in a round packs them into one
+        // message: decided on the routes, before any section is copied.
+        let routes = bruck_routes(nprocs, moving);
+        if !require_single_sections || routes.iter().flat_map(|r| r.values()).all(|i| i.len() == 1)
+        {
+            push(
+                Strategy::StagedBruck,
+                staged_schedule(var, nprocs, moving, &routes, elem_bytes),
+            );
         }
     }
     if budgeted && !moving.is_empty() {
@@ -670,53 +694,135 @@ fn const_sref(var: VarId, sec: &Section) -> SectionRef {
     SectionRef::new(var, subs)
 }
 
-/// Lower a (single-section) plan to processor `pid`'s IL+XDP statements.
-/// The schedule's rounds are walked in groups; per group the processor
-/// posts an ownership-and-value receive for every incoming piece, issues
-/// its sends with bound destinations, then awaits every arrival. An
-/// unbudgeted plan is one group: every receive pre-posted, every send
-/// issued before the first await. A budgeted (synchronized) plan is one
-/// group per round, so at most one round of staging — plus early
-/// next-round arrivals, which the planner's synced peak charges — is live
-/// per processor: the footprint the budget was checked against. Tags are
-/// salted `salt_base + transfer-ordinal`, so concurrent redistributions of
-/// one variable cannot cross-match.
-pub fn lower_redistribute_for_pid(plan: &RedistPlan, pid: usize, salt_base: i64) -> Vec<Stmt> {
-    let rounds = &plan.schedule.rounds;
-    let per_group = if plan.synchronized { 1 } else { rounds.len() };
-    let sref = |t: &Transfer| {
-        assert_eq!(t.secs.len(), 1, "IR lowering requires single-section plans");
-        const_sref(plan.var, &t.secs[0])
-    };
-    let salt = |t: &Transfer| Some(IntExpr::Const(salt_base + t.salt));
-    let mut out = Vec::new();
-    for group in rounds.chunks(per_group.max(1)) {
-        let transfers = || group.iter().flat_map(|r| &r.transfers);
-        let mut awaits = Vec::new();
-        for t in transfers().filter(|t| t.dst == pid) {
-            let target = sref(t);
-            out.push(Stmt::Recv {
-                target: target.clone(),
-                kind: TransferKind::OwnershipValue,
-                name: None,
-                salt: salt(t),
-            });
-            awaits.push(Stmt::Guarded {
-                rule: BoolExpr::Await(target),
-                body: vec![],
-            });
+/// What one operation of a processor's share does with its transfer.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub enum ShareOp {
+    /// Post the ownership-and-value receive of an incoming transfer.
+    #[default]
+    Recv,
+    /// Send an outgoing transfer to its one bound destination.
+    Send,
+    /// Await an incoming transfer's arrival.
+    Await,
+}
+
+/// A position in processor `pid`'s share of a plan ([`RedistPlan::share`]):
+/// the phase, and the transfer of the current group of rounds it has
+/// walked to. It indexes the plan, so it is `Copy` and allocates nothing.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct ShareCursor {
+    /// First round of the current group.
+    group: usize,
+    op: ShareOp,
+    round: usize,
+    at: usize,
+    /// Operations taken so far.
+    taken: usize,
+}
+
+impl ShareCursor {
+    /// Move to `pid`'s next operation at or after this position, and
+    /// return it without taking it; `None` when the share is over.
+    pub fn seek<'a>(
+        &mut self,
+        plan: &'a RedistPlan,
+        pid: usize,
+    ) -> Option<(ShareOp, &'a Transfer)> {
+        let rounds = &plan.schedule.rounds;
+        let per_group = if plan.synchronized { 1 } else { rounds.len() };
+        while self.group < rounds.len() {
+            let end = self.group + per_group;
+            while self.round < end {
+                let transfers = &rounds[self.round].transfers;
+                while let Some(t) = transfers.get(self.at) {
+                    let mine = match self.op {
+                        ShareOp::Send => t.src == pid,
+                        ShareOp::Recv | ShareOp::Await => t.dst == pid,
+                    };
+                    if mine {
+                        return Some((self.op, t));
+                    }
+                    self.at += 1;
+                }
+                (self.round, self.at) = (self.round + 1, 0);
+            }
+            // The group's phase is walked: its next phase, or the next group.
+            self.op = match self.op {
+                ShareOp::Recv => ShareOp::Send,
+                ShareOp::Send => ShareOp::Await,
+                ShareOp::Await => {
+                    self.group = end;
+                    ShareOp::Recv
+                }
+            };
+            self.round = self.group;
         }
-        for t in transfers().filter(|t| t.src == pid) {
-            out.push(Stmt::Send {
-                sec: sref(t),
-                kind: TransferKind::OwnershipValue,
-                dest: DestSet::Pids(vec![IntExpr::Const(t.dst as i64)]),
-                salt: salt(t),
-            });
-        }
-        out.extend(awaits);
+        None
     }
-    out
+
+    /// Take the operation [`ShareCursor::seek`] returned.
+    pub fn take(&mut self) {
+        self.at += 1;
+        self.taken += 1;
+    }
+
+    /// Operations taken so far.
+    pub fn taken(&self) -> usize {
+        self.taken
+    }
+}
+
+impl RedistPlan {
+    /// What processor `pid` does to carry the plan out, the one definition
+    /// of a redistribution's execution order. The schedule's rounds are
+    /// walked in groups; per group the processor receives every incoming
+    /// transfer, sends every outgoing one to its bound destination, then
+    /// awaits every arrival. An unbudgeted plan is one group: every
+    /// receive pre-posted, every send issued before the first await. A
+    /// budgeted (synchronized) plan is one group per round, so at most one
+    /// round of staging — plus early next-round arrivals, which the
+    /// planner's synced peak charges — is live per processor: the
+    /// footprint the budget was checked against.
+    pub fn share(&self, pid: usize) -> impl Iterator<Item = (ShareOp, &Transfer)> {
+        let mut cur = ShareCursor::default();
+        std::iter::from_fn(move || {
+            let op = cur.seek(self, pid)?;
+            cur.take();
+            Some(op)
+        })
+    }
+}
+
+/// Render processor `pid`'s share of a (single-section) plan as IL+XDP
+/// statements: an ownership-and-value receive, a bound send, an `await`
+/// guard per operation. Tags are salted `salt_base + transfer-ordinal`,
+/// so concurrent redistributions of one variable cannot cross-match.
+pub fn lower_redistribute_for_pid(plan: &RedistPlan, pid: usize, salt_base: i64) -> Vec<Stmt> {
+    let kind = TransferKind::OwnershipValue;
+    let lower = |(op, t): (ShareOp, &Transfer)| {
+        assert_eq!(t.secs.len(), 1, "IR lowering requires single-section plans");
+        let sref = const_sref(plan.var, &t.secs[0]);
+        let salt = Some(IntExpr::Const(salt_base + t.salt));
+        match op {
+            ShareOp::Recv => Stmt::Recv {
+                target: sref,
+                kind,
+                name: None,
+                salt,
+            },
+            ShareOp::Send => Stmt::Send {
+                sec: sref,
+                kind,
+                dest: DestSet::Pids(vec![IntExpr::Const(t.dst as i64)]),
+                salt,
+            },
+            ShareOp::Await => Stmt::Guarded {
+                rule: BoolExpr::Await(sref),
+                body: vec![],
+            },
+        }
+    };
+    plan.share(pid).map(lower).collect()
 }
 
 fn gcd(a: i64, b: i64) -> i64 {

@@ -647,15 +647,9 @@ fn run_quantum<P: Processor>(sh: &Shared<'_, P>, task: &mut Task<'_, P>, pid: us
             Action::Send { msg, dest } => {
                 let t = sh.now();
                 task.rec.send_init(pid, sid, &msg, t, t);
-                let wake = |woken: Vec<usize>| woken.into_iter().for_each(|p| sh.enqueue(p));
-                match dest {
-                    None => wake(sh.net.send(msg, None)),
-                    Some(pids) => {
-                        for q in pids {
-                            wake(sh.net.send(msg.clone(), Some(q)));
-                        }
-                    }
-                }
+                dest.post_each(msg, |msg, q| {
+                    sh.net.send(msg, q).into_iter().for_each(|p| sh.enqueue(p))
+                });
             }
             Action::PostRecv { tag, req_id } => {
                 // Nothing to do eagerly: the message is claimed at the

@@ -10,7 +10,7 @@
 //! [`crate::transfer`].
 
 use crate::interp::StepNote;
-use crate::transfer::PendingRecv;
+use crate::transfer::{PendingRecv, RunningShare};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 use xdp_collectives::PlanCtx;
@@ -226,6 +226,8 @@ pub struct ProcEnv {
     pub(crate) max_steps: u64,
     /// Count of `redistribute` statements executed, for tag salting.
     pub(crate) redist_epoch: u64,
+    /// The share of the `redistribute` in progress, if any.
+    pub(crate) share: Option<RunningShare>,
     /// Statement id of the statement the current step is executing.
     pub(crate) cur_sid: Option<u32>,
     /// Structured note the current step produced (kernel, collective).
@@ -265,6 +267,7 @@ impl ProcEnv {
             steps: 0,
             max_steps: u64::MAX,
             redist_epoch: 0,
+            share: None,
             cur_sid: None,
             cur_note: None,
         }
@@ -411,11 +414,11 @@ impl ProcEnv {
 
     /// `await(X)`: false if unowned, blocks while transitional, true when
     /// accessible.
-    pub fn await_(&mut self, var: VarId, sec: Section) -> Result<RuleVal, RtError> {
+    pub fn await_(&mut self, var: VarId, sec: &Section) -> Result<RuleVal, RtError> {
         self.charge_intrinsic(var)?;
-        Ok(match self.symtab.state_of(var, &sec) {
+        Ok(match self.symtab.state_of(var, sec) {
             SecState::Unowned => RuleVal::False,
-            SecState::Transitional => RuleVal::Block(var, sec),
+            SecState::Transitional => RuleVal::Block(var, sec.clone()),
             SecState::Accessible => RuleVal::True,
         })
     }
@@ -461,7 +464,7 @@ impl ProcEnv {
             }
             BoolExpr::Await(r) => {
                 let (var, sec) = self.eval_section(r)?;
-                self.await_(var, sec)?
+                self.await_(var, &sec)?
             }
             BoolExpr::Cmp(op, a, b) => {
                 let (a, b) = (self.eval_int(a)?, self.eval_int(b)?);

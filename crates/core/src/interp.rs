@@ -40,8 +40,8 @@ use xdp_runtime::{Msg, Tag};
 pub enum Action {
     /// Pure local progress; step again when convenient.
     Continue,
-    /// A send was initiated: post `msg` (to `dest` pids if bound).
-    Send { msg: Msg, dest: Option<Vec<usize>> },
+    /// A send was initiated: post `msg` to `dest`.
+    Send { msg: Msg, dest: Dest },
     /// A receive was initiated: post a request for `tag`; deliver the
     /// matched message via [`ProcEnv::complete_recv`] with `req_id`.
     PostRecv { tag: Tag, req_id: u64 },
@@ -52,6 +52,36 @@ pub enum Action {
     Barrier,
     /// Program complete on this processor.
     Done,
+}
+
+/// Where a send's message goes.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum Dest {
+    /// Unbound: whichever receiver claims it.
+    Any,
+    /// Bound to one pid, with no vector: every redistributed send.
+    One(usize),
+    /// Bound to each of these pids (a multicast), possibly none.
+    Many(Vec<usize>),
+}
+
+impl Dest {
+    /// Hand `post` one copy of `msg` per destination (unbound once for
+    /// [`Dest::Any`]), the last copy by move.
+    pub fn post_each(self, msg: Msg, mut post: impl FnMut(Msg, Option<usize>)) {
+        match self {
+            Dest::Any => post(msg, None),
+            Dest::One(q) => post(msg, Some(q)),
+            Dest::Many(pids) => {
+                if let Some((&last, rest)) = pids.split_last() {
+                    for &q in rest {
+                        post(msg.clone(), Some(q));
+                    }
+                    post(msg, Some(last));
+                }
+            }
+        }
+    }
 }
 
 /// One step's outcome: the action plus the local work performed (converted
@@ -74,7 +104,7 @@ pub struct StepOut {
 pub enum StepNote {
     /// A local kernel ran.
     Kernel { name: Arc<str>, flops: u64 },
-    /// A `redistribute` of `var` was planned and expanded; `label` is the
+    /// A `redistribute` of `var` was planned and its share begun; `label` is the
     /// strategy and the number of scheduled messages (`direct x12`).
     Collective { var: VarId, label: String },
 }
@@ -151,10 +181,10 @@ impl Interp {
                         self.stack.pop();
                         continue;
                     }
-                    let stmt = stmts[*idx].clone();
-                    let sid = ids[*idx];
+                    let (stmts, idx) = (stmts.clone(), *idx);
+                    let sid = ids[idx];
                     self.env.at_stmt(sid);
-                    return self.exec_stmt(stmt, sid);
+                    return self.exec_stmt(&stmts[idx], sid);
                 }
                 Frame::Loop {
                     var,
@@ -209,16 +239,16 @@ impl Interp {
         action
     }
 
-    fn exec_stmt(&mut self, stmt: Stmt, sid: u32) -> Result<Action, RtError> {
+    fn exec_stmt(&mut self, stmt: &Stmt, sid: u32) -> Result<Action, RtError> {
         match stmt {
             Stmt::Assign { target, rhs } => {
-                self.env.exec_assign(&target, &rhs)?;
+                self.env.exec_assign(target, rhs)?;
                 self.advance();
                 Ok(Action::Continue)
             }
             Stmt::ScalarAssign { var, value } => {
-                let v = self.env.eval_int(&value)?;
-                self.env.scalars.insert(var, v);
+                let v = self.env.eval_int(value)?;
+                self.env.scalars.insert(var.clone(), v);
                 self.advance();
                 Ok(Action::Continue)
             }
@@ -229,15 +259,15 @@ impl Interp {
             } => {
                 let kernel = self
                     .kernels
-                    .get(&name)
+                    .get(name)
                     .cloned()
                     .ok_or_else(|| RtError::UnknownKernel(name.clone()))?;
                 let mut secs = Vec::with_capacity(args.len());
-                for a in &args {
+                for a in args {
                     secs.push(self.env.eval_section(a)?);
                 }
                 let mut ints = Vec::with_capacity(int_args.len());
-                for e in &int_args {
+                for e in int_args {
                     ints.push(self.env.eval_int(e)?);
                 }
                 let mut bufs = Vec::with_capacity(secs.len());
@@ -245,7 +275,7 @@ impl Interp {
                     bufs.push(self.env.read_section(*v, s)?);
                 }
                 let ran = kernel.run(&mut bufs, &ints);
-                self.env.ran_kernel(name.into(), ran)?;
+                self.env.ran_kernel(name.as_str().into(), ran)?;
                 for ((v, s), buf) in secs.iter().zip(&bufs) {
                     self.env.write_section(*v, s, buf)?;
                 }
@@ -258,26 +288,29 @@ impl Interp {
                 dest,
                 salt,
             } => {
-                let (var, s) = self.env.eval_section(&sec)?;
-                let salt_v = match &salt {
+                let (var, s) = self.env.eval_section(sec)?;
+                let salt_v = match salt {
                     None => 0,
                     Some(e) => self.env.eval_int(e)?,
                 };
-                let dests = match &dest {
-                    DestSet::Unspecified => None,
+                let dests = match dest {
+                    DestSet::Unspecified => Dest::Any,
+                    DestSet::Pids(es) if es.len() == 1 => {
+                        Dest::One(self.env.eval_int(&es[0])? as usize)
+                    }
                     DestSet::Pids(es) => {
                         let mut pids = Vec::with_capacity(es.len());
                         for e in es {
                             pids.push(self.env.eval_int(e)? as usize);
                         }
-                        Some(pids)
+                        Dest::Many(pids)
                     }
                 };
-                let gathered = match kind {
+                let gathered = match *kind {
                     TransferKind::Value => Some(self.env.read_section(var, &s)?),
                     TransferKind::Ownership | TransferKind::OwnershipValue => None,
                 };
-                let action = self.env.send(var, s, kind, salt_v, dests, gathered)?;
+                let action = self.env.send(var, s, *kind, salt_v, dests, gathered)?;
                 Ok(self.settle(action))
             }
             Stmt::Recv {
@@ -286,35 +319,35 @@ impl Interp {
                 name,
                 salt,
             } => {
-                let (tvar, tsec) = self.env.eval_section(&target)?;
-                let salt_v = match &salt {
+                let (tvar, tsec) = self.env.eval_section(target)?;
+                let salt_v = match salt {
                     None => 0,
                     Some(e) => self.env.eval_int(e)?,
                 };
-                let action = match kind {
+                let action = match *kind {
                     TransferKind::Value => {
                         if let Some(block) = self.env.check_value_recv(tvar, &tsec)? {
                             return Ok(block);
                         }
-                        let nref = Stmt::recv_match_name(&target, &name);
-                        let nname = self.env.eval_section(&nref)?;
+                        let nref = name.as_ref().unwrap_or(target);
+                        let nname = self.env.eval_section(nref)?;
                         self.env.post_value_recv(tvar, tsec, nname, salt_v)?
                     }
                     TransferKind::Ownership | TransferKind::OwnershipValue => {
-                        self.env.post_ownership_recv(tvar, tsec, kind, salt_v)?
+                        self.env.post_ownership_recv(tvar, tsec, *kind, salt_v)?
                     }
                 };
                 Ok(self.settle(action))
             }
-            Stmt::Guarded { rule, body } => match self.env.eval_rule(&rule)? {
+            Stmt::Guarded { rule, body } => match self.env.eval_rule(rule)? {
                 RuleVal::False => {
                     self.advance();
                     Ok(Action::Continue)
                 }
                 RuleVal::True => {
                     self.advance();
-                    let ids: Rc<[u32]> = xdp_ir::block_stmt_ids(sid + 1, &body).into();
-                    let b: Rc<[Stmt]> = body.into();
+                    let ids: Rc<[u32]> = xdp_ir::block_stmt_ids(sid + 1, body).into();
+                    let b: Rc<[Stmt]> = body.as_slice().into();
                     self.stack.push(Frame::Block {
                         stmts: b,
                         ids,
@@ -331,17 +364,17 @@ impl Interp {
                 step,
                 body,
             } => {
-                let lo = self.env.eval_int(&lo)?;
-                let hi = self.env.eval_int(&hi)?;
-                let step = self.env.eval_int(&step)?;
+                let lo = self.env.eval_int(lo)?;
+                let hi = self.env.eval_int(hi)?;
+                let step = self.env.eval_int(step)?;
                 if step == 0 {
                     return Err(RtError::ZeroStep);
                 }
                 self.advance();
-                let ids: Rc<[u32]> = xdp_ir::block_stmt_ids(sid + 1, &body).into();
-                let b: Rc<[Stmt]> = body.into();
+                let ids: Rc<[u32]> = xdp_ir::block_stmt_ids(sid + 1, body).into();
+                let b: Rc<[Stmt]> = body.as_slice().into();
                 self.stack.push(Frame::Loop {
-                    var,
+                    var: var.clone(),
                     body: b,
                     ids,
                     sid,
@@ -356,18 +389,11 @@ impl Interp {
                 Ok(self.settle(action))
             }
             Stmt::Redistribute { var, dist } => {
-                let stmts = self.env.redistribute(var, dist)?;
-                self.advance();
-                // Every statement the redistribute expands into inherits
-                // its id, so trace attribution stays on the source line.
-                let ids: Rc<[u32]> = vec![sid; stmts.len()].into();
-                let b: Rc<[Stmt]> = stmts.into();
-                self.stack.push(Frame::Block {
-                    stmts: b,
-                    ids,
-                    idx: 0,
-                });
-                Ok(Action::Continue)
+                let action = self.env.redistribute(*var, dist)?;
+                if !self.env.redistributing() {
+                    self.advance();
+                }
+                Ok(action)
             }
         }
     }
@@ -385,8 +411,9 @@ impl Processor for Interp {
         if self.stack.is_empty() {
             return "done".to_string();
         }
+        let sharing = self.env.share_position();
         let mut parts = Vec::new();
-        for f in &self.stack {
+        for (k, f) in self.stack.iter().enumerate() {
             match f {
                 Frame::Loop {
                     var,
@@ -399,10 +426,14 @@ impl Processor for Interp {
                     parts.push(format!("do {var}={} (to {hi} by {step})", current - step));
                 }
                 Frame::Block { idx, stmts, .. } => {
-                    parts.push(format!("stmt {}/{}", (*idx).min(stmts.len()), stmts.len()));
+                    // A running share reads as the block it renders to,
+                    // entered past its `redistribute`.
+                    let idx = idx + usize::from(sharing.is_some() && k + 1 == self.stack.len());
+                    parts.push(format!("stmt {}/{}", idx.min(stmts.len()), stmts.len()));
                 }
             }
         }
+        parts.extend(sharing);
         parts.join(" > ")
     }
 

@@ -60,7 +60,7 @@ pub mod transfer;
 pub use async_exec::AsyncExec;
 pub use config::{MachineConfig, MachineKind};
 pub use env::{OpCounts, ProcEnv, RtError, RuleVal};
-pub use interp::{Action, Interp, StepNote, StepOut};
+pub use interp::{Action, Dest, Interp, StepNote, StepOut};
 pub use kernels::{Kernel, KernelRegistry};
 pub use proc::{Machine, Processor};
 pub use recorder::Recorder;

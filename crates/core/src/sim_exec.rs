@@ -200,22 +200,11 @@ impl<P: Processor> SimExec<P> {
                         self.rec.send_init(p, sid, &msg, t1, self.clocks[p]);
                         self.sends[p] += 1;
                         let time = self.clocks[p];
-                        match dest {
-                            None => {
-                                if let Some(c) = self.net.post_send(msg, None, time) {
-                                    self.deliver(c);
-                                }
+                        dest.post_each(msg, |msg, q| {
+                            if let Some(c) = self.net.post_send(msg, q, time) {
+                                self.deliver(c);
                             }
-                            Some(pids) => {
-                                // Multicast: one bound copy per destination.
-                                for q in pids {
-                                    if let Some(c) = self.net.post_send(msg.clone(), Some(q), time)
-                                    {
-                                        self.deliver(c);
-                                    }
-                                }
-                            }
-                        }
+                        });
                     }
                     Action::PostRecv { tag, req_id } => {
                         let t1 = self.clocks[p];

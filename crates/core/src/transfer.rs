@@ -6,7 +6,8 @@
 //! gather/scatter. Everything that happens once a statement's operands
 //! are values is here, on [`ProcEnv`] (which holds the state the rules
 //! keep between steps): initiating a send or a receive, completing one,
-//! the barrier round trip, and planning a `redistribute`.
+//! the barrier round trip, and a `redistribute`: its plan, and this
+//! processor's share of it run through the same rules.
 //! Request ids, tags, error text, blocking behavior and trace notes of
 //! these rules are therefore the same on every backend by construction.
 //!
@@ -23,11 +24,11 @@
 //! changed nothing; the caller leaves its program counter on the
 //! statement, which runs again when the processor is woken.
 
-use crate::env::{ProcEnv, RtError};
-use crate::interp::{Action, StepNote, StepOut};
+use crate::env::{ProcEnv, RtError, RuleVal};
+use crate::interp::{Action, Dest, StepNote, StepOut};
 use std::sync::Arc;
-use xdp_collectives::PlanCtx;
-use xdp_ir::{Distribution, Section, Stmt, TransferKind, VarId};
+use xdp_collectives::{PlanCtx, RedistPlan, ShareCursor, ShareOp};
+use xdp_ir::{Distribution, Section, TransferKind, VarId};
 use xdp_runtime::symtab::{SecState, SymtabError};
 use xdp_runtime::{Buffer, Msg, Tag};
 
@@ -114,13 +115,13 @@ impl ProcEnv {
         sec: Section,
         kind: TransferKind,
         salt: i64,
-        dest: Option<Vec<usize>>,
+        dest: Dest,
         gathered: Option<Buffer>,
     ) -> Result<Action, RtError> {
         let payload = match kind {
             TransferKind::Value => gathered,
             TransferKind::Ownership | TransferKind::OwnershipValue => {
-                if dest.as_ref().is_some_and(|d| d.len() > 1) {
+                if matches!(&dest, Dest::Many(pids) if pids.len() > 1) {
                     return Err(self.bad_transfer("ownership multicast is meaningless".to_string()));
                 }
                 match self.symtab.state_of(var, &sec) {
@@ -311,14 +312,28 @@ impl ProcEnv {
 
     // ---- redistribute ----
 
-    /// `redistribute var to dist`: plan the move from the variable's
-    /// current distribution through the machine's context and return this
-    /// processor's share of it as plain XDP statements, for the caller to
-    /// run in its own code form. They inherit the redistribute's statement
-    /// id, so trace attribution stays on the source line.
-    pub fn redistribute(&mut self, var: VarId, dist: Distribution) -> Result<Vec<Stmt>, RtError> {
-        let decls = self.decls.clone();
-        let decl = &decls[var.index()];
+    /// One step of `redistribute var to dist`. The first plans the move
+    /// from the variable's current distribution through the machine's
+    /// context and begins this processor's share of the plan; each later
+    /// one runs the share's next operation through the rules above — a
+    /// receive, a send bound to one pid, an await — charged exactly as the
+    /// statement [`xdp_collectives::lower_redistribute_for_pid`] renders it
+    /// would be. The caller stays on the statement while
+    /// [`ProcEnv::redistributing`], so every step is attributed to it; a
+    /// blocked await leaves the share where it is.
+    pub fn redistribute(&mut self, var: VarId, dist: &Distribution) -> Result<Action, RtError> {
+        if let Some(mut share) = self.share.take() {
+            let action = self.share_op(&mut share)?;
+            if !matches!(action, Action::BlockOn { .. }) {
+                share.cur.take();
+            }
+            // A share with no operation left is over: the caller moves on.
+            if share.cur.seek(&share.plan, self.pid).is_some() {
+                self.share = Some(share);
+            }
+            return Ok(action);
+        }
+        let decl = &self.decls[var.index()];
         let src = self
             .cur_dist
             .get(&var)
@@ -326,19 +341,67 @@ impl ProcEnv {
             .ok_or_else(|| {
                 self.bad_transfer(format!("redistribute of undistributed `{}`", decl.name))
             })?;
-        let plan = self.plan_ctx.plan(var, decl, src, &dist);
+        let plan = self.plan_ctx.plan(var, decl, src, dist);
         // Planning consults the section algebra once per message.
         self.ops.symtab_ops += plan.schedule.message_count() as u64;
         // Epoch-salted tags keep successive redistributions of one
         // variable from cross-matching.
         self.redist_epoch += 1;
-        let salt_base = self.redist_epoch as i64 * 1_000_000;
-        let stmts = xdp_collectives::lower_redistribute_for_pid(&plan, self.pid, salt_base);
         self.cur_note = Some(StepNote::Collective {
             var,
             label: format!("{} x{}", plan.strategy, plan.schedule.message_count()),
         });
-        self.cur_dist.insert(var, dist);
-        Ok(stmts)
+        self.cur_dist.insert(var, dist.clone());
+        let mut cur = ShareCursor::default();
+        if cur.seek(&plan, self.pid).is_some() {
+            self.share = Some(RunningShare {
+                plan,
+                cur,
+                salt_base: self.redist_epoch as i64 * 1_000_000,
+            });
+        }
+        Ok(Action::Continue)
     }
+
+    /// A `redistribute`'s share is in progress: its statement is not done.
+    #[inline]
+    pub fn redistributing(&self) -> bool {
+        self.share.is_some()
+    }
+
+    /// Where the share in progress stands, as the position of the block it
+    /// renders to: `stmt <taken>/<length>`.
+    pub fn share_position(&self) -> Option<String> {
+        let share = self.share.as_ref()?;
+        let len = share.plan.share(self.pid).count();
+        Some(format!("stmt {}/{len}", share.cur.taken()))
+    }
+
+    /// Run the operation `share` stands at.
+    fn share_op(&mut self, share: &mut RunningShare) -> Result<Action, RtError> {
+        let (op, t) = share
+            .cur
+            .seek(&share.plan, self.pid)
+            .expect("a share in progress has an operation");
+        // A machine plans one section per transfer (`PlanCtx::plan`).
+        let (var, sec) = (share.plan.var, &t.secs[0]);
+        let (kind, salt) = (TransferKind::OwnershipValue, share.salt_base + t.salt);
+        Ok(match op {
+            ShareOp::Recv => self.post_ownership_recv(var, sec.clone(), kind, salt)?,
+            ShareOp::Send => self.send(var, sec.clone(), kind, salt, Dest::One(t.dst), None)?,
+            ShareOp::Await => match self.await_(var, sec)? {
+                RuleVal::Block(var, sec) => Action::BlockOn { var, sec },
+                RuleVal::True | RuleVal::False => Action::Continue,
+            },
+        })
+    }
+}
+
+/// A processor's share of a plan, in progress: the plan, where the
+/// processor stands in it, and the salt of this redistribution's tags.
+#[derive(Debug)]
+pub(crate) struct RunningShare {
+    plan: Arc<RedistPlan>,
+    cur: ShareCursor,
+    salt_base: i64,
 }

@@ -10,7 +10,7 @@ use crate::value::Buffer;
 use std::sync::Arc;
 use xdp_ir::{Section, TransferKind, VarId};
 
-/// The smallest salt the redistribute lowering uses: redistribution
+/// The smallest salt a redistribution's share uses: redistribution
 /// epochs salt their tags `epoch * 1_000_000` with `epoch >= 1`, so any
 /// message whose `tag.salt >= REDIST_SALT_FLOOR` is part of an explicit
 /// redistribution schedule. The network backends use this to scope their

@@ -132,22 +132,10 @@ impl Lockstep {
                     Action::Send { msg, dest } => {
                         progress = true;
                         self.rec.send_init(p, sid, &msg, t, t);
-                        match dest {
-                            None => {
-                                messages += 1;
-                                sends.push(PendingSend { msg, dest: None });
-                            }
-                            Some(pids) => {
-                                // Multicast: one bound copy per destination.
-                                for q in pids {
-                                    messages += 1;
-                                    sends.push(PendingSend {
-                                        msg: msg.clone(),
-                                        dest: Some(q),
-                                    });
-                                }
-                            }
-                        }
+                        dest.post_each(msg, |msg, dest| {
+                            messages += 1;
+                            sends.push(PendingSend { msg, dest });
+                        });
                     }
                     Action::PostRecv { tag, req_id } => {
                         progress = true;

@@ -16,10 +16,9 @@ use xdp_ir::{
 
 /// Interned scalar-variable names: the VM's register file layout.
 ///
-/// Slot ids are dense and stable; the per-processor register file is a
-/// `Vec<Option<i64>>` indexed by slot. Statements lowered at run time by
-/// `redistribute` may intern additional names, growing a processor's
-/// private copy.
+/// Slot ids are dense and fixed when the program is compiled: nothing
+/// interns a name at run time, so every processor reads the program's one
+/// map, and its register file is a `Vec<Option<i64>>` indexed by slot.
 #[derive(Clone, Debug, Default)]
 pub struct SlotMap {
     index: HashMap<String, usize>,
@@ -114,8 +113,7 @@ pub enum CElem {
 }
 
 /// One compiled statement: the operation plus the source statement's
-/// preorder id (statements lowered from a `redistribute` inherit its id,
-/// exactly as in the interpreter).
+/// preorder id.
 #[derive(Clone, Debug)]
 pub struct VmStmt {
     pub sid: u32,
@@ -199,9 +197,6 @@ pub struct VmProgram {
     pub code: Arc<[VmStmt]>,
     /// Register layout for scalar variables.
     pub slots: SlotMap,
-    /// The kernel registry (needed to compile statements lowered at run
-    /// time by `redistribute`).
-    pub kernels: KernelRegistry,
 }
 
 impl VmProgram {
@@ -224,35 +219,26 @@ impl VmProgram {
             decls,
             code,
             slots,
-            kernels: kernels.clone(),
             program,
         })
     }
 }
 
 /// Compilation context.
-pub(crate) struct Cx<'a> {
-    pub slots: &'a mut SlotMap,
-    pub decls: &'a [Decl],
-    pub kernels: &'a KernelRegistry,
+struct Cx<'a> {
+    slots: &'a mut SlotMap,
+    decls: &'a [Decl],
+    kernels: &'a KernelRegistry,
 }
 
 /// Compile a block whose first statement has preorder id `base`.
-pub(crate) fn compile_block(cx: &mut Cx<'_>, base: u32, block: &[Stmt]) -> Arc<[VmStmt]> {
+fn compile_block(cx: &mut Cx<'_>, base: u32, block: &[Stmt]) -> Arc<[VmStmt]> {
     let ids = xdp_ir::block_stmt_ids(base, block);
     block
         .iter()
         .zip(ids)
         .map(|(s, sid)| compile_stmt(cx, sid, s))
         .collect()
-}
-
-/// Compile statements lowered at run time by a `redistribute`: every
-/// top-level statement inherits the redistribute's own id (`sid`), and
-/// nested bodies number from `sid + 1` — the ids the interpreter assigns
-/// when it executes the same lowered statements.
-pub(crate) fn compile_lowered(cx: &mut Cx<'_>, sid: u32, stmts: &[Stmt]) -> Arc<[VmStmt]> {
-    stmts.iter().map(|s| compile_stmt(cx, sid, s)).collect()
 }
 
 fn compile_stmt(cx: &mut Cx<'_>, sid: u32, s: &Stmt) -> VmStmt {

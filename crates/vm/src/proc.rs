@@ -9,15 +9,13 @@
 //! operation and every symbol-table call of the evaluation is the same,
 //! in the same order, and that half of the contract is what the
 //! differential suites check (see the crate docs). Sends, receives,
-//! completions, barriers and redistribution planning are the shared rules
-//! themselves.
+//! completions, barriers and a `redistribute` (its plan and this
+//! processor's share of it) are the shared rules themselves.
 
-use crate::compile::{
-    compile_lowered, CElem, CInt, CRule, CSec, CSub, Cx, SlotMap, VmOp, VmProgram, VmStmt,
-};
+use crate::compile::{CElem, CInt, CRule, CSec, CSub, VmOp, VmProgram, VmStmt};
 use std::borrow::Cow;
 use std::sync::Arc;
-use xdp_core::{Action, ProcEnv, Processor, RtError, RuleVal, StepOut};
+use xdp_core::{Action, Dest, ProcEnv, Processor, RtError, RuleVal, StepOut};
 use xdp_ir::{ElemBinOp, Ownership, Section, TransferKind, Triplet, VarId};
 use xdp_runtime::{Buffer, Value};
 
@@ -102,10 +100,8 @@ pub struct VmProc {
     /// transfer state).
     pub env: ProcEnv,
     prog: Arc<VmProgram>,
-    /// Scalar register file, indexed by slot id.
+    /// Scalar register file, indexed by the program's slot ids.
     regs: Vec<Option<i64>>,
-    /// Private slot map (grows when `redistribute` lowers new statements).
-    slots: SlotMap,
     stack: Vec<VFrame>,
     scratch: Scratch,
 }
@@ -114,8 +110,7 @@ impl VmProc {
     /// Load compiled `prog` onto processor `pid` of an `nprocs` machine.
     pub fn new(prog: Arc<VmProgram>, pid: usize, nprocs: usize, checked: bool) -> VmProc {
         let env = ProcEnv::new(pid, nprocs, prog.decls.clone(), checked);
-        let slots = prog.slots.clone();
-        let regs = vec![None; slots.len()];
+        let regs = vec![None; prog.slots.len()];
         VmProc {
             env,
             stack: vec![VFrame::Block {
@@ -123,7 +118,6 @@ impl VmProc {
                 idx: 0,
             }],
             regs,
-            slots,
             prog,
             scratch: Scratch::default(),
         }
@@ -262,13 +256,14 @@ impl VmProc {
                     Some(e) => self.eval_int(e)?,
                 };
                 let dests = match dest {
-                    None => None,
+                    None => Dest::Any,
+                    Some(es) if es.len() == 1 => Dest::One(self.eval_int(&es[0])? as usize),
                     Some(es) => {
                         let mut pids = Vec::with_capacity(es.len());
                         for e in es {
                             pids.push(self.eval_int(e)? as usize);
                         }
-                        Some(pids)
+                        Dest::Many(pids)
                     }
                 };
                 let gathered = match kind {
@@ -360,27 +355,11 @@ impl VmProc {
                 Ok(self.settle(action))
             }
             VmOp::Redistribute { var, dist } => {
-                let stmts = self.env.redistribute(*var, dist.clone())?;
-                self.advance();
-                // Compile the lowered statements now: each inherits this
-                // redistribute's id, nested bodies number from id + 1 —
-                // the same ids the interpreter assigns at run time.
-                let lowered = {
-                    let mut cx = Cx {
-                        slots: &mut self.slots,
-                        decls: &self.prog.decls,
-                        kernels: &self.prog.kernels,
-                    };
-                    compile_lowered(&mut cx, sid, &stmts)
-                };
-                if self.regs.len() < self.slots.len() {
-                    self.regs.resize(self.slots.len(), None);
+                let action = self.env.redistribute(*var, dist)?;
+                if !self.env.redistributing() {
+                    self.advance();
                 }
-                self.stack.push(VFrame::Block {
-                    stmts: lowered,
-                    idx: 0,
-                });
-                Ok(Action::Continue)
+                Ok(action)
             }
         }
     }
@@ -392,7 +371,7 @@ impl VmProc {
         match e {
             CInt::Const(c) => Ok(*c),
             CInt::Slot(i) => self.regs[*i]
-                .ok_or_else(|| RtError::UndefinedScalar(self.slots.name(*i).to_string())),
+                .ok_or_else(|| RtError::UndefinedScalar(self.prog.slots.name(*i).to_string())),
             CInt::MyPid => Ok(self.env.pid as i64),
             CInt::MyLb(r, d, subscript) => {
                 let sec = self.eval_sec(r)?;
@@ -456,7 +435,9 @@ impl VmProc {
             }
             CRule::Await(r) => {
                 let sec = self.eval_sec(r)?;
-                self.env.await_(r.var, sec.into_owned())?
+                let v = self.env.await_(r.var, &sec)?;
+                self.scratch.give_sec(sec);
+                v
             }
             CRule::Cmp(op, a, b) => {
                 let (a, b) = (self.eval_int(a)?, self.eval_int(b)?);
@@ -640,8 +621,9 @@ impl Processor for VmProc {
         if self.stack.is_empty() {
             return "done".to_string();
         }
+        let sharing = self.env.share_position();
         let mut parts = Vec::new();
-        for f in &self.stack {
+        for (k, f) in self.stack.iter().enumerate() {
             match f {
                 VFrame::Loop {
                     var,
@@ -654,10 +636,12 @@ impl Processor for VmProc {
                     parts.push(format!("do {var}={} (to {hi} by {step})", current - step));
                 }
                 VFrame::Block { idx, stmts } => {
-                    parts.push(format!("stmt {}/{}", (*idx).min(stmts.len()), stmts.len()));
+                    let idx = idx + usize::from(sharing.is_some() && k + 1 == self.stack.len());
+                    parts.push(format!("stmt {}/{}", idx.min(stmts.len()), stmts.len()));
                 }
             }
         }
+        parts.extend(sharing);
         parts.join(" > ")
     }
 

@@ -8,7 +8,7 @@ mod step_pair;
 
 use std::sync::Arc;
 use xdp_core::{
-    Action, AsyncExec, Interp, KernelRegistry, MachineConfig, Processor, RtError, SimExec,
+    Action, AsyncExec, Dest, Interp, KernelRegistry, MachineConfig, Processor, RtError, SimExec,
 };
 use xdp_ir::build as b;
 use xdp_ir::{
@@ -332,7 +332,7 @@ fn send_and_recv_actions_surface_on<P: Processor>(load: fn(&Arc<Program>, usize,
         }
     }
     let (msg, dest) = saw_send.expect("P0 sent");
-    assert_eq!(dest, None);
+    assert_eq!(dest, Dest::Any);
     assert_eq!(msg.src, 0);
     assert_eq!(msg.payload.as_ref().unwrap().get(0), Value::F64(6.0));
 

@@ -99,11 +99,9 @@ pub fn assert_step_identical(
                     vms[pid].outstanding_for(var, &sec),
                     "{at}"
                 ),
-                Action::Send { msg, dest: None } => mailbox.push((msg, None)),
-                Action::Send {
-                    msg,
-                    dest: Some(to),
-                } => mailbox.extend(to.into_iter().map(|to| (msg.clone(), Some(to)))),
+                Action::Send { msg, dest } => {
+                    dest.post_each(msg, |msg, to| mailbox.push((msg, to)))
+                }
                 Action::PostRecv { .. } | Action::Continue => {}
             }
         }

@@ -873,9 +873,9 @@ fn a_request_is_fully_traced_only_for_a_flight_recorder() {
 
 #[test]
 fn the_collectives_crate_never_moves_a_message() {
-    // It builds, prices and lowers schedules; a schedule's data moves only
-    // as the Figure 1 statements `lower_redistribute_for_pid` emits, on
-    // the machine that runs every other statement.
+    // It builds, prices and shares out schedules; a schedule's data moves
+    // only as each processor's share (`RedistPlan::share`) run through the
+    // Figure 1 rules, on the machine that runs every other statement.
     let src = Path::new(env!("CARGO_MANIFEST_DIR")).join("crates/collectives/src");
     let names = ["SimNet", "ThreadNet", "Msg", "Tag::", "trait Net"];
     for path in sources().iter().filter(|p| p.starts_with(&src)) {
@@ -883,6 +883,24 @@ fn the_collectives_crate_never_moves_a_message() {
         for name in names {
             assert!(!text.contains(name), "{}: names {name}", path.display());
         }
+    }
+}
+
+#[test]
+fn a_redistribute_runs_its_share_not_statements() {
+    // A processor runs its share of a plan straight from the plan: no run
+    // path lowers it to IL+XDP statements (or compiles those to bytecode).
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let (core, vm) = (root.join("crates/core/src"), root.join("crates/vm/src"));
+    for path in sources()
+        .iter()
+        .filter(|p| p.starts_with(&core) || p.starts_with(&vm))
+    {
+        assert!(
+            !code_of(path).contains("lower_redistribute_for_pid"),
+            "{} lowers a redistribute to statements",
+            path.display()
+        );
     }
 }
 

@@ -6,9 +6,10 @@
 //! run of 10 — a guard that needs no wall clock.
 //!
 //! A message still allocates: its payload, its tag's section and what the
-//! nets queue it in. The halo exchange of the benchmark's `exec-comm` mix
-//! is held to a count per message, and recording its movement, as `xdpd`
-//! does, to no allocation per message at all.
+//! nets queue it in. The halo exchange and the redistribution round trip
+//! of the benchmark's `exec-comm` mix are each held to a count per
+//! message, and recording the halo's movement, as `xdpd` does, to no
+//! allocation per message at all.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -180,7 +181,7 @@ fn a_message_allocates_a_bounded_count_and_recording_it_none() {
     let untraced = untraced_100 - untraced_10;
     let per_message = untraced as f64 / messages as f64;
     assert!(
-        per_message <= 10.1,
+        per_message <= 9.1,
         "an untraced message makes {per_message:.2} allocations ({untraced} over {messages})"
     );
 
@@ -207,5 +208,32 @@ fn a_message_allocates_a_bounded_count_and_recording_it_none() {
     assert!(
         long.abs_diff(short) <= 2,
         "record_trace: {short} allocations at 10 sweeps, {long} at 100"
+    );
+}
+
+/// `exec-comm`'s BLOCK -> CYCLIC -> BLOCK round trip: 2 x 16 x 15 = 480
+/// messages at P = 16.
+const REDIST_ROUNDTRIP: &str = "real A[1:1024] distribute (BLOCK) onto 16
+redistribute A (CYCLIC) onto 16
+redistribute A (BLOCK) onto 16
+";
+
+#[test]
+fn a_redistributed_message_allocates_a_bounded_count() {
+    // Everything a request's run makes, over the messages it moves, as
+    // `xdpd` serves it: both plans, and each processor's share run from
+    // its plan.
+    let mut exec = vm_on_sim(REDIST_ROUNDTRIP, 16, TraceConfig::movement());
+    let (allocations, report) = counted(|| exec.run_report().unwrap());
+    let messages = report.net.messages;
+    assert_eq!(messages, 480, "2 x 16 x 15 messages");
+    let per_message = allocations as f64 / messages as f64;
+    println!(
+        "BLOCK -> CYCLIC -> BLOCK at P = 16: {allocations} allocations over {messages} \
+         messages ({per_message:.2} a message)"
+    );
+    assert!(
+        per_message <= 14.6,
+        "a redistributed message makes {per_message:.2} allocations ({allocations} over {messages})"
     );
 }
