@@ -92,7 +92,7 @@ experiments:
 fuzz:
 	cargo run -q --release --bin xdpc -- fuzz --count 500 --seed 7
 
-# Serve the corpus interactively: registry listing + a repeated run.
+# Serve the corpus interactively: the corpus listing + a repeated run.
 serve:
 	cargo run -q --release --bin xdpd -- list
 	cargo run -q --release --bin xdpd -- run xdp-programs/fft3d.xdp --repeat 5

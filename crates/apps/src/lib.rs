@@ -6,8 +6,6 @@
 //! * [`fft3d`] — the §4 example: the four derivation stages of the
 //!   distributed 3-D FFT with `(*,*,BLOCK) -> (*,BLOCK,*)` ownership
 //!   redistribution, as explicit IL+XDP programs.
-//! * [`stencil`] — 1-D Jacobi-style shifted-operand loops (boundary
-//!   exchange after vectorization).
 //! * [`halo2d`] — 2-D Jacobi with explicit halo exchange written directly
 //!   in IL+XDP (ghost rows, overlap of halo transfer with interior
 //!   compute).
@@ -21,7 +19,6 @@ pub mod fft3d;
 pub mod halo2d;
 pub mod matvec;
 pub mod reduce;
-pub mod stencil;
 pub mod workloads;
 
 pub use fft::{app_kernels, fft1d_in_place, fft3d_seq, naive_dft};

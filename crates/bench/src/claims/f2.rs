@@ -46,8 +46,9 @@ pub fn f2() -> Vec<Table> {
     for pid in 0..4 {
         let st = RtSymbolTable::build(pid, &decls);
         for e in st.entries() {
-            let shape: Vec<String> = e.bounds.iter().map(|x| x.count().to_string()).collect();
-            let seg: Vec<String> = e
+            let d = &decls[e.var.index()];
+            let shape: Vec<String> = d.bounds.iter().map(|x| x.count().to_string()).collect();
+            let seg: Vec<String> = d
                 .segment_shape
                 .as_ref()
                 .unwrap()
@@ -55,19 +56,19 @@ pub fn f2() -> Vec<Table> {
                 .map(|x| x.to_string())
                 .collect();
             let seg = format!("({})", seg.join(","));
-            let claimed = match e.name.as_str() {
+            let claimed = match d.name.as_str() {
                 "A" => ("(2,1)", 4),
                 _ => ("(4,2)", 8),
             };
             let got = (seg.as_str(), e.owned_segment_count());
-            assert_eq!(got, claimed, "F2: P{pid}'s {} segments", e.name);
+            assert_eq!(got, claimed, "F2: P{pid}'s {} segments", d.name);
             t.row(&[
                 j::i(pid as i64),
                 j::i(e.var.index() as i64 + 1),
-                j::s(&e.name),
-                j::i(e.rank as i64),
+                j::s(&d.name),
+                j::i(d.rank() as i64),
                 j::s(&format!("({})", shape.join(","))),
-                j::s(&e.partitioning.to_string()),
+                j::s(&d.dist.as_ref().unwrap().to_string()),
                 j::s(&seg),
                 j::i(e.owned_segment_count() as i64),
             ]);
@@ -81,7 +82,9 @@ pub fn f2() -> Vec<Table> {
             writeln!(
                 note,
                 "  {}.segdesc[{i}]: status={:?} lbound/ubound/stride={}",
-                e.name, seg.status, seg.section
+                decls[e.var.index()].name,
+                seg.status,
+                seg.section
             )
             .unwrap();
         }

@@ -144,7 +144,7 @@ pub const XDPD: Tool = Tool {
     commands: commands! {
         "run" "FILE" "serve one program repeatedly through the compile cache"
             [&[REPEAT, OPTIMIZE, BACKEND, PROCS, FAULTS, WORKERS, MEM_BUDGET]]
-        "list" "" "register a corpus and print the registry" [&[PROGRAMS, GEN]]
+        "list" "" "compile a corpus and list its programs" [&[PROGRAMS, GEN]]
         "bench" "" "E13: replay a seeded weighted request mix, print summary and per-program\n\
             tables, exit 1 on a serving-contract violation"
             [REPLAY, &[METRICS_OUT, SLOW_MS, FLIGHT_DIR]]

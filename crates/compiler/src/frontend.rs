@@ -359,7 +359,7 @@ mod tests {
     use xdp_ir::{ElemType, ProcGrid};
 
     /// The paper's running example: do i: A[i] = A[i] + B[i].
-    pub fn paper_seq(n: i64, nprocs: usize, b_dist: DimDist) -> Program {
+    fn paper_seq(n: i64, nprocs: usize, b_dist: DimDist) -> Program {
         let grid = ProcGrid::linear(nprocs);
         let mut s = Program::new();
         let a = s.declare(b::array(

@@ -11,14 +11,17 @@
 //!
 //! Scheduling is work-stealing: each worker owns a run queue, pushes
 //! woken tasks to its own queue, and steals from peers when dry.
-//! A receiver with no message parks in the net, beside the messages of
-//! the name it waits on ([`ThreadNet::claim_or_park`]), and a send hands
-//! back exactly the tasks it may satisfy; the net settles an injected
-//! fault when the message is sent, so nothing surfaces later. An idle
-//! worker sleeps until a task is queued or the run ends. Quiescence is
-//! decided exactly, with no clock: when the last active task parks or
-//! finishes, no task can ever run again (only a running task sends), so
-//! an unfinished run is stuck, diagnosed as the simulator does.
+//! A task posts its receives in the net as `SimExec` does
+//! ([`ThreadNet::post_recv`]), and whichever of a send and its receive is
+//! posted second pairs them. Before a step, a task takes what was paired
+//! for it if its count moved; blocked on a receive with nothing paired,
+//! it parks in the net, and the send that pairs one of its receives
+//! hands it back to be woken; the net settles an injected fault when the
+//! message is sent, so nothing surfaces later. An idle worker sleeps
+//! until a task is queued or the run ends. Quiescence is decided exactly,
+//! with no clock: when the last active task parks or finishes, no task
+//! can ever run again (only a running task sends), so an unfinished run
+//! is stuck, diagnosed as the simulator does.
 //!
 //! The observable contract: a [`ThreadReport`], a trace with wall-clock
 //! timestamps whose movement multiset is the simulator's, and named
@@ -39,11 +42,11 @@ use crate::report::{ExecReport, Gathered, ThreadReport};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 use xdp_collectives::PlanCtx;
 use xdp_ir::{Program, VarId};
 use xdp_machine::ThreadNet;
-use xdp_runtime::{Msg, Tag, Value};
+use xdp_runtime::{Msg, Value};
 use xdp_trace::{Trace, WaitCause};
 
 /// Statements a task executes before yielding its worker, so thousands
@@ -127,8 +130,8 @@ impl<P: Processor> AsyncExec<P> {
                         state: TState::Runnable,
                         result: None,
                         counted_done: false,
-                        polled_at: 0,
-                        posted: false,
+                        taken_at: 0,
+                        taken: Vec::new(),
                     })
                 })
                 .collect(),
@@ -231,11 +234,10 @@ impl<P: Processor> Machine for AsyncExec<P> {
     }
 }
 
-/// A receive the task is parked on.
-#[derive(Clone)]
+/// The receive a blocked task waits on.
+#[derive(Clone, Copy)]
 struct Pending {
     req: u64,
-    tag: Tag,
     /// Wait-start timestamp (µs) for the trace span.
     t0: f64,
     /// True during the post-`Done` drain (different wait cause and
@@ -245,7 +247,7 @@ struct Pending {
 
 /// Task lifecycle. `Runnable` tasks sit in (or are owed a slot in) a
 /// run queue; `Blocked`/`AtBarrier` tasks are parked and re-entered by
-/// a send's wakeup or a barrier release. `Draining` is the
+/// a pairing send's wakeup or a barrier release. `Draining` is the
 /// post-`Done` phase between two leftover receives; a task never parks
 /// in it.
 enum TState {
@@ -264,11 +266,10 @@ struct Task<'a, P: Processor> {
     /// Whether this task has been counted out of barrier participation
     /// (program complete or failed).
     counted_done: bool,
-    /// [`ThreadNet::arrivals`] for this pid when its outstanding receives
-    /// were last polled.
-    polled_at: u64,
-    /// A receive was posted since that poll.
-    posted: bool,
+    /// [`ThreadNet::paired`] for this pid at its last take.
+    taken_at: u64,
+    /// The buffer a take fills, kept between takes.
+    taken: Vec<(u64, Msg)>,
 }
 
 struct Shared<'a, P: Processor> {
@@ -448,11 +449,19 @@ impl<P: Processor> Task<'_, P> {
     /// What a task left at quiescence waits on: a line of a deadlock.
     fn waits_on(&self, pid: usize) -> String {
         let at = self.interp.position();
+        // A parked task's receive is still outstanding: nothing paired it.
+        let tag = |p: &Pending| {
+            let next = self.interp.env().next_outstanding(p.req - 1);
+            next.expect("a parked task's receive is outstanding").1
+        };
         match &self.state {
             TState::Blocked(p) if p.quiesce => {
-                format!("  p{pid}: unfinished receive of {} at program end\n", p.tag)
+                format!(
+                    "  p{pid}: unfinished receive of {} at program end\n",
+                    tag(p)
+                )
             }
-            TState::Blocked(p) => format!("  p{pid}: blocked on receive of {} [{at}]\n", p.tag),
+            TState::Blocked(p) => format!("  p{pid}: blocked on receive of {} [{at}]\n", tag(p)),
             TState::AtBarrier { .. } => format!("  p{pid}: at a barrier [{at}]\n"),
             _ => format!("  p{pid}: finished\n"),
         }
@@ -483,13 +492,10 @@ fn poll_task<P: Processor>(sh: &Shared<'_, P>, pid: usize) {
     let mut guard = sh.tasks[pid].lock().unwrap();
     let task = &mut *guard;
     loop {
-        let advanced = match &task.state {
+        let advanced = match task.state {
             TState::Finished | TState::AtBarrier { .. } => return,
-            TState::Blocked(p) => {
-                let p = p.clone();
-                await_recv(sh, task, pid, p)
-            }
-            TState::Draining => drain(sh, task, pid),
+            TState::Blocked(p) => await_recv(sh, task, pid, p),
+            TState::Draining => drain(sh, task),
             TState::Runnable => run_quantum(sh, task, pid),
         };
         if !advanced {
@@ -518,97 +524,78 @@ fn finish<P: Processor>(sh: &Shared<'_, P>, task: &mut Task<'_, P>, res: Result<
     }
 }
 
-/// Poll the receive `p` the task must complete before going on: a
+/// Wait for the receive `p` the task must complete before going on: a
 /// blocking await, or (`p.quiesce`) a leftover drained after `Done`.
-/// Returns true if the task advanced (poll again), false if it parked.
+/// Completes whatever the net has paired for the task and goes on to
+/// re-step (or drain), or parks until a pairing send wakes it. Returns
+/// true if the task advanced (poll again), false if it parked.
 fn await_recv<P: Processor>(
     sh: &Shared<'_, P>,
     task: &mut Task<'_, P>,
     pid: usize,
     p: Pending,
 ) -> bool {
-    let Some(msg) = sh.net.claim_or_park(&p.tag, pid) else {
-        task.state = TState::Blocked(p);
-        return false;
-    };
+    match take_paired(sh, task, pid, Some(p.t0)) {
+        Some(0) => return false,
+        Some(_) => {}
+        None => return true,
+    }
     let cause = if p.quiesce {
         WaitCause::Quiesce
     } else {
         WaitCause::Message(p.req)
     };
     task.rec.wait(pid, cause, Some(p.req), p.t0, sh.edge());
-    sh.delivered(&mut task.rec, pid, p.req, &msg, p.t0);
-    match task.interp.complete_recv(p.req, msg) {
-        Ok(()) if p.quiesce => task.state = TState::Draining,
-        Ok(()) => task.state = TState::Runnable,
-        Err(e) => finish(sh, task, Err(e)),
+    task.state = if p.quiesce {
+        TState::Draining
+    } else {
+        TState::Runnable
+    };
+    true
+}
+
+/// Post-`Done` drain: wait for the next leftover receive so the final
+/// state is coherent, or finish when none is left.
+fn drain<P: Processor>(sh: &Shared<'_, P>, task: &mut Task<'_, P>) -> bool {
+    match task.interp.env().next_outstanding(0) {
+        None => finish(sh, task, Ok(())),
+        Some((req, _)) => {
+            let t0 = sh.edge();
+            let quiesce = true;
+            task.state = TState::Blocked(Pending { req, t0, quiesce });
+        }
     }
     true
 }
 
-/// Poll receive `req` for the first time, its wait starting now.
-fn start_recv<P: Processor>(
+/// Complete the receives the net has paired for the task. Unless it is to
+/// park (`parked_since`, the start of its wait), the task takes only when
+/// its count of pairs has moved; to park, it takes under the lock that
+/// parks it when nothing was paired. Returns how many completed, or
+/// `None` if a completion failed the task.
+fn take_paired<P: Processor>(
     sh: &Shared<'_, P>,
     task: &mut Task<'_, P>,
     pid: usize,
-    (req, tag): (u64, Tag),
-    quiesce: bool,
-) -> bool {
-    let p = Pending {
-        req,
-        tag,
-        t0: sh.edge(),
-        quiesce,
-    };
-    await_recv(sh, task, pid, p)
-}
-
-/// Post-`Done` drain: complete the next leftover receive so the final
-/// state is coherent, or finish when none is left.
-fn drain<P: Processor>(sh: &Shared<'_, P>, task: &mut Task<'_, P>, pid: usize) -> bool {
-    match task.interp.env().next_outstanding(0) {
-        None => {
-            finish(sh, task, Ok(()));
-            true
-        }
-        Some((req, tag)) => {
-            let recv = (req, tag.clone());
-            start_recv(sh, task, pid, recv, true)
-        }
+    parked_since: Option<f64>,
+) -> Option<usize> {
+    let paired = sh.net.paired(pid);
+    if paired == task.taken_at && parked_since.is_none() {
+        return Some(0);
     }
-}
-
-/// Complete every outstanding receive whose message has already arrived,
-/// so `accessible()` polls stay live. Polls only when a poll could claim
-/// something: a message this pid may claim was sent since the last one,
-/// or a receive was posted since. Returns false if a completion failed
-/// the task.
-fn poll_arrived<P: Processor>(sh: &Shared<'_, P>, task: &mut Task<'_, P>, pid: usize) -> bool {
-    let arrivals = sh.net.arrivals(pid);
-    if !(task.posted || arrivals != task.polled_at) {
-        return true;
-    }
-    (task.polled_at, task.posted) = (arrivals, false);
-    let mut after = 0;
-    loop {
-        let mut claimed = None;
-        while let Some((req, tag)) = task.interp.env().next_outstanding(after) {
-            after = req;
-            let t0 = sh.edge();
-            if let Some(msg) = sh.net.recv(tag, pid, Duration::ZERO) {
-                claimed = Some((req, msg, t0));
-                break;
-            }
-        }
-        let Some((req, msg, t0)) = claimed else {
-            return true;
-        };
-        sh.delivered(&mut task.rec, pid, req, &msg, t0);
+    task.taken_at = paired;
+    let mut took = std::mem::take(&mut task.taken);
+    sh.net.take(pid, parked_since.is_some(), &mut took);
+    let (n, since) = (took.len(), parked_since.unwrap_or_else(|| sh.edge()));
+    for (req, msg) in took.drain(..) {
+        sh.delivered(&mut task.rec, pid, req, &msg, since);
         if let Err(e) = task.interp.complete_recv(req, msg) {
             finish(sh, task, Err(e));
-            return false;
+            return None;
         }
     }
+    task.taken = took;
+    Some(n)
 }
 
 /// Execute up to [`QUANTUM`] statements. Returns true if the task's
@@ -616,7 +603,7 @@ fn poll_arrived<P: Processor>(sh: &Shared<'_, P>, task: &mut Task<'_, P>, pid: u
 /// parked or yielded.
 fn run_quantum<P: Processor>(sh: &Shared<'_, P>, task: &mut Task<'_, P>, pid: usize) -> bool {
     for _ in 0..QUANTUM {
-        if !poll_arrived(sh, task, pid) {
+        if take_paired(sh, task, pid, None).is_none() {
             return true;
         }
         let t0 = sh.edge();
@@ -648,30 +635,27 @@ fn run_quantum<P: Processor>(sh: &Shared<'_, P>, task: &mut Task<'_, P>, pid: us
                 let t = sh.now();
                 task.rec.send_init(pid, sid, &msg, t, t);
                 dest.post_each(msg, |msg, q| {
-                    sh.net.send(msg, q).into_iter().for_each(|p| sh.enqueue(p))
+                    if let Some(p) = sh.net.send(msg, q) {
+                        sh.enqueue(p);
+                    }
                 });
             }
             Action::PostRecv { tag, req_id } => {
-                // Nothing to do eagerly: the message is claimed at the
-                // next opportunistic poll or blocking wait.
                 let t = sh.now();
                 task.rec.recv_post(pid, sid, &tag, req_id, t, t);
-                task.posted = true;
+                sh.net.post_recv(tag, pid, req_id);
             }
             Action::BlockOn { var, sec } => {
-                // Service the first outstanding receive gating this section;
-                // with none, nothing could ever unblock it.
-                let Some(recv) = task.interp.outstanding_for(var, &sec).into_iter().next() else {
+                // Wait on the first outstanding receive gating this
+                // section; with none, nothing could ever unblock it.
+                let Some(&(req, _)) = task.interp.outstanding_for(var, &sec).first() else {
                     let e = format!("p{pid}: blocked on {var}{sec} with no outstanding receive");
                     finish(sh, task, Err(RtError::Deadlock(e)));
                     return true;
                 };
-                if !start_recv(sh, task, pid, recv, false) {
-                    return false;
-                }
-                if !matches!(task.state, TState::Runnable) {
-                    return true;
-                }
+                let (t0, quiesce) = (sh.edge(), false);
+                task.state = TState::Blocked(Pending { req, t0, quiesce });
+                return true;
             }
             Action::Barrier => {
                 let t0 = sh.edge();
@@ -708,6 +692,7 @@ mod tests {
     use super::*;
     use crate::SimExec;
     use std::sync::Arc;
+    use std::time::Duration;
     use xdp_fault::FaultPlan;
     use xdp_ir::build as b;
     use xdp_ir::{DimDist, ElemExpr, ElemType, ProcGrid};

@@ -239,13 +239,6 @@ impl BoolExpr {
         walk::subst(NodeMut::Rule(&mut out), name, replacement);
         out
     }
-
-    /// Does this rule (transitively) contain a blocking `await`?
-    pub fn contains_await(&self) -> bool {
-        walk::any(Node::Rule(self), |n| {
-            matches!(n, Node::Rule(BoolExpr::Await(_)))
-        })
-    }
 }
 
 /// Binary operators on element values.
@@ -449,10 +442,9 @@ mod tests {
     }
 
     #[test]
-    fn bool_subst_and_await_detection() {
+    fn bool_subst() {
         let r = SectionRef::new(VarId(1), vec![Subscript::Point(var("k"))]);
         let rule = BoolExpr::Iown(r.clone()).and(BoolExpr::Await(r));
-        assert!(rule.contains_await());
         let rule2 = rule.subst("k", &IntExpr::Const(2));
         match &rule2 {
             BoolExpr::And(a, _) => match a.as_ref() {
@@ -463,7 +455,6 @@ mod tests {
             },
             other => panic!("unexpected {other:?}"),
         }
-        assert!(!BoolExpr::Iown(SectionRef::scalar(VarId(0))).contains_await());
     }
 
     #[test]

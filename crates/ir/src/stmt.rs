@@ -41,10 +41,6 @@ impl TransferKind {
     pub fn moves_ownership(self) -> bool {
         !matches!(self, TransferKind::Value)
     }
-    /// Does this transfer move the data value?
-    pub fn moves_value(self) -> bool {
-        !matches!(self, TransferKind::Ownership)
-    }
 }
 
 /// Destination annotation of a send.
@@ -182,7 +178,7 @@ pub fn block_stmt_ids(base: u32, block: &[Stmt]) -> Vec<u32> {
 }
 
 /// Visit every statement in a block, preorder.
-pub fn visit_block<'a>(block: &'a [Stmt], f: &mut impl FnMut(&'a Stmt)) {
+fn visit_block<'a>(block: &'a [Stmt], f: &mut impl FnMut(&'a Stmt)) {
     for s in block {
         s.visit(f);
     }
@@ -456,9 +452,8 @@ mod tests {
     #[test]
     fn transfer_kind_flags() {
         assert!(TransferKind::OwnershipValue.moves_ownership());
-        assert!(TransferKind::OwnershipValue.moves_value());
         assert!(!TransferKind::Value.moves_ownership());
-        assert!(!TransferKind::Ownership.moves_value());
+        assert!(TransferKind::Ownership.moves_ownership());
     }
 
     #[test]

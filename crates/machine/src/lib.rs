@@ -15,11 +15,13 @@
 //!   match time, so simulations are reproducible bit-for-bit.
 //! * [`thread_net::ThreadNet`] — a real shared-memory matcher with the
 //!   same matching semantics: the task machine (`xdp_core::AsyncExec`)
-//!   claims from it, or parks a task on a name until a send returns it,
-//!   for wall-clock runs and for validating that the simulator and a
+//!   posts its receives there and takes what was paired, or parks a task
+//!   until the send that pairs one of its receives returns it, for
+//!   wall-clock runs and for validating that the simulator and a
 //!   genuinely parallel execution agree on results.
 //!
-//! Both nets match in one rendezvous pool (`pool`): its [`eligible`] is
+//! Both nets pair in one rendezvous pool (`pool`): a post pairs with the
+//! earliest eligible post of the other side, or waits; its [`eligible`] is
 //! the one rule for which pid a send may reach, and it records each match
 //! — counters and the two-sided redistribution staging figure — in one
 //! place. A name's posts pair earliest `(time, post order)` first, so the

@@ -1,9 +1,12 @@
 //! The rendezvous pool both nets match in: per name, the sends and the
-//! receives not yet matched (§2.7). It holds the one eligibility rule
-//! ([`eligible`]), the one match record ([`Pool::record`]: `NetStats` and
-//! the staging account) and the one staging sweep. A net supplies post
-//! times — virtual on [`crate::SimNet`], the pool's lock-order tick on
-//! [`crate::ThreadNet`] — and decides when a pair meets.
+//! receives not yet matched (§2.7). It holds the one pairing rule
+//! ([`Pool::post_send`], [`Pool::post_recv`]: a post pairs with the
+//! earliest eligible post of the other side, or waits), the one
+//! eligibility rule ([`eligible`]), the one match record
+//! ([`Pool::record`]: `NetStats` and the staging account) and the one
+//! staging sweep. A net supplies post times — virtual on
+//! [`crate::SimNet`], the pool's lock-order tick on [`crate::ThreadNet`] —
+//! and what a pair becomes.
 //!
 //! Each name's posts are kept in pick order: earliest `(time, seq)`
 //! first, where `seq` is the post order ([`Pool::tick`]), and a reordered
@@ -44,7 +47,7 @@ impl SendPost {
     }
 }
 
-/// A posted, not-yet-matched receive (on `ThreadNet`, a parked pid).
+/// A posted, not-yet-matched receive.
 #[derive(Clone, Debug)]
 pub(crate) struct RecvPost {
     pub(crate) dst: usize,
@@ -69,34 +72,37 @@ fn insert<T>(q: &mut Queue<T>, seq: u64, post: T, time: impl Fn(&T) -> f64, fron
 
 /// A name's unmatched sends and receives.
 #[derive(Clone, Debug, Default)]
-pub(crate) struct Posts {
+struct Posts {
     sends: Queue<SendPost>,
     recvs: Queue<RecvPost>,
 }
 
 impl Posts {
     /// Take the first send that `pid` may receive.
-    pub(crate) fn take_send(&mut self, pid: usize) -> Option<SendPost> {
+    fn take_send(&mut self, pid: usize) -> Option<SendPost> {
         let i = self.sends.iter().position(|(_, s)| eligible(s.dest, pid))?;
         Some(self.sends.remove(i).1)
     }
 
     /// Take the first receive that a send bound to `dest` may reach.
-    pub(crate) fn take_recv(&mut self, dest: Option<usize>) -> Option<RecvPost> {
+    fn take_recv(&mut self, dest: Option<usize>) -> Option<RecvPost> {
         let i = self.recvs.iter().position(|(_, r)| eligible(dest, r.dst))?;
         Some(self.recvs.remove(i).1)
     }
 
     /// Queue a send posted `seq`-th, at the front when `front`.
-    pub(crate) fn queue_send(&mut self, seq: u64, post: SendPost, front: bool) {
+    fn queue_send(&mut self, seq: u64, post: SendPost, front: bool) {
         insert(&mut self.sends, seq, post, |s| s.time, front);
     }
 
     /// Queue a receive posted `seq`-th.
-    pub(crate) fn queue_recv(&mut self, seq: u64, post: RecvPost) {
+    fn queue_recv(&mut self, seq: u64, post: RecvPost) {
         insert(&mut self.recvs, seq, post, |r| r.time, false);
     }
 }
+
+/// A send and the receive it paired with.
+pub(crate) type Pair = (SendPost, RecvPost);
 
 /// The unmatched posts of a net, by name, and what its matches recorded.
 #[derive(Clone, Debug)]
@@ -109,7 +115,7 @@ pub(crate) struct Pool {
     /// A redistribution message's staging buffer, `(start, end, src, dst,
     /// bytes)`: live on both endpoints from its send's post to `end`.
     spans: Vec<(f64, f64, usize, usize, u64)>,
-    pub(crate) stats: NetStats,
+    stats: NetStats,
 }
 
 impl Pool {
@@ -130,7 +136,7 @@ impl Pool {
     }
 
     /// The posts under `tag`; the tag is cloned only for a new name.
-    pub(crate) fn posts(&mut self, tag: Cow<'_, Tag>) -> &mut Posts {
+    fn posts(&mut self, tag: Cow<'_, Tag>) -> &mut Posts {
         let at = match self.names.get(tag.as_ref()) {
             Some(&at) => at,
             None => {
@@ -140,6 +146,39 @@ impl Pool {
             }
         };
         &mut self.posts[at]
+    }
+
+    /// Post `send` as number `seq` of the post order: pair it with the
+    /// earliest receive it may reach, or queue it — at the front when
+    /// `front`.
+    pub(crate) fn post_send(&mut self, seq: u64, send: SendPost, front: bool) -> Option<Pair> {
+        let posts = self.posts(Cow::Borrowed(&send.msg.tag));
+        match posts.take_recv(send.dest) {
+            Some(recv) => Some((send, recv)),
+            None => {
+                posts.queue_send(seq, send, front);
+                None
+            }
+        }
+    }
+
+    /// Post a receive for `tag` as number `seq` of the post order: pair
+    /// it with the earliest send that may reach it, or queue it.
+    pub(crate) fn post_recv(&mut self, seq: u64, tag: Tag, recv: RecvPost) -> Option<Pair> {
+        let posts = self.posts(Cow::Owned(tag));
+        match posts.take_send(recv.dst) {
+            Some(send) => Some((send, recv)),
+            None => {
+                posts.queue_recv(seq, recv);
+                None
+            }
+        }
+    }
+
+    /// Take the earliest send under `tag` that `pid` may receive, posting
+    /// no receive: `ThreadNet`'s blocking `recv`.
+    pub(crate) fn claim(&mut self, tag: &Tag, pid: usize) -> Option<SendPost> {
+        self.posts(Cow::Borrowed(tag)).take_send(pid)
     }
 
     /// Record `send` matched on `dst`: count it, and when it carries a

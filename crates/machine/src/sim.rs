@@ -22,7 +22,6 @@ use crate::faults::{Faults, LostMsg};
 use crate::pool::{Pool, RecvPost, SendPost};
 use crate::stats::NetStats;
 use crate::topo::Topology;
-use std::borrow::Cow;
 use xdp_fault::{FaultEvent, FaultPlan, FaultStats};
 use xdp_runtime::{Msg, Tag};
 
@@ -106,14 +105,8 @@ impl SimNet {
             extra,
         };
         let seq = self.pool.tick();
-        let posts = self.pool.posts(Cow::Borrowed(&send.msg.tag));
-        match posts.take_recv(dest) {
-            Some(recv) => Some(self.complete(send, recv)),
-            None => {
-                posts.queue_send(seq, send, false);
-                None
-            }
-        }
+        let (send, recv) = self.pool.post_send(seq, send, false)?;
+        Some(self.complete(send, recv))
     }
 
     /// Post a receive for `tag` at virtual `time` on processor `dst`.
@@ -127,14 +120,8 @@ impl SimNet {
     ) -> Option<Completion> {
         let recv = RecvPost { dst, time, req_id };
         let seq = self.pool.tick();
-        let posts = self.pool.posts(Cow::Owned(tag));
-        match posts.take_send(dst) {
-            Some(send) => Some(self.complete(send, recv)),
-            None => {
-                posts.queue_recv(seq, recv);
-                None
-            }
-        }
+        let (send, recv) = self.pool.post_recv(seq, tag, recv)?;
+        Some(self.complete(send, recv))
     }
 
     fn complete(&mut self, send: SendPost, recv: RecvPost) -> Completion {

@@ -24,12 +24,6 @@ pub struct NetStats {
     /// explicit redistribution schedule). 0 when the run redistributed
     /// nothing.
     pub redist_peak_bytes: u64,
-    /// Receive polls made of the pool. Only `ThreadNet` is polled; the
-    /// simulator matches each receive once and leaves this 0.
-    pub recv_attempts: u64,
-    /// Polls that claimed a message: `recv_claims / recv_attempts` is the
-    /// share of a wall-clock machine's polls that did work.
-    pub recv_claims: u64,
 }
 
 impl NetStats {

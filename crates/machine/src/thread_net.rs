@@ -1,16 +1,21 @@
 //! The real-parallel matcher: rendezvous matching through a shared,
-//! lock-protected message pool. The task machine (`xdp_core::AsyncExec`)
-//! runs every processor as a cooperative task over a few worker threads;
-//! a task whose message has not arrived parks in the pool itself, next to
-//! the messages of the name it waits on ([`ThreadNet::claim_or_park`]),
-//! and the send that can satisfy it hands its pid back to be woken. A
-//! blocking `recv` with a timeout remains for callers that own a thread.
+//! lock-protected pool. The task machine (`xdp_core::AsyncExec`) runs
+//! every processor as a cooperative task over a few worker threads, and
+//! posts its receives here as `SimExec` does on `SimNet`
+//! ([`ThreadNet::post_recv`]): whichever half of a pair is posted second
+//! pairs it, and the pair waits in the receiver's queue until the
+//! receiver takes it ([`ThreadNet::take`]). A receiver with nothing to
+//! take parks, and the send that pairs one of its receives returns its
+//! pid to be woken. A blocking `recv` with a timeout remains for callers
+//! that own a thread; it claims a queued send and posts nothing.
 //!
-//! Matching is the pool's ([`crate::pool`]), as on [`crate::sim::SimNet`]:
-//! messages pair with receives by exact name; unspecified-destination
-//! messages go to the first claiming receiver; destination-bound messages
-//! only to the pid they name. The benchmark's `exec-comm-tasks` workload runs on this backend;
-//! correctness tests assert its final state equals the simulator's.
+//! Pairing is the pool's ([`crate::pool`]), as on [`crate::sim::SimNet`],
+//! with the pool's lock-order tick for a post's time: messages pair with
+//! receives by exact name; unspecified-destination messages go to the
+//! earliest posted receive; destination-bound messages only to the pid
+//! they name. The benchmark's `exec-comm-tasks` workload runs on this
+//! backend; correctness tests assert its final state equals the
+//! simulator's.
 //!
 //! # Injected faults
 //!
@@ -23,7 +28,7 @@
 //! * A message whose every attempt drops is a dead letter at once (a
 //!   [`LostMsg`], as on the simulator, listed by [`ThreadNet::lost`]);
 //!   it never enters the pool, so quiescence sees the loss without waiting.
-//! * A duplicate is counted and suppressed: a message is claimed once.
+//! * A duplicate is counted and suppressed: a message pairs once.
 //! * A reordered message jumps ahead of its name's queue.
 //! * A delay, and the backoff of dropped attempts, are counted and the
 //!   message enters the pool at its send. `SimNet` pairs a send with a
@@ -32,44 +37,25 @@
 //! No timer runs: nothing in the pool waits on a clock.
 
 use crate::faults::{Faults, LostMsg};
-use crate::pool::{Pool, RecvPost, SendPost};
+use crate::pool::{Pair, Pool, RecvPost, SendPost};
 use crate::stats::NetStats;
 use parking_lot::{Condvar, Mutex};
-use std::borrow::Cow;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use xdp_fault::{FaultEvent, FaultPlan, FaultStats};
 use xdp_runtime::{Msg, Tag};
 
-/// The pool (its receives are the parked pids, its times lock-order
-/// ticks) and the fault record, under one lock.
+/// The pool (its times lock-order ticks), the fault record, and each
+/// pid's paired receives and park flag, under one lock.
 struct State {
     pool: Pool,
     faults: Faults,
-}
-
-impl State {
-    /// Claim the first message with this name that `pid` may receive; with
-    /// `park`, park `pid` on the name when there is none.
-    fn claim(&mut self, tag: &Tag, pid: usize, park: bool) -> Option<Msg> {
-        let now = self.pool.tick();
-        let posts = self.pool.posts(Cow::Borrowed(tag));
-        let send = posts.take_send(pid);
-        if park {
-            // A pid parks on a name at most once: a send bound to `pid`
-            // reaches just its own entry.
-            posts.take_recv(Some(pid));
-            if send.is_none() {
-                let (dst, time, req_id) = (pid, now as f64, 0);
-                posts.queue_recv(now, RecvPost { dst, time, req_id });
-            }
-        }
-        let send = send?;
-        self.pool.record(&send, pid, now as f64);
-        self.pool.stats.recv_claims += 1;
-        Some(send.msg)
-    }
+    /// Each pid's receives paired and not yet taken: request id and send.
+    inbox: Vec<Vec<(u64, SendPost)>>,
+    /// Is the pid parked: waiting for a pair, to be woken by the send
+    /// that makes one?
+    parked: Vec<bool>,
 }
 
 struct Inner {
@@ -77,10 +63,22 @@ struct Inner {
     cond: Condvar,
     /// Stamps fault events in wall µs since the net was made.
     epoch: Instant,
-    /// Sends bound to each pid, and sends bound to none: what
-    /// [`ThreadNet::arrivals`] reads without the lock.
-    bound_sends: Vec<AtomicU64>,
-    unbound_sends: AtomicU64,
+    /// Receives paired for each pid: what [`ThreadNet::paired`] reads
+    /// without the lock.
+    paired: Vec<AtomicU64>,
+}
+
+impl Inner {
+    /// Put a pair in its receiver's queue. Returns the receiver's pid if
+    /// it is parked, unparked now, for the caller to wake.
+    fn hold(&self, st: &mut State, (send, recv): Pair) -> Option<usize> {
+        let pid = recv.dst;
+        st.inbox[pid].push((recv.req_id, send));
+        // Counted under the lock, so a receiver that reads the new count
+        // takes after the pair is queued.
+        self.paired[pid].fetch_add(1, Ordering::Release);
+        std::mem::take(&mut st.parked[pid]).then_some(pid)
+    }
 }
 
 /// A cloneable handle to the shared network.
@@ -109,60 +107,86 @@ impl ThreadNet {
                 state: Mutex::new(State {
                     pool: Pool::new(nprocs),
                     faults: Faults::new(plan),
+                    inbox: vec![Vec::new(); nprocs],
+                    parked: vec![false; nprocs],
                 }),
                 cond: Condvar::new(),
                 epoch: Instant::now(),
-                bound_sends: (0..nprocs).map(|_| AtomicU64::new(0)).collect(),
-                unbound_sends: AtomicU64::new(0),
+                paired: (0..nprocs).map(|_| AtomicU64::new(0)).collect(),
             }),
         }
     }
 
-    /// Post a message (non-blocking: XDP sends are initiations), and take
-    /// the pids parked on its name that it may satisfy: every one for an
-    /// unbound message, the one it names for a bound one. The caller wakes
-    /// them; a pid whose peer claimed first parks again. A message lost
-    /// to an injected fault wakes nobody.
-    pub fn send(&self, msg: Msg, dest: Option<usize>) -> Vec<usize> {
+    /// Post a message (non-blocking: XDP sends are initiations): pair it
+    /// with the earliest posted receive it may reach, or queue it. Returns
+    /// the paired receiver's pid if that pid is parked, for the caller to
+    /// wake. A message lost to an injected fault wakes nobody.
+    pub fn send(&self, msg: Msg, dest: Option<usize>) -> Option<usize> {
         let mut st = self.inner.state.lock();
         let at_send = |_| self.inner.epoch.elapsed().as_secs_f64() * 1e6;
-        let Some((_, reorder)) = st.faults.settle(&msg, dest, at_send) else {
-            return Vec::new();
-        };
-        // Counted under the lock, so a receiver that reads the new count
-        // polls after the message is in the pool.
-        let count = dest.map_or(&self.inner.unbound_sends, |p| &self.inner.bound_sends[p]);
-        count.fetch_add(1, Ordering::Release);
+        let (_, reorder) = st.faults.settle(&msg, dest, at_send)?;
         let now = st.pool.tick();
-        let posts = st.pool.posts(Cow::Borrowed(&msg.tag));
-        let mut woken = Vec::new();
-        while let Some(parked) = posts.take_recv(dest) {
-            woken.push(parked.dst);
-        }
         let send = SendPost {
             msg,
             dest,
             time: now as f64,
             extra: 0.0,
         };
-        posts.queue_send(now, send, reorder);
+        let woken = match st.pool.post_send(now, send, reorder) {
+            Some(pair) => self.inner.hold(&mut st, pair),
+            None => None,
+        };
         drop(st);
         self.inner.cond.notify_all();
         woken
     }
 
-    /// How many messages have been sent that `pid` may claim: a count that
-    /// only grows, bumped under the pool's lock by each send not lost. A
-    /// receiver that read it before polling and finds it unchanged has
-    /// nothing new to claim.
-    pub fn arrivals(&self, pid: usize) -> u64 {
-        self.inner.bound_sends[pid].load(Ordering::Acquire)
-            + self.inner.unbound_sends.load(Ordering::Acquire)
+    /// Post receive `req_id` of `tag` on `pid`: pair it with the earliest
+    /// queued send that may reach it, into `pid`'s queue, or wait for one.
+    pub fn post_recv(&self, tag: Tag, pid: usize, req_id: u64) {
+        let mut st = self.inner.state.lock();
+        let now = st.pool.tick();
+        let recv = RecvPost {
+            dst: pid,
+            time: now as f64,
+            req_id,
+        };
+        if let Some(pair) = st.pool.post_recv(now, tag, recv) {
+            // The poster is running, so it is not parked.
+            self.inner.hold(&mut st, pair);
+        }
     }
 
-    /// Claim the first eligible message with this name; blocks until one
-    /// arrives or `timeout` elapses, and is `None` then, whether the
-    /// message is not sent yet, never sent or dead-lettered ([`lost`]
+    /// How many receives have been paired for `pid`: a count that only
+    /// grows, bumped under the pool's lock by each pair. A receiver that
+    /// read it before its last [`take`](ThreadNet::take) and finds it
+    /// unchanged has nothing new to take.
+    pub fn paired(&self, pid: usize) -> u64 {
+        self.inner.paired[pid].load(Ordering::Acquire)
+    }
+
+    /// Take `pid`'s paired receives, each request id with its message,
+    /// into `out`, in pairing order. With `park` and nothing to take,
+    /// park `pid` instead: the send that pairs one of its receives returns
+    /// it. Both happen under the lock a send takes, so no pair falls
+    /// between an empty take and the park.
+    pub fn take(&self, pid: usize, park: bool, out: &mut Vec<(u64, Msg)>) {
+        let mut guard = self.inner.state.lock();
+        let st = &mut *guard;
+        if st.inbox[pid].is_empty() {
+            st.parked[pid] |= park;
+            return;
+        }
+        let now = st.pool.tick() as f64;
+        for (req, send) in st.inbox[pid].drain(..) {
+            st.pool.record(&send, pid, now);
+            out.push((req, send.msg));
+        }
+    }
+
+    /// Claim the first eligible queued message with this name; blocks
+    /// until one arrives or `timeout` elapses, and is `None` then, whether
+    /// the message is not sent yet, never sent or dead-lettered ([`lost`]
     /// lists those).
     ///
     /// The deadline is fixed at entry: spurious or unrelated condvar
@@ -172,11 +196,12 @@ impl ThreadNet {
     /// [`lost`]: ThreadNet::lost
     pub fn recv(&self, tag: &Tag, self_pid: usize, timeout: Duration) -> Option<Msg> {
         let mut st = self.inner.state.lock();
-        st.pool.stats.recv_attempts += 1;
         let deadline = (!timeout.is_zero()).then(|| Instant::now() + timeout);
         loop {
-            if let Some(msg) = st.claim(tag, self_pid, false) {
-                return Some(msg);
+            if let Some(send) = st.pool.claim(tag, self_pid) {
+                let now = st.pool.tick() as f64;
+                st.pool.record(&send, self_pid, now);
+                return Some(send.msg);
             }
             let left = deadline?.saturating_duration_since(Instant::now());
             if left.is_zero() {
@@ -186,19 +211,9 @@ impl ThreadNet {
         }
     }
 
-    /// The task machine's receive: claim the first eligible message with
-    /// this name, or else park `pid` on the name. Both happen under the
-    /// lock a send takes, so no send falls between a failed claim and the
-    /// park; the send that may satisfy a parked pid returns it.
-    pub fn claim_or_park(&self, tag: &Tag, pid: usize) -> Option<Msg> {
-        let mut st = self.inner.state.lock();
-        st.pool.stats.recv_attempts += 1;
-        st.claim(tag, pid, true)
-    }
-
     /// Snapshot of traffic counters. `redist_peak_bytes` charges a
     /// redistribution message's bytes to both endpoints from its send to
-    /// its claim, in the pool's lock order.
+    /// its take, in the pool's lock order.
     pub fn stats(&self) -> NetStats {
         self.inner.state.lock().pool.stats()
     }
@@ -214,7 +229,7 @@ impl ThreadNet {
         self.inner.state.lock().faults.events.clone()
     }
 
-    /// Count of unclaimed messages (diagnostics).
+    /// Count of unpaired messages (diagnostics).
     pub fn pending_messages(&self) -> usize {
         self.inner.state.lock().pool.pending().0
     }
@@ -428,24 +443,27 @@ mod tests {
         assert!(net.recv(&tag(0), 2, Duration::from_millis(20)).is_none());
     }
 
-    /// A killed message is a dead letter at its send: it wakes no parked
-    /// receiver, never enters the pool, and the dead letter names it.
+    /// A killed message is a dead letter at its send: it pairs with no
+    /// posted receive, wakes no parked pid, never enters the pool, and the
+    /// dead letter names it.
     #[test]
     fn permanent_loss_is_dead_lettered() {
         let mut plan = FaultPlan::none();
         plan.kill.push((0, 1)); // first message from p0 never arrives
         plan.max_retries = 3;
         let net = ThreadNet::with_faults(2, plan);
-        assert!(net.claim_or_park(&tag(0), 1).is_none());
-        assert_eq!(net.send(msg(0, 0), None), Vec::<usize>::new());
+        net.post_recv(tag(0), 1, 1);
+        assert!(taken(&net, 1, true).is_empty());
+        assert_eq!(net.send(msg(0, 0), None), None);
         let lost = net.lost();
         assert_eq!(lost.len(), 1);
         assert_eq!((lost[0].src, lost[0].seq, lost[0].attempts), (0, 1, 4));
         assert_eq!(net.fault_stats().lost, 1);
         assert_eq!(net.fault_stats().retries, 3);
         assert_eq!(net.pending_messages(), 0);
-        assert!(net.recv(&tag(0), 1, Duration::ZERO).is_none());
-        assert_eq!(net.send(msg(0, 0), None), vec![1], "the second one is sent");
+        assert_eq!(net.paired(1), 0);
+        assert_eq!(net.send(msg(0, 0), None), Some(1), "the second one is sent");
+        assert_eq!(taken(&net, 1, false), vec![(1, 0)]);
     }
 
     #[test]
@@ -456,33 +474,73 @@ mod tests {
         assert_eq!(net.fault_stats().lost, 0);
     }
 
-    /// A pid parks on a name at most once; a send hands back the parked
-    /// pids it may satisfy — the listed ones if bound, all if not — and
-    /// leaves the others parked.
-    #[test]
-    fn a_send_wakes_the_pids_parked_on_its_name() {
-        let net = ThreadNet::new(4);
-        for pid in [1, 2, 2] {
-            assert!(net.claim_or_park(&tag(0), pid).is_none());
-        }
-        assert!(net.claim_or_park(&tag(1), 3).is_none());
-        assert_eq!(net.send(msg(0, 0), Some(2)), vec![2]);
-        assert_eq!(net.send(msg(1, 0), Some(1)), Vec::<usize>::new());
-        assert_eq!(net.send(msg(1, 0), None), vec![3]);
-        assert_eq!(net.send(msg(0, 0), None), vec![1]);
-        assert_eq!(net.send(msg(0, 0), None), Vec::<usize>::new());
-        assert!(net.claim_or_park(&tag(0), 2).is_some());
-        assert!(net.claim_or_park(&tag(0), 1).is_some());
-        assert!(net.claim_or_park(&tag(0), 1).is_some());
-        assert!(net.claim_or_park(&tag(0), 1).is_none());
-        assert_eq!(net.send(msg(0, 0), Some(1)), vec![1]);
-        assert_eq!(net.stats().recv_claims, 3);
+    /// Take `pid`'s paired receives: (request id, sender) each.
+    fn taken(net: &ThreadNet, pid: usize, park: bool) -> Vec<(u64, usize)> {
+        let mut out = Vec::new();
+        net.take(pid, park, &mut out);
+        out.into_iter().map(|(req, m)| (req, m.src)).collect()
     }
 
-    /// A delayed message enters the pool at its send: it wakes the pid
-    /// parked on its name at once, and the claim leaves that pid unparked.
+    /// A send pairs with the earliest posted receive it may reach — the
+    /// one on the pid it names if bound — and returns that pid only if it
+    /// is parked; a receive posted after its send pairs at the post. The
+    /// pairs wait in each receiver's queue, counted, until it takes them.
     #[test]
-    fn a_claim_unparks_its_pid() {
+    fn a_send_wakes_the_parked_pid_it_pairs_with() {
+        let net = ThreadNet::new(4);
+        net.post_recv(tag(0), 1, 10);
+        net.post_recv(tag(0), 2, 20);
+        net.post_recv(tag(0), 2, 21);
+        net.post_recv(tag(1), 3, 30);
+        for pid in 1..4 {
+            assert!(taken(&net, pid, true).is_empty());
+        }
+        assert_eq!(net.send(msg(0, 0), Some(2)), Some(2));
+        assert_eq!(
+            net.send(msg(1, 0), Some(1)),
+            None,
+            "bound to a pid not posted"
+        );
+        assert_eq!(net.send(msg(1, 1), None), Some(3));
+        assert_eq!(net.send(msg(0, 1), None), Some(1));
+        assert_eq!(net.send(msg(0, 2), None), None, "p2 was woken already");
+        assert_eq!(net.send(msg(0, 3), None), None, "nothing left to pair");
+        assert_eq!(net.pending_messages(), 2);
+        assert_eq!((net.paired(1), net.paired(2), net.paired(3)), (1, 2, 1));
+        assert_eq!(taken(&net, 2, true), vec![(20, 0), (21, 2)]);
+        assert_eq!(taken(&net, 1, false), vec![(10, 1)]);
+        net.post_recv(tag(1), 1, 11);
+        assert_eq!(taken(&net, 1, true), vec![(11, 0)], "paired at the post");
+        net.post_recv(tag(0), 1, 12);
+        assert_eq!(taken(&net, 1, false), vec![(12, 3)]);
+        assert_eq!(net.stats().messages, 5, "a pair is counted at its take");
+        assert_eq!(taken(&net, 3, false), vec![(30, 1)]);
+        assert_eq!(net.stats().messages, 6);
+    }
+
+    /// An unbound send with two posted receivers on its name pairs with
+    /// the earlier one and wakes that pid alone; the other stays parked
+    /// until a second send pairs with it.
+    #[test]
+    fn an_unbound_send_completes_one_receive_and_wakes_one_pid() {
+        let net = ThreadNet::new(3);
+        net.post_recv(tag(0), 2, 20);
+        net.post_recv(tag(0), 1, 10);
+        assert!(taken(&net, 1, true).is_empty() && taken(&net, 2, true).is_empty());
+        assert_eq!(net.send(msg(0, 0), None), Some(2));
+        assert_eq!((net.paired(1), net.paired(2)), (0, 1));
+        assert!(taken(&net, 1, true).is_empty(), "p1 stays parked");
+        assert_eq!(taken(&net, 2, false), vec![(20, 0)]);
+        assert_eq!(net.send(msg(0, 0), None), Some(1));
+        assert_eq!(taken(&net, 1, false), vec![(10, 0)]);
+        assert_eq!(net.stats().messages, 2);
+    }
+
+    /// A delayed message enters the pool at its send: it pairs with the
+    /// posted receive and wakes the parked pid at once; a take leaves the
+    /// pid unparked, so the next pair wakes nobody.
+    #[test]
+    fn a_take_unparks_its_pid() {
         let plan = FaultPlan::uniform(
             3,
             LinkFault {
@@ -492,10 +550,13 @@ mod tests {
             },
         );
         let net = ThreadNet::with_faults(2, plan);
-        assert!(net.claim_or_park(&tag(0), 1).is_none());
-        assert_eq!(net.send(msg(0, 0), None), vec![1]);
-        assert!(net.claim_or_park(&tag(0), 1).is_some());
-        assert_eq!(net.send(msg(0, 0), None), Vec::<usize>::new());
+        net.post_recv(tag(0), 1, 1);
+        net.post_recv(tag(0), 1, 2);
+        assert!(taken(&net, 1, true).is_empty());
+        assert_eq!(net.send(msg(0, 0), None), Some(1));
+        assert_eq!(taken(&net, 1, true), vec![(1, 0)]);
+        assert_eq!(net.send(msg(0, 0), None), None);
+        assert_eq!(taken(&net, 1, false), vec![(2, 0)]);
         assert_eq!(net.fault_stats().injected_delays, 2);
     }
 

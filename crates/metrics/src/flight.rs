@@ -74,8 +74,6 @@ pub struct FlightRecord {
     pub worker: usize,
     /// Content hash of the request spec.
     pub key: u64,
-    /// Display name, when the caller knows one.
-    pub name: Option<String>,
     /// Latency decomposition, microseconds.
     pub queue_us: u64,
     pub compile_us: u64,
@@ -255,9 +253,6 @@ fn record_json(rec: &FlightRecord, is_trigger: bool) -> Json {
     let mut m = Map::new();
     m.insert("worker".into(), Json::from(rec.worker));
     m.insert("key".into(), Json::from(format!("{:016x}", rec.key)));
-    if let Some(n) = &rec.name {
-        m.insert("name".into(), Json::from(n.clone()));
-    }
     m.insert("queue_us".into(), Json::from(rec.queue_us));
     m.insert("compile_us".into(), Json::from(rec.compile_us));
     m.insert("execute_us".into(), Json::from(rec.execute_us));
@@ -290,7 +285,6 @@ mod tests {
         FlightRecord {
             worker,
             key: 0xdead_beef,
-            name: Some("prog".into()),
             queue_us: 1,
             compile_us: 2,
             execute_us: latency_us.saturating_sub(3),

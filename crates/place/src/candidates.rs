@@ -94,7 +94,7 @@ pub fn enumerate(
 
 /// Is `dist` legal for `phase` — i.e. does every dimension the phase
 /// needs local stay collapsed?
-pub fn compatible(dist: &Distribution, phase: &Phase) -> bool {
+fn compatible(dist: &Distribution, phase: &Phase) -> bool {
     phase
         .local_dims()
         .iter()

@@ -28,7 +28,7 @@ use xdp_machine::Topology;
 pub const FLOPS_PER_TOUCH: f64 = 8.0;
 
 /// Largest fraction of the array any single processor owns.
-pub fn max_share(dist: &Distribution, bounds: &[Triplet]) -> f64 {
+fn max_share(dist: &Distribution, bounds: &[Triplet]) -> f64 {
     let total: i64 = bounds.iter().map(|t| t.count()).product();
     if total == 0 {
         return 0.0;

@@ -35,21 +35,13 @@ impl Complex {
         }
     }
 
-    /// Complex conjugate.
-    pub fn conj(self) -> Complex {
-        Complex {
-            re: self.re,
-            im: -self.im,
-        }
-    }
-
     /// Magnitude.
     pub fn abs(self) -> f64 {
         self.re.hypot(self.im)
     }
 
     /// Squared magnitude.
-    pub fn norm_sqr(self) -> f64 {
+    fn norm_sqr(self) -> f64 {
         self.re * self.re + self.im * self.im
     }
 }
@@ -163,11 +155,10 @@ mod tests {
     }
 
     #[test]
-    fn conj_and_norm() {
+    fn norm() {
         let a = Complex::new(3.0, 4.0);
         assert_eq!(a.abs(), 5.0);
         assert_eq!(a.norm_sqr(), 25.0);
-        assert!(close(a * a.conj(), Complex::real(25.0)));
     }
 
     #[test]

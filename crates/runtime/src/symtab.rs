@@ -57,23 +57,15 @@ impl SymtabStats {
     }
 }
 
-/// One variable's entry: the Figure 2 row.
+/// One variable's entry: the run-time half of a Figure 2 row. The
+/// declaration half (name, rank, global shape, partitioning, segment
+/// shape) is the program's [`Decl`], shared by every processor.
 #[derive(Clone)]
 pub struct SymEntry {
     /// symtab index == VarId.
     pub var: VarId,
-    /// Symbol name.
-    pub name: String,
-    /// Rank.
-    pub rank: usize,
-    /// Global shape (per-dim index bounds).
-    pub bounds: Vec<xdp_ir::Triplet>,
     /// Element type.
     pub elem: ElemType,
-    /// Partitioning (the initial distribution).
-    pub partitioning: xdp_ir::Distribution,
-    /// Segment shape chosen by the compiler (local coordinates).
-    pub segment_shape: Option<Vec<i64>>,
     /// Segment descriptors — the shaded, run-time-maintained field.
     pub segments: Vec<SegmentDesc>,
     /// Where `segments` lie, derived from them; not part of `Debug`.
@@ -108,12 +100,7 @@ impl std::fmt::Debug for SymEntry {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SymEntry")
             .field("var", &self.var)
-            .field("name", &self.name)
-            .field("rank", &self.rank)
-            .field("bounds", &self.bounds)
             .field("elem", &self.elem)
-            .field("partitioning", &self.partitioning)
-            .field("segment_shape", &self.segment_shape)
             .field("segments", &self.segments)
             .finish()
     }
@@ -370,7 +357,7 @@ impl RtSymbolTable {
                 t.entries.push(None);
                 continue;
             }
-            let dist = d.dist.clone().expect("exclusive decl has distribution");
+            let dist = d.dist.as_ref().expect("exclusive decl has distribution");
             let mut segments = Vec::new();
             for rect in dist.owned_rects(&d.bounds, pid) {
                 for sec in segment_sections(&rect, d.segment_shape.as_deref()) {
@@ -381,12 +368,7 @@ impl RtSymbolTable {
             }
             t.entries.push(Some(SymEntry {
                 var,
-                name: d.name.clone(),
-                rank: d.rank(),
-                bounds: d.bounds.clone(),
                 elem: d.elem,
-                partitioning: dist,
-                segment_shape: d.segment_shape.clone(),
                 index: SegIndex::of(&segments),
                 segments,
             }));
@@ -1113,8 +1095,7 @@ mod tests {
     fn build_matches_figure2() {
         let t = RtSymbolTable::build(0, &decls());
         let a = t.entry(VarId(0)).unwrap();
-        assert_eq!(a.name, "A");
-        assert_eq!(a.rank, 2);
+        assert_eq!(a.var, VarId(0));
         assert_eq!(a.segments.len(), 4); // Figure 2: #segments = 4
         assert!(a.segments.iter().all(|s| s.volume() == 2));
         // Universal variable: no entry.

@@ -49,8 +49,6 @@ pub enum ServeError {
     /// A run took its machine's statement budget without finishing
     /// (`xdp_core::RtError::StepBudget`).
     OverBudget(String),
-    /// A named program was not found in the registry.
-    Unknown(String),
 }
 
 impl std::fmt::Display for ServeError {
@@ -60,7 +58,6 @@ impl std::fmt::Display for ServeError {
             ServeError::BadFaults(e) => write!(f, "bad fault spec: {e}"),
             ServeError::Run(e) => write!(f, "run: {e}"),
             ServeError::OverBudget(e) => write!(f, "over budget: {e}"),
-            ServeError::Unknown(name) => write!(f, "no program named `{name}`"),
         }
     }
 }
@@ -326,20 +323,9 @@ impl CompileCache {
         }
     }
 
-    /// Explicitly remove an entry (registry eviction; not counted as an
-    /// LRU eviction). Returns whether it was resident.
-    pub fn remove(&mut self, key: u64) -> bool {
-        self.map.remove(&key).is_some()
-    }
-
     /// Is the given key resident?
     pub fn contains(&self, key: u64) -> bool {
         self.map.contains_key(&key)
-    }
-
-    /// Read an entry without touching LRU order or counters (listings).
-    pub fn peek(&self, key: u64) -> Option<Arc<CachedProgram>> {
-        self.map.get(&key).map(|e| e.cached.clone())
     }
 }
 

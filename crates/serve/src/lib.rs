@@ -14,8 +14,6 @@
 //!   parse→lower→opt→place pipeline, storing the compiled artifact and
 //!   its `run_traced` pass provenance, with hit/miss/evict/compile
 //!   counters that make "a hit skipped recompilation" checkable;
-//! * [`registry`] — stable names over cache keys (`register` / `list` /
-//!   `evict`), so clients of a long-lived `xdpd` need not resend source;
 //! * [`pool`] — a [`ServePool`] that fans request batches across a
 //!   bounded worker pool; every run executes on a private simulator
 //!   instance, so batched outcomes are bit-identical to solo runs
@@ -50,13 +48,11 @@ pub mod cache;
 pub mod claims;
 pub mod metrics_view;
 pub mod pool;
-pub mod registry;
 pub mod replay;
 pub mod spec;
 
 pub use cache::{Begin, CacheStats, CachedProgram, CompileCache, Flight, ServeError};
 pub use metrics_view::ServeMetrics;
 pub use pool::{PoolMachine, RunOutcome, ServePool};
-pub use registry::{RegisteredInfo, Registry};
 pub use replay::{load_corpus, replay, request_mix, CorpusItem, ReplayConfig, ReplayReport};
 pub use spec::{ContentHasher, RequestSpec};

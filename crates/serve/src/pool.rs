@@ -28,7 +28,6 @@
 
 use crate::cache::{Begin, CachedProgram, CompileCache, ServeError};
 use crate::metrics_view::ServeMetrics;
-use crate::registry::{RegisteredInfo, Registry};
 use crate::spec::RequestSpec;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -87,13 +86,12 @@ struct Resolved {
     compile_us: u64,
 }
 
-/// The serving pool: shared cache + registry behind one lock each, a
-/// worker count for batch fan-out, and the pool's telemetry.
+/// The serving pool: the shared cache behind one lock, a worker count for
+/// batch fan-out, and the pool's telemetry.
 pub struct ServePool {
     workers: usize,
     machine: PoolMachine,
     cache: Mutex<CompileCache>,
-    registry: Mutex<Registry>,
     metrics: ServeMetrics,
     flight: Option<FlightRecorder>,
 }
@@ -106,7 +104,6 @@ impl ServePool {
             workers: workers.max(1),
             machine: PoolMachine::Sim,
             cache: Mutex::new(CompileCache::new(capacity)),
-            registry: Mutex::new(Registry::new()),
             metrics: ServeMetrics::new(Arc::new(MetricsRegistry::new())),
             flight: None,
         }
@@ -174,22 +171,6 @@ impl ServePool {
         out
     }
 
-    /// Run one closure with the registry and cache locked together
-    /// (listings, eviction).
-    pub fn with_registry<T>(&self, f: impl FnOnce(&mut Registry, &mut CompileCache) -> T) -> T {
-        let mut reg = self.registry.lock().unwrap();
-        self.with_cache(|cache| f(&mut reg, cache))
-    }
-
-    /// Register (or replace) `name`: resolve `spec` the way a request
-    /// would — so it is compiled once, unlocked, and warm for its first
-    /// run — then record the name. A spec that does not compile is not
-    /// registered. Returns the listing row for the new entry.
-    pub fn register(&self, name: &str, spec: RequestSpec) -> Result<RegisteredInfo, ServeError> {
-        self.resolve(&spec)?;
-        Ok(self.with_registry(|reg, cache| reg.register(name, spec, cache)))
-    }
-
     /// The one way the pool gets an artifact (module docs): hit, lead a
     /// flight, or join one. The cache lock is taken for `begin` and for
     /// `land` and released in between.
@@ -233,19 +214,7 @@ impl ServePool {
     /// Serve one request: resolve through the cache, execute in
     /// isolation.
     pub fn run_one(&self, spec: &RequestSpec) -> Result<RunOutcome, ServeError> {
-        self.serve(spec, None, 0, Instant::now(), 0)
-    }
-
-    /// Serve a registered program by name.
-    pub fn run_named(&self, name: &str) -> Result<RunOutcome, ServeError> {
-        let spec = self
-            .registry
-            .lock()
-            .unwrap()
-            .get(name)
-            .cloned()
-            .ok_or_else(|| ServeError::Unknown(name.to_string()))?;
-        self.serve(&spec, Some(name), 0, Instant::now(), 0)
+        self.serve(spec, 0, Instant::now(), 0)
     }
 
     /// Run a whole batch concurrently over the worker pool. Results come
@@ -270,7 +239,7 @@ impl ServePool {
                     }
                     let queue_us = enqueued.elapsed().as_micros() as u64;
                     self.metrics.queue_depth.sub(1);
-                    let result = self.serve(&specs[i], None, w, enqueued, queue_us);
+                    let result = self.serve(&specs[i], w, enqueued, queue_us);
                     slots.lock().unwrap()[i] = Some(result);
                 });
             }
@@ -284,13 +253,12 @@ impl ServePool {
             .collect()
     }
 
-    /// The one serving path behind `run_one`, `run_named`, and every
+    /// The one serving path behind `run_one` and every
     /// batch worker: resolve, execute, stamp the latency decomposition,
     /// fold telemetry, feed the flight recorder.
     fn serve(
         &self,
         spec: &RequestSpec,
-        name: Option<&str>,
         worker: usize,
         enqueued: Instant,
         queue_us: u64,
@@ -304,9 +272,7 @@ impl ServePool {
             compile_us,
         } = match resolved {
             Ok(resolved) => resolved,
-            Err(e) => {
-                return Err(self.fail(e, spec, name, worker, queue_us, resolve_us, 0, enqueued))
-            }
+            Err(e) => return Err(self.fail(e, spec, worker, queue_us, resolve_us, 0, enqueued)),
         };
 
         let exec_start = Instant::now();
@@ -326,9 +292,7 @@ impl ServePool {
         let (mut outcome, report) = match executed {
             Ok(pair) => pair,
             Err(e) => {
-                return Err(self.fail(
-                    e, spec, name, worker, queue_us, resolve_us, execute_us, enqueued,
-                ))
+                return Err(self.fail(e, spec, worker, queue_us, resolve_us, execute_us, enqueued))
             }
         };
         outcome.cache_hit = cache_hit;
@@ -351,7 +315,6 @@ impl ServePool {
         self.metrics.fold_report(&report);
         self.record_flight(
             outcome.key,
-            name,
             worker,
             queue_us,
             resolve_us,
@@ -387,7 +350,6 @@ impl ServePool {
         &self,
         e: ServeError,
         spec: &RequestSpec,
-        name: Option<&str>,
         worker: usize,
         queue_us: u64,
         resolve_us: u64,
@@ -397,7 +359,6 @@ impl ServePool {
         self.metrics.req_err.inc();
         self.record_flight(
             spec.content_hash(),
-            name,
             worker,
             queue_us,
             resolve_us,
@@ -413,7 +374,6 @@ impl ServePool {
     fn record_flight(
         &self,
         key: u64,
-        name: Option<&str>,
         worker: usize,
         queue_us: u64,
         compile_us: u64,
@@ -427,7 +387,6 @@ impl ServePool {
         match fr.observe(FlightRecord {
             worker,
             key,
-            name: name.map(str::to_string),
             queue_us,
             compile_us,
             execute_us,
@@ -773,28 +732,6 @@ mod tests {
             assert_eq!(snap.counter("xdp_request_over_budget_total", &[]), Some(1));
             assert!(pool.run_one(&spec(8)).is_ok(), "the next request is served");
         }
-    }
-
-    #[test]
-    fn named_runs_resolve_through_registry() {
-        let pool = ServePool::new(2, 8);
-        let row = pool.register("adder", spec(8)).unwrap();
-        assert!(row.cached && row.stmts > 0, "{row:?}");
-        let out = pool.run_named("adder").unwrap();
-        assert!(out.cache_hit, "registration pre-warms the cache");
-        assert_eq!(pool.cache_stats().compiles, 1);
-        let snap = pool.metrics_snapshot();
-        let compile = snap.histogram("xdp_compile_us", &[]).unwrap();
-        assert_eq!(compile.count, 1, "a registration's compile is observed");
-
-        let bad = RequestSpec::new("real A[1:4] distribute (WAT) onto 2\n");
-        let e = pool.register("bad", bad).unwrap_err();
-        assert!(matches!(e, ServeError::Compile(_)), "{e}");
-        assert_eq!(pool.with_registry(|reg, _| reg.len()), 1, "not registered");
-        assert!(matches!(
-            pool.run_named("nope"),
-            Err(ServeError::Unknown(_))
-        ));
     }
 
     #[test]

@@ -126,7 +126,7 @@ pub fn elem_expr(depth: u32) -> BoxedStrategy<ElemExpr> {
 }
 
 /// One of the rank-1 distributions the generators draw from.
-pub fn dist_choice() -> BoxedStrategy<Distribution> {
+fn dist_choice() -> BoxedStrategy<Distribution> {
     prop_oneof![
         Just(Distribution::new(
             vec![DimDist::Block],
@@ -258,7 +258,7 @@ pub struct TestProgram {
 
 /// The enumerable rank-1 distributions `redistribute` templates move
 /// between (the last entry is fully collapsed: pid 0 owns everything).
-pub fn enumerable_dists(nprocs: usize) -> Vec<Distribution> {
+fn enumerable_dists(nprocs: usize) -> Vec<Distribution> {
     vec![
         Distribution::new(vec![DimDist::Block], ProcGrid::linear(nprocs)),
         Distribution::new(vec![DimDist::Cyclic], ProcGrid::linear(nprocs)),

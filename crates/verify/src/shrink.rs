@@ -270,7 +270,7 @@ fn splice_at(block: &mut Block, path: &[usize]) -> bool {
 /// Drop declarations from the end of the declaration list that nothing in
 /// the program names — in a statement, a subscript, a bound, a salt or a
 /// destination. Only trailing ones: `VarId`s are ordinals.
-pub fn prune_trailing_decls(p: &mut xdp_ir::Program) {
+fn prune_trailing_decls(p: &mut xdp_ir::Program) {
     let mut named = 0;
     for s in &p.body {
         walk::visit(Node::Stmt(s), &mut |n| match n {

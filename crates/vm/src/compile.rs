@@ -27,7 +27,7 @@ pub struct SlotMap {
 
 impl SlotMap {
     /// Slot id for `name`, allocating one if new.
-    pub fn intern(&mut self, name: &str) -> usize {
+    fn intern(&mut self, name: &str) -> usize {
         if let Some(&i) = self.index.get(name) {
             return i;
         }

@@ -11,15 +11,16 @@ use std::sync::Arc;
 use xdp::prelude::*;
 use xdp_runtime::RtSymbolTable;
 
-fn print_symtab(pid: usize, t: &RtSymbolTable) {
+fn print_symtab(pid: usize, t: &RtSymbolTable, decls: &[Decl]) {
     println!("--- processor P{pid} run-time symbol table ---");
     println!(
         "{:<6} {:<6} {:<4} {:<10} {:<24} {:<10} {:<9}",
         "index", "name", "rank", "shape", "partitioning", "seg shape", "#segments"
     );
     for e in t.entries() {
-        let shape: Vec<String> = e.bounds.iter().map(|b| b.count().to_string()).collect();
-        let seg = e
+        let d = &decls[e.var.index()];
+        let shape: Vec<String> = d.bounds.iter().map(|b| b.count().to_string()).collect();
+        let seg = d
             .segment_shape
             .as_ref()
             .map(|s| {
@@ -35,10 +36,10 @@ fn print_symtab(pid: usize, t: &RtSymbolTable) {
         println!(
             "{:<6} {:<6} {:<4} {:<10} {:<24} {:<10} {:<9}",
             e.var.index(),
-            e.name,
-            e.rank,
+            d.name,
+            d.rank(),
             format!("({})", shape.join(",")),
-            e.partitioning.to_string(),
+            d.dist.as_ref().unwrap().to_string(),
             seg,
             e.owned_segment_count(),
         );
@@ -74,7 +75,7 @@ fn main() {
         ),
     ];
     for pid in [0, 3] {
-        print_symtab(pid, &RtSymbolTable::build(pid, &decls));
+        print_symtab(pid, &RtSymbolTable::build(pid, &decls), &decls);
     }
 
     // ---- Figure 3: distributions and segmentations seen from P3 ----------

@@ -13,7 +13,7 @@ use std::process::ExitCode;
 use xdp_bench::table::{j, Table};
 use xdp_compiler::cli::{self, Args};
 use xdp_compiler::SeqMode;
-use xdp_serve::{load_corpus, replay, ReplayConfig, RequestSpec, ServePool};
+use xdp_serve::{load_corpus, replay, CachedProgram, ReplayConfig, RequestSpec, ServePool};
 
 /// `Err` carries the exit code of a failure the command has already
 /// reported on stderr.
@@ -103,24 +103,16 @@ fn cmd_list(args: &Args) -> Done {
         eprintln!("xdpd: error: {e}");
         ExitCode::from(2)
     })?;
-    let pool = ServePool::new(1, corpus.len().max(1));
+    let mut t = Table::new("xdpd-corpus", &["name", "key", "nprocs", "stmts", "passes"]);
     for item in &corpus {
-        let registered = pool.register(&item.name, item.spec.clone());
-        registered.map_err(|e| fail(format_args!("{}: {e}", item.name)))?;
-    }
-    let rows = pool.with_registry(|reg, cache| reg.list(cache));
-    let mut t = Table::new(
-        "xdpd-registry",
-        &["name", "key", "nprocs", "stmts", "passes", "cached"],
-    );
-    for r in rows {
+        let built = CachedProgram::build(&item.spec);
+        let c = built.map_err(|e| fail(format_args!("{}: {e}", item.name)))?;
         t.row(&[
-            j::s(&r.name),
-            j::s(&format!("{:016x}", r.key)),
-            j::u(r.nprocs as u64),
-            j::u(r.stmts as u64),
-            j::u(r.passes as u64),
-            j::s(if r.cached { "yes" } else { "no" }),
+            j::s(&item.name),
+            j::s(&format!("{:016x}", c.key)),
+            j::u(c.compiled.nprocs as u64),
+            j::u(c.compiled.program.body.len() as u64),
+            j::u(c.compiled.trace.passes.len() as u64),
         ]);
     }
     t.print();

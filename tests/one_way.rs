@@ -270,10 +270,11 @@ fn a_message_fate_is_settled_at_its_send() {
 #[test]
 fn both_nets_match_in_one_pool() {
     // DESIGN §2.3: which pid a send may reach (`xdp_machine::eligible`),
-    // the match's record in `NetStats` and the staging sweep are written
-    // once, in `xdp_machine::pool`; a net's send takes one destination, and
-    // the nets' own copies stay deleted. Spelled in halves so this file
-    // passes its own scan.
+    // how a post pairs with the other side's, the match's record in
+    // `NetStats` and the staging sweep are written once, in
+    // `xdp_machine::pool`; a net's send takes one destination, and the
+    // nets' own copies stay deleted, as does the task machine's receive
+    // polling. Spelled in halves so this file passes its own scan.
     let halves = |names: &[[&str; 2]]| names.iter().map(|h| h.concat()).collect::<Vec<_>>();
     let pool = Path::new("crates/machine/src/pool.rs");
     let everywhere = halves(&[
@@ -293,8 +294,29 @@ fn both_nets_match_in_one_pool() {
         ["match &", "dest"],
         ["Option<Vec<", "usize>>"],
     ]);
+    let pairing = halves(&[
+        ["take", "_send("],
+        ["take", "_recv("],
+        ["queue", "_send("],
+        ["queue", "_recv("],
+        ["claim", "_or_park"],
+        ["arrivals", "("],
+        ["poll", "_arrived"],
+        ["recv", "_attempts"],
+    ]);
     for path in sources() {
-        if in_tests(&path) || path.ends_with(pool) {
+        if path.ends_with(pool) {
+            continue;
+        }
+        let text = std::fs::read_to_string(&path).unwrap();
+        for name in &pairing {
+            assert!(
+                !text.contains(name.as_str()),
+                "{} names {name}",
+                path.display()
+            );
+        }
+        if in_tests(&path) {
             continue;
         }
         let code = code_of(&path);
@@ -996,6 +1018,14 @@ fn design_describes_the_tree_once() {
         design.len() <= 61_440,
         "DESIGN.md is {} bytes",
         design.len()
+    );
+    // EXPERIMENTS.md keeps each measurement's results (its medians, its
+    // claim, the rows that moved); the narrative of the runs is in git.
+    let experiments = read("EXPERIMENTS.md");
+    assert!(
+        experiments.len() <= 70_000,
+        "EXPERIMENTS.md is {} bytes",
+        experiments.len()
     );
     for heading in design.lines().filter(|l| l.starts_with('#')) {
         let names_a_pr = heading.match_indices("PR").any(|(at, _)| {

@@ -1,11 +1,10 @@
-//! What the task machine's receive polls cost and guarantee. A task polls
-//! its outstanding receives before a step only when a poll could claim
-//! something (DESIGN §2.4): a message it may claim was sent since its last
-//! poll, or it posted a receive since. So the polls of the benchmark's
-//! `exec-comm` mix are bounded per message claimed, and
-//! a message is still claimed whether it lands before its receive is
-//! posted or while a program only tests `accessible()` — with and without
-//! injected faults, ending as the simulator ends.
+//! How the task machine's receives pair and land. A task posts each
+//! receive in the net, and whichever of a send and its receive is posted
+//! second pairs them (DESIGN §2.4): so over the benchmark's `exec-comm`
+//! mix each message pairs once and the run ends as the simulator's, and
+//! a message lands whether it is sent before its receive is posted or
+//! while a program only tests `accessible()` — with and without injected
+//! faults.
 
 use xdp::prelude::*;
 use xdp_compiler::{compile, Backend, CompileOptions};
@@ -48,44 +47,47 @@ const EXEC_COMM: [(&str, &str); 4] = [
     ),
 ];
 
-/// Receive polls per claimed message over the mix, on the task machine
-/// with the VM and two workers: the worker count sets the interleaving of
-/// arrivals and steps, so it is fixed rather than taken from the host.
-/// Polled before every step, a task asked about every outstanding receive:
-/// 9.1–9.5 polls a message, 13.3–14.3 on the redistributions. Gated on
-/// arrivals it asks 3.6–3.8; 3.2 on one worker, at most 4.9 on sixteen
-/// (EXPERIMENTS, "A step scans only what it touches").
+/// Each message of the mix pairs once — the pool's count of pairs is the
+/// count of receives completed — and the run ends with the simulator's
+/// memory, movement and message count, on the task machine
+/// with the VM at 1, 2 and 4 workers: the worker count sets the
+/// interleaving of sends, posts and takes.
 #[test]
-fn task_polls_are_bounded_per_claimed_message() {
+fn each_message_pairs_once_and_ends_as_on_the_simulator() {
     let opts = CompileOptions::default().with_backend(Backend::Vm);
-    let (mut attempts, mut claims) = (0, 0);
     for (name, source) in EXEC_COMM {
         let c = compile(source, &opts).unwrap_or_else(|e| panic!("{name}: {e}"));
-        let mut exec = machine(
-            MachineKind::Tasks,
-            Backend::Vm,
-            c.program.clone(),
-            xdp_apps::app_kernels(),
-            MachineConfig {
-                workers: 2,
+        let run = |kind, workers| {
+            let cfg = MachineConfig {
+                workers,
                 ..MachineConfig::new(c.nprocs)
-            },
-        );
-        let (fp, report) = Fingerprint::of_run(exec.as_mut(), &c.program.decls)
-            .unwrap_or_else(|e| panic!("{name}: {e}"));
-        let net = report.net;
-        assert_eq!(net.recv_claims, fp.messages, "{name}: a claim is a message");
-        println!(
-            "{name}: {} polls for {} claims",
-            net.recv_attempts, net.recv_claims
-        );
-        attempts += net.recv_attempts;
-        claims += net.recv_claims;
+            };
+            let mut exec = machine(
+                kind,
+                Backend::Vm,
+                c.program.clone(),
+                xdp_apps::app_kernels(),
+                cfg.with_trace(TraceConfig::movement()),
+            );
+            Fingerprint::of_run(exec.as_mut(), &c.program.decls)
+                .unwrap_or_else(|e| panic!("{name} on {kind:?}: {e}"))
+        };
+        let (sim, _) = run(MachineKind::Sim, 0);
+        for workers in [1, 2, 4] {
+            let (tasks, report) = run(MachineKind::Tasks, workers);
+            let at = format!("{name} at {workers} workers");
+            // The pool records a pair at its take; the recorder, a
+            // receive at its completion.
+            let completed = report.trace.of_kind(TraceKind::WireTransit).count();
+            assert_eq!(
+                report.net.messages, completed as u64,
+                "{at}: a pair is one completed receive"
+            );
+            assert_eq!(tasks.messages, sim.messages, "{at}");
+            assert_eq!(tasks.memory_all(), sim.memory_all(), "{at}");
+            assert_eq!(tasks.movement, sim.movement, "{at}");
+        }
     }
-    assert!(
-        attempts <= 6 * claims,
-        "{attempts} receive polls for {claims} claimed messages"
-    );
 }
 
 /// p1's receive of `A[1]` and the copy that needs it, in one of two
@@ -112,7 +114,7 @@ fn accessible_only(lands_first: bool) -> String {
     )
 }
 
-/// A message is claimed on the task machine, ending as on the simulator:
+/// A message lands on the task machine, ending as on the simulator:
 /// memory, movement and message count. One worker runs both tasks, so p1
 /// loops while p0 is parked or queued behind it.
 fn lands_as_on_the_simulator(source: &str, faults: FaultPlan) {
@@ -151,7 +153,7 @@ fn lands_as_on_the_simulator(source: &str, faults: FaultPlan) {
 }
 
 /// Drops and delays on every link: the net settles both at the send, so
-/// no poll waits for a retransmission or a late delivery.
+/// no receive waits for a retransmission or a late arrival.
 fn faults() -> FaultPlan {
     FaultPlan::uniform(
         11,
